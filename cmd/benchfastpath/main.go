@@ -28,10 +28,10 @@
 //
 // -check re-measures the fence benchmarks only (BenchmarkTable2StatsOn
 // and BenchmarkTraceReplay1M, or BenchmarkFleetIngest1024,
-// BenchmarkFleetReplay1024 and BenchmarkFleetTreeIngest10k with -fleet)
-// and fails (exit 1) if any regressed more than -tolerance percent over
-// the entry named by -against, so CI catches regressions without
-// re-running the full suite. Relative fences measure both sides fresh in
+// BenchmarkFleetReplay1024, BenchmarkFleetTreeIngest10k and
+// BenchmarkSimPushAll256 with -fleet) and fails (exit 1) if any regressed
+// more than -tolerance percent over the entry named by -against, so CI
+// catches regressions without re-running the full suite. Relative fences measure both sides fresh in
 // the same session so machine speed cancels out: streaming trace replay
 // must stay at or below half the legacy materialize-and-sort cost
 // (maxPct -50, i.e. the >=2x speedup claim), and with -fleet the
@@ -134,16 +134,19 @@ func main() {
 		maxPct:  -50,
 	}}
 	if *fleet {
-		// Three fleet fences: the ingest fast path, the boot replay the
-		// segment log added — a slow restart is a regression too — and the
-		// 10k-host federation tree's churn interval. Plus one relative
-		// fence: traced ingest must stay within 5% of untraced, both
-		// measured fresh in this session.
+		// Four fleet fences: the ingest fast path, the boot replay the
+		// segment log added — a slow restart is a regression too — the
+		// 10k-host federation tree's churn interval, and the simulated
+		// datacenter's push hop (256 hosts' full state through the wire
+		// codec per op), which regressed 2.75x unfenced once. Plus one
+		// relative fence: traced ingest must stay within 5% of untraced,
+		// both measured fresh in this session.
 		benches = fleetSuite
 		fences = []fence{
 			{"BenchmarkFleetIngest1024", "./internal/fleet"},
 			{"BenchmarkFleetReplay1024", "./internal/fleet"},
 			{"BenchmarkFleetTreeIngest10k", "./internal/vscsim"},
+			{"BenchmarkSimPushAll256", "./internal/vscsim"},
 		}
 		relFences = []relFence{{
 			bench:   "BenchmarkFleetIngest1024Traced",
@@ -189,7 +192,8 @@ func main() {
 	note := "min-of-N ns/op for the observation fast path; maintained by cmd/benchfastpath"
 	if *fleet {
 		note = "min-of-N fleet-tier numbers (Mono = pre-shard single-mutex aggregator; " +
-			"measured on 1 CPU, so the sharded win is the merge cache, not parallel ingest); " +
+			"each entry records the GOMAXPROCS and CPU count it was measured at; on 1 CPU " +
+			"the sharded win is the merge cache, not parallel ingest); " +
 			"maintained by cmd/benchfastpath -fleet"
 	}
 	if err := record(*file, note, entry); err != nil {
@@ -200,10 +204,19 @@ func main() {
 }
 
 // runBench executes one `go test -bench` invocation and folds min ns/op per
-// benchmark name into results. Names keep go test's -N GOMAXPROCS suffix
-// (absent at cpu=1), so "BenchmarkInsertParallel" and
-// "BenchmarkInsertParallel-4" record separately.
+// benchmark name into results. Under an explicit -cpu list names keep go
+// test's -N GOMAXPROCS suffix (absent at cpu=1), so
+// "BenchmarkInsertParallel" and "BenchmarkInsertParallel-4" record
+// separately. Without one, every name carries the same suffix — this
+// machine's GOMAXPROCS, which the entry records anyway — and it is dropped:
+// a fence looks its benchmark up by bare name, on any machine.
 func runBench(pkg, bench string, count int, benchtime string, extra []string, results map[string]float64) error {
+	suffix := "-" + strconv.Itoa(runtime.GOMAXPROCS(0))
+	for _, arg := range extra {
+		if arg == "-cpu" {
+			suffix = ""
+		}
+	}
 	args := []string{"test", "-run", "^$", "-bench", bench, "-count", strconv.Itoa(count)}
 	if benchtime != "" {
 		args = append(args, "-benchtime", benchtime)
@@ -220,7 +233,7 @@ func runBench(pkg, bench string, count int, benchtime string, extra []string, re
 	}
 	sc := bufio.NewScanner(&out)
 	for sc.Scan() {
-		for key, v := range parseBenchLine(sc.Text()) {
+		for key, v := range parseBenchLine(sc.Text(), suffix) {
 			if prev, seen := results[key]; !seen || v < prev {
 				results[key] = v
 			}
@@ -234,13 +247,14 @@ func runBench(pkg, bench string, count int, benchtime string, extra []string, re
 //
 //	BenchmarkFleetWireBytesFull   1226   970947 ns/op   3599 wire_bytes/op
 //
-// ns/op is keyed by the bare benchmark name (the historical shape of
-// BENCH_fastpath.json); every other unit is keyed "name:unit/op".
-func parseBenchLine(line string) map[string]float64 {
+// ns/op is keyed by the benchmark name less trimSuffix (the historical
+// shape of BENCH_fastpath.json); every other unit is keyed "name:unit/op".
+func parseBenchLine(line, trimSuffix string) map[string]float64 {
 	if !strings.HasPrefix(line, "Benchmark") {
 		return nil
 	}
 	f := strings.Fields(line)
+	f[0] = strings.TrimSuffix(f[0], trimSuffix)
 	var out map[string]float64
 	for i := 2; i < len(f); i++ {
 		if !strings.HasSuffix(f[i], "/op") {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -550,15 +551,24 @@ func (a *Agent) PullHandler() http.Handler {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 			return
 		}
-		w.Header().Set("Content-Type", ContentType)
 		if r.Method == http.MethodHead {
+			w.Header().Set("Content-Type", ContentType)
 			return
 		}
 		q := a.buildBatch()
-		EncodeBatch(w, &Batch{
+		// Encode before the status line goes out, so a failure can still
+		// be a 500 instead of a 200 with half a frame behind it.
+		frame, err := EncodeBatchBytes(&Batch{
 			Host: a.cfg.Host, Seq: q.seq, SentUnixNano: q.sentUnixNano, Snapshots: q.full,
 			TraceID: q.traceID, CaptureUnixNano: q.sentUnixNano, Boot: a.boot,
 		})
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		w.Header().Set("Content-Type", ContentType)
+		w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
+		w.Write(frame)
 	})
 }
 

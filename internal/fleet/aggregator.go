@@ -176,9 +176,13 @@ type Aggregator struct {
 	pullErrors atomic.Int64
 	recvBytes  atomic.Int64
 	// layoutMismatch counts delta batches refused because their histogram
-	// layout failed validation — the one resync cause detected at the
-	// aggregator (Validate) rather than in the shard.
+	// layout failed validation (or, for a binary frame, was not this
+	// binary's at decode) — the one resync cause detected at the
+	// aggregator rather than in the shard.
 	layoutMismatch atomic.Int64
+	// decodedBinary and decodedJSON count the frames decoded from pushes,
+	// pulls and boot replay, by payload encoding.
+	decodedBinary, decodedJSON atomic.Int64
 }
 
 // NewAggregator builds an empty aggregator.
@@ -222,8 +226,9 @@ type ReplayStats struct {
 // Replayed hosts keep their recorded send time as their liveness time, so
 // staleness after a restart means what it always means. With an empty
 // DataDir this is exactly NewAggregator. Any other decode failure in the
-// log — wrong magic, bad compression, mangled JSON — refuses to open
-// rather than serve numbers the log contradicts.
+// log — wrong magic, a payload that contradicts its own encoding — refuses
+// to open rather than serve numbers the log contradicts. Segments written
+// before the binary payload (gzip-framed JSON) replay like any others.
 func OpenAggregator(cfg AggregatorConfig) (*Aggregator, ReplayStats, error) {
 	g := NewAggregator(cfg)
 	if g.cfg.DataDir == "" {
@@ -248,6 +253,7 @@ func OpenAggregator(cfg AggregatorConfig) (*Aggregator, ReplayStats, error) {
 	pprof.Do(context.Background(), pprof.Labels("stage", "replay"), func(context.Context) {
 		lst, err = l.replay(func(dirIdx int, b *Batch) error {
 			st.Frames++
+			g.noteDecoded(b)
 			if verr := b.Validate(); verr != nil {
 				// The frame decoded but its histogram layout is not ours —
 				// a log written by a different binary generation. Skip it:
@@ -269,6 +275,10 @@ func OpenAggregator(cfg AggregatorConfig) (*Aggregator, ReplayStats, error) {
 		return nil, ReplayStats{}, err
 	}
 	st.TornTails = lst.tornTails
+	// Binary frames of another layout never reached apply: whole frames,
+	// unusable here, skipped like the ones that fail Validate above.
+	st.Frames += lst.unknownLayout
+	st.Skipped += lst.unknownLayout
 	g.log = l
 	if len(l.orphans) > 0 {
 		// The shard count shrank since the log was written: the orphan
@@ -331,18 +341,7 @@ func (g *Aggregator) Ingest(b *Batch, source string) error {
 // nothing beyond the decision itself.
 func (g *Aggregator) ingest(b *Batch, source string, sampled bool) error {
 	if err := b.Validate(); err != nil {
-		if b.Delta {
-			// A delta whose histograms fail validation is version skew
-			// between sender and receiver, not a malformed request: asking
-			// for a full-state resync gives the sender a road forward
-			// (and the full push's validation failure, if any, stays 400).
-			g.layoutMismatch.Add(1)
-			rerr := resyncErr(ResyncLayoutMismatch, "%v", err)
-			g.noteResyncEvent(b, rerr)
-			return rerr
-		}
-		g.rejected.Add(1)
-		return err
+		return g.refuse(b, err)
 	}
 	idx := g.ShardFor(b.Host)
 	if g.log == nil {
@@ -402,6 +401,31 @@ func (g *Aggregator) ingest(b *Batch, source string, sampled bool) error {
 	}
 	g.noteResyncEvent(b, err)
 	return err
+}
+
+// refuse turns away a batch that failed Validate, or the header of a
+// binary frame whose layout is not ours. On a delta that is version skew
+// between sender and receiver, not a malformed request: asking for a
+// full-state resync gives the sender a road forward (and the full push's
+// failure, if any, stays 400).
+func (g *Aggregator) refuse(b *Batch, err error) error {
+	if !b.Delta {
+		g.rejected.Add(1)
+		return err
+	}
+	g.layoutMismatch.Add(1)
+	rerr := resyncErr(ResyncLayoutMismatch, "%v", err)
+	g.noteResyncEvent(b, rerr)
+	return rerr
+}
+
+// noteDecoded counts one decoded frame under its payload encoding.
+func (g *Aggregator) noteDecoded(b *Batch) {
+	if b.jsonPayload {
+		g.decodedJSON.Add(1)
+	} else {
+		g.decodedBinary.Add(1)
+	}
 }
 
 // observeStage records one sampled stage span carrying the batch's
@@ -578,11 +602,13 @@ func (g *Aggregator) pullOne(host, url string) error {
 	// Bound the pull body exactly like push's MaxBytesReader: one frame
 	// cannot legitimately exceed its declared limits, and a hostile or
 	// broken agent must not be able to stream forever into the decoder.
-	b, err := DecodeBatch(io.LimitReader(resp.Body, 16+maxHeaderLen+maxPayloadLen))
+	body := &countingReader{r: io.LimitReader(resp.Body, 16+maxHeaderLen+maxPayloadLen)}
+	b, err := DecodeBatch(body)
 	if err != nil {
 		return err
 	}
-	g.recvBytes.Add(resp.ContentLength)
+	g.noteDecoded(b)
+	g.recvBytes.Add(body.n) // not ContentLength: a chunked reply declares -1
 	if b.Host == "" {
 		b.Host = host
 	}
@@ -674,11 +700,13 @@ func (g *Aggregator) VMSnapshots(includeStale bool) []*core.Snapshot {
 type AggregatorStats struct {
 	// Hosts and StaleHosts count known and stale hosts; Batches counts
 	// ingested batches, Rejected the batches refused at validation,
-	// PullErrors the failed scatter-gather requests.
+	// PullErrors the failed scatter-gather requests, RecvBytes the wire
+	// bytes of the pushed and pulled frames that were ingested.
 	Hosts, StaleHosts int
 	Batches           int64
 	Rejected          int64
 	PullErrors        int64
+	RecvBytes         int64
 	// DeltasApplied counts delta batches folded onto stored state,
 	// Duplicates the redelivered deltas ignored idempotently, and Resyncs
 	// the deltas refused with ErrResyncRequired.
@@ -698,6 +726,12 @@ type AggregatorStats struct {
 	// memoization outcomes across all shards.
 	MergeCacheHits   int64
 	MergeCacheMisses int64
+	// DecodedBinary and DecodedJSON count the wire frames decoded from
+	// pushes, pulls and boot replay by payload encoding. When DecodedJSON
+	// stops moving — no pre-binary sender left, every old segment
+	// compacted — the legacy JSON reader has nothing left to read.
+	DecodedBinary int64
+	DecodedJSON   int64
 }
 
 // Stats returns the aggregator's counters.
@@ -714,6 +748,10 @@ func (g *Aggregator) Stats() AggregatorStats {
 		StaleHosts: stale,
 		Rejected:   g.rejected.Load(),
 		PullErrors: g.pullErrors.Load(),
+		RecvBytes:  g.recvBytes.Load(),
+
+		DecodedBinary: g.decodedBinary.Load(),
+		DecodedJSON:   g.decodedJSON.Load(),
 	}
 	for _, sh := range g.shards {
 		st.Batches += sh.batches.Load()
@@ -961,7 +999,7 @@ func (g *Aggregator) servePush(w http.ResponseWriter, r *http.Request) {
 	pushStart := time.Now()
 	// One frame cannot legitimately exceed its declared limits; bound the
 	// body read accordingly so a hostile sender cannot stream forever.
-	body := http.MaxBytesReader(w, r.Body, 16+maxHeaderLen+maxPayloadLen)
+	body := &countingReader{r: http.MaxBytesReader(w, r.Body, 16+maxHeaderLen+maxPayloadLen)}
 	var decodeStart time.Time
 	if sampled {
 		decodeStart = time.Now()
@@ -970,19 +1008,24 @@ func (g *Aggregator) servePush(w http.ResponseWriter, r *http.Request) {
 	if sampled && err == nil {
 		g.observeStage(fleetobs.StageDecode, time.Since(decodeStart), b, g.ShardFor(b.Host))
 	}
-	if err != nil {
-		g.rejected.Add(1)
-		fleetError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	// Attribute ingest CPU to the pipeline: pprof samples taken inside
-	// carry stage/host/shard labels via Options.Pprof for free.
 	var ierr error
-	pprof.Do(r.Context(),
-		pprof.Labels("stage", "ingest", "host", b.Host, "shard", strconv.Itoa(g.ShardFor(b.Host))),
-		func(context.Context) {
-			ierr = g.ingest(b, "push", sampled)
-		})
+	var unknown *UnknownLayoutError
+	switch {
+	case errors.As(err, &unknown):
+		ierr = g.refuse(unknown.Header, err)
+	case err != nil:
+		g.rejected.Add(1)
+		ierr = err
+	default:
+		g.noteDecoded(b)
+		// Attribute ingest CPU to the pipeline: pprof samples taken inside
+		// carry stage/host/shard labels via Options.Pprof for free.
+		pprof.Do(r.Context(),
+			pprof.Labels("stage", "ingest", "host", b.Host, "shard", strconv.Itoa(g.ShardFor(b.Host))),
+			func(context.Context) {
+				ierr = g.ingest(b, "push", sampled)
+			})
+	}
 	if ierr != nil {
 		if errors.Is(ierr, ErrResyncRequired) {
 			fleetResyncError(w, ierr)
@@ -991,7 +1034,8 @@ func (g *Aggregator) servePush(w http.ResponseWriter, r *http.Request) {
 		fleetError(w, http.StatusBadRequest, ierr.Error())
 		return
 	}
-	g.recvBytes.Add(r.ContentLength)
+	// The bytes read, not r.ContentLength: a chunked POST declares -1.
+	g.recvBytes.Add(body.n)
 	if sampled {
 		g.cfg.Obs.Emit(fleetobs.Event{
 			Kind: fleetobs.KindPush, Scope: "aggregator",
@@ -1083,6 +1127,12 @@ func (g *Aggregator) FleetLogStats() (telemetry.FleetLog, bool) {
 		FramesReplayed:  st.FramesReplayed,
 		TornTails:       st.TornTails,
 	}, true
+}
+
+// FleetFramesDecoded implements telemetry.FleetFramesSource: decoded wire
+// frames by payload encoding, for vscsistats_fleet_frames_decoded_total.
+func (g *Aggregator) FleetFramesDecoded() telemetry.FleetFrames {
+	return telemetry.FleetFrames{Binary: g.decodedBinary.Load(), JSON: g.decodedJSON.Load()}
 }
 
 // Tiers groups the aggregator's host set by federation level, ascending.

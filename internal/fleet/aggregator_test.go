@@ -3,10 +3,12 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -296,5 +298,63 @@ func TestAggregatorForget(t *testing.T) {
 	}
 	if errs := agg.PullAll(); len(errs) != 0 {
 		t.Errorf("Forget left the pull registration behind: %v", errs)
+	}
+}
+
+// chunked hides a reader's length from net/http, so the request goes out
+// with Transfer-Encoding: chunked and no Content-Length.
+type chunked struct{ io.Reader }
+
+// TestPushCountsBytesReadNotContentLength pins RecvBytes to the bytes the
+// decoder consumed. A chunked POST has ContentLength -1, which the old
+// accounting added to the counter: every streaming sender ran it
+// backwards. The same push also lands in the decoded-frames counter under
+// its payload encoding, binary from a current sender and JSON from a
+// version-3 one.
+func TestPushCountsBytesReadNotContentLength(t *testing.T) {
+	g := NewAggregator(AggregatorConfig{StaleAfter: time.Hour})
+	var sawChunked atomic.Bool
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.ContentLength == -1 && len(r.TransferEncoding) == 1 && r.TransferEncoding[0] == "chunked" {
+			sawChunked.Store(true)
+		}
+		g.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	reg := makeRegistry(1, 2, 2, 90)
+	binaryFrame, err := EncodeBatchBytes(&Batch{Host: "esx-new", Seq: 1, Snapshots: reg.Snapshots()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacyFrame := encodeLegacyJSON(t, &Batch{Host: "esx-old", Seq: 1, Snapshots: reg.Snapshots()})
+	for _, frame := range [][]byte{binaryFrame, legacyFrame} {
+		resp, err := http.Post(srv.URL+"/fleet/push", ContentType, chunked{bytes.NewReader(frame)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("chunked push: %s", resp.Status)
+		}
+	}
+	if !sawChunked.Load() {
+		t.Fatal("the test's pushes were not chunked")
+	}
+	st := g.Stats()
+	if want := int64(len(binaryFrame) + len(legacyFrame)); st.RecvBytes != want {
+		t.Errorf("RecvBytes = %d after two chunked pushes, want the %d bytes read", st.RecvBytes, want)
+	}
+	if st.DecodedBinary != 1 || st.DecodedJSON != 1 {
+		t.Errorf("decoded frames: binary %d json %d, want 1 and 1", st.DecodedBinary, st.DecodedJSON)
+	}
+	// A refused frame is neither received nor decoded.
+	resp, err := http.Post(srv.URL+"/fleet/push", ContentType, chunked{bytes.NewReader(binaryFrame[:40])})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if after := g.Stats(); resp.StatusCode != http.StatusBadRequest || after.RecvBytes != st.RecvBytes || after.DecodedBinary != 1 {
+		t.Errorf("truncated push: %s, RecvBytes %d, decoded %d", resp.Status, after.RecvBytes, after.DecodedBinary)
 	}
 }

@@ -7,8 +7,11 @@
 //
 // The package has four parts:
 //
-//   - a versioned, length-prefixed, gzip-framed wire codec (wire.go) that
-//     carries batches of core.Snapshot between processes;
+//   - a versioned, length-prefixed wire codec (wire.go: framing and JSON
+//     header; payload.go: the binary snapshot payload — sparse zig-zag
+//     varint bins against a bin layout interned by hash) that carries
+//     batches of core.Snapshot between processes, and still reads the
+//     gzip-framed JSON payload earlier versions wrote;
 //   - an Agent that periodically serializes a host's core.Registry and
 //     pushes it to an aggregator, with per-request timeouts, exponential
 //     backoff with jitter, a bounded retry queue and drop counters — and a
@@ -18,7 +21,7 @@
 //     and merges per-host snapshots into per-VM and cluster-wide views via
 //     core.Aggregate (bin-exact, all/reads/writes preserved);
 //   - a crash-safe segment log (log.go) that persists every state-changing
-//     batch as raw wire frames under a data dir, replays them on boot
+//     batch as wire frames, nothing else, under a data dir, replays them on boot
 //     through the same strict apply rules (truncating a crash-torn tail
 //     frame, refusing to start on corruption), compacts chains into full
 //     frames, retires segments past a retention horizon, and answers

@@ -1,0 +1,93 @@
+package fleet
+
+import (
+	"bytes"
+	"compress/gzip"
+	"encoding/binary"
+	"encoding/json"
+	"testing"
+)
+
+// legacyVersion is the last frame version whose payload was gzip-framed
+// JSON, and legacyKnownFlags the flag bits its decoder understood.
+const (
+	legacyVersion    = 3
+	legacyKnownFlags = flagGzip | flagDelta
+)
+
+// encodeLegacyJSON is the payload writer EncodeBatch had up to version 3,
+// byte for byte: JSON header, JSON array of snapshots through a fresh gzip
+// writer, flags gzip (| delta). It lives on here only, as the source of
+// old-sender frames and pre-binary segment logs for the tests that keep
+// the legacy reader honest.
+func encodeLegacyJSON(t testing.TB, b *Batch) []byte {
+	t.Helper()
+	hdr := batchHeader{
+		Host: b.Host, Seq: b.Seq, SentUnixNano: b.SentUnixNano, Count: len(b.Snapshots),
+		TraceID: b.TraceID, CaptureUnixNano: b.CaptureUnixNano,
+		Boot: b.Boot, Level: b.Level, Leaves: b.Leaves,
+	}
+	if b.Delta {
+		hdr.BaseSeq = b.BaseSeq
+	}
+	header, err := json.Marshal(hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var payload bytes.Buffer
+	zw := gzip.NewWriter(&payload)
+	if err := json.NewEncoder(zw).Encode(b.Snapshots); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var head [16]byte
+	copy(head[0:4], wireMagic[:])
+	head[4] = legacyVersion
+	head[5] = flagGzip
+	if b.Delta {
+		head[5] |= flagDelta
+	}
+	binary.BigEndian.PutUint32(head[8:12], uint32(len(header)))
+	binary.BigEndian.PutUint32(head[12:16], uint32(payload.Len()))
+	return append(append(head[:], header...), payload.Bytes()...)
+}
+
+// TestLegacyFrameDecodes pins the reader half of the rollout: a frame
+// from a version-3 sender, full or delta, decodes bin-exact, validates,
+// and is marked as having arrived in the legacy encoding.
+func TestLegacyFrameDecodes(t *testing.T) {
+	reg := makeRegistry(2, 2, 2, 120)
+	base := reg.Snapshots()
+	feed(reg.List()[1], 9, 40)
+	full := &Batch{
+		Host: "old-agent", Seq: 4, SentUnixNano: 99, Snapshots: reg.Snapshots(),
+		TraceID: "old-agent-1-4", CaptureUnixNano: 98, Boot: 7, Level: 1, Leaves: 3,
+	}
+	delta := deltaBatch(t, "old-agent", 5, 4, base, reg.Snapshots())
+	for _, in := range []*Batch{full, delta} {
+		out, err := DecodeBatch(bytes.NewReader(encodeLegacyJSON(t, in)))
+		if err != nil {
+			t.Fatalf("legacy frame (delta=%v): %v", in.Delta, err)
+		}
+		if !out.jsonPayload {
+			t.Error("legacy frame not marked as JSON-encoded")
+		}
+		if out.Host != in.Host || out.Seq != in.Seq || out.Delta != in.Delta || out.BaseSeq != in.BaseSeq ||
+			out.TraceID != in.TraceID || out.Boot != in.Boot || out.Level != in.Level || out.Leaves != in.Leaves {
+			t.Errorf("legacy header drifted: %+v", out)
+		}
+		if len(out.Snapshots) != len(in.Snapshots) {
+			t.Fatalf("%d snapshots, want %d", len(out.Snapshots), len(in.Snapshots))
+		}
+		for i := range in.Snapshots {
+			if !sameSnapshot(out.Snapshots[i], in.Snapshots[i]) {
+				t.Errorf("snapshot %d not bin-exact through the legacy reader", i)
+			}
+		}
+		if err := out.Validate(); err != nil {
+			t.Errorf("legacy frame fails validation: %v", err)
+		}
+	}
+}

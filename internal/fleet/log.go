@@ -39,10 +39,13 @@ import (
 //     landed mid-write. The file is truncated back to the last whole frame
 //     and the log continues from there.
 //   - the same condition in any earlier segment, or any non-truncation
-//     decode failure anywhere (bad magic, bad gzip, bad JSON), is
-//     corruption: the log refuses to open rather than serve wrong numbers.
+//     decode failure anywhere (bad magic, a payload that contradicts its
+//     encoding), is corruption: the log refuses to open rather than serve
+//     wrong numbers.
 //   - a delta that cannot apply (its base fell to retention or compaction)
-//     is skipped with a counter — the information is gone, not wrong.
+//     is skipped with a counter — the information is gone, not wrong. So
+//     is a frame of another binary generation's bin layout (one that fails
+//     Validate, or a binary frame with an unknown layout id).
 //   - *.tmp files (compaction interrupted before its atomic rename) are
 //     deleted on open; the segments they would have replaced are intact.
 //   - a compaction interrupted after the rename but before the old
@@ -92,12 +95,12 @@ type segmentInfo struct {
 // rotation and compaction; reads (history scans) only take it long enough
 // to copy the current path list.
 type logShard struct {
-	mu     sync.Mutex
-	dirIdx int
-	dir    string
-	sealed []segmentInfo
-	active segmentInfo
-	f      *os.File // nil until the first append after open/rotation
+	mu       sync.Mutex
+	dirIdx   int
+	dir      string
+	sealed   []segmentInfo
+	active   segmentInfo
+	f        *os.File // nil until the first append after open/rotation
 	lastSync time.Time
 }
 
@@ -239,6 +242,9 @@ func (c *countingReader) Read(p []byte) (int, error) {
 type replayStats struct {
 	frames    int64
 	tornTails int
+	// unknownLayout counts whole binary frames of another binary
+	// generation's bin layout: counted, kept on disk, never applied.
+	unknownLayout int64
 }
 
 // replay reads every segment of every shard dir (orphans included) in
@@ -286,6 +292,12 @@ func (l *segmentLog) replaySegment(sh *logShard, seg *segmentInfo, last bool, st
 	var good int64
 	for {
 		b, err := DecodeBatch(cr)
+		var unknown *UnknownLayoutError
+		if errors.As(err, &unknown) {
+			// A whole frame we cannot read the bins of: its header still
+			// dates the segment, and it is not evidence of corruption.
+			b, err = unknown.Header, nil
+		}
 		if err == io.EOF {
 			break
 		}
@@ -312,6 +324,10 @@ func (l *segmentLog) replaySegment(sh *logShard, seg *segmentInfo, last bool, st
 		seg.frames++
 		if b.SentUnixNano > seg.newest {
 			seg.newest = b.SentUnixNano
+		}
+		if unknown != nil {
+			st.unknownLayout++
+			continue
 		}
 		st.frames++
 		l.replayed.Add(1)
@@ -597,6 +613,10 @@ func scanSegment(path string, dirIdx int, fn func(int, *Batch)) {
 	r := bufio.NewReader(f)
 	for {
 		b, err := DecodeBatch(r)
+		var unknown *UnknownLayoutError
+		if errors.As(err, &unknown) {
+			continue // a whole frame of another layout: nothing to window
+		}
 		if err != nil {
 			return // EOF, torn tail or mid-compaction swap: stop this file
 		}

@@ -1,0 +1,411 @@
+package fleet
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"math"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"reflect"
+	"runtime"
+	"testing"
+	"time"
+
+	"vscsistats/internal/core"
+	"vscsistats/internal/histogram"
+)
+
+// hostileInt draws from the values a varint codec gets wrong first: zero,
+// small counts of either sign, and the int64 extremes.
+func hostileInt(rng *rand.Rand) int64 {
+	switch rng.Intn(8) {
+	case 0:
+		return 0
+	case 1:
+		return math.MaxInt64
+	case 2:
+		return math.MinInt64
+	case 3:
+		return -1 - rng.Int63n(1000)
+	case 4:
+		return rng.Int63() - rng.Int63()
+	default:
+		return rng.Int63n(100000)
+	}
+}
+
+// hostileSnapshot builds a snapshot in the canonical layout that obeys
+// none of a collector's identities: bins of either sign, Total unrelated to
+// the bins, all unrelated to reads + writes (a torn capture), arbitrary
+// extrema. density is the share of bins that are non-zero.
+func hostileSnapshot(rng *rand.Rand, vm, disk string, density float64) *core.Snapshot {
+	s := &core.Snapshot{
+		VM: vm, Disk: disk,
+		Commands: hostileInt(rng), NumReads: hostileInt(rng), NumWrites: hostileInt(rng),
+		ReadBytes: hostileInt(rng), WriteBytes: hostileInt(rng), Errors: hostileInt(rng),
+	}
+	hist := func(ref *histogram.Snapshot) *histogram.Snapshot {
+		h := &histogram.Snapshot{
+			Name: ref.Name, Unit: ref.Unit, Edges: append([]int64(nil), ref.Edges...),
+			Counts: make([]int64, len(ref.Counts)),
+			Total:  hostileInt(rng), Sum: hostileInt(rng), Min: hostileInt(rng), Max: hostileInt(rng),
+		}
+		for i := range h.Counts {
+			if rng.Float64() < density {
+				h.Counts[i] = hostileInt(rng)
+			}
+		}
+		return h
+	}
+	for f, fam := range classed(s) {
+		for cl := range fam {
+			fam[cl] = hist(layout.ref[3*f+cl])
+		}
+	}
+	s.SeekWindowed = hist(layout.ref[histsPerSnapshot-1])
+	return s
+}
+
+// roundTrip encodes and decodes b and requires the result to equal b in
+// every field of every histogram — names, units and edges included, since
+// the decoder supplies those from the reference layout.
+func roundTrip(t *testing.T, label string, in *Batch) {
+	t.Helper()
+	data, err := EncodeBatchBytes(in)
+	if err != nil {
+		t.Fatalf("%s: encode: %v", label, err)
+	}
+	if data[4] != Version || data[5]&^flagDelta != flagBinary {
+		t.Fatalf("%s: version %d flags %#x, want version %d and the binary flag alone (plus delta)", label, data[4], data[5], Version)
+	}
+	out, err := DecodeBatch(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("%s: decode: %v", label, err)
+	}
+	if !reflect.DeepEqual(in, out) {
+		for i := range in.Snapshots {
+			if i < len(out.Snapshots) && !reflect.DeepEqual(in.Snapshots[i], out.Snapshots[i]) {
+				t.Fatalf("%s: snapshot %d differs after the round trip:\n in %+v\nout %+v", label, i, in.Snapshots[i], out.Snapshots[i])
+			}
+		}
+		t.Fatalf("%s: batch differs after the round trip:\n in %+v\nout %+v", label, in, out)
+	}
+}
+
+// TestPayloadRoundTripProperty is the codec's law: decode(encode(b)) == b,
+// bit for bit, for full and delta batches, whatever the numbers are.
+func TestPayloadRoundTripProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260929))
+	for i := 0; i < 300; i++ {
+		in := &Batch{
+			Host: "esx-prop", Seq: uint64(rng.Int63()), SentUnixNano: hostileInt(rng),
+			TraceID: "esx-prop-trace", CaptureUnixNano: rng.Int63(), Boot: rng.Uint64(),
+			Level: rng.Intn(4), Leaves: rng.Intn(1000),
+		}
+		if i%2 == 1 {
+			in.Delta, in.BaseSeq = true, uint64(rng.Int63())
+		}
+		names := []string{"", "vm", "vm-with-ünïcode/and\x00nul", string(make([]byte, 300))}
+		for n := rng.Intn(5); n > 0; n-- { // zero snapshots included
+			density := []float64{0, 0.05, 0.5, 1}[rng.Intn(4)]
+			in.Snapshots = append(in.Snapshots,
+				hostileSnapshot(rng, names[rng.Intn(len(names))], names[rng.Intn(len(names))], density))
+		}
+		roundTrip(t, "hostile", in)
+	}
+
+	// What collectors really produce: cumulative state, and the interval
+	// deltas an agent renders from it (negative-free, all == reads+writes,
+	// most disks omitted).
+	reg := makeRegistry(3, 3, 2, 400)
+	base := reg.Snapshots()
+	roundTrip(t, "collector full", &Batch{Host: "esx-real", Seq: 1, Snapshots: base})
+	feed(reg.List()[2], 5, 90)
+	roundTrip(t, "collector delta", deltaBatch(t, "esx-real", 2, 1, base, reg.Snapshots()))
+	// A delta the other way round has negative bins everywhere.
+	roundTrip(t, "negative delta", deltaBatch(t, "esx-real", 3, 2, reg.Snapshots(), base))
+	roundTrip(t, "heartbeat", &Batch{Host: "region", Seq: 2, BaseSeq: 1, Delta: true, Boot: 1, Level: 1, Leaves: 9})
+}
+
+// TestPayloadDecodedHistogramsShareReference pins the decoder's memory
+// contract: a decoded histogram's Name, Unit and Edges are the reference
+// layout's own (nothing per-frame), so Validate's edge comparison is a
+// pointer check and a million decoded frames hold one copy of the layout.
+func TestPayloadDecodedHistogramsShareReference(t *testing.T) {
+	data, err := EncodeBatchBytes(testBatch(t, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := DecodeBatch(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range out.Snapshots {
+		h, ref := s.Latency[core.Reads], refLayout.Latency[core.Reads]
+		if &h.Edges[0] != &ref.Edges[0] || h.Name != ref.Name || h.Unit != ref.Unit {
+			t.Fatalf("decoded histogram does not share the reference layout: %q %q", h.Name, h.Unit)
+		}
+	}
+	if err := out.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEncodeRefusesWhatValidateRefuses: the binary payload can only carry
+// the canonical layout, so encoding anything else is an error, not a panic
+// and not a silently different histogram.
+func TestEncodeRefusesWhatValidateRefuses(t *testing.T) {
+	withNil := &Batch{Host: "h", Snapshots: []*core.Snapshot{nil}}
+	mangled := testBatch(t, 2)
+	h := mangled.Snapshots[0].IOLength[core.All]
+	h.Edges = append([]int64(nil), h.Edges...)
+	h.Edges[0]++
+	short := testBatch(t, 3)
+	hs := short.Snapshots[0].Latency[core.Writes]
+	hs.Counts = hs.Counts[:len(hs.Counts)-1]
+	missing := testBatch(t, 4)
+	missing.Snapshots[1].SeekWindowed = nil
+	for name, b := range map[string]*Batch{"null snapshot": withNil, "foreign edges": mangled, "short counts": short, "missing histogram": missing} {
+		if b.Validate() == nil {
+			t.Fatalf("%s: test batch is valid", name)
+		}
+		if _, err := EncodeBatchBytes(b); err == nil {
+			t.Errorf("%s: encoded", name)
+		}
+	}
+}
+
+// payloadOf splits a frame into head+header and payload.
+func payloadOf(frame []byte) (prefix, payload []byte) {
+	at := 16 + int(binary.BigEndian.Uint32(frame[8:12]))
+	return frame[:at], frame[at:]
+}
+
+// reframe puts a payload (and a header count) back behind a frame's head,
+// fixing the declared payload length.
+func reframe(t *testing.T, frame, payload []byte, count int) []byte {
+	t.Helper()
+	prefix, _ := payloadOf(frame)
+	var hdr map[string]any
+	if err := json.Unmarshal(prefix[16:], &hdr); err != nil {
+		t.Fatal(err)
+	}
+	hdr["count"] = count
+	header, err := json.Marshal(hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := append([]byte(nil), prefix[:16]...)
+	binary.BigEndian.PutUint32(out[8:12], uint32(len(header)))
+	binary.BigEndian.PutUint32(out[12:16], uint32(len(payload)))
+	return append(append(out, header...), payload...)
+}
+
+// TestPayloadRejectsMalformed feeds the decoder payloads that are whole on
+// the wire but contradict the encoding. Each must be a bad frame and must
+// NOT read as a truncation: replay truncates torn tails, and a payload
+// that is wrong rather than short has to refuse the log instead.
+func TestPayloadRejectsMalformed(t *testing.T) {
+	in := &Batch{Host: "h", Seq: 1, Snapshots: makeRegistry(1, 1, 1, 0).Snapshots()}
+	frame, err := EncodeBatchBytes(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, payload := payloadOf(frame)
+	// An idle collector's snapshot: layout id, then "vma0" "scsi0:0", six
+	// zero counters, and 16 empty histograms of five zero bytes.
+	names := 8 + 1 + len(in.Snapshots[0].VM) + 1 + len(in.Snapshots[0].Disk)
+	firstHist := names + 6
+	if len(payload) != firstHist+histsPerSnapshot*5 {
+		t.Fatalf("idle snapshot payload is %d bytes, want %d", len(payload), firstHist+histsPerSnapshot*5)
+	}
+	mutate := func(f func(p []byte) []byte) []byte { return f(append([]byte(nil), payload...)) }
+	cases := map[string]struct {
+		payload []byte
+		count   int
+	}{
+		"trailing byte":          {mutate(func(p []byte) []byte { return append(p, 0) }), 1},
+		"count short of payload": {payload, 0},
+		"count past the payload": {payload, 2},
+		"negative count":         {payload, -1},
+		"no layout id":           {payload[:5], 0},
+		"cut inside a histogram": {payload[:len(payload)-3], 1},
+		"name overruns":          {mutate(func(p []byte) []byte { p[8] = 0x7f; return p }), 1},
+		"nnz beyond the bins":    {mutate(func(p []byte) []byte { p[firstHist+4] = 0x7f; return p }), 1},
+		"unterminated varint":    {mutate(func(p []byte) []byte { p[len(p)-1] = 0x80; return p }), 1},
+		"bin index out of range": {mutate(func(p []byte) []byte {
+			p[len(p)-1] = 1 // the windowed histogram now claims one non-zero bin…
+			return append(p, 0x7f, 2)
+		}), 1},
+	}
+	for name, c := range cases {
+		_, err := DecodeBatch(bytes.NewReader(reframe(t, frame, c.payload, c.count)))
+		if !errors.Is(err, ErrBadFrame) || errors.Is(err, ErrTruncatedFrame) {
+			t.Errorf("%s: %v, want a bad frame that is not a truncation", name, err)
+		}
+	}
+	// Compression is the legacy payload's business only.
+	gz := append([]byte(nil), frame...)
+	gz[5] |= flagGzip
+	if _, err := DecodeBatch(bytes.NewReader(gz)); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("binary+gzip flags: %v, want a bad frame", err)
+	}
+	// And the unmutated frame does decode — the cases above fail for the
+	// reason they name, not because reframe breaks frames.
+	if _, err := DecodeBatch(bytes.NewReader(reframe(t, frame, payload, 1))); err != nil {
+		t.Fatalf("reframed valid payload: %v", err)
+	}
+}
+
+// TestPayloadHostileCountAllocation sits beside
+// TestWireHostileLengthAllocation: the header's count is as untrusted as
+// the length prefix. A count the payload cannot hold is refused before a
+// single snapshot is allocated, so a 100-byte frame cannot ask for
+// gigabytes of slabs.
+func TestPayloadHostileCountAllocation(t *testing.T) {
+	frame, err := EncodeBatchBytes(testBatch(t, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, payload := payloadOf(frame)
+	for _, count := range []int{len(payload), 1 << 30, math.MaxInt32} {
+		hostile := reframe(t, frame, payload, count)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeBatch(bytes.NewReader(hostile))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("count %d over a %d-byte payload: %v, want ErrBadFrame", count, len(payload), err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("count %d: refusing the frame allocated %d bytes", count, grew)
+		}
+	}
+	// The size bound is not the only one: a payload long enough to back
+	// its count (sparse snapshots are ~50x smaller than decoded ones) still
+	// may not decode past maxDecodedLen.
+	count := maxDecodedLen/layout.decodedBytes + 1
+	long := make([]byte, 8+count*minSnapshotBytes)
+	copy(long, payload[:8])
+	if _, err := DecodeBatch(bytes.NewReader(reframe(t, frame, long, count))); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("count %d (decoding past %d bytes): %v, want ErrBadFrame", count, maxDecodedLen, err)
+	}
+}
+
+// foreignFrame renders b and rewrites its layout id to one no binary has.
+func foreignFrame(t *testing.T, b *Batch) []byte {
+	t.Helper()
+	frame, err := EncodeBatchBytes(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, payload := payloadOf(frame)
+	binary.BigEndian.PutUint64(payload, layout.id^0xdecafbad)
+	return frame
+}
+
+// TestUnknownLayoutIsTypedNotCorrupt follows a frame from another binary
+// generation (same framing, different bin layout) through every reader:
+// decode names it with a typed error that carries the header and is not a
+// bad frame; a pushed delta gets a layout-mismatch resync, a pushed full a
+// plain 400; boot replay and history skip it and keep going.
+func TestUnknownLayoutIsTypedNotCorrupt(t *testing.T) {
+	reg := makeRegistry(4, 1, 2, 80)
+	base := reg.Snapshots()
+	feed(reg.List()[0], 3, 30)
+	full := &Batch{Host: "esx-skew", Seq: 1, SentUnixNano: 10, Snapshots: base}
+	delta := deltaBatch(t, "esx-skew", 2, 1, base, reg.Snapshots())
+	delta.SentUnixNano, delta.TraceID = 20, "esx-skew-1-2"
+
+	_, err := DecodeBatch(bytes.NewReader(foreignFrame(t, delta)))
+	var unknown *UnknownLayoutError
+	if !errors.As(err, &unknown) || errors.Is(err, ErrBadFrame) {
+		t.Fatalf("foreign layout: %v, want an UnknownLayoutError that is not ErrBadFrame", err)
+	}
+	if h := unknown.Header; h == nil || h.Host != "esx-skew" || h.Seq != 2 || !h.Delta || h.BaseSeq != 1 ||
+		h.TraceID != delta.TraceID || h.Snapshots != nil || unknown.LayoutID != layout.id^0xdecafbad {
+		t.Errorf("typed error carries %+v / %#x", unknown.Header, unknown.LayoutID)
+	}
+
+	dir := t.TempDir()
+	g, _, err := OpenAggregator(logAggConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(g)
+	defer srv.Close()
+	post := func(frame []byte) (int, string) {
+		resp, err := http.Post(srv.URL+"/fleet/push", ContentType, bytes.NewReader(frame))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body map[string]string
+		json.NewDecoder(resp.Body).Decode(&body)
+		return resp.StatusCode, body["resync_cause"]
+	}
+	goodFull, _ := EncodeBatchBytes(full)
+	if code, _ := post(goodFull); code != http.StatusOK {
+		t.Fatalf("good full push: %d", code)
+	}
+	if code, cause := post(foreignFrame(t, delta)); code != http.StatusConflict || cause != string(ResyncLayoutMismatch) {
+		t.Errorf("foreign delta push: %d cause %q, want 409 layout-mismatch", code, cause)
+	}
+	if code, _ := post(foreignFrame(t, full)); code != http.StatusBadRequest {
+		t.Errorf("foreign full push: %d, want 400", code)
+	}
+	st := g.Stats()
+	if st.ResyncLayoutMismatch != 1 || st.Rejected != 1 || st.DecodedBinary != 1 {
+		t.Errorf("stats after the three pushes: layout-mismatch %d rejected %d decoded %d, want 1 1 1",
+			st.ResyncLayoutMismatch, st.Rejected, st.DecodedBinary)
+	}
+	goodDelta, _ := EncodeBatchBytes(delta)
+	if code, _ := post(goodDelta); code != http.StatusOK {
+		t.Fatalf("good delta push: %d", code)
+	}
+	want := g.ClusterSnapshot(true)
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Wedge a foreign frame between the two logged ones, as a log written
+	// partly by another generation would have it.
+	seg := segFiles(t, dir)
+	if len(seg) != 1 {
+		t.Fatalf("segments: %v", seg)
+	}
+	logged, err := os.ReadFile(seg[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstEnd := frameOffsets(t, seg[0])[0]
+	mixed := append(append(append([]byte(nil), logged[:firstEnd]...), foreignFrame(t, full)...), logged[firstEnd:]...)
+	if err := os.WriteFile(seg[0], mixed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	g2, rst, err := OpenAggregator(logAggConfig(dir))
+	if err != nil {
+		t.Fatalf("boot over a foreign-layout frame: %v", err)
+	}
+	defer g2.Close()
+	if rst.Frames != 3 || rst.Skipped != 1 || rst.TornTails != 0 {
+		t.Errorf("replay: %+v, want 3 frames, 1 skipped", rst)
+	}
+	if !sameSnapshot(g2.ClusterSnapshot(true), want) {
+		t.Error("state after skipping the foreign frame differs")
+	}
+	win, err := g2.History(time.Unix(0, 0), time.Unix(0, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if win.Frames != 2 || !sameSnapshot(win.Cluster, want) {
+		t.Errorf("history over the foreign frame: %d frames", win.Frames)
+	}
+	if info, err := os.Stat(seg[0]); err != nil || info.Size() != int64(len(mixed)) {
+		t.Errorf("replay rewrote the segment: %v", err)
+	}
+}

@@ -32,14 +32,21 @@ func TestMetricsExpositionAudit(t *testing.T) {
 	aggSrv := httptest.NewServer(agg)
 	defer aggSrv.Close()
 	reg := makeRegistry(1, 1, 2, 60)
-	for host, hostReg := range map[string]*Batch{
-		"esx-a": {Host: "esx-a", Seq: 1, Snapshots: reg.Snapshots()},
-		"esx-b": {Host: "esx-b", Seq: 1, Snapshots: makeRegistry(2, 1, 1, 40).Snapshots()},
+	// Two current senders and one version-3 sender (legacy JSON payload).
+	frames := map[string][]byte{
+		"esx-old": encodeLegacyJSON(t, &Batch{Host: "esx-old", Seq: 1, Snapshots: makeRegistry(3, 1, 1, 20).Snapshots()}),
+	}
+	for _, b := range []*Batch{
+		{Host: "esx-a", Seq: 1, Snapshots: reg.Snapshots()},
+		{Host: "esx-b", Seq: 1, Snapshots: makeRegistry(2, 1, 1, 40).Snapshots()},
 	} {
-		frame, err := EncodeBatchBytes(hostReg)
+		frame, err := EncodeBatchBytes(b)
 		if err != nil {
 			t.Fatal(err)
 		}
+		frames[b.Host] = frame
+	}
+	for host, frame := range frames {
 		resp, err := http.Post(aggSrv.URL+"/fleet/push", ContentType, bytesReader(frame))
 		if err != nil {
 			t.Fatal(err)
@@ -65,17 +72,24 @@ func TestMetricsExpositionAudit(t *testing.T) {
 	}
 	samples := promtest.Parse(t, string(body))
 
-	// The fleetobs families made it out, with the labels the dashboards
-	// key on.
-	ingest := promtest.Find(t, samples,
-		"vscsistats_fleetobs_stage_duration_nanoseconds_count",
-		"scope", "aggregator", "stage", "ingest")
-	if ingest.Value < 2 {
-		t.Errorf("ingest stage count = %v after 2 pushes, want >= 2", ingest.Value)
-	}
-	pushes := promtest.Find(t, samples, "vscsistats_fleetobs_events_total", "kind", "push")
-	if pushes.Value < 2 {
-		t.Errorf("push events counter = %v, want >= 2", pushes.Value)
+	// The series the dashboards key on made it out, with their labels:
+	// the fleetobs families, and the decoded-frames counter whose json row
+	// tells an operator when the legacy reader has nothing left to read.
+	for _, want := range []struct {
+		name   string
+		labels []string
+		min    float64
+		exact  bool
+	}{
+		{"vscsistats_fleetobs_stage_duration_nanoseconds_count", []string{"scope", "aggregator", "stage", "ingest"}, 3, false},
+		{"vscsistats_fleetobs_events_total", []string{"kind", "push"}, 3, false},
+		{"vscsistats_fleet_frames_decoded_total", []string{"encoding", "binary"}, 2, true},
+		{"vscsistats_fleet_frames_decoded_total", []string{"encoding", "json"}, 1, true},
+	} {
+		got := promtest.Find(t, samples, want.name, want.labels...).Value
+		if got < want.min || (want.exact && got != want.min) {
+			t.Errorf("%s%v = %v after 3 pushes (2 binary, 1 legacy), want %v", want.name, want.labels, got, want.min)
+		}
 	}
 
 	// Every family in the scrape is namespaced.

@@ -143,14 +143,11 @@ func TestTraceIDFollowsPipeline(t *testing.T) {
 }
 
 // TestWireV1FrameDecodes pins backward compatibility: a version-1 frame
-// (no trace fields, version byte 1) decodes cleanly on the current
-// decoder, with the trace fields zero.
+// (no trace fields, version byte 1, gzip-framed JSON payload) decodes
+// cleanly on the current decoder, with the trace fields zero.
 func TestWireV1FrameDecodes(t *testing.T) {
 	reg := makeRegistry(4, 1, 1, 40)
-	data, err := EncodeBatchBytes(&Batch{Host: "old-sender", Seq: 3, Snapshots: reg.Snapshots()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := encodeLegacyJSON(t, &Batch{Host: "old-sender", Seq: 3, Snapshots: reg.Snapshots()})
 	// A no-trace batch's JSON header is byte-identical to what a v1
 	// writer produces (omitempty drops the new fields); only the version
 	// byte differs.
@@ -165,39 +162,57 @@ func TestWireV1FrameDecodes(t *testing.T) {
 	if b.TraceID != "" || b.CaptureUnixNano != 0 {
 		t.Errorf("v1 frame grew trace fields: %q/%d", b.TraceID, b.CaptureUnixNano)
 	}
+	if !sameSnapshot(b.Snapshots[0], reg.Snapshots()[0]) {
+		t.Error("v1 frame's snapshot not bin-exact")
+	}
 }
 
-// TestWireOldDecoderAcceptsTracedFrame simulates a version-1 reader on a
-// version-2 frame: the v1 decode rule was "any version >= 1, known
-// flags only, unknown JSON header fields ignored" — exactly what the
-// current decoder still implements — so stripping the trace fields from
-// the header must leave a frame the same decoder accepts, and the full
-// v2 frame differs from it only in ignorable header JSON.
+// TestWireOldDecoderAcceptsTracedFrame pins both directions of version
+// skew across the binary payload. Forwards: what an old sender writes (a
+// version-3 frame: gzip-framed JSON payload, trace and federation fields
+// in the JSON header) decodes here unchanged. Backwards: the decode rule
+// every earlier reader implements is "any version >= 1, known flags only,
+// unknown JSON header fields ignored", so a pre-binary reader — whose known
+// flags are gzip and delta — must refuse a version-4 frame by its flag
+// byte alone, before it ever hands the varints to a JSON parser, while the
+// header extensions still ride only in ignorable JSON. That refusal is why
+// receivers are upgraded before senders.
 func TestWireOldDecoderAcceptsTracedFrame(t *testing.T) {
 	reg := makeRegistry(5, 1, 1, 40)
 	b := &Batch{
 		Host: "new-sender", Seq: 9, Snapshots: reg.Snapshots(),
 		TraceID: "new-sender-00000001-9", CaptureUnixNano: 123456789,
 	}
-	data, err := EncodeBatchBytes(b)
+	old := encodeLegacyJSON(t, b)
+	got, err := DecodeBatch(bytes.NewReader(old))
 	if err != nil {
-		t.Fatal(err)
-	}
-	if data[4] != Version || Version != 3 {
-		t.Fatalf("version byte %d, want 3", data[4])
-	}
-	got, err := DecodeBatch(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("decode of version-2 frame: %v", err)
+		t.Fatalf("decode of version-3 frame: %v", err)
 	}
 	if got.TraceID != b.TraceID || got.CaptureUnixNano != b.CaptureUnixNano {
 		t.Errorf("trace fields dropped: %q/%d", got.TraceID, got.CaptureUnixNano)
 	}
-	// The extension rides ONLY in the JSON header: same flags, and the
-	// header with the new fields removed is a valid v1 header.
-	if data[5] != flagGzip {
-		t.Errorf("v2 full frame flags %#x, want gzip only", data[5])
+	if !sameSnapshot(got.Snapshots[0], b.Snapshots[0]) {
+		t.Error("version-3 frame's snapshot not bin-exact")
 	}
+
+	data, err := EncodeBatchBytes(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data[4] != Version || Version != 4 {
+		t.Fatalf("version byte %d, want 4", data[4])
+	}
+	if data[5] != flagBinary {
+		t.Errorf("full frame flags %#x, want the binary flag alone", data[5])
+	}
+	if data[5]&^byte(legacyKnownFlags) == 0 {
+		t.Errorf("flags %#x pass a pre-binary reader's unknown-flag check; it would parse varints as JSON", data[5])
+	}
+	if old[5]&^byte(legacyKnownFlags) != 0 || old[5]&flagBinary != 0 {
+		t.Errorf("legacy frame flags %#x", old[5])
+	}
+	// The header extensions ride ONLY in the JSON header: with the new
+	// fields removed it is a valid v1 header.
 	headerLen := binary.BigEndian.Uint32(data[8:12])
 	var hdr map[string]any
 	if err := json.Unmarshal(data[16:16+headerLen], &hdr); err != nil {

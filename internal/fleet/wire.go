@@ -18,12 +18,21 @@ import (
 //	offset size field
 //	0      4    magic "VSFB"
 //	4      1    version (>= 1)
-//	5      1    flags (bit 0: payload is gzip-compressed)
+//	5      1    flags (see the flag constants below)
 //	6      2    reserved — writers zero, readers ignore
 //	8      4    header length
 //	12     4    payload length
 //	16     ...  header JSON (batchHeader)
-//	...    ...  payload: JSON array of core.Snapshot, gzip-framed
+//	...    ...  payload: header.Count snapshots, binary (payload.go)
+//
+// This package writes only the binary payload (flagBinary). It still reads
+// the payload every earlier version wrote — a JSON array of core.Snapshot,
+// gzip-compressed (flagGzip) — so old agents and segment logs written
+// before version 4 keep working; compaction rewrites a log through
+// EncodeBatch, so old segments turn binary as they are compacted. Nothing
+// selects the encoding: upgrade receivers (aggregators, then re-exporters)
+// before senders, because a pre-binary reader rejects a flagBinary frame
+// by the unknown-flag rule.
 //
 // Forward compatibility: the header is JSON, so future versions add fields
 // without breaking old readers (unknown fields are ignored both ways), and
@@ -39,11 +48,13 @@ const (
 	// the trace_id and capture_unix_nano header fields; version 3 added
 	// the boot, level and leaves federation fields. All of them ride in
 	// the JSON header (ignored by readers that predate them) and change no
-	// payload semantics, so no new flag bit is needed and version-1
-	// decoders accept version-3 frames unchanged.
-	Version = 3
+	// payload semantics, so version-1 decoders accept version-3 frames
+	// unchanged. Version 4 changed the payload encoding, which is what the
+	// flagBinary bit says; the version number itself still decides nothing.
+	Version = 4
 
-	// flagGzip marks a gzip-compressed payload.
+	// flagGzip marks a gzip-compressed payload. Only the legacy JSON
+	// payload is ever compressed; no writer in this package sets it.
 	flagGzip = 1 << 0
 
 	// flagDelta marks a delta frame: the payload's snapshots are interval
@@ -54,16 +65,23 @@ const (
 	// check below does for pre-delta readers.
 	flagDelta = 1 << 1
 
+	// flagBinary marks the binary payload encoding (payload.go); without it
+	// the payload is the legacy JSON array. Pre-binary readers reject it as
+	// an unknown flag instead of feeding varints to a JSON parser.
+	flagBinary = 1 << 2
+
 	// knownFlags is the set of flag bits this decoder understands; frames
 	// carrying others are rejected rather than misinterpreted.
-	knownFlags = flagGzip | flagDelta
+	knownFlags = flagGzip | flagDelta | flagBinary
 
 	// maxHeaderLen and maxPayloadLen bound a frame's declared sizes so a
 	// corrupt or hostile length prefix cannot drive a huge allocation.
 	maxHeaderLen  = 1 << 20
 	maxPayloadLen = 1 << 28
 
-	// maxDecodedLen bounds the decompressed payload (gzip-bomb guard).
+	// maxDecodedLen bounds what a payload may decode to in memory: the
+	// decompressed legacy JSON (gzip-bomb guard) and the snapshots a binary
+	// payload's count would allocate.
 	maxDecodedLen = 1 << 30
 )
 
@@ -133,6 +151,11 @@ type Batch struct {
 	// (meaning 1) for a leaf agent, the sum of fresh downstream leaves for
 	// a re-exported rollup.
 	Leaves int `json:"-"`
+
+	// jsonPayload is set by DecodeBatch on a frame that carried the legacy
+	// JSON payload; it feeds the aggregator's decoded-frames-by-encoding
+	// counter and nothing else.
+	jsonPayload bool
 }
 
 // batchHeader is the frame header; Count duplicates len(Snapshots) so a
@@ -157,57 +180,52 @@ type batchHeader struct {
 	Leaves int    `json:"leaves,omitempty"`
 }
 
-// EncodeBatch writes b to w as one frame.
+// EncodeBatch writes b to w as one frame, in a single Write.
 func EncodeBatch(w io.Writer, b *Batch) error {
+	frame, err := EncodeBatchBytes(b)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(frame)
+	return err
+}
+
+// EncodeBatchBytes renders b as one frame in memory. It fails on a batch
+// the binary payload cannot carry: a null snapshot, or a histogram that is
+// missing or not in the canonical layout — exactly what Validate refuses.
+func EncodeBatchBytes(b *Batch) ([]byte, error) {
 	hdr := batchHeader{
 		Host: b.Host, Seq: b.Seq, SentUnixNano: b.SentUnixNano, Count: len(b.Snapshots),
 		TraceID: b.TraceID, CaptureUnixNano: b.CaptureUnixNano,
 		Boot: b.Boot, Level: b.Level, Leaves: b.Leaves,
 	}
+	flags := byte(flagBinary)
 	if b.Delta {
 		hdr.BaseSeq = b.BaseSeq
+		flags |= flagDelta
 	}
 	header, err := json.Marshal(hdr)
 	if err != nil {
-		return err
-	}
-	var payload bytes.Buffer
-	zw := gzip.NewWriter(&payload)
-	if err := json.NewEncoder(zw).Encode(b.Snapshots); err != nil {
-		return err
-	}
-	if err := zw.Close(); err != nil {
-		return err
-	}
-	if payload.Len() > maxPayloadLen {
-		return fmt.Errorf("fleet: payload %d bytes exceeds frame limit %d", payload.Len(), maxPayloadLen)
-	}
-	var head [16]byte
-	copy(head[0:4], wireMagic[:])
-	head[4] = Version
-	head[5] = flagGzip
-	if b.Delta {
-		head[5] |= flagDelta
-	}
-	binary.BigEndian.PutUint32(head[8:12], uint32(len(header)))
-	binary.BigEndian.PutUint32(head[12:16], uint32(payload.Len()))
-	if _, err := w.Write(head[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(header); err != nil {
-		return err
-	}
-	_, err = w.Write(payload.Bytes())
-	return err
-}
-
-// EncodeBatchBytes renders b as one frame in memory.
-func EncodeBatchBytes(b *Batch) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := EncodeBatch(&buf, b); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	// A sim-shaped snapshot encodes to 200-300 bytes; the guess only has
+	// to keep append from growing the frame more than once.
+	frame := make([]byte, 16, 16+len(header)+8+320*len(b.Snapshots))
+	frame = append(frame, header...)
+	frame, err = appendPayload(frame, b.Snapshots)
+	if err != nil {
+		return nil, err
+	}
+	payloadLen := len(frame) - 16 - len(header)
+	if payloadLen > maxPayloadLen {
+		return nil, fmt.Errorf("fleet: payload %d bytes exceeds frame limit %d", payloadLen, maxPayloadLen)
+	}
+	copy(frame[0:4], wireMagic[:])
+	frame[4] = Version
+	frame[5] = flags
+	binary.BigEndian.PutUint32(frame[8:12], uint32(len(header)))
+	binary.BigEndian.PutUint32(frame[12:16], uint32(payloadLen))
+	return frame, nil
 }
 
 // badFrame builds an ErrBadFrame-wrapped error.
@@ -265,7 +283,10 @@ func readSized(r io.Reader, n uint32, what string) ([]byte, error) {
 // that to tell a crash-torn tail (truncate and continue) from corruption
 // (refuse to start). Declared lengths are never trusted for allocation:
 // buffers grow with the bytes actually read, so a hostile 256 MiB length
-// prefix on a ten-byte body costs one chunk, not 256 MiB.
+// prefix on a ten-byte body costs one chunk, not 256 MiB, and a binary
+// payload's snapshot count is checked against the bytes that arrived. The
+// one failure that is not a bad frame is *UnknownLayoutError: a whole,
+// well-formed binary frame whose bin layout is another binary generation's.
 func DecodeBatch(r io.Reader) (*Batch, error) {
 	var head [16]byte
 	if _, err := io.ReadFull(r, head[:1]); err != nil {
@@ -313,8 +334,44 @@ func DecodeBatch(r io.Reader) (*Batch, error) {
 	if err != nil {
 		return nil, err
 	}
+	out := &Batch{
+		Host: hdr.Host, Seq: hdr.Seq, SentUnixNano: hdr.SentUnixNano,
+		Delta:   flags&flagDelta != 0,
+		TraceID: hdr.TraceID, CaptureUnixNano: hdr.CaptureUnixNano,
+		Boot: hdr.Boot, Level: hdr.Level, Leaves: hdr.Leaves,
+	}
+	if out.Delta {
+		// base_seq means nothing without the flag; dropping it on full
+		// frames keeps decode(encode(b)) == b in both directions.
+		out.BaseSeq = hdr.BaseSeq
+	}
+	switch {
+	case flags&flagBinary == 0:
+		out.jsonPayload = true
+		out.Snapshots, err = decodeJSONPayload(payload, flags&flagGzip != 0, hdr.Count)
+	case flags&flagGzip != 0:
+		err = badFrame("binary payload marked gzip-compressed")
+	default:
+		out.Snapshots, err = decodePayload(payload, hdr.Count)
+	}
+	if err != nil {
+		var unknown *UnknownLayoutError
+		if errors.As(err, &unknown) {
+			unknown.Header = out
+		}
+		return nil, err
+	}
+	return out, nil
+}
+
+// decodeJSONPayload is the legacy reader: the payload every version before
+// 4 wrote, a JSON array of snapshots, gzip-compressed. It stays until no
+// sender and no un-compacted segment log carries one (the aggregator's
+// frames-decoded counter by encoding says when); its writer survives only
+// in this package's tests.
+func decodeJSONPayload(payload []byte, gzipped bool, count int) ([]*core.Snapshot, error) {
 	body := io.Reader(bytes.NewReader(payload))
-	if flags&flagGzip != 0 {
+	if gzipped {
 		zr, err := gzip.NewReader(body)
 		if err != nil {
 			return nil, badFrame("gzip: %v", err)
@@ -333,21 +390,10 @@ func DecodeBatch(r io.Reader) (*Batch, error) {
 	if err := json.Unmarshal(decoded, &snaps); err != nil {
 		return nil, badFrame("payload JSON: %v", err)
 	}
-	if len(snaps) != hdr.Count {
-		return nil, badFrame("header count %d != payload count %d", hdr.Count, len(snaps))
+	if len(snaps) != count {
+		return nil, badFrame("header count %d != payload count %d", count, len(snaps))
 	}
-	out := &Batch{
-		Host: hdr.Host, Seq: hdr.Seq, SentUnixNano: hdr.SentUnixNano,
-		Delta: flags&flagDelta != 0, Snapshots: snaps,
-		TraceID: hdr.TraceID, CaptureUnixNano: hdr.CaptureUnixNano,
-		Boot: hdr.Boot, Level: hdr.Level, Leaves: hdr.Leaves,
-	}
-	if out.Delta {
-		// base_seq means nothing without the flag; dropping it on full
-		// frames keeps decode(encode(b)) == b in both directions.
-		out.BaseSeq = hdr.BaseSeq
-	}
-	return out, nil
+	return snaps, nil
 }
 
 // Validate checks b is safe to merge: a named host and, per snapshot,
@@ -396,6 +442,9 @@ func checkLayout(h, ref *histogram.Snapshot) error {
 	}
 	if len(h.Edges) != len(ref.Edges) {
 		return fmt.Errorf("%d edges, want %d", len(h.Edges), len(ref.Edges))
+	}
+	if &h.Edges[0] == &ref.Edges[0] {
+		return nil // the reference's own edges, as every binary-decoded histogram carries
 	}
 	for i := range h.Edges {
 		if h.Edges[i] != ref.Edges[i] {

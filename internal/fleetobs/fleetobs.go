@@ -46,7 +46,7 @@ const (
 	StageCapture Stage = iota
 	// StageDeltaRender is Snapshot.Sub against the acked base.
 	StageDeltaRender
-	// StageEncode is frame encode + gzip.
+	// StageEncode is rendering the batch as one wire frame.
 	StageEncode
 	// StagePush is the HTTP push round-trip as the agent sees it.
 	StagePush

@@ -76,8 +76,8 @@ func TestSlowRingKeepsTopK(t *testing.T) {
 	if len(slow) != 2 {
 		t.Fatalf("slow ring holds %d, want 2", len(slow))
 	}
-	if slow[0].DurationNanos != (7 * time.Millisecond).Nanoseconds() ||
-		slow[1].DurationNanos != (5 * time.Millisecond).Nanoseconds() {
+	if slow[0].DurationNanos != (7*time.Millisecond).Nanoseconds() ||
+		slow[1].DurationNanos != (5*time.Millisecond).Nanoseconds() {
 		t.Errorf("slowest = %d, %d ns; want 7ms, 5ms", slow[0].DurationNanos, slow[1].DurationNanos)
 	}
 	if got := tr.Slowest(6*time.Millisecond, 0); len(got) != 1 {

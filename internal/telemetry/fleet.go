@@ -71,6 +71,21 @@ type FleetLogSource interface {
 	FleetLogStats() (FleetLog, bool)
 }
 
+// FleetFrames counts the wire frames a fleet aggregator decoded (pushes,
+// pulls and boot replay) by payload encoding.
+type FleetFrames struct {
+	Binary int64
+	JSON   int64
+}
+
+// FleetFramesSource is the optional codec extension of FleetSource: a
+// source that reports which payload encodings it is still being sent, so
+// an operator can see when the legacy JSON frames have stopped arriving.
+// The exporter type-asserts, mirroring FleetShardSource.
+type FleetFramesSource interface {
+	FleetFramesDecoded() FleetFrames
+}
+
 // FleetTier aggregates one federation level of an aggregator's host set:
 // level 0 entries are leaf agents, level 1 entries are regional
 // aggregators re-exporting their merges, and so on up the tree.
@@ -175,6 +190,12 @@ func (e *Exporter) writeFleet(p *promWriter) {
 		if log, enabled := src.FleetLogStats(); enabled {
 			writeFleetLog(p, log)
 		}
+	}
+	if src, ok := e.fleet.(FleetFramesSource); ok {
+		frames := src.FleetFramesDecoded()
+		p.family("vscsistats_fleet_frames_decoded_total", "counter", "Wire frames decoded from pushes, pulls and boot replay, by payload encoding.")
+		p.sample("vscsistats_fleet_frames_decoded_total", `encoding="binary"`, strconv.FormatInt(frames.Binary, 10))
+		p.sample("vscsistats_fleet_frames_decoded_total", `encoding="json"`, strconv.FormatInt(frames.JSON, 10))
 	}
 
 	cluster := e.fleet.FleetCluster()

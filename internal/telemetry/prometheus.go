@@ -39,7 +39,7 @@ type Exporter struct {
 	fleetReExport FleetReExportSource
 	fleetObs      FleetObsSource
 	sim           SimSource
-	scrapes  atomic.Int64
+	scrapes       atomic.Int64
 	// lastScrapeNs records the duration of the most recent scrape.
 	lastScrapeNs atomic.Int64
 	// nowNanos is the wall clock, injectable for tests.

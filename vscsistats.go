@@ -504,8 +504,9 @@ func NewFleetReExporter(agg *FleetAggregator, cfg FleetReExporterConfig) *FleetR
 }
 
 // EncodeSnapshotBatch and DecodeSnapshotBatch are the fleet wire codec:
-// versioned, length-prefixed, gzip-framed — any number of frames can be
-// concatenated on one stream.
+// versioned, length-prefixed frames with a JSON header and a binary
+// snapshot payload — any number of frames can be concatenated on one
+// stream. Frames from pre-binary senders (gzip-framed JSON) still decode.
 func EncodeSnapshotBatch(w io.Writer, b *SnapshotBatch) error { return fleet.EncodeBatch(w, b) }
 
 // DecodeSnapshotBatch reads one frame; it never panics on corrupt input.
