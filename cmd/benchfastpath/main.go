@@ -19,11 +19,12 @@
 // It shells out to `go test -bench`, takes the minimum over -count runs
 // (min-of-N discards scheduler noise; the floor is the honest cost), and
 // prints a table. Secondary metrics a benchmark reports (wire_bytes/op)
-// are captured alongside ns/op.
+// are captured alongside ns/op, and -update records each benchmark's
+// median and (max-min)/min spread next to the minimum.
 //
 //	go run ./cmd/benchfastpath                         # measure and print
 //	go run ./cmd/benchfastpath -fleet -update          # refresh BENCH_fleet.json
-//	go run ./cmd/benchfastpath -check                  # CI regression fence
+//	go run ./cmd/benchfastpath -check -against derive-all   # CI regression fence
 //	go run ./cmd/benchfastpath -check -fleet           # CI fence, fleet ingest
 //
 // -check re-measures the fence benchmarks only (BenchmarkTable2StatsOn
@@ -34,9 +35,12 @@
 // catches regressions without re-running the full suite. Relative fences measure both sides fresh in
 // the same session so machine speed cancels out: streaming trace replay
 // must stay at or below half the legacy materialize-and-sort cost
-// (maxPct -50, i.e. the >=2x speedup claim), and with -fleet the
-// traced-ingest variant (BenchmarkFleetIngest1024Traced) must cost no
-// more than 5% over the untraced fence.
+// (maxPct -50, i.e. the >=2x speedup claim), stats-on must stay within
+// table2MaxPct of stats-off (one redundant insert per sample trips it),
+// and with -fleet the traced-ingest variant
+// (BenchmarkFleetIngest1024Traced) must cost no more than 5% over the
+// untraced fence. Count fences are exact: BenchmarkTable2StatsOn
+// allocates 2 objects per command.
 package main
 
 import (
@@ -45,9 +49,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -68,6 +74,10 @@ type benchEntry struct {
 	NumCPU     int                `json:"num_cpu"`
 	Count      int                `json:"count"`
 	NsPerOp    map[string]float64 `json:"ns_per_op"`
+	// MedianNsPerOp and SpreadPct describe the Count runs NsPerOp is the
+	// minimum of: their median, and (max-min)/min in percent.
+	MedianNsPerOp map[string]float64 `json:"median_ns_per_op,omitempty"`
+	SpreadPct     map[string]float64 `json:"spread_pct,omitempty"`
 	// Metrics holds any secondary per-op metrics the benchmarks reported,
 	// keyed "BenchmarkName:unit/op" (e.g. wire_bytes/op).
 	Metrics map[string]float64 `json:"metrics,omitempty"`
@@ -117,11 +127,14 @@ func main() {
 	flag.Parse()
 
 	// Two fast-path fences: the observation hot path, and the streaming
-	// trace-replay engine (absolute, against the recorded entry). Plus one
-	// relative fence: streaming replay must stay at or below half the
-	// legacy materialize-and-sort cost — a negative maxPct, meaning the
-	// claimed >=2x single-core speedup is re-proven on every -check, with
-	// both sides measured fresh so machine speed cancels out.
+	// trace-replay engine (absolute, against the recorded entry). Plus two
+	// relative fences, both sides measured fresh so machine speed cancels
+	// out: streaming replay must stay at or below half the legacy
+	// materialize-and-sort cost — a negative maxPct, meaning the claimed
+	// >=2x single-core speedup is re-proven on every -check — and the
+	// enabled service must stay within table2MaxPct of the disabled one.
+	// And one count fence: a command through the enabled fast path is two
+	// heap objects, the Request and the backend's completion callback.
 	benches := suite
 	fences := []fence{
 		{"BenchmarkTable2StatsOn", "."},
@@ -132,7 +145,13 @@ func main() {
 		against: "BenchmarkTraceReplayLegacy1M",
 		pkg:     "./internal/trace",
 		maxPct:  -50,
+	}, {
+		bench:   "BenchmarkTable2StatsOn",
+		against: "BenchmarkTable2StatsOff",
+		pkg:     ".",
+		maxPct:  table2MaxPct,
 	}}
+	countFences := []countFence{{"BenchmarkTable2StatsOn", "allocs/op", 2}}
 	if *fleet {
 		// Four fleet fences: the ingest fast path, the boot replay the
 		// segment log added — a slow restart is a regression too — the
@@ -154,6 +173,7 @@ func main() {
 			pkg:     "./internal/fleet",
 			maxPct:  5,
 		}}
+		countFences = nil
 	}
 	if *file == "" {
 		*file = "BENCH_fastpath.json"
@@ -163,22 +183,24 @@ func main() {
 	}
 
 	if *check {
-		os.Exit(runCheck(*file, *against, fences, relFences, *count, *benchtime, *tolerance))
+		os.Exit(runCheck(*file, *against, fences, relFences, countFences, *count, *benchtime, *tolerance))
 	}
 
-	results := make(map[string]float64)
+	runs := make(samples)
 	for _, s := range benches {
-		if err := runBench(s.pkg, s.bench, *count, *benchtime, s.extra, results); err != nil {
+		if err := runBench(s.pkg, s.bench, *count, *benchtime, s.extra, runs); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 	}
+	results := runs.mins()
 	printTable(results)
 
 	if !*update {
 		return
 	}
 	ns, metrics := splitResults(results)
+	median, spread := runs.medianAndSpread()
 	entry := benchEntry{
 		Label:      *label,
 		Date:       time.Now().UTC().Format("2006-01-02"),
@@ -188,6 +210,9 @@ func main() {
 		Count:      *count,
 		NsPerOp:    ns,
 		Metrics:    metrics,
+
+		MedianNsPerOp: median,
+		SpreadPct:     spread,
 	}
 	note := "min-of-N ns/op for the observation fast path; maintained by cmd/benchfastpath"
 	if *fleet {
@@ -203,14 +228,43 @@ func main() {
 	fmt.Fprintf(os.Stderr, "recorded %q in %s\n", *label, *file)
 }
 
-// runBench executes one `go test -bench` invocation and folds min ns/op per
-// benchmark name into results. Under an explicit -cpu list names keep go
+// samples holds every run's value per result key (parseBenchLine's keys).
+type samples map[string][]float64
+
+// mins is what the table, the record and the fences read.
+func (s samples) mins() map[string]float64 {
+	out := make(map[string]float64, len(s))
+	for k, vs := range s {
+		out[k] = slices.Min(vs)
+	}
+	return out
+}
+
+// medianAndSpread describes the runs behind each ns/op minimum: their
+// median, and (max-min)/min in percent, rounded to 0.1.
+func (s samples) medianAndSpread() (median, spreadPct map[string]float64) {
+	median, spreadPct = make(map[string]float64), make(map[string]float64)
+	for k, vs := range s {
+		if strings.Contains(k, ":") {
+			continue
+		}
+		vs = slices.Clone(vs)
+		slices.Sort(vs)
+		lo, hi := vs[0], vs[len(vs)-1]
+		median[k] = (vs[(len(vs)-1)/2] + vs[len(vs)/2]) / 2
+		spreadPct[k] = math.Round(1000*(hi-lo)/lo) / 10
+	}
+	return median, spreadPct
+}
+
+// runBench executes one `go test -bench` invocation and appends every run's
+// ns/op per benchmark name to results. Under an explicit -cpu list names keep go
 // test's -N GOMAXPROCS suffix (absent at cpu=1), so
 // "BenchmarkInsertParallel" and "BenchmarkInsertParallel-4" record
 // separately. Without one, every name carries the same suffix — this
 // machine's GOMAXPROCS, which the entry records anyway — and it is dropped:
 // a fence looks its benchmark up by bare name, on any machine.
-func runBench(pkg, bench string, count int, benchtime string, extra []string, results map[string]float64) error {
+func runBench(pkg, bench string, count int, benchtime string, extra []string, results samples) error {
 	suffix := "-" + strconv.Itoa(runtime.GOMAXPROCS(0))
 	for _, arg := range extra {
 		if arg == "-cpu" {
@@ -234,9 +288,7 @@ func runBench(pkg, bench string, count int, benchtime string, extra []string, re
 	sc := bufio.NewScanner(&out)
 	for sc.Scan() {
 		for key, v := range parseBenchLine(sc.Text(), suffix) {
-			if prev, seen := results[key]; !seen || v < prev {
-				results[key] = v
-			}
+			results[key] = append(results[key], v)
 		}
 	}
 	return sc.Err()
@@ -363,11 +415,29 @@ type relFence struct {
 	maxPct         float64
 }
 
+// countFence is an exact fence on a secondary per-op metric (unit as go
+// test prints it, e.g. "allocs/op"): a count repeats on any machine, so it
+// needs neither a recorded entry nor a tolerance. The benchmark must be
+// one a fence or relative fence already measures.
+type countFence struct {
+	bench, unit string
+	want        float64
+}
+
+// table2MaxPct bounds BenchmarkTable2StatsOn over BenchmarkTable2StatsOff.
+// It sits between the ratio measured with every sample inserted once
+// (+141…+172% over six min-of-3 sessions, 2 vCPUs) and with class all
+// inserted as well (+205…+248% over six at the parent commit, whose
+// stats-off path was also one allocation slower — on today's it would
+// read higher), so re-adding a redundant insert per sample fails the fence
+// on any machine.
+const table2MaxPct = 190
+
 // runCheck is the CI fence: measure the fence benchmarks fresh (one
 // `go test -bench` run per package), compare each against the recorded
-// entry (and each relative fence against its in-session reference), and
-// report pass/fail for the set.
-func runCheck(path, against string, fences []fence, relFences []relFence, count int, benchtime string, tolerance float64) int {
+// entry (each relative fence against its in-session reference, each count
+// fence against its exact value), and report pass/fail for the set.
+func runCheck(path, against string, fences []fence, relFences []relFence, countFences []countFence, count int, benchtime string, tolerance float64) int {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchfastpath: %v\n", err)
@@ -414,13 +484,14 @@ func runCheck(path, against string, fences []fence, relFences []relFence, count 
 		add(r.pkg, r.bench)
 		add(r.pkg, r.against)
 	}
-	results := make(map[string]float64)
+	runs := make(samples)
 	for _, pkg := range pkgs {
-		if err := runBench(pkg, "^("+strings.Join(perPkg[pkg], "|")+")$", count, benchtime, nil, results); err != nil {
+		if err := runBench(pkg, "^("+strings.Join(perPkg[pkg], "|")+")$", count, benchtime, nil, runs); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
 	}
+	results := runs.mins()
 	failed := 0
 	for _, fc := range fences {
 		got, ok := results[fc.name]
@@ -452,6 +523,18 @@ func runCheck(path, against string, fences []fence, relFences []relFence, count 
 			fmt.Printf("FAIL: %s costs %.1f%% over %s\n",
 				strings.TrimPrefix(r.bench, "Benchmark"), (got/base-1)*100,
 				strings.TrimPrefix(r.against, "Benchmark"))
+			failed++
+		}
+	}
+	for _, c := range countFences {
+		got, ok := results[c.bench+":"+c.unit]
+		if !ok {
+			fmt.Fprintf(os.Stderr, "benchfastpath: %s reported no %s\n", c.bench, c.unit)
+			return 1
+		}
+		fmt.Printf("%s: %v %s, want exactly %v\n", strings.TrimPrefix(c.bench, "Benchmark"), got, c.unit, c.want)
+		if got != c.want {
+			fmt.Printf("FAIL: %s is %v %s, not %v\n", strings.TrimPrefix(c.bench, "Benchmark"), got, c.unit, c.want)
 			failed++
 		}
 	}

@@ -6,11 +6,16 @@
 // latency and inter-arrival time — each broken down by all/reads/writes,
 // in O(1) time and O(m) space per command (§3).
 //
+// The per-command path stores only what cannot be derived: every sample is
+// inserted once, into its family's reads or writes histogram, and nothing
+// else is counted. The class-all histograms and the command/byte counters
+// are sums of those, so Snapshot computes them (all = reads + writes).
+//
 // Every Collector method is safe for concurrent use: OnIssue/OnComplete may
 // run from several issuing goroutines while other goroutines call Snapshot,
-// Enable, Disable and Reset. Histogram inserts and counters are lock-free
-// atomics; only the stream-correlated state (previous command's end block,
-// the windowed-seek ring, previous arrival time) takes a short per-collector
+// Enable, Disable and Reset. Histogram inserts are lock-free atomics; only
+// the stream-correlated state (previous command's end block, the
+// windowed-seek ring, previous arrival time) takes a short per-collector
 // mutex, so the fast path stays O(1) with one uncontended lock per command.
 package core
 
@@ -51,19 +56,21 @@ type Collector struct {
 	self *selfStats
 }
 
-// histSet is the dynamically allocated state, created on first Enable.
+// histSet is the dynamically allocated state, created on first Enable. It
+// holds no class-all histogram and no command or byte counter: those are
+// reads + writes, which Snapshot computes.
 type histSet struct {
-	ioLength     [3]*histogram.Histogram // indexed by opClass
-	seekDistance [3]*histogram.Histogram
+	ioLength     family
+	seekDistance family
 	seekWindowed *histogram.Histogram
-	outstanding  [3]*histogram.Histogram
-	latency      [3]*histogram.Histogram
-	interarrival [3]*histogram.Histogram
+	outstanding  family
+	latency      family
+	interarrival family
 
 	// streamMu guards the stream-correlated fields below (and only those):
 	// they relate consecutive commands, so two issuing goroutines must
 	// observe each other's updates in a consistent order. Histogram inserts
-	// and the counters stay lock-free.
+	// stay lock-free.
 	streamMu sync.Mutex
 	// lastEnd is the last logical block of the previous I/O (§3.1: "an
 	// unsigned 64-bit memory location per virtual disk").
@@ -80,20 +87,45 @@ type histSet struct {
 	lastArrival simclock.Time
 	haveArrival bool
 
-	commands   atomic.Int64
-	reads      atomic.Int64
-	writes     atomic.Int64
-	readBytes  atomic.Int64
-	writeBytes atomic.Int64
-	errors     atomic.Int64
+	errors atomic.Int64
 }
 
-// op classes index the per-metric histogram triples.
+// family is one metric's stored histograms, indexed by classOf: the reads
+// and the writes (§3.4's breakdown). name is the un-suffixed display name
+// the derived class-all snapshot carries.
+type family struct {
+	name string
+	rw   [2]*histogram.Histogram
+}
+
+func newFamily(mk func(name string) *histogram.Histogram, name string) family {
+	return family{name, [2]*histogram.Histogram{mk(name + " (Reads)"), mk(name + " (Writes)")}}
+}
+
+// snapshot copies the family into the public [All, Reads, Writes] shape.
+// All is computed from the two copies just taken, so within one snapshot
+// it equals reads + writes exactly — bins, Sum, Total, and Min/Max over
+// whichever classes are non-empty — whatever is being inserted meanwhile.
+func (f *family) snapshot() [3]*histogram.Snapshot {
+	r, w := f.rw[classRead].Snapshot(), f.rw[classWrite].Snapshot()
+	all := r.Clone()
+	all.Name = f.name
+	all.Add(w)
+	return [3]*histogram.Snapshot{All: all, Reads: r, Writes: w}
+}
+
+// classOf indexes family.rw.
 const (
-	classAll = iota
-	classRead
+	classRead = iota
 	classWrite
 )
+
+func classOf(op scsi.OpCode) int {
+	if op.IsWrite() {
+		return classWrite
+	}
+	return classRead
+}
 
 // NewCollector creates a disabled collector for the named disk with the
 // default look-behind window.
@@ -174,16 +206,15 @@ func (c *Collector) BreakStream() {
 }
 
 func newHistSet(window int) *histSet {
-	h := &histSet{recent: make([]uint64, window)}
-	for class, suffix := range [...]string{"", " (Reads)", " (Writes)"} {
-		h.ioLength[class] = histogram.NewIOLength("I/O Length Histogram" + suffix)
-		h.seekDistance[class] = histogram.NewSeekDistance("Seek Distance Histogram" + suffix)
-		h.outstanding[class] = histogram.NewOutstanding("Outstanding I/Os Histogram" + suffix)
-		h.latency[class] = histogram.NewLatency("I/O Latency Histogram" + suffix)
-		h.interarrival[class] = histogram.NewInterarrival("I/O Interarrival Histogram" + suffix)
+	return &histSet{
+		recent:       make([]uint64, window),
+		ioLength:     newFamily(histogram.NewIOLength, "I/O Length Histogram"),
+		seekDistance: newFamily(histogram.NewSeekDistance, "Seek Distance Histogram"),
+		seekWindowed: histogram.NewSeekDistance("Seek Distance Histogram (Windowed)"),
+		outstanding:  newFamily(histogram.NewOutstanding, "Outstanding I/Os Histogram"),
+		latency:      newFamily(histogram.NewLatency, "I/O Latency Histogram"),
+		interarrival: newFamily(histogram.NewInterarrival, "I/O Interarrival Histogram"),
 	}
-	h.seekWindowed = histogram.NewSeekDistance("Seek Distance Histogram (Windowed)")
-	return h
 }
 
 var (
@@ -194,6 +225,9 @@ var (
 // OnIssue records the arrival-side metrics: length, seek distance (plain and
 // windowed), outstanding I/Os and inter-arrival time. Non-I/O SCSI commands
 // (INQUIRY, TEST UNIT READY, …) are invisible to the workload histograms.
+// Each sample goes into the command's own class only — 13 locked
+// operations per command: the observation count, two adds per insert for
+// the five samples, and the stream mutex's lock and unlock.
 func (c *Collector) OnIssue(r *vscsi.Request) {
 	if !c.enabled.Load() {
 		return
@@ -213,27 +247,14 @@ func (c *Collector) OnIssue(r *vscsi.Request) {
 		c.self.dropped.Add(1)
 		return
 	}
-	class := classRead
-	if cmd.Op.IsWrite() {
-		class = classWrite
-	}
-	h.commands.Add(1)
-	if class == classRead {
-		h.reads.Add(1)
-		h.readBytes.Add(cmd.Bytes())
-	} else {
-		h.writes.Add(1)
-		h.writeBytes.Add(cmd.Bytes())
-	}
+	class := classOf(cmd.Op)
 
-	// I/O length (§3.2).
-	h.ioLength[classAll].Insert(cmd.Bytes())
-	h.ioLength[class].Insert(cmd.Bytes())
+	// I/O length (§3.2); its Total and Sum are also the command and byte
+	// counters.
+	h.ioLength.rw[class].Insert(cmd.Bytes())
 
 	// Outstanding I/Os at arrival (§3.3).
-	oio := int64(r.OutstandingAtIssue)
-	h.outstanding[classAll].Insert(oio)
-	h.outstanding[class].Insert(oio)
+	h.outstanding.rw[class].Insert(int64(r.OutstandingAtIssue))
 
 	// The stream-correlated metrics relate this command to its predecessors,
 	// so their state updates form one critical section; the derived samples
@@ -276,15 +297,13 @@ func (c *Collector) OnIssue(r *vscsi.Request) {
 	h.streamMu.Unlock()
 
 	if haveSeek {
-		h.seekDistance[classAll].Insert(seek)
-		h.seekDistance[class].Insert(seek)
+		h.seekDistance.rw[class].Insert(seek)
 	}
 	if haveWseek {
 		h.seekWindowed.Insert(wseek)
 	}
 	if haveInter {
-		h.interarrival[classAll].Insert(inter)
-		h.interarrival[class].Insert(inter)
+		h.interarrival.rw[class].Insert(inter)
 	}
 
 	if sampled {
@@ -308,9 +327,9 @@ type streamSample struct {
 // issued at one instant (vscsi.BatchObserver). It is sample-for-sample
 // equivalent to calling OnIssue once per request in order — the property
 // the bit-exactness tests pin — but amortizes the per-command overheads
-// across the burst: the counters become one atomic add per counter, the
-// observer dispatch is one call, and the stream mutex (the fast path's only
-// blocking point) is taken once instead of once per command.
+// across the burst: the observation count is one atomic add, the observer
+// dispatch is one call, and the stream mutex (the fast path's only blocking
+// point) is taken once instead of once per command.
 func (c *Collector) OnIssueBatch(rs []*vscsi.Request) {
 	if !c.enabled.Load() {
 		return
@@ -339,38 +358,12 @@ func (c *Collector) OnIssueBatch(rs []*vscsi.Request) {
 		return
 	}
 
-	var commands, reads, writes, readBytes, writeBytes int64
 	for _, r := range rs {
-		cmd := r.Cmd
-		if !cmd.Op.IsBlockIO() {
-			continue
+		if cmd := r.Cmd; cmd.Op.IsBlockIO() {
+			class := classOf(cmd.Op)
+			h.ioLength.rw[class].Insert(cmd.Bytes())
+			h.outstanding.rw[class].Insert(int64(r.OutstandingAtIssue))
 		}
-		class := classRead
-		if cmd.Op.IsWrite() {
-			class = classWrite
-		}
-		commands++
-		if class == classRead {
-			reads++
-			readBytes += cmd.Bytes()
-		} else {
-			writes++
-			writeBytes += cmd.Bytes()
-		}
-		h.ioLength[classAll].Insert(cmd.Bytes())
-		h.ioLength[class].Insert(cmd.Bytes())
-		oio := int64(r.OutstandingAtIssue)
-		h.outstanding[classAll].Insert(oio)
-		h.outstanding[class].Insert(oio)
-	}
-	h.commands.Add(commands)
-	if reads > 0 {
-		h.reads.Add(reads)
-		h.readBytes.Add(readBytes)
-	}
-	if writes > 0 {
-		h.writes.Add(writes)
-		h.writeBytes.Add(writeBytes)
 	}
 
 	// One critical section for the whole burst: compute every command's
@@ -389,11 +382,7 @@ func (c *Collector) OnIssueBatch(rs []*vscsi.Request) {
 		if !cmd.Op.IsBlockIO() {
 			continue
 		}
-		var s streamSample
-		s.class = classRead
-		if cmd.Op.IsWrite() {
-			s.class = classWrite
-		}
+		s := streamSample{class: classOf(cmd.Op)}
 		if h.haveLast {
 			s.haveSeek = true
 			s.seek = int64(cmd.LBA) - int64(h.lastEnd)
@@ -427,15 +416,13 @@ func (c *Collector) OnIssueBatch(rs []*vscsi.Request) {
 	for i := range samples {
 		s := &samples[i]
 		if s.haveSeek {
-			h.seekDistance[classAll].Insert(s.seek)
-			h.seekDistance[s.class].Insert(s.seek)
+			h.seekDistance.rw[s.class].Insert(s.seek)
 		}
 		if s.haveWseek {
 			h.seekWindowed.Insert(s.wseek)
 		}
 		if s.haveInter {
-			h.interarrival[classAll].Insert(s.inter)
-			h.interarrival[s.class].Insert(s.inter)
+			h.interarrival.rw[s.class].Insert(s.inter)
 		}
 	}
 
@@ -444,7 +431,8 @@ func (c *Collector) OnIssueBatch(rs []*vscsi.Request) {
 	}
 }
 
-// OnComplete records device latency (§3.5) and error counts.
+// OnComplete records device latency (§3.5) and error counts: 3 locked
+// operations per command (the observation count and one insert).
 func (c *Collector) OnComplete(r *vscsi.Request) {
 	if !c.enabled.Load() {
 		return
@@ -466,13 +454,7 @@ func (c *Collector) OnComplete(r *vscsi.Request) {
 	if r.Status != scsi.StatusGood {
 		h.errors.Add(1)
 	} else {
-		lat := r.Latency().Micros()
-		h.latency[classAll].Insert(lat)
-		if r.Cmd.Op.IsWrite() {
-			h.latency[classWrite].Insert(lat)
-		} else {
-			h.latency[classRead].Insert(lat)
-		}
+		h.latency.rw[classOf(r.Cmd.Op)].Insert(r.Latency().Micros())
 	}
 	if sampled {
 		c.self.observeNs.Insert(time.Since(t0).Nanoseconds())

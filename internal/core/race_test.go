@@ -239,3 +239,90 @@ func TestCollector2DConcurrent(t *testing.T) {
 		t.Fatal("enabled 2-D collector returned nil snapshot")
 	}
 }
+
+// checkDerivedLaws asserts what Snapshot derives instead of counting: in
+// every family class all is reads + writes, bin for bin and in Sum and
+// Total, and the counters are the I/O length histograms' totals and sums.
+func checkDerivedLaws(t *testing.T, s *Snapshot) {
+	t.Helper()
+	for _, m := range Metrics() {
+		if m == MetricSeekWindowed {
+			continue
+		}
+		all, r, w := s.Histogram(m, All), s.Histogram(m, Reads), s.Histogram(m, Writes)
+		if all.Total != r.Total+w.Total || all.Sum != r.Sum+w.Sum {
+			t.Errorf("%s: all total/sum %d/%d != reads+writes %d/%d", m, all.Total, all.Sum, r.Total+w.Total, r.Sum+w.Sum)
+		}
+		for i := range all.Counts {
+			if all.Counts[i] != r.Counts[i]+w.Counts[i] {
+				t.Errorf("%s bin %d: all %d != reads %d + writes %d", m, i, all.Counts[i], r.Counts[i], w.Counts[i])
+			}
+		}
+	}
+	if s.Commands != s.NumReads+s.NumWrites || s.Commands != s.IOLength[All].Total {
+		t.Errorf("commands %d, reads+writes %d, ioLength total %d", s.Commands, s.NumReads+s.NumWrites, s.IOLength[All].Total)
+	}
+	if s.NumReads != s.IOLength[Reads].Total || s.NumWrites != s.IOLength[Writes].Total {
+		t.Errorf("reads/writes %d/%d != ioLength totals %d/%d", s.NumReads, s.NumWrites, s.IOLength[Reads].Total, s.IOLength[Writes].Total)
+	}
+	if s.ReadBytes != s.IOLength[Reads].Sum || s.WriteBytes != s.IOLength[Writes].Sum {
+		t.Errorf("bytes %d/%d != ioLength sums %d/%d", s.ReadBytes, s.WriteBytes, s.IOLength[Reads].Sum, s.IOLength[Writes].Sum)
+	}
+}
+
+// TestSnapshotDerivedLawsConcurrent takes snapshots while N goroutines
+// issue reads and writes, singly and in bursts, into one shared collector.
+// When class all and the counters were maintained separately these laws
+// held only at quiescence; derived from the copies a snapshot takes, they
+// hold in every snapshot.
+func TestSnapshotDerivedLawsConcurrent(t *testing.T) {
+	const (
+		issuers = 6
+		perG    = 3000
+	)
+	c := NewCollector("vm", "disk")
+	c.Enable()
+	var wg sync.WaitGroup
+	for g := 0; g < issuers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var burst []*vscsi.Request
+			for i := 0; i < perG; i++ {
+				r := issueReq(g*perG+i, uint64((g*perG+i)*977%(1<<20)), simclock.Time(i)*simclock.Microsecond)
+				if (i+g)%3 == 0 {
+					r.Cmd = scsi.Write(r.Cmd.LBA, uint32(8+i%64))
+				}
+				r.OutstandingAtIssue = i % 40
+				if burst = append(burst, r); len(burst) < 1+i%5 {
+					continue
+				}
+				if i%2 == 0 {
+					c.OnIssueBatch(burst)
+				} else {
+					for _, b := range burst {
+						c.OnIssue(b)
+					}
+				}
+				for _, b := range burst {
+					c.OnComplete(completeReq(b, simclock.Time(100+i%900)*simclock.Microsecond))
+				}
+				burst = burst[:0]
+			}
+		}(g)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for snaps, running := 0, true; running && !t.Failed(); snaps++ {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		checkDerivedLaws(t, c.Snapshot())
+	}
+	<-done
+	if s := c.Snapshot(); s.NumReads == 0 || s.NumWrites == 0 {
+		t.Fatalf("stream was not mixed: %d reads, %d writes", s.NumReads, s.NumWrites)
+	}
+}

@@ -21,8 +21,10 @@ import (
 const selfSampleMask = 63
 
 // observeNsEdges are the bin upper edges for the sampled fast-path cost
-// histogram, in nanoseconds. The expected cost is a few hundred ns; the
-// range leaves room for contention spikes and cold caches.
+// histogram, in nanoseconds. The expected cost is ~170 ns for an issue and
+// ~35 ns for a completion (bench/ leaf_observe, core.on_issue_ns and
+// core.on_complete_ns); the range leaves room for contention spikes and
+// cold caches.
 func observeNsEdges() []int64 {
 	return []int64{64, 128, 256, 512, 1024, 2048, 4096, 8192,
 		16384, 32768, 65536, 131072, 262144}

@@ -76,6 +76,12 @@ type Snapshot struct {
 // taken from one consistent set. Concurrent inserts may straddle the copy
 // (per-histogram tearing the paper deems acceptable for monitoring), but a
 // half-built or discarded set is never observed.
+//
+// The collector stores only the reads and writes histograms; everything
+// derivable is derived here, from the copies just taken. So in every
+// snapshot, quiescent or not, each family's All is exactly Reads + Writes,
+// Commands == NumReads + NumWrites == IOLength[All].Total, and the byte
+// counters are the I/O length sums.
 func (c *Collector) Snapshot() *Snapshot {
 	h := c.h.Load()
 	if h == nil {
@@ -85,21 +91,17 @@ func (c *Collector) Snapshot() *Snapshot {
 	s := &Snapshot{
 		VM:           c.vm,
 		Disk:         c.disk,
+		IOLength:     h.ioLength.snapshot(),
+		SeekDistance: h.seekDistance.snapshot(),
 		SeekWindowed: h.seekWindowed.Snapshot(),
-		Commands:     h.commands.Load(),
-		NumReads:     h.reads.Load(),
-		NumWrites:    h.writes.Load(),
-		ReadBytes:    h.readBytes.Load(),
-		WriteBytes:   h.writeBytes.Load(),
+		Outstanding:  h.outstanding.snapshot(),
+		Latency:      h.latency.snapshot(),
+		Interarrival: h.interarrival.snapshot(),
 		Errors:       h.errors.Load(),
 	}
-	for class := 0; class < 3; class++ {
-		s.IOLength[class] = h.ioLength[class].Snapshot()
-		s.SeekDistance[class] = h.seekDistance[class].Snapshot()
-		s.Outstanding[class] = h.outstanding[class].Snapshot()
-		s.Latency[class] = h.latency[class].Snapshot()
-		s.Interarrival[class] = h.interarrival[class].Snapshot()
-	}
+	s.Commands = s.IOLength[All].Total
+	s.NumReads, s.ReadBytes = s.IOLength[Reads].Total, s.IOLength[Reads].Sum
+	s.NumWrites, s.WriteBytes = s.IOLength[Writes].Total, s.IOLength[Writes].Sum
 	return s
 }
 

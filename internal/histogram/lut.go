@@ -26,7 +26,7 @@ import (
 // Layouts with more than 255 bins fall back to binary search (lutFor returns
 // nil); uint8 bin indices keep the small tables one cache line per 64 values.
 //
-// LUTs are immutable and cached per edge set, so the 19 histograms a
+// LUTs are immutable and cached per edge set, so the 11 histograms a
 // collector allocates per Enable/Reset share one table per layout and
 // construction stays off the fast path.
 

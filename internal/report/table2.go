@@ -99,8 +99,8 @@ func Table2Overhead(opts Options) (*Result, error) {
 		overheadNs, 100*overheadNs/130_000)
 	r.notef("live self-telemetry cross-check: the enabled collector's sampled observe cost was %.0f ns/observation over %d observations (%d timed), i.e. ~%.0f ns/command for the issue+complete pair — same order as the offline +%.0f ns/command delta",
 		cost.LiveMeanObserveNs, cost.LiveObservations, cost.LiveSampled, 2*cost.LiveMeanObserveNs, overheadNs)
-	r.notef("collector memory when enabled: %d bytes (%d histograms; zero when disabled — structures are created on demand)",
-		memBytes, 16)
+	r.notef("collector memory when enabled: %d bytes (%d histograms — reads and writes per metric, class all is their sum at snapshot time; zero when disabled — structures are created on demand)",
+		memBytes, collectorHistograms)
 	r.CSVs["table2"] = fmt.Sprintf("metric,disabled,enabled\niops,%.0f,%.0f\nmbps,%.2f,%.2f\nlatency_us,%.1f,%.1f\ncpu_ns_per_cmd,%.1f,%.1f\n",
 		off.iops, on.iops, off.mbps, on.mbps, off.latencyUs, on.latencyUs, perCmdOff, perCmdOn)
 	return r, nil
@@ -195,17 +195,21 @@ func MeasureFastPathCost(iters int) FastPathCost {
 	return cost
 }
 
+// collectorHistograms is how many histograms an enabled collector holds:
+// reads and writes for each of the five metrics, plus the windowed seek.
+const collectorHistograms = 2*5 + 1
+
 // collectorMemoryBytes estimates the enabled collector's histogram memory
-// from the bin layouts: 15 class-split histograms plus the windowed one,
+// from the bin layouts: 10 class-split histograms plus the windowed one,
 // each bin an 8-byte counter, plus fixed per-histogram bookkeeping.
 func collectorMemoryBytes() int {
 	bins := 0
-	// 3 classes x {length, seek, oio, latency, interarrival} + windowed.
+	// {reads, writes} x {length, seek, oio, latency, interarrival} + windowed.
 	layout := []int{18, 18, 13, 11, 11}
 	for _, b := range layout {
-		bins += 3 * b
+		bins += 2 * b
 	}
 	bins += 18                 // windowed seek
 	const perHistOverhead = 96 // name/unit/edge slice headers, summary fields
-	return bins*8 + 16*perHistOverhead
+	return bins*8 + collectorHistograms*perHistOverhead
 }

@@ -47,6 +47,12 @@ type Request struct {
 	// done is the caller's completion callback, held on the request so
 	// both the normal completion path and Abort can invoke it.
 	done func(*Request)
+	// disk is the owning disk, set when the request is submitted: the
+	// backend's completion callback is the method value r.complete, so a
+	// command allocates the Request and that method value, nothing else.
+	disk *Disk
+	// completed marks that the backend already invoked its callback.
+	completed bool
 	// aborted marks a request cancelled by the guest; the backend's late
 	// completion is then discarded.
 	aborted bool
@@ -327,22 +333,24 @@ func firstByte(b []byte) byte {
 func (d *Disk) submit(r *Request) {
 	d.active++
 	r.SubmitTime = d.eng.Now()
-	completed := false
-	d.backend.Submit(r, func(status scsi.Status, sense scsi.Sense) {
-		if completed {
-			panic(fmt.Sprintf("vscsi: double completion of %s request %d", d.cfg.Name, r.ID))
-		}
-		completed = true
-		d.active--
-		if r.aborted {
-			// The guest already saw this command fail; drop the late
-			// backend completion.
-			d.drain()
-			return
-		}
+	r.disk = d
+	d.backend.Submit(r, r.complete)
+}
+
+// complete is the backend's completion callback for a submitted request.
+func (r *Request) complete(status scsi.Status, sense scsi.Sense) {
+	d := r.disk
+	if r.completed {
+		panic(fmt.Sprintf("vscsi: double completion of %s request %d", d.cfg.Name, r.ID))
+	}
+	r.completed = true
+	d.active--
+	if !r.aborted {
 		d.finish(r, status, sense)
-		d.drain()
-	})
+	}
+	// An aborted command already failed in the guest's eyes; its late
+	// backend completion only frees the active slot.
+	d.drain()
 }
 
 func (d *Disk) finish(r *Request, status scsi.Status, sense scsi.Sense) {
