@@ -1,16 +1,15 @@
 // Command benchfastpath measures the suite's performance-critical paths and
 // maintains their committed before/after records:
 //
-//   - default: the observation fast path (BENCH_fastpath.json) — the striped
+//   - default: the observation fast path (BENCH_fastpath.json) — the
 //     histogram + bin LUT + batched observer work. Table2StatsOn/Off and
 //     MultiVMParallel at the root, Insert/InsertParallel in
 //     internal/histogram (at -cpu 1,4), FleetMerge in internal/fleet, and
 //     the 1M-record trace-replay engine (legacy vs streaming vs parallel,
 //     the streaming ones at -cpu 1,4) in internal/trace.
 //   - -fleet: the fleet tier (BENCH_fleet.json) — sharded ingest+scrape at
-//     256/1024 simulated hosts against the monolithic single-mutex
-//     configuration, full vs delta wire bytes per push interval, cached
-//     vs uncached cluster merges, segment-log boot replay at 1024 hosts,
+//     256/1024 simulated hosts, full vs delta wire bytes per push
+//     interval, cached cluster merges, segment-log boot replay at 1024 hosts,
 //     whole-fleet history window queries, simulated-datacenter ingest
 //     (256 vscsim hosts' full state through the wire codec per op), and
 //     the 10240-host federation tree vs flat fan-in (global-tier wire
@@ -96,17 +95,15 @@ var suite = []benchSpec{
 	{".", "Table2Stats|MultiVMParallel", nil},
 	{"./internal/histogram", "^BenchmarkInsert$|^BenchmarkInsertParallel$", []string{"-cpu", "1,4"}},
 	{"./internal/fleet", "^BenchmarkFleetMerge$", nil},
-	{"./internal/trace", "^BenchmarkTraceReplay(Legacy1M|1MMerged)$", nil},
+	{"./internal/trace", "^BenchmarkTraceReplayLegacy1M$", nil},
 	{"./internal/trace", "^BenchmarkTraceReplay1M(Parallel)?$", []string{"-cpu", "1,4"}},
 }
 
-// fleetSuite lists the fleet-tier benchmarks -fleet runs. The Mono
-// configurations reproduce the pre-shard single-mutex aggregator, so one
-// entry holds both the "before" and "after" numbers.
+// fleetSuite lists the fleet-tier benchmarks -fleet runs.
 var fleetSuite = []benchSpec{
-	{"./internal/fleet", "^BenchmarkFleetIngestScrape(Mono|Sharded)(256|1024)$|^BenchmarkFleetIngest1024(Traced)?$", nil},
+	{"./internal/fleet", "^BenchmarkFleetIngestScrapeSharded(256|1024)$|^BenchmarkFleetIngest1024(Traced)?$", nil},
 	{"./internal/fleet", "^BenchmarkFleetWireBytes(Full|Delta)$", nil},
-	{"./internal/fleet", "^BenchmarkFleetMerge(Cached|Uncached)$", nil},
+	{"./internal/fleet", "^BenchmarkFleetMergeCached$", nil},
 	{"./internal/fleet", "^BenchmarkFleetReplay1024$|^BenchmarkFleetHistoryQuery$", nil},
 	{"./internal/vscsim", "^BenchmarkSimPushAll256$", nil},
 	{"./internal/vscsim", "^BenchmarkFleet(Tree|Flat)Ingest10k$", nil},
@@ -216,9 +213,9 @@ func main() {
 	}
 	note := "min-of-N ns/op for the observation fast path; maintained by cmd/benchfastpath"
 	if *fleet {
-		note = "min-of-N fleet-tier numbers (Mono = pre-shard single-mutex aggregator; " +
-			"each entry records the GOMAXPROCS and CPU count it was measured at; on 1 CPU " +
-			"the sharded win is the merge cache, not parallel ingest); " +
+		note = "min-of-N fleet-tier numbers (Mono/Uncached rows in older entries = the " +
+			"pre-shard single-mutex aggregator without the merge cache, benchmarks since " +
+			"deleted; each entry records the GOMAXPROCS and CPU count it was measured at); " +
 			"maintained by cmd/benchfastpath -fleet"
 	}
 	if err := record(*file, note, entry); err != nil {

@@ -70,7 +70,7 @@ func usage() {
   capture -workload NAME -duration SECS -data BYTES -seed N -o FILE
   dump    -i FILE [-format F] [-csv]
   analyze -i FILE [-format F]
-  replay  -i FILE [-format F] [-workers N] [-batch N] [-merged] [-merge-window N]
+  replay  -i FILE [-format F] [-workers N] [-batch N] [-merge-window N]
           [-metric NAME] [-classify] [-serve ADDR] [-progress]
   convert -i FILE [-format F] -o FILE [-native]
   synth   -seed N -n COUNT -o FILE
@@ -197,8 +197,7 @@ func replay(args []string) error {
 	format := fs.String("format", "auto", "input format")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "replay worker goroutines")
 	batch := fs.Int("batch", 0, "records per issue burst (0 = default)")
-	merged := fs.Bool("merged", false, "replay all substreams into one collector in global issue order")
-	mergeWindow := fs.Int("merge-window", 0, "issue-order merge lookahead (0 = default, -1 = off)")
+	mergeWindow := fs.Int("merge-window", 0, "issue-order merge lookahead in records (0 = trust per-disk capture order)")
 	metric := fs.String("metric", "", "single metric to print")
 	classify := fs.Bool("classify", false, "match each disk against the personality catalog")
 	serve := fs.String("serve", "", "serve live histograms on ADDR during and after the replay")
@@ -211,16 +210,17 @@ func replay(args []string) error {
 	}
 	defer closer()
 
+	reg := core.NewRegistry()
 	cfg := trace.ReplayConfig{
 		Workers:     *workers,
 		BatchSize:   *batch,
 		MergeWindow: *mergeWindow,
+		Registry:    reg,
 	}
 	if *progress {
 		cfg.ProgressEvery = 1 << 18
 		cfg.Progress = func(n uint64) { fmt.Fprintf(os.Stderr, "\rreplayed %d records...", n) }
 	}
-	reg := core.NewRegistry()
 	if *serve != "" {
 		h := httpstats.New(reg)
 		go func() {
@@ -231,20 +231,9 @@ func replay(args []string) error {
 		fmt.Fprintf(os.Stderr, "serving live histograms on %s\n", *serve)
 	}
 
-	var stats trace.ReplayStats
-	var snap *core.Snapshot
-	var res *trace.ReplayResult
 	start := time.Now()
-	if *merged {
-		col := core.NewCollector("*", "*")
-		reg.Register(col)
-		stats, err = trace.ReplayMerged(src, col, cfg)
-		snap = col.Snapshot()
-	} else {
-		cfg.Registry = reg
-		res, err = trace.ReplayParallel(src, cfg)
-		stats, snap = res.Stats, res.Merged()
-	}
+	res, err := trace.ReplayParallel(src, cfg)
+	stats, snap := res.Stats, res.Merged()
 	elapsed := time.Since(start)
 	if *progress {
 		fmt.Fprintln(os.Stderr)
@@ -278,7 +267,7 @@ func replay(args []string) error {
 			return err
 		}
 	default:
-		if res != nil && len(res.Collectors()) > 1 {
+		if len(res.Collectors()) > 1 {
 			printDiskTable(res)
 		}
 		fmt.Println(snap.Summary())
@@ -316,18 +305,16 @@ func classifyReplay(res *trace.ReplayResult, merged *core.Snapshot) error {
 	if err != nil {
 		return err
 	}
-	if res != nil {
-		for _, c := range res.Collectors() {
-			s := c.Snapshot()
-			if s == nil || s.Commands == 0 {
-				continue
-			}
-			m, err := cat.Best(s)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("%s/%s: %s (distance %.3f)\n", c.VM(), c.Disk(), m.Name, m.Score)
+	for _, c := range res.Collectors() {
+		s := c.Snapshot()
+		if s == nil || s.Commands == 0 {
+			continue
 		}
+		m, err := cat.Best(s)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("%s/%s: %s (distance %.3f)\n", c.VM(), c.Disk(), m.Name, m.Score)
 	}
 	m, err := cat.Best(merged)
 	if err != nil {

@@ -20,6 +20,7 @@
 package core
 
 import (
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -162,6 +163,21 @@ func (c *Collector) Enable() {
 		c.h.CompareAndSwap(nil, newHistSet(c.window))
 	}
 	c.enabled.Store(true)
+}
+
+// MemoryBytes returns the heap bytes Enable allocated for this collector:
+// the histogram set, its look-behind ring and every stored histogram. Zero
+// until the first Enable ("dynamically created as needed").
+func (c *Collector) MemoryBytes() int {
+	h := c.h.Load()
+	if h == nil {
+		return 0
+	}
+	n := int(reflect.TypeOf(h).Elem().Size()) + 8*len(h.recent) + h.seekWindowed.MemoryBytes()
+	for _, f := range []*family{&h.ioLength, &h.seekDistance, &h.outstanding, &h.latency, &h.interarrival} {
+		n += f.rw[classRead].MemoryBytes() + f.rw[classWrite].MemoryBytes()
+	}
+	return n
 }
 
 // Disable stops recording without discarding accumulated data.

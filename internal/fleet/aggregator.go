@@ -44,13 +44,8 @@ type AggregatorConfig struct {
 	// Shards splits the host space into independent slices by consistent
 	// host-name hash (default 16, clamped to [1, 4096]). Each shard has
 	// its own lock, host map and merge cache, so ingest scales across
-	// cores and a scrape re-merges only the shards that changed. Shards=1
-	// reproduces the former single-mutex aggregator.
+	// cores and a scrape re-merges only the shards that changed.
 	Shards int
-	// DisableMergeCache turns off per-shard merge memoization. The cache
-	// is bin-exact, so this exists only for benchmarks (measuring the
-	// uncached cost) and debugging.
-	DisableMergeCache bool
 	// PullTimeout bounds each scatter-gather pull request (default 2s).
 	PullTimeout time.Duration
 	// PullConcurrency bounds how many pulls are in flight at once, for
@@ -659,7 +654,7 @@ func (g *Aggregator) ClusterSnapshot(includeStale bool) *core.Snapshot {
 	now := g.now()
 	var parts []*core.Snapshot
 	for _, sh := range g.shards {
-		if c, _ := sh.merged(now, g.cfg.StaleAfter, includeStale, !g.cfg.DisableMergeCache); c != nil {
+		if c, _ := sh.merged(now, g.cfg.StaleAfter, includeStale); c != nil {
 			parts = append(parts, c)
 		}
 	}
@@ -673,7 +668,7 @@ func (g *Aggregator) VMSnapshots(includeStale bool) []*core.Snapshot {
 	now := g.now()
 	byVM := make(map[string][]*core.Snapshot)
 	for _, sh := range g.shards {
-		_, vms := sh.merged(now, g.cfg.StaleAfter, includeStale, !g.cfg.DisableMergeCache)
+		_, vms := sh.merged(now, g.cfg.StaleAfter, includeStale)
 		for _, s := range vms {
 			byVM[s.VM] = append(byVM[s.VM], s)
 		}

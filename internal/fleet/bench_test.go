@@ -103,14 +103,6 @@ func benchIngestScrape(b *testing.B, cfg AggregatorConfig, numHosts int) {
 	}
 }
 
-// Mono reproduces the pre-shard design: one shard, one mutex, no merge
-// cache — the committed "before" numbers for BENCH_fleet.json.
-func BenchmarkFleetIngestScrapeMono256(b *testing.B) {
-	benchIngestScrape(b, AggregatorConfig{StaleAfter: time.Hour, Shards: 1, DisableMergeCache: true}, 256)
-}
-func BenchmarkFleetIngestScrapeMono1024(b *testing.B) {
-	benchIngestScrape(b, AggregatorConfig{StaleAfter: time.Hour, Shards: 1, DisableMergeCache: true}, 1024)
-}
 func BenchmarkFleetIngestScrapeSharded256(b *testing.B) {
 	benchIngestScrape(b, AggregatorConfig{StaleAfter: time.Hour}, 256)
 }
@@ -260,11 +252,10 @@ func benchWireBytes(b *testing.B, delta bool) {
 func BenchmarkFleetWireBytesFull(b *testing.B)  { benchWireBytes(b, false) }
 func BenchmarkFleetWireBytesDelta(b *testing.B) { benchWireBytes(b, true) }
 
-// benchMergeScrape measures a scrape-only aggregator (no ingest between
-// reads) at 64 hosts: Uncached re-folds all hosts every scrape, Cached
-// serves every shard from its memoized merge.
-func benchMergeScrape(b *testing.B, disableCache bool) {
-	agg := NewAggregator(AggregatorConfig{StaleAfter: time.Hour, DisableMergeCache: disableCache})
+// BenchmarkFleetMergeCached measures a scrape-only aggregator (no ingest
+// between reads) at 64 hosts: every shard serves its memoized merge.
+func BenchmarkFleetMergeCached(b *testing.B) {
+	agg := NewAggregator(AggregatorConfig{StaleAfter: time.Hour})
 	benchPopulate(b, agg, fleetHostNames(64))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -273,6 +264,3 @@ func benchMergeScrape(b *testing.B, disableCache bool) {
 		}
 	}
 }
-
-func BenchmarkFleetMergeUncached(b *testing.B) { benchMergeScrape(b, true) }
-func BenchmarkFleetMergeCached(b *testing.B)   { benchMergeScrape(b, false) }

@@ -163,12 +163,14 @@ func TestDeltaDuplicateDeliveryIdempotent(t *testing.T) {
 }
 
 // TestShardedMergeMatchesMonolithic is the two-level-merge exactness
-// property: the same batches fed to a 8-shard aggregator and to a Shards=1
-// uncached one (the former single-mutex design) produce bin-identical
-// cluster and per-VM views.
+// property: the same batches fed to an 8-shard aggregator and to a
+// one-shard one produce bin-identical cluster and per-VM views, and on
+// each the memoized merge (includeStale=false) equals the recomputed one
+// (includeStale=true takes the uncached path; every host is fresh, so the
+// two cover the same hosts).
 func TestShardedMergeMatchesMonolithic(t *testing.T) {
 	sharded := NewAggregator(AggregatorConfig{StaleAfter: time.Hour, Shards: 8})
-	mono := NewAggregator(AggregatorConfig{StaleAfter: time.Hour, Shards: 1, DisableMergeCache: true})
+	mono := NewAggregator(AggregatorConfig{StaleAfter: time.Hour, Shards: 1})
 	for i := 0; i < 12; i++ {
 		reg := makeRegistry(i, 2, 2, 100+i*20)
 		b := &Batch{Host: "esx-" + string(rune('a'+i)), Seq: 1, Snapshots: reg.Snapshots()}
@@ -188,6 +190,15 @@ func TestShardedMergeMatchesMonolithic(t *testing.T) {
 	for i := range sv {
 		if sv[i].VM != mv[i].VM || !sameSnapshot(sv[i], mv[i]) {
 			t.Errorf("per-VM merge %q diverged between sharded and monolithic", mv[i].VM)
+		}
+	}
+	for name, g := range map[string]*Aggregator{"sharded": sharded, "mono": mono} {
+		g.ClusterSnapshot(false) // second scrape: served from the cache
+		if !sameSnapshot(g.ClusterSnapshot(false), g.ClusterSnapshot(true)) {
+			t.Errorf("%s: cached cluster merge diverged from the recomputed one", name)
+		}
+		if g.Stats().MergeCacheHits == 0 {
+			t.Errorf("%s: repeated scrapes never hit the merge cache", name)
 		}
 	}
 	// The 12 hosts actually spread across shards — the hash isn't degenerate.

@@ -203,7 +203,7 @@ type upstreamEntry struct {
 func (r *ReExporter) renderRollup(now time.Time) upstreamEntry {
 	e := upstreamEntry{host: r.cfg.Region}
 	for i, sh := range r.agg.shards {
-		c, _ := sh.merged(now, r.agg.cfg.StaleAfter, false, !r.agg.cfg.DisableMergeCache)
+		c, _ := sh.merged(now, r.agg.cfg.StaleAfter, false)
 		if c == nil {
 			continue // empty shard: renders nothing, pairs with nothing
 		}

@@ -251,7 +251,7 @@ func (s *shard) statuses(now time.Time, staleAfter time.Duration, out []HostStat
 // aggregator's merge cost proportional to what changed, not to fleet
 // size. Returned snapshots are shared and must be treated as immutable
 // (core.Aggregate clones before merging, so feeding them back in is safe).
-func (s *shard) merged(now time.Time, staleAfter time.Duration, includeStale, useCache bool) (*core.Snapshot, []*core.Snapshot) {
+func (s *shard) merged(now time.Time, staleAfter time.Duration, includeStale bool) (*core.Snapshot, []*core.Snapshot) {
 	s.mu.RLock()
 	version := s.version
 	names := make([]string, 0, len(s.hosts))
@@ -268,7 +268,7 @@ func (s *shard) merged(now time.Time, staleAfter time.Duration, includeStale, us
 	}
 	s.mu.RUnlock()
 
-	if includeStale || !useCache {
+	if includeStale {
 		start := time.Now()
 		cluster, vms := mergeSnaps(snaps)
 		s.obs.ObserveSince(fleetobs.StageMergeRecompute, start, fleetobs.Event{Shard: s.index})

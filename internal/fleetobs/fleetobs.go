@@ -1,7 +1,7 @@
 // Package fleetobs characterizes the characterizer: an end-to-end
 // tracing and diagnostics layer for the fleet pipeline (agents →
 // sharded aggregator → segment log → history), built out of the same
-// striped histograms the pipeline ships for guest I/O.
+// lock-free histograms the pipeline ships for guest I/O.
 //
 // The design follows the paper's Table 2 discipline — instrumentation
 // cheap enough to leave on in production:

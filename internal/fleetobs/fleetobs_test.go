@@ -298,7 +298,7 @@ func TestChromeTraceValidJSON(t *testing.T) {
 
 // TestConcurrentObserveAndRead hammers one tracker from writers and
 // readers at once — the -race proof for the lock-free ring, the slow
-// ring's admission floor and the striped histograms.
+// ring's admission floor and the lock-free histograms.
 func TestConcurrentObserveAndRead(t *testing.T) {
 	tr := New(Config{RingSize: 64, SlowK: 8, SampleEvery: 1})
 	var writers sync.WaitGroup

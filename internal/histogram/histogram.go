@@ -5,16 +5,16 @@
 // A Histogram has a fixed set of irregular bin upper edges chosen up front
 // (see bins.go for the paper's standard bin sets) plus an implicit overflow
 // bin. Insertion is O(1) and lock-free — a precomputed lookup table replaces
-// the per-insert binary search (lut.go) and the counters are sharded across
-// cache-line-padded stripes (stripe.go) — so a histogram can sit on the
-// hypervisor's per-command fast path even with many cores issuing
-// concurrently: the paper's key claim is that this costs O(1) CPU per
-// command and O(m) space total, versus O(n) space for a trace.
+// the per-insert binary search (lut.go) and each bin is one atomic counter —
+// so a histogram can sit on the hypervisor's per-command fast path: the
+// paper's key claim is that this costs O(1) CPU per command and O(m) space
+// total (m bins), versus O(n) space for a trace.
 package histogram
 
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"sync/atomic"
 )
@@ -24,10 +24,9 @@ import (
 // edge land in the overflow bin. Alongside the bins it tracks count, sum,
 // min and max so exact means survive binning.
 //
-// All methods are safe for concurrent use. The bins and the running sum are
-// striped per goroutine (see stripe.go); min and max stay global because
-// after warm-up they almost never change, and the update is a conditional
-// CAS only taken when the bound actually moves.
+// All methods are safe for concurrent use: bins and the running sum are
+// atomic adds, and min and max are a conditional CAS only taken when the
+// bound actually moves, which after warm-up is almost never.
 type Histogram struct {
 	name  string
 	unit  string
@@ -35,13 +34,10 @@ type Histogram struct {
 	lut   *binLUT // nil for layouts the LUT cannot index (binary search)
 	nbins int     // len(edges)+1, including the overflow bin
 
-	// cells holds stripeCount cache-line-aligned stripes of stride words
-	// each: nbins count cells followed by one sum cell. The per-sample
-	// total is derived by summing the count cells, so a merged snapshot's
-	// Total always equals the sum of its bins.
-	cells      []atomic.Int64
-	stride     int
-	stripeMask uint64
+	// cells holds nbins count cells followed by one sum cell. The sample
+	// total is derived by summing the count cells, so a snapshot's Total
+	// always equals the sum of its bins.
+	cells []atomic.Int64
 
 	min atomic.Int64
 	max atomic.Int64
@@ -62,17 +58,14 @@ func New(name, unit string, edges []int64) *Histogram {
 		}
 	}
 	nbins := len(edges) + 1
-	stripes := numStripes()
 	h := &Histogram{
-		name:       name,
-		unit:       unit,
-		edges:      append([]int64(nil), edges...),
-		nbins:      nbins,
-		stride:     stripeStride(nbins),
-		stripeMask: uint64(stripes - 1),
+		name:  name,
+		unit:  unit,
+		edges: append([]int64(nil), edges...),
+		nbins: nbins,
+		cells: make([]atomic.Int64, nbins+1),
 	}
 	h.lut = lutFor(h.edges)
-	h.cells = newCells(stripes, h.stride)
 	h.min.Store(math.MaxInt64)
 	h.max.Store(math.MinInt64)
 	return h
@@ -87,6 +80,14 @@ func (h *Histogram) Unit() string { return h.unit }
 // NumBins returns the number of bins including the overflow bin.
 func (h *Histogram) NumBins() int { return h.nbins }
 
+// MemoryBytes returns the heap bytes the histogram holds: the struct, its
+// edges, its cells and its name. It depends on the bin count and nothing
+// else — the paper's O(m) space. The lookup table is shared per layout and
+// not counted.
+func (h *Histogram) MemoryBytes() int {
+	return int(reflect.TypeOf(h).Elem().Size()) + 8*(len(h.edges)+len(h.cells)) + len(h.name)
+}
+
 // BinIndex returns the bin a value of v would be counted in.
 func (h *Histogram) BinIndex(v int64) int {
 	if h.lut != nil {
@@ -98,8 +99,8 @@ func (h *Histogram) BinIndex(v int64) int {
 }
 
 // Insert counts one sample. This is the hypervisor fast-path operation: a
-// table lookup plus two atomic adds on a per-goroutine stripe, and two
-// bound checks that CAS only when the sample extends the observed range.
+// table lookup plus two atomic adds, and two bound checks that CAS only
+// when the sample extends the observed range.
 func (h *Histogram) Insert(v int64) {
 	h.InsertN(v, 1)
 }
@@ -115,12 +116,8 @@ func (h *Histogram) InsertN(v, n int64) {
 	} else {
 		bin = h.BinIndex(v)
 	}
-	base := 0
-	if h.stripeMask != 0 {
-		base = int(stripeHint()&h.stripeMask) * h.stride
-	}
-	h.cells[base+bin].Add(n)
-	h.cells[base+h.nbins].Add(v * n)
+	h.cells[bin].Add(n)
+	h.cells[h.nbins].Add(v * n)
 	h.updateBounds(v)
 }
 
@@ -159,23 +156,20 @@ func (h *Histogram) Reset() {
 // Total returns the number of samples inserted.
 func (h *Histogram) Total() int64 {
 	var total int64
-	for s := 0; s <= int(h.stripeMask); s++ {
-		base := s * h.stride
-		for i := 0; i < h.nbins; i++ {
-			total += h.cells[base+i].Load()
-		}
+	for i := 0; i < h.nbins; i++ {
+		total += h.cells[i].Load()
 	}
 	return total
 }
 
-// Snapshot merges the stripes into an immutable Snapshot. Concurrent inserts
+// Snapshot copies the cells into an immutable Snapshot. Concurrent inserts
 // may straddle the copy; per the paper this tearing is acceptable for
 // monitoring (each individual counter is still consistent). Two guarantees
-// survive the merge: Total is derived from the merged bins, so it always
-// equals their sum exactly; and every cell is monotone non-decreasing, so
-// between two snapshots with no intervening Reset no bin ever goes
-// backwards — the property the Prometheus exporter's cumulative buckets
-// rely on across scrapes.
+// hold regardless: Total is derived from the copied bins, so it always
+// equals their sum exactly; and every cell only ever grows, so between two
+// snapshots with no intervening Reset no bin ever goes backwards — the
+// property the Prometheus exporter's cumulative buckets rely on across
+// scrapes.
 func (h *Histogram) Snapshot() *Snapshot {
 	s := &Snapshot{
 		Name:   h.name,
@@ -185,16 +179,12 @@ func (h *Histogram) Snapshot() *Snapshot {
 		Min:    h.min.Load(),
 		Max:    h.max.Load(),
 	}
-	for st := 0; st <= int(h.stripeMask); st++ {
-		base := st * h.stride
-		for i := 0; i < h.nbins; i++ {
-			s.Counts[i] += h.cells[base+i].Load()
-		}
-		s.Sum += h.cells[base+h.nbins].Load()
-	}
-	for _, c := range s.Counts {
+	for i := range s.Counts {
+		c := h.cells[i].Load()
+		s.Counts[i] = c
 		s.Total += c
 	}
+	s.Sum = h.cells[h.nbins].Load()
 	if s.Total == 0 {
 		s.Min, s.Max = 0, 0
 	}

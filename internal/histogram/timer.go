@@ -9,7 +9,7 @@ import "time"
 // without branching at every site.
 //
 // Timers are values; starting one is a single time.Now() call and
-// stopping one is time.Since plus a striped Insert, so the helper is
+// stopping one is time.Since plus a lock-free Insert, so the helper is
 // safe on hot paths (pair it with sampling when even that is too
 // much).
 type Timer struct {

@@ -199,17 +199,11 @@ func MeasureFastPathCost(iters int) FastPathCost {
 // reads and writes for each of the five metrics, plus the windowed seek.
 const collectorHistograms = 2*5 + 1
 
-// collectorMemoryBytes estimates the enabled collector's histogram memory
-// from the bin layouts: 10 class-split histograms plus the windowed one,
-// each bin an 8-byte counter, plus fixed per-histogram bookkeeping.
+// collectorMemoryBytes is what Enable allocates for one collector, summed
+// from the live structures themselves (one 8-byte cell per bin plus a sum
+// cell, the edges, the structs) so it follows the bin layouts in bins.go.
 func collectorMemoryBytes() int {
-	bins := 0
-	// {reads, writes} x {length, seek, oio, latency, interarrival} + windowed.
-	layout := []int{18, 18, 13, 11, 11}
-	for _, b := range layout {
-		bins += 2 * b
-	}
-	bins += 18                 // windowed seek
-	const perHistOverhead = 96 // name/unit/edge slice headers, summary fields
-	return bins*8 + collectorHistograms*perHistOverhead
+	c := core.NewCollector("vm", "disk")
+	c.Enable()
+	return c.MemoryBytes()
 }

@@ -2,7 +2,10 @@ package report
 
 import (
 	"math"
+	"runtime"
 	"testing"
+
+	"vscsistats/internal/core"
 )
 
 // TestFastPathCostSane: on a short fixed-length run, the computed overhead
@@ -37,4 +40,32 @@ func TestFastPathCostSane(t *testing.T) {
 	if cost.LiveMeanObserveNs <= 0 || cost.LiveMeanObserveNs > 1e7 {
 		t.Errorf("live mean observe = %v ns, want (0, 1e7)", cost.LiveMeanObserveNs)
 	}
+}
+
+// TestCollectorMemoryMatchesHeap pins Table 2's memory row to what the heap
+// says: the bytes Enable allocates per collector, measured as a
+// runtime.MemStats delta over many collectors, within 15 % of the computed
+// figure (the allocator's size classes round each object up a little).
+func TestCollectorMemoryMatchesHeap(t *testing.T) {
+	const n = 256
+	core.NewCollector("warm", "up").Enable() // builds the shared per-layout lookup tables
+	cols := make([]*core.Collector, n)
+	for i := range cols {
+		cols[i] = core.NewCollector("vm", "disk")
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, c := range cols {
+		c.Enable()
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	measured := float64(after.HeapAlloc-before.HeapAlloc) / n
+	computed := float64(collectorMemoryBytes())
+	if d := math.Abs(computed-measured) / measured; d > 0.15 {
+		t.Errorf("computed %v B per collector, heap says %.0f B (%.0f%% apart, want <= 15%%)",
+			computed, measured, 100*d)
+	}
+	runtime.KeepAlive(cols)
 }

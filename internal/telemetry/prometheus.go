@@ -309,12 +309,12 @@ func (p *promWriter) sample(name, labels, value string) {
 // The +Inf bucket and _count use the running bucket sum rather than the
 // snapshot's Total so the series is internally consistent even when
 // concurrent inserts tear the copy (Prometheus requires bucket <= bucket
-// and +Inf == count). The striped histogram's Snapshot derives Total from
-// the merged per-bin counts, so today cum always equals h.Total; keeping
-// the running sum makes this emitter safe against any snapshot source.
-// Per-bin counts are merged from per-stripe atomics, each of which only
-// grows, so successive scrapes of the same stream stay monotone per bucket
-// — the property Prometheus rate() and histogram_quantile() rely on.
+// and +Inf == count). Histogram.Snapshot derives Total from the copied
+// per-bin counts, so today cum always equals h.Total; keeping the running
+// sum makes this emitter safe against any snapshot source. Each bin is one
+// atomic counter that only grows, so successive scrapes of the same stream
+// stay monotone per bucket — the property Prometheus rate() and
+// histogram_quantile() rely on.
 func (p *promWriter) histogram(name, baseLabels string, h *histogram.Snapshot) {
 	var cum int64
 	for i, edge := range h.Edges {

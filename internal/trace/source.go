@@ -17,7 +17,7 @@ import (
 // buffer, an interned name table), never the trace, and a well-behaved
 // implementation allocates nothing per record after warm-up — names are
 // interned once per distinct (VM, disk) and every numeric field is decoded
-// in place. The replay engine (ReplayParallel, ReplayMerged) and the
+// in place. The replay engine (ReplayParallel) and the
 // conversion tooling consume any RecordSource interchangeably.
 //
 // Ordering contract: records must be issue-ordered within each (VM, disk)

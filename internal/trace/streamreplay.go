@@ -27,11 +27,10 @@ import (
 //     and drives each disk's own collector through the batched
 //     OnIssueBatch fast path. Per-VM and cluster views merge bin-exactly
 //     via core.Aggregate, exactly like the live registry rollups.
-//   - ReplayMerged reproduces the legacy single-collector semantics (all
-//     substreams interleaved into one command stream) by running the
-//     k-way MergeSource in front of one collector — O(n log k) in place
-//     of O(n log n), with bounded lookahead in place of materializing the
-//     trace.
+//   - MergeSource, in front of it when MergeWindow > 0, restores issue
+//     order in a capture that interleaves substreams out of order — a
+//     k-way merge with bounded lookahead, O(n log k), in place of
+//     materializing and sorting the trace.
 //
 // Replay order and bin-exactness: the collector's issue-side metrics
 // depend only on the relative order of OnIssue calls within one collector,
@@ -40,7 +39,7 @@ import (
 // their record's batch rather than interleaved by completion timestamp,
 // and per-disk collectors may progress independently: the histograms are
 // bit-identical to the legacy event-sorted replay. The property tests in
-// streamreplay_test.go pin both equalities across every metric, class and
+// streamreplay_test.go pin the equality across every metric, class and
 // worker count.
 
 // ReplayConfig tunes the streaming replay engine. The zero value takes
@@ -58,15 +57,13 @@ type ReplayConfig struct {
 	// Window is the collectors' windowed seek-distance look-behind
 	// (default core.DefaultWindow).
 	Window int
-	// MergeWindow controls the k-way issue-order merge lookahead:
-	// 0 applies the entry point's default (ReplayMerged merges with
-	// DefaultMergeWindow; ReplayParallel trusts per-disk capture order and
-	// does not merge), > 0 forces a merge with that lookahead, < 0
-	// disables merging entirely.
+	// MergeWindow is the k-way issue-order merge lookahead: 0 trusts
+	// per-disk capture order and does not merge, > 0 puts a MergeSource
+	// with that lookahead in front of the demultiplexer.
 	MergeWindow int
 	// Registry, if non-nil, has each per-disk collector Registered as it
 	// is created, so a live httpstats handler can scrape a replay in
-	// flight. ReplayParallel only.
+	// flight.
 	Registry *core.Registry
 	// Progress, if non-nil, is called from the demultiplexing goroutine
 	// every ProgressEvery records (default 1<<20) with the running count.
@@ -187,58 +184,6 @@ func (s *reqSlab) replay(col *core.Collector, recs []Record) {
 	col.OnIssueBatch(s.ptrs[:n])
 	for _, q := range s.ptrs[:n] {
 		col.OnComplete(q)
-	}
-}
-
-// ReplayMerged feeds a trace through one collector with the legacy
-// single-stream semantics — every substream interleaved in global issue
-// order — using the k-way streaming merge and the batched issue path. It
-// is bin-exact against Replay for every metric and class, in O(n log k)
-// time and O(mergeWindow + batch) memory.
-func ReplayMerged(src RecordSource, col *core.Collector, cfg ReplayConfig) (ReplayStats, error) {
-	cfg = cfg.withDefaults()
-	var stats ReplayStats
-	var merge *MergeSource
-	if cfg.MergeWindow >= 0 {
-		merge = NewMergeSource(src, cfg.MergeWindow)
-		src = merge
-	}
-	col.Enable()
-	slab := newReqSlab(cfg.BatchSize)
-	batch := make([]Record, 0, cfg.BatchSize)
-	flush := func() {
-		if len(batch) == 0 {
-			return
-		}
-		slab.replay(col, batch)
-		stats.Batches++
-		batch = batch[:0]
-	}
-	seen := make(map[diskKey]struct{})
-	for {
-		batch = batch[:len(batch)+1]
-		err := src.Next(&batch[len(batch)-1])
-		if err != nil {
-			batch = batch[:len(batch)-1]
-			flush()
-			if merge != nil {
-				stats.OrderViolations = merge.Violations()
-			}
-			stats.Disks = len(seen)
-			if err == io.EOF {
-				return stats, nil
-			}
-			return stats, err
-		}
-		rec := &batch[len(batch)-1]
-		seen[diskKey{rec.VM, rec.Disk}] = struct{}{}
-		stats.Records++
-		if cfg.Progress != nil && stats.Records%cfg.ProgressEvery == 0 {
-			cfg.Progress(stats.Records)
-		}
-		if len(batch) == cfg.BatchSize {
-			flush()
-		}
 	}
 }
 

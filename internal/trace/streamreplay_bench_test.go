@@ -58,17 +58,3 @@ func BenchmarkTraceReplay1MParallel(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkTraceReplay1MMerged measures the k-way merge in front of one
-// collector — the legacy single-collector semantics at streaming cost.
-func BenchmarkTraceReplay1MMerged(b *testing.B) {
-	recs := bench1MRecords()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		col := core.NewCollector("v", "d")
-		if _, err := ReplayMerged(NewSliceSource(recs), col, ReplayConfig{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

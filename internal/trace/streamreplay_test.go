@@ -68,55 +68,35 @@ func legacyPerDisk(recs []Record) []*core.Collector {
 	return cols
 }
 
-// The streaming merge in front of one collector must rebuild exactly the
-// histograms the legacy materialize-and-sort replay built — every metric,
-// every class, every bucket.
-func TestReplayMergedMatchesLegacy(t *testing.T) {
-	for _, seed := range []int64{1, 7, 42} {
-		recs := Synthesize(seed, 20000)
-
-		legacy := core.NewCollector("v", "d")
-		legacy.Enable()
-		Replay(recs, legacy)
-
-		col := core.NewCollector("v", "d")
-		stats, err := ReplayMerged(NewSliceSource(recs), col, ReplayConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.Records != uint64(len(recs)) {
-			t.Fatalf("seed %d: replayed %d of %d records", seed, stats.Records, len(recs))
-		}
-		if stats.OrderViolations != 0 {
-			t.Fatalf("seed %d: %d order violations on an ordered capture", seed, stats.OrderViolations)
-		}
-		requireSameSnapshot(t, "merged", legacy.Snapshot(), col.Snapshot())
-	}
-}
-
 // A capture arbitrarily permuted still replays bin-exact once the merge
-// window covers the displacement: the k-way merge restores global issue
-// order just as the legacy sort did.
+// window covers the displacement: the k-way merge in front of the
+// demultiplexer restores issue order just as the legacy sort did.
 func TestReplayMergedShuffledInput(t *testing.T) {
 	recs := Synthesize(3, 10000)
-	legacy := core.NewCollector("v", "d")
-	legacy.Enable()
-	Replay(recs, legacy)
+	oracle := make(map[diskKey]*core.Snapshot)
+	for _, c := range legacyPerDisk(recs) {
+		oracle[diskKey{c.VM(), c.Disk()}] = c.Snapshot()
+	}
 
 	shuffled := append([]Record(nil), recs...)
 	rand.New(rand.NewSource(99)).Shuffle(len(shuffled), func(i, j int) {
 		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 	})
 
-	col := core.NewCollector("v", "d")
-	stats, err := ReplayMerged(NewSliceSource(shuffled), col, ReplayConfig{MergeWindow: len(shuffled) + 1})
+	res, err := ReplayParallel(NewSliceSource(shuffled), ReplayConfig{MergeWindow: len(shuffled) + 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.OrderViolations != 0 {
-		t.Fatalf("%d violations with a full window", stats.OrderViolations)
+	if res.Stats.OrderViolations != 0 {
+		t.Fatalf("%d violations with a full window", res.Stats.OrderViolations)
 	}
-	requireSameSnapshot(t, "shuffled", legacy.Snapshot(), col.Snapshot())
+	if res.Stats.Disks != len(oracle) {
+		t.Fatalf("%d collectors, oracle has %d", res.Stats.Disks, len(oracle))
+	}
+	for _, c := range res.Collectors() {
+		label := "shuffled " + c.VM() + "/" + c.Disk()
+		requireSameSnapshot(t, label, oracle[diskKey{c.VM(), c.Disk()}], c.Snapshot())
+	}
 }
 
 // The parallel engine must be bin-exact against the legacy replay of each
@@ -241,11 +221,6 @@ func TestReplayPartialOnSourceError(t *testing.T) {
 	if res.Stats.Records == 0 || res.Stats.Records >= uint64(len(recs)) {
 		t.Fatalf("Records = %d, want a strict prefix of %d", res.Stats.Records, len(recs))
 	}
-
-	col := core.NewCollector("*", "*")
-	if _, err := ReplayMerged(NewSliceSource(nil), col, ReplayConfig{}); err != nil {
-		t.Fatalf("empty source: %v", err)
-	}
 }
 
 // Steady-state replay must not allocate per record: slabs, batches and
@@ -254,15 +229,14 @@ func TestReplayPartialOnSourceError(t *testing.T) {
 func TestReplayAllocsBounded(t *testing.T) {
 	recs := Synthesize(8, 100000)
 	allocs := testing.AllocsPerRun(1, func() {
-		col := core.NewCollector("v", "d")
-		if _, err := ReplayMerged(NewSliceSource(recs), col, ReplayConfig{}); err != nil {
+		if _, err := ReplayParallel(NewSliceSource(recs), ReplayConfig{Workers: 1}); err != nil {
 			t.Fatal(err)
 		}
 	})
-	// ~100 structural allocations observed; 5000 is two orders of
-	// magnitude below one-per-record.
+	// Structural allocations only (collectors, slabs, batches); 5000 is
+	// more than an order of magnitude below one-per-record.
 	if allocs > 5000 {
-		t.Fatalf("ReplayMerged: %v allocs for 100k records", allocs)
+		t.Fatalf("ReplayParallel: %v allocs for 100k records", allocs)
 	}
 }
 

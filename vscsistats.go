@@ -653,12 +653,6 @@ func ReplayParallel(src RecordSource, cfg ReplayConfig) (*ReplayResult, error) {
 	return trace.ReplayParallel(src, cfg)
 }
 
-// ReplayMerged replays a source into one collector with the legacy
-// single-stream semantics via a bounded k-way issue-order merge.
-func ReplayMerged(src RecordSource, col *Collector, cfg ReplayConfig) (ReplayStats, error) {
-	return trace.ReplayMerged(src, col, cfg)
-}
-
 // SynthesizeTrace generates a seed-deterministic synthetic trace, so
 // benchmarks and tests need no checked-in fixtures.
 func SynthesizeTrace(seed int64, n int) []TraceRecord { return trace.Synthesize(seed, n) }
