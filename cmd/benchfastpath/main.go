@@ -23,7 +23,7 @@
 //
 //	go run ./cmd/benchfastpath                         # measure and print
 //	go run ./cmd/benchfastpath -fleet -update          # refresh BENCH_fleet.json
-//	go run ./cmd/benchfastpath -check -against derive-all   # CI regression fence
+//	go run ./cmd/benchfastpath -check -against recycle      # CI regression fence
 //	go run ./cmd/benchfastpath -check -fleet           # CI fence, fleet ingest
 //
 // -check re-measures the fence benchmarks only (BenchmarkTable2StatsOn
@@ -39,7 +39,8 @@
 // and with -fleet the traced-ingest variant
 // (BenchmarkFleetIngest1024Traced) must cost no more than 5% over the
 // untraced fence. Count fences are exact: BenchmarkTable2StatsOn
-// allocates 2 objects per command.
+// allocates nothing — the disk recycles its Requests, each with its
+// completion callback bound once, and the collector never allocated.
 package main
 
 import (
@@ -130,8 +131,8 @@ func main() {
 	// materialize-and-sort cost — a negative maxPct, meaning the claimed
 	// >=2x single-core speedup is re-proven on every -check — and the
 	// enabled service must stay within table2MaxPct of the disabled one.
-	// And one count fence: a command through the enabled fast path is two
-	// heap objects, the Request and the backend's completion callback.
+	// And one count fence: a command through the enabled fast path
+	// allocates nothing.
 	benches := suite
 	fences := []fence{
 		{"BenchmarkTable2StatsOn", "."},
@@ -148,7 +149,7 @@ func main() {
 		pkg:     ".",
 		maxPct:  table2MaxPct,
 	}}
-	countFences := []countFence{{"BenchmarkTable2StatsOn", "allocs/op", 2}}
+	countFences := []countFence{{"BenchmarkTable2StatsOn", "allocs/op", 0}}
 	if *fleet {
 		// Four fleet fences: the ingest fast path, the boot replay the
 		// segment log added — a slow restart is a regression too — the
@@ -423,12 +424,13 @@ type countFence struct {
 
 // table2MaxPct bounds BenchmarkTable2StatsOn over BenchmarkTable2StatsOff.
 // It sits between the ratio measured with every sample inserted once
-// (+141…+172% over six min-of-3 sessions, 2 vCPUs) and with class all
-// inserted as well (+205…+248% over six at the parent commit, whose
-// stats-off path was also one allocation slower — on today's it would
-// read higher), so re-adding a redundant insert per sample fails the fence
-// on any machine.
-const table2MaxPct = 190
+// (+337…+343% over six min-of-3 sessions, 2 vCPUs: 43 ns off, 189…191 ns
+// on) and with one redundant insert per sample re-added in a scratch copy
+// (+552…+565% over six: 282…286 ns on), so re-adding a redundant insert
+// per sample fails the fence on any machine. The ratio is large because
+// the stats-off path allocates nothing and costs 43 ns; the collector's
+// absolute cost is the +146…+148 ns between the two.
+const table2MaxPct = 450
 
 // runCheck is the CI fence: measure the fence benchmarks fresh (one
 // `go test -bench` run per package), compare each against the recorded

@@ -19,10 +19,15 @@ type fsRig struct {
 	reqs []*vscsi.Request
 }
 
+// reqRecorder keeps a copy of every issued request: the disk recycles the
+// Request itself once the command is over.
 type reqRecorder struct{ rig *fsRig }
 
-func (r *reqRecorder) OnIssue(req *vscsi.Request) { r.rig.reqs = append(r.rig.reqs, req) }
-func (r *reqRecorder) OnComplete(*vscsi.Request)  {}
+func (r *reqRecorder) OnIssue(req *vscsi.Request) {
+	c := *req
+	r.rig.reqs = append(r.rig.reqs, &c)
+}
+func (r *reqRecorder) OnComplete(*vscsi.Request) {}
 
 func newFSRig(t *testing.T) *fsRig {
 	t.Helper()

@@ -9,7 +9,6 @@
 package simclock
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -44,51 +43,38 @@ func (t Time) String() string { return time.Duration(t).String() }
 // Event is a callback scheduled on the engine.
 type Event func(now Time)
 
+// scheduled is one pending event. Nodes are recycled through their
+// engine's free list, so seq doubles as the node's generation: a Handle
+// taken for one use of the node does not match the next.
 type scheduled struct {
 	at    Time
 	seq   uint64 // tie-breaker: FIFO among events at the same instant
 	fn    Event
-	index int
-	dead  bool
+	eng   *Engine
+	index int // position in eng.queue; -1 once fired or cancelled
 }
 
 // Handle identifies a scheduled event so it can be cancelled.
-type Handle struct{ s *scheduled }
+type Handle struct {
+	s   *scheduled
+	seq uint64
+}
 
-// Cancel prevents the event from firing. Cancelling an event that already
-// fired (or was already cancelled) is a no-op.
+// Cancel removes the event from the engine's queue. Cancelling an event
+// that already fired (or was already cancelled) is a no-op, also after the
+// engine has reused the event's node for a later one.
 func (h Handle) Cancel() {
-	if h.s != nil {
-		h.s.dead = true
+	if s := h.s; s != nil && s.seq == h.seq && s.index >= 0 {
+		s.eng.removeAt(s.index)
 	}
 }
 
-type eventQueue []*scheduled
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// before is the dispatch order: by time, FIFO among equal times.
+func (s *scheduled) before(o *scheduled) bool {
+	if s.at != o.at {
+		return s.at < o.at
 	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *eventQueue) Push(x any) {
-	s := x.(*scheduled)
-	s.index = len(*q)
-	*q = append(*q, s)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	s := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return s
+	return s.seq < o.seq
 }
 
 // Engine is a single-threaded discrete-event simulator. It is not safe for
@@ -96,7 +82,8 @@ func (q *eventQueue) Pop() any {
 // goroutine via scheduled events.
 type Engine struct {
 	now        Time
-	queue      eventQueue
+	queue      []*scheduled // binary min-heap by (at, seq)
+	free       []*scheduled // fired or cancelled nodes awaiting reuse
 	seq        uint64
 	dispatched uint64
 }
@@ -107,8 +94,7 @@ func NewEngine() *Engine { return &Engine{} }
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Pending reports the number of events waiting to fire (including cancelled
-// events not yet discarded).
+// Pending reports the number of events waiting to fire.
 func (e *Engine) Pending() int { return len(e.queue) }
 
 // Dispatched reports the total number of events executed so far.
@@ -120,10 +106,80 @@ func (e *Engine) At(at Time, fn Event) Handle {
 	if at < e.now {
 		panic(fmt.Sprintf("simclock: scheduling event at %v before now %v", at, e.now))
 	}
-	s := &scheduled{at: at, seq: e.seq, fn: fn}
+	var s *scheduled
+	if n := len(e.free); n > 0 {
+		s = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		s = &scheduled{eng: e}
+	}
+	s.at, s.seq, s.fn = at, e.seq, fn
 	e.seq++
-	heap.Push(&e.queue, s)
-	return Handle{s}
+	e.queue = append(e.queue, s)
+	e.up(len(e.queue)-1, s)
+	return Handle{s, s.seq}
+}
+
+// up places s in the heap, moving the hole at i towards the root while s
+// sorts before the hole's parent.
+func (e *Engine) up(i int, s *scheduled) {
+	q := e.queue
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !s.before(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		q[i].index = i
+		i = parent
+	}
+	q[i] = s
+	s.index = i
+}
+
+// down places s in the heap, moving the hole at i towards the leaves while
+// the hole's earlier child sorts before s.
+func (e *Engine) down(i int, s *scheduled) {
+	q := e.queue
+	for {
+		child := 2*i + 1
+		if child >= len(q) {
+			break
+		}
+		if r := child + 1; r < len(q) && q[r].before(q[child]) {
+			child = r
+		}
+		if !q[child].before(s) {
+			break
+		}
+		q[i] = q[child]
+		q[i].index = i
+		i = child
+	}
+	q[i] = s
+	s.index = i
+}
+
+// removeAt takes the node at heap position i out of the queue and puts it
+// on the free list (without its callback, so a fired closure can be
+// collected).
+func (e *Engine) removeAt(i int) {
+	q := e.queue
+	s := q[i]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = nil
+	e.queue = q[:n]
+	if i < n {
+		// The last node fills the hole; it may belong either way from it.
+		if i > 0 && last.before(q[(i-1)/2]) {
+			e.up(i, last)
+		} else {
+			e.down(i, last)
+		}
+	}
+	s.fn, s.index = nil, -1
+	e.free = append(e.free, s)
 }
 
 // After schedules fn to run d nanoseconds from now. Negative delays are
@@ -138,17 +194,16 @@ func (e *Engine) After(d Time, fn Event) Handle {
 // Step dispatches the single earliest pending event, advancing the clock to
 // its timestamp. It reports false when no events remain.
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		s := heap.Pop(&e.queue).(*scheduled)
-		if s.dead {
-			continue
-		}
-		e.now = s.at
-		e.dispatched++
-		s.fn(e.now)
-		return true
+	if len(e.queue) == 0 {
+		return false
 	}
-	return false
+	s := e.queue[0]
+	at, fn := s.at, s.fn
+	e.removeAt(0)
+	e.now = at
+	e.dispatched++
+	fn(at)
+	return true
 }
 
 // Run dispatches events until the queue drains.
@@ -160,27 +215,12 @@ func (e *Engine) Run() {
 // RunUntil dispatches events with timestamps <= deadline, then advances the
 // clock to deadline. Events scheduled beyond the deadline remain queued.
 func (e *Engine) RunUntil(deadline Time) {
-	for {
-		next, ok := e.peek()
-		if !ok || next > deadline {
-			break
-		}
+	for len(e.queue) > 0 && e.queue[0].at <= deadline {
 		e.Step()
 	}
 	if e.now < deadline {
 		e.now = deadline
 	}
-}
-
-func (e *Engine) peek() (Time, bool) {
-	for len(e.queue) > 0 {
-		if e.queue[0].dead {
-			heap.Pop(&e.queue)
-			continue
-		}
-		return e.queue[0].at, true
-	}
-	return 0, false
 }
 
 // NewRand returns a deterministic pseudo-random source for a simulation

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"vscsistats/internal/scsi"
 	"vscsistats/internal/simclock"
 )
 
@@ -66,6 +67,9 @@ type Array struct {
 	rng   *rand.Rand
 
 	wbLimitLines int
+
+	chunks  []chunk    // mapExtent's scratch
+	freeOps []*arrayOp // finished ops awaiting reuse
 
 	failed           []bool
 	rebuild          *rebuildState
@@ -155,9 +159,10 @@ type chunk struct {
 	parity  int // RAID5 parity spindle for this chunk's row, else -1
 }
 
-// mapExtent splits [lba, lba+sectors) into per-spindle chunks.
+// mapExtent splits [lba, lba+sectors) into per-spindle chunks. The result
+// lives in the array's scratch slice and is valid until the next call.
 func (a *Array) mapExtent(lba uint64, sectors uint32) []chunk {
-	var chunks []chunk
+	chunks := a.chunks[:0]
 	end := lba + uint64(sectors)
 	for cur := lba; cur < end; {
 		stripeIdx := cur / a.cfg.StripeSectors
@@ -187,17 +192,95 @@ func (a *Array) mapExtent(lba uint64, sectors uint32) []chunk {
 		chunks = append(chunks, c)
 		cur += n
 	}
+	a.chunks = chunks
 	return chunks
+}
+
+// opKind is what an arrayOp does, which decides what its completion
+// accounts and reports.
+type opKind uint8
+
+const (
+	opRead opKind = iota
+	opWrite
+	opDestage // a write-back cache's asynchronous destage of absorbed lines
+)
+
+// arrayOp is one array command from arrival to completion: the extent, how
+// far it has got, and every callback the stages in between hand to the
+// engine and the spindles. The callbacks are bound when the op is first
+// allocated and the op is recycled through Array.freeOps, so a command in
+// steady state allocates nothing.
+type arrayOp struct {
+	a          *Array
+	kind       opKind
+	lba        uint64
+	sectors    uint32
+	sequential bool // read miss that extends a resident run: prefetch on fill
+	remaining  int  // chunk transfers outstanding, plus fanOut's sentinel
+	okAll      bool
+	// done receives the outcome; a command from a LUN sets scsiDone
+	// instead and gets the outcome as a SCSI status.
+	done     func(ok bool)
+	scsiDone func(scsi.Status, scsi.Sense)
+
+	arrived     simclock.Event // transport and wire time are over
+	absorbed    simclock.Event // cache hit or write absorption time is over
+	chunkOK     func()         // a spindle finished one chunk transfer
+	chunkFailed simclock.Event // a chunk had no spindle left to serve it
+}
+
+// newOp takes an op off the free list, or allocates one and binds its
+// callbacks.
+func (a *Array) newOp(kind opKind, lba uint64, sectors uint32) *arrayOp {
+	var op *arrayOp
+	if n := len(a.freeOps); n > 0 {
+		op = a.freeOps[n-1]
+		a.freeOps = a.freeOps[:n-1]
+	} else {
+		op = &arrayOp{a: a}
+		op.arrived = op.arrive
+		op.absorbed = func(simclock.Time) { op.complete(true) }
+		op.chunkOK = func() { op.chunkDone(true) }
+		op.chunkFailed = func(simclock.Time) { op.chunkDone(false) }
+	}
+	op.kind, op.lba, op.sectors, op.sequential = kind, lba, sectors, false
+	return op
+}
+
+func (a *Array) release(op *arrayOp) {
+	op.done, op.scsiDone = nil, nil
+	a.freeOps = append(a.freeOps, op)
 }
 
 // Read services an array read of sectors at lba, invoking done(ok) when the
 // data is available. It must be called on the engine's event loop.
 func (a *Array) Read(lba uint64, sectors uint32, done func(ok bool)) {
+	a.start(opRead, lba, sectors, done, nil)
+}
+
+// Write services an array write, invoking done(ok) when the guest may
+// consider it durable (cache absorption counts, as on a battery-backed
+// array).
+func (a *Array) Write(lba uint64, sectors uint32, done func(ok bool)) {
+	a.start(opWrite, lba, sectors, done, nil)
+}
+
+// start puts a read or write on the wire; exactly one of done and scsiDone
+// is set.
+func (a *Array) start(kind opKind, lba uint64, sectors uint32, done func(ok bool), scsiDone func(scsi.Status, scsi.Sense)) {
 	a.validate(lba, sectors)
-	a.eng.After(a.cfg.TransportDelay+a.linkTime(sectors), func(simclock.Time) {
+	op := a.newOp(kind, lba, sectors)
+	op.done, op.scsiDone = done, scsiDone
+	a.eng.After(a.cfg.TransportDelay+a.linkTime(sectors), op.arrived)
+}
+
+// arrive runs when the command reaches the controller.
+func (op *arrayOp) arrive(simclock.Time) {
+	a, lba, sectors := op.a, op.lba, op.sectors
+	if op.kind == opRead {
 		if a.cfg.ReadErrorRate > 0 && a.rng.Float64() < a.cfg.ReadErrorRate {
-			a.readErrs++
-			done(false)
+			op.complete(false)
 			return
 		}
 		if a.cache.Lookup(lba, sectors) {
@@ -206,67 +289,61 @@ func (a *Array) Read(lba uint64, sectors uint32, done func(ok bool)) {
 			if lba >= cacheLineSectors && a.cache.Contains(lba-1) {
 				a.cache.InsertAhead(lba, sectors, a.cfg.ReadAheadLines)
 			}
-			a.eng.After(a.cfg.CacheHitTime, func(simclock.Time) {
-				a.reads++
-				done(true)
-			})
+			a.eng.After(a.cfg.CacheHitTime, op.absorbed)
 			return
 		}
 		// Sequential detection before the fill perturbs residency: does
 		// the line preceding this extent sit in cache?
-		sequential := lba >= cacheLineSectors && a.cache.Contains(lba-1)
-		a.fanOut(lba, sectors, false, func(ok bool) {
-			if !ok {
-				a.readErrs++
-				done(false)
-				return
-			}
-			a.cache.Insert(lba, sectors)
-			if sequential {
-				a.cache.InsertAhead(lba, sectors, a.cfg.ReadAheadLines)
-			}
-			a.reads++
-			done(true)
-		})
-	})
+		op.sequential = lba >= cacheLineSectors && a.cache.Contains(lba-1)
+		a.fanOut(op)
+		return
+	}
+	if a.cfg.WriteErrorRate > 0 && a.rng.Float64() < a.cfg.WriteErrorRate {
+		op.complete(false)
+		return
+	}
+	a.cache.Insert(lba, sectors) // written data is readable from cache
+	if a.wbLimitLines > 0 && a.cache.Dirty() < a.wbLimitLines {
+		// Absorbed by the write-back cache; destage asynchronously,
+		// but only for newly dirtied lines — overwrites of a dirty
+		// line fold into the pending destage.
+		if newLines := a.cache.MarkDirty(lba, sectors); newLines > 0 {
+			a.fanOut(a.newOp(opDestage, lba, sectors))
+		}
+		a.eng.After(a.cfg.CacheWriteTime, op.absorbed)
+		return
+	}
+	// Write-through: wait for the spindles (and parity).
+	a.fanOut(op)
 }
 
-// Write services an array write, invoking done(ok) when the guest may
-// consider it durable (cache absorption counts, as on a battery-backed
-// array).
-func (a *Array) Write(lba uint64, sectors uint32, done func(ok bool)) {
-	a.validate(lba, sectors)
-	a.eng.After(a.cfg.TransportDelay+a.linkTime(sectors), func(simclock.Time) {
-		if a.cfg.WriteErrorRate > 0 && a.rng.Float64() < a.cfg.WriteErrorRate {
-			a.wrErrs++
-			done(false)
-			return
-		}
-		a.cache.Insert(lba, sectors) // written data is readable from cache
-		if a.wbLimitLines > 0 && a.cache.Dirty() < a.wbLimitLines {
-			// Absorbed by the write-back cache; destage asynchronously,
-			// but only for newly dirtied lines — overwrites of a dirty
-			// line fold into the pending destage.
-			if newLines := a.cache.MarkDirty(lba, sectors); newLines > 0 {
-				a.fanOut(lba, sectors, true, func(bool) { a.cache.Destaged(lba, sectors) })
-			}
-			a.eng.After(a.cfg.CacheWriteTime, func(simclock.Time) {
-				a.writes++
-				done(true)
-			})
-			return
-		}
-		// Write-through: wait for the spindles (and parity).
-		a.fanOut(lba, sectors, true, func(ok bool) {
-			if !ok {
-				a.wrErrs++
-				done(false)
-				return
-			}
-			a.writes++
-			done(true)
-		})
-	})
+// complete accounts the command's outcome, recycles the op and reports to
+// the caller — in that order, so a caller that issues its next command
+// from the callback finds this op on the free list.
+func (op *arrayOp) complete(ok bool) {
+	a, read := op.a, op.kind == opRead
+	switch {
+	case ok && read:
+		a.reads++
+	case ok:
+		a.writes++
+	case read:
+		a.readErrs++
+	default:
+		a.wrErrs++
+	}
+	done, scsiDone := op.done, op.scsiDone
+	a.release(op)
+	switch {
+	case scsiDone == nil:
+		done(ok)
+	case ok:
+		scsiDone(scsi.StatusGood, scsi.Sense{})
+	case read:
+		scsiDone(scsi.StatusCheckCondition, scsi.SenseUnrecoveredRead)
+	default:
+		scsiDone(scsi.StatusCheckCondition, scsi.SenseWriteFault)
+	}
 }
 
 // linkTime is the wire-transfer time for an extent.
@@ -281,49 +358,34 @@ func (a *Array) Flush(done func()) {
 	a.eng.After(a.cfg.TransportDelay+d, func(simclock.Time) { done() })
 }
 
-// fanOut issues the extent's chunks to their spindles and calls done(ok)
-// when every chunk (and for RAID5 writes, every parity update) completes.
-// Chunks on a failed spindle follow the degraded paths: RAID5 reads
-// reconstruct from every surviving peer, RAID5 writes fall back to the
-// parity (or data) update alone, and RAID0 ops fail outright.
-func (a *Array) fanOut(lba uint64, sectors uint32, write bool, done func(ok bool)) {
-	chunks := a.mapExtent(lba, sectors)
-	remaining := 1 // sentinel released after submission
-	okAll := true
-	complete := func(ok bool) {
-		if !ok {
-			okAll = false
-		}
-		remaining--
-		if remaining == 0 {
-			done(okAll)
-		}
-	}
-	submit := func(disk int, diskLBA uint64, sectors uint32, w bool) {
-		remaining++
-		a.disks[disk].Submit(diskLBA, sectors, w, func() { complete(true) })
-	}
-	for _, c := range chunks {
+// fanOut issues the op's chunks to their spindles; chunkDone finishes the
+// op when every chunk (and for RAID5 writes, every parity update)
+// completes. Chunks on a failed spindle follow the degraded paths: RAID5
+// reads reconstruct from every surviving peer, RAID5 writes fall back to
+// the parity (or data) update alone, and RAID0 ops fail outright.
+func (a *Array) fanOut(op *arrayOp) {
+	write := op.kind != opRead
+	op.remaining = 1 // sentinel released after submission
+	op.okAll = true
+	for _, c := range a.mapExtent(op.lba, op.sectors) {
 		diskDown := a.diskUnavailable(c.disk, c.diskLBA)
 		parityDown := c.parity >= 0 && a.diskUnavailable(c.parity, c.diskLBA)
 		switch {
 		case !diskDown:
-			submit(c.disk, c.diskLBA, c.sectors, write)
+			op.submit(c.disk, c.diskLBA, c.sectors, write)
 			if write && c.parity >= 0 && !parityDown {
-				submit(c.parity, c.diskLBA, c.sectors, true)
+				op.submit(c.parity, c.diskLBA, c.sectors, true)
 			}
 		case c.parity < 0:
 			// RAID0: the data is simply gone.
-			remaining++
-			a.eng.After(a.cfg.TransportDelay, func(simclock.Time) { complete(false) })
+			op.fail()
 		case write:
 			// Degraded RAID5 write: the data lives only in parity now.
 			a.degradedOps++
 			if !parityDown {
-				submit(c.parity, c.diskLBA, c.sectors, true)
+				op.submit(c.parity, c.diskLBA, c.sectors, true)
 			} else {
-				remaining++
-				a.eng.After(a.cfg.TransportDelay, func(simclock.Time) { complete(false) })
+				op.fail()
 			}
 		default:
 			// Degraded RAID5 read: reconstruct from every surviving peer.
@@ -332,17 +394,56 @@ func (a *Array) fanOut(lba uint64, sectors uint32, write bool, done func(ok bool
 			for peer := range a.disks {
 				if peer != c.disk && !a.failed[peer] {
 					survivors++
-					submit(peer, c.diskLBA, c.sectors, false)
+					op.submit(peer, c.diskLBA, c.sectors, false)
 				}
 			}
 			if survivors < a.cfg.Disks-1 {
 				// Two failures: unrecoverable.
-				remaining++
-				a.eng.After(a.cfg.TransportDelay, func(simclock.Time) { complete(false) })
+				op.fail()
 			}
 		}
 	}
-	complete(true) // release the sentinel
+	op.chunkDone(true) // release the sentinel
+}
+
+// submit queues one chunk transfer at a spindle.
+func (op *arrayOp) submit(disk int, diskLBA uint64, sectors uint32, write bool) {
+	op.remaining++
+	op.a.disks[disk].Submit(diskLBA, sectors, write, op.chunkOK)
+}
+
+// fail reports a chunk nothing can serve, after the controller's delay.
+func (op *arrayOp) fail() {
+	op.remaining++
+	op.a.eng.After(op.a.cfg.TransportDelay, op.chunkFailed)
+}
+
+// chunkDone counts one chunk outcome and, on the last, finishes the op: a
+// destage cleans its lines, a read fills the cache, and reads and
+// write-through writes complete.
+func (op *arrayOp) chunkDone(ok bool) {
+	if !ok {
+		op.okAll = false
+	}
+	op.remaining--
+	if op.remaining > 0 {
+		return
+	}
+	a := op.a
+	switch op.kind {
+	case opDestage:
+		a.cache.Destaged(op.lba, op.sectors)
+		a.release(op)
+		return
+	case opRead:
+		if op.okAll {
+			a.cache.Insert(op.lba, op.sectors)
+			if op.sequential {
+				a.cache.InsertAhead(op.lba, op.sectors, a.cfg.ReadAheadLines)
+			}
+		}
+	}
+	op.complete(op.okAll)
 }
 
 // diskUnavailable reports whether the spindle cannot serve the row: failed,

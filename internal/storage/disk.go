@@ -73,11 +73,14 @@ type Disk struct {
 	p          DiskParams
 	eng        *simclock.Engine
 	rng        *rand.Rand
-	reads      []diskOp
+	reads      []diskOp // FIFO; the live part starts at readHead
+	readHead   int
 	writes     []diskOp
 	readCredit int
 	busy       bool
-	head       uint64 // LBA the head sits after the last transfer
+	current    diskOp         // the transfer in service while busy
+	serviced   simclock.Event // d.serviceDone, bound once
+	head       uint64         // LBA the head sits after the last transfer
 	served     uint64
 
 	busyTime simclock.Time // total time spent servicing ops
@@ -97,7 +100,9 @@ func NewDisk(eng *simclock.Engine, p DiskParams, rng *rand.Rand) *Disk {
 		p.TransferBytesPerSec <= 0 || p.RotationPeriod <= 0 {
 		panic("storage: invalid disk parameters")
 	}
-	return &Disk{p: p, eng: eng, rng: rng}
+	d := &Disk{p: p, eng: eng, rng: rng}
+	d.serviced = d.serviceDone
+	return d
 }
 
 // Served returns the number of completed operations.
@@ -105,7 +110,7 @@ func (d *Disk) Served() uint64 { return d.served }
 
 // QueueDepth returns the number of queued-plus-active operations.
 func (d *Disk) QueueDepth() int {
-	n := len(d.reads) + len(d.writes)
+	n := len(d.reads) - d.readHead + len(d.writes)
 	if d.busy {
 		n++
 	}
@@ -121,6 +126,13 @@ func (d *Disk) Submit(lba uint64, sectors uint32, write bool, done func()) {
 	if write {
 		d.writes = append(d.writes, op)
 	} else {
+		// A full buffer with a consumed prefix is compacted rather than
+		// grown, so a read queue that never empties stays bounded.
+		if d.readHead > 0 && len(d.reads) == cap(d.reads) {
+			n := copy(d.reads, d.reads[d.readHead:])
+			clear(d.reads[n:])
+			d.reads, d.readHead = d.reads[:n], 0
+		}
 		d.reads = append(d.reads, op)
 	}
 	if !d.busy {
@@ -130,11 +142,15 @@ func (d *Disk) Submit(lba uint64, sectors uint32, write bool, done func()) {
 
 // pickNext dequeues the next operation per the scheduling policy.
 func (d *Disk) pickNext() (diskOp, bool) {
-	serveRead := len(d.reads) > 0 &&
+	serveRead := d.readHead < len(d.reads) &&
 		(len(d.writes) == 0 || d.readCredit < readsPerWrite)
 	if serveRead {
-		op := d.reads[0]
-		d.reads = d.reads[1:]
+		op := d.reads[d.readHead]
+		d.reads[d.readHead] = diskOp{}
+		d.readHead++
+		if d.readHead == len(d.reads) {
+			d.reads, d.readHead = d.reads[:0], 0
+		}
 		d.readCredit++
 		return op, true
 	}
@@ -165,14 +181,20 @@ func (d *Disk) startNext() {
 		return
 	}
 	d.busy = true
+	d.current = op
 	svc := d.ServiceTime(op.lba, op.sectors)
 	d.busyTime += svc
 	d.head = op.lba + uint64(op.sectors)
-	d.eng.After(svc, func(simclock.Time) {
-		d.served++
-		op.done()
-		d.startNext()
-	})
+	d.eng.After(svc, d.serviced)
+}
+
+// serviceDone completes the transfer in service and starts the next one.
+func (d *Disk) serviceDone(simclock.Time) {
+	d.served++
+	done := d.current.done
+	d.current = diskOp{}
+	done()
+	d.startNext()
 }
 
 // ServiceTime computes the mechanical time for a transfer starting at lba

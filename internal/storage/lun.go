@@ -36,8 +36,10 @@ func (l *LUN) CapacitySectors() uint64 { return l.sectors }
 var _ vscsi.Backend = (*LUN)(nil)
 
 // Submit implements vscsi.Backend: block reads and writes translate to
-// array extents; SYNCHRONIZE CACHE flushes; other commands complete after
-// the transport delay (they are emulated control traffic).
+// array extents, whose op reports straight to done (a failed read as
+// UNRECOVERED READ, a failed write as WRITE FAULT); SYNCHRONIZE CACHE
+// flushes; other commands complete after the transport delay (they are
+// emulated control traffic).
 func (l *LUN) Submit(r *vscsi.Request, done func(scsi.Status, scsi.Sense)) {
 	cmd := r.Cmd
 	switch {
@@ -46,25 +48,13 @@ func (l *LUN) Submit(r *vscsi.Request, done func(scsi.Status, scsi.Sense)) {
 			done(scsi.StatusCheckCondition, scsi.SenseLBAOutOfRange)
 			return
 		}
-		l.array.Read(l.base+cmd.LBA, cmd.Blocks, func(ok bool) {
-			if ok {
-				done(scsi.StatusGood, scsi.Sense{})
-			} else {
-				done(scsi.StatusCheckCondition, scsi.SenseUnrecoveredRead)
-			}
-		})
+		l.array.start(opRead, l.base+cmd.LBA, cmd.Blocks, nil, done)
 	case cmd.Op.IsWrite():
 		if !l.inRange(cmd) {
 			done(scsi.StatusCheckCondition, scsi.SenseLBAOutOfRange)
 			return
 		}
-		l.array.Write(l.base+cmd.LBA, cmd.Blocks, func(ok bool) {
-			if ok {
-				done(scsi.StatusGood, scsi.Sense{})
-			} else {
-				done(scsi.StatusCheckCondition, scsi.SenseWriteFault)
-			}
-		})
+		l.array.start(opWrite, l.base+cmd.LBA, cmd.Blocks, nil, done)
 	case cmd.Op == scsi.OpSynchronizeCache10:
 		l.array.Flush(func() { done(scsi.StatusGood, scsi.Sense{}) })
 	default:

@@ -73,6 +73,36 @@ func TestDiskFIFOAndBusyAccounting(t *testing.T) {
 	}
 }
 
+// TestDiskReadQueueConsumedFromHead: the read FIFO is consumed from a moving
+// head, so QueueDepth must count from it, and a queue that never empties
+// must not grow its buffer with the number of reads that passed through.
+func TestDiskReadQueueConsumedFromHead(t *testing.T) {
+	eng := simclock.NewEngine()
+	d := NewDisk(eng, testParams(), simclock.NewRand(3))
+	submitted := 0
+	var refill func()
+	refill = func() {
+		if submitted < 5000 {
+			submitted++
+			d.Submit(uint64(submitted%100)*1000, 16, false, refill)
+		}
+	}
+	for i := 0; i < 6; i++ {
+		refill()
+	}
+	eng.Step() // one read served and replaced: one in service, five queued
+	if d.QueueDepth() != 6 {
+		t.Errorf("QueueDepth = %d with a consumed prefix, want 6", d.QueueDepth())
+	}
+	eng.Run()
+	if d.Served() != 5000 || d.QueueDepth() != 0 {
+		t.Errorf("Served=%d depth=%d", d.Served(), d.QueueDepth())
+	}
+	if cap(d.reads) > 16 {
+		t.Errorf("read queue buffer grew to %d for 6 reads in flight", cap(d.reads))
+	}
+}
+
 func TestDiskValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -7,14 +7,15 @@ import (
 	"vscsistats/internal/simclock"
 )
 
-// recObserver records per-request observer calls.
+// recObserver records per-request observer calls, as copies: the disk
+// recycles the Request itself once the command is over.
 type recObserver struct {
 	issued    []*Request
 	completed []*Request
 }
 
-func (o *recObserver) OnIssue(r *Request)    { o.issued = append(o.issued, r) }
-func (o *recObserver) OnComplete(r *Request) { o.completed = append(o.completed, r) }
+func (o *recObserver) OnIssue(r *Request)    { c := *r; o.issued = append(o.issued, &c) }
+func (o *recObserver) OnComplete(r *Request) { c := *r; o.completed = append(o.completed, &c) }
 
 // recBatchObserver additionally records whole-burst deliveries.
 type recBatchObserver struct {
@@ -79,7 +80,7 @@ func TestIssueBatchMatchesLoop(t *testing.T) {
 			t.Errorf("request %d differs: loop %+v batch %+v", i, l, b)
 		}
 	}
-	if lo.issued[2] != lr[2] || bo.issued[2] != br[2] {
+	if lo.issued[2].ID != lr[2].ID || bo.issued[2].ID != br[2].ID {
 		t.Error("observer saw requests out of order")
 	}
 }

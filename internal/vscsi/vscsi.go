@@ -22,6 +22,13 @@ import (
 
 // Request is one virtual SCSI command in flight. Observers must treat a
 // Request as read-only.
+//
+// A *Request belongs to its Disk, which recycles it: the pointer is valid
+// from Issue until the command's done callback returns (for a command
+// issued without one, until the last observer's OnComplete returns), and
+// the Disk may hand the same object out for a later command after that.
+// Observers, backends and callers that need the command's fields afterwards
+// copy the struct.
 type Request struct {
 	// ID is unique per Disk, monotonically increasing in issue order.
 	ID uint64
@@ -47,10 +54,13 @@ type Request struct {
 	// done is the caller's completion callback, held on the request so
 	// both the normal completion path and Abort can invoke it.
 	done func(*Request)
-	// disk is the owning disk, set when the request is submitted: the
-	// backend's completion callback is the method value r.complete, so a
-	// command allocates the Request and that method value, nothing else.
-	disk *Disk
+	// disk is the owning disk and completeFn the method value r.complete,
+	// both bound when the Request is first allocated and kept across
+	// reuse: completeFn is the completion callback the backend receives.
+	disk       *Disk
+	completeFn func(scsi.Status, scsi.Sense)
+	// submitted marks that the request was handed to the backend.
+	submitted bool
 	// completed marks that the backend already invoked its callback.
 	completed bool
 	// aborted marks a request cancelled by the guest; the backend's late
@@ -69,7 +79,9 @@ func (r *Request) Latency() simclock.Time { return r.CompleteTime - r.IssueTime 
 
 // Observer is notified on the vSCSI fast path. OnIssue runs after the
 // request is counted as outstanding but before it reaches the backend;
-// OnComplete runs after Status, Sense and CompleteTime are final.
+// OnComplete runs after Status, Sense and CompleteTime are final. The
+// Request is the Disk's (see Request): an observer that wants a command's
+// fields after OnComplete returns copies the struct, never the pointer.
 type Observer interface {
 	OnIssue(r *Request)
 	OnComplete(r *Request)
@@ -90,7 +102,10 @@ type BatchObserver interface {
 
 // Backend services commands on behalf of a virtual disk — in this
 // repository, the storage array model. Submit must eventually invoke done
-// exactly once (possibly synchronously).
+// exactly once (possibly synchronously), also for a command the guest has
+// aborted in the meantime: the Disk keeps the Request out of circulation
+// until then, so r stays this command's until done is invoked and must not
+// be touched after.
 type Backend interface {
 	Submit(r *Request, done func(status scsi.Status, sense scsi.Sense))
 }
@@ -134,8 +149,13 @@ type Disk struct {
 	nextID   uint64
 	inflight atomic.Int64 // issued, not completed (includes pending)
 	active   int          // submitted to the backend
-	pending  []*Request
 	closed   bool
+	// pending is the FIFO of commands held back by MaxActive; its live
+	// part starts at pendHead.
+	pending  []*Request
+	pendHead int
+	// free holds the Requests whose commands are over, for reuse.
+	free []*Request
 
 	issued    atomic.Uint64
 	completed atomic.Uint64
@@ -198,7 +218,9 @@ func (d *Disk) RemoveObserver(o Observer) {
 func (d *Disk) Close() { d.closed = true }
 
 // Issue submits a guest command. done, if non-nil, is invoked at completion
-// after observers have seen it. Issue returns the in-flight request.
+// after observers have seen it. Issue returns the in-flight request, which
+// the caller may read and pass to Abort until done returns; after that the
+// Disk reuses it (see Request).
 //
 // Commands that fail validation (e.g. out-of-range LBA) complete immediately
 // with CHECK CONDITION — they still traverse the observer path, since a real
@@ -207,18 +229,7 @@ func (d *Disk) Issue(cmd scsi.Command, done func(*Request)) (*Request, error) {
 	if d.closed {
 		return nil, ErrClosed
 	}
-	r := &Request{
-		ID:                 d.nextID,
-		VM:                 d.cfg.VM,
-		Disk:               d.cfg.Name,
-		Cmd:                cmd,
-		IssueTime:          d.eng.Now(),
-		OutstandingAtIssue: int(d.inflight.Load()),
-		done:               done,
-	}
-	d.nextID++
-	d.inflight.Add(1)
-	d.issued.Add(1)
+	r := d.newRequest(cmd, d.eng.Now(), done)
 	for _, o := range d.observers {
 		o.OnIssue(r)
 	}
@@ -229,11 +240,39 @@ func (d *Disk) Issue(cmd scsi.Command, done func(*Request)) (*Request, error) {
 	}
 
 	if d.cfg.MaxActive > 0 && d.active >= d.cfg.MaxActive {
-		d.pending = append(d.pending, r)
+		d.enqueue(r)
 		return r, nil
 	}
 	d.submit(r)
 	return r, nil
+}
+
+// newRequest takes a Request off the free list (or allocates the disk's
+// next one) and counts it as issued. A recycled Request is reset here, on
+// reuse, not when it is released: until then it keeps its finished and
+// completed marks, so a second backend completion still panics and a late
+// Abort is still refused.
+func (d *Disk) newRequest(cmd scsi.Command, now simclock.Time, done func(*Request)) *Request {
+	var r *Request
+	if n := len(d.free); n > 0 {
+		r = d.free[n-1]
+		d.free = d.free[:n-1]
+		r.SubmitTime, r.CompleteTime = 0, 0
+		r.Status, r.Sense = scsi.StatusGood, scsi.Sense{}
+		r.submitted, r.completed, r.aborted, r.finished = false, false, false, false
+	} else {
+		r = &Request{VM: d.cfg.VM, Disk: d.cfg.Name, disk: d}
+		r.completeFn = r.complete
+	}
+	r.ID = d.nextID
+	r.Cmd = cmd
+	r.IssueTime = now
+	r.OutstandingAtIssue = int(d.inflight.Load())
+	r.done = done
+	d.nextID++
+	d.inflight.Add(1)
+	d.issued.Add(1)
+	return r
 }
 
 // IssueBatch submits a burst of guest commands arriving at one instant —
@@ -257,19 +296,7 @@ func (d *Disk) IssueBatch(cmds []scsi.Command, done func(*Request)) ([]*Request,
 	now := d.eng.Now()
 	rs := make([]*Request, len(cmds))
 	for i, cmd := range cmds {
-		r := &Request{
-			ID:                 d.nextID,
-			VM:                 d.cfg.VM,
-			Disk:               d.cfg.Name,
-			Cmd:                cmd,
-			IssueTime:          now,
-			OutstandingAtIssue: int(d.inflight.Load()),
-			done:               done,
-		}
-		d.nextID++
-		d.inflight.Add(1)
-		d.issued.Add(1)
-		rs[i] = r
+		rs[i] = d.newRequest(cmd, now, done)
 	}
 	for _, o := range d.observers {
 		if bo, ok := o.(BatchObserver); ok {
@@ -285,7 +312,7 @@ func (d *Disk) IssueBatch(cmds []scsi.Command, done func(*Request)) ([]*Request,
 		case r.Cmd.Op.IsBlockIO() && r.Cmd.LastLBA() >= d.cfg.CapacitySectors:
 			d.finish(r, scsi.StatusCheckCondition, scsi.SenseLBAOutOfRange)
 		case d.cfg.MaxActive > 0 && d.active >= d.cfg.MaxActive:
-			d.pending = append(d.pending, r)
+			d.enqueue(r)
 		default:
 			d.submit(r)
 		}
@@ -302,18 +329,7 @@ func (d *Disk) IssueCDB(cdb []byte, done func(*Request)) (*Request, error) {
 		if d.closed {
 			return nil, ErrClosed
 		}
-		r := &Request{
-			ID:                 d.nextID,
-			VM:                 d.cfg.VM,
-			Disk:               d.cfg.Name,
-			Cmd:                scsi.Command{Op: scsi.OpCode(firstByte(cdb))},
-			IssueTime:          d.eng.Now(),
-			OutstandingAtIssue: int(d.inflight.Load()),
-			done:               done,
-		}
-		d.nextID++
-		d.inflight.Add(1)
-		d.issued.Add(1)
+		r := d.newRequest(scsi.Command{Op: scsi.OpCode(firstByte(cdb))}, d.eng.Now(), done)
 		for _, o := range d.observers {
 			o.OnIssue(r)
 		}
@@ -333,23 +349,25 @@ func firstByte(b []byte) byte {
 func (d *Disk) submit(r *Request) {
 	d.active++
 	r.SubmitTime = d.eng.Now()
-	r.disk = d
-	d.backend.Submit(r, r.complete)
+	r.submitted = true
+	d.backend.Submit(r, r.completeFn)
 }
 
 // complete is the backend's completion callback for a submitted request.
 func (r *Request) complete(status scsi.Status, sense scsi.Sense) {
 	d := r.disk
-	if r.completed {
+	if r.completed || !r.submitted {
 		panic(fmt.Sprintf("vscsi: double completion of %s request %d", d.cfg.Name, r.ID))
 	}
 	r.completed = true
 	d.active--
-	if !r.aborted {
+	if r.aborted {
+		// An aborted command already failed in the guest's eyes; its late
+		// backend completion only frees the active slot and the Request.
+		d.free = append(d.free, r)
+	} else {
 		d.finish(r, status, sense)
 	}
-	// An aborted command already failed in the guest's eyes; its late
-	// backend completion only frees the active slot.
 	d.drain()
 }
 
@@ -370,6 +388,11 @@ func (d *Disk) finish(r *Request, status scsi.Status, sense scsi.Sense) {
 	if r.done != nil {
 		r.done(r)
 	}
+	// The command is over once the backend is through with it too; a
+	// request aborted in flight waits for its late completion.
+	if r.completed || !r.submitted {
+		d.free = append(d.free, r)
+	}
 }
 
 // Abort cancels an in-flight command: the guest sees it complete
@@ -383,10 +406,14 @@ func (d *Disk) Abort(r *Request) bool {
 	}
 	r.aborted = true
 	// If still waiting in the pending FIFO, remove it there.
-	for i, p := range d.pending {
-		if p == r {
-			d.pending = append(d.pending[:i], d.pending[i+1:]...)
-			break
+	if !r.submitted {
+		for i := d.pendHead; i < len(d.pending); i++ {
+			if d.pending[i] == r {
+				copy(d.pending[i:], d.pending[i+1:])
+				d.pending[len(d.pending)-1] = nil
+				d.pending = d.pending[:len(d.pending)-1]
+				break
+			}
 		}
 	}
 	d.finish(r, scsi.StatusCheckCondition, scsi.Sense{
@@ -395,10 +422,26 @@ func (d *Disk) Abort(r *Request) bool {
 	return true
 }
 
+// enqueue appends r to the pending FIFO. A full buffer with a consumed
+// prefix is compacted rather than grown, so a queue that never empties
+// stays as large as its deepest backlog.
+func (d *Disk) enqueue(r *Request) {
+	if d.pendHead > 0 && len(d.pending) == cap(d.pending) {
+		n := copy(d.pending, d.pending[d.pendHead:])
+		clear(d.pending[n:])
+		d.pending, d.pendHead = d.pending[:n], 0
+	}
+	d.pending = append(d.pending, r)
+}
+
 func (d *Disk) drain() {
-	for len(d.pending) > 0 && (d.cfg.MaxActive == 0 || d.active < d.cfg.MaxActive) {
-		r := d.pending[0]
-		d.pending = d.pending[1:]
+	for d.pendHead < len(d.pending) && (d.cfg.MaxActive == 0 || d.active < d.cfg.MaxActive) {
+		r := d.pending[d.pendHead]
+		d.pending[d.pendHead] = nil
+		d.pendHead++
+		if d.pendHead == len(d.pending) {
+			d.pending, d.pendHead = d.pending[:0], 0
+		}
 		d.submit(r)
 	}
 }

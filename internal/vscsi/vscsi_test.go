@@ -17,12 +17,14 @@ func (b *delayBackend) Submit(r *Request, done func(scsi.Status, scsi.Sense)) {
 	b.eng.After(b.delay, func(simclock.Time) { done(scsi.StatusGood, scsi.Sense{}) })
 }
 
+// recordingObserver keeps copies: the disk recycles the Request itself once
+// the command is over.
 type recordingObserver struct {
 	issued, completed []*Request
 }
 
-func (o *recordingObserver) OnIssue(r *Request)    { o.issued = append(o.issued, r) }
-func (o *recordingObserver) OnComplete(r *Request) { o.completed = append(o.completed, r) }
+func (o *recordingObserver) OnIssue(r *Request)    { c := *r; o.issued = append(o.issued, &c) }
+func (o *recordingObserver) OnComplete(r *Request) { c := *r; o.completed = append(o.completed, &c) }
 
 func newTestDisk(t *testing.T, delay simclock.Time, maxActive int) (*simclock.Engine, *Disk, *recordingObserver) {
 	t.Helper()
@@ -327,5 +329,129 @@ func TestAbortAfterCompletionRefused(t *testing.T) {
 	eng.Run()
 	if d.Abort(r) {
 		t.Error("abort after completion should report false")
+	}
+}
+
+// holdBackend keeps the completion of every command to LBA 0 until the test
+// releases it, and completes everything else at once.
+type holdBackend struct {
+	held []func(scsi.Status, scsi.Sense)
+}
+
+func (b *holdBackend) Submit(r *Request, done func(scsi.Status, scsi.Sense)) {
+	if r.Cmd.LBA == 0 {
+		b.held = append(b.held, done)
+		return
+	}
+	done(scsi.StatusGood, scsi.Sense{})
+}
+
+// TestAbortedInFlightRequestNotRecycledEarly: a command the guest aborted
+// while the backend still works on it keeps its Request until the backend's
+// late completion — the disk must not hand the object to another command in
+// between, or that completion would land on the wrong command.
+func TestAbortedInFlightRequestNotRecycledEarly(t *testing.T) {
+	eng := simclock.NewEngine()
+	back := &holdBackend{}
+	d := NewDisk(eng, back, DiskConfig{VM: "v", Name: "d", CapacitySectors: 1 << 20})
+	obs := &recordingObserver{}
+	d.AddObserver(obs)
+
+	victim, _ := d.Issue(scsi.Read(0, 8), nil)
+	id := victim.ID
+	if !d.Abort(victim) {
+		t.Fatal("abort refused")
+	}
+	for i := 1; i <= 1000; i++ {
+		r, err := d.Issue(scsi.Read(uint64(i)*8, 8), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r == victim {
+			t.Fatalf("command %d got the aborted request while its backend completion is outstanding", i)
+		}
+	}
+	if victim.ID != id || !victim.Aborted() {
+		t.Fatalf("aborted request was rewritten: ID %d aborted %v", victim.ID, victim.Aborted())
+	}
+	completions := func() (n int) {
+		for _, c := range obs.completed {
+			if c.ID == id {
+				n++
+			}
+		}
+		return n
+	}
+	if n := completions(); n != 1 {
+		t.Fatalf("aborted command completed %d times before its late completion, want 1", n)
+	}
+	back.held[0](scsi.StatusGood, scsi.Sense{})
+	if n := completions(); n != 1 {
+		t.Fatalf("aborted command completed %d times after its late completion, want 1", n)
+	}
+	if d.Completed() != 1001 || d.Errored() != 1 || d.Inflight() != 0 {
+		t.Errorf("completed=%d errored=%d inflight=%d", d.Completed(), d.Errored(), d.Inflight())
+	}
+	// Only now is the object free: the 1000 commands in between shared one
+	// Request, the victim is the second the disk ever allocated.
+	if len(d.free) != 2 {
+		t.Fatalf("free list holds %d requests, want 2", len(d.free))
+	}
+	if r, _ := d.Issue(scsi.Read(8, 8), nil); r != victim {
+		t.Error("the late completion did not release the aborted request")
+	}
+}
+
+// TestAbortedPendingRequestRecyclesAtOnce: a command aborted while it waits
+// behind MaxActive never reached the backend, so nothing can complete it
+// later and its Request is free as soon as the abort's callback returns.
+func TestAbortedPendingRequestRecyclesAtOnce(t *testing.T) {
+	eng, d, _ := newTestDisk(t, 10*simclock.Millisecond, 1)
+	d.Issue(scsi.Read(0, 8), nil) // occupies the single active slot
+	queued, _ := d.Issue(scsi.Read(8, 8), nil)
+	if !d.Abort(queued) {
+		t.Fatal("abort of queued command refused")
+	}
+	next, _ := d.Issue(scsi.Read(16, 8), nil)
+	if next != queued {
+		t.Fatal("aborted pending request was not reused by the next command")
+	}
+	if next.Aborted() || next.Cmd.LBA != 16 || next.ID != 2 {
+		t.Fatalf("reused request not reset: %+v", next)
+	}
+	eng.Run()
+	if d.Completed() != 3 || d.Errored() != 1 || d.Inflight() != 0 {
+		t.Errorf("completed=%d errored=%d inflight=%d", d.Completed(), d.Errored(), d.Inflight())
+	}
+	if len(d.free) != 2 {
+		t.Errorf("free list holds %d requests, want the 2 ever in flight at once", len(d.free))
+	}
+}
+
+// TestPendingQueueStaysBounded: a MaxActive queue that never empties is
+// consumed from a moving head; its buffer must not grow with the number of
+// commands that passed through.
+func TestPendingQueueStaysBounded(t *testing.T) {
+	eng, d, _ := newTestDisk(t, simclock.Millisecond, 2)
+	issued := 0
+	var refill func(*Request)
+	refill = func(*Request) {
+		if issued < 10000 {
+			issued++
+			d.Issue(scsi.Read(uint64(issued%1000)*8, 8), refill)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		refill(nil)
+	}
+	eng.Run()
+	if d.Completed() != 10000 {
+		t.Fatalf("completed %d of 10000", d.Completed())
+	}
+	// A completing Request is still its command's while refill runs, so the
+	// disk owns one more than the 8 in flight.
+	if cap(d.pending) > 16 || len(d.free) > 9 {
+		t.Errorf("8 commands in flight left a pending buffer of %d and %d pooled requests",
+			cap(d.pending), len(d.free))
 	}
 }

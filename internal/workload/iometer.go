@@ -71,6 +71,13 @@ type Iometer struct {
 	cursor  uint64
 	running bool
 	stats   Stats
+
+	// completed is the one completion callback every command shares (a
+	// command's start is its Request's IssueTime).
+	completed func(*vscsi.Request)
+	// timers holds the armed abort timer of every outstanding command, by
+	// request ID, so complete can cancel it (Timeout > 0 only).
+	timers map[uint64]simclock.Handle
 }
 
 // NewIometer prepares a generator against a raw virtual disk.
@@ -84,7 +91,12 @@ func NewIometer(eng *simclock.Engine, disk *vscsi.Disk, spec AccessSpec) *Iomete
 	if spec.ReadPct < 0 || spec.ReadPct > 100 || spec.RandomPct < 0 || spec.RandomPct > 100 {
 		panic("workload: Iometer percentages must be 0-100")
 	}
-	return &Iometer{spec: spec, eng: eng, disk: disk, rng: simclock.NewRand(spec.Seed)}
+	im := &Iometer{spec: spec, eng: eng, disk: disk, rng: simclock.NewRand(spec.Seed)}
+	im.completed = im.complete
+	if spec.Timeout > 0 {
+		im.timers = make(map[uint64]simclock.Handle, spec.Outstanding)
+	}
+	return im
 }
 
 // Name implements Generator.
@@ -103,10 +115,7 @@ func (im *Iometer) Start() {
 	for i := range cmds {
 		cmds[i] = im.nextCmd()
 	}
-	start := im.eng.Now()
-	rs, err := im.disk.IssueBatch(cmds, func(r *vscsi.Request) {
-		im.complete(r, start)
-	})
+	rs, err := im.disk.IssueBatch(cmds, im.completed)
 	if err != nil {
 		// The loop path would have failed each issue individually.
 		im.stats.Errors += int64(len(cmds))
@@ -154,20 +163,27 @@ func (im *Iometer) nextCmd() scsi.Command {
 }
 
 // complete accounts one finished command and refills the window.
-func (im *Iometer) complete(r *vscsi.Request, start simclock.Time) {
+func (im *Iometer) complete(r *vscsi.Request) {
 	im.stats.Ops++
 	im.stats.Bytes += im.spec.BlockBytes
-	im.stats.TotalLatency += im.eng.Now() - start
+	im.stats.TotalLatency += im.eng.Now() - r.IssueTime
 	if r.Status != scsi.StatusGood {
 		im.stats.Errors++
+	}
+	// Disarm the command's abort timer: left in the engine it would sit
+	// there for Timeout, and then abort whichever later command the disk
+	// has reused the Request for.
+	if h, ok := im.timers[r.ID]; ok {
+		h.Cancel()
+		delete(im.timers, r.ID)
 	}
 	im.issue()
 }
 
 // scheduleTimeout arms the guest-driver-style abort timer for one request.
 func (im *Iometer) scheduleTimeout(req *vscsi.Request) {
-	im.eng.After(im.spec.Timeout, func(simclock.Time) {
-		im.disk.Abort(req) // no-op if already complete
+	im.timers[req.ID] = im.eng.After(im.spec.Timeout, func(simclock.Time) {
+		im.disk.Abort(req)
 	})
 }
 
@@ -175,11 +191,7 @@ func (im *Iometer) issue() {
 	if !im.running {
 		return
 	}
-	cmd := im.nextCmd()
-	start := im.eng.Now()
-	req, err := im.disk.Issue(cmd, func(r *vscsi.Request) {
-		im.complete(r, start)
-	})
+	req, err := im.disk.Issue(im.nextCmd(), im.completed)
 	if err != nil {
 		im.stats.Errors++
 		return

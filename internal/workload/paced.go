@@ -62,6 +62,14 @@ type Paced struct {
 	running   bool
 	stats     Stats
 	throttled int64
+
+	// cmds is the burst buffer, completed the one completion callback and
+	// arrived the one arrival event, all reused by every arrival: vscsi
+	// copies each command into its Request, and a command's start is its
+	// Request's IssueTime.
+	cmds      []scsi.Command
+	completed func(*vscsi.Request)
+	arrived   simclock.Event
 }
 
 // NewPaced prepares an open-loop generator against a raw virtual disk.
@@ -81,7 +89,10 @@ func NewPaced(eng *simclock.Engine, disk *vscsi.Disk, spec PacedSpec) *Paced {
 	if spec.MaxOutstanding <= 0 {
 		spec.MaxOutstanding = 64
 	}
-	return &Paced{spec: spec, eng: eng, disk: disk, rng: simclock.NewRand(spec.Seed)}
+	p := &Paced{spec: spec, eng: eng, disk: disk, rng: simclock.NewRand(spec.Seed),
+		cmds: make([]scsi.Command, spec.Burst)}
+	p.completed, p.arrived = p.complete, p.arrive
+	return p
 }
 
 // Name implements Generator.
@@ -94,7 +105,7 @@ func (p *Paced) Start() {
 		return
 	}
 	p.running = true
-	p.eng.After(p.nextGap(), p.arrive)
+	p.eng.After(p.nextGap(), p.arrived)
 }
 
 // Stop implements Generator.
@@ -126,29 +137,23 @@ func (p *Paced) arrive(simclock.Time) {
 	} else {
 		p.issueBurst()
 	}
-	p.eng.After(p.nextGap(), p.arrive)
+	p.eng.After(p.nextGap(), p.arrived)
 }
 
 // issueBurst issues Burst commands at this instant; a single command goes
 // through the plain issue path, larger bursts through the batched one.
 func (p *Paced) issueBurst() {
-	start := p.eng.Now()
 	if p.spec.Burst == 1 {
-		if _, err := p.disk.Issue(p.nextCmd(), func(r *vscsi.Request) {
-			p.complete(r, start)
-		}); err != nil {
+		if _, err := p.disk.Issue(p.nextCmd(), p.completed); err != nil {
 			p.stats.Errors++
 		}
 		return
 	}
-	cmds := make([]scsi.Command, p.spec.Burst)
-	for i := range cmds {
-		cmds[i] = p.nextCmd()
+	for i := range p.cmds {
+		p.cmds[i] = p.nextCmd()
 	}
-	if _, err := p.disk.IssueBatch(cmds, func(r *vscsi.Request) {
-		p.complete(r, start)
-	}); err != nil {
-		p.stats.Errors += int64(len(cmds))
+	if _, err := p.disk.IssueBatch(p.cmds, p.completed); err != nil {
+		p.stats.Errors += int64(len(p.cmds))
 	}
 }
 
@@ -184,10 +189,10 @@ func (p *Paced) nextCmd() scsi.Command {
 }
 
 // complete accounts one finished command.
-func (p *Paced) complete(r *vscsi.Request, start simclock.Time) {
+func (p *Paced) complete(r *vscsi.Request) {
 	p.stats.Ops++
 	p.stats.Bytes += p.spec.BlockBytes
-	p.stats.TotalLatency += p.eng.Now() - start
+	p.stats.TotalLatency += p.eng.Now() - r.IssueTime
 	if r.Status != scsi.StatusGood {
 		p.stats.Errors++
 	}

@@ -2,10 +2,13 @@ package workload
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"vscsistats/internal/core"
 	"vscsistats/internal/simclock"
+	"vscsistats/internal/storage"
+	"vscsistats/internal/vscsi"
 )
 
 func TestPacedDeterministic(t *testing.T) {
@@ -116,5 +119,52 @@ func TestFleetPersonalitiesWellFormed(t *testing.T) {
 	}
 	if _, ok := FleetPersonalityByName("nope"); ok {
 		t.Fatal("unknown personality resolved")
+	}
+}
+
+// TestPacedWorldCommandAllocatesNothing counts the garbage of a command
+// through every simulator layer: Paced -> vscsi.Disk with an enabled
+// collector -> storage.LUN -> a RAID5 array's spindles -> the engine. Once
+// the pools are warm the only allocation left is IssueBatch's returned
+// slice, one per burst.
+func TestPacedWorldCommandAllocatesNothing(t *testing.T) {
+	eng := simclock.NewEngine()
+	array := storage.NewArray(eng, storage.ArrayConfig{
+		Name: "world", Level: storage.RAID5, Disks: 5,
+		DiskParams:    storage.DefaultDiskParams(1 << 24),
+		StripeSectors: 128,
+		Seed:          3,
+	})
+	const sectors = 1 << 22
+	disk := vscsi.NewDisk(eng, storage.NewLUN(array, 0, sectors), vscsi.DiskConfig{
+		VM: "vm", Name: "scsi0:0", CapacitySectors: sectors,
+	})
+	col := core.NewCollector("vm", "scsi0:0")
+	col.Enable()
+	disk.AddObserver(col)
+	p := NewPaced(eng, disk, PacedSpec{
+		Name: "world", BlockBytes: 16 << 10, ReadPct: 60, RandomPct: 70,
+		IOPS: 150, Burst: 2, Seed: 42,
+	})
+	p.Start()
+	eng.RunUntil(20 * simclock.Second) // warm every pool and queue buffer
+
+	var before, after runtime.MemStats
+	issued := disk.Issued()
+	runtime.ReadMemStats(&before)
+	eng.RunUntil(80 * simclock.Second)
+	runtime.ReadMemStats(&after)
+	cmds := float64(disk.Issued() - issued)
+	if cmds < 10000 {
+		t.Fatalf("only %v commands in 60 virtual seconds", cmds)
+	}
+	objects := float64(after.Mallocs-before.Mallocs) / cmds
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / cmds
+	t.Logf("%.0f commands: %.2f objects, %.1f B per command", cmds, objects, bytes)
+	if objects > 1 || bytes > 64 {
+		t.Errorf("a command allocates %.2f objects / %.1f B, want <= 1 / <= 64", objects, bytes)
+	}
+	if p.Stats().Errors != 0 {
+		t.Errorf("%d commands failed", p.Stats().Errors)
 	}
 }

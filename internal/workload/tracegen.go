@@ -53,6 +53,13 @@ type TraceReplay struct {
 	stats     Stats
 	throttled int64
 	loops     int64
+
+	// cmds is the burst buffer, completed the one completion callback and
+	// arrived the one arrival event, all reused by every arrival (see
+	// Paced).
+	cmds      []scsi.Command
+	completed func(*vscsi.Request)
+	arrived   simclock.Event
 }
 
 // NewTraceReplay prepares a trace-driven generator against a raw disk.
@@ -67,6 +74,7 @@ func NewTraceReplay(eng *simclock.Engine, disk *vscsi.Disk, spec TraceSpec) *Tra
 		spec.MaxOutstanding = 64
 	}
 	tr := &TraceReplay{spec: spec, eng: eng, disk: disk}
+	tr.completed, tr.arrived = tr.complete, tr.arrive
 	// The restart gap when looping: the trace's mean inter-arrival time.
 	span := spec.Records[len(spec.Records)-1].IssueMicros - spec.Records[0].IssueMicros
 	if n := int64(len(spec.Records) - 1); n > 0 && span > 0 {
@@ -86,7 +94,7 @@ func (tr *TraceReplay) Start() {
 		return
 	}
 	tr.running = true
-	tr.eng.After(1, tr.arrive)
+	tr.eng.After(1, tr.arrived)
 }
 
 // Stop implements Generator.
@@ -139,38 +147,40 @@ func (tr *TraceReplay) arrive(simclock.Time) {
 		tr.running = false
 		return
 	}
-	tr.eng.After(gap, tr.arrive)
+	tr.eng.After(gap, tr.arrived)
 }
 
 func (tr *TraceReplay) issueBurst(burst []trace.Record) {
-	start := tr.eng.Now()
 	bytes := int64(0)
-	complete := func(r *vscsi.Request) {
-		tr.stats.Ops++
-		tr.stats.TotalLatency += tr.eng.Now() - start
-		if r.Status != scsi.StatusGood {
-			tr.stats.Errors++
-		}
-	}
 	if len(burst) == 1 {
 		cmd := tr.mapCmd(&burst[0])
 		bytes = int64(cmd.Blocks) * 512
-		if _, err := tr.disk.Issue(cmd, complete); err != nil {
+		if _, err := tr.disk.Issue(cmd, tr.completed); err != nil {
 			tr.stats.Errors++
 			return
 		}
 	} else {
-		cmds := make([]scsi.Command, len(burst))
+		tr.cmds = tr.cmds[:0]
 		for i := range burst {
-			cmds[i] = tr.mapCmd(&burst[i])
-			bytes += int64(cmds[i].Blocks) * 512
+			cmd := tr.mapCmd(&burst[i])
+			tr.cmds = append(tr.cmds, cmd)
+			bytes += int64(cmd.Blocks) * 512
 		}
-		if _, err := tr.disk.IssueBatch(cmds, complete); err != nil {
-			tr.stats.Errors += int64(len(cmds))
+		if _, err := tr.disk.IssueBatch(tr.cmds, tr.completed); err != nil {
+			tr.stats.Errors += int64(len(tr.cmds))
 			return
 		}
 	}
 	tr.stats.Bytes += bytes
+}
+
+// complete accounts one finished command.
+func (tr *TraceReplay) complete(r *vscsi.Request) {
+	tr.stats.Ops++
+	tr.stats.TotalLatency += tr.eng.Now() - r.IssueTime
+	if r.Status != scsi.StatusGood {
+		tr.stats.Errors++
+	}
 }
 
 // mapCmd fits a captured command onto this disk's geometry: commands from

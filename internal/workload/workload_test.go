@@ -452,6 +452,39 @@ func TestIometerTimeoutAborts(t *testing.T) {
 	}
 }
 
+// TestIometerCancelsAbortTimers: with the timeout well above the device
+// latency no command ever times out, and each command's abort timer must
+// leave the engine when the command completes — not sit there for Timeout
+// and then abort whichever later command the disk reused the Request for.
+func TestIometerCancelsAbortTimers(t *testing.T) {
+	r := newWLRig(t, simclock.Millisecond, 1<<24)
+	spec := EightKRandomRead()
+	spec.Outstanding = 4
+	spec.Timeout = 10 * simclock.Millisecond
+	im := NewIometer(r.eng, r.disk, spec)
+	im.Start()
+	peak := 0
+	for r.eng.Now() < simclock.Second && r.eng.Step() {
+		if p := r.eng.Pending(); p > peak {
+			peak = p
+		}
+	}
+	im.Stop()
+	r.eng.Run()
+	st := im.Stats()
+	if st.Ops < 3000 {
+		t.Fatalf("only %d ops in a second at 1ms latency, depth 4", st.Ops)
+	}
+	if st.Errors != 0 || r.disk.Errored() != 0 {
+		t.Errorf("%d generator errors, %d disk errors: a stale timer aborted a live command",
+			st.Errors, r.disk.Errored())
+	}
+	// One completion event and one timer per outstanding command.
+	if limit := 2*spec.Outstanding + 1; peak > limit {
+		t.Errorf("engine held up to %d events, want <= %d: dead timers pile up", peak, limit)
+	}
+}
+
 func TestExponentialDelaysSpreadInterarrivals(t *testing.T) {
 	// Fixed delays give a near-constant inter-arrival histogram;
 	// exponential delays with the same mean spread it widely.
