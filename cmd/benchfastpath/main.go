@@ -23,7 +23,7 @@
 //
 //	go run ./cmd/benchfastpath                         # measure and print
 //	go run ./cmd/benchfastpath -fleet -update          # refresh BENCH_fleet.json
-//	go run ./cmd/benchfastpath -check -against recycle      # CI regression fence
+//	go run ./cmd/benchfastpath -check -against one-lock     # CI regression fence
 //	go run ./cmd/benchfastpath -check -fleet           # CI fence, fleet ingest
 //
 // -check re-measures the fence benchmarks only (BenchmarkTable2StatsOn
@@ -424,13 +424,13 @@ type countFence struct {
 
 // table2MaxPct bounds BenchmarkTable2StatsOn over BenchmarkTable2StatsOff.
 // It sits between the ratio measured with every sample inserted once
-// (+337…+343% over six min-of-3 sessions, 2 vCPUs: 43 ns off, 189…191 ns
+// (+182…+187% over six min-of-3 sessions, 2 vCPUs: 43 ns off, 122…123 ns
 // on) and with one redundant insert per sample re-added in a scratch copy
-// (+552…+565% over six: 282…286 ns on), so re-adding a redundant insert
+// (+264…+267% over six: 156…157 ns on), so re-adding a redundant insert
 // per sample fails the fence on any machine. The ratio is large because
 // the stats-off path allocates nothing and costs 43 ns; the collector's
-// absolute cost is the +146…+148 ns between the two.
-const table2MaxPct = 450
+// absolute cost is the +79…+80 ns between the two.
+const table2MaxPct = 225
 
 // runCheck is the CI fence: measure the fence benchmarks fresh (one
 // `go test -bench` run per package), compare each against the recorded

@@ -46,7 +46,7 @@ func TestOnIssueBatchMatchesSequential(t *testing.T) {
 	rngA := rand.New(rand.NewSource(7))
 	now := simclock.Time(0)
 	for burst := 0; burst < 50; burst++ {
-		n := 1 + rngA.Intn(100) // exercise both the stack and spill paths
+		n := 1 + rngA.Intn(100)
 		rs := randomBurst(rngA, now, n)
 		for _, r := range rs {
 			seq.OnIssue(r)
@@ -81,9 +81,8 @@ func TestOnIssueBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestOnIssueBatchDisabledAndUnpublished covers the guard paths: a disabled
-// collector ignores bursts, and the Enable race window (enabled flag set,
-// histogram set not yet visible) counts drops, like the per-command path.
+// TestOnIssueBatchDisabledAndUnpublished covers the guard path: a
+// never-enabled collector ignores bursts and allocates no set for them.
 func TestOnIssueBatchDisabledAndUnpublished(t *testing.T) {
 	c := NewCollector("vm", "d")
 	rs := randomBurst(rand.New(rand.NewSource(1)), 0, 8)
@@ -93,6 +92,21 @@ func TestOnIssueBatchDisabledAndUnpublished(t *testing.T) {
 	}
 	if got := c.SelfStats().Observations; got != 0 {
 		t.Fatalf("disabled collector counted %d observations", got)
+	}
+}
+
+// TestOnIssueBatchAllocatesNothing: samples are inserted where they are
+// computed, so a burst of any size costs no heap object — 3×64+1 is past
+// the size at which the path used to spill its samples to the heap.
+func TestOnIssueBatchAllocatesNothing(t *testing.T) {
+	c := NewCollector("vm", "d")
+	c.Enable()
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{1, 64, 3*64 + 1} {
+		rs := randomBurst(rng, 0, n)
+		if avg := testing.AllocsPerRun(100, func() { c.OnIssueBatch(rs) }); avg != 0 {
+			t.Errorf("OnIssueBatch of %d commands allocates %v objects, want 0", n, avg)
+		}
 	}
 }
 

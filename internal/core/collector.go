@@ -13,13 +13,18 @@
 //
 // Every Collector method is safe for concurrent use: OnIssue/OnComplete may
 // run from several issuing goroutines while other goroutines call Snapshot,
-// Enable, Disable and Reset. Histogram inserts are lock-free atomics; only
-// the stream-correlated state (previous command's end block, the
-// windowed-seek ring, previous arrival time) takes a short per-collector
-// mutex, so the fast path stays O(1) with one uncontended lock per command.
+// Enable, Disable and Reset. One per-collector mutex guards everything a
+// command touches — the stream-correlated state (previous command's end
+// block, the windowed-seek ring, previous arrival time), the slab of
+// histogram cells, the error count and the observation counter — so an
+// observation is one critical section of plain adds, and a snapshot, which
+// copies the slab under the same lock, is a consistent cut. Only the
+// enabled flag ahead of the lock and the self-telemetry histogram behind it
+// are atomics.
 package core
 
 import (
+	"math"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -46,14 +51,21 @@ type Collector struct {
 	vm, disk string
 	window   int
 	enabled  atomic.Bool
-	// h is the live histogram set. It is swapped atomically by Enable
-	// (nil -> fresh) and Reset (old -> fresh), so an OnIssue or Snapshot
-	// that loaded the pointer keeps working against a consistent set even
-	// if a Reset lands mid-command.
-	h atomic.Pointer[histSet]
-	// self is the collector's self-telemetry (see selfstats.go): counters
-	// and a sampled ns/observe histogram that make the paper's Table 2
-	// overhead a live metric. It survives Reset.
+
+	// mu guards h, everything h points to, and observations. Nothing
+	// allocates or blocks while it is held.
+	mu sync.Mutex
+	// h is the histogram set: nil until the first Enable, published once
+	// and from then on cleared in place by Reset.
+	h *histSet
+	// observations counts block-I/O fast-path calls (OnIssue and
+	// OnComplete each count one) while the service was enabled. It
+	// survives Reset.
+	observations int64
+
+	// self is the rest of the collector's self-telemetry (see
+	// selfstats.go), which makes the paper's Table 2 overhead a live
+	// metric. It survives Reset.
 	self *selfStats
 }
 
@@ -61,61 +73,114 @@ type Collector struct {
 // holds no class-all histogram and no command or byte counter: those are
 // reads + writes, which Snapshot computes.
 type histSet struct {
-	ioLength     family
-	seekDistance family
-	seekWindowed *histogram.Histogram
-	outstanding  family
-	latency      family
-	interarrival family
-
-	// streamMu guards the stream-correlated fields below (and only those):
-	// they relate consecutive commands, so two issuing goroutines must
-	// observe each other's updates in a consistent order. Histogram inserts
-	// stay lock-free.
-	streamMu sync.Mutex
-	// lastEnd is the last logical block of the previous I/O (§3.1: "an
-	// unsigned 64-bit memory location per virtual disk").
+	// The stream-correlated fields relate consecutive commands. lastEnd is
+	// the last logical block of the previous I/O (§3.1: "an unsigned 64-bit
+	// memory location per virtual disk").
 	lastEnd  uint64
 	haveLast bool
-	// recent is the circular array of the last-window request end blocks
-	// used for the windowed seek-distance histogram.
-	recent    []uint64
-	recentLen int
-	recentPos int
 	// lastArrival is the issue time of the previous command (§3.2: "we
 	// record the processor cycle counter value at the time of every
 	// received I/O").
 	lastArrival simclock.Time
 	haveArrival bool
+	// recent is the circular array of the last-window request end blocks
+	// used for the windowed seek-distance histogram.
+	recent    []uint64
+	recentLen int
+	recentPos int
 
-	errors atomic.Int64
+	errors int64
+
+	// cells is the slab: every stored histogram's count cells and sum
+	// cell, back to back in slab order. min and max are their observed
+	// extrema.
+	cells    []int64
+	min, max [numStored]int64
 }
 
-// family is one metric's stored histograms, indexed by classOf: the reads
-// and the writes (§3.4's breakdown). name is the un-suffixed display name
-// the derived class-all snapshot carries.
-type family struct {
-	name string
-	rw   [2]*histogram.Histogram
+// The stored histograms, in slab order: reads then writes (classOf) for each
+// family (§3.4's breakdown), then the windowed seek distance.
+const (
+	hIOLength = 2 * iota
+	hSeekDistance
+	hOutstanding
+	hLatency
+	hInterarrival
+	hSeekWindowed
+	numStored = hSeekWindowed + 1
+)
+
+// families lists each metric's layout and un-suffixed display name, which
+// the derived class-all snapshot carries, in slab order.
+var families = [...]struct {
+	name   string
+	layout *histogram.Layout
+}{
+	hIOLength / 2:     {"I/O Length Histogram", histogram.IOLengthLayout},
+	hSeekDistance / 2: {"Seek Distance Histogram", histogram.SeekDistanceLayout},
+	hOutstanding / 2:  {"Outstanding I/Os Histogram", histogram.OutstandingLayout},
+	hLatency / 2:      {"I/O Latency Histogram", histogram.LatencyLayout},
+	hInterarrival / 2: {"I/O Interarrival Histogram", histogram.InterarrivalLayout},
 }
 
-func newFamily(mk func(name string) *histogram.Histogram, name string) family {
-	return family{name, [2]*histogram.Histogram{mk(name + " (Reads)"), mk(name + " (Writes)")}}
+// stored describes one stored histogram: its display name, its layout and
+// where in the slab its cells are — the layout's bins from off, then the
+// sum.
+type stored struct {
+	name     string
+	layout   *histogram.Layout
+	off, sum int
 }
 
-// snapshot copies the family into the public [All, Reads, Writes] shape.
-// All is computed from the two copies just taken, so within one snapshot
-// it equals reads + writes exactly — bins, Sum, Total, and Min/Max over
-// whichever classes are non-empty — whatever is being inserted meanwhile.
-func (f *family) snapshot() [3]*histogram.Snapshot {
-	r, w := f.rw[classRead].Snapshot(), f.rw[classWrite].Snapshot()
-	all := r.Clone()
-	all.Name = f.name
-	all.Add(w)
-	return [3]*histogram.Snapshot{All: all, Reads: r, Writes: w}
+// slab describes every stored histogram; slabWords is the slab's length.
+var slab, slabWords = func() (s [numStored]stored, words int) {
+	for i, f := range families {
+		s[2*i+classRead] = stored{name: f.name + " (Reads)", layout: f.layout}
+		s[2*i+classWrite] = stored{name: f.name + " (Writes)", layout: f.layout}
+	}
+	s[hSeekWindowed] = stored{name: "Seek Distance Histogram (Windowed)", layout: histogram.SeekDistanceLayout}
+	for i := range s {
+		s[i].off = words
+		s[i].sum = words + s[i].layout.NumBins()
+		words = s[i].sum + 1
+	}
+	return s, words
+}()
+
+// insert counts one sample into stored histogram id. The caller holds the
+// collector's lock.
+func (h *histSet) insert(id int, v int64) {
+	sp := &slab[id]
+	bin := sp.layout.Bin(v)
+	h.cells[sp.off+bin]++
+	h.cells[sp.sum] += v
+	if v < h.min[id] {
+		h.min[id] = v
+	}
+	if v > h.max[id] {
+		h.max[id] = v
+	}
 }
 
-// classOf indexes family.rw.
+// clear empties every histogram and forgets the stream, leaving the set as
+// newHistSet made it.
+func (h *histSet) clear() {
+	h.breakStream()
+	h.errors = 0
+	clear(h.cells)
+	for i := range h.min {
+		h.min[i], h.max[i] = math.MaxInt64, math.MinInt64
+	}
+}
+
+func (h *histSet) breakStream() {
+	h.haveLast = false
+	h.recentLen = 0
+	h.recentPos = 0
+	h.haveArrival = false
+}
+
+// classOf orders a family's two stored histograms.
 const (
 	classRead = iota
 	classWrite
@@ -154,49 +219,51 @@ func (c *Collector) Window() int { return c.window }
 func (c *Collector) Enabled() bool { return c.enabled.Load() }
 
 // Enable turns the service on, allocating histograms on first use.
-// Histograms persist across Disable/Enable cycles until Reset. Enable is
-// idempotent under concurrent calls: when two goroutines race on the first
-// allocation, exactly one histSet wins and the loser's is discarded, so no
-// accumulated data is ever dropped by a duplicate Enable.
+// Histograms persist across Disable/Enable cycles until Reset. The set is
+// published under the lock and before the enabled flag, so when several
+// goroutines race on the first Enable exactly one set wins, and a command
+// that sees the flag always finds a set.
 func (c *Collector) Enable() {
-	if c.h.Load() == nil {
-		c.h.CompareAndSwap(nil, newHistSet(c.window))
+	c.mu.Lock()
+	have := c.h != nil
+	c.mu.Unlock()
+	if !have {
+		fresh := newHistSet(c.window) // allocated outside the lock
+		c.mu.Lock()
+		if c.h == nil {
+			c.h = fresh
+		}
+		c.mu.Unlock()
 	}
 	c.enabled.Store(true)
 }
 
 // MemoryBytes returns the heap bytes Enable allocated for this collector:
-// the histogram set, its look-behind ring and every stored histogram. Zero
-// until the first Enable ("dynamically created as needed").
+// the histogram set, its look-behind ring and its slab of cells. Zero until
+// the first Enable ("dynamically created as needed"). The bin layouts are
+// shared by every collector and not counted.
 func (c *Collector) MemoryBytes() int {
-	h := c.h.Load()
-	if h == nil {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.h == nil {
 		return 0
 	}
-	n := int(reflect.TypeOf(h).Elem().Size()) + 8*len(h.recent) + h.seekWindowed.MemoryBytes()
-	for _, f := range []*family{&h.ioLength, &h.seekDistance, &h.outstanding, &h.latency, &h.interarrival} {
-		n += f.rw[classRead].MemoryBytes() + f.rw[classWrite].MemoryBytes()
-	}
-	return n
+	return int(reflect.TypeOf(c.h).Elem().Size()) + 8*(len(c.h.recent)+len(c.h.cells))
 }
 
 // Disable stops recording without discarding accumulated data.
 func (c *Collector) Disable() { c.enabled.Store(false) }
 
-// Reset discards all accumulated data and per-stream state. The swap is
-// atomic: in-flight OnIssue/OnComplete calls that already loaded the old set
-// finish against it (their samples vanish with it), and snapshot readers see
-// either the complete old set or the fresh one — never a half-built set.
+// Reset discards all accumulated data and per-stream state. It clears the
+// set under the lock, so commands land wholly before it (and vanish) or
+// wholly after, and snapshot readers see either the complete old set or the
+// fresh one — never a half-cleared set.
 func (c *Collector) Reset() {
-	for {
-		old := c.h.Load()
-		if old == nil {
-			return
-		}
-		if c.h.CompareAndSwap(old, newHistSet(c.window)) {
-			return
-		}
+	c.mu.Lock()
+	if c.h != nil {
+		c.h.clear()
 	}
+	c.mu.Unlock()
 }
 
 // BreakStream forgets the stream-correlated state — the previous command's
@@ -209,28 +276,17 @@ func (c *Collector) Reset() {
 // which is what makes Aggregate over per-host snapshots bin-exact against
 // one collector observing the concatenated stream.
 func (c *Collector) BreakStream() {
-	h := c.h.Load()
-	if h == nil {
-		return
+	c.mu.Lock()
+	if c.h != nil {
+		c.h.breakStream()
 	}
-	h.streamMu.Lock()
-	h.haveLast = false
-	h.recentLen = 0
-	h.recentPos = 0
-	h.haveArrival = false
-	h.streamMu.Unlock()
+	c.mu.Unlock()
 }
 
 func newHistSet(window int) *histSet {
-	return &histSet{
-		recent:       make([]uint64, window),
-		ioLength:     newFamily(histogram.NewIOLength, "I/O Length Histogram"),
-		seekDistance: newFamily(histogram.NewSeekDistance, "Seek Distance Histogram"),
-		seekWindowed: histogram.NewSeekDistance("Seek Distance Histogram (Windowed)"),
-		outstanding:  newFamily(histogram.NewOutstanding, "Outstanding I/Os Histogram"),
-		latency:      newFamily(histogram.NewLatency, "I/O Latency Histogram"),
-		interarrival: newFamily(histogram.NewInterarrival, "I/O Interarrival Histogram"),
-	}
+	h := &histSet{recent: make([]uint64, window), cells: make([]int64, slabWords)}
+	h.clear()
+	return h
 }
 
 var (
@@ -238,114 +294,109 @@ var (
 	_ vscsi.BatchObserver = (*Collector)(nil)
 )
 
+// lock takes the collector's mutex. TryLock first so a collision between
+// issuing goroutines — the fast path's only blocking point — shows up in
+// the self-telemetry.
+func (c *Collector) lock() {
+	if !c.mu.TryLock() {
+		c.self.contended.Add(1)
+		c.mu.Lock()
+	}
+}
+
 // OnIssue records the arrival-side metrics: length, seek distance (plain and
 // windowed), outstanding I/Os and inter-arrival time. Non-I/O SCSI commands
 // (INQUIRY, TEST UNIT READY, …) are invisible to the workload histograms.
-// Each sample goes into the command's own class only — 13 locked
-// operations per command: the observation count, two adds per insert for
-// the five samples, and the stream mutex's lock and unlock.
+// Each sample goes into the command's own class only, as plain adds inside
+// one critical section — 2 locked operations per command, the mutex's lock
+// and unlock.
 func (c *Collector) OnIssue(r *vscsi.Request) {
 	if !c.enabled.Load() {
 		return
 	}
-	cmd := r.Cmd
-	if !cmd.Op.IsBlockIO() {
+	if !r.Cmd.Op.IsBlockIO() {
 		return
 	}
-	n := c.self.observations.Add(1)
-	sampled := n&selfSampleMask == 0
+	c.lock()
+	c.observations++
+	sampled := c.observations&selfSampleMask == 0
 	var t0 time.Time
 	if sampled {
 		t0 = time.Now()
 	}
-	h := c.h.Load()
-	if h == nil {
-		c.self.dropped.Add(1)
-		return
-	}
-	class := classOf(cmd.Op)
-
-	// I/O length (§3.2); its Total and Sum are also the command and byte
-	// counters.
-	h.ioLength.rw[class].Insert(cmd.Bytes())
-
-	// Outstanding I/Os at arrival (§3.3).
-	h.outstanding.rw[class].Insert(int64(r.OutstandingAtIssue))
-
-	// The stream-correlated metrics relate this command to its predecessors,
-	// so their state updates form one critical section; the derived samples
-	// are inserted after release to keep it short. TryLock first so a
-	// collision between issuing goroutines — the fast path's only blocking
-	// point — shows up in the self-telemetry.
-	if !h.streamMu.TryLock() {
-		c.self.contended.Add(1)
-		h.streamMu.Lock()
-	}
-	// Seek distance: first block of this I/O minus last block of the
-	// previous I/O, preserved signed to expose reverse scans (§3.1).
-	seek, haveSeek := int64(0), h.haveLast
-	if haveSeek {
-		seek = int64(cmd.LBA) - int64(h.lastEnd)
-	}
-	// Windowed variant: minimum-magnitude distance to any of the last N
-	// I/Os, sign preserved (§3.1).
-	wseek, haveWseek := int64(0), h.recentLen > 0
-	for i := 0; i < h.recentLen; i++ {
-		d := int64(cmd.LBA) - int64(h.recent[i])
-		if i == 0 || abs64(d) < abs64(wseek) {
-			wseek = d
-		}
-	}
-	h.lastEnd = cmd.LastLBA()
-	h.haveLast = true
-	h.recent[h.recentPos] = cmd.LastLBA()
-	h.recentPos = (h.recentPos + 1) % len(h.recent)
-	if h.recentLen < len(h.recent) {
-		h.recentLen++
-	}
-	// Inter-arrival time in microseconds (§3.2).
-	inter, haveInter := int64(0), h.haveArrival
-	if haveInter {
-		inter = (r.IssueTime - h.lastArrival).Micros()
-	}
-	h.lastArrival = r.IssueTime
-	h.haveArrival = true
-	h.streamMu.Unlock()
-
-	if haveSeek {
-		h.seekDistance.rw[class].Insert(seek)
-	}
-	if haveWseek {
-		h.seekWindowed.Insert(wseek)
-	}
-	if haveInter {
-		h.interarrival.rw[class].Insert(inter)
-	}
-
+	c.h.issue(r)
+	c.mu.Unlock()
 	if sampled {
 		c.self.observeNs.Insert(time.Since(t0).Nanoseconds())
 	}
 }
 
-// batchStack is the burst size OnIssueBatch handles without heap
-// allocation; larger bursts spill to a heap buffer.
-const batchStack = 64
+// issue records one command's arrival-side samples and advances the stream
+// state. The caller holds the collector's lock.
+func (h *histSet) issue(r *vscsi.Request) {
+	cmd := r.Cmd
+	class := classOf(cmd.Op)
 
-// streamSample is one command's stream-correlated samples, computed under
-// the stream mutex and inserted after release.
-type streamSample struct {
-	seek, wseek, inter             int64
-	haveSeek, haveWseek, haveInter bool
-	class                          int
+	// I/O length (§3.2); its Total and Sum are also the command and byte
+	// counters.
+	h.insert(hIOLength+class, cmd.Bytes())
+
+	// Outstanding I/Os at arrival (§3.3).
+	h.insert(hOutstanding+class, int64(r.OutstandingAtIssue))
+
+	// Seek distance: first block of this I/O minus last block of the
+	// previous I/O, preserved signed to expose reverse scans (§3.1).
+	if h.haveLast {
+		h.insert(hSeekDistance+class, int64(cmd.LBA)-int64(h.lastEnd))
+	}
+	// Windowed variant: minimum-magnitude distance to any of the last N
+	// I/Os, sign preserved (§3.1).
+	if h.recentLen > 0 {
+		h.insert(hSeekWindowed, nearest(cmd.LBA, h.recent[:h.recentLen]))
+	}
+	end := cmd.LastLBA()
+	h.lastEnd = end
+	h.haveLast = true
+	h.recent[h.recentPos] = end
+	if h.recentPos++; h.recentPos == len(h.recent) {
+		h.recentPos = 0
+	}
+	if h.recentLen < len(h.recent) {
+		h.recentLen++
+	}
+
+	// Inter-arrival time in microseconds (§3.2).
+	if h.haveArrival {
+		h.insert(hInterarrival+class, (r.IssueTime - h.lastArrival).Micros())
+	}
+	h.lastArrival = r.IssueTime
+	h.haveArrival = true
+}
+
+// nearest returns the signed distance from the nearest of ends (not empty)
+// to lba: the one of minimum magnitude, the first in slot order on a tie.
+// The magnitude is taken with the sign trick and compared signed, so the
+// loop body is branch-free (the compiler selects with CMOVQ) and a distance
+// of -2^63, whose magnitude wraps to itself, counts as the smallest.
+func nearest(lba uint64, ends []uint64) int64 {
+	best := int64(lba - ends[0])
+	bestMag := (best ^ best>>63) - best>>63
+	for _, e := range ends[1:] {
+		d := int64(lba - e)
+		mag := (d ^ d>>63) - d>>63
+		if mag < bestMag {
+			best, bestMag = d, mag
+		}
+	}
+	return best
 }
 
 // OnIssueBatch records the arrival-side metrics for a burst of commands
 // issued at one instant (vscsi.BatchObserver). It is sample-for-sample
 // equivalent to calling OnIssue once per request in order — the property
 // the bit-exactness tests pin — but amortizes the per-command overheads
-// across the burst: the observation count is one atomic add, the observer
-// dispatch is one call, and the stream mutex (the fast path's only blocking
-// point) is taken once instead of once per command.
+// across the burst: the observer dispatch is one call and the mutex is
+// taken once instead of once per command.
 func (c *Collector) OnIssueBatch(rs []*vscsi.Request) {
 	if !c.enabled.Load() {
 		return
@@ -359,96 +410,29 @@ func (c *Collector) OnIssueBatch(rs []*vscsi.Request) {
 	if nBlock == 0 {
 		return
 	}
-	obs := c.self.observations.Add(nBlock)
+	c.lock()
+	c.observations += nBlock
 	// Time the burst when it crosses a 1-in-64 observation boundary,
 	// recording the burst's mean cost per command — the same sampling
 	// rate as the per-command path.
-	sampled := obs>>6 != (obs-nBlock)>>6
+	sampled := c.observations>>6 != (c.observations-nBlock)>>6
 	var t0 time.Time
 	if sampled {
 		t0 = time.Now()
 	}
-	h := c.h.Load()
-	if h == nil {
-		c.self.dropped.Add(nBlock)
-		return
-	}
-
 	for _, r := range rs {
-		if cmd := r.Cmd; cmd.Op.IsBlockIO() {
-			class := classOf(cmd.Op)
-			h.ioLength.rw[class].Insert(cmd.Bytes())
-			h.outstanding.rw[class].Insert(int64(r.OutstandingAtIssue))
+		if r.Cmd.Op.IsBlockIO() {
+			c.h.issue(r)
 		}
 	}
-
-	// One critical section for the whole burst: compute every command's
-	// stream-correlated samples in issue order, then insert after release.
-	var buf [batchStack]streamSample
-	samples := buf[:0]
-	if nBlock > batchStack {
-		samples = make([]streamSample, 0, nBlock)
-	}
-	if !h.streamMu.TryLock() {
-		c.self.contended.Add(1)
-		h.streamMu.Lock()
-	}
-	for _, r := range rs {
-		cmd := r.Cmd
-		if !cmd.Op.IsBlockIO() {
-			continue
-		}
-		s := streamSample{class: classOf(cmd.Op)}
-		if h.haveLast {
-			s.haveSeek = true
-			s.seek = int64(cmd.LBA) - int64(h.lastEnd)
-		}
-		if h.recentLen > 0 {
-			s.haveWseek = true
-			for i := 0; i < h.recentLen; i++ {
-				d := int64(cmd.LBA) - int64(h.recent[i])
-				if i == 0 || abs64(d) < abs64(s.wseek) {
-					s.wseek = d
-				}
-			}
-		}
-		h.lastEnd = cmd.LastLBA()
-		h.haveLast = true
-		h.recent[h.recentPos] = cmd.LastLBA()
-		h.recentPos = (h.recentPos + 1) % len(h.recent)
-		if h.recentLen < len(h.recent) {
-			h.recentLen++
-		}
-		if h.haveArrival {
-			s.haveInter = true
-			s.inter = (r.IssueTime - h.lastArrival).Micros()
-		}
-		h.lastArrival = r.IssueTime
-		h.haveArrival = true
-		samples = append(samples, s)
-	}
-	h.streamMu.Unlock()
-
-	for i := range samples {
-		s := &samples[i]
-		if s.haveSeek {
-			h.seekDistance.rw[s.class].Insert(s.seek)
-		}
-		if s.haveWseek {
-			h.seekWindowed.Insert(s.wseek)
-		}
-		if s.haveInter {
-			h.interarrival.rw[s.class].Insert(s.inter)
-		}
-	}
-
+	c.mu.Unlock()
 	if sampled {
 		c.self.observeNs.Insert(time.Since(t0).Nanoseconds() / nBlock)
 	}
 }
 
-// OnComplete records device latency (§3.5) and error counts: 3 locked
-// operations per command (the observation count and one insert).
+// OnComplete records device latency (§3.5) and error counts inside the same
+// critical section: 2 locked operations per command.
 func (c *Collector) OnComplete(r *vscsi.Request) {
 	if !c.enabled.Load() {
 		return
@@ -456,30 +440,20 @@ func (c *Collector) OnComplete(r *vscsi.Request) {
 	if !r.Cmd.Op.IsBlockIO() {
 		return
 	}
-	n := c.self.observations.Add(1)
-	sampled := n&selfSampleMask == 0
+	c.lock()
+	c.observations++
+	sampled := c.observations&selfSampleMask == 0
 	var t0 time.Time
 	if sampled {
 		t0 = time.Now()
 	}
-	h := c.h.Load()
-	if h == nil {
-		c.self.dropped.Add(1)
-		return
-	}
 	if r.Status != scsi.StatusGood {
-		h.errors.Add(1)
+		c.h.errors++
 	} else {
-		h.latency.rw[classOf(r.Cmd.Op)].Insert(r.Latency().Micros())
+		c.h.insert(hLatency+classOf(r.Cmd.Op), r.Latency().Micros())
 	}
+	c.mu.Unlock()
 	if sampled {
 		c.self.observeNs.Insert(time.Since(t0).Nanoseconds())
 	}
-}
-
-func abs64(v int64) int64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

@@ -108,14 +108,7 @@ func (c *countedCollector) OnIssue(r *vscsi.Request) {
 		h.seekDistance[class].Insert(seek)
 	}
 	if h.recentLen > 0 {
-		var wseek int64
-		for i := 0; i < h.recentLen; i++ {
-			d := int64(cmd.LBA) - int64(h.recent[i])
-			if i == 0 || abs64(d) < abs64(wseek) {
-				wseek = d
-			}
-		}
-		h.seekWindowed.Insert(wseek)
+		h.seekWindowed.Insert(nearestLoop(cmd.LBA, h.recent, h.recentLen))
 	}
 	h.lastEnd, h.haveLast = cmd.LastLBA(), true
 	h.recent[h.recentPos] = cmd.LastLBA()
@@ -265,9 +258,8 @@ func runOracle(t *testing.T, mix oracleMix, seed int64, window int) {
 				c.OnIssue(r)
 			}
 		case p < 55:
-			// Bursts of 1..3*batchStack: the stack path, the boundary and
-			// the heap spill.
-			rs := make([]*vscsi.Request, 1+rng.Intn(3*batchStack))
+			// Bursts of 1..192 commands.
+			rs := make([]*vscsi.Request, 1+rng.Intn(3*64))
 			for i := range rs {
 				rs[i] = newReq()
 			}

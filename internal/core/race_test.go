@@ -1,9 +1,9 @@
 package core
 
-// Lifecycle and fast-path concurrency tests. Run with -race: on the
-// pre-fix code every one of these produced a data-race report (plain c.h
-// pointer swaps in Enable/Reset, unsynchronized per-stream fields in
-// OnIssue).
+// Lifecycle and fast-path concurrency tests. Run with -race: everything a
+// command, a snapshot or a lifecycle call touches is guarded by the
+// collector's one mutex, and these are the tests that would report a field
+// left outside it.
 
 import (
 	"sync"
@@ -13,6 +13,13 @@ import (
 	"vscsistats/internal/simclock"
 	"vscsistats/internal/vscsi"
 )
+
+// liveSet reads the published histogram set under the collector's lock.
+func (c *Collector) liveSet() *histSet {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.h
+}
 
 func issueReq(id int, lba uint64, at simclock.Time) *vscsi.Request {
 	return &vscsi.Request{
@@ -129,14 +136,14 @@ func TestEnableConcurrentIdempotent(t *testing.T) {
 		close(start)
 		wg.Wait()
 
-		won := c.h.Load()
+		won := c.liveSet()
 		if won == nil {
 			t.Fatal("no histSet after concurrent Enable")
 		}
 		r := issueReq(1, 0, 0)
 		c.OnIssue(r)
 		c.Enable() // must not reallocate
-		if c.h.Load() != won {
+		if c.liveSet() != won {
 			t.Fatal("redundant Enable replaced the live histSet")
 		}
 		if s := c.Snapshot(); s.Commands != 1 {
@@ -145,10 +152,11 @@ func TestEnableConcurrentIdempotent(t *testing.T) {
 	}
 }
 
-// TestResetSwapsAtomically is the regression test for Reset replacing the
-// histogram set mid-command: a snapshot taken at any moment sees either
-// the old set or the fresh one, and after the dust settles a Reset leaves
-// exactly the samples issued after it.
+// TestResetSwapsAtomically: Reset, Enable and BreakStream take the lock
+// every observation holds, so a snapshot taken at any moment of a storm of
+// them sees the complete old set or the fresh one, never a half-cleared
+// one — the issue side still agrees with itself — and after the dust
+// settles a Reset leaves exactly the samples issued after it.
 func TestResetSwapsAtomically(t *testing.T) {
 	c := NewCollector("vm", "disk")
 	c.Enable()
@@ -165,15 +173,36 @@ func TestResetSwapsAtomically(t *testing.T) {
 			default:
 			}
 			r := issueReq(i, uint64(i*8%(1<<20)), simclock.Time(i)*simclock.Microsecond)
-			c.OnIssue(r)
+			if i%7 == 0 {
+				c.OnIssueBatch([]*vscsi.Request{r, issueReq(i, 0, r.IssueTime)})
+			} else {
+				c.OnIssue(r)
+			}
 			c.OnComplete(completeReq(r, simclock.Millisecond))
 		}
 	}()
-	for i := 0; i < 200; i++ {
-		c.Reset()
-		if s := c.Snapshot(); s == nil {
+	for i := 0; i < 600 && !t.Failed(); i++ {
+		switch i % 3 {
+		case 0:
+			c.Reset()
+		case 1:
+			c.Enable()
+		default:
+			c.BreakStream()
+		}
+		s := c.Snapshot()
+		if s == nil {
 			t.Error("Reset made an enabled collector's snapshot nil")
 			break
+		}
+		checkDerivedLaws(t, s)
+		// A break costs the next command its three stream samples, so
+		// the cut law loosens to: all three agree and none outruns the
+		// commands.
+		seek, wseek, inter := s.SeekDistance[All].Total, s.SeekWindowed.Total, s.Interarrival[All].Total
+		if s.Outstanding[All].Total != s.Commands || seek != wseek || seek != inter || seek > max(s.Commands-1, 0) {
+			t.Errorf("half-cleared set: %d commands, %d outstanding, %d/%d/%d stream samples",
+				s.Commands, s.Outstanding[All].Total, seek, wseek, inter)
 		}
 	}
 	close(done)
@@ -270,11 +299,28 @@ func checkDerivedLaws(t *testing.T, s *Snapshot) {
 	}
 }
 
+// checkConsistentCut asserts that a snapshot cut the stream between two
+// commands: with one Enable and no Reset or BreakStream, every command in
+// it brought a length and an outstanding sample, and every command but the
+// first a seek, a windowed seek and an inter-arrival sample.
+func checkConsistentCut(t *testing.T, s *Snapshot) {
+	t.Helper()
+	if oio, length := s.Outstanding[All].Total, s.IOLength[All].Total; oio != s.Commands || length != s.Commands {
+		t.Errorf("torn snapshot: %d commands, %d lengths, %d outstanding samples", s.Commands, length, oio)
+	}
+	want := max(s.Commands-1, 0)
+	if seek, wseek, inter := s.SeekDistance[All].Total, s.SeekWindowed.Total, s.Interarrival[All].Total; seek != want || wseek != want || inter != want {
+		t.Errorf("torn snapshot: %d commands, %d seeks, %d windowed seeks, %d inter-arrivals, want %d of each",
+			s.Commands, seek, wseek, inter, want)
+	}
+}
+
 // TestSnapshotDerivedLawsConcurrent takes snapshots while N goroutines
 // issue reads and writes, singly and in bursts, into one shared collector.
-// When class all and the counters were maintained separately these laws
-// held only at quiescence; derived from the copies a snapshot takes, they
-// hold in every snapshot.
+// When class all and the counters were maintained separately the derived
+// laws held only at quiescence; derived from the copy a snapshot takes,
+// they hold in every snapshot. And because that copy is taken under the
+// lock every observation holds, so does the consistent cut.
 func TestSnapshotDerivedLawsConcurrent(t *testing.T) {
 	const (
 		issuers = 6
@@ -319,7 +365,9 @@ func TestSnapshotDerivedLawsConcurrent(t *testing.T) {
 			running = false
 		default:
 		}
-		checkDerivedLaws(t, c.Snapshot())
+		s := c.Snapshot()
+		checkDerivedLaws(t, s)
+		checkConsistentCut(t, s)
 	}
 	<-done
 	if s := c.Snapshot(); s.NumReads == 0 || s.NumWrites == 0 {

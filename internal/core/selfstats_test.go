@@ -34,9 +34,6 @@ func TestSelfStatsCounts(t *testing.T) {
 	if s.ObserveNs.Total != s.Sampled {
 		t.Errorf("observe histogram total %d != sampled %d", s.ObserveNs.Total, s.Sampled)
 	}
-	if s.Dropped != 0 {
-		t.Errorf("dropped = %d on an uncontended run", s.Dropped)
-	}
 	if mean := s.MeanObserveNanos(); mean <= 0 {
 		t.Errorf("mean observe cost %v ns, want > 0", mean)
 	}

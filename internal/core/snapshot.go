@@ -72,32 +72,53 @@ type Snapshot struct {
 // service has never been enabled (no data structures exist).
 //
 // Snapshot is safe to call while other goroutines issue commands or Reset
-// the collector: the histogram set pointer is loaded once, so the copy is
-// taken from one consistent set. Concurrent inserts may straddle the copy
-// (per-histogram tearing the paper deems acceptable for monitoring), but a
-// half-built or discarded set is never observed.
+// the collector. It copies the slab, the extrema and the error count under
+// the collector's lock, into memory allocated before taking it, so a
+// command waits for one ~1.4 KB copy at most and the copy is a consistent
+// cut: every command is in it with all its samples or not at all. The issue
+// side therefore agrees with itself in every snapshot, quiescent or not —
+// with no Reset or BreakStream in between, IOLength and Outstanding total
+// Commands, and SeekDistance, SeekWindowed and Interarrival Commands − 1.
 //
 // The collector stores only the reads and writes histograms; everything
-// derivable is derived here, from the copies just taken. So in every
-// snapshot, quiescent or not, each family's All is exactly Reads + Writes,
-// Commands == NumReads + NumWrites == IOLength[All].Total, and the byte
-// counters are the I/O length sums.
+// derivable is derived here, outside the lock, from the copy. So each
+// family's All is exactly Reads + Writes — bins, Sum, Total, and Min/Max
+// over whichever classes are non-empty — Commands == NumReads + NumWrites
+// == IOLength[All].Total, and the byte counters are the I/O length sums.
 func (c *Collector) Snapshot() *Snapshot {
-	h := c.h.Load()
+	cells := make([]int64, slabWords)
+	c.mu.Lock()
+	h := c.h
 	if h == nil {
+		c.mu.Unlock()
 		return nil
 	}
+	copy(cells, h.cells)
+	min, max, errors := h.min, h.max, h.errors
+	c.mu.Unlock()
 	c.self.noteSnapshot()
+
+	one := func(id int) *histogram.Snapshot {
+		sp := &slab[id]
+		return sp.layout.Snapshot(sp.name, cells[sp.off:], min[id], max[id])
+	}
+	family := func(id int) [3]*histogram.Snapshot {
+		r, w := one(id+classRead), one(id+classWrite)
+		all := r.Clone()
+		all.Name = families[id/2].name
+		all.Add(w)
+		return [3]*histogram.Snapshot{All: all, Reads: r, Writes: w}
+	}
 	s := &Snapshot{
 		VM:           c.vm,
 		Disk:         c.disk,
-		IOLength:     h.ioLength.snapshot(),
-		SeekDistance: h.seekDistance.snapshot(),
-		SeekWindowed: h.seekWindowed.Snapshot(),
-		Outstanding:  h.outstanding.snapshot(),
-		Latency:      h.latency.snapshot(),
-		Interarrival: h.interarrival.snapshot(),
-		Errors:       h.errors.Load(),
+		IOLength:     family(hIOLength),
+		SeekDistance: family(hSeekDistance),
+		SeekWindowed: one(hSeekWindowed),
+		Outstanding:  family(hOutstanding),
+		Latency:      family(hLatency),
+		Interarrival: family(hInterarrival),
+		Errors:       errors,
 	}
 	s.Commands = s.IOLength[All].Total
 	s.NumReads, s.ReadBytes = s.IOLength[Reads].Total, s.IOLength[Reads].Sum

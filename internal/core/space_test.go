@@ -2,14 +2,18 @@ package core
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
 // enableBytes returns the bytes n Enable calls allocate per collector at the
 // given GOMAXPROCS, transient garbage included (TotalAlloc is cumulative, so
-// the figure is exact and no GC is involved).
+// the figure is exact). The collector is off meanwhile: a cycle starting
+// inside the window starts a mark worker per P, and at 64 Ps their
+// goroutines are tens of KB that Enable did not allocate.
 func enableBytes(procs, n int) uint64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	cols := make([]*Collector, n)
 	for i := range cols {
 		cols[i] = NewCollector("vm", "disk")

@@ -41,19 +41,29 @@ func OutstandingEdges() []int64 {
 	return []int64{1, 2, 4, 6, 8, 12, 16, 20, 24, 28, 32, 64}
 }
 
+// The paper's layouts. A layout is immutable, so every histogram and every
+// collector slab over one of these shares its edges and lookup table.
+var (
+	IOLengthLayout     = NewLayout("bytes", IOLengthEdges())
+	SeekDistanceLayout = NewLayout("sectors", SeekDistanceEdges())
+	LatencyLayout      = NewLayout("microseconds", LatencyEdges())
+	InterarrivalLayout = NewLayout("microseconds", InterarrivalEdges())
+	OutstandingLayout  = NewLayout("I/Os", OutstandingEdges())
+)
+
 // NewIOLength returns an empty I/O length histogram with the paper's bins.
-func NewIOLength(name string) *Histogram { return New(name, "bytes", IOLengthEdges()) }
+func NewIOLength(name string) *Histogram { return IOLengthLayout.New(name) }
 
 // NewSeekDistance returns an empty seek distance histogram with the paper's
 // bins.
-func NewSeekDistance(name string) *Histogram { return New(name, "sectors", SeekDistanceEdges()) }
+func NewSeekDistance(name string) *Histogram { return SeekDistanceLayout.New(name) }
 
 // NewLatency returns an empty latency histogram with the paper's bins.
-func NewLatency(name string) *Histogram { return New(name, "microseconds", LatencyEdges()) }
+func NewLatency(name string) *Histogram { return LatencyLayout.New(name) }
 
 // NewInterarrival returns an empty inter-arrival histogram.
-func NewInterarrival(name string) *Histogram { return New(name, "microseconds", InterarrivalEdges()) }
+func NewInterarrival(name string) *Histogram { return InterarrivalLayout.New(name) }
 
 // NewOutstanding returns an empty outstanding-I/Os histogram with the
 // paper's bins.
-func NewOutstanding(name string) *Histogram { return New(name, "I/Os", OutstandingEdges()) }
+func NewOutstanding(name string) *Histogram { return OutstandingLayout.New(name) }

@@ -2,52 +2,40 @@
 // IISWC 2007 paper "Easy and Efficient Disk I/O Workload Characterization in
 // VMware ESX Server".
 //
-// A Histogram has a fixed set of irregular bin upper edges chosen up front
-// (see bins.go for the paper's standard bin sets) plus an implicit overflow
-// bin. Insertion is O(1) and lock-free — a precomputed lookup table replaces
-// the per-insert binary search (lut.go) and each bin is one atomic counter —
-// so a histogram can sit on the hypervisor's per-command fast path: the
-// paper's key claim is that this costs O(1) CPU per command and O(m) space
-// total (m bins), versus O(n) space for a trace.
+// A histogram has a fixed set of irregular bin upper edges chosen up front
+// (a Layout; see bins.go for the paper's standard bin sets) plus an implicit
+// overflow bin. Insertion is O(1) — a precomputed lookup table replaces the
+// per-insert binary search (lut.go) — so a histogram can sit on the
+// hypervisor's per-command fast path: the paper's key claim is that this
+// costs O(1) CPU per command and O(m) space total (m bins), versus O(n)
+// space for a trace. Histogram is the lock-free form, each bin one atomic
+// counter; core.Collector keeps plain cells over the same layouts under its
+// own lock.
 package histogram
 
 import (
 	"fmt"
 	"math"
-	"reflect"
-	"sort"
 	"sync/atomic"
 )
 
-// Histogram counts int64 samples into bins with fixed upper edges. The bin
+// Layout is the immutable part of a histogram: the sample unit, the bin
+// upper edges and the lookup table that maps a sample to its bin. The bin
 // for a sample v is the first edge e with v <= e; samples larger than every
-// edge land in the overflow bin. Alongside the bins it tracks count, sum,
-// min and max so exact means survive binning.
-//
-// All methods are safe for concurrent use: bins and the running sum are
-// atomic adds, and min and max are a conditional CAS only taken when the
-// bound actually moves, which after warm-up is almost never.
-type Histogram struct {
-	name  string
+// edge land in the overflow bin. A Histogram counts into atomic cells over
+// its layout; core.Collector indexes one plain slab with several layouts
+// under its own lock. Either way a histogram's cells are NumBins count
+// cells followed by one sum cell.
+type Layout struct {
 	unit  string
-	edges []int64 // sorted ascending, immutable after construction
+	edges []int64 // sorted ascending
 	lut   *binLUT // nil for layouts the LUT cannot index (binary search)
-	nbins int     // len(edges)+1, including the overflow bin
-
-	// cells holds nbins count cells followed by one sum cell. The sample
-	// total is derived by summing the count cells, so a snapshot's Total
-	// always equals the sum of its bins.
-	cells []atomic.Int64
-
-	min atomic.Int64
-	max atomic.Int64
 }
 
-// New returns a histogram with the given bin upper edges. The edges must be
-// strictly increasing; New panics otherwise since bin layout is a
-// compile-time decision in this system. name and unit are used only for
-// rendering (e.g. "I/O Length", "bytes").
-func New(name, unit string, edges []int64) *Histogram {
+// NewLayout returns the layout with the given bin upper edges. The edges
+// must be strictly increasing; NewLayout panics otherwise since bin layout
+// is a compile-time decision in this system.
+func NewLayout(unit string, edges []int64) *Layout {
 	if len(edges) == 0 {
 		panic("histogram: need at least one bin edge")
 	}
@@ -57,15 +45,74 @@ func New(name, unit string, edges []int64) *Histogram {
 				i, edges[i], edges[i-1]))
 		}
 	}
-	nbins := len(edges) + 1
-	h := &Histogram{
-		name:  name,
-		unit:  unit,
-		edges: append([]int64(nil), edges...),
-		nbins: nbins,
-		cells: make([]atomic.Int64, nbins+1),
+	l := &Layout{unit: unit, edges: append([]int64(nil), edges...)}
+	l.lut = lutFor(l.edges)
+	return l
+}
+
+// NumBins returns the number of bins including the overflow bin.
+func (l *Layout) NumBins() int { return len(l.edges) + 1 }
+
+// Bin returns the bin a value of v is counted in.
+func (l *Layout) Bin(v int64) int {
+	if l.lut != nil {
+		return l.lut.lookup(v)
 	}
-	h.lut = lutFor(h.edges)
+	return binIndex(l.edges, v)
+}
+
+// Snapshot turns one histogram's cells — NumBins counts, then the sum —
+// and its observed extrema into a Snapshot. Counts aliases cells, which the
+// caller must not write again. Total is derived from the bins, so it always
+// equals their sum exactly; an empty histogram reports Min = Max = 0.
+func (l *Layout) Snapshot(name string, cells []int64, min, max int64) *Snapshot {
+	n := l.NumBins()
+	s := &Snapshot{
+		Name:   name,
+		Unit:   l.unit,
+		Edges:  l.edges, // immutable, shared
+		Counts: cells[:n:n],
+		Sum:    cells[n],
+		Min:    min,
+		Max:    max,
+	}
+	for _, c := range s.Counts {
+		s.Total += c
+	}
+	if s.Total == 0 {
+		s.Min, s.Max = 0, 0
+	}
+	return s
+}
+
+// Histogram counts int64 samples into the bins of a Layout. Alongside the
+// bins it tracks count, sum, min and max so exact means survive binning.
+//
+// All methods are safe for concurrent use: bins and the running sum are
+// atomic adds, and min and max are a conditional CAS only taken when the
+// bound actually moves, which after warm-up is almost never.
+type Histogram struct {
+	name   string
+	layout *Layout
+
+	// cells holds the count cells followed by one sum cell. The sample
+	// total is derived by summing the count cells, so a snapshot's Total
+	// always equals the sum of its bins.
+	cells []atomic.Int64
+
+	min atomic.Int64
+	max atomic.Int64
+}
+
+// New returns a histogram with the given bin upper edges (see NewLayout).
+// name and unit are used only for rendering (e.g. "I/O Length", "bytes").
+func New(name, unit string, edges []int64) *Histogram {
+	return NewLayout(unit, edges).New(name)
+}
+
+// New returns an empty histogram over the layout.
+func (l *Layout) New(name string) *Histogram {
+	h := &Histogram{name: name, layout: l, cells: make([]atomic.Int64, l.NumBins()+1)}
 	h.min.Store(math.MaxInt64)
 	h.max.Store(math.MinInt64)
 	return h
@@ -75,49 +122,27 @@ func New(name, unit string, edges []int64) *Histogram {
 func (h *Histogram) Name() string { return h.name }
 
 // Unit returns the sample unit given at construction.
-func (h *Histogram) Unit() string { return h.unit }
+func (h *Histogram) Unit() string { return h.layout.unit }
 
 // NumBins returns the number of bins including the overflow bin.
-func (h *Histogram) NumBins() int { return h.nbins }
-
-// MemoryBytes returns the heap bytes the histogram holds: the struct, its
-// edges, its cells and its name. It depends on the bin count and nothing
-// else — the paper's O(m) space. The lookup table is shared per layout and
-// not counted.
-func (h *Histogram) MemoryBytes() int {
-	return int(reflect.TypeOf(h).Elem().Size()) + 8*(len(h.edges)+len(h.cells)) + len(h.name)
-}
+func (h *Histogram) NumBins() int { return h.layout.NumBins() }
 
 // BinIndex returns the bin a value of v would be counted in.
-func (h *Histogram) BinIndex(v int64) int {
-	if h.lut != nil {
-		return h.lut.lookup(v)
-	}
-	// sort.Search finds the first edge >= v, i.e. the first bin whose
-	// upper edge admits v.
-	return sort.Search(len(h.edges), func(i int) bool { return h.edges[i] >= v })
-}
+func (h *Histogram) BinIndex(v int64) int { return h.layout.Bin(v) }
 
-// Insert counts one sample. This is the hypervisor fast-path operation: a
-// table lookup plus two atomic adds, and two bound checks that CAS only
-// when the sample extends the observed range.
+// Insert counts one sample: a table lookup plus two atomic adds, and two
+// bound checks that CAS only when the sample extends the observed range.
 func (h *Histogram) Insert(v int64) {
 	h.InsertN(v, 1)
 }
 
-// InsertN counts n identical samples (used by trace replay).
+// InsertN counts n identical samples.
 func (h *Histogram) InsertN(v, n int64) {
 	if n <= 0 {
 		return
 	}
-	var bin int
-	if h.lut != nil {
-		bin = h.lut.lookup(v)
-	} else {
-		bin = h.BinIndex(v)
-	}
-	h.cells[bin].Add(n)
-	h.cells[h.nbins].Add(v * n)
+	h.cells[h.layout.Bin(v)].Add(n)
+	h.cells[len(h.cells)-1].Add(v * n)
 	h.updateBounds(v)
 }
 
@@ -156,7 +181,7 @@ func (h *Histogram) Reset() {
 // Total returns the number of samples inserted.
 func (h *Histogram) Total() int64 {
 	var total int64
-	for i := 0; i < h.nbins; i++ {
+	for i := range h.cells[:len(h.cells)-1] {
 		total += h.cells[i].Load()
 	}
 	return total
@@ -171,24 +196,12 @@ func (h *Histogram) Total() int64 {
 // property the Prometheus exporter's cumulative buckets rely on across
 // scrapes.
 func (h *Histogram) Snapshot() *Snapshot {
-	s := &Snapshot{
-		Name:   h.name,
-		Unit:   h.unit,
-		Edges:  h.edges, // immutable, shared
-		Counts: make([]int64, h.nbins),
-		Min:    h.min.Load(),
-		Max:    h.max.Load(),
+	min, max := h.min.Load(), h.max.Load()
+	cells := make([]int64, len(h.cells))
+	for i := range cells {
+		cells[i] = h.cells[i].Load()
 	}
-	for i := range s.Counts {
-		c := h.cells[i].Load()
-		s.Counts[i] = c
-		s.Total += c
-	}
-	s.Sum = h.cells[h.nbins].Load()
-	if s.Total == 0 {
-		s.Min, s.Max = 0, 0
-	}
-	return s
+	return h.layout.Snapshot(h.name, cells, min, max)
 }
 
 // Snapshot is an immutable copy of a histogram's state, suitable for

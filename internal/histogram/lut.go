@@ -26,9 +26,8 @@ import (
 // Layouts with more than 255 bins fall back to binary search (lutFor returns
 // nil); uint8 bin indices keep the small tables one cache line per 64 values.
 //
-// LUTs are immutable and cached per edge set, so the 11 histograms a
-// collector allocates per Enable/Reset share one table per layout and
-// construction stays off the fast path.
+// LUTs are immutable and cached per edge set, so every Layout over one edge
+// set shares one table and construction stays off the fast path.
 
 // lutSmallSpan is the exact-table coverage: values in (-lutSmallSpan,
 // lutSmallSpan) resolve with a single indexed load.

@@ -97,9 +97,9 @@ func Table2Overhead(opts Options) (*Result, error) {
 		perCmdOff, perCmdOn, overheadNs, overheadPct, perCmdOff)
 	r.notef("context: the paper's testbed spends ~130 us of CPU per command end to end (Table 2: 106%% of one core at 8187 IOps); +%.0f ns against that budget is %.2f%% — 'well within the noise'",
 		overheadNs, 100*overheadNs/130_000)
-	r.notef("live self-telemetry cross-check: the enabled collector's sampled observe cost was %.0f ns/observation over %d observations (%d timed), i.e. ~%.0f ns/command for the issue+complete pair — same order as the offline +%.0f ns/command delta",
+	r.notef("live self-telemetry cross-check: the enabled collector's sampled observe cost was %.0f ns/observation over %d observations (%d timed, inside the collector's lock so no wait for it is counted), i.e. ~%.0f ns/command for the issue+complete pair — same order as the offline +%.0f ns/command delta",
 		cost.LiveMeanObserveNs, cost.LiveObservations, cost.LiveSampled, 2*cost.LiveMeanObserveNs, overheadNs)
-	r.notef("collector memory when enabled: %d bytes (%d histograms — reads and writes per metric, class all is their sum at snapshot time; zero when disabled — structures are created on demand)",
+	r.notef("collector memory when enabled: %d bytes (%d histograms in one slab of 8-byte cells over shared bin layouts — reads and writes per metric, class all is their sum at snapshot time; zero when disabled — structures are created on demand)",
 		memBytes, collectorHistograms)
 	r.CSVs["table2"] = fmt.Sprintf("metric,disabled,enabled\niops,%.0f,%.0f\nmbps,%.2f,%.2f\nlatency_us,%.1f,%.1f\ncpu_ns_per_cmd,%.1f,%.1f\n",
 		off.iops, on.iops, off.mbps, on.mbps, off.latencyUs, on.latencyUs, perCmdOff, perCmdOn)
@@ -120,8 +120,8 @@ type FastPathCost struct {
 	// non-negative (a negative measured overhead means "below noise").
 	OverheadNs, OverheadPct float64
 	// LiveMeanObserveNs is the enabled collector's own sampled estimate of
-	// one fast-path observation (core.SelfSnapshot.MeanObserveNanos); a
-	// command makes two observations, issue and complete.
+	// one fast-path observation (core.SelfSnapshot.MeanObserveNanos, lock
+	// wait excluded); a command makes two observations, issue and complete.
 	LiveMeanObserveNs float64
 	// LiveObservations and LiveSampled are the self-telemetry counters
 	// after the enabled run.
@@ -200,8 +200,9 @@ func MeasureFastPathCost(iters int) FastPathCost {
 const collectorHistograms = 2*5 + 1
 
 // collectorMemoryBytes is what Enable allocates for one collector, summed
-// from the live structures themselves (one 8-byte cell per bin plus a sum
-// cell, the edges, the structs) so it follows the bin layouts in bins.go.
+// from the live structures themselves (the slab — one 8-byte cell per bin
+// plus a sum cell per histogram — the look-behind ring and the struct) so
+// it follows the bin layouts in bins.go.
 func collectorMemoryBytes() int {
 	c := core.NewCollector("vm", "disk")
 	c.Enable()

@@ -243,8 +243,7 @@ func (e *Exporter) writeSelf(p *promWriter, rows []scrapeRow) {
 	counters := []counter{
 		{"vscsistats_self_observations_total", "Enabled fast-path calls (issue + complete) into the collector.", func(s *core.SelfSnapshot) int64 { return s.Observations }},
 		{"vscsistats_self_samples_total", "Observations that were wall-clock timed (1 in 64).", func(s *core.SelfSnapshot) int64 { return s.Sampled }},
-		{"vscsistats_self_contended_total", "Fast-path stream-mutex collisions between issuing goroutines.", func(s *core.SelfSnapshot) int64 { return s.Contended }},
-		{"vscsistats_self_dropped_total", "Observations lost to the Enable race window.", func(s *core.SelfSnapshot) int64 { return s.Dropped }},
+		{"vscsistats_self_contended_total", "Fast-path calls that had to wait for the collector's mutex.", func(s *core.SelfSnapshot) int64 { return s.Contended }},
 		{"vscsistats_self_snapshots_total", "Snapshot() calls that returned data.", func(s *core.SelfSnapshot) int64 { return s.Snapshots }},
 	}
 	for _, c := range counters {
@@ -270,7 +269,7 @@ func (e *Exporter) writeSelf(p *promWriter, rows []scrapeRow) {
 	}
 
 	p.family("vscsistats_self_observe_nanoseconds", "histogram",
-		"Sampled wall-clock cost of one fast-path observation (the live Table 2 CPU row).")
+		"Sampled wall-clock cost of one fast-path observation, timed inside the collector's mutex so lock wait is excluded (the live Table 2 CPU row).")
 	for _, row := range rows {
 		p.histogram("vscsistats_self_observe_nanoseconds", vmDiskLabels(row.vm, row.disk), row.self.ObserveNs)
 	}

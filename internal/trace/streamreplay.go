@@ -217,9 +217,12 @@ func ReplayParallel(src RecordSource, cfg ReplayConfig) (*ReplayResult, error) {
 	}
 
 	res := &ReplayResult{}
-	pool := sync.Pool{New: func() any {
-		return &replayBatch{recs: make([]Record, 0, cfg.BatchSize)}
-	}}
+	// free recycles batches within this call. It is owned by the call, so
+	// a pass's batches die with the pass, and sized to hold every batch
+	// that can be queued or in a worker's hands at once; both ends are
+	// non-blocking, so a miss allocates and an overflow is left to the
+	// collector.
+	free := make(chan *replayBatch, cfg.Workers*(cfg.QueueDepth+2))
 	chans := make([]chan *replayBatch, cfg.Workers)
 	batchCounts := make([]uint64, cfg.Workers)
 	var wg sync.WaitGroup
@@ -235,7 +238,10 @@ func ReplayParallel(src RecordSource, cfg ReplayConfig) (*ReplayResult, error) {
 				n++
 				b.recs = b.recs[:0]
 				b.col = nil
-				pool.Put(b)
+				select {
+				case free <- b:
+				default:
+				}
 			}
 			batchCounts[w] = n
 		}(w, chans[w])
@@ -274,7 +280,12 @@ func ReplayParallel(src RecordSource, cfg ReplayConfig) (*ReplayResult, error) {
 			d.haveLast = true
 		}
 		if d.batch == nil {
-			b := pool.Get().(*replayBatch)
+			var b *replayBatch
+			select {
+			case b = <-free:
+			default:
+				b = &replayBatch{recs: make([]Record, 0, cfg.BatchSize)}
+			}
 			b.col = d.col
 			d.batch = b
 		}

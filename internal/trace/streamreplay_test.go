@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"vscsistats/internal/core"
@@ -237,6 +239,39 @@ func TestReplayAllocsBounded(t *testing.T) {
 	// more than an order of magnitude below one-per-record.
 	if allocs > 5000 {
 		t.Fatalf("ReplayParallel: %v allocs for 100k records", allocs)
+	}
+}
+
+// A pass's batches must die with the pass. With the collector off during 40
+// passes over one in-memory trace, one collection afterwards has to bring the
+// heap back to within two passes' allocations of where it started: batches
+// recycled through a per-call sync.Pool stayed reachable from the runtime's
+// pool lists until a second collection, 40 passes' worth of them.
+func TestReplayParallelBatchesDieWithThePass(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	recs := Synthesize(8, 50000)
+	pass := func() {
+		if _, err := ReplayParallel(NewSliceSource(recs), ReplayConfig{Workers: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pass() // builds the shared lookup tables
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	pass()
+	runtime.ReadMemStats(&after)
+	perPass := int64(after.TotalAlloc - before.TotalAlloc)
+
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 40; i++ {
+		pass()
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if growth := int64(after.HeapAlloc) - int64(before.HeapAlloc); growth > 2*perPass {
+		t.Fatalf("40 passes left %d B on the heap after a collection; one pass allocates %d B", growth, perPass)
 	}
 }
 
