@@ -1,10 +1,7 @@
 package fleet
 
 import (
-	"bytes"
 	"errors"
-	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -15,13 +12,6 @@ import (
 	"vscsistats/internal/core"
 	"vscsistats/internal/fleetobs"
 )
-
-// errResync reports a delta push the aggregator refused with a 4xx: the
-// base the delta was built on is gone (aggregator restart, seq gap) or the
-// frame was otherwise unappliable. The agent's reaction is always the
-// same — clear the acknowledged base and push full state — so every 4xx
-// on a delta folds into this one error.
-var errResync = errors.New("fleet: aggregator requested resync")
 
 // AgentConfig tunes a fleet agent. Zero values take the documented
 // defaults.
@@ -66,17 +56,11 @@ func (c *AgentConfig) withDefaults() AgentConfig {
 	if out.Interval <= 0 {
 		out.Interval = 2 * time.Second
 	}
-	if out.Timeout <= 0 {
-		out.Timeout = 5 * time.Second
-	}
 	if out.MaxRetryQueue <= 0 {
 		out.MaxRetryQueue = 16
 	}
 	if out.MaxBackoff <= 0 {
 		out.MaxBackoff = 30 * time.Second
-	}
-	if out.Client == nil {
-		out.Client = &http.Client{}
 	}
 	return out
 }
@@ -93,14 +77,6 @@ type queued struct {
 	// traceID is stamped at capture and rides the frame header, so this
 	// one push is followable across processes.
 	traceID string
-}
-
-// ackedBase is the last registry state the aggregator acknowledged — the
-// state deltas are computed against. The aggregator's no-rollback ingest
-// guarantees it holds at least this sequence.
-type ackedBase struct {
-	seq  uint64
-	full []*core.Snapshot
 }
 
 // Agent periodically captures a registry's snapshots and pushes them to an
@@ -144,7 +120,6 @@ type Agent struct {
 	retries     atomic.Int64
 	dropped     atomic.Int64
 	resyncs     atomic.Int64
-	sentBytes   atomic.Int64
 
 	lastErr atomic.Pointer[string]
 
@@ -153,14 +128,9 @@ type Agent struct {
 	stop      chan struct{}
 	done      chan struct{}
 
-	// traceSalt distinguishes trace IDs across agent restarts, where seq
-	// starts over from 1.
-	traceSalt uint32
-	// boot is this process's incarnation, stamped on every frame: a
-	// receiver seeing a new boot for the host replaces state even at a
-	// lower sequence, so a restarted agent's first full push displaces
-	// its predecessor's state instead of reading as a late retry.
-	boot uint64
+	// snd owns the wire: endpoint, boot incarnation, trace identity and the
+	// one encode → POST → status fold.
+	snd *sender
 }
 
 // NewAgent builds an agent over the registry. It does not start pushing;
@@ -169,33 +139,16 @@ func NewAgent(reg *core.Registry, cfg AgentConfig) *Agent {
 	if cfg.Host == "" {
 		panic("fleet: AgentConfig.Host is required")
 	}
+	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
 	return &Agent{
-		cfg:       cfg.withDefaults(),
-		reg:       reg,
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
-		rng:       rng,
-		traceSalt: uint32(rng.Int63()),
-		boot:      newBootID(rng),
+		cfg:  cfg,
+		reg:  reg,
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
+		rng:  rng,
+		snd:  newSender(cfg.Endpoint, cfg.Client, cfg.Timeout, cfg.Obs, rng),
 	}
-}
-
-// newBootID draws a non-zero incarnation identity (zero on the wire means
-// "pre-federation sender").
-func newBootID(rng *rand.Rand) uint64 {
-	for {
-		if b := uint64(rng.Int63())<<1 ^ uint64(rng.Int63()); b != 0 {
-			return b
-		}
-	}
-}
-
-// traceID renders the capture's end-to-end trace identity:
-// host-salt-seq, unique across the fleet (host) and across agent
-// restarts (salt).
-func (a *Agent) traceID(seq uint64) string {
-	return fmt.Sprintf("%s-%08x-%d", a.cfg.Host, a.traceSalt, seq)
 }
 
 // Host returns the agent's fleet identity.
@@ -294,7 +247,7 @@ func (a *Agent) buildBatch() *queued {
 		sentUnixNano: start.UnixNano(),
 		full:         a.reg.Snapshots(),
 	}
-	q.traceID = a.traceID(q.seq)
+	q.traceID = a.snd.traceID(a.cfg.Host, q.seq)
 	a.cfg.Obs.ObserveSince(fleetobs.StageCapture, start, fleetobs.Event{
 		Host: a.cfg.Host, TraceID: q.traceID, BatchSeq: q.seq, Shard: -1,
 	})
@@ -341,15 +294,7 @@ func (a *Agent) clearBase() {
 // unchanged disks omitted — on a slowly-changing fleet most of the frame
 // vanishes), a full batch otherwise.
 func (a *Agent) makeWire(q *queued) *Batch {
-	b := &Batch{
-		Host:            a.cfg.Host,
-		Seq:             q.seq,
-		SentUnixNano:    q.sentUnixNano,
-		Snapshots:       q.full,
-		TraceID:         q.traceID,
-		CaptureUnixNano: q.sentUnixNano,
-		Boot:            a.boot,
-	}
+	b := a.snd.frame(a.cfg.Host, q.seq, q.sentUnixNano, q.full)
 	if a.cfg.DisableDeltas {
 		return b
 	}
@@ -369,32 +314,6 @@ func (a *Agent) makeWire(q *queued) *Batch {
 	b.BaseSeq = base.seq
 	b.Snapshots = deltas
 	return b
-}
-
-// subAgainst pairs cur with base by (VM, disk) and returns the non-zero
-// interval deltas. It refuses (ok=false) when the disk sets differ — a
-// disk appeared or vanished — which forces a full push carrying the new
-// set.
-func subAgainst(cur, base []*core.Snapshot) ([]*core.Snapshot, bool) {
-	if len(cur) != len(base) {
-		return nil, false
-	}
-	byKey := make(map[diskKey]*core.Snapshot, len(base))
-	for _, s := range base {
-		byKey[diskKey{s.VM, s.Disk}] = s
-	}
-	deltas := make([]*core.Snapshot, 0, len(cur))
-	for _, s := range cur {
-		b, ok := byKey[diskKey{s.VM, s.Disk}]
-		if !ok {
-			return nil, false
-		}
-		if s.StateEquals(b) {
-			continue // unchanged since the base: omit entirely
-		}
-		deltas = append(deltas, s.Sub(b))
-	}
-	return deltas, true
 }
 
 // flush delivers queued captures oldest-first until the queue drains or a
@@ -439,7 +358,7 @@ func (a *Agent) flush(now time.Time) error {
 		}
 
 		wire := a.makeWire(q)
-		err := a.push(wire)
+		err := a.snd.push(wire)
 		switch {
 		case err == nil:
 			// Queue dwell: capture to acknowledged delivery, retries and
@@ -498,49 +417,6 @@ func (a *Agent) dequeueThrough(through uint64) {
 	a.queue = rest
 }
 
-// push sends one batch with the per-request timeout.
-func (a *Agent) push(b *Batch) error {
-	encStart := time.Now()
-	body, err := EncodeBatchBytes(b)
-	a.cfg.Obs.ObserveSince(fleetobs.StageEncode, encStart, fleetobs.Event{
-		Host: a.cfg.Host, TraceID: b.TraceID, BatchSeq: b.Seq, Shard: -1,
-	})
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequest(http.MethodPost, a.cfg.Endpoint, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", ContentType)
-	ctx, cancel := contextWithTimeout(a.cfg.Timeout)
-	defer cancel()
-	pushStart := time.Now()
-	resp, err := a.cfg.Client.Do(req.WithContext(ctx))
-	if err != nil {
-		a.cfg.Obs.ObserveSince(fleetobs.StagePush, pushStart, fleetobs.Event{
-			Host: a.cfg.Host, TraceID: b.TraceID, BatchSeq: b.Seq, Shard: -1, Detail: "transport error",
-		})
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	a.cfg.Obs.ObserveSince(fleetobs.StagePush, pushStart, fleetobs.Event{
-		Host: a.cfg.Host, TraceID: b.TraceID, BatchSeq: b.Seq, Shard: -1, Detail: resp.Status,
-	})
-	if resp.StatusCode != http.StatusOK {
-		// Any 4xx on a delta means this frame can never be applied as-is;
-		// re-sending full state is the only road forward. 5xx and
-		// transport errors stay retryable failures.
-		if b.Delta && resp.StatusCode >= 400 && resp.StatusCode < 500 {
-			return fmt.Errorf("%w (aggregator returned %s)", errResync, resp.Status)
-		}
-		return fmt.Errorf("fleet: aggregator returned %s", resp.Status)
-	}
-	a.sentBytes.Add(int64(len(body)))
-	return nil
-}
-
 // PullHandler returns an http.Handler serving the agent's current state as
 // one full-state frame — the scrape side of the protocol (pulls carry no
 // ack channel, so they are never deltas). GET only.
@@ -558,10 +434,7 @@ func (a *Agent) PullHandler() http.Handler {
 		q := a.buildBatch()
 		// Encode before the status line goes out, so a failure can still
 		// be a 500 instead of a 200 with half a frame behind it.
-		frame, err := EncodeBatchBytes(&Batch{
-			Host: a.cfg.Host, Seq: q.seq, SentUnixNano: q.sentUnixNano, Snapshots: q.full,
-			TraceID: q.traceID, CaptureUnixNano: q.sentUnixNano, Boot: a.boot,
-		})
+		frame, err := EncodeBatchBytes(a.snd.frame(a.cfg.Host, q.seq, q.sentUnixNano, q.full))
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
@@ -604,7 +477,7 @@ func (a *Agent) Stats() AgentStats {
 		Retries:     a.retries.Load(),
 		Dropped:     a.dropped.Load(),
 		Resyncs:     a.resyncs.Load(),
-		SentBytes:   a.sentBytes.Load(),
+		SentBytes:   a.snd.sentBytes.Load(),
 		QueueLen:    qlen,
 		Failures:    failures,
 	}

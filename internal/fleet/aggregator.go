@@ -119,19 +119,16 @@ func (c *AggregatorConfig) withDefaults() AggregatorConfig {
 	return out
 }
 
-// hostState is the aggregator's record of one host.
+// hostState is the aggregator's record of one host: its protocol chain
+// (sequence, boot incarnation, stored snapshots) plus what the shard keeps
+// around it.
 type hostState struct {
+	chainPos
 	host         string
 	source       string // "push" or "pull"
-	seq          uint64
 	sentUnixNano int64
 	lastSeen     time.Time
 	batches      int64
-	snaps        []*core.Snapshot
-	// boot is the sender's incarnation (0 for pre-federation senders): a
-	// full batch from a different incarnation replaces state even at a
-	// lower sequence, and a delta from one is refused with boot-changed.
-	boot uint64
 	// level and leaves are the sender's federation metadata: its height
 	// in the tree and how many leaf hosts its state folds together.
 	level  int
@@ -214,10 +211,9 @@ type ReplayStats struct {
 }
 
 // OpenAggregator builds an aggregator backed by the segment log under
-// cfg.DataDir: existing segments are replayed through the same strict
-// apply rules live ingest uses (fulls never roll back, deltas apply only
-// on their exact base), a torn tail frame on any chain's newest segment is
-// truncated away, and every subsequent state-changing batch is appended.
+// cfg.DataDir: existing segments are replayed through shard.ingest, the
+// call live ingest makes, a torn tail frame on any chain's newest segment
+// is truncated away, and every subsequent state-changing batch is appended.
 // Replayed hosts keep their recorded send time as their liveness time, so
 // staleness after a restart means what it always means. With an empty
 // DataDir this is exactly NewAggregator. Any other decode failure in the
@@ -311,11 +307,10 @@ func (g *Aggregator) shardOf(host string) *shard {
 	return g.shards[g.ShardFor(host)]
 }
 
-// Ingest records a validated batch as the host's newest state. Full
-// batches older than the newest sequence already seen refresh liveness but
-// leave the stored snapshots alone, so a late-arriving retry never rolls a
-// host backwards. Delta batches apply onto the stored state when their
-// base sequence matches exactly and return ErrResyncRequired otherwise.
+// Ingest validates a batch and offers it to the host's chain
+// (chainPos.apply): it becomes the host's newest state, refreshes liveness
+// only (a late retry never rolls a host backwards), or — a delta that does
+// not build on exactly what is stored — returns ErrResyncRequired.
 //
 // With a segment log open, every state-changing batch is also appended to
 // the host's shard chain, serialized with the apply so disk order matches
@@ -340,48 +335,28 @@ func (g *Aggregator) ingest(b *Batch, source string, sampled bool) error {
 	}
 	idx := g.ShardFor(b.Host)
 	if g.log == nil {
-		var ingestStart time.Time
-		if sampled {
-			ingestStart = time.Now()
-		}
+		start := stageStart(sampled)
 		_, err := g.shards[idx].ingest(b, source, g.now())
-		if sampled {
-			g.observeStage(fleetobs.StageIngest, time.Since(ingestStart), b, idx)
-		}
+		g.observeStage(fleetobs.StageIngest, start, b, idx)
 		g.noteResyncEvent(b, err)
 		return err
 	}
-	var lockStart time.Time
-	if sampled {
-		lockStart = time.Now()
-	}
+	start := stageStart(sampled)
 	g.iomu[idx].Lock()
-	if sampled {
-		g.observeStage(fleetobs.StageLockWait, time.Since(lockStart), b, idx)
-	}
-	var ingestStart time.Time
-	if sampled {
-		ingestStart = time.Now()
-	}
+	g.observeStage(fleetobs.StageLockWait, start, b, idx)
+	start = stageStart(sampled)
 	applied, err := g.shards[idx].ingest(b, source, g.now())
-	if sampled {
-		g.observeStage(fleetobs.StageIngest, time.Since(ingestStart), b, idx)
-	}
+	g.observeStage(fleetobs.StageIngest, start, b, idx)
 	var rotated bool
 	if err == nil && applied {
 		if data, eerr := EncodeBatchBytes(b); eerr != nil {
 			g.log.appendErrs.Add(1)
 		} else {
-			var appendStart time.Time
-			if sampled {
-				appendStart = time.Now()
-			}
+			start = stageStart(sampled)
 			if rotated, eerr = g.log.append(idx, data, b.SentUnixNano, g.now()); eerr != nil {
 				rotated = false
 			}
-			if sampled {
-				g.observeStage(fleetobs.StageLogAppend, time.Since(appendStart), b, idx)
-			}
+			g.observeStage(fleetobs.StageLogAppend, start, b, idx)
 		}
 	}
 	g.iomu[idx].Unlock()
@@ -423,10 +398,22 @@ func (g *Aggregator) noteDecoded(b *Batch) {
 	}
 }
 
-// observeStage records one sampled stage span carrying the batch's
-// trace identity.
-func (g *Aggregator) observeStage(st fleetobs.Stage, d time.Duration, b *Batch, shard int) {
-	g.cfg.Obs.Observe(st, d, fleetobs.Event{
+// stageStart reads the clock for a sampled frame only; an unsampled one
+// gets the zero time, which observeStage ignores.
+func stageStart(sampled bool) time.Time {
+	if !sampled {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// observeStage records one stage span of a sampled frame, begun at
+// stageStart and carrying the batch's trace identity.
+func (g *Aggregator) observeStage(st fleetobs.Stage, start time.Time, b *Batch, shard int) {
+	if start.IsZero() {
+		return
+	}
+	g.cfg.Obs.Observe(st, time.Since(start), fleetobs.Event{
 		Host: b.Host, TraceID: b.TraceID, BatchSeq: b.Seq, Shard: shard,
 	})
 }
@@ -594,20 +581,51 @@ func (g *Aggregator) pullOne(host, url string) error {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		return fmt.Errorf("fleet: pull %s returned %s", host, resp.Status)
 	}
-	// Bound the pull body exactly like push's MaxBytesReader: one frame
-	// cannot legitimately exceed its declared limits, and a hostile or
-	// broken agent must not be able to stream forever into the decoder.
-	body := &countingReader{r: io.LimitReader(resp.Body, 16+maxHeaderLen+maxPayloadLen)}
+	// Bounded like push's MaxBytesReader: a hostile or broken agent must
+	// not be able to stream forever into the decoder.
+	_, err = g.receive(ctx, io.LimitReader(resp.Body, maxFrameLen), "pull", host, g.cfg.Obs.Sample())
+	return err
+}
+
+// maxFrameLen bounds one frame on any input: head, header, payload.
+const maxFrameLen = 16 + maxHeaderLen + maxPayloadLen
+
+// receive is the one decode → count → ingest chain behind every frame that
+// arrives over HTTP, pushed or pulled, so a frame refused on one road is
+// refused and counted exactly as on the other. host names the sender of a
+// frame that does not name itself (a pull knows whom it asked); sampled is
+// the caller's one decision to time every stage of the trip or none.
+// RecvBytes counts bytes read, and only of frames that were ingested.
+func (g *Aggregator) receive(ctx context.Context, r io.Reader, source, host string, sampled bool) (*Batch, error) {
+	body := &countingReader{r: r}
+	start := stageStart(sampled)
 	b, err := DecodeBatch(body)
-	if err != nil {
-		return err
+	var unknown *UnknownLayoutError
+	switch {
+	case errors.As(err, &unknown):
+		return nil, g.refuse(unknown.Header, err)
+	case err != nil:
+		g.rejected.Add(1)
+		return nil, err
 	}
-	g.noteDecoded(b)
-	g.recvBytes.Add(body.n) // not ContentLength: a chunked reply declares -1
 	if b.Host == "" {
 		b.Host = host
 	}
-	return g.Ingest(b, "pull")
+	idx := g.ShardFor(b.Host)
+	g.observeStage(fleetobs.StageDecode, start, b, idx)
+	g.noteDecoded(b)
+	// Attribute ingest CPU to the pipeline: pprof samples taken inside
+	// carry stage/host/shard labels via Options.Pprof for free.
+	pprof.Do(ctx,
+		pprof.Labels("stage", "ingest", "host", b.Host, "shard", strconv.Itoa(idx)),
+		func(context.Context) {
+			err = g.ingest(b, source, sampled)
+		})
+	if err != nil {
+		return nil, err
+	}
+	g.recvBytes.Add(body.n)
+	return b, nil
 }
 
 // HostStatus is one host's liveness record.
@@ -987,50 +1005,17 @@ func (g *Aggregator) serveSnapshot(w http.ResponseWriter, r *http.Request) {
 }
 
 func (g *Aggregator) servePush(w http.ResponseWriter, r *http.Request) {
-	// One sampling decision covers the whole push — a sampled push times
-	// its decode, lock wait, ingest and log append; an unsampled one
-	// pays one atomic add total.
 	sampled := g.cfg.Obs.Sample()
 	pushStart := time.Now()
-	// One frame cannot legitimately exceed its declared limits; bound the
-	// body read accordingly so a hostile sender cannot stream forever.
-	body := &countingReader{r: http.MaxBytesReader(w, r.Body, 16+maxHeaderLen+maxPayloadLen)}
-	var decodeStart time.Time
-	if sampled {
-		decodeStart = time.Now()
-	}
-	b, err := DecodeBatch(body)
-	if sampled && err == nil {
-		g.observeStage(fleetobs.StageDecode, time.Since(decodeStart), b, g.ShardFor(b.Host))
-	}
-	var ierr error
-	var unknown *UnknownLayoutError
-	switch {
-	case errors.As(err, &unknown):
-		ierr = g.refuse(unknown.Header, err)
-	case err != nil:
-		g.rejected.Add(1)
-		ierr = err
-	default:
-		g.noteDecoded(b)
-		// Attribute ingest CPU to the pipeline: pprof samples taken inside
-		// carry stage/host/shard labels via Options.Pprof for free.
-		pprof.Do(r.Context(),
-			pprof.Labels("stage", "ingest", "host", b.Host, "shard", strconv.Itoa(g.ShardFor(b.Host))),
-			func(context.Context) {
-				ierr = g.ingest(b, "push", sampled)
-			})
-	}
-	if ierr != nil {
-		if errors.Is(ierr, ErrResyncRequired) {
-			fleetResyncError(w, ierr)
+	b, err := g.receive(r.Context(), http.MaxBytesReader(w, r.Body, maxFrameLen), "push", "", sampled)
+	if err != nil {
+		if errors.Is(err, ErrResyncRequired) {
+			fleetResyncError(w, err)
 			return
 		}
-		fleetError(w, http.StatusBadRequest, ierr.Error())
+		fleetError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	// The bytes read, not r.ContentLength: a chunked POST declares -1.
-	g.recvBytes.Add(body.n)
 	if sampled {
 		g.cfg.Obs.Emit(fleetobs.Event{
 			Kind: fleetobs.KindPush, Scope: "aggregator",

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -278,12 +279,26 @@ func TestAggregatorHTTPSurface(t *testing.T) {
 	if presp.StatusCode != http.StatusBadRequest {
 		t.Errorf("invalid batch push: %d, want 400", presp.StatusCode)
 	}
+	// The same garbage arriving by pull is refused by the same code and
+	// lands in the same counters (plus the pull's own error count).
+	garbage := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		io.WriteString(w, "not a frame")
+	}))
+	defer garbage.Close()
+	agg.Watch("esx-garbage", garbage.URL)
+	if errs := agg.PullAll(); !errors.Is(errs["esx-garbage"], ErrBadFrame) {
+		t.Errorf("garbage pull: %v, want a bad frame", errs)
+	}
 	after := agg.Stats()
-	if after.Rejected != before.Rejected+2 {
-		t.Errorf("rejected counter: %d -> %d, want +2", before.Rejected, after.Rejected)
+	if after.Rejected != before.Rejected+3 || after.PullErrors != before.PullErrors+1 {
+		t.Errorf("rejected counter: %d -> %d, want +3 (two pushes, one pull); pull errors %d -> %d, want +1",
+			before.Rejected, after.Rejected, before.PullErrors, after.PullErrors)
+	}
+	if after.RecvBytes != before.RecvBytes {
+		t.Errorf("refused frames counted as received: %d -> %d bytes", before.RecvBytes, after.RecvBytes)
 	}
 	if after.Hosts != before.Hosts {
-		t.Errorf("rejected pushes changed the host set: %d -> %d", before.Hosts, after.Hosts)
+		t.Errorf("rejected frames changed the host set: %d -> %d", before.Hosts, after.Hosts)
 	}
 }
 

@@ -15,7 +15,9 @@ import (
 
 // History answers "what did the fleet's I/O look like between from and to"
 // from the retained segment log — the paper's histograms-over-time views
-// at fleet scope. The log is replayed per host up to each boundary:
+// at fleet scope. The log is replayed per host through chainPos.apply —
+// the function live ingest and boot replay advance a host with, so a frame
+// means here what it meant when it was logged — up to each boundary:
 //
 //	baseline = the host's state as of its newest frame sent at or before from
 //	end      = the host's state as of its newest frame sent at or before to
@@ -72,28 +74,18 @@ func (g *Aggregator) history(from, to time.Time) (*HistoryResult, error) {
 			h = &historyHost{}
 			hosts[b.Host] = h
 		}
-		if b.Delta {
-			if !h.has || b.Seq <= h.seq || b.BaseSeq != h.seq {
-				return // same strict rules as live ingest: exact base only
-			}
-			snaps, err := applyDeltaSnaps(h.cur, b.Snapshots)
-			if err != nil {
-				return
-			}
-			h.cur = snaps
-		} else {
-			if h.has && b.Seq < h.seq {
-				return // stale duplicate (compaction-interrupt leftovers)
-			}
-			h.cur = b.Snapshots
+		if applied, _ := h.apply(b); !applied {
+			// A duplicate, a stale full (compaction-interrupt leftovers) or
+			// a delta whose base is gone: live ingest left its state alone
+			// for the same frame, and so does the window.
+			return
 		}
-		h.seq, h.has = b.Seq, true
 		if b.SentUnixNano <= fromNs {
-			h.base = h.cur
+			h.base = h.snaps
 		} else {
 			h.inWindow = true
 		}
-		h.end = h.cur
+		h.end = h.snaps
 	})
 
 	var windows []*core.Snapshot
@@ -116,12 +108,11 @@ func (g *Aggregator) history(from, to time.Time) (*HistoryResult, error) {
 	return res, nil
 }
 
-// historyHost is one host's replay state during a History scan.
+// historyHost is one host's replay state during a History scan: the same
+// chainPos live ingest advances, plus the two boundary states.
 type historyHost struct {
-	seq      uint64
-	has      bool // any frame applied yet
-	inWindow bool // a state change landed inside (from, to]
-	cur      []*core.Snapshot
+	chainPos
+	inWindow bool             // a state change landed inside (from, to]
 	base     []*core.Snapshot // state as of the newest frame sent <= from
 	end      []*core.Snapshot // state as of the newest frame sent <= to
 }

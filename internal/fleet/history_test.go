@@ -2,7 +2,9 @@ package fleet
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -115,6 +117,154 @@ func TestHistorySpansRestart(t *testing.T) {
 	want := core.Aggregate("cluster", "*", subSnaps(states[2], states[0])...)
 	if res.Hosts != 1 || !sameSnapshot(res.Cluster, want) {
 		t.Error("window spanning the restart is not the continuous subtraction")
+	}
+}
+
+// TestHistoryFollowsSenderRestart is the restarted-ReExporter case: the
+// sender's sequence space starts over under a new boot while the counters
+// it reports keep counting. Live ingest follows the restart (a full from a
+// new boot replaces state at any sequence); a window across it must too,
+// and be the plain subtraction of its boundary states.
+func TestHistoryFollowsSenderRestart(t *testing.T) {
+	g, _, err := OpenAggregator(logAggConfig(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+
+	const host, bootA, bootB = "region-west", 11, 22
+	reg := makeRegistry(0, 2, 2, 100)
+	t0 := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	var states [][]*core.Snapshot
+	var sent []time.Time
+	push := func(boot, seq uint64, delta bool) {
+		t.Helper()
+		for j, col := range reg.List() {
+			feed(col, len(states)*10+j, 35)
+		}
+		b := &Batch{
+			Host: host, Seq: seq, Boot: boot, Snapshots: reg.Snapshots(),
+			SentUnixNano: t0.Add(time.Duration(len(states)) * time.Minute).UnixNano(),
+		}
+		if delta {
+			b.Delta, b.BaseSeq = true, seq-1
+			b.Snapshots = subSnaps(b.Snapshots, states[len(states)-1])
+		}
+		states = append(states, reg.Snapshots())
+		sent = append(sent, time.Unix(0, b.SentUnixNano))
+		if err := g.Ingest(b, "push"); err != nil {
+			t.Fatalf("boot %d seq %d: %v", boot, seq, err)
+		}
+	}
+	push(bootA, 1, false)
+	for seq := uint64(2); seq <= 5; seq++ {
+		push(bootA, seq, true)
+	}
+	push(bootB, 1, false) // the restart: seq starts over, counters do not
+	push(bootB, 2, true)
+
+	last := len(states) - 1
+	if !g.ClusterSnapshot(true).StateEquals(core.Aggregate("cluster", "*", states[last]...)) {
+		t.Fatal("live ingest did not follow the restart")
+	}
+	res, err := g.History(sent[4], sent[last]) // from the last boot-A frame
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := core.Aggregate("cluster", "*", subSnaps(states[last], states[4])...)
+	if res.Hosts != 1 || !sameSnapshot(res.Cluster, want) {
+		var got int64
+		if res.Cluster != nil {
+			got = res.Cluster.Commands
+		}
+		t.Errorf("window across the restart: hosts=%d commands=%d, want hosts=1 commands=%d",
+			res.Hosts, got, want.Commands)
+	}
+}
+
+// TestHistoryMatchesLiveIngest is the law behind chainPos: History and
+// shard.ingest are two consumers of one apply rule, so over a window that
+// holds the whole log they end in the same state — after every prefix of
+// any frame sequence, however hostile. The sequences are seeded random
+// mixes of fulls, deltas, duplicates, sequence gaps, stale fulls and
+// sender restarts across three hosts.
+func TestHistoryMatchesLiveIngest(t *testing.T) {
+	type sender struct {
+		host      string
+		reg       *core.Registry
+		seq, boot uint64
+		last      *Batch           // for redelivery
+		base      []*core.Snapshot // state the receiver acknowledged; nil forces a full
+	}
+	epoch, farFuture := time.Unix(0, 0), time.Date(2100, 1, 1, 0, 0, 0, 0, time.UTC)
+	for _, seed := range []int64{1, 7919} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			g, _, err := OpenAggregator(logAggConfig(t.TempDir()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer g.Close()
+			senders := make([]*sender, 3)
+			for i := range senders {
+				senders[i] = &sender{
+					host: fmt.Sprintf("esx-%d", i), reg: makeRegistry(i, 1, 2, 40), boot: uint64(rng.Int63()) | 1,
+				}
+			}
+			kinds := map[string]int{}
+			for step := 0; step < 120; step++ {
+				s := senders[rng.Intn(len(senders))]
+				for j, col := range s.reg.List() {
+					feed(col, step*10+j, rng.Intn(30))
+				}
+				cur := s.reg.Snapshots()
+				kind := [...]string{"delta", "delta", "delta", "delta", "full", "duplicate", "gap", "stale-full", "reboot", "reboot-delta"}[rng.Intn(10)]
+				if kind == "reboot" || kind == "reboot-delta" {
+					s.boot, s.seq = uint64(rng.Int63())|1, 0
+					if kind == "reboot" {
+						s.base = nil // else: a restarted sender wrongly trusting its old base
+					}
+				}
+				b := &Batch{Host: s.host, Boot: s.boot, Snapshots: cur, SentUnixNano: int64(step+1) * int64(time.Second)}
+				switch {
+				case kind == "duplicate" && s.last != nil:
+					b = s.last
+				case kind == "stale-full":
+					b.Seq = s.seq / 2
+				default:
+					if kind == "gap" {
+						s.seq++ // a frame the receiver never saw
+					}
+					if s.base != nil && kind != "full" {
+						b.Delta, b.BaseSeq, b.Snapshots = true, s.seq, subSnaps(cur, s.base)
+					}
+					s.seq++
+					b.Seq = s.seq
+				}
+				kinds[kind]++
+				err := g.Ingest(b, "push")
+				switch {
+				case errors.Is(err, ErrResyncRequired):
+					s.base = nil // what a real sender does: full state next
+				case err != nil:
+					t.Fatalf("step %d (%s): %v", step, kind, err)
+				case b != s.last && kind != "stale-full":
+					s.base, s.last = cur, b
+				}
+				res, err := g.History(epoch, farFuture)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if live := g.ClusterSnapshot(true); !res.Cluster.StateEquals(live) {
+					t.Fatalf("step %d (%s host %s seq %d): History over the whole log and the live merge disagree",
+						step, kind, b.Host, b.Seq)
+				}
+			}
+			st := g.Stats()
+			if st.DeltasApplied == 0 || st.Duplicates == 0 || st.ResyncSeqGap == 0 || st.ResyncBootChanged == 0 {
+				t.Errorf("sequence too tame to prove anything: %v, stats %+v", kinds, st)
+			}
+		})
 	}
 }
 

@@ -1,10 +1,8 @@
 package fleet
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"sort"
@@ -57,20 +55,7 @@ func (c *ReExporterConfig) withDefaults() ReExporterConfig {
 	if out.Interval <= 0 {
 		out.Interval = 2 * time.Second
 	}
-	if out.Timeout <= 0 {
-		out.Timeout = 5 * time.Second
-	}
-	if out.Client == nil {
-		out.Client = &http.Client{}
-	}
 	return out
-}
-
-// reExportBase is the last upstream-acknowledged rendering for one
-// upstream host name — the state deltas are computed against.
-type reExportBase struct {
-	seq  uint64
-	full []*core.Snapshot
 }
 
 // ReExporter makes an aggregator composable: it re-exports the
@@ -100,16 +85,15 @@ type ReExporter struct {
 	cfg ReExporterConfig
 	agg *Aggregator
 
-	// boot is this process's incarnation; traceSalt distinguishes trace
-	// IDs across restarts, where seq starts over.
-	boot      uint64
-	traceSalt uint32
+	// snd owns the wire: upstream endpoint, boot incarnation, trace
+	// identity and the one encode → POST → status fold.
+	snd *sender
 
 	// mu single-flights flush and guards seqs/bases: deltas are rendered
 	// against the base at flush time, and only one flush may advance it.
 	mu    sync.Mutex
 	seqs  map[string]uint64
-	bases map[string]*reExportBase
+	bases map[string]*ackedBase // last upstream-acknowledged rendering per entry
 
 	pushes      atomic.Int64
 	deltaPushes atomic.Int64
@@ -117,7 +101,6 @@ type ReExporter struct {
 	fullPushes  atomic.Int64
 	resyncs     atomic.Int64
 	pushErrors  atomic.Int64
-	sentBytes   atomic.Int64
 	level       atomic.Int64
 	lastErr     atomic.Pointer[string]
 
@@ -137,16 +120,18 @@ func NewReExporter(agg *Aggregator, cfg ReExporterConfig) *ReExporter {
 	if cfg.Upstream == "" {
 		panic("fleet: ReExporterConfig.Upstream is required")
 	}
+	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
 	return &ReExporter{
-		cfg:       cfg.withDefaults(),
-		agg:       agg,
-		boot:      newBootID(rng),
-		traceSalt: uint32(rng.Int63()),
-		seqs:      make(map[string]uint64),
-		bases:     make(map[string]*reExportBase),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
+		cfg: cfg,
+		agg: agg,
+		// No tracker on the sender: a re-export is one StageReExport span,
+		// recorded by ReExportNow around all of its pushes.
+		snd:   newSender(cfg.Upstream, cfg.Client, cfg.Timeout, nil, rng),
+		seqs:  make(map[string]uint64),
+		bases: make(map[string]*ackedBase),
+		stop:  make(chan struct{}),
+		done:  make(chan struct{}),
 	}
 }
 
@@ -329,7 +314,7 @@ func (r *ReExporter) flushEntry(e upstreamEntry) error {
 				seq++
 				b = r.frame(e, seq, base.seq, true, deltas)
 			}
-			err := r.push(b)
+			err := r.snd.push(b)
 			switch {
 			case err == nil:
 				if len(deltas) == 0 {
@@ -339,7 +324,7 @@ func (r *ReExporter) flushEntry(e upstreamEntry) error {
 					return nil
 				}
 				r.seqs[e.host] = seq
-				r.bases[e.host] = &reExportBase{seq: seq, full: e.snaps}
+				r.bases[e.host] = &ackedBase{seq: seq, full: e.snaps}
 				r.pushes.Add(1)
 				r.deltaPushes.Add(1)
 				r.emitPush(b, "delta", len(deltas))
@@ -358,11 +343,11 @@ func (r *ReExporter) flushEntry(e upstreamEntry) error {
 	}
 	seq++
 	f := r.frame(e, seq, 0, false, e.snaps)
-	if err := r.push(f); err != nil {
+	if err := r.snd.push(f); err != nil {
 		return r.noteError(e, err)
 	}
 	r.seqs[e.host] = seq
-	r.bases[e.host] = &reExportBase{seq: seq, full: e.snaps}
+	r.bases[e.host] = &ackedBase{seq: seq, full: e.snaps}
 	r.pushes.Add(1)
 	r.fullPushes.Add(1)
 	r.emitPush(f, "full", len(e.snaps))
@@ -371,53 +356,12 @@ func (r *ReExporter) flushEntry(e upstreamEntry) error {
 
 // frame builds one upstream wire batch for the entry.
 func (r *ReExporter) frame(e upstreamEntry, seq, baseSeq uint64, delta bool, snaps []*core.Snapshot) *Batch {
-	now := time.Now().UnixNano()
-	b := &Batch{
-		Host:            e.host,
-		Seq:             seq,
-		SentUnixNano:    now,
-		Delta:           delta,
-		Snapshots:       snaps,
-		TraceID:         fmt.Sprintf("%s-%08x-%d", e.host, r.traceSalt, seq),
-		CaptureUnixNano: now,
-		Boot:            r.boot,
-		Level:           e.level,
-		Leaves:          e.leaves,
-	}
+	b := r.snd.frame(e.host, seq, time.Now().UnixNano(), snaps)
+	b.Level, b.Leaves = e.level, e.leaves
 	if delta {
-		b.BaseSeq = baseSeq
+		b.Delta, b.BaseSeq = true, baseSeq
 	}
 	return b
-}
-
-// push sends one batch upstream with the per-request timeout; any 4xx on
-// a delta folds into errResync, exactly like the agent's push.
-func (r *ReExporter) push(b *Batch) error {
-	body, err := EncodeBatchBytes(b)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequest(http.MethodPost, r.cfg.Upstream, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", ContentType)
-	ctx, cancel := contextWithTimeout(r.cfg.Timeout)
-	defer cancel()
-	resp, err := r.cfg.Client.Do(req.WithContext(ctx))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	if resp.StatusCode != http.StatusOK {
-		if b.Delta && resp.StatusCode >= 400 && resp.StatusCode < 500 {
-			return fmt.Errorf("%w (upstream returned %s)", errResync, resp.Status)
-		}
-		return fmt.Errorf("fleet: upstream returned %s", resp.Status)
-	}
-	r.sentBytes.Add(int64(len(body)))
-	return nil
 }
 
 // noteError records a failed upstream delivery.
@@ -472,7 +416,7 @@ func (r *ReExporter) Stats() ReExporterStats {
 		FullPushes:  r.fullPushes.Load(),
 		Resyncs:     r.resyncs.Load(),
 		Errors:      r.pushErrors.Load(),
-		SentBytes:   r.sentBytes.Load(),
+		SentBytes:   r.snd.sentBytes.Load(),
 	}
 	if msg := r.lastErr.Load(); msg != nil {
 		s.LastError = *msg

@@ -1,0 +1,147 @@
+package fleet
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"math/rand"
+	"net/http"
+	"sync/atomic"
+	"time"
+
+	"vscsistats/internal/core"
+	"vscsistats/internal/fleetobs"
+)
+
+// errResync reports a delta push the receiver refused with a 4xx: the
+// base the delta was built on is gone (receiver restart, seq gap, boot
+// change) or the frame was otherwise unappliable. The sender's reaction is
+// always the same — clear the acknowledged base and push full state — so
+// every 4xx on a delta folds into this one error.
+var errResync = errors.New("fleet: aggregator requested resync")
+
+// ackedBase is the last state the receiver acknowledged for one host name
+// — the state deltas are computed against. The receiver's no-rollback
+// apply rule guarantees it holds at least this sequence.
+type ackedBase struct {
+	seq  uint64
+	full []*core.Snapshot
+}
+
+// subAgainst pairs cur with base by (VM, disk) and returns the non-zero
+// interval deltas. It refuses (ok=false) when the disk sets differ — a
+// disk appeared or vanished — which forces a full push carrying the new
+// set.
+func subAgainst(cur, base []*core.Snapshot) ([]*core.Snapshot, bool) {
+	if len(cur) != len(base) {
+		return nil, false
+	}
+	byKey := make(map[diskKey]*core.Snapshot, len(base))
+	for _, s := range base {
+		byKey[diskKey{s.VM, s.Disk}] = s
+	}
+	deltas := make([]*core.Snapshot, 0, len(cur))
+	for _, s := range cur {
+		b, ok := byKey[diskKey{s.VM, s.Disk}]
+		if !ok {
+			return nil, false
+		}
+		if s.StateEquals(b) {
+			continue // unchanged since the base: omit entirely
+		}
+		deltas = append(deltas, s.Sub(b))
+	}
+	return deltas, true
+}
+
+// sender is the sending half of the push protocol (DESIGN.md §10 "Protocol
+// rules"), shared by every process that pushes frames: where they go, the
+// identity stamped on them, and the one encode → POST → status fold. What
+// to send and when — queue, backoff, heartbeat, base — is its owner's.
+type sender struct {
+	endpoint string
+	client   *http.Client
+	timeout  time.Duration
+	obs      *fleetobs.Tracker // encode and round-trip spans; nil records none
+
+	// boot is this process's incarnation, stamped on every frame so a
+	// receiver can tell a restarted sender (sequences start over) from a
+	// late retry. Non-zero: zero on the wire means "pre-federation sender".
+	boot uint64
+	// traceSalt keeps trace IDs distinct across restarts.
+	traceSalt uint32
+
+	sentBytes atomic.Int64
+}
+
+// newSender draws the process identity from rng; a nil client or a
+// non-positive timeout takes the documented default (5s).
+func newSender(endpoint string, client *http.Client, timeout time.Duration, obs *fleetobs.Tracker, rng *rand.Rand) *sender {
+	if client == nil {
+		client = &http.Client{}
+	}
+	if timeout <= 0 {
+		timeout = 5 * time.Second
+	}
+	s := &sender{endpoint: endpoint, client: client, timeout: timeout, obs: obs, traceSalt: uint32(rng.Int63())}
+	for s.boot == 0 {
+		s.boot = uint64(rng.Int63())<<1 ^ uint64(rng.Int63())
+	}
+	return s
+}
+
+// traceID renders a frame's end-to-end trace identity: host-salt-seq,
+// unique across the fleet (host) and across sender restarts (salt).
+func (s *sender) traceID(host string, seq uint64) string {
+	return fmt.Sprintf("%s-%08x-%d", host, s.traceSalt, seq)
+}
+
+// frame stamps one full-state batch captured at the given time with this
+// sender's identity; the owner turns it into a delta where it has a base.
+func (s *sender) frame(host string, seq uint64, at int64, snaps []*core.Snapshot) *Batch {
+	return &Batch{
+		Host: host, Seq: seq, SentUnixNano: at, CaptureUnixNano: at, Snapshots: snaps,
+		TraceID: s.traceID(host, seq), Boot: s.boot,
+	}
+}
+
+// push sends one batch with the per-request timeout. Any 4xx on a delta
+// means this frame can never be applied as-is — re-sending full state is
+// the only road forward — so it returns errResync; 5xx and transport
+// errors stay retryable failures.
+func (s *sender) push(b *Batch) error {
+	ev := fleetobs.Event{Host: b.Host, TraceID: b.TraceID, BatchSeq: b.Seq, Shard: -1}
+	encStart := time.Now()
+	body, err := EncodeBatchBytes(b)
+	s.obs.ObserveSince(fleetobs.StageEncode, encStart, ev)
+	if err != nil {
+		return err
+	}
+	req, err := http.NewRequest(http.MethodPost, s.endpoint, bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Content-Type", ContentType)
+	ctx, cancel := contextWithTimeout(s.timeout)
+	defer cancel()
+	pushStart := time.Now()
+	resp, err := s.client.Do(req.WithContext(ctx))
+	if err != nil {
+		ev.Detail = "transport error"
+		s.obs.ObserveSince(fleetobs.StagePush, pushStart, ev)
+		return err
+	}
+	defer resp.Body.Close()
+	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+	ev.Detail = resp.Status
+	s.obs.ObserveSince(fleetobs.StagePush, pushStart, ev)
+	if resp.StatusCode != http.StatusOK {
+		if b.Delta && resp.StatusCode >= 400 && resp.StatusCode < 500 {
+			return fmt.Errorf("%w (aggregator returned %s)", errResync, resp.Status)
+		}
+		return fmt.Errorf("fleet: aggregator returned %s", resp.Status)
+	}
+	s.sentBytes.Add(int64(len(body)))
+	return nil
+}

@@ -79,80 +79,93 @@ func (s *shard) noteResync(cause ResyncCause) {
 // diskKey identifies one virtual disk within a host's batch.
 type diskKey struct{ vm, disk string }
 
-// ingest records a validated batch. Full batches replace the host's state
-// when their sequence is newest (late retries refresh liveness only);
-// delta batches must build on exactly the sequence the shard holds —
-// anything else returns ErrResyncRequired so the agent falls back to a
-// full push. Duplicate delta deliveries (retries whose ack was lost) are
-// idempotent: liveness refreshes, nothing is applied twice. The applied
-// result reports whether the batch changed stored state — the segment log
+// chainPos is one sender's position in the push protocol: the sequence
+// and boot incarnation of the last frame applied, and the full state that
+// frame left behind. The zero value is a sender nothing is known about.
+// Every consumer of frames — live ingest, boot replay (both through
+// shard.ingest) and History — holds one per host and advances it only
+// through apply, so they cannot disagree about what a frame means.
+type chainPos struct {
+	seq   uint64
+	boot  uint64 // 0 for pre-federation senders
+	known bool   // a full frame has established state
+	snaps []*core.Snapshot
+}
+
+// apply is the receiver's half of the push protocol (DESIGN.md §10
+// "Protocol rules"): the one place an incoming frame's Seq, BaseSeq and
+// Boot are compared against stored state. It reports whether the frame
+// changed the chain. A nil error with applied false is an idempotent
+// duplicate (a delta retry whose ack was lost) or a stale full (a late
+// retry); a *ResyncError names why a delta cannot apply, and leaves the
+// chain untouched.
+func (c *chainPos) apply(b *Batch) (applied bool, err error) {
+	// A restarted sender's sequence space started over, so no comparison
+	// of sequences across the restart means anything.
+	rebooted := b.Boot != 0 && c.boot != 0 && b.Boot != c.boot
+	if !b.Delta {
+		// Newest full wins, and so does any full from a new incarnation:
+		// "newest seq" alone would pin the host at its dead predecessor.
+		if b.Seq < c.seq && !rebooted {
+			return false, nil
+		}
+		*c = chainPos{seq: b.Seq, boot: b.Boot, known: true, snaps: b.Snapshots}
+		return true, nil
+	}
+	switch {
+	case !c.known:
+		return false, resyncErr(ResyncUnknownHost, "no state for host %q (aggregator restarted?)", b.Host)
+	case rebooted:
+		return false, resyncErr(ResyncBootChanged, "delta from boot %#x, host %q stored boot %#x", b.Boot, b.Host, c.boot)
+	case b.Seq <= c.seq:
+		return false, nil
+	case b.BaseSeq != c.seq:
+		return false, resyncErr(ResyncSeqGap, "delta base seq %d, host %q is at %d", b.BaseSeq, b.Host, c.seq)
+	}
+	snaps, err := applyDeltaSnaps(c.snaps, b.Snapshots)
+	if err != nil {
+		return false, resyncErr(ResyncUnknownDisk, "%v", err)
+	}
+	c.seq, c.snaps = b.Seq, snaps
+	if b.Boot != 0 {
+		c.boot = b.Boot
+	}
+	return true, nil
+}
+
+// ingest records a validated batch: chainPos.apply decides what the frame
+// means, ingest keeps the books around it. Any frame from a known host
+// refreshes liveness, refused or not; a refusal is counted by cause and
+// returned so the sender falls back to a full push. The applied result
+// reports whether the batch changed stored state — the segment log
 // persists exactly those batches, so liveness-only refreshes and
 // duplicates never consume log space.
 func (s *shard) ingest(b *Batch, source string, now time.Time) (applied bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.hosts[b.Host]
-	if b.Delta {
-		if st == nil {
-			s.noteResync(ResyncUnknownHost)
-			return false, resyncErr(ResyncUnknownHost, "no state for host %q (aggregator restarted?)", b.Host)
-		}
-		st.lastSeen, st.source = now, source
-		if b.Boot != 0 && st.boot != 0 && b.Boot != st.boot {
-			// The sender restarted: its sequence space started over, so
-			// neither the duplicate nor the base-match rule below can be
-			// trusted. Only full state re-establishes the chain.
-			s.noteResync(ResyncBootChanged)
-			return false, resyncErr(ResyncBootChanged, "delta from boot %#x, host %q stored boot %#x", b.Boot, b.Host, st.boot)
-		}
-		if b.Seq <= st.seq {
-			st.batches++
-			s.batches.Add(1)
-			s.duplicates.Add(1)
-			return false, nil
-		}
-		if b.BaseSeq != st.seq {
-			s.noteResync(ResyncSeqGap)
-			return false, resyncErr(ResyncSeqGap, "delta base seq %d, host %q is at %d", b.BaseSeq, b.Host, st.seq)
-		}
-		snaps, err := applyDeltaSnaps(st.snaps, b.Snapshots)
-		if err != nil {
-			s.noteResync(ResyncUnknownDisk)
-			return false, resyncErr(ResyncUnknownDisk, "%v", err)
-		}
-		st.snaps = snaps
-		st.seq = b.Seq
-		st.sentUnixNano = b.SentUnixNano
-		if b.Boot != 0 {
-			st.boot = b.Boot
-		}
-		st.level, st.leaves = b.Level, b.Leaves
-		st.batches++
-		s.batches.Add(1)
-		s.deltasApplied.Add(1)
-		s.version++
-		return true, nil
-	}
 	if st == nil {
-		st = &hostState{host: b.Host}
-		s.hosts[b.Host] = st
+		st = &hostState{host: b.Host} // kept only if the frame is accepted
 	}
-	st.lastSeen = now
-	st.source = source
+	st.lastSeen, st.source = now, source
+	if applied, err = st.apply(b); err != nil {
+		s.noteResync(resyncCauseOf(err))
+		return false, err
+	}
+	s.hosts[b.Host] = st
 	st.batches++
-	// A full batch from a new boot incarnation replaces state even at a
-	// lower sequence: the sender's sequence space restarted, so "newest
-	// seq wins" would pin the host at its dead predecessor's state.
-	if b.Seq >= st.seq || (b.Boot != 0 && st.boot != 0 && b.Boot != st.boot) {
-		st.seq = b.Seq
+	s.batches.Add(1)
+	switch {
+	case applied:
 		st.sentUnixNano = b.SentUnixNano
-		st.snaps = b.Snapshots
-		st.boot = b.Boot
 		st.level, st.leaves = b.Level, b.Leaves
 		s.version++
-		applied = true
+		if b.Delta {
+			s.deltasApplied.Add(1)
+		}
+	case b.Delta:
+		s.duplicates.Add(1)
 	}
-	s.batches.Add(1)
 	return applied, nil
 }
 

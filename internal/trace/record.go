@@ -174,64 +174,7 @@ func Write(w io.Writer, records []Record) error {
 }
 
 // Read deserializes a trace written by Write.
-func Read(r io.Reader) ([]Record, error) {
-	br := bufio.NewReader(r)
-	head := make([]byte, 8)
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	if string(head[:4]) != magic {
-		return nil, ErrBadMagic
-	}
-	if v := binary.LittleEndian.Uint16(head[4:6]); v != version {
-		return nil, fmt.Errorf("%w: %d", ErrBadVersion, v)
-	}
-	nStrs := int(binary.LittleEndian.Uint16(head[6:8]))
-	strs := make([]string, nStrs)
-	for i := range strs {
-		if _, err := io.ReadFull(br, head[:2]); err != nil {
-			return nil, fmt.Errorf("%w: string table: %v", ErrCorrupt, err)
-		}
-		buf := make([]byte, binary.LittleEndian.Uint16(head[:2]))
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("%w: string table: %v", ErrCorrupt, err)
-		}
-		strs[i] = string(buf)
-	}
-	if _, err := io.ReadFull(br, head[:8]); err != nil {
-		return nil, fmt.Errorf("%w: record count: %v", ErrCorrupt, err)
-	}
-	count := binary.LittleEndian.Uint64(head[:8])
-	const maxRecords = 1 << 30
-	if count > maxRecords {
-		return nil, fmt.Errorf("%w: absurd record count %d", ErrCorrupt, count)
-	}
-	records := make([]Record, 0, count)
-	buf := make([]byte, recordSize)
-	for i := uint64(0); i < count; i++ {
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("%w: record %d: %v", ErrCorrupt, i, err)
-		}
-		vmIdx := binary.LittleEndian.Uint16(buf[36:38])
-		diskIdx := binary.LittleEndian.Uint16(buf[38:40])
-		if int(vmIdx) >= nStrs || int(diskIdx) >= nStrs {
-			return nil, fmt.Errorf("%w: record %d references missing name", ErrCorrupt, i)
-		}
-		records = append(records, Record{
-			Seq:            binary.LittleEndian.Uint64(buf[0:8]),
-			IssueMicros:    int64(binary.LittleEndian.Uint64(buf[8:16])),
-			CompleteMicros: int64(binary.LittleEndian.Uint64(buf[16:24])),
-			LBA:            binary.LittleEndian.Uint64(buf[24:32]),
-			Blocks:         binary.LittleEndian.Uint32(buf[32:36]),
-			VM:             strs[vmIdx],
-			Disk:           strs[diskIdx],
-			Op:             scsi.OpCode(buf[40]),
-			Status:         scsi.Status(buf[41]),
-			Outstanding:    binary.LittleEndian.Uint16(buf[42:44]),
-		})
-	}
-	return records, nil
-}
+func Read(r io.Reader) ([]Record, error) { return ReadAll(NewNativeSource(r)) }
 
 // WriteCSV exports records as CSV with a header row.
 func WriteCSV(w io.Writer, records []Record) error {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 
-	"vscsistats/internal/scsi"
 	"vscsistats/internal/vscsi"
 )
 
@@ -135,53 +134,4 @@ func (sw *StreamWriter) Close() error {
 }
 
 // ReadStream parses a stream produced by StreamWriter.
-func ReadStream(r io.Reader) ([]Record, error) {
-	br := bufio.NewReader(r)
-	strs := make(map[uint16]string)
-	var out []Record
-	var buf [recordSize]byte
-	for {
-		tag, err := br.ReadByte()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		switch tag {
-		case 'S':
-			if _, err := io.ReadFull(br, buf[:4]); err != nil {
-				return out, fmt.Errorf("%w: string frame: %v", ErrCorrupt, err)
-			}
-			id := binary.LittleEndian.Uint16(buf[0:2])
-			name := make([]byte, binary.LittleEndian.Uint16(buf[2:4]))
-			if _, err := io.ReadFull(br, name); err != nil {
-				return out, fmt.Errorf("%w: string frame: %v", ErrCorrupt, err)
-			}
-			strs[id] = string(name)
-		case 'R':
-			if _, err := io.ReadFull(br, buf[:]); err != nil {
-				return out, fmt.Errorf("%w: record frame: %v", ErrCorrupt, err)
-			}
-			vm, okVM := strs[binary.LittleEndian.Uint16(buf[36:38])]
-			disk, okDisk := strs[binary.LittleEndian.Uint16(buf[38:40])]
-			if !okVM || !okDisk {
-				return out, fmt.Errorf("%w: record references undefined name", ErrCorrupt)
-			}
-			out = append(out, Record{
-				Seq:            binary.LittleEndian.Uint64(buf[0:8]),
-				IssueMicros:    int64(binary.LittleEndian.Uint64(buf[8:16])),
-				CompleteMicros: int64(binary.LittleEndian.Uint64(buf[16:24])),
-				LBA:            binary.LittleEndian.Uint64(buf[24:32]),
-				Blocks:         binary.LittleEndian.Uint32(buf[32:36]),
-				VM:             vm,
-				Disk:           disk,
-				Op:             scsi.OpCode(buf[40]),
-				Status:         scsi.Status(buf[41]),
-				Outstanding:    binary.LittleEndian.Uint16(buf[42:44]),
-			})
-		default:
-			return out, fmt.Errorf("%w: unknown frame tag %q", ErrCorrupt, tag)
-		}
-	}
-}
+func ReadStream(r io.Reader) ([]Record, error) { return ReadAll(NewStreamSource(r)) }

@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -88,6 +90,29 @@ func TestReadRejectsGarbage(t *testing.T) {
 	Write(&buf, sampleRecords(10))
 	if _, err := Read(bytes.NewReader(buf.Bytes()[:buf.Len()-10])); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("truncated: %v", err)
+	}
+}
+
+// TestReadHostileRecordCount: the header's record count is a claim about
+// the stream, never an allocation size. Sixteen bytes claiming 2^30 records
+// must cost a read buffer and an ErrCorrupt, not 80 GiB of Record slots.
+func TestReadHostileRecordCount(t *testing.T) {
+	hdr := []byte(magic)
+	hdr = binary.LittleEndian.AppendUint16(hdr, version)
+	hdr = binary.LittleEndian.AppendUint16(hdr, 0) // no names
+	hdr = binary.LittleEndian.AppendUint64(hdr, 1<<30)
+	if len(hdr) != 16 {
+		t.Fatalf("header is %d bytes", len(hdr))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	recs, err := Read(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) || len(recs) != 0 {
+		t.Errorf("Read of a header with no records behind it: %d records, err %v; want ErrCorrupt", len(recs), err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("Read allocated %d bytes for a 16-byte input", grew)
 	}
 }
 
