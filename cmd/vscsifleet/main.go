@@ -188,9 +188,9 @@ func runAggregator(listen string, stale time.Duration, shards int, pull string, 
 	// The aggregator has no local disks; its registry exists so the stats
 	// surface (and /healthz) comes up uniform with every other node.
 	reg := vscsistats.NewRegistry()
-	metrics := vscsistats.NewMetricsExporter(reg).WithFleet(agg).WithFleetObs(obs)
+	metrics := vscsistats.NewMetricsExporter(reg).With(agg, obs)
 	if rex != nil {
-		metrics = metrics.WithFleetReExport(rex)
+		metrics.With(rex)
 	}
 	handler := vscsistats.NewStatsHandlerWith(reg, vscsistats.StatsOptions{
 		Metrics:    metrics,
@@ -246,7 +246,7 @@ func runAgent(listen, host, push string, interval time.Duration, workload string
 	}
 	if listen != "" {
 		handler := vscsistats.NewStatsHandlerWith(reg, vscsistats.StatsOptions{
-			Metrics:    vscsistats.NewMetricsExporter(reg).WithDiskStats(sc.Host).WithFleetObs(obs),
+			Metrics:    vscsistats.NewMetricsExporter(reg).WithDiskStats(sc.Host).With(agent, obs),
 			FleetTrace: obs.ChromeTraceHandler(),
 		})
 		go http.ListenAndServe(listen, handler)
@@ -316,7 +316,7 @@ func runSim(listen, push string, interval time.Duration, fullPush bool, seed int
 		// makes the world's size, pacing and push health scrapable.
 		reg := vscsistats.NewRegistry()
 		handler := vscsistats.NewStatsHandlerWith(reg, vscsistats.StatsOptions{
-			Metrics: vscsistats.NewMetricsExporter(reg).WithSim(sim),
+			Metrics: vscsistats.NewMetricsExporter(reg).With(sim),
 		})
 		go http.ListenAndServe(listen, handler)
 		fmt.Fprintf(os.Stderr, "sim: metrics on %s\n", listen)

@@ -38,7 +38,7 @@ func main() {
 	agg := vscsistats.NewFleetAggregator(vscsistats.FleetAggregatorConfig{StaleAfter: staleAfter})
 	reg := vscsistats.NewRegistry() // the aggregator node has no local disks
 	handler := vscsistats.NewStatsHandlerWith(reg, vscsistats.StatsOptions{
-		Metrics: vscsistats.NewMetricsExporter(reg).WithFleet(agg),
+		Metrics: vscsistats.NewMetricsExporter(reg).With(agg),
 		Fleet:   agg,
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

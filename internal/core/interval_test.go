@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -105,6 +106,81 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 		}
 	}()
 	reg.Register(NewCollector("v", "d"))
+}
+
+// TestRegistrySeparatorsInNames: (vm, disk) pairs whose "vm/disk" joins
+// are one string are still two disks — names come from trace files.
+func TestRegistrySeparatorsInNames(t *testing.T) {
+	reg := NewRegistry()
+	a, b := NewCollector("a/disk0", "disk1"), NewCollector("a", "disk0/disk1")
+	reg.Register(a)
+	reg.Register(b)
+	if reg.Lookup("a/disk0", "disk1") != a || reg.Lookup("a", "disk0/disk1") != b {
+		t.Fatal("lookups crossed between (a/disk0, disk1) and (a, disk0/disk1)")
+	}
+	reg.Unregister("a", "disk0/disk1")
+	if reg.Lookup("a/disk0", "disk1") != a || len(reg.List()) != 1 {
+		t.Fatal("unregistering one pair disturbed the other")
+	}
+}
+
+// TestIntervalRecorderAfterReset: a Reset between two ticks makes the
+// next interval everything accumulated since (as for the first point
+// after enable), never a negative count; later intervals are deltas
+// again.
+func TestIntervalRecorderAfterReset(t *testing.T) {
+	r := newRig(t, simclock.Millisecond)
+	rec := NewIntervalRecorder(r.eng, r.col, simclock.Second)
+	issue := func(at simclock.Time, n int) {
+		r.eng.At(at, func(simclock.Time) {
+			for i := 0; i < n; i++ {
+				r.d.Issue(scsi.Read(uint64(i*8), 8), nil)
+			}
+		})
+	}
+	issue(100*simclock.Millisecond, 10)
+	r.eng.At(1100*simclock.Millisecond, func(simclock.Time) { r.col.Reset() })
+	issue(1200*simclock.Millisecond, 3)
+	issue(2200*simclock.Millisecond, 4)
+	r.eng.RunUntil(3*simclock.Second + 1)
+	rec.Stop()
+	if got := rec.Rates(); len(got) != 3 || got[0] != 10 || got[1] != 3 || got[2] != 4 {
+		t.Fatalf("Rates = %v, want [10 3 4] (commands: -7 before the rule)", got)
+	}
+	for i, s := range rec.Intervals {
+		for _, n := range s.IOLength[All].Counts {
+			if n < 0 {
+				t.Errorf("interval %d has a negative ioLength bin", i)
+			}
+		}
+	}
+}
+
+// TestIntervalSinceKeepsExactDeltas: without a reset the rule is Sub, so
+// the fleet's later == earlier.ApplyDelta(delta) law is untouched — and
+// Sub itself still goes negative when asked to (the agent's wrap-around
+// deltas rely on it).
+func TestIntervalSinceKeepsExactDeltas(t *testing.T) {
+	col := NewCollector("v", "d")
+	col.Enable()
+	if first := col.Snapshot(); IntervalSince(nil, first) != first {
+		t.Error("first interval after enable must be the cumulative state")
+	}
+	rng := rand.New(rand.NewSource(7919))
+	deltaFeed(t, rng, col, 10)
+	earlier := col.Snapshot()
+	deltaFeed(t, rng, col, 5)
+	later := col.Snapshot()
+	d := IntervalSince(earlier, later)
+	if d.Commands != 5 || !earlier.ApplyDelta(d).StateEquals(later) {
+		t.Errorf("interval commands = %d; ApplyDelta law broken", d.Commands)
+	}
+	if back := earlier.Sub(later); back.Commands != -5 {
+		t.Errorf("Sub(later) commands = %d, want the exact -5", back.Commands)
+	}
+	if again := IntervalSince(later, earlier); again != earlier {
+		t.Error("a snapshot below its predecessor must be returned whole")
+	}
 }
 
 func TestRegistryEnableDisableResetAll(t *testing.T) {

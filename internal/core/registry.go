@@ -17,24 +17,26 @@ import (
 // Several hosts may share one registry (see hypervisor.NewHostOn).
 type Registry struct {
 	mu         sync.RWMutex
-	collectors map[string]*Collector
+	collectors map[diskKey]*Collector
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{collectors: make(map[string]*Collector)}
+	return &Registry{collectors: make(map[diskKey]*Collector)}
 }
 
-func key(vm, disk string) string { return vm + "/" + disk }
+// diskKey addresses a collector. A struct, not a joined string: VM and
+// disk names come from trace files and may hold any separator.
+type diskKey struct{ vm, disk string }
 
 // Register adds a collector. Registering a second collector for the same
 // (vm, disk) pair is a configuration error and panics.
 func (r *Registry) Register(c *Collector) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	k := key(c.VM(), c.Disk())
+	k := diskKey{c.VM(), c.Disk()}
 	if _, dup := r.collectors[k]; dup {
-		panic(fmt.Sprintf("core: duplicate collector for %s", k))
+		panic(fmt.Sprintf("core: duplicate collector for %s/%s", k.vm, k.disk))
 	}
 	r.collectors[k] = c
 }
@@ -44,14 +46,14 @@ func (r *Registry) Register(c *Collector) {
 func (r *Registry) Unregister(vm, disk string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	delete(r.collectors, key(vm, disk))
+	delete(r.collectors, diskKey{vm, disk})
 }
 
 // Lookup returns the collector for (vm, disk), or nil.
 func (r *Registry) Lookup(vm, disk string) *Collector {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.collectors[key(vm, disk)]
+	return r.collectors[diskKey{vm, disk}]
 }
 
 // List returns all registered collectors sorted by VM then disk name.

@@ -11,6 +11,7 @@ import (
 
 	"vscsistats/internal/core"
 	"vscsistats/internal/fleetobs"
+	"vscsistats/internal/telemetry"
 )
 
 // AgentConfig tunes a fleet agent. Zero values take the documented
@@ -485,4 +486,24 @@ func (a *Agent) Stats() AgentStats {
 		s.LastError = *msg
 	}
 	return s
+}
+
+var agentSeries = []telemetry.Series[AgentStats]{
+	telemetry.Counter("vscsistats_fleet_agent_pushes_total", "Batches the agent delivered.", func(s AgentStats) int64 { return s.Pushes }),
+	telemetry.Counter("vscsistats_fleet_agent_delta_pushes_total", "Batches delivered as interval deltas.", func(s AgentStats) int64 { return s.DeltaPushes }),
+	telemetry.Counter("vscsistats_fleet_agent_errors_total", "Failed delivery attempts.", func(s AgentStats) int64 { return s.Errors }),
+	telemetry.Counter("vscsistats_fleet_agent_retries_total", "Deliveries of captures older than the newest.", func(s AgentStats) int64 { return s.Retries }),
+	telemetry.Counter("vscsistats_fleet_agent_dropped_total", "Captures evicted from the full retry queue.", func(s AgentStats) int64 { return s.Dropped }),
+	telemetry.Counter("vscsistats_fleet_agent_resyncs_total", "Delta refusals answered with a full-state push.", func(s AgentStats) int64 { return s.Resyncs }),
+	telemetry.Counter("vscsistats_fleet_agent_sent_bytes_total", "Wire bytes of delivered batches.", func(s AgentStats) int64 { return s.SentBytes }),
+	telemetry.Gauge("vscsistats_fleet_agent_queue_length", "Captures waiting in the retry queue.", func(s AgentStats) int { return s.QueueLen }),
+	telemetry.Gauge("vscsistats_fleet_agent_failures", "Consecutive failed pushes driving the current backoff.", func(s AgentStats) int { return s.Failures }),
+}
+
+// WriteMetrics implements telemetry.Source: the vscsistats_fleet_agent_*
+// series, the leaf end of every loss path (failed, retried and dropped
+// captures, resyncs), labelled host.
+func (a *Agent) WriteMetrics(w *telemetry.Writer) {
+	host := telemetry.Labels("host", a.cfg.Host)
+	telemetry.Table(w, []AgentStats{a.Stats()}, func(AgentStats) string { return host }, agentSeries)
 }

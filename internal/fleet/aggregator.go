@@ -748,9 +748,10 @@ type AggregatorStats struct {
 }
 
 // Stats returns the aggregator's counters.
-func (g *Aggregator) Stats() AggregatorStats {
+func (g *Aggregator) Stats() AggregatorStats { return g.statsOf(g.Hosts()) }
+
+func (g *Aggregator) statsOf(hosts []HostStatus) AggregatorStats {
 	var stale int
-	hosts := g.Hosts()
 	for _, h := range hosts {
 		if h.Stale {
 			stale++
@@ -917,66 +918,66 @@ func (g *Aggregator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch path {
 	case "hosts":
 		if r.Method != http.MethodGet {
-			fleetError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
+			telemetry.JSONError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
 			return
 		}
-		writeFleetJSON(w, g.Hosts())
+		telemetry.WriteJSON(w, g.Hosts())
 	case "snapshot":
 		if r.Method != http.MethodGet {
-			fleetError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
+			telemetry.JSONError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
 			return
 		}
 		g.serveSnapshot(w, r)
 	case "shards":
 		if r.Method != http.MethodGet {
-			fleetError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
+			telemetry.JSONError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
 			return
 		}
 		if host := r.URL.Query().Get("host"); host != "" {
-			writeFleetJSON(w, map[string]any{
+			telemetry.WriteJSON(w, map[string]any{
 				"host": host, "shard": g.ShardFor(host), "shards": g.NumShards(),
 			})
 			return
 		}
-		writeFleetJSON(w, g.Shards())
+		telemetry.WriteJSON(w, g.Shards())
 	case "history":
 		if r.Method != http.MethodGet {
-			fleetError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
+			telemetry.JSONError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
 			return
 		}
 		g.serveHistory(w, r)
 	case "catalog":
 		if r.Method != http.MethodGet {
-			fleetError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
+			telemetry.JSONError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
 			return
 		}
 		g.serveCatalog(w, r)
 	case "log":
 		if r.Method != http.MethodGet {
-			fleetError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
+			telemetry.JSONError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
 			return
 		}
-		writeFleetJSON(w, g.LogStats())
+		telemetry.WriteJSON(w, g.LogStats())
 	case "events":
 		if g.cfg.Obs == nil {
-			fleetError(w, http.StatusNotFound, "observability disabled (AggregatorConfig.Obs unset)")
+			telemetry.JSONError(w, http.StatusNotFound, "observability disabled (AggregatorConfig.Obs unset)")
 			return
 		}
 		g.cfg.Obs.ServeEvents(w, r)
 	case "slow":
 		if g.cfg.Obs == nil {
-			fleetError(w, http.StatusNotFound, "observability disabled (AggregatorConfig.Obs unset)")
+			telemetry.JSONError(w, http.StatusNotFound, "observability disabled (AggregatorConfig.Obs unset)")
 			return
 		}
 		g.cfg.Obs.ServeSlow(w, r)
 	case "push":
 		if r.Method != http.MethodPost {
-			fleetError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodPost)
+			telemetry.JSONError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodPost)
 			return
 		}
 		g.servePush(w, r)
 	default:
-		fleetError(w, http.StatusNotFound, "not found")
+		telemetry.JSONError(w, http.StatusNotFound, "not found")
 	}
 }
 
@@ -985,23 +986,23 @@ func (g *Aggregator) serveSnapshot(w http.ResponseWriter, r *http.Request) {
 	if vm := r.URL.Query().Get("vm"); vm != "" {
 		for _, s := range g.VMSnapshots(includeStale) {
 			if s.VM == vm {
-				writeFleetJSON(w, s)
+				telemetry.WriteJSON(w, s)
 				return
 			}
 		}
-		fleetError(w, http.StatusNotFound, "unknown vm")
+		telemetry.JSONError(w, http.StatusNotFound, "unknown vm")
 		return
 	}
 	if r.URL.Query().Get("view") == "vms" {
-		writeFleetJSON(w, g.VMSnapshots(includeStale))
+		telemetry.WriteJSON(w, g.VMSnapshots(includeStale))
 		return
 	}
 	s := g.ClusterSnapshot(includeStale)
 	if s == nil {
-		fleetError(w, http.StatusConflict, "no fresh host has reported")
+		telemetry.JSONError(w, http.StatusConflict, "no fresh host has reported")
 		return
 	}
-	writeFleetJSON(w, s)
+	telemetry.WriteJSON(w, s)
 }
 
 func (g *Aggregator) servePush(w http.ResponseWriter, r *http.Request) {
@@ -1013,7 +1014,7 @@ func (g *Aggregator) servePush(w http.ResponseWriter, r *http.Request) {
 			fleetResyncError(w, err)
 			return
 		}
-		fleetError(w, http.StatusBadRequest, err.Error())
+		telemetry.JSONError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if sampled {
@@ -1024,7 +1025,7 @@ func (g *Aggregator) servePush(w http.ResponseWriter, r *http.Request) {
 			Detail: fmt.Sprintf("delta=%t snapshots=%d", b.Delta, len(b.Snapshots)),
 		})
 	}
-	writeFleetJSON(w, map[string]any{"host": b.Host, "seq": b.Seq, "snapshots": len(b.Snapshots)})
+	telemetry.WriteJSON(w, map[string]any{"host": b.Host, "seq": b.Seq, "snapshots": len(b.Snapshots)})
 }
 
 // fleetResyncError writes the 409 resync response; the body carries the
@@ -1038,89 +1039,129 @@ func fleetResyncError(w http.ResponseWriter, err error) {
 	})
 }
 
-// fleetError mirrors httpstats's JSON error contract.
-func fleetError(w http.ResponseWriter, code int, msg string, allow ...string) {
-	if len(allow) > 0 {
-		w.Header().Set("Allow", strings.Join(allow, ", "))
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg})
-}
-
-func writeFleetJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
 // --- telemetry integration ---
 
-// FleetHosts implements telemetry.FleetSource: per-host liveness for the
-// fleet_* Prometheus series.
-func (g *Aggregator) FleetHosts() []telemetry.FleetHost {
+var (
+	aggregatorSeries = []telemetry.Series[AggregatorStats]{
+		telemetry.Gauge("vscsistats_fleet_hosts", "Hosts known to the fleet aggregator.", func(s AggregatorStats) int { return s.Hosts }),
+		telemetry.Gauge("vscsistats_fleet_hosts_stale", "Known hosts past the liveness horizon (excluded from merges).", func(s AggregatorStats) int { return s.StaleHosts }),
+		telemetry.Counter("vscsistats_fleet_rejected_total", "Frames refused at decode or validation, pushed and pulled.", func(s AggregatorStats) int64 { return s.Rejected }),
+		telemetry.Counter("vscsistats_fleet_pull_errors_total", "Failed scatter-gather pull requests.", func(s AggregatorStats) int64 { return s.PullErrors }),
+		telemetry.Counter("vscsistats_fleet_recv_bytes_total", "Wire bytes of the pushed and pulled frames that were ingested.", func(s AggregatorStats) int64 { return s.RecvBytes }),
+	}
+	hostSeries = []telemetry.Series[HostStatus]{
+		telemetry.Gauge("vscsistats_fleet_host_up", "1 when the host's newest batch is within the liveness horizon.", func(h HostStatus) int {
+			if h.Stale {
+				return 0
+			}
+			return 1
+		}),
+		telemetry.Gauge("vscsistats_fleet_host_age_seconds", "Age of the host's newest batch.", func(h HostStatus) float64 { return h.AgeSeconds }),
+		telemetry.Gauge("vscsistats_fleet_host_snapshots", "Virtual disks in the host's newest batch.", func(h HostStatus) int { return h.Snapshots }),
+		telemetry.Counter("vscsistats_fleet_host_batches_total", "Batches ingested from the host, retries included.", func(h HostStatus) int64 { return h.Batches }),
+	}
+	shardSeries = []telemetry.Series[ShardStatus]{
+		telemetry.Gauge("vscsistats_fleet_shard_hosts", "Hosts routed to the shard.", func(s ShardStatus) int { return s.Hosts }),
+		telemetry.Gauge("vscsistats_fleet_shard_hosts_stale", "Shard hosts past the liveness horizon.", func(s ShardStatus) int { return s.StaleHosts }),
+		telemetry.Counter("vscsistats_fleet_shard_batches_total", "Batches ingested by the shard.", func(s ShardStatus) int64 { return s.Batches }),
+		telemetry.Counter("vscsistats_fleet_shard_deltas_applied_total", "Delta batches applied onto stored state.", func(s ShardStatus) int64 { return s.DeltasApplied }),
+		telemetry.Counter("vscsistats_fleet_shard_duplicates_total", "Redelivered delta batches ignored idempotently.", func(s ShardStatus) int64 { return s.Duplicates }),
+		telemetry.Counter("vscsistats_fleet_shard_resyncs_total", "Delta batches refused pending a full-state resync.", func(s ShardStatus) int64 { return s.Resyncs }),
+		telemetry.Counter("vscsistats_fleet_shard_merge_cache_hits_total", "Scrapes served from the shard's memoized merge.", func(s ShardStatus) int64 { return s.MergeCacheHits }),
+		telemetry.Counter("vscsistats_fleet_shard_merge_cache_misses_total", "Scrapes that re-merged the shard's hosts.", func(s ShardStatus) int64 { return s.MergeCacheMisses }),
+	}
+	tierSeries = []telemetry.Series[TierStatus]{
+		telemetry.Gauge("vscsistats_fleet_tier_hosts", "Hosts reporting at the federation level.", func(t TierStatus) int { return t.Hosts }),
+		telemetry.Gauge("vscsistats_fleet_tier_hosts_stale", "Level hosts past the liveness horizon.", func(t TierStatus) int { return t.StaleHosts }),
+		telemetry.Gauge("vscsistats_fleet_tier_leaves", "Leaf hosts folded into the level's entries.", func(t TierStatus) int { return t.Leaves }),
+	}
+	logSeries = []telemetry.Series[LogStats]{
+		telemetry.Gauge("vscsistats_fleet_log_segments", "Live segment files in the aggregator's durability log.", func(l LogStats) int { return l.Segments }),
+		telemetry.Gauge("vscsistats_fleet_log_bytes", "Bytes held by the segment log.", func(l LogStats) int64 { return l.Bytes }),
+		telemetry.Counter("vscsistats_fleet_log_appends_total", "Frames appended to the segment log.", func(l LogStats) int64 { return l.Appends }),
+		telemetry.Counter("vscsistats_fleet_log_append_bytes_total", "Bytes appended to the segment log.", func(l LogStats) int64 { return l.AppendBytes }),
+		telemetry.Counter("vscsistats_fleet_log_append_errors_total", "Appends absorbed after an encode or I/O failure.", func(l LogStats) int64 { return l.AppendErrors }),
+		telemetry.Counter("vscsistats_fleet_log_fsyncs_total", "Batched fsyncs issued by the segment log.", func(l LogStats) int64 { return l.Fsyncs }),
+		telemetry.Counter("vscsistats_fleet_log_rotations_total", "Segment rotations.", func(l LogStats) int64 { return l.Rotations }),
+		telemetry.Counter("vscsistats_fleet_log_compactions_total", "Shard chains rewritten as one full-frame segment.", func(l LogStats) int64 { return l.Compactions }),
+		telemetry.Counter("vscsistats_fleet_log_segments_retired_total", "Sealed segments dropped by retention.", func(l LogStats) int64 { return l.SegmentsRetired }),
+		telemetry.Counter("vscsistats_fleet_log_frames_replayed_total", "Frames recovered by boot replay.", func(l LogStats) int64 { return l.FramesReplayed }),
+		telemetry.Counter("vscsistats_fleet_log_torn_tails_total", "Crash-torn tail frames truncated away at replay.", func(l LogStats) int64 { return l.TornTails }),
+	}
+	clusterSeries = []telemetry.Series[*core.Snapshot]{
+		telemetry.Counter("vscsistats_fleet_commands_total", "Commands observed across all fresh hosts.", func(s *core.Snapshot) int64 { return s.Commands }),
+		telemetry.Counter("vscsistats_fleet_reads_total", "Reads observed across all fresh hosts.", func(s *core.Snapshot) int64 { return s.NumReads }),
+		telemetry.Counter("vscsistats_fleet_writes_total", "Writes observed across all fresh hosts.", func(s *core.Snapshot) int64 { return s.NumWrites }),
+		telemetry.Counter("vscsistats_fleet_read_bytes_total", "Bytes read across all fresh hosts.", func(s *core.Snapshot) int64 { return s.ReadBytes }),
+		telemetry.Counter("vscsistats_fleet_write_bytes_total", "Bytes written across all fresh hosts.", func(s *core.Snapshot) int64 { return s.WriteBytes }),
+		telemetry.Counter("vscsistats_fleet_errors_total", "Errored commands across all fresh hosts.", func(s *core.Snapshot) int64 { return s.Errors }),
+	}
+	vmSeries = []telemetry.Series[*core.Snapshot]{
+		telemetry.Counter("vscsistats_fleet_vm_commands_total", "Commands per VM merged across all fresh hosts.", func(s *core.Snapshot) int64 { return s.Commands }),
+	}
+)
+
+// WriteMetrics implements telemetry.Source: the vscsistats_fleet_*
+// series. Host liveness, per-shard ingest and merge-cache counters
+// (shard="N"), the host set by federation level (level="N"; a region
+// dropping out of a federated view is a leaves dip at level 1), the loss
+// paths (refused frames, failed pulls, resyncs by cause), the segment
+// log's footprint and maintenance counters when one is open, decoded
+// frames by payload encoding, and the merged view: cluster and per-VM
+// counters plus the six paper histograms merged cluster-wide (bin-exact
+// sums of every fresh host's bins; absent while no host is fresh).
+func (g *Aggregator) WriteMetrics(w *telemetry.Writer) {
 	hosts := g.Hosts()
-	out := make([]telemetry.FleetHost, 0, len(hosts))
-	for _, h := range hosts {
-		out = append(out, telemetry.FleetHost{
-			Host:       h.Host,
-			Stale:      h.Stale,
-			AgeSeconds: h.AgeSeconds,
-			Snapshots:  h.Snapshots,
-			Batches:    h.Batches,
-			Seq:        h.Seq,
-		})
+	st := g.statsOf(hosts)
+	telemetry.Table(w, []AggregatorStats{st}, nil, aggregatorSeries)
+	telemetry.Table(w, hosts, func(h HostStatus) string { return telemetry.Labels("host", h.Host) }, hostSeries)
+	telemetry.Table(w, g.Shards(), func(s ShardStatus) string { return telemetry.Labels("shard", strconv.Itoa(s.Shard)) }, shardSeries)
+
+	const resyncs = "vscsistats_fleet_resyncs_total"
+	w.Family(resyncs, "counter", "Delta batches refused pending a full-state resync, by cause.")
+	for _, c := range []struct {
+		cause ResyncCause
+		n     int64
+	}{
+		{ResyncSeqGap, st.ResyncSeqGap}, {ResyncUnknownHost, st.ResyncUnknownHost}, {ResyncUnknownDisk, st.ResyncUnknownDisk},
+		{ResyncLayoutMismatch, st.ResyncLayoutMismatch}, {ResyncBootChanged, st.ResyncBootChanged},
+	} {
+		w.Sample(resyncs, telemetry.Labels("cause", string(c.cause)), float64(c.n))
 	}
-	return out
-}
 
-// FleetCluster implements telemetry.FleetSource: the cluster-wide merge of
-// every fresh host (nil when none).
-func (g *Aggregator) FleetCluster() *core.Snapshot {
-	return g.ClusterSnapshot(false)
-}
+	tiers := tiersOf(hosts)
+	telemetry.Table(w, tiers, func(t TierStatus) string { return telemetry.Labels("level", strconv.Itoa(t.Level)) }, tierSeries)
+	w.Family("vscsistats_fleet_tier_depth", "gauge", "Federation levels present in the host set.")
+	w.Sample("vscsistats_fleet_tier_depth", "", float64(len(tiers)))
 
-// FleetVMs implements telemetry.FleetSource: the per-VM merges across all
-// fresh hosts, sorted by VM name.
-func (g *Aggregator) FleetVMs() []*core.Snapshot {
-	return g.VMSnapshots(false)
-}
-
-// FleetLogStats implements telemetry.FleetLogSource: segment-log size and
-// maintenance counters for the vscsistats_fleet_log_* series.
-func (g *Aggregator) FleetLogStats() (telemetry.FleetLog, bool) {
-	st := g.LogStats()
-	if !st.Enabled {
-		return telemetry.FleetLog{}, false
+	if log := g.LogStats(); log.Enabled {
+		telemetry.Table(w, []LogStats{log}, nil, logSeries)
 	}
-	return telemetry.FleetLog{
-		Segments:        st.Segments,
-		Bytes:           st.Bytes,
-		Appends:         st.Appends,
-		AppendBytes:     st.AppendBytes,
-		AppendErrors:    st.AppendErrors,
-		Fsyncs:          st.Fsyncs,
-		Rotations:       st.Rotations,
-		Compactions:     st.Compactions,
-		SegmentsRetired: st.SegmentsRetired,
-		FramesReplayed:  st.FramesReplayed,
-		TornTails:       st.TornTails,
-	}, true
-}
 
-// FleetFramesDecoded implements telemetry.FleetFramesSource: decoded wire
-// frames by payload encoding, for vscsistats_fleet_frames_decoded_total.
-func (g *Aggregator) FleetFramesDecoded() telemetry.FleetFrames {
-	return telemetry.FleetFrames{Binary: g.decodedBinary.Load(), JSON: g.decodedJSON.Load()}
+	const decoded = "vscsistats_fleet_frames_decoded_total"
+	w.Family(decoded, "counter", "Wire frames decoded from pushes, pulls and boot replay, by payload encoding.")
+	w.Sample(decoded, `encoding="binary"`, float64(st.DecodedBinary))
+	w.Sample(decoded, `encoding="json"`, float64(st.DecodedJSON))
+
+	var cluster []*core.Snapshot
+	if c := g.ClusterSnapshot(false); c != nil {
+		cluster = append(cluster, c)
+	}
+	telemetry.Table(w, cluster, nil, clusterSeries)
+	telemetry.Table(w, g.VMSnapshots(false), func(s *core.Snapshot) string { return telemetry.Labels("vm", s.VM) }, vmSeries)
+	if cluster != nil {
+		w.WorkloadHistograms("vscsistats_fleet", "Cluster-wide merge: ", cluster, nil)
+	}
 }
 
 // Tiers groups the aggregator's host set by federation level, ascending.
 // A flat fleet has one level-0 tier; an aggregator fed by re-exporters
 // shows each tier's host and folded-leaf counts.
-func (g *Aggregator) Tiers() []TierStatus {
+func (g *Aggregator) Tiers() []TierStatus { return tiersOf(g.Hosts()) }
+
+func tiersOf(hosts []HostStatus) []TierStatus {
 	byLevel := make(map[int]*TierStatus)
-	for _, h := range g.Hosts() {
+	for _, h := range hosts {
 		t := byLevel[h.Level]
 		if t == nil {
 			t = &TierStatus{Level: h.Level}
@@ -1150,37 +1191,4 @@ type TierStatus struct {
 	Hosts      int `json:"hosts"`
 	StaleHosts int `json:"stale_hosts"`
 	Leaves     int `json:"leaves"`
-}
-
-// FleetTiers implements telemetry.FleetTierSource: per-level gauges for
-// the vscsistats_fleet_tier_* series.
-func (g *Aggregator) FleetTiers() []telemetry.FleetTier {
-	tiers := g.Tiers()
-	out := make([]telemetry.FleetTier, 0, len(tiers))
-	for _, t := range tiers {
-		out = append(out, telemetry.FleetTier{
-			Level: t.Level, Hosts: t.Hosts, StaleHosts: t.StaleHosts, Leaves: t.Leaves,
-		})
-	}
-	return out
-}
-
-// FleetShards implements telemetry.FleetShardSource: per-shard gauges and
-// counters for the vscsistats_fleet_shard_* series.
-func (g *Aggregator) FleetShards() []telemetry.FleetShard {
-	shards := g.Shards()
-	out := make([]telemetry.FleetShard, 0, len(shards))
-	for _, s := range shards {
-		out = append(out, telemetry.FleetShard{
-			Index:            s.Shard,
-			Hosts:            s.Hosts,
-			StaleHosts:       s.StaleHosts,
-			Batches:          s.Batches,
-			DeltasApplied:    s.DeltasApplied,
-			Resyncs:          s.Resyncs,
-			MergeCacheHits:   s.MergeCacheHits,
-			MergeCacheMisses: s.MergeCacheMisses,
-		})
-	}
-	return out
 }

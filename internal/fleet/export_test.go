@@ -1,0 +1,10 @@
+package fleet
+
+// Fixtures shared with the external test package: promaudit_test.go
+// scrapes a rig that includes a vscsim.Sim, and vscsim imports this
+// package.
+var (
+	EncodeLegacyJSON = encodeLegacyJSON
+	MakeRegistry     = makeRegistry
+	Feed             = feed
+)

@@ -11,6 +11,7 @@ import (
 
 	"vscsistats/internal/core"
 	"vscsistats/internal/fleetobs"
+	"vscsistats/internal/telemetry"
 )
 
 // History answers "what did the fleet's I/O look like between from and to"
@@ -137,27 +138,27 @@ type HistoryResult struct {
 // serveHistory handles GET /fleet/history?from=&to=&vm=&view=.
 func (g *Aggregator) serveHistory(w http.ResponseWriter, r *http.Request) {
 	if g.log == nil {
-		fleetError(w, http.StatusNotFound, "history requires a segment log (start the aggregator with a data dir)")
+		telemetry.JSONError(w, http.StatusNotFound, "history requires a segment log (start the aggregator with a data dir)")
 		return
 	}
 	q := r.URL.Query()
 	from, err := parseHistoryTime(q.Get("from"), time.Unix(0, 0))
 	if err != nil {
-		fleetError(w, http.StatusBadRequest, "bad from: "+err.Error())
+		telemetry.JSONError(w, http.StatusBadRequest, "bad from: "+err.Error())
 		return
 	}
 	to, err := parseHistoryTime(q.Get("to"), g.now())
 	if err != nil {
-		fleetError(w, http.StatusBadRequest, "bad to: "+err.Error())
+		telemetry.JSONError(w, http.StatusBadRequest, "bad to: "+err.Error())
 		return
 	}
 	if to.Before(from) {
-		fleetError(w, http.StatusBadRequest, "window ends before it starts")
+		telemetry.JSONError(w, http.StatusBadRequest, "window ends before it starts")
 		return
 	}
 	res, err := g.History(from, to)
 	if err != nil {
-		fleetError(w, http.StatusInternalServerError, err.Error())
+		telemetry.JSONError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	if vm := q.Get("vm"); vm != "" {
@@ -165,20 +166,20 @@ func (g *Aggregator) serveHistory(w http.ResponseWriter, r *http.Request) {
 			if s.VM == vm {
 				res.VMs = []*core.Snapshot{s}
 				res.Cluster = nil
-				writeFleetJSON(w, res)
+				telemetry.WriteJSON(w, res)
 				return
 			}
 		}
-		fleetError(w, http.StatusNotFound, "no data for vm in window")
+		telemetry.JSONError(w, http.StatusNotFound, "no data for vm in window")
 		return
 	}
 	if q.Get("view") == "vms" {
 		res.Cluster = nil
-		writeFleetJSON(w, res)
+		telemetry.WriteJSON(w, res)
 		return
 	}
 	res.VMs = nil
-	writeFleetJSON(w, res)
+	telemetry.WriteJSON(w, res)
 }
 
 // parseHistoryTime accepts RFC3339 ("2026-08-08T12:00:00Z") or an integer

@@ -424,20 +424,21 @@ func (r *ReExporter) Stats() ReExporterStats {
 	return s
 }
 
-// FleetReExportStats implements telemetry.FleetReExportSource for the
-// vscsistats_fleet_tier_reexport_* series.
-func (r *ReExporter) FleetReExportStats() telemetry.FleetReExport {
-	s := r.Stats()
-	return telemetry.FleetReExport{
-		Region:      s.Region,
-		Upstream:    s.Upstream,
-		Level:       s.Level,
-		Pushes:      s.Pushes,
-		DeltaPushes: s.DeltaPushes,
-		Heartbeats:  s.Heartbeats,
-		FullPushes:  s.FullPushes,
-		Resyncs:     s.Resyncs,
-		Errors:      s.Errors,
-		SentBytes:   s.SentBytes,
-	}
+var reExporterSeries = []telemetry.Series[ReExporterStats]{
+	telemetry.Gauge("vscsistats_fleet_tier_reexport_level", "Federation level the re-exporter stamps on upstream frames.", func(s ReExporterStats) int { return s.Level }),
+	telemetry.Counter("vscsistats_fleet_tier_reexport_pushes_total", "Re-export frames delivered upstream.", func(s ReExporterStats) int64 { return s.Pushes }),
+	telemetry.Counter("vscsistats_fleet_tier_reexport_delta_pushes_total", "Re-export frames delivered as interval deltas.", func(s ReExporterStats) int64 { return s.DeltaPushes }),
+	telemetry.Counter("vscsistats_fleet_tier_reexport_heartbeats_total", "Liveness-only duplicate frames sent when nothing changed.", func(s ReExporterStats) int64 { return s.Heartbeats }),
+	telemetry.Counter("vscsistats_fleet_tier_reexport_full_pushes_total", "Re-export frames delivered as full state.", func(s ReExporterStats) int64 { return s.FullPushes }),
+	telemetry.Counter("vscsistats_fleet_tier_reexport_resyncs_total", "Upstream delta refusals answered with full state.", func(s ReExporterStats) int64 { return s.Resyncs }),
+	telemetry.Counter("vscsistats_fleet_tier_reexport_errors_total", "Failed upstream delivery attempts.", func(s ReExporterStats) int64 { return s.Errors }),
+	telemetry.Counter("vscsistats_fleet_tier_reexport_sent_bytes_total", "Wire bytes delivered upstream.", func(s ReExporterStats) int64 { return s.SentBytes }),
+}
+
+// WriteMetrics implements telemetry.Source: the
+// vscsistats_fleet_tier_reexport_* series, the upstream push health of a
+// mid-tier aggregator feeding another, labelled region.
+func (r *ReExporter) WriteMetrics(w *telemetry.Writer) {
+	telemetry.Table(w, []ReExporterStats{r.Stats()},
+		func(s ReExporterStats) string { return telemetry.Labels("region", s.Region) }, reExporterSeries)
 }

@@ -353,30 +353,21 @@ func (t *Tracker) Stages() []StageSnapshot {
 	return out
 }
 
-// FleetObsStages implements telemetry.FleetObsSource.
-func (t *Tracker) FleetObsStages() []telemetry.FleetObsStage {
+// WriteMetrics implements telemetry.Source: the vscsistats_fleetobs_*
+// series — one cumulative histogram per pipeline stage (labelled
+// scope/stage) and per-kind event counters in fixed order (unknown kinds
+// aggregate under "other"). A nil Tracker writes nothing.
+func (t *Tracker) WriteMetrics(w *telemetry.Writer) {
 	if t == nil {
-		return nil
+		return
 	}
-	out := make([]telemetry.FleetObsStage, 0, numStages)
-	for st := Stage(0); st < numStages; st++ {
-		out = append(out, telemetry.FleetObsStage{
-			Scope: st.Scope(), Stage: st.String(), Hist: t.hists[st].Snapshot(),
-		})
+	const stages, events = "vscsistats_fleetobs_stage_duration_nanoseconds", "vscsistats_fleetobs_events_total"
+	w.Family(stages, "histogram", "Fleet pipeline stage latency (sampled on hot paths), by scope and stage.")
+	for _, st := range t.Stages() {
+		w.Histogram(stages, telemetry.Labels("scope", st.Stage.Scope(), "stage", st.Stage.String()), st.Hist)
 	}
-	return out
-}
-
-// FleetObsEvents implements telemetry.FleetObsSource: per-kind event
-// counts in fixed order (unknown kinds aggregate under "other").
-func (t *Tracker) FleetObsEvents() []telemetry.FleetObsEventCount {
-	if t == nil {
-		return nil
+	w.Family(events, "counter", "Fleet pipeline events recorded, by kind (ring overwrites included).")
+	for i, k := range append(eventKinds[:], "other") {
+		w.Sample(events, telemetry.Labels("kind", k), float64(t.kinds[i].Load()))
 	}
-	out := make([]telemetry.FleetObsEventCount, 0, len(eventKinds)+1)
-	for i, k := range eventKinds {
-		out = append(out, telemetry.FleetObsEventCount{Kind: k, Count: t.kinds[i].Load()})
-	}
-	out = append(out, telemetry.FleetObsEventCount{Kind: "other", Count: t.kinds[len(eventKinds)].Load()})
-	return out
 }

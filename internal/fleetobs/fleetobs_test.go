@@ -3,11 +3,16 @@ package fleetobs
 import (
 	"encoding/json"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"vscsistats/internal/core"
+	"vscsistats/internal/telemetry"
+	"vscsistats/internal/telemetry/promtest"
 )
 
 // TestStageNamesAndScopes pins the stage taxonomy: every stage has a
@@ -124,8 +129,8 @@ func TestNilTrackerInert(t *testing.T) {
 	if tr.EventsTotal() != 0 {
 		t.Error("nil tracker counted events")
 	}
-	if tr.FleetObsStages() != nil || tr.FleetObsEvents() != nil {
-		t.Error("nil tracker exported telemetry")
+	if samples := scrapeTracker(t, tr); len(samples) != 3 {
+		t.Errorf("nil tracker exported telemetry: %d samples beside the exporter's own three", len(samples))
 	}
 	if tr.Hist(StageIngest) != nil {
 		t.Error("nil tracker returned a histogram")
@@ -156,16 +161,30 @@ func TestObserveRecordsEverything(t *testing.T) {
 	if slow := tr.Slowest(0, 0); len(slow) != 1 || slow[0].TraceID != "esx-1-0-7" {
 		t.Errorf("slow ring = %+v", slow)
 	}
-	counts := tr.FleetObsEvents()
-	var stageCount int64
-	for _, c := range counts {
-		if c.Kind == KindStage {
-			stageCount = c.Count
-		}
+	samples := scrapeTracker(t, tr)
+	if got := promtest.Find(t, samples, "vscsistats_fleetobs_events_total", "kind", KindStage).Value; got != 1 {
+		t.Errorf("stage kind count = %v, want 1", got)
 	}
-	if stageCount != 1 {
-		t.Errorf("stage kind count = %d, want 1", stageCount)
+	if got := promtest.Find(t, samples, "vscsistats_fleetobs_events_total", "kind", "other").Value; got != 0 {
+		t.Errorf("other kind count = %v, want 0", got)
 	}
+	if got := promtest.Find(t, samples, "vscsistats_fleetobs_stage_duration_nanoseconds_count", "scope", "aggregator", "stage", "decode").Value; got != 1 {
+		t.Errorf("decode stage _count = %v, want 1", got)
+	}
+	if got := promtest.Find(t, samples, "vscsistats_fleetobs_stage_duration_nanoseconds_sum", "scope", "aggregator", "stage", "decode").Value; got != 3e6 {
+		t.Errorf("decode stage _sum = %v, want 3e6", got)
+	}
+}
+
+// scrapeTracker runs one exposition with only tr attached through the
+// strict parser.
+func scrapeTracker(t *testing.T, tr *Tracker) []promtest.Sample {
+	t.Helper()
+	var sb strings.Builder
+	if err := telemetry.NewExporter(core.NewRegistry()).With(tr).Write(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return promtest.Parse(t, sb.String())
 }
 
 // TestServeEventsFilters drives the /fleet/events handler: kind and
@@ -341,5 +360,48 @@ func TestConcurrentObserveAndRead(t *testing.T) {
 
 	if got := tr.EventsTotal(); got != 4*500*2 {
 		t.Errorf("EventsTotal = %d, want %d", got, 4*500*2)
+	}
+}
+
+// TestErrorRepliesAreJSON: every 4xx on the tracker's three HTTP
+// surfaces honours the contract in internal/httpstats' package comment —
+// a JSON {"error": …} body with Content-Type: application/json, and an
+// Allow header on every 405.
+func TestErrorRepliesAreJSON(t *testing.T) {
+	tr := New(Config{})
+	trace := tr.ChromeTraceHandler().ServeHTTP
+	for _, tc := range []struct {
+		name   string
+		serve  func(http.ResponseWriter, *http.Request)
+		method string
+		target string
+		code   int
+	}{
+		{"events POST", tr.ServeEvents, "POST", "/fleet/events", 405},
+		{"events DELETE", tr.ServeEvents, "DELETE", "/fleet/events", 405},
+		{"events bad limit", tr.ServeEvents, "GET", "/fleet/events?limit=x", 400},
+		{"events negative limit", tr.ServeEvents, "GET", "/fleet/events?limit=-1", 400},
+		{"slow POST", tr.ServeSlow, "POST", "/fleet/slow", 405},
+		{"slow bad threshold", tr.ServeSlow, "GET", "/fleet/slow?threshold=gibberish", 400},
+		{"slow bad limit", tr.ServeSlow, "GET", "/fleet/slow?limit=x", 400},
+		{"slow negative limit", tr.ServeSlow, "GET", "/fleet/slow?limit=-1", 400},
+		{"fleettrace POST", trace, "POST", "/debug/fleettrace", 405},
+		{"fleettrace PUT", trace, "PUT", "/debug/fleettrace", 405},
+	} {
+		rec := httptest.NewRecorder()
+		tc.serve(rec, httptest.NewRequest(tc.method, tc.target, nil))
+		if rec.Code != tc.code {
+			t.Errorf("%s: status %d, want %d", tc.name, rec.Code, tc.code)
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s: Content-Type %q, want application/json", tc.name, ct)
+		}
+		var body map[string]string
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body["error"] == "" {
+			t.Errorf("%s: body %q is not a JSON error object (%v)", tc.name, rec.Body.String(), err)
+		}
+		if allow := rec.Header().Get("Allow"); (tc.code == 405) != (allow == "GET") {
+			t.Errorf("%s: Allow %q on a %d", tc.name, allow, tc.code)
+		}
 	}
 }

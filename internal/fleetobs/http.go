@@ -2,12 +2,12 @@ package fleetobs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"time"
+
+	"vscsistats/internal/telemetry"
 )
 
 // ServeEvents handles GET /fleet/events: the event ring as JSON,
@@ -15,8 +15,7 @@ import (
 // bounds the result (default: the whole ring).
 func (t *Tracker) ServeEvents(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		http.Error(w, `{"error": "method not allowed"}`, http.StatusMethodNotAllowed)
+		telemetry.JSONError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
 		return
 	}
 	kind := r.URL.Query().Get("kind")
@@ -25,7 +24,7 @@ func (t *Tracker) ServeEvents(w http.ResponseWriter, r *http.Request) {
 	if s := r.URL.Query().Get("limit"); s != "" {
 		n, err := strconv.Atoi(s)
 		if err != nil || n < 0 {
-			http.Error(w, `{"error": "bad limit"}`, http.StatusBadRequest)
+			telemetry.JSONError(w, http.StatusBadRequest, "bad limit")
 			return
 		}
 		limit = n
@@ -44,7 +43,7 @@ func (t *Tracker) ServeEvents(w http.ResponseWriter, r *http.Request) {
 	if limit > 0 && len(filtered) > limit {
 		filtered = filtered[len(filtered)-limit:]
 	}
-	writeObsJSON(w, map[string]any{
+	telemetry.WriteJSON(w, map[string]any{
 		"total":  t.EventsTotal(),
 		"events": filtered,
 	})
@@ -55,8 +54,7 @@ func (t *Tracker) ServeEvents(w http.ResponseWriter, r *http.Request) {
 // nanosecond count; limit= bounds the result.
 func (t *Tracker) ServeSlow(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		http.Error(w, `{"error": "method not allowed"}`, http.StatusMethodNotAllowed)
+		telemetry.JSONError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
 		return
 	}
 	var threshold time.Duration
@@ -65,7 +63,7 @@ func (t *Tracker) ServeSlow(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			n, nerr := strconv.ParseInt(s, 10, 64)
 			if nerr != nil {
-				http.Error(w, `{"error": "bad threshold (want duration like 10ms or integer nanos)"}`, http.StatusBadRequest)
+				telemetry.JSONError(w, http.StatusBadRequest, "bad threshold (want duration like 10ms or integer nanos)")
 				return
 			}
 			d = time.Duration(n)
@@ -76,22 +74,15 @@ func (t *Tracker) ServeSlow(w http.ResponseWriter, r *http.Request) {
 	if s := r.URL.Query().Get("limit"); s != "" {
 		n, err := strconv.Atoi(s)
 		if err != nil || n < 0 {
-			http.Error(w, `{"error": "bad limit"}`, http.StatusBadRequest)
+			telemetry.JSONError(w, http.StatusBadRequest, "bad limit")
 			return
 		}
 		limit = n
 	}
-	writeObsJSON(w, map[string]any{
+	telemetry.WriteJSON(w, map[string]any{
 		"threshold_nanos": threshold.Nanoseconds(),
 		"ops":             t.Slowest(threshold, limit),
 	})
-}
-
-func writeObsJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
 }
 
 // ChromeTraceHandler serves the event ring in the Chrome trace-event
@@ -101,8 +92,7 @@ func writeObsJSON(w http.ResponseWriter, v any) {
 func (t *Tracker) ChromeTraceHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
-			w.Header().Set("Allow", http.MethodGet)
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+			telemetry.JSONError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -113,109 +103,38 @@ func (t *Tracker) ChromeTraceHandler() http.Handler {
 // WriteChromeTrace renders the current event ring as a Chrome
 // trace-event JSON array. Timed events become complete ("X") slices
 // whose start is end-time minus duration; instantaneous events become
-// instants ("i"). Process and thread ids are assigned stably by sorted
-// name, so repeated captures line up.
-func (t *Tracker) WriteChromeTrace(w io.Writer) {
+// instants ("i").
+func (t *Tracker) WriteChromeTrace(w io.Writer) error {
 	events := t.Events(0)
-
-	// A process per host (or per scope for host-less events); a thread
-	// per stage/kind within each process.
-	procName := func(e Event) string {
+	out := make([]telemetry.ChromeEvent, 0, len(events))
+	for _, e := range events {
+		ce := telemetry.ChromeEvent{Process: "fleet", Thread: e.Kind, Cat: "control", TS: e.UnixNano / 1000, Instant: "p"}
 		if e.Host != "" {
-			return e.Host
+			ce.Process = e.Host
+		} else if e.Scope != "" {
+			ce.Process = e.Scope
 		}
-		if e.Scope != "" {
-			return e.Scope
-		}
-		return "fleet"
-	}
-	threadName := func(e Event) string {
 		if e.Stage != "" {
-			return e.Stage
+			ce.Thread = e.Stage
 		}
-		return e.Kind
-	}
-	procSet := map[string]bool{}
-	threadSet := map[string]bool{} // "proc\x00thread"
-	for _, e := range events {
-		p := procName(e)
-		procSet[p] = true
-		threadSet[p+"\x00"+threadName(e)] = true
-	}
-	procs := make([]string, 0, len(procSet))
-	for p := range procSet {
-		procs = append(procs, p)
-	}
-	sort.Strings(procs)
-	pid := map[string]int{}
-	for i, p := range procs {
-		pid[p] = i + 1
-	}
-	threads := make([]string, 0, len(threadSet))
-	for th := range threadSet {
-		threads = append(threads, th)
-	}
-	sort.Strings(threads)
-	tid := map[string]int{}
-	next := map[string]int{} // per-process thread counter
-	for _, th := range threads {
-		var proc string
-		for i := 0; i < len(th); i++ {
-			if th[i] == 0 {
-				proc = th[:i]
-				break
-			}
+		ce.Name = ce.Thread
+		if e.Cause != "" {
+			ce.Name += ":" + e.Cause
 		}
-		next[proc]++
-		tid[th] = next[proc]
-	}
-
-	first := true
-	emit := func(format string, args ...any) {
-		if !first {
-			io.WriteString(w, ",\n")
+		if e.Kind == KindStage {
+			ce.Cat = "pipeline"
 		}
-		first = false
-		fmt.Fprintf(w, format, args...)
-	}
-	io.WriteString(w, "[\n")
-	for _, p := range procs {
-		emit(`{"ph":"M","name":"process_name","pid":%d,"tid":0,"args":{"name":%q}}`, pid[p], p)
-	}
-	for _, th := range threads {
-		var proc, name string
-		for i := 0; i < len(th); i++ {
-			if th[i] == 0 {
-				proc, name = th[:i], th[i+1:]
-				break
-			}
+		if e.DurationNanos > 0 {
+			ce.Instant = ""
+			ce.TS = (e.UnixNano - e.DurationNanos) / 1000
+			ce.Dur = e.DurationNanos / 1000
 		}
-		emit(`{"ph":"M","name":"thread_name","pid":%d,"tid":%d,"args":{"name":%q}}`,
-			pid[proc], tid[th], name)
-	}
-	for _, e := range events {
-		p := procName(e)
-		th := p + "\x00" + threadName(e)
 		args, _ := json.Marshal(map[string]any{
 			"seq": e.Seq, "trace_id": e.TraceID, "batch_seq": e.BatchSeq,
 			"shard": e.Shard, "cause": e.Cause, "detail": e.Detail,
 		})
-		name := threadName(e)
-		if e.Cause != "" {
-			name += ":" + e.Cause
-		}
-		cat := "pipeline"
-		if e.Kind != KindStage {
-			cat = "control"
-		}
-		if e.DurationNanos > 0 {
-			startMicros := (e.UnixNano - e.DurationNanos) / 1000
-			emit(`{"ph":"X","name":%q,"cat":%q,"pid":%d,"tid":%d,"ts":%d,"dur":%d,"args":%s}`,
-				name, cat, pid[p], tid[th], startMicros, e.DurationNanos/1000, args)
-			continue
-		}
-		emit(`{"ph":"i","name":%q,"cat":%q,"pid":%d,"tid":%d,"ts":%d,"s":"p","args":%s}`,
-			name, cat, pid[p], tid[th], e.UnixNano/1000, args)
+		ce.Args = string(args)
+		out = append(out, ce)
 	}
-	io.WriteString(w, "\n]\n")
+	return telemetry.WriteChromeTrace(w, out)
 }

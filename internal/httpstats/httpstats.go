@@ -29,7 +29,6 @@
 package httpstats
 
 import (
-	"encoding/json"
 	"net/http"
 	"net/http/pprof"
 	"net/url"
@@ -37,11 +36,11 @@ import (
 	"time"
 
 	"vscsistats/internal/core"
+	"vscsistats/internal/telemetry"
 )
 
 // SeriesSource serves the interval time-series surfaces: a per-disk JSON
-// series and a live SSE feed. telemetry.Streamer implements it; the
-// indirection keeps this package free of a telemetry dependency.
+// series and a live SSE feed. telemetry.Streamer implements it.
 type SeriesSource interface {
 	ServeSeries(w http.ResponseWriter, r *http.Request, vm, disk string)
 	ServeWatch(w http.ResponseWriter, r *http.Request)
@@ -111,7 +110,7 @@ type diskInfo struct {
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	parts, err := splitPath(r.URL.EscapedPath())
 	if err != nil {
-		jsonError(w, http.StatusBadRequest, "bad path escape")
+		telemetry.JSONError(w, http.StatusBadRequest, "bad path escape")
 		return
 	}
 	if len(parts) >= 1 {
@@ -152,7 +151,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if len(parts) == 0 || parts[0] != "disks" {
-		jsonError(w, http.StatusNotFound, "not found")
+		telemetry.JSONError(w, http.StatusNotFound, "not found")
 		return
 	}
 	switch {
@@ -163,7 +162,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case len(parts) == 4:
 		h.action(w, r, parts[1], parts[2], parts[3])
 	default:
-		jsonError(w, http.StatusNotFound, "not found")
+		telemetry.JSONError(w, http.StatusNotFound, "not found")
 	}
 }
 
@@ -215,14 +214,14 @@ func servePprof(w http.ResponseWriter, r *http.Request, rest []string) {
 // GET and HEAD only; the body is deliberately cheap — no snapshots taken.
 func (h *Handler) healthz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		jsonError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet, http.MethodHead)
+		telemetry.JSONError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet, http.MethodHead)
 		return
 	}
 	if r.Method == http.MethodHead {
 		w.Header().Set("Content-Type", "application/json")
 		return
 	}
-	writeJSON(w, struct {
+	telemetry.WriteJSON(w, struct {
 		Status        string  `json:"status"`
 		UptimeSeconds float64 `json:"uptime_seconds"`
 		Disks         int     `json:"disks"`
@@ -237,7 +236,7 @@ func (h *Handler) control(verb, vm, disk string) {
 
 func (h *Handler) list(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		jsonError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
+		telemetry.JSONError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
 		return
 	}
 	var infos []diskInfo
@@ -248,20 +247,20 @@ func (h *Handler) list(w http.ResponseWriter, r *http.Request) {
 		}
 		infos = append(infos, info)
 	}
-	writeJSON(w, infos)
+	telemetry.WriteJSON(w, infos)
 }
 
 func (h *Handler) lookup(w http.ResponseWriter, vm, disk string) *core.Collector {
 	c := h.reg.Lookup(vm, disk)
 	if c == nil {
-		jsonError(w, http.StatusNotFound, "unknown virtual disk")
+		telemetry.JSONError(w, http.StatusNotFound, "unknown virtual disk")
 	}
 	return c
 }
 
 func (h *Handler) snapshot(w http.ResponseWriter, r *http.Request, vm, disk string) {
 	if r.Method != http.MethodGet {
-		jsonError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
+		telemetry.JSONError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
 		return
 	}
 	c := h.lookup(w, vm, disk)
@@ -270,21 +269,21 @@ func (h *Handler) snapshot(w http.ResponseWriter, r *http.Request, vm, disk stri
 	}
 	s := c.Snapshot()
 	if s == nil {
-		jsonError(w, http.StatusConflict, "service never enabled for this disk")
+		telemetry.JSONError(w, http.StatusConflict, "service never enabled for this disk")
 		return
 	}
 	h.control("snapshot", vm, disk)
-	writeJSON(w, s)
+	telemetry.WriteJSON(w, s)
 }
 
 func (h *Handler) action(w http.ResponseWriter, r *http.Request, vm, disk, verb string) {
 	if verb == "series" {
 		if h.opts.Series == nil {
-			jsonError(w, http.StatusNotFound, "not found")
+			telemetry.JSONError(w, http.StatusNotFound, "not found")
 			return
 		}
 		if h.reg.Lookup(vm, disk) == nil {
-			jsonError(w, http.StatusNotFound, "unknown virtual disk")
+			telemetry.JSONError(w, http.StatusNotFound, "unknown virtual disk")
 			return
 		}
 		h.opts.Series.ServeSeries(w, r, vm, disk)
@@ -297,12 +296,12 @@ func (h *Handler) action(w http.ResponseWriter, r *http.Request, vm, disk, verb 
 	switch verb {
 	case "histogram":
 		if r.Method != http.MethodGet {
-			jsonError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
+			telemetry.JSONError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
 			return
 		}
 		s := c.Snapshot()
 		if s == nil {
-			jsonError(w, http.StatusConflict, "service never enabled for this disk")
+			telemetry.JSONError(w, http.StatusConflict, "service never enabled for this disk")
 			return
 		}
 		metric := core.Metric(r.URL.Query().Get("metric"))
@@ -317,35 +316,35 @@ func (h *Handler) action(w http.ResponseWriter, r *http.Request, vm, disk, verb 
 		case "writes":
 			class = core.Writes
 		default:
-			jsonError(w, http.StatusBadRequest, "unknown class")
+			telemetry.JSONError(w, http.StatusBadRequest, "unknown class")
 			return
 		}
 		hist := s.Histogram(metric, class)
 		if hist == nil {
-			jsonError(w, http.StatusBadRequest, "unknown metric")
+			telemetry.JSONError(w, http.StatusBadRequest, "unknown metric")
 			return
 		}
 		h.control("snapshot", vm, disk)
-		writeJSON(w, hist)
+		telemetry.WriteJSON(w, hist)
 	case "fingerprint":
 		if r.Method != http.MethodGet {
-			jsonError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
+			telemetry.JSONError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
 			return
 		}
 		s := c.Snapshot()
 		if s == nil {
-			jsonError(w, http.StatusConflict, "service never enabled for this disk")
+			telemetry.JSONError(w, http.StatusConflict, "service never enabled for this disk")
 			return
 		}
 		h.control("snapshot", vm, disk)
 		fp := core.FingerprintOf(s)
-		writeJSON(w, struct {
+		telemetry.WriteJSON(w, struct {
 			core.Fingerprint
 			Recommendations []string `json:"recommendations"`
 		}{fp, fp.Recommendations()})
 	case "enable", "disable", "reset":
 		if r.Method != http.MethodPost {
-			jsonError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodPost)
+			telemetry.JSONError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodPost)
 			return
 		}
 		switch verb {
@@ -357,28 +356,8 @@ func (h *Handler) action(w http.ResponseWriter, r *http.Request, vm, disk, verb 
 			c.Reset()
 		}
 		h.control(verb, vm, disk)
-		writeJSON(w, map[string]bool{"enabled": c.Enabled()})
+		telemetry.WriteJSON(w, map[string]bool{"enabled": c.Enabled()})
 	default:
-		jsonError(w, http.StatusNotFound, "not found")
-	}
-}
-
-// jsonError writes a JSON error body with the given status, setting the
-// Allow header when allowed methods are supplied (mandatory on 405).
-func jsonError(w http.ResponseWriter, code int, msg string, allow ...string) {
-	if len(allow) > 0 {
-		w.Header().Set("Allow", strings.Join(allow, ", "))
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg})
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		jsonError(w, http.StatusInternalServerError, err.Error())
+		telemetry.JSONError(w, http.StatusNotFound, "not found")
 	}
 }

@@ -1,15 +1,12 @@
 package telemetry
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 
-	"vscsistats/internal/scsi"
 	"vscsistats/internal/trace"
 	"vscsistats/internal/vscsi"
 )
@@ -175,93 +172,37 @@ func (t *LifecycleTracer) Total() int64 {
 // WriteChromeTrace renders the retained events as a Chrome trace-event
 // JSON array. Completions become "X" (complete) slices spanning
 // issue→completion; issues and control verbs become "i" instants; each VM
-// is a pid and each disk a tid, named via "M" metadata events.
+// is a process and each disk a thread.
 func (t *LifecycleTracer) WriteChromeTrace(w io.Writer) error {
 	events := t.Events()
-
-	// Stable pid/tid assignment: collect identities, sort, number.
-	vms := map[string]int{}
-	disks := map[[2]string]int{}
+	out := make([]ChromeEvent, 0, len(events))
 	for _, e := range events {
-		if _, ok := vms[e.VM]; !ok {
-			vms[e.VM] = 0
-		}
-		disks[[2]string{e.VM, e.Disk}] = 0
-	}
-	vmNames := make([]string, 0, len(vms))
-	for vm := range vms {
-		vmNames = append(vmNames, vm)
-	}
-	sort.Strings(vmNames)
-	for i, vm := range vmNames {
-		vms[vm] = i + 1
-	}
-	diskKeys := make([][2]string, 0, len(disks))
-	for k := range disks {
-		diskKeys = append(diskKeys, k)
-	}
-	sort.Slice(diskKeys, func(i, j int) bool {
-		if diskKeys[i][0] != diskKeys[j][0] {
-			return diskKeys[i][0] < diskKeys[j][0]
-		}
-		return diskKeys[i][1] < diskKeys[j][1]
-	})
-	for i, k := range diskKeys {
-		disks[k] = i + 1
-	}
-
-	bw := bufio.NewWriter(w)
-	first := true
-	emit := func(format string, args ...any) {
-		if first {
-			first = false
-		} else {
-			bw.WriteString(",\n")
-		}
-		fmt.Fprintf(bw, format, args...)
-	}
-
-	bw.WriteString("[\n")
-	for _, vm := range vmNames {
-		emit(`{"ph":"M","name":"process_name","pid":%d,"args":{"name":%q}}`, vms[vm], "vm "+vm)
-	}
-	for _, k := range diskKeys {
-		emit(`{"ph":"M","name":"thread_name","pid":%d,"tid":%d,"args":{"name":%q}}`,
-			vms[k[0]], disks[k], "disk "+k[1])
-	}
-	for _, e := range events {
-		pid := vms[e.VM]
-		tid := disks[[2]string{e.VM, e.Disk}]
+		ce := ChromeEvent{Process: "vm " + e.VM, Thread: "disk " + e.Disk, Cat: "io", TS: e.VirtualMicros}
 		switch e.Kind {
 		case EventComplete:
-			dur := e.Rec.LatencyMicros()
-			if dur < 0 {
-				dur = 0
-			}
-			emit(`{"ph":"X","name":%q,"cat":"io","pid":%d,"tid":%d,"ts":%d,"dur":%d,"args":{"seq":%d,"lba":%d,"blocks":%d,"outstanding":%d,"status":%q}}`,
-				opName(e.Rec.Op), pid, tid, e.Rec.IssueMicros, dur,
+			ce.Name = e.Rec.Op.String()
+			ce.TS = e.Rec.IssueMicros
+			ce.Dur = max(0, e.Rec.LatencyMicros())
+			ce.Args = fmt.Sprintf(`{"seq":%d,"lba":%d,"blocks":%d,"outstanding":%d,"status":%q}`,
 				e.Rec.Seq, e.Rec.LBA, e.Rec.Blocks, e.Rec.Outstanding, e.Rec.Status.String())
 		case EventIssue:
-			emit(`{"ph":"i","name":%q,"cat":"io","s":"t","pid":%d,"tid":%d,"ts":%d,"args":{"seq":%d,"lba":%d,"blocks":%d}}`,
-				"issue "+opName(e.Rec.Op), pid, tid, e.VirtualMicros,
-				e.Rec.Seq, e.Rec.LBA, e.Rec.Blocks)
+			ce.Name = "issue " + e.Rec.Op.String()
+			ce.Instant = "t"
+			ce.Args = fmt.Sprintf(`{"seq":%d,"lba":%d,"blocks":%d}`, e.Rec.Seq, e.Rec.LBA, e.Rec.Blocks)
 		default:
-			emit(`{"ph":"i","name":%q,"cat":"control","s":"p","pid":%d,"tid":%d,"ts":%d,"args":{}}`,
-				e.Kind.String(), pid, tid, e.VirtualMicros)
+			ce.Name, ce.Cat, ce.Instant = e.Kind.String(), "control", "p"
 		}
+		out = append(out, ce)
 	}
-	bw.WriteString("\n]\n")
-	return bw.Flush()
+	return WriteChromeTrace(w, out)
 }
 
 // ServeHTTP implements GET /debug/trace.
 func (t *LifecycleTracer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		jsonError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
+		JSONError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	t.WriteChromeTrace(w)
 }
-
-func opName(op scsi.OpCode) string { return op.String() }

@@ -267,3 +267,81 @@ func TestMetricsMethodNotAllowed(t *testing.T) {
 		t.Errorf("body = %q", rec.Body.String())
 	}
 }
+
+// TestFleetExpositionAbsent / TestMetricsSimAbsent: an exporter nothing
+// was attached to emits no fleet_* or vscsim_* series. (The series
+// themselves are checked against the real components in internal/fleet
+// and internal/vscsim, which own them.)
+func TestFleetExpositionAbsent(t *testing.T) {
+	var sb strings.Builder
+	if err := NewExporter(core.NewRegistry()).Write(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range parseProm(t, sb.String()) {
+		if strings.HasPrefix(s.name, "vscsistats_fleet") {
+			t.Errorf("unexpected fleet series %s without a fleet source", s.name)
+		}
+	}
+}
+
+func TestMetricsSimAbsent(t *testing.T) {
+	var sb strings.Builder
+	if err := NewExporter(core.NewRegistry()).Write(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(sb.String(), "vscsim") {
+		t.Error("exposition mentions vscsim without a simulator attached")
+	}
+}
+
+// sourceFunc adapts a function to Source for tests.
+type sourceFunc func(*Writer)
+
+func (f sourceFunc) WriteMetrics(w *Writer) { f(w) }
+
+// TestWriterSeam drives the exported writer the way a component does —
+// a Table over its rows, a hand-written family — through the strict
+// parser: sources land in attachment order, integral values print as
+// integers whatever their size, label values are escaped, and a table
+// with no rows still declares its families.
+func TestWriterSeam(t *testing.T) {
+	type row struct {
+		name string
+		n    int64
+	}
+	series := []Series[row]{{"vscsistats_t_rows_total", "counter", "Rows.", func(r row) float64 { return float64(r.n) }}}
+	first := sourceFunc(func(w *Writer) {
+		Table(w, []row{{`a"b`, 123456789}, {"c", 1 << 40}}, func(r row) string { return Labels("name", r.name) }, series)
+	})
+	second := sourceFunc(func(w *Writer) {
+		Table(w, nil, nil, []Series[row]{{"vscsistats_t_empty", "gauge", "No rows.", nil}})
+		w.Family("vscsistats_t_ratio", "gauge", "A non-integral\nvalue.")
+		w.Sample("vscsistats_t_ratio", "", 0.25)
+	})
+	var sb strings.Builder
+	if err := NewExporter(core.NewRegistry()).With(first, second).Write(&sb); err != nil {
+		t.Fatal(err)
+	}
+	text := sb.String()
+	samples := parseProm(t, text)
+	if s := findSample(t, samples, "vscsistats_t_rows_total", "name", `a"b`); s.value != 123456789 {
+		t.Errorf("escaped row = %v", s.value)
+	}
+	for _, want := range []string{
+		`vscsistats_t_rows_total{name="a\"b"} 123456789` + "\n",
+		`vscsistats_t_rows_total{name="c"} 1099511627776` + "\n",
+		"# TYPE vscsistats_t_empty gauge\n",
+		`# HELP vscsistats_t_ratio A non-integral\nvalue.` + "\n",
+		"vscsistats_t_ratio 0.25\n",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("exposition lacks %q", want)
+		}
+	}
+	if i, j := strings.Index(text, "vscsistats_t_rows_total"), strings.Index(text, "vscsistats_t_empty"); i < 0 || j < i {
+		t.Errorf("sources out of attachment order (first at %d, second at %d)", i, j)
+	}
+	if i, j := strings.Index(text, "vscsistats_t_ratio"), strings.Index(text, "# HELP vscsistats_collectors"); j < i {
+		t.Errorf("sources must precede the exporter's own trailer (%d, %d)", i, j)
+	}
+}

@@ -44,8 +44,7 @@ type Streamer struct {
 
 	mu    sync.Mutex
 	seq   int64
-	prev  map[string]*core.Snapshot
-	rings map[string][]IntervalPoint
+	disks map[diskKey]*diskRing
 
 	subMu   sync.Mutex
 	subs    map[chan []byte]struct{}
@@ -68,8 +67,7 @@ func NewStreamer(reg *core.Registry, interval time.Duration, depth int) *Streame
 		reg:      reg,
 		interval: interval,
 		depth:    depth,
-		prev:     map[string]*core.Snapshot{},
-		rings:    map[string][]IntervalPoint{},
+		disks:    map[diskKey]*diskRing{},
 		subs:     map[chan []byte]struct{}{},
 		stop:     make(chan struct{}),
 	}
@@ -101,7 +99,14 @@ func (s *Streamer) Start() {
 // Stop ends the sampling loop started by Start. Idempotent.
 func (s *Streamer) Stop() { s.stopOnce.Do(func() { close(s.stop) }) }
 
-func diskKey(vm, disk string) string { return vm + "\x00" + disk }
+type diskKey struct{ vm, disk string }
+
+// diskRing is what the streamer keeps per virtual disk: the previous
+// cumulative snapshot and the ring of interval points, newest last.
+type diskRing struct {
+	prev *core.Snapshot
+	ring []IntervalPoint
+}
 
 // Tick takes one sampling pass: snapshot every enabled collector, append
 // the interval delta to its ring, and broadcast a summary to SSE
@@ -115,19 +120,26 @@ func (s *Streamer) Tick(now time.Time) {
 	seq := s.seq
 	points := make([]IntervalPoint, 0, len(snaps))
 	for _, snap := range snaps {
-		key := diskKey(snap.VM, snap.Disk)
-		delta := snap
-		if prev := s.prev[key]; prev != nil {
-			delta = snap.Sub(prev)
+		key := diskKey{snap.VM, snap.Disk}
+		st := s.disks[key]
+		if st == nil {
+			st = &diskRing{}
+			s.disks[key] = st
 		}
-		s.prev[key] = snap
-		p := IntervalPoint{Seq: seq, UnixNano: now.UnixNano(), Delta: delta}
-		ring := append(s.rings[key], p)
-		if len(ring) > s.depth {
-			ring = ring[len(ring)-s.depth:]
+		p := IntervalPoint{Seq: seq, UnixNano: now.UnixNano(), Delta: core.IntervalSince(st.prev, snap)}
+		st.prev = snap
+		st.ring = append(st.ring, p)
+		if len(st.ring) > s.depth {
+			st.ring = st.ring[len(st.ring)-s.depth:]
 		}
-		s.rings[key] = ring
 		points = append(points, p)
+	}
+	// A disk that left the registry takes its series with it, so state is
+	// O(disks registered), not O(disks ever seen).
+	for key, st := range s.disks {
+		if st.ring[len(st.ring)-1].Seq != seq {
+			delete(s.disks, key)
+		}
 	}
 	s.mu.Unlock()
 
@@ -139,10 +151,11 @@ func (s *Streamer) Tick(now time.Time) {
 func (s *Streamer) Series(vm, disk string) []IntervalPoint {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ring := s.rings[diskKey(vm, disk)]
-	out := make([]IntervalPoint, len(ring))
-	copy(out, ring)
-	return out
+	st := s.disks[diskKey{vm, disk}]
+	if st == nil {
+		return nil
+	}
+	return append([]IntervalPoint(nil), st.ring...)
 }
 
 // seriesPoint is the JSON wire form of one interval.
@@ -174,11 +187,11 @@ type seriesResponse struct {
 // point; n limits the response to the most recent n points.
 func (s *Streamer) ServeSeries(w http.ResponseWriter, r *http.Request, vm, disk string) {
 	if r.Method != http.MethodGet {
-		jsonError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
+		JSONError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
 		return
 	}
 	if s.reg.Lookup(vm, disk) == nil {
-		jsonError(w, http.StatusNotFound, "no such disk")
+		JSONError(w, http.StatusNotFound, "no such disk")
 		return
 	}
 
@@ -193,7 +206,7 @@ func (s *Streamer) ServeSeries(w http.ResponseWriter, r *http.Request, vm, disk 
 			}
 		}
 		if !known {
-			jsonError(w, http.StatusBadRequest, "unknown metric "+strconv.Quote(m))
+			JSONError(w, http.StatusBadRequest, "unknown metric "+strconv.Quote(m))
 			return
 		}
 	}
@@ -205,7 +218,7 @@ func (s *Streamer) ServeSeries(w http.ResponseWriter, r *http.Request, vm, disk 
 	case "writes":
 		class = core.Writes
 	default:
-		jsonError(w, http.StatusBadRequest, "unknown class "+strconv.Quote(cl))
+		JSONError(w, http.StatusBadRequest, "unknown class "+strconv.Quote(cl))
 		return
 	}
 
@@ -213,7 +226,7 @@ func (s *Streamer) ServeSeries(w http.ResponseWriter, r *http.Request, vm, disk 
 	if nStr := r.URL.Query().Get("n"); nStr != "" {
 		n, err := strconv.Atoi(nStr)
 		if err != nil || n < 0 {
-			jsonError(w, http.StatusBadRequest, "bad n")
+			JSONError(w, http.StatusBadRequest, "bad n")
 			return
 		}
 		if n < len(points) {
@@ -329,12 +342,12 @@ func (s *Streamer) unsubscribe(ch chan []byte) {
 // when the client disconnects or the streamer is stopped.
 func (s *Streamer) ServeWatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		jsonError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
+		JSONError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
 		return
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		jsonError(w, http.StatusInternalServerError, "streaming unsupported")
+		JSONError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")

@@ -193,3 +193,62 @@ func TestStreamerWatchSSE(t *testing.T) {
 		t.Errorf("DELETE /watch = %d", rec.Code)
 	}
 }
+
+// TestStreamerAfterReset: 10 reads, tick, Reset, 3 reads, tick — the
+// second interval is the 3 commands accumulated since the reset
+// (commands: -7 before core.IntervalSince), on /series and in the ring.
+func TestStreamerAfterReset(t *testing.T) {
+	rig := newRig(t, "vm1", "scsi0:0")
+	rig.col.Enable()
+	s := NewStreamer(rig.reg, time.Second, 8)
+	rig.issue(t, 10, 0)
+	s.Tick(time.Unix(100, 0))
+	rig.col.Reset()
+	rig.issue(t, 3, 0)
+	s.Tick(time.Unix(101, 0))
+	rig.issue(t, 4, 0)
+	s.Tick(time.Unix(102, 0))
+
+	rec := httptest.NewRecorder()
+	s.ServeSeries(rec, httptest.NewRequest(http.MethodGet, "/disks/vm1/scsi0:0/series?metric=ioLength", nil), "vm1", "scsi0:0")
+	var resp seriesResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	var got []int64
+	for _, p := range resp.Points {
+		got = append(got, p.Commands)
+		for _, n := range p.Histogram.Counts {
+			if n < 0 {
+				t.Errorf("seq %d: negative bin in the interval histogram", p.Seq)
+			}
+		}
+	}
+	if len(got) != 3 || got[0] != 10 || got[1] != 3 || got[2] != 4 {
+		t.Errorf("interval commands = %v, want [10 3 4]", got)
+	}
+}
+
+// TestStreamerForgetsUnregisteredDisks: a disk that leaves the registry
+// takes its ring and its previous snapshot with it, and one that comes
+// back under the same name starts a fresh series.
+func TestStreamerForgetsUnregisteredDisks(t *testing.T) {
+	rig := newRig(t, "vm1", "scsi0:0")
+	rig.col.Enable()
+	s := NewStreamer(rig.reg, time.Second, 8)
+	rig.issue(t, 5, 0)
+	s.Tick(time.Unix(100, 0))
+	if len(s.Series("vm1", "scsi0:0")) != 1 {
+		t.Fatal("no point for the registered disk")
+	}
+	rig.reg.Unregister("vm1", "scsi0:0")
+	s.Tick(time.Unix(101, 0))
+	if pts := s.Series("vm1", "scsi0:0"); pts != nil || len(s.disks) != 0 {
+		t.Fatalf("streamer kept %d points and %d disks after unregister", len(pts), len(s.disks))
+	}
+	rig.reg.Register(rig.col)
+	s.Tick(time.Unix(102, 0))
+	if pts := s.Series("vm1", "scsi0:0"); len(pts) != 1 || pts[0].Delta.Commands != 5 {
+		t.Fatalf("re-registered disk: %+v, want one cumulative point of 5", pts)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"vscsistats/internal/core"
 	"vscsistats/internal/scsi"
 )
 
@@ -335,10 +336,46 @@ func FuzzMSRSource(f *testing.F) {
 	f.Add([]byte("1000,host,0,Read,1.5,2,5,extra,fields,beyond,the,cap,here\n"))
 	f.Add([]byte("1000;host;0;Read;0;512;10\n1000\thost\t0\tRead\t0\t512\t10\n"))
 	f.Add([]byte("1000,host,0,Read,0,512,1,5\r\n\r\n,,,,,,\n"))
+	f.Add([]byte(msrSlashIdentities))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src := NewMSRSource(bufio.NewReader(bytes.NewReader(data)))
 		fuzzSource(t, src, src.BadLines)
+		// What `vscsitrace replay` does with the same bytes: one registered
+		// collector per (VM, disk) the file names, whatever the names hold.
+		src = NewMSRSource(bufio.NewReader(bytes.NewReader(data)))
+		if _, err := ReplayParallel(src, ReplayConfig{Registry: core.NewRegistry()}); err != nil {
+			t.Fatalf("replay into a registry: %v", err)
+		}
 	})
+}
+
+// msrSlashIdentities names two different disks whose "vm/disk" joins are
+// the same string: ("a/disk0", "disk1") and ("a", "disk0/disk1").
+const msrSlashIdentities = "128166372003061629,a/disk0,1,Read,0,4096,100\n" +
+	"128166372003061639,a,0/disk1,Read,0,4096,100\n"
+
+// TestReplaySlashIdentitiesStayDistinct: a hostile trace cannot make two
+// disks collide in the registry (at the parent commit this input panicked
+// the CLI with "duplicate collector for a/disk0/disk1").
+func TestReplaySlashIdentitiesStayDistinct(t *testing.T) {
+	reg := core.NewRegistry()
+	src := NewMSRSource(bufio.NewReader(strings.NewReader(msrSlashIdentities)))
+	res, err := ReplayParallel(src, ReplayConfig{Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Disks != 2 || len(reg.List()) != 2 {
+		t.Fatalf("disks = %d, registered = %d, want 2 and 2", res.Stats.Disks, len(reg.List()))
+	}
+	for _, id := range [][2]string{{"a/disk0", "disk1"}, {"a", "disk0/disk1"}} {
+		col := reg.Lookup(id[0], id[1])
+		if col == nil {
+			t.Fatalf("no collector registered for %q", id)
+		}
+		if s := col.Snapshot(); s == nil || s.Commands != 1 || s.VM != id[0] || s.Disk != id[1] {
+			t.Errorf("%q holds %+v, want its own one read", id, s)
+		}
+	}
 }
 
 func FuzzAlibabaSource(f *testing.F) {

@@ -444,22 +444,24 @@ func (s *Sim) Stats() SimStats {
 	return st
 }
 
-// SimWorld implements telemetry.SimSource, exposing the world's size and
-// pacing as vscsistats_vscsim_* series.
-func (s *Sim) SimWorld() telemetry.SimWorld {
-	st := s.Stats()
-	return telemetry.SimWorld{
-		Hosts:          st.Hosts,
-		VMs:            st.VMs,
-		Disks:          st.Disks,
-		VirtualSeconds: st.Virtual.Seconds(),
-		WallSeconds:    st.Wall.Seconds(),
-		Speed:          st.Speed,
-		Ops:            st.Ops,
-		Bytes:          st.Bytes,
-		Errors:         st.Errors,
-		Throttled:      st.Throttled,
-		Pushes:         st.Agent.Pushes,
-		PushErrors:     st.Agent.Errors,
-	}
+var simSeries = []telemetry.Series[SimStats]{
+	telemetry.Gauge("vscsistats_vscsim_hosts", "Simulated hosts in the inventory.", func(s SimStats) int { return s.Hosts }),
+	telemetry.Gauge("vscsistats_vscsim_vms", "Simulated VMs in the inventory.", func(s SimStats) int { return s.VMs }),
+	telemetry.Gauge("vscsistats_vscsim_disks", "Simulated virtual disks in the inventory.", func(s SimStats) int { return s.Disks }),
+	telemetry.Gauge("vscsistats_vscsim_virtual_seconds", "Fleet-wide virtual horizon (the slowest host's clock).", func(s SimStats) float64 { return s.Virtual.Seconds() }),
+	telemetry.Gauge("vscsistats_vscsim_wall_seconds", "Wall time spent in wall-paced execution.", func(s SimStats) float64 { return s.Wall.Seconds() }),
+	telemetry.Gauge("vscsistats_vscsim_speed", "Achieved pacing multiplier: virtual seconds per wall second.", func(s SimStats) float64 { return s.Speed }),
+	telemetry.Counter("vscsistats_vscsim_ops_total", "Completed simulated guest commands.", func(s SimStats) int64 { return s.Ops }),
+	telemetry.Counter("vscsistats_vscsim_bytes_total", "Bytes moved by completed simulated commands.", func(s SimStats) int64 { return s.Bytes }),
+	telemetry.Counter("vscsistats_vscsim_errors_total", "Simulated commands completed with a status other than GOOD.", func(s SimStats) int64 { return s.Errors }),
+	telemetry.Counter("vscsistats_vscsim_throttled_total", "Arrivals skipped at a generator's outstanding-I/O cap.", func(s SimStats) int64 { return s.Throttled }),
+	telemetry.Counter("vscsistats_vscsim_pushes_total", "Batches the simulated hosts' agents delivered.", func(s SimStats) int64 { return s.Agent.Pushes }),
+	telemetry.Counter("vscsistats_vscsim_push_errors_total", "Failed delivery attempts across the simulated agents.", func(s SimStats) int64 { return s.Agent.Errors }),
+}
+
+// WriteMetrics implements telemetry.Source: the vscsistats_vscsim_*
+// series — inventory size, virtual/wall pacing, simulated command totals
+// and agent push health.
+func (s *Sim) WriteMetrics(w *telemetry.Writer) {
+	telemetry.Table(w, []SimStats{s.Stats()}, nil, simSeries)
 }

@@ -2,11 +2,14 @@ package vscsim
 
 import (
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"vscsistats/internal/core"
 	"vscsistats/internal/fleet"
+	"vscsistats/internal/telemetry"
+	"vscsistats/internal/telemetry/promtest"
 )
 
 func newTestAggregator(t testing.TB) (*fleet.Aggregator, *httptest.Server) {
@@ -165,4 +168,48 @@ func BenchmarkSimPushAll256(b *testing.B) {
 		b.Fatalf("aggregator knows %d hosts", st.Hosts)
 	}
 	b.ReportMetric(float64(256*b.N)/b.Elapsed().Seconds(), "hostpush/s")
+}
+
+// TestMetricsSimSeries runs the exposition with a real simulator attached
+// through the strict parser and checks every vscsistats_vscsim_* series
+// carries the world's Stats verbatim.
+func TestMetricsSimSeries(t *testing.T) {
+	_, srv := newTestAggregator(t)
+	sim, err := New(NewInventory(Config{Seed: 5, Hosts: 3, VMsPerHost: 2, DisksPerVM: 2, Intensity: 4}), SimConfig{Push: srv.URL + "/fleet/push"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.RunVirtual(20 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.PushAll(); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := telemetry.NewExporter(core.NewRegistry()).With(sim).Write(&sb); err != nil {
+		t.Fatal(err)
+	}
+	samples := promtest.Parse(t, sb.String())
+	st := sim.Stats()
+	if st.Ops == 0 || st.Bytes == 0 || st.Agent.Pushes != 3 {
+		t.Fatalf("world did nothing worth exporting: %+v", st)
+	}
+	for name, want := range map[string]float64{
+		"vscsistats_vscsim_hosts":             3,
+		"vscsistats_vscsim_vms":               6,
+		"vscsistats_vscsim_disks":             12,
+		"vscsistats_vscsim_virtual_seconds":   20,
+		"vscsistats_vscsim_wall_seconds":      st.Wall.Seconds(),
+		"vscsistats_vscsim_speed":             st.Speed,
+		"vscsistats_vscsim_ops_total":         float64(st.Ops),
+		"vscsistats_vscsim_bytes_total":       float64(st.Bytes),
+		"vscsistats_vscsim_errors_total":      float64(st.Errors),
+		"vscsistats_vscsim_throttled_total":   float64(st.Throttled),
+		"vscsistats_vscsim_pushes_total":      3,
+		"vscsistats_vscsim_push_errors_total": float64(st.Agent.Errors),
+	} {
+		if got := promtest.Find(t, samples, name).Value; got != want {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
+	}
 }

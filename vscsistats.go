@@ -15,8 +15,13 @@
 //   - workload generators (a Filebench-style model language with the OLTP
 //     personality, a DBT-2/TPC-C engine, file-copy pipelines, Iometer),
 //   - storage array models (Symmetrix-like, CLARiiON CX3-like), and
-//   - an experiment harness regenerating every table and figure in the
-//     paper's evaluation.
+//   - the fleet tier: agents, sharded aggregators, re-exporters and a
+//     datacenter simulator, observable through one /metrics seam.
+//
+// It exports what the examples, the commands, the benchmark and the
+// package's own tests use; everything else lives in internal/ (the
+// experiment harness regenerating the paper's tables and figures is
+// cmd/experiments over internal/report).
 //
 // Quick start:
 //
@@ -34,7 +39,6 @@
 package vscsistats
 
 import (
-	"io"
 	"net/http"
 	"time"
 
@@ -46,7 +50,6 @@ import (
 	"vscsistats/internal/histogram"
 	"vscsistats/internal/httpstats"
 	"vscsistats/internal/hypervisor"
-	"vscsistats/internal/report"
 	"vscsistats/internal/scsi"
 	"vscsistats/internal/simclock"
 	"vscsistats/internal/storage"
@@ -71,7 +74,6 @@ type (
 
 // Virtual time units.
 const (
-	Microsecond = simclock.Microsecond
 	Millisecond = simclock.Millisecond
 	Second      = simclock.Second
 )
@@ -111,12 +113,6 @@ const (
 // with Disk.AddObserver and toggle it with Enable/Disable.
 func NewCollector(vm, disk string) *Collector { return core.NewCollector(vm, disk) }
 
-// NewCollectorWindow sets an explicit windowed-seek look-behind (§3.1's N,
-// default 16).
-func NewCollectorWindow(vm, disk string, n int) *Collector {
-	return core.NewCollectorWindow(vm, disk, n)
-}
-
 // NewRegistry creates the host-wide collector registry behind the
 // enable/disable command-line utility.
 func NewRegistry() *Registry { return core.NewRegistry() }
@@ -131,29 +127,10 @@ func NewIntervalRecorder(eng *Engine, col *Collector, interval Time) *IntervalRe
 // (the §7 future-work feature).
 func FingerprintOf(s *Snapshot) Fingerprint { return core.FingerprintOf(s) }
 
-// Collector2D is the online seek-distance x latency correlation collector —
-// the 2-D extension §3.6 leaves to future work, implemented.
-type Collector2D = core.Collector2D
-
-// NewCollector2D creates a disabled 2-D collector; attach it with
-// Disk.AddObserver alongside (or instead of) the 1-D Collector.
-func NewCollector2D(vm, disk string) *Collector2D { return core.NewCollector2D(vm, disk) }
-
 // --- Histograms ---
 
-// Histogram is an online histogram; HistogramSnapshot an immutable copy.
-type (
-	Histogram         = histogram.Histogram
-	HistogramSnapshot = histogram.Snapshot
-	Histogram2D       = histogram.Hist2D
-	Series            = histogram.Series
-)
-
-// NewHistogram builds a histogram over arbitrary strictly-increasing bin
-// upper edges.
-func NewHistogram(name, unit string, edges []int64) *Histogram {
-	return histogram.New(name, unit, edges)
-}
+// HistogramSnapshot is an immutable copy of one online histogram.
+type HistogramSnapshot = histogram.Snapshot
 
 // RenderHistogramComparison renders snapshots side by side (the layout of
 // the paper's overlaid figures).
@@ -167,35 +144,14 @@ func HistogramDistance(a, b *HistogramSnapshot) float64 { return analysis.Distan
 
 // --- SCSI and the virtual SCSI layer ---
 
-// Command is a decoded SCSI CDB; Disk is a virtual SCSI disk; Request is a
-// command in flight.
+// Command is a decoded SCSI CDB; Disk is a virtual SCSI disk.
 type (
-	Command    = scsi.Command
-	Disk       = vscsi.Disk
-	Request    = vscsi.Request
-	Observer   = vscsi.Observer
-	Backend    = vscsi.Backend
-	DiskConfig = vscsi.DiskConfig
+	Command = scsi.Command
+	Disk    = vscsi.Disk
 )
 
-// BatchObserver is an Observer that additionally accepts whole bursts of
-// issued requests through OnIssueBatch; Disk.IssueBatch delivers a burst to
-// it in one call, amortizing per-command dispatch. The built-in Collector
-// implements it.
-type BatchObserver = vscsi.BatchObserver
-
-// Read and Write build block I/O commands (LBA and length in 512-byte
-// sectors).
+// Read builds a block read command (LBA and length in 512-byte sectors).
 func Read(lba uint64, blocks uint32) Command { return scsi.Read(lba, blocks) }
-
-// Write builds a block write command.
-func Write(lba uint64, blocks uint32) Command { return scsi.Write(lba, blocks) }
-
-// NewDisk creates a stand-alone virtual disk over a custom backend; most
-// callers provision disks through a Host instead.
-func NewDisk(eng *Engine, backend Backend, cfg DiskConfig) *Disk {
-	return vscsi.NewDisk(eng, backend, cfg)
-}
 
 // --- Hypervisor host ---
 
@@ -203,22 +159,12 @@ func NewDisk(eng *Engine, backend Backend, cfg DiskConfig) *Disk {
 // with its collector and optional tracer.
 type (
 	Host     = hypervisor.Host
-	VM       = hypervisor.VM
 	Vdisk    = hypervisor.Vdisk
 	DiskSpec = hypervisor.DiskSpec
 )
 
-// SharedDatastore lets several hosts mount the same SAN volume (§3.7's
-// unrelated-initiators caveat): export with Host.ExportDatastore, mount
-// with Host.AddSharedDatastore.
-type SharedDatastore = hypervisor.SharedDatastore
-
 // NewHost creates an empty host on the engine.
 func NewHost(eng *Engine) *Host { return hypervisor.NewHost(eng) }
-
-// NewHostOn creates a host whose collectors register into a shared
-// registry, pooling several hosts behind one control plane.
-func NewHostOn(eng *Engine, reg *Registry) *Host { return hypervisor.NewHostOn(eng, reg) }
 
 // --- Parallel multi-VM driver ---
 
@@ -259,11 +205,8 @@ func LocalDisk(seed int64) ArrayConfig { return storage.LocalDiskConfig(seed) }
 
 // --- Filesystem models ---
 
-// FS is a mounted filesystem model; File an open file on it.
-type (
-	FS   = fs.FS
-	File = fs.File
-)
+// FS is a mounted filesystem model.
+type FS = fs.FS
 
 // Snapshotter is implemented by filesystems with point-in-time snapshots
 // (of the bundled models, only ZFS): assert `fsys.(vscsistats.Snapshotter)`.
@@ -294,7 +237,6 @@ func NewZFS(eng *Engine, d *Disk) FS { return fs.NewZFS(eng, d, fs.DefaultZFSCon
 // Generator is a runnable workload; the concrete generators mirror §4–§5.
 type (
 	Generator      = workload.Generator
-	WorkloadStats  = workload.Stats
 	Model          = workload.Model
 	Filebench      = workload.Filebench
 	DBT2           = workload.DBT2
@@ -306,21 +248,13 @@ type (
 )
 
 // ParseModel parses the Filebench-style model language; OLTPModel returns
-// the paper's OLTP personality at the given data/log sizes, and
-// WebServerModel/VarmailModel the classic read-heavy and fsync-heavy
-// personalities.
+// the paper's OLTP personality at the given data/log sizes.
 func ParseModel(src string) (*Model, error) { return workload.ParseModel(src) }
 
 // OLTPModel is the paper's Filebench OLTP personality.
 func OLTPModel(dataBytes, logBytes int64) *Model {
 	return workload.OLTPModel(dataBytes, logBytes)
 }
-
-// WebServerModel is the read-heavy webserver personality (docset + log).
-func WebServerModel(docSetBytes int64) *Model { return workload.WebServerModel(docSetBytes) }
-
-// VarmailModel is the fsync-heavy mail-spool personality.
-func VarmailModel(spoolBytes int64) *Model { return workload.VarmailModel(spoolBytes) }
 
 // NewFilebench interprets a model against a filesystem.
 func NewFilebench(eng *Engine, fsys FS, m *Model, seed int64) *Filebench {
@@ -374,29 +308,27 @@ func NewSynthFromSnapshot(eng *Engine, d *Disk, s *Snapshot, seed int64) (*Synth
 	return workload.NewSynth(eng, d, s, seed)
 }
 
-// NewStatsHandler exposes a registry over HTTP (list, JSON snapshots,
-// per-histogram queries, fingerprints, enable/disable/reset).
-func NewStatsHandler(reg *Registry) http.Handler { return httpstats.New(reg) }
-
 // --- Observability (internal/telemetry) ---
 
 // MetricsExporter serves GET /metrics in the Prometheus text format;
 // LifecycleTracer keeps a ring of issue/complete/control events with
 // Chrome trace JSON export (GET /debug/trace); SnapshotStreamer samples
 // the registry on an interval and serves per-disk time series plus a live
-// SSE feed (GET /watch). SelfSnapshot is a collector's self-telemetry:
-// the live version of Table 2's overhead measurement.
+// SSE feed (GET /watch); StatsOptions mounts them on the stats handler.
 type (
 	MetricsExporter  = telemetry.Exporter
 	LifecycleTracer  = telemetry.LifecycleTracer
 	SnapshotStreamer = telemetry.Streamer
-	SelfSnapshot     = core.SelfSnapshot
-	DiskStatsSource  = telemetry.DiskStatsSource
 	StatsOptions     = httpstats.Options
 )
 
 // NewMetricsExporter builds a Prometheus exporter over a registry. Chain
-// .WithDiskStats(host or parallel sim) to add vSCSI-layer disk counters.
+// .WithDiskStats(host or parallel sim) to add vSCSI-layer disk counters,
+// and .With(...) for every component that writes its own series: a
+// FleetAggregator (vscsistats_fleet_*), FleetReExporter
+// (vscsistats_fleet_tier_reexport_*), FleetAgent (vscsistats_fleet_agent_*),
+// FleetObsTracker (vscsistats_fleetobs_*) or DatacenterSim
+// (vscsistats_vscsim_*).
 func NewMetricsExporter(reg *Registry) *MetricsExporter { return telemetry.NewExporter(reg) }
 
 // NewLifecycleTracer builds a ring tracer retaining the last capacity
@@ -428,35 +360,15 @@ func NewStatsHandlerWith(reg *Registry, opts StatsOptions) http.Handler {
 // FleetAggregator ingests pushes, scatter-gathers pulls, tracks per-host
 // liveness and merges per-host snapshots into per-VM and cluster-wide
 // histograms, bin-exact, sharded by consistent host hash with per-shard
-// merge memoization. SnapshotBatch is the unit both speak on the wire.
+// merge memoization.
 type (
 	FleetAgent            = fleet.Agent
 	FleetAgentConfig      = fleet.AgentConfig
-	FleetAgentStats       = fleet.AgentStats
 	FleetAggregator       = fleet.Aggregator
 	FleetAggregatorConfig = fleet.AggregatorConfig
-	FleetAggregatorStats  = fleet.AggregatorStats
 	FleetHostStatus       = fleet.HostStatus
-	FleetShardStatus      = fleet.ShardStatus
-	FleetTierStatus       = fleet.TierStatus
-	FleetLogStats         = fleet.LogStats
 	FleetReplayStats      = fleet.ReplayStats
-	FleetHistoryResult    = fleet.HistoryResult
-	FleetCatalogResult    = fleet.CatalogResult
-	FleetCatalogVM        = fleet.CatalogVM
-	SnapshotBatch         = fleet.Batch
 )
-
-// ErrFleetResyncRequired is returned by FleetAggregator.Ingest for a delta
-// batch it cannot apply (unknown host, base-sequence gap); the HTTP push
-// surface maps it to 409 and agents answer it with a full-state push.
-var ErrFleetResyncRequired = fleet.ErrResyncRequired
-
-// ErrFleetTruncatedFrame matches the subset of wire-decode failures where
-// the stream simply ended inside a frame (crash mid-write) rather than
-// carrying bytes that contradict the format; segment-log replay truncates
-// on it and refuses to start on anything else.
-var ErrFleetTruncatedFrame = fleet.ErrTruncatedFrame
 
 // NewFleetAgent builds a fleet agent over the registry; Start launches the
 // push loop, PushNow pushes synchronously.
@@ -465,8 +377,8 @@ func NewFleetAgent(reg *Registry, cfg FleetAgentConfig) *FleetAgent {
 }
 
 // NewFleetAggregator builds a memory-only fleet aggregator; mount it via
-// StatsOptions.Fleet and chain MetricsExporter.WithFleet for the merged
-// fleet_* Prometheus series.
+// StatsOptions.Fleet and attach it with MetricsExporter.With for the
+// merged fleet_* Prometheus series.
 func NewFleetAggregator(cfg FleetAggregatorConfig) *FleetAggregator {
 	return fleet.NewAggregator(cfg)
 }
@@ -492,35 +404,15 @@ func OpenFleetAggregator(cfg FleetAggregatorConfig) (*FleetAggregator, FleetRepl
 type (
 	FleetReExporter       = fleet.ReExporter
 	FleetReExporterConfig = fleet.ReExporterConfig
-	FleetReExporterStats  = fleet.ReExporterStats
 )
 
 // NewFleetReExporter wraps the aggregator with an upstream re-export
 // loop; Start launches it, ReExportNow flushes synchronously, Stop ends
-// it with one final flush. Chain MetricsExporter.WithFleetReExport for
-// the vscsistats_fleet_tier_reexport_* series.
+// it with one final flush. Attach it with MetricsExporter.With for the
+// vscsistats_fleet_tier_reexport_* series.
 func NewFleetReExporter(agg *FleetAggregator, cfg FleetReExporterConfig) *FleetReExporter {
 	return fleet.NewReExporter(agg, cfg)
 }
-
-// EncodeSnapshotBatch and DecodeSnapshotBatch are the fleet wire codec:
-// versioned, length-prefixed frames with a JSON header and a binary
-// snapshot payload — any number of frames can be concatenated on one
-// stream. Frames from pre-binary senders (gzip-framed JSON) still decode.
-func EncodeSnapshotBatch(w io.Writer, b *SnapshotBatch) error { return fleet.EncodeBatch(w, b) }
-
-// DecodeSnapshotBatch reads one frame; it never panics on corrupt input.
-func DecodeSnapshotBatch(r io.Reader) (*SnapshotBatch, error) { return fleet.DecodeBatch(r) }
-
-// FleetResyncCause classifies why an aggregator demanded a full resync
-// (seq-gap, unknown-host, unknown-disk, layout-mismatch); it rides the
-// 409 body as resync_cause and is counted per cause in
-// FleetAggregatorStats. FleetResyncError is the typed form — it still
-// matches errors.Is(err, ErrFleetResyncRequired).
-type (
-	FleetResyncCause = fleet.ResyncCause
-	FleetResyncError = fleet.ResyncError
-)
 
 // --- Fleet pipeline observability (internal/fleetobs) ---
 
@@ -529,15 +421,13 @@ type (
 // ingest, log append, fsync, compaction, replay, …), a bounded ring of
 // structural events (rotations, resyncs with cause, torn tails,
 // compactions), and a top-K slowest-operations ring. Hand one to
-// FleetAgentConfig.Obs or FleetAggregatorConfig.Obs, chain
-// MetricsExporter.WithFleetObs for the vscsistats_fleetobs_* series,
-// and mount ChromeTraceHandler at StatsOptions.FleetTrace. A nil
-// tracker is fully inert.
+// FleetAgentConfig.Obs or FleetAggregatorConfig.Obs, attach it with
+// MetricsExporter.With for the vscsistats_fleetobs_* series, and mount
+// ChromeTraceHandler at StatsOptions.FleetTrace. A nil tracker is fully
+// inert.
 type (
 	FleetObsTracker = fleetobs.Tracker
 	FleetObsConfig  = fleetobs.Config
-	FleetObsEvent   = fleetobs.Event
-	FleetObsStage   = fleetobs.Stage
 )
 
 // NewFleetObsTracker builds a tracker; the zero config gives a
@@ -559,19 +449,10 @@ func NewFleetObsTracker(cfg FleetObsConfig) *FleetObsTracker {
 type (
 	SimInventory        = vscsim.Inventory
 	SimInventoryConfig  = vscsim.Config
-	SimHostSpec         = vscsim.HostSpec
-	SimVMSpec           = vscsim.VMSpec
 	DatacenterSim       = vscsim.Sim
 	DatacenterSimConfig = vscsim.SimConfig
-	DatacenterSimStats  = vscsim.SimStats
 	FleetPersonality    = workload.FleetPersonality
-	PacedSpec           = workload.PacedSpec
-	PacedGenerator      = workload.Paced
 )
-
-// ErrSimRunning rejects deterministic sim operations (RunVirtual,
-// PushAll) while wall-paced execution owns the host engines.
-var ErrSimRunning = vscsim.ErrRunning
 
 // NewSimInventory generates the synthetic datacenter described by cfg —
 // a pure function of cfg.Seed.
@@ -591,15 +472,6 @@ func SimReferenceCatalog(seed int64, personalities ...FleetPersonality) (*Worklo
 	return vscsim.ReferenceCatalog(seed, personalities...)
 }
 
-// FleetPersonalities returns the built-in datacenter workload population.
-func FleetPersonalities() []FleetPersonality { return workload.FleetPersonalities() }
-
-// NewPacedGenerator builds the open-loop Poisson-arrival generator the
-// simulator drives each virtual disk with.
-func NewPacedGenerator(eng *Engine, disk *Disk, spec PacedSpec) *PacedGenerator {
-	return workload.NewPaced(eng, disk, spec)
-}
-
 // --- Tracing and offline analysis ---
 
 // Tracer captures completed commands; TraceRecord is one command.
@@ -608,54 +480,9 @@ type (
 	TraceRecord = trace.Record
 )
 
-// NewTracer creates a bounded-ring command tracer; attach it with
-// Disk.AddObserver.
-func NewTracer(capacity int) *Tracer { return trace.NewTracer(capacity) }
-
 // Replay feeds a trace back through a collector; Analyze computes exact
 // (unbinned) statistics; SeekLatencyCorrelation builds the §3.6 2-D view.
 func Replay(records []TraceRecord, col *Collector) { trace.Replay(records, col) }
-
-// The streaming replay engine: bounded-memory, parallel, format-agnostic.
-// RecordSource streams records (io.EOF at end); OpenTrace sniffs the
-// encoding (native capture, stream frames, MSR Cambridge CSV, Alibaba
-// cloud-trace CSV) and returns a streaming source over it.
-type (
-	RecordSource = trace.RecordSource
-	TraceFormat  = trace.Format
-	ReplayConfig = trace.ReplayConfig
-	ReplayStats  = trace.ReplayStats
-	ReplayResult = trace.ReplayResult
-)
-
-// The trace encodings OpenTrace understands.
-const (
-	TraceFormatAuto    = trace.FormatUnknown
-	TraceFormatNative  = trace.FormatNative
-	TraceFormatStream  = trace.FormatStream
-	TraceFormatMSR     = trace.FormatMSR
-	TraceFormatAlibaba = trace.FormatAlibaba
-)
-
-// OpenTrace wraps r as a streaming RecordSource, sniffing the format when
-// f is TraceFormatAuto; the resolved format is returned alongside.
-func OpenTrace(r io.Reader, f TraceFormat) (RecordSource, TraceFormat, error) {
-	return trace.Open(r, f)
-}
-
-// NewSliceSource adapts an in-memory trace to RecordSource.
-func NewSliceSource(records []TraceRecord) RecordSource { return trace.NewSliceSource(records) }
-
-// ReplayParallel replays a source into one collector per (VM, disk)
-// substream across a worker pool — bin-exact against Replay per disk, in
-// one pass with bounded memory.
-func ReplayParallel(src RecordSource, cfg ReplayConfig) (*ReplayResult, error) {
-	return trace.ReplayParallel(src, cfg)
-}
-
-// SynthesizeTrace generates a seed-deterministic synthetic trace, so
-// benchmarks and tests need no checked-in fixtures.
-func SynthesizeTrace(seed int64, n int) []TraceRecord { return trace.Synthesize(seed, n) }
 
 // Analyze recomputes exact (unbinned) workload statistics from a trace.
 func Analyze(records []TraceRecord) *analysis.Report {
@@ -686,27 +513,9 @@ func AggregateSnapshots(vm, disk string, snaps ...*Snapshot) *Snapshot {
 type (
 	WorkloadCatalog   = analysis.Catalog
 	WorkloadReference = analysis.Reference
-	WorkloadMatch     = analysis.Match
 )
 
 // NewWorkloadCatalog builds a classification catalog.
 func NewWorkloadCatalog(refs ...WorkloadReference) (*WorkloadCatalog, error) {
 	return analysis.NewCatalog(refs...)
-}
-
-// --- Experiments ---
-
-// ExperimentOptions scales the paper-reproduction experiments;
-// ExperimentResult is one regenerated table or figure.
-type (
-	ExperimentOptions = report.Options
-	ExperimentResult  = report.Result
-)
-
-// DefaultExperimentOptions returns the standard experiment scale.
-func DefaultExperimentOptions() ExperimentOptions { return report.DefaultOptions() }
-
-// RunAllExperiments regenerates every table and figure in paper order.
-func RunAllExperiments(opts ExperimentOptions) ([]*ExperimentResult, error) {
-	return report.All(opts)
 }
