@@ -145,8 +145,8 @@ func (c *ctl) cmdVMs(args []string) error {
 	for _, s := range vms {
 		fmt.Fprintf(tw, "%s\t%d\t%.0f\t%s\t%s\t%s\t%s\t%d\n",
 			s.VM, s.Commands, 100*s.ReadFraction(),
-			fmtBytes(int64(meanOf(s.IOLength[core.All]))),
-			fmtMicros(meanOf(s.Latency[core.All])),
+			fmtBytes(int64(meanOf(s.Histogram(core.MetricIOLength, core.All)))),
+			fmtMicros(meanOf(s.Histogram(core.MetricLatency, core.All))),
 			fmtBytes(s.ReadBytes), fmtBytes(s.WriteBytes), s.Errors)
 	}
 	tw.Flush()

@@ -51,9 +51,9 @@ func main() {
 
 	fmt.Println("================ Comparison ================")
 	fmt.Printf("UFS: %d commands, mean I/O %.0f bytes\n",
-		ufs.Commands, ufs.IOLength[vscsistats.All].Mean())
+		ufs.Commands, ufs.Histogram(vscsistats.MetricIOLength, vscsistats.All).Mean())
 	fmt.Printf("ZFS: %d commands, mean I/O %.0f bytes\n",
-		zfs.Commands, zfs.IOLength[vscsistats.All].Mean())
+		zfs.Commands, zfs.Histogram(vscsistats.MetricIOLength, vscsistats.All).Mean())
 	fmt.Println("ZFS issues far larger I/Os (record-sized, 80-128 KB) and its")
 	fmt.Println("writes are sequential on disk despite the random workload (COW),")
 	fmt.Println("matching the paper's Figures 2 and 3.")

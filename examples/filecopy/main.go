@@ -48,9 +48,9 @@ func main() {
 	fmt.Printf("%-28s %12s %12s\n", "", "XP Pro", "Vista")
 	fmt.Printf("%-28s %12d %12d\n", "commands", xp.Commands, vista.Commands)
 	fmt.Printf("%-28s %12.0f %12.0f\n", "mean I/O size (bytes)",
-		xp.IOLength[vscsistats.All].Mean(), vista.IOLength[vscsistats.All].Mean())
+		xp.Histogram(vscsistats.MetricIOLength, vscsistats.All).Mean(), vista.Histogram(vscsistats.MetricIOLength, vscsistats.All).Mean())
 	fmt.Printf("%-28s %12.0f %12.0f\n", "mean latency (us)",
-		xp.Latency[vscsistats.All].Mean(), vista.Latency[vscsistats.All].Mean())
+		xp.Histogram(vscsistats.MetricLatency, vscsistats.All).Mean(), vista.Histogram(vscsistats.MetricLatency, vscsistats.All).Mean())
 	fmt.Println("\nVista issues 1 MB I/Os: higher per-command latency, far fewer")
 	fmt.Println("commands, and less seeking — exactly the paper's observation.")
 }

@@ -54,7 +54,7 @@ func main() {
 
 	var soloLat, dualLat, soloCmds, dualCmds int64
 	for i, s := range rec.Intervals {
-		h := s.Latency[vscsistats.All]
+		h := s.Histogram(vscsistats.MetricLatency, vscsistats.All)
 		if i >= 5 && i < 10 {
 			dualLat += h.Sum
 			dualCmds += h.Total

@@ -57,7 +57,7 @@ func main() {
 	for _, s := range par.Registry().Snapshots() {
 		fmt.Printf("  %-5s %-8s %6d cmds, %3.0f%% reads, mean latency %.0f us\n",
 			s.VM, s.Disk, s.Commands, 100*s.ReadFraction(),
-			s.Latency[vscsistats.All].Mean())
+			s.Histogram(vscsistats.MetricLatency, vscsistats.All).Mean())
 	}
 
 	// The pooled registry serves one control plane for every world:

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -104,18 +105,11 @@ func (c *Catalog) Classify(probe *core.Snapshot) ([]Match, error) {
 		m := Match{Name: ref.Name, Components: make(map[string]float64)}
 		for _, w := range classifyWeights {
 			var d float64
-			switch w.name {
-			case "ioLength":
-				d = Distance(probe.IOLength[core.All], ref.Snap.IOLength[core.All])
-			case "seekDistance":
-				d = Distance(probe.SeekDistance[core.All], ref.Snap.SeekDistance[core.All])
-			case "outstandingIOs":
-				d = Distance(probe.Outstanding[core.All], ref.Snap.Outstanding[core.All])
-			case "readFraction":
-				d = probe.ReadFraction() - ref.Snap.ReadFraction()
-				if d < 0 {
-					d = -d
-				}
+			if w.name == "readFraction" {
+				d = math.Abs(probe.ReadFraction() - ref.Snap.ReadFraction())
+			} else { // named after the metric whose histograms it compares
+				metric := core.Metric(w.name)
+				d = Distance(probe.Histogram(metric, core.All), ref.Snap.Histogram(metric, core.All))
 			}
 			m.Components[w.name] = d
 			m.Score += w.weight * d

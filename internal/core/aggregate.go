@@ -1,53 +1,37 @@
 package core
 
+import "slices"
+
 // Aggregate merges snapshots into one combined view — the per-VM and
 // per-host rollups an administrator reads before drilling into a single
-// virtual disk. Counters add; histograms add bin-wise (identical layouts by
-// construction). Per-stream metrics (seek distance, inter-arrival) remain
-// per-disk quantities: the merged histogram is the union of the disks'
-// distributions, not the pattern of some interleaved stream, which is
-// exactly how the paper treats per-disk locality (§3.6).
+// virtual disk. Counters add; histograms add cell-wise (every snapshot has
+// the same layout), min and max widening over the non-empty ones. Per-stream
+// metrics (seek distance, inter-arrival) remain per-disk quantities: the
+// merged histogram is the union of the disks' distributions, not the
+// pattern of some interleaved stream, which is exactly how the paper treats
+// per-disk locality (§3.6).
 //
 // Aggregate returns nil if no snapshot is given.
 func Aggregate(vm, disk string, snaps ...*Snapshot) *Snapshot {
 	if len(snaps) == 0 {
 		return nil
 	}
-	out := &Snapshot{
-		VM:           vm,
-		Disk:         disk,
-		SeekWindowed: snaps[0].SeekWindowed.Clone(),
-		Commands:     snaps[0].Commands,
-		NumReads:     snaps[0].NumReads,
-		NumWrites:    snaps[0].NumWrites,
-		ReadBytes:    snaps[0].ReadBytes,
-		WriteBytes:   snaps[0].WriteBytes,
-		Errors:       snaps[0].Errors,
-	}
-	for class := 0; class < 3; class++ {
-		out.IOLength[class] = snaps[0].IOLength[class].Clone()
-		out.SeekDistance[class] = snaps[0].SeekDistance[class].Clone()
-		out.Outstanding[class] = snaps[0].Outstanding[class].Clone()
-		out.Latency[class] = snaps[0].Latency[class].Clone()
-		out.Interarrival[class] = snaps[0].Interarrival[class].Clone()
-	}
+	out := *snaps[0]
+	out.VM, out.Disk = vm, disk
+	out.cells = slices.Clone(snaps[0].Cells())
 	for _, s := range snaps[1:] {
-		out.SeekWindowed.Add(s.SeekWindowed)
 		out.Commands += s.Commands
 		out.NumReads += s.NumReads
 		out.NumWrites += s.NumWrites
 		out.ReadBytes += s.ReadBytes
 		out.WriteBytes += s.WriteBytes
 		out.Errors += s.Errors
-		for class := 0; class < 3; class++ {
-			out.IOLength[class].Add(s.IOLength[class])
-			out.SeekDistance[class].Add(s.SeekDistance[class])
-			out.Outstanding[class].Add(s.Outstanding[class])
-			out.Latency[class].Add(s.Latency[class])
-			out.Interarrival[class].Add(s.Interarrival[class])
+		cells := s.Cells()
+		for i := range cellTable {
+			addHist(cellTable[i].Of(out.cells), cellTable[i].Of(cells))
 		}
 	}
-	return out
+	return &out
 }
 
 // VMSnapshot merges every enabled collector of the named VM.

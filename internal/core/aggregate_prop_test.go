@@ -140,7 +140,7 @@ func TestBreakStreamIsRequiredForTheProperty(t *testing.T) {
 
 	// The concatenated collector records exactly one extra seek sample —
 	// the phantom hop from segA's last block to segB's first.
-	if extra := plain.SeekDistance[All].Total - merged.SeekDistance[All].Total; extra != 1 {
+	if extra := plain.Histogram(MetricSeekDistance, All).Total - merged.Histogram(MetricSeekDistance, All).Total; extra != 1 {
 		t.Errorf("expected exactly 1 phantom boundary seek sample, got %d", extra)
 	}
 
@@ -150,8 +150,8 @@ func TestBreakStreamIsRequiredForTheProperty(t *testing.T) {
 	drive(withBreak, segA)
 	withBreak.BreakStream()
 	drive(withBreak, segB)
-	if got := withBreak.Snapshot().SeekDistance[All].Total; got != merged.SeekDistance[All].Total {
-		t.Errorf("BreakStream left %d seek samples, want %d", got, merged.SeekDistance[All].Total)
+	if got := withBreak.Snapshot().Histogram(MetricSeekDistance, All).Total; got != merged.Histogram(MetricSeekDistance, All).Total {
+		t.Errorf("BreakStream left %d seek samples, want %d", got, merged.Histogram(MetricSeekDistance, All).Total)
 	}
 }
 

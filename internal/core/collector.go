@@ -26,6 +26,7 @@ package core
 import (
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -110,36 +111,82 @@ const (
 	numStored = hSeekWindowed + 1
 )
 
-// families lists each metric's layout and un-suffixed display name, which
-// the derived class-all snapshot carries, in slab order.
+// families lists each metric with a read/write breakdown, its layout and
+// its un-suffixed display name, in slab order.
 var families = [...]struct {
+	metric Metric
 	name   string
 	layout *histogram.Layout
 }{
-	hIOLength / 2:     {"I/O Length Histogram", histogram.IOLengthLayout},
-	hSeekDistance / 2: {"Seek Distance Histogram", histogram.SeekDistanceLayout},
-	hOutstanding / 2:  {"Outstanding I/Os Histogram", histogram.OutstandingLayout},
-	hLatency / 2:      {"I/O Latency Histogram", histogram.LatencyLayout},
-	hInterarrival / 2: {"I/O Interarrival Histogram", histogram.InterarrivalLayout},
+	hIOLength / 2:     {MetricIOLength, "I/O Length Histogram", histogram.IOLengthLayout},
+	hSeekDistance / 2: {MetricSeekDistance, "Seek Distance Histogram", histogram.SeekDistanceLayout},
+	hOutstanding / 2:  {MetricOutstanding, "Outstanding I/Os Histogram", histogram.OutstandingLayout},
+	hLatency / 2:      {MetricLatency, "I/O Latency Histogram", histogram.LatencyLayout},
+	hInterarrival / 2: {MetricInterarrival, "I/O Interarrival Histogram", histogram.InterarrivalLayout},
 }
 
-// stored describes one stored histogram: its display name, its layout and
-// where in the slab its cells are — the layout's bins from off, then the
-// sum.
+// numHistograms is how many histograms a snapshot holds: all, reads and
+// writes of each family, then the windowed seek distance.
+const numHistograms = 3*len(families) + 1
+
+// HistCells locates one histogram in a snapshot's cell vector: Layout's
+// NumBins counts from Off, then its sum, total, min and max — the cells
+// histogram.Layout.View reads.
+type HistCells struct {
+	Metric Metric
+	Class  Class
+	Name   string
+	Layout *histogram.Layout
+	Off    int
+}
+
+// Of returns the histogram's own cells out of a snapshot's.
+func (h *HistCells) Of(cells []int64) []int64 {
+	return cells[h.Off : h.Off+h.Layout.NumBins()+4]
+}
+
+// cellTable is the one description of a snapshot's cell vector, in the order
+// the fleet payload carries histograms; snapshotWords is the vector's length.
+var cellTable, snapshotWords = func() (t [numHistograms]HistCells, words int) {
+	for f, fam := range families {
+		for cl, suffix := range [...]string{All: "", Reads: " (Reads)", Writes: " (Writes)"} {
+			t[3*f+cl] = HistCells{Metric: fam.metric, Class: Class(cl), Name: fam.name + suffix, Layout: fam.layout}
+		}
+	}
+	t[numHistograms-1] = HistCells{Metric: MetricSeekWindowed, Class: All,
+		Name: "Seek Distance Histogram (Windowed)", Layout: histogram.SeekDistanceLayout}
+	for i := range t {
+		t[i].Off = words
+		words += t[i].Layout.NumBins() + 4
+	}
+	return t, words
+}()
+
+// CellTable returns a copy of the cell table. Only the fleet payload codec,
+// which reads and writes snapshots' cells directly, needs it from outside
+// the package.
+func CellTable() []HistCells { return slices.Clone(cellTable[:]) }
+
+// stored describes one stored histogram: the snapshot histogram it fills, the
+// class-all one it is also summed into (none for the windowed seek
+// distance), its layout (kept here too, one load closer to insert) and where
+// in the slab its cells are — the layout's bins from off, then the sum.
 type stored struct {
-	name     string
-	layout   *histogram.Layout
-	off, sum int
+	hist, all *HistCells
+	layout    *histogram.Layout
+	off, sum  int
 }
 
 // slab describes every stored histogram; slabWords is the slab's length.
 var slab, slabWords = func() (s [numStored]stored, words int) {
-	for i, f := range families {
-		s[2*i+classRead] = stored{name: f.name + " (Reads)", layout: f.layout}
-		s[2*i+classWrite] = stored{name: f.name + " (Writes)", layout: f.layout}
+	for i := range families {
+		all := &cellTable[3*i+int(All)]
+		s[2*i+classRead] = stored{hist: &cellTable[3*i+int(Reads)], all: all}
+		s[2*i+classWrite] = stored{hist: &cellTable[3*i+int(Writes)], all: all}
 	}
-	s[hSeekWindowed] = stored{name: "Seek Distance Histogram (Windowed)", layout: histogram.SeekDistanceLayout}
+	s[hSeekWindowed].hist = &cellTable[numHistograms-1]
 	for i := range s {
+		s[i].layout = s[i].hist.Layout
 		s[i].off = words
 		s[i].sum = words + s[i].layout.NumBins()
 		words = s[i].sum + 1

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"vscsistats/internal/histogram"
 	"vscsistats/internal/scsi"
 	"vscsistats/internal/simclock"
 	"vscsistats/internal/vscsi"
@@ -52,7 +53,7 @@ func TestDisabledCollectorRecordsNothing(t *testing.T) {
 	r.col.Disable()
 	r.issueSeq(t, simclock.Millisecond, scsi.Read(0, 8))
 	s := r.col.Snapshot()
-	if s.Commands != 0 || s.IOLength[All].Total != 0 {
+	if s.Commands != 0 || s.Histogram(MetricIOLength, All).Total != 0 {
 		t.Errorf("disabled collector recorded data: %+v", s)
 	}
 }
@@ -84,7 +85,7 @@ func TestIOLengthAndReadWriteBreakdown(t *testing.T) {
 	if got := s.ReadFraction(); got < 0.66 || got > 0.67 {
 		t.Errorf("ReadFraction = %v", got)
 	}
-	all, reads, writes := s.IOLength[All], s.IOLength[Reads], s.IOLength[Writes]
+	all, reads, writes := s.Histogram(MetricIOLength, All), s.Histogram(MetricIOLength, Reads), s.Histogram(MetricIOLength, Writes)
 	if all.Total != 3 || reads.Total != 2 || writes.Total != 1 {
 		t.Errorf("length totals: %d/%d/%d", all.Total, reads.Total, writes.Total)
 	}
@@ -106,7 +107,7 @@ func TestSeekDistanceSequentialPeaksNearOne(t *testing.T) {
 	r.issueSeq(t, simclock.Millisecond,
 		scsi.Read(0, 8), scsi.Read(8, 8), scsi.Read(16, 8))
 	s := r.col.Snapshot()
-	sd := s.SeekDistance[All]
+	sd := s.Histogram(MetricSeekDistance, All)
 	if sd.Total != 2 { // first I/O has no predecessor
 		t.Fatalf("seek samples = %d, want 2", sd.Total)
 	}
@@ -126,7 +127,7 @@ func TestSeekDistanceReverseScanNegative(t *testing.T) {
 	r.issueSeq(t, simclock.Millisecond,
 		scsi.Read(100000, 8), scsi.Read(50000, 8))
 	s := r.col.Snapshot()
-	sd := s.SeekDistance[All]
+	sd := s.Histogram(MetricSeekDistance, All)
 	if sd.Min >= 0 {
 		t.Errorf("reverse scan not negative: min=%d", sd.Min)
 	}
@@ -144,7 +145,7 @@ func TestSeekDistanceSameBlockZero(t *testing.T) {
 	r.issueSeq(t, simclock.Millisecond,
 		scsi.Read(500, 1), scsi.Read(500, 1), scsi.Read(500, 1))
 	s := r.col.Snapshot()
-	sd := s.SeekDistance[All]
+	sd := s.Histogram(MetricSeekDistance, All)
 	for i, c := range sd.Counts {
 		if c > 0 && sd.BinLabel(i) != "0" {
 			t.Errorf("same-block access in bin %s", sd.BinLabel(i))
@@ -167,7 +168,7 @@ func TestWindowedSeekDisentanglesTwoStreams(t *testing.T) {
 	r.issueSeq(t, simclock.Millisecond, cmds...)
 	s := r.col.Snapshot()
 
-	plain, windowed := s.SeekDistance[All], s.SeekWindowed
+	plain, windowed := s.Histogram(MetricSeekDistance, All), s.Histogram(MetricSeekWindowed, All)
 	// Plain: nearly all samples beyond +/-500000.
 	farPlain := plain.Counts[0] + plain.Counts[len(plain.Counts)-1]
 	if float64(farPlain)/float64(plain.Total) < 0.9 {
@@ -201,10 +202,10 @@ func TestWindowedSeekRespectsWindowSize(t *testing.T) {
 	}
 	eng.Run()
 	s := col.Snapshot()
-	for i := range s.SeekDistance[All].Counts {
-		if s.SeekDistance[All].Counts[i] != s.SeekWindowed.Counts[i] {
+	for i := range s.Histogram(MetricSeekDistance, All).Counts {
+		if s.Histogram(MetricSeekDistance, All).Counts[i] != s.Histogram(MetricSeekWindowed, All).Counts[i] {
 			t.Fatalf("window=1 should equal plain:\nplain   %v\nwindowed %v",
-				s.SeekDistance[All].Counts, s.SeekWindowed.Counts)
+				s.Histogram(MetricSeekDistance, All).Counts, s.Histogram(MetricSeekWindowed, All).Counts)
 		}
 	}
 }
@@ -214,7 +215,7 @@ func TestInterarrivalRecorded(t *testing.T) {
 	r.issueSeq(t, 500*simclock.Microsecond,
 		scsi.Read(0, 8), scsi.Read(8, 8), scsi.Read(16, 8))
 	s := r.col.Snapshot()
-	ia := s.Interarrival[All]
+	ia := s.Histogram(MetricInterarrival, All)
 	if ia.Total != 2 {
 		t.Fatalf("interarrival samples = %d", ia.Total)
 	}
@@ -227,12 +228,12 @@ func TestLatencyRecordedOnCompletion(t *testing.T) {
 	r := newRig(t, 5*simclock.Millisecond)
 	r.issueSeq(t, 10*simclock.Millisecond, scsi.Read(0, 8), scsi.Write(100, 8))
 	s := r.col.Snapshot()
-	if s.Latency[All].Total != 2 || s.Latency[Reads].Total != 1 || s.Latency[Writes].Total != 1 {
+	if s.Histogram(MetricLatency, All).Total != 2 || s.Histogram(MetricLatency, Reads).Total != 1 || s.Histogram(MetricLatency, Writes).Total != 1 {
 		t.Fatalf("latency totals: %d/%d/%d",
-			s.Latency[All].Total, s.Latency[Reads].Total, s.Latency[Writes].Total)
+			s.Histogram(MetricLatency, All).Total, s.Histogram(MetricLatency, Reads).Total, s.Histogram(MetricLatency, Writes).Total)
 	}
-	if s.Latency[All].Min != 5000 {
-		t.Errorf("latency = %d us, want 5000", s.Latency[All].Min)
+	if s.Histogram(MetricLatency, All).Min != 5000 {
+		t.Errorf("latency = %d us, want 5000", s.Histogram(MetricLatency, All).Min)
 	}
 }
 
@@ -244,7 +245,7 @@ func TestOutstandingIOsAtArrival(t *testing.T) {
 	}
 	r.eng.Run()
 	s := r.col.Snapshot()
-	oio := s.Outstanding[All]
+	oio := s.Histogram(MetricOutstanding, All)
 	if oio.Total != 4 {
 		t.Fatalf("oio samples = %d", oio.Total)
 	}
@@ -268,11 +269,11 @@ func TestErrorsCountedNotTimed(t *testing.T) {
 	if s.Errors != 1 {
 		t.Errorf("Errors = %d", s.Errors)
 	}
-	if s.Latency[All].Total != 0 {
+	if s.Histogram(MetricLatency, All).Total != 0 {
 		t.Error("failed command must not contribute a latency sample")
 	}
 	// Arrival-side metrics were still recorded.
-	if s.IOLength[All].Total != 1 {
+	if s.Histogram(MetricIOLength, All).Total != 1 {
 		t.Error("arrival metrics missing for failed command")
 	}
 }
@@ -307,12 +308,12 @@ func TestResetClearsEverything(t *testing.T) {
 	r.issueSeq(t, simclock.Millisecond, scsi.Read(0, 8), scsi.Read(8, 8))
 	r.col.Reset()
 	s := r.col.Snapshot()
-	if s.Commands != 0 || s.IOLength[All].Total != 0 || s.SeekDistance[All].Total != 0 {
+	if s.Commands != 0 || s.Histogram(MetricIOLength, All).Total != 0 || s.Histogram(MetricSeekDistance, All).Total != 0 {
 		t.Errorf("Reset incomplete: %+v", s)
 	}
 	// Per-stream state must also clear: the next I/O has no predecessor.
 	r.issueSeq(t, simclock.Millisecond, scsi.Read(16, 8))
-	if got := r.col.Snapshot().SeekDistance[All].Total; got != 0 {
+	if got := r.col.Snapshot().Histogram(MetricSeekDistance, All).Total; got != 0 {
 		t.Errorf("seek recorded against pre-reset predecessor: %d", got)
 	}
 }
@@ -327,8 +328,20 @@ func TestSnapshotSubIsInterval(t *testing.T) {
 	if d.Commands != 2 || d.NumWrites != 2 || d.NumReads != 0 {
 		t.Errorf("interval: %+v", d)
 	}
-	if d.IOLength[Writes].Total != 2 {
-		t.Errorf("interval write lengths: %d", d.IOLength[Writes].Total)
+	// Two 16-block (8192-byte, bin 6) writes since s1: bins, total and sum
+	// are the interval's, the earlier read is gone from every class.
+	w, all := d.Histogram(MetricIOLength, Writes), d.Histogram(MetricIOLength, All)
+	for _, h := range []*histogram.Snapshot{w, all} {
+		var bins int64
+		for _, c := range h.Counts {
+			bins += c
+		}
+		if h.Total != 2 || bins != 2 || h.Counts[6] != 2 || h.Sum != 2*16*512 {
+			t.Errorf("%s over the interval: %+v", h.Name, h)
+		}
+	}
+	if r := d.Histogram(MetricIOLength, Reads); r.Total != 0 || r.Sum != 0 {
+		t.Errorf("interval read lengths: %+v", r)
 	}
 }
 

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"encoding/json"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"vscsistats/internal/scsi"
@@ -106,5 +109,67 @@ func TestStateEqualsDetectsAnyChange(t *testing.T) {
 	}
 	if !after.StateEquals(after) {
 		t.Fatal("StateEquals is not reflexive")
+	}
+	// Not just one command's worth: any single cell, sum, total and
+	// extrema included.
+	for i := range after.cells {
+		off := *after
+		off.cells = slices.Clone(after.cells)
+		off.cells[i]++
+		if after.StateEquals(&off) {
+			t.Fatalf("StateEquals missed a change in cell %d", i)
+		}
+	}
+}
+
+// TestZeroValueSnapshotIsEmpty: a snapshot without a cell vector — the
+// literal a caller writes to stand in for "nothing seen" — is the empty
+// snapshot to every method, not a nil dereference.
+func TestZeroValueSnapshotIsEmpty(t *testing.T) {
+	z := &Snapshot{VM: "vm", Disk: "d", Commands: 1}
+	for _, m := range Metrics() {
+		for _, cl := range []Class{All, Reads, Writes} {
+			h := z.Histogram(m, cl)
+			if h == nil || h.Total != 0 || h.Sum != 0 || len(h.Counts) != len(h.Edges)+1 {
+				t.Fatalf("Histogram(%s, %s) of the zero value = %+v, want an empty view", m, cl, h)
+			}
+		}
+	}
+	col := NewCollector("vm", "d")
+	col.Enable()
+	deltaFeed(t, rand.New(rand.NewSource(5)), col, 50)
+	full := col.Snapshot()
+
+	if d := full.Sub(z); d.Commands != full.Commands-1 || !slices.Equal(d.Cells(), full.Cells()) {
+		t.Error("full − zero value is not full")
+	}
+	if d := z.Sub(full); d.Histogram(MetricIOLength, All).Total != -full.Commands {
+		t.Error("zero value − full is not −full")
+	}
+	if got := z.ApplyDelta(full.Sub(z)); !got.StateEquals(full) {
+		t.Error("zero value + (full − zero value) is not full")
+	}
+	if got := Aggregate("*", "*", z, full, z); got.Commands != full.Commands+2 || !slices.Equal(got.Cells(), full.Cells()) {
+		t.Error("merging the zero value in changed the histograms")
+	}
+	if got := IntervalSince(z, full); got.Commands != full.Commands-1 {
+		t.Errorf("interval since the zero value: %d commands", got.Commands)
+	}
+	if !z.StateEquals(&Snapshot{Commands: 1}) || z.StateEquals(full) || z.StateEquals(&Snapshot{}) {
+		t.Error("StateEquals on the zero value")
+	}
+	if f := FingerprintOf(z); f.AccessPattern != PatternRandom || f.DominantIOBytes != 0 {
+		t.Errorf("fingerprint of the zero value: %+v", f)
+	}
+	if z.ReadFraction() != 0 || !strings.Contains(z.Summary(), "1 commands") || z.Render(Metrics(), All) == "" {
+		t.Error("ReadFraction, Summary or Render on the zero value")
+	}
+	data, err := json.Marshal(z)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Snapshot
+	if err := json.Unmarshal(data, &back); err != nil || !back.StateEquals(z) || back.VM != "vm" {
+		t.Errorf("JSON round trip of the zero value: %v", err)
 	}
 }

@@ -55,9 +55,9 @@ func FingerprintOf(s *Snapshot) Fingerprint {
 	}
 	f.ReadFraction = s.ReadFraction()
 
-	seek := s.SeekWindowed
+	seek := s.Histogram(MetricSeekWindowed, All)
 	if seek.Total == 0 {
-		seek = s.SeekDistance[All]
+		seek = s.Histogram(MetricSeekDistance, All)
 	}
 	if seek.Total > 0 {
 		var near, reverse int64
@@ -82,7 +82,7 @@ func FingerprintOf(s *Snapshot) Fingerprint {
 		f.AccessPattern = PatternMixed
 	}
 
-	if lh := s.IOLength[All]; lh.Total > 0 {
+	if lh := s.Histogram(MetricIOLength, All); lh.Total > 0 {
 		mode, modeCount := 0, int64(-1)
 		for i, c := range lh.Counts {
 			if c > modeCount {
@@ -95,8 +95,8 @@ func FingerprintOf(s *Snapshot) Fingerprint {
 			f.DominantIOBytes = lh.Max
 		}
 	}
-	f.MeanOutstanding = s.Outstanding[All].Mean()
-	if ia := s.Interarrival[All]; ia.Total > 4 && ia.Mean() > 0 {
+	f.MeanOutstanding = s.Histogram(MetricOutstanding, All).Mean()
+	if ia := s.Histogram(MetricInterarrival, All); ia.Total > 4 && ia.Mean() > 0 {
 		f.Bursty = float64(ia.Percentile(95)) > 8*ia.Mean()
 	}
 	return f

@@ -34,29 +34,26 @@ func (r *IntervalRecorder) tick() {
 	r.last = cur
 }
 
-// IntervalSince is the one rule both interval keepers (IntervalRecorder
-// on virtual time, telemetry.Streamer on wall time) turn two consecutive
-// cumulative snapshots of a collector into one interval's activity with.
-// It is cur.Sub(prev) unless prev is nil (the first point after enable)
-// or any counter or bin in cur is below prev (the collector was Reset in
-// between): then the interval is cur itself, everything accumulated
-// since. Sub stays the exact signed delta — the fleet agent's wire deltas
-// and later == earlier.ApplyDelta(later.Sub(earlier)) need it to wrap.
+// IntervalSince is the one rule every interval keeper (IntervalRecorder on
+// virtual time, telemetry.Streamer on wall time, the fleet aggregator's
+// History over its log) turns two consecutive cumulative snapshots of a
+// disk into one interval's activity with. It is cur.Sub(prev) unless prev
+// is nil (the first point) or any counter or bin in cur is below prev (the
+// collector was Reset, or its host restarted, in between): then the
+// interval is cur itself, everything accumulated since. Sub stays the exact
+// signed delta — the fleet agent's wire deltas and
+// later == earlier.ApplyDelta(later.Sub(earlier)) need it to wrap.
 func IntervalSince(prev, cur *Snapshot) *Snapshot {
 	d := cur.Sub(prev)
 	if d.Commands < 0 || d.NumReads < 0 || d.NumWrites < 0 || d.ReadBytes < 0 || d.WriteBytes < 0 || d.Errors < 0 {
 		return cur
 	}
-	for _, m := range Metrics() {
-		for _, cl := range []Class{All, Reads, Writes} {
-			h := d.Histogram(m, cl)
-			if h == nil {
-				continue
-			}
-			for _, n := range h.Counts {
-				if n < 0 {
-					return cur
-				}
+	cells := d.Cells()
+	for i := range cellTable {
+		h := &cellTable[i]
+		for _, n := range h.Of(cells)[:h.Layout.NumBins()] {
+			if n < 0 {
+				return cur
 			}
 		}
 	}

@@ -148,7 +148,7 @@ func TestIntervalRecorderAfterReset(t *testing.T) {
 		t.Fatalf("Rates = %v, want [10 3 4] (commands: -7 before the rule)", got)
 	}
 	for i, s := range rec.Intervals {
-		for _, n := range s.IOLength[All].Counts {
+		for _, n := range s.Histogram(MetricIOLength, All).Counts {
 			if n < 0 {
 				t.Errorf("interval %d has a negative ioLength bin", i)
 			}
@@ -334,8 +334,8 @@ func TestAggregateAndVMSnapshot(t *testing.T) {
 	if vmAgg.Commands != 8 || vmAgg.NumReads != 8 {
 		t.Errorf("vm1 aggregate: %+v", vmAgg.Commands)
 	}
-	if vmAgg.IOLength[All].Total != 8 {
-		t.Errorf("vm1 length total = %d", vmAgg.IOLength[All].Total)
+	if vmAgg.Histogram(MetricIOLength, All).Total != 8 {
+		t.Errorf("vm1 length total = %d", vmAgg.Histogram(MetricIOLength, All).Total)
 	}
 	host := reg.HostSnapshot()
 	if host.Commands != 15 {

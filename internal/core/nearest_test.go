@@ -66,7 +66,7 @@ func TestNearestMatchesLoop(t *testing.T) {
 	c := NewCollectorWindow("vm", "disk", 1)
 	c.Enable()
 	c.OnIssue(issueReq(0, 1<<40, 0))
-	if s := c.Snapshot(); s.SeekWindowed.Total != 0 {
-		t.Fatalf("empty ring produced %d windowed-seek samples", s.SeekWindowed.Total)
+	if s := c.Snapshot(); s.Histogram(MetricSeekWindowed, All).Total != 0 {
+		t.Fatalf("empty ring produced %d windowed-seek samples", s.Histogram(MetricSeekWindowed, All).Total)
 	}
 }

@@ -150,25 +150,30 @@ func (c *countedCollector) OnComplete(r *vscsi.Request) {
 	}
 }
 
-func (c *countedCollector) Snapshot() *Snapshot {
+// Snapshot returns the oracle's state in the form a snapshot had when it
+// was sixteen histogram objects, which is also its JSON form.
+func (c *countedCollector) Snapshot() *snapshotJSON {
 	h := c.h
 	if h == nil {
 		return nil
 	}
-	s := &Snapshot{
+	classes := func(hs [3]*histogram.Histogram) (out [3]*histogram.Snapshot) {
+		for class, h := range hs {
+			out[class] = h.Snapshot()
+		}
+		return out
+	}
+	return &snapshotJSON{
 		VM: c.vm, Disk: c.disk,
-		SeekWindowed: h.seekWindowed.Snapshot(),
+		IOLength:     classes(h.ioLength),
+		SeekDistance: classes(h.seekDistance),
+		Windowed:     h.seekWindowed.Snapshot(),
+		Outstanding:  classes(h.outstanding),
+		Latency:      classes(h.latency),
+		Interarrival: classes(h.interarrival),
 		Commands:     h.commands, NumReads: h.reads, NumWrites: h.writes,
 		ReadBytes: h.readBytes, WriteBytes: h.writeBytes, Errors: h.errors,
 	}
-	for class := 0; class < 3; class++ {
-		s.IOLength[class] = h.ioLength[class].Snapshot()
-		s.SeekDistance[class] = h.seekDistance[class].Snapshot()
-		s.Outstanding[class] = h.outstanding[class].Snapshot()
-		s.Latency[class] = h.latency[class].Snapshot()
-		s.Interarrival[class] = h.interarrival[class].Snapshot()
-	}
-	return s
 }
 
 // oracleMix shapes one seeded stream: the share of writes and of non-block
@@ -188,15 +193,15 @@ type collectorAPI interface {
 	Disable()
 	Reset()
 	BreakStream()
-	Snapshot() *Snapshot
 }
 
 // TestSnapshotMatchesCountedOracle drives the collector and the counted
 // reference with the same seeded streams — single issues, bursts on both
 // sides of batchStack, completions good and bad, non-block opcodes,
 // lifecycle calls mid-stream — and requires identical snapshots after
-// every step batch: every Name, Unit, Edges, bin, Sum, Total, Min, Max and
-// counter, including the empty-class cases of the derived class-all view.
+// every step batch — the collector's as the views over its cells: every
+// Name, Unit, Edges, bin, Sum, Total, Min, Max and counter, including the
+// empty-class cases of the derived class-all histogram.
 func TestSnapshotMatchesCountedOracle(t *testing.T) {
 	mixes := []oracleMix{
 		{name: "mixed", writePct: 30, nonBlockPct: 5, errorPct: 5, lifecycle: true},
@@ -301,8 +306,11 @@ func runOracle(t *testing.T, mix oracleMix, seed int64, window int) {
 		}
 		if step%97 == 0 || step == 2999 {
 			g, w := got.Snapshot(), want.Snapshot()
-			if !reflect.DeepEqual(g, w) {
-				t.Fatalf("step %d: derived snapshot differs from the counted oracle\n%s", step, snapshotDiff(g, w))
+			if (g == nil) != (w == nil) {
+				t.Fatalf("step %d: snapshot nil = %v, the counted oracle's = %v", step, g == nil, w == nil)
+			}
+			if g != nil && !reflect.DeepEqual(g.jsonForm(), w) {
+				t.Fatalf("step %d: derived snapshot differs from the counted oracle\n%s", step, snapshotDiff(g.jsonForm(), w))
 			}
 		}
 	}
@@ -312,10 +320,7 @@ func runOracle(t *testing.T, mix oracleMix, seed int64, window int) {
 }
 
 // snapshotDiff names the fields two snapshots differ in.
-func snapshotDiff(g, w *Snapshot) string {
-	if g == nil || w == nil {
-		return fmt.Sprintf("got nil: %v, want nil: %v", g == nil, w == nil)
-	}
+func snapshotDiff(g, w *snapshotJSON) string {
 	out := ""
 	if g.Commands != w.Commands || g.NumReads != w.NumReads || g.NumWrites != w.NumWrites ||
 		g.ReadBytes != w.ReadBytes || g.WriteBytes != w.WriteBytes || g.Errors != w.Errors {
@@ -323,11 +328,10 @@ func snapshotDiff(g, w *Snapshot) string {
 			g.Commands, g.NumReads, g.NumWrites, g.ReadBytes, g.WriteBytes, g.Errors,
 			w.Commands, w.NumReads, w.NumWrites, w.ReadBytes, w.WriteBytes, w.Errors)
 	}
-	for _, m := range Metrics() {
-		for _, cl := range []Class{All, Reads, Writes} {
-			if hg, hw := g.Histogram(m, cl), w.Histogram(m, cl); !reflect.DeepEqual(hg, hw) {
-				out += fmt.Sprintf("%s/%s:\n  got  %+v\n  want %+v\n", m, cl, *hg, *hw)
-			}
+	gh, wh := g.hists(), w.hists()
+	for k, h := range cellTable {
+		if hg, hw := *gh[k], *wh[k]; !reflect.DeepEqual(hg, hw) {
+			out += fmt.Sprintf("%s/%s:\n  got  %+v\n  want %+v\n", h.Metric, h.Class, *hg, *hw)
 		}
 	}
 	return out

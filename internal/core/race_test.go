@@ -199,10 +199,10 @@ func TestResetSwapsAtomically(t *testing.T) {
 		// A break costs the next command its three stream samples, so
 		// the cut law loosens to: all three agree and none outruns the
 		// commands.
-		seek, wseek, inter := s.SeekDistance[All].Total, s.SeekWindowed.Total, s.Interarrival[All].Total
-		if s.Outstanding[All].Total != s.Commands || seek != wseek || seek != inter || seek > max(s.Commands-1, 0) {
+		seek, wseek, inter := s.Histogram(MetricSeekDistance, All).Total, s.Histogram(MetricSeekWindowed, All).Total, s.Histogram(MetricInterarrival, All).Total
+		if s.Histogram(MetricOutstanding, All).Total != s.Commands || seek != wseek || seek != inter || seek > max(s.Commands-1, 0) {
 			t.Errorf("half-cleared set: %d commands, %d outstanding, %d/%d/%d stream samples",
-				s.Commands, s.Outstanding[All].Total, seek, wseek, inter)
+				s.Commands, s.Histogram(MetricOutstanding, All).Total, seek, wseek, inter)
 		}
 	}
 	close(done)
@@ -219,10 +219,10 @@ func TestResetSwapsAtomically(t *testing.T) {
 	}
 	// First command after reset: no predecessor, so no seek or
 	// inter-arrival samples may leak from before the reset.
-	if tot := s.SeekDistance[All].Total; tot != 0 {
+	if tot := s.Histogram(MetricSeekDistance, All).Total; tot != 0 {
 		t.Errorf("seek histogram kept %d samples across Reset", tot)
 	}
-	if tot := s.Interarrival[All].Total; tot != 0 {
+	if tot := s.Histogram(MetricInterarrival, All).Total; tot != 0 {
 		t.Errorf("interarrival histogram kept %d samples across Reset", tot)
 	}
 }
@@ -288,14 +288,14 @@ func checkDerivedLaws(t *testing.T, s *Snapshot) {
 			}
 		}
 	}
-	if s.Commands != s.NumReads+s.NumWrites || s.Commands != s.IOLength[All].Total {
-		t.Errorf("commands %d, reads+writes %d, ioLength total %d", s.Commands, s.NumReads+s.NumWrites, s.IOLength[All].Total)
+	if s.Commands != s.NumReads+s.NumWrites || s.Commands != s.Histogram(MetricIOLength, All).Total {
+		t.Errorf("commands %d, reads+writes %d, ioLength total %d", s.Commands, s.NumReads+s.NumWrites, s.Histogram(MetricIOLength, All).Total)
 	}
-	if s.NumReads != s.IOLength[Reads].Total || s.NumWrites != s.IOLength[Writes].Total {
-		t.Errorf("reads/writes %d/%d != ioLength totals %d/%d", s.NumReads, s.NumWrites, s.IOLength[Reads].Total, s.IOLength[Writes].Total)
+	if s.NumReads != s.Histogram(MetricIOLength, Reads).Total || s.NumWrites != s.Histogram(MetricIOLength, Writes).Total {
+		t.Errorf("reads/writes %d/%d != ioLength totals %d/%d", s.NumReads, s.NumWrites, s.Histogram(MetricIOLength, Reads).Total, s.Histogram(MetricIOLength, Writes).Total)
 	}
-	if s.ReadBytes != s.IOLength[Reads].Sum || s.WriteBytes != s.IOLength[Writes].Sum {
-		t.Errorf("bytes %d/%d != ioLength sums %d/%d", s.ReadBytes, s.WriteBytes, s.IOLength[Reads].Sum, s.IOLength[Writes].Sum)
+	if s.ReadBytes != s.Histogram(MetricIOLength, Reads).Sum || s.WriteBytes != s.Histogram(MetricIOLength, Writes).Sum {
+		t.Errorf("bytes %d/%d != ioLength sums %d/%d", s.ReadBytes, s.WriteBytes, s.Histogram(MetricIOLength, Reads).Sum, s.Histogram(MetricIOLength, Writes).Sum)
 	}
 }
 
@@ -305,11 +305,11 @@ func checkDerivedLaws(t *testing.T, s *Snapshot) {
 // first a seek, a windowed seek and an inter-arrival sample.
 func checkConsistentCut(t *testing.T, s *Snapshot) {
 	t.Helper()
-	if oio, length := s.Outstanding[All].Total, s.IOLength[All].Total; oio != s.Commands || length != s.Commands {
+	if oio, length := s.Histogram(MetricOutstanding, All).Total, s.Histogram(MetricIOLength, All).Total; oio != s.Commands || length != s.Commands {
 		t.Errorf("torn snapshot: %d commands, %d lengths, %d outstanding samples", s.Commands, length, oio)
 	}
 	want := max(s.Commands-1, 0)
-	if seek, wseek, inter := s.SeekDistance[All].Total, s.SeekWindowed.Total, s.Interarrival[All].Total; seek != want || wseek != want || inter != want {
+	if seek, wseek, inter := s.Histogram(MetricSeekDistance, All).Total, s.Histogram(MetricSeekWindowed, All).Total, s.Histogram(MetricInterarrival, All).Total; seek != want || wseek != want || inter != want {
 		t.Errorf("torn snapshot: %d commands, %d seeks, %d windowed seeks, %d inter-arrivals, want %d of each",
 			s.Commands, seek, wseek, inter, want)
 	}

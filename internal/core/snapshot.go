@@ -1,7 +1,10 @@
 package core
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"vscsistats/internal/histogram"
@@ -49,16 +52,13 @@ func (cl Class) String() string {
 	}
 }
 
-// Snapshot is an immutable copy of everything a collector has gathered.
+// Snapshot is an immutable copy of everything a collector has gathered: the
+// disk's name, six counters and one vector of cells holding all sixteen
+// histograms back to back, in CellTable order. Every snapshot has the same
+// layout, so any two can be merged, subtracted or compared cell by cell; the
+// zero value (no vector) is the empty snapshot and behaves as all zeros.
 type Snapshot struct {
 	VM, Disk string
-
-	IOLength     [3]*histogram.Snapshot
-	SeekDistance [3]*histogram.Snapshot
-	SeekWindowed *histogram.Snapshot
-	Outstanding  [3]*histogram.Snapshot
-	Latency      [3]*histogram.Snapshot
-	Interarrival [3]*histogram.Snapshot
 
 	Commands   int64
 	NumReads   int64
@@ -66,6 +66,8 @@ type Snapshot struct {
 	ReadBytes  int64
 	WriteBytes int64
 	Errors     int64
+
+	cells []int64 // nil or snapshotWords long
 }
 
 // Snapshot copies the collector's current state. It returns nil if the
@@ -77,75 +79,111 @@ type Snapshot struct {
 // command waits for one ~1.4 KB copy at most and the copy is a consistent
 // cut: every command is in it with all its samples or not at all. The issue
 // side therefore agrees with itself in every snapshot, quiescent or not —
-// with no Reset or BreakStream in between, IOLength and Outstanding total
-// Commands, and SeekDistance, SeekWindowed and Interarrival Commands − 1.
+// with no Reset or BreakStream in between, I/O length and outstanding I/Os
+// total Commands, and both seek distances and inter-arrival Commands − 1.
 //
 // The collector stores only the reads and writes histograms; everything
 // derivable is derived here, outside the lock, from the copy. So each
-// family's All is exactly Reads + Writes — bins, Sum, Total, and Min/Max
+// family's all is exactly reads + writes — bins, sum, total, and min/max
 // over whichever classes are non-empty — Commands == NumReads + NumWrites
-// == IOLength[All].Total, and the byte counters are the I/O length sums.
+// == the I/O length total, and the byte counters are the I/O length sums.
+// An empty histogram reports min = max = 0.
 func (c *Collector) Snapshot() *Snapshot {
-	cells := make([]int64, slabWords)
+	raw := make([]int64, slabWords)
+	s := &Snapshot{VM: c.vm, Disk: c.disk, cells: make([]int64, snapshotWords)}
 	c.mu.Lock()
 	h := c.h
 	if h == nil {
 		c.mu.Unlock()
 		return nil
 	}
-	copy(cells, h.cells)
-	min, max, errors := h.min, h.max, h.errors
+	copy(raw, h.cells)
+	min, max := h.min, h.max
+	s.Errors = h.errors
 	c.mu.Unlock()
 	c.self.noteSnapshot()
 
-	one := func(id int) *histogram.Snapshot {
+	for id := range slab {
 		sp := &slab[id]
-		return sp.layout.Snapshot(sp.name, cells[sp.off:], min[id], max[id])
+		dst := sp.hist.Of(s.cells)
+		copy(dst, raw[sp.off:sp.sum+1]) // bins and sum
+		sp.layout.Seal(dst, min[id], max[id])
+		if sp.all != nil {
+			addHist(sp.all.Of(s.cells), dst)
+		}
 	}
-	family := func(id int) [3]*histogram.Snapshot {
-		r, w := one(id+classRead), one(id+classWrite)
-		all := r.Clone()
-		all.Name = families[id/2].name
-		all.Add(w)
-		return [3]*histogram.Snapshot{All: all, Reads: r, Writes: w}
-	}
-	s := &Snapshot{
-		VM:           c.vm,
-		Disk:         c.disk,
-		IOLength:     family(hIOLength),
-		SeekDistance: family(hSeekDistance),
-		SeekWindowed: one(hSeekWindowed),
-		Outstanding:  family(hOutstanding),
-		Latency:      family(hLatency),
-		Interarrival: family(hInterarrival),
-		Errors:       errors,
-	}
-	s.Commands = s.IOLength[All].Total
-	s.NumReads, s.ReadBytes = s.IOLength[Reads].Total, s.IOLength[Reads].Sum
-	s.NumWrites, s.WriteBytes = s.IOLength[Writes].Total, s.IOLength[Writes].Sum
+	length := s.Histogram(MetricIOLength, All)
+	reads, writes := s.Histogram(MetricIOLength, Reads), s.Histogram(MetricIOLength, Writes)
+	s.Commands = length.Total
+	s.NumReads, s.ReadBytes = reads.Total, reads.Sum
+	s.NumWrites, s.WriteBytes = writes.Total, writes.Sum
 	return s
 }
 
-// Histogram returns the named histogram for the given class. The windowed
-// seek-distance metric has no read/write breakdown; all classes return the
-// same histogram for it.
-func (s *Snapshot) Histogram(m Metric, cl Class) *histogram.Snapshot {
-	switch m {
-	case MetricIOLength:
-		return s.IOLength[cl]
-	case MetricSeekDistance:
-		return s.SeekDistance[cl]
-	case MetricSeekWindowed:
-		return s.SeekWindowed
-	case MetricOutstanding:
-		return s.Outstanding[cl]
-	case MetricLatency:
-		return s.Latency[cl]
-	case MetricInterarrival:
-		return s.Interarrival[cl]
+// addHist folds one histogram's cells into another's of the same layout:
+// counts, sum and total add; the extrema are src's if dst was empty, dst's
+// if src is, and otherwise the wider of the two.
+func addHist(dst, src []int64) {
+	total := len(dst) - 3
+	switch {
+	case dst[total] == 0:
+		dst[total+1], dst[total+2] = src[total+1], src[total+2]
+	case src[total] == 0:
 	default:
+		dst[total+1] = min(dst[total+1], src[total+1])
+		dst[total+2] = max(dst[total+2], src[total+2])
+	}
+	for i, c := range src[:total+1] {
+		dst[i] += c
+	}
+}
+
+// MakeSnapshots returns n empty snapshots, two allocations behind them, for a
+// decoder to fill (the histograms through Cells) before anyone else sees them.
+func MakeSnapshots(n int) []*Snapshot {
+	if n == 0 {
 		return nil
 	}
+	structs := make([]Snapshot, n)
+	cells := make([]int64, n*snapshotWords)
+	out := make([]*Snapshot, n)
+	for i := range out {
+		structs[i].cells = cells[i*snapshotWords : (i+1)*snapshotWords : (i+1)*snapshotWords]
+		out[i] = &structs[i]
+	}
+	return out
+}
+
+// Cells returns the snapshot's cell vector, laid out as CellTable says: its
+// own memory, which only the decoder that made it may write, or fresh zeros
+// for the empty snapshot.
+func (s *Snapshot) Cells() []int64 {
+	if s.cells == nil {
+		return make([]int64, snapshotWords)
+	}
+	return s.cells
+}
+
+// Histogram returns the named histogram for the given class as a view over
+// the snapshot's cells: nothing is copied, and the view is as immutable as
+// the snapshot. The windowed seek-distance metric has no read/write
+// breakdown; all classes return the same histogram for it. An unknown
+// metric or class returns nil.
+func (s *Snapshot) Histogram(m Metric, cl Class) *histogram.Snapshot {
+	if m == MetricSeekWindowed {
+		cl = All
+	}
+	for i := range cellTable {
+		if h := &cellTable[i]; h.Metric == m && h.Class == cl {
+			return h.view(s.Cells())
+		}
+	}
+	return nil
+}
+
+// view returns the histogram as a view over a snapshot's cells.
+func (h *HistCells) view(cells []int64) *histogram.Snapshot {
+	return h.Layout.View(h.Name, h.Of(cells))
 }
 
 // ReadFraction returns reads as a fraction of all block I/Os, in [0,1].
@@ -156,110 +194,147 @@ func (s *Snapshot) ReadFraction() float64 {
 	return float64(s.NumReads) / float64(s.Commands)
 }
 
-// Sub returns the interval snapshot s minus earlier: every histogram and
-// counter becomes the delta accumulated between the two snapshots. Used by
-// the interval recorder for the paper's "histogram over time" figures and
-// by fleet history queries for windowed views of the segment log. A nil
-// earlier means "since the beginning": the interval is everything s ever
-// accumulated, so s itself is returned (snapshots are immutable, sharing
-// is safe).
-func (s *Snapshot) Sub(earlier *Snapshot) *Snapshot {
-	if earlier == nil {
-		return s
-	}
-	d := &Snapshot{
-		VM:           s.VM,
-		Disk:         s.Disk,
-		SeekWindowed: s.SeekWindowed.Sub(earlier.SeekWindowed),
-		Commands:     s.Commands - earlier.Commands,
-		NumReads:     s.NumReads - earlier.NumReads,
-		NumWrites:    s.NumWrites - earlier.NumWrites,
-		ReadBytes:    s.ReadBytes - earlier.ReadBytes,
-		WriteBytes:   s.WriteBytes - earlier.WriteBytes,
-		Errors:       s.Errors - earlier.Errors,
-	}
-	for class := 0; class < 3; class++ {
-		d.IOLength[class] = s.IOLength[class].Sub(earlier.IOLength[class])
-		d.SeekDistance[class] = s.SeekDistance[class].Sub(earlier.SeekDistance[class])
-		d.Outstanding[class] = s.Outstanding[class].Sub(earlier.Outstanding[class])
-		d.Latency[class] = s.Latency[class].Sub(earlier.Latency[class])
-		d.Interarrival[class] = s.Interarrival[class].Sub(earlier.Interarrival[class])
-	}
-	return d
-}
-
-// ApplyDelta returns the snapshot equal to s plus the interval delta d
-// (as produced by Sub): counters add and every histogram reapplies
-// bin-wise, so for any two snapshots of one collector
-//
-//	later == earlier.ApplyDelta(later.Sub(earlier))
-//
-// exactly, across all six metrics and three classes. The receiver and the
-// delta are left untouched; the result is freshly allocated. This is the
-// aggregator side of the fleet delta-push protocol.
-func (s *Snapshot) ApplyDelta(d *Snapshot) *Snapshot {
+// plus returns s + sign·o, named as s and carrying ext's extrema: counters
+// and every count, sum and total cell. Arithmetic wraps, so with sign −1 and
+// then +1 it undoes itself exactly whatever the values.
+func (s *Snapshot) plus(o *Snapshot, sign int64, ext *Snapshot) *Snapshot {
 	out := &Snapshot{
-		VM:           s.VM,
-		Disk:         s.Disk,
-		SeekWindowed: s.SeekWindowed.ApplyDelta(d.SeekWindowed),
-		Commands:     s.Commands + d.Commands,
-		NumReads:     s.NumReads + d.NumReads,
-		NumWrites:    s.NumWrites + d.NumWrites,
-		ReadBytes:    s.ReadBytes + d.ReadBytes,
-		WriteBytes:   s.WriteBytes + d.WriteBytes,
-		Errors:       s.Errors + d.Errors,
+		VM:         s.VM,
+		Disk:       s.Disk,
+		Commands:   s.Commands + sign*o.Commands,
+		NumReads:   s.NumReads + sign*o.NumReads,
+		NumWrites:  s.NumWrites + sign*o.NumWrites,
+		ReadBytes:  s.ReadBytes + sign*o.ReadBytes,
+		WriteBytes: s.WriteBytes + sign*o.WriteBytes,
+		Errors:     s.Errors + sign*o.Errors,
+		cells:      make([]int64, snapshotWords),
 	}
-	for class := 0; class < 3; class++ {
-		out.IOLength[class] = s.IOLength[class].ApplyDelta(d.IOLength[class])
-		out.SeekDistance[class] = s.SeekDistance[class].ApplyDelta(d.SeekDistance[class])
-		out.Outstanding[class] = s.Outstanding[class].ApplyDelta(d.Outstanding[class])
-		out.Latency[class] = s.Latency[class].ApplyDelta(d.Latency[class])
-		out.Interarrival[class] = s.Interarrival[class].ApplyDelta(d.Interarrival[class])
+	a, b, e := s.Cells(), o.Cells(), ext.Cells()
+	for i := range out.cells {
+		out.cells[i] = a[i] + sign*b[i]
+	}
+	for i := range cellTable {
+		dst, src := cellTable[i].Of(out.cells), cellTable[i].Of(e)
+		copy(dst[len(dst)-2:], src[len(src)-2:])
 	}
 	return out
 }
 
+// Sub returns the interval snapshot s minus earlier: every counter and every
+// count, sum and total cell becomes the delta accumulated between the two
+// snapshots. Min and max cannot be recovered for an interval, so the result
+// carries s's. A nil earlier means "since the beginning": the interval is
+// everything s ever accumulated, so s itself is returned (snapshots are
+// immutable, sharing is safe).
+func (s *Snapshot) Sub(earlier *Snapshot) *Snapshot {
+	if earlier == nil {
+		return s
+	}
+	return s.plus(earlier, -1, s)
+}
+
+// ApplyDelta returns the snapshot equal to s plus the interval delta d (as
+// produced by Sub): counters and cells add, and min and max come from the
+// delta, which carries the later snapshot's. So for any two snapshots
+//
+//	later == earlier.ApplyDelta(later.Sub(earlier))
+//
+// cell for cell. The receiver and the delta are left untouched. This is the
+// aggregator side of the fleet delta-push protocol.
+func (s *Snapshot) ApplyDelta(d *Snapshot) *Snapshot { return s.plus(d, 1, d) }
+
 // StateEquals reports whether two snapshots carry identical observed state:
-// every counter and, per histogram, total, sum, extrema and each bin. Names
-// (VM/Disk) are not compared — rollups rename. A fleet agent uses this to
-// omit unchanged disks from delta pushes, so it must be exact, not
-// approximate: if StateEquals holds, replaying nothing reconstructs o
-// from s.
+// every counter and every cell. Names (VM/Disk) are not compared — rollups
+// rename. A fleet agent uses this to omit unchanged disks from delta pushes,
+// so it must be exact, not approximate: if StateEquals holds, replaying
+// nothing reconstructs o from s.
 func (s *Snapshot) StateEquals(o *Snapshot) bool {
 	if s == nil || o == nil {
 		return s == o
 	}
-	if s.Commands != o.Commands || s.NumReads != o.NumReads || s.NumWrites != o.NumWrites ||
-		s.ReadBytes != o.ReadBytes || s.WriteBytes != o.WriteBytes || s.Errors != o.Errors {
-		return false
-	}
-	for _, m := range Metrics() {
-		classes := []Class{All, Reads, Writes}
-		if m == MetricSeekWindowed {
-			classes = classes[:1]
+	return s.Commands == o.Commands && s.NumReads == o.NumReads && s.NumWrites == o.NumWrites &&
+		s.ReadBytes == o.ReadBytes && s.WriteBytes == o.WriteBytes && s.Errors == o.Errors &&
+		slices.Equal(s.Cells(), o.Cells())
+}
+
+// ErrLayout marks a JSON snapshot that cannot be held as cells: a histogram
+// is missing, or its bins are not this binary's.
+var ErrLayout = errors.New("core: snapshot histogram is missing or in another bin layout")
+
+// snapshotJSON is a snapshot's JSON form, the shape the fields had when a
+// snapshot was sixteen histogram objects.
+type snapshotJSON struct {
+	VM, Disk     string
+	IOLength     [3]*histogram.Snapshot
+	SeekDistance [3]*histogram.Snapshot
+	Windowed     *histogram.Snapshot `json:"SeekWindowed"`
+	Outstanding  [3]*histogram.Snapshot
+	Latency      [3]*histogram.Snapshot
+	Interarrival [3]*histogram.Snapshot
+	Commands     int64
+	NumReads     int64
+	NumWrites    int64
+	ReadBytes    int64
+	WriteBytes   int64
+	Errors       int64
+}
+
+// hists returns where the JSON form keeps each histogram, in cell-table
+// order.
+func (j *snapshotJSON) hists() (out [numHistograms]**histogram.Snapshot) {
+	fams := [...]*[3]*histogram.Snapshot{&j.IOLength, &j.SeekDistance, &j.Outstanding, &j.Latency, &j.Interarrival}
+	for f, fam := range fams {
+		for cl := range fam {
+			out[3*f+cl] = &fam[cl]
 		}
-		for _, cl := range classes {
-			ha, hb := s.Histogram(m, cl), o.Histogram(m, cl)
-			if ha == nil || hb == nil {
-				if ha != hb {
-					return false
-				}
-				continue
-			}
-			if ha.Total != hb.Total || ha.Sum != hb.Sum || ha.Min != hb.Min || ha.Max != hb.Max {
-				return false
-			}
-			if len(ha.Counts) != len(hb.Counts) {
-				return false
-			}
-			for i := range ha.Counts {
-				if ha.Counts[i] != hb.Counts[i] {
-					return false
-				}
-			}
-		}
 	}
-	return true
+	out[numHistograms-1] = &j.Windowed
+	return out
+}
+
+// jsonForm returns the snapshot's JSON form, its histograms as views.
+func (s *Snapshot) jsonForm() *snapshotJSON {
+	j := &snapshotJSON{
+		VM: s.VM, Disk: s.Disk,
+		Commands: s.Commands, NumReads: s.NumReads, NumWrites: s.NumWrites,
+		ReadBytes: s.ReadBytes, WriteBytes: s.WriteBytes, Errors: s.Errors,
+	}
+	cells := s.Cells()
+	for k, slot := range j.hists() {
+		*slot = cellTable[k].view(cells)
+	}
+	return j
+}
+
+// MarshalJSON renders the snapshot with every histogram written out in full
+// (name, unit, edges, counts, total, sum, min, max).
+func (s Snapshot) MarshalJSON() ([]byte, error) { return json.Marshal(s.jsonForm()) }
+
+// UnmarshalJSON reads the form MarshalJSON writes. A histogram that is
+// absent or not in this binary's bin layout fails with ErrLayout: there is
+// no snapshot that cannot be merged.
+func (s *Snapshot) UnmarshalJSON(data []byte) error {
+	var j snapshotJSON
+	if err := json.Unmarshal(data, &j); err != nil {
+		return err
+	}
+	out := Snapshot{
+		VM: j.VM, Disk: j.Disk,
+		Commands: j.Commands, NumReads: j.NumReads, NumWrites: j.NumWrites,
+		ReadBytes: j.ReadBytes, WriteBytes: j.WriteBytes, Errors: j.Errors,
+		cells: make([]int64, snapshotWords),
+	}
+	for k, slot := range j.hists() {
+		h, got := &cellTable[k], *slot
+		if !h.Layout.Fits(got) {
+			return fmt.Errorf("%w: %s/%s %s[%s]", ErrLayout, j.VM, j.Disk, h.Metric, h.Class)
+		}
+		dst := h.Of(out.cells)
+		n := copy(dst, got.Counts)
+		dst[n], dst[n+1], dst[n+2], dst[n+3] = got.Sum, got.Total, got.Min, got.Max
+	}
+	*s = out
+	return nil
 }
 
 // Summary renders a one-screen textual overview: counters plus the modal

@@ -117,17 +117,12 @@ type Agent struct {
 
 	pushes      atomic.Int64
 	deltaPushes atomic.Int64
-	pushErrors  atomic.Int64
 	retries     atomic.Int64
 	dropped     atomic.Int64
 	resyncs     atomic.Int64
 
-	lastErr atomic.Pointer[string]
-
-	startOnce sync.Once
-	stopOnce  sync.Once
-	stop      chan struct{}
-	done      chan struct{}
+	// life owns the push loop's start/stop and the failed-delivery record.
+	life *lifecycle
 
 	// snd owns the wire: endpoint, boot incarnation, trace identity and the
 	// one encode → POST → status fold.
@@ -145,8 +140,7 @@ func NewAgent(reg *core.Registry, cfg AgentConfig) *Agent {
 	return &Agent{
 		cfg:  cfg,
 		reg:  reg,
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+		life: newLifecycle(),
 		rng:  rng,
 		snd:  newSender(cfg.Endpoint, cfg.Client, cfg.Timeout, cfg.Obs, rng),
 	}
@@ -156,11 +150,7 @@ func NewAgent(reg *core.Registry, cfg AgentConfig) *Agent {
 func (a *Agent) Host() string { return a.cfg.Host }
 
 // Start launches the push loop. Stop ends it; Start after Stop is a no-op.
-func (a *Agent) Start() {
-	a.startOnce.Do(func() {
-		go a.run()
-	})
-}
+func (a *Agent) Start() { a.life.start(a.run) }
 
 // Stop ends the push loop, waits for it to exit, then drains the capture
 // queue with one bounded best-effort flush. The flusher goroutine exits on
@@ -172,9 +162,7 @@ func (a *Agent) Start() {
 // never retried — Stop must terminate. Safe to call without Start (the
 // loop goroutine is then never created) and safe to call twice.
 func (a *Agent) Stop() {
-	a.BeginStop()
-	a.startOnce.Do(func() { close(a.done) })
-	<-a.done
+	a.life.wait()
 	a.flush(time.Now())
 }
 
@@ -185,12 +173,9 @@ func (a *Agent) Stop() {
 // pushing while early ones drain, and on a loaded machine the collective
 // enqueue rate can outrun the drain rate indefinitely. Safe to call
 // without Start and safe to call twice.
-func (a *Agent) BeginStop() {
-	a.stopOnce.Do(func() { close(a.stop) })
-}
+func (a *Agent) BeginStop() { a.life.beginStop() }
 
 func (a *Agent) run() {
-	defer close(a.done)
 	// The flusher owns all network I/O; the builder below only captures
 	// and enqueues, then kicks the flusher. kick has a buffer of one: a
 	// kick during a slow flush coalesces with the next drain rather than
@@ -202,28 +187,21 @@ func (a *Agent) run() {
 		defer flusher.Done()
 		for {
 			select {
-			case <-a.stop:
+			case <-a.life.stop:
 				return
 			case <-kick:
 				a.flush(time.Now())
 			}
 		}
 	}()
-	t := time.NewTicker(a.cfg.Interval)
-	defer t.Stop()
-	for {
+	a.life.every(a.cfg.Interval, func() {
+		a.enqueue(a.buildBatch())
 		select {
-		case <-a.stop:
-			flusher.Wait()
-			return
-		case <-t.C:
-			a.enqueue(a.buildBatch())
-			select {
-			case kick <- struct{}{}:
-			default:
-			}
+		case kick <- struct{}{}:
+		default:
 		}
-	}
+	})
+	flusher.Wait()
 }
 
 // PushNow captures the registry and flushes the queue synchronously,
@@ -395,9 +373,7 @@ func (a *Agent) flush(now time.Time) error {
 			jitter := time.Duration(a.rng.Int63n(int64(backoff)/5+1)) - backoff/10
 			a.notUntil = now.Add(backoff + jitter)
 			a.bmu.Unlock()
-			a.pushErrors.Add(1)
-			msg := err.Error()
-			a.lastErr.Store(&msg)
+			a.life.noteError(err)
 			return err
 		}
 	}
@@ -433,17 +409,22 @@ func (a *Agent) PullHandler() http.Handler {
 			return
 		}
 		q := a.buildBatch()
-		// Encode before the status line goes out, so a failure can still
-		// be a 500 instead of a 200 with half a frame behind it.
-		frame, err := EncodeBatchBytes(a.snd.frame(a.cfg.Host, q.seq, q.sentUnixNano, q.full))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", ContentType)
-		w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
-		w.Write(frame)
+		writeFrame(w, a.snd.frame(a.cfg.Host, q.seq, q.sentUnixNano, q.full))
 	})
+}
+
+// writeFrame answers a pull with b as one frame. It encodes before the
+// status line goes out, so a failure can still be a 500 instead of a 200
+// with half a frame behind it.
+func writeFrame(w http.ResponseWriter, b *Batch) {
+	frame, err := EncodeBatchBytes(b)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", ContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
+	w.Write(frame)
 }
 
 // AgentStats is a point-in-time copy of the agent's counters.
@@ -471,21 +452,18 @@ func (a *Agent) Stats() AgentStats {
 	a.bmu.Lock()
 	failures := a.failures
 	a.bmu.Unlock()
-	s := AgentStats{
+	return AgentStats{
 		Pushes:      a.pushes.Load(),
 		DeltaPushes: a.deltaPushes.Load(),
-		Errors:      a.pushErrors.Load(),
+		Errors:      a.life.errors.Load(),
 		Retries:     a.retries.Load(),
 		Dropped:     a.dropped.Load(),
 		Resyncs:     a.resyncs.Load(),
 		SentBytes:   a.snd.sentBytes.Load(),
 		QueueLen:    qlen,
 		Failures:    failures,
+		LastError:   a.life.lastError(),
 	}
-	if msg := a.lastErr.Load(); msg != nil {
-		s.LastError = *msg
-	}
-	return s
 }
 
 var agentSeries = []telemetry.Series[AgentStats]{

@@ -310,21 +310,13 @@ func TestAgentPullHandler(t *testing.T) {
 // TestAgentPullHandlerEncodeFailureIs500: when the frame cannot be
 // rendered the reply must say so. The old handler had already sent 200 and
 // the content type by then and dropped the error, so the aggregator read
-// an empty 200 as a truncated frame from a healthy agent. Real collectors
-// only produce the canonical layout, so the failure is staged by swapping
-// in a wire layout their snapshots do not match.
+// an empty 200 as a truncated frame from a healthy agent. A registry never
+// yields the one batch that cannot be rendered — a null snapshot — so the
+// failure is staged on the handler's reply half.
 func TestAgentPullHandlerEncodeFailureIs500(t *testing.T) {
-	foreign := core.NewCollector("", "")
-	foreign.Enable()
-	ref := foreign.Snapshot()
-	ref.Latency[core.Reads].Edges = append([]int64(nil), ref.Latency[core.Reads].Edges...)
-	ref.Latency[core.Reads].Edges[0]++
-	ours := layout
-	layout = newWireLayout(ref)
-	defer func() { layout = ours }()
-
-	a := NewAgent(makeRegistry(5, 1, 1, 20), AgentConfig{Host: "esx-e"})
-	srv := httptest.NewServer(a.PullHandler())
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		writeFrame(w, &Batch{Host: "esx-e", Seq: 1, Snapshots: []*core.Snapshot{nil}})
+	}))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL)
 	if err != nil {

@@ -167,10 +167,9 @@ type Aggregator struct {
 	rejected   atomic.Int64
 	pullErrors atomic.Int64
 	recvBytes  atomic.Int64
-	// layoutMismatch counts delta batches refused because their histogram
-	// layout failed validation (or, for a binary frame, was not this
-	// binary's at decode) — the one resync cause detected at the
-	// aggregator rather than in the shard.
+	// layoutMismatch counts delta frames refused because their bin layout
+	// was not this binary's at decode (or the batch failed Validate) — the
+	// one resync cause detected at the aggregator rather than in the shard.
 	layoutMismatch atomic.Int64
 	// decodedBinary and decodedJSON count the frames decoded from pushes,
 	// pulls and boot replay, by payload encoding.
@@ -246,9 +245,9 @@ func OpenAggregator(cfg AggregatorConfig) (*Aggregator, ReplayStats, error) {
 			st.Frames++
 			g.noteDecoded(b)
 			if verr := b.Validate(); verr != nil {
-				// The frame decoded but its histogram layout is not ours —
-				// a log written by a different binary generation. Skip it:
-				// the data is unusable here, not evidence of corruption.
+				// The frame decoded but cannot be merged (a legacy JSON
+				// payload can hold a null snapshot). Skip it: the data is
+				// unusable here, not evidence of corruption.
 				st.Skipped++
 				return nil
 			}
@@ -266,7 +265,7 @@ func OpenAggregator(cfg AggregatorConfig) (*Aggregator, ReplayStats, error) {
 		return nil, ReplayStats{}, err
 	}
 	st.TornTails = lst.tornTails
-	// Binary frames of another layout never reached apply: whole frames,
+	// Frames of another bin layout never reached apply: whole frames,
 	// unusable here, skipped like the ones that fail Validate above.
 	st.Frames += lst.unknownLayout
 	st.Skipped += lst.unknownLayout
@@ -374,7 +373,7 @@ func (g *Aggregator) ingest(b *Batch, source string, sampled bool) error {
 }
 
 // refuse turns away a batch that failed Validate, or the header of a
-// binary frame whose layout is not ours. On a delta that is version skew
+// frame whose bin layout is not ours. On a delta that is version skew
 // between sender and receiver, not a malformed request: asking for a
 // full-state resync gives the sender a road forward (and the full push's
 // failure, if any, stays 400).
@@ -684,29 +683,12 @@ func (g *Aggregator) ClusterSnapshot(includeStale bool) *core.Snapshot {
 // merges (memoized) combine across shards for VMs whose hosts span them.
 func (g *Aggregator) VMSnapshots(includeStale bool) []*core.Snapshot {
 	now := g.now()
-	byVM := make(map[string][]*core.Snapshot)
+	var all []*core.Snapshot
 	for _, sh := range g.shards {
 		_, vms := sh.merged(now, g.cfg.StaleAfter, includeStale)
-		for _, s := range vms {
-			byVM[s.VM] = append(byVM[s.VM], s)
-		}
+		all = append(all, vms...)
 	}
-	vms := make([]string, 0, len(byVM))
-	for vm := range byVM {
-		vms = append(vms, vm)
-	}
-	sort.Strings(vms)
-	out := make([]*core.Snapshot, 0, len(vms))
-	for _, vm := range vms {
-		parts := byVM[vm]
-		if len(parts) == 1 {
-			// Already merged inside its shard; reuse (immutable).
-			out = append(out, parts[0])
-			continue
-		}
-		out = append(out, core.Aggregate(vm, "*", parts...))
-	}
-	return out
+	return mergeByVM(all)
 }
 
 // AggregatorStats is a point-in-time copy of the aggregator's counters.
@@ -728,8 +710,9 @@ type AggregatorStats struct {
 	Resyncs       int64
 	// Per-cause resync splits. The first three are detected in the
 	// shards and sum (with replay-time refusals included) into shard
-	// Resyncs; LayoutMismatch is detected at aggregator validation and
-	// adds on top, so Resyncs here is the true total across all causes.
+	// Resyncs; LayoutMismatch is detected at aggregator decode and
+	// validation and adds on top, so Resyncs here is the true total across
+	// all causes.
 	ResyncSeqGap         int64
 	ResyncUnknownHost    int64
 	ResyncUnknownDisk    int64

@@ -35,15 +35,14 @@
 // queued batches drain oldest-first and the newest state wins (batches are
 // cumulative, so dropping queued ones under pressure loses no information
 // that the next push doesn't carry). Corrupt or adversarial input is
-// rejected at decode (structural limits) and ingest (bin-layout
-// validation) and can never panic the merge path.
+// rejected at decode (structural limits, a bin layout that is not this
+// binary's) and ingest (Validate), and can never panic the merge path: a
+// core.Snapshot has one fixed layout, so whatever decoded can be merged.
 package fleet
 
 import (
 	"context"
 	"time"
-
-	"vscsistats/internal/core"
 )
 
 // ContentType identifies the fleet frame format over HTTP.
@@ -54,11 +53,3 @@ const ContentType = "application/x-vscsistats-fleet"
 func contextWithTimeout(d time.Duration) (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.Background(), d)
 }
-
-// refLayout is a reference snapshot from a fresh collector: the canonical
-// bin layouts every ingested histogram must match for merging to be safe.
-var refLayout = func() *core.Snapshot {
-	c := core.NewCollector("", "")
-	c.Enable()
-	return c.Snapshot()
-}()

@@ -23,21 +23,21 @@ import (
 //	baseline = the host's state as of its newest frame sent at or before from
 //	end      = the host's state as of its newest frame sent at or before to
 //
-// and the window is end.Sub(baseline) per virtual disk — exactly the
-// interval recorder's subtraction, applied to the durable chain instead of
-// a live collector. A disk absent from the baseline (the VM appeared
-// inside the window) contributes its full accumulated state; a host with
-// no frame inside (from, to] contributes nothing, which equals a zero
-// window because the chains are cumulative. The per-disk windows then
-// merge bin-exactly into cluster and per-VM views, like every other
-// aggregator read.
+// and the window is core.IntervalSince(baseline, end) per virtual disk —
+// the rule the interval recorder and the telemetry streamer use, applied to
+// the durable chain instead of a live collector. A disk absent from the
+// baseline (the VM appeared inside the window) contributes its full
+// accumulated state, and so does one whose counters went backwards inside
+// the window (the agent restarted, the VM was recreated under the same
+// name): what it accumulated since the reset, never a negative bin. A host
+// with no frame inside (from, to] contributes nothing, which equals a zero
+// window because the chains are cumulative. The per-disk windows then merge
+// bin-exactly into cluster and per-VM views, like every other aggregator
+// read.
 //
-// Caveats inherited from the log, not invented here: retention and
-// compaction discard old frames, so a from earlier than the oldest
-// retained baseline silently widens the window to "since the oldest frame
-// we still have"; and a host whose counters reset inside the window (agent
-// reinstalled, VM recreated under the same name) subtracts across the
-// reset like any cumulative-counter system would.
+// One caveat is inherited from the log: retention and compaction discard old
+// frames, so a from earlier than the oldest retained baseline silently
+// widens the window to "since the oldest frame we still have".
 //
 // History scans disk on every call — it is a reporting query, deliberately
 // off the ingest and scrape fast paths, and it never touches shard locks.
@@ -68,7 +68,7 @@ func (g *Aggregator) history(from, to time.Time) (*HistoryResult, error) {
 			return
 		}
 		if b.Validate() != nil {
-			return // a frame from another binary generation's layout
+			return // boot replay skipped it too
 		}
 		h := hosts[b.Host]
 		if h == nil {
@@ -101,7 +101,7 @@ func (g *Aggregator) history(from, to time.Time) (*HistoryResult, error) {
 			base[diskKey{s.VM, s.Disk}] = s
 		}
 		for _, s := range h.end {
-			windows = append(windows, s.Sub(base[diskKey{s.VM, s.Disk}]))
+			windows = append(windows, core.IntervalSince(base[diskKey{s.VM, s.Disk}], s))
 		}
 	}
 	res := &HistoryResult{FromUnixNano: fromNs, ToUnixNano: toNs, Hosts: contributing, Frames: frames}

@@ -182,6 +182,46 @@ func TestHistoryFollowsSenderRestart(t *testing.T) {
 	}
 }
 
+// TestHistoryAcrossCounterReset is the restarted-agent case: a new boot
+// whose collectors started from zero, so the counters it reports fall. The
+// window across the restart is what the host accumulated since — the
+// post-restart state, as the live view says — not a subtraction across the
+// reset with negative bins in it.
+func TestHistoryAcrossCounterReset(t *testing.T) {
+	g, _, err := OpenAggregator(logAggConfig(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	t0 := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	before := makeRegistry(0, 1, 1, 1000)
+	after := makeRegistry(0, 1, 1, 10)
+	ingestAll(t, g, []*Batch{
+		{Host: "esx-r", Seq: 1, Boot: 1, SentUnixNano: t0.UnixNano(), Snapshots: before.Snapshots()},
+		{Host: "esx-r", Seq: 1, Boot: 2, SentUnixNano: t0.Add(time.Minute).UnixNano(), Snapshots: after.Snapshots()},
+	})
+	res, err := g.History(t0, t0.Add(2*time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := after.HostSnapshot()
+	if !g.ClusterSnapshot(true).StateEquals(want) {
+		t.Fatal("live ingest did not follow the restart")
+	}
+	if res.Hosts != 1 || !res.Cluster.StateEquals(want) {
+		t.Errorf("window across the reset: hosts=%d commands=%d, want the post-restart state (%d commands)",
+			res.Hosts, res.Cluster.Commands, want.Commands)
+	}
+	cells := res.Cluster.Cells()
+	for _, hc := range layout.hists {
+		for bin, c := range hc.Of(cells)[:hc.Layout.NumBins()] {
+			if c < 0 {
+				t.Errorf("%s bin %d of the window is %d", hc.Name, bin, c)
+			}
+		}
+	}
+}
+
 // TestHistoryMatchesLiveIngest is the law behind chainPos: History and
 // shard.ingest are two consumers of one apply rule, so over a window that
 // holds the whole log they end in the same state — after every prefix of

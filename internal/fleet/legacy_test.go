@@ -3,8 +3,10 @@ package fleet
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"testing"
 )
 
@@ -22,6 +24,17 @@ const (
 // the legacy reader honest.
 func encodeLegacyJSON(t testing.TB, b *Batch) []byte {
 	t.Helper()
+	snaps, err := json.Marshal(b.Snapshots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return legacyFrame(t, b, append(snaps, '\n'))
+}
+
+// legacyFrame frames b's header over the given JSON array of snapshots,
+// which need not be one this binary would write.
+func legacyFrame(t testing.TB, b *Batch, snaps []byte) []byte {
+	t.Helper()
 	hdr := batchHeader{
 		Host: b.Host, Seq: b.Seq, SentUnixNano: b.SentUnixNano, Count: len(b.Snapshots),
 		TraceID: b.TraceID, CaptureUnixNano: b.CaptureUnixNano,
@@ -36,9 +49,7 @@ func encodeLegacyJSON(t testing.TB, b *Batch) []byte {
 	}
 	var payload bytes.Buffer
 	zw := gzip.NewWriter(&payload)
-	if err := json.NewEncoder(zw).Encode(b.Snapshots); err != nil {
-		t.Fatal(err)
-	}
+	zw.Write(snaps)
 	if err := zw.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -52,6 +63,60 @@ func encodeLegacyJSON(t testing.TB, b *Batch) []byte {
 	binary.BigEndian.PutUint32(head[8:12], uint32(len(header)))
 	binary.BigEndian.PutUint32(head[12:16], uint32(payload.Len()))
 	return append(append(head[:], header...), payload.Bytes()...)
+}
+
+// foreignLegacyFrames renders b as legacy frames whose snapshots this binary
+// cannot hold as cells, each by one edit to the JSON it would have written.
+func foreignLegacyFrames(t testing.TB, b *Batch) map[string][]byte {
+	t.Helper()
+	snaps, err := json.Marshal(b.Snapshots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]byte{}
+	for name, edit := range map[string][2]string{
+		"foreign edge":      {`"edges":[512,1024,`, `"edges":[513,1024,`},
+		"one edge fewer":    {`"edges":[512,1024,`, `"edges":[1024,`},
+		"missing histogram": {`"SeekWindowed":{`, `"SeekWindowed":null,"x":{`},
+		"short counts":      {`"counts":[`, `"counts":[1],"x":[`},
+	} {
+		if !bytes.Contains(snaps, []byte(edit[0])) {
+			t.Fatalf("%s: the snapshot JSON has no %s", name, edit[0])
+		}
+		out[name] = legacyFrame(t, b, bytes.Replace(snaps, []byte(edit[0]), []byte(edit[1]), 1))
+	}
+	return out
+}
+
+// TestLegacyFrameForeignLayout: the legacy JSON payload names its edges, so
+// it can carry a histogram this binary has no cells for. That is the typed
+// unknown-layout error a foreign binary frame gets, header attached — never
+// a decoded snapshot with the histogram zeroed or re-binned — and a pushed
+// delta draws the same layout-mismatch resync.
+func TestLegacyFrameForeignLayout(t *testing.T) {
+	reg := makeRegistry(2, 1, 2, 120)
+	base := reg.Snapshots()
+	feed(reg.List()[0], 9, 40)
+	delta := deltaBatch(t, "old-agent", 5, 4, base, reg.Snapshots())
+	g := NewAggregator(AggregatorConfig{})
+	for name, frame := range foreignLegacyFrames(t, delta) {
+		_, err := DecodeBatch(bytes.NewReader(frame))
+		var unknown *UnknownLayoutError
+		if !errors.As(err, &unknown) || errors.Is(err, ErrBadFrame) {
+			t.Errorf("%s: %v, want an UnknownLayoutError that is not ErrBadFrame", name, err)
+			continue
+		}
+		if h := unknown.Header; h == nil || h.Host != "old-agent" || h.Seq != 5 || !h.Delta || h.Snapshots != nil {
+			t.Errorf("%s: typed error carries %+v", name, unknown.Header)
+		}
+		_, err = g.receive(context.Background(), bytes.NewReader(frame), "push", "", false)
+		if !errorsIsResync(err) {
+			t.Errorf("%s pushed as a delta: %v, want a resync", name, err)
+		}
+	}
+	if st := g.Stats(); st.ResyncLayoutMismatch != 4 || st.Rejected != 0 {
+		t.Errorf("layout-mismatch resyncs %d, rejected %d, want 4 and 0", st.ResyncLayoutMismatch, st.Rejected)
+	}
 }
 
 // TestLegacyFrameDecodes pins the reader half of the rollout: a frame

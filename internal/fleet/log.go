@@ -44,8 +44,9 @@ import (
 //     wrong numbers.
 //   - a delta that cannot apply (its base fell to retention or compaction)
 //     is skipped with a counter — the information is gone, not wrong. So
-//     is a frame of another binary generation's bin layout (one that fails
-//     Validate, or a binary frame with an unknown layout id).
+//     is a frame of another binary generation's bin layout (an unknown
+//     layout id, or legacy JSON naming other edges) and one that fails
+//     Validate.
 //   - *.tmp files (compaction interrupted before its atomic rename) are
 //     deleted on open; the segments they would have replaced are intact.
 //   - a compaction interrupted after the rename but before the old
@@ -242,8 +243,8 @@ func (c *countingReader) Read(p []byte) (int, error) {
 type replayStats struct {
 	frames    int64
 	tornTails int
-	// unknownLayout counts whole binary frames of another binary
-	// generation's bin layout: counted, kept on disk, never applied.
+	// unknownLayout counts whole frames of another binary generation's
+	// bin layout: counted, kept on disk, never applied.
 	unknownLayout int64
 }
 

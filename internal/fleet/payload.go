@@ -7,7 +7,6 @@ import (
 	"unsafe"
 
 	"vscsistats/internal/core"
-	"vscsistats/internal/histogram"
 )
 
 // The binary payload (frame flag flagBinary), uncompressed:
@@ -32,60 +31,35 @@ import (
 // does not hold. Total is the residual against the histogram's own bins
 // for the same reason.
 //
-// Names, units and edges never travel: layoutID is a hash of the canonical
-// layout's (see layout below), and a decoded histogram shares the reference
-// layout's Name, Unit and Edges — all immutable. A frame whose layoutID is
-// not ours is an UnknownLayoutError, not a bad frame.
+// Names, units and edges never travel: layoutID is a hash of this binary's
+// (see layout below), and the decoder writes the numbers straight into a
+// snapshot's cells, whose layout core fixes (core.CellTable, which is in
+// payload order). A frame whose layoutID is not ours is an
+// UnknownLayoutError, not a bad frame.
 
-// histsPerSnapshot is how many histograms one snapshot carries.
-const histsPerSnapshot = 16
-
-// minSnapshotBytes is the smallest encoded snapshot: two empty names, six
-// one-byte counters and sixteen empty histograms of five bytes each. It
-// bounds header.Count by the payload's size before anything is allocated.
-const minSnapshotBytes = 2 + 6 + histsPerSnapshot*5
-
-// isAll reports whether payload histogram k is a class-all histogram, the
-// ones that travel as a residual against the reads and writes after them.
-func isAll(k int) bool { return k%3 == 0 && k < histsPerSnapshot-1 }
-
-// classed returns the snapshot's five per-class histogram families in
-// payload order.
-func classed(s *core.Snapshot) [5]*[3]*histogram.Snapshot {
-	return [5]*[3]*histogram.Snapshot{
-		&s.IOLength, &s.SeekDistance, &s.Outstanding, &s.Latency, &s.Interarrival,
-	}
-}
-
-// wireLayout is the canonical bin layout in payload order.
+// wireLayout is what the codec knows about a snapshot's cells.
 type wireLayout struct {
 	id uint64
-	// ref donates Name, Unit and Edges to every decoded histogram.
-	ref [histsPerSnapshot]*histogram.Snapshot
-	// off[i] is where histogram i's bins start in a snapshot's slice of
-	// the counts slab; off[histsPerSnapshot] is the bins per snapshot.
-	off [histsPerSnapshot + 1]int
+	// hists is core's cell table: where each payload histogram's cells are.
+	hists []core.HistCells
 	// zeros stands in for reads and writes when encoding a histogram that
 	// is not a class-all residual.
 	zeros []int64
+	// minBytes is the smallest encoded snapshot: two empty names, six
+	// one-byte counters and five bytes per empty histogram. It bounds
+	// header.Count by the payload's size before anything is allocated.
+	minBytes int
 	// decodedBytes is what one decoded snapshot costs in memory.
 	decodedBytes int
 }
 
-var layout = newWireLayout(refLayout)
-
-func newWireLayout(ref *core.Snapshot) *wireLayout {
-	l := &wireLayout{}
-	for f, fam := range classed(ref) {
-		copy(l.ref[3*f:], fam[:])
-	}
-	l.ref[histsPerSnapshot-1] = ref.SeekWindowed
+var layout = func() *wireLayout {
+	l := &wireLayout{hists: core.CellTable()}
+	empty := &core.Snapshot{}
 	h := fnv.New64a()
 	var word [8]byte
-	maxBins := 0
-	for i, r := range l.ref {
-		l.off[i+1] = l.off[i] + len(r.Counts)
-		maxBins = max(maxBins, len(r.Counts))
+	for _, hc := range l.hists {
+		r := empty.Histogram(hc.Metric, hc.Class)
 		h.Write([]byte(r.Name))
 		h.Write([]byte{0})
 		h.Write([]byte(r.Unit))
@@ -97,20 +71,30 @@ func newWireLayout(ref *core.Snapshot) *wireLayout {
 		h.Write([]byte{0xff}) // edge lists of different lengths never collide by concatenation
 	}
 	l.id = h.Sum64()
-	l.zeros = make([]int64, maxBins)
-	l.decodedBytes = int(unsafe.Sizeof(snapshotSlab{})) + 8*l.off[histsPerSnapshot]
+	l.zeros = empty.Cells()
+	l.minBytes = 2 + 6 + 5*len(l.hists)
+	l.decodedBytes = int(unsafe.Sizeof(*empty)) + 8*len(l.zeros)
 	return l
+}()
+
+// isAll reports whether a payload histogram is a class-all one, which
+// travels as a residual against the reads and writes after it.
+func isAll(h *core.HistCells) bool {
+	return h.Class == core.All && h.Metric != core.MetricSeekWindowed
 }
 
-// UnknownLayoutError reports a well-formed binary frame whose histograms
-// were laid out by a different binary generation: its layoutID is not the
-// hash of this binary's canonical layout, so the bins cannot be read. It
-// deliberately does not match ErrBadFrame — the bytes are not wrong, they
-// are not ours. Push ingest treats it like a batch that fails Validate
-// (a delta gets a layout-mismatch resync) and log replay skips the frame.
+// UnknownLayoutError reports a well-formed frame whose histograms were laid
+// out by a different binary generation: a binary payload whose layoutID is
+// not the hash of this binary's layout, so the bins cannot be read, or a
+// legacy JSON payload with a histogram missing or over other edges, so they
+// cannot be held as cells. It deliberately does not match ErrBadFrame — the
+// bytes are not wrong, they are not ours. Push ingest treats it like a batch
+// that fails Validate (a delta gets a layout-mismatch resync) and log replay
+// skips the frame.
 type UnknownLayoutError struct {
 	// Header is the frame's batch with everything but the snapshots.
-	Header   *Batch
+	Header *Batch
+	// LayoutID is the binary payload's; a JSON payload has none (zero).
 	LayoutID uint64
 }
 
@@ -118,8 +102,8 @@ func (e *UnknownLayoutError) Error() string {
 	return fmt.Sprintf("fleet: frame layout %#016x is not this binary's %#016x", e.LayoutID, layout.id)
 }
 
-// appendPayload renders snaps as a binary payload onto dst. Only snapshots
-// in the canonical layout can be rendered; anything else is an error.
+// appendPayload renders snaps as a binary payload onto dst. Any snapshot can
+// be rendered; only a null one is an error.
 func appendPayload(dst []byte, snaps []*core.Snapshot) ([]byte, error) {
 	dst = binary.BigEndian.AppendUint64(dst, layout.id)
 	for i, s := range snaps {
@@ -133,45 +117,38 @@ func appendPayload(dst []byte, snaps []*core.Snapshot) ([]byte, error) {
 		for _, c := range [...]int64{s.Commands, s.NumReads, s.NumWrites, s.ReadBytes, s.WriteBytes, s.Errors} {
 			dst = binary.AppendVarint(dst, c)
 		}
-		hists := [histsPerSnapshot]*histogram.Snapshot{histsPerSnapshot - 1: s.SeekWindowed}
-		for f, fam := range classed(s) {
-			copy(hists[3*f:], fam[:])
-		}
-		for k, h := range hists {
-			if err := checkLayout(h, layout.ref[k]); err != nil {
-				return nil, fmt.Errorf("fleet: snapshot %d (%s/%s) histogram %d: %w", i, s.VM, s.Disk, k, err)
+		cells := s.Cells()
+		for k := range layout.hists {
+			h := layout.hists[k].Of(cells)
+			r, w := layout.zeros[:len(h)], layout.zeros[:len(h)]
+			if isAll(&layout.hists[k]) {
+				r, w = layout.hists[k+1].Of(cells), layout.hists[k+2].Of(cells)
 			}
-		}
-		for k, h := range hists {
-			if isAll(k) {
-				r, w := hists[k+1], hists[k+2]
-				dst = appendHist(dst, h, h.Sum-r.Sum-w.Sum, r.Counts, w.Counts)
-				continue
-			}
-			zeros := layout.zeros[:len(h.Counts)]
-			dst = appendHist(dst, h, h.Sum, zeros, zeros)
+			dst = appendHist(dst, h, r, w)
 		}
 	}
 	return dst, nil
 }
 
-// appendHist renders one histogram whose bins travel as h.Counts − r − w.
-func appendHist(dst []byte, h *histogram.Snapshot, sum int64, r, w []int64) []byte {
+// appendHist renders one histogram's cells (bins, sum, total, min, max),
+// its bins and sum travelling as h − r − w.
+func appendHist(dst []byte, h, r, w []int64) []byte {
+	n := len(h) - 4
 	var total int64
 	nnz := 0
-	for i, c := range h.Counts {
+	for i, c := range h[:n] {
 		total += c
 		if c-r[i]-w[i] != 0 {
 			nnz++
 		}
 	}
-	dst = binary.AppendVarint(dst, h.Total-total)
-	dst = binary.AppendVarint(dst, sum)
-	dst = binary.AppendVarint(dst, h.Min)
-	dst = binary.AppendVarint(dst, h.Max)
+	dst = binary.AppendVarint(dst, h[n+1]-total)
+	dst = binary.AppendVarint(dst, h[n]-r[n]-w[n])
+	dst = binary.AppendVarint(dst, h[n+2])
+	dst = binary.AppendVarint(dst, h[n+3])
 	dst = binary.AppendUvarint(dst, uint64(nnz))
 	prev := -1
-	for i, c := range h.Counts {
+	for i, c := range h[:n] {
 		if d := c - r[i] - w[i]; d != 0 {
 			dst = binary.AppendUvarint(dst, uint64(i-prev-1))
 			dst = binary.AppendVarint(dst, d)
@@ -179,13 +156,6 @@ func appendHist(dst []byte, h *histogram.Snapshot, sum int64, r, w []int64) []by
 		}
 	}
 	return dst
-}
-
-// snapshotSlab is one decoded snapshot and its histograms, so a batch's
-// structs come from one allocation.
-type snapshotSlab struct {
-	snap  core.Snapshot
-	hists [histsPerSnapshot]histogram.Snapshot
 }
 
 // payloadReader walks a binary payload; every read is bounds-checked and
@@ -233,36 +203,32 @@ func (p *payloadReader) str() string {
 	return s
 }
 
-// hist reads one histogram into h over counts (zeroed, len = bins) and
-// returns its Total residual; the caller adds Σcounts once the bins are
-// final.
-func (p *payloadReader) hist(h *histogram.Snapshot, ref *histogram.Snapshot, counts []int64) (totalResidual int64) {
-	totalResidual = p.varint()
-	*h = histogram.Snapshot{
-		Name: ref.Name, Unit: ref.Unit, Edges: ref.Edges, Counts: counts,
-		Sum: p.varint(), Min: p.varint(), Max: p.varint(),
-	}
+// hist reads one histogram into its zeroed cells (bins, sum, total, min,
+// max). The total cell is left holding the residual against the bins; the
+// caller adds Σbins once they are final.
+func (p *payloadReader) hist(h []int64) {
+	n := len(h) - 4
+	h[n+1], h[n], h[n+2], h[n+3] = p.varint(), p.varint(), p.varint(), p.varint()
 	nnz := p.uvarint()
-	if nnz > uint64(len(counts)) {
+	if nnz > uint64(n) {
 		p.fail("more non-zero bins than bins")
-		return 0
+		return
 	}
 	next := 0 // lowest bin the next entry may name
 	for ; nnz > 0; nnz-- {
 		gap := p.uvarint()
-		if gap >= uint64(len(counts)-next) {
+		if gap >= uint64(n-next) {
 			p.fail("bin index out of range")
-			return 0
+			return
 		}
 		i := next + int(gap)
-		counts[i] = p.varint()
+		h[i] = p.varint()
 		next = i + 1
 	}
-	return totalResidual
 }
 
-// decodePayload parses a binary payload of count snapshots. The structs
-// and the bins of the whole batch come from two slabs.
+// decodePayload parses a binary payload of count snapshots straight into
+// their cells; the whole batch is core.MakeSnapshots' three allocations.
 func decodePayload(payload []byte, count int) ([]*core.Snapshot, error) {
 	if len(payload) < 8 {
 		return nil, badFrame("binary payload of %d bytes has no layout id", len(payload))
@@ -271,51 +237,37 @@ func decodePayload(payload []byte, count int) ([]*core.Snapshot, error) {
 		return nil, &UnknownLayoutError{LayoutID: id}
 	}
 	p := payloadReader{buf: payload[8:]}
-	if count < 0 || count > len(p.buf)/minSnapshotBytes {
+	if count < 0 || count > len(p.buf)/layout.minBytes {
 		return nil, badFrame("header count %d cannot fit a %d-byte payload", count, len(payload))
 	}
 	if count > maxDecodedLen/layout.decodedBytes {
 		return nil, badFrame("header count %d decodes past the limit of %d bytes", count, maxDecodedLen)
 	}
-	bins := layout.off[histsPerSnapshot]
-	slabs := make([]snapshotSlab, count)
-	counts := make([]int64, count*bins)
-	var out []*core.Snapshot // stays nil for an empty batch, as the encoder was handed
-	if count > 0 {
-		out = make([]*core.Snapshot, count)
-	}
-	for i := range slabs {
-		s, hs := &slabs[i].snap, &slabs[i].hists
+	out := core.MakeSnapshots(count) // nil for an empty batch, as the encoder was handed
+	for _, s := range out {
 		s.VM, s.Disk = p.str(), p.str()
 		s.Commands, s.NumReads, s.NumWrites = p.varint(), p.varint(), p.varint()
 		s.ReadBytes, s.WriteBytes, s.Errors = p.varint(), p.varint(), p.varint()
-		mine := counts[i*bins : (i+1)*bins]
-		var residual [histsPerSnapshot]int64
-		for k := range hs {
-			residual[k] = p.hist(&hs[k], layout.ref[k], mine[layout.off[k]:layout.off[k+1]:layout.off[k+1]])
+		cells := s.Cells()
+		for k := range layout.hists {
+			p.hist(layout.hists[k].Of(cells))
 		}
 		if p.err != nil {
 			return nil, p.err
 		}
-		for k := range hs {
-			h := &hs[k]
-			if isAll(k) {
-				r, w := &hs[k+1], &hs[k+2]
-				h.Sum += r.Sum + w.Sum
-				for j := range h.Counts {
-					h.Counts[j] += r.Counts[j] + w.Counts[j]
+		for k := range layout.hists {
+			h := layout.hists[k].Of(cells)
+			n := len(h) - 4
+			if isAll(&layout.hists[k]) {
+				r, w := layout.hists[k+1].Of(cells), layout.hists[k+2].Of(cells)
+				for j := range h[:n+1] { // bins and sum
+					h[j] += r[j] + w[j]
 				}
 			}
-			h.Total = residual[k]
-			for _, c := range h.Counts {
-				h.Total += c
+			for _, c := range h[:n] {
+				h[n+1] += c
 			}
 		}
-		for f, fam := range classed(s) {
-			fam[0], fam[1], fam[2] = &hs[3*f], &hs[3*f+1], &hs[3*f+2]
-		}
-		s.SeekWindowed = &hs[histsPerSnapshot-1]
-		out[i] = s
 	}
 	if len(p.buf) != 0 {
 		return nil, badFrame("binary payload: %d trailing bytes", len(p.buf))

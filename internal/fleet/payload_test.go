@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"vscsistats/internal/core"
-	"vscsistats/internal/histogram"
 )
 
 // hostileInt draws from the values a varint codec gets wrong first: zero,
@@ -38,41 +37,30 @@ func hostileInt(rng *rand.Rand) int64 {
 	}
 }
 
-// hostileSnapshot builds a snapshot in the canonical layout that obeys
-// none of a collector's identities: bins of either sign, Total unrelated to
-// the bins, all unrelated to reads + writes (a torn capture), arbitrary
-// extrema. density is the share of bins that are non-zero.
+// hostileSnapshot builds a snapshot that obeys none of a collector's
+// identities: bins of either sign, totals unrelated to the bins, class-all
+// unrelated to reads + writes (a torn capture), arbitrary extrema. density
+// is the share of bins that are non-zero.
 func hostileSnapshot(rng *rand.Rand, vm, disk string, density float64) *core.Snapshot {
-	s := &core.Snapshot{
-		VM: vm, Disk: disk,
-		Commands: hostileInt(rng), NumReads: hostileInt(rng), NumWrites: hostileInt(rng),
-		ReadBytes: hostileInt(rng), WriteBytes: hostileInt(rng), Errors: hostileInt(rng),
-	}
-	hist := func(ref *histogram.Snapshot) *histogram.Snapshot {
-		h := &histogram.Snapshot{
-			Name: ref.Name, Unit: ref.Unit, Edges: append([]int64(nil), ref.Edges...),
-			Counts: make([]int64, len(ref.Counts)),
-			Total:  hostileInt(rng), Sum: hostileInt(rng), Min: hostileInt(rng), Max: hostileInt(rng),
-		}
-		for i := range h.Counts {
-			if rng.Float64() < density {
-				h.Counts[i] = hostileInt(rng)
+	s := core.MakeSnapshots(1)[0]
+	s.VM, s.Disk = vm, disk
+	s.Commands, s.NumReads, s.NumWrites = hostileInt(rng), hostileInt(rng), hostileInt(rng)
+	s.ReadBytes, s.WriteBytes, s.Errors = hostileInt(rng), hostileInt(rng), hostileInt(rng)
+	cells := s.Cells()
+	for _, hc := range layout.hists {
+		h := hc.Of(cells)
+		bins := len(h) - 4
+		for i := range h {
+			if i >= bins || rng.Float64() < density { // sum, total, min, max: always
+				h[i] = hostileInt(rng)
 			}
 		}
-		return h
 	}
-	for f, fam := range classed(s) {
-		for cl := range fam {
-			fam[cl] = hist(layout.ref[3*f+cl])
-		}
-	}
-	s.SeekWindowed = hist(layout.ref[histsPerSnapshot-1])
 	return s
 }
 
 // roundTrip encodes and decodes b and requires the result to equal b in
-// every field of every histogram — names, units and edges included, since
-// the decoder supplies those from the reference layout.
+// every header field, counter and cell.
 func roundTrip(t *testing.T, label string, in *Batch) {
 	t.Helper()
 	data, err := EncodeBatchBytes(in)
@@ -131,54 +119,6 @@ func TestPayloadRoundTripProperty(t *testing.T) {
 	roundTrip(t, "heartbeat", &Batch{Host: "region", Seq: 2, BaseSeq: 1, Delta: true, Boot: 1, Level: 1, Leaves: 9})
 }
 
-// TestPayloadDecodedHistogramsShareReference pins the decoder's memory
-// contract: a decoded histogram's Name, Unit and Edges are the reference
-// layout's own (nothing per-frame), so Validate's edge comparison is a
-// pointer check and a million decoded frames hold one copy of the layout.
-func TestPayloadDecodedHistogramsShareReference(t *testing.T) {
-	data, err := EncodeBatchBytes(testBatch(t, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := DecodeBatch(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range out.Snapshots {
-		h, ref := s.Latency[core.Reads], refLayout.Latency[core.Reads]
-		if &h.Edges[0] != &ref.Edges[0] || h.Name != ref.Name || h.Unit != ref.Unit {
-			t.Fatalf("decoded histogram does not share the reference layout: %q %q", h.Name, h.Unit)
-		}
-	}
-	if err := out.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestEncodeRefusesWhatValidateRefuses: the binary payload can only carry
-// the canonical layout, so encoding anything else is an error, not a panic
-// and not a silently different histogram.
-func TestEncodeRefusesWhatValidateRefuses(t *testing.T) {
-	withNil := &Batch{Host: "h", Snapshots: []*core.Snapshot{nil}}
-	mangled := testBatch(t, 2)
-	h := mangled.Snapshots[0].IOLength[core.All]
-	h.Edges = append([]int64(nil), h.Edges...)
-	h.Edges[0]++
-	short := testBatch(t, 3)
-	hs := short.Snapshots[0].Latency[core.Writes]
-	hs.Counts = hs.Counts[:len(hs.Counts)-1]
-	missing := testBatch(t, 4)
-	missing.Snapshots[1].SeekWindowed = nil
-	for name, b := range map[string]*Batch{"null snapshot": withNil, "foreign edges": mangled, "short counts": short, "missing histogram": missing} {
-		if b.Validate() == nil {
-			t.Fatalf("%s: test batch is valid", name)
-		}
-		if _, err := EncodeBatchBytes(b); err == nil {
-			t.Errorf("%s: encoded", name)
-		}
-	}
-}
-
 // payloadOf splits a frame into head+header and payload.
 func payloadOf(frame []byte) (prefix, payload []byte) {
 	at := 16 + int(binary.BigEndian.Uint32(frame[8:12]))
@@ -220,8 +160,8 @@ func TestPayloadRejectsMalformed(t *testing.T) {
 	// zero counters, and 16 empty histograms of five zero bytes.
 	names := 8 + 1 + len(in.Snapshots[0].VM) + 1 + len(in.Snapshots[0].Disk)
 	firstHist := names + 6
-	if len(payload) != firstHist+histsPerSnapshot*5 {
-		t.Fatalf("idle snapshot payload is %d bytes, want %d", len(payload), firstHist+histsPerSnapshot*5)
+	if len(payload) != firstHist+len(layout.hists)*5 {
+		t.Fatalf("idle snapshot payload is %d bytes, want %d", len(payload), firstHist+len(layout.hists)*5)
 	}
 	mutate := func(f func(p []byte) []byte) []byte { return f(append([]byte(nil), payload...)) }
 	cases := map[string]struct {
@@ -289,7 +229,7 @@ func TestPayloadHostileCountAllocation(t *testing.T) {
 	// its count (sparse snapshots are ~50x smaller than decoded ones) still
 	// may not decode past maxDecodedLen.
 	count := maxDecodedLen/layout.decodedBytes + 1
-	long := make([]byte, 8+count*minSnapshotBytes)
+	long := make([]byte, 8+count*layout.minBytes)
 	copy(long, payload[:8])
 	if _, err := DecodeBatch(bytes.NewReader(reframe(t, frame, long, count))); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("count %d (decoding past %d bytes): %v, want ErrBadFrame", count, maxDecodedLen, err)

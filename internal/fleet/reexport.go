@@ -100,14 +100,11 @@ type ReExporter struct {
 	heartbeats  atomic.Int64
 	fullPushes  atomic.Int64
 	resyncs     atomic.Int64
-	pushErrors  atomic.Int64
 	level       atomic.Int64
-	lastErr     atomic.Pointer[string]
 
-	startOnce sync.Once
-	stopOnce  sync.Once
-	stop      chan struct{}
-	done      chan struct{}
+	// life owns the re-export loop's start/stop and the failed-delivery
+	// record.
+	life *lifecycle
 }
 
 // NewReExporter wraps the aggregator with an upstream re-export loop. It
@@ -130,8 +127,7 @@ func NewReExporter(agg *Aggregator, cfg ReExporterConfig) *ReExporter {
 		snd:   newSender(cfg.Upstream, cfg.Client, cfg.Timeout, nil, rng),
 		seqs:  make(map[string]uint64),
 		bases: make(map[string]*ackedBase),
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
+		life:  newLifecycle(),
 	}
 }
 
@@ -141,32 +137,14 @@ func (r *ReExporter) Region() string { return r.cfg.Region }
 // Start launches the re-export loop. Stop ends it with one final flush,
 // so the upstream holds the region's last rendered state.
 func (r *ReExporter) Start() {
-	r.startOnce.Do(func() {
-		go r.run()
-	})
+	r.life.start(func() { r.life.every(r.cfg.Interval, func() { r.ReExportNow() }) })
 }
 
 // Stop ends the re-export loop and waits for it; safe without Start and
 // safe to call twice.
 func (r *ReExporter) Stop() {
-	r.stopOnce.Do(func() { close(r.stop) })
-	r.startOnce.Do(func() { close(r.done) })
-	<-r.done
+	r.life.wait()
 	r.ReExportNow()
-}
-
-func (r *ReExporter) run() {
-	defer close(r.done)
-	t := time.NewTicker(r.cfg.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-r.stop:
-			return
-		case <-t.C:
-			r.ReExportNow()
-		}
-	}
 }
 
 // upstreamEntry is one rendered upstream host: the unit of re-export.
@@ -366,12 +344,10 @@ func (r *ReExporter) frame(e upstreamEntry, seq, baseSeq uint64, delta bool, sna
 
 // noteError records a failed upstream delivery.
 func (r *ReExporter) noteError(e upstreamEntry, err error) error {
-	r.pushErrors.Add(1)
-	msg := err.Error()
-	r.lastErr.Store(&msg)
+	r.life.noteError(err)
 	r.cfg.Obs.Emit(fleetobs.Event{
 		Kind: fleetobs.KindReExport, Scope: "aggregator",
-		Host: e.host, Shard: -1, Detail: "error: " + msg,
+		Host: e.host, Shard: -1, Detail: "error: " + err.Error(),
 	})
 	return err
 }
@@ -406,7 +382,7 @@ type ReExporterStats struct {
 
 // Stats returns the re-exporter's counters.
 func (r *ReExporter) Stats() ReExporterStats {
-	s := ReExporterStats{
+	return ReExporterStats{
 		Region:      r.cfg.Region,
 		Upstream:    r.cfg.Upstream,
 		Level:       int(r.level.Load()),
@@ -415,13 +391,10 @@ func (r *ReExporter) Stats() ReExporterStats {
 		Heartbeats:  r.heartbeats.Load(),
 		FullPushes:  r.fullPushes.Load(),
 		Resyncs:     r.resyncs.Load(),
-		Errors:      r.pushErrors.Load(),
+		Errors:      r.life.errors.Load(),
 		SentBytes:   r.snd.sentBytes.Load(),
+		LastError:   r.life.lastError(),
 	}
-	if msg := r.lastErr.Load(); msg != nil {
-		s.LastError = *msg
-	}
-	return s
 }
 
 var reExporterSeries = []telemetry.Series[ReExporterStats]{

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -144,4 +145,71 @@ func (s *sender) push(b *Batch) error {
 	}
 	s.sentBytes.Add(int64(len(body)))
 	return nil
+}
+
+// lifecycle is what the loops of the pushing components have in common: at
+// most one loop goroutine, started once, told to stop once and waited for,
+// and the record of deliveries that failed. What a tick does, and the final
+// flush once the loop has exited, are its owner's.
+type lifecycle struct {
+	startOnce, stopOnce sync.Once
+	stop                chan struct{}
+	running             sync.WaitGroup
+
+	errors  atomic.Int64
+	lastErr atomic.Pointer[string]
+}
+
+func newLifecycle() *lifecycle { return &lifecycle{stop: make(chan struct{})} }
+
+// start runs loop, which returns once stop closes, on its own goroutine. A
+// second start, or a start after wait, does nothing.
+func (l *lifecycle) start(loop func()) {
+	l.startOnce.Do(func() {
+		l.running.Add(1)
+		go func() {
+			defer l.running.Done()
+			loop()
+		}()
+	})
+}
+
+// every calls tick once per interval until stop closes.
+func (l *lifecycle) every(interval time.Duration, tick func()) {
+	t := time.NewTicker(interval)
+	defer t.Stop()
+	for {
+		select {
+		case <-l.stop:
+			return
+		case <-t.C:
+			tick()
+		}
+	}
+}
+
+// beginStop tells the loop to exit without waiting for it.
+func (l *lifecycle) beginStop() { l.stopOnce.Do(func() { close(l.stop) }) }
+
+// wait tells the loop to exit and returns once it has, or at once if it
+// never started — and then it never will.
+func (l *lifecycle) wait() {
+	l.beginStop()
+	l.startOnce.Do(func() {})
+	l.running.Wait()
+}
+
+// noteError records one failed delivery.
+func (l *lifecycle) noteError(err error) {
+	l.errors.Add(1)
+	msg := err.Error()
+	l.lastErr.Store(&msg)
+}
+
+// lastError returns the most recent failure, "" when there has been none.
+func (l *lifecycle) lastError() string {
+	if msg := l.lastErr.Load(); msg != nil {
+		return *msg
+	}
+	return ""
 }

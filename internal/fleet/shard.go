@@ -311,7 +311,13 @@ func mergeSnaps(snaps []*core.Snapshot) (*core.Snapshot, []*core.Snapshot) {
 	if len(snaps) == 0 {
 		return nil, nil
 	}
-	cluster := core.Aggregate("cluster", "*", snaps...)
+	return core.Aggregate("cluster", "*", snaps...), mergeByVM(snaps)
+}
+
+// mergeByVM merges the snapshots of each VM, sorted by VM name. A VM whose
+// only snapshot is already named (vm, "*") is passed on as it is: Aggregate
+// would return a copy of it.
+func mergeByVM(snaps []*core.Snapshot) []*core.Snapshot {
 	byVM := make(map[string][]*core.Snapshot)
 	for _, s := range snaps {
 		byVM[s.VM] = append(byVM[s.VM], s)
@@ -323,9 +329,13 @@ func mergeSnaps(snaps []*core.Snapshot) (*core.Snapshot, []*core.Snapshot) {
 	sort.Strings(vms)
 	out := make([]*core.Snapshot, 0, len(vms))
 	for _, vm := range vms {
-		out = append(out, core.Aggregate(vm, "*", byVM[vm]...))
+		if parts := byVM[vm]; len(parts) == 1 && parts[0].Disk == "*" {
+			out = append(out, parts[0])
+		} else {
+			out = append(out, core.Aggregate(vm, "*", parts...))
+		}
 	}
-	return cluster, out
+	return out
 }
 
 func equalHostLists(a, b []string) bool {

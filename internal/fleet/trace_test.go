@@ -288,16 +288,13 @@ func TestResyncCauseCounters(t *testing.T) {
 	if err := g.Ingest(unknownDisk, "push"); err == nil {
 		t.Fatal("delta for unknown disk applied")
 	}
-	// layout-mismatch: a delta whose snapshots fail validation (here: a
-	// snapshot with no histograms at all, the shape a layout-skewed or
-	// mangled sender produces).
-	var bare core.Snapshot
-	if err := json.Unmarshal([]byte(`{"vm":"vm0","disk":"disk0"}`), &bare); err != nil {
-		t.Fatal(err)
-	}
+	// layout-mismatch: a delta that fails validation (here: a null
+	// snapshot, which a legacy JSON payload can carry). A foreign layout
+	// never gets this far — it is a typed decode error, refused the same
+	// way (TestUnknownLayoutIsTypedNotCorrupt, TestLegacyFrameForeignLayout).
 	mismatch := &Batch{
 		Host: "esx-x", Seq: 3, BaseSeq: 1, Delta: true,
-		Snapshots: []*core.Snapshot{&bare},
+		Snapshots: []*core.Snapshot{nil},
 	}
 	err := g.Ingest(mismatch, "push")
 	if err == nil {
@@ -316,7 +313,7 @@ func TestResyncCauseCounters(t *testing.T) {
 		t.Errorf("total resyncs = %d, want 4 (the sum of causes)", st.Resyncs)
 	}
 	// A full batch failing validation stays a rejection, not a resync.
-	if err := g.Ingest(&Batch{Host: "esx-x", Seq: 4, Snapshots: []*core.Snapshot{&bare}}, "push"); err == nil || errorsIsResync(err) {
+	if err := g.Ingest(&Batch{Host: "esx-x", Seq: 4, Snapshots: []*core.Snapshot{nil}}, "push"); err == nil || errorsIsResync(err) {
 		t.Errorf("invalid FULL batch: err = %v, want non-resync rejection", err)
 	}
 	if got := g.Stats().Resyncs; got != 4 {

@@ -8,9 +8,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"vscsistats/internal/core"
-	"vscsistats/internal/histogram"
 )
 
 // The frame layout, all integers big-endian:
@@ -191,8 +191,7 @@ func EncodeBatch(w io.Writer, b *Batch) error {
 }
 
 // EncodeBatchBytes renders b as one frame in memory. It fails on a batch
-// the binary payload cannot carry: a null snapshot, or a histogram that is
-// missing or not in the canonical layout — exactly what Validate refuses.
+// the binary payload cannot carry: one with a null snapshot.
 func EncodeBatchBytes(b *Batch) ([]byte, error) {
 	hdr := batchHeader{
 		Host: b.Host, Seq: b.Seq, SentUnixNano: b.SentUnixNano, Count: len(b.Snapshots),
@@ -286,7 +285,7 @@ func readSized(r io.Reader, n uint32, what string) ([]byte, error) {
 // prefix on a ten-byte body costs one chunk, not 256 MiB, and a binary
 // payload's snapshot count is checked against the bytes that arrived. The
 // one failure that is not a bad frame is *UnknownLayoutError: a whole,
-// well-formed binary frame whose bin layout is another binary generation's.
+// well-formed frame whose bin layout is another binary generation's.
 func DecodeBatch(r io.Reader) (*Batch, error) {
 	var head [16]byte
 	if _, err := io.ReadFull(r, head[:1]); err != nil {
@@ -388,6 +387,9 @@ func decodeJSONPayload(payload []byte, gzipped bool, count int) ([]*core.Snapsho
 	}
 	var snaps []*core.Snapshot
 	if err := json.Unmarshal(decoded, &snaps); err != nil {
+		if errors.Is(err, core.ErrLayout) {
+			return nil, &UnknownLayoutError{}
+		}
 		return nil, badFrame("payload JSON: %v", err)
 	}
 	if len(snaps) != count {
@@ -396,11 +398,10 @@ func decodeJSONPayload(payload []byte, gzipped bool, count int) ([]*core.Snapsho
 	return snaps, nil
 }
 
-// Validate checks b is safe to merge: a named host and, per snapshot,
-// every histogram present with the canonical bin layout and a consistent
-// counts length. A batch that passes can be fed to core.Aggregate without
-// any possibility of a layout-mismatch panic. Decode accepts what the
-// frame says; Validate accepts what the merge path requires.
+// Validate checks what a decoded frame cannot be trusted for and the merge
+// path requires: a named host, a delta that builds on an earlier sequence,
+// sane federation metadata and no null snapshot. Bin layouts need no check —
+// a core.Snapshot has only one.
 func (b *Batch) Validate() error {
 	if b.Host == "" {
 		return errors.New("fleet: batch without host name")
@@ -411,45 +412,8 @@ func (b *Batch) Validate() error {
 	if b.Level < 0 || b.Leaves < 0 {
 		return fmt.Errorf("fleet: negative federation metadata (level %d, leaves %d)", b.Level, b.Leaves)
 	}
-	for i, s := range b.Snapshots {
-		if s == nil {
-			return fmt.Errorf("fleet: snapshot %d is null", i)
-		}
-		for _, m := range core.Metrics() {
-			classes := []core.Class{core.All, core.Reads, core.Writes}
-			if m == core.MetricSeekWindowed {
-				classes = classes[:1]
-			}
-			for _, cl := range classes {
-				if err := checkLayout(s.Histogram(m, cl), refLayout.Histogram(m, cl)); err != nil {
-					return fmt.Errorf("fleet: snapshot %d (%s/%s) %s[%s]: %w",
-						i, s.VM, s.Disk, m, cl, err)
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// checkLayout verifies h exists, its counts cover every bin, and its edges
-// equal the reference layout.
-func checkLayout(h, ref *histogram.Snapshot) error {
-	if h == nil {
-		return errors.New("missing histogram")
-	}
-	if len(h.Counts) != len(h.Edges)+1 {
-		return fmt.Errorf("%d counts for %d edges", len(h.Counts), len(h.Edges))
-	}
-	if len(h.Edges) != len(ref.Edges) {
-		return fmt.Errorf("%d edges, want %d", len(h.Edges), len(ref.Edges))
-	}
-	if &h.Edges[0] == &ref.Edges[0] {
-		return nil // the reference's own edges, as every binary-decoded histogram carries
-	}
-	for i := range h.Edges {
-		if h.Edges[i] != ref.Edges[i] {
-			return fmt.Errorf("edge %d is %d, want %d", i, h.Edges[i], ref.Edges[i])
-		}
+	if i := slices.Index(b.Snapshots, nil); i >= 0 {
+		return fmt.Errorf("fleet: snapshot %d is null", i)
 	}
 	return nil
 }

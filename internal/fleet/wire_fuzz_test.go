@@ -13,8 +13,8 @@ import (
 // gzip garbage, in the binary payload or the legacy JSON one —
 // DecodeBatch returns an error or a batch, and never panics. Validate must
 // never panic on a decoded batch either, and one that validates must
-// survive a re-encode/re-decode round trip (one that does not may only be
-// refused by the encoder, which carries the canonical layout alone).
+// survive a re-encode/re-decode round trip with every cell intact (one that
+// does not holds a null snapshot, which the encoder refuses too).
 func FuzzDecodeBatch(f *testing.F) {
 	// Seed with real frames at several shapes, plus classic corruptions.
 	// EncodeBatchBytes writes the binary payload, so these are binary
@@ -147,6 +147,12 @@ func FuzzDecodeBatch(f *testing.F) {
 		f.Add(flipped)
 	}
 
+	// Legacy frames whose JSON names edges or histograms this binary has no
+	// cells for: a typed error, never a batch.
+	for _, frame := range foreignLegacyFrames(f, &Batch{Host: "seed-foreign", Seq: 3, BaseSeq: 2, Delta: true, Snapshots: deltaSnaps}) {
+		f.Add(frame)
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, err := DecodeBatch(bytes.NewReader(data))
 		if err != nil {
@@ -157,8 +163,9 @@ func FuzzDecodeBatch(f *testing.F) {
 		valid := b.Validate() == nil
 		reenc, err := EncodeBatchBytes(b)
 		if err != nil {
-			// Only the legacy JSON payload can carry a layout the binary
-			// encoder refuses, and only one Validate refuses too.
+			// Only the legacy JSON payload can carry what the binary
+			// encoder refuses — a null snapshot — and Validate refuses it
+			// too.
 			if valid || !b.jsonPayload {
 				t.Fatalf("re-encode of decoded batch failed: %v", err)
 			}
@@ -191,8 +198,14 @@ func FuzzDecodeBatch(f *testing.F) {
 			t.Fatalf("federation fields drifted: %#x/%d/%d vs %#x/%d/%d",
 				b.Boot, b.Level, b.Leaves, b2.Boot, b2.Level, b2.Leaves)
 		}
-		// A batch that validated must merge without panicking.
-		if valid && len(b.Snapshots) > 0 {
+		// Whatever decoded is in this binary's one layout, so the round
+		// trip keeps every cell and the batch merges.
+		for i, s := range b.Snapshots {
+			if !b2.Snapshots[i].StateEquals(s) {
+				t.Fatalf("snapshot %d (%s/%s) changed state in the round trip", i, s.VM, s.Disk)
+			}
+		}
+		if len(b.Snapshots) > 0 {
 			_ = core.Aggregate("fuzz", "*", b.Snapshots...)
 		}
 	})

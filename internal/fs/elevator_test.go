@@ -3,6 +3,7 @@ package fs
 import (
 	"testing"
 
+	"vscsistats/internal/core"
 	"vscsistats/internal/scsi"
 	"vscsistats/internal/simclock"
 	"vscsistats/internal/vscsi"
@@ -156,7 +157,7 @@ func TestElevatorShapesHistogram(t *testing.T) {
 	if s.Commands != 1 {
 		t.Fatalf("hypervisor saw %d commands, want 1 merged 128K", s.Commands)
 	}
-	h := s.IOLength[0]
+	h := s.Histogram(core.MetricIOLength, core.All)
 	for i := range h.Counts {
 		if h.Counts[i] == 1 && h.BinLabel(i) != "131072" {
 			t.Errorf("merged I/O in bin %s", h.BinLabel(i))

@@ -16,6 +16,7 @@ package histogram
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 )
 
@@ -24,8 +25,9 @@ import (
 // for a sample v is the first edge e with v <= e; samples larger than every
 // edge land in the overflow bin. A Histogram counts into atomic cells over
 // its layout; core.Collector indexes one plain slab with several layouts
-// under its own lock. Either way a histogram's cells are NumBins count
-// cells followed by one sum cell.
+// under its own lock. Either way a live histogram's cells are NumBins count
+// cells followed by one sum cell; a snapshot's add total, min and max (Seal)
+// and are read through View.
 type Layout struct {
 	unit  string
 	edges []int64 // sorted ascending
@@ -61,28 +63,41 @@ func (l *Layout) Bin(v int64) int {
 	return binIndex(l.edges, v)
 }
 
-// Snapshot turns one histogram's cells — NumBins counts, then the sum —
-// and its observed extrema into a Snapshot. Counts aliases cells, which the
-// caller must not write again. Total is derived from the bins, so it always
-// equals their sum exactly; an empty histogram reports Min = Max = 0.
-func (l *Layout) Snapshot(name string, cells []int64, min, max int64) *Snapshot {
+// View returns the Snapshot of one histogram held as cells: NumBins counts,
+// then its sum, total, min and max. It copies nothing — Counts aliases cells,
+// which the caller must not write again — and derives nothing: a histogram
+// off the wire keeps whatever total and extrema it was sent with.
+func (l *Layout) View(name string, cells []int64) *Snapshot {
 	n := l.NumBins()
-	s := &Snapshot{
+	return &Snapshot{
 		Name:   name,
 		Unit:   l.unit,
 		Edges:  l.edges, // immutable, shared
 		Counts: cells[:n:n],
 		Sum:    cells[n],
-		Min:    min,
-		Max:    max,
+		Total:  cells[n+1],
+		Min:    cells[n+2],
+		Max:    cells[n+3],
 	}
-	for _, c := range s.Counts {
-		s.Total += c
+}
+
+// Seal completes a snapshot's cells, counts and sum in place: the total is
+// derived from the bins, so it always equals their sum exactly, and the
+// extrema are min and max, or zero for an empty histogram.
+func (l *Layout) Seal(cells []int64, min, max int64) {
+	n := l.NumBins()
+	for _, c := range cells[:n] {
+		cells[n+1] += c
 	}
-	if s.Total == 0 {
-		s.Min, s.Max = 0, 0
+	if cells[n+1] != 0 {
+		cells[n+2], cells[n+3] = min, max
 	}
-	return s
+}
+
+// Fits reports whether s is a histogram over this layout — one count per bin
+// and the same edges — so that its counts can be taken in as cells.
+func (l *Layout) Fits(s *Snapshot) bool {
+	return s != nil && len(s.Counts) == l.NumBins() && slices.Equal(s.Edges, l.edges)
 }
 
 // Histogram counts int64 samples into the bins of a Layout. Alongside the
@@ -197,11 +212,12 @@ func (h *Histogram) Total() int64 {
 // scrapes.
 func (h *Histogram) Snapshot() *Snapshot {
 	min, max := h.min.Load(), h.max.Load()
-	cells := make([]int64, len(h.cells))
-	for i := range cells {
+	cells := make([]int64, len(h.cells)+3) // + total, min, max
+	for i := range h.cells {
 		cells[i] = h.cells[i].Load()
 	}
-	return h.layout.Snapshot(h.name, cells, min, max)
+	h.layout.Seal(cells, min, max)
+	return h.layout.View(h.name, cells)
 }
 
 // Snapshot is an immutable copy of a histogram's state, suitable for
@@ -314,53 +330,6 @@ func (s *Snapshot) Add(o *Snapshot) {
 			s.Max = o.Max
 		}
 	}
-}
-
-// Sub returns s minus earlier, the histogram of samples inserted between the
-// two snapshots. Min/Max cannot be recovered for an interval, so the result
-// carries the later snapshot's values.
-func (s *Snapshot) Sub(earlier *Snapshot) *Snapshot {
-	s.mustMatch(earlier)
-	d := &Snapshot{
-		Name:   s.Name,
-		Unit:   s.Unit,
-		Edges:  s.Edges,
-		Counts: make([]int64, len(s.Counts)),
-		Total:  s.Total - earlier.Total,
-		Sum:    s.Sum - earlier.Sum,
-		Min:    s.Min,
-		Max:    s.Max,
-	}
-	for i := range s.Counts {
-		d.Counts[i] = s.Counts[i] - earlier.Counts[i]
-	}
-	return d
-}
-
-// ApplyDelta returns the snapshot that Sub'ing earlier out of would yield
-// d: counts, total and sum add, while Min/Max come from the delta (Sub
-// carries the later snapshot's extrema, so reapplying them reconstructs
-// the later snapshot exactly). For any two snapshots of one histogram,
-//
-//	later == earlier.ApplyDelta(later.Sub(earlier))
-//
-// bin for bin — the identity the fleet delta-push protocol rides on.
-func (s *Snapshot) ApplyDelta(d *Snapshot) *Snapshot {
-	s.mustMatch(d)
-	out := &Snapshot{
-		Name:   s.Name,
-		Unit:   s.Unit,
-		Edges:  s.Edges,
-		Counts: make([]int64, len(s.Counts)),
-		Total:  s.Total + d.Total,
-		Sum:    s.Sum + d.Sum,
-		Min:    d.Min,
-		Max:    d.Max,
-	}
-	for i := range s.Counts {
-		out.Counts[i] = s.Counts[i] + d.Counts[i]
-	}
-	return out
 }
 
 // Clone returns a deep copy.

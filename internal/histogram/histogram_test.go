@@ -230,22 +230,6 @@ func TestSnapshotAddIntoEmpty(t *testing.T) {
 	}
 }
 
-func TestSnapshotSub(t *testing.T) {
-	h := New("t", "u", []int64{10, 20})
-	h.Insert(5)
-	early := h.Snapshot()
-	h.Insert(15)
-	h.Insert(15)
-	late := h.Snapshot()
-	d := late.Sub(early)
-	if d.Total != 2 || d.Counts[1] != 2 || d.Counts[0] != 0 {
-		t.Errorf("Sub wrong: %+v", d)
-	}
-	if d.Sum != 30 {
-		t.Errorf("Sub sum = %d, want 30", d.Sum)
-	}
-}
-
 func TestMismatchedLayoutPanics(t *testing.T) {
 	a := New("a", "u", []int64{10}).Snapshot()
 	b := New("b", "u", []int64{20}).Snapshot()

@@ -36,8 +36,8 @@ func TestProvisionAndIssue(t *testing.T) {
 		t.Fatalf("completed = %d", vd.Disk.Completed())
 	}
 	s := vd.Collector.Snapshot()
-	if s.Commands != 10 || s.Latency[core.All].Total != 10 {
-		t.Errorf("collector: %d commands, %d latencies", s.Commands, s.Latency[core.All].Total)
+	if s.Commands != 10 || s.Histogram(core.MetricLatency, core.All).Total != 10 {
+		t.Errorf("collector: %d commands, %d latencies", s.Commands, s.Histogram(core.MetricLatency, core.All).Total)
 	}
 	if got := len(vd.Tracer.Records()); got != 10 {
 		t.Errorf("tracer: %d records", got)
@@ -161,7 +161,7 @@ func TestEndToEndLatencySane(t *testing.T) {
 	}
 	eng.Run()
 	s := vd.Collector.Snapshot()
-	lat := s.Latency[core.All]
+	lat := s.Histogram(core.MetricLatency, core.All)
 	if lat.Total != 200 {
 		t.Fatalf("latency samples = %d", lat.Total)
 	}
@@ -202,13 +202,13 @@ func TestSharedDatastoreAcrossHosts(t *testing.T) {
 	}
 	// Cross-host interference: a burst from vmB inflates vmA's latency on
 	// the cache-less shared spindles.
-	base := da.Collector.Snapshot().Latency[core.All].Mean()
+	base := da.Collector.Snapshot().Histogram(core.MetricLatency, core.All).Mean()
 	for i := 0; i < 64; i++ {
 		db.Disk.Issue(scsi.Read(uint64(1<<18+i*1024), 8), nil)
 		da.Disk.Issue(scsi.Read(uint64(i*16), 8), nil)
 	}
 	eng.Run()
-	loaded := da.Collector.Snapshot().Latency[core.All].Mean()
+	loaded := da.Collector.Snapshot().Histogram(core.MetricLatency, core.All).Mean()
 	if loaded <= base {
 		t.Errorf("cross-host interference invisible: %v -> %v", base, loaded)
 	}

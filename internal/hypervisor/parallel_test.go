@@ -41,7 +41,7 @@ func fingerprint(reg *core.Registry) string {
 	for _, s := range reg.Snapshots() {
 		fmt.Fprintf(&b, "%s/%s: cmds=%d reads=%d latSum=%d seekTot=%d\n",
 			s.VM, s.Disk, s.Commands, s.NumReads,
-			s.Latency[core.All].Sum, s.SeekDistance[core.All].Total)
+			s.Histogram(core.MetricLatency, core.All).Sum, s.Histogram(core.MetricSeekDistance, core.All).Total)
 	}
 	return b.String()
 }

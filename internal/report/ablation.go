@@ -47,7 +47,7 @@ func AblationWindow(streams int, opts Options) (*Result, error) {
 		eng.Run()
 		snap := col.Snapshot()
 		var seq int64
-		w := snap.SeekWindowed
+		w := snap.Histogram(core.MetricSeekWindowed, core.All)
 		for i := range w.Counts {
 			if l := w.BinLabel(i); l == "0" || l == "2" {
 				seq += w.Counts[i]
@@ -101,7 +101,7 @@ func AblationZFSAggregation(opts Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		lw := s.IOLength[core.Writes]
+		lw := s.Histogram(core.MetricIOLength, core.Writes)
 		var atLimit int64
 		for i := range lw.Counts {
 			_, hi := lw.BinRange(i)

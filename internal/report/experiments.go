@@ -89,14 +89,14 @@ func Fig3FilebenchZFS(opts Options) (*Result, error) {
 }
 
 func addFigure23Charts(r *Result, s *core.Snapshot) {
-	r.addChart("(a) I/O Length Histogram", s.IOLength[core.All].Render(50))
-	r.addChart("(b) Seek Distance Histogram", s.SeekDistance[core.All].Render(50))
-	r.addChart("(c) Seek Distance Histogram (Writes)", s.SeekDistance[core.Writes].Render(50))
-	r.addChart("(d) Seek Distance Histogram (Reads)", s.SeekDistance[core.Reads].Render(50))
-	r.CSVs["io_length"] = s.IOLength[core.All].CSV()
-	r.CSVs["seek"] = s.SeekDistance[core.All].CSV()
-	r.CSVs["seek_writes"] = s.SeekDistance[core.Writes].CSV()
-	r.CSVs["seek_reads"] = s.SeekDistance[core.Reads].CSV()
+	r.addChart("(a) I/O Length Histogram", s.Histogram(core.MetricIOLength, core.All).Render(50))
+	r.addChart("(b) Seek Distance Histogram", s.Histogram(core.MetricSeekDistance, core.All).Render(50))
+	r.addChart("(c) Seek Distance Histogram (Writes)", s.Histogram(core.MetricSeekDistance, core.Writes).Render(50))
+	r.addChart("(d) Seek Distance Histogram (Reads)", s.Histogram(core.MetricSeekDistance, core.Reads).Render(50))
+	r.CSVs["io_length"] = s.Histogram(core.MetricIOLength, core.All).CSV()
+	r.CSVs["seek"] = s.Histogram(core.MetricSeekDistance, core.All).CSV()
+	r.CSVs["seek_writes"] = s.Histogram(core.MetricSeekDistance, core.Writes).CSV()
+	r.CSVs["seek_reads"] = s.Histogram(core.MetricSeekDistance, core.Reads).CSV()
 }
 
 // Fig4DBT2 regenerates Figure 4: DBT-2/PostgreSQL on Linux ext3 — write
@@ -143,26 +143,26 @@ func Fig4DBT2(opts Options) (*Result, error) {
 	r.notef("write seeks show bursts of locality: %.0f%% within 5000 sectors, rest random spikes",
 		100*near)
 	r.notef("outstanding I/Os: writes arrive ~%d deep (checkpointer), reads ~%.1f mean",
-		s.Outstanding[core.Writes].Percentile(90), s.Outstanding[core.Reads].Mean())
+		s.Histogram(core.MetricOutstanding, core.Writes).Percentile(90), s.Histogram(core.MetricOutstanding, core.Reads).Mean())
 	rates := rec.Rates()
 	lo, hi := minMax(rates)
 	if lo > 0 {
 		r.notef("I/O rate varies %.0f%% across 6-second intervals (%d..%d cmds/interval)",
 			100*float64(hi-lo)/float64(hi), lo, hi)
 	}
-	r.addChart("(a) Seek Distance Histogram (Writes)", s.SeekDistance[core.Writes].Render(50))
-	r.addChart("(b) I/O Length Histogram", s.IOLength[core.All].Render(50))
+	r.addChart("(a) Seek Distance Histogram (Writes)", s.Histogram(core.MetricSeekDistance, core.Writes).Render(50))
+	r.addChart("(b) I/O Length Histogram", s.Histogram(core.MetricIOLength, core.All).Render(50))
 	r.addChart("(c) Outstanding I/Os Histogram (Reads, Writes)",
 		histogram.RenderCompare("Outstanding I/Os at arrival",
-			renamed(s.Outstanding[core.Reads], "Reads"),
-			renamed(s.Outstanding[core.Writes], "Writes")))
+			renamed(s.Histogram(core.MetricOutstanding, core.Reads), "Reads"),
+			renamed(s.Histogram(core.MetricOutstanding, core.Writes), "Writes")))
 	series := rec.Series(core.MetricOutstanding, core.All)
 	r.addChart("(d) Outstanding I/Os Histogram over Time", series.Heatmap()+"\n"+series.String())
-	r.CSVs["seek_writes"] = s.SeekDistance[core.Writes].CSV()
-	r.CSVs["io_length"] = s.IOLength[core.All].CSV()
+	r.CSVs["seek_writes"] = s.Histogram(core.MetricSeekDistance, core.Writes).CSV()
+	r.CSVs["io_length"] = s.Histogram(core.MetricIOLength, core.All).CSV()
 	r.CSVs["oio"] = histogram.CompareCSV(
-		renamed(s.Outstanding[core.Reads], "Reads"),
-		renamed(s.Outstanding[core.Writes], "Writes"))
+		renamed(s.Histogram(core.MetricOutstanding, core.Reads), "Reads"),
+		renamed(s.Histogram(core.MetricOutstanding, core.Writes), "Writes"))
 	r.CSVs["oio_over_time"] = series.CSV()
 	return r, nil
 }
@@ -211,28 +211,28 @@ func Fig5FileCopy(opts Options) (*Result, error) {
 		100*binFrac(xp, core.MetricIOLength, core.All, "65536"),
 		100*binFrac(vista, core.MetricIOLength, core.All, ">524288"))
 	r.notef("latency follows size: XP mean %.0f us, Vista mean %.0f us",
-		xp.Latency[core.All].Mean(), vista.Latency[core.All].Mean())
+		xp.Histogram(core.MetricLatency, core.All).Mean(), vista.Histogram(core.MetricLatency, core.All).Mean())
 	r.notef("seeking: XP performed %.0f far seeks (>50000 sectors) vs Vista's %.0f — larger I/Os mean far fewer head movements for the same data",
-		farFraction(xp, core.All)*float64(xp.SeekDistance[core.All].Total),
-		farFraction(vista, core.All)*float64(vista.SeekDistance[core.All].Total))
+		farFraction(xp, core.All)*float64(xp.Histogram(core.MetricSeekDistance, core.All).Total),
+		farFraction(vista, core.All)*float64(vista.Histogram(core.MetricSeekDistance, core.All).Total))
 	r.addChart("(a) I/O Latency Histogram", histogram.RenderCompare("Latency (us)",
-		renamed(vista.Latency[core.All], "Vista Enterprise"),
-		renamed(xp.Latency[core.All], "XP Pro")))
+		renamed(vista.Histogram(core.MetricLatency, core.All), "Vista Enterprise"),
+		renamed(xp.Histogram(core.MetricLatency, core.All), "XP Pro")))
 	r.addChart("(b) I/O Length Histogram", histogram.RenderCompare("Length (bytes)",
-		renamed(vista.IOLength[core.All], "Vista Enterprise"),
-		renamed(xp.IOLength[core.All], "XP Pro")))
+		renamed(vista.Histogram(core.MetricIOLength, core.All), "Vista Enterprise"),
+		renamed(xp.Histogram(core.MetricIOLength, core.All), "XP Pro")))
 	r.addChart("(c) Seek Distance Histogram", histogram.RenderCompare("Distance (sectors)",
-		renamed(vista.SeekDistance[core.All], "Vista Enterprise"),
-		renamed(xp.SeekDistance[core.All], "XP Pro")))
+		renamed(vista.Histogram(core.MetricSeekDistance, core.All), "Vista Enterprise"),
+		renamed(xp.Histogram(core.MetricSeekDistance, core.All), "XP Pro")))
 	r.CSVs["latency"] = histogram.CompareCSV(
-		renamed(vista.Latency[core.All], "Vista Enterprise"),
-		renamed(xp.Latency[core.All], "XP Pro"))
+		renamed(vista.Histogram(core.MetricLatency, core.All), "Vista Enterprise"),
+		renamed(xp.Histogram(core.MetricLatency, core.All), "XP Pro"))
 	r.CSVs["io_length"] = histogram.CompareCSV(
-		renamed(vista.IOLength[core.All], "Vista Enterprise"),
-		renamed(xp.IOLength[core.All], "XP Pro"))
+		renamed(vista.Histogram(core.MetricIOLength, core.All), "Vista Enterprise"),
+		renamed(xp.Histogram(core.MetricIOLength, core.All), "XP Pro"))
 	r.CSVs["seek"] = histogram.CompareCSV(
-		renamed(vista.SeekDistance[core.All], "Vista Enterprise"),
-		renamed(xp.SeekDistance[core.All], "XP Pro"))
+		renamed(vista.Histogram(core.MetricSeekDistance, core.All), "Vista Enterprise"),
+		renamed(xp.Histogram(core.MetricSeekDistance, core.All), "XP Pro"))
 	return r, nil
 }
 
@@ -302,10 +302,10 @@ func Fig6MultiVM(opts Options) (*MultiVMResult, error) {
 
 	m := &MultiVMResult{Result: newResult("fig6", "Multi-VM interference on CX3 with read cache off")}
 	secs := dur.Seconds()
-	m.RandSoloLatency = randSolo.Latency[core.All].Mean()
-	m.RandDualLatency = randDual.Latency[core.All].Mean()
-	m.SeqSoloLatency = seqSolo.Latency[core.All].Mean()
-	m.SeqDualLatency = seqDual.Latency[core.All].Mean()
+	m.RandSoloLatency = randSolo.Histogram(core.MetricLatency, core.All).Mean()
+	m.RandDualLatency = randDual.Histogram(core.MetricLatency, core.All).Mean()
+	m.SeqSoloLatency = seqSolo.Histogram(core.MetricLatency, core.All).Mean()
+	m.SeqDualLatency = seqDual.Histogram(core.MetricLatency, core.All).Mean()
 	m.RandSoloIOps = float64(randSolo.Commands) / secs
 	m.RandDualIOps = float64(randDual.Commands) / secs
 	m.SeqSoloIOps = float64(seqSolo.Commands) / secs
@@ -319,18 +319,18 @@ func Fig6MultiVM(opts Options) (*MultiVMResult, error) {
 	m.notef("the sequential workload suffers far more: its device-dependent characteristics changed, its device-independent ones did not (§3.7)")
 	m.addChart("(a) I/O Latency Histogram (8K Random Reader)",
 		histogram.RenderCompare("Latency (us)",
-			renamed(randSolo.Latency[core.All], "Solo VM"),
-			renamed(randDual.Latency[core.All], "Dual VM")))
+			renamed(randSolo.Histogram(core.MetricLatency, core.All), "Solo VM"),
+			renamed(randDual.Histogram(core.MetricLatency, core.All), "Dual VM")))
 	m.addChart("(b) I/O Latency Histogram (8K Sequential Reader)",
 		histogram.RenderCompare("Latency (us)",
-			renamed(seqSolo.Latency[core.All], "Solo VM"),
-			renamed(seqDual.Latency[core.All], "Dual VM")))
+			renamed(seqSolo.Histogram(core.MetricLatency, core.All), "Solo VM"),
+			renamed(seqDual.Histogram(core.MetricLatency, core.All), "Dual VM")))
 	m.CSVs["latency_random"] = histogram.CompareCSV(
-		renamed(randSolo.Latency[core.All], "Solo VM"),
-		renamed(randDual.Latency[core.All], "Dual VM"))
+		renamed(randSolo.Histogram(core.MetricLatency, core.All), "Solo VM"),
+		renamed(randDual.Histogram(core.MetricLatency, core.All), "Dual VM"))
 	m.CSVs["latency_sequential"] = histogram.CompareCSV(
-		renamed(seqSolo.Latency[core.All], "Solo VM"),
-		renamed(seqDual.Latency[core.All], "Dual VM"))
+		renamed(seqSolo.Histogram(core.MetricLatency, core.All), "Solo VM"),
+		renamed(seqDual.Histogram(core.MetricLatency, core.All), "Dual VM"))
 
 	// (c) latency histogram over time: the random VM runs only during the
 	// middle third of the sequential VM's run.
@@ -406,8 +406,8 @@ func CacheSweep(opts Options) (*CacheSweepResult, error) {
 				workload.NewIometer(eng, vdS.Disk, workload.EightKSeqRead()).Start()
 			}
 			eng.RunUntil(dur)
-			return vdR.Collector.Snapshot().Latency[core.All].Mean(),
-				vdS.Collector.Snapshot().Latency[core.All].Mean()
+			return vdR.Collector.Snapshot().Histogram(core.MetricLatency, core.All).Mean(),
+				vdS.Collector.Snapshot().Histogram(core.MetricLatency, core.All).Mean()
 		}
 		randSolo, _ := run(true, false)
 		_, seqSolo := run(false, true)
@@ -454,7 +454,7 @@ func binFrac(s *core.Snapshot, m core.Metric, cl core.Class, label string) float
 
 // seqFraction2 counts the 0/2 bins of the class's seek histogram.
 func seqFraction2(s *core.Snapshot, cl core.Class) float64 {
-	h := s.SeekDistance[cl]
+	h := s.Histogram(core.MetricSeekDistance, cl)
 	if h.Total == 0 {
 		return 0
 	}
@@ -469,7 +469,7 @@ func seqFraction2(s *core.Snapshot, cl core.Class) float64 {
 
 // nearFrac is the share of the class's seeks within +-sectors.
 func nearFrac(s *core.Snapshot, cl core.Class, sectors int64) float64 {
-	h := s.SeekDistance[cl]
+	h := s.Histogram(core.MetricSeekDistance, cl)
 	if h.Total == 0 {
 		return 0
 	}

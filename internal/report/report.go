@@ -89,7 +89,7 @@ func DefaultOptions() Options {
 // farFraction is the share of seeks at |distance| > 50000 sectors (the
 // outer histogram spikes the paper reads as "random").
 func farFraction(s *core.Snapshot, cl core.Class) float64 {
-	h := s.SeekDistance[cl]
+	h := s.Histogram(core.MetricSeekDistance, cl)
 	if h.Total == 0 {
 		return 0
 	}

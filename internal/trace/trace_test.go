@@ -316,8 +316,8 @@ func TestReplayFromSerializedTrace(t *testing.T) {
 	if s.Commands != 25 { // half the records belong to vmA
 		t.Errorf("Commands = %d, want 25", s.Commands)
 	}
-	if s.Latency[core.All].Min != 2000 || s.Latency[core.All].Max != 2000 {
-		t.Errorf("latency min/max = %d/%d, want 2000", s.Latency[core.All].Min, s.Latency[core.All].Max)
+	if s.Histogram(core.MetricLatency, core.All).Min != 2000 || s.Histogram(core.MetricLatency, core.All).Max != 2000 {
+		t.Errorf("latency min/max = %d/%d, want 2000", s.Histogram(core.MetricLatency, core.All).Min, s.Histogram(core.MetricLatency, core.All).Max)
 	}
 }
 

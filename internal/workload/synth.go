@@ -42,17 +42,17 @@ func NewSynth(eng *simclock.Engine, disk *vscsi.Disk, s *core.Snapshot, seed int
 	if s == nil || s.Commands == 0 {
 		return nil, fmt.Errorf("workload: snapshot holds no block I/O to synthesize from")
 	}
-	length, err := newSampler(s.IOLength[core.All])
+	length, err := newSampler(s.Histogram(core.MetricIOLength, core.All))
 	if err != nil {
 		return nil, fmt.Errorf("workload: length distribution: %w", err)
 	}
-	seek, err := newSampler(s.SeekDistance[core.All])
+	seek, err := newSampler(s.Histogram(core.MetricSeekDistance, core.All))
 	if err != nil {
 		// A single-command snapshot has no seek samples; degenerate to
 		// sequential.
 		seek = nil
 	}
-	arrival, err := newSampler(s.Interarrival[core.All])
+	arrival, err := newSampler(s.Histogram(core.MetricInterarrival, core.All))
 	arrivalScale := 1.0
 	if err != nil {
 		arrival = nil
@@ -60,7 +60,7 @@ func NewSynth(eng *simclock.Engine, disk *vscsi.Disk, s *core.Snapshot, seed int
 		// Uniform-within-bin sampling biases the mean upward when the
 		// mass sits at a bin's low edge; the snapshot carries the exact
 		// mean, so rescale gaps to preserve the arrival *rate* exactly.
-		arrivalScale = s.Interarrival[core.All].Mean() / am
+		arrivalScale = s.Histogram(core.MetricInterarrival, core.All).Mean() / am
 	}
 	return &Synth{
 		eng:          eng,

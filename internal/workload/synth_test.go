@@ -41,10 +41,10 @@ func TestSynthReproducesIometerShape(t *testing.T) {
 
 	// ...and compare shapes: length must match exactly (all 8K), seek
 	// distance and read fraction closely.
-	if d := analysis.Distance(original.IOLength[core.All], clone.IOLength[core.All]); d > 0.01 {
+	if d := analysis.Distance(original.Histogram(core.MetricIOLength, core.All), clone.Histogram(core.MetricIOLength, core.All)); d > 0.01 {
 		t.Errorf("length distribution distance = %.3f", d)
 	}
-	if d := analysis.Distance(original.SeekDistance[core.All], clone.SeekDistance[core.All]); d > 0.15 {
+	if d := analysis.Distance(original.Histogram(core.MetricSeekDistance, core.All), clone.Histogram(core.MetricSeekDistance, core.All)); d > 0.15 {
 		t.Errorf("seek distribution distance = %.3f", d)
 	}
 	if got, want := clone.ReadFraction(), original.ReadFraction(); got < want-0.05 || got > want+0.05 {
@@ -67,7 +67,7 @@ func TestSynthSequentialStaysSequential(t *testing.T) {
 	clone := r.col.Snapshot()
 	seq := binCount(clone, core.MetricSeekDistance, core.All, "2") +
 		binCount(clone, core.MetricSeekDistance, core.All, "0")
-	if frac := float64(seq) / float64(clone.SeekDistance[core.All].Total); frac < 0.95 {
+	if frac := float64(seq) / float64(clone.Histogram(core.MetricSeekDistance, core.All).Total); frac < 0.95 {
 		t.Errorf("synthesized sequential fraction = %.2f", frac)
 	}
 }
@@ -115,7 +115,7 @@ func TestSamplerRespectsBins(t *testing.T) {
 	s := characterize(t, func(r *wlRig) Generator {
 		return NewIometer(r.eng, r.disk, FourKSeqRead(4))
 	}, simclock.Second)
-	sm, err := newSampler(s.IOLength[core.All])
+	sm, err := newSampler(s.Histogram(core.MetricIOLength, core.All))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,7 +66,7 @@ func TestFilebenchOLTPOnUFS(t *testing.T) {
 		t.Errorf("4K+8K = %d+%d of %d commands", len4k, len8k, s.Commands)
 	}
 	// Random access: far seeks dominate (spikes at histogram edges).
-	sd := s.SeekDistance[core.All]
+	sd := s.Histogram(core.MetricSeekDistance, core.All)
 	far := sd.Counts[0] + sd.Counts[1] + sd.Counts[len(sd.Counts)-1] + sd.Counts[len(sd.Counts)-2]
 	if float64(far)/float64(sd.Total) < 0.5 {
 		t.Errorf("UFS OLTP should be random: far=%d of %d\n%v", far, sd.Total, sd.Counts)
@@ -94,7 +94,7 @@ func TestFilebenchOLTPOnZFSWritesSequentialAndLarge(t *testing.T) {
 	fb.Stop()
 	s := r.col.Snapshot()
 	// Writes are large: dominated by the >80 KB bins.
-	lw := s.IOLength[core.Writes]
+	lw := s.Histogram(core.MetricIOLength, core.Writes)
 	var large int64
 	for i := range lw.Counts {
 		lo, _ := lw.BinRange(i)
@@ -106,7 +106,7 @@ func TestFilebenchOLTPOnZFSWritesSequentialAndLarge(t *testing.T) {
 		t.Errorf("ZFS writes should be 80-128K: large=%d of %d\n%v", large, lw.Total, lw.Counts)
 	}
 	// Writes are sequential: seek distances concentrated near 1.
-	sw := s.SeekDistance[core.Writes]
+	sw := s.Histogram(core.MetricSeekDistance, core.Writes)
 	seq := binCount(s, core.MetricSeekDistance, core.Writes, "2") +
 		binCount(s, core.MetricSeekDistance, core.Writes, "0")
 	if sw.Total == 0 || float64(seq)/float64(sw.Total) < 0.5 {
@@ -114,9 +114,9 @@ func TestFilebenchOLTPOnZFSWritesSequentialAndLarge(t *testing.T) {
 	}
 	// Reads stay random (table lookups) and are record-sized.
 	len128k := binCount(s, core.MetricIOLength, core.Reads, "131072")
-	if s.IOLength[core.Reads].Total == 0 ||
-		float64(len128k)/float64(s.IOLength[core.Reads].Total) < 0.8 {
-		t.Errorf("ZFS reads should be 128K records:\n%v", s.IOLength[core.Reads].Counts)
+	if s.Histogram(core.MetricIOLength, core.Reads).Total == 0 ||
+		float64(len128k)/float64(s.Histogram(core.MetricIOLength, core.Reads).Total) < 0.8 {
+		t.Errorf("ZFS reads should be 128K records:\n%v", s.Histogram(core.MetricIOLength, core.Reads).Counts)
 	}
 }
 
@@ -142,12 +142,12 @@ func TestDBT2EightKAndDeepWrites(t *testing.T) {
 	// and writes." (Journal commits are 4K and a small minority.)
 	len8k := binCount(s, core.MetricIOLength, core.All, "8192")
 	if float64(len8k)/float64(s.Commands) < 0.75 {
-		t.Errorf("8K fraction = %d of %d\n%v", len8k, s.Commands, s.IOLength[core.All].Counts)
+		t.Errorf("8K fraction = %d of %d\n%v", len8k, s.Commands, s.Histogram(core.MetricIOLength, core.All).Counts)
 	}
 	// Figure 4(c): writes arrive with deep queues (checkpointer bursts at
 	// depth 32), reads shallow (most of the time no burst is running).
-	wOIO := s.Outstanding[core.Writes]
-	rOIO := s.Outstanding[core.Reads]
+	wOIO := s.Histogram(core.MetricOutstanding, core.Writes)
+	rOIO := s.Histogram(core.MetricOutstanding, core.Reads)
 	if got := wOIO.Percentile(75); got < 16 {
 		t.Errorf("write OIO p75 = %d, want >= 16 (depth-32 bursts)", got)
 	}
@@ -160,7 +160,7 @@ func TestDBT2EightKAndDeepWrites(t *testing.T) {
 	// Figure 4(a): bursts of spatial locality among writes (the hot
 	// region): a visible share of write seeks within 5000 sectors.
 	var near int64
-	sw := s.SeekDistance[core.Writes]
+	sw := s.Histogram(core.MetricSeekDistance, core.Writes)
 	for i := range sw.Counts {
 		lo, hi := sw.BinRange(i)
 		if lo >= -5001 && hi <= 5000 {
@@ -201,7 +201,7 @@ func TestFileCopyXPvsVistaSizes(t *testing.T) {
 		dom := binCount(s, core.MetricIOLength, core.All, tc.wantSize)
 		if float64(dom)/float64(s.Commands) < 0.8 {
 			t.Errorf("%s: bin %s holds %d of %d\n%v", tc.cfg.Type, tc.wantSize,
-				dom, s.Commands, s.IOLength[core.All].Counts)
+				dom, s.Commands, s.Histogram(core.MetricIOLength, core.All).Counts)
 		}
 	}
 }
@@ -257,14 +257,14 @@ func TestIometerMaintainsOutstanding(t *testing.T) {
 	r.eng.Run()
 	s := r.col.Snapshot()
 	// OIO at arrival is 7 for nearly every I/O after the ramp.
-	oio := s.Outstanding[core.All]
+	oio := s.Histogram(core.MetricOutstanding, core.All)
 	if oio.Max != 7 {
 		t.Errorf("max OIO at arrival = %d, want 7", oio.Max)
 	}
 	// Sequential: all seeks distance 1.
 	seq := binCount(s, core.MetricSeekDistance, core.All, "2")
-	if float64(seq)/float64(s.SeekDistance[core.All].Total) < 0.99 {
-		t.Errorf("sequential fraction too low:\n%v", s.SeekDistance[core.All].Counts)
+	if float64(seq)/float64(s.Histogram(core.MetricSeekDistance, core.All).Total) < 0.99 {
+		t.Errorf("sequential fraction too low:\n%v", s.Histogram(core.MetricSeekDistance, core.All).Counts)
 	}
 	if im.Stats().Ops < 900 {
 		t.Errorf("ops = %d, want ~1000 at 1ms latency, depth 8", im.Stats().Ops)
@@ -279,7 +279,7 @@ func TestIometerRandomSpread(t *testing.T) {
 	im.Stop()
 	r.eng.Run()
 	s := r.col.Snapshot()
-	sd := s.SeekDistance[core.All]
+	sd := s.Histogram(core.MetricSeekDistance, core.All)
 	far := sd.Counts[0] + sd.Counts[1] + sd.Counts[len(sd.Counts)-1] + sd.Counts[len(sd.Counts)-2]
 	if float64(far)/float64(sd.Total) < 0.5 {
 		t.Errorf("random spread too local:\n%v", sd.Counts)
@@ -297,9 +297,9 @@ func TestIometerRegionRestriction(t *testing.T) {
 	r.eng.Run()
 	s := r.col.Snapshot()
 	// Max seek distance can't exceed the region.
-	if s.SeekDistance[core.All].Max > 4096 || s.SeekDistance[core.All].Min < -4096 {
+	if s.Histogram(core.MetricSeekDistance, core.All).Max > 4096 || s.Histogram(core.MetricSeekDistance, core.All).Min < -4096 {
 		t.Errorf("seeks escaped region: min=%d max=%d",
-			s.SeekDistance[core.All].Min, s.SeekDistance[core.All].Max)
+			s.Histogram(core.MetricSeekDistance, core.All).Min, s.Histogram(core.MetricSeekDistance, core.All).Max)
 	}
 }
 
@@ -394,8 +394,8 @@ func TestVarmailPersonalityWriteHeavySmallIOs(t *testing.T) {
 	if s.Commands < 200 {
 		t.Fatalf("commands: %d", s.Commands)
 	}
-	if s.NumWrites == 0 || s.IOLength[core.All].Max > 64<<10 {
-		t.Errorf("varmail shape: writes=%d maxIO=%d", s.NumWrites, s.IOLength[core.All].Max)
+	if s.NumWrites == 0 || s.Histogram(core.MetricIOLength, core.All).Max > 64<<10 {
+		t.Errorf("varmail shape: writes=%d maxIO=%d", s.NumWrites, s.Histogram(core.MetricIOLength, core.All).Max)
 	}
 	if fb.Stats().Errors != 0 {
 		t.Errorf("errors: %d", fb.Stats().Errors)
@@ -511,8 +511,8 @@ define process name=p {
 	}
 	fixed := run("")
 	expo := run(",exponential")
-	fIA := fixed.Interarrival[core.All]
-	eIA := expo.Interarrival[core.All]
+	fIA := fixed.Histogram(core.MetricInterarrival, core.All)
+	eIA := expo.Histogram(core.MetricInterarrival, core.All)
 	fixedSpread := fIA.Max - fIA.Min
 	expoSpread := eIA.Max - eIA.Min
 	if expoSpread <= fixedSpread {

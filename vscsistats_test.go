@@ -141,7 +141,7 @@ func TestScenarioDatastoreOverride(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := sc.Run(10 * vscsistats.Second)
-		return s.Latency[vscsistats.All].Mean()
+		return s.Histogram(vscsistats.MetricLatency, vscsistats.All).Mean()
 	}
 	symLat := run(nil)
 	noCache := vscsistats.CX3NoCache(3)
