@@ -38,15 +38,14 @@
 //
 // The aggregator serves /fleet/hosts, /fleet/snapshot, /fleet/shards,
 // /fleet/history, /fleet/log and /fleet/push, plus /metrics (with the
-// merged fleet_* series) and /healthz; agents additionally expose their
-// own full stats surface (-listen) so an aggregator can scatter-gather
-// pull them instead of waiting for pushes.
+// merged fleet_* series) and /healthz. With -listen, an agent or sim serves
+// its own stats surface and /metrics for scraping; its data reaches the
+// aggregator only by push.
 //
 // The aggregator shards its host space by consistent name hash (-shards)
 // and memoizes per-shard merges; agents push interval deltas once a full
 // push has been acknowledged (disable with -full-push) and resync
-// automatically across aggregator restarts. Pulls spread across the
-// -pull-interval in hashed phases with bounded concurrency.
+// automatically across aggregator restarts.
 package main
 
 import (
@@ -68,13 +67,11 @@ func main() {
 		listen = flag.String("listen", "", "HTTP listen address (aggregator default :9108; agent/sim serve their stats surface when set)")
 
 		// Aggregator flags.
-		stale        = flag.Duration("stale", 6*time.Second, "aggregator: mark a host stale after this silence")
-		shards       = flag.Int("shards", 0, "aggregator: shard count for the host space (0 = default 16)")
-		pull         = flag.String("pull", "", "aggregator: comma-separated host=url pull endpoints to scrape")
-		pullInterval = flag.Duration("pull-interval", 0, "aggregator: scrape the -pull endpoints once per interval, phase-spread (0 = pushes only)")
-		dataDir      = flag.String("data-dir", "", "aggregator: persist ingested state to a segment log here and replay it on boot (empty = memory-only)")
-		retention    = flag.Duration("retention", 0, "aggregator: drop log segments older than this (0 = keep everything; requires -data-dir)")
-		catalog      = flag.Bool("catalog", false, "aggregator: build the fleet-personality reference catalog (from -seed) and serve /fleet/catalog")
+		stale     = flag.Duration("stale", 6*time.Second, "aggregator: mark a host stale after this silence")
+		shards    = flag.Int("shards", 0, "aggregator: shard count for the host space (0 = default 16)")
+		dataDir   = flag.String("data-dir", "", "aggregator: persist ingested state to a segment log here and replay it on boot (empty = memory-only)")
+		retention = flag.Duration("retention", 0, "aggregator: drop log segments older than this (0 = keep everything; requires -data-dir)")
+		catalog   = flag.Bool("catalog", false, "aggregator: build the fleet-personality reference catalog (from -seed) and serve /fleet/catalog")
 
 		// Federation flags: a mid-tier aggregator re-exports its merged
 		// state to a parent aggregator through the same push protocol it
@@ -109,7 +106,7 @@ func main() {
 	var err error
 	switch *mode {
 	case "aggregator":
-		err = runAggregator(*listen, *stale, *shards, *pull, *pullInterval, *dataDir, *retention, *catalog, *seed,
+		err = runAggregator(*listen, *stale, *shards, *dataDir, *retention, *catalog, *seed,
 			*upstream, *region, *reexportInterval, *passthrough)
 	case "agent":
 		err = runAgent(*listen, *host, *push, *interval, *workload, *fullPush, *seed, *speed, *duration)
@@ -125,7 +122,7 @@ func main() {
 	}
 }
 
-func runAggregator(listen string, stale time.Duration, shards int, pull string, pullInterval time.Duration, dataDir string, retention time.Duration, catalog bool, seed int64, upstream, region string, reexportInterval time.Duration, passthrough bool) error {
+func runAggregator(listen string, stale time.Duration, shards int, dataDir string, retention time.Duration, catalog bool, seed int64, upstream, region string, reexportInterval time.Duration, passthrough bool) error {
 	if listen == "" {
 		listen = ":9108"
 	}
@@ -148,21 +145,6 @@ func runAggregator(listen string, stale time.Duration, shards int, pull string, 
 	if dataDir != "" {
 		fmt.Fprintf(os.Stderr, "segment log %s: replayed %d frames (%d hosts, %d skipped, %d torn tails) in %s\n",
 			dataDir, replay.Frames, replay.Hosts, replay.Skipped, replay.TornTails, replay.Duration.Round(time.Millisecond))
-	}
-	if pull != "" {
-		for _, spec := range strings.Split(pull, ",") {
-			host, url, ok := strings.Cut(strings.TrimSpace(spec), "=")
-			if !ok {
-				return fmt.Errorf("vscsifleet: -pull entry %q is not host=url", spec)
-			}
-			agg.Watch(host, url)
-		}
-	}
-	if pullInterval > 0 {
-		// PullLoop spreads the watched hosts across the interval in hashed
-		// phases and bounds in-flight pulls, so a large or slow fleet never
-		// produces a thundering herd (or a goroutine pile-up) here.
-		go agg.PullLoop(nil, pullInterval)
 	}
 	var rex *vscsistats.FleetReExporter
 	if upstream != "" {

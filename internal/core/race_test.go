@@ -236,39 +236,6 @@ func TestResetNeverEnabled(t *testing.T) {
 	}
 }
 
-// TestCollector2DConcurrent drives the opt-in 2-D collector from several
-// goroutines with interleaved toggles; its in-flight map made the seed
-// version racy even between OnIssue and OnComplete.
-func TestCollector2DConcurrent(t *testing.T) {
-	c := NewCollector2D("vm", "disk")
-	c.Enable()
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 2000; i++ {
-				r := issueReq(g*2000+i, uint64(i*16%(1<<20)), simclock.Time(i)*simclock.Microsecond)
-				c.OnIssue(r)
-				c.OnComplete(completeReq(r, simclock.Millisecond))
-			}
-		}(g)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 500; i++ {
-			c.Snapshot()
-			c.Disable()
-			c.Enable()
-		}
-	}()
-	wg.Wait()
-	if s := c.Snapshot(); s == nil {
-		t.Fatal("enabled 2-D collector returned nil snapshot")
-	}
-}
-
 // checkDerivedLaws asserts what Snapshot derives instead of counting: in
 // every family class all is reads + writes, bin for bin and in Sum and
 // Total, and the counters are the I/O length histograms' totals and sums.

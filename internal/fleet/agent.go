@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math/rand"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,8 +19,8 @@ type AgentConfig struct {
 	// Host names this host in the fleet, e.g. "esx-01". Required.
 	Host string
 	// Endpoint is the aggregator's push URL, e.g.
-	// "http://aggregator:9108/fleet/push". Required for pushing; an agent
-	// serving pulls only may leave it empty.
+	// "http://aggregator:9108/fleet/push". Empty makes every flush a
+	// no-op: the agent captures and counts but sends nothing.
 	Endpoint string
 	// Interval is the push period (default 2s).
 	Interval time.Duration
@@ -392,39 +391,6 @@ func (a *Agent) dequeueThrough(through uint64) {
 		}
 	}
 	a.queue = rest
-}
-
-// PullHandler returns an http.Handler serving the agent's current state as
-// one full-state frame — the scrape side of the protocol (pulls carry no
-// ack channel, so they are never deltas). GET only.
-func (a *Agent) PullHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet && r.Method != http.MethodHead {
-			w.Header().Set("Allow", "GET, HEAD")
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		if r.Method == http.MethodHead {
-			w.Header().Set("Content-Type", ContentType)
-			return
-		}
-		q := a.buildBatch()
-		writeFrame(w, a.snd.frame(a.cfg.Host, q.seq, q.sentUnixNano, q.full))
-	})
-}
-
-// writeFrame answers a pull with b as one frame. It encodes before the
-// status line goes out, so a failure can still be a 500 instead of a 200
-// with half a frame behind it.
-func writeFrame(w http.ResponseWriter, b *Batch) {
-	frame, err := EncodeBatchBytes(b)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", ContentType)
-	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
-	w.Write(frame)
 }
 
 // AgentStats is a point-in-time copy of the agent's counters.

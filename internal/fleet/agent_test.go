@@ -1,16 +1,11 @@
 package fleet
 
 import (
-	"bytes"
-	"errors"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"vscsistats/internal/core"
 )
 
 // aggServer wraps an Aggregator in an httptest server, counting requests
@@ -251,86 +246,5 @@ func TestAgentStopDrainHonorsBackoffGate(t *testing.T) {
 	}
 	if got := as.requests.Load(); got != before {
 		t.Errorf("gated drain still hit the server: %d -> %d requests", before, got)
-	}
-}
-
-func TestAgentPullHandler(t *testing.T) {
-	reg := makeRegistry(5, 1, 2, 150)
-	a := NewAgent(reg, AgentConfig{Host: "esx-e"})
-	srv := httptest.NewServer(a.PullHandler())
-	defer srv.Close()
-
-	agg := NewAggregator(AggregatorConfig{})
-	agg.Watch("esx-e", srv.URL)
-	agg.Watch("esx-gone", "http://127.0.0.1:1/nope")
-	errs := agg.PullAll()
-	if len(errs) != 1 || errs["esx-gone"] == nil {
-		t.Fatalf("pull errors: %v", errs)
-	}
-	hosts := agg.Hosts()
-	if len(hosts) != 1 || hosts[0].Host != "esx-e" || hosts[0].Source != "pull" || hosts[0].Snapshots != 2 {
-		t.Fatalf("hosts after pull: %+v", hosts)
-	}
-	if agg.Stats().PullErrors != 1 {
-		t.Errorf("pull errors counter = %d, want 1", agg.Stats().PullErrors)
-	}
-	if st := agg.Stats(); st.DecodedBinary != 1 || st.RecvBytes == 0 {
-		t.Errorf("pull counted %d decoded frames, %d bytes", st.DecodedBinary, st.RecvBytes)
-	}
-	// The frame is rendered before the status line, so the reply carries
-	// its length and the body is exactly one frame.
-	resp, err := http.Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != ContentType ||
-		resp.ContentLength != int64(len(body)) || len(body) == 0 {
-		t.Errorf("pull reply: %s, type %q, Content-Length %d over a %d-byte body",
-			resp.Status, resp.Header.Get("Content-Type"), resp.ContentLength, len(body))
-	}
-	if b, err := DecodeBatch(bytes.NewReader(body)); err != nil || b.Host != "esx-e" || len(b.Snapshots) != 2 {
-		t.Errorf("pull body: %v", err)
-	}
-	// POST to the pull endpoint is a method error.
-	resp, err = http.Post(srv.URL, ContentType, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") == "" {
-		t.Errorf("POST to pull handler: %d, Allow=%q", resp.StatusCode, resp.Header.Get("Allow"))
-	}
-}
-
-// TestAgentPullHandlerEncodeFailureIs500: when the frame cannot be
-// rendered the reply must say so. The old handler had already sent 200 and
-// the content type by then and dropped the error, so the aggregator read
-// an empty 200 as a truncated frame from a healthy agent. A registry never
-// yields the one batch that cannot be rendered — a null snapshot — so the
-// failure is staged on the handler's reply half.
-func TestAgentPullHandlerEncodeFailureIs500(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeFrame(w, &Batch{Host: "esx-e", Seq: 1, Snapshots: []*core.Snapshot{nil}})
-	}))
-	defer srv.Close()
-	resp, err := http.Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusInternalServerError || resp.Header.Get("Content-Type") == ContentType {
-		t.Errorf("pull with an unencodable registry: %s, type %q, body %q",
-			resp.Status, resp.Header.Get("Content-Type"), body)
-	}
-	agg := NewAggregator(AggregatorConfig{})
-	agg.Watch("esx-e", srv.URL)
-	if errs := agg.PullAll(); errs["esx-e"] == nil || errors.Is(errs["esx-e"], ErrBadFrame) {
-		t.Errorf("aggregator pull of a failing agent: %v, want the agent's 500, not a bad frame", errs["esx-e"])
 	}
 }

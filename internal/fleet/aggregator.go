@@ -29,10 +29,6 @@ import (
 // succeeds and re-establishes the chain.
 var ErrResyncRequired = errors.New("fleet: resync required")
 
-// pullSlots is the number of phase buckets PullLoop spreads watched hosts
-// across within one interval.
-const pullSlots = 32
-
 // AggregatorConfig tunes a fleet aggregator. Zero values take the
 // documented defaults.
 type AggregatorConfig struct {
@@ -46,14 +42,6 @@ type AggregatorConfig struct {
 	// its own lock, host map and merge cache, so ingest scales across
 	// cores and a scrape re-merges only the shards that changed.
 	Shards int
-	// PullTimeout bounds each scatter-gather pull request (default 2s).
-	PullTimeout time.Duration
-	// PullConcurrency bounds how many pulls are in flight at once, for
-	// PullAll and PullLoop both (default 16). A slow fleet backs pressure
-	// up into the pull schedule instead of spawning a goroutine per host.
-	PullConcurrency int
-	// Client overrides the HTTP client used for pulls.
-	Client *http.Client
 
 	// DataDir, when set, enables the segment log: every state-changing
 	// batch is appended to per-shard segment files under this directory,
@@ -107,15 +95,6 @@ func (c *AggregatorConfig) withDefaults() AggregatorConfig {
 	if out.Shards > 4096 {
 		out.Shards = 4096
 	}
-	if out.PullTimeout <= 0 {
-		out.PullTimeout = 2 * time.Second
-	}
-	if out.PullConcurrency <= 0 {
-		out.PullConcurrency = 16
-	}
-	if out.Client == nil {
-		out.Client = &http.Client{}
-	}
 	return out
 }
 
@@ -125,7 +104,7 @@ func (c *AggregatorConfig) withDefaults() AggregatorConfig {
 type hostState struct {
 	chainPos
 	host         string
-	source       string // "push" or "pull"
+	source       string // "push" or "log"
 	sentUnixNano int64
 	lastSeen     time.Time
 	batches      int64
@@ -135,10 +114,10 @@ type hostState struct {
 	leaves int
 }
 
-// Aggregator accepts pushed batches (full or delta), scatter-gathers pulls
-// from registered agents, tracks per-host liveness, and merges per-host
-// snapshots into per-VM and cluster-wide histograms. Hosts are sharded by
-// consistent name hash into independent slices, merged two-level: each
+// Aggregator accepts pushed batches (full or delta), tracks per-host
+// liveness, and merges per-host snapshots into per-VM and cluster-wide
+// histograms. Hosts are sharded by consistent name hash into independent
+// slices, merged two-level: each
 // shard folds its own hosts (memoized until they change), then the shard
 // merges fold at the edge — bin-exactness makes the second level free. All
 // methods are safe for concurrent use: any number of HTTP goroutines can
@@ -158,30 +137,25 @@ type Aggregator struct {
 	log  *segmentLog
 	iomu []sync.Mutex
 
-	pmu   sync.RWMutex
-	pulls map[string]string // host -> pull URL
-
 	// catalog is the swappable §7 reference catalog (see catalog.go).
 	catalog atomic.Pointer[analysis.Catalog]
 
-	rejected   atomic.Int64
-	pullErrors atomic.Int64
-	recvBytes  atomic.Int64
+	rejected  atomic.Int64
+	recvBytes atomic.Int64
 	// layoutMismatch counts delta frames refused because their bin layout
 	// was not this binary's at decode (or the batch failed Validate) — the
 	// one resync cause detected at the aggregator rather than in the shard.
 	layoutMismatch atomic.Int64
-	// decodedBinary and decodedJSON count the frames decoded from pushes,
-	// pulls and boot replay, by payload encoding.
+	// decodedBinary and decodedJSON count the frames decoded from pushes
+	// and boot replay, by payload encoding.
 	decodedBinary, decodedJSON atomic.Int64
 }
 
 // NewAggregator builds an empty aggregator.
 func NewAggregator(cfg AggregatorConfig) *Aggregator {
 	g := &Aggregator{
-		cfg:   cfg.withDefaults(),
-		now:   time.Now,
-		pulls: make(map[string]string),
+		cfg: cfg.withDefaults(),
+		now: time.Now,
 	}
 	g.shards = make([]*shard, g.cfg.Shards)
 	for i := range g.shards {
@@ -460,142 +434,20 @@ func (g *Aggregator) CompactLog() error {
 	return first
 }
 
-// Forget removes a host from the aggregator (and its pull registration).
+// Forget removes a host from the aggregator: its stored state drops out of
+// every merged view at once. A host that pushes again rejoins with its next
+// full push; a delta from it is refused as unknown-host until then.
 func (g *Aggregator) Forget(host string) {
 	g.shardOf(host).forget(host)
-	g.pmu.Lock()
-	delete(g.pulls, host)
-	g.pmu.Unlock()
-}
-
-// Watch registers an agent's pull endpoint (its PullHandler URL) so
-// PullAll and PullLoop scrape it. Watching a host that also pushes is
-// harmless — the newest sequence wins either way.
-func (g *Aggregator) Watch(host, url string) {
-	g.pmu.Lock()
-	defer g.pmu.Unlock()
-	g.pulls[host] = url
-}
-
-func (g *Aggregator) pullTargets() map[string]string {
-	g.pmu.RLock()
-	defer g.pmu.RUnlock()
-	targets := make(map[string]string, len(g.pulls))
-	for h, u := range g.pulls {
-		targets[h] = u
-	}
-	return targets
-}
-
-// PullAll scrapes every watched endpoint, at most PullConcurrency in
-// flight at once, each bounded by PullTimeout, and ingests what it gets.
-// It returns the per-host errors (empty map when every pull succeeded).
-func (g *Aggregator) PullAll() map[string]error {
-	var (
-		wg   sync.WaitGroup
-		errs = make(map[string]error)
-		emu  sync.Mutex
-		sem  = make(chan struct{}, g.cfg.PullConcurrency)
-	)
-	for host, url := range g.pullTargets() {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(host, url string) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if err := g.pullOne(host, url); err != nil {
-				g.pullErrors.Add(1)
-				emu.Lock()
-				errs[host] = err
-				emu.Unlock()
-			}
-		}(host, url)
-	}
-	wg.Wait()
-	return errs
-}
-
-// PullLoop scrapes every watched host once per interval until stop closes.
-// Each host is assigned a deterministic phase within the interval (a hash
-// of its name over pullSlots buckets), so a large fleet's pulls arrive as
-// a steady trickle across the whole interval instead of a thundering herd
-// at each boundary; in-flight pulls are bounded by PullConcurrency, and
-// when the fleet is slower than the schedule, the schedule waits (ticks
-// are dropped) rather than piling up goroutines. Hosts Watch()ed while
-// the loop runs join the schedule on their next phase.
-func (g *Aggregator) PullLoop(stop <-chan struct{}, interval time.Duration) {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	slotD := interval / pullSlots
-	if slotD <= 0 {
-		slotD = time.Millisecond
-	}
-	tick := time.NewTicker(slotD)
-	defer tick.Stop()
-	sem := make(chan struct{}, g.cfg.PullConcurrency)
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	for slot := 0; ; slot = (slot + 1) % pullSlots {
-		select {
-		case <-stop:
-			return
-		case <-tick.C:
-		}
-		for host, url := range g.pullTargets() {
-			if pullSlot(host) != slot {
-				continue
-			}
-			select {
-			case sem <- struct{}{}:
-			case <-stop:
-				return
-			}
-			wg.Add(1)
-			go func(host, url string) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				if err := g.pullOne(host, url); err != nil {
-					g.pullErrors.Add(1)
-				}
-			}(host, url)
-		}
-	}
-}
-
-// pullOne scrapes one agent and ingests the batch.
-func (g *Aggregator) pullOne(host, url string) error {
-	ctx, cancel := contextWithTimeout(g.cfg.PullTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := g.cfg.Client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("fleet: pull %s returned %s", host, resp.Status)
-	}
-	// Bounded like push's MaxBytesReader: a hostile or broken agent must
-	// not be able to stream forever into the decoder.
-	_, err = g.receive(ctx, io.LimitReader(resp.Body, maxFrameLen), "pull", host, g.cfg.Obs.Sample())
-	return err
 }
 
 // maxFrameLen bounds one frame on any input: head, header, payload.
 const maxFrameLen = 16 + maxHeaderLen + maxPayloadLen
 
-// receive is the one decode → count → ingest chain behind every frame that
-// arrives over HTTP, pushed or pulled, so a frame refused on one road is
-// refused and counted exactly as on the other. host names the sender of a
-// frame that does not name itself (a pull knows whom it asked); sampled is
-// the caller's one decision to time every stage of the trip or none.
-// RecvBytes counts bytes read, and only of frames that were ingested.
-func (g *Aggregator) receive(ctx context.Context, r io.Reader, source, host string, sampled bool) (*Batch, error) {
+// receive is the decode → count → ingest chain behind every pushed frame.
+// sampled is the caller's one decision to time every stage of the trip or
+// none. RecvBytes counts bytes read, and only of frames that were ingested.
+func (g *Aggregator) receive(ctx context.Context, r io.Reader, sampled bool) (*Batch, error) {
 	body := &countingReader{r: r}
 	start := stageStart(sampled)
 	b, err := DecodeBatch(body)
@@ -607,9 +459,6 @@ func (g *Aggregator) receive(ctx context.Context, r io.Reader, source, host stri
 		g.rejected.Add(1)
 		return nil, err
 	}
-	if b.Host == "" {
-		b.Host = host
-	}
 	idx := g.ShardFor(b.Host)
 	g.observeStage(fleetobs.StageDecode, start, b, idx)
 	g.noteDecoded(b)
@@ -618,7 +467,7 @@ func (g *Aggregator) receive(ctx context.Context, r io.Reader, source, host stri
 	pprof.Do(ctx,
 		pprof.Labels("stage", "ingest", "host", b.Host, "shard", strconv.Itoa(idx)),
 		func(context.Context) {
-			err = g.ingest(b, source, sampled)
+			err = g.ingest(b, "push", sampled)
 		})
 	if err != nil {
 		return nil, err
@@ -630,8 +479,8 @@ func (g *Aggregator) receive(ctx context.Context, r io.Reader, source, host stri
 // HostStatus is one host's liveness record.
 type HostStatus struct {
 	Host string `json:"host"`
-	// Source is how the newest batch arrived: "push", "pull", or "log"
-	// for state recovered by boot replay that no agent has refreshed yet.
+	// Source is how the newest batch arrived: "push", or "log" for state
+	// recovered by boot replay that no sender has refreshed yet.
 	Source string `json:"source"`
 	// Seq is the newest batch sequence; Batches counts everything
 	// ingested, retries included.
@@ -695,12 +544,10 @@ func (g *Aggregator) VMSnapshots(includeStale bool) []*core.Snapshot {
 type AggregatorStats struct {
 	// Hosts and StaleHosts count known and stale hosts; Batches counts
 	// ingested batches, Rejected the batches refused at validation,
-	// PullErrors the failed scatter-gather requests, RecvBytes the wire
-	// bytes of the pushed and pulled frames that were ingested.
+	// RecvBytes the wire bytes of the pushed frames that were ingested.
 	Hosts, StaleHosts int
 	Batches           int64
 	Rejected          int64
-	PullErrors        int64
 	RecvBytes         int64
 	// DeltasApplied counts delta batches folded onto stored state,
 	// Duplicates the redelivered deltas ignored idempotently, and Resyncs
@@ -723,7 +570,7 @@ type AggregatorStats struct {
 	MergeCacheHits   int64
 	MergeCacheMisses int64
 	// DecodedBinary and DecodedJSON count the wire frames decoded from
-	// pushes, pulls and boot replay by payload encoding. When DecodedJSON
+	// pushes and boot replay by payload encoding. When DecodedJSON
 	// stops moving — no pre-binary sender left, every old segment
 	// compacted — the legacy JSON reader has nothing left to read.
 	DecodedBinary int64
@@ -744,7 +591,6 @@ func (g *Aggregator) statsOf(hosts []HostStatus) AggregatorStats {
 		Hosts:      len(hosts),
 		StaleHosts: stale,
 		Rejected:   g.rejected.Load(),
-		PullErrors: g.pullErrors.Load(),
 		RecvBytes:  g.recvBytes.Load(),
 
 		DecodedBinary: g.decodedBinary.Load(),
@@ -991,7 +837,7 @@ func (g *Aggregator) serveSnapshot(w http.ResponseWriter, r *http.Request) {
 func (g *Aggregator) servePush(w http.ResponseWriter, r *http.Request) {
 	sampled := g.cfg.Obs.Sample()
 	pushStart := time.Now()
-	b, err := g.receive(r.Context(), http.MaxBytesReader(w, r.Body, maxFrameLen), "push", "", sampled)
+	b, err := g.receive(r.Context(), http.MaxBytesReader(w, r.Body, maxFrameLen), sampled)
 	if err != nil {
 		if errors.Is(err, ErrResyncRequired) {
 			fleetResyncError(w, err)
@@ -1028,9 +874,8 @@ var (
 	aggregatorSeries = []telemetry.Series[AggregatorStats]{
 		telemetry.Gauge("vscsistats_fleet_hosts", "Hosts known to the fleet aggregator.", func(s AggregatorStats) int { return s.Hosts }),
 		telemetry.Gauge("vscsistats_fleet_hosts_stale", "Known hosts past the liveness horizon (excluded from merges).", func(s AggregatorStats) int { return s.StaleHosts }),
-		telemetry.Counter("vscsistats_fleet_rejected_total", "Frames refused at decode or validation, pushed and pulled.", func(s AggregatorStats) int64 { return s.Rejected }),
-		telemetry.Counter("vscsistats_fleet_pull_errors_total", "Failed scatter-gather pull requests.", func(s AggregatorStats) int64 { return s.PullErrors }),
-		telemetry.Counter("vscsistats_fleet_recv_bytes_total", "Wire bytes of the pushed and pulled frames that were ingested.", func(s AggregatorStats) int64 { return s.RecvBytes }),
+		telemetry.Counter("vscsistats_fleet_rejected_total", "Frames refused at decode or validation.", func(s AggregatorStats) int64 { return s.Rejected }),
+		telemetry.Counter("vscsistats_fleet_recv_bytes_total", "Wire bytes of the pushed frames that were ingested.", func(s AggregatorStats) int64 { return s.RecvBytes }),
 	}
 	hostSeries = []telemetry.Series[HostStatus]{
 		telemetry.Gauge("vscsistats_fleet_host_up", "1 when the host's newest batch is within the liveness horizon.", func(h HostStatus) int {
@@ -1088,9 +933,9 @@ var (
 // series. Host liveness, per-shard ingest and merge-cache counters
 // (shard="N"), the host set by federation level (level="N"; a region
 // dropping out of a federated view is a leaves dip at level 1), the loss
-// paths (refused frames, failed pulls, resyncs by cause), the segment
-// log's footprint and maintenance counters when one is open, decoded
-// frames by payload encoding, and the merged view: cluster and per-VM
+// paths (refused frames, resyncs by cause), the segment log's footprint
+// and maintenance counters when one is open, decoded frames by payload
+// encoding, and the merged view: cluster and per-VM
 // counters plus the six paper histograms merged cluster-wide (bin-exact
 // sums of every fresh host's bins; absent while no host is fresh).
 func (g *Aggregator) WriteMetrics(w *telemetry.Writer) {
@@ -1122,7 +967,7 @@ func (g *Aggregator) WriteMetrics(w *telemetry.Writer) {
 	}
 
 	const decoded = "vscsistats_fleet_frames_decoded_total"
-	w.Family(decoded, "counter", "Wire frames decoded from pushes, pulls and boot replay, by payload encoding.")
+	w.Family(decoded, "counter", "Wire frames decoded from pushes and boot replay, by payload encoding.")
 	w.Sample(decoded, `encoding="binary"`, float64(st.DecodedBinary))
 	w.Sample(decoded, `encoding="json"`, float64(st.DecodedJSON))
 

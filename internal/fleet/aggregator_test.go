@@ -3,7 +3,6 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -279,20 +278,9 @@ func TestAggregatorHTTPSurface(t *testing.T) {
 	if presp.StatusCode != http.StatusBadRequest {
 		t.Errorf("invalid batch push: %d, want 400", presp.StatusCode)
 	}
-	// The same garbage arriving by pull is refused by the same code and
-	// lands in the same counters (plus the pull's own error count).
-	garbage := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		io.WriteString(w, "not a frame")
-	}))
-	defer garbage.Close()
-	agg.Watch("esx-garbage", garbage.URL)
-	if errs := agg.PullAll(); !errors.Is(errs["esx-garbage"], ErrBadFrame) {
-		t.Errorf("garbage pull: %v, want a bad frame", errs)
-	}
 	after := agg.Stats()
-	if after.Rejected != before.Rejected+3 || after.PullErrors != before.PullErrors+1 {
-		t.Errorf("rejected counter: %d -> %d, want +3 (two pushes, one pull); pull errors %d -> %d, want +1",
-			before.Rejected, after.Rejected, before.PullErrors, after.PullErrors)
+	if after.Rejected != before.Rejected+2 {
+		t.Errorf("rejected counter: %d -> %d, want +2 (two pushes)", before.Rejected, after.Rejected)
 	}
 	if after.RecvBytes != before.RecvBytes {
 		t.Errorf("refused frames counted as received: %d -> %d bytes", before.RecvBytes, after.RecvBytes)
@@ -306,13 +294,9 @@ func TestAggregatorForget(t *testing.T) {
 	agg, _ := newTestAggregator(time.Minute)
 	reg := makeRegistry(1, 1, 1, 50)
 	agg.Ingest(batchFor(reg, "esx-a", 1), "push")
-	agg.Watch("esx-a", "http://127.0.0.1:1/")
 	agg.Forget("esx-a")
-	if len(agg.Hosts()) != 0 {
+	if len(agg.Hosts()) != 0 || agg.ClusterSnapshot(true) != nil {
 		t.Error("Forget left the host behind")
-	}
-	if errs := agg.PullAll(); len(errs) != 0 {
-		t.Errorf("Forget left the pull registration behind: %v", errs)
 	}
 }
 

@@ -130,9 +130,9 @@ func BenchmarkFleetIngest1024(b *testing.B) {
 
 // BenchmarkFleetIngest1024Traced is the same ingest loop with the
 // pipeline tracker attached at its default 1-in-64 sampling — the cost of
-// observability on the hot path. benchfastpath -check -fleet fails the
-// build if this runs more than 5% over the untraced fence measured in
-// the same session.
+// observability on the hot path. Compare it with the untraced run in the
+// same session only: the two differ by less than their run-to-run spread,
+// so no absolute ratio is fenced.
 func BenchmarkFleetIngest1024Traced(b *testing.B) {
 	agg := NewAggregator(AggregatorConfig{
 		StaleAfter: time.Hour,

@@ -365,77 +365,6 @@ func TestAgentBuildBatchNeverBlocksOnSlowAggregator(t *testing.T) {
 	}
 }
 
-// TestPullAllBoundedConcurrency pins the pull pool: however many hosts are
-// watched, at most PullConcurrency scrapes are in flight at once.
-func TestPullAllBoundedConcurrency(t *testing.T) {
-	const limit = 3
-	var inFlight, peak atomic.Int64
-	// The handler leaves Host empty so pullOne names each batch after the
-	// watched host — one shared server stands in for a 16-host fleet.
-	snaps := makeRegistry(9, 1, 1, 50).Snapshots()
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		n := inFlight.Add(1)
-		defer inFlight.Add(-1)
-		for {
-			p := peak.Load()
-			if n <= p || peak.CompareAndSwap(p, n) {
-				break
-			}
-		}
-		time.Sleep(5 * time.Millisecond) // hold the slot so overlap is observable
-		EncodeBatch(w, &Batch{Seq: 1, Snapshots: snaps})
-	}))
-	defer srv.Close()
-
-	g := NewAggregator(AggregatorConfig{StaleAfter: time.Hour, PullConcurrency: limit})
-	for i := 0; i < 16; i++ {
-		g.Watch("esx-"+string(rune('a'+i)), srv.URL)
-	}
-	if errs := g.PullAll(); len(errs) != 0 {
-		t.Fatalf("pull errors: %v", errs)
-	}
-	if p := peak.Load(); p > limit {
-		t.Errorf("pull concurrency peaked at %d, limit %d", p, limit)
-	}
-	if got := len(g.Hosts()); got != 16 {
-		t.Errorf("hosts after PullAll: %d, want 16", got)
-	}
-}
-
-// TestPullLoopScrapesEveryHostWithPhases runs the phased pull schedule for
-// a couple of intervals and checks every watched host was scraped; it also
-// pins that the phase hash actually spreads hosts over multiple slots
-// rather than herding them onto one.
-func TestPullLoopScrapesEveryHostWithPhases(t *testing.T) {
-	snaps := makeRegistry(10, 1, 1, 50).Snapshots()
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		EncodeBatch(w, &Batch{Seq: 1, Snapshots: snaps})
-	}))
-	defer srv.Close()
-
-	g := NewAggregator(AggregatorConfig{StaleAfter: time.Hour})
-	slots := map[int]bool{}
-	for i := 0; i < 12; i++ {
-		host := "esx-" + string(rune('a'+i))
-		g.Watch(host, srv.URL)
-		slots[pullSlot(host)] = true
-	}
-	if len(slots) < 3 {
-		t.Errorf("12 hosts hashed onto %d pull slots — no phase spread", len(slots))
-	}
-
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() { defer close(done); g.PullLoop(stop, 64*time.Millisecond) }()
-	waitFor(t, 2*time.Second, func() bool { return len(g.Hosts()) == 12 })
-	close(stop)
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("PullLoop did not stop")
-	}
-}
-
 // TestShardsEndpoint exercises GET /fleet/shards: the per-shard listing and
 // the ?host= routing answer, which must agree with ShardFor.
 func TestShardsEndpoint(t *testing.T) {

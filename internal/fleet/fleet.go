@@ -14,10 +14,8 @@
 //     gzip-framed JSON payload earlier versions wrote;
 //   - an Agent that periodically serializes a host's core.Registry and
 //     pushes it to an aggregator, with per-request timeouts, exponential
-//     backoff with jitter, a bounded retry queue and drop counters — and a
-//     PullHandler so an aggregator can scrape it instead;
-//   - an Aggregator that ingests pushes, scatter-gathers pulls from
-//     registered agents concurrently, tracks per-host liveness/staleness,
+//     backoff with jitter, a bounded retry queue and drop counters;
+//   - an Aggregator that ingests pushes, tracks per-host liveness/staleness,
 //     and merges per-host snapshots into per-VM and cluster-wide views via
 //     core.Aggregate (bin-exact, all/reads/writes preserved);
 //   - a crash-safe segment log (log.go) that persists every state-changing
@@ -26,6 +24,10 @@
 //     frame, refusing to start on corruption), compacts chains into full
 //     frames, retires segments past a retention horizon, and answers
 //     windowed histograms-over-time queries (history.go, /fleet/history).
+//
+// Push is the only ingest road, at every tier: a sender owns its sequence
+// numbers and the acknowledgement that advances its delta base, so a
+// receiver never initiates a transfer.
 //
 // Failure model: agents and the aggregator are mutually untrusted over an
 // unreliable network. A dead agent simply stops appearing: its last batch
@@ -40,16 +42,5 @@
 // core.Snapshot has one fixed layout, so whatever decoded can be merged.
 package fleet
 
-import (
-	"context"
-	"time"
-)
-
 // ContentType identifies the fleet frame format over HTTP.
 const ContentType = "application/x-vscsistats-fleet"
-
-// contextWithTimeout is context.WithTimeout from a background parent —
-// every fleet request is bounded by its own deadline, not a caller's.
-func contextWithTimeout(d time.Duration) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(context.Background(), d)
-}

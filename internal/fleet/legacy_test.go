@@ -109,7 +109,7 @@ func TestLegacyFrameForeignLayout(t *testing.T) {
 		if h := unknown.Header; h == nil || h.Host != "old-agent" || h.Seq != 5 || !h.Delta || h.Snapshots != nil {
 			t.Errorf("%s: typed error carries %+v", name, unknown.Header)
 		}
-		_, err = g.receive(context.Background(), bytes.NewReader(frame), "push", "", false)
+		_, err = g.receive(context.Background(), bytes.NewReader(frame), false)
 		if !errorsIsResync(err) {
 			t.Errorf("%s pushed as a delta: %v, want a resync", name, err)
 		}

@@ -26,8 +26,8 @@ import (
 // region node is: one agent and a two-host vscsim.Sim pushing into an
 // aggregator with a segment log, which a re-exporter feeds upstream, all
 // observed by one tracker — with traffic on every loss path (a refused
-// frame, a failed pull, a duplicate delta, a delta from an unknown
-// host), so the series below are checked on non-zero values.
+// frame, a duplicate delta, a delta from an unknown host), so the series
+// below are checked on non-zero values.
 type rig struct {
 	agent *fleet.Agent
 	agg   *fleet.Aggregator
@@ -89,16 +89,6 @@ func newRig(t *testing.T) *rig {
 	if err := agg.Ingest(&fleet.Batch{Host: "esx-ghost", Seq: 2, BaseSeq: 1, Delta: true}, "push"); err == nil {
 		t.Fatal("delta from an unknown host was applied")
 	}
-	// One host that answers pulls and one that is gone.
-	puller := fleet.NewAgent(fleet.MakeRegistry(2, 1, 1, 40), fleet.AgentConfig{Host: "esx-b"})
-	agg.Watch("esx-b", serve(puller.PullHandler()))
-	gone := httptest.NewServer(http.NotFoundHandler())
-	gone.Close()
-	agg.Watch("esx-gone", gone.URL)
-	if errs := agg.PullAll(); len(errs) != 1 {
-		t.Fatalf("pull errors = %v, want exactly esx-gone", errs)
-	}
-
 	sim, err := vscsim.New(vscsim.NewInventory(vscsim.Config{Seed: 1, Hosts: 2, VMsPerHost: 1}), vscsim.SimConfig{Push: push})
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +152,6 @@ var carriers = map[string]carrier{
 	"AggregatorStats.StaleHosts":           {family: "vscsistats_fleet_hosts_stale"},
 	"AggregatorStats.Batches":              {family: "vscsistats_fleet_shard_batches_total"},
 	"AggregatorStats.Rejected":             {family: "vscsistats_fleet_rejected_total"},
-	"AggregatorStats.PullErrors":           {family: "vscsistats_fleet_pull_errors_total"},
 	"AggregatorStats.RecvBytes":            {family: "vscsistats_fleet_recv_bytes_total"},
 	"AggregatorStats.DeltasApplied":        {family: "vscsistats_fleet_shard_deltas_applied_total"},
 	"AggregatorStats.Duplicates":           {family: "vscsistats_fleet_shard_duplicates_total"},
@@ -291,10 +280,9 @@ func TestMetricsExpositionAudit(t *testing.T) {
 	}{
 		{"vscsistats_fleetobs_stage_duration_nanoseconds_count", []string{"scope", "aggregator", "stage", "ingest"}, 3, false},
 		{"vscsistats_fleetobs_events_total", []string{"kind", "push"}, 3, false},
-		{"vscsistats_fleet_frames_decoded_total", []string{"encoding", "binary"}, 5, true},
+		{"vscsistats_fleet_frames_decoded_total", []string{"encoding", "binary"}, 4, true},
 		{"vscsistats_fleet_frames_decoded_total", []string{"encoding", "json"}, 1, true},
 		{"vscsistats_fleet_rejected_total", nil, 1, true},
-		{"vscsistats_fleet_pull_errors_total", nil, 1, true},
 		{"vscsistats_fleet_resyncs_total", []string{"cause", "unknown-host"}, 1, true},
 		{"vscsistats_fleet_agent_delta_pushes_total", []string{"host", "esx-a"}, 1, true},
 		{"vscsistats_fleet_tier_reexport_full_pushes_total", []string{"region", "west"}, 1, true},

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -119,15 +120,16 @@ func (s *sender) push(b *Batch) error {
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequest(http.MethodPost, s.endpoint, bytes.NewReader(body))
+	// Every push is bounded by its own deadline, not a caller's.
+	ctx, cancel := context.WithTimeout(context.Background(), s.timeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, s.endpoint, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
 	req.Header.Set("Content-Type", ContentType)
-	ctx, cancel := contextWithTimeout(s.timeout)
-	defer cancel()
 	pushStart := time.Now()
-	resp, err := s.client.Do(req.WithContext(ctx))
+	resp, err := s.client.Do(req)
 	if err != nil {
 		ev.Detail = "transport error"
 		s.obs.ObserveSince(fleetobs.StagePush, pushStart, ev)

@@ -358,13 +358,3 @@ func shardHash(host string) uint32 {
 	h.Write([]byte(host))
 	return h.Sum32()
 }
-
-// pullSlot spreads hosts across the pull interval's pullSlots phases. A
-// different salt than shard routing, so the pull schedule and shard
-// assignment are uncorrelated.
-func pullSlot(host string) int {
-	h := fnv.New32a()
-	h.Write([]byte(host))
-	h.Write([]byte("#pull-phase"))
-	return int(h.Sum32() % pullSlots)
-}

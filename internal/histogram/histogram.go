@@ -308,30 +308,6 @@ func (s *Snapshot) Percentile(p float64) int64 {
 	return s.Max
 }
 
-// Add accumulates o's bins into s. The histograms must share an identical
-// bin layout; Add panics otherwise since mixing layouts silently corrupts
-// counts.
-func (s *Snapshot) Add(o *Snapshot) {
-	s.mustMatch(o)
-	for i := range s.Counts {
-		s.Counts[i] += o.Counts[i]
-	}
-	s.Total += o.Total
-	s.Sum += o.Sum
-	switch {
-	case s.Total == o.Total: // s was empty
-		s.Min, s.Max = o.Min, o.Max
-	case o.Total == 0:
-	default:
-		if o.Min < s.Min {
-			s.Min = o.Min
-		}
-		if o.Max > s.Max {
-			s.Max = o.Max
-		}
-	}
-}
-
 // Clone returns a deep copy.
 func (s *Snapshot) Clone() *Snapshot {
 	c := *s

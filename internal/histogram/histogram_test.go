@@ -205,31 +205,6 @@ func TestPercentileClampsToObservedRange(t *testing.T) {
 	}
 }
 
-func TestSnapshotAdd(t *testing.T) {
-	a, b := New("a", "u", []int64{10, 20}), New("b", "u", []int64{10, 20})
-	a.Insert(5)
-	a.Insert(15)
-	b.Insert(25)
-	sa, sb := a.Snapshot(), b.Snapshot()
-	sa.Add(sb)
-	if sa.Total != 3 || sa.Counts[2] != 1 {
-		t.Errorf("Add wrong: %+v", sa)
-	}
-	if sa.Min != 5 || sa.Max != 25 {
-		t.Errorf("Add min/max = %d/%d", sa.Min, sa.Max)
-	}
-}
-
-func TestSnapshotAddIntoEmpty(t *testing.T) {
-	a, b := New("a", "u", []int64{10}), New("b", "u", []int64{10})
-	b.Insert(3)
-	sa := a.Snapshot()
-	sa.Add(b.Snapshot())
-	if sa.Min != 3 || sa.Max != 3 || sa.Total != 1 {
-		t.Errorf("Add into empty: %+v", sa)
-	}
-}
-
 func TestMismatchedLayoutPanics(t *testing.T) {
 	a := New("a", "u", []int64{10}).Snapshot()
 	b := New("b", "u", []int64{20}).Snapshot()
@@ -238,7 +213,7 @@ func TestMismatchedLayoutPanics(t *testing.T) {
 			t.Fatal("expected panic on layout mismatch")
 		}
 	}()
-	a.Add(b)
+	CompareCSV(a, b)
 }
 
 func TestNewValidatesEdges(t *testing.T) {

@@ -23,18 +23,6 @@ func (ts *Series) Append(s *Snapshot) { ts.Snaps = append(ts.Snaps, s) }
 // Len returns the number of recorded intervals.
 func (ts *Series) Len() int { return len(ts.Snaps) }
 
-// Sum collapses the whole series back into a single snapshot.
-func (ts *Series) Sum() *Snapshot {
-	if len(ts.Snaps) == 0 {
-		return nil
-	}
-	out := ts.Snaps[0].Clone()
-	for _, s := range ts.Snaps[1:] {
-		out.Add(s)
-	}
-	return out
-}
-
 // CSV renders the series as a matrix: one row per bin, one column per
 // interval (S1, S2, …), the layout of the paper's 3-D surface charts.
 func (ts *Series) CSV() string {

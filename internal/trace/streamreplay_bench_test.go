@@ -12,10 +12,11 @@ import (
 // (built once; Synthesize is seed-deterministic, so every machine measures
 // the same workload). BenchmarkTraceReplayLegacy1M is the
 // materialize-and-sort baseline; BenchmarkTraceReplay1M is the streaming
-// engine pinned single-worker (the honest core-for-core comparison —
-// cmd/benchfastpath fences it at ≤0.5× legacy ns/op, i.e. ≥2×
-// throughput); BenchmarkTraceReplay1MParallel lets the worker pool use
-// GOMAXPROCS (run with -cpu 1,4 to see the fan-out).
+// engine pinned single-worker (the honest core-for-core comparison;
+// TestStreamingReplayAtMostHalfLegacy fences the same pair at ≤0.5×
+// legacy on a 64k-record trace, and bench's trace_replay workload gates
+// its absolute cost); BenchmarkTraceReplay1MParallel lets the worker pool
+// use GOMAXPROCS (run with -cpu 1,4 to see the fan-out).
 var bench1M struct {
 	once sync.Once
 	recs []Record

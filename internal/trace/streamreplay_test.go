@@ -3,10 +3,12 @@ package trace
 import (
 	"bytes"
 	"io"
+	"math"
 	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"testing"
+	"time"
 
 	"vscsistats/internal/core"
 )
@@ -239,6 +241,38 @@ func TestReplayAllocsBounded(t *testing.T) {
 	// more than an order of magnitude below one-per-record.
 	if allocs > 5000 {
 		t.Fatalf("ReplayParallel: %v allocs for 100k records", allocs)
+	}
+}
+
+// The streaming engine on one worker must cost at most half the legacy
+// materialize-and-sort replay of the same records: the ≥2× single-core
+// claim that justified it, timed min-of-3 per side so one descheduled pass
+// cannot fail it. 64k records keep the whole test well under a second.
+func TestStreamingReplayAtMostHalfLegacy(t *testing.T) {
+	recs := Synthesize(1, 1<<16)
+	minOf3 := func(pass func()) time.Duration {
+		best := time.Duration(math.MaxInt64)
+		for i := 0; i < 3; i++ {
+			start := time.Now()
+			pass()
+			best = min(best, time.Since(start))
+		}
+		return best
+	}
+	legacy := minOf3(func() {
+		col := core.NewCollector("v", "d")
+		col.Enable()
+		Replay(recs, col)
+	})
+	streaming := minOf3(func() {
+		if _, err := ReplayParallel(NewSliceSource(recs), ReplayConfig{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	ratio := float64(streaming) / float64(legacy)
+	t.Logf("streaming %v, legacy %v: %.2f×", streaming, legacy, ratio)
+	if ratio > 0.5 {
+		t.Fatalf("streaming replay is %.2f× legacy, want ≤ 0.5×", ratio)
 	}
 }
 

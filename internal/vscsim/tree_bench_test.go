@@ -27,8 +27,8 @@ import (
 // Both report global_wire_bytes/op: the bytes crossing the global tier's
 // ingress per benchmark op (one churn interval of treeChangedPerOp
 // leaves). The tree number must beat flat by >= 3x — that delta is the
-// point of re-export, and cmd/benchfastpath records both entries in
-// BENCH_fleet.json so the ratio is auditable.
+// point of re-export. BENCH_fleet.json holds both up to its freeze; the
+// end-to-end tree is gated by bench's fleet_tree workload.
 const (
 	treeHosts        = 10240
 	treeRegions      = 16
@@ -119,7 +119,8 @@ func newGlobalTier(b *testing.B) (*fleet.Aggregator, *httptest.Server) {
 // then re-exports all 16 regions upstream. ns/op is the full churn
 // interval — region ingest, rollup rendering off the merge caches, and
 // the HTTP re-export into the global tier; global_wire_bytes/op is the
-// global ingress cost. Fenced in CI via cmd/benchfastpath -check -fleet.
+// global ingress cost. Its end-to-end cost is gated by bench's fleet_tree
+// workload (bash bench/run.sh, bench -compare).
 func BenchmarkFleetTreeIngest10k(b *testing.B) {
 	w := newTreeWorld(b)
 	global, srv := newGlobalTier(b)

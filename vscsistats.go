@@ -357,7 +357,7 @@ func NewStatsHandlerWith(reg *Registry, opts StatsOptions) http.Handler {
 // interval (with timeout, backoff + jitter and a bounded retry queue) —
 // full state first, then interval deltas against the last acknowledged
 // push, resyncing automatically when the aggregator loses the chain;
-// FleetAggregator ingests pushes, scatter-gathers pulls, tracks per-host
+// FleetAggregator ingests pushes (its only ingest road), tracks per-host
 // liveness and merges per-host snapshots into per-VM and cluster-wide
 // histograms, bin-exact, sharded by consistent host hash with per-shard
 // merge memoization.
