@@ -22,9 +22,8 @@ import (
 //
 // Malformed or hostile lines are skipped and counted, as with MSRSource.
 type AlibabaSource struct {
-	sc     *lineScanner
-	fields [][]byte
-	vms    *interner
+	sc  *lineScanner
+	vms *interner
 
 	base     uint64 // first timestamp, µs
 	haveBase bool
@@ -34,11 +33,7 @@ type AlibabaSource struct {
 
 // NewAlibabaSource streams Alibaba cloud-trace CSV from br.
 func NewAlibabaSource(br *bufio.Reader) *AlibabaSource {
-	return &AlibabaSource{
-		sc:     newLineScanner(br),
-		fields: make([][]byte, 0, csvMaxFields),
-		vms:    newInterner(),
-	}
+	return &AlibabaSource{sc: newLineScanner(br), vms: newInterner()}
 }
 
 // BadLines reports lines skipped as malformed or hostile.
@@ -62,29 +57,22 @@ func (s *AlibabaSource) Next(rec *Record) error {
 }
 
 func (s *AlibabaSource) parseLine(line []byte, rec *Record) bool {
-	s.fields = splitComma(line, s.fields)
-	if len(s.fields) < 5 || len(s.fields[0]) == 0 {
+	c := csvCursor{line: line}
+	dev := c.field()
+	typ := c.field()
+	offset := c.number(false)
+	length := c.number(false)
+	ts := c.number(true)
+	if c.bad || len(dev) == 0 {
 		return false
 	}
 	var op scsi.OpCode
 	switch {
-	case eqFoldBytes(s.fields[1], "R"):
+	case eqFoldBytes(typ, "R"):
 		op = scsi.OpRead16
-	case eqFoldBytes(s.fields[1], "W"):
+	case eqFoldBytes(typ, "W"):
 		op = scsi.OpWrite16
 	default:
-		return false
-	}
-	offset, ok := parseU64(s.fields[2])
-	if !ok {
-		return false
-	}
-	length, ok := parseU64(s.fields[3])
-	if !ok {
-		return false
-	}
-	ts, ok := parseScaledU64(s.fields[4], 1)
-	if !ok {
 		return false
 	}
 	if !s.haveBase {
@@ -98,7 +86,7 @@ func (s *AlibabaSource) parseLine(line []byte, rec *Record) bool {
 	s.seq++
 	rec.IssueMicros = int64(ts - s.base)
 	rec.CompleteMicros = rec.IssueMicros
-	rec.VM = s.vms.getPrefixed("dev", s.fields[0])
+	rec.VM = s.vms.getPrefixed("dev", dev)
 	rec.Disk = "blk0"
 	rec.Op = op
 	rec.LBA = offset / 512

@@ -111,8 +111,8 @@ func TestMSRSourceHostileLongLine(t *testing.T) {
 	}
 }
 
-// Hostnames and disk numbers intern in separate tables, so a hostname "3"
-// cannot collide with disk number 3.
+// A hostname "3" cannot collide with disk number 3: the names split at the
+// comma between them.
 func TestMSRSourceInternSeparation(t *testing.T) {
 	_, recs := msrRecords(t, "1000,3,3,Read,0,512,10\n")
 	if len(recs) != 1 || recs[0].VM != "3" || recs[0].Disk != "disk3" {
@@ -208,7 +208,7 @@ func uitoa(v uint64) string {
 }
 
 // Steady-state CSV parsing must not allocate per record: lines alias the
-// read buffer, numbers decode in place, names intern once.
+// read buffer, numbers decode in place, each disk's names mint once.
 func TestMSRSourceAllocsBounded(t *testing.T) {
 	var sb strings.Builder
 	ts := uint64(1_000_000)
@@ -231,61 +231,80 @@ func TestMSRSourceAllocsBounded(t *testing.T) {
 			t.Fatalf("parsed %d records", n)
 		}
 	})
-	// Structural allocations only (reader buffer, interner, heaps) — two
+	// Structural allocations only (reader buffer, disk table, heaps) — two
 	// orders of magnitude below one-per-record.
 	if allocs > 500 {
 		t.Fatalf("MSR parse: %v allocs for 50k records", allocs)
 	}
 }
 
-func TestParseU64(t *testing.T) {
+// TestCSVCursorNumbers: each field is decoded at the start of a line (the
+// SWAR step runs only when eight bytes remain), mid-line before another
+// field, and as the last field after one; all three must agree.
+func TestCSVCursorNumbers(t *testing.T) {
 	cases := []struct {
 		in   string
+		frac bool // a ".fraction" is allowed
 		want uint64
 		ok   bool
 	}{
-		{"0", 0, true},
-		{"18446744073709551615", 1<<64 - 1, true},
-		{"18446744073709551616", 0, false}, // overflow
-		{"", 0, false},
-		{"-1", 0, false},
-		{"1_000", 0, false},
-		{"1e3", 0, false},
-		{"½", 0, false},
-		{" 1", 0, false},
-		{"123456789012345678901", 0, false}, // 21 digits
+		{"0", false, 0, true},
+		{"18446744073709551615", false, 1<<64 - 1, true},
+		{"18446744073709551616", false, 0, false},  // overflow
+		{"99999999999999999999", false, 0, false},  // overflow in the last step
+		{"00000000000000000042", false, 42, true},  // 20 digits
+		{"000000000000000000042", false, 0, false}, // 21 digits
+		{"1234567", false, 1234567, true},
+		{"12345678", false, 12345678, true},
+		{"123456789", false, 123456789, true},
+		{"1234567890123456", false, 1234567890123456, true},
+		{"12345678/", false, 0, false}, // '/' is '0'-1
+		{"1234567:9", false, 0, false}, // ':' is '9'+1
+		{"9/", false, 0, false},
+		{"123\x80456", false, 0, false},
+		{"1234\xff5678", false, 0, false},
+		{"-1", false, 0, false},
+		{"1_000", false, 0, false},
+		{"1e3", false, 0, false},
+		{"½", false, 0, false},
+		{" 1", false, 0, false},
+		{"1.", true, 1, true},
+		{"1.", false, 0, false},
+		{"1.5", true, 1, true},
+		{"1.5", false, 0, false},
+		{"1234567.75", true, 1234567, true}, // fraction truncates
+		{"1.5x", true, 0, false},
+		{"1.2.3", true, 0, false},
+		{"1.5e3", true, 0, false},
+		{".5", true, 0, false},
+		{"", true, 0, false},
 	}
-	for _, c := range cases {
-		got, ok := parseU64([]byte(c.in))
-		if got != c.want || ok != c.ok {
-			t.Errorf("parseU64(%q) = %d,%v want %d,%v", c.in, got, ok, c.want, c.ok)
+	for _, tc := range cases {
+		for _, v := range []struct{ pre, post string }{{"", ""}, {"", ",next,field"}, {"x,", ""}} {
+			line := v.pre + tc.in + v.post
+			c := csvCursor{line: []byte(line)}
+			if v.pre != "" {
+				c.field()
+			}
+			got := c.number(tc.frac)
+			if got != tc.want || c.bad == tc.ok {
+				t.Errorf("number(%q, frac=%v) in %q = %d, ok=%v; want %d, %v",
+					tc.in, tc.frac, line, got, !c.bad, tc.want, tc.ok)
+				continue
+			}
+			last := c.i > len(line) // the line is used up
+			if tc.ok && last != (v.post == "") {
+				t.Errorf("%q: line used up = %v after the number", line, last)
+			}
+			if next := c.field(); tc.ok && v.post != "" && string(next) != "next" {
+				t.Errorf("after %q the cursor reads %q, want the next field", line, next)
+			}
 		}
 	}
-}
-
-func TestParseScaledU64(t *testing.T) {
-	cases := []struct {
-		in    string
-		scale uint64
-		want  uint64
-		ok    bool
-	}{
-		{"1234", 1000, 1234000, true},
-		{"1234.5", 1000, 1234500, true},
-		{"1234.5678", 1000, 1234567, true}, // truncates below resolution
-		{"1234.", 1000, 1234000, true},
-		{"7.25", 1, 7, true},
-		{"1,5", 1000, 0, false}, // locale comma splits fields, never parses
-		{"1.5e3", 1000, 0, false},
-		{".5", 1000, 0, false}, // no whole part
-		{"1.2.3", 1000, 0, false},
-		{"18446744073709551615", 1000, 0, false}, // scaled overflow
-	}
-	for _, c := range cases {
-		got, ok := parseScaledU64([]byte(c.in), c.scale)
-		if got != c.want || ok != c.ok {
-			t.Errorf("parseScaledU64(%q,%d) = %d,%v want %d,%v", c.in, c.scale, got, ok, c.want, c.ok)
-		}
+	// ",,": every field is empty, none is a number, and the failure sticks.
+	c := csvCursor{line: []byte(",,")}
+	if c.number(false); !c.bad || c.field() != nil {
+		t.Errorf(",,: bad=%v", c.bad)
 	}
 }
 

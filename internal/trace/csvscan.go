@@ -2,28 +2,28 @@ package trace
 
 import (
 	"bufio"
-	"bytes"
+	"encoding/binary"
 	"io"
+	"math/bits"
 )
 
-// Zero-allocation CSV plumbing for the public-trace parsers. The scanners
-// hand out slices into reused buffers — amortized-zero-alloc in the steady
-// state — and every buffer grows progressively with a hard cap, so a
-// hostile input (one multi-gigabyte "line", say) costs bounded memory and
-// a skipped record, never an OOM. Same discipline as wire.readSized on the
-// push protocol.
+// Zero-allocation CSV plumbing for the public-trace parsers. The scanner
+// hands out lines that alias a reused buffer, and a csvCursor walks each
+// line once, decoding numbers in place. What a hostile input can cost is
+// bounded: one line holds at most csvMaxLine bytes (longer lines are
+// discarded and counted, never an OOM — the same discipline as
+// wire.readSized on the push protocol), and each distinct identity a trace
+// names costs one small table entry, as any per-disk state must.
 
 const (
 	// csvInitialLine is the first allocation for an overflowing line.
 	csvInitialLine = 4 << 10
 	// csvMaxLine caps per-line memory; longer lines are discarded whole.
 	csvMaxLine = 1 << 20
-	// csvMaxFields caps the fields examined per line. The real formats
-	// have ≤ 7; trailing extras are ignored rather than buffered.
-	csvMaxFields = 12
-	// csvMaxInterned caps the (VM, disk) names remembered per parse, so a
-	// trace with a hostile number of distinct hostnames degrades to
-	// per-record allocation instead of unbounded table growth.
+	// csvMaxInterned caps the Alibaba device names deduplicated per parse.
+	// It bounds only the name table: past the cap each record mints its own
+	// string. Per-disk state (MSRSource's table) is one entry per distinct
+	// disk, like every consumer of the records downstream.
 	csvMaxInterned = 1 << 16
 )
 
@@ -34,7 +34,6 @@ const (
 type lineScanner struct {
 	br   *bufio.Reader
 	over []byte // overflow buffer for lines longer than br's buffer
-	line uint64 // 1-based number of the line most recently returned
 	long uint64 // lines discarded for exceeding csvMaxLine
 }
 
@@ -45,7 +44,6 @@ func newLineScanner(br *bufio.Reader) *lineScanner { return &lineScanner{br: br}
 // moves on; ok=false marks such a discard so callers can skip it without
 // mistaking it for an empty line.
 func (s *lineScanner) next() (line []byte, ok bool, err error) {
-	s.line++
 	frag, err := s.br.ReadSlice('\n')
 	if err == nil || (err == io.EOF && len(frag) > 0) {
 		return trimEOL(frag), true, nil
@@ -100,80 +98,93 @@ func trimEOL(b []byte) []byte {
 	return b
 }
 
-// splitComma splits line into at most csvMaxFields comma-separated fields,
-// reusing the caller's slice. Fields alias the line.
-func splitComma(line []byte, fields [][]byte) [][]byte {
-	fields = fields[:0]
-	for len(fields) < csvMaxFields-1 {
-		i := bytes.IndexByte(line, ',')
-		if i < 0 {
+// csvCursor walks one CSV line once, left to right. Each accessor consumes
+// one field and the comma after it; consuming the last field moves i past
+// the end, so asking for a field the line does not have fails. A failure
+// is sticky: the parser reads every field it needs, then tests bad once.
+type csvCursor struct {
+	line []byte
+	i    int // start of the next field; len(line)+1 once the line is used up
+	bad  bool
+}
+
+// field returns the next field, aliasing the line. Text fields are names
+// a few bytes long, where a plain loop beats bytes.IndexByte's call.
+func (c *csvCursor) field() []byte {
+	if c.i > len(c.line) {
+		c.bad = true
+		return nil
+	}
+	from, j := c.i, c.i
+	for j < len(c.line) && c.line[j] != ',' {
+		j++
+	}
+	c.i = j + 1
+	return c.line[from:j]
+}
+
+// number decodes the next field as an unsigned decimal: 1–20 ASCII digits,
+// no sign, no separators, at most 2⁶⁴−1. With frac, a ".digits" tail is
+// allowed and truncated. Locale variants ("1_000", "1e3", "½") are
+// malformed, full stop.
+//
+// The digits are decoded while scanning for the field's end. While eight
+// bytes of the line remain, one SWAR step takes up to eight digits: after
+// subtracting '0' from every byte, a digit is 0–9 and anything else has
+// its high bit set in x or in x+0x76, so the lowest flagged byte is the
+// first non-digit. Borrows and carries only run upward from a non-digit,
+// so the digits below it read true. The tail takes one byte at a time.
+func (c *csvCursor) number(frac bool) uint64 {
+	b, i := c.line, c.i
+	var v, over uint64
+	n := 0 // digits seen; a used-up line (i > len) sees none
+	for i+8 <= len(b) {
+		x := binary.LittleEndian.Uint64(b[i:]) - 0x3030303030303030
+		k := bits.TrailingZeros64((x|(x+0x7676767676767676))&0x8080808080808080) >> 3
+		// Shifting the k digits to the top leaves leading zeros below them.
+		v, over = mulAdd(v, pow10[k], digits8(x<<(64-8*k)), over)
+		n, i = n+k, i+k
+		if k < 8 {
 			break
 		}
-		fields = append(fields, line[:i])
-		line = line[i+1:]
 	}
-	return append(fields, line)
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		v, over = mulAdd(v, 10, uint64(b[i]-'0'), over)
+		n++
+	}
+	if frac && i < len(b) && b[i] == '.' {
+		for i++; i < len(b) && b[i]-'0' <= 9; i++ {
+		}
+	}
+	if n == 0 || n > 20 || over != 0 || (i < len(b) && b[i] != ',') {
+		c.bad, c.i = true, len(b)+1
+		return 0
+	}
+	c.i = i + 1
+	return v
 }
 
-// parseU64 parses an unsigned decimal integer, rejecting empty input,
-// non-digits and overflow. Unlike strconv it never allocates (no error
-// construction) and accepts nothing but ASCII digits — locale variants
-// ("1_000", "1,5", "1e3", "½") are malformed, full stop.
-func parseU64(b []byte) (uint64, bool) {
-	if len(b) == 0 || len(b) > 20 {
-		return 0, false
-	}
-	var v uint64
-	for _, c := range b {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		d := uint64(c - '0')
-		if v > (1<<64-1-d)/10 {
-			return 0, false
-		}
-		v = v*10 + d
-	}
-	return v, true
+// digits8 folds eight digit values, one per byte with the first digit in
+// the lowest byte, into their decimal value: pairs, then quads, then all
+// eight, one multiply each.
+func digits8(x uint64) uint64 {
+	x = (x * (10<<8 + 1)) >> 8 & 0x00ff00ff00ff00ff
+	x = (x * (100<<16 + 1)) >> 16 & 0x0000ffff0000ffff
+	return (x * (10000<<32 + 1)) >> 32
 }
 
-// parseScaledU64 parses a non-negative decimal that may carry a fractional
-// part ("1234", "1234.56") and returns the value in 1/scale units,
-// truncated — e.g. scale=1000 turns milliseconds into microseconds
-// without a float round-trip. Exponents and locale separators are
-// rejected.
-func parseScaledU64(b []byte, scale uint64) (uint64, bool) {
-	dot := bytes.IndexByte(b, '.')
-	if dot < 0 {
-		v, ok := parseU64(b)
-		if !ok || v > (1<<64-1)/scale {
-			return 0, false
-		}
-		return v * scale, true
-	}
-	whole, ok := parseU64(b[:dot])
-	if !ok || whole > (1<<64-1)/scale {
-		return 0, false
-	}
-	frac := b[dot+1:]
-	if len(frac) == 0 {
-		return whole * scale, true
-	}
-	var fv, fs uint64 = 0, 1
-	for _, c := range frac {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		if fs < scale { // further digits are below the target resolution
-			fv = fv*10 + uint64(c-'0')
-			fs *= 10
-		}
-	}
-	return whole*scale + fv*(scale/fs), true
+// mulAdd returns v*p + d, with over made non-zero once the true value has
+// passed 2⁶⁴−1 (appending digits never brings it back).
+func mulAdd(v, p, d, over uint64) (uint64, uint64) {
+	hi, lo := bits.Mul64(v, p)
+	lo, carry := bits.Add64(lo, d, 0)
+	return lo, over | hi | carry
 }
 
-// interner deduplicates the VM/disk name strings a CSV parser mints, so a
-// million records over a dozen hostnames cost a dozen allocations. The
+var pow10 = [9]uint64{1, 10, 100, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8}
+
+// interner deduplicates the device names AlibabaSource mints, so a
+// million records over a dozen devices cost a dozen allocations. The
 // m[string(b)] lookup compiles to a no-alloc map probe. Past csvMaxInterned
 // distinct names it stops remembering (hostile-input bound) but still
 // returns correct strings.
@@ -183,20 +194,8 @@ type interner struct {
 
 func newInterner() *interner { return &interner{m: make(map[string]string)} }
 
-// get returns the canonical string for b, minting it on first sight.
-func (in *interner) get(b []byte) string {
-	if s, ok := in.m[string(b)]; ok {
-		return s
-	}
-	s := string(b)
-	if len(in.m) < csvMaxInterned {
-		in.m[s] = s
-	}
-	return s
-}
-
-// getPrefixed is get for names derived as prefix+b (e.g. disk numbers
-// rendered as "disk3"), still keyed on the raw bytes.
+// getPrefixed returns the canonical string prefix+b (e.g. device ids
+// rendered as "dev64"), keyed on the raw bytes and minted on first sight.
 func (in *interner) getPrefixed(prefix string, b []byte) string {
 	if s, ok := in.m[string(b)]; ok {
 		return s

@@ -27,12 +27,8 @@ import (
 // over-long hostile lines) are skipped and counted, never fatal: parsing
 // a multi-day trace should not abort at one mangled row.
 type MSRSource struct {
-	sc     *lineScanner
-	fields [][]byte
-	vms    *interner
-	disks  *interner
-
-	inflight map[diskKey]*completionHeap
+	sc    *lineScanner
+	disks map[string]*msrDisk // keyed on the line's "host,disk" bytes
 
 	base     uint64 // first timestamp, filetime ticks
 	haveBase bool
@@ -40,15 +36,16 @@ type MSRSource struct {
 	bad      uint64
 }
 
+// msrDisk is one (Hostname, DiskNumber) the trace names: the record names,
+// minted once, and the completions still in flight on the disk.
+type msrDisk struct {
+	vm, disk string
+	pending  completionHeap
+}
+
 // NewMSRSource streams MSR Cambridge CSV from br.
 func NewMSRSource(br *bufio.Reader) *MSRSource {
-	return &MSRSource{
-		sc:       newLineScanner(br),
-		fields:   make([][]byte, 0, csvMaxFields),
-		vms:      newInterner(),
-		disks:    newInterner(),
-		inflight: make(map[diskKey]*completionHeap),
-	}
+	return &MSRSource{sc: newLineScanner(br), disks: make(map[string]*msrDisk)}
 }
 
 // BadLines reports lines skipped as malformed or hostile.
@@ -72,33 +69,26 @@ func (s *MSRSource) Next(rec *Record) error {
 }
 
 func (s *MSRSource) parseLine(line []byte, rec *Record) bool {
-	s.fields = splitComma(line, s.fields)
-	if len(s.fields) < 7 || len(s.fields[1]) == 0 {
-		return false
-	}
-	ts, ok := parseScaledU64(s.fields[0], 1) // some exports carry fractions
-	if !ok {
+	c := csvCursor{line: line}
+	ts := c.number(true) // some exports carry fractions
+	from := c.i
+	host := c.field()
+	c.field() // DiskNumber
+	to := c.i - 1
+	typ := c.field()
+	offset := c.number(false)
+	size := c.number(false)
+	resp := c.number(true)
+	if c.bad || len(host) == 0 {
 		return false
 	}
 	var op scsi.OpCode
 	switch {
-	case eqFoldBytes(s.fields[3], "Read"):
+	case eqFoldBytes(typ, "Read"):
 		op = scsi.OpRead16
-	case eqFoldBytes(s.fields[3], "Write"):
+	case eqFoldBytes(typ, "Write"):
 		op = scsi.OpWrite16
 	default:
-		return false
-	}
-	offset, ok := parseU64(s.fields[4])
-	if !ok {
-		return false
-	}
-	size, ok := parseU64(s.fields[5])
-	if !ok {
-		return false
-	}
-	resp, ok := parseScaledU64(s.fields[6], 1)
-	if !ok {
 		return false
 	}
 	if !s.haveBase {
@@ -110,30 +100,31 @@ func (s *MSRSource) parseLine(line []byte, rec *Record) bool {
 
 	issue := int64((ts - s.base) / 10) // 100 ns ticks → µs
 	latency := int64(resp / 10)
-	vm := s.vms.get(s.fields[1])
-	disk := s.disks.getPrefixed("disk", s.fields[2])
+	// Hostname and DiskNumber are adjacent, so the bytes "host,disk" name
+	// the disk in one lookup. A hostname holds no comma: the key is
+	// injective, and hostname "3" cannot collide with disk number 3.
+	d := s.disks[string(line[from:to])]
+	if d == nil {
+		key := string(line[from:to])
+		d = &msrDisk{vm: key[:len(host)], disk: "disk" + key[len(host)+1:]}
+		s.disks[key] = d
+	}
 
 	// Sweep completions that precede this issue, then count what is left
 	// in flight on this disk.
-	key := diskKey{vm, disk}
-	h := s.inflight[key]
-	if h == nil {
-		h = &completionHeap{}
-		s.inflight[key] = h
-	}
-	h.sweep(issue)
-	outstanding := h.len()
+	d.pending.sweep(issue)
+	outstanding := d.pending.len()
 	if outstanding > 0xffff {
 		outstanding = 0xffff
 	}
-	h.push(issue + latency)
+	d.pending.push(issue + latency)
 
 	rec.Seq = s.seq
 	s.seq++
 	rec.IssueMicros = issue
 	rec.CompleteMicros = issue + latency
-	rec.VM = vm
-	rec.Disk = disk
+	rec.VM = d.vm
+	rec.Disk = d.disk
 	rec.Op = op
 	rec.LBA = offset / 512
 	rec.Blocks = uint32((size + 511) / 512)

@@ -97,10 +97,7 @@ func TestReadRejectsGarbage(t *testing.T) {
 // the stream, never an allocation size. Sixteen bytes claiming 2^30 records
 // must cost a read buffer and an ErrCorrupt, not 80 GiB of Record slots.
 func TestReadHostileRecordCount(t *testing.T) {
-	hdr := []byte(magic)
-	hdr = binary.LittleEndian.AppendUint16(hdr, version)
-	hdr = binary.LittleEndian.AppendUint16(hdr, 0) // no names
-	hdr = binary.LittleEndian.AppendUint64(hdr, 1<<30)
+	hdr := hostileCountHeader()
 	if len(hdr) != 16 {
 		t.Fatalf("header is %d bytes", len(hdr))
 	}
@@ -114,6 +111,79 @@ func TestReadHostileRecordCount(t *testing.T) {
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 		t.Errorf("Read allocated %d bytes for a 16-byte input", grew)
 	}
+}
+
+// hostileCountHeader is a native header with no names that claims 2^30
+// records and carries none.
+func hostileCountHeader() []byte {
+	hdr := []byte(magic)
+	hdr = binary.LittleEndian.AppendUint16(hdr, version)
+	hdr = binary.LittleEndian.AppendUint16(hdr, 0) // no names
+	return binary.LittleEndian.AppendUint64(hdr, 1<<30)
+}
+
+// fuzzBinarySource drains src, which reads data: any bytes end in EOF or a
+// typed error, never a panic; no record is decoded from bytes that are not
+// there; and memory stays within a small multiple of the input.
+func fuzzBinarySource(t *testing.T, data []byte, src RecordSource, frameBytes int) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var rec Record
+	n := 0
+	var err error
+	for err = src.Next(&rec); err == nil; err = src.Next(&rec) {
+		if n++; n*frameBytes > len(data) {
+			t.Fatalf("%d records from %d bytes", n, len(data))
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if err != io.EOF && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrBadMagic) && !errors.Is(err, ErrBadVersion) {
+		t.Fatalf("untyped error: %v", err)
+	}
+	if again := src.Next(&rec); again != err {
+		t.Fatalf("error not sticky: %v then %v", err, again)
+	}
+	// A name table or a string frame may allocate its claimed length
+	// (≤ 64 KiB) once before the read that finds it missing.
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20+16*uint64(len(data)) {
+		t.Fatalf("%d bytes allocated for a %d-byte input", grew, len(data))
+	}
+}
+
+func binarySeeds(f *testing.F, encoded []byte) {
+	f.Add(encoded)
+	f.Add(encoded[:len(encoded)-7])
+	f.Add(encoded[:len(encoded)/2])
+	f.Add(hostileCountHeader())
+	f.Add([]byte{})
+}
+
+func FuzzNativeSource(f *testing.F) {
+	var buf bytes.Buffer
+	if err := Write(&buf, Synthesize(1, 10)); err != nil {
+		f.Fatal(err)
+	}
+	binarySeeds(f, buf.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzBinarySource(t, data, NewNativeSource(bytes.NewReader(data)), recordSize)
+	})
+}
+
+func FuzzStreamSource(f *testing.F) {
+	var buf bytes.Buffer
+	sw := NewStreamWriter(&buf)
+	for _, r := range Synthesize(1, 10) {
+		if err := sw.Append(r); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := sw.Close(); err != nil {
+		f.Fatal(err)
+	}
+	binarySeeds(f, buf.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzBinarySource(t, data, NewStreamSource(bytes.NewReader(data)), 1+recordSize)
+	})
 }
 
 // Property: round trip is the identity for arbitrary record contents.
