@@ -44,7 +44,7 @@
 //
 // The aggregator shards its host space by consistent name hash (-shards)
 // and memoizes per-shard merges; agents push interval deltas once a full
-// push has been acknowledged (disable with -full-push) and resync
+// push has been acknowledged, heartbeats while nothing changes, and resync
 // automatically across aggregator restarts.
 package main
 
@@ -85,7 +85,6 @@ func main() {
 		// the aggregator's -catalog references).
 		push     = flag.String("push", "", "aggregator push URL, e.g. http://aggr:9108/fleet/push")
 		interval = flag.Duration("interval", 2*time.Second, "push interval per agent")
-		fullPush = flag.Bool("full-push", false, "always push full state instead of interval deltas")
 		seed     = flag.Int64("seed", 1, "master simulation seed: every workload RNG derives from it")
 		speed    = flag.Int("speed", 1, "virtual seconds simulated per wall second")
 		duration = flag.Duration("duration", 0, "stop after this wall-clock time (0 = run until interrupted)")
@@ -109,9 +108,9 @@ func main() {
 		err = runAggregator(*listen, *stale, *shards, *dataDir, *retention, *catalog, *seed,
 			*upstream, *region, *reexportInterval, *passthrough)
 	case "agent":
-		err = runAgent(*listen, *host, *push, *interval, *workload, *fullPush, *seed, *speed, *duration)
+		err = runAgent(*listen, *host, *push, *interval, *workload, *seed, *speed, *duration)
 	case "sim":
-		err = runSim(*listen, *push, *interval, *fullPush, *seed, *speed, *duration,
+		err = runSim(*listen, *push, *interval, *seed, *speed, *duration,
 			*simHosts, *vmsPerHost, *disksPerVM, *intensity, *workers)
 	default:
 		err = fmt.Errorf("vscsifleet: -mode must be aggregator, agent or sim")
@@ -199,7 +198,7 @@ func runAggregator(listen string, stale time.Duration, shards int, dataDir strin
 	}
 }
 
-func runAgent(listen, host, push string, interval time.Duration, workload string, fullPush bool, seed int64, speed int, duration time.Duration) error {
+func runAgent(listen, host, push string, interval time.Duration, workload string, seed int64, speed int, duration time.Duration) error {
 	if host == "" {
 		host, _ = os.Hostname()
 		if host == "" {
@@ -220,7 +219,7 @@ func runAgent(listen, host, push string, interval time.Duration, workload string
 
 	obs := vscsistats.NewFleetObsTracker(vscsistats.FleetObsConfig{})
 	agent := vscsistats.NewFleetAgent(reg, vscsistats.FleetAgentConfig{
-		Host: host, Endpoint: push, Interval: interval, DisableDeltas: fullPush, Obs: obs,
+		Host: host, Endpoint: push, Interval: interval, Obs: obs,
 	})
 	if push != "" {
 		agent.Start()
@@ -275,7 +274,7 @@ func runAgent(listen, host, push string, interval time.Duration, workload string
 // runs every host wall-paced at -speed, each pushing through a real fleet
 // agent. Status lines report the achieved multiplier so a CPU-bound run
 // is visible rather than silently behind.
-func runSim(listen, push string, interval time.Duration, fullPush bool, seed int64, speed int, duration time.Duration, hosts, vmsPerHost, disksPerVM int, intensity float64, workers int) error {
+func runSim(listen, push string, interval time.Duration, seed int64, speed int, duration time.Duration, hosts, vmsPerHost, disksPerVM int, intensity float64, workers int) error {
 	if speed < 1 {
 		speed = 1
 	}
@@ -285,7 +284,7 @@ func runSim(listen, push string, interval time.Duration, fullPush bool, seed int
 	build := time.Now()
 	sim, err := vscsistats.NewDatacenterSim(inv, vscsistats.DatacenterSimConfig{
 		Push: push, PushInterval: interval, Speed: float64(speed),
-		Workers: workers, DisableDeltas: fullPush,
+		Workers: workers,
 	})
 	if err != nil {
 		return err

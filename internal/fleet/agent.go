@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"errors"
 	"math/rand"
 	"net/http"
 	"sync"
@@ -34,13 +33,6 @@ type AgentConfig struct {
 	// MaxBackoff caps the exponential backoff between failed pushes
 	// (default 30s; the first retry waits Interval).
 	MaxBackoff time.Duration
-	// DisableDeltas forces every push to carry full cumulative state. By
-	// default, once a push has been acknowledged, the agent sends interval
-	// deltas against that acknowledged state — with unchanged disks
-	// omitted entirely — and falls back to a full push automatically
-	// whenever the aggregator cannot apply one (restart, sequence gap) or
-	// the registry's disk set changes.
-	DisableDeltas bool
 	// Client overrides the HTTP client (default: a dedicated client; the
 	// per-request timeout always comes from Timeout).
 	Client *http.Client
@@ -65,22 +57,9 @@ func (c *AgentConfig) withDefaults() AgentConfig {
 	return out
 }
 
-// queued is one registry capture awaiting delivery. The queue always holds
-// full cumulative state; whether a capture goes over the wire full or as a
-// delta is decided at flush time against the base acknowledged by then, so
-// a capture built while an older push was still in flight never carries a
-// stale base sequence.
-type queued struct {
-	seq          uint64
-	sentUnixNano int64
-	full         []*core.Snapshot
-	// traceID is stamped at capture and rides the frame header, so this
-	// one push is followable across processes.
-	traceID string
-}
-
 // Agent periodically captures a registry's snapshots and pushes them to an
-// aggregator — full state until first acknowledged, interval deltas after.
+// aggregator through the sender's delivery step — full state until first
+// acknowledged, interval deltas after, heartbeats while nothing changes.
 // All methods are safe for concurrent use. Between Start and Stop two
 // goroutines run: a builder that only captures and enqueues on each tick,
 // and a flusher that does all network I/O — so a slow or dead aggregator
@@ -90,41 +69,34 @@ type Agent struct {
 	cfg AgentConfig
 	reg *core.Registry
 
-	seq atomic.Uint64
-
-	// qmu guards only the capture queue — the builder's hot path. It is
-	// never held across network I/O or while computing backoff.
-	qmu   sync.Mutex
-	queue []*queued
-
-	// bmu guards the backoff schedule and its jitter RNG, deliberately
-	// split from qmu: a flusher stuck computing backoff (or a Stats call
-	// reading it) cannot block buildBatch/enqueue.
-	bmu      sync.Mutex
+	// mu guards the capture queue, the backoff schedule and its jitter
+	// RNG. It is never held across network I/O: each critical section is
+	// a few loads and stores, so a flusher stuck on a hung aggregator
+	// cannot block buildBatch/enqueue.
+	mu sync.Mutex
+	// queue holds full-state captures, oldest first. Whether one goes over
+	// the wire full, as a delta or as a heartbeat is decided at flush time
+	// against the base acknowledged by then, so a capture built while an
+	// older push was in flight never carries a stale base sequence.
+	queue    []*Batch
 	failures int       // consecutive failed flushes
 	notUntil time.Time // backoff gate: no network attempt before this
 	rng      *rand.Rand
 
-	// baseMu guards the delta base. Flushers update it on every ack.
-	baseMu sync.Mutex
-	base   *ackedBase // nil until the first acknowledged push
-
-	// flushMu single-flights flush: deltas are computed against the base
-	// at flush time, so two interleaved flushes could otherwise both build
-	// deltas on a base one of them is about to advance.
+	// flushMu single-flights flush and guards chain.base: deltas are
+	// rendered against the base at flush time, and only one flush may
+	// advance it. The builder draws capture numbers from chain.seq.
 	flushMu sync.Mutex
+	chain   chain
 
-	pushes      atomic.Int64
-	deltaPushes atomic.Int64
-	retries     atomic.Int64
-	dropped     atomic.Int64
-	resyncs     atomic.Int64
+	retries atomic.Int64
+	dropped atomic.Int64
 
 	// life owns the push loop's start/stop and the failed-delivery record.
 	life *lifecycle
 
-	// snd owns the wire: endpoint, boot incarnation, trace identity and the
-	// one encode → POST → status fold.
+	// snd owns the wire: endpoint, boot incarnation, trace identity, the
+	// delivery step and its counters.
 	snd *sender
 }
 
@@ -209,159 +181,73 @@ func (a *Agent) run() {
 // any.
 func (a *Agent) PushNow() error {
 	a.enqueue(a.buildBatch())
-	a.bmu.Lock()
+	a.mu.Lock()
 	a.notUntil = time.Time{}
-	a.bmu.Unlock()
+	a.mu.Unlock()
 	return a.flush(time.Now())
 }
 
-// buildBatch captures the registry into a sequenced queue entry. No locks
-// beyond the registry's own and no network: this is the path that must
-// stay fast however sick the aggregator is.
-func (a *Agent) buildBatch() *queued {
+// buildBatch captures the registry into a full frame under a fresh
+// sequence number. No locks beyond the registry's own and no network: this
+// is the path that must stay fast however sick the aggregator is.
+func (a *Agent) buildBatch() *Batch {
 	start := time.Now()
-	q := &queued{
-		seq:          a.seq.Add(1),
-		sentUnixNano: start.UnixNano(),
-		full:         a.reg.Snapshots(),
-	}
-	q.traceID = a.snd.traceID(a.cfg.Host, q.seq)
+	f := a.snd.frame(a.cfg.Host, a.chain.next(), start.UnixNano(), a.reg.Snapshots())
 	a.cfg.Obs.ObserveSince(fleetobs.StageCapture, start, fleetobs.Event{
-		Host: a.cfg.Host, TraceID: q.traceID, BatchSeq: q.seq, Shard: -1,
+		Host: a.cfg.Host, TraceID: f.TraceID, BatchSeq: f.Seq, Shard: -1,
 	})
-	return q
+	return f
 }
 
-// enqueue appends q to the capture queue, dropping the oldest entry when
+// enqueue appends f to the capture queue, dropping the oldest entry when
 // the queue is full.
-func (a *Agent) enqueue(q *queued) {
-	a.qmu.Lock()
-	defer a.qmu.Unlock()
+func (a *Agent) enqueue(f *Batch) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	if len(a.queue) >= a.cfg.MaxRetryQueue {
 		a.queue = a.queue[1:]
 		a.dropped.Add(1)
 	}
-	a.queue = append(a.queue, q)
+	a.queue = append(a.queue, f)
 }
 
-// currentBase reads the acknowledged base.
-func (a *Agent) currentBase() *ackedBase {
-	a.baseMu.Lock()
-	defer a.baseMu.Unlock()
-	return a.base
-}
-
-// advanceBase records q as acknowledged, monotonically.
-func (a *Agent) advanceBase(q *queued) {
-	a.baseMu.Lock()
-	defer a.baseMu.Unlock()
-	if a.base == nil || q.seq > a.base.seq {
-		a.base = &ackedBase{seq: q.seq, full: q.full}
-	}
-}
-
-// clearBase forgets the acknowledged base; the next wire batch is full.
-func (a *Agent) clearBase() {
-	a.baseMu.Lock()
-	a.base = nil
-	a.baseMu.Unlock()
-}
-
-// makeWire renders a queue entry for the wire: a delta against the current
-// acknowledged base when one exists and the disk sets line up (with
-// unchanged disks omitted — on a slowly-changing fleet most of the frame
-// vanishes), a full batch otherwise.
-func (a *Agent) makeWire(q *queued) *Batch {
-	b := a.snd.frame(a.cfg.Host, q.seq, q.sentUnixNano, q.full)
-	if a.cfg.DisableDeltas {
-		return b
-	}
-	base := a.currentBase()
-	if base == nil || q.seq <= base.seq {
-		return b
-	}
-	start := time.Now()
-	deltas, ok := subAgainst(q.full, base.full)
-	a.cfg.Obs.ObserveSince(fleetobs.StageDeltaRender, start, fleetobs.Event{
-		Host: a.cfg.Host, TraceID: q.traceID, BatchSeq: q.seq, Shard: -1,
-	})
-	if !ok {
-		return b
-	}
-	b.Delta = true
-	b.BaseSeq = base.seq
-	b.Snapshots = deltas
-	return b
-}
-
-// flush delivers queued captures oldest-first until the queue drains or a
-// push fails. Single-flighted: deltas are computed against the base at
-// send time, and only one sender may advance that base. A failure
-// schedules the next attempt with exponential backoff plus ±20% jitter;
-// captures enqueued in the meantime wait for it. A resync refusal is not a
-// failure: the agent clears its base and immediately retries the same
-// capture as full state.
+// flush delivers queued captures oldest-first through the sender's
+// delivery step until the queue drains or a push fails. Single-flighted:
+// only one flush may advance the chain's base. A failure schedules the
+// next attempt with exponential backoff plus ±20% jitter; captures
+// enqueued in the meantime wait for it.
 func (a *Agent) flush(now time.Time) error {
 	if a.cfg.Endpoint == "" {
 		return nil
 	}
-	a.bmu.Lock()
+	a.mu.Lock()
 	gated := now.Before(a.notUntil)
-	a.bmu.Unlock()
+	a.mu.Unlock()
 	if gated {
 		return nil
 	}
 	a.flushMu.Lock()
 	defer a.flushMu.Unlock()
 	for {
-		a.qmu.Lock()
+		a.mu.Lock()
 		if len(a.queue) == 0 {
-			a.qmu.Unlock()
-			a.bmu.Lock()
-			a.failures = 0
-			a.notUntil = time.Time{}
-			a.bmu.Unlock()
+			a.failures, a.notUntil = 0, time.Time{}
+			a.mu.Unlock()
 			return nil
 		}
-		q := a.queue[0]
-		a.qmu.Unlock()
+		f := a.queue[0]
+		a.mu.Unlock()
 
-		if base := a.currentBase(); base != nil && q.seq <= base.seq {
+		if base := a.chain.base; base != nil && f.Seq <= base.seq {
 			// Superseded: the aggregator already acknowledged newer state.
-			a.dequeueThrough(q.seq)
+			a.dequeueThrough(f.Seq)
 			continue
 		}
-		if q.seq < a.seq.Load() {
+		if f.Seq < a.chain.seq.Load() {
 			a.retries.Add(1)
 		}
-
-		wire := a.makeWire(q)
-		err := a.snd.push(wire)
-		switch {
-		case err == nil:
-			// Queue dwell: capture to acknowledged delivery, retries and
-			// backoff included — the agent-side end-to-end latency.
-			a.cfg.Obs.Observe(fleetobs.StageQueueDwell,
-				time.Since(time.Unix(0, q.sentUnixNano)), fleetobs.Event{
-					Host: a.cfg.Host, TraceID: q.traceID, BatchSeq: q.seq, Shard: -1,
-				})
-			a.advanceBase(q)
-			a.dequeueThrough(q.seq)
-			a.bmu.Lock()
-			a.failures = 0
-			a.bmu.Unlock()
-			a.pushes.Add(1)
-			if wire.Delta {
-				a.deltaPushes.Add(1)
-			}
-		case errors.Is(err, errResync) && wire.Delta:
-			// The aggregator lost our base (restart) or we skipped past it
-			// (gap). Forget the base and re-send this same capture as full
-			// state, immediately — resync is protocol, not failure.
-			a.resyncs.Add(1)
-			a.clearBase()
-		default:
-			a.bmu.Lock()
+		if _, err := a.snd.deliver(&a.chain, f); err != nil {
+			a.mu.Lock()
 			a.failures++
 			backoff := a.cfg.Interval << (a.failures - 1)
 			if backoff > a.cfg.MaxBackoff || backoff <= 0 {
@@ -371,36 +257,46 @@ func (a *Agent) flush(now time.Time) error {
 			// does not retry together.
 			jitter := time.Duration(a.rng.Int63n(int64(backoff)/5+1)) - backoff/10
 			a.notUntil = now.Add(backoff + jitter)
-			a.bmu.Unlock()
+			a.mu.Unlock()
 			a.life.noteError(err)
 			return err
 		}
+		// Queue dwell: capture to acknowledged delivery, retries and
+		// backoff included — the agent-side end-to-end latency.
+		a.cfg.Obs.Observe(fleetobs.StageQueueDwell,
+			time.Since(time.Unix(0, f.SentUnixNano)), fleetobs.Event{
+				Host: a.cfg.Host, TraceID: f.TraceID, BatchSeq: f.Seq, Shard: -1,
+			})
+		a.dequeueThrough(f.Seq)
 	}
 }
 
 // dequeueThrough removes every queued capture with seq <= through —
 // delivered or superseded state (captures are cumulative, so a newer
-// delivery carries everything an older one did).
+// delivery carries everything an older one did) — and, as the receiver
+// holds that state, ends the run of consecutive failures.
 func (a *Agent) dequeueThrough(through uint64) {
-	a.qmu.Lock()
-	defer a.qmu.Unlock()
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	rest := a.queue[:0]
-	for _, q := range a.queue {
-		if q.seq > through {
-			rest = append(rest, q)
+	for _, f := range a.queue {
+		if f.Seq > through {
+			rest = append(rest, f)
 		}
 	}
 	a.queue = rest
+	a.failures = 0
 }
 
 // AgentStats is a point-in-time copy of the agent's counters.
 type AgentStats struct {
-	// Pushes counts batches delivered; DeltaPushes the subset that went
-	// over the wire as interval deltas; Errors counts failed delivery
-	// attempts; Retries counts deliveries of captures older than the
-	// newest; Dropped counts captures evicted from the full retry queue;
-	// Resyncs counts delta refusals answered with a full-state push.
-	Pushes, DeltaPushes, Errors, Retries, Dropped, Resyncs int64
+	// Pushes counts captures delivered; DeltaPushes and Heartbeats the
+	// subsets that went over the wire as interval deltas and as
+	// liveness-only heartbeats (nothing changed); Errors counts failed
+	// delivery attempts; Retries counts deliveries of captures older than
+	// the newest; Dropped counts captures evicted from the full retry
+	// queue; Resyncs counts delta refusals answered with a full-state push.
+	Pushes, DeltaPushes, Heartbeats, Errors, Retries, Dropped, Resyncs int64
 	// SentBytes totals the wire bytes of delivered batches.
 	SentBytes int64
 	// QueueLen is the current retry-queue depth and Failures the current
@@ -412,19 +308,17 @@ type AgentStats struct {
 
 // Stats returns the agent's counters.
 func (a *Agent) Stats() AgentStats {
-	a.qmu.Lock()
-	qlen := len(a.queue)
-	a.qmu.Unlock()
-	a.bmu.Lock()
-	failures := a.failures
-	a.bmu.Unlock()
+	a.mu.Lock()
+	qlen, failures := len(a.queue), a.failures
+	a.mu.Unlock()
 	return AgentStats{
-		Pushes:      a.pushes.Load(),
-		DeltaPushes: a.deltaPushes.Load(),
+		Pushes:      a.snd.pushes.Load(),
+		DeltaPushes: a.snd.deltaPushes.Load(),
+		Heartbeats:  a.snd.heartbeats.Load(),
 		Errors:      a.life.errors.Load(),
 		Retries:     a.retries.Load(),
 		Dropped:     a.dropped.Load(),
-		Resyncs:     a.resyncs.Load(),
+		Resyncs:     a.snd.resyncs.Load(),
 		SentBytes:   a.snd.sentBytes.Load(),
 		QueueLen:    qlen,
 		Failures:    failures,
@@ -435,6 +329,7 @@ func (a *Agent) Stats() AgentStats {
 var agentSeries = []telemetry.Series[AgentStats]{
 	telemetry.Counter("vscsistats_fleet_agent_pushes_total", "Batches the agent delivered.", func(s AgentStats) int64 { return s.Pushes }),
 	telemetry.Counter("vscsistats_fleet_agent_delta_pushes_total", "Batches delivered as interval deltas.", func(s AgentStats) int64 { return s.DeltaPushes }),
+	telemetry.Counter("vscsistats_fleet_agent_heartbeats_total", "Liveness-only frames sent when nothing changed.", func(s AgentStats) int64 { return s.Heartbeats }),
 	telemetry.Counter("vscsistats_fleet_agent_errors_total", "Failed delivery attempts.", func(s AgentStats) int64 { return s.Errors }),
 	telemetry.Counter("vscsistats_fleet_agent_retries_total", "Deliveries of captures older than the newest.", func(s AgentStats) int64 { return s.Retries }),
 	telemetry.Counter("vscsistats_fleet_agent_dropped_total", "Captures evicted from the full retry queue.", func(s AgentStats) int64 { return s.Dropped }),

@@ -78,6 +78,9 @@ func TestAgentRetryQueueBoundedWithDropCounters(t *testing.T) {
 		if err := a.PushNow(); err == nil {
 			t.Fatal("push succeeded against a refusing aggregator")
 		}
+		// Fresh traffic after every capture, so each one is new content:
+		// captures of unchanged state drain as heartbeats.
+		feed(reg.List()[0], 600+i, 10)
 	}
 	st := a.Stats()
 	if st.QueueLen > 4 {
@@ -109,6 +112,9 @@ func TestAgentRetryQueueBoundedWithDropCounters(t *testing.T) {
 	hosts := as.agg.Hosts()
 	if len(hosts) != 1 || hosts[0].Seq != 11 {
 		t.Fatalf("aggregator should hold newest seq 11: %+v", hosts)
+	}
+	if got := as.agg.ClusterSnapshot(false); !sameSnapshot(got, reg.HostSnapshot()) {
+		t.Error("drained queue left the aggregator behind the registry")
 	}
 }
 
@@ -246,5 +252,52 @@ func TestAgentStopDrainHonorsBackoffGate(t *testing.T) {
 	}
 	if got := as.requests.Load(); got != before {
 		t.Errorf("gated drain still hit the server: %d -> %d requests", before, got)
+	}
+}
+
+// TestAgentIdleIntervalIsHeartbeat pins the idle-agent rule: a capture
+// with nothing changed since the acknowledged base goes out as a
+// heartbeat, which the aggregator takes as a duplicate — no delta
+// applied, no segment-log append, no new sequence, and the merge cache
+// stays valid.
+func TestAgentIdleIntervalIsHeartbeat(t *testing.T) {
+	g, _, err := OpenAggregator(logAggConfig(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	srv := httptest.NewServer(g)
+	defer srv.Close()
+	reg := makeRegistry(12, 1, 2, 150)
+	a := NewAgent(reg, AgentConfig{Host: "esx-quiet", Endpoint: srv.URL + "/fleet/push"})
+
+	if err := a.PushNow(); err != nil {
+		t.Fatal(err)
+	}
+	g.ClusterSnapshot(false) // fill the merge cache
+	before, logBefore, hostsBefore := g.Stats(), g.LogStats(), g.Hosts()
+	if err := a.PushNow(); err != nil {
+		t.Fatal(err)
+	}
+	after, logAfter, hosts := g.Stats(), g.LogStats(), g.Hosts()
+	if after.DeltasApplied != before.DeltasApplied || logAfter.Appends != logBefore.Appends {
+		t.Errorf("idle push applied %d deltas and appended %d frames, want none",
+			after.DeltasApplied-before.DeltasApplied, logAfter.Appends-logBefore.Appends)
+	}
+	if len(hosts) != 1 || hosts[0].Seq != hostsBefore[0].Seq {
+		t.Errorf("idle push moved the host's seq: %+v -> %+v", hostsBefore, hosts)
+	}
+	if after.Duplicates != before.Duplicates+1 {
+		t.Errorf("duplicates %d -> %d, want one heartbeat", before.Duplicates, after.Duplicates)
+	}
+	if st := a.Stats(); st.Pushes != 2 || st.DeltaPushes != 0 {
+		t.Errorf("agent stats %+v, want 2 pushes and no delta", st)
+	}
+	misses := after.MergeCacheMisses
+	if got := g.ClusterSnapshot(false); !sameSnapshot(got, reg.HostSnapshot()) {
+		t.Error("aggregator view diverged from the registry")
+	}
+	if g.Stats().MergeCacheMisses != misses {
+		t.Error("idle push invalidated the merge cache")
 	}
 }

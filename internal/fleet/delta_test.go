@@ -276,15 +276,6 @@ func TestAgentDeltaPushesEndToEnd(t *testing.T) {
 	if as.agg.Stats().DeltasApplied != 6 {
 		t.Errorf("aggregator applied %d deltas, want 6", as.agg.Stats().DeltasApplied)
 	}
-
-	// DisableDeltas really disables them.
-	full := NewAgent(reg, AgentConfig{Host: "esx-full", Endpoint: as.pushURL(), DisableDeltas: true})
-	full.PushNow()
-	feed(reg.List()[0], 999, 40)
-	full.PushNow()
-	if st := full.Stats(); st.DeltaPushes != 0 || st.Pushes != 2 {
-		t.Errorf("DisableDeltas agent stats: %+v", st)
-	}
 }
 
 // TestAgentResyncsAfterAggregatorRestart is the recovery path end to end:
@@ -358,8 +349,8 @@ func TestAgentBuildBatchNeverBlocksOnSlowAggregator(t *testing.T) {
 	defer close(release) // LIFO: unhang the handler before Stop waits on the flusher
 
 	<-inFlight // one push is now hung inside the aggregator
-	seqBefore := a.seq.Load()
-	waitFor(t, 2*time.Second, func() bool { return a.seq.Load() >= seqBefore+5 })
+	seqBefore := a.chain.seq.Load()
+	waitFor(t, 2*time.Second, func() bool { return a.chain.seq.Load() >= seqBefore+5 })
 	if st := a.Stats(); st.Pushes != 0 {
 		t.Errorf("pushes completed while the aggregator was hung: %+v", st)
 	}

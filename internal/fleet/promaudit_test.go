@@ -140,6 +140,7 @@ type carrier struct {
 var carriers = map[string]carrier{
 	"AgentStats.Pushes":      {family: "vscsistats_fleet_agent_pushes_total"},
 	"AgentStats.DeltaPushes": {family: "vscsistats_fleet_agent_delta_pushes_total"},
+	"AgentStats.Heartbeats":  {family: "vscsistats_fleet_agent_heartbeats_total"},
 	"AgentStats.Errors":      {family: "vscsistats_fleet_agent_errors_total"},
 	"AgentStats.Retries":     {family: "vscsistats_fleet_agent_retries_total"},
 	"AgentStats.Dropped":     {family: "vscsistats_fleet_agent_dropped_total"},

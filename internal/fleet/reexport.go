@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -37,11 +36,6 @@ type ReExporterConfig struct {
 	// at the cost of upstream ingest scaling with hosts again; the default
 	// rollup keeps upstream cost proportional to regions.
 	PerHostPassthrough bool
-	// DisableDeltas forces every re-export to carry full rendered state.
-	// By default, once a push is acknowledged the re-exporter sends only
-	// the shards (or hosts) whose merged state changed since — and a
-	// liveness-only heartbeat when nothing did.
-	DisableDeltas bool
 	// Client overrides the HTTP client (the per-request timeout always
 	// comes from Timeout).
 	Client *http.Client
@@ -69,11 +63,11 @@ func (c *ReExporterConfig) withDefaults() ReExporterConfig {
 // and the upstream delta carries only those shards. Upstream wire bytes
 // and ingest scale with regions changed, not with leaf hosts.
 //
-// When nothing changed since the last acknowledged push, the re-exporter
-// sends a liveness-only heartbeat: a duplicate delta (same sequence,
-// empty payload) that refreshes the upstream's lastSeen without bumping
-// its shard version — the upstream merge cache stays valid across quiet
-// intervals.
+// Each entry goes upstream through the sender's delivery step, as an
+// agent's captures do: full state until acknowledged, deltas after, and a
+// liveness-only heartbeat when nothing changed — a duplicate that
+// refreshes the upstream's lastSeen without bumping its shard version, so
+// the upstream merge cache stays valid across quiet intervals.
 //
 // Every frame carries this process's boot incarnation, its federation
 // level (1 + the highest level among fresh downstream hosts) and the
@@ -86,21 +80,16 @@ type ReExporter struct {
 	agg *Aggregator
 
 	// snd owns the wire: upstream endpoint, boot incarnation, trace
-	// identity and the one encode → POST → status fold.
+	// identity, the delivery step and its counters.
 	snd *sender
 
-	// mu single-flights flush and guards seqs/bases: deltas are rendered
-	// against the base at flush time, and only one flush may advance it.
-	mu    sync.Mutex
-	seqs  map[string]uint64
-	bases map[string]*ackedBase // last upstream-acknowledged rendering per entry
+	// mu single-flights flush and guards chains, one per upstream entry:
+	// deltas are rendered against a chain's base at flush time, and only
+	// one flush may advance it.
+	mu     sync.Mutex
+	chains map[string]*chain
 
-	pushes      atomic.Int64
-	deltaPushes atomic.Int64
-	heartbeats  atomic.Int64
-	fullPushes  atomic.Int64
-	resyncs     atomic.Int64
-	level       atomic.Int64
+	level atomic.Int64
 
 	// life owns the re-export loop's start/stop and the failed-delivery
 	// record.
@@ -124,10 +113,9 @@ func NewReExporter(agg *Aggregator, cfg ReExporterConfig) *ReExporter {
 		agg: agg,
 		// No tracker on the sender: a re-export is one StageReExport span,
 		// recorded by ReExportNow around all of its pushes.
-		snd:   newSender(cfg.Upstream, cfg.Client, cfg.Timeout, nil, rng),
-		seqs:  make(map[string]uint64),
-		bases: make(map[string]*ackedBase),
-		life:  newLifecycle(),
+		snd:    newSender(cfg.Upstream, cfg.Client, cfg.Timeout, nil, rng),
+		chains: make(map[string]*chain),
+		life:   newLifecycle(),
 	}
 }
 
@@ -175,33 +163,21 @@ func (r *ReExporter) renderRollup(now time.Time) upstreamEntry {
 		s.Disk = fmt.Sprintf("shard-%04d", i)
 		e.snaps = append(e.snaps, &s)
 	}
-	e.level, e.leaves = r.tierOf(now)
+	e.level, e.leaves = r.tierOf()
 	return e
 }
 
 // tierOf computes the level and folded-leaf count this re-exporter stamps
 // on upstream frames: one more than the highest level among fresh
 // downstream hosts, and the sum of their leaf counts.
-func (r *ReExporter) tierOf(now time.Time) (level, leaves int) {
-	maxLevel := 0
-	for _, sh := range r.agg.shards {
-		sh.mu.RLock()
-		for _, st := range sh.hosts {
-			if now.Sub(st.lastSeen) > r.agg.cfg.StaleAfter {
-				continue
-			}
-			if st.level > maxLevel {
-				maxLevel = st.level
-			}
-			if st.leaves > 0 {
-				leaves += st.leaves
-			} else {
-				leaves++
-			}
+func (r *ReExporter) tierOf() (level, leaves int) {
+	for _, h := range r.agg.Hosts() {
+		if !h.Stale {
+			level = max(level, h.Level)
+			leaves += h.Leaves
 		}
-		sh.mu.RUnlock()
 	}
-	return maxLevel + 1, leaves
+	return level + 1, leaves
 }
 
 // renderPassthrough renders each fresh downstream host as its own
@@ -271,94 +247,28 @@ func maxEntryLevel(entries []upstreamEntry) int {
 	return m
 }
 
-// flushEntry delivers one upstream host's rendering: a delta of the
-// changed snapshots when a base exists and the disk sets line up, a
-// liveness-only heartbeat when nothing changed, full state otherwise. A
-// delta the upstream refuses with a 4xx (restart, gap, boot change)
-// clears the base and immediately re-sends this same rendering full —
-// resync is protocol, not failure.
+// flushEntry delivers one upstream host's rendering through the sender's
+// delivery step, under the entry's own chain. Every rendering is new
+// content, so it draws a fresh sequence number.
 func (r *ReExporter) flushEntry(e upstreamEntry) error {
-	seq := r.seqs[e.host]
-	base := r.bases[e.host]
-	if base != nil && !r.cfg.DisableDeltas {
-		if deltas, ok := subAgainst(e.snaps, base.full); ok {
-			var b *Batch
-			if len(deltas) == 0 {
-				// Nothing changed: heartbeat as a duplicate delta — the
-				// upstream's duplicate path refreshes lastSeen, applies
-				// nothing, logs nothing and leaves its merge cache valid.
-				b = r.frame(e, base.seq, base.seq-1, true, nil)
-			} else {
-				seq++
-				b = r.frame(e, seq, base.seq, true, deltas)
-			}
-			err := r.snd.push(b)
-			switch {
-			case err == nil:
-				if len(deltas) == 0 {
-					r.pushes.Add(1)
-					r.heartbeats.Add(1)
-					r.emitPush(b, "heartbeat", len(e.snaps))
-					return nil
-				}
-				r.seqs[e.host] = seq
-				r.bases[e.host] = &ackedBase{seq: seq, full: e.snaps}
-				r.pushes.Add(1)
-				r.deltaPushes.Add(1)
-				r.emitPush(b, "delta", len(deltas))
-				return nil
-			case errors.Is(err, errResync):
-				// The upstream lost our base, restarted, or sees a
-				// different boot claiming our name — heartbeats draw this
-				// too. Forget the base and fall through to the full push.
-				r.resyncs.Add(1)
-				delete(r.bases, e.host)
-				seq = r.seqs[e.host]
-			default:
-				return r.noteError(e, err)
-			}
-		}
+	c := r.chains[e.host]
+	if c == nil {
+		c = &chain{}
+		r.chains[e.host] = c
 	}
-	seq++
-	f := r.frame(e, seq, 0, false, e.snaps)
-	if err := r.snd.push(f); err != nil {
-		return r.noteError(e, err)
+	f := r.snd.frame(e.host, c.next(), time.Now().UnixNano(), e.snaps)
+	f.Level, f.Leaves = e.level, e.leaves
+	b, err := r.snd.deliver(c, f)
+	detail := fmt.Sprintf("%s snapshots=%d level=%d leaves=%d", b.kind(), len(b.Snapshots), b.Level, b.Leaves)
+	if err != nil {
+		r.life.noteError(err)
+		detail = "error: " + err.Error()
 	}
-	r.seqs[e.host] = seq
-	r.bases[e.host] = &ackedBase{seq: seq, full: e.snaps}
-	r.pushes.Add(1)
-	r.fullPushes.Add(1)
-	r.emitPush(f, "full", len(e.snaps))
-	return nil
-}
-
-// frame builds one upstream wire batch for the entry.
-func (r *ReExporter) frame(e upstreamEntry, seq, baseSeq uint64, delta bool, snaps []*core.Snapshot) *Batch {
-	b := r.snd.frame(e.host, seq, time.Now().UnixNano(), snaps)
-	b.Level, b.Leaves = e.level, e.leaves
-	if delta {
-		b.Delta, b.BaseSeq = true, baseSeq
-	}
-	return b
-}
-
-// noteError records a failed upstream delivery.
-func (r *ReExporter) noteError(e upstreamEntry, err error) error {
-	r.life.noteError(err)
 	r.cfg.Obs.Emit(fleetobs.Event{
 		Kind: fleetobs.KindReExport, Scope: "aggregator",
-		Host: e.host, Shard: -1, Detail: "error: " + err.Error(),
+		Host: b.Host, TraceID: b.TraceID, BatchSeq: b.Seq, Shard: -1, Detail: detail,
 	})
 	return err
-}
-
-// emitPush records one delivered upstream frame as a KindReExport event.
-func (r *ReExporter) emitPush(b *Batch, mode string, snaps int) {
-	r.cfg.Obs.Emit(fleetobs.Event{
-		Kind: fleetobs.KindReExport, Scope: "aggregator",
-		Host: b.Host, TraceID: b.TraceID, BatchSeq: b.Seq, Shard: -1,
-		Detail: fmt.Sprintf("%s snapshots=%d level=%d leaves=%d", mode, snaps, b.Level, b.Leaves),
-	})
 }
 
 // ReExporterStats is a point-in-time copy of the re-exporter's counters.
@@ -386,11 +296,11 @@ func (r *ReExporter) Stats() ReExporterStats {
 		Region:      r.cfg.Region,
 		Upstream:    r.cfg.Upstream,
 		Level:       int(r.level.Load()),
-		Pushes:      r.pushes.Load(),
-		DeltaPushes: r.deltaPushes.Load(),
-		Heartbeats:  r.heartbeats.Load(),
-		FullPushes:  r.fullPushes.Load(),
-		Resyncs:     r.resyncs.Load(),
+		Pushes:      r.snd.pushes.Load(),
+		DeltaPushes: r.snd.deltaPushes.Load(),
+		Heartbeats:  r.snd.heartbeats.Load(),
+		FullPushes:  r.snd.fullPushes.Load(),
+		Resyncs:     r.snd.resyncs.Load(),
 		Errors:      r.life.errors.Load(),
 		SentBytes:   r.snd.sentBytes.Load(),
 		LastError:   r.life.lastError(),

@@ -172,6 +172,55 @@ func TestReExportDeltasScaleWithRegionsChanged(t *testing.T) {
 	}
 }
 
+// TestReExportLostAckKeepsUpstreamExact: the upstream applies a delta but
+// its ack is lost. The next rendering is new content, so it must not reuse
+// the lost delta's sequence number — the upstream would take it as a
+// duplicate and silently drop an interval. A fresh number draws a seq-gap
+// 409 instead, and the resync leaves the upstream exact.
+func TestReExportLostAckKeepsUpstreamExact(t *testing.T) {
+	global := NewAggregator(AggregatorConfig{StaleAfter: time.Hour})
+	var loseAck atomic.Bool
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		global.ServeHTTP(rec, r)
+		if loseAck.CompareAndSwap(true, false) {
+			http.Error(w, "ack lost", http.StatusInternalServerError)
+			return
+		}
+		w.WriteHeader(rec.Code)
+		w.Write(rec.Body.Bytes())
+	}))
+	defer srv.Close()
+	region := newTreeRegion(t, "region-a", srv.URL+"/fleet/push", 4)
+
+	regs := make([]*core.Registry, 3)
+	for i := range regs {
+		regs[i] = makeRegistry(i, 1, 2, 90)
+		pushFull(t, region.agg, fmt.Sprintf("esx-%02d", i), 1, regs[i])
+	}
+	if err := region.rex.ReExportNow(); err != nil {
+		t.Fatal(err)
+	}
+
+	loseAck.Store(true)
+	feed(regs[0].List()[0], 501, 60)
+	pushFull(t, region.agg, "esx-00", 2, regs[0])
+	if err := region.rex.ReExportNow(); err == nil {
+		t.Fatal("re-export whose ack was lost reported success")
+	}
+	if got := global.Stats().DeltasApplied; got != 1 {
+		t.Fatalf("upstream applied %d deltas before losing the ack, want 1", got)
+	}
+	feed(regs[1].List()[1], 502, 60)
+	pushFull(t, region.agg, "esx-01", 2, regs[1])
+	if err := region.rex.ReExportNow(); err != nil {
+		t.Fatal(err)
+	}
+	if !global.ClusterSnapshot(false).StateEquals(region.agg.ClusterSnapshot(false)) {
+		t.Error("upstream lost an interval after a lost ack")
+	}
+}
+
 // TestReExportLevelAwareStaleness pins the staleness algebra: a host
 // going stale at its region drops out of the region's merge, and the very
 // next re-export horizon carries the shrunken state upstream — the global

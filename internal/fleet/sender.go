@@ -18,7 +18,7 @@ import (
 
 // errResync reports a delta push the receiver refused with a 4xx: the
 // base the delta was built on is gone (receiver restart, seq gap, boot
-// change) or the frame was otherwise unappliable. The sender's reaction is
+// change) or the frame was otherwise unappliable. deliver's reaction is
 // always the same — clear the acknowledged base and push full state — so
 // every 4xx on a delta folds into this one error.
 var errResync = errors.New("fleet: aggregator requested resync")
@@ -30,6 +30,22 @@ type ackedBase struct {
 	seq  uint64
 	full []*core.Snapshot
 }
+
+// chain is one pushed name's position in the push protocol as its sender
+// sees it. Sequence numbers name content: a capture or a rendering draws a
+// fresh one with next, a retry of the same content reuses it, and a failed
+// attempt burns it — so no number ever carries two contents.
+type chain struct {
+	seq  atomic.Uint64 // the last number drawn
+	base *ackedBase    // nil until the first acknowledged push, and after a resync
+	// unsure is set when a frame that could have changed the receiver
+	// failed after base was acknowledged. Its ack may be what was lost, so
+	// the receiver may be past base, and a heartbeat would leave it there.
+	unsure bool
+}
+
+// next draws a fresh sequence number for new content.
+func (c *chain) next() uint64 { return c.seq.Add(1) }
 
 // subAgainst pairs cur with base by (VM, disk) and returns the non-zero
 // interval deltas. It refuses (ok=false) when the disk sets differ — a
@@ -59,8 +75,9 @@ func subAgainst(cur, base []*core.Snapshot) ([]*core.Snapshot, bool) {
 
 // sender is the sending half of the push protocol (DESIGN.md §10 "Protocol
 // rules"), shared by every process that pushes frames: where they go, the
-// identity stamped on them, and the one encode → POST → status fold. What
-// to send and when — queue, backoff, heartbeat, base — is its owner's.
+// identity stamped on them, the one encode → POST → status fold, and the
+// one delivery step that picks full, delta or heartbeat. When to send, and
+// what — the capture queue and backoff, the rendering — is its owner's.
 type sender struct {
 	endpoint string
 	client   *http.Client
@@ -74,7 +91,10 @@ type sender struct {
 	// traceSalt keeps trace IDs distinct across restarts.
 	traceSalt uint32
 
-	sentBytes atomic.Int64
+	// Frames delivered, split by kind; resyncs counts delta refusals
+	// answered with full state.
+	pushes, deltaPushes, heartbeats, fullPushes, resyncs atomic.Int64
+	sentBytes                                            atomic.Int64
 }
 
 // newSender draws the process identity from rng; a nil client or a
@@ -100,12 +120,85 @@ func (s *sender) traceID(host string, seq uint64) string {
 }
 
 // frame stamps one full-state batch captured at the given time with this
-// sender's identity; the owner turns it into a delta where it has a base.
+// sender's identity; deliver turns it into a delta or heartbeat.
 func (s *sender) frame(host string, seq uint64, at int64, snaps []*core.Snapshot) *Batch {
 	return &Batch{
 		Host: host, Seq: seq, SentUnixNano: at, CaptureUnixNano: at, Snapshots: snaps,
 		TraceID: s.traceID(host, seq), Boot: s.boot,
 	}
+}
+
+// deliver is the delivery step both owners call: it sends the content f —
+// full state, numbered by its owner — under c, as
+//   - full state when c has no base or the disk set changed;
+//   - a heartbeat when nothing changed since the base: Seq = base.seq,
+//     BaseSeq = base.seq-1 and no snapshots, a duplicate the receiver
+//     answers by refreshing liveness alone; the base does not advance;
+//   - otherwise the delta against the base.
+//
+// A 4xx on a delta or heartbeat clears the base and re-sends f full at
+// once: resync is protocol, not failure. Any other error is returned for
+// the owner to retry. deliver returns the frame it sent last.
+func (s *sender) deliver(c *chain, f *Batch) (*Batch, error) {
+	b := s.render(c, f)
+	err := s.push(b)
+	if errors.Is(err, errResync) {
+		s.resyncs.Add(1)
+		c.base = nil
+		b = f
+		err = s.push(b)
+	}
+	if err != nil {
+		if b.kind() != "heartbeat" {
+			c.unsure = true
+		}
+		return b, err
+	}
+	s.pushes.Add(1)
+	switch b.kind() {
+	case "heartbeat":
+		s.heartbeats.Add(1)
+		return b, nil
+	case "delta":
+		s.deltaPushes.Add(1)
+	default:
+		s.fullPushes.Add(1)
+	}
+	c.base, c.unsure = &ackedBase{seq: f.Seq, full: f.Snapshots}, false
+	return b, nil
+}
+
+// render picks the frame deliver sends first for f under c.
+func (s *sender) render(c *chain, f *Batch) *Batch {
+	if c.base == nil {
+		return f
+	}
+	start := time.Now()
+	deltas, ok := subAgainst(f.Snapshots, c.base.full)
+	s.obs.ObserveSince(fleetobs.StageDeltaRender, start, fleetobs.Event{
+		Host: f.Host, TraceID: f.TraceID, BatchSeq: f.Seq, Shard: -1,
+	})
+	if !ok || (len(deltas) == 0 && c.unsure) {
+		return f
+	}
+	d := *f
+	d.Delta, d.BaseSeq, d.Snapshots = true, c.base.seq, deltas
+	if len(deltas) == 0 {
+		d.Seq, d.BaseSeq = c.base.seq, c.base.seq-1
+	}
+	return &d
+}
+
+// kind names a frame as deliver sends it: "full", "delta" (an interval)
+// or "heartbeat" (a delta with nothing in it).
+func (b *Batch) kind() string {
+	switch {
+	case !b.Delta:
+		return "full"
+	case len(b.Snapshots) == 0:
+		return "heartbeat"
+	}
+	return "delta"
 }
 
 // push sends one batch with the per-request timeout. Any 4xx on a delta

@@ -42,8 +42,6 @@ type SimConfig struct {
 	// (default GOMAXPROCS). Hosts are independent worlds, so workers scale
 	// across cores without any cross-host locking.
 	Workers int
-	// DisableDeltas forces agents to push full cumulative state.
-	DisableDeltas bool
 	// Client overrides the HTTP client shared by every agent (default: a
 	// pooled transport sized for the host count, so a thousand agents
 	// reuse connections instead of churning one each).
@@ -219,11 +217,10 @@ func buildHost(inv *Inventory, spec HostSpec, cfg SimConfig) (*simHost, error) {
 	}
 	if cfg.Push != "" {
 		sh.agent = fleet.NewAgent(host.Registry(), fleet.AgentConfig{
-			Host:          spec.Name,
-			Endpoint:      cfg.Push,
-			Interval:      cfg.PushInterval,
-			DisableDeltas: cfg.DisableDeltas,
-			Client:        cfg.Client,
+			Host:     spec.Name,
+			Endpoint: cfg.Push,
+			Interval: cfg.PushInterval,
+			Client:   cfg.Client,
 		})
 	}
 	return sh, nil
@@ -418,6 +415,7 @@ func (s *Sim) Stats() SimStats {
 			a := h.agent.Stats()
 			st.Agent.Pushes += a.Pushes
 			st.Agent.DeltaPushes += a.DeltaPushes
+			st.Agent.Heartbeats += a.Heartbeats
 			st.Agent.Errors += a.Errors
 			st.Agent.Retries += a.Retries
 			st.Agent.Dropped += a.Dropped
