@@ -174,11 +174,11 @@ func runAggregator(listen string, stale time.Duration, shards int, dataDir strin
 		metrics.With(rex)
 	}
 	handler := vscsistats.NewStatsHandlerWith(reg, vscsistats.StatsOptions{
-		Metrics:    metrics,
-		Fleet:      agg,
-		FleetTrace: obs.ChromeTraceHandler(),
+		Metrics: metrics,
+		Fleet:   agg,
+		Trace:   obs.ChromeTraceHandler(),
 	})
-	fmt.Fprintf(os.Stderr, "aggregator on %s (%d shards; /fleet/hosts, /fleet/snapshot, /fleet/shards, /fleet/history, /fleet/catalog, /fleet/log, /fleet/events, /fleet/slow, /fleet/push, /metrics, /debug/fleettrace, /healthz; stale after %s)\n",
+	fmt.Fprintf(os.Stderr, "aggregator on %s (%d shards; /fleet/hosts, /fleet/snapshot, /fleet/shards, /fleet/history, /fleet/catalog, /fleet/log, /fleet/events, /fleet/slow, /fleet/push, /metrics, /debug/trace, /healthz; stale after %s)\n",
 		listen, agg.NumShards(), stale)
 
 	// Serve until SIGINT/SIGTERM, then close the segment log so the final
@@ -227,8 +227,8 @@ func runAgent(listen, host, push string, interval time.Duration, workload string
 	}
 	if listen != "" {
 		handler := vscsistats.NewStatsHandlerWith(reg, vscsistats.StatsOptions{
-			Metrics:    vscsistats.NewMetricsExporter(reg).WithDiskStats(sc.Host).With(agent, obs),
-			FleetTrace: obs.ChromeTraceHandler(),
+			Metrics: vscsistats.NewMetricsExporter(reg).WithDiskStats(sc.Host).With(agent, obs),
+			Trace:   obs.ChromeTraceHandler(),
 		})
 		go http.ListenAndServe(listen, handler)
 		fmt.Fprintf(os.Stderr, "agent %s stats on %s\n", host, listen)

@@ -742,72 +742,48 @@ func (g *Aggregator) LogStats() LogStats {
 //	                      the resync_cause, asking the agent to resync
 //	                      with full state)
 func (g *Aggregator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	path := strings.Trim(r.URL.Path, "/")
-	path = strings.TrimPrefix(path, "fleet/")
-	switch path {
-	case "hosts":
-		if r.Method != http.MethodGet {
-			telemetry.JSONError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
-			return
-		}
-		telemetry.WriteJSON(w, g.Hosts())
-	case "snapshot":
-		if r.Method != http.MethodGet {
-			telemetry.JSONError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
-			return
-		}
-		g.serveSnapshot(w, r)
-	case "shards":
-		if r.Method != http.MethodGet {
-			telemetry.JSONError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
-			return
-		}
-		if host := r.URL.Query().Get("host"); host != "" {
-			telemetry.WriteJSON(w, map[string]any{
-				"host": host, "shard": g.ShardFor(host), "shards": g.NumShards(),
-			})
-			return
-		}
-		telemetry.WriteJSON(w, g.Shards())
-	case "history":
-		if r.Method != http.MethodGet {
-			telemetry.JSONError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
-			return
-		}
-		g.serveHistory(w, r)
-	case "catalog":
-		if r.Method != http.MethodGet {
-			telemetry.JSONError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
-			return
-		}
-		g.serveCatalog(w, r)
-	case "log":
-		if r.Method != http.MethodGet {
-			telemetry.JSONError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodGet)
-			return
-		}
-		telemetry.WriteJSON(w, g.LogStats())
-	case "events":
-		if g.cfg.Obs == nil {
-			telemetry.JSONError(w, http.StatusNotFound, "observability disabled (AggregatorConfig.Obs unset)")
-			return
-		}
-		g.cfg.Obs.ServeEvents(w, r)
-	case "slow":
-		if g.cfg.Obs == nil {
-			telemetry.JSONError(w, http.StatusNotFound, "observability disabled (AggregatorConfig.Obs unset)")
-			return
-		}
-		g.cfg.Obs.ServeSlow(w, r)
-	case "push":
-		if r.Method != http.MethodPost {
-			telemetry.JSONError(w, http.StatusMethodNotAllowed, "method not allowed", http.MethodPost)
-			return
-		}
-		g.servePush(w, r)
-	default:
+	path := strings.TrimPrefix(strings.Trim(r.URL.Path, "/"), "fleet/")
+	rt, ok := aggregatorRoutes[path]
+	switch {
+	case !ok:
 		telemetry.JSONError(w, http.StatusNotFound, "not found")
+	case rt.needsObs && g.cfg.Obs == nil:
+		telemetry.JSONError(w, http.StatusNotFound, "observability disabled (AggregatorConfig.Obs unset)")
+	case r.Method != rt.method:
+		telemetry.JSONError(w, http.StatusMethodNotAllowed, "method not allowed", rt.method)
+	default:
+		rt.serve(g, w, r)
 	}
+}
+
+// aggregatorRoute is one /fleet/ route: the one method it takes, whether
+// it needs AggregatorConfig.Obs, and its handler.
+type aggregatorRoute struct {
+	method   string
+	needsObs bool
+	serve    func(*Aggregator, http.ResponseWriter, *http.Request)
+}
+
+var aggregatorRoutes = map[string]aggregatorRoute{
+	"hosts":    {http.MethodGet, false, func(g *Aggregator, w http.ResponseWriter, _ *http.Request) { telemetry.WriteJSON(w, g.Hosts()) }},
+	"snapshot": {http.MethodGet, false, (*Aggregator).serveSnapshot},
+	"shards":   {http.MethodGet, false, (*Aggregator).serveShards},
+	"history":  {http.MethodGet, false, (*Aggregator).serveHistory},
+	"catalog":  {http.MethodGet, false, (*Aggregator).serveCatalog},
+	"log":      {http.MethodGet, false, func(g *Aggregator, w http.ResponseWriter, _ *http.Request) { telemetry.WriteJSON(w, g.LogStats()) }},
+	"events":   {http.MethodGet, true, func(g *Aggregator, w http.ResponseWriter, r *http.Request) { g.cfg.Obs.ServeEvents(w, r) }},
+	"slow":     {http.MethodGet, true, func(g *Aggregator, w http.ResponseWriter, r *http.Request) { g.cfg.Obs.ServeSlow(w, r) }},
+	"push":     {http.MethodPost, false, (*Aggregator).servePush},
+}
+
+func (g *Aggregator) serveShards(w http.ResponseWriter, r *http.Request) {
+	if host := r.URL.Query().Get("host"); host != "" {
+		telemetry.WriteJSON(w, map[string]any{
+			"host": host, "shard": g.ShardFor(host), "shards": g.NumShards(),
+		})
+		return
+	}
+	telemetry.WriteJSON(w, g.Shards())
 }
 
 func (g *Aggregator) serveSnapshot(w http.ResponseWriter, r *http.Request) {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"vscsistats/internal/core"
+	"vscsistats/internal/fleetobs"
 )
 
 // fakeClock gives the aggregator a deterministic wall clock.
@@ -236,25 +237,53 @@ func TestAggregatorHTTPSurface(t *testing.T) {
 		t.Errorf("include_stale snapshot: %d", resp.StatusCode)
 	}
 
-	// Route and method errors.
-	if resp, _ = get("/fleet/nope"); resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown route: %d", resp.StatusCode)
-	}
-	presp, err = http.Post(srv.URL+"/fleet/hosts", "text/plain", strings.NewReader("x"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	presp.Body.Close()
-	if presp.StatusCode != http.StatusMethodNotAllowed || presp.Header.Get("Allow") != http.MethodGet {
-		t.Errorf("POST hosts: %d Allow=%q", presp.StatusCode, presp.Header.Get("Allow"))
-	}
-	gresp, err := http.Get(srv.URL + "/fleet/push")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gresp.Body.Close()
-	if gresp.StatusCode != http.StatusMethodNotAllowed || gresp.Header.Get("Allow") != http.MethodPost {
-		t.Errorf("GET push: %d Allow=%q", gresp.StatusCode, gresp.Header.Get("Allow"))
+	// Every route answers every method as one table: a 405 names the one
+	// method its route takes, an unknown route is a 404 whatever the
+	// method, and so are the observability routes while Obs is unset.
+	obsSrv := httptest.NewServer(NewAggregator(AggregatorConfig{Obs: fleetobs.New(fleetobs.Config{})}))
+	defer obsSrv.Close()
+	for _, tc := range []struct {
+		srv            *httptest.Server
+		route          string
+		get, post, put int
+		allow          string // on the 405s
+	}{
+		{srv, "hosts", 200, 405, 405, http.MethodGet},
+		{srv, "snapshot", 409, 405, 405, http.MethodGet},
+		{srv, "shards", 200, 405, 405, http.MethodGet},
+		{srv, "history", 404, 405, 405, http.MethodGet}, // no segment log
+		{srv, "catalog", 404, 405, 405, http.MethodGet}, // no catalog installed
+		{srv, "log", 200, 405, 405, http.MethodGet},
+		{srv, "push", 405, 400, 405, http.MethodPost},
+		{srv, "events", 404, 404, 404, ""},
+		{srv, "slow", 404, 404, 404, ""},
+		{srv, "nope", 404, 404, 404, ""},
+		{obsSrv, "events", 200, 405, 405, http.MethodGet},
+		{obsSrv, "slow", 200, 405, 405, http.MethodGet},
+		{obsSrv, "nope", 404, 404, 404, ""},
+	} {
+		for _, m := range []struct {
+			method string
+			want   int
+		}{{http.MethodGet, tc.get}, {http.MethodPost, tc.post}, {http.MethodPut, tc.put}} {
+			req, err := http.NewRequest(m.method, tc.srv.URL+"/fleet/"+tc.route, strings.NewReader("x"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			wantAllow := ""
+			if m.want == http.StatusMethodNotAllowed {
+				wantAllow = tc.allow
+			}
+			if resp.StatusCode != m.want || resp.Header.Get("Allow") != wantAllow {
+				t.Errorf("%s /fleet/%s (obs %t): %d Allow=%q, want %d Allow=%q",
+					m.method, tc.route, tc.srv == obsSrv, resp.StatusCode, resp.Header.Get("Allow"), m.want, wantAllow)
+			}
+		}
 	}
 
 	// Garbage pushes are 400s with the rejected counter bumped, and they

@@ -366,7 +366,7 @@ func TestReExportPassthroughForwardsEveryHost(t *testing.T) {
 // tree: the agent's trace ID is visible in the region's pipeline events
 // (hop one), and the re-exporter's trace ID — stamped on the frame it
 // renders — is visible in the global's events (hop two), so
-// /debug/fleettrace at each tier shows its hop of the path and the
+// /debug/trace at each tier shows its hop of the path and the
 // KindReExport event links them through the region name.
 func TestReExportTraceTraversesTwoHops(t *testing.T) {
 	regionObs := fleetobs.New(fleetobs.Config{SampleEvery: 1})

@@ -17,9 +17,10 @@
 //     nothing else.
 //   - Structural events (push received, resync with cause, rotation,
 //     retention delete, compaction begin/commit, torn-tail truncation,
-//     replay summary) go to a bounded mutex-free ring, served as JSON
-//     and as a Chrome trace-event view (hosts as processes, stages as
-//     threads).
+//     replay summary) and sampled stage spans go to a bounded ring under
+//     a mutex, so every window read is consecutive in Seq and an event
+//     costs no allocation. The ring is served as JSON and as a Chrome
+//     trace-event view (hosts as processes, stages as threads).
 //   - A top-K ring keeps the slowest operations seen, with an atomic
 //     admission floor so fast operations skip its lock entirely.
 //
@@ -30,10 +31,12 @@ package fleetobs
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"vscsistats/internal/histogram"
+	"vscsistats/internal/ring"
 	"vscsistats/internal/telemetry"
 )
 
@@ -135,32 +138,19 @@ func kindIndex(kind string) int {
 	return -1
 }
 
+// The event ring keeps the newest ringSize events; the slow ring keeps
+// the slowK slowest operations.
+const (
+	ringSize = 1024
+	slowK    = 64
+)
+
 // Config tunes a Tracker. The zero value selects the defaults.
 type Config struct {
-	// RingSize bounds the event ring (default 1024, rounded up to a
-	// power of two).
-	RingSize int
-	// SlowK bounds the slowest-operations ring (default 64).
-	SlowK int
 	// SampleEvery samples 1 in N stage observations on the hot path
 	// (default 64, rounded up to a power of two; 1 observes everything).
 	// Structural events are never sampled.
 	SampleEvery int
-}
-
-func (c Config) withDefaults() Config {
-	if c.RingSize <= 0 {
-		c.RingSize = 1024
-	}
-	c.RingSize = ceilPow2(c.RingSize)
-	if c.SlowK <= 0 {
-		c.SlowK = 64
-	}
-	if c.SampleEvery <= 0 {
-		c.SampleEvery = 64
-	}
-	c.SampleEvery = ceilPow2(c.SampleEvery)
-	return c
 }
 
 func ceilPow2(n int) int {
@@ -176,11 +166,11 @@ func ceilPow2(n int) int {
 // Tracker serves one process (an agent or an aggregator); both ends of
 // a push each own their own.
 type Tracker struct {
-	cfg   Config
 	hists [numStages]*histogram.Histogram
 	ops   atomic.Uint64
 	mask  uint64
-	ring  *eventRing
+	mu    sync.Mutex // guards ring
+	ring  *ring.Ring[Event]
 	slow  *slowRing
 	kinds [numKinds]atomic.Int64 // +1 slot: unknown kinds
 }
@@ -194,13 +184,18 @@ var StageEdges = histogram.PowerOfTwoEdges(256, 1<<34)
 
 // New builds a Tracker. The zero Config gives a 1024-event ring, a
 // top-64 slow ring, and 1-in-64 sampling.
-func New(cfg Config) *Tracker {
-	cfg = cfg.withDefaults()
+func New(cfg Config) *Tracker { return newTracker(cfg, ringSize, slowK) }
+
+// newTracker is New with the ring bounds chosen, for tests that need
+// small rings.
+func newTracker(cfg Config, events, slow int) *Tracker {
+	if cfg.SampleEvery <= 0 {
+		cfg.SampleEvery = 64
+	}
 	t := &Tracker{
-		cfg:  cfg,
-		mask: uint64(cfg.SampleEvery - 1),
-		ring: newEventRing(cfg.RingSize),
-		slow: newSlowRing(cfg.SlowK),
+		mask: uint64(ceilPow2(cfg.SampleEvery) - 1),
+		ring: ring.New[Event](events),
+		slow: newSlowRing(slow),
 	}
 	for st := Stage(0); st < numStages; st++ {
 		t.hists[st] = histogram.New("fleetobs_"+st.String(), "ns", StageEdges)
@@ -301,7 +296,10 @@ func (t *Tracker) emit(e Event) {
 	} else {
 		t.kinds[len(eventKinds)].Add(1)
 	}
-	t.ring.push(e)
+	t.mu.Lock()
+	e.Seq = t.ring.Total() + 1
+	t.ring.Push(e)
+	t.mu.Unlock()
 }
 
 // Events returns up to limit most-recent ring events, oldest first
@@ -310,7 +308,9 @@ func (t *Tracker) Events(limit int) []Event {
 	if t == nil {
 		return nil
 	}
-	return t.ring.events(limit)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.ring.Last(limit)
 }
 
 // EventsTotal returns how many events have ever been emitted (ring

@@ -46,7 +46,7 @@ func TestStageNamesAndScopes(t *testing.T) {
 // the survivors are the newest events, in order, with monotone
 // sequence numbers.
 func TestRingOrderingAndWrap(t *testing.T) {
-	tr := New(Config{RingSize: 4, SampleEvery: 1})
+	tr := newTracker(Config{SampleEvery: 1}, 4, slowK)
 	for i := 0; i < 10; i++ {
 		tr.Emit(Event{Kind: KindRotation, Shard: i})
 	}
@@ -73,7 +73,7 @@ func TestRingOrderingAndWrap(t *testing.T) {
 // TestSlowRingKeepsTopK pins the top-K property: with K=2, the two
 // slowest spans survive whatever order they arrive in, slowest first.
 func TestSlowRingKeepsTopK(t *testing.T) {
-	tr := New(Config{SlowK: 2, SampleEvery: 1})
+	tr := newTracker(Config{SampleEvery: 1}, ringSize, 2)
 	for _, ms := range []int{3, 1, 7, 2, 5} {
 		tr.Observe(StageIngest, time.Duration(ms)*time.Millisecond, Event{Shard: ms})
 	}
@@ -278,7 +278,7 @@ func TestChromeTraceValidJSON(t *testing.T) {
 	tr.Emit(Event{Kind: KindRotation, Scope: "aggregator", Shard: 3})
 
 	rec := httptest.NewRecorder()
-	tr.ChromeTraceHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/fleettrace", nil))
+	tr.ChromeTraceHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/trace", nil))
 	if rec.Code != 200 {
 		t.Fatalf("trace handler = %d", rec.Code)
 	}
@@ -316,10 +316,10 @@ func TestChromeTraceValidJSON(t *testing.T) {
 }
 
 // TestConcurrentObserveAndRead hammers one tracker from writers and
-// readers at once — the -race proof for the lock-free ring, the slow
+// readers at once — the -race proof for the event ring's lock, the slow
 // ring's admission floor and the lock-free histograms.
 func TestConcurrentObserveAndRead(t *testing.T) {
-	tr := New(Config{RingSize: 64, SlowK: 8, SampleEvery: 1})
+	tr := newTracker(Config{SampleEvery: 1}, 64, 8)
 	var writers sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		writers.Add(1)
@@ -385,8 +385,8 @@ func TestErrorRepliesAreJSON(t *testing.T) {
 		{"slow bad threshold", tr.ServeSlow, "GET", "/fleet/slow?threshold=gibberish", 400},
 		{"slow bad limit", tr.ServeSlow, "GET", "/fleet/slow?limit=x", 400},
 		{"slow negative limit", tr.ServeSlow, "GET", "/fleet/slow?limit=-1", 400},
-		{"fleettrace POST", trace, "POST", "/debug/fleettrace", 405},
-		{"fleettrace PUT", trace, "PUT", "/debug/fleettrace", 405},
+		{"trace POST", trace, "POST", "/debug/trace", 405},
+		{"trace PUT", trace, "PUT", "/debug/trace", 405},
 	} {
 		rec := httptest.NewRecorder()
 		tc.serve(rec, httptest.NewRequest(tc.method, tc.target, nil))
@@ -403,5 +403,59 @@ func TestErrorRepliesAreJSON(t *testing.T) {
 		if allow := rec.Header().Get("Allow"); (tc.code == 405) != (allow == "GET") {
 			t.Errorf("%s: Allow %q on a %d", tc.name, allow, tc.code)
 		}
+	}
+}
+
+// TestEventsWindowIsConsecutive: with emitters lapping a small ring
+// while a reader takes windows, every window is a run of consecutive
+// sequence numbers — no slot from an older lap stands in for a newer
+// event.
+func TestEventsWindowIsConsecutive(t *testing.T) {
+	tr := newTracker(Config{SampleEvery: 1}, 8, slowK)
+	stop := make(chan struct{})
+	var writers sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					tr.Emit(Event{Kind: KindPush, Shard: w})
+				}
+			}
+		}(w)
+	}
+	gaps := 0
+	for i := 0; i < 20000; i++ {
+		events := tr.Events(0)
+		for j := 1; j < len(events); j++ {
+			if events[j].Seq != events[j-1].Seq+1 {
+				gaps++
+				break
+			}
+		}
+	}
+	close(stop)
+	writers.Wait()
+	if gaps > 0 {
+		t.Errorf("%d of 20000 windows skip a sequence number", gaps)
+	}
+}
+
+// TestEmitAllocatesNothing: recording an event or a stage span into a
+// full ring costs no heap allocation.
+func TestEmitAllocatesNothing(t *testing.T) {
+	tr := New(Config{SampleEvery: 1})
+	for i := 0; i < ringSize; i++ {
+		tr.Emit(Event{Kind: KindRotation})
+	}
+	if n := testing.AllocsPerRun(1000, func() { tr.Emit(Event{Kind: KindRotation, Host: "esx-1"}) }); n != 0 {
+		t.Errorf("Emit allocates %v times", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() { tr.Observe(StageIngest, time.Microsecond, Event{Host: "esx-1"}) }); n != 0 {
+		t.Errorf("Observe allocates %v times", n)
 	}
 }

@@ -11,7 +11,7 @@ import (
 // structural events (resync, rotation, compaction, ...) share the
 // type; unset fields are omitted from the JSON view.
 type Event struct {
-	// Seq is the ring-assigned global sequence, monotone per Tracker.
+	// Seq is the ring-assigned global sequence, consecutive per Tracker.
 	Seq uint64 `json:"seq"`
 	// UnixNano is when the event was recorded (for spans: when the span
 	// ended).
@@ -38,45 +38,6 @@ type Event struct {
 	// Detail carries free-form context (segment paths, replay counts).
 	Detail string `json:"detail,omitempty"`
 }
-
-// eventRing is a bounded, mutex-free ring of events. Writers reserve a
-// slot with one atomic add and publish an immutable *Event with one
-// atomic store; readers snapshot whatever pointers are published. Under
-// contention a reader can observe slots from different laps — events()
-// therefore orders by Seq and drops nothing else, trading exact
-// ring-lap consistency for a push path with no lock at all.
-type eventRing struct {
-	slots []atomic.Pointer[Event]
-	mask  uint64
-	next  atomic.Uint64
-}
-
-func newEventRing(size int) *eventRing {
-	return &eventRing{slots: make([]atomic.Pointer[Event], size), mask: uint64(size - 1)}
-}
-
-func (r *eventRing) push(e Event) {
-	seq := r.next.Add(1)
-	e.Seq = seq
-	r.slots[(seq-1)&r.mask].Store(&e)
-}
-
-func (r *eventRing) events(limit int) []Event {
-	out := make([]Event, 0, len(r.slots))
-	for i := range r.slots {
-		if p := r.slots[i].Load(); p != nil {
-			out = append(out, *p)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	if limit > 0 && len(out) > limit {
-		out = out[len(out)-limit:]
-	}
-	return out
-}
-
-// total returns how many events were ever pushed.
-func (r *eventRing) total() uint64 { return r.next.Load() }
 
 // slowRing retains the K slowest operations seen. An atomic floor
 // (the smallest retained duration once the ring is full) lets the

@@ -16,7 +16,6 @@
 //	POST /disks/{vm}/{disk}/reset        discard accumulated data
 //	GET  /metrics                        Prometheus exposition (Options.Metrics)
 //	GET  /debug/trace                    Chrome trace JSON (Options.Trace)
-//	GET  /debug/fleettrace               fleet pipeline Chrome trace (Options.FleetTrace)
 //	GET  /debug/pprof/...                Go profiling endpoints (Options.Pprof)
 //	GET  /watch                          SSE interval feed (Options.Series)
 //	GET  /healthz                        liveness probe: {status, uptime, disks}
@@ -51,12 +50,10 @@ type SeriesSource interface {
 type Options struct {
 	// Metrics serves GET /metrics (e.g. a telemetry.Exporter).
 	Metrics http.Handler
-	// Trace serves GET /debug/trace (e.g. a telemetry.LifecycleTracer).
+	// Trace serves GET /debug/trace: a Chrome trace-event view, either
+	// a host's command lifecycle (a telemetry.LifecycleTracer) or the
+	// fleet pipeline's (a fleetobs.Tracker's ChromeTraceHandler).
 	Trace http.Handler
-	// FleetTrace serves GET /debug/fleettrace: the fleet pipeline's
-	// Chrome trace-event view (e.g. a fleetobs.Tracker's
-	// ChromeTraceHandler), with hosts as processes and stages as threads.
-	FleetTrace http.Handler
 	// Series serves GET /disks/{vm}/{disk}/series and GET /watch.
 	Series SeriesSource
 	// Fleet serves every /fleet/... route (e.g. a fleet.Aggregator):
@@ -123,11 +120,6 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		case len(parts) == 2 && parts[0] == "debug" && parts[1] == "trace":
 			if h.opts.Trace != nil {
 				h.opts.Trace.ServeHTTP(w, r)
-				return
-			}
-		case len(parts) == 2 && parts[0] == "debug" && parts[1] == "fleettrace":
-			if h.opts.FleetTrace != nil {
-				h.opts.FleetTrace.ServeHTTP(w, r)
 				return
 			}
 		case len(parts) >= 2 && parts[0] == "debug" && parts[1] == "pprof":

@@ -1,6 +1,7 @@
 package hypervisor
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -65,6 +66,23 @@ func TestAddDiskErrors(t *testing.T) {
 	}
 	if _, err := vm.AddDisk(DiskSpec{Name: "d", Datastore: "sym", CapacitySectors: 1024}); err == nil {
 		t.Error("duplicate disk should fail")
+	}
+}
+
+// TestLargeTracerCostsNothingUntilUsed: a disk provisioned with a
+// million-record tracer (what NewScenario attaches, disabled) does not
+// reserve the tracer's whole capacity up front.
+func TestLargeTracerCostsNothingUntilUsed(t *testing.T) {
+	_, h := newHost(t)
+	vm := h.CreateVM("vm1")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := vm.AddDisk(DiskSpec{Name: "d", Datastore: "sym", CapacitySectors: 1 << 22, TraceCapacity: 1 << 20}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 8<<20 {
+		t.Errorf("AddDisk with a 1M-record tracer allocated %.1f MiB, want under 8", float64(got)/(1<<20))
 	}
 }
 

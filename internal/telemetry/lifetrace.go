@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"vscsistats/internal/ring"
 	"vscsistats/internal/trace"
 	"vscsistats/internal/vscsi"
 )
@@ -58,19 +59,17 @@ type Event struct {
 }
 
 // LifecycleTracer keeps the last N issue/complete/enable/disable/reset/
-// snapshot events in a fixed-size ring and exports them as Chrome
+// snapshot events in a bounded ring and exports them as Chrome
 // trace-event JSON (load the output in chrome://tracing or Perfetto).
 //
-// Unlike internal/trace.Tracer — a single-goroutine buffer for offline
-// traces — this ring is mutex-guarded so every world of a parallel
-// simulation can feed one tracer while HTTP handlers drain it. It is an
-// opt-in vscsi.Observer: attach it with Disk.AddObserver alongside the
-// collector.
+// It keeps the same ring.Ring as internal/trace.Tracer (a
+// single-goroutine buffer for offline traces) behind a mutex, so every
+// world of a parallel simulation can feed one tracer while HTTP handlers
+// drain it. It is an opt-in vscsi.Observer: attach it with
+// Disk.AddObserver alongside the collector.
 type LifecycleTracer struct {
-	mu    sync.Mutex
-	ring  []Event
-	next  int   // ring index of the next write
-	total int64 // lifetime events, including overwritten ones
+	mu   sync.Mutex
+	ring *ring.Ring[Event]
 	// lastVirtual tracks the most recent virtual timestamp seen on the
 	// fast path, so control events — which happen outside virtual time —
 	// can be placed on the same axis.
@@ -80,10 +79,7 @@ type LifecycleTracer struct {
 // NewLifecycleTracer returns a tracer retaining the last capacity events
 // (minimum 1).
 func NewLifecycleTracer(capacity int) *LifecycleTracer {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &LifecycleTracer{ring: make([]Event, 0, capacity)}
+	return &LifecycleTracer{ring: ring.New[Event](capacity)}
 }
 
 // OnIssue records a command issue. Part of the vscsi.Observer surface.
@@ -127,13 +123,7 @@ func (t *LifecycleTracer) ControlVerb(verb, vm, disk string) {
 
 func (t *LifecycleTracer) push(e Event) {
 	t.mu.Lock()
-	if len(t.ring) < cap(t.ring) {
-		t.ring = append(t.ring, e)
-	} else {
-		t.ring[t.next] = e
-	}
-	t.next = (t.next + 1) % cap(t.ring)
-	t.total++
+	t.ring.Push(e)
 	t.mu.Unlock()
 }
 
@@ -141,14 +131,7 @@ func (t *LifecycleTracer) push(e Event) {
 func (t *LifecycleTracer) Events() []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Event, 0, len(t.ring))
-	if len(t.ring) == cap(t.ring) {
-		out = append(out, t.ring[t.next:]...)
-		out = append(out, t.ring[:t.next]...)
-	} else {
-		out = append(out, t.ring...)
-	}
-	return out
+	return t.ring.Last(0)
 }
 
 // Len is the number of retained events; Cap the ring capacity; Total the
@@ -156,17 +139,17 @@ func (t *LifecycleTracer) Events() []Event {
 func (t *LifecycleTracer) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.ring)
+	return t.ring.Len()
 }
 
 // Cap returns the ring capacity.
-func (t *LifecycleTracer) Cap() int { return cap(t.ring) }
+func (t *LifecycleTracer) Cap() int { return t.ring.Cap() }
 
 // Total returns the lifetime event count, including overwritten entries.
 func (t *LifecycleTracer) Total() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.total
+	return int64(t.ring.Total())
 }
 
 // WriteChromeTrace renders the retained events as a Chrome trace-event

@@ -10,6 +10,7 @@ import (
 
 	"vscsistats/internal/core"
 	"vscsistats/internal/histogram"
+	"vscsistats/internal/ring"
 )
 
 // IntervalPoint is one interval's worth of activity on one virtual disk:
@@ -60,9 +61,6 @@ func NewStreamer(reg *core.Registry, interval time.Duration, depth int) *Streame
 	if interval < time.Millisecond {
 		interval = time.Millisecond
 	}
-	if depth < 1 {
-		depth = 1
-	}
 	return &Streamer{
 		reg:      reg,
 		interval: interval,
@@ -102,10 +100,12 @@ func (s *Streamer) Stop() { s.stopOnce.Do(func() { close(s.stop) }) }
 type diskKey struct{ vm, disk string }
 
 // diskRing is what the streamer keeps per virtual disk: the previous
-// cumulative snapshot and the ring of interval points, newest last.
+// cumulative snapshot, the tick that took it and the ring of interval
+// points.
 type diskRing struct {
-	prev *core.Snapshot
-	ring []IntervalPoint
+	prev   *core.Snapshot
+	seq    int64
+	points *ring.Ring[IntervalPoint]
 }
 
 // Tick takes one sampling pass: snapshot every enabled collector, append
@@ -123,21 +123,18 @@ func (s *Streamer) Tick(now time.Time) {
 		key := diskKey{snap.VM, snap.Disk}
 		st := s.disks[key]
 		if st == nil {
-			st = &diskRing{}
+			st = &diskRing{points: ring.New[IntervalPoint](s.depth)}
 			s.disks[key] = st
 		}
 		p := IntervalPoint{Seq: seq, UnixNano: now.UnixNano(), Delta: core.IntervalSince(st.prev, snap)}
-		st.prev = snap
-		st.ring = append(st.ring, p)
-		if len(st.ring) > s.depth {
-			st.ring = st.ring[len(st.ring)-s.depth:]
-		}
+		st.prev, st.seq = snap, seq
+		st.points.Push(p)
 		points = append(points, p)
 	}
 	// A disk that left the registry takes its series with it, so state is
 	// O(disks registered), not O(disks ever seen).
 	for key, st := range s.disks {
-		if st.ring[len(st.ring)-1].Seq != seq {
+		if st.seq != seq {
 			delete(s.disks, key)
 		}
 	}
@@ -155,7 +152,7 @@ func (s *Streamer) Series(vm, disk string) []IntervalPoint {
 	if st == nil {
 		return nil
 	}
-	return append([]IntervalPoint(nil), st.ring...)
+	return st.points.Last(0)
 }
 
 // seriesPoint is the JSON wire form of one interval.

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"vscsistats/internal/ring"
 	"vscsistats/internal/scsi"
 	"vscsistats/internal/vscsi"
 )
@@ -10,21 +11,20 @@ import (
 // cost — the O(n) space of a full trace is exactly what the paper's
 // histograms avoid, so the tracer must be explicitly sized.
 type Tracer struct {
-	ring    []Record
-	next    int
-	total   uint64
+	ring    *ring.Ring[Record]
 	enabled bool
 
 	// Filter, if non-nil, drops records for which it returns false.
 	Filter func(Record) bool
 }
 
-// NewTracer creates a tracer retaining the most recent capacity records.
+// NewTracer creates a tracer retaining the most recent capacity records;
+// storage grows with use up to that bound.
 func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		panic("trace: tracer capacity must be positive")
 	}
-	return &Tracer{ring: make([]Record, 0, capacity)}
+	return &Tracer{ring: ring.New[Record](capacity)}
 }
 
 // Enable and Disable toggle capture.
@@ -38,7 +38,7 @@ func (t *Tracer) Enabled() bool { return t.enabled }
 
 // Total reports the number of records captured over the tracer's lifetime
 // (including those that have since been overwritten).
-func (t *Tracer) Total() uint64 { return t.total }
+func (t *Tracer) Total() uint64 { return t.ring.Total() }
 
 var _ vscsi.Observer = (*Tracer)(nil)
 
@@ -55,28 +55,14 @@ func (t *Tracer) OnComplete(r *vscsi.Request) {
 	if t.Filter != nil && !t.Filter(rec) {
 		return
 	}
-	t.total++
-	if len(t.ring) < cap(t.ring) {
-		t.ring = append(t.ring, rec)
-		return
-	}
-	t.ring[t.next] = rec
-	t.next = (t.next + 1) % cap(t.ring)
+	t.ring.Push(rec)
 }
 
 // Records returns the captured records in capture order (oldest first).
-func (t *Tracer) Records() []Record {
-	out := make([]Record, 0, len(t.ring))
-	out = append(out, t.ring[t.next:]...)
-	out = append(out, t.ring[:t.next]...)
-	return out
-}
+func (t *Tracer) Records() []Record { return t.ring.Last(0) }
 
 // Reset discards captured records (the lifetime total is preserved).
-func (t *Tracer) Reset() {
-	t.ring = t.ring[:0]
-	t.next = 0
-}
+func (t *Tracer) Reset() { t.ring.Reset() }
 
 // Common filters.
 

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"vscsistats/internal/fs"
+	"vscsistats/internal/ring"
 	"vscsistats/internal/simclock"
 )
 
@@ -310,16 +311,14 @@ func (d *DBT2) pumpBgWriter() {
 
 // bufferPool is PostgreSQL's shared_buffers: an LRU over heap page numbers.
 type bufferPool struct {
-	capacity int
-	pages    map[int64]int // page -> index in ring (approximation)
-	ring     []int64
-	pos      int
-	hits     uint64
-	misses   uint64
+	pages  map[int64]struct{}
+	fifo   *ring.Ring[int64] // eviction order (approximation)
+	hits   uint64
+	misses uint64
 }
 
 func newBufferPool(capacity int) *bufferPool {
-	return &bufferPool{capacity: capacity, pages: make(map[int64]int)}
+	return &bufferPool{pages: make(map[int64]struct{}), fifo: ring.New[int64](capacity)}
 }
 
 // lookup reports residency (clock-style; promotion is approximated by
@@ -338,14 +337,8 @@ func (b *bufferPool) insert(page int64) {
 	if _, ok := b.pages[page]; ok {
 		return
 	}
-	if len(b.ring) < b.capacity {
-		b.pages[page] = len(b.ring)
-		b.ring = append(b.ring, page)
-		return
+	if victim, evicted := b.fifo.Push(page); evicted {
+		delete(b.pages, victim)
 	}
-	victim := b.ring[b.pos]
-	delete(b.pages, victim)
-	b.ring[b.pos] = page
-	b.pages[page] = b.pos
-	b.pos = (b.pos + 1) % b.capacity
+	b.pages[page] = struct{}{}
 }

@@ -423,7 +423,7 @@ func NewFleetReExporter(agg *FleetAggregator, cfg FleetReExporterConfig) *FleetR
 // compactions), and a top-K slowest-operations ring. Hand one to
 // FleetAgentConfig.Obs or FleetAggregatorConfig.Obs, attach it with
 // MetricsExporter.With for the vscsistats_fleetobs_* series, and mount
-// ChromeTraceHandler at StatsOptions.FleetTrace. A nil tracker is fully
+// ChromeTraceHandler at StatsOptions.Trace. A nil tracker is fully
 // inert.
 type (
 	FleetObsTracker = fleetobs.Tracker
