@@ -4,10 +4,11 @@
 // stream detection, seek-vs-latency correlation) that online histograms
 // cannot provide (§3.6).
 //
-// Every file-reading subcommand autodetects the trace encoding: the
-// native capture format, the streaming frame format, MSR Cambridge CSV
-// and Alibaba cloud-trace CSV all work anywhere a trace is expected, so a
-// downloaded public corpus replays directly:
+// Every file this command writes is a VSCT trace, streamed as it is
+// encoded. Every file-reading subcommand autodetects the trace encoding:
+// VSCT (and the version 1 files and headerless frame streams older builds
+// wrote), MSR Cambridge CSV and Alibaba cloud-trace CSV all work anywhere
+// a trace is expected, so a downloaded public corpus replays directly:
 //
 //	vscsitrace capture -workload dbt2 -duration 30 -o dbt2.vsct
 //	vscsitrace dump -i dbt2.vsct | head
@@ -70,11 +71,13 @@ func usage() {
   capture -workload NAME -duration SECS -data BYTES -seed N -o FILE
   dump    -i FILE [-format F] [-csv]
   analyze -i FILE [-format F]
-  replay  -i FILE [-format F] [-workers N] [-batch N] [-merge-window N]
+  replay  -i FILE [-format F] [-workers N] [-merge-window N]
           [-metric NAME] [-classify] [-serve ADDR] [-progress]
-  convert -i FILE [-format F] -o FILE [-native]
+  convert -i FILE [-format F] -o FILE
   synth   -seed N -n COUNT -o FILE
-formats: auto (default), native, stream, msr, alibaba; -i - reads stdin`)
+every output is a VSCT trace
+formats: auto (default), native (VSCT), stream (legacy headerless), msr,
+alibaba; -i - reads stdin`)
 	os.Exit(2)
 }
 
@@ -104,6 +107,9 @@ func capture(args []string) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "captured %d commands from %s into %s\n", len(recs), *name, *out)
+	if lost := sc.VD.Tracer.Total() - uint64(len(recs)); lost > 0 {
+		fmt.Fprintf(os.Stderr, "the trace ring dropped the %d oldest commands\n", lost)
+	}
 	return f.Close()
 }
 
@@ -196,7 +202,6 @@ func replay(args []string) error {
 	in := fs.String("i", "trace.vsct", "input trace file")
 	format := fs.String("format", "auto", "input format")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "replay worker goroutines")
-	batch := fs.Int("batch", 0, "records per issue burst (0 = default)")
 	mergeWindow := fs.Int("merge-window", 0, "issue-order merge lookahead in records (0 = trust per-disk capture order)")
 	metric := fs.String("metric", "", "single metric to print")
 	classify := fs.Bool("classify", false, "match each disk against the personality catalog")
@@ -213,12 +218,10 @@ func replay(args []string) error {
 	reg := core.NewRegistry()
 	cfg := trace.ReplayConfig{
 		Workers:     *workers,
-		BatchSize:   *batch,
 		MergeWindow: *mergeWindow,
 		Registry:    reg,
 	}
 	if *progress {
-		cfg.ProgressEvery = 1 << 18
 		cfg.Progress = func(n uint64) { fmt.Fprintf(os.Stderr, "\rreplayed %d records...", n) }
 	}
 	if *serve != "" {
@@ -329,7 +332,6 @@ func convert(args []string) error {
 	in := fs.String("i", "", "input trace file (any format)")
 	format := fs.String("format", "auto", "input format")
 	out := fs.String("o", "", "output trace file")
-	native := fs.Bool("native", false, "write the at-rest native format (materializes the trace) instead of the streaming frame format")
 	fs.Parse(args)
 	if *in == "" || *out == "" {
 		return fmt.Errorf("convert: -i and -o are required")
@@ -346,39 +348,26 @@ func convert(args []string) error {
 	}
 	defer f.Close()
 
-	var count uint64
-	if *native {
-		recs, err := trace.ReadAll(src)
-		if err != nil {
-			return err
-		}
-		if err := trace.Write(f, recs); err != nil {
-			return err
-		}
-		count = uint64(len(recs))
-	} else {
-		sw := trace.NewStreamWriter(f)
-		var rec trace.Record
-		for {
-			if err := src.Next(&rec); err != nil {
-				if err == io.EOF {
-					break
-				}
-				return err
+	tw := trace.NewWriter(f)
+	var rec trace.Record
+	for {
+		if err := src.Next(&rec); err != nil {
+			if err == io.EOF {
+				break
 			}
-			if err := sw.Append(rec); err != nil {
-				return err
-			}
-		}
-		if err := sw.Close(); err != nil {
 			return err
 		}
-		count = sw.Count()
+		if err := tw.Append(rec); err != nil {
+			return err
+		}
+	}
+	if err := tw.Close(); err != nil {
+		return err
 	}
 	if bl, ok := src.(badLiner); ok && bl.BadLines() > 0 {
 		fmt.Fprintf(os.Stderr, "skipped %d malformed lines\n", bl.BadLines())
 	}
-	fmt.Fprintf(os.Stderr, "converted %d records into %s\n", count, *out)
+	fmt.Fprintf(os.Stderr, "converted %d records into %s\n", tw.Count(), *out)
 	return f.Close()
 }
 

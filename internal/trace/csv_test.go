@@ -411,28 +411,15 @@ func FuzzAlibabaSource(f *testing.F) {
 
 func TestDetectFormats(t *testing.T) {
 	recs := Synthesize(1, 10)
-	var native bytes.Buffer
-	if err := Write(&native, recs); err != nil {
-		t.Fatal(err)
-	}
-	var stream bytes.Buffer
-	sw := NewStreamWriter(&stream)
-	for _, r := range recs {
-		if err := sw.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sw.Close(); err != nil {
-		t.Fatal(err)
-	}
-
 	cases := []struct {
 		name string
 		data []byte
 		want Format
 	}{
-		{"native", native.Bytes(), FormatNative},
-		{"stream", stream.Bytes(), FormatStream},
+		{"native", encode(t, recs), FormatNative},
+		{"native, no records", encode(t, nil), FormatNative},
+		{"native version 1", readGolden(t, "trace_v1.vsct"), FormatNative},
+		{"legacy stream", legacyStream(t, recs), FormatStream},
 		{"msr", []byte(msrSample), FormatMSR},
 		{"msr header only", []byte("Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime\n"), FormatMSR},
 		{"alibaba", []byte(alibabaSample), FormatAlibaba},
@@ -463,31 +450,17 @@ func TestDetectFormats(t *testing.T) {
 	}
 }
 
-// The native and stream sources decode exactly what the writers encoded.
+// The native and stream sources decode exactly what the writer encoded.
 func TestSourcesRoundTrip(t *testing.T) {
 	recs := Synthesize(9, 500)
 
-	var native bytes.Buffer
-	if err := Write(&native, recs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadAll(NewNativeSource(bytes.NewReader(native.Bytes())))
+	got, err := ReadAll(NewNativeSource(bytes.NewReader(encode(t, recs))))
 	if err != nil {
 		t.Fatal(err)
 	}
 	compareRecords(t, "native", recs, got)
 
-	var stream bytes.Buffer
-	sw := NewStreamWriter(&stream)
-	for _, r := range recs {
-		if err := sw.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err = ReadAll(NewStreamSource(bytes.NewReader(stream.Bytes())))
+	got, err = ReadAll(NewStreamSource(bytes.NewReader(legacyStream(t, recs))))
 	if err != nil {
 		t.Fatal(err)
 	}

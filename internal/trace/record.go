@@ -4,14 +4,18 @@
 // instrumentation is available at the hypervisor, we are able to collect
 // command traces for arbitrary, unmodified guest OSes and applications."
 //
-// Records use a compact fixed-size binary encoding with an interned string
-// table for VM and disk names; traces round-trip through io.Writer/Reader
-// and export to CSV for offline tooling.
+// A trace is written in one binary format, VSCT version 2: a magic and a
+// version, then a stream of frames — a name definition the first time a VM
+// or disk name appears, a fixed-size 44-byte record per command — so it can
+// be written while commands complete and read back in one pass with O(1)
+// state. Writer encodes it; NativeSource decodes it, and still reads the
+// version 1 files and headerless frame streams older builds wrote. Public
+// block traces (MSR Cambridge, Alibaba) are read as CSV, and any trace
+// exports to CSV for offline tooling.
 package trace
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -81,14 +85,11 @@ func (r Record) String() string {
 		r.IssueMicros, r.LatencyMicros(), r.Outstanding, r.Status)
 }
 
-// Binary format:
-//
-//	magic "VSCT" | u16 version | u16 stringCount | strings (u16 len + bytes)
-//	u64 recordCount | records (recordSize bytes each, little endian)
+// The VSCT format; Writer documents its layout.
 const (
 	magic      = "VSCT"
-	version    = 1
-	recordSize = 44
+	version    = 2
+	recordSize = 44 // one command, little endian
 )
 
 // Errors returned by the codec.
@@ -97,84 +98,6 @@ var (
 	ErrBadVersion = errors.New("trace: unsupported version")
 	ErrCorrupt    = errors.New("trace: corrupt stream")
 )
-
-// Write serializes records to w.
-func Write(w io.Writer, records []Record) error {
-	bw := bufio.NewWriter(w)
-	strs := []string{}
-	idx := map[string]uint16{}
-	intern := func(s string) (uint16, error) {
-		if i, ok := idx[s]; ok {
-			return i, nil
-		}
-		if len(strs) > 0xFFFF {
-			return 0, fmt.Errorf("trace: too many distinct names")
-		}
-		i := uint16(len(strs))
-		idx[s] = i
-		strs = append(strs, s)
-		return i, nil
-	}
-	type interned struct{ vm, disk uint16 }
-	ids := make([]interned, len(records))
-	for i, r := range records {
-		vm, err := intern(r.VM)
-		if err != nil {
-			return err
-		}
-		disk, err := intern(r.Disk)
-		if err != nil {
-			return err
-		}
-		ids[i] = interned{vm, disk}
-	}
-
-	if _, err := bw.WriteString(magic); err != nil {
-		return err
-	}
-	var scratch [recordSize]byte
-	binary.LittleEndian.PutUint16(scratch[:2], version)
-	binary.LittleEndian.PutUint16(scratch[2:4], uint16(len(strs)))
-	if _, err := bw.Write(scratch[:4]); err != nil {
-		return err
-	}
-	for _, s := range strs {
-		if len(s) > 0xFFFF {
-			return fmt.Errorf("trace: name too long")
-		}
-		binary.LittleEndian.PutUint16(scratch[:2], uint16(len(s)))
-		if _, err := bw.Write(scratch[:2]); err != nil {
-			return err
-		}
-		if _, err := bw.WriteString(s); err != nil {
-			return err
-		}
-	}
-	binary.LittleEndian.PutUint64(scratch[:8], uint64(len(records)))
-	if _, err := bw.Write(scratch[:8]); err != nil {
-		return err
-	}
-	for i, r := range records {
-		b := scratch[:]
-		binary.LittleEndian.PutUint64(b[0:8], r.Seq)
-		binary.LittleEndian.PutUint64(b[8:16], uint64(r.IssueMicros))
-		binary.LittleEndian.PutUint64(b[16:24], uint64(r.CompleteMicros))
-		binary.LittleEndian.PutUint64(b[24:32], r.LBA)
-		binary.LittleEndian.PutUint32(b[32:36], r.Blocks)
-		binary.LittleEndian.PutUint16(b[36:38], ids[i].vm)
-		binary.LittleEndian.PutUint16(b[38:40], ids[i].disk)
-		b[40] = byte(r.Op)
-		b[41] = byte(r.Status)
-		binary.LittleEndian.PutUint16(b[42:44], r.Outstanding)
-		if _, err := bw.Write(b); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// Read deserializes a trace written by Write.
-func Read(r io.Reader) ([]Record, error) { return ReadAll(NewNativeSource(r)) }
 
 // WriteCSV exports records as CSV with a header row.
 func WriteCSV(w io.Writer, records []Record) error {

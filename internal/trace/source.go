@@ -55,9 +55,11 @@ type Format int
 const (
 	// FormatUnknown asks Open to sniff the encoding.
 	FormatUnknown Format = iota
-	// FormatNative is the at-rest binary format of Write/Read ("VSCT").
+	// FormatNative is the VSCT binary format Writer writes; NativeSource
+	// reads version 1 traces too.
 	FormatNative
-	// FormatStream is the self-describing frame format of StreamWriter.
+	// FormatStream is the headerless frame stream that preceded VSCT
+	// version 2, read as input only.
 	FormatStream
 	// FormatMSR is the MSR Cambridge block-trace CSV
 	// (Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime).
@@ -103,8 +105,9 @@ func ParseFormat(s string) (Format, error) {
 }
 
 // Detect sniffs the trace format from the reader's first bytes without
-// consuming them. CSV detection is a heuristic over the first line (field
-// count plus the op column); the binary formats are exact.
+// consuming them. A VSCT trace is recognized by its magic; CSV detection
+// is a heuristic over the first line (field count plus the op column); the
+// legacy headerless stream is guessed from its first frame tag.
 func Detect(br *bufio.Reader) (Format, error) {
 	peek, err := br.Peek(512)
 	if len(peek) == 0 {
@@ -159,10 +162,7 @@ func eqFold(a, b string) bool { return strings.EqualFold(a, b) }
 // Open wraps r as a streaming RecordSource of the given format;
 // FormatUnknown sniffs it. The resolved format is returned alongside.
 func Open(r io.Reader, f Format) (RecordSource, Format, error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReaderSize(r, 1<<16)
-	}
+	br := bufio.NewReaderSize(r, 1<<16)
 	if f == FormatUnknown {
 		var err error
 		f, err = Detect(br)
@@ -203,55 +203,63 @@ func ReadAll(src RecordSource) ([]Record, error) {
 	}
 }
 
-// NativeSource streams the at-rest format of Write/Read: the header and
-// interned string table are decoded up front (bounded by the format's
-// uint16 name count), then records decode one fixed-size frame at a time.
+// NativeSource decodes VSCT traces in one frame loop: names land in a
+// slice indexed by id, and records decode in place from the read buffer,
+// so nothing is allocated per record. Version 2 is what Writer writes. Two
+// older encodings are read as inputs only: version 1 — magic, u16 version,
+// u16 name count, the names (u16 len + bytes), u64 record count, then
+// untagged records — and the headerless frame stream (NewStreamSource).
 type NativeSource struct {
 	br      *bufio.Reader
-	strs    []string
-	remain  uint64
+	names   []string
 	started bool
+	counted bool   // version 1: records carry no tag, remain counts them
+	remain  uint64 // records left in a version 1 trace
 	err     error
-	buf     [recordSize]byte
+	buf     [8]byte
 }
 
-// NewNativeSource streams a trace written by Write.
+// NewNativeSource decodes a VSCT trace.
 func NewNativeSource(r io.Reader) *NativeSource {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReaderSize(r, 1<<16)
-	}
-	return &NativeSource{br: br}
+	return &NativeSource{br: bufio.NewReaderSize(r, 1<<16)}
+}
+
+// NewStreamSource decodes the headerless frame stream that preceded VSCT
+// version 2: the same frames with no magic in front.
+func NewStreamSource(r io.Reader) *NativeSource {
+	return &NativeSource{br: bufio.NewReaderSize(r, 1<<16), started: true}
 }
 
 func (s *NativeSource) start() error {
 	s.started = true
-	head := s.buf[:8]
+	head := s.buf[:6]
 	if _, err := io.ReadFull(s.br, head); err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	if string(head[:4]) != magic {
 		return ErrBadMagic
 	}
-	if v := binary.LittleEndian.Uint16(head[4:6]); v != version {
+	switch v := binary.LittleEndian.Uint16(head[4:6]); v {
+	case version:
+		return nil
+	case 1: // the name table and the record count follow
+	default:
 		return fmt.Errorf("%w: %d", ErrBadVersion, v)
 	}
-	nStrs := int(binary.LittleEndian.Uint16(head[6:8]))
-	s.strs = make([]string, nStrs)
-	for i := range s.strs {
-		if _, err := io.ReadFull(s.br, head[:2]); err != nil {
-			return fmt.Errorf("%w: string table: %v", ErrCorrupt, err)
-		}
-		buf := make([]byte, binary.LittleEndian.Uint16(head[:2]))
-		if _, err := io.ReadFull(s.br, buf); err != nil {
-			return fmt.Errorf("%w: string table: %v", ErrCorrupt, err)
-		}
-		s.strs[i] = string(buf)
+	if _, err := io.ReadFull(s.br, s.buf[:2]); err != nil {
+		return fmt.Errorf("%w: name table: %v", ErrCorrupt, err)
 	}
-	if _, err := io.ReadFull(s.br, head[:8]); err != nil {
+	for n := binary.LittleEndian.Uint16(s.buf[:2]); n > 0; n-- {
+		name, err := s.name()
+		if err != nil {
+			return fmt.Errorf("%w: name table: %v", ErrCorrupt, err)
+		}
+		s.names = append(s.names, name)
+	}
+	if _, err := io.ReadFull(s.br, s.buf[:8]); err != nil {
 		return fmt.Errorf("%w: record count: %v", ErrCorrupt, err)
 	}
-	s.remain = binary.LittleEndian.Uint64(head[:8])
+	s.counted, s.remain = true, binary.LittleEndian.Uint64(s.buf[:8])
 	const maxRecords = 1 << 40 // a sanity bound, not a memory bound: records stream
 	if s.remain > maxRecords {
 		return fmt.Errorf("%w: absurd record count %d", ErrCorrupt, s.remain)
@@ -259,97 +267,81 @@ func (s *NativeSource) start() error {
 	return nil
 }
 
+// name reads one u16-length-prefixed name.
+func (s *NativeSource) name() (string, error) {
+	if _, err := io.ReadFull(s.br, s.buf[:2]); err != nil {
+		return "", err
+	}
+	b := make([]byte, binary.LittleEndian.Uint16(s.buf[:2]))
+	if _, err := io.ReadFull(s.br, b); err != nil {
+		return "", err
+	}
+	return string(b), nil
+}
+
 // Next implements RecordSource.
 func (s *NativeSource) Next(rec *Record) error {
-	if s.err != nil {
-		return s.err
+	if s.err == nil {
+		s.err = s.next(rec)
 	}
+	return s.err
+}
+
+func (s *NativeSource) next(rec *Record) error {
 	if !s.started {
 		if err := s.start(); err != nil {
-			s.err = err
 			return err
 		}
 	}
-	if s.remain == 0 {
-		s.err = io.EOF
-		return io.EOF
-	}
-	if _, err := io.ReadFull(s.br, s.buf[:]); err != nil {
-		s.err = fmt.Errorf("%w: record: %v", ErrCorrupt, err)
-		return s.err
-	}
-	s.remain--
-	vmIdx := binary.LittleEndian.Uint16(s.buf[36:38])
-	diskIdx := binary.LittleEndian.Uint16(s.buf[38:40])
-	if int(vmIdx) >= len(s.strs) || int(diskIdx) >= len(s.strs) {
-		s.err = fmt.Errorf("%w: record references missing name", ErrCorrupt)
-		return s.err
-	}
-	decodeRecord(s.buf[:], s.strs[vmIdx], s.strs[diskIdx], rec)
-	return nil
-}
-
-// StreamSource streams the self-describing frame format of StreamWriter.
-type StreamSource struct {
-	br   *bufio.Reader
-	strs map[uint16]string
-	err  error
-	buf  [recordSize]byte
-}
-
-// NewStreamSource streams frames written by StreamWriter.
-func NewStreamSource(r io.Reader) *StreamSource {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReaderSize(r, 1<<16)
-	}
-	return &StreamSource{br: br, strs: make(map[uint16]string)}
-}
-
-// Next implements RecordSource.
-func (s *StreamSource) Next(rec *Record) error {
-	if s.err != nil {
-		return s.err
-	}
 	for {
-		tag, err := s.br.ReadByte()
-		if err == io.EOF {
-			s.err = io.EOF
-			return io.EOF
-		}
-		if err != nil {
-			s.err = fmt.Errorf("%w: %v", ErrCorrupt, err)
-			return s.err
+		tag := byte('R')
+		if s.counted {
+			if s.remain == 0 {
+				return io.EOF
+			}
+			s.remain--
+		} else {
+			var err error
+			if tag, err = s.br.ReadByte(); err == io.EOF {
+				return io.EOF
+			} else if err != nil {
+				return fmt.Errorf("%w: %v", ErrCorrupt, err)
+			}
 		}
 		switch tag {
 		case 'S':
-			if _, err := io.ReadFull(s.br, s.buf[:4]); err != nil {
-				s.err = fmt.Errorf("%w: string frame: %v", ErrCorrupt, err)
-				return s.err
+			// Ids count up from 0; an id already defined is redefined, as
+			// in two legacy streams written back to back.
+			if _, err := io.ReadFull(s.br, s.buf[:2]); err != nil {
+				return fmt.Errorf("%w: name frame: %v", ErrCorrupt, err)
 			}
-			id := binary.LittleEndian.Uint16(s.buf[0:2])
-			name := make([]byte, binary.LittleEndian.Uint16(s.buf[2:4]))
-			if _, err := io.ReadFull(s.br, name); err != nil {
-				s.err = fmt.Errorf("%w: string frame: %v", ErrCorrupt, err)
-				return s.err
+			id := int(binary.LittleEndian.Uint16(s.buf[:2]))
+			if id > len(s.names) {
+				return fmt.Errorf("%w: name id %d skips ahead of %d", ErrCorrupt, id, len(s.names))
 			}
-			s.strs[id] = string(name)
+			name, err := s.name()
+			if err != nil {
+				return fmt.Errorf("%w: name frame: %v", ErrCorrupt, err)
+			}
+			if id == len(s.names) {
+				s.names = append(s.names, name)
+			} else {
+				s.names[id] = name
+			}
 		case 'R':
-			if _, err := io.ReadFull(s.br, s.buf[:]); err != nil {
-				s.err = fmt.Errorf("%w: record frame: %v", ErrCorrupt, err)
-				return s.err
+			b, err := s.br.Peek(recordSize)
+			if err != nil {
+				return fmt.Errorf("%w: record: %v", ErrCorrupt, err)
 			}
-			vm, okVM := s.strs[binary.LittleEndian.Uint16(s.buf[36:38])]
-			disk, okDisk := s.strs[binary.LittleEndian.Uint16(s.buf[38:40])]
-			if !okVM || !okDisk {
-				s.err = fmt.Errorf("%w: record references undefined name", ErrCorrupt)
-				return s.err
+			vm, disk := int(binary.LittleEndian.Uint16(b[36:38])), int(binary.LittleEndian.Uint16(b[38:40]))
+			if vm >= len(s.names) || disk >= len(s.names) {
+				return fmt.Errorf("%w: record references undefined name", ErrCorrupt)
 			}
-			decodeRecord(s.buf[:], vm, disk, rec)
+			decodeRecord(b, s.names[vm], s.names[disk], rec)
+			s.br.Discard(recordSize)
 			return nil
 		default:
-			s.err = fmt.Errorf("%w: unknown frame tag %q", ErrCorrupt, tag)
-			return s.err
+			return fmt.Errorf("%w: unknown frame tag %q", ErrCorrupt, tag)
 		}
 	}
 }

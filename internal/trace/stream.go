@@ -9,69 +9,71 @@ import (
 	"vscsistats/internal/vscsi"
 )
 
-// StreamWriter is an unbounded tracing observer that appends records to an
-// io.Writer as commands complete, for captures larger than any sensible
-// ring. The stream format is a sequence of self-describing frames (so the
-// string table can grow as new VMs appear), distinct from the at-rest
-// format of Write/Read:
+// Writer encodes a VSCT trace as commands complete, so a capture of any
+// length streams to disk instead of waiting for its name table and record
+// count. It is a tracing observer for captures larger than any sensible
+// ring, and the encoder behind Write.
 //
-//	frame := 'S' u16 id u16 len bytes   (define string id)
+//	trace := "VSCT" u16 version=2 frame*
+//	frame := 'S' u16 id u16 len bytes   (define name id; ids count up from 0)
 //	       | 'R' record (44 bytes)      (one command)
 //
-// Close flushes; ReadStream consumes the format.
-type StreamWriter struct {
-	w    *bufio.Writer
-	ids  map[string]uint16
-	next uint16
+// Close flushes; NativeSource decodes the format.
+type Writer struct {
+	w   *bufio.Writer
+	ids map[string]uint16
 
 	count uint64
 	err   error
 }
 
-// NewStreamWriter begins streaming to w.
-func NewStreamWriter(w io.Writer) *StreamWriter {
-	return &StreamWriter{w: bufio.NewWriter(w), ids: make(map[string]uint16)}
+// NewWriter begins a trace on w.
+func NewWriter(w io.Writer) *Writer {
+	tw := &Writer{w: bufio.NewWriter(w), ids: make(map[string]uint16)}
+	head := binary.LittleEndian.AppendUint16([]byte(magic), version)
+	tw.w.Write(head) // buffered: an I/O error surfaces at the first flush
+	return tw
 }
 
-// Count reports records written; Err the first write error (the stream
-// stops recording after an error).
-func (sw *StreamWriter) Count() uint64 { return sw.count }
+// Count reports records written.
+func (tw *Writer) Count() uint64 { return tw.count }
 
-// Err reports the first write error; the stream stops recording after one.
-func (sw *StreamWriter) Err() error { return sw.err }
+// Err reports the first write error; the trace stops recording after one.
+func (tw *Writer) Err() error { return tw.err }
 
-var _ vscsi.Observer = (*StreamWriter)(nil)
+var _ vscsi.Observer = (*Writer)(nil)
 
 // OnIssue implements vscsi.Observer.
-func (sw *StreamWriter) OnIssue(*vscsi.Request) {}
+func (tw *Writer) OnIssue(*vscsi.Request) {}
 
 // OnComplete appends one record frame.
-func (sw *StreamWriter) OnComplete(r *vscsi.Request) {
-	if sw.err != nil {
+func (tw *Writer) OnComplete(r *vscsi.Request) {
+	if tw.err != nil {
 		return
 	}
-	sw.append(FromRequest(r))
+	tw.append(FromRequest(r))
 }
 
 // Append writes one record directly (for non-observer use).
-func (sw *StreamWriter) Append(rec Record) error {
-	sw.append(rec)
-	return sw.err
+func (tw *Writer) Append(rec Record) error {
+	tw.append(rec)
+	return tw.err
 }
 
-func (sw *StreamWriter) append(rec Record) {
+func (tw *Writer) append(rec Record) {
 	// The error is sticky: once anything failed — a short write, a full
-	// string table — the stream is truncated and nothing more may count.
-	// bufio would absorb writes that follow a non-I/O error, so Count
-	// would keep reporting records that never reached the stream.
-	if sw.err != nil {
+	// name table, a name too long to encode — the trace is truncated and
+	// nothing more may count. bufio would absorb writes that follow a
+	// non-I/O error, so Count would keep reporting records that never
+	// reached the trace.
+	if tw.err != nil {
 		return
 	}
-	vm, ok := sw.intern(rec.VM)
+	vm, ok := tw.intern(rec.VM)
 	if !ok {
 		return
 	}
-	disk, ok := sw.intern(rec.Disk)
+	disk, ok := tw.intern(rec.Disk)
 	if !ok {
 		return
 	}
@@ -88,34 +90,37 @@ func (sw *StreamWriter) append(rec Record) {
 	p[40] = byte(rec.Op)
 	p[41] = byte(rec.Status)
 	binary.LittleEndian.PutUint16(p[42:44], rec.Outstanding)
-	if _, err := sw.w.Write(b[:]); err != nil {
-		sw.err = err
+	if _, err := tw.w.Write(b[:]); err != nil {
+		tw.err = err
 		return
 	}
-	sw.count++
+	tw.count++
 }
 
-func (sw *StreamWriter) intern(s string) (uint16, bool) {
-	if id, ok := sw.ids[s]; ok {
+func (tw *Writer) intern(s string) (uint16, bool) {
+	if id, ok := tw.ids[s]; ok {
 		return id, true
 	}
-	if sw.next == 0xFFFF {
-		sw.err = fmt.Errorf("trace: stream string table full")
+	switch {
+	case len(tw.ids) == 0xFFFF:
+		tw.err = fmt.Errorf("trace: name table full")
+		return 0, false
+	case len(s) > 0xFFFF:
+		tw.err = fmt.Errorf("trace: name of %d bytes is too long", len(s))
 		return 0, false
 	}
-	id := sw.next
-	sw.next++
-	sw.ids[s] = id
+	id := uint16(len(tw.ids))
+	tw.ids[s] = id
 	var head [5]byte
 	head[0] = 'S'
 	binary.LittleEndian.PutUint16(head[1:3], id)
 	binary.LittleEndian.PutUint16(head[3:5], uint16(len(s)))
-	if _, err := sw.w.Write(head[:]); err != nil {
-		sw.err = err
+	if _, err := tw.w.Write(head[:]); err != nil {
+		tw.err = err
 		return 0, false
 	}
-	if _, err := sw.w.WriteString(s); err != nil {
-		sw.err = err
+	if _, err := tw.w.WriteString(s); err != nil {
+		tw.err = err
 		return 0, false
 	}
 	return id, true
@@ -123,15 +128,26 @@ func (sw *StreamWriter) intern(s string) (uint16, bool) {
 
 // Close flushes buffered frames. A flush failure is recorded like any
 // other write error, so Err() keeps reporting it after Close returns.
-func (sw *StreamWriter) Close() error {
-	if sw.err != nil {
-		return sw.err
+func (tw *Writer) Close() error {
+	if tw.err != nil {
+		return tw.err
 	}
-	if err := sw.w.Flush(); err != nil {
-		sw.err = err
+	if err := tw.w.Flush(); err != nil {
+		tw.err = err
 	}
-	return sw.err
+	return tw.err
 }
 
-// ReadStream parses a stream produced by StreamWriter.
-func ReadStream(r io.Reader) ([]Record, error) { return ReadAll(NewStreamSource(r)) }
+// Write encodes records as one VSCT trace.
+func Write(w io.Writer, records []Record) error {
+	tw := NewWriter(w)
+	for i := range records {
+		if err := tw.Append(records[i]); err != nil {
+			return err
+		}
+	}
+	return tw.Close()
+}
+
+// Read decodes a whole VSCT trace.
+func Read(r io.Reader) ([]Record, error) { return ReadAll(NewNativeSource(r)) }

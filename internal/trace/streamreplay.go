@@ -42,6 +42,14 @@ import (
 // streamreplay_test.go pin the equality across every metric, class and
 // worker count.
 
+// The replay engine's fixed shape. Resident replay memory is
+// O(Workers · replayQueueDepth · replayBatchSize).
+const (
+	replayBatchSize  = 512     // records pushed per OnIssueBatch burst
+	replayQueueDepth = 8       // batches buffered per worker
+	progressEvery    = 1 << 18 // records between Progress calls
+)
+
 // ReplayConfig tunes the streaming replay engine. The zero value takes
 // every documented default.
 type ReplayConfig struct {
@@ -49,14 +57,6 @@ type ReplayConfig struct {
 	// Substreams are assigned to workers round-robin in first-seen order,
 	// so any worker count produces bit-identical histograms.
 	Workers int
-	// BatchSize is the burst pushed per OnIssueBatch call (default 512).
-	BatchSize int
-	// QueueDepth is the number of batches buffered per worker (default 8).
-	// Resident replay memory is O(Workers · QueueDepth · BatchSize).
-	QueueDepth int
-	// Window is the collectors' windowed seek-distance look-behind
-	// (default core.DefaultWindow).
-	Window int
 	// MergeWindow is the k-way issue-order merge lookahead: 0 trusts
 	// per-disk capture order and does not merge, > 0 puts a MergeSource
 	// with that lookahead in front of the demultiplexer.
@@ -66,28 +66,8 @@ type ReplayConfig struct {
 	// flight.
 	Registry *core.Registry
 	// Progress, if non-nil, is called from the demultiplexing goroutine
-	// every ProgressEvery records (default 1<<20) with the running count.
-	Progress      func(records uint64)
-	ProgressEvery uint64
-}
-
-func (cfg ReplayConfig) withDefaults() ReplayConfig {
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 512
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 8
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = core.DefaultWindow
-	}
-	if cfg.ProgressEvery == 0 {
-		cfg.ProgressEvery = 1 << 20
-	}
-	return cfg
+	// every 2^18 records with the running count.
+	Progress func(records uint64)
 }
 
 // ReplayStats summarizes one streaming replay.
@@ -209,7 +189,9 @@ type parallelDisk struct {
 // disks), so fan-out changes nothing but wall-clock time: any Workers
 // value yields bit-identical collectors.
 func ReplayParallel(src RecordSource, cfg ReplayConfig) (*ReplayResult, error) {
-	cfg = cfg.withDefaults()
+	if cfg.Workers <= 0 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
+	}
 	var merge *MergeSource
 	if cfg.MergeWindow > 0 {
 		merge = NewMergeSource(src, cfg.MergeWindow)
@@ -222,16 +204,16 @@ func ReplayParallel(src RecordSource, cfg ReplayConfig) (*ReplayResult, error) {
 	// that can be queued or in a worker's hands at once; both ends are
 	// non-blocking, so a miss allocates and an overflow is left to the
 	// collector.
-	free := make(chan *replayBatch, cfg.Workers*(cfg.QueueDepth+2))
+	free := make(chan *replayBatch, cfg.Workers*(replayQueueDepth+2))
 	chans := make([]chan *replayBatch, cfg.Workers)
 	batchCounts := make([]uint64, cfg.Workers)
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Workers; w++ {
-		chans[w] = make(chan *replayBatch, cfg.QueueDepth)
+		chans[w] = make(chan *replayBatch, replayQueueDepth)
 		wg.Add(1)
 		go func(w int, ch <-chan *replayBatch) {
 			defer wg.Done()
-			slab := newReqSlab(cfg.BatchSize)
+			slab := newReqSlab(replayBatchSize)
 			var n uint64
 			for b := range ch {
 				slab.replay(b.col, b.recs)
@@ -264,7 +246,7 @@ func ReplayParallel(src RecordSource, cfg ReplayConfig) (*ReplayResult, error) {
 		key := diskKey{rec.VM, rec.Disk}
 		d := disks[key]
 		if d == nil {
-			col := core.NewCollectorWindow(rec.VM, rec.Disk, cfg.Window)
+			col := core.NewCollector(rec.VM, rec.Disk)
 			col.Enable()
 			if cfg.Registry != nil {
 				cfg.Registry.Register(col)
@@ -284,17 +266,17 @@ func ReplayParallel(src RecordSource, cfg ReplayConfig) (*ReplayResult, error) {
 			select {
 			case b = <-free:
 			default:
-				b = &replayBatch{recs: make([]Record, 0, cfg.BatchSize)}
+				b = &replayBatch{recs: make([]Record, 0, replayBatchSize)}
 			}
 			b.col = d.col
 			d.batch = b
 		}
 		d.batch.recs = append(d.batch.recs, rec)
-		if len(d.batch.recs) == cfg.BatchSize {
+		if len(d.batch.recs) == replayBatchSize {
 			dispatch(d)
 		}
 		res.Stats.Records++
-		if cfg.Progress != nil && res.Stats.Records%cfg.ProgressEvery == 0 {
+		if cfg.Progress != nil && res.Stats.Records%progressEvery == 0 {
 			cfg.Progress(res.Stats.Records)
 		}
 	}

@@ -183,17 +183,35 @@ func TestReplayOrderViolationsCounted(t *testing.T) {
 	}
 }
 
-// Progress fires on the configured cadence with running counts.
+// repeatSource yields n copies of one record with rising issue times.
+type repeatSource struct {
+	rec Record
+	n   int
+}
+
+func (s *repeatSource) Next(rec *Record) error {
+	if s.n == 0 {
+		return io.EOF
+	}
+	s.n--
+	s.rec.Seq++
+	s.rec.IssueMicros++
+	s.rec.CompleteMicros++
+	*rec = s.rec
+	return nil
+}
+
+// Progress fires every 2^18 records with running counts.
 func TestReplayProgressCallback(t *testing.T) {
 	var calls []uint64
-	_, err := ReplayParallel(NewSliceSource(Synthesize(2, 5000)), ReplayConfig{
-		Progress:      func(n uint64) { calls = append(calls, n) },
-		ProgressEvery: 1000,
+	src := &repeatSource{rec: Record{VM: "v", Disk: "d", Op: 0x28, Blocks: 8, CompleteMicros: 100}, n: 2<<18 + 5}
+	_, err := ReplayParallel(src, ReplayConfig{
+		Progress: func(n uint64) { calls = append(calls, n) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(calls) != 5 || calls[0] != 1000 || calls[4] != 5000 {
+	if len(calls) != 2 || calls[0] != 1<<18 || calls[1] != 2<<18 {
 		t.Fatalf("progress calls = %v", calls)
 	}
 }
@@ -202,19 +220,10 @@ func TestReplayProgressCallback(t *testing.T) {
 // reported.
 func TestReplayPartialOnSourceError(t *testing.T) {
 	recs := Synthesize(4, 1000)
-	var buf bytes.Buffer
-	sw := NewStreamWriter(&buf)
-	for _, r := range recs {
-		if err := sw.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	truncated := buf.Bytes()[:buf.Len()/2]
+	encoded := encode(t, recs)
+	truncated := encoded[:len(encoded)/2]
 
-	src, _, err := Open(bytes.NewReader(truncated), FormatStream)
+	src, _, err := Open(bytes.NewReader(truncated), FormatUnknown)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -113,11 +115,11 @@ func TestReadHostileRecordCount(t *testing.T) {
 	}
 }
 
-// hostileCountHeader is a native header with no names that claims 2^30
+// hostileCountHeader is a version 1 header with no names that claims 2^30
 // records and carries none.
 func hostileCountHeader() []byte {
 	hdr := []byte(magic)
-	hdr = binary.LittleEndian.AppendUint16(hdr, version)
+	hdr = binary.LittleEndian.AppendUint16(hdr, 1)
 	hdr = binary.LittleEndian.AppendUint16(hdr, 0) // no names
 	return binary.LittleEndian.AppendUint64(hdr, 1<<30)
 }
@@ -150,37 +152,32 @@ func fuzzBinarySource(t *testing.T, data []byte, src RecordSource, frameBytes in
 	}
 }
 
+// binarySeeds seeds a binary-source fuzzer with encoded, cuts of it, a
+// hostile header, the empty input and every golden trace.
 func binarySeeds(f *testing.F, encoded []byte) {
 	f.Add(encoded)
 	f.Add(encoded[:len(encoded)-7])
 	f.Add(encoded[:len(encoded)/2])
 	f.Add(hostileCountHeader())
 	f.Add([]byte{})
+	for _, name := range goldenFiles {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
 }
 
 func FuzzNativeSource(f *testing.F) {
-	var buf bytes.Buffer
-	if err := Write(&buf, Synthesize(1, 10)); err != nil {
-		f.Fatal(err)
-	}
-	binarySeeds(f, buf.Bytes())
+	binarySeeds(f, encode(f, Synthesize(1, 10)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzBinarySource(t, data, NewNativeSource(bytes.NewReader(data)), recordSize)
 	})
 }
 
 func FuzzStreamSource(f *testing.F) {
-	var buf bytes.Buffer
-	sw := NewStreamWriter(&buf)
-	for _, r := range Synthesize(1, 10) {
-		if err := sw.Append(r); err != nil {
-			f.Fatal(err)
-		}
-	}
-	if err := sw.Close(); err != nil {
-		f.Fatal(err)
-	}
-	binarySeeds(f, buf.Bytes())
+	binarySeeds(f, legacyStream(f, Synthesize(1, 10)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzBinarySource(t, data, NewStreamSource(bytes.NewReader(data)), 1+recordSize)
 	})
@@ -417,7 +414,7 @@ func BenchmarkReplay(b *testing.B) {
 
 func TestStreamWriterRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	sw := NewStreamWriter(&buf)
+	sw := NewWriter(&buf)
 	recs := sampleRecords(200)
 	for _, r := range recs {
 		if err := sw.Append(r); err != nil {
@@ -430,7 +427,7 @@ func TestStreamWriterRoundTrip(t *testing.T) {
 	if sw.Count() != 200 {
 		t.Errorf("Count = %d", sw.Count())
 	}
-	got, err := ReadStream(&buf)
+	got, err := Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +443,7 @@ func TestStreamWriterRoundTrip(t *testing.T) {
 
 func TestStreamWriterAsObserver(t *testing.T) {
 	var buf bytes.Buffer
-	sw := NewStreamWriter(&buf)
+	sw := NewWriter(&buf)
 	eng := simclock.NewEngine()
 	backend := vscsi.BackendFunc(func(r *vscsi.Request, done func(scsi.Status, scsi.Sense)) {
 		done(scsi.StatusGood, scsi.Sense{})
@@ -458,7 +455,7 @@ func TestStreamWriterAsObserver(t *testing.T) {
 	}
 	eng.Run()
 	sw.Close()
-	got, err := ReadStream(&buf)
+	got, err := Read(&buf)
 	if err != nil || len(got) != 10 {
 		t.Fatalf("got %d records, err %v", len(got), err)
 	}
@@ -467,8 +464,11 @@ func TestStreamWriterAsObserver(t *testing.T) {
 	}
 }
 
+// readStream decodes a legacy headerless frame stream.
+func readStream(r io.Reader) ([]Record, error) { return ReadAll(NewStreamSource(r)) }
+
 func TestReadStreamErrors(t *testing.T) {
-	if _, err := ReadStream(strings.NewReader("Xjunk")); !errors.Is(err, ErrCorrupt) {
+	if _, err := readStream(strings.NewReader("Xjunk")); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("unknown tag: %v", err)
 	}
 	// Record referencing an undefined string id.
@@ -476,14 +476,14 @@ func TestReadStreamErrors(t *testing.T) {
 	buf.WriteByte('R')
 	buf.Write(make([]byte, recordSize))
 	// id 0 undefined -> corrupt
-	if _, err := ReadStream(&buf); !errors.Is(err, ErrCorrupt) {
+	if _, err := readStream(&buf); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("undefined name: %v", err)
 	}
 	// Truncated string frame.
 	buf.Reset()
 	buf.WriteByte('S')
 	buf.Write([]byte{0, 0})
-	if _, err := ReadStream(&buf); !errors.Is(err, ErrCorrupt) {
+	if _, err := readStream(&buf); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("truncated: %v", err)
 	}
 }
@@ -499,7 +499,7 @@ func (f *failWriter) Write(p []byte) (int, error) {
 }
 
 func TestStreamWriterStopsOnError(t *testing.T) {
-	sw := NewStreamWriter(&failWriter{})
+	sw := NewWriter(&failWriter{})
 	rec := sampleRecords(1)[0]
 	for i := 0; i < 1000; i++ {
 		sw.Append(rec)
@@ -530,7 +530,7 @@ func TestStreamWriterStopsOnError(t *testing.T) {
 // A flush failure at Close must surface through both Close and Err, even
 // when every buffered Write succeeded.
 func TestStreamWriterCloseSurfacesFlushError(t *testing.T) {
-	sw := NewStreamWriter(&failWriter{n: 4096 - 10}) // fails on first flush
+	sw := NewWriter(&failWriter{n: 4096 - 10}) // fails on first flush
 	if err := sw.Append(sampleRecords(1)[0]); err != nil {
 		t.Fatalf("buffered append: %v", err)
 	}
@@ -545,8 +545,8 @@ func TestStreamWriterCloseSurfacesFlushError(t *testing.T) {
 	}
 }
 
-func BenchmarkStreamWriterAppend(b *testing.B) {
-	sw := NewStreamWriter(io.Discard)
+func BenchmarkWriterAppend(b *testing.B) {
+	sw := NewWriter(io.Discard)
 	rec := sampleRecords(1)[0]
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
