@@ -12,9 +12,8 @@
 //
 // Federation — a mid-tier aggregator re-exports its merged state to a
 // parent through the same push protocol it ingests, so trees compose to
-// any depth (agents → region → global). The default renders the region
-// as one synthetic upstream host whose deltas carry only the shards that
-// changed; -passthrough forwards every leaf by name instead:
+// any depth (agents → region → global). The region renders as one
+// synthetic upstream host whose deltas carry only the shards that changed:
 //
 //	vscsifleet -mode aggregator -listen :9109 -region region-west \
 //	    -upstream http://global:9108/fleet/push -reexport-interval 2s
@@ -79,7 +78,6 @@ func main() {
 		upstream         = flag.String("upstream", "", "aggregator: re-export merged state to this parent push URL (e.g. http://global:9108/fleet/push)")
 		region           = flag.String("region", "", "aggregator: name this tier reports upstream as (default: hostname; requires -upstream)")
 		reexportInterval = flag.Duration("reexport-interval", 2*time.Second, "aggregator: re-export period (also the upstream staleness horizon)")
-		passthrough      = flag.Bool("passthrough", false, "aggregator: re-export every fresh downstream host by name instead of one region rollup")
 
 		// Shared simulation flags (agent and sim modes; -seed also feeds
 		// the aggregator's -catalog references).
@@ -106,7 +104,7 @@ func main() {
 	switch *mode {
 	case "aggregator":
 		err = runAggregator(*listen, *stale, *shards, *dataDir, *retention, *catalog, *seed,
-			*upstream, *region, *reexportInterval, *passthrough)
+			*upstream, *region, *reexportInterval)
 	case "agent":
 		err = runAgent(*listen, *host, *push, *interval, *workload, *seed, *speed, *duration)
 	case "sim":
@@ -121,7 +119,7 @@ func main() {
 	}
 }
 
-func runAggregator(listen string, stale time.Duration, shards int, dataDir string, retention time.Duration, catalog bool, seed int64, upstream, region string, reexportInterval time.Duration, passthrough bool) error {
+func runAggregator(listen string, stale time.Duration, shards int, dataDir string, retention time.Duration, catalog bool, seed int64, upstream, region string, reexportInterval time.Duration) error {
 	if listen == "" {
 		listen = ":9108"
 	}
@@ -154,16 +152,11 @@ func runAggregator(listen string, stale time.Duration, shards int, dataDir strin
 			}
 		}
 		rex = vscsistats.NewFleetReExporter(agg, vscsistats.FleetReExporterConfig{
-			Region: region, Upstream: upstream, Interval: reexportInterval,
-			PerHostPassthrough: passthrough, Obs: obs,
+			Region: region, Upstream: upstream, Interval: reexportInterval, Obs: obs,
 		})
 		rex.Start()
 		defer rex.Stop()
-		mode := "rollup"
-		if passthrough {
-			mode = "passthrough"
-		}
-		fmt.Fprintf(os.Stderr, "re-exporting as %q (%s) to %s every %s\n", region, mode, upstream, reexportInterval)
+		fmt.Fprintf(os.Stderr, "re-exporting as %q to %s every %s\n", region, upstream, reexportInterval)
 	}
 
 	// The aggregator has no local disks; its registry exists so the stats

@@ -434,13 +434,6 @@ func (g *Aggregator) CompactLog() error {
 	return first
 }
 
-// Forget removes a host from the aggregator: its stored state drops out of
-// every merged view at once. A host that pushes again rejoins with its next
-// full push; a delta from it is refused as unknown-host until then.
-func (g *Aggregator) Forget(host string) {
-	g.shardOf(host).forget(host)
-}
-
 // maxFrameLen bounds one frame on any input: head, header, payload.
 const maxFrameLen = 16 + maxHeaderLen + maxPayloadLen
 

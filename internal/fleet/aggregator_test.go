@@ -319,16 +319,6 @@ func TestAggregatorHTTPSurface(t *testing.T) {
 	}
 }
 
-func TestAggregatorForget(t *testing.T) {
-	agg, _ := newTestAggregator(time.Minute)
-	reg := makeRegistry(1, 1, 1, 50)
-	agg.Ingest(batchFor(reg, "esx-a", 1), "push")
-	agg.Forget("esx-a")
-	if len(agg.Hosts()) != 0 || agg.ClusterSnapshot(true) != nil {
-		t.Error("Forget left the host behind")
-	}
-}
-
 // chunked hides a reader's length from net/http, so the request goes out
 // with Transfer-Encoding: chunked and no Content-Length.
 type chunked struct{ io.Reader }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,12 +29,6 @@ type ReExporterConfig struct {
 	Interval time.Duration
 	// Timeout bounds each upstream push request (default 5s).
 	Timeout time.Duration
-	// PerHostPassthrough re-exports each fresh downstream host as its own
-	// upstream entry named Region+"/"+host instead of folding the region
-	// into one synthetic host. The upstream then sees every leaf by name,
-	// at the cost of upstream ingest scaling with hosts again; the default
-	// rollup keeps upstream cost proportional to regions.
-	PerHostPassthrough bool
 	// Client overrides the HTTP client (the per-request timeout always
 	// comes from Timeout).
 	Client *http.Client
@@ -57,13 +50,13 @@ func (c *ReExporterConfig) withDefaults() ReExporterConfig {
 // the aggregator ingests, so trees of any depth (agents → region →
 // global) are built from one wire format and one ingest path.
 //
-// The default rollup renders the region as one synthetic upstream host:
-// one snapshot per non-empty shard, taken from the shard's memoized merge
+// It renders the region as one synthetic upstream host named Region: one
+// snapshot per non-empty shard, taken from the shard's memoized merge
 // cache — so rendering costs recomputation only for shards that changed,
 // and the upstream delta carries only those shards. Upstream wire bytes
 // and ingest scale with regions changed, not with leaf hosts.
 //
-// Each entry goes upstream through the sender's delivery step, as an
+// The rollup goes upstream through the sender's delivery step, as an
 // agent's captures do: full state until acknowledged, deltas after, and a
 // liveness-only heartbeat when nothing changed — a duplicate that
 // refreshes the upstream's lastSeen without bumping its shard version, so
@@ -83,11 +76,11 @@ type ReExporter struct {
 	// identity, the delivery step and its counters.
 	snd *sender
 
-	// mu single-flights flush and guards chains, one per upstream entry:
-	// deltas are rendered against a chain's base at flush time, and only
-	// one flush may advance it.
-	mu     sync.Mutex
-	chains map[string]*chain
+	// mu single-flights flush and guards chain, the rollup's place in the
+	// push protocol: deltas are rendered against its base at flush time,
+	// and only one flush may advance it.
+	mu    sync.Mutex
+	chain chain
 
 	level atomic.Int64
 
@@ -112,10 +105,9 @@ func NewReExporter(agg *Aggregator, cfg ReExporterConfig) *ReExporter {
 		cfg: cfg,
 		agg: agg,
 		// No tracker on the sender: a re-export is one StageReExport span,
-		// recorded by ReExportNow around all of its pushes.
-		snd:    newSender(cfg.Upstream, cfg.Client, cfg.Timeout, nil, rng),
-		chains: make(map[string]*chain),
-		life:   newLifecycle(),
+		// recorded by ReExportNow around its push.
+		snd:  newSender(cfg.Upstream, cfg.Client, cfg.Timeout, nil, rng),
+		life: newLifecycle(),
 	}
 }
 
@@ -135,14 +127,6 @@ func (r *ReExporter) Stop() {
 	r.ReExportNow()
 }
 
-// upstreamEntry is one rendered upstream host: the unit of re-export.
-type upstreamEntry struct {
-	host   string
-	level  int
-	leaves int
-	snaps  []*core.Snapshot
-}
-
 // renderRollup folds the aggregator into one synthetic upstream host:
 // one snapshot per non-empty shard, straight off the shard's memoized
 // merge, shallow-renamed to (Region, shard-NNNN) so entries pair stably
@@ -151,8 +135,8 @@ type upstreamEntry struct {
 // The fold preserves merge exactness: the upstream's merge over these
 // shard snapshots equals this aggregator's own cluster merge, because
 // aggregation is associative bin by bin.
-func (r *ReExporter) renderRollup(now time.Time) upstreamEntry {
-	e := upstreamEntry{host: r.cfg.Region}
+func (r *ReExporter) renderRollup(now time.Time) []*core.Snapshot {
+	var snaps []*core.Snapshot
 	for i, sh := range r.agg.shards {
 		c, _ := sh.merged(now, r.agg.cfg.StaleAfter, false)
 		if c == nil {
@@ -161,10 +145,9 @@ func (r *ReExporter) renderRollup(now time.Time) upstreamEntry {
 		s := *c
 		s.VM = r.cfg.Region
 		s.Disk = fmt.Sprintf("shard-%04d", i)
-		e.snaps = append(e.snaps, &s)
+		snaps = append(snaps, &s)
 	}
-	e.level, e.leaves = r.tierOf()
-	return e
+	return snaps
 }
 
 // tierOf computes the level and folded-leaf count this re-exporter stamps
@@ -180,85 +163,20 @@ func (r *ReExporter) tierOf() (level, leaves int) {
 	return level + 1, leaves
 }
 
-// renderPassthrough renders each fresh downstream host as its own
-// upstream entry named Region+"/"+host, sorted by name. Snapshots are
-// shared by reference with the shard's stored state.
-func (r *ReExporter) renderPassthrough(now time.Time) []upstreamEntry {
-	var out []upstreamEntry
-	for _, sh := range r.agg.shards {
-		sh.mu.RLock()
-		for _, st := range sh.hosts {
-			if now.Sub(st.lastSeen) > r.agg.cfg.StaleAfter {
-				continue
-			}
-			leaves := st.leaves
-			if leaves <= 0 {
-				leaves = 1
-			}
-			out = append(out, upstreamEntry{
-				host:   r.cfg.Region + "/" + st.host,
-				level:  st.level + 1,
-				leaves: leaves,
-				snaps:  st.snaps,
-			})
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].host < out[j].host })
-	return out
-}
-
 // ReExportNow renders the aggregator's current state and pushes it
-// upstream synchronously, returning the first push error. The
-// deterministic flush used by tests, benchmarks and operators forcing a
-// final export; the Start loop calls it once per Interval.
+// upstream synchronously through the sender's delivery step, returning the
+// push error. Every rendering is new content, so it draws a fresh sequence
+// number. The deterministic flush used by tests, benchmarks and operators
+// forcing a final export; the Start loop calls it once per Interval.
 func (r *ReExporter) ReExportNow() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	start := time.Now()
-	now := r.agg.now()
-	entries := []upstreamEntry{r.renderRollup(now)}
-	if r.cfg.PerHostPassthrough {
-		entries = r.renderPassthrough(now)
-	}
-	var first error
-	for _, e := range entries {
-		if err := r.flushEntry(e); err != nil && first == nil {
-			first = err
-		}
-	}
-	if maxLevel := maxEntryLevel(entries); maxLevel > 0 {
-		r.level.Store(int64(maxLevel))
-	}
-	d := time.Since(start)
-	r.cfg.Obs.Observe(fleetobs.StageReExport, d, fleetobs.Event{
-		Host: r.cfg.Region, Shard: -1,
-	})
-	return first
-}
-
-func maxEntryLevel(entries []upstreamEntry) int {
-	m := 0
-	for _, e := range entries {
-		if e.level > m {
-			m = e.level
-		}
-	}
-	return m
-}
-
-// flushEntry delivers one upstream host's rendering through the sender's
-// delivery step, under the entry's own chain. Every rendering is new
-// content, so it draws a fresh sequence number.
-func (r *ReExporter) flushEntry(e upstreamEntry) error {
-	c := r.chains[e.host]
-	if c == nil {
-		c = &chain{}
-		r.chains[e.host] = c
-	}
-	f := r.snd.frame(e.host, c.next(), time.Now().UnixNano(), e.snaps)
-	f.Level, f.Leaves = e.level, e.leaves
-	b, err := r.snd.deliver(c, f)
+	snaps := r.renderRollup(r.agg.now())
+	level, leaves := r.tierOf()
+	f := r.snd.frame(r.cfg.Region, r.chain.next(), time.Now().UnixNano(), snaps)
+	f.Level, f.Leaves = level, leaves
+	b, err := r.snd.deliver(&r.chain, f)
 	detail := fmt.Sprintf("%s snapshots=%d level=%d leaves=%d", b.kind(), len(b.Snapshots), b.Level, b.Leaves)
 	if err != nil {
 		r.life.noteError(err)
@@ -267,6 +185,10 @@ func (r *ReExporter) flushEntry(e upstreamEntry) error {
 	r.cfg.Obs.Emit(fleetobs.Event{
 		Kind: fleetobs.KindReExport, Scope: "aggregator",
 		Host: b.Host, TraceID: b.TraceID, BatchSeq: b.Seq, Shard: -1, Detail: detail,
+	})
+	r.level.Store(int64(level))
+	r.cfg.Obs.Observe(fleetobs.StageReExport, time.Since(start), fleetobs.Event{
+		Host: r.cfg.Region, Shard: -1,
 	})
 	return err
 }

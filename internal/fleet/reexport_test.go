@@ -321,47 +321,6 @@ func TestReExportPartitionShapeIrrelevant(t *testing.T) {
 	}
 }
 
-// TestReExportPassthroughForwardsEveryHost pins the per-host passthrough
-// mode: each fresh downstream host reappears upstream by prefixed name at
-// level 1, and the global merge stays bin-exact.
-func TestReExportPassthroughForwardsEveryHost(t *testing.T) {
-	global := newAggServer(t, AggregatorConfig{StaleAfter: time.Hour})
-	agg := NewAggregator(AggregatorConfig{StaleAfter: time.Hour, Shards: 4})
-	rex := NewReExporter(agg, ReExporterConfig{
-		Region: "region-a", Upstream: global.pushURL(), PerHostPassthrough: true,
-	})
-
-	var all []*core.Snapshot
-	for i := 0; i < 4; i++ {
-		reg := makeRegistry(i, 1, 2, 100)
-		pushFull(t, agg, fmt.Sprintf("esx-%02d", i), 1, reg)
-		all = append(all, reg.Snapshots()...)
-	}
-	if err := rex.ReExportNow(); err != nil {
-		t.Fatal(err)
-	}
-	hosts := global.agg.Hosts()
-	if len(hosts) != 4 {
-		t.Fatalf("global hosts = %d, want 4 passthrough entries", len(hosts))
-	}
-	for _, h := range hosts {
-		if !strings.HasPrefix(h.Host, "region-a/esx-") || h.Level != 1 || h.Leaves != 1 {
-			t.Errorf("passthrough entry %+v, want region-a/esx-* at level 1, 1 leaf", h)
-		}
-	}
-	if got := global.agg.ClusterSnapshot(false); !sameSnapshot(got, core.Aggregate("cluster", "*", all...)) {
-		t.Error("passthrough global merge not bin-exact")
-	}
-
-	// Unchanged second pass: one heartbeat per forwarded host.
-	if err := rex.ReExportNow(); err != nil {
-		t.Fatal(err)
-	}
-	if st := rex.Stats(); st.Heartbeats != 4 {
-		t.Errorf("quiet passthrough interval: %+v, want 4 heartbeats", st)
-	}
-}
-
 // TestReExportTraceTraversesTwoHops pins trace continuity across the
 // tree: the agent's trace ID is visible in the region's pipeline events
 // (hop one), and the re-exporter's trace ID — stamped on the frame it

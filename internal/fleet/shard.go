@@ -22,7 +22,7 @@ type shard struct {
 	index int
 
 	// mu guards hosts and version. version increments whenever any host's
-	// stored snapshots change (ingest of new state, delta apply, forget) —
+	// stored snapshots change (ingest of new state, delta apply) —
 	// the merge cache's invalidation signal. Liveness-only refreshes do
 	// not bump it: the cache also keys on the fresh-host set, which is
 	// recomputed per read.
@@ -216,18 +216,6 @@ func (s *shard) fullBatches() []*Batch {
 		})
 	}
 	return out
-}
-
-// forget drops a host; reports whether it existed.
-func (s *shard) forget(host string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.hosts[host]; !ok {
-		return false
-	}
-	delete(s.hosts, host)
-	s.version++
-	return true
 }
 
 // statuses appends every host's liveness record to out.

@@ -227,20 +227,12 @@ func (t *Tracker) SampleAt(n uint64) bool {
 	return n&t.mask == 0
 }
 
-// Hist returns the stage's histogram (nil on a nil Tracker), for
-// callers that want a histogram.Timer directly.
+// Hist returns the stage's histogram (nil on a nil Tracker).
 func (t *Tracker) Hist(st Stage) *histogram.Histogram {
 	if t == nil || st >= numStages {
 		return nil
 	}
 	return t.hists[st]
-}
-
-// StartStage begins timing st; pair with Timer.Stop. Inert on a nil
-// Tracker. Note this records only the histogram sample — use Observe
-// when the span should also appear in the event ring.
-func (t *Tracker) StartStage(st Stage) histogram.Timer {
-	return t.Hist(st).StartTimer()
 }
 
 // Observe records one timed stage span: a histogram sample, a
@@ -252,7 +244,7 @@ func (t *Tracker) Observe(st Stage, d time.Duration, e Event) {
 	if t == nil {
 		return
 	}
-	t.hists[st].ObserveDuration(d)
+	t.hists[st].Insert(int64(d))
 	e.Kind = KindStage
 	e.Scope = st.Scope()
 	e.Stage = st.String()

@@ -122,7 +122,6 @@ func TestNilTrackerInert(t *testing.T) {
 		t.Error("nil ObserveSince returned negative duration")
 	}
 	tr.Emit(Event{Kind: KindReplay})
-	tr.StartStage(StageCapture).Stop()
 	if tr.Events(0) != nil || tr.Slowest(0, 0) != nil || tr.Stages() != nil {
 		t.Error("nil tracker returned data")
 	}

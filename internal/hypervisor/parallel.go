@@ -35,11 +35,11 @@ type World struct {
 // The observation fast path is built for exactly this shape of load: each
 // world's workload generators issue their initial windows through
 // Disk.IssueBatch (one observer dispatch and one stream-mutex acquisition
-// per burst), and the collectors' histograms are lock-free atomics, so world
-// goroutines insert while pollers snapshot without either waiting. Each
-// world owns its disks' collectors, so a histogram has one command-rate
-// writer and holds one cell per bin — O(m) per virtual disk however many
-// worlds run.
+// per burst). A collector is one slab of histogram cells under its mutex:
+// a poller's snapshot holds it for one copy of the slab, and a world that
+// has to wait for it is counted in SelfStats().Contended. Each world owns
+// its disks' collectors, so a histogram has one command-rate writer and
+// holds one cell per bin — O(m) per virtual disk however many worlds run.
 type ParallelSim struct {
 	registry *core.Registry
 	worlds   []*World

@@ -82,19 +82,11 @@ func (c SimConfig) withDefaults(hosts int) SimConfig {
 // (its worker during Start/Stop, the caller's pool during RunVirtual), so
 // the engine needs no locking; the published atomics are the read-side
 // window Stats() uses while the world runs.
-// simGen is what a host needs from its per-disk generators: the standard
-// Generator surface plus the open-loop throttle counter, satisfied by both
-// the synthetic Paced and the trace-backed TraceReplay.
-type simGen interface {
-	workload.Generator
-	Throttled() int64
-}
-
 type simHost struct {
 	spec  HostSpec
 	eng   *simclock.Engine
 	host  *hypervisor.Host
-	gens  []simGen
+	gens  []*workload.Paced
 	agent *fleet.Agent
 
 	vnow  simclock.Time // owned by the advancing goroutine
@@ -204,13 +196,8 @@ func buildHost(inv *Inventory, spec HostSpec, cfg SimConfig) (*simHost, error) {
 				return nil, fmt.Errorf("vscsim: %s: %w", vmSpec.Name, err)
 			}
 			vd.Collector.Enable()
-			var gen simGen
-			if len(fp.Trace) > 0 {
-				gen = workload.NewTraceReplay(eng, vd.Disk, fp.TraceSpec(vmSpec.Intensity))
-			} else {
-				gen = workload.NewPaced(eng, vd.Disk,
-					fp.PacedSpec(deriveSeed(vmSpec.Seed, uint64(d)), vmSpec.Intensity))
-			}
+			gen := workload.NewPaced(eng, vd.Disk,
+				fp.PacedSpec(deriveSeed(vmSpec.Seed, uint64(d)), vmSpec.Intensity))
 			gen.Start()
 			sh.gens = append(sh.gens, gen)
 		}

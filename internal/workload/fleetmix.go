@@ -1,7 +1,5 @@
 package workload
 
-import "vscsistats/internal/trace"
-
 // The fleet personality mix: the workload population of a synthetic
 // datacenter. The paper characterizes a handful of hand-picked workloads;
 // a fleet-scale story needs the opposite — thousands of VMs drawn from a
@@ -30,12 +28,6 @@ type FleetPersonality struct {
 	ReadPct    int
 	RandomPct  int
 	Burst      int
-	// Trace, when non-empty, makes this a trace-backed personality: VMs
-	// replay this captured command stream (TraceReplay, looping, pacing
-	// scaled by intensity) instead of a synthetic PacedSpec, so real
-	// public-trace tenants flow through the fleet path next to synthetic
-	// ones. The paced fields above are ignored for such a personality.
-	Trace []trace.Record
 }
 
 // fleetPersonalities is the built-in population, ordered hot to cold in
@@ -64,32 +56,7 @@ func FleetPersonalities() []FleetPersonality {
 	return out
 }
 
-// FleetPersonality returns the named built-in personality.
-func FleetPersonalityByName(name string) (FleetPersonality, bool) {
-	for _, p := range fleetPersonalities {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return FleetPersonality{}, false
-}
-
-// TraceSpec instantiates a trace-backed personality as a replay spec:
-// intensity becomes the pacing multiplier, so a hot tenant replays its
-// capture proportionally faster.
-func (fp FleetPersonality) TraceSpec(intensity float64) TraceSpec {
-	if intensity <= 0 {
-		intensity = 1
-	}
-	return TraceSpec{
-		Name:    fp.Name,
-		Records: fp.Trace,
-		Loop:    true,
-		Speed:   intensity,
-	}
-}
-
-// PacedSpec instantiates a synthetic personality as an open-loop access
+// PacedSpec instantiates the personality as an open-loop access
 // spec at the given intensity (a per-VM rate multiplier; the inventory
 // generator draws it heavy-tailed) with the given RNG seed.
 func (fp FleetPersonality) PacedSpec(seed int64, intensity float64) PacedSpec {

@@ -66,9 +66,8 @@ type Iometer struct {
 	spec AccessSpec
 	eng  *simclock.Engine
 	disk *vscsi.Disk
-	rng  *rand.Rand
+	pick picker
 
-	cursor  uint64
 	running bool
 	stats   Stats
 
@@ -82,16 +81,11 @@ type Iometer struct {
 
 // NewIometer prepares a generator against a raw virtual disk.
 func NewIometer(eng *simclock.Engine, disk *vscsi.Disk, spec AccessSpec) *Iometer {
-	if spec.BlockBytes <= 0 || spec.BlockBytes%512 != 0 {
-		panic("workload: Iometer block size must be a positive multiple of 512")
-	}
 	if spec.Outstanding <= 0 {
 		panic("workload: Iometer needs outstanding >= 1")
 	}
-	if spec.ReadPct < 0 || spec.ReadPct > 100 || spec.RandomPct < 0 || spec.RandomPct > 100 {
-		panic("workload: Iometer percentages must be 0-100")
-	}
-	im := &Iometer{spec: spec, eng: eng, disk: disk, rng: simclock.NewRand(spec.Seed)}
+	im := &Iometer{spec: spec, eng: eng, disk: disk,
+		pick: newPicker("Iometer", disk, spec.BlockBytes, spec.RegionSectors, spec.ReadPct, spec.RandomPct, spec.Seed)}
 	im.completed = im.complete
 	if spec.Timeout > 0 {
 		im.timers = make(map[uint64]simclock.Handle, spec.Outstanding)
@@ -113,7 +107,7 @@ func (im *Iometer) Start() {
 	im.running = true
 	cmds := make([]scsi.Command, im.spec.Outstanding)
 	for i := range cmds {
-		cmds[i] = im.nextCmd()
+		cmds[i] = im.pick.next()
 	}
 	rs, err := im.disk.IssueBatch(cmds, im.completed)
 	if err != nil {
@@ -133,34 +127,6 @@ func (im *Iometer) Stop() { im.running = false }
 
 // Stats implements Generator.
 func (im *Iometer) Stats() Stats { return im.stats }
-
-func (im *Iometer) region() uint64 {
-	r := im.spec.RegionSectors
-	if r == 0 || r > im.disk.CapacitySectors() {
-		r = im.disk.CapacitySectors()
-	}
-	return r
-}
-
-// nextCmd draws the next command from the access specification.
-func (im *Iometer) nextCmd() scsi.Command {
-	blocks := uint32(im.spec.BlockBytes / 512)
-	slots := im.region() / uint64(blocks)
-	var lba uint64
-	if im.rng.Intn(100) < im.spec.RandomPct {
-		lba = uint64(im.rng.Int63n(int64(slots))) * uint64(blocks)
-	} else {
-		if im.cursor+uint64(blocks) > im.region() {
-			im.cursor = 0
-		}
-		lba = im.cursor
-		im.cursor += uint64(blocks)
-	}
-	if im.rng.Intn(100) < im.spec.ReadPct {
-		return scsi.Read(lba, blocks)
-	}
-	return scsi.Write(lba, blocks)
-}
 
 // complete accounts one finished command and refills the window.
 func (im *Iometer) complete(r *vscsi.Request) {
@@ -191,7 +157,7 @@ func (im *Iometer) issue() {
 	if !im.running {
 		return
 	}
-	req, err := im.disk.Issue(im.nextCmd(), im.completed)
+	req, err := im.disk.Issue(im.pick.next(), im.completed)
 	if err != nil {
 		im.stats.Errors++
 		return
@@ -199,4 +165,57 @@ func (im *Iometer) issue() {
 	if im.spec.Timeout > 0 {
 		im.scheduleTimeout(req)
 	}
+}
+
+// picker draws commands from a block size and read/random mix over the
+// first region sectors of a raw disk: the command stream Iometer and Paced
+// share. A command takes its draws in a fixed order — random or sequential,
+// then the random slot, then read or write — so a seed names one stream.
+type picker struct {
+	rng       *rand.Rand
+	blocks    uint32
+	region    uint64
+	readPct   int
+	randomPct int
+	cursor    uint64
+}
+
+// newPicker checks the block size, the mix and that one block fits the
+// region, panicking with a message naming the generator who on a bad spec.
+// regionSectors 0, or more than the disk holds, means the whole disk.
+func newPicker(who string, disk *vscsi.Disk, blockBytes int64, regionSectors uint64, readPct, randomPct int, seed int64) picker {
+	if blockBytes <= 0 || blockBytes%512 != 0 {
+		panic("workload: " + who + " block size must be a positive multiple of 512")
+	}
+	if readPct < 0 || readPct > 100 || randomPct < 0 || randomPct > 100 {
+		panic("workload: " + who + " percentages must be 0-100")
+	}
+	region := disk.CapacitySectors()
+	if regionSectors != 0 && regionSectors < region {
+		region = regionSectors
+	}
+	blocks := uint32(blockBytes / 512)
+	if region < uint64(blocks) {
+		panic(fmt.Sprintf("workload: %s block of %d sectors does not fit a region of %d", who, blocks, region))
+	}
+	return picker{rng: simclock.NewRand(seed), blocks: blocks, region: region,
+		readPct: readPct, randomPct: randomPct}
+}
+
+// next draws the next command.
+func (p *picker) next() scsi.Command {
+	var lba uint64
+	if p.rng.Intn(100) < p.randomPct {
+		lba = uint64(p.rng.Int63n(int64(p.region/uint64(p.blocks)))) * uint64(p.blocks)
+	} else {
+		if p.cursor+uint64(p.blocks) > p.region {
+			p.cursor = 0
+		}
+		lba = p.cursor
+		p.cursor += uint64(p.blocks)
+	}
+	if p.rng.Intn(100) < p.readPct {
+		return scsi.Read(lba, p.blocks)
+	}
+	return scsi.Write(lba, p.blocks)
 }

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 
 	"vscsistats/internal/scsi"
 	"vscsistats/internal/simclock"
@@ -56,9 +55,9 @@ type Paced struct {
 	spec PacedSpec
 	eng  *simclock.Engine
 	disk *vscsi.Disk
-	rng  *rand.Rand
+	// pick draws the commands; its RNG also draws the arrival gaps.
+	pick picker
 
-	cursor    uint64
 	running   bool
 	stats     Stats
 	throttled int64
@@ -74,14 +73,8 @@ type Paced struct {
 
 // NewPaced prepares an open-loop generator against a raw virtual disk.
 func NewPaced(eng *simclock.Engine, disk *vscsi.Disk, spec PacedSpec) *Paced {
-	if spec.BlockBytes <= 0 || spec.BlockBytes%512 != 0 {
-		panic("workload: Paced block size must be a positive multiple of 512")
-	}
 	if spec.IOPS <= 0 {
 		panic("workload: Paced needs IOPS > 0")
-	}
-	if spec.ReadPct < 0 || spec.ReadPct > 100 || spec.RandomPct < 0 || spec.RandomPct > 100 {
-		panic("workload: Paced percentages must be 0-100")
 	}
 	if spec.Burst <= 0 {
 		spec.Burst = 1
@@ -89,7 +82,8 @@ func NewPaced(eng *simclock.Engine, disk *vscsi.Disk, spec PacedSpec) *Paced {
 	if spec.MaxOutstanding <= 0 {
 		spec.MaxOutstanding = 64
 	}
-	p := &Paced{spec: spec, eng: eng, disk: disk, rng: simclock.NewRand(spec.Seed),
+	p := &Paced{spec: spec, eng: eng, disk: disk,
+		pick: newPicker("Paced", disk, spec.BlockBytes, spec.RegionSectors, spec.ReadPct, spec.RandomPct, spec.Seed),
 		cmds: make([]scsi.Command, spec.Burst)}
 	p.completed, p.arrived = p.complete, p.arrive
 	return p
@@ -120,7 +114,7 @@ func (p *Paced) Throttled() int64 { return p.throttled }
 // nextGap draws the next exponential inter-arrival gap, floored at one
 // virtual nanosecond so the engine always advances.
 func (p *Paced) nextGap() simclock.Time {
-	gap := simclock.Time(p.rng.ExpFloat64() / p.spec.IOPS * float64(simclock.Second))
+	gap := simclock.Time(p.pick.rng.ExpFloat64() / p.spec.IOPS * float64(simclock.Second))
 	if gap < 1 {
 		gap = 1
 	}
@@ -144,48 +138,17 @@ func (p *Paced) arrive(simclock.Time) {
 // through the plain issue path, larger bursts through the batched one.
 func (p *Paced) issueBurst() {
 	if p.spec.Burst == 1 {
-		if _, err := p.disk.Issue(p.nextCmd(), p.completed); err != nil {
+		if _, err := p.disk.Issue(p.pick.next(), p.completed); err != nil {
 			p.stats.Errors++
 		}
 		return
 	}
 	for i := range p.cmds {
-		p.cmds[i] = p.nextCmd()
+		p.cmds[i] = p.pick.next()
 	}
 	if _, err := p.disk.IssueBatch(p.cmds, p.completed); err != nil {
 		p.stats.Errors += int64(len(p.cmds))
 	}
-}
-
-func (p *Paced) region() uint64 {
-	r := p.spec.RegionSectors
-	if r == 0 || r > p.disk.CapacitySectors() {
-		r = p.disk.CapacitySectors()
-	}
-	return r
-}
-
-// nextCmd draws the next command from the access mix.
-func (p *Paced) nextCmd() scsi.Command {
-	blocks := uint32(p.spec.BlockBytes / 512)
-	slots := p.region() / uint64(blocks)
-	if slots == 0 {
-		slots = 1
-	}
-	var lba uint64
-	if p.rng.Intn(100) < p.spec.RandomPct {
-		lba = uint64(p.rng.Int63n(int64(slots))) * uint64(blocks)
-	} else {
-		if p.cursor+uint64(blocks) > p.region() {
-			p.cursor = 0
-		}
-		lba = p.cursor
-		p.cursor += uint64(blocks)
-	}
-	if p.rng.Intn(100) < p.spec.ReadPct {
-		return scsi.Read(lba, blocks)
-	}
-	return scsi.Write(lba, blocks)
 }
 
 // complete accounts one finished command.

@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"vscsistats/internal/core"
@@ -114,12 +116,6 @@ func TestFleetPersonalitiesWellFormed(t *testing.T) {
 			t.Fatalf("personality %q issued nothing in 10s at intensity 100", fp.Name)
 		}
 	}
-	if _, ok := FleetPersonalityByName("oltp"); !ok {
-		t.Fatal("oltp missing from the built-in population")
-	}
-	if _, ok := FleetPersonalityByName("nope"); ok {
-		t.Fatal("unknown personality resolved")
-	}
 }
 
 // TestPacedWorldCommandAllocatesNothing counts the garbage of a command
@@ -166,5 +162,69 @@ func TestPacedWorldCommandAllocatesNothing(t *testing.T) {
 	}
 	if p.Stats().Errors != 0 {
 		t.Errorf("%d commands failed", p.Stats().Errors)
+	}
+}
+
+// TestBlockMustFitRegion builds Iometer and Paced over regions around one
+// 8K block (16 sectors). A region that holds a block runs clean inside it;
+// one smaller than a block is refused at construction, where Iometer used
+// to panic inside the RNG on Start and Paced to issue past the region.
+func TestBlockMustFitRegion(t *testing.T) {
+	ctors := []struct {
+		name  string
+		build func(r *wlRig, region uint64) Generator
+	}{
+		{"iometer", func(r *wlRig, region uint64) Generator {
+			spec := EightKRandomRead()
+			spec.RegionSectors = region
+			return NewIometer(r.eng, r.disk, spec)
+		}},
+		{"paced", func(r *wlRig, region uint64) Generator {
+			return NewPaced(r.eng, r.disk, PacedSpec{Name: "fit", BlockBytes: 8 << 10,
+				ReadPct: 50, RandomPct: 50, IOPS: 1000, RegionSectors: region, Seed: 1})
+		}},
+	}
+	cases := []struct {
+		name             string
+		capacity, region uint64
+		fits             bool
+	}{
+		{"disk smaller than a block", 8, 0, false},
+		{"region smaller than a block", 1 << 20, 8, false},
+		{"disk of one block", 16, 0, true},
+		{"region of one block", 1 << 20, 16, true},
+	}
+	for _, ctor := range ctors {
+		for _, c := range cases {
+			t.Run(ctor.name+"/"+c.name, func(t *testing.T) {
+				r := newWLRig(t, simclock.Millisecond, c.capacity)
+				var gen Generator
+				var refused string
+				func() {
+					defer func() {
+						if v := recover(); v != nil {
+							refused = fmt.Sprint(v)
+						}
+					}()
+					gen = ctor.build(r, c.region)
+				}()
+				if !c.fits {
+					if !strings.Contains(refused, "does not fit") {
+						t.Fatalf("constructor refusal = %q, want a block-does-not-fit panic", refused)
+					}
+					return
+				}
+				if refused != "" {
+					t.Fatalf("constructor panicked: %s", refused)
+				}
+				gen.Start()
+				r.eng.RunUntil(simclock.Second)
+				gen.Stop()
+				r.eng.Run()
+				if st := gen.Stats(); st.Ops == 0 || st.Errors != 0 {
+					t.Fatalf("one-block region: %+v, want commands and no errors", st)
+				}
+			})
+		}
 	}
 }

@@ -396,11 +396,10 @@ func OpenFleetAggregator(cfg FleetAggregatorConfig) (*FleetAggregator, FleetRepl
 // FleetReExporter makes aggregators composable into trees of arbitrary
 // depth (agents → region → global): it re-exports an aggregator's merged
 // per-shard state upstream through the same push protocol the aggregator
-// ingests — one synthetic host per region by default, or every leaf by
-// name with PerHostPassthrough. Upstream wire bytes and ingest scale with
-// regions changed, not leaf hosts; quiet intervals send liveness-only
-// heartbeats, and a restarted tier resyncs through the boot-incarnation
-// 409 protocol exactly like an agent.
+// ingests, as one synthetic host per region. Upstream wire bytes and
+// ingest scale with regions changed, not leaf hosts; quiet intervals send
+// liveness-only heartbeats, and a restarted tier resyncs through the
+// boot-incarnation 409 protocol exactly like an agent.
 type (
 	FleetReExporter       = fleet.ReExporter
 	FleetReExporterConfig = fleet.ReExporterConfig
@@ -445,7 +444,8 @@ func NewFleetObsTracker(cfg FleetObsConfig) *FleetObsTracker {
 // simulated world — engine, hypervisor, open-loop generators and a real
 // fleet agent — multiplexed across worker goroutines in one process, so
 // a thousand and more hosts exercise a real sharded aggregator.
-// FleetPersonality is one named class in the workload population.
+// FleetPersonality is one named class in the workload population: an
+// open-loop paced access template with a population weight.
 type (
 	SimInventory        = vscsim.Inventory
 	SimInventoryConfig  = vscsim.Config
