@@ -211,44 +211,37 @@ func OpenAggregator(cfg AggregatorConfig) (*Aggregator, ReplayStats, error) {
 	}
 	start := time.Now()
 	var st ReplayStats
-	var lst replayStats
+	var moved atomic.Bool
 	// Label the replay for pprof so boot-recovery CPU attributes to the
 	// pipeline stage, not to an anonymous OpenAggregator frame.
 	pprof.Do(context.Background(), pprof.Labels("stage", "replay"), func(context.Context) {
-		lst, err = l.replay(func(dirIdx int, b *Batch) error {
-			st.Frames++
+		st, err = l.replay(func(dirIdx int, b *Batch) (bool, error) {
 			g.noteDecoded(b)
-			if verr := b.Validate(); verr != nil {
+			if b.Validate() != nil {
 				// The frame decoded but cannot be merged (a legacy JSON
 				// payload can hold a null snapshot). Skip it: the data is
 				// unusable here, not evidence of corruption.
-				st.Skipped++
-				return nil
+				return true, nil
 			}
-			if _, ierr := g.shardOf(b.Host).ingest(b, "log", time.Unix(0, b.SentUnixNano)); ierr != nil {
-				if errors.Is(ierr, ErrResyncRequired) {
-					st.Skipped++
-					return nil
-				}
-				return ierr
+			if dirIdx != g.ShardFor(b.Host) {
+				moved.Store(true)
 			}
-			return nil
+			_, ierr := g.shardOf(b.Host).ingest(b, "log", time.Unix(0, b.SentUnixNano))
+			if errors.Is(ierr, ErrResyncRequired) {
+				return true, nil
+			}
+			return false, ierr
 		})
 	})
 	if err != nil {
 		return nil, ReplayStats{}, err
 	}
-	st.TornTails = lst.tornTails
-	// Frames of another bin layout never reached apply: whole frames,
-	// unusable here, skipped like the ones that fail Validate above.
-	st.Frames += lst.unknownLayout
-	st.Skipped += lst.unknownLayout
 	g.log = l
-	if len(l.orphans) > 0 {
-		// The shard count shrank since the log was written: the orphan
-		// dirs' hosts replayed fine (routing is by host hash, never by
-		// dir), but their frames must move home. Rewrite every current
-		// shard's chain from live state, then drop the orphan dirs.
+	if moved.Load() || len(l.orphans) > 0 {
+		// The shard count changed since the log was written. Hosts
+		// replayed fine (routing is by host hash, never by dir), but a
+		// moved host's base must go home before its next deltas land
+		// there: rewrite every shard's chain, then drop the orphans.
 		if err := g.CompactLog(); err != nil {
 			return nil, ReplayStats{}, err
 		}

@@ -110,9 +110,8 @@ func BenchmarkFleetIngestScrapeSharded1024(b *testing.B) {
 	benchIngestScrape(b, AggregatorConfig{StaleAfter: time.Hour}, 1024)
 }
 
-// BenchmarkFleetIngest1024 is the pure ingest fence: batch validation plus
-// shard insertion at 1024 hosts, no scraping. CI fails the build if this
-// regresses past the committed baseline.
+// BenchmarkFleetIngest1024 is the pure ingest cost: batch validation plus
+// shard insertion at 1024 hosts, no scraping.
 func BenchmarkFleetIngest1024(b *testing.B) {
 	agg := NewAggregator(AggregatorConfig{StaleAfter: time.Hour})
 	hosts := fleetHostNames(1024)
@@ -152,8 +151,7 @@ func BenchmarkFleetIngest1024Traced(b *testing.B) {
 }
 
 // BenchmarkFleetReplay1024 measures a boot replay of a 1024-host segment
-// log — the restart cost the log trades for zero agent resyncs. CI fences
-// it alongside the ingest fence.
+// log — the restart cost the log trades for zero agent resyncs.
 func BenchmarkFleetReplay1024(b *testing.B) {
 	dir := b.TempDir()
 	cfg := AggregatorConfig{StaleAfter: time.Hour, DataDir: dir}

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"runtime/pprof"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"vscsistats/internal/core"
@@ -41,6 +42,8 @@ import (
 //
 // History scans disk on every call — it is a reporting query, deliberately
 // off the ingest and scrape fast paths, and it never touches shard locks.
+// The shard dirs are read concurrently, and a frame sent after to is
+// counted but its payload never decoded.
 func (g *Aggregator) History(from, to time.Time) (*HistoryResult, error) {
 	if g.log == nil {
 		return nil, errors.New("fleet: history requires a segment log (no data dir configured)")
@@ -57,10 +60,15 @@ func (g *Aggregator) History(from, to time.Time) (*HistoryResult, error) {
 
 func (g *Aggregator) history(from, to time.Time) (*HistoryResult, error) {
 	fromNs, toNs := from.UnixNano(), to.UnixNano()
-	hosts := make(map[string]*historyHost)
-	var frames int64
-	g.log.scan(func(_ int, b *Batch) {
-		frames++
+	// One host map per shard dir: scan reads the dirs concurrently, and a
+	// host's frames live in its home dir only (boot compacts them there).
+	dirs := make([]map[string]*historyHost, len(g.log.shards))
+	for i := range dirs {
+		dirs[i] = make(map[string]*historyHost)
+	}
+	var frames atomic.Int64
+	g.log.scan(toNs, func(dirIdx int, b *Batch) {
+		frames.Add(1)
 		if b.SentUnixNano > toNs {
 			// Past the window's end: nothing after this frame on the
 			// host's chain can matter (deltas building on it would also
@@ -70,10 +78,10 @@ func (g *Aggregator) history(from, to time.Time) (*HistoryResult, error) {
 		if b.Validate() != nil {
 			return // boot replay skipped it too
 		}
-		h := hosts[b.Host]
+		h := dirs[dirIdx][b.Host]
 		if h == nil {
 			h = &historyHost{}
-			hosts[b.Host] = h
+			dirs[dirIdx][b.Host] = h
 		}
 		if applied, _ := h.apply(b); !applied {
 			// A duplicate, a stale full (compaction-interrupt leftovers) or
@@ -90,21 +98,22 @@ func (g *Aggregator) history(from, to time.Time) (*HistoryResult, error) {
 	})
 
 	var windows []*core.Snapshot
-	contributing := 0
-	for _, h := range hosts {
-		if !h.inWindow || h.end == nil {
-			continue
-		}
-		contributing++
-		base := make(map[diskKey]*core.Snapshot, len(h.base))
-		for _, s := range h.base {
-			base[diskKey{s.VM, s.Disk}] = s
-		}
-		for _, s := range h.end {
-			windows = append(windows, core.IntervalSince(base[diskKey{s.VM, s.Disk}], s))
+	res := &HistoryResult{FromUnixNano: fromNs, ToUnixNano: toNs, Frames: frames.Load()}
+	for _, hosts := range dirs {
+		for _, h := range hosts {
+			if !h.inWindow || h.end == nil {
+				continue
+			}
+			res.Hosts++
+			base := make(map[diskKey]*core.Snapshot, len(h.base))
+			for _, s := range h.base {
+				base[diskKey{s.VM, s.Disk}] = s
+			}
+			for _, s := range h.end {
+				windows = append(windows, core.IntervalSince(base[diskKey{s.VM, s.Disk}], s))
+			}
 		}
 	}
-	res := &HistoryResult{FromUnixNano: fromNs, ToUnixNano: toNs, Hosts: contributing, Frames: frames}
 	res.Cluster, res.VMs = mergeSnaps(windows)
 	return res, nil
 }

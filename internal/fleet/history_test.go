@@ -227,7 +227,8 @@ func TestHistoryAcrossCounterReset(t *testing.T) {
 // holds the whole log they end in the same state — after every prefix of
 // any frame sequence, however hostile. The sequences are seeded random
 // mixes of fulls, deltas, duplicates, sequence gaps, stale fulls and
-// sender restarts across three hosts.
+// sender restarts across three hosts. Every prefix window, too, ends in
+// the state live ingest held after that step.
 func TestHistoryMatchesLiveIngest(t *testing.T) {
 	type sender struct {
 		host      string
@@ -252,6 +253,7 @@ func TestHistoryMatchesLiveIngest(t *testing.T) {
 				}
 			}
 			kinds := map[string]int{}
+			var live []*core.Snapshot // the live merge after each step
 			for step := 0; step < 120; step++ {
 				s := senders[rng.Intn(len(senders))]
 				for j, col := range s.reg.List() {
@@ -295,9 +297,21 @@ func TestHistoryMatchesLiveIngest(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if live := g.ClusterSnapshot(true); !res.Cluster.StateEquals(live) {
+				live = append(live, g.ClusterSnapshot(true))
+				if !res.Cluster.StateEquals(live[step]) {
 					t.Fatalf("step %d (%s host %s seq %d): History over the whole log and the live merge disagree",
 						step, kind, b.Host, b.Seq)
+				}
+			}
+			// Every prefix window ends where live ingest stood after that
+			// step: the frames past its end are skipped unread.
+			for step, want := range live {
+				res, err := g.History(epoch, time.Unix(0, int64(step+1)*int64(time.Second)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.Cluster.StateEquals(want) {
+					t.Fatalf("History up to step %d and the live merge after it disagree", step)
 				}
 			}
 			st := g.Stats()

@@ -2,11 +2,13 @@ package fleet
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -239,48 +241,65 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// replayStats summarizes one boot replay.
-type replayStats struct {
-	frames    int64
-	tornTails int
-	// unknownLayout counts whole frames of another binary generation's
-	// bin layout: counted, kept on disk, never applied.
-	unknownLayout int64
+// eachDir runs fn(0..n-1) on min(GOMAXPROCS, n) goroutines, handing out
+// indexes in order. A failure stops the handing out, but every index handed
+// out runs, and those below a failed one were handed out before it: the
+// error returned is always that of the lowest failing index.
+func eachDir(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
+				if errs[i] = fn(i); errs[i] != nil {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return cmp.Or(errs...) // the first non-nil
 }
 
-// replay reads every segment of every shard dir (orphans included) in
-// order and hands each decoded batch to apply, tolerating a torn tail on
-// each chain's last segment by truncating the file back to the last whole
-// frame. Any other decode failure aborts: a log that contradicts its own
-// format must not silently become numbers. Segment sizes, frame counts and
-// newest-times are (re)established as a side effect — replay is the one
-// full read the log ever does.
-func (l *segmentLog) replay(apply func(dirIdx int, b *Batch) error) (replayStats, error) {
-	var st replayStats
-	for _, sh := range append(append([]*logShard(nil), l.shards...), l.orphans...) {
-		if err := l.replayShard(sh, &st, apply); err != nil {
-			return st, err
+// replay reads every segment of every shard dir (orphans included) and
+// hands each decoded batch to apply, which reports whether it skipped the
+// batch (a frame it cannot use, not evidence of corruption). A torn tail
+// on a chain's last segment is truncated back to the last whole frame; any
+// other decode failure aborts: a log that contradicts its own format must
+// not silently become numbers. Dirs replay concurrently, so apply must be
+// safe for that; one dir's segments replay in order on one goroutine.
+// Segment sizes, frame counts and newest-times are (re)established as a
+// side effect — replay is the one full read the log ever does.
+func (l *segmentLog) replay(apply func(dirIdx int, b *Batch) (skipped bool, err error)) (ReplayStats, error) {
+	dirs := append(append([]*logShard(nil), l.shards...), l.orphans...)
+	per := make([]ReplayStats, len(dirs))
+	err := eachDir(len(dirs), func(i int) error {
+		sh, st := dirs[i], &per[i]
+		for j := range sh.sealed {
+			if err := l.replaySegment(sh, &sh.sealed[j], false, st, apply); err != nil {
+				return err
+			}
 		}
+		return l.replaySegment(sh, &sh.active, true, st, apply)
+	})
+	var st ReplayStats
+	for _, d := range per {
+		st.Frames += d.Frames
+		st.Skipped += d.Skipped
+		st.TornTails += d.TornTails
 	}
-	return st, nil
+	return st, err
 }
 
-func (l *segmentLog) replayShard(sh *logShard, st *replayStats, apply func(int, *Batch) error) error {
-	segs := make([]*segmentInfo, 0, len(sh.sealed)+1)
-	for i := range sh.sealed {
-		segs = append(segs, &sh.sealed[i])
-	}
-	segs = append(segs, &sh.active)
-	for i, seg := range segs {
-		last := i == len(segs)-1
-		if err := l.replaySegment(sh, seg, last, st, apply); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (l *segmentLog) replaySegment(sh *logShard, seg *segmentInfo, last bool, st *replayStats, apply func(int, *Batch) error) error {
+func (l *segmentLog) replaySegment(sh *logShard, seg *segmentInfo, last bool, st *ReplayStats, apply func(int, *Batch) (bool, error)) error {
 	f, err := os.Open(seg.path)
 	if err != nil {
 		if os.IsNotExist(err) && last && seg.frames == 0 {
@@ -310,7 +329,7 @@ func (l *segmentLog) replaySegment(sh *logShard, seg *segmentInfo, last bool, st
 			if terr := os.Truncate(seg.path, good); terr != nil {
 				return fmt.Errorf("fleet: truncating torn tail of %s: %w", seg.path, terr)
 			}
-			st.tornTails++
+			st.TornTails++
 			l.tornTails.Add(1)
 			l.cfg.obs.Emit(fleetobs.Event{
 				Kind: fleetobs.KindTornTail, Scope: "aggregator", Shard: sh.dirIdx,
@@ -323,17 +342,21 @@ func (l *segmentLog) replaySegment(sh *logShard, seg *segmentInfo, last bool, st
 		}
 		good = cr.n
 		seg.frames++
+		st.Frames++
 		if b.SentUnixNano > seg.newest {
 			seg.newest = b.SentUnixNano
 		}
 		if unknown != nil {
-			st.unknownLayout++
+			st.Skipped++
 			continue
 		}
-		st.frames++
 		l.replayed.Add(1)
-		if err := apply(sh.dirIdx, b); err != nil {
+		skipped, err := apply(sh.dirIdx, b)
+		if err != nil {
 			return err
+		}
+		if skipped {
+			st.Skipped++
 		}
 	}
 	seg.bytes = good
@@ -580,15 +603,19 @@ func (l *segmentLog) removeOrphans() {
 	l.orphans = nil
 }
 
-// scan hands every frame currently in the log to fn, in per-shard segment
-// order — the read path behind history queries. It is best-effort against
-// concurrent writers: the path list is copied under each shard's mutex,
-// but the files are read unlocked, so a segment compacted away mid-scan is
-// skipped and a frame being appended right now reads as a torn tail and
-// ends that file. Both are safe for history: duplicates and stale fulls
-// fall out of the same no-rollback apply rules replay uses.
-func (l *segmentLog) scan(fn func(dirIdx int, b *Batch)) {
-	for _, sh := range l.shards {
+// scan hands every frame currently in the log to fn, the read path behind
+// history queries. Shard dirs are read concurrently; fn sees one dir's
+// frames in segment order on one goroutine. A frame sent after to reaches
+// fn as its header alone (nil Snapshots): its payload is skipped, never
+// decoded. It is best-effort against concurrent writers: the path list is
+// copied under each shard's mutex, but the files are read unlocked, so a
+// segment compacted away mid-scan is skipped and a frame being appended
+// right now reads as a torn tail and ends that file. Both are safe for
+// history: duplicates and stale fulls fall out of the same no-rollback
+// apply rules replay uses.
+func (l *segmentLog) scan(to int64, fn func(dirIdx int, b *Batch)) {
+	eachDir(len(l.shards), func(i int) error {
+		sh := l.shards[i]
 		sh.mu.Lock()
 		paths := make([]string, 0, len(sh.sealed)+1)
 		for _, seg := range sh.sealed {
@@ -597,15 +624,15 @@ func (l *segmentLog) scan(fn func(dirIdx int, b *Batch)) {
 		if sh.active.frames > 0 {
 			paths = append(paths, sh.active.path)
 		}
-		dirIdx := sh.dirIdx
 		sh.mu.Unlock()
 		for _, p := range paths {
-			scanSegment(p, dirIdx, fn)
+			scanSegment(p, sh.dirIdx, to, fn)
 		}
-	}
+		return nil
+	})
 }
 
-func scanSegment(path string, dirIdx int, fn func(int, *Batch)) {
+func scanSegment(path string, dirIdx int, to int64, fn func(int, *Batch)) {
 	f, err := os.Open(path)
 	if err != nil {
 		return
@@ -613,13 +640,21 @@ func scanSegment(path string, dirIdx int, fn func(int, *Batch)) {
 	defer f.Close()
 	r := bufio.NewReader(f)
 	for {
-		b, err := DecodeBatch(r)
-		var unknown *UnknownLayoutError
-		if errors.As(err, &unknown) {
-			continue // a whole frame of another layout: nothing to window
-		}
+		h, err := readHead(r)
 		if err != nil {
 			return // EOF, torn tail or mid-compaction swap: stop this file
+		}
+		b := h.b
+		if b.SentUnixNano > to {
+			if _, err := r.Discard(int(h.payloadLen)); err != nil {
+				return
+			}
+		} else if b, err = h.readPayload(r); err != nil {
+			var unknown *UnknownLayoutError
+			if errors.As(err, &unknown) {
+				continue // a whole frame of another layout: nothing to window
+			}
+			return
 		}
 		fn(dirIdx, b)
 	}

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -327,6 +328,40 @@ func TestLogCorruptionRefusesToStart(t *testing.T) {
 		os.WriteFile(first, data[:len(data)/2], 0o644)
 		if err := open(dir); err == nil {
 			t.Fatal("open succeeded over a truncated non-final segment")
+		}
+	})
+	// Dirs replay concurrently: a corrupt dir refuses the boot whatever a
+	// dir replaying beside it does, and the error names the corrupt segment.
+	t.Run("corrupt dir beside a torn one", func(t *testing.T) {
+		dir := t.TempDir()
+		cfg := logAggConfig(dir)
+		cfg.SegmentBytes = 1
+		g, _, err := OpenAggregator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for h := 0; h < 8; h++ {
+			_, batches, _ := hostChain(h, 3, time.Now().UnixNano())
+			ingestAll(t, g, batches)
+		}
+		g.Close()
+		var chains [][]string
+		for i := 0; i < cfg.Shards; i++ {
+			if segs := segFiles(t, filepath.Join(dir, shardDirName(i))); len(segs) >= 2 {
+				chains = append(chains, segs)
+			}
+		}
+		if len(chains) < 2 {
+			t.Fatalf("wanted two multi-segment dirs, got %d", len(chains))
+		}
+		torn, corrupt := chains[0][len(chains[0])-1], chains[1][0]
+		data, _ := os.ReadFile(torn)
+		os.WriteFile(torn, data[:len(data)/2], 0o644)
+		data, _ = os.ReadFile(corrupt)
+		data[0] ^= 0xff
+		os.WriteFile(corrupt, data, 0o644)
+		if _, _, err := OpenAggregator(cfg); err == nil || !strings.Contains(err.Error(), corrupt) {
+			t.Fatalf("open over a corrupt dir: %v, want a refusal naming %s", err, corrupt)
 		}
 	})
 }
@@ -672,6 +707,50 @@ func TestLogShardCountShrink(t *testing.T) {
 		t.Fatalf("second open after shrink: err=%v stats=%+v", err, st3)
 	}
 	g3.Close()
+}
+
+// TestLogShardCountGrow reopens a log with more shards than it was written
+// with, ingests more deltas, and reopens again. A host whose new home dir
+// replays before its old one must not lose its chain: the boot after the
+// resize moves every host's state home, so the second reopen skips nothing.
+func TestLogShardCountGrow(t *testing.T) {
+	dir := t.TempDir()
+	narrow := logAggConfig(dir)
+	wide := logAggConfig(dir)
+	wide.Shards = 6
+	control := NewAggregator(AggregatorConfig{StaleAfter: time.Hour, Shards: wide.Shards})
+	var before, after []*Batch
+	movedDown := 0
+	for h := 0; h < 12; h++ {
+		host, batches, _ := hostChain(h, 4, time.Now().UnixNano())
+		before = append(before, batches[:2]...)
+		after = append(after, batches[2:]...)
+		if shardHash(host)%uint32(wide.Shards) < shardHash(host)%uint32(narrow.Shards) {
+			movedDown++
+		}
+	}
+	if movedDown == 0 {
+		t.Fatal("no host's home dir sorts before its old one; the test proves nothing")
+	}
+	ingestAll(t, control, append(append([]*Batch(nil), before...), after...))
+
+	for i, step := range []struct {
+		cfg     AggregatorConfig
+		batches []*Batch
+	}{{narrow, before}, {wide, after}, {wide, nil}} {
+		g, st, err := OpenAggregator(step.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Skipped != 0 {
+			t.Errorf("open %d (%d shards): %d frames skipped", i, step.cfg.Shards, st.Skipped)
+		}
+		ingestAll(t, g, step.batches)
+		if i == 2 {
+			sameMerges(t, "reopen after growth", g, control)
+		}
+		g.Close()
+	}
 }
 
 // TestLogLegacySegmentsBootAndCompactToBinary is the upgrade path of a

@@ -287,51 +287,66 @@ func readSized(r io.Reader, n uint32, what string) ([]byte, error) {
 // one failure that is not a bad frame is *UnknownLayoutError: a whole,
 // well-formed frame whose bin layout is another binary generation's.
 func DecodeBatch(r io.Reader) (*Batch, error) {
+	h, err := readHead(r)
+	if err != nil {
+		return nil, err
+	}
+	return h.readPayload(r)
+}
+
+// frameHead is a frame read up to its payload: the header as a Batch
+// without snapshots, and what reading the payload takes.
+type frameHead struct {
+	b          *Batch
+	flags      byte
+	count      int
+	payloadLen uint32
+}
+
+// readHead is DecodeBatch's first half: it reads and checks the head and
+// header, leaving r at the first payload byte.
+func readHead(r io.Reader) (frameHead, error) {
 	var head [16]byte
 	if _, err := io.ReadFull(r, head[:1]); err != nil {
 		if err == io.EOF {
-			return nil, io.EOF
+			return frameHead{}, io.EOF
 		}
 		if eofErr(err) {
-			return nil, truncatedFrame("short frame head: %v", err)
+			return frameHead{}, truncatedFrame("short frame head: %v", err)
 		}
-		return nil, badFrame("short frame head: %v", err)
+		return frameHead{}, badFrame("short frame head: %v", err)
 	}
 	if _, err := io.ReadFull(r, head[1:]); err != nil {
 		if eofErr(err) {
-			return nil, truncatedFrame("short frame head: %v", err)
+			return frameHead{}, truncatedFrame("short frame head: %v", err)
 		}
-		return nil, badFrame("short frame head: %v", err)
+		return frameHead{}, badFrame("short frame head: %v", err)
 	}
 	if !bytes.Equal(head[0:4], wireMagic[:]) {
-		return nil, badFrame("bad magic %q", head[0:4])
+		return frameHead{}, badFrame("bad magic %q", head[0:4])
 	}
 	version, flags := head[4], head[5]
 	if version < 1 {
-		return nil, badFrame("unsupported version %d", version)
+		return frameHead{}, badFrame("unsupported version %d", version)
 	}
 	if flags&^byte(knownFlags) != 0 {
-		return nil, badFrame("unknown flags %#x", flags)
+		return frameHead{}, badFrame("unknown flags %#x", flags)
 	}
 	headerLen := binary.BigEndian.Uint32(head[8:12])
 	payloadLen := binary.BigEndian.Uint32(head[12:16])
 	if headerLen > maxHeaderLen {
-		return nil, badFrame("header length %d exceeds limit %d", headerLen, maxHeaderLen)
+		return frameHead{}, badFrame("header length %d exceeds limit %d", headerLen, maxHeaderLen)
 	}
 	if payloadLen > maxPayloadLen {
-		return nil, badFrame("payload length %d exceeds limit %d", payloadLen, maxPayloadLen)
+		return frameHead{}, badFrame("payload length %d exceeds limit %d", payloadLen, maxPayloadLen)
 	}
 	header, err := readSized(r, headerLen, "header")
 	if err != nil {
-		return nil, err
+		return frameHead{}, err
 	}
 	var hdr batchHeader
 	if err := json.Unmarshal(header, &hdr); err != nil {
-		return nil, badFrame("header JSON: %v", err)
-	}
-	payload, err := readSized(r, payloadLen, "payload")
-	if err != nil {
-		return nil, err
+		return frameHead{}, badFrame("header JSON: %v", err)
 	}
 	out := &Batch{
 		Host: hdr.Host, Seq: hdr.Seq, SentUnixNano: hdr.SentUnixNano,
@@ -344,14 +359,25 @@ func DecodeBatch(r io.Reader) (*Batch, error) {
 		// frames keeps decode(encode(b)) == b in both directions.
 		out.BaseSeq = hdr.BaseSeq
 	}
+	return frameHead{b: out, flags: flags, count: hdr.Count, payloadLen: payloadLen}, nil
+}
+
+// readPayload is DecodeBatch's second half: it reads the payload h
+// declares and decodes it into h.b.
+func (h frameHead) readPayload(r io.Reader) (*Batch, error) {
+	payload, err := readSized(r, h.payloadLen, "payload")
+	if err != nil {
+		return nil, err
+	}
+	out := h.b
 	switch {
-	case flags&flagBinary == 0:
+	case h.flags&flagBinary == 0:
 		out.jsonPayload = true
-		out.Snapshots, err = decodeJSONPayload(payload, flags&flagGzip != 0, hdr.Count)
-	case flags&flagGzip != 0:
+		out.Snapshots, err = decodeJSONPayload(payload, h.flags&flagGzip != 0, h.count)
+	case h.flags&flagGzip != 0:
 		err = badFrame("binary payload marked gzip-compressed")
 	default:
-		out.Snapshots, err = decodePayload(payload, hdr.Count)
+		out.Snapshots, err = decodePayload(payload, h.count)
 	}
 	if err != nil {
 		var unknown *UnknownLayoutError
