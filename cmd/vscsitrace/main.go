@@ -6,9 +6,10 @@
 //
 // Every file this command writes is a VSCT trace, streamed as it is
 // encoded. Every file-reading subcommand autodetects the trace encoding:
-// VSCT (and the version 1 files and headerless frame streams older builds
-// wrote), MSR Cambridge CSV and Alibaba cloud-trace CSV all work anywhere
-// a trace is expected, so a downloaded public corpus replays directly:
+// VSCT version 2, MSR Cambridge CSV and Alibaba cloud-trace CSV all work
+// anywhere a trace is expected, so a downloaded public corpus replays
+// directly. The version 1 files and headerless frame streams older builds
+// wrote are refused; DESIGN.md §8 says how to upgrade them. For example:
 //
 //	vscsitrace capture -workload dbt2 -duration 30 -o dbt2.vsct
 //	vscsitrace dump -i dbt2.vsct | head
@@ -76,8 +77,8 @@ func usage() {
   convert -i FILE [-format F] -o FILE
   synth   -seed N -n COUNT -o FILE
 every output is a VSCT trace
-formats: auto (default), native (VSCT), stream (legacy headerless), msr,
-alibaba; -i - reads stdin`)
+formats: auto (default), native (VSCT version 2), msr, alibaba;
+-i - reads stdin`)
 	os.Exit(2)
 }
 

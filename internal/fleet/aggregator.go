@@ -146,9 +146,6 @@ type Aggregator struct {
 	// was not this binary's at decode (or the batch failed Validate) — the
 	// one resync cause detected at the aggregator rather than in the shard.
 	layoutMismatch atomic.Int64
-	// decodedBinary and decodedJSON count the frames decoded from pushes
-	// and boot replay, by payload encoding.
-	decodedBinary, decodedJSON atomic.Int64
 }
 
 // NewAggregator builds an empty aggregator.
@@ -190,9 +187,9 @@ type ReplayStats struct {
 // Replayed hosts keep their recorded send time as their liveness time, so
 // staleness after a restart means what it always means. With an empty
 // DataDir this is exactly NewAggregator. Any other decode failure in the
-// log — wrong magic, a payload that contradicts its own encoding — refuses
-// to open rather than serve numbers the log contradicts. Segments written
-// before the binary payload (gzip-framed JSON) replay like any others.
+// log — wrong magic, a payload that contradicts its own encoding, a frame
+// that fails Validate, a pre-binary JSON payload — refuses to open rather
+// than serve numbers the log contradicts.
 func OpenAggregator(cfg AggregatorConfig) (*Aggregator, ReplayStats, error) {
 	g := NewAggregator(cfg)
 	if g.cfg.DataDir == "" {
@@ -216,13 +213,6 @@ func OpenAggregator(cfg AggregatorConfig) (*Aggregator, ReplayStats, error) {
 	// pipeline stage, not to an anonymous OpenAggregator frame.
 	pprof.Do(context.Background(), pprof.Labels("stage", "replay"), func(context.Context) {
 		st, err = l.replay(func(dirIdx int, b *Batch) (bool, error) {
-			g.noteDecoded(b)
-			if b.Validate() != nil {
-				// The frame decoded but cannot be merged (a legacy JSON
-				// payload can hold a null snapshot). Skip it: the data is
-				// unusable here, not evidence of corruption.
-				return true, nil
-			}
 			if dirIdx != g.ShardFor(b.Host) {
 				moved.Store(true)
 			}
@@ -355,15 +345,6 @@ func (g *Aggregator) refuse(b *Batch, err error) error {
 	return rerr
 }
 
-// noteDecoded counts one decoded frame under its payload encoding.
-func (g *Aggregator) noteDecoded(b *Batch) {
-	if b.jsonPayload {
-		g.decodedJSON.Add(1)
-	} else {
-		g.decodedBinary.Add(1)
-	}
-}
-
 // stageStart reads the clock for a sampled frame only; an unsampled one
 // gets the zero time, which observeStage ignores.
 func stageStart(sampled bool) time.Time {
@@ -447,7 +428,6 @@ func (g *Aggregator) receive(ctx context.Context, r io.Reader, sampled bool) (*B
 	}
 	idx := g.ShardFor(b.Host)
 	g.observeStage(fleetobs.StageDecode, start, b, idx)
-	g.noteDecoded(b)
 	// Attribute ingest CPU to the pipeline: pprof samples taken inside
 	// carry stage/host/shard labels via Options.Pprof for free.
 	pprof.Do(ctx,
@@ -555,12 +535,6 @@ type AggregatorStats struct {
 	// memoization outcomes across all shards.
 	MergeCacheHits   int64
 	MergeCacheMisses int64
-	// DecodedBinary and DecodedJSON count the wire frames decoded from
-	// pushes and boot replay by payload encoding. When DecodedJSON
-	// stops moving — no pre-binary sender left, every old segment
-	// compacted — the legacy JSON reader has nothing left to read.
-	DecodedBinary int64
-	DecodedJSON   int64
 }
 
 // Stats returns the aggregator's counters.
@@ -578,9 +552,6 @@ func (g *Aggregator) statsOf(hosts []HostStatus) AggregatorStats {
 		StaleHosts: stale,
 		Rejected:   g.rejected.Load(),
 		RecvBytes:  g.recvBytes.Load(),
-
-		DecodedBinary: g.decodedBinary.Load(),
-		DecodedJSON:   g.decodedJSON.Load(),
 	}
 	for _, sh := range g.shards {
 		st.Batches += sh.batches.Load()
@@ -896,10 +867,9 @@ var (
 // (shard="N"), the host set by federation level (level="N"; a region
 // dropping out of a federated view is a leaves dip at level 1), the loss
 // paths (refused frames, resyncs by cause), the segment log's footprint
-// and maintenance counters when one is open, decoded frames by payload
-// encoding, and the merged view: cluster and per-VM
-// counters plus the six paper histograms merged cluster-wide (bin-exact
-// sums of every fresh host's bins; absent while no host is fresh).
+// and maintenance counters when one is open, and the merged view: cluster
+// and per-VM counters plus the six paper histograms merged cluster-wide
+// (bin-exact sums of every fresh host's bins; absent while none is fresh).
 func (g *Aggregator) WriteMetrics(w *telemetry.Writer) {
 	hosts := g.Hosts()
 	st := g.statsOf(hosts)
@@ -927,11 +897,6 @@ func (g *Aggregator) WriteMetrics(w *telemetry.Writer) {
 	if log := g.LogStats(); log.Enabled {
 		telemetry.Table(w, []LogStats{log}, nil, logSeries)
 	}
-
-	const decoded = "vscsistats_fleet_frames_decoded_total"
-	w.Family(decoded, "counter", "Wire frames decoded from pushes and boot replay, by payload encoding.")
-	w.Sample(decoded, `encoding="binary"`, float64(st.DecodedBinary))
-	w.Sample(decoded, `encoding="json"`, float64(st.DecodedJSON))
 
 	var cluster []*core.Snapshot
 	if c := g.ClusterSnapshot(false); c != nil {

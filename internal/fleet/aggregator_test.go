@@ -326,9 +326,7 @@ type chunked struct{ io.Reader }
 // TestPushCountsBytesReadNotContentLength pins RecvBytes to the bytes the
 // decoder consumed. A chunked POST has ContentLength -1, which the old
 // accounting added to the counter: every streaming sender ran it
-// backwards. The same push also lands in the decoded-frames counter under
-// its payload encoding, binary from a current sender and JSON from a
-// version-3 one.
+// backwards. A refused frame counts as rejected, never as received.
 func TestPushCountsBytesReadNotContentLength(t *testing.T) {
 	g := NewAggregator(AggregatorConfig{StaleAfter: time.Hour})
 	var sawChunked atomic.Bool
@@ -341,12 +339,15 @@ func TestPushCountsBytesReadNotContentLength(t *testing.T) {
 	defer srv.Close()
 
 	reg := makeRegistry(1, 2, 2, 90)
-	binaryFrame, err := EncodeBatchBytes(&Batch{Host: "esx-new", Seq: 1, Snapshots: reg.Snapshots()})
-	if err != nil {
-		t.Fatal(err)
+	var frames [][]byte
+	for _, host := range []string{"esx-a", "esx-b"} {
+		frame, err := EncodeBatchBytes(&Batch{Host: host, Seq: 1, Snapshots: reg.Snapshots()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, frame)
 	}
-	legacyFrame := encodeLegacyJSON(t, &Batch{Host: "esx-old", Seq: 1, Snapshots: reg.Snapshots()})
-	for _, frame := range [][]byte{binaryFrame, legacyFrame} {
+	for _, frame := range frames {
 		resp, err := http.Post(srv.URL+"/fleet/push", ContentType, chunked{bytes.NewReader(frame)})
 		if err != nil {
 			t.Fatal(err)
@@ -360,19 +361,19 @@ func TestPushCountsBytesReadNotContentLength(t *testing.T) {
 		t.Fatal("the test's pushes were not chunked")
 	}
 	st := g.Stats()
-	if want := int64(len(binaryFrame) + len(legacyFrame)); st.RecvBytes != want {
+	if want := int64(len(frames[0]) + len(frames[1])); st.RecvBytes != want {
 		t.Errorf("RecvBytes = %d after two chunked pushes, want the %d bytes read", st.RecvBytes, want)
 	}
-	if st.DecodedBinary != 1 || st.DecodedJSON != 1 {
-		t.Errorf("decoded frames: binary %d json %d, want 1 and 1", st.DecodedBinary, st.DecodedJSON)
+	if st.Batches != 2 || st.Rejected != 0 {
+		t.Errorf("batches %d rejected %d, want 2 and 0", st.Batches, st.Rejected)
 	}
-	// A refused frame is neither received nor decoded.
-	resp, err := http.Post(srv.URL+"/fleet/push", ContentType, chunked{bytes.NewReader(binaryFrame[:40])})
+	resp, err := http.Post(srv.URL+"/fleet/push", ContentType, chunked{bytes.NewReader(frames[0][:40])})
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if after := g.Stats(); resp.StatusCode != http.StatusBadRequest || after.RecvBytes != st.RecvBytes || after.DecodedBinary != 1 {
-		t.Errorf("truncated push: %s, RecvBytes %d, decoded %d", resp.Status, after.RecvBytes, after.DecodedBinary)
+	if after := g.Stats(); resp.StatusCode != http.StatusBadRequest || after.RecvBytes != st.RecvBytes ||
+		after.Batches != 2 || after.Rejected != 1 {
+		t.Errorf("truncated push: %s, RecvBytes %d, batches %d, rejected %d", resp.Status, after.RecvBytes, after.Batches, after.Rejected)
 	}
 }

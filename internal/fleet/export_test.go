@@ -4,7 +4,6 @@ package fleet
 // scrapes a rig that includes a vscsim.Sim, and vscsim imports this
 // package.
 var (
-	EncodeLegacyJSON = encodeLegacyJSON
-	MakeRegistry     = makeRegistry
-	Feed             = feed
+	MakeRegistry = makeRegistry
+	Feed         = feed
 )

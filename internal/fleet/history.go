@@ -76,7 +76,7 @@ func (g *Aggregator) history(from, to time.Time) (*HistoryResult, error) {
 			return
 		}
 		if b.Validate() != nil {
-			return // boot replay skipped it too
+			return // corrupted since boot; replay refuses such a frame
 		}
 		h := dirs[dirIdx][b.Host]
 		if h == nil {

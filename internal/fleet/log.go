@@ -40,15 +40,15 @@ import (
 //     ErrTruncatedFrame) in the LAST segment is a torn tail: the crash
 //     landed mid-write. The file is truncated back to the last whole frame
 //     and the log continues from there.
-//   - the same condition in any earlier segment, or any non-truncation
-//     decode failure anywhere (bad magic, a payload that contradicts its
-//     encoding), is corruption: the log refuses to open rather than serve
+//   - the same condition in any earlier segment, any non-truncation decode
+//     failure anywhere (bad magic, a payload that contradicts its
+//     encoding, a pre-binary JSON payload), or a whole frame that fails
+//     Validate, is corruption: the log refuses to open rather than serve
 //     wrong numbers.
 //   - a delta that cannot apply (its base fell to retention or compaction)
 //     is skipped with a counter — the information is gone, not wrong. So
 //     is a frame of another binary generation's bin layout (an unknown
-//     layout id, or legacy JSON naming other edges) and one that fails
-//     Validate.
+//     layout id).
 //   - *.tmp files (compaction interrupted before its atomic rename) are
 //     deleted on open; the segments they would have replaced are intact.
 //   - a compaction interrupted after the rename but before the old
@@ -336,6 +336,11 @@ func (l *segmentLog) replaySegment(sh *logShard, seg *segmentInfo, last bool, st
 				Detail: fmt.Sprintf("%s truncated %d -> %d bytes", filepath.Base(seg.path), cr.n, good),
 			})
 			break
+		}
+		if err == nil {
+			// Every frame was validated before it was appended, so one
+			// that fails now is corruption, not data to skip.
+			err = b.Validate()
 		}
 		if err != nil {
 			return fmt.Errorf("fleet: log segment %s corrupt: %w", seg.path, err)

@@ -188,6 +188,21 @@ func segFiles(t *testing.T, dir string) []string {
 	return out
 }
 
+// oneFrameLog writes frame as the only segment of a one-shard log in a
+// fresh dir, returning the dir and the segment's path.
+func oneFrameLog(t *testing.T, frame []byte) (dir, seg string) {
+	t.Helper()
+	dir = t.TempDir()
+	seg = segPath(filepath.Join(dir, shardDirName(0)), 1)
+	if err := os.MkdirAll(filepath.Dir(seg), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(seg, frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir, seg
+}
+
 // frameOffsets returns the end offset of every whole frame in a segment.
 func frameOffsets(t *testing.T, path string) []int64 {
 	t.Helper()
@@ -362,6 +377,18 @@ func TestLogCorruptionRefusesToStart(t *testing.T) {
 		os.WriteFile(corrupt, data, 0o644)
 		if _, _, err := OpenAggregator(cfg); err == nil || !strings.Contains(err.Error(), corrupt) {
 			t.Fatalf("open over a corrupt dir: %v, want a refusal naming %s", err, corrupt)
+		}
+	})
+	// Every appended frame passed Validate at ingest, so a whole frame
+	// that fails it is corruption too, not a frame to skip.
+	t.Run("frame that fails Validate", func(t *testing.T) {
+		frame, err := EncodeBatchBytes(&Batch{Host: "", Seq: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir, seg := oneFrameLog(t, frame)
+		if err := open(dir); err == nil || !strings.Contains(err.Error(), seg) {
+			t.Fatalf("open over a frame without a host: %v, want a refusal naming %s", err, seg)
 		}
 	})
 }
@@ -751,136 +778,4 @@ func TestLogShardCountGrow(t *testing.T) {
 		}
 		g.Close()
 	}
-}
-
-// TestLogLegacySegmentsBootAndCompactToBinary is the upgrade path of a
-// data dir written before the binary payload. Its segments (gzip-framed
-// JSON, written here by the test-only legacy writer, exactly as a
-// version-3 aggregator appended them) must boot bin-exact with nothing
-// skipped and no resync; the upgraded aggregator then appends binary
-// frames to the very same shard chains, a restart replays the mixed
-// segments, and compaction — which rewrites through EncodeBatch — leaves
-// a log with no legacy frame in it.
-func TestLogLegacySegmentsBootAndCompactToBinary(t *testing.T) {
-	dir := t.TempDir()
-	cfg := logAggConfig(dir)
-	control := NewAggregator(AggregatorConfig{StaleAfter: time.Hour, Shards: cfg.Shards})
-
-	const hosts, stages = 3, 3
-	regs := make(map[string]*core.Registry)
-	chains := make(map[string][]*Batch)
-	for h := 0; h < hosts; h++ {
-		host, batches, reg := hostChain(h, stages, time.Now().UnixNano())
-		regs[host], chains[host] = reg, batches
-		ingestAll(t, control, batches)
-		// What the old aggregator did per applied batch: append the frame
-		// to the host's shard chain, in apply order.
-		shardDir := filepath.Join(dir, shardDirName(control.ShardFor(host)))
-		if err := os.MkdirAll(shardDir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		seg, err := os.OpenFile(segPath(shardDir, 1), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, b := range batches {
-			if _, err := seg.Write(encodeLegacyJSON(t, b)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := seg.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	g, st, err := OpenAggregator(cfg)
-	if err != nil {
-		t.Fatalf("boot over legacy segments: %v", err)
-	}
-	if st.Frames != hosts*stages || st.Skipped != 0 || st.TornTails != 0 || st.Hosts != hosts {
-		t.Fatalf("legacy replay %+v, want %d frames / %d hosts, nothing skipped or torn", st, hosts*stages, hosts)
-	}
-	if s := g.Stats(); s.DecodedJSON != hosts*stages || s.DecodedBinary != 0 {
-		t.Errorf("decoded by encoding after legacy replay: json %d binary %d, want %d and 0", s.DecodedJSON, s.DecodedBinary, hosts*stages)
-	}
-	sameMerges(t, "legacy replay", g, control)
-
-	// The recovered chains take the next delta — now logged in binary,
-	// behind the legacy frames of the same segment.
-	for host, reg := range regs {
-		feed(reg.List()[0], 4242, 70)
-		prev := chains[host][stages-1]
-		next := &Batch{
-			Host: host, Seq: prev.Seq + 1, SentUnixNano: time.Now().UnixNano(),
-			Delta: true, BaseSeq: prev.Seq,
-			Snapshots: subSnaps(reg.Snapshots(), lastFullState(chains[host])),
-		}
-		if err := g.Ingest(next, "push"); err != nil {
-			t.Fatalf("delta for %s on a legacy-recovered chain: %v", host, err)
-		}
-		if err := control.Ingest(next, "push"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if r := g.Stats().Resyncs; r != 0 {
-		t.Errorf("%d resyncs on legacy-recovered chains, want 0", r)
-	}
-	if err := g.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// encodings counts the log's frames by the flag that names their payload.
-	encodings := func() (binary, legacy int) {
-		for _, path := range segFiles(t, dir) {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			end := int64(0)
-			for _, next := range frameOffsets(t, path) {
-				if data[end+5]&flagBinary != 0 {
-					binary++
-				} else {
-					legacy++
-				}
-				end = next
-			}
-		}
-		return binary, legacy
-	}
-	if b, l := encodings(); b != hosts || l != hosts*stages {
-		t.Fatalf("mixed log holds %d binary and %d legacy frames, want %d and %d", b, l, hosts, hosts*stages)
-	}
-
-	g2, st2, err := OpenAggregator(cfg)
-	if err != nil {
-		t.Fatalf("boot over mixed segments: %v", err)
-	}
-	if st2.Frames != hosts*(stages+1) || st2.Skipped != 0 || st2.TornTails != 0 {
-		t.Fatalf("mixed replay %+v", st2)
-	}
-	if s := g2.Stats(); s.DecodedJSON != hosts*stages || s.DecodedBinary != hosts {
-		t.Errorf("decoded by encoding after mixed replay: json %d binary %d", s.DecodedJSON, s.DecodedBinary)
-	}
-	sameMerges(t, "mixed replay", g2, control)
-
-	if err := g2.CompactLog(); err != nil {
-		t.Fatal(err)
-	}
-	if b, l := encodings(); b != hosts || l != 0 {
-		t.Errorf("compacted log holds %d binary and %d legacy frames, want %d full frames, all binary", b, l, hosts)
-	}
-	g2.Close()
-	g3, st3, err := OpenAggregator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g3.Close()
-	if st3.Frames != hosts || st3.Skipped != 0 {
-		t.Fatalf("replay of the compacted log %+v", st3)
-	}
-	if s := g3.Stats(); s.DecodedJSON != 0 {
-		t.Errorf("compacted log still decoded %d legacy frames", s.DecodedJSON)
-	}
-	sameMerges(t, "compacted replay", g3, control)
 }

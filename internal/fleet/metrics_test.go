@@ -67,7 +67,6 @@ func TestFleetExposition(t *testing.T) {
 		{"vscsistats_fleet_tier_depth", nil, 1},
 		{"vscsistats_fleet_tier_hosts", []string{"level", "0"}, 2},
 		{"vscsistats_fleet_tier_hosts_stale", []string{"level", "0"}, 1},
-		{"vscsistats_fleet_frames_decoded_total", []string{"encoding", "binary"}, 0},
 	} {
 		if got := promtest.Find(t, samples, want.name, want.labels...).Value; got != want.value {
 			t.Errorf("%s%v = %v, want %v", want.name, want.labels, got, want.value)

@@ -84,17 +84,15 @@ func isAll(h *core.HistCells) bool {
 }
 
 // UnknownLayoutError reports a well-formed frame whose histograms were laid
-// out by a different binary generation: a binary payload whose layoutID is
-// not the hash of this binary's layout, so the bins cannot be read, or a
-// legacy JSON payload with a histogram missing or over other edges, so they
-// cannot be held as cells. It deliberately does not match ErrBadFrame — the
-// bytes are not wrong, they are not ours. Push ingest treats it like a batch
-// that fails Validate (a delta gets a layout-mismatch resync) and log replay
-// skips the frame.
+// out by a different binary generation: its payload's layoutID is not the
+// hash of this binary's layout, so the bins cannot be read. It deliberately
+// does not match ErrBadFrame — the bytes are not wrong, they are not ours.
+// Push ingest treats it like a batch that fails Validate (a delta gets a
+// layout-mismatch resync) and log replay skips the frame.
 type UnknownLayoutError struct {
 	// Header is the frame's batch with everything but the snapshots.
 	Header *Batch
-	// LayoutID is the binary payload's; a JSON payload has none (zero).
+	// LayoutID is the payload's.
 	LayoutID uint64
 }
 

@@ -188,11 +188,11 @@ func TestPayloadRejectsMalformed(t *testing.T) {
 			t.Errorf("%s: %v, want a bad frame that is not a truncation", name, err)
 		}
 	}
-	// Compression is the legacy payload's business only.
+	// Bit 0, the retired gzip flag, is an unknown flag like any other.
 	gz := append([]byte(nil), frame...)
-	gz[5] |= flagGzip
+	gz[5] |= 1 << 0
 	if _, err := DecodeBatch(bytes.NewReader(gz)); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("binary+gzip flags: %v, want a bad frame", err)
+		t.Errorf("binary frame with the retired gzip bit: %v, want a bad frame", err)
 	}
 	// And the unmutated frame does decode — the cases above fail for the
 	// reason they name, not because reframe breaks frames.
@@ -299,9 +299,9 @@ func TestUnknownLayoutIsTypedNotCorrupt(t *testing.T) {
 		t.Errorf("foreign full push: %d, want 400", code)
 	}
 	st := g.Stats()
-	if st.ResyncLayoutMismatch != 1 || st.Rejected != 1 || st.DecodedBinary != 1 {
-		t.Errorf("stats after the three pushes: layout-mismatch %d rejected %d decoded %d, want 1 1 1",
-			st.ResyncLayoutMismatch, st.Rejected, st.DecodedBinary)
+	if st.ResyncLayoutMismatch != 1 || st.Rejected != 1 || st.Batches != 1 {
+		t.Errorf("stats after the three pushes: layout-mismatch %d rejected %d batches %d, want 1 1 1",
+			st.ResyncLayoutMismatch, st.Rejected, st.Batches)
 	}
 	goodDelta, _ := EncodeBatchBytes(delta)
 	if code, _ := post(goodDelta); code != http.StatusOK {

@@ -79,9 +79,13 @@ func newRig(t *testing.T) *rig {
 		}
 		fleet.Feed(reg.List()[0], 5+i, 10)
 	}
-	// A version-3 sender (legacy JSON payload), a frame that is not one,
-	// a redelivered delta and a delta from a host never seen.
-	post(fleet.EncodeLegacyJSON(t, &fleet.Batch{Host: "esx-old", Seq: 1, Snapshots: fleet.MakeRegistry(3, 1, 1, 20).Snapshots()}), http.StatusOK)
+	// A version-3 sender (pre-binary JSON payload), a frame that is not
+	// one, a redelivered delta and a delta from a host never seen.
+	v3, err := os.ReadFile("testdata/frame_v3_json.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	post(v3, http.StatusBadRequest)
 	post([]byte("not a frame"), http.StatusBadRequest)
 	if err := agg.Ingest(&fleet.Batch{Host: "esx-a", Seq: 1, Delta: true}, "push"); err != nil {
 		t.Fatal(err)
@@ -164,8 +168,6 @@ var carriers = map[string]carrier{
 	"AggregatorStats.ResyncBootChanged":    {family: "vscsistats_fleet_resyncs_total", label: [2]string{"cause", "boot-changed"}},
 	"AggregatorStats.MergeCacheHits":       {family: "vscsistats_fleet_shard_merge_cache_hits_total"},
 	"AggregatorStats.MergeCacheMisses":     {family: "vscsistats_fleet_shard_merge_cache_misses_total"},
-	"AggregatorStats.DecodedBinary":        {family: "vscsistats_fleet_frames_decoded_total", label: [2]string{"encoding", "binary"}},
-	"AggregatorStats.DecodedJSON":          {family: "vscsistats_fleet_frames_decoded_total", label: [2]string{"encoding", "json"}},
 
 	"ShardStatus.Shard":            {family: "vscsistats_fleet_shard_hosts", key: "shard"},
 	"ShardStatus.Hosts":            {family: "vscsistats_fleet_shard_hosts"},
@@ -269,10 +271,9 @@ func TestMetricsExpositionAudit(t *testing.T) {
 	logBefore, tiersBefore, rexBefore := r.agg.LogStats(), r.agg.Tiers(), r.rex.Stats()
 	text, samples := scrape(t, srv.URL)
 
-	// The series the dashboards key on made it out, with their labels —
-	// the json row of the decoded-frames counter tells an operator when
-	// the legacy reader has nothing left to read — and the rig's loss
-	// paths are all non-zero, so the walk below is not comparing zeros.
+	// The series the dashboards key on made it out, with their labels, and
+	// the rig's loss paths are all non-zero, so the walk below is not
+	// comparing zeros.
 	for _, want := range []struct {
 		name   string
 		labels []string
@@ -281,9 +282,7 @@ func TestMetricsExpositionAudit(t *testing.T) {
 	}{
 		{"vscsistats_fleetobs_stage_duration_nanoseconds_count", []string{"scope", "aggregator", "stage", "ingest"}, 3, false},
 		{"vscsistats_fleetobs_events_total", []string{"kind", "push"}, 3, false},
-		{"vscsistats_fleet_frames_decoded_total", []string{"encoding", "binary"}, 4, true},
-		{"vscsistats_fleet_frames_decoded_total", []string{"encoding", "json"}, 1, true},
-		{"vscsistats_fleet_rejected_total", nil, 1, true},
+		{"vscsistats_fleet_rejected_total", nil, 2, true},
 		{"vscsistats_fleet_resyncs_total", []string{"cause", "unknown-host"}, 1, true},
 		{"vscsistats_fleet_agent_delta_pushes_total", []string{"host", "esx-a"}, 1, true},
 		{"vscsistats_fleet_tier_reexport_full_pushes_total", []string{"region", "west"}, 1, true},

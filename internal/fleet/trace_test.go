@@ -2,10 +2,8 @@ package fleet
 
 import (
 	"bytes"
-	"compress/gzip"
 	"encoding/binary"
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -142,59 +140,21 @@ func TestTraceIDFollowsPipeline(t *testing.T) {
 	}
 }
 
-// TestWireV1FrameDecodes pins backward compatibility: a version-1 frame
-// (no trace fields, version byte 1, gzip-framed JSON payload) decodes
-// cleanly on the current decoder, with the trace fields zero.
-func TestWireV1FrameDecodes(t *testing.T) {
-	reg := makeRegistry(4, 1, 1, 40)
-	data := encodeLegacyJSON(t, &Batch{Host: "old-sender", Seq: 3, Snapshots: reg.Snapshots()})
-	// A no-trace batch's JSON header is byte-identical to what a v1
-	// writer produces (omitempty drops the new fields); only the version
-	// byte differs.
-	data[4] = 1
-	b, err := DecodeBatch(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("decode of version-1 frame: %v", err)
-	}
-	if b.Host != "old-sender" || b.Seq != 3 {
-		t.Errorf("decoded %q/%d", b.Host, b.Seq)
-	}
-	if b.TraceID != "" || b.CaptureUnixNano != 0 {
-		t.Errorf("v1 frame grew trace fields: %q/%d", b.TraceID, b.CaptureUnixNano)
-	}
-	if !sameSnapshot(b.Snapshots[0], reg.Snapshots()[0]) {
-		t.Error("v1 frame's snapshot not bin-exact")
-	}
-}
-
-// TestWireOldDecoderAcceptsTracedFrame pins both directions of version
-// skew across the binary payload. Forwards: what an old sender writes (a
-// version-3 frame: gzip-framed JSON payload, trace and federation fields
-// in the JSON header) decodes here unchanged. Backwards: the decode rule
-// every earlier reader implements is "any version >= 1, known flags only,
-// unknown JSON header fields ignored", so a pre-binary reader — whose known
-// flags are gzip and delta — must refuse a version-4 frame by its flag
-// byte alone, before it ever hands the varints to a JSON parser, while the
-// header extensions still ride only in ignorable JSON. That refusal is why
-// receivers are upgraded before senders.
+// TestWireOldDecoderAcceptsTracedFrame pins the backward direction of
+// version skew across the binary payload. The decode rule every earlier
+// reader implements is "any version >= 1, known flags only, unknown JSON
+// header fields ignored", so a pre-binary reader — whose known flags are
+// the retired gzip bit and delta — must refuse a version-4 frame by its
+// flag byte alone, before it ever hands the varints to a JSON parser,
+// while the header extensions still ride only in ignorable JSON. That
+// refusal is why receivers are upgraded before senders.
 func TestWireOldDecoderAcceptsTracedFrame(t *testing.T) {
+	const preBinaryKnownFlags = 1<<0 | flagDelta
 	reg := makeRegistry(5, 1, 1, 40)
 	b := &Batch{
 		Host: "new-sender", Seq: 9, Snapshots: reg.Snapshots(),
 		TraceID: "new-sender-00000001-9", CaptureUnixNano: 123456789,
 	}
-	old := encodeLegacyJSON(t, b)
-	got, err := DecodeBatch(bytes.NewReader(old))
-	if err != nil {
-		t.Fatalf("decode of version-3 frame: %v", err)
-	}
-	if got.TraceID != b.TraceID || got.CaptureUnixNano != b.CaptureUnixNano {
-		t.Errorf("trace fields dropped: %q/%d", got.TraceID, got.CaptureUnixNano)
-	}
-	if !sameSnapshot(got.Snapshots[0], b.Snapshots[0]) {
-		t.Error("version-3 frame's snapshot not bin-exact")
-	}
-
 	data, err := EncodeBatchBytes(b)
 	if err != nil {
 		t.Fatal(err)
@@ -205,11 +165,8 @@ func TestWireOldDecoderAcceptsTracedFrame(t *testing.T) {
 	if data[5] != flagBinary {
 		t.Errorf("full frame flags %#x, want the binary flag alone", data[5])
 	}
-	if data[5]&^byte(legacyKnownFlags) == 0 {
+	if data[5]&^byte(preBinaryKnownFlags) == 0 {
 		t.Errorf("flags %#x pass a pre-binary reader's unknown-flag check; it would parse varints as JSON", data[5])
-	}
-	if old[5]&^byte(legacyKnownFlags) != 0 || old[5]&flagBinary != 0 {
-		t.Errorf("legacy frame flags %#x", old[5])
 	}
 	// The header extensions ride ONLY in the JSON header: with the new
 	// fields removed it is a valid v1 header.
@@ -229,34 +186,30 @@ func TestWireOldDecoderAcceptsTracedFrame(t *testing.T) {
 	}
 }
 
-// TestWireUnknownFutureHeaderFieldIgnored hand-builds a frame whose
-// header carries a field no decoder knows (the version-3 scenario): it
-// must decode, not reject — the forward-compatibility rule the trace
-// fields themselves relied on.
+// TestWireUnknownFutureHeaderFieldIgnored hand-builds a frame from a
+// future version whose header carries a field no decoder knows: it must
+// decode, not reject — the forward-compatibility rule the trace fields
+// themselves relied on.
 func TestWireUnknownFutureHeaderFieldIgnored(t *testing.T) {
 	header := []byte(`{"host":"future","seq":5,"count":0,"future_field":"xyzzy","trace_id":"future-1-5"}`)
-	var payload bytes.Buffer
-	zw := gzip.NewWriter(&payload)
-	io.WriteString(zw, "[]")
-	zw.Close()
-
-	var frame bytes.Buffer
+	payload, err := appendPayload(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	head := make([]byte, 16)
 	copy(head[0:4], wireMagic[:])
-	head[4] = 3 // a future version
-	head[5] = flagGzip
+	head[4] = Version + 1
+	head[5] = flagBinary
 	binary.BigEndian.PutUint32(head[8:12], uint32(len(header)))
-	binary.BigEndian.PutUint32(head[12:16], uint32(payload.Len()))
-	frame.Write(head)
-	frame.Write(header)
-	frame.Write(payload.Bytes())
+	binary.BigEndian.PutUint32(head[12:16], uint32(len(payload)))
+	frame := append(append(head, header...), payload...)
 
-	b, err := DecodeBatch(&frame)
+	b, err := DecodeBatch(bytes.NewReader(frame))
 	if err != nil {
 		t.Fatalf("future-version frame with unknown header field: %v", err)
 	}
-	if b.Host != "future" || b.Seq != 5 || b.TraceID != "future-1-5" {
-		t.Errorf("decoded %q/%d/%q", b.Host, b.Seq, b.TraceID)
+	if b.Host != "future" || b.Seq != 5 || b.TraceID != "future-1-5" || len(b.Snapshots) != 0 {
+		t.Errorf("decoded %q/%d/%q with %d snapshots", b.Host, b.Seq, b.TraceID, len(b.Snapshots))
 	}
 }
 

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"bytes"
-	"compress/gzip"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -25,22 +24,18 @@ import (
 //	16     ...  header JSON (batchHeader)
 //	...    ...  payload: header.Count snapshots, binary (payload.go)
 //
-// This package writes only the binary payload (flagBinary). It still reads
-// the payload every earlier version wrote — a JSON array of core.Snapshot,
-// gzip-compressed (flagGzip) — so old agents and segment logs written
-// before version 4 keep working; compaction rewrites a log through
-// EncodeBatch, so old segments turn binary as they are compacted. Nothing
-// selects the encoding: upgrade receivers (aggregators, then re-exporters)
-// before senders, because a pre-binary reader rejects a flagBinary frame
-// by the unknown-flag rule.
+// The payload is binary (flagBinary), the only encoding this package
+// writes or reads: a frame without the flag holds the pre-binary JSON
+// payload of versions 1-3 and is refused as a bad frame. Data in that
+// encoding is upgraded by the last commit that read it (DESIGN §8).
 //
 // Forward compatibility: the header is JSON, so future versions add fields
 // without breaking old readers (unknown fields are ignored both ways), and
-// readers accept any version >= Version as long as the flags are
-// understood — a frame's meaning is carried entirely by magic + flags +
-// header, never by the version number alone. Frames are length-prefixed,
-// so any number of them can be concatenated on one stream and decoded one
-// DecodeBatch call at a time.
+// readers accept any version >= 1 as long as every flag is known and
+// flagBinary is set — a frame's meaning is carried entirely by magic +
+// flags + header, never by the version number alone. Frames are
+// length-prefixed, so any number of them can be concatenated on one stream
+// and decoded one DecodeBatch call at a time.
 
 // Wire format constants.
 const (
@@ -53,9 +48,8 @@ const (
 	// flagBinary bit says; the version number itself still decides nothing.
 	Version = 4
 
-	// flagGzip marks a gzip-compressed payload. Only the legacy JSON
-	// payload is ever compressed; no writer in this package sets it.
-	flagGzip = 1 << 0
+	// Bit 0 is retired (it marked the gzip-compressed JSON payload) and is
+	// never reused: a pre-removal reader would gunzip whatever it meant.
 
 	// flagDelta marks a delta frame: the payload's snapshots are interval
 	// deltas (Snapshot.Sub) against the sender's state at header BaseSeq,
@@ -65,23 +59,22 @@ const (
 	// check below does for pre-delta readers.
 	flagDelta = 1 << 1
 
-	// flagBinary marks the binary payload encoding (payload.go); without it
-	// the payload is the legacy JSON array. Pre-binary readers reject it as
-	// an unknown flag instead of feeding varints to a JSON parser.
+	// flagBinary marks the binary payload encoding (payload.go), which every
+	// frame must carry. Pre-binary readers reject it as an unknown flag
+	// instead of feeding varints to a JSON parser.
 	flagBinary = 1 << 2
 
 	// knownFlags is the set of flag bits this decoder understands; frames
 	// carrying others are rejected rather than misinterpreted.
-	knownFlags = flagGzip | flagDelta | flagBinary
+	knownFlags = flagDelta | flagBinary
 
 	// maxHeaderLen and maxPayloadLen bound a frame's declared sizes so a
 	// corrupt or hostile length prefix cannot drive a huge allocation.
 	maxHeaderLen  = 1 << 20
 	maxPayloadLen = 1 << 28
 
-	// maxDecodedLen bounds what a payload may decode to in memory: the
-	// decompressed legacy JSON (gzip-bomb guard) and the snapshots a binary
-	// payload's count would allocate.
+	// maxDecodedLen bounds what the snapshots a payload's count would
+	// allocate may take in memory.
 	maxDecodedLen = 1 << 30
 )
 
@@ -151,11 +144,6 @@ type Batch struct {
 	// (meaning 1) for a leaf agent, the sum of fresh downstream leaves for
 	// a re-exported rollup.
 	Leaves int `json:"-"`
-
-	// jsonPayload is set by DecodeBatch on a frame that carried the legacy
-	// JSON payload; it feeds the aggregator's decoded-frames-by-encoding
-	// counter and nothing else.
-	jsonPayload bool
 }
 
 // batchHeader is the frame header; Count duplicates len(Snapshots) so a
@@ -298,7 +286,6 @@ func DecodeBatch(r io.Reader) (*Batch, error) {
 // without snapshots, and what reading the payload takes.
 type frameHead struct {
 	b          *Batch
-	flags      byte
 	count      int
 	payloadLen uint32
 }
@@ -328,6 +315,9 @@ func readHead(r io.Reader) (frameHead, error) {
 	version, flags := head[4], head[5]
 	if version < 1 {
 		return frameHead{}, badFrame("unsupported version %d", version)
+	}
+	if flags&flagBinary == 0 {
+		return frameHead{}, badFrame("pre-binary JSON payload (frame version %d): upgrade it as DESIGN.md §8 describes", version)
 	}
 	if flags&^byte(knownFlags) != 0 {
 		return frameHead{}, badFrame("unknown flags %#x", flags)
@@ -359,7 +349,7 @@ func readHead(r io.Reader) (frameHead, error) {
 		// frames keeps decode(encode(b)) == b in both directions.
 		out.BaseSeq = hdr.BaseSeq
 	}
-	return frameHead{b: out, flags: flags, count: hdr.Count, payloadLen: payloadLen}, nil
+	return frameHead{b: out, count: hdr.Count, payloadLen: payloadLen}, nil
 }
 
 // readPayload is DecodeBatch's second half: it reads the payload h
@@ -370,16 +360,7 @@ func (h frameHead) readPayload(r io.Reader) (*Batch, error) {
 		return nil, err
 	}
 	out := h.b
-	switch {
-	case h.flags&flagBinary == 0:
-		out.jsonPayload = true
-		out.Snapshots, err = decodeJSONPayload(payload, h.flags&flagGzip != 0, h.count)
-	case h.flags&flagGzip != 0:
-		err = badFrame("binary payload marked gzip-compressed")
-	default:
-		out.Snapshots, err = decodePayload(payload, h.count)
-	}
-	if err != nil {
+	if out.Snapshots, err = decodePayload(payload, h.count); err != nil {
 		var unknown *UnknownLayoutError
 		if errors.As(err, &unknown) {
 			unknown.Header = out
@@ -387,41 +368,6 @@ func (h frameHead) readPayload(r io.Reader) (*Batch, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// decodeJSONPayload is the legacy reader: the payload every version before
-// 4 wrote, a JSON array of snapshots, gzip-compressed. It stays until no
-// sender and no un-compacted segment log carries one (the aggregator's
-// frames-decoded counter by encoding says when); its writer survives only
-// in this package's tests.
-func decodeJSONPayload(payload []byte, gzipped bool, count int) ([]*core.Snapshot, error) {
-	body := io.Reader(bytes.NewReader(payload))
-	if gzipped {
-		zr, err := gzip.NewReader(body)
-		if err != nil {
-			return nil, badFrame("gzip: %v", err)
-		}
-		defer zr.Close()
-		body = io.LimitReader(zr, maxDecodedLen+1)
-	}
-	decoded, err := io.ReadAll(body)
-	if err != nil {
-		return nil, badFrame("decompress: %v", err)
-	}
-	if len(decoded) > maxDecodedLen {
-		return nil, badFrame("decoded payload exceeds limit %d", maxDecodedLen)
-	}
-	var snaps []*core.Snapshot
-	if err := json.Unmarshal(decoded, &snaps); err != nil {
-		if errors.Is(err, core.ErrLayout) {
-			return nil, &UnknownLayoutError{}
-		}
-		return nil, badFrame("payload JSON: %v", err)
-	}
-	if len(snaps) != count {
-		return nil, badFrame("header count %d != payload count %d", count, len(snaps))
-	}
-	return snaps, nil
 }
 
 // Validate checks what a decoded frame cannot be trusted for and the merge

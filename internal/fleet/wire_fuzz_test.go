@@ -3,18 +3,19 @@ package fleet
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"vscsistats/internal/core"
 )
 
 // FuzzDecodeBatch asserts the codec's one hard promise: whatever bytes
-// arrive — truncated, bit-flipped, hostile lengths and counts, varint or
-// gzip garbage, in the binary payload or the legacy JSON one —
-// DecodeBatch returns an error or a batch, and never panics. Validate must
-// never panic on a decoded batch either, and one that validates must
-// survive a re-encode/re-decode round trip with every cell intact (one that
-// does not holds a null snapshot, which the encoder refuses too).
+// arrive — truncated, bit-flipped, hostile lengths and counts, varint
+// garbage, a retired encoding — DecodeBatch returns an error or a batch,
+// and never panics. Validate must never panic on a decoded batch either,
+// and every batch that decodes must survive a re-encode/re-decode round
+// trip with every cell intact.
 func FuzzDecodeBatch(f *testing.F) {
 	// Seed with real frames at several shapes, plus classic corruptions.
 	// EncodeBatchBytes writes the binary payload, so these are binary
@@ -131,26 +132,15 @@ func FuzzDecodeBatch(f *testing.F) {
 		f.Add(flipped)
 	}
 
-	// Legacy frames, as version-3 senders and pre-binary segment logs
-	// still hold them: gzip-framed JSON, full and delta, whole, truncated
-	// and bit-flipped (in the gzip stream, so the inflater sees garbage).
-	for _, b := range []*Batch{
-		{Host: "seed-legacy", Seq: 2, Snapshots: deltaBase, TraceID: "seed-legacy-1-2", Boot: 9},
-		{Host: "seed-legacy", Seq: 3, BaseSeq: 2, Delta: true, Snapshots: deltaSnaps, Level: 1, Leaves: 4},
-		{Host: "seed-legacy-empty"},
-	} {
-		legacy := encodeLegacyJSON(f, b)
-		f.Add(legacy)
-		f.Add(legacy[:len(legacy)*2/3])
-		flipped := append([]byte(nil), legacy...)
-		flipped[len(flipped)-12] ^= 0x55
-		f.Add(flipped)
+	// A version-3 frame with the pre-binary JSON payload, whole and cut
+	// short: refused by its flags before its payload is read.
+	v3, err := os.ReadFile(filepath.Join("testdata", "frame_v3_json.bin"))
+	if err != nil {
+		f.Fatal(err)
 	}
-
-	// Legacy frames whose JSON names edges or histograms this binary has no
-	// cells for: a typed error, never a batch.
-	for _, frame := range foreignLegacyFrames(f, &Batch{Host: "seed-foreign", Seq: 3, BaseSeq: 2, Delta: true, Snapshots: deltaSnaps}) {
-		f.Add(frame)
+	f.Add(v3)
+	for cut := 1; cut < len(v3); cut += max(1, len(v3)/16) {
+		f.Add(v3[:cut])
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -158,18 +148,11 @@ func FuzzDecodeBatch(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Validate must be total: error or nil, never a panic, even on
-		// snapshots deserialized from arbitrary JSON.
-		valid := b.Validate() == nil
+		// Validate must be total: error or nil, never a panic.
+		b.Validate()
 		reenc, err := EncodeBatchBytes(b)
 		if err != nil {
-			// Only the legacy JSON payload can carry what the binary
-			// encoder refuses — a null snapshot — and Validate refuses it
-			// too.
-			if valid || !b.jsonPayload {
-				t.Fatalf("re-encode of decoded batch failed: %v", err)
-			}
-			return
+			t.Fatalf("re-encode of decoded batch failed: %v", err)
 		}
 		b2, err := DecodeBatch(bytes.NewReader(reenc))
 		if err != nil {

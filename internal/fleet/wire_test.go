@@ -5,8 +5,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"vscsistats/internal/core"
 )
@@ -221,6 +227,52 @@ func TestValidateRejectsUnsafeBatches(t *testing.T) {
 	} {
 		if err := b.Validate(); err == nil {
 			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
+// TestPreBinaryFrameRefused: a frame without the binary flag holds the JSON
+// payload versions 1-3 wrote, which nothing here reads. It is a bad frame
+// and never a truncated one, whole or cut short in its payload, so a push
+// carrying one is a 400 counted as rejected, and a segment holding one
+// refuses the boot by name instead of being truncated away.
+func TestPreBinaryFrameRefused(t *testing.T) {
+	v3, err := os.ReadFile(filepath.Join("testdata", "frame_v3_json.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v3[4] != 3 || v3[5]&flagBinary != 0 {
+		t.Fatalf("fixture head % x is not a version-3 JSON frame", v3[:6])
+	}
+	frames := map[string][]byte{"whole": v3, "cut short": v3[:len(v3)/2]}
+	for name, frame := range frames {
+		_, err := DecodeBatch(bytes.NewReader(frame))
+		if !errors.Is(err, ErrBadFrame) || errors.Is(err, ErrTruncatedFrame) || !strings.Contains(err.Error(), "pre-binary") {
+			t.Errorf("decode %s: %v, want a pre-binary bad frame that is not a truncation", name, err)
+		}
+	}
+
+	g := NewAggregator(AggregatorConfig{StaleAfter: time.Hour})
+	srv := httptest.NewServer(g)
+	defer srv.Close()
+	resp, err := http.Post(srv.URL+"/fleet/push", ContentType, bytes.NewReader(v3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if st := g.Stats(); resp.StatusCode != http.StatusBadRequest || st.Rejected != 1 || st.Hosts != 0 {
+		t.Errorf("push: %s, rejected %d, hosts %d; want 400, 1 and 0", resp.Status, st.Rejected, st.Hosts)
+	}
+
+	for name, frame := range frames {
+		dir, seg := oneFrameLog(t, frame)
+		cfg := logAggConfig(dir)
+		cfg.Shards = 1
+		if _, _, err := OpenAggregator(cfg); err == nil || !strings.Contains(err.Error(), seg) {
+			t.Errorf("boot over a %s pre-binary segment: %v, want a refusal naming %s", name, err, seg)
+		}
+		if fi, err := os.Stat(seg); err != nil || fi.Size() != int64(len(frame)) {
+			t.Errorf("boot over a %s pre-binary segment changed it: %v", name, err)
 		}
 	}
 }

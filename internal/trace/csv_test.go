@@ -418,8 +418,6 @@ func TestDetectFormats(t *testing.T) {
 	}{
 		{"native", encode(t, recs), FormatNative},
 		{"native, no records", encode(t, nil), FormatNative},
-		{"native version 1", readGolden(t, "trace_v1.vsct"), FormatNative},
-		{"legacy stream", legacyStream(t, recs), FormatStream},
 		{"msr", []byte(msrSample), FormatMSR},
 		{"msr header only", []byte("Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime\n"), FormatMSR},
 		{"alibaba", []byte(alibabaSample), FormatAlibaba},
@@ -442,7 +440,7 @@ func TestDetectFormats(t *testing.T) {
 		t.Error("garbage must not sniff to any format")
 	}
 	src, f, err := Open(bytes.NewReader(nil), FormatUnknown)
-	if err != nil || f != FormatStream {
+	if err != nil || f != FormatUnknown {
 		t.Fatalf("empty input: %v %v", f, err)
 	}
 	if recs, err := ReadAll(src); err != nil || len(recs) != 0 {
@@ -450,21 +448,14 @@ func TestDetectFormats(t *testing.T) {
 	}
 }
 
-// The native and stream sources decode exactly what the writer encoded.
+// The native source decodes exactly what the writer encoded.
 func TestSourcesRoundTrip(t *testing.T) {
 	recs := Synthesize(9, 500)
-
 	got, err := ReadAll(NewNativeSource(bytes.NewReader(encode(t, recs))))
 	if err != nil {
 		t.Fatal(err)
 	}
 	compareRecords(t, "native", recs, got)
-
-	got, err = ReadAll(NewStreamSource(bytes.NewReader(legacyStream(t, recs))))
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareRecords(t, "stream", recs, got)
 }
 
 func compareRecords(t *testing.T, label string, want, got []Record) {
@@ -480,7 +471,7 @@ func compareRecords(t *testing.T, label string, want, got []Record) {
 }
 
 func TestParseFormatRoundTrip(t *testing.T) {
-	for _, f := range []Format{FormatNative, FormatStream, FormatMSR, FormatAlibaba} {
+	for _, f := range []Format{FormatNative, FormatMSR, FormatAlibaba} {
 		got, err := ParseFormat(f.String())
 		if err != nil || got != f {
 			t.Errorf("ParseFormat(%q) = %v, %v", f.String(), got, err)

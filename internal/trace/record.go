@@ -8,10 +8,11 @@
 // version, then a stream of frames — a name definition the first time a VM
 // or disk name appears, a fixed-size 44-byte record per command — so it can
 // be written while commands complete and read back in one pass with O(1)
-// state. Writer encodes it; NativeSource decodes it, and still reads the
-// version 1 files and headerless frame streams older builds wrote. Public
-// block traces (MSR Cambridge, Alibaba) are read as CSV, and any trace
-// exports to CSV for offline tooling.
+// state. Writer encodes it and NativeSource decodes it; the version 1 files
+// and headerless frame streams older builds wrote are not read (DESIGN.md
+// §8 says how to upgrade them). Public block traces (MSR Cambridge,
+// Alibaba) are read as CSV, and any trace exports to CSV for offline
+// tooling.
 package trace
 
 import (

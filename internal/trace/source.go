@@ -55,12 +55,8 @@ type Format int
 const (
 	// FormatUnknown asks Open to sniff the encoding.
 	FormatUnknown Format = iota
-	// FormatNative is the VSCT binary format Writer writes; NativeSource
-	// reads version 1 traces too.
+	// FormatNative is the VSCT binary format Writer writes.
 	FormatNative
-	// FormatStream is the headerless frame stream that preceded VSCT
-	// version 2, read as input only.
-	FormatStream
 	// FormatMSR is the MSR Cambridge block-trace CSV
 	// (Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime).
 	FormatMSR
@@ -74,8 +70,6 @@ func (f Format) String() string {
 	switch f {
 	case FormatNative:
 		return "native"
-	case FormatStream:
-		return "stream"
 	case FormatMSR:
 		return "msr"
 	case FormatAlibaba:
@@ -85,29 +79,25 @@ func (f Format) String() string {
 	}
 }
 
-// ParseFormat parses a format name ("auto", "native", "stream", "msr",
-// "alibaba").
+// ParseFormat parses a format name ("auto", "native", "msr", "alibaba").
 func ParseFormat(s string) (Format, error) {
 	switch strings.ToLower(s) {
 	case "", "auto":
 		return FormatUnknown, nil
 	case "native", "vsct":
 		return FormatNative, nil
-	case "stream":
-		return FormatStream, nil
 	case "msr", "msrc", "msr-cambridge":
 		return FormatMSR, nil
 	case "alibaba", "ali":
 		return FormatAlibaba, nil
 	default:
-		return FormatUnknown, fmt.Errorf("trace: unknown format %q (want native, stream, msr or alibaba)", s)
+		return FormatUnknown, fmt.Errorf("trace: unknown format %q (want native, msr or alibaba)", s)
 	}
 }
 
 // Detect sniffs the trace format from the reader's first bytes without
 // consuming them. A VSCT trace is recognized by its magic; CSV detection
-// is a heuristic over the first line (field count plus the op column); the
-// legacy headerless stream is guessed from its first frame tag.
+// is a heuristic over the first line (field count plus the op column).
 func Detect(br *bufio.Reader) (Format, error) {
 	peek, err := br.Peek(512)
 	if len(peek) == 0 {
@@ -121,9 +111,6 @@ func Detect(br *bufio.Reader) (Format, error) {
 	}
 	if f, ok := sniffCSV(peek); ok {
 		return f, nil
-	}
-	if peek[0] == 'S' || peek[0] == 'R' {
-		return FormatStream, nil
 	}
 	return FormatUnknown, fmt.Errorf("trace: unrecognized trace format (pass -format explicitly)")
 }
@@ -166,8 +153,8 @@ func Open(r io.Reader, f Format) (RecordSource, Format, error) {
 	if f == FormatUnknown {
 		var err error
 		f, err = Detect(br)
-		if err == io.EOF { // empty input: a valid, empty stream
-			return NewStreamSource(br), FormatStream, nil
+		if err == io.EOF { // empty input: a valid, empty trace
+			return NewSliceSource(nil), FormatUnknown, nil
 		}
 		if err != nil {
 			return nil, FormatUnknown, err
@@ -176,8 +163,6 @@ func Open(r io.Reader, f Format) (RecordSource, Format, error) {
 	switch f {
 	case FormatNative:
 		return NewNativeSource(br), FormatNative, nil
-	case FormatStream:
-		return NewStreamSource(br), FormatStream, nil
 	case FormatMSR:
 		return NewMSRSource(br), FormatMSR, nil
 	case FormatAlibaba:
@@ -203,18 +188,15 @@ func ReadAll(src RecordSource) ([]Record, error) {
 	}
 }
 
-// NativeSource decodes VSCT traces in one frame loop: names land in a
-// slice indexed by id, and records decode in place from the read buffer,
-// so nothing is allocated per record. Version 2 is what Writer writes. Two
-// older encodings are read as inputs only: version 1 — magic, u16 version,
-// u16 name count, the names (u16 len + bytes), u64 record count, then
-// untagged records — and the headerless frame stream (NewStreamSource).
+// NativeSource decodes VSCT version 2 traces, the format Writer writes, in
+// one frame loop: names land in a slice indexed by id, and records decode
+// in place from the read buffer, so nothing is allocated per record. Any
+// other version is ErrBadVersion; DESIGN.md §8 says how older traces are
+// upgraded.
 type NativeSource struct {
 	br      *bufio.Reader
 	names   []string
 	started bool
-	counted bool   // version 1: records carry no tag, remain counts them
-	remain  uint64 // records left in a version 1 trace
 	err     error
 	buf     [8]byte
 }
@@ -222,12 +204,6 @@ type NativeSource struct {
 // NewNativeSource decodes a VSCT trace.
 func NewNativeSource(r io.Reader) *NativeSource {
 	return &NativeSource{br: bufio.NewReaderSize(r, 1<<16)}
-}
-
-// NewStreamSource decodes the headerless frame stream that preceded VSCT
-// version 2: the same frames with no magic in front.
-func NewStreamSource(r io.Reader) *NativeSource {
-	return &NativeSource{br: bufio.NewReaderSize(r, 1<<16), started: true}
 }
 
 func (s *NativeSource) start() error {
@@ -239,30 +215,8 @@ func (s *NativeSource) start() error {
 	if string(head[:4]) != magic {
 		return ErrBadMagic
 	}
-	switch v := binary.LittleEndian.Uint16(head[4:6]); v {
-	case version:
-		return nil
-	case 1: // the name table and the record count follow
-	default:
-		return fmt.Errorf("%w: %d", ErrBadVersion, v)
-	}
-	if _, err := io.ReadFull(s.br, s.buf[:2]); err != nil {
-		return fmt.Errorf("%w: name table: %v", ErrCorrupt, err)
-	}
-	for n := binary.LittleEndian.Uint16(s.buf[:2]); n > 0; n-- {
-		name, err := s.name()
-		if err != nil {
-			return fmt.Errorf("%w: name table: %v", ErrCorrupt, err)
-		}
-		s.names = append(s.names, name)
-	}
-	if _, err := io.ReadFull(s.br, s.buf[:8]); err != nil {
-		return fmt.Errorf("%w: record count: %v", ErrCorrupt, err)
-	}
-	s.counted, s.remain = true, binary.LittleEndian.Uint64(s.buf[:8])
-	const maxRecords = 1 << 40 // a sanity bound, not a memory bound: records stream
-	if s.remain > maxRecords {
-		return fmt.Errorf("%w: absurd record count %d", ErrCorrupt, s.remain)
+	if v := binary.LittleEndian.Uint16(head[4:6]); v != version {
+		return fmt.Errorf("%w: %d (this build reads version %d; DESIGN.md §8 upgrades older traces)", ErrBadVersion, v, version)
 	}
 	return nil
 }
@@ -294,40 +248,26 @@ func (s *NativeSource) next(rec *Record) error {
 		}
 	}
 	for {
-		tag := byte('R')
-		if s.counted {
-			if s.remain == 0 {
-				return io.EOF
-			}
-			s.remain--
-		} else {
-			var err error
-			if tag, err = s.br.ReadByte(); err == io.EOF {
-				return io.EOF
-			} else if err != nil {
-				return fmt.Errorf("%w: %v", ErrCorrupt, err)
-			}
+		tag, err := s.br.ReadByte()
+		if err == io.EOF {
+			return io.EOF
+		} else if err != nil {
+			return fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
 		switch tag {
 		case 'S':
-			// Ids count up from 0; an id already defined is redefined, as
-			// in two legacy streams written back to back.
+			// Ids count up from 0, each defined exactly once.
 			if _, err := io.ReadFull(s.br, s.buf[:2]); err != nil {
 				return fmt.Errorf("%w: name frame: %v", ErrCorrupt, err)
 			}
-			id := int(binary.LittleEndian.Uint16(s.buf[:2]))
-			if id > len(s.names) {
-				return fmt.Errorf("%w: name id %d skips ahead of %d", ErrCorrupt, id, len(s.names))
+			if id := int(binary.LittleEndian.Uint16(s.buf[:2])); id != len(s.names) {
+				return fmt.Errorf("%w: name id %d defined where id %d is next", ErrCorrupt, id, len(s.names))
 			}
 			name, err := s.name()
 			if err != nil {
 				return fmt.Errorf("%w: name frame: %v", ErrCorrupt, err)
 			}
-			if id == len(s.names) {
-				s.names = append(s.names, name)
-			} else {
-				s.names[id] = name
-			}
+			s.names = append(s.names, name)
 		case 'R':
 			b, err := s.br.Peek(recordSize)
 			if err != nil {

@@ -15,7 +15,7 @@ import (
 // ring, and the encoder behind Write.
 //
 //	trace := "VSCT" u16 version=2 frame*
-//	frame := 'S' u16 id u16 len bytes   (define name id; ids count up from 0)
+//	frame := 'S' u16 id u16 len bytes   (define name id, once; ids count up from 0)
 //	       | 'R' record (44 bytes)      (one command)
 //
 // Close flushes; NativeSource decodes the format.

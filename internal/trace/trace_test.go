@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"io"
 	"os"
@@ -95,35 +94,6 @@ func TestReadRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestReadHostileRecordCount: the header's record count is a claim about
-// the stream, never an allocation size. Sixteen bytes claiming 2^30 records
-// must cost a read buffer and an ErrCorrupt, not 80 GiB of Record slots.
-func TestReadHostileRecordCount(t *testing.T) {
-	hdr := hostileCountHeader()
-	if len(hdr) != 16 {
-		t.Fatalf("header is %d bytes", len(hdr))
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	recs, err := Read(bytes.NewReader(hdr))
-	runtime.ReadMemStats(&after)
-	if !errors.Is(err, ErrCorrupt) || len(recs) != 0 {
-		t.Errorf("Read of a header with no records behind it: %d records, err %v; want ErrCorrupt", len(recs), err)
-	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-		t.Errorf("Read allocated %d bytes for a 16-byte input", grew)
-	}
-}
-
-// hostileCountHeader is a version 1 header with no names that claims 2^30
-// records and carries none.
-func hostileCountHeader() []byte {
-	hdr := []byte(magic)
-	hdr = binary.LittleEndian.AppendUint16(hdr, 1)
-	hdr = binary.LittleEndian.AppendUint16(hdr, 0) // no names
-	return binary.LittleEndian.AppendUint64(hdr, 1<<30)
-}
-
 // fuzzBinarySource drains src, which reads data: any bytes end in EOF or a
 // typed error, never a panic; no record is decoded from bytes that are not
 // there; and memory stays within a small multiple of the input.
@@ -153,12 +123,12 @@ func fuzzBinarySource(t *testing.T, data []byte, src RecordSource, frameBytes in
 }
 
 // binarySeeds seeds a binary-source fuzzer with encoded, cuts of it, a
-// hostile header, the empty input and every golden trace.
+// redefined name id, the empty input and every golden trace.
 func binarySeeds(f *testing.F, encoded []byte) {
 	f.Add(encoded)
 	f.Add(encoded[:len(encoded)-7])
 	f.Add(encoded[:len(encoded)/2])
-	f.Add(hostileCountHeader())
+	f.Add(append(encode(f, nil), 'S', 0, 0, 1, 0, 'a', 'S', 0, 0, 1, 0, 'b'))
 	f.Add([]byte{})
 	for _, name := range goldenFiles {
 		data, err := os.ReadFile(filepath.Join("testdata", name))
@@ -173,13 +143,6 @@ func FuzzNativeSource(f *testing.F) {
 	binarySeeds(f, encode(f, Synthesize(1, 10)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzBinarySource(t, data, NewNativeSource(bytes.NewReader(data)), recordSize)
-	})
-}
-
-func FuzzStreamSource(f *testing.F) {
-	binarySeeds(f, legacyStream(f, Synthesize(1, 10)))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzBinarySource(t, data, NewStreamSource(bytes.NewReader(data)), 1+recordSize)
 	})
 }
 
@@ -464,27 +427,21 @@ func TestStreamWriterAsObserver(t *testing.T) {
 	}
 }
 
-// readStream decodes a legacy headerless frame stream.
-func readStream(r io.Reader) ([]Record, error) { return ReadAll(NewStreamSource(r)) }
+// readFrames decodes frames behind a version 2 header.
+func readFrames(t *testing.T, frames []byte) ([]Record, error) {
+	return ReadAll(NewNativeSource(bytes.NewReader(append(encode(t, nil), frames...))))
+}
 
 func TestReadStreamErrors(t *testing.T) {
-	if _, err := readStream(strings.NewReader("Xjunk")); !errors.Is(err, ErrCorrupt) {
+	if _, err := readFrames(t, []byte("Xjunk")); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("unknown tag: %v", err)
 	}
-	// Record referencing an undefined string id.
-	var buf bytes.Buffer
-	buf.WriteByte('R')
-	buf.Write(make([]byte, recordSize))
-	// id 0 undefined -> corrupt
-	if _, err := readStream(&buf); !errors.Is(err, ErrCorrupt) {
+	// A record whose name id 0 is undefined.
+	if _, err := readFrames(t, append([]byte{'R'}, make([]byte, recordSize)...)); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("undefined name: %v", err)
 	}
-	// Truncated string frame.
-	buf.Reset()
-	buf.WriteByte('S')
-	buf.Write([]byte{0, 0})
-	if _, err := readStream(&buf); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("truncated: %v", err)
+	if _, err := readFrames(t, []byte{'S', 0, 0}); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("truncated name frame: %v", err)
 	}
 }
 

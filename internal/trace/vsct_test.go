@@ -5,14 +5,15 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// The golden traces all hold goldenRecords. trace_v1.vsct and
-// trace_stream_legacy.bin were written by the version 1 encoder and the
-// headerless stream writer that preceded VSCT version 2; trace_v2.vsct is
-// what Writer writes today.
+// The golden traces all hold goldenRecords. trace_v2.vsct is what Writer
+// writes; trace_v1.vsct and trace_stream_legacy.bin were written by the
+// version 1 encoder and the headerless stream writer that preceded version
+// 2, and are kept to pin their refusal.
 var goldenFiles = []string{"trace_v1.vsct", "trace_stream_legacy.bin", "trace_v2.vsct"}
 
 func goldenRecords() []Record { return Synthesize(33, 96) }
@@ -36,47 +37,34 @@ func encode(t testing.TB, recs []Record) []byte {
 	return buf.Bytes()
 }
 
-// legacyStream encodes recs as the headerless frame stream: a version 2
-// trace is that stream behind a 6-byte header.
-func legacyStream(t testing.TB, recs []Record) []byte {
-	t.Helper()
-	return encode(t, recs)[len(magic)+2:]
-}
+// Traces written before version 2 are refused, never misread: a version 1
+// file is detected by its magic and fails with ErrBadVersion, and a
+// headerless stream is not detected at all (nor read as VSCT when named).
+// Both upgrade to the version 2 golden through the last commit that read
+// them (DESIGN.md §8).
+func TestLegacyTracesRefused(t *testing.T) {
+	src, f, err := Open(bytes.NewReader(readGolden(t, "trace_v1.vsct")), FormatUnknown)
+	if err != nil || f != FormatNative {
+		t.Fatalf("version 1: detected %v, %v; want native", f, err)
+	}
+	if recs, err := ReadAll(src); !errors.Is(err, ErrBadVersion) || len(recs) != 0 {
+		t.Errorf("version 1: %d records, %v; want none and ErrBadVersion", len(recs), err)
+	}
 
-// Traces written before version 2 still read record for record.
-func TestLegacyTracesStillRead(t *testing.T) {
-	want := goldenRecords()
-	if vms := len(vmsOf(want)); vms < 2 || len(want) < 64 {
-		t.Fatalf("golden set too small: %d records over %d VMs", len(want), vms)
+	stream := readGolden(t, "trace_stream_legacy.bin")
+	if _, f, err := Open(bytes.NewReader(stream), FormatUnknown); err == nil {
+		t.Errorf("headerless stream detected as %v", f)
 	}
-	for _, c := range []struct {
-		file   string
-		format Format
-	}{
-		{"trace_v1.vsct", FormatNative},
-		{"trace_stream_legacy.bin", FormatStream},
-	} {
-		src, f, err := Open(bytes.NewReader(readGolden(t, c.file)), FormatUnknown)
-		if err != nil {
-			t.Fatalf("%s: %v", c.file, err)
-		}
-		if f != c.format {
-			t.Errorf("%s: detected %v, want %v", c.file, f, c.format)
-		}
-		got, err := ReadAll(src)
-		if err != nil {
-			t.Fatalf("%s: %v", c.file, err)
-		}
-		compareRecords(t, c.file, want, got)
+	src, _, err = Open(bytes.NewReader(stream), FormatNative)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func vmsOf(recs []Record) map[string]bool {
-	vms := map[string]bool{}
-	for _, r := range recs {
-		vms[r.VM] = true
+	if recs, err := ReadAll(src); !errors.Is(err, ErrBadMagic) || len(recs) != 0 {
+		t.Errorf("headerless stream read as native: %d records, %v; want none and ErrBadMagic", len(recs), err)
 	}
-	return vms
+	if _, err := ParseFormat("stream"); err == nil {
+		t.Error(`ParseFormat("stream") still names a format`)
+	}
 }
 
 // Writer reproduces the version 2 golden byte for byte, and Write is the
@@ -128,19 +116,19 @@ func TestWriterRefusesLongName(t *testing.T) {
 	}
 }
 
-// Name ids count up from 0: a stream may redefine an id it already has
-// (two legacy streams written back to back) but not skip ahead.
+// Name ids count up from 0 and are defined exactly once: a trace may
+// neither skip ahead nor redefine an id, as the frames of two traces
+// written back to back would.
 func TestNameIDs(t *testing.T) {
 	recs := goldenRecords()
-	joined := append(legacyStream(t, recs[:10]), legacyStream(t, recs[10:])...)
-	got, err := ReadAll(NewStreamSource(bytes.NewReader(joined)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareRecords(t, "concatenated streams", recs, got)
-
-	skip := []byte{'S', 1, 0, 1, 0, 'x'}
-	if _, err := ReadAll(NewStreamSource(bytes.NewReader(skip))); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("id 1 before id 0: %v", err)
+	header := encode(t, nil)
+	frames := func(recs []Record) []byte { return encode(t, recs)[len(header):] }
+	for name, data := range map[string][]byte{
+		"redefined id": slices.Concat(header, frames(recs[:10]), frames(recs[10:])),
+		"skipped id":   slices.Concat(header, []byte{'S', 1, 0, 1, 0, 'x'}),
+	} {
+		if _, err := ReadAll(NewNativeSource(bytes.NewReader(data))); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: %v, want ErrCorrupt", name, err)
+		}
 	}
 }
