@@ -138,20 +138,20 @@ func addHist(dst, src []int64) {
 	}
 }
 
-// MakeSnapshots returns n empty snapshots, two allocations behind them, for a
-// decoder to fill (the histograms through Cells) before anyone else sees them.
-func MakeSnapshots(n int) []*Snapshot {
-	if n == 0 {
-		return nil
+// MakeWritable replaces each snapshot in snaps with a copy of it, and each nil
+// with an empty snapshot, two allocations behind them all, for a decoder to
+// write (the histograms through Cells) before anyone else sees them.
+func MakeWritable(snaps []*Snapshot) {
+	structs := make([]Snapshot, len(snaps))
+	cells := make([]int64, len(snaps)*snapshotWords)
+	for i, src := range snaps {
+		s, own := &structs[i], cells[i*snapshotWords:(i+1)*snapshotWords:(i+1)*snapshotWords]
+		if src != nil {
+			*s = *src
+			copy(own, src.cells)
+		}
+		s.cells, snaps[i] = own, s
 	}
-	structs := make([]Snapshot, n)
-	cells := make([]int64, n*snapshotWords)
-	out := make([]*Snapshot, n)
-	for i := range out {
-		structs[i].cells = cells[i*snapshotWords : (i+1)*snapshotWords : (i+1)*snapshotWords]
-		out[i] = &structs[i]
-	}
-	return out
 }
 
 // Cells returns the snapshot's cell vector, laid out as CellTable says: its

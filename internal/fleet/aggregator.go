@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -92,9 +93,7 @@ func (c *AggregatorConfig) withDefaults() AggregatorConfig {
 	if out.Shards <= 0 {
 		out.Shards = 16
 	}
-	if out.Shards > 4096 {
-		out.Shards = 4096
-	}
+	out.Shards = min(out.Shards, 4096)
 	return out
 }
 
@@ -212,11 +211,11 @@ func OpenAggregator(cfg AggregatorConfig) (*Aggregator, ReplayStats, error) {
 	// Label the replay for pprof so boot-recovery CPU attributes to the
 	// pipeline stage, not to an anonymous OpenAggregator frame.
 	pprof.Do(context.Background(), pprof.Labels("stage", "replay"), func(context.Context) {
-		st, err = l.replay(func(dirIdx int, b *Batch) (bool, error) {
-			if dirIdx != g.ShardFor(b.Host) {
+		st, err = l.replay(func(dirIdx int, f *frame) (bool, error) {
+			if dirIdx != g.ShardFor(f.Host) {
 				moved.Store(true)
 			}
-			_, ierr := g.shardOf(b.Host).ingest(b, "log", time.Unix(0, b.SentUnixNano))
+			_, ierr := g.shardOf(f.Host).ingest(f, "log", time.Unix(0, f.SentUnixNano))
 			if errors.Is(ierr, ErrResyncRequired) {
 				return true, nil
 			}
@@ -263,10 +262,11 @@ func (g *Aggregator) shardOf(host string) *shard {
 	return g.shards[g.ShardFor(host)]
 }
 
-// Ingest validates a batch and offers it to the host's chain
-// (chainPos.apply): it becomes the host's newest state, refreshes liveness
-// only (a late retry never rolls a host backwards), or — a delta that does
-// not build on exactly what is stored — returns ErrResyncRequired.
+// Ingest encodes a batch once and takes a pushed frame's path: validated and
+// offered to the host's chain (chainPos.apply), it becomes the host's newest
+// state, refreshes liveness only (a late retry never rolls a host backwards),
+// or — a delta that does not build on exactly what is stored — returns
+// ErrResyncRequired.
 //
 // With a segment log open, every state-changing batch is also appended to
 // the host's shard chain, serialized with the apply so disk order matches
@@ -275,47 +275,43 @@ func (g *Aggregator) shardOf(host string) *shard {
 // memory, and an aggregator that keeps serving beats one that refuses the
 // fleet because its disk filled.
 func (g *Aggregator) Ingest(b *Batch, source string) error {
-	// Deterministic per-host sampling (1 in SampleEvery of each host's
-	// sequence numbers): stateless, so the tracker costs the memory-path
-	// ingest no atomic on unsampled batches.
-	return g.ingest(b, source, g.cfg.Obs.SampleAt(b.Seq))
-}
-
-// ingest is Ingest with the hot-path sampling decision hoisted out:
-// servePush makes one Sample() call covering decode and ingest, so a
-// sampled push times every stage of its trip and an unsampled one pays
-// nothing beyond the decision itself.
-func (g *Aggregator) ingest(b *Batch, source string, sampled bool) error {
-	if err := b.Validate(); err != nil {
+	raw, err := EncodeBatchBytes(b) // refuses a null snapshot as Validate does
+	if err != nil {
 		return g.refuse(b, err)
 	}
-	idx := g.ShardFor(b.Host)
-	if g.log == nil {
-		start := stageStart(sampled)
-		_, err := g.shards[idx].ingest(b, source, g.now())
-		g.observeStage(fleetobs.StageIngest, start, b, idx)
-		g.noteResyncEvent(b, err)
-		return err
-	}
-	start := stageStart(sampled)
-	g.iomu[idx].Lock()
-	g.observeStage(fleetobs.StageLockWait, start, b, idx)
-	start = stageStart(sampled)
-	applied, err := g.shards[idx].ingest(b, source, g.now())
-	g.observeStage(fleetobs.StageIngest, start, b, idx)
-	var rotated bool
-	if err == nil && applied {
-		if data, eerr := EncodeBatchBytes(b); eerr != nil {
-			g.log.appendErrs.Add(1)
-		} else {
-			start = stageStart(sampled)
-			if rotated, eerr = g.log.append(idx, data, b.SentUnixNano, g.now()); eerr != nil {
-				rotated = false
-			}
-			g.observeStage(fleetobs.StageLogAppend, start, b, idx)
+	// Sampling is deterministic per host, 1 in SampleEvery of its sequence
+	// numbers: stateless, so an unsampled batch costs the tracker no atomic.
+	_, err = g.receive(context.Background(), bytes.NewReader(raw), source, g.cfg.Obs.SampleAt(b.Seq))
+	return err
+}
+
+// ingest validates a frame, offers it to its host's chain and logs the
+// bytes of a frame that changed it.
+func (g *Aggregator) ingest(f *frame, source string, sampled bool) error {
+	if err := f.Validate(); err != nil {
+		if _, derr := decodePayload(f.payload, f.count, nil); derr != nil {
+			return derr // a malformed payload is a bad frame first
 		}
+		return g.refuse(f.Batch, err)
 	}
-	g.iomu[idx].Unlock()
+	idx := g.ShardFor(f.Host)
+	start := stageStart(sampled)
+	if g.log != nil {
+		g.iomu[idx].Lock()
+		g.observeStage(fleetobs.StageLockWait, start, f.Batch, idx)
+		start = stageStart(sampled)
+	}
+	applied, err := g.shards[idx].ingest(f, source, g.now())
+	g.observeStage(fleetobs.StageIngest, start, f.Batch, idx)
+	var rotated bool
+	if g.log != nil {
+		if err == nil && applied {
+			start = stageStart(sampled)
+			rotated, _ = g.log.append(idx, f.raw, f.SentUnixNano, g.now()) // a failure is counted by the log
+			g.observeStage(fleetobs.StageLogAppend, start, f.Batch, idx)
+		}
+		g.iomu[idx].Unlock()
+	}
 	if rotated && g.log.needsCompaction(idx) {
 		// Best-effort: a failed compaction leaves the chain long but
 		// whole; the next rotation retries.
@@ -325,7 +321,7 @@ func (g *Aggregator) ingest(b *Batch, source string, sampled bool) error {
 				g.log.compact(idx, g.shards[idx].fullBatches, g.now())
 			})
 	}
-	g.noteResyncEvent(b, err)
+	g.noteResyncEvent(f.Batch, err)
 	return err
 }
 
@@ -411,35 +407,33 @@ func (g *Aggregator) CompactLog() error {
 // maxFrameLen bounds one frame on any input: head, header, payload.
 const maxFrameLen = 16 + maxHeaderLen + maxPayloadLen
 
-// receive is the decode → count → ingest chain behind every pushed frame.
-// sampled is the caller's one decision to time every stage of the trip or
-// none. RecvBytes counts bytes read, and only of frames that were ingested.
-func (g *Aggregator) receive(ctx context.Context, r io.Reader, sampled bool) (*Batch, error) {
-	body := &countingReader{r: r}
+// receive is the read → ingest chain behind every frame, pushed or handed
+// to Ingest. sampled is the caller's one decision to time every stage of
+// the trip or none, so an unsampled frame pays nothing beyond it.
+func (g *Aggregator) receive(ctx context.Context, r io.Reader, source string, sampled bool) (*frame, error) {
 	start := stageStart(sampled)
-	b, err := DecodeBatch(body)
-	var unknown *UnknownLayoutError
-	switch {
-	case errors.As(err, &unknown):
-		return nil, g.refuse(unknown.Header, err)
-	case err != nil:
+	f, err := readFrame(r, readAll)
+	if err == nil && !f.Delta {
+		f.Snapshots, err = decodePayload(f.payload, f.count, nil) // before the shard lock; a delta waits for its base
+	}
+	if errors.As(err, new(*UnknownLayoutError)) {
+		return nil, g.refuse(f.Batch, err) // the whole frame came with the error
+	}
+	if err == nil {
+		idx := g.ShardFor(f.Host)
+		g.observeStage(fleetobs.StageDecode, start, f.Batch, idx)
+		// Attribute ingest CPU to the pipeline: pprof samples taken inside
+		// carry stage/host/shard labels via Options.Pprof for free.
+		pprof.Do(ctx,
+			pprof.Labels("stage", "ingest", "host", f.Host, "shard", strconv.Itoa(idx)),
+			func(context.Context) {
+				err = g.ingest(f, source, sampled)
+			})
+	}
+	if errors.Is(err, ErrBadFrame) || err == io.EOF { // refuse counts the rest
 		g.rejected.Add(1)
-		return nil, err
 	}
-	idx := g.ShardFor(b.Host)
-	g.observeStage(fleetobs.StageDecode, start, b, idx)
-	// Attribute ingest CPU to the pipeline: pprof samples taken inside
-	// carry stage/host/shard labels via Options.Pprof for free.
-	pprof.Do(ctx,
-		pprof.Labels("stage", "ingest", "host", b.Host, "shard", strconv.Itoa(idx)),
-		func(context.Context) {
-			err = g.ingest(b, "push", sampled)
-		})
-	if err != nil {
-		return nil, err
-	}
-	g.recvBytes.Add(body.n)
-	return b, nil
+	return f, err
 }
 
 // HostStatus is one host's liveness record.
@@ -770,7 +764,7 @@ func (g *Aggregator) serveSnapshot(w http.ResponseWriter, r *http.Request) {
 func (g *Aggregator) servePush(w http.ResponseWriter, r *http.Request) {
 	sampled := g.cfg.Obs.Sample()
 	pushStart := time.Now()
-	b, err := g.receive(r.Context(), http.MaxBytesReader(w, r.Body, maxFrameLen), sampled)
+	f, err := g.receive(r.Context(), http.MaxBytesReader(w, r.Body, maxFrameLen), "push", sampled)
 	if err != nil {
 		if errors.Is(err, ErrResyncRequired) {
 			fleetResyncError(w, err)
@@ -779,15 +773,16 @@ func (g *Aggregator) servePush(w http.ResponseWriter, r *http.Request) {
 		telemetry.JSONError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	g.recvBytes.Add(int64(len(f.raw)))
 	if sampled {
 		g.cfg.Obs.Emit(fleetobs.Event{
 			Kind: fleetobs.KindPush, Scope: "aggregator",
-			Host: b.Host, TraceID: b.TraceID, BatchSeq: b.Seq,
-			Shard: g.ShardFor(b.Host), DurationNanos: int64(time.Since(pushStart)),
-			Detail: fmt.Sprintf("delta=%t snapshots=%d", b.Delta, len(b.Snapshots)),
+			Host: f.Host, TraceID: f.TraceID, BatchSeq: f.Seq,
+			Shard: g.ShardFor(f.Host), DurationNanos: int64(time.Since(pushStart)),
+			Detail: fmt.Sprintf("delta=%t snapshots=%d", f.Delta, f.count),
 		})
 	}
-	telemetry.WriteJSON(w, map[string]any{"host": b.Host, "seq": b.Seq, "snapshots": len(b.Snapshots)})
+	telemetry.WriteJSON(w, map[string]any{"host": f.Host, "seq": f.Seq, "snapshots": f.count})
 }
 
 // fleetResyncError writes the 409 resync response; the body carries the

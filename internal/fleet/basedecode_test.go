@@ -1,0 +1,432 @@
+package fleet
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"vscsistats/internal/core"
+)
+
+// applyDeltaSnaps is the aggregator's delta fold as it was before deltas
+// were decoded onto their base: a delta batch decoded on its own, then
+// applied disk by disk with core.ApplyDelta. It is the reference the decoder
+// is checked against. Disks omitted from the delta carry over by reference.
+func applyDeltaSnaps(base, deltas []*core.Snapshot) ([]*core.Snapshot, error) {
+	byKey := make(map[diskKey]int, len(base))
+	for i, s := range base {
+		byKey[diskKey{s.VM, s.Disk}] = i
+	}
+	out := append([]*core.Snapshot(nil), base...)
+	for _, d := range deltas {
+		i, ok := byKey[diskKey{d.VM, d.Disk}]
+		if !ok {
+			return nil, fmt.Errorf("delta for disk %s/%s with no base state", d.VM, d.Disk)
+		}
+		out[i] = out[i].ApplyDelta(d)
+	}
+	return out, nil
+}
+
+// decodeDense is the payload decoder as it was before deltas were decoded
+// onto their base, kept as the reference: every snapshot starts from
+// zeros, and each class-all histogram is derived from its reads and writes
+// once all three are read.
+func decodeDense(payload []byte, count int) ([]*core.Snapshot, error) {
+	p := payloadReader{buf: payload}
+	if count < 0 || count > len(p.buf)/layout.minBytes {
+		return nil, badFrame("header count %d cannot fit a %d-byte payload", count, len(payload))
+	}
+	if count > maxDecodedLen/layout.decodedBytes {
+		return nil, badFrame("header count %d decodes past the limit of %d bytes", count, maxDecodedLen)
+	}
+	var out []*core.Snapshot // nil for an empty batch
+	if count > 0 {
+		out = make([]*core.Snapshot, count)
+		core.MakeWritable(out)
+	}
+	for _, s := range out {
+		s.VM, s.Disk = string(p.bytes()), string(p.bytes())
+		s.Commands, s.NumReads, s.NumWrites = p.varint(), p.varint(), p.varint()
+		s.ReadBytes, s.WriteBytes, s.Errors = p.varint(), p.varint(), p.varint()
+		cells := s.Cells()
+		for k := range layout.hists {
+			h := layout.hists[k].Of(cells)
+			n := len(h) - 4
+			h[n+1], h[n], h[n+2], h[n+3] = p.varint(), p.varint(), p.varint(), p.varint()
+			nnz := p.uvarint()
+			if nnz > uint64(n) {
+				p.fail("more non-zero bins than bins")
+				break
+			}
+			for next := 0; nnz > 0; nnz-- {
+				gap := p.uvarint()
+				if gap >= uint64(n-next) {
+					p.fail("bin index out of range")
+					break
+				}
+				h[next+int(gap)] = p.varint()
+				next += int(gap) + 1
+			}
+		}
+		if p.err != nil {
+			return nil, p.err
+		}
+		for k := range layout.hists {
+			h := layout.hists[k].Of(cells)
+			n := len(h) - 4
+			if isAll(&layout.hists[k]) {
+				r, w := layout.hists[k+1].Of(cells), layout.hists[k+2].Of(cells)
+				for j := range h[:n+1] {
+					h[j] += r[j] + w[j]
+				}
+			}
+			for _, c := range h[:n] {
+				h[n+1] += c
+			}
+		}
+	}
+	if len(p.buf) != 0 {
+		return nil, badFrame("binary payload: %d trailing bytes", len(p.buf))
+	}
+	return out, nil
+}
+
+// snapsOf encodes snaps as a payload's snapshot bytes (after the layout id).
+func snapsOf(t testing.TB, snaps []*core.Snapshot) []byte {
+	t.Helper()
+	p, err := appendPayload(nil, snaps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p[8:]
+}
+
+// FuzzApplyDeltaPayload checks the decoder's fold against the path it
+// replaced: decoding a payload onto a base must either fail — a bad frame
+// or an unknown disk, exactly where the reference fails — or give, disk for
+// disk, what decodeDense followed by core.ApplyDelta gives. It must never
+// write the base, and what it allocates is bounded by the base, however
+// many snapshots the payload claims. Decoding onto nothing must match
+// decodeDense alone.
+func FuzzApplyDeltaPayload(f *testing.F) {
+	reg := makeRegistry(3, 2, 3, 150)
+	base := reg.Snapshots()
+	kept := append([]*core.Snapshot(nil), base...)
+	core.MakeWritable(kept)
+
+	cols := reg.List()
+	feed(cols[1], 11, 70)
+	feed(cols[4], 12, 40)
+	cur := reg.Snapshots()
+	partial, _ := subAgainst(cur, base)
+	every := subSnaps(cur, base)
+	backwards := subSnaps(base, cur)
+	reversed := []*core.Snapshot{every[5], every[3], every[0]}
+	twice := []*core.Snapshot{every[1], every[1]}
+	foreign := makeRegistry(8, 10, 10, 0).Snapshots() // a hundred disks the base lacks
+	for _, snaps := range [][]*core.Snapshot{nil, partial, every, backwards, reversed, twice, foreign, append(partial, foreign[0])} {
+		p := snapsOf(f, snaps)
+		f.Add(p, len(snaps))
+		f.Add(append(p, 0), len(snaps))
+		if len(p) > 0 {
+			flipped := append([]byte(nil), p...)
+			flipped[len(p)/2] ^= 0x21
+			f.Add(flipped, len(snaps))
+			f.Add(p[:len(p)*2/3], len(snaps))
+		}
+	}
+	bound := uint64(len(base)+1)*uint64(2*layout.decodedBytes) + 64<<10
+
+	f.Fuzz(func(t *testing.T, payload []byte, count int) {
+		var got []*core.Snapshot
+		var err error
+		grew := uint64(math.MaxUint64)
+		for range 2 { // the smaller of two, so another goroutine's allocation is not counted
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			got, err = decodePayload(payload, count, base)
+			runtime.ReadMemStats(&after)
+			grew = min(grew, after.TotalAlloc-before.TotalAlloc)
+		}
+		if grew > bound {
+			t.Errorf("decoding %d snapshots onto a %d-disk base allocated %d bytes, over %d", count, len(base), grew, bound)
+		}
+		for i := range base {
+			if !base[i].StateEquals(kept[i]) {
+				t.Fatalf("decode wrote base disk %d", i)
+			}
+		}
+
+		deltas, derr := decodeDense(payload, count)
+		want, werr := deltas, derr
+		if derr == nil {
+			want, werr = applyDeltaSnaps(base, deltas)
+		}
+		switch {
+		case derr != nil:
+			if !errors.Is(err, ErrBadFrame) {
+				t.Fatalf("reference decode fails (%v), decode onto base gives %v", derr, err)
+			}
+		case werr != nil:
+			if resyncCauseOf(err) != ResyncUnknownDisk {
+				t.Fatalf("reference apply fails (%v), decode onto base gives %v", werr, err)
+			}
+		case err != nil:
+			t.Fatalf("reference succeeds, decode onto base fails: %v", err)
+		default:
+			if len(got) != len(want) {
+				t.Fatalf("%d disks, want %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i].VM != want[i].VM || got[i].Disk != want[i].Disk || !got[i].StateEquals(want[i]) {
+					t.Fatalf("disk %d differs from decode + ApplyDelta", i)
+				}
+			}
+		}
+
+		full, err := decodePayload(payload, count, nil)
+		if (err == nil) != (derr == nil) || (err != nil && !errors.Is(err, ErrBadFrame)) {
+			t.Fatalf("decode onto nothing: %v, reference: %v", err, derr)
+		}
+		for i := range full {
+			if full[i].VM != deltas[i].VM || full[i].Disk != deltas[i].Disk || !full[i].StateEquals(deltas[i]) {
+				t.Fatalf("snapshot %d differs from the reference decode", i)
+			}
+		}
+	})
+}
+
+// corruptFrame encodes b and spoils its payload while keeping the frame
+// whole: a trailing byte the snapshots do not account for, which the decoder
+// finds only after adding every snapshot.
+func corruptFrame(t *testing.T, b *Batch) []byte {
+	t.Helper()
+	frame, err := EncodeBatchBytes(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, payload := payloadOf(frame)
+	return reframe(t, frame, append(append([]byte(nil), payload...), 0), len(b.Snapshots))
+}
+
+// TestMalformedDeltaIsABadFrame follows a delta whose payload is corrupt but
+// whole through every reader. Pushed, it is a 400 counted in rejected and
+// leaves the host's chain as it was — whether apply would have used it,
+// refused it or skipped it as a duplicate. In a segment it refuses boot,
+// naming the segment, and History skips it.
+func TestMalformedDeltaIsABadFrame(t *testing.T) {
+	t0 := time.Now().Add(-time.Minute)
+	reg := makeRegistry(5, 2, 2, 100)
+	host := "esx-m"
+	s1 := reg.Snapshots()
+	full := &Batch{Host: host, Seq: 1, SentUnixNano: t0.UnixNano(), Snapshots: s1}
+	feed(reg.List()[0], 51, 90)
+	s2 := reg.Snapshots()
+	d2 := deltaBatch(t, host, 2, 1, s1, s2)
+	d2.SentUnixNano = t0.Add(time.Second).UnixNano()
+	feed(reg.List()[3], 52, 90)
+	d3 := deltaBatch(t, host, 3, 2, s2, reg.Snapshots())
+	d3.SentUnixNano = t0.Add(2 * time.Second).UnixNano()
+
+	dir := t.TempDir()
+	cfg := AggregatorConfig{StaleAfter: time.Hour, Shards: 1, DataDir: dir, SyncInterval: -1}
+	g, _, err := OpenAggregator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(g)
+	defer srv.Close()
+	push := func(frame []byte) int {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/fleet/push", ContentType, bytes.NewReader(frame))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, b := range []*Batch{full, d2} {
+		frame, err := EncodeBatchBytes(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code := push(frame); code != http.StatusOK {
+			t.Fatalf("seq %d: status %d", b.Seq, code)
+		}
+	}
+	chain := func() []*core.Snapshot {
+		sh := g.shardOf(host)
+		sh.mu.RLock()
+		defer sh.mu.RUnlock()
+		return sh.hosts[host].snaps
+	}
+	held := chain()
+	gap := *d3
+	gap.Seq, gap.BaseSeq = 5, 4
+	stranger := *d3
+	stranger.Host = "esx-nobody"
+	for name, b := range map[string]*Batch{"applicable": d3, "duplicate": d2, "seq gap": &gap, "unknown host": &stranger} {
+		before := g.Stats()
+		if code := push(corruptFrame(t, b)); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, code)
+		}
+		after := g.Stats()
+		if after.Rejected != before.Rejected+1 || after.Resyncs != before.Resyncs {
+			t.Errorf("%s: rejected %d -> %d, resyncs %d -> %d; want one rejection and no resync",
+				name, before.Rejected, after.Rejected, before.Resyncs, after.Resyncs)
+		}
+		now := chain()
+		for i := range held {
+			if now[i] != held[i] || !now[i].StateEquals(held[i]) {
+				t.Errorf("%s: disk %d of the chain changed", name, i)
+			}
+		}
+	}
+	if len(g.Hosts()) != 1 {
+		t.Errorf("%d hosts, want the one that sent whole frames", len(g.Hosts()))
+	}
+
+	// The same frame in the log, between d2 and the real d3.
+	seg := g.log.shards[0].active.path
+	file, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := file.Write(corruptFrame(t, d3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := file.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Ingest(d3, "push"); err != nil {
+		t.Fatal(err)
+	}
+	control := NewAggregator(AggregatorConfig{StaleAfter: time.Hour, Shards: 1})
+	ingestAll(t, control, []*Batch{full, d2, d3})
+	sameMerges(t, "live after the corrupt delta", g, control)
+
+	res, err := g.History(t0.Add(time.Second/2), t0.Add(3*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Frames != 4 || res.Hosts != 1 {
+		t.Fatalf("history scanned %d frames over %d hosts, want 4 over 1", res.Frames, res.Hosts)
+	}
+	want := core.Aggregate("cluster", "*", subSnaps(reg.Snapshots(), s1)...)
+	if !sameSnapshot(res.Cluster, want) {
+		t.Error("history over the corrupt delta is not the window d2 + d3")
+	}
+
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = OpenAggregator(cfg)
+	if !errors.Is(err, ErrBadFrame) || !strings.Contains(err.Error(), seg) {
+		t.Fatalf("boot over the corrupt delta: %v, want a bad frame naming %s", err, seg)
+	}
+}
+
+// withHeaderField adds a field this binary does not know to a frame's JSON
+// header, as a later version's sender might.
+func withHeaderField(t *testing.T, frame []byte, key string, value any) []byte {
+	t.Helper()
+	prefix, payload := payloadOf(frame)
+	var hdr map[string]any
+	if err := json.Unmarshal(prefix[16:], &hdr); err != nil {
+		t.Fatal(err)
+	}
+	hdr[key] = value
+	header, err := json.Marshal(hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := append([]byte(nil), prefix[:16]...)
+	binary.BigEndian.PutUint32(out[8:12], uint32(len(header)))
+	return append(append(out, header...), payload...)
+}
+
+// TestLogHoldsTheFramesThatArrived pushes frames over HTTP to a durable
+// aggregator: the segment holds exactly the bytes of the frames that
+// changed state, in order — a frame carrying a header field from a later
+// version included, which a re-encode would drop — and replays to the
+// state the live aggregator holds.
+func TestLogHoldsTheFramesThatArrived(t *testing.T) {
+	reg := makeRegistry(6, 2, 2, 100)
+	host := "esx-bytes"
+	s1 := reg.Snapshots()
+	feed(reg.List()[1], 61, 80)
+	s2 := reg.Snapshots()
+	feed(reg.List()[2], 62, 80)
+	s3 := reg.Snapshots()
+	encode := func(b *Batch) []byte {
+		t.Helper()
+		b.SentUnixNano, b.TraceID = time.Now().UnixNano(), fmt.Sprintf("%s-%d", host, b.Seq)
+		frame, err := EncodeBatchBytes(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frame
+	}
+	full := encode(&Batch{Host: host, Seq: 1, Snapshots: s1})
+	d2 := encode(deltaBatch(t, host, 2, 1, s1, s2))
+	d3 := withHeaderField(t, encode(deltaBatch(t, host, 3, 2, s2, s3)), "from_a_later_version", map[string]any{"n": 1})
+	heartbeat := encode(&Batch{Host: host, Seq: 3, BaseSeq: 2, Delta: true})
+	stale := encode(&Batch{Host: host, Seq: 1, Snapshots: s1})
+
+	dir := t.TempDir()
+	cfg := AggregatorConfig{StaleAfter: time.Hour, Shards: 1, DataDir: dir, SyncInterval: -1}
+	g, _, err := OpenAggregator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(g)
+	defer srv.Close()
+	for i, frame := range [][]byte{full, d2, d2, d3, heartbeat, stale} {
+		resp, err := http.Post(srv.URL+"/fleet/push", ContentType, bytes.NewReader(frame))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("frame %d: status %d", i, resp.StatusCode)
+		}
+	}
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs := segFiles(t, dir)
+	if len(segs) != 1 {
+		t.Fatalf("%d segments, want 1", len(segs))
+	}
+	got, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := bytes.Join([][]byte{full, d2, d3}, nil); !bytes.Equal(got, want) {
+		t.Fatalf("segment holds %d bytes that are not the %d bytes of the applied frames", len(got), len(want))
+	}
+
+	g2, st, err := OpenAggregator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g2.Close()
+	if st.Frames != 3 || st.Skipped != 0 {
+		t.Errorf("replayed %d frames, skipped %d; want 3 and 0", st.Frames, st.Skipped)
+	}
+	sameMerges(t, "replayed", g2, g)
+	if hs := g2.Hosts(); len(hs) != 1 || hs[0].Seq != 3 {
+		t.Errorf("replayed hosts %+v, want %s at seq 3", hs, host)
+	}
+}

@@ -43,7 +43,7 @@ import (
 // History scans disk on every call — it is a reporting query, deliberately
 // off the ingest and scrape fast paths, and it never touches shard locks.
 // The shard dirs are read concurrently, and a frame sent after to is
-// counted but its payload never decoded.
+// counted but its payload never read.
 func (g *Aggregator) History(from, to time.Time) (*HistoryResult, error) {
 	if g.log == nil {
 		return nil, errors.New("fleet: history requires a segment log (no data dir configured)")
@@ -67,29 +67,29 @@ func (g *Aggregator) history(from, to time.Time) (*HistoryResult, error) {
 		dirs[i] = make(map[string]*historyHost)
 	}
 	var frames atomic.Int64
-	g.log.scan(toNs, func(dirIdx int, b *Batch) {
+	g.log.scan(toNs, func(dirIdx int, f *frame) {
 		frames.Add(1)
-		if b.SentUnixNano > toNs {
+		if f.SentUnixNano > toNs {
 			// Past the window's end: nothing after this frame on the
 			// host's chain can matter (deltas building on it would also
 			// be past the end, and fulls carry their own state).
 			return
 		}
-		if b.Validate() != nil {
+		if f.Validate() != nil {
 			return // corrupted since boot; replay refuses such a frame
 		}
-		h := dirs[dirIdx][b.Host]
+		h := dirs[dirIdx][f.Host]
 		if h == nil {
 			h = &historyHost{}
-			dirs[dirIdx][b.Host] = h
+			dirs[dirIdx][f.Host] = h
 		}
-		if applied, _ := h.apply(b); !applied {
-			// A duplicate, a stale full (compaction-interrupt leftovers) or
-			// a delta whose base is gone: live ingest left its state alone
-			// for the same frame, and so does the window.
+		if applied, _ := h.apply(f); !applied {
+			// A duplicate, a stale full (compaction-interrupt leftovers), a
+			// delta whose base is gone or a malformed one: live ingest left
+			// its state alone for the same frame, and so does the window.
 			return
 		}
-		if b.SentUnixNano <= fromNs {
+		if f.SentUnixNano <= fromNs {
 			h.base = h.snaps
 		} else {
 			h.inWindow = true

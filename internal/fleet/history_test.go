@@ -87,6 +87,35 @@ func TestHistoryWindows(t *testing.T) {
 	}
 }
 
+// TestHistorySkipsPayloadsPastTo checks that a frame sent after the window's
+// end, whose payload the scan skips unread, leaves the reader on the next
+// frame: one segment holds a late host's chain first, then an early host's.
+func TestHistorySkipsPayloadsPastTo(t *testing.T) {
+	cfg := logAggConfig(t.TempDir())
+	cfg.Shards = 1
+	g, _, err := OpenAggregator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+
+	t0 := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	late, _ := timedChain(0, t0.Add(time.Hour), t0.Add(2*time.Hour), t0.Add(3*time.Hour))
+	early, states := timedChain(1, t0, t0.Add(time.Minute), t0.Add(2*time.Minute))
+	ingestAll(t, g, append(late, early...))
+
+	res, err := g.History(time.Unix(0, 0), t0.Add(2*time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Frames != 6 || res.Hosts != 1 {
+		t.Fatalf("scanned %d frames, %d hosts in window; want 6 frames, 1 host", res.Frames, res.Hosts)
+	}
+	if !sameSnapshot(res.Cluster, core.Aggregate("cluster", "*", states[2]...)) {
+		t.Error("the early host's window is not its state after the late host's skipped frames")
+	}
+}
+
 // TestHistorySpansRestart is the acceptance check for the history half of
 // the tentpole: frames written before a restart and frames written after
 // it answer one continuous window query from the reopened aggregator.

@@ -19,9 +19,9 @@ import (
 	"vscsistats/internal/fleetobs"
 )
 
-// The segment log is the aggregator's durability layer: every accepted wire
-// frame — fulls and deltas alike — is appended, verbatim re-encoding, to a
-// per-shard chain of segment files under the data dir:
+// The segment log is the aggregator's durability layer: every applied wire
+// frame — fulls and deltas alike — is appended, as the bytes that arrived, to
+// a per-shard chain of segment files under the data dir:
 //
 //	<dir>/shard-0007/0000000000000003.seg
 //
@@ -228,19 +228,6 @@ func openLogShard(dir string, idx int) (*logShard, error) {
 	return sh, nil
 }
 
-// countingReader counts the bytes a decoder actually consumed, so replay
-// knows the offset of the last whole frame when the tail turns out torn.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
 // eachDir runs fn(0..n-1) on min(GOMAXPROCS, n) goroutines, handing out
 // indexes in order. A failure stops the handing out, but every index handed
 // out runs, and those below a failed one were handed out before it: the
@@ -269,16 +256,16 @@ func eachDir(n int, fn func(i int) error) error {
 	return cmp.Or(errs...) // the first non-nil
 }
 
-// replay reads every segment of every shard dir (orphans included) and
-// hands each decoded batch to apply, which reports whether it skipped the
-// batch (a frame it cannot use, not evidence of corruption). A torn tail
-// on a chain's last segment is truncated back to the last whole frame; any
-// other decode failure aborts: a log that contradicts its own format must
-// not silently become numbers. Dirs replay concurrently, so apply must be
-// safe for that; one dir's segments replay in order on one goroutine.
-// Segment sizes, frame counts and newest-times are (re)established as a
-// side effect — replay is the one full read the log ever does.
-func (l *segmentLog) replay(apply func(dirIdx int, b *Batch) (skipped bool, err error)) (ReplayStats, error) {
+// replay reads every segment of every shard dir (orphans included) and hands
+// each frame to apply, which reports whether it skipped the frame (one it
+// cannot use, not evidence of corruption). A torn tail on a chain's last
+// segment is truncated back to the last whole frame; any other decode failure
+// aborts: a log that contradicts its own format must not silently become
+// numbers. Dirs replay concurrently, so apply must be safe for that; one dir's
+// segments replay in order on one goroutine. Segment sizes, frame counts and
+// newest-times are (re)established as a side effect — replay is the one full
+// read the log ever does.
+func (l *segmentLog) replay(apply func(dirIdx int, f *frame) (skipped bool, err error)) (ReplayStats, error) {
 	dirs := append(append([]*logShard(nil), l.shards...), l.orphans...)
 	per := make([]ReplayStats, len(dirs))
 	err := eachDir(len(dirs), func(i int) error {
@@ -299,7 +286,7 @@ func (l *segmentLog) replay(apply func(dirIdx int, b *Batch) (skipped bool, err 
 	return st, err
 }
 
-func (l *segmentLog) replaySegment(sh *logShard, seg *segmentInfo, last bool, st *ReplayStats, apply func(int, *Batch) (bool, error)) error {
+func (l *segmentLog) replaySegment(sh *logShard, seg *segmentInfo, last bool, st *ReplayStats, apply func(int, *frame) (bool, error)) error {
 	f, err := os.Open(seg.path)
 	if err != nil {
 		if os.IsNotExist(err) && last && seg.frames == 0 {
@@ -308,15 +295,15 @@ func (l *segmentLog) replaySegment(sh *logShard, seg *segmentInfo, last bool, st
 		return fmt.Errorf("fleet: log replay: %w", err)
 	}
 	defer f.Close()
-	cr := &countingReader{r: bufio.NewReader(f)}
-	var good int64
+	r := bufio.NewReader(f)
+	var good int64 // the bytes of whole frames
 	for {
-		b, err := DecodeBatch(cr)
+		fr, err := readFrame(r, readAll)
 		var unknown *UnknownLayoutError
 		if errors.As(err, &unknown) {
 			// A whole frame we cannot read the bins of: its header still
 			// dates the segment, and it is not evidence of corruption.
-			b, err = unknown.Header, nil
+			err = nil
 		}
 		if err == io.EOF {
 			break
@@ -326,6 +313,7 @@ func (l *segmentLog) replaySegment(sh *logShard, seg *segmentInfo, last bool, st
 				return fmt.Errorf("fleet: log segment %s torn mid-chain (only the newest segment may have a torn tail): %w", seg.path, err)
 			}
 			// Crash mid-write: everything before the tear is whole.
+			size, _ := f.Seek(0, io.SeekEnd) // what the tear cost, for the event
 			if terr := os.Truncate(seg.path, good); terr != nil {
 				return fmt.Errorf("fleet: truncating torn tail of %s: %w", seg.path, terr)
 			}
@@ -333,33 +321,27 @@ func (l *segmentLog) replaySegment(sh *logShard, seg *segmentInfo, last bool, st
 			l.tornTails.Add(1)
 			l.cfg.obs.Emit(fleetobs.Event{
 				Kind: fleetobs.KindTornTail, Scope: "aggregator", Shard: sh.dirIdx,
-				Detail: fmt.Sprintf("%s truncated %d -> %d bytes", filepath.Base(seg.path), cr.n, good),
+				Detail: fmt.Sprintf("%s truncated %d -> %d bytes", filepath.Base(seg.path), size, good),
 			})
 			break
 		}
 		if err == nil {
 			// Every frame was validated before it was appended, so one
 			// that fails now is corruption, not data to skip.
-			err = b.Validate()
+			err = fr.Validate()
+		}
+		skipped := unknown != nil
+		if err == nil && !skipped {
+			l.replayed.Add(1)
+			skipped, err = apply(sh.dirIdx, fr) // where a payload is decoded
 		}
 		if err != nil {
 			return fmt.Errorf("fleet: log segment %s corrupt: %w", seg.path, err)
 		}
-		good = cr.n
+		good += int64(len(fr.raw))
 		seg.frames++
 		st.Frames++
-		if b.SentUnixNano > seg.newest {
-			seg.newest = b.SentUnixNano
-		}
-		if unknown != nil {
-			st.Skipped++
-			continue
-		}
-		l.replayed.Add(1)
-		skipped, err := apply(sh.dirIdx, b)
-		if err != nil {
-			return err
-		}
+		seg.newest = max(seg.newest, fr.SentUnixNano)
 		if skipped {
 			st.Skipped++
 		}
@@ -368,13 +350,12 @@ func (l *segmentLog) replaySegment(sh *logShard, seg *segmentInfo, last bool, st
 	return nil
 }
 
-// append writes one already-encoded frame to the shard's active segment,
-// syncing on the batched fsync schedule and rotating when the segment is
-// full. Rotation runs the retention sweep; the returned flag tells the
-// aggregator a rotation happened so it can consider compaction. The caller
-// serializes per-shard ingest+append ordering (see Aggregator.Ingest) —
-// this function's own locking only protects the chain against concurrent
-// compaction and scans.
+// append writes one frame's bytes to the shard's active segment, syncing on the
+// batched fsync schedule and rotating when the segment is full. Rotation runs
+// the retention sweep; the returned flag tells the aggregator a rotation
+// happened so it can consider compaction. The caller serializes per-shard
+// ingest+append ordering (see Aggregator.Ingest) — this function's own locking
+// only protects the chain against concurrent compaction and scans.
 func (l *segmentLog) append(idx int, data []byte, sentUnixNano int64, now time.Time) (rotated bool, err error) {
 	sh := l.shards[idx]
 	sh.mu.Lock()
@@ -394,9 +375,7 @@ func (l *segmentLog) append(idx int, data []byte, sentUnixNano int64, now time.T
 	}
 	sh.active.bytes += int64(len(data))
 	sh.active.frames++
-	if sentUnixNano > sh.active.newest {
-		sh.active.newest = sentUnixNano
-	}
+	sh.active.newest = max(sh.active.newest, sentUnixNano)
 	l.appends.Add(1)
 	l.appendBytes.Add(int64(len(data)))
 	if l.cfg.syncInterval < 0 || now.Sub(sh.lastSync) >= l.cfg.syncInterval {
@@ -547,17 +526,18 @@ func (l *segmentLog) compactLocked(sh *logShard, gather func() []*Batch, now tim
 	info := segmentInfo{num: target, path: targetPath}
 	w := bufio.NewWriter(tmp)
 	for _, b := range batches {
-		n := &countingWriter{w: w}
-		if err := EncodeBatch(n, b); err != nil {
+		raw, err := EncodeBatchBytes(b)
+		if err == nil {
+			_, err = w.Write(raw)
+		}
+		if err != nil {
 			tmp.Close()
 			os.Remove(tmpPath)
 			return err
 		}
-		info.bytes += n.n
+		info.bytes += int64(len(raw))
 		info.frames++
-		if b.SentUnixNano > info.newest {
-			info.newest = b.SentUnixNano
-		}
+		info.newest = max(info.newest, b.SentUnixNano)
 	}
 	if err := w.Flush(); err != nil {
 		tmp.Close()
@@ -609,16 +589,15 @@ func (l *segmentLog) removeOrphans() {
 }
 
 // scan hands every frame currently in the log to fn, the read path behind
-// history queries. Shard dirs are read concurrently; fn sees one dir's
-// frames in segment order on one goroutine. A frame sent after to reaches
-// fn as its header alone (nil Snapshots): its payload is skipped, never
-// decoded. It is best-effort against concurrent writers: the path list is
-// copied under each shard's mutex, but the files are read unlocked, so a
-// segment compacted away mid-scan is skipped and a frame being appended
-// right now reads as a torn tail and ends that file. Both are safe for
-// history: duplicates and stale fulls fall out of the same no-rollback
-// apply rules replay uses.
-func (l *segmentLog) scan(to int64, fn func(dirIdx int, b *Batch)) {
+// history queries. Shard dirs are read concurrently; fn sees one dir's frames
+// in segment order on one goroutine, their payloads undecoded, and a frame sent
+// after to without its payload: it is never applied, so its bytes are skipped
+// unread. It is best-effort against concurrent writers: the path list is copied
+// under each shard's mutex, but the files are read unlocked, so a segment
+// compacted away mid-scan is skipped and a frame being appended right now reads
+// as a torn tail and ends that file. Both are safe for history: duplicates and
+// stale fulls fall out of the same no-rollback apply rules replay uses.
+func (l *segmentLog) scan(to int64, fn func(dirIdx int, f *frame)) {
 	eachDir(len(l.shards), func(i int) error {
 		sh := l.shards[i]
 		sh.mu.Lock()
@@ -637,7 +616,7 @@ func (l *segmentLog) scan(to int64, fn func(dirIdx int, b *Batch)) {
 	})
 }
 
-func scanSegment(path string, dirIdx int, to int64, fn func(int, *Batch)) {
+func scanSegment(path string, dirIdx int, to int64, fn func(int, *frame)) {
 	f, err := os.Open(path)
 	if err != nil {
 		return
@@ -645,23 +624,14 @@ func scanSegment(path string, dirIdx int, to int64, fn func(int, *Batch)) {
 	defer f.Close()
 	r := bufio.NewReader(f)
 	for {
-		h, err := readHead(r)
+		fr, err := readFrame(r, to)
 		if err != nil {
-			return // EOF, torn tail or mid-compaction swap: stop this file
-		}
-		b := h.b
-		if b.SentUnixNano > to {
-			if _, err := r.Discard(int(h.payloadLen)); err != nil {
-				return
-			}
-		} else if b, err = h.readPayload(r); err != nil {
-			var unknown *UnknownLayoutError
-			if errors.As(err, &unknown) {
+			if errors.As(err, new(*UnknownLayoutError)) {
 				continue // a whole frame of another layout: nothing to window
 			}
-			return
+			return // EOF, torn tail or mid-compaction swap: stop this file
 		}
-		fn(dirIdx, b)
+		fn(dirIdx, fr)
 	}
 }
 
@@ -703,19 +673,6 @@ func (l *segmentLog) close() error {
 		sh.mu.Unlock()
 	}
 	return first
-}
-
-// countingWriter counts bytes written through it (compaction's segment
-// size bookkeeping).
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
 }
 
 // syncDir fsyncs a directory so a just-renamed file's directory entry is

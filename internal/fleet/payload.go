@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"unsafe"
 
 	"vscsistats/internal/core"
@@ -190,23 +191,29 @@ func (p *payloadReader) varint() int64 {
 	return v
 }
 
-func (p *payloadReader) str() string {
+// bytes reads a length-prefixed string without copying it.
+func (p *payloadReader) bytes() []byte {
 	n := p.uvarint()
 	if n > uint64(len(p.buf)) {
 		p.fail("string overruns the payload")
-		return ""
+		return nil
 	}
-	s := string(p.buf[:n])
+	s := p.buf[:n]
 	p.buf = p.buf[n:]
 	return s
 }
 
-// hist reads one histogram into its zeroed cells (bins, sum, total, min,
-// max). The total cell is left holding the residual against the bins; the
-// caller adds Σbins once they are final.
-func (p *payloadReader) hist(h []int64) {
+// hist reads one histogram and adds it onto its cells h, replacing the
+// extrema. A class-all histogram travels as the residual against its reads
+// and writes, which follow it, so those fold into all as well (nil if none).
+func (p *payloadReader) hist(h, all []int64) {
 	n := len(h) - 4
-	h[n+1], h[n], h[n+2], h[n+3] = p.varint(), p.varint(), p.varint(), p.varint()
+	total, sum := p.varint(), p.varint()
+	h[n+2], h[n+3] = p.varint(), p.varint()
+	h[n], h[n+1] = h[n]+sum, h[n+1]+total
+	if all != nil {
+		all[n] += sum
+	}
 	nnz := p.uvarint()
 	if nnz > uint64(n) {
 		p.fail("more non-zero bins than bins")
@@ -219,56 +226,107 @@ func (p *payloadReader) hist(h []int64) {
 			p.fail("bin index out of range")
 			return
 		}
-		i := next + int(gap)
-		h[i] = p.varint()
+		i, c := next+int(gap), p.varint()
+		h[i], h[n+1] = h[i]+c, h[n+1]+c
+		if all != nil {
+			all[i], all[n+1] = all[i]+c, all[n+1]+c
+		}
 		next = i + 1
 	}
 }
 
-// decodePayload parses a binary payload of count snapshots straight into
-// their cells; the whole batch is core.MakeSnapshots' three allocations.
-func decodePayload(payload []byte, count int) ([]*core.Snapshot, error) {
-	if len(payload) < 8 {
-		return nil, badFrame("binary payload of %d bytes has no layout id", len(payload))
-	}
-	if id := binary.BigEndian.Uint64(payload); id != layout.id {
-		return nil, &UnknownLayoutError{LayoutID: id}
-	}
-	p := payloadReader{buf: payload[8:]}
+// decodePayload parses the count snapshots of a binary payload, the bytes
+// after its layout id. With a nil base they start from zeros, behind
+// core.MakeWritable's two allocations. With a base each is a delta
+// (Snapshot.Sub) added straight onto a writable copy of the base disk of the
+// same name, exactly core.ApplyDelta; unnamed disks carry over by reference,
+// the base is never written, and no more is allocated than the base holds. A
+// delta for a disk the base lacks is ResyncUnknownDisk (the sender built on
+// state we lost), once the whole payload is known to be well formed.
+func decodePayload(payload []byte, count int, base []*core.Snapshot) ([]*core.Snapshot, error) {
+	p := payloadReader{buf: payload}
 	if count < 0 || count > len(p.buf)/layout.minBytes {
 		return nil, badFrame("header count %d cannot fit a %d-byte payload", count, len(payload))
 	}
 	if count > maxDecodedLen/layout.decodedBytes {
 		return nil, badFrame("header count %d decodes past the limit of %d bytes", count, maxDecodedLen)
 	}
-	out := core.MakeSnapshots(count) // nil for an empty batch, as the encoder was handed
-	for _, s := range out {
-		s.VM, s.Disk = p.str(), p.str()
-		s.Commands, s.NumReads, s.NumWrites = p.varint(), p.varint(), p.varint()
-		s.ReadBytes, s.WriteBytes, s.Errors = p.varint(), p.varint(), p.varint()
+	out := slices.Clone(base) // nil for an empty full batch, as the encoder was handed
+	if base == nil && count > 0 {
+		out = make([]*core.Snapshot, count)
+		core.MakeWritable(out)
+	}
+	var at baseIndex
+	var unknown error
+	spare := []*core.Snapshot{nil} // what a delta for no base disk is read into
+	for j := range count {
+		vm, disk := p.bytes(), p.bytes()
+		var s *core.Snapshot
+		if base == nil {
+			s = out[j]
+			s.VM, s.Disk = string(vm), string(disk)
+		} else if i, ok := at.find(base, vm, disk); ok {
+			if out[i] == base[i] {
+				core.MakeWritable(out[i : i+1])
+			}
+			s = out[i]
+		} else {
+			if unknown == nil { // read on: a malformed payload is a bad frame first
+				unknown = resyncErr(ResyncUnknownDisk, "delta for disk %s/%s with no base state", vm, disk)
+				core.MakeWritable(spare)
+			}
+			s = spare[0]
+		}
+		for _, c := range [...]*int64{&s.Commands, &s.NumReads, &s.NumWrites, &s.ReadBytes, &s.WriteBytes, &s.Errors} {
+			*c += p.varint()
+		}
 		cells := s.Cells()
+		var all []int64
 		for k := range layout.hists {
-			p.hist(layout.hists[k].Of(cells))
+			h := layout.hists[k].Of(cells)
+			if layout.hists[k].Class != core.All {
+				p.hist(h, all) // reads and writes follow their class-all histogram
+				continue
+			}
+			p.hist(h, nil)
+			all = h
 		}
 		if p.err != nil {
 			return nil, p.err
-		}
-		for k := range layout.hists {
-			h := layout.hists[k].Of(cells)
-			n := len(h) - 4
-			if isAll(&layout.hists[k]) {
-				r, w := layout.hists[k+1].Of(cells), layout.hists[k+2].Of(cells)
-				for j := range h[:n+1] { // bins and sum
-					h[j] += r[j] + w[j]
-				}
-			}
-			for _, c := range h[:n] {
-				h[n+1] += c
-			}
 		}
 	}
 	if len(p.buf) != 0 {
 		return nil, badFrame("binary payload: %d trailing bytes", len(p.buf))
 	}
+	if unknown != nil {
+		return nil, unknown
+	}
 	return out, nil
+}
+
+// baseIndex finds a delta's disks in its base. A sender lists them in its
+// full frame's order, leaving out the unchanged ones (subAgainst), so find
+// scans forward from the previous match: one pass over the base per delta,
+// no allocation. A disk out of that order, or in no base, falls back to a
+// map built once per delta.
+type baseIndex struct {
+	next  int
+	byKey map[diskKey]int // built on the first out-of-order disk
+}
+
+func (x *baseIndex) find(base []*core.Snapshot, vm, disk []byte) (int, bool) {
+	if x.byKey == nil {
+		for i := x.next; i < len(base); i++ {
+			if base[i].VM == string(vm) && base[i].Disk == string(disk) {
+				x.next = i + 1
+				return i, true
+			}
+		}
+		x.byKey = make(map[diskKey]int, len(base))
+		for i, s := range base {
+			x.byKey[diskKey{s.VM, s.Disk}] = i
+		}
+	}
+	i, ok := x.byKey[diskKey{string(vm), string(disk)}]
+	return i, ok
 }

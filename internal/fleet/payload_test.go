@@ -42,7 +42,9 @@ func hostileInt(rng *rand.Rand) int64 {
 // unrelated to reads + writes (a torn capture), arbitrary extrema. density
 // is the share of bins that are non-zero.
 func hostileSnapshot(rng *rand.Rand, vm, disk string, density float64) *core.Snapshot {
-	s := core.MakeSnapshots(1)[0]
+	one := make([]*core.Snapshot, 1)
+	core.MakeWritable(one)
+	s := one[0]
 	s.VM, s.Disk = vm, disk
 	s.Commands, s.NumReads, s.NumWrites = hostileInt(rng), hostileInt(rng), hostileInt(rng)
 	s.ReadBytes, s.WriteBytes, s.Errors = hostileInt(rng), hostileInt(rng), hostileInt(rng)

@@ -1,7 +1,8 @@
 package fleet
 
 import (
-	"fmt"
+	"cmp"
+	"errors"
 	"hash/fnv"
 	"sort"
 	"sync"
@@ -92,102 +93,95 @@ type chainPos struct {
 	snaps []*core.Snapshot
 }
 
-// apply is the receiver's half of the push protocol (DESIGN.md §10
-// "Protocol rules"): the one place an incoming frame's Seq, BaseSeq and
-// Boot are compared against stored state. It reports whether the frame
-// changed the chain. A nil error with applied false is an idempotent
-// duplicate (a delta retry whose ack was lost) or a stale full (a late
-// retry); a *ResyncError names why a delta cannot apply, and leaves the
-// chain untouched.
-func (c *chainPos) apply(b *Batch) (applied bool, err error) {
+// apply is the receiver's half of the push protocol (DESIGN.md §10 "Protocol
+// rules"): the one place an incoming frame's Seq, BaseSeq and Boot are compared
+// against stored state. It reports whether the frame changed the chain. A nil
+// error with applied false is an idempotent duplicate (a delta retry whose ack
+// was lost) or a stale full (a late retry); a *ResyncError names why a delta
+// cannot apply. A payload not yet decoded is decoded here, a delta's onto the
+// chain's snapshots, so a malformed one is an ErrBadFrame even where apply does
+// not use it. Every error leaves the chain untouched.
+func (c *chainPos) apply(f *frame) (applied bool, err error) {
 	// A restarted sender's sequence space started over, so no comparison
 	// of sequences across the restart means anything.
-	rebooted := b.Boot != 0 && c.boot != 0 && b.Boot != c.boot
-	if !b.Delta {
+	rebooted := f.Boot != 0 && c.boot != 0 && f.Boot != c.boot
+	if !f.Delta {
+		if f.Snapshots == nil {
+			if f.Snapshots, err = decodePayload(f.payload, f.count, nil); err != nil {
+				return false, err
+			}
+		}
 		// Newest full wins, and so does any full from a new incarnation:
 		// "newest seq" alone would pin the host at its dead predecessor.
-		if b.Seq < c.seq && !rebooted {
+		if f.Seq < c.seq && !rebooted {
 			return false, nil
 		}
-		*c = chainPos{seq: b.Seq, boot: b.Boot, known: true, snaps: b.Snapshots}
+		*c = chainPos{seq: f.Seq, boot: f.Boot, known: true, snaps: f.Snapshots}
 		return true, nil
 	}
+	var base []*core.Snapshot // nil unless the delta applies: decoded onto nothing, it is only checked
 	switch {
 	case !c.known:
-		return false, resyncErr(ResyncUnknownHost, "no state for host %q (aggregator restarted?)", b.Host)
+		err = resyncErr(ResyncUnknownHost, "no state for host %q (aggregator restarted?)", f.Host)
 	case rebooted:
-		return false, resyncErr(ResyncBootChanged, "delta from boot %#x, host %q stored boot %#x", b.Boot, b.Host, c.boot)
-	case b.Seq <= c.seq:
-		return false, nil
-	case b.BaseSeq != c.seq:
-		return false, resyncErr(ResyncSeqGap, "delta base seq %d, host %q is at %d", b.BaseSeq, b.Host, c.seq)
+		err = resyncErr(ResyncBootChanged, "delta from boot %#x, host %q stored boot %#x", f.Boot, f.Host, c.boot)
+	case f.Seq <= c.seq:
+	case f.BaseSeq != c.seq:
+		err = resyncErr(ResyncSeqGap, "delta base seq %d, host %q is at %d", f.BaseSeq, f.Host, c.seq)
+	default:
+		if base = c.snaps; base == nil {
+			base = []*core.Snapshot{} // no disks, which a nil base does not mean
+		}
 	}
-	snaps, err := applyDeltaSnaps(c.snaps, b.Snapshots)
-	if err != nil {
-		return false, resyncErr(ResyncUnknownDisk, "%v", err)
+	snaps, derr := decodePayload(f.payload, f.count, base)
+	if derr != nil || base == nil {
+		return false, cmp.Or(derr, err)
 	}
-	c.seq, c.snaps = b.Seq, snaps
-	if b.Boot != 0 {
-		c.boot = b.Boot
+	c.seq, c.snaps = f.Seq, snaps
+	if f.Boot != 0 {
+		c.boot = f.Boot
 	}
 	return true, nil
 }
 
-// ingest records a validated batch: chainPos.apply decides what the frame
-// means, ingest keeps the books around it. Any frame from a known host
-// refreshes liveness, refused or not; a refusal is counted by cause and
-// returned so the sender falls back to a full push. The applied result
-// reports whether the batch changed stored state — the segment log
-// persists exactly those batches, so liveness-only refreshes and
-// duplicates never consume log space.
-func (s *shard) ingest(b *Batch, source string, now time.Time) (applied bool, err error) {
+// ingest records a validated frame: chainPos.apply decides what the frame
+// means, ingest keeps the books around it. Any well-formed frame from a
+// known host refreshes liveness, refused or not; a refusal is counted by
+// cause and returned so the sender falls back to a full push. The applied
+// result reports whether the frame changed stored state — the segment log
+// persists exactly those frames, so liveness-only refreshes and duplicates
+// never consume log space.
+func (s *shard) ingest(f *frame, source string, now time.Time) (applied bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.hosts[b.Host]
+	st := s.hosts[f.Host]
 	if st == nil {
-		st = &hostState{host: b.Host} // kept only if the frame is accepted
+		st = &hostState{host: f.Host} // kept only if the frame is accepted
+	}
+	applied, err = st.apply(f)
+	if errors.Is(err, ErrBadFrame) {
+		return false, err
 	}
 	st.lastSeen, st.source = now, source
-	if applied, err = st.apply(b); err != nil {
+	if err != nil {
 		s.noteResync(resyncCauseOf(err))
 		return false, err
 	}
-	s.hosts[b.Host] = st
+	s.hosts[f.Host] = st
 	st.batches++
 	s.batches.Add(1)
 	switch {
 	case applied:
-		st.sentUnixNano = b.SentUnixNano
-		st.level, st.leaves = b.Level, b.Leaves
+		st.sentUnixNano = f.SentUnixNano
+		st.level, st.leaves = f.Level, f.Leaves
 		s.version++
-		if b.Delta {
+		if f.Delta {
 			s.deltasApplied.Add(1)
 		}
-	case b.Delta:
+	case f.Delta:
 		s.duplicates.Add(1)
 	}
 	return applied, nil
-}
-
-// applyDeltaSnaps reapplies a delta batch onto a host's stored full state.
-// Deltas pair with base snapshots by (VM, disk); a delta for a disk the
-// base does not hold means the sender built against state we lost — a
-// resync condition, not corruption. Disks omitted from the delta are
-// unchanged and carry over by reference (snapshots are immutable).
-func applyDeltaSnaps(base, deltas []*core.Snapshot) ([]*core.Snapshot, error) {
-	byKey := make(map[diskKey]int, len(base))
-	for i, s := range base {
-		byKey[diskKey{s.VM, s.Disk}] = i
-	}
-	out := append([]*core.Snapshot(nil), base...)
-	for _, d := range deltas {
-		i, ok := byKey[diskKey{d.VM, d.Disk}]
-		if !ok {
-			return nil, fmt.Errorf("delta for disk %s/%s with no base state", d.VM, d.Disk)
-		}
-		out[i] = out[i].ApplyDelta(d)
-	}
-	return out, nil
 }
 
 // fullBatches renders every host's current state as one full batch each,

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 
 	"vscsistats/internal/core"
@@ -168,16 +169,6 @@ type batchHeader struct {
 	Leaves int    `json:"leaves,omitempty"`
 }
 
-// EncodeBatch writes b to w as one frame, in a single Write.
-func EncodeBatch(w io.Writer, b *Batch) error {
-	frame, err := EncodeBatchBytes(b)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(frame)
-	return err
-}
-
 // EncodeBatchBytes renders b as one frame in memory. It fails on a batch
 // the binary payload cannot carry: one with a null snapshot.
 func EncodeBatchBytes(b *Batch) ([]byte, error) {
@@ -208,8 +199,7 @@ func EncodeBatchBytes(b *Batch) ([]byte, error) {
 		return nil, fmt.Errorf("fleet: payload %d bytes exceeds frame limit %d", payloadLen, maxPayloadLen)
 	}
 	copy(frame[0:4], wireMagic[:])
-	frame[4] = Version
-	frame[5] = flags
+	frame[4], frame[5] = Version, flags
 	binary.BigEndian.PutUint32(frame[8:12], uint32(len(header)))
 	binary.BigEndian.PutUint32(frame[12:16], uint32(payloadLen))
 	return frame, nil
@@ -232,34 +222,32 @@ func eofErr(err error) bool {
 	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)
 }
 
-// readSized reads exactly n declared bytes, growing the buffer chunk by
-// chunk instead of trusting the declaration: a hostile or corrupt length
-// prefix can claim up to maxPayloadLen (256 MiB), and allocating that up
-// front from the header alone — before a single payload byte has arrived —
-// hands any peer a cheap memory-pressure attack. Growing with the bytes
-// actually read caps the damage at one chunk past what the peer really
+// readSized appends exactly n declared bytes read from r to dst, growing
+// the buffer chunk by chunk instead of trusting the declaration: a hostile
+// length prefix can claim up to maxPayloadLen (256 MiB), and allocating that
+// before a payload byte has arrived hands any peer a cheap memory-pressure
+// attack; growing with the bytes read caps it at one chunk past what was
 // sent. A short read maps to ErrTruncatedFrame.
-func readSized(r io.Reader, n uint32, what string) ([]byte, error) {
+func readSized(r io.Reader, dst []byte, n uint32, what string) ([]byte, error) {
 	const chunk = 1 << 20
-	total := int(n)
-	out := make([]byte, 0, min(total, chunk))
-	for len(out) < total {
-		step := min(total-len(out), chunk)
-		if cap(out)-len(out) < step {
-			grown := make([]byte, len(out), min(total, 2*cap(out)+step))
-			copy(grown, out)
-			out = grown
+	start, end := len(dst), len(dst)+int(n)
+	for len(dst) < end {
+		step := min(end-len(dst), chunk)
+		if cap(dst)-len(dst) < step {
+			grown := make([]byte, len(dst), min(end, 2*cap(dst)+step))
+			copy(grown, dst)
+			dst = grown
 		}
-		m, err := io.ReadFull(r, out[len(out):len(out)+step])
-		out = out[:len(out)+m]
+		m, err := io.ReadFull(r, dst[len(dst):len(dst)+step])
+		dst = dst[:len(dst)+m]
 		if err != nil {
 			if eofErr(err) {
-				return nil, truncatedFrame("short %s: %d of %d bytes", what, len(out), total)
+				return nil, truncatedFrame("short %s: %d of %d bytes", what, len(dst)-start, n)
 			}
 			return nil, badFrame("short %s: %v", what, err)
 		}
 	}
-	return out, nil
+	return dst, nil
 }
 
 // DecodeBatch reads exactly one frame from r. It returns io.EOF when r is
@@ -275,68 +263,76 @@ func readSized(r io.Reader, n uint32, what string) ([]byte, error) {
 // one failure that is not a bad frame is *UnknownLayoutError: a whole,
 // well-formed frame whose bin layout is another binary generation's.
 func DecodeBatch(r io.Reader) (*Batch, error) {
-	h, err := readHead(r)
+	f, err := readFrame(r, readAll)
+	if err == nil {
+		f.Snapshots, err = decodePayload(f.payload, f.count, nil)
+	}
 	if err != nil {
 		return nil, err
 	}
-	return h.readPayload(r)
+	return f.Batch, nil
 }
 
-// frameHead is a frame read up to its payload: the header as a Batch
-// without snapshots, and what reading the payload takes.
-type frameHead struct {
-	b          *Batch
-	count      int
-	payloadLen uint32
+// readAll is readFrame's window end for a reader that needs every payload.
+const readAll = math.MaxInt64
+
+// frame is one whole frame as it was read: the batch its header describes,
+// and its bytes. Its snapshots stay bytes until used (see chainPos.apply).
+type frame struct {
+	*Batch
+	count   int    // the header's snapshot count
+	raw     []byte // head, header and payload
+	payload []byte // the snapshots: raw's payload after its layout id
 }
 
-// readHead is DecodeBatch's first half: it reads and checks the head and
-// header, leaving r at the first payload byte.
-func readHead(r io.Reader) (frameHead, error) {
+// readFrame reads one frame's head, header and payload into one buffer and
+// checks everything but the snapshots: DecodeBatch's rules, up to the
+// payload's layout id. An *UnknownLayoutError comes with the whole frame. A
+// frame sent after to comes with its header only: History's window ends
+// there, so the payload bytes are skipped unread. readAll reads every one.
+func readFrame(r io.Reader, to int64) (*frame, error) {
 	var head [16]byte
-	if _, err := io.ReadFull(r, head[:1]); err != nil {
-		if err == io.EOF {
-			return frameHead{}, io.EOF
+	if _, err := io.ReadFull(r, head[:]); err != nil {
+		if err == io.EOF { // no byte read: a clean end of stream
+			return nil, io.EOF
 		}
 		if eofErr(err) {
-			return frameHead{}, truncatedFrame("short frame head: %v", err)
+			return nil, truncatedFrame("short frame head: %v", err)
 		}
-		return frameHead{}, badFrame("short frame head: %v", err)
-	}
-	if _, err := io.ReadFull(r, head[1:]); err != nil {
-		if eofErr(err) {
-			return frameHead{}, truncatedFrame("short frame head: %v", err)
-		}
-		return frameHead{}, badFrame("short frame head: %v", err)
+		return nil, badFrame("short frame head: %v", err)
 	}
 	if !bytes.Equal(head[0:4], wireMagic[:]) {
-		return frameHead{}, badFrame("bad magic %q", head[0:4])
+		return nil, badFrame("bad magic %q", head[0:4])
 	}
 	version, flags := head[4], head[5]
 	if version < 1 {
-		return frameHead{}, badFrame("unsupported version %d", version)
+		return nil, badFrame("unsupported version %d", version)
 	}
 	if flags&flagBinary == 0 {
-		return frameHead{}, badFrame("pre-binary JSON payload (frame version %d): upgrade it as DESIGN.md §8 describes", version)
+		return nil, badFrame("pre-binary JSON payload (frame version %d): upgrade it as DESIGN.md §8 describes", version)
 	}
 	if flags&^byte(knownFlags) != 0 {
-		return frameHead{}, badFrame("unknown flags %#x", flags)
+		return nil, badFrame("unknown flags %#x", flags)
 	}
 	headerLen := binary.BigEndian.Uint32(head[8:12])
 	payloadLen := binary.BigEndian.Uint32(head[12:16])
 	if headerLen > maxHeaderLen {
-		return frameHead{}, badFrame("header length %d exceeds limit %d", headerLen, maxHeaderLen)
+		return nil, badFrame("header length %d exceeds limit %d", headerLen, maxHeaderLen)
 	}
 	if payloadLen > maxPayloadLen {
-		return frameHead{}, badFrame("payload length %d exceeds limit %d", payloadLen, maxPayloadLen)
+		return nil, badFrame("payload length %d exceeds limit %d", payloadLen, maxPayloadLen)
 	}
-	header, err := readSized(r, headerLen, "header")
+	size := 16 + int(headerLen) + int(payloadLen)
+	if to != readAll {
+		size -= int(payloadLen) // a payload that may be skipped is read into a grown buffer
+	}
+	raw, err := readSized(r, append(make([]byte, 0, min(size, 1<<20)), head[:]...), headerLen, "header")
 	if err != nil {
-		return frameHead{}, err
+		return nil, err
 	}
 	var hdr batchHeader
-	if err := json.Unmarshal(header, &hdr); err != nil {
-		return frameHead{}, badFrame("header JSON: %v", err)
+	if err := json.Unmarshal(raw[16:], &hdr); err != nil {
+		return nil, badFrame("header JSON: %v", err)
 	}
 	out := &Batch{
 		Host: hdr.Host, Seq: hdr.Seq, SentUnixNano: hdr.SentUnixNano,
@@ -349,25 +345,24 @@ func readHead(r io.Reader) (frameHead, error) {
 		// frames keeps decode(encode(b)) == b in both directions.
 		out.BaseSeq = hdr.BaseSeq
 	}
-	return frameHead{b: out, count: hdr.Count, payloadLen: payloadLen}, nil
-}
-
-// readPayload is DecodeBatch's second half: it reads the payload h
-// declares and decodes it into h.b.
-func (h frameHead) readPayload(r io.Reader) (*Batch, error) {
-	payload, err := readSized(r, h.payloadLen, "payload")
-	if err != nil {
-		return nil, err
-	}
-	out := h.b
-	if out.Snapshots, err = decodePayload(payload, h.count); err != nil {
-		var unknown *UnknownLayoutError
-		if errors.As(err, &unknown) {
-			unknown.Header = out
+	if hdr.SentUnixNano > to { // no payload byte is read or kept
+		if _, err := io.CopyN(io.Discard, r, int64(payloadLen)); err != nil {
+			return nil, truncatedFrame("short payload: %v", err)
 		}
+		return &frame{Batch: out, count: hdr.Count, raw: raw}, nil
+	}
+	if raw, err = readSized(r, raw, payloadLen, "payload"); err != nil {
 		return nil, err
 	}
-	return out, nil
+	payload := raw[16+headerLen:]
+	if len(payload) < 8 {
+		return nil, badFrame("binary payload of %d bytes has no layout id", len(payload))
+	}
+	f := &frame{Batch: out, count: hdr.Count, raw: raw, payload: payload[8:]}
+	if id := binary.BigEndian.Uint64(payload); id != layout.id {
+		return f, &UnknownLayoutError{Header: out, LayoutID: id}
+	}
+	return f, nil
 }
 
 // Validate checks what a decoded frame cannot be trusted for and the merge

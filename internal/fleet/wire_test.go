@@ -61,9 +61,11 @@ func TestWireStreamsConcatenatedFrames(t *testing.T) {
 	var buf bytes.Buffer
 	want := []*Batch{testBatch(t, 1), testBatch(t, 2), testBatch(t, 3)}
 	for _, b := range want {
-		if err := EncodeBatch(&buf, b); err != nil {
+		frame, err := EncodeBatchBytes(b)
+		if err != nil {
 			t.Fatal(err)
 		}
+		buf.Write(frame)
 	}
 	for i := 0; ; i++ {
 		b, err := DecodeBatch(&buf)
