@@ -4,7 +4,8 @@
 // into one registry behind a single (optional) HTTP stats endpoint.
 //
 // This is the embarrassingly parallel consolidation case; VMs that contend
-// on one shared array (examples/multivm) still run on a single engine.
+// on one shared array (Figure 6, `cmd/experiments -run fig6`) still run on a
+// single engine.
 package main
 
 import (

@@ -252,60 +252,19 @@ type MultiVMResult struct {
 // CX3 array, solo and together, plus the sequential reader's latency
 // histogram over time as the random workload switches on mid-run.
 func Fig6MultiVM(opts Options) (*MultiVMResult, error) {
-	type phase struct {
-		rand, seq bool
-	}
-	const diskSectors = 6 << 21 // 6 GB virtual disks, as in §5.3
-
-	runPhase := func(p phase, dur simclock.Time) (randS, seqS *core.Snapshot, err error) {
-		eng := simclock.NewEngine()
-		host := hypervisor.NewHost(eng)
-		host.AddDatastore("cx3", storage.CX3NoCacheConfig(opts.Seed))
-		vmR := host.CreateVM("rand-vm")
-		vmS := host.CreateVM("seq-vm")
-		vdR, err := vmR.AddDisk(hypervisor.DiskSpec{Name: "scsi0:0", Datastore: "cx3", CapacitySectors: diskSectors})
-		if err != nil {
-			return nil, nil, err
-		}
-		vdS, err := vmS.AddDisk(hypervisor.DiskSpec{Name: "scsi0:0", Datastore: "cx3", CapacitySectors: diskSectors})
-		if err != nil {
-			return nil, nil, err
-		}
-		vdR.Collector.Enable()
-		vdS.Collector.Enable()
-		if p.rand {
-			workload.NewIometer(eng, vdR.Disk, workload.EightKRandomRead()).Start()
-		}
-		if p.seq {
-			workload.NewIometer(eng, vdS.Disk, workload.EightKSeqRead()).Start()
-		}
-		eng.RunUntil(dur)
-		return vdR.Collector.Snapshot(), vdS.Collector.Snapshot(), nil
-	}
-
-	dur := opts.Duration / 2
-	if dur < 10*simclock.Second {
-		dur = 10 * simclock.Second
-	}
-	randSolo, _, err := runPhase(phase{rand: true}, dur)
+	cfg := storage.CX3NoCacheConfig(opts.Seed)
+	p, err := runColocated(cfg, opts)
 	if err != nil {
 		return nil, err
 	}
-	_, seqSolo, err := runPhase(phase{seq: true}, dur)
-	if err != nil {
-		return nil, err
-	}
-	randDual, seqDual, err := runPhase(phase{rand: true, seq: true}, dur)
-	if err != nil {
-		return nil, err
-	}
+	randSolo, seqSolo, randDual, seqDual, dur := p.randSolo, p.seqSolo, p.randDual, p.seqDual, p.dur
 
 	m := &MultiVMResult{Result: newResult("fig6", "Multi-VM interference on CX3 with read cache off")}
 	secs := dur.Seconds()
-	m.RandSoloLatency = randSolo.Histogram(core.MetricLatency, core.All).Mean()
-	m.RandDualLatency = randDual.Histogram(core.MetricLatency, core.All).Mean()
-	m.SeqSoloLatency = seqSolo.Histogram(core.MetricLatency, core.All).Mean()
-	m.SeqDualLatency = seqDual.Histogram(core.MetricLatency, core.All).Mean()
+	m.RandSoloLatency = meanLatency(randSolo)
+	m.RandDualLatency = meanLatency(randDual)
+	m.SeqSoloLatency = meanLatency(seqSolo)
+	m.SeqDualLatency = meanLatency(seqDual)
 	m.RandSoloIOps = float64(randSolo.Commands) / secs
 	m.RandDualIOps = float64(randDual.Commands) / secs
 	m.SeqSoloIOps = float64(seqSolo.Commands) / secs
@@ -334,13 +293,10 @@ func Fig6MultiVM(opts Options) (*MultiVMResult, error) {
 
 	// (c) latency histogram over time: the random VM runs only during the
 	// middle third of the sequential VM's run.
-	eng := simclock.NewEngine()
-	host := hypervisor.NewHost(eng)
-	host.AddDatastore("cx3", storage.CX3NoCacheConfig(opts.Seed))
-	vmR := host.CreateVM("rand-vm")
-	vmS := host.CreateVM("seq-vm")
-	vdR, _ := vmR.AddDisk(hypervisor.DiskSpec{Name: "scsi0:0", Datastore: "cx3", CapacitySectors: diskSectors})
-	vdS, _ := vmS.AddDisk(hypervisor.DiskSpec{Name: "scsi0:0", Datastore: "cx3", CapacitySectors: diskSectors})
+	eng, vdR, vdS, err := colocated(cfg)
+	if err != nil {
+		return nil, err
+	}
 	vdS.Collector.Enable()
 	seqGen := workload.NewIometer(eng, vdS.Disk, workload.EightKSeqRead())
 	randGen := workload.NewIometer(eng, vdR.Disk, workload.EightKRandomRead())
@@ -354,8 +310,70 @@ func Fig6MultiVM(opts Options) (*MultiVMResult, error) {
 	series := rec.Series(core.MetricLatency, core.All)
 	m.addChart("(c) I/O Latency Histogram over Time (8K Sequential Reader)", series.Heatmap()+"\n"+series.String())
 	m.CSVs["latency_over_time"] = series.CSV()
-	_ = vdR
 	return m, nil
+}
+
+// colocated builds Figure 6's testbed on one array: two 6 GB virtual disks
+// (§5.3), the random reader's and then the sequential reader's.
+func colocated(cfg storage.ArrayConfig) (eng *simclock.Engine, randVD, seqVD *hypervisor.Vdisk, err error) {
+	const diskSectors = 6 << 21
+	eng = simclock.NewEngine()
+	host := hypervisor.NewHost(eng)
+	host.AddDatastore("array", cfg)
+	randVD, err = host.CreateVM("rand-vm").AddDisk(hypervisor.DiskSpec{Name: "scsi0:0", Datastore: "array", CapacitySectors: diskSectors})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	seqVD, err = host.CreateVM("seq-vm").AddDisk(hypervisor.DiskSpec{Name: "scsi0:0", Datastore: "array", CapacitySectors: diskSectors})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return eng, randVD, seqVD, nil
+}
+
+// colocatedPhases are Figure 6's three runs on one array, each on a fresh
+// testbed for dur: the random reader alone, the sequential reader alone,
+// and both together.
+type colocatedPhases struct {
+	randSolo, seqSolo, randDual, seqDual *core.Snapshot
+	dur                                  simclock.Time
+}
+
+// runColocated runs Figure 6's phases on cfg, each for half the run but at
+// least 10 s.
+func runColocated(cfg storage.ArrayConfig, opts Options) (*colocatedPhases, error) {
+	p := &colocatedPhases{dur: max(opts.Duration/2, 10*simclock.Second)}
+	phase := func(rand, seq bool) (randS, seqS *core.Snapshot, err error) {
+		eng, vdR, vdS, err := colocated(cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		vdR.Collector.Enable()
+		vdS.Collector.Enable()
+		if rand {
+			workload.NewIometer(eng, vdR.Disk, workload.EightKRandomRead()).Start()
+		}
+		if seq {
+			workload.NewIometer(eng, vdS.Disk, workload.EightKSeqRead()).Start()
+		}
+		eng.RunUntil(p.dur)
+		return vdR.Collector.Snapshot(), vdS.Collector.Snapshot(), nil
+	}
+	var err error
+	if p.randSolo, _, err = phase(true, false); err != nil {
+		return nil, err
+	}
+	if _, p.seqSolo, err = phase(false, true); err != nil {
+		return nil, err
+	}
+	if p.randDual, p.seqDual, err = phase(true, true); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+func meanLatency(s *core.Snapshot) float64 {
+	return s.Histogram(core.MetricLatency, core.All).Mean()
 }
 
 // CacheSweepResult holds §5.3's intermediate results: the same dual-VM
@@ -385,35 +403,13 @@ func CacheSweep(opts Options) (*CacheSweepResult, error) {
 		SeqIncrease:  map[string]float64{},
 		RandIncrease: map[string]float64{},
 	}
-	dur := opts.Duration / 2
-	if dur < 10*simclock.Second {
-		dur = 10 * simclock.Second
-	}
-	const diskSectors = 6 << 21
 	for _, arr := range arrays {
-		run := func(rand, seq bool) (float64, float64) {
-			eng := simclock.NewEngine()
-			host := hypervisor.NewHost(eng)
-			host.AddDatastore("a", arr.cfg)
-			vdR, _ := host.CreateVM("r").AddDisk(hypervisor.DiskSpec{Name: "d", Datastore: "a", CapacitySectors: diskSectors})
-			vdS, _ := host.CreateVM("s").AddDisk(hypervisor.DiskSpec{Name: "d", Datastore: "a", CapacitySectors: diskSectors})
-			vdR.Collector.Enable()
-			vdS.Collector.Enable()
-			if rand {
-				workload.NewIometer(eng, vdR.Disk, workload.EightKRandomRead()).Start()
-			}
-			if seq {
-				workload.NewIometer(eng, vdS.Disk, workload.EightKSeqRead()).Start()
-			}
-			eng.RunUntil(dur)
-			return vdR.Collector.Snapshot().Histogram(core.MetricLatency, core.All).Mean(),
-				vdS.Collector.Snapshot().Histogram(core.MetricLatency, core.All).Mean()
+		p, err := runColocated(arr.cfg, opts)
+		if err != nil {
+			return nil, err
 		}
-		randSolo, _ := run(true, false)
-		_, seqSolo := run(false, true)
-		randDual, seqDual := run(true, true)
-		out.SeqIncrease[arr.name] = ratio(seqDual, seqSolo)
-		out.RandIncrease[arr.name] = ratio(randDual, randSolo)
+		out.SeqIncrease[arr.name] = ratio(meanLatency(p.seqDual), meanLatency(p.seqSolo))
+		out.RandIncrease[arr.name] = ratio(meanLatency(p.randDual), meanLatency(p.randSolo))
 		out.notef("%-12s sequential latency x%.2f, random latency x%.2f when colocated",
 			arr.name, out.SeqIncrease[arr.name], out.RandIncrease[arr.name])
 	}

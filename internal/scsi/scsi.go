@@ -1,28 +1,24 @@
-// Package scsi implements the subset of the SCSI block command set that the
-// virtual SCSI layer emulates: command descriptor block (CDB) encoding and
-// decoding for the 6/10/12/16-byte read/write forms plus the common
-// non-I/O commands, sense data, and status codes.
+// Package scsi is the virtual SCSI layer's command vocabulary: the opcodes
+// of the 6/10/12/16-byte read/write forms and the common non-I/O commands,
+// the typed Command every input issues, status codes and sense data.
 //
 // The paper's technique observes guest I/O at the hypervisor's SCSI
-// emulation layer; this package is that layer's wire vocabulary. ("For the
-// purposes of this paper we deal with the SCSI protocol but the technique is
-// not exclusive to SCSI.")
+// emulation layer and needs only a chokepoint that sees each command's
+// issue and completion ("For the purposes of this paper we deal with the
+// SCSI protocol but the technique is not exclusive to SCSI."), so commands
+// arrive already decoded and no CDB byte form exists here.
 package scsi
 
-import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // SectorSize is the logical block size in bytes. The paper: "A logical block
 // is a unit of space (512 bytes)."
 const SectorSize = 512
 
-// OpCode is a SCSI operation code (first CDB byte).
+// OpCode is a SCSI operation code (the first byte of its CDB form).
 type OpCode byte
 
-// Operation codes used by the emulation.
+// Operation codes the virtual SCSI layer names.
 const (
 	OpTestUnitReady      OpCode = 0x00
 	OpRequestSense       OpCode = 0x03
@@ -112,8 +108,8 @@ func (s Status) String() string {
 	}
 }
 
-// Command is a decoded CDB: operation, starting LBA and transfer length in
-// logical blocks. Non-I/O commands have LBA and Blocks of zero (except
+// Command is one guest command: operation, starting LBA and transfer length
+// in logical blocks. Non-I/O commands have LBA and Blocks of zero (except
 // READ CAPACITY(16), which ignores them too).
 type Command struct {
 	Op     OpCode
@@ -139,134 +135,6 @@ func (c Command) String() string {
 		return fmt.Sprintf("%s lba=%d blocks=%d", c.Op, c.LBA, c.Blocks)
 	}
 	return c.Op.String()
-}
-
-// Errors returned by the codec.
-var (
-	ErrShortCDB      = errors.New("scsi: CDB shorter than its opcode requires")
-	ErrUnsupportedOp = errors.New("scsi: unsupported opcode")
-	ErrLBAOutOfRange = errors.New("scsi: LBA does not fit the CDB form")
-)
-
-func cdbLen(op OpCode) int {
-	switch b := byte(op); {
-	case b < 0x20:
-		return 6
-	case b < 0x60:
-		return 10
-	case b >= 0x80 && b < 0xA0:
-		return 16
-	case b >= 0xA0 && b < 0xC0:
-		return 12
-	default:
-		return 10
-	}
-}
-
-// Decode parses a raw CDB into a Command. It accepts every opcode this
-// package names; unknown opcodes return ErrUnsupportedOp so the emulation
-// can fail them with CHECK CONDITION / INVALID COMMAND.
-func Decode(cdb []byte) (Command, error) {
-	if len(cdb) == 0 {
-		return Command{}, ErrShortCDB
-	}
-	op := OpCode(cdb[0])
-	if _, ok := opNames[op]; !ok {
-		return Command{}, fmt.Errorf("%w: 0x%02X", ErrUnsupportedOp, cdb[0])
-	}
-	if len(cdb) < cdbLen(op) {
-		return Command{}, fmt.Errorf("%w: %s needs %d bytes, got %d",
-			ErrShortCDB, op, cdbLen(op), len(cdb))
-	}
-	c := Command{Op: op}
-	switch op {
-	case OpRead6, OpWrite6:
-		c.LBA = uint64(cdb[1]&0x1F)<<16 | uint64(cdb[2])<<8 | uint64(cdb[3])
-		c.Blocks = uint32(cdb[4])
-		if c.Blocks == 0 {
-			// SBC: a transfer length of 0 in the 6-byte form means 256.
-			c.Blocks = 256
-		}
-	case OpRead10, OpWrite10, OpSynchronizeCache10:
-		c.LBA = uint64(binary.BigEndian.Uint32(cdb[2:6]))
-		c.Blocks = uint32(binary.BigEndian.Uint16(cdb[7:9]))
-	case OpRead12, OpWrite12:
-		c.LBA = uint64(binary.BigEndian.Uint32(cdb[2:6]))
-		c.Blocks = binary.BigEndian.Uint32(cdb[6:10])
-	case OpRead16, OpWrite16:
-		c.LBA = binary.BigEndian.Uint64(cdb[2:10])
-		c.Blocks = binary.BigEndian.Uint32(cdb[10:14])
-	default:
-		// Non-I/O command: no LBA/length of interest.
-	}
-	return c, nil
-}
-
-// Encode builds the smallest standard CDB form that can express the command,
-// the way guest drivers do. I/O commands choose among the 6/10/16-byte
-// forms; non-I/O commands use their fixed form.
-func Encode(c Command) ([]byte, error) {
-	switch {
-	case c.Op.IsBlockIO():
-		return encodeIO(c)
-	case c.Op == OpSynchronizeCache10:
-		cdb := make([]byte, 10)
-		cdb[0] = byte(c.Op)
-		if c.LBA > 0xFFFFFFFF {
-			return nil, ErrLBAOutOfRange
-		}
-		binary.BigEndian.PutUint32(cdb[2:6], uint32(c.LBA))
-		if c.Blocks > 0xFFFF {
-			return nil, ErrLBAOutOfRange
-		}
-		binary.BigEndian.PutUint16(cdb[7:9], uint16(c.Blocks))
-		return cdb, nil
-	default:
-		if _, ok := opNames[c.Op]; !ok {
-			return nil, fmt.Errorf("%w: 0x%02X", ErrUnsupportedOp, byte(c.Op))
-		}
-		cdb := make([]byte, cdbLen(c.Op))
-		cdb[0] = byte(c.Op)
-		return cdb, nil
-	}
-}
-
-func encodeIO(c Command) ([]byte, error) {
-	read := c.Op.IsRead()
-	switch {
-	case c.LBA <= 0x1FFFFF && c.Blocks <= 256 && c.Blocks > 0:
-		cdb := make([]byte, 6)
-		if read {
-			cdb[0] = byte(OpRead6)
-		} else {
-			cdb[0] = byte(OpWrite6)
-		}
-		cdb[1] = byte(c.LBA >> 16 & 0x1F)
-		cdb[2] = byte(c.LBA >> 8)
-		cdb[3] = byte(c.LBA)
-		cdb[4] = byte(c.Blocks) // 256 wraps to 0, the SBC encoding
-		return cdb, nil
-	case c.LBA <= 0xFFFFFFFF && c.Blocks <= 0xFFFF:
-		cdb := make([]byte, 10)
-		if read {
-			cdb[0] = byte(OpRead10)
-		} else {
-			cdb[0] = byte(OpWrite10)
-		}
-		binary.BigEndian.PutUint32(cdb[2:6], uint32(c.LBA))
-		binary.BigEndian.PutUint16(cdb[7:9], uint16(c.Blocks))
-		return cdb, nil
-	default:
-		cdb := make([]byte, 16)
-		if read {
-			cdb[0] = byte(OpRead16)
-		} else {
-			cdb[0] = byte(OpWrite16)
-		}
-		binary.BigEndian.PutUint64(cdb[2:10], c.LBA)
-		binary.BigEndian.PutUint32(cdb[10:14], c.Blocks)
-		return cdb, nil
-	}
 }
 
 // Read returns a read command for the given extent.

@@ -38,7 +38,7 @@ func (k SenseKey) String() string {
 	}
 }
 
-// Sense is decoded sense data: key plus additional sense code/qualifier.
+// Sense is the sense data of a failed command: key plus additional sense code/qualifier.
 type Sense struct {
 	Key  SenseKey
 	ASC  byte // additional sense code
@@ -47,12 +47,10 @@ type Sense struct {
 
 // Common ASC/ASCQ pairs.
 var (
-	SenseInvalidOpcode   = Sense{Key: SenseIllegalRequest, ASC: 0x20, ASCQ: 0x00}
 	SenseLBAOutOfRange   = Sense{Key: SenseIllegalRequest, ASC: 0x21, ASCQ: 0x00}
 	SenseInvalidFieldCDB = Sense{Key: SenseIllegalRequest, ASC: 0x24, ASCQ: 0x00}
 	SenseUnrecoveredRead = Sense{Key: SenseMediumError, ASC: 0x11, ASCQ: 0x00}
 	SenseWriteFault      = Sense{Key: SenseMediumError, ASC: 0x03, ASCQ: 0x00}
-	SensePowerOnReset    = Sense{Key: SenseUnitAttention, ASC: 0x29, ASCQ: 0x00}
 )
 
 // String renders the sense triple.
@@ -62,28 +60,3 @@ func (s Sense) String() string {
 
 // IsZero reports whether s carries no error.
 func (s Sense) IsZero() bool { return s == Sense{} }
-
-// fixedSenseLen is the length of fixed-format sense data we emit.
-const fixedSenseLen = 18
-
-// EncodeFixed renders s as fixed-format sense data (response code 70h).
-func (s Sense) EncodeFixed() []byte {
-	b := make([]byte, fixedSenseLen)
-	b[0] = 0x70 // current errors, fixed format
-	b[2] = byte(s.Key) & 0x0F
-	b[7] = fixedSenseLen - 8 // additional sense length
-	b[12] = s.ASC
-	b[13] = s.ASCQ
-	return b
-}
-
-// DecodeFixed parses fixed-format sense data.
-func DecodeFixed(b []byte) (Sense, error) {
-	if len(b) < 14 {
-		return Sense{}, fmt.Errorf("scsi: sense data too short (%d bytes)", len(b))
-	}
-	if b[0]&0x7F != 0x70 && b[0]&0x7F != 0x71 {
-		return Sense{}, fmt.Errorf("scsi: unknown sense response code 0x%02X", b[0])
-	}
-	return Sense{Key: SenseKey(b[2] & 0x0F), ASC: b[12], ASCQ: b[13]}, nil
-}

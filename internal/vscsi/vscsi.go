@@ -160,10 +160,6 @@ type Disk struct {
 	issued    atomic.Uint64
 	completed atomic.Uint64
 	errored   atomic.Uint64
-
-	// lastSense is the most recent non-GOOD completion's sense data,
-	// returned by REQUEST SENSE emulation. Owning-goroutine only.
-	lastSense scsi.Sense
 }
 
 // NewDisk creates a virtual disk served by backend on engine eng.
@@ -188,10 +184,6 @@ func (d *Disk) CapacitySectors() uint64 { return d.cfg.CapacitySectors }
 
 // Inflight returns the number of issued-but-not-completed commands.
 func (d *Disk) Inflight() int { return int(d.inflight.Load()) }
-
-// LastSense returns the most recent failed completion's sense data (zero
-// if no command has failed).
-func (d *Disk) LastSense() scsi.Sense { return d.lastSense }
 
 // Issued and Completed report lifetime command counts; Errored counts
 // completions with a status other than GOOD.
@@ -234,7 +226,7 @@ func (d *Disk) Issue(cmd scsi.Command, done func(*Request)) (*Request, error) {
 		o.OnIssue(r)
 	}
 
-	if cmd.Op.IsBlockIO() && cmd.LastLBA() >= d.cfg.CapacitySectors {
+	if d.outOfRange(cmd) {
 		d.finish(r, scsi.StatusCheckCondition, scsi.SenseLBAOutOfRange)
 		return r, nil
 	}
@@ -245,6 +237,14 @@ func (d *Disk) Issue(cmd scsi.Command, done func(*Request)) (*Request, error) {
 	}
 	d.submit(r)
 	return r, nil
+}
+
+// outOfRange reports whether a block I/O command's extent runs past the
+// disk. It compares lengths, not cmd.LastLBA(), so an extent that wraps
+// past 2^64 is refused too.
+func (d *Disk) outOfRange(cmd scsi.Command) bool {
+	capacity := d.cfg.CapacitySectors
+	return cmd.Op.IsBlockIO() && (cmd.LBA >= capacity || uint64(cmd.Blocks) > capacity-cmd.LBA)
 }
 
 // newRequest takes a Request off the free list (or allocates the disk's
@@ -309,7 +309,7 @@ func (d *Disk) IssueBatch(cmds []scsi.Command, done func(*Request)) ([]*Request,
 	}
 	for _, r := range rs {
 		switch {
-		case r.Cmd.Op.IsBlockIO() && r.Cmd.LastLBA() >= d.cfg.CapacitySectors:
+		case d.outOfRange(r.Cmd):
 			d.finish(r, scsi.StatusCheckCondition, scsi.SenseLBAOutOfRange)
 		case d.cfg.MaxActive > 0 && d.active >= d.cfg.MaxActive:
 			d.enqueue(r)
@@ -318,32 +318,6 @@ func (d *Disk) IssueBatch(cmds []scsi.Command, done func(*Request)) ([]*Request,
 		}
 	}
 	return rs, nil
-}
-
-// IssueCDB decodes a raw CDB and issues it. Undecodable CDBs complete with
-// CHECK CONDITION / INVALID COMMAND rather than returning an error, matching
-// device behaviour.
-func (d *Disk) IssueCDB(cdb []byte, done func(*Request)) (*Request, error) {
-	cmd, err := scsi.Decode(cdb)
-	if err != nil {
-		if d.closed {
-			return nil, ErrClosed
-		}
-		r := d.newRequest(scsi.Command{Op: scsi.OpCode(firstByte(cdb))}, d.eng.Now(), done)
-		for _, o := range d.observers {
-			o.OnIssue(r)
-		}
-		d.finish(r, scsi.StatusCheckCondition, scsi.SenseInvalidOpcode)
-		return r, nil
-	}
-	return d.Issue(cmd, done)
-}
-
-func firstByte(b []byte) byte {
-	if len(b) == 0 {
-		return 0
-	}
-	return b[0]
 }
 
 func (d *Disk) submit(r *Request) {
@@ -380,7 +354,6 @@ func (d *Disk) finish(r *Request, status scsi.Status, sense scsi.Sense) {
 	d.completed.Add(1)
 	if status != scsi.StatusGood {
 		d.errored.Add(1)
-		d.lastSense = sense
 	}
 	for _, o := range d.observers {
 		o.OnComplete(r)

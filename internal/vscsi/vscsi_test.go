@@ -1,6 +1,7 @@
 package vscsi
 
 import (
+	"math"
 	"testing"
 
 	"vscsistats/internal/scsi"
@@ -89,22 +90,47 @@ func TestOutstandingAtIssueCountsOthers(t *testing.T) {
 }
 
 func TestLBAOutOfRangeChecksCondition(t *testing.T) {
-	eng, d, obs := newTestDisk(t, simclock.Millisecond, 0)
-	var got *Request
-	_, err := d.Issue(scsi.Read(d.CapacitySectors(), 1), func(r *Request) { got = r })
-	if err != nil {
-		t.Fatal(err)
+	// Each extent runs past the disk, through either entry point; the last
+	// one's LastLBA wraps below the capacity.
+	extents := []struct {
+		lba    uint64
+		blocks uint32
+	}{
+		{1 << 20, 1}, {1<<20 - 1, 2}, {math.MaxUint64, 2},
 	}
-	eng.Run()
-	if got.Status != scsi.StatusCheckCondition || got.Sense != scsi.SenseLBAOutOfRange {
-		t.Errorf("got status=%v sense=%v", got.Status, got.Sense)
+	entries := []struct {
+		name  string
+		issue func(d *Disk, cmd scsi.Command, done func(*Request)) error
+	}{
+		{"Issue", func(d *Disk, cmd scsi.Command, done func(*Request)) error {
+			_, err := d.Issue(cmd, done)
+			return err
+		}},
+		{"IssueBatch", func(d *Disk, cmd scsi.Command, done func(*Request)) error {
+			_, err := d.IssueBatch([]scsi.Command{cmd}, done)
+			return err
+		}},
 	}
-	if d.Errored() != 1 {
-		t.Errorf("Errored = %d", d.Errored())
-	}
-	// Even a failed command must traverse the observer path.
-	if len(obs.issued) != 1 || len(obs.completed) != 1 {
-		t.Error("observer missed the failed command")
+	for _, e := range extents {
+		for _, entry := range entries {
+			eng, d, obs := newTestDisk(t, simclock.Millisecond, 0)
+			cmd := scsi.Command{Op: scsi.OpRead16, LBA: e.lba, Blocks: e.blocks}
+			var got Request
+			if err := entry.issue(d, cmd, func(r *Request) { got = *r }); err != nil {
+				t.Fatal(err)
+			}
+			eng.Run()
+			if got.Status != scsi.StatusCheckCondition || got.Sense != scsi.SenseLBAOutOfRange {
+				t.Errorf("%s %v: got status=%v sense=%v", entry.name, cmd, got.Status, got.Sense)
+			}
+			if d.Errored() != 1 {
+				t.Errorf("%s %v: Errored = %d", entry.name, cmd, d.Errored())
+			}
+			// Even a failed command must traverse the observer path.
+			if len(obs.issued) != 1 || len(obs.completed) != 1 {
+				t.Errorf("%s %v: observer missed the failed command", entry.name, cmd)
+			}
+		}
 	}
 }
 
@@ -155,34 +181,6 @@ func TestQueuedRequestSubmitTime(t *testing.T) {
 	}
 }
 
-func TestIssueCDBValid(t *testing.T) {
-	eng, d, _ := newTestDisk(t, simclock.Millisecond, 0)
-	cdb, _ := scsi.Encode(scsi.Write(64, 16))
-	var got *Request
-	if _, err := d.IssueCDB(cdb, func(r *Request) { got = r }); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	if !got.Cmd.Op.IsWrite() || got.Cmd.LBA != 64 || got.Cmd.Blocks != 16 {
-		t.Errorf("decoded %+v", got.Cmd)
-	}
-}
-
-func TestIssueCDBInvalidOpcode(t *testing.T) {
-	eng, d, obs := newTestDisk(t, simclock.Millisecond, 0)
-	var got *Request
-	if _, err := d.IssueCDB([]byte{0xEE, 0, 0, 0, 0, 0}, func(r *Request) { got = r }); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	if got.Status != scsi.StatusCheckCondition || got.Sense != scsi.SenseInvalidOpcode {
-		t.Errorf("status=%v sense=%v", got.Status, got.Sense)
-	}
-	if len(obs.completed) != 1 {
-		t.Error("observer missed invalid CDB")
-	}
-}
-
 func TestNonIOCommandsSkipRangeCheck(t *testing.T) {
 	eng, d, _ := newTestDisk(t, simclock.Millisecond, 0)
 	var got *Request
@@ -198,9 +196,6 @@ func TestCloseRejectsNewIO(t *testing.T) {
 	d.Close()
 	if _, err := d.Issue(scsi.Read(0, 1), nil); err != ErrClosed {
 		t.Errorf("err = %v, want ErrClosed", err)
-	}
-	if _, err := d.IssueCDB([]byte{0xEE}, nil); err != ErrClosed {
-		t.Errorf("IssueCDB err = %v, want ErrClosed", err)
 	}
 }
 

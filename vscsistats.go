@@ -144,7 +144,7 @@ func HistogramDistance(a, b *HistogramSnapshot) float64 { return analysis.Distan
 
 // --- SCSI and the virtual SCSI layer ---
 
-// Command is a decoded SCSI CDB; Disk is a virtual SCSI disk.
+// Command is one typed SCSI command; Disk is a virtual SCSI disk.
 type (
 	Command = scsi.Command
 	Disk    = vscsi.Disk
