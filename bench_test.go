@@ -7,7 +7,6 @@
 package vscsistats_test
 
 import (
-	"fmt"
 	"testing"
 
 	"vscsistats"
@@ -15,6 +14,7 @@ import (
 	"vscsistats/internal/report"
 	"vscsistats/internal/scsi"
 	"vscsistats/internal/simclock"
+	"vscsistats/internal/storage"
 	"vscsistats/internal/vscsi"
 )
 
@@ -94,7 +94,7 @@ func BenchmarkTable1Provisioning(b *testing.B) {
 		eng := vscsistats.NewEngine()
 		host := vscsistats.NewHost(eng)
 		host.AddDatastore("sym", vscsistats.Symmetrix(1))
-		host.AddDatastore("cx3", vscsistats.CX3(2))
+		host.AddDatastore("cx3", storage.CX3Config(2))
 		if _, err := host.CreateVM("vm").AddDisk(vscsistats.DiskSpec{
 			Name: "scsi0:0", Datastore: "sym", CapacitySectors: 6 << 21,
 		}); err != nil {
@@ -170,51 +170,3 @@ func benchWindow(b *testing.B, n int) {
 func BenchmarkCollectorInsertWindow1(b *testing.B)  { benchWindow(b, 1) }
 func BenchmarkCollectorInsertWindow16(b *testing.B) { benchWindow(b, 16) }
 func BenchmarkCollectorInsertWindow64(b *testing.B) { benchWindow(b, 64) }
-
-// BenchmarkMultiVM{Sequential,Parallel} compare the single-threaded
-// baseline against the parallel multi-VM driver on an 8-world consolidation
-// scenario (one VM + local-disk datastore + 8K random-read Iometer per
-// world, 2 virtual seconds each). The worlds share no simulated state, so
-// the parallel driver's results are bit-identical and the ratio of the two
-// ns/op figures is pure multi-core speedup.
-func buildMultiVMSim(b *testing.B, worlds int) *vscsistats.ParallelSim {
-	b.Helper()
-	return vscsistats.NewParallelSim(worlds, func(w *vscsistats.SimWorld) {
-		w.Host.AddDatastore("ds", vscsistats.LocalDisk(int64(w.Index)+1))
-		vd, err := w.Host.CreateVM(fmt.Sprintf("vm%d", w.Index)).AddDisk(vscsistats.DiskSpec{
-			Name: "scsi0:0", Datastore: "ds", CapacitySectors: 1 << 21,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		vd.Collector.Enable()
-		spec := vscsistats.EightKRandomRead()
-		spec.Seed = int64(w.Index) + 100
-		gen := vscsistats.NewIometer(w.Engine, vd.Disk, spec)
-		w.Engine.At(0, func(vscsistats.Time) { gen.Start() })
-	})
-}
-
-func benchMultiVM(b *testing.B, parallel bool) {
-	const worlds = 8
-	var total int64
-	for i := 0; i < b.N; i++ {
-		p := buildMultiVMSim(b, worlds)
-		if parallel {
-			p.RunUntil(2 * vscsistats.Second)
-		} else {
-			p.RunSequential(2 * vscsistats.Second)
-		}
-		total = 0
-		for _, s := range p.Registry().Snapshots() {
-			total += s.Commands
-		}
-		if total == 0 {
-			b.Fatal("no I/O simulated")
-		}
-	}
-	b.ReportMetric(float64(total), "cmds/run")
-}
-
-func BenchmarkMultiVMSequential(b *testing.B) { benchMultiVM(b, false) }
-func BenchmarkMultiVMParallel(b *testing.B)   { benchMultiVM(b, true) }

@@ -38,8 +38,9 @@
 // The aggregator serves /fleet/hosts, /fleet/snapshot, /fleet/shards,
 // /fleet/history, /fleet/log and /fleet/push, plus /metrics (with the
 // merged fleet_* series) and /healthz. With -listen, an agent or sim serves
-// its own stats surface and /metrics for scraping; its data reaches the
-// aggregator only by push.
+// its own stats surface and /metrics for scraping (an agent also serves the
+// per-interval feed: /watch and /disks/<vm>/<disk>/series); its data
+// reaches the aggregator only by push.
 //
 // The aggregator shards its host space by consistent name hash (-shards)
 // and memoizes per-shard merges; agents push interval deltas once a full
@@ -219,9 +220,15 @@ func runAgent(listen, host, push string, interval time.Duration, workload string
 		defer agent.Stop()
 	}
 	if listen != "" {
+		// The run is wall-paced, so the interval feed (/watch and the
+		// per-disk /series) samples the registry once per push interval.
+		streamer := vscsistats.NewSnapshotStreamer(reg, interval, 300)
+		streamer.Start()
+		defer streamer.Stop()
 		handler := vscsistats.NewStatsHandlerWith(reg, vscsistats.StatsOptions{
 			Metrics: vscsistats.NewMetricsExporter(reg).WithDiskStats(sc.Host).With(agent, obs),
 			Trace:   obs.ChromeTraceHandler(),
+			Series:  streamer,
 		})
 		go http.ListenAndServe(listen, handler)
 		fmt.Fprintf(os.Stderr, "agent %s stats on %s\n", host, listen)

@@ -4,6 +4,10 @@ import (
 	"fmt"
 
 	"vscsistats"
+	"vscsistats/internal/fs"
+	"vscsistats/internal/scsi"
+	"vscsistats/internal/storage"
+	"vscsistats/internal/workload"
 )
 
 // Example_characterize shows the core loop: drive a virtual disk and read
@@ -12,7 +16,7 @@ import (
 func Example_characterize() {
 	eng := vscsistats.NewEngine()
 	host := vscsistats.NewHost(eng)
-	host.AddDatastore("local", vscsistats.LocalDisk(1))
+	host.AddDatastore("local", storage.LocalDiskConfig(1))
 	vd, err := host.CreateVM("guest").AddDisk(vscsistats.DiskSpec{
 		Name: "scsi0:0", Datastore: "local", CapacitySectors: 1 << 22,
 	})
@@ -23,7 +27,7 @@ func Example_characterize() {
 
 	// Eight sequential 4 KB reads.
 	for i := uint64(0); i < 8; i++ {
-		if _, err := vd.Disk.Issue(vscsistats.Read(i*8, 8), nil); err != nil {
+		if _, err := vd.Disk.Issue(scsi.Read(i*8, 8), nil); err != nil {
 			panic(err)
 		}
 	}
@@ -45,12 +49,12 @@ func Example_characterize() {
 func Example_fingerprint() {
 	eng := vscsistats.NewEngine()
 	host := vscsistats.NewHost(eng)
-	host.AddDatastore("local", vscsistats.LocalDisk(2))
+	host.AddDatastore("local", storage.LocalDiskConfig(2))
 	vd, _ := host.CreateVM("guest").AddDisk(vscsistats.DiskSpec{
 		Name: "scsi0:0", Datastore: "local", CapacitySectors: 1 << 24,
 	})
 	vd.Collector.Enable()
-	gen := vscsistats.NewIometer(eng, vd.Disk, vscsistats.EightKSeqRead())
+	gen := vscsistats.NewIometer(eng, vd.Disk, workload.EightKSeqRead())
 	gen.Start()
 	eng.RunUntil(2 * vscsistats.Second)
 	gen.Stop()
@@ -64,7 +68,7 @@ func Example_fingerprint() {
 
 // Example_model runs a hand-written Filebench-style model.
 func Example_model() {
-	model, err := vscsistats.ParseModel(`
+	model, err := workload.ParseModel(`
 define file name=data,size=8m
 define process name=app {
   thread name=t,instances=2 {
@@ -78,12 +82,12 @@ define process name=app {
 	}
 	eng := vscsistats.NewEngine()
 	host := vscsistats.NewHost(eng)
-	host.AddDatastore("local", vscsistats.LocalDisk(3))
+	host.AddDatastore("local", storage.LocalDiskConfig(3))
 	vd, _ := host.CreateVM("guest").AddDisk(vscsistats.DiskSpec{
 		Name: "scsi0:0", Datastore: "local", CapacitySectors: 1 << 22,
 	})
 	vd.Collector.Enable()
-	fb := vscsistats.NewFilebench(eng, vscsistats.NewUFS(eng, vd.Disk), model, 4)
+	fb := workload.NewFilebench(eng, fs.NewPlain(eng, vd.Disk, fs.UFSConfig()), model, 4)
 	if err := fb.Setup(); err != nil {
 		panic(err)
 	}

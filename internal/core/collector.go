@@ -259,9 +259,6 @@ func NewCollectorWindow(vm, disk string, n int) *Collector {
 func (c *Collector) VM() string   { return c.vm }
 func (c *Collector) Disk() string { return c.disk }
 
-// Window returns the windowed seek-distance look-behind size.
-func (c *Collector) Window() int { return c.window }
-
 // Enabled reports whether the service is currently recording.
 func (c *Collector) Enabled() bool { return c.enabled.Load() }
 

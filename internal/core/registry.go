@@ -14,7 +14,8 @@ import (
 // A Registry is safe for concurrent use: lookups and listings take a read
 // lock, so any number of monitoring goroutines (e.g. httpstats handlers)
 // can poll while simulations register, unregister and toggle collectors.
-// Several hosts may share one registry (see hypervisor.NewHostOn).
+// Several hosts may share one registry: Register each host's collectors
+// into it.
 type Registry struct {
 	mu         sync.RWMutex
 	collectors map[diskKey]*Collector

@@ -591,84 +591,6 @@ func TestPlainWithElevatorSyncWritesStillComplete(t *testing.T) {
 	}
 }
 
-func TestZFSSnapshotPinsOldLayout(t *testing.T) {
-	cfg := DefaultZFSConfig()
-	cfg.TxgInterval = 0
-	cfg.ZILBytes = 0
-	cfg.ARCBytes = 0 // all reads hit disk so locations are observable
-	r, z := newZFSRig(t, cfg)
-	f, _ := z.Create("vol", 10<<20)
-	f.Prefill()
-
-	snapper := z.(Snapshotter)
-	r.wait(t, func(done func(error)) { snapper.TakeSnapshot("monday", done) })
-	if got := snapper.Snapshots(); len(got) != 1 || got[0] != "monday" {
-		t.Fatalf("Snapshots = %v", got)
-	}
-
-	// Record the pinned location of record 0, then overwrite it live.
-	r.wait(t, func(done func(error)) { f.Read(0, 4096, done) })
-	oldLBA := r.blockIOs()[len(r.blockIOs())-1].Cmd.LBA
-	r.wait(t, func(done func(error)) { f.Write(0, 128<<10, false, done) })
-	r.wait(t, func(done func(error)) { z.Sync(done) })
-
-	// Live read goes to the relocated record...
-	r.wait(t, func(done func(error)) { f.Read(0, 4096, done) })
-	liveLBA := r.blockIOs()[len(r.blockIOs())-1].Cmd.LBA
-	if liveLBA == oldLBA {
-		t.Fatal("COW did not relocate the live record")
-	}
-	// ...while the snapshot still reads the pinned location.
-	snapFile, err := snapper.OpenSnapshot("monday", "vol")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.wait(t, func(done func(error)) { snapFile.Read(0, 4096, done) })
-	snapLBA := r.blockIOs()[len(r.blockIOs())-1].Cmd.LBA
-	if snapLBA != oldLBA {
-		t.Errorf("snapshot read at %d, want pinned %d", snapLBA, oldLBA)
-	}
-}
-
-func TestZFSSnapshotReadOnlyAndErrors(t *testing.T) {
-	cfg := DefaultZFSConfig()
-	cfg.TxgInterval = 0
-	r, z := newZFSRig(t, cfg)
-	f, _ := z.Create("vol", 1<<20)
-	f.Prefill()
-	snapper := z.(Snapshotter)
-	r.wait(t, func(done func(error)) { snapper.TakeSnapshot("s1", done) })
-
-	var dup error
-	snapper.TakeSnapshot("s1", func(err error) { dup = err })
-	for dup == nil && r.eng.Step() {
-	}
-	if !errors.Is(dup, ErrExists) {
-		t.Errorf("duplicate snapshot: %v", dup)
-	}
-	if _, err := snapper.OpenSnapshot("ghost", "vol"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("unknown snapshot: %v", err)
-	}
-	if _, err := snapper.OpenSnapshot("s1", "ghost"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("unknown file: %v", err)
-	}
-	sf, err := snapper.OpenSnapshot("s1", "vol")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wr error
-	sf.Write(0, 4096, false, func(err error) { wr = err })
-	if wr == nil {
-		t.Error("snapshot writes must fail")
-	}
-	// A file created after the snapshot is absent from it.
-	g, _ := z.Create("newer", 1<<20)
-	g.Prefill()
-	if _, err := snapper.OpenSnapshot("s1", "newer"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("post-snapshot file visible: %v", err)
-	}
-}
-
 func TestZFSCOWCursorWrapsAround(t *testing.T) {
 	// A tiny disk forces the COW allocator to wrap; allocation must stay
 	// in the data region and never panic.

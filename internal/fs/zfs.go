@@ -74,7 +74,6 @@ type zfs struct {
 	txgActive  bool
 	txgWaiters []func(error)
 	ticker     *simclock.Ticker
-	snapshots  []*zfsSnapshot
 
 	txgs uint64
 }

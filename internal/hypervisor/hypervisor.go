@@ -33,23 +33,11 @@ type datastore struct {
 
 // NewHost creates an empty host on the given engine with its own registry.
 func NewHost(eng *simclock.Engine) *Host {
-	return NewHostOn(eng, core.NewRegistry())
-}
-
-// NewHostOn creates an empty host whose collectors register into reg. Give
-// several hosts the same registry to pool their virtual disks behind one
-// control plane — e.g. one HTTP stats endpoint over every world of the
-// parallel multi-VM driver. VM names must then be unique across all hosts
-// sharing the registry.
-func NewHostOn(eng *simclock.Engine, reg *core.Registry) *Host {
-	if reg == nil {
-		panic("hypervisor: nil registry")
-	}
 	return &Host{
 		eng:        eng,
 		datastores: make(map[string]*datastore),
 		vms:        make(map[string]*VM),
-		registry:   reg,
+		registry:   core.NewRegistry(),
 	}
 }
 

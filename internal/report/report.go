@@ -80,12 +80,6 @@ type Options struct {
 	Seed int64
 }
 
-// DefaultOptions returns the standard scale: 60 virtual seconds over a 2 GB
-// working set.
-func DefaultOptions() Options {
-	return Options{Duration: 60 * simclock.Second, DataBytes: 2 << 30, Seed: 1}
-}
-
 // farFraction is the share of seeks at |distance| > 50000 sectors (the
 // outer histogram spikes the paper reads as "random").
 func farFraction(s *core.Snapshot, cl core.Class) float64 {

@@ -48,7 +48,7 @@ func NewExporter(reg *core.Registry) *Exporter {
 }
 
 // WithDiskStats attaches a source of vSCSI-layer disk counters (e.g. a
-// hypervisor.Host or ParallelSim) and returns the exporter.
+// hypervisor.Host) and returns the exporter.
 func (e *Exporter) WithDiskStats(src DiskStatsSource) *Exporter {
 	e.disks = src
 	return e

@@ -8,35 +8,55 @@ import (
 	"sync"
 	"testing"
 
+	"vscsistats/internal/core"
 	"vscsistats/internal/hypervisor"
 	"vscsistats/internal/simclock"
 	"vscsistats/internal/storage"
 	"vscsistats/internal/workload"
 )
 
-// TestScrapeWhileParallelSimRuns is the package's -race stress test and
-// the issue's acceptance scenario: eight parallel worlds simulate I/O
-// while HTTP clients hammer /metrics, and every single scrape must be a
-// valid, internally consistent exposition (strict parser) — no torn
-// histograms, no duplicate series, no panics.
+// hostSet serves the vSCSI-layer counters of several hosts; VM names are
+// unique across them, so the first match wins.
+type hostSet []*hypervisor.Host
+
+func (hs hostSet) DiskCounters(vm, disk string) (issued, completed, errored uint64, inflight int64, ok bool) {
+	for _, h := range hs {
+		if issued, completed, errored, inflight, ok = h.DiskCounters(vm, disk); ok {
+			return
+		}
+	}
+	return 0, 0, 0, 0, false
+}
+
+// TestScrapeWhileParallelSimRuns is the package's -race stress test: eight
+// hosts, each on its own engine and goroutine, simulate I/O into
+// collectors one registry serves, while HTTP clients hammer /metrics, and
+// every single scrape must be a valid, internally consistent exposition
+// (strict parser) — no torn histograms, no duplicate series, no panics.
 func TestScrapeWhileParallelSimRuns(t *testing.T) {
 	const worlds = 8
-	p := hypervisor.NewParallelSim(worlds, func(w *hypervisor.World) {
-		w.Host.AddDatastore("ds", storage.LocalDiskConfig(int64(w.Index)+1))
-		vd, err := w.Host.CreateVM(fmt.Sprintf("vm%d", w.Index)).AddDisk(hypervisor.DiskSpec{
+	reg := core.NewRegistry()
+	hosts := make(hostSet, worlds)
+	for i := range hosts {
+		eng := simclock.NewEngine()
+		h := hypervisor.NewHost(eng)
+		h.AddDatastore("ds", storage.LocalDiskConfig(int64(i)+1))
+		vd, err := h.CreateVM(fmt.Sprintf("vm%d", i)).AddDisk(hypervisor.DiskSpec{
 			Name: "scsi0:0", Datastore: "ds", CapacitySectors: 1 << 21,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		vd.Collector.Enable()
+		reg.Register(vd.Collector)
 		spec := workload.EightKRandomRead()
-		spec.Seed = int64(w.Index) + 100
-		gen := workload.NewIometer(w.Engine, vd.Disk, spec)
-		w.Engine.At(0, func(simclock.Time) { gen.Start() })
-	})
+		spec.Seed = int64(i) + 100
+		gen := workload.NewIometer(eng, vd.Disk, spec)
+		eng.At(0, func(simclock.Time) { gen.Start() })
+		hosts[i] = h
+	}
 
-	exp := NewExporter(p.Registry()).WithDiskStats(p)
+	exp := NewExporter(reg).WithDiskStats(hosts)
 	srv := httptest.NewServer(exp)
 	t.Cleanup(srv.Close)
 
@@ -58,7 +78,15 @@ func TestScrapeWhileParallelSimRuns(t *testing.T) {
 	simDone := make(chan struct{})
 	go func() {
 		defer close(simDone)
-		p.RunUntil(1 * simclock.Second)
+		var sims sync.WaitGroup
+		for _, h := range hosts {
+			sims.Add(1)
+			go func() {
+				defer sims.Done()
+				h.Engine().RunUntil(1 * simclock.Second)
+			}()
+		}
+		sims.Wait()
 	}()
 
 	// Scraper goroutines collect raw bodies; parsing happens afterwards on
@@ -104,7 +132,7 @@ func TestScrapeWhileParallelSimRuns(t *testing.T) {
 		if cmds.value <= 0 {
 			t.Errorf("%s: no commands recorded", vm)
 		}
-		issued, completed, _, _, ok := p.DiskCounters(vm, "scsi0:0")
+		issued, completed, _, _, ok := hosts.DiskCounters(vm, "scsi0:0")
 		if !ok {
 			t.Fatalf("%s: DiskCounters not found", vm)
 		}

@@ -37,7 +37,7 @@ import (
 
 // DiskStatsSource reports the vSCSI-layer lifetime counters of one virtual
 // disk: commands issued, completed and errored, plus the in-flight gauge.
-// hypervisor.Host and hypervisor.ParallelSim implement it; the exporter
+// hypervisor.Host implements it; the exporter
 // uses it to publish the disk-level view next to the collector-level one.
 type DiskStatsSource interface {
 	DiskCounters(vm, disk string) (issued, completed, errored uint64, inflight int64, ok bool)

@@ -152,24 +152,12 @@ func New(inv *Inventory, cfg SimConfig) (*Sim, error) {
 			s.disks += vm.Disks
 		}
 	}
-	var firstErr atomic.Value
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(inv.Hosts); i += cfg.Workers {
-				sh, err := buildHost(inv, inv.Hosts[i], cfg)
-				if err != nil {
-					firstErr.CompareAndSwap(nil, err)
-					return
-				}
-				s.hosts[i] = sh
-			}
-		}(w)
-	}
-	wg.Wait()
-	if err, _ := firstErr.Load().(error); err != nil {
+	err := fanOut(cfg.Workers, len(inv.Hosts), func(i int) error {
+		sh, err := buildHost(inv, inv.Hosts[i], cfg)
+		s.hosts[i] = sh
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -316,7 +304,7 @@ func (s *Sim) RunVirtual(d time.Duration) error {
 		return ErrRunning
 	}
 	step := simclock.Duration(d)
-	return s.eachHostLocked(func(h *simHost) error {
+	return s.eachHost(func(h *simHost) error {
 		h.advanceTo(h.vnow + step)
 		return nil
 	})
@@ -331,7 +319,7 @@ func (s *Sim) PushAll() error {
 	if s.running {
 		return ErrRunning
 	}
-	return s.eachHostLocked(func(h *simHost) error {
+	return s.eachHost(func(h *simHost) error {
 		if h.agent == nil {
 			return errors.New("vscsim: no push endpoint configured")
 		}
@@ -342,14 +330,21 @@ func (s *Sim) PushAll() error {
 // eachHost fans fn across hosts on cfg.Workers goroutines and returns the
 // first error.
 func (s *Sim) eachHost(fn func(*simHost) error) error {
+	return fanOut(s.cfg.Workers, len(s.hosts), func(i int) error { return fn(s.hosts[i]) })
+}
+
+// fanOut calls fn for every index below n on workers goroutines, worker w
+// taking w, w+workers, …, and returns the first error. A worker stops at
+// its first error; the others finish their share.
+func fanOut(workers, n int, fn func(i int) error) error {
 	var firstErr atomic.Value
 	var wg sync.WaitGroup
-	for w := 0; w < s.cfg.Workers; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := w; i < len(s.hosts); i += s.cfg.Workers {
-				if err := fn(s.hosts[i]); err != nil {
+			for i := w; i < n; i += workers {
+				if err := fn(i); err != nil {
 					firstErr.CompareAndSwap(nil, err)
 					return
 				}
@@ -359,11 +354,6 @@ func (s *Sim) eachHost(fn func(*simHost) error) error {
 	wg.Wait()
 	err, _ := firstErr.Load().(error)
 	return err
-}
-
-// eachHostLocked is eachHost for callers already holding s.mu.
-func (s *Sim) eachHostLocked(fn func(*simHost) error) error {
-	return s.eachHost(fn)
 }
 
 // SimStats is a point-in-time view of the running world.
@@ -417,8 +407,8 @@ func (s *Sim) Stats() SimStats {
 	if minVirtual > 0 {
 		st.Virtual = time.Duration(minVirtual)
 	}
-	st.Wall = s.wallAccum
 	s.mu.Lock()
+	st.Wall = s.wallAccum
 	if s.running {
 		st.Wall += time.Since(s.wallStart)
 	}

@@ -144,6 +144,45 @@ func TestSimRunVirtualRejectedWhileRunning(t *testing.T) {
 	}
 }
 
+// TestSimStatsDuringStop reads Stats in a loop while the sim is started
+// and stopped: a /metrics scrape during shutdown. Stop adds the run's wall
+// time to the total under the sim's lock, so Stats must read it there
+// too; run it under -race.
+func TestSimStatsDuringStop(t *testing.T) {
+	sim, err := New(NewInventory(Config{Seed: 3, Hosts: 2, VMsPerHost: 2}), SimConfig{Tick: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	scraped := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-done:
+				scraped <- n
+				return
+			default:
+			}
+			if st := sim.Stats(); st.Wall < 0 {
+				t.Error("negative wall time")
+			}
+			n++
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		sim.Start()
+		sim.Stop()
+	}
+	close(done)
+	if n := <-scraped; n == 0 {
+		t.Fatal("Stats never ran while the sim cycled")
+	}
+	if st := sim.Stats(); st.Wall <= 0 {
+		t.Errorf("wall after 20 runs = %s, want > 0", st.Wall)
+	}
+}
+
 // BenchmarkSimPushAll256 measures sim ingest throughput: 256 hosts' full
 // state pushed through the wire codec into a sharded aggregator.
 func BenchmarkSimPushAll256(b *testing.B) {

@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"sort"
 
+	"vscsistats/internal/fs"
 	"vscsistats/internal/hypervisor"
+	"vscsistats/internal/simclock"
+	"vscsistats/internal/storage"
 	"vscsistats/internal/workload"
 )
 
@@ -37,19 +40,25 @@ type ScenarioConfig struct {
 
 // scenarioBuilders maps names to constructors.
 var scenarioBuilders = map[string]func(*Scenario, ScenarioConfig) error{
-	"iometer-4k-seq":  buildIometer(func(ScenarioConfig) AccessSpec { return workload.FourKSeqRead(32) }),
-	"iometer-8k-rand": buildIometer(func(ScenarioConfig) AccessSpec { return workload.EightKRandomRead() }),
-	"iometer-8k-seq":  buildIometer(func(ScenarioConfig) AccessSpec { return workload.EightKSeqRead() }),
-	"oltp-ufs":        buildFilebench(oltpModel, func(eng *Engine, d *Disk) FS { return NewUFS(eng, d) }),
-	"oltp-zfs":        buildFilebench(oltpModel, func(eng *Engine, d *Disk) FS { return NewZFS(eng, d) }),
-	"webserver-ufs":   buildFilebench(webModel, func(eng *Engine, d *Disk) FS { return NewUFS(eng, d) }),
-	"varmail-ufs":     buildFilebench(mailModel, func(eng *Engine, d *Disk) FS { return NewUFS(eng, d) }),
+	"iometer-4k-seq":  buildIometer(workload.FourKSeqRead(32)),
+	"iometer-8k-rand": buildIometer(workload.EightKRandomRead()),
+	"iometer-8k-seq":  buildIometer(workload.EightKSeqRead()),
+	"oltp-ufs":        buildFilebench(oltpModel, plainFS(fs.UFSConfig)),
+	"oltp-zfs":        buildFilebench(oltpModel, zfsFS),
+	"webserver-ufs":   buildFilebench(workload.WebServerModel, plainFS(fs.UFSConfig)),
+	"varmail-ufs":     buildFilebench(workload.VarmailModel, plainFS(fs.UFSConfig)),
 	"dbt2":            buildDBT2,
-	"copy-xp": buildCopy(func(eng *Engine, d *Disk) FS { return NewNTFSXP(eng, d) },
-		func(b int64) FileCopyConfig { return XPCopy(b) }),
-	"copy-vista": buildCopy(func(eng *Engine, d *Disk) FS { return NewNTFSVista(eng, d) },
-		func(b int64) FileCopyConfig { return VistaCopy(b) }),
+	"copy-xp":         buildCopy(plainFS(fs.NTFSXPConfig), workload.XPCopyConfig),
+	"copy-vista":      buildCopy(plainFS(fs.NTFSVistaConfig), workload.VistaCopyConfig),
 }
+
+// plainFS formats a disk with one of the update-in-place models (UFS,
+// ext3, NTFS); zfsFS with the copy-on-write ZFS model.
+func plainFS(cfg func() fs.PlainConfig) func(*Engine, *Disk) fs.FS {
+	return func(eng *Engine, d *Disk) fs.FS { return fs.NewPlain(eng, d, cfg()) }
+}
+
+func zfsFS(eng *Engine, d *Disk) fs.FS { return fs.NewZFS(eng, d, fs.DefaultZFSConfig()) }
 
 // Scenarios lists the available scenario names.
 func Scenarios() []string {
@@ -73,12 +82,12 @@ func NewScenario(name string, cfg ScenarioConfig) (*Scenario, error) {
 	if cfg.TraceCapacity <= 0 {
 		cfg.TraceCapacity = 1 << 20
 	}
-	ds := Symmetrix(cfg.Seed)
+	ds := storage.SymmetrixConfig(cfg.Seed)
 	if cfg.Datastore != nil {
 		ds = *cfg.Datastore
 	}
-	s := &Scenario{Name: name, Eng: NewEngine()}
-	s.Host = NewHost(s.Eng)
+	s := &Scenario{Name: name, Eng: simclock.NewEngine()}
+	s.Host = hypervisor.NewHost(s.Eng)
 	s.Host.AddDatastore("ds", ds)
 	vd, err := s.Host.CreateVM(name).AddDisk(hypervisor.DiskSpec{
 		Name:            "scsi0:0",
@@ -110,23 +119,21 @@ func (s *Scenario) Run(duration Time) *Snapshot {
 	return s.VD.Collector.Snapshot()
 }
 
-func buildIometer(spec func(ScenarioConfig) AccessSpec) func(*Scenario, ScenarioConfig) error {
+func buildIometer(spec AccessSpec) func(*Scenario, ScenarioConfig) error {
 	return func(s *Scenario, cfg ScenarioConfig) error {
-		sp := spec(cfg)
+		sp := spec
 		sp.Seed = cfg.Seed + 11
-		s.Gen = NewIometer(s.Eng, s.VD.Disk, sp)
+		s.Gen = workload.NewIometer(s.Eng, s.VD.Disk, sp)
 		s.Warmup = 2 * Second
 		return nil
 	}
 }
 
-func oltpModel(dataBytes int64) *Model { return OLTPModel(dataBytes, dataBytes/10) }
-func webModel(dataBytes int64) *Model  { return workload.WebServerModel(dataBytes) }
-func mailModel(dataBytes int64) *Model { return workload.VarmailModel(dataBytes) }
+func oltpModel(dataBytes int64) *workload.Model { return workload.OLTPModel(dataBytes, dataBytes/10) }
 
-func buildFilebench(mkModel func(int64) *Model, mkFS func(*Engine, *Disk) FS) func(*Scenario, ScenarioConfig) error {
+func buildFilebench(mkModel func(int64) *workload.Model, mkFS func(*Engine, *Disk) fs.FS) func(*Scenario, ScenarioConfig) error {
 	return func(s *Scenario, cfg ScenarioConfig) error {
-		fb := NewFilebench(s.Eng, mkFS(s.Eng, s.VD.Disk), mkModel(cfg.DataBytes), cfg.Seed)
+		fb := workload.NewFilebench(s.Eng, mkFS(s.Eng, s.VD.Disk), mkModel(cfg.DataBytes), cfg.Seed)
 		if err := fb.Setup(); err != nil {
 			return err
 		}
@@ -137,12 +144,12 @@ func buildFilebench(mkModel func(int64) *Model, mkFS func(*Engine, *Disk) FS) fu
 }
 
 func buildDBT2(s *Scenario, cfg ScenarioConfig) error {
-	dc := DefaultDBT2Config()
+	dc := workload.DefaultDBT2Config()
 	dc.DatabaseBytes = cfg.DataBytes
 	dc.WALBytes = cfg.DataBytes / 8
 	dc.Seed = cfg.Seed
 	dc.CheckpointInterval = 15 * Second
-	db := NewDBT2(s.Eng, NewExt3(s.Eng, s.VD.Disk), dc)
+	db := workload.NewDBT2(s.Eng, fs.NewPlain(s.Eng, s.VD.Disk, fs.Ext3Config()), dc)
 	if err := db.Setup(); err != nil {
 		return err
 	}
@@ -151,9 +158,9 @@ func buildDBT2(s *Scenario, cfg ScenarioConfig) error {
 	return nil
 }
 
-func buildCopy(mkFS func(*Engine, *Disk) FS, mkCfg func(int64) FileCopyConfig) func(*Scenario, ScenarioConfig) error {
+func buildCopy(mkFS func(*Engine, *Disk) fs.FS, mkCfg func(int64) workload.FileCopyConfig) func(*Scenario, ScenarioConfig) error {
 	return func(s *Scenario, cfg ScenarioConfig) error {
-		fc := NewFileCopy(s.Eng, mkFS(s.Eng, s.VD.Disk), mkCfg(cfg.DataBytes/2))
+		fc := workload.NewFileCopy(s.Eng, mkFS(s.Eng, s.VD.Disk), mkCfg(cfg.DataBytes/2))
 		if err := fc.Setup(); err != nil {
 			return err
 		}

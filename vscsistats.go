@@ -18,10 +18,11 @@
 //   - the fleet tier: agents, sharded aggregators, re-exporters and a
 //     datacenter simulator, observable through one /metrics seam.
 //
-// It exports what the examples, the commands, the benchmark and the
-// package's own tests use; everything else lives in internal/ (the
-// experiment harness regenerating the paper's tables and figures is
-// cmd/experiments over internal/report).
+// It exports every name a command (cmd/...) or examples/quickstart uses,
+// and the types those names take or return, so a library user can still
+// name them; TestFacadeExportsOnlyWhatIsUsed holds it to that rule.
+// Everything else lives in internal/ (the experiment harness regenerating
+// the paper's tables and figures is cmd/experiments over internal/report).
 //
 // Quick start:
 //
@@ -32,7 +33,7 @@
 //		Name: "scsi0:0", Datastore: "sym", CapacitySectors: 6 << 21,
 //	})
 //	vd.Collector.Enable()
-//	gen := vscsistats.NewIometer(eng, vd.Disk, vscsistats.FourKSeqRead(32))
+//	gen := vscsistats.NewIometer(eng, vd.Disk, vscsistats.EightKRandomRead())
 //	gen.Start()
 //	eng.RunUntil(10 * vscsistats.Second)
 //	fmt.Println(vd.Collector.Snapshot().Summary())
@@ -46,22 +47,16 @@ import (
 	"vscsistats/internal/core"
 	"vscsistats/internal/fleet"
 	"vscsistats/internal/fleetobs"
-	"vscsistats/internal/fs"
 	"vscsistats/internal/histogram"
 	"vscsistats/internal/httpstats"
 	"vscsistats/internal/hypervisor"
-	"vscsistats/internal/scsi"
 	"vscsistats/internal/simclock"
 	"vscsistats/internal/storage"
 	"vscsistats/internal/telemetry"
-	"vscsistats/internal/trace"
 	"vscsistats/internal/vscsi"
 	"vscsistats/internal/vscsim"
 	"vscsistats/internal/workload"
 )
-
-// Version identifies the library release.
-const Version = "1.0.0"
 
 // --- Simulation engine ---
 
@@ -72,11 +67,8 @@ type (
 	Engine = simclock.Engine
 )
 
-// Virtual time units.
-const (
-	Millisecond = simclock.Millisecond
-	Second      = simclock.Second
-)
+// Second is one second of virtual time.
+const Second = simclock.Second
 
 // NewEngine returns a fresh simulation engine with the clock at zero.
 func NewEngine() *Engine { return simclock.NewEngine() }
@@ -109,10 +101,6 @@ const (
 	Writes = core.Writes
 )
 
-// NewCollector creates a disabled collector for one virtual disk; attach it
-// with Disk.AddObserver and toggle it with Enable/Disable.
-func NewCollector(vm, disk string) *Collector { return core.NewCollector(vm, disk) }
-
 // NewRegistry creates the host-wide collector registry behind the
 // enable/disable command-line utility.
 func NewRegistry() *Registry { return core.NewRegistry() }
@@ -144,14 +132,8 @@ func HistogramDistance(a, b *HistogramSnapshot) float64 { return analysis.Distan
 
 // --- SCSI and the virtual SCSI layer ---
 
-// Command is one typed SCSI command; Disk is a virtual SCSI disk.
-type (
-	Command = scsi.Command
-	Disk    = vscsi.Disk
-)
-
-// Read builds a block read command (LBA and length in 512-byte sectors).
-func Read(lba uint64, blocks uint32) Command { return scsi.Read(lba, blocks) }
+// Disk is a virtual SCSI disk.
+type Disk = vscsi.Disk
 
 // --- Hypervisor host ---
 
@@ -166,24 +148,6 @@ type (
 // NewHost creates an empty host on the engine.
 func NewHost(eng *Engine) *Host { return hypervisor.NewHost(eng) }
 
-// --- Parallel multi-VM driver ---
-
-// ParallelSim runs N independent simulation worlds (engine + host each) on
-// separate goroutines with one shared collector registry; SimWorld is one
-// such world. Use it for embarrassingly parallel multi-VM studies where
-// each VM has its own datastore; VMs contending on one array still belong
-// on a single engine.
-type (
-	ParallelSim = hypervisor.ParallelSim
-	SimWorld    = hypervisor.World
-)
-
-// NewParallelSim creates n worlds and provisions each via setup. VM names
-// must be unique across worlds (derive them from w.Index).
-func NewParallelSim(n int, setup func(w *SimWorld)) *ParallelSim {
-	return hypervisor.NewParallelSim(n, setup)
-}
-
 // --- Storage models ---
 
 // ArrayConfig describes a storage array; the presets mirror the paper's
@@ -193,120 +157,23 @@ type ArrayConfig = storage.ArrayConfig
 // Symmetrix returns the big-cache RAID-5 reference array preset.
 func Symmetrix(seed int64) ArrayConfig { return storage.SymmetrixConfig(seed) }
 
-// CX3 returns the 2.5 GB-cache RAID-0 preset; CX3NoCache the same array
-// with caching off (the Figure 6 worst case); LocalDisk a single spindle.
-func CX3(seed int64) ArrayConfig { return storage.CX3Config(seed) }
-
-// CX3NoCache is the CX3 with caching off (the Figure 6 worst case).
-func CX3NoCache(seed int64) ArrayConfig { return storage.CX3NoCacheConfig(seed) }
-
-// LocalDisk is a single direct-attached spindle with no array cache.
-func LocalDisk(seed int64) ArrayConfig { return storage.LocalDiskConfig(seed) }
-
-// --- Filesystem models ---
-
-// FS is a mounted filesystem model.
-type FS = fs.FS
-
-// Snapshotter is implemented by filesystems with point-in-time snapshots
-// (of the bundled models, only ZFS): assert `fsys.(vscsistats.Snapshotter)`.
-type Snapshotter = fs.Snapshotter
-
-// Filesystem constructors: update-in-place models (UFS, ext3, NTFS) and the
-// copy-on-write ZFS model.
-func NewUFS(eng *Engine, d *Disk) FS { return fs.NewPlain(eng, d, fs.UFSConfig()) }
-
-// NewExt3 formats d with the Linux ext3 model (4 KB blocks + journal).
-func NewExt3(eng *Engine, d *Disk) FS { return fs.NewPlain(eng, d, fs.Ext3Config()) }
-
-// NewNTFSXP formats d with the Windows XP NTFS model (64 KB transfers).
-func NewNTFSXP(eng *Engine, d *Disk) FS {
-	return fs.NewPlain(eng, d, fs.NTFSXPConfig())
-}
-
-// NewNTFSVista formats d with the Vista NTFS model (1 MB transfers).
-func NewNTFSVista(eng *Engine, d *Disk) FS {
-	return fs.NewPlain(eng, d, fs.NTFSVistaConfig())
-}
-
-// NewZFS formats d with the copy-on-write ZFS model (128 KB records).
-func NewZFS(eng *Engine, d *Disk) FS { return fs.NewZFS(eng, d, fs.DefaultZFSConfig()) }
-
 // --- Workload generators ---
 
-// Generator is a runnable workload; the concrete generators mirror §4–§5.
+// Generator is a runnable workload; Iometer drives a raw virtual disk
+// with an AccessSpec.
 type (
-	Generator      = workload.Generator
-	Model          = workload.Model
-	Filebench      = workload.Filebench
-	DBT2           = workload.DBT2
-	DBT2Config     = workload.DBT2Config
-	FileCopy       = workload.FileCopy
-	FileCopyConfig = workload.FileCopyConfig
-	Iometer        = workload.Iometer
-	AccessSpec     = workload.AccessSpec
+	Generator  = workload.Generator
+	Iometer    = workload.Iometer
+	AccessSpec = workload.AccessSpec
 )
-
-// ParseModel parses the Filebench-style model language; OLTPModel returns
-// the paper's OLTP personality at the given data/log sizes.
-func ParseModel(src string) (*Model, error) { return workload.ParseModel(src) }
-
-// OLTPModel is the paper's Filebench OLTP personality.
-func OLTPModel(dataBytes, logBytes int64) *Model {
-	return workload.OLTPModel(dataBytes, logBytes)
-}
-
-// NewFilebench interprets a model against a filesystem.
-func NewFilebench(eng *Engine, fsys FS, m *Model, seed int64) *Filebench {
-	return workload.NewFilebench(eng, fsys, m, seed)
-}
-
-// NewDBT2 builds the DBT-2/PostgreSQL model; DefaultDBT2Config mirrors the
-// paper's setup.
-func NewDBT2(eng *Engine, fsys FS, cfg DBT2Config) *DBT2 {
-	return workload.NewDBT2(eng, fsys, cfg)
-}
-
-// DefaultDBT2Config mirrors the paper's DBT-2 setup, scaled.
-func DefaultDBT2Config() DBT2Config { return workload.DefaultDBT2Config() }
-
-// NewFileCopy builds a chunk-pipelined copy; the XP/Vista configs differ
-// only in transfer size (64 KB vs 1 MB).
-func NewFileCopy(eng *Engine, fsys FS, cfg FileCopyConfig) *FileCopy {
-	return workload.NewFileCopy(eng, fsys, cfg)
-}
-
-// XPCopy is the Windows XP 64 KB copy-engine profile.
-func XPCopy(fileBytes int64) FileCopyConfig { return workload.XPCopyConfig(fileBytes) }
-
-// VistaCopy is the Windows Vista 1 MB copy-engine profile.
-func VistaCopy(fileBytes int64) FileCopyConfig { return workload.VistaCopyConfig(fileBytes) }
 
 // NewIometer drives a raw virtual disk with an access specification.
 func NewIometer(eng *Engine, d *Disk, spec AccessSpec) *Iometer {
 	return workload.NewIometer(eng, d, spec)
 }
 
-// Standard access specifications from the paper's evaluation.
-func FourKSeqRead(outstanding int) AccessSpec { return workload.FourKSeqRead(outstanding) }
-
 // EightKRandomRead is the §5.3 8 KB random-read spec at 32 OIO.
 func EightKRandomRead() AccessSpec { return workload.EightKRandomRead() }
-
-// EightKSeqRead is the §5.3 8 KB sequential-read spec at 32 OIO.
-func EightKSeqRead() AccessSpec { return workload.EightKSeqRead() }
-
-// Synth generates an I/O stream matching a collected snapshot's
-// distributions — synthesizing a workload from its characterization rather
-// than from a trace (the §6 "synthetic workloads require detailed
-// knowledge" gap, closed).
-type Synth = workload.Synth
-
-// NewSynthFromSnapshot builds a snapshot-driven generator against a raw
-// virtual disk.
-func NewSynthFromSnapshot(eng *Engine, d *Disk, s *Snapshot, seed int64) (*Synth, error) {
-	return workload.NewSynth(eng, d, s, seed)
-}
 
 // --- Observability (internal/telemetry) ---
 
@@ -323,8 +190,8 @@ type (
 )
 
 // NewMetricsExporter builds a Prometheus exporter over a registry. Chain
-// .WithDiskStats(host or parallel sim) to add vSCSI-layer disk counters,
-// and .With(...) for every component that writes its own series: a
+// .WithDiskStats(host) to add vSCSI-layer disk counters, and .With(...)
+// for every component that writes its own series: a
 // FleetAggregator (vscsistats_fleet_*), FleetReExporter
 // (vscsistats_fleet_tier_reexport_*), FleetAgent (vscsistats_fleet_agent_*),
 // FleetObsTracker (vscsistats_fleetobs_*) or DatacenterSim
@@ -366,7 +233,6 @@ type (
 	FleetAgentConfig      = fleet.AgentConfig
 	FleetAggregator       = fleet.Aggregator
 	FleetAggregatorConfig = fleet.AggregatorConfig
-	FleetHostStatus       = fleet.HostStatus
 	FleetReplayStats      = fleet.ReplayStats
 )
 
@@ -376,19 +242,12 @@ func NewFleetAgent(reg *Registry, cfg FleetAgentConfig) *FleetAgent {
 	return fleet.NewAgent(reg, cfg)
 }
 
-// NewFleetAggregator builds a memory-only fleet aggregator; mount it via
-// StatsOptions.Fleet and attach it with MetricsExporter.With for the
-// merged fleet_* Prometheus series.
-func NewFleetAggregator(cfg FleetAggregatorConfig) *FleetAggregator {
-	return fleet.NewAggregator(cfg)
-}
-
 // OpenFleetAggregator builds a fleet aggregator backed by the crash-safe
 // segment log under cfg.DataDir: existing segments replay on boot (so a
 // restart recovers the fleet without agent resyncs, truncating a crash-torn
 // tail frame), every state-changing batch is appended from then on, and
 // the retained log answers GET /fleet/history range queries. With an empty
-// DataDir this is exactly NewFleetAggregator.
+// DataDir the aggregator is memory-only.
 func OpenFleetAggregator(cfg FleetAggregatorConfig) (*FleetAggregator, FleetReplayStats, error) {
 	return fleet.OpenAggregator(cfg)
 }
@@ -470,42 +329,6 @@ func NewDatacenterSim(inv *SimInventory, cfg DatacenterSimConfig) (*DatacenterSi
 // serve GET /fleet/catalog.
 func SimReferenceCatalog(seed int64, personalities ...FleetPersonality) (*WorkloadCatalog, error) {
 	return vscsim.ReferenceCatalog(seed, personalities...)
-}
-
-// --- Tracing and offline analysis ---
-
-// Tracer captures completed commands; TraceRecord is one command.
-type (
-	Tracer      = trace.Tracer
-	TraceRecord = trace.Record
-)
-
-// Replay feeds a trace back through a collector; Analyze computes exact
-// (unbinned) statistics; SeekLatencyCorrelation builds the §3.6 2-D view.
-func Replay(records []TraceRecord, col *Collector) { trace.Replay(records, col) }
-
-// Analyze recomputes exact (unbinned) workload statistics from a trace.
-func Analyze(records []TraceRecord) *analysis.Report {
-	return analysis.Analyze(records)
-}
-
-// SeekLatencyCorrelation builds the §3.6 seek-distance x latency view.
-func SeekLatencyCorrelation(records []TraceRecord) *histogram.Snapshot2D {
-	return analysis.SeekLatency(records)
-}
-
-// Burstiness summarizes a trace's arrival process (peak-to-mean, index of
-// dispersion, Hurst-exponent estimate) at the given window size.
-type Burstiness = analysis.Burstiness
-
-// BurstinessOf computes the arrival-process summary over a trace.
-func BurstinessOf(records []TraceRecord, windowMicros int64) Burstiness {
-	return analysis.BurstinessOf(records, windowMicros)
-}
-
-// AggregateSnapshots merges per-disk snapshots into one rollup view.
-func AggregateSnapshots(vm, disk string, snaps ...*Snapshot) *Snapshot {
-	return core.Aggregate(vm, disk, snaps...)
 }
 
 // WorkloadCatalog classifies snapshots against named reference

@@ -5,6 +5,12 @@ import (
 	"testing"
 
 	"vscsistats"
+	"vscsistats/internal/analysis"
+	"vscsistats/internal/core"
+	"vscsistats/internal/fs"
+	"vscsistats/internal/storage"
+	"vscsistats/internal/trace"
+	"vscsistats/internal/workload"
 )
 
 // TestQuickstartFlow exercises the doc-comment example end to end through
@@ -20,7 +26,7 @@ func TestQuickstartFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	vd.Collector.Enable()
-	gen := vscsistats.NewIometer(eng, vd.Disk, vscsistats.FourKSeqRead(32))
+	gen := vscsistats.NewIometer(eng, vd.Disk, workload.FourKSeqRead(32))
 	gen.Start()
 	eng.RunUntil(10 * vscsistats.Second)
 	gen.Stop()
@@ -46,7 +52,7 @@ func TestQuickstartFlow(t *testing.T) {
 func TestFilesystemAndTraceFlow(t *testing.T) {
 	eng := vscsistats.NewEngine()
 	host := vscsistats.NewHost(eng)
-	host.AddDatastore("local", vscsistats.LocalDisk(2))
+	host.AddDatastore("local", storage.LocalDiskConfig(2))
 	vd, err := host.CreateVM("guest").AddDisk(vscsistats.DiskSpec{
 		Name: "scsi0:0", Datastore: "local", CapacitySectors: 1 << 22,
 		TraceCapacity: 10_000,
@@ -56,7 +62,7 @@ func TestFilesystemAndTraceFlow(t *testing.T) {
 	}
 	vd.Collector.Enable()
 	vd.Tracer.Enable()
-	fsys := vscsistats.NewUFS(eng, vd.Disk)
+	fsys := fs.NewPlain(eng, vd.Disk, fs.UFSConfig())
 	f, err := fsys.Create("data", 64<<20)
 	if err != nil {
 		t.Fatal(err)
@@ -75,25 +81,25 @@ func TestFilesystemAndTraceFlow(t *testing.T) {
 	if len(recs) == 0 {
 		t.Fatal("no trace records")
 	}
-	rep := vscsistats.Analyze(recs)
+	rep := analysis.Analyze(recs)
 	if rep.Commands == 0 || rep.Latency.Count == 0 {
 		t.Errorf("analysis: %+v", rep)
 	}
 	// Replaying the trace reproduces the online histograms.
-	col := vscsistats.NewCollector("guest", "scsi0:0")
+	col := core.NewCollector("guest", "scsi0:0")
 	col.Enable()
-	vscsistats.Replay(recs, col)
+	trace.Replay(recs, col)
 	if col.Snapshot().Commands != vd.Collector.Snapshot().Commands {
 		t.Error("replay diverged from online collection")
 	}
-	if corr := vscsistats.SeekLatencyCorrelation(recs); corr.Total == 0 {
+	if corr := analysis.SeekLatency(recs); corr.Total == 0 {
 		t.Error("2-D correlation empty")
 	}
 }
 
 // TestModelLanguageFlow parses and runs a custom model via the facade.
 func TestModelLanguageFlow(t *testing.T) {
-	m, err := vscsistats.ParseModel(`
+	m, err := workload.ParseModel(`
 define file name=hot,size=64m
 define process name=p {
   thread name=t,instances=4 {
@@ -107,12 +113,12 @@ define process name=p {
 	}
 	eng := vscsistats.NewEngine()
 	host := vscsistats.NewHost(eng)
-	host.AddDatastore("local", vscsistats.LocalDisk(3))
+	host.AddDatastore("local", storage.LocalDiskConfig(3))
 	vd, _ := host.CreateVM("g").AddDisk(vscsistats.DiskSpec{
 		Name: "d", Datastore: "local", CapacitySectors: 1 << 22,
 	})
 	vd.Collector.Enable()
-	fb := vscsistats.NewFilebench(eng, vscsistats.NewExt3(eng, vd.Disk), m, 4)
+	fb := workload.NewFilebench(eng, fs.NewPlain(eng, vd.Disk, fs.Ext3Config()), m, 4)
 	if err := fb.Setup(); err != nil {
 		t.Fatal(err)
 	}
@@ -121,12 +127,6 @@ define process name=p {
 	fb.Stop()
 	if vd.Collector.Snapshot().Commands == 0 {
 		t.Error("model generated no I/O")
-	}
-}
-
-func TestVersion(t *testing.T) {
-	if vscsistats.Version == "" {
-		t.Error("version empty")
 	}
 }
 
@@ -144,7 +144,7 @@ func TestScenarioDatastoreOverride(t *testing.T) {
 		return s.Histogram(vscsistats.MetricLatency, vscsistats.All).Mean()
 	}
 	symLat := run(nil)
-	noCache := vscsistats.CX3NoCache(3)
+	noCache := storage.CX3NoCacheConfig(3)
 	cx3Lat := run(&noCache)
 	if cx3Lat <= symLat {
 		t.Errorf("cache-off latency %.0f should exceed big-cache latency %.0f", cx3Lat, symLat)
@@ -183,7 +183,7 @@ func TestBurstinessViaFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc.Run(15 * vscsistats.Second)
-	b := vscsistats.BurstinessOf(sc.VD.Tracer.Records(), 1000)
+	b := analysis.BurstinessOf(sc.VD.Tracer.Records(), 1000)
 	if b.Windows == 0 || b.PeakToMean < 1 {
 		t.Errorf("burstiness: %+v", b)
 	}
