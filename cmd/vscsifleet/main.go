@@ -51,6 +51,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -230,7 +231,11 @@ func runAgent(listen, host, push string, interval time.Duration, workload string
 			Trace:   obs.ChromeTraceHandler(),
 			Series:  streamer,
 		})
-		go http.ListenAndServe(listen, handler)
+		ln, err := net.Listen("tcp", listen) // a taken port fails the run
+		if err != nil {
+			return err
+		}
+		go http.Serve(ln, handler)
 		fmt.Fprintf(os.Stderr, "agent %s stats on %s\n", host, listen)
 	}
 	fmt.Fprintf(os.Stderr, "agent %s simulating %s at %dx realtime, pushing to %s every %s\n",
@@ -299,7 +304,11 @@ func runSim(listen, push string, interval time.Duration, seed int64, speed int, 
 		handler := vscsistats.NewStatsHandlerWith(reg, vscsistats.StatsOptions{
 			Metrics: vscsistats.NewMetricsExporter(reg).With(sim),
 		})
-		go http.ListenAndServe(listen, handler)
+		ln, err := net.Listen("tcp", listen) // a taken port fails the run
+		if err != nil {
+			return err
+		}
+		go http.Serve(ln, handler)
 		fmt.Fprintf(os.Stderr, "sim: metrics on %s\n", listen)
 	}
 	fmt.Fprintf(os.Stderr, "sim: running at %dx realtime, pushing to %s every %s\n",

@@ -209,15 +209,20 @@ func (s *Snapshot) plus(o *Snapshot, sign int64, ext *Snapshot) *Snapshot {
 		Errors:     s.Errors + sign*o.Errors,
 		cells:      make([]int64, snapshotWords),
 	}
-	a, b, e := s.Cells(), o.Cells(), ext.Cells()
+	a, b := s.Cells(), o.Cells()
 	for i := range out.cells {
 		out.cells[i] = a[i] + sign*b[i]
 	}
-	for i := range cellTable {
-		dst, src := cellTable[i].Of(out.cells), cellTable[i].Of(e)
-		copy(dst[len(dst)-2:], src[len(src)-2:])
-	}
+	copyExtrema(out.cells, ext.Cells())
 	return out
+}
+
+// copyExtrema sets every histogram's min and max in dst to src's.
+func copyExtrema(dst, src []int64) {
+	for i := range cellTable {
+		d, s := cellTable[i].Of(dst), cellTable[i].Of(src)
+		copy(d[len(d)-2:], s[len(s)-2:])
+	}
 }
 
 // Sub returns the interval snapshot s minus earlier: every counter and every
@@ -242,6 +247,18 @@ func (s *Snapshot) Sub(earlier *Snapshot) *Snapshot {
 // cell for cell. The receiver and the delta are left untouched. This is the
 // aggregator side of the fleet delta-push protocol.
 func (s *Snapshot) ApplyDelta(d *Snapshot) *Snapshot { return s.plus(d, 1, d) }
+
+// AddDelta adds d onto s in place, leaving s equal to s.ApplyDelta(d). Only
+// the decoder that owns s — no one else holds it yet — may call it.
+func (s *Snapshot) AddDelta(d *Snapshot) {
+	s.Commands, s.NumReads, s.NumWrites = s.Commands+d.Commands, s.NumReads+d.NumReads, s.NumWrites+d.NumWrites
+	s.ReadBytes, s.WriteBytes, s.Errors = s.ReadBytes+d.ReadBytes, s.WriteBytes+d.WriteBytes, s.Errors+d.Errors
+	s.cells = s.Cells() // the empty snapshot's zeros become its own
+	for i, c := range d.Cells() {
+		s.cells[i] += c
+	}
+	copyExtrema(s.cells, d.Cells())
+}
 
 // StateEquals reports whether two snapshots carry identical observed state:
 // every counter and every cell. Names (VM/Disk) are not compared — rollups

@@ -215,7 +215,7 @@ func OpenAggregator(cfg AggregatorConfig) (*Aggregator, ReplayStats, error) {
 			if dirIdx != g.ShardFor(f.Host) {
 				moved.Store(true)
 			}
-			_, ierr := g.shardOf(f.Host).ingest(f, "log", time.Unix(0, f.SentUnixNano))
+			_, ierr := g.shardOf(f.Host).ingest(f, "log", time.Unix(0, f.SentUnixNano), true)
 			if errors.Is(ierr, ErrResyncRequired) {
 				return true, nil
 			}
@@ -289,7 +289,7 @@ func (g *Aggregator) Ingest(b *Batch, source string) error {
 // bytes of a frame that changed it.
 func (g *Aggregator) ingest(f *frame, source string, sampled bool) error {
 	if err := f.Validate(); err != nil {
-		if _, derr := decodePayload(f.payload, f.count, nil); derr != nil {
+		if _, derr := decodePayload(f.payload, f.count, nil, false); derr != nil {
 			return derr // a malformed payload is a bad frame first
 		}
 		return g.refuse(f.Batch, err)
@@ -301,7 +301,7 @@ func (g *Aggregator) ingest(f *frame, source string, sampled bool) error {
 		g.observeStage(fleetobs.StageLockWait, start, f.Batch, idx)
 		start = stageStart(sampled)
 	}
-	applied, err := g.shards[idx].ingest(f, source, g.now())
+	applied, err := g.shards[idx].ingest(f, source, g.now(), false)
 	g.observeStage(fleetobs.StageIngest, start, f.Batch, idx)
 	var rotated bool
 	if g.log != nil {
@@ -414,7 +414,7 @@ func (g *Aggregator) receive(ctx context.Context, r io.Reader, source string, sa
 	start := stageStart(sampled)
 	f, err := readFrame(r, readAll)
 	if err == nil && !f.Delta {
-		f.Snapshots, err = decodePayload(f.payload, f.count, nil) // before the shard lock; a delta waits for its base
+		f.Snapshots, err = decodePayload(f.payload, f.count, nil, false) // before the shard lock; a delta waits for its base
 	}
 	if errors.As(err, new(*UnknownLayoutError)) {
 		return nil, g.refuse(f.Batch, err) // the whole frame came with the error

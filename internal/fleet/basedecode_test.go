@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -116,9 +117,10 @@ func snapsOf(t testing.TB, snaps []*core.Snapshot) []byte {
 // replaced: decoding a payload onto a base must either fail — a bad frame
 // or an unknown disk, exactly where the reference fails — or give, disk for
 // disk, what decodeDense followed by core.ApplyDelta gives. It must never
-// write the base, and what it allocates is bounded by the base, however
-// many snapshots the payload claims. Decoding onto nothing must match
-// decodeDense alone.
+// write a shared base, and what it allocates is bounded by the base, however
+// many snapshots the payload claims. Decoding in place onto a private copy
+// of the base fails alike and gives the same disks, and a failure leaves
+// the copy as it was. Decoding onto nothing must match decodeDense alone.
 func FuzzApplyDeltaPayload(f *testing.F) {
 	reg := makeRegistry(3, 2, 3, 150)
 	base := reg.Snapshots()
@@ -155,7 +157,7 @@ func FuzzApplyDeltaPayload(f *testing.F) {
 		for range 2 { // the smaller of two, so another goroutine's allocation is not counted
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			got, err = decodePayload(payload, count, base)
+			got, err = decodePayload(payload, count, base, false)
 			runtime.ReadMemStats(&after)
 			grew = min(grew, after.TotalAlloc-before.TotalAlloc)
 		}
@@ -168,34 +170,51 @@ func FuzzApplyDeltaPayload(f *testing.F) {
 			}
 		}
 
+		own := slices.Clone(base)
+		core.MakeWritable(own)
+		_, ierr := decodePayload(payload, count, own, true)
+
 		deltas, derr := decodeDense(payload, count)
 		want, werr := deltas, derr
 		if derr == nil {
 			want, werr = applyDeltaSnaps(base, deltas)
 		}
-		switch {
-		case derr != nil:
-			if !errors.Is(err, ErrBadFrame) {
-				t.Fatalf("reference decode fails (%v), decode onto base gives %v", derr, err)
+		for mode, out := range map[string]struct {
+			snaps []*core.Snapshot
+			err   error
+		}{"onto base": {got, err}, "in place": {own, ierr}} {
+			got, err := out.snaps, out.err
+			switch {
+			case derr != nil:
+				if !errors.Is(err, ErrBadFrame) {
+					t.Fatalf("reference decode fails (%v), decode %s gives %v", derr, mode, err)
+				}
+			case werr != nil:
+				if resyncCauseOf(err) != ResyncUnknownDisk {
+					t.Fatalf("reference apply fails (%v), decode %s gives %v", werr, mode, err)
+				}
+			case err != nil:
+				t.Fatalf("reference succeeds, decode %s fails: %v", mode, err)
+			default:
+				if len(got) != len(want) {
+					t.Fatalf("decode %s: %d disks, want %d", mode, len(got), len(want))
+				}
+				for i := range want {
+					if got[i].VM != want[i].VM || got[i].Disk != want[i].Disk || !got[i].StateEquals(want[i]) {
+						t.Fatalf("decode %s: disk %d differs from decode + ApplyDelta", mode, i)
+					}
+				}
 			}
-		case werr != nil:
-			if resyncCauseOf(err) != ResyncUnknownDisk {
-				t.Fatalf("reference apply fails (%v), decode onto base gives %v", werr, err)
-			}
-		case err != nil:
-			t.Fatalf("reference succeeds, decode onto base fails: %v", err)
-		default:
-			if len(got) != len(want) {
-				t.Fatalf("%d disks, want %d", len(got), len(want))
-			}
-			for i := range want {
-				if got[i].VM != want[i].VM || got[i].Disk != want[i].Disk || !got[i].StateEquals(want[i]) {
-					t.Fatalf("disk %d differs from decode + ApplyDelta", i)
+		}
+		if ierr != nil {
+			for i := range base {
+				if !own[i].StateEquals(base[i]) {
+					t.Fatalf("failed decode in place (%v) wrote disk %d", ierr, i)
 				}
 			}
 		}
 
-		full, err := decodePayload(payload, count, nil)
+		full, err := decodePayload(payload, count, nil, false)
 		if (err == nil) != (derr == nil) || (err != nil && !errors.Is(err, ErrBadFrame)) {
 			t.Fatalf("decode onto nothing: %v, reference: %v", err, derr)
 		}

@@ -150,8 +150,40 @@ func BenchmarkFleetIngest1024Traced(b *testing.B) {
 	}
 }
 
+// benchChains gives every host the chain fleet_durable's agents send: one
+// full frame, then seven interval deltas, one a second from t0, over 2 VMs
+// × 2 disks that all see traffic between frames.
+func benchChains(b *testing.B, agg *Aggregator, hosts []string, t0 time.Time) {
+	b.Helper()
+	const variants, frames = 8, 8
+	states := make([][][]*core.Snapshot, variants) // [variant][frame]
+	for v := range states {
+		reg := makeRegistry(v, 2, 2, 50)
+		for k := range frames {
+			for c, col := range reg.List() {
+				feed(col, (v*frames+k)*4+c, 20*min(k, 1))
+			}
+			states[v] = append(states[v], reg.Snapshots())
+		}
+	}
+	for i, h := range hosts {
+		chain := states[i%variants]
+		for k, snaps := range chain {
+			batch := &Batch{Host: h, Seq: uint64(k + 1), SentUnixNano: t0.Add(time.Duration(k) * time.Second).UnixNano(), Snapshots: snaps}
+			if k > 0 {
+				batch.Delta, batch.BaseSeq = true, uint64(k)
+				batch.Snapshots, _ = subAgainst(snaps, chain[k-1])
+			}
+			if err := agg.Ingest(batch, "push"); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkFleetReplay1024 measures a boot replay of a 1024-host segment
-// log — the restart cost the log trades for zero agent resyncs.
+// log, 1 full frame and 7 deltas per host — the restart cost the log
+// trades for zero agent resyncs.
 func BenchmarkFleetReplay1024(b *testing.B) {
 	dir := b.TempDir()
 	cfg := AggregatorConfig{StaleAfter: time.Hour, DataDir: dir}
@@ -160,26 +192,27 @@ func BenchmarkFleetReplay1024(b *testing.B) {
 		b.Fatal(err)
 	}
 	hosts := fleetHostNames(1024)
-	benchPopulate(b, agg, hosts)
+	benchChains(b, agg, hosts, time.Now().Add(-time.Minute))
 	if err := agg.Close(); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g, st, err := OpenAggregator(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if st.Hosts != len(hosts) {
-			b.Fatalf("replay recovered %d hosts, want %d", st.Hosts, len(hosts))
+		if st.Hosts != len(hosts) || st.Skipped != 0 {
+			b.Fatalf("replay recovered %d hosts and skipped %d frames, want %d and 0", st.Hosts, st.Skipped, len(hosts))
 		}
 		g.Close()
 	}
 }
 
 // BenchmarkFleetHistoryQuery measures one whole-fleet /fleet/history
-// window over a populated log: 64 hosts × 4-frame chains scanned from
-// disk, windowed and merged per query.
+// window over a populated log: 64 hosts × 8-frame chains scanned from
+// disk, windowed from the fourth frame and merged per query.
 func BenchmarkFleetHistoryQuery(b *testing.B) {
 	dir := b.TempDir()
 	cfg := AggregatorConfig{StaleAfter: time.Hour, DataDir: dir}
@@ -188,22 +221,10 @@ func BenchmarkFleetHistoryQuery(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer agg.Close()
-	const variants = 8
-	rotations := make([][]*core.Snapshot, variants)
-	for v := 0; v < variants; v++ {
-		rotations[v] = makeRegistry(v, 1, 1, 50).Snapshots()
-	}
-	for i, h := range fleetHostNames(64) {
-		for seq := uint64(1); seq <= 4; seq++ {
-			if err := agg.Ingest(&Batch{
-				Host: h, Seq: seq, SentUnixNano: time.Now().UnixNano(),
-				Snapshots: rotations[(i+int(seq))%variants],
-			}, "push"); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	from, to := time.Unix(0, 0), time.Now()
+	t0 := time.Now().Add(-time.Minute)
+	benchChains(b, agg, fleetHostNames(64), t0)
+	from, to := t0.Add(3*time.Second), time.Now()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := agg.History(from, to)

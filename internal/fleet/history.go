@@ -83,25 +83,29 @@ func (g *Aggregator) history(from, to time.Time) (*HistoryResult, error) {
 			h = &historyHost{}
 			dirs[dirIdx][f.Host] = h
 		}
-		if applied, _ := h.apply(f); !applied {
+		if f.Delta && f.SentUnixNano > fromNs && h.baseIsChain {
+			// apply adds in place: the baseline keeps these snapshots.
+			h.snaps, h.baseIsChain = append([]*core.Snapshot(nil), h.snaps...), false
+			core.MakeWritable(h.snaps)
+		}
+		if applied, _ := h.apply(f, true); !applied {
 			// A duplicate, a stale full (compaction-interrupt leftovers), a
 			// delta whose base is gone or a malformed one: live ingest left
 			// its state alone for the same frame, and so does the window.
 			return
 		}
 		if f.SentUnixNano <= fromNs {
-			h.base = h.snaps
+			h.base, h.baseIsChain = h.snaps, true
 		} else {
 			h.inWindow = true
 		}
-		h.end = h.snaps
 	})
 
 	var windows []*core.Snapshot
 	res := &HistoryResult{FromUnixNano: fromNs, ToUnixNano: toNs, Frames: frames.Load()}
 	for _, hosts := range dirs {
 		for _, h := range hosts {
-			if !h.inWindow || h.end == nil {
+			if !h.inWindow || h.snaps == nil {
 				continue
 			}
 			res.Hosts++
@@ -109,7 +113,7 @@ func (g *Aggregator) history(from, to time.Time) (*HistoryResult, error) {
 			for _, s := range h.base {
 				base[diskKey{s.VM, s.Disk}] = s
 			}
-			for _, s := range h.end {
+			for _, s := range h.snaps { // the state as of the newest frame sent <= to
 				windows = append(windows, core.IntervalSince(base[diskKey{s.VM, s.Disk}], s))
 			}
 		}
@@ -119,12 +123,12 @@ func (g *Aggregator) history(from, to time.Time) (*HistoryResult, error) {
 }
 
 // historyHost is one host's replay state during a History scan: the same
-// chainPos live ingest advances, plus the two boundary states.
+// chainPos live ingest advances, which the scan owns, plus the baseline.
 type historyHost struct {
 	chainPos
-	inWindow bool             // a state change landed inside (from, to]
-	base     []*core.Snapshot // state as of the newest frame sent <= from
-	end      []*core.Snapshot // state as of the newest frame sent <= to
+	inWindow    bool             // a state change landed inside (from, to]
+	base        []*core.Snapshot // state as of the newest frame sent <= from
+	baseIsChain bool             // base may be the chain's own snapshots
 }
 
 // HistoryResult is a windowed merge over the segment log, served by

@@ -282,7 +282,8 @@ func TestHistoryMatchesLiveIngest(t *testing.T) {
 				}
 			}
 			kinds := map[string]int{}
-			var live []*core.Snapshot // the live merge after each step
+			var live []*core.Snapshot                // the live merge after each step
+			var chains []map[string][]*core.Snapshot // every host's live chain after each step
 			for step := 0; step < 120; step++ {
 				s := senders[rng.Intn(len(senders))]
 				for j, col := range s.reg.List() {
@@ -327,6 +328,7 @@ func TestHistoryMatchesLiveIngest(t *testing.T) {
 					t.Fatal(err)
 				}
 				live = append(live, g.ClusterSnapshot(true))
+				chains = append(chains, chainsOf(g))
 				if !res.Cluster.StateEquals(live[step]) {
 					t.Fatalf("step %d (%s host %s seq %d): History over the whole log and the live merge disagree",
 						step, kind, b.Host, b.Seq)
@@ -343,11 +345,83 @@ func TestHistoryMatchesLiveIngest(t *testing.T) {
 					t.Fatalf("History up to step %d and the live merge after it disagree", step)
 				}
 			}
+			// Windows that open mid-chain, with later deltas on the same
+			// disks: the baseline is each host's live chain after step a,
+			// which History's own chain must not change as it adds the
+			// deltas after it in place.
+			last := chains[len(chains)-1]
+			for a := 0; a < len(chains); a += 7 {
+				var windows []*core.Snapshot
+				for host, end := range last {
+					changed := false
+					for s := a + 1; s < len(chains); s++ {
+						prev, cur := chains[s-1][host], chains[s][host]
+						changed = changed || len(prev) == 0 || &prev[0] != &cur[0]
+					}
+					if !changed {
+						continue
+					}
+					base := map[diskKey]*core.Snapshot{}
+					for _, s := range chains[a][host] {
+						base[diskKey{s.VM, s.Disk}] = s
+					}
+					for _, s := range end {
+						windows = append(windows, core.IntervalSince(base[diskKey{s.VM, s.Disk}], s))
+					}
+				}
+				want, _ := mergeSnaps(windows)
+				res, err := g.History(time.Unix(0, int64(a+1)*int64(time.Second)), farFuture)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.Cluster.StateEquals(want) {
+					t.Fatalf("History from step %d on and the live chains' windows disagree", a)
+				}
+			}
 			st := g.Stats()
 			if st.DeltasApplied == 0 || st.Duplicates == 0 || st.ResyncSeqGap == 0 || st.ResyncBootChanged == 0 {
 				t.Errorf("sequence too tame to prove anything: %v, stats %+v", kinds, st)
 			}
 		})
+	}
+}
+
+// TestHistoryBaselineFollowsLogOrder sends a chain whose send times go
+// backwards once: d3 was sent before d2 but applied after it. The baseline
+// is the state after the newest applied frame sent at or before from, in
+// log order, so it holds d2 although d2 was sent after from; and the delta
+// inside the window after it, which History adds in place, must not change
+// it.
+func TestHistoryBaselineFollowsLogOrder(t *testing.T) {
+	t0 := time.Now().Add(-time.Minute)
+	at := func(s int) time.Time { return t0.Add(time.Duration(s) * time.Second) }
+	reg := makeRegistry(3, 2, 2, 100)
+	var states [][]*core.Snapshot
+	var batches []*Batch
+	for k, sent := range []int{1, 5, 3, 6} {
+		for i, col := range reg.List() {
+			feed(col, 300+k*10+i, 50*min(k, 1))
+		}
+		states = append(states, reg.Snapshots())
+		b := &Batch{Host: "esx-o", Seq: uint64(k + 1), SentUnixNano: at(sent).UnixNano(), Snapshots: states[k]}
+		if k > 0 {
+			b.Delta, b.BaseSeq, b.Snapshots = true, uint64(k), subSnaps(states[k], states[k-1])
+		}
+		batches = append(batches, b)
+	}
+	g, _, err := OpenAggregator(logAggConfig(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	ingestAll(t, g, batches)
+	res, err := g.History(at(4), at(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := core.Aggregate("cluster", "*", subSnaps(states[3], states[2])...)
+	if res.Hosts != 1 || !sameSnapshot(res.Cluster, want) {
+		t.Errorf("window over %d hosts is not the state after d4 less the state after d3", res.Hosts)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -777,5 +778,133 @@ func TestLogShardCountGrow(t *testing.T) {
 			sameMerges(t, "reopen after growth", g, control)
 		}
 		g.Close()
+	}
+}
+
+// chainsOf returns every host's stored chain, by host name.
+func chainsOf(g *Aggregator) map[string][]*core.Snapshot {
+	out := map[string][]*core.Snapshot{}
+	for _, sh := range g.shards {
+		for _, b := range sh.fullBatches() {
+			out[b.Host] = b.Snapshots
+		}
+	}
+	return out
+}
+
+// TestReplaySkipsRefusedDeltaUntouched puts a well-formed delta mid-chain
+// in the log that names every disk of the host and then one it lacks. Boot
+// replay adds deltas in place, so the known disks must stay unwritten when
+// the unknown one refuses the frame: boot skips it, and the next delta
+// lands on the untouched chain, as it does in live ingest of the same
+// frames.
+func TestReplaySkipsRefusedDeltaUntouched(t *testing.T) {
+	host, batches, reg := hostChain(4, 3, time.Now().UnixNano())
+	stranger := makeRegistry(9, 1, 1, 30).Snapshots()
+	bad := *batches[2]
+	bad.Snapshots = append(slices.Clone(bad.Snapshots), stranger...)
+	frame, err := EncodeBatchBytes(&bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := AggregatorConfig{StaleAfter: time.Hour, Shards: 1, DataDir: t.TempDir(), SyncInterval: -1}
+	g, _, err := OpenAggregator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	control := NewAggregator(AggregatorConfig{StaleAfter: time.Hour, Shards: 1})
+	ingestAll(t, g, batches[:2])
+	ingestAll(t, control, batches[:2])
+	if err := control.Ingest(&bad, "push"); resyncCauseOf(err) != ResyncUnknownDisk {
+		t.Fatalf("live ingest of the delta naming a stranger disk: %v, want an unknown-disk resync", err)
+	}
+	file, err := os.OpenFile(g.log.shards[0].active.path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := file.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	if err := file.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ingestAll(t, g, batches[2:])
+	ingestAll(t, control, batches[2:])
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	g2, st, err := OpenAggregator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g2.Close()
+	if st.Frames != 4 || st.Skipped != 1 {
+		t.Errorf("replayed %d frames, skipped %d; want 4 and 1", st.Frames, st.Skipped)
+	}
+	if !sameSnapshot(g2.ClusterSnapshot(false), control.ClusterSnapshot(false)) ||
+		!sameSnapshot(g2.ClusterSnapshot(false), reg.HostSnapshot()) {
+		t.Error("boot over the refused delta is not the state live ingest of the same frames holds")
+	}
+	sameMerges(t, "booted", g2, control)
+	if hs := g2.Hosts(); len(hs) != 1 || hs[0].Host != host || hs[0].Seq != 3 {
+		t.Errorf("booted hosts %+v, want %s at seq 3", hs, host)
+	}
+}
+
+// TestSnapshotsHandedOutAfterBootNeverChange boots from a log of full and
+// delta chains — which replay adds in place — then keeps everything a
+// reader can get: the cluster and per-VM merges and every chain's
+// snapshots. Live deltas pushed afterwards must build new snapshots: all
+// that was handed out stays bit-identical.
+func TestSnapshotsHandedOutAfterBootNeverChange(t *testing.T) {
+	cfg := logAggConfig(t.TempDir())
+	g, _, err := OpenAggregator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var regs []*core.Registry
+	var next []*Batch // each host's next delta, pushed after the boot
+	for h := range 3 {
+		host, batches, reg := hostChain(h, 4, time.Now().UnixNano())
+		ingestAll(t, g, batches)
+		prev := reg.Snapshots()
+		for i, col := range reg.List() {
+			feed(col, 900+h*10+i, 60)
+		}
+		next = append(next, &Batch{Host: host, Seq: 5, BaseSeq: 4, Delta: true, Snapshots: subSnaps(reg.Snapshots(), prev)})
+		regs = append(regs, reg)
+	}
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	g2, _, err := OpenAggregator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g2.Close()
+	var held []*core.Snapshot
+	held = append(held, g2.ClusterSnapshot(false))
+	held = append(held, g2.VMSnapshots(false)...)
+	for _, snaps := range chainsOf(g2) {
+		held = append(held, snaps...)
+	}
+	kept := slices.Clone(held)
+	core.MakeWritable(kept)
+
+	ingestAll(t, g2, next)
+	var want []*core.Snapshot
+	for _, reg := range regs {
+		want = append(want, reg.Snapshots()...)
+	}
+	if !sameSnapshot(g2.ClusterSnapshot(false), core.Aggregate("cluster", "*", want...)) {
+		t.Fatal("the live deltas did not land")
+	}
+	for i := range held {
+		if !held[i].StateEquals(kept[i]) {
+			t.Errorf("snapshot %d (%s/%s) handed out after boot changed under a live delta", i, held[i].VM, held[i].Disk)
+		}
 	}
 }

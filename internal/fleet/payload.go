@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"slices"
+	"sync"
 	"unsafe"
 
 	"vscsistats/internal/core"
@@ -171,24 +172,27 @@ func (p *payloadReader) fail(what string) {
 	p.buf = nil
 }
 
+// uvarint reads a one-byte value, which most counts and gaps are, without
+// the call into encoding/binary.
 func (p *payloadReader) uvarint() uint64 {
-	v, n := binary.Uvarint(p.buf)
-	if n <= 0 {
-		p.fail("bad uvarint")
-		return 0
+	if len(p.buf) > 0 && p.buf[0] < 0x80 {
+		v := p.buf[0]
+		p.buf = p.buf[1:]
+		return uint64(v)
 	}
-	p.buf = p.buf[n:]
-	return v
-}
-
-func (p *payloadReader) varint() int64 {
-	v, n := binary.Varint(p.buf)
+	v, n := binary.Uvarint(p.buf)
 	if n <= 0 {
 		p.fail("bad varint")
 		return 0
 	}
 	p.buf = p.buf[n:]
 	return v
+}
+
+// varint reads a zig-zag varint, as encoding/binary's Varint does.
+func (p *payloadReader) varint() int64 {
+	v := p.uvarint()
+	return int64(v>>1) ^ -int64(v&1)
 }
 
 // bytes reads a length-prefixed string without copying it.
@@ -238,12 +242,13 @@ func (p *payloadReader) hist(h, all []int64) {
 // decodePayload parses the count snapshots of a binary payload, the bytes
 // after its layout id. With a nil base they start from zeros, behind
 // core.MakeWritable's two allocations. With a base each is a delta
-// (Snapshot.Sub) added straight onto a writable copy of the base disk of the
-// same name, exactly core.ApplyDelta; unnamed disks carry over by reference,
-// the base is never written, and no more is allocated than the base holds. A
-// delta for a disk the base lacks is ResyncUnknownDisk (the sender built on
-// state we lost), once the whole payload is known to be well formed.
-func decodePayload(payload []byte, count int, base []*core.Snapshot) ([]*core.Snapshot, error) {
+// (Snapshot.Sub): parse stages the whole payload, one snapshot per base disk
+// named and one for the disks the base lacks; only if it is well formed and
+// names no such disk (ResyncUnknownDisk: the sender built on state we lost)
+// does add put each onto its base disk, exactly core.ApplyDelta. An owned
+// base (see chainPos) is added onto in place; a shared one is never written,
+// its named disks become new snapshots and the rest carry over by reference.
+func decodePayload(payload []byte, count int, base []*core.Snapshot, owned bool) ([]*core.Snapshot, error) {
 	p := payloadReader{buf: payload}
 	if count < 0 || count > len(p.buf)/layout.minBytes {
 		return nil, badFrame("header count %d cannot fit a %d-byte payload", count, len(payload))
@@ -251,14 +256,17 @@ func decodePayload(payload []byte, count int, base []*core.Snapshot) ([]*core.Sn
 	if count > maxDecodedLen/layout.decodedBytes {
 		return nil, badFrame("header count %d decodes past the limit of %d bytes", count, maxDecodedLen)
 	}
-	out := slices.Clone(base) // nil for an empty full batch, as the encoder was handed
+	var out []*core.Snapshot // nil for an empty full batch, as the encoder was handed
 	if base == nil && count > 0 {
 		out = make([]*core.Snapshot, count)
 		core.MakeWritable(out)
 	}
+	st := stagingPool.Get().(*staging)
+	defer stagingPool.Put(st)
+	st.delta, st.named = slices.Grow(st.delta[:0], len(base)+1)[:len(base)+1], st.named[:0]
+	clear(st.delta)
 	var at baseIndex
 	var unknown error
-	spare := []*core.Snapshot{nil} // what a delta for no base disk is read into
 	for j := range count {
 		vm, disk := p.bytes(), p.bytes()
 		var s *core.Snapshot
@@ -266,16 +274,12 @@ func decodePayload(payload []byte, count int, base []*core.Snapshot) ([]*core.Sn
 			s = out[j]
 			s.VM, s.Disk = string(vm), string(disk)
 		} else if i, ok := at.find(base, vm, disk); ok {
-			if out[i] == base[i] {
-				core.MakeWritable(out[i : i+1])
-			}
-			s = out[i]
+			s = st.at(i)
 		} else {
 			if unknown == nil { // read on: a malformed payload is a bad frame first
 				unknown = resyncErr(ResyncUnknownDisk, "delta for disk %s/%s with no base state", vm, disk)
-				core.MakeWritable(spare)
 			}
-			s = spare[0]
+			s = st.at(len(base))
 		}
 		for _, c := range [...]*int64{&s.Commands, &s.NumReads, &s.NumWrites, &s.ReadBytes, &s.WriteBytes, &s.Errors} {
 			*c += p.varint()
@@ -301,7 +305,44 @@ func decodePayload(payload []byte, count int, base []*core.Snapshot) ([]*core.Sn
 	if unknown != nil {
 		return nil, unknown
 	}
+	if base == nil {
+		return out, nil
+	}
+	if out = base; !owned {
+		out = slices.Clone(base)
+	}
+	for _, i := range st.named {
+		if owned {
+			out[i].AddDelta(st.delta[i])
+		} else {
+			out[i] = base[i].ApplyDelta(st.delta[i])
+		}
+	}
 	return out, nil
+}
+
+// staging is the parse phase's memory, pooled across decodes.
+type staging struct {
+	delta []*core.Snapshot // by base disk, then the disks it lacks; nil if not named
+	named []int            // the base disks staged, in the order first named
+	spare []*core.Snapshot // the snapshots behind delta
+}
+
+var stagingPool = sync.Pool{New: func() any { return new(staging) }}
+
+// at returns the staged delta of base disk i, zeroed when i is first named.
+func (st *staging) at(i int) *core.Snapshot {
+	if st.delta[i] == nil {
+		if k := len(st.named); k == len(st.spare) {
+			st.spare = append(st.spare, nil)
+			core.MakeWritable(st.spare[k:])
+		}
+		s := st.spare[len(st.named)]
+		clear(s.Cells())
+		s.Commands, s.NumReads, s.NumWrites, s.ReadBytes, s.WriteBytes, s.Errors = 0, 0, 0, 0, 0, 0
+		st.delta[i], st.named = s, append(st.named, i)
+	}
+	return st.delta[i]
 }
 
 // baseIndex finds a delta's disks in its base. A sender lists them in its

@@ -86,6 +86,9 @@ type diskKey struct{ vm, disk string }
 // Every consumer of frames — live ingest, boot replay (both through
 // shard.ingest) and History — holds one per host and advances it only
 // through apply, so they cannot disagree about what a frame means.
+// Only an owner that never hands the chain's snapshots to anyone may have
+// apply add deltas in place: boot replay until OpenAggregator returns, and
+// History. After that every chain is shared, so live ingest copies.
 type chainPos struct {
 	seq   uint64
 	boot  uint64 // 0 for pre-federation senders
@@ -99,15 +102,16 @@ type chainPos struct {
 // error with applied false is an idempotent duplicate (a delta retry whose ack
 // was lost) or a stale full (a late retry); a *ResyncError names why a delta
 // cannot apply. A payload not yet decoded is decoded here, a delta's onto the
-// chain's snapshots, so a malformed one is an ErrBadFrame even where apply does
-// not use it. Every error leaves the chain untouched.
-func (c *chainPos) apply(f *frame) (applied bool, err error) {
+// chain's snapshots — in place if the caller owns the chain — so a malformed
+// one is an ErrBadFrame even where apply does not use it. Every error leaves
+// the chain untouched.
+func (c *chainPos) apply(f *frame, owned bool) (applied bool, err error) {
 	// A restarted sender's sequence space started over, so no comparison
 	// of sequences across the restart means anything.
 	rebooted := f.Boot != 0 && c.boot != 0 && f.Boot != c.boot
 	if !f.Delta {
 		if f.Snapshots == nil {
-			if f.Snapshots, err = decodePayload(f.payload, f.count, nil); err != nil {
+			if f.Snapshots, err = decodePayload(f.payload, f.count, nil, false); err != nil {
 				return false, err
 			}
 		}
@@ -133,7 +137,7 @@ func (c *chainPos) apply(f *frame) (applied bool, err error) {
 			base = []*core.Snapshot{} // no disks, which a nil base does not mean
 		}
 	}
-	snaps, derr := decodePayload(f.payload, f.count, base)
+	snaps, derr := decodePayload(f.payload, f.count, base, owned)
 	if derr != nil || base == nil {
 		return false, cmp.Or(derr, err)
 	}
@@ -150,15 +154,15 @@ func (c *chainPos) apply(f *frame) (applied bool, err error) {
 // cause and returned so the sender falls back to a full push. The applied
 // result reports whether the frame changed stored state — the segment log
 // persists exactly those frames, so liveness-only refreshes and duplicates
-// never consume log space.
-func (s *shard) ingest(f *frame, source string, now time.Time) (applied bool, err error) {
+// never consume log space. Only boot replay owns the chains (chainPos).
+func (s *shard) ingest(f *frame, source string, now time.Time, owned bool) (applied bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.hosts[f.Host]
 	if st == nil {
 		st = &hostState{host: f.Host} // kept only if the frame is accepted
 	}
-	applied, err = st.apply(f)
+	applied, err = st.apply(f, owned)
 	if errors.Is(err, ErrBadFrame) {
 		return false, err
 	}

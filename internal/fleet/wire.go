@@ -265,7 +265,7 @@ func readSized(r io.Reader, dst []byte, n uint32, what string) ([]byte, error) {
 func DecodeBatch(r io.Reader) (*Batch, error) {
 	f, err := readFrame(r, readAll)
 	if err == nil {
-		f.Snapshots, err = decodePayload(f.payload, f.count, nil)
+		f.Snapshots, err = decodePayload(f.payload, f.count, nil, false)
 	}
 	if err != nil {
 		return nil, err

@@ -242,14 +242,6 @@ func (s *Snapshot) Mean() float64 {
 	return float64(s.Sum) / float64(s.Total)
 }
 
-// Fraction returns bin i's share of all samples, in [0,1].
-func (s *Snapshot) Fraction(i int) float64 {
-	if s.Total == 0 {
-		return 0
-	}
-	return float64(s.Counts[i]) / float64(s.Total)
-}
-
 // BinLabel renders bin i's upper edge: the edge value for regular bins and
 // ">lastEdge" for the overflow bin, matching the paper's figure axes.
 func (s *Snapshot) BinLabel(i int) string {

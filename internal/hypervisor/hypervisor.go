@@ -9,7 +9,6 @@ package hypervisor
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"vscsistats/internal/core"
 	"vscsistats/internal/simclock"
@@ -129,7 +128,7 @@ func (h *Host) VMs() []*VM {
 
 // DiskCounters reports the vSCSI-layer lifetime counters of one virtual
 // disk (telemetry.DiskStatsSource). The counters themselves are atomics,
-// so — like Top — this is safe to call while simulations run, as long as
+// so this is safe to call while simulations run, as long as
 // the topology (CreateVM/AddDisk/DetachDisk) is not mutated concurrently.
 func (h *Host) DiskCounters(vmName, diskName string) (issued, completed, errored uint64, inflight int64, ok bool) {
 	vm := h.vms[vmName]
@@ -256,20 +255,4 @@ func (vm *VM) Disks() []*Vdisk {
 		out = append(out, vm.disks[n])
 	}
 	return out
-}
-
-// Top renders an esxtop-style snapshot of per-disk activity (the paper's
-// §5.2 measures through "the statistics service esxtop").
-func (h *Host) Top() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-12s %-10s %10s %10s %8s %8s\n",
-		"VM", "DISK", "ISSUED", "COMPLETED", "INFLIGHT", "ERRORS")
-	for _, vm := range h.VMs() {
-		for _, vd := range vm.Disks() {
-			d := vd.Disk
-			fmt.Fprintf(&b, "%-12s %-10s %10d %10d %8d %8d\n",
-				vm.name, d.Name(), d.Issued(), d.Completed(), d.Inflight(), d.Errored())
-		}
-	}
-	return b.String()
 }

@@ -2,7 +2,6 @@ package hypervisor
 
 import (
 	"runtime"
-	"strings"
 	"testing"
 
 	"vscsistats/internal/core"
@@ -149,18 +148,6 @@ func TestVMsAndDisksSorted(t *testing.T) {
 	}
 	if h.VM("alpha") != vm || h.VM("nope") != nil {
 		t.Error("VM lookup wrong")
-	}
-}
-
-func TestTopRendering(t *testing.T) {
-	eng, h := newHost(t)
-	vm := h.CreateVM("web")
-	vd, _ := vm.AddDisk(DiskSpec{Name: "scsi0:0", Datastore: "sym", CapacitySectors: 1 << 20})
-	vd.Disk.Issue(scsi.Read(0, 8), nil)
-	eng.Run()
-	top := h.Top()
-	if !strings.Contains(top, "web") || !strings.Contains(top, "scsi0:0") {
-		t.Errorf("Top:\n%s", top)
 	}
 }
 

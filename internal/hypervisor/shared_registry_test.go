@@ -41,7 +41,7 @@ func buildHosts(t testing.TB, n int, reg *core.Registry) []*hypervisor.Host {
 
 // TestParallelMonitoringUnderLoad runs each host's engine on its own
 // goroutine while monitoring goroutines snapshot and toggle the shared
-// registry and render every host's esxtop view; run it under -race.
+// registry and read every disk's vSCSI counters; run it under -race.
 func TestParallelMonitoringUnderLoad(t *testing.T) {
 	reg := core.NewRegistry()
 	hosts := buildHosts(t, 4, reg)
@@ -64,7 +64,12 @@ func TestParallelMonitoringUnderLoad(t *testing.T) {
 					}
 				}
 				for _, h := range hosts {
-					_ = h.Top()
+					for _, vm := range h.VMs() {
+						for _, vd := range vm.Disks() {
+							d := vd.Disk
+							_, _, _, _ = d.Issued(), d.Completed(), d.Inflight(), d.Errored()
+						}
+					}
 				}
 				if c := reg.Lookup("vm1", "scsi0:0"); c != nil {
 					c.Disable()
