@@ -183,27 +183,6 @@ func TestIntervalSinceKeepsExactDeltas(t *testing.T) {
 	}
 }
 
-func TestRegistryEnableDisableResetAll(t *testing.T) {
-	reg := NewRegistry()
-	a := NewCollector("v", "d1")
-	b := NewCollector("v", "d2")
-	reg.Register(a)
-	reg.Register(b)
-	reg.EnableAll()
-	if !a.Enabled() || !b.Enabled() {
-		t.Fatal("EnableAll failed")
-	}
-	if n := len(reg.Snapshots()); n != 2 {
-		t.Errorf("Snapshots = %d, want 2", n)
-	}
-	reg.DisableAll()
-	if a.Enabled() || b.Enabled() {
-		t.Fatal("DisableAll failed")
-	}
-	// ResetAll must not panic on enabled-then-disabled collectors.
-	reg.ResetAll()
-}
-
 func TestRegistrySnapshotsSkipNeverEnabled(t *testing.T) {
 	reg := NewRegistry()
 	reg.Register(NewCollector("v", "d"))

@@ -74,27 +74,6 @@ func (r *Registry) List() []*Collector {
 	return out
 }
 
-// EnableAll turns the service on for every disk.
-func (r *Registry) EnableAll() {
-	for _, c := range r.List() {
-		c.Enable()
-	}
-}
-
-// DisableAll turns the service off everywhere without discarding data.
-func (r *Registry) DisableAll() {
-	for _, c := range r.List() {
-		c.Disable()
-	}
-}
-
-// ResetAll discards accumulated data everywhere.
-func (r *Registry) ResetAll() {
-	for _, c := range r.List() {
-		c.Reset()
-	}
-}
-
 // Snapshots returns a snapshot per enabled-at-least-once collector.
 func (r *Registry) Snapshots() []*Snapshot {
 	var out []*Snapshot

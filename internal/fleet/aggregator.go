@@ -139,8 +139,9 @@ type Aggregator struct {
 	// catalog is the swappable §7 reference catalog (see catalog.go).
 	catalog atomic.Pointer[analysis.Catalog]
 
-	rejected  atomic.Int64
-	recvBytes atomic.Int64
+	rejected         atomic.Int64
+	rejectedChecksum atomic.Int64 // of rejected, the frames that failed their trailer
+	recvBytes        atomic.Int64
 	// layoutMismatch counts delta frames refused because their bin layout
 	// was not this binary's at decode (or the batch failed Validate) — the
 	// one resync cause detected at the aggregator rather than in the shard.
@@ -432,6 +433,9 @@ func (g *Aggregator) receive(ctx context.Context, r io.Reader, source string, sa
 	}
 	if errors.Is(err, ErrBadFrame) || err == io.EOF { // refuse counts the rest
 		g.rejected.Add(1)
+		if errors.Is(err, ErrChecksum) {
+			g.rejectedChecksum.Add(1)
+		}
 	}
 	return f, err
 }
@@ -503,11 +507,13 @@ func (g *Aggregator) VMSnapshots(includeStale bool) []*core.Snapshot {
 // AggregatorStats is a point-in-time copy of the aggregator's counters.
 type AggregatorStats struct {
 	// Hosts and StaleHosts count known and stale hosts; Batches counts
-	// ingested batches, Rejected the batches refused at validation,
+	// ingested batches, Rejected the batches refused at decode or
+	// validation (RejectedChecksum: of them, those failing their CRC-32C),
 	// RecvBytes the wire bytes of the pushed frames that were ingested.
 	Hosts, StaleHosts int
 	Batches           int64
 	Rejected          int64
+	RejectedChecksum  int64
 	RecvBytes         int64
 	// DeltasApplied counts delta batches folded onto stored state,
 	// Duplicates the redelivered deltas ignored idempotently, and Resyncs
@@ -542,10 +548,11 @@ func (g *Aggregator) statsOf(hosts []HostStatus) AggregatorStats {
 		}
 	}
 	st := AggregatorStats{
-		Hosts:      len(hosts),
-		StaleHosts: stale,
-		Rejected:   g.rejected.Load(),
-		RecvBytes:  g.recvBytes.Load(),
+		Hosts:            len(hosts),
+		StaleHosts:       stale,
+		Rejected:         g.rejected.Load(),
+		RejectedChecksum: g.rejectedChecksum.Load(),
+		RecvBytes:        g.recvBytes.Load(),
 	}
 	for _, sh := range g.shards {
 		st.Batches += sh.batches.Load()
@@ -637,6 +644,8 @@ type LogStats struct {
 	// recovered and crash-torn tails truncated away.
 	FramesReplayed int64 `json:"frames_replayed"`
 	TornTails      int64 `json:"torn_tails"`
+	// HistoryDropped sums HistoryResult.Dropped over queries.
+	HistoryDropped int64 `json:"history_dropped"`
 }
 
 // LogStats returns the segment log's counters; Enabled is false (and all
@@ -659,6 +668,7 @@ func (g *Aggregator) LogStats() LogStats {
 		SegmentsRetired: g.log.retired.Load(),
 		FramesReplayed:  g.log.replayed.Load(),
 		TornTails:       g.log.tornTails.Load(),
+		HistoryDropped:  g.log.historyDropped.Load(),
 	}
 }
 
@@ -803,6 +813,7 @@ var (
 		telemetry.Gauge("vscsistats_fleet_hosts", "Hosts known to the fleet aggregator.", func(s AggregatorStats) int { return s.Hosts }),
 		telemetry.Gauge("vscsistats_fleet_hosts_stale", "Known hosts past the liveness horizon (excluded from merges).", func(s AggregatorStats) int { return s.StaleHosts }),
 		telemetry.Counter("vscsistats_fleet_rejected_total", "Frames refused at decode or validation.", func(s AggregatorStats) int64 { return s.Rejected }),
+		telemetry.Counter("vscsistats_fleet_rejected_checksum_total", "Refused frames whose bytes failed their CRC-32C trailer.", func(s AggregatorStats) int64 { return s.RejectedChecksum }),
 		telemetry.Counter("vscsistats_fleet_recv_bytes_total", "Wire bytes of the pushed frames that were ingested.", func(s AggregatorStats) int64 { return s.RecvBytes }),
 	}
 	hostSeries = []telemetry.Series[HostStatus]{
@@ -843,6 +854,7 @@ var (
 		telemetry.Counter("vscsistats_fleet_log_segments_retired_total", "Sealed segments dropped by retention.", func(l LogStats) int64 { return l.SegmentsRetired }),
 		telemetry.Counter("vscsistats_fleet_log_frames_replayed_total", "Frames recovered by boot replay.", func(l LogStats) int64 { return l.FramesReplayed }),
 		telemetry.Counter("vscsistats_fleet_log_torn_tails_total", "Crash-torn tail frames truncated away at replay.", func(l LogStats) int64 { return l.TornTails }),
+		telemetry.Counter("vscsistats_fleet_log_history_dropped_total", "Corrupt frames history scans dropped.", func(l LogStats) int64 { return l.HistoryDropped }),
 	}
 	clusterSeries = []telemetry.Series[*core.Snapshot]{
 		telemetry.Counter("vscsistats_fleet_commands_total", "Commands observed across all fresh hosts.", func(s *core.Snapshot) int64 { return s.Commands }),

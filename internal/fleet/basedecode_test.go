@@ -3,7 +3,6 @@ package fleet
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -97,8 +96,8 @@ func decodeDense(payload []byte, count int) ([]*core.Snapshot, error) {
 			}
 		}
 	}
-	if len(p.buf) != 0 {
-		return nil, badFrame("binary payload: %d trailing bytes", len(p.buf))
+	if p.off != len(p.buf) {
+		return nil, badFrame("binary payload: %d trailing bytes", len(p.buf)-p.off)
 	}
 	return out, nil
 }
@@ -339,8 +338,8 @@ func TestMalformedDeltaIsABadFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Frames != 4 || res.Hosts != 1 {
-		t.Fatalf("history scanned %d frames over %d hosts, want 4 over 1", res.Frames, res.Hosts)
+	if res.Frames != 4 || res.Hosts != 1 || res.Dropped != 1 {
+		t.Fatalf("history scanned %d frames over %d hosts and dropped %d, want 4 over 1 and the corrupt one", res.Frames, res.Hosts, res.Dropped)
 	}
 	want := core.Aggregate("cluster", "*", subSnaps(reg.Snapshots(), s1)...)
 	if !sameSnapshot(res.Cluster, want) {
@@ -356,23 +355,13 @@ func TestMalformedDeltaIsABadFrame(t *testing.T) {
 	}
 }
 
-// withHeaderField adds a field this binary does not know to a frame's JSON
-// header, as a later version's sender might.
-func withHeaderField(t *testing.T, frame []byte, key string, value any) []byte {
-	t.Helper()
+// withHeaderField appends bytes this binary does not know to a frame's
+// header, as a later version's sender might add a field.
+func withHeaderField(frame, field []byte) []byte {
 	prefix, payload := payloadOf(frame)
-	var hdr map[string]any
-	if err := json.Unmarshal(prefix[16:], &hdr); err != nil {
-		t.Fatal(err)
-	}
-	hdr[key] = value
-	header, err := json.Marshal(hdr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := append([]byte(nil), prefix[:16]...)
-	binary.BigEndian.PutUint32(out[8:12], uint32(len(header)))
-	return append(append(out, header...), payload...)
+	out := append(append([]byte(nil), prefix...), field...)
+	binary.BigEndian.PutUint32(out[8:12], uint32(len(out)-16))
+	return reseal(append(append(out, payload...), 0, 0, 0, 0))
 }
 
 // TestLogHoldsTheFramesThatArrived pushes frames over HTTP to a durable
@@ -399,7 +388,7 @@ func TestLogHoldsTheFramesThatArrived(t *testing.T) {
 	}
 	full := encode(&Batch{Host: host, Seq: 1, Snapshots: s1})
 	d2 := encode(deltaBatch(t, host, 2, 1, s1, s2))
-	d3 := withHeaderField(t, encode(deltaBatch(t, host, 3, 2, s2, s3)), "from_a_later_version", map[string]any{"n": 1})
+	d3 := withHeaderField(encode(deltaBatch(t, host, 3, 2, s2, s3)), appendStr(nil, "from a later version"))
 	heartbeat := encode(&Batch{Host: host, Seq: 3, BaseSeq: 2, Delta: true})
 	stale := encode(&Batch{Host: host, Seq: 1, Snapshots: s1})
 

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -37,28 +38,12 @@ func goldenBatches() (*Batch, *Batch, *core.Registry) {
 	return full, delta, reg
 }
 
-// TestFrameGolden pins the wire bytes. The golden file is EncodeBatchBytes of
-// goldenBatches' two frames, back to back, written by the binary at 0590e06
-// (sixteen histogram objects per snapshot): this binary must write the same
-// bytes and read them back to the same state.
-func TestFrameGolden(t *testing.T) {
-	want, err := os.ReadFile("testdata/frame_golden.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
+// decodeGolden decodes goldenBatches' two frames from data and checks them
+// against what was encoded: every header field and every cell.
+func decodeGolden(t *testing.T, data []byte) {
+	t.Helper()
 	full, delta, _ := goldenBatches()
-	var got []byte
-	for _, b := range []*Batch{full, delta} {
-		frame, err := EncodeBatchBytes(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, frame...)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("encoded frames differ from the golden file (%d bytes, want %d)", len(got), len(want))
-	}
-	r := bytes.NewReader(want)
+	r := bytes.NewReader(data)
 	for _, b := range []*Batch{full, delta} {
 		back, err := DecodeBatch(r)
 		if err != nil {
@@ -86,6 +71,74 @@ func TestFrameGolden(t *testing.T) {
 		for j := range want {
 			if got[j].VM != want[j].VM || got[j].Disk != want[j].Disk || !got[j].StateEquals(want[j]) {
 				t.Errorf("frame %d snapshot %d (%s/%s) decoded to different state", i, j, want[j].VM, want[j].Disk)
+			}
+		}
+	}
+}
+
+// TestFrameGolden pins the generation-4 reader: testdata/frame_golden.bin is
+// EncodeBatchBytes of goldenBatches' two frames, back to back, written by
+// the binary at 0590e06 (JSON header, no trailer). This binary must still
+// read them back to the same state.
+func TestFrameGolden(t *testing.T) {
+	data, err := os.ReadFile("testdata/frame_golden.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data[4] != 4 || data[5]&flagChecked != 0 {
+		t.Fatalf("fixture head % x is not a generation-4 frame", data[:6])
+	}
+	decodeGolden(t, data)
+}
+
+// TestFrameGoldenV5 pins the writer: testdata/frame_golden_v5.bin is the
+// same two frames as the first generation-5 writer rendered them (binary
+// header, CRC-32C trailer). This binary must write the same bytes and read
+// them back to the same state.
+func TestFrameGoldenV5(t *testing.T) {
+	want, err := os.ReadFile("testdata/frame_golden_v5.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, delta, _ := goldenBatches()
+	var got []byte
+	for _, b := range []*Batch{full, delta} {
+		frame, err := EncodeBatchBytes(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, frame...)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("encoded frames differ from the golden file (%d bytes, want %d)", len(got), len(want))
+	}
+	decodeGolden(t, want)
+}
+
+// TestFrameGoldenBitFlips flips every bit of both generation-5 golden
+// frames, one at a time: no flip may decode into different cells. The
+// trailer covers every byte, so every flip is refused, and only a flip in
+// a declared length can read as a truncation.
+func TestFrameGoldenBitFlips(t *testing.T) {
+	data, err := os.ReadFile("testdata/frame_golden_v5.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := bytes.NewReader(data)
+	for r.Len() > 0 {
+		f, err := readFrame(r, readAll)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for bit := range 8 * len(f.raw) {
+			flipped := append([]byte(nil), f.raw...)
+			flipped[bit/8] ^= 1 << (bit % 8)
+			_, err := DecodeBatch(bytes.NewReader(flipped))
+			if err == nil {
+				t.Fatalf("seq %d: flipping bit %d decoded", f.Seq, bit)
+			}
+			if at := bit / 8; errors.Is(err, ErrTruncatedFrame) && (at < 8 || at >= 16) {
+				t.Errorf("seq %d: flipping bit %d (byte %d) reads as a truncation: %v", f.Seq, bit, at, err)
 			}
 		}
 	}

@@ -66,8 +66,8 @@ func (g *Aggregator) history(from, to time.Time) (*HistoryResult, error) {
 	for i := range dirs {
 		dirs[i] = make(map[string]*historyHost)
 	}
-	var frames atomic.Int64
-	g.log.scan(toNs, func(dirIdx int, f *frame) {
+	var frames, dropped atomic.Int64
+	scanDropped := g.log.scan(toNs, func(dirIdx int, f *frame) {
 		frames.Add(1)
 		if f.SentUnixNano > toNs {
 			// Past the window's end: nothing after this frame on the
@@ -76,7 +76,8 @@ func (g *Aggregator) history(from, to time.Time) (*HistoryResult, error) {
 			return
 		}
 		if f.Validate() != nil {
-			return // corrupted since boot; replay refuses such a frame
+			dropped.Add(1) // corrupted since boot; replay refuses such a frame
+			return
 		}
 		h := dirs[dirIdx][f.Host]
 		if h == nil {
@@ -88,10 +89,13 @@ func (g *Aggregator) history(from, to time.Time) (*HistoryResult, error) {
 			h.snaps, h.baseIsChain = append([]*core.Snapshot(nil), h.snaps...), false
 			core.MakeWritable(h.snaps)
 		}
-		if applied, _ := h.apply(f, true); !applied {
+		if applied, err := h.apply(f, true); !applied {
 			// A duplicate, a stale full (compaction-interrupt leftovers), a
 			// delta whose base is gone or a malformed one: live ingest left
 			// its state alone for the same frame, and so does the window.
+			if errors.Is(err, ErrBadFrame) {
+				dropped.Add(1)
+			}
 			return
 		}
 		if f.SentUnixNano <= fromNs {
@@ -102,7 +106,8 @@ func (g *Aggregator) history(from, to time.Time) (*HistoryResult, error) {
 	})
 
 	var windows []*core.Snapshot
-	res := &HistoryResult{FromUnixNano: fromNs, ToUnixNano: toNs, Frames: frames.Load()}
+	res := &HistoryResult{FromUnixNano: fromNs, ToUnixNano: toNs, Frames: frames.Load(), Dropped: dropped.Load() + scanDropped}
+	g.log.historyDropped.Add(res.Dropped)
 	for _, hosts := range dirs {
 		for _, h := range hosts {
 			if !h.inWindow || h.snaps == nil {
@@ -138,9 +143,12 @@ type HistoryResult struct {
 	FromUnixNano int64 `json:"from_unix_nano"`
 	ToUnixNano   int64 `json:"to_unix_nano"`
 	// Hosts counts the hosts whose chains changed inside the window;
-	// Frames counts every log frame the scan visited.
-	Hosts  int   `json:"hosts"`
-	Frames int64 `json:"frames"`
+	// Frames counts every log frame the scan visited, and Dropped the
+	// corrupt ones it could not use (segmentLog.scan): a window with drops
+	// may be short.
+	Hosts   int   `json:"hosts"`
+	Frames  int64 `json:"frames"`
+	Dropped int64 `json:"dropped"`
 	// Cluster is the fleet-wide windowed merge, VMs the per-VM windowed
 	// merges sorted by name; both nil when nothing changed in the window.
 	// The HTTP layer trims whichever the query did not ask for.

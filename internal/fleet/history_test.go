@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"slices"
 	"testing"
 	"time"
 
@@ -113,6 +115,55 @@ func TestHistorySkipsPayloadsPastTo(t *testing.T) {
 	}
 	if !sameSnapshot(res.Cluster, core.Aggregate("cluster", "*", states[2]...)) {
 		t.Error("the early host's window is not its state after the late host's skipped frames")
+	}
+}
+
+// TestHistoryCountsDroppedFrames flips one bit in the payload of a frame
+// inside the window: the scan drops that frame, counts it on the result and
+// in LogStats, and reads on, so only its own host's window stops short —
+// at the frame before it, since the next delta has no base. A window that
+// ends before the rotted frame never reads it and drops nothing.
+func TestHistoryCountsDroppedFrames(t *testing.T) {
+	cfg := logAggConfig(t.TempDir())
+	cfg.Shards = 1
+	g, _, err := OpenAggregator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	t0 := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	t1, t2 := t0.Add(time.Minute), t0.Add(2*time.Minute)
+	a, aStates := timedChain(0, t0, t1, t2)
+	b, bStates := timedChain(1, t0, t1, t2)
+	ingestAll(t, g, append(a, b...))
+
+	seg := g.log.shards[0].active.path
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, payload := payloadOf(data[frameOffsets(t, seg)[0]:]) // a's delta sent at t1
+	payload[len(payload)/2] ^= 0x20
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	res, err := g.History(time.Unix(0, 0), t2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Dropped != 1 || res.Frames != 5 || res.Hosts != 2 {
+		t.Fatalf("dropped %d, scanned %d frames over %d hosts; want 1, 5 and 2", res.Dropped, res.Frames, res.Hosts)
+	}
+	want := core.Aggregate("cluster", "*", append(slices.Clone(aStates[0]), bStates[2]...)...)
+	if !sameSnapshot(res.Cluster, want) {
+		t.Error("window is not a's state before the rotted frame plus b's whole chain")
+	}
+	if early, err := g.History(time.Unix(0, 0), t0); err != nil || early.Dropped != 0 {
+		t.Errorf("window ending before the rotted frame: %+v, %v; want nothing dropped", early, err)
+	}
+	if d := g.LogStats().HistoryDropped; d != 1 {
+		t.Errorf("LogStats.HistoryDropped = %d, want 1", d)
 	}
 }
 

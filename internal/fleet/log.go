@@ -27,9 +27,9 @@ import (
 //
 // A segment is nothing but concatenated wire frames (the codec is
 // length-prefixed, so frames concatenate cleanly on one stream); there is
-// no index, no checksum block, no manifest. Everything the log needs is
-// already in the frames: ordering is append order, per-host sequencing is
-// the batch Seq, and time is the batch SentUnixNano. Replaying a shard's
+// no index, no manifest. Everything the log needs is already in the frames:
+// ordering is append order, per-host sequencing is the batch Seq, time is
+// the batch SentUnixNano, and each frame's trailer checks its bytes. Replaying a shard's
 // segments in numeric order through the aggregator's strict apply rules
 // (fulls never roll back, deltas apply only on their exact base)
 // reconstructs each host's newest-full-plus-deltas state exactly.
@@ -38,13 +38,14 @@ import (
 //
 //   - a frame that ends early (EOF inside head/header/payload —
 //     ErrTruncatedFrame) in the LAST segment is a torn tail: the crash
-//     landed mid-write. The file is truncated back to the last whole frame
-//     and the log continues from there.
-//   - the same condition in any earlier segment, any non-truncation decode
-//     failure anywhere (bad magic, a payload that contradicts its
-//     encoding, a pre-binary JSON payload), or a whole frame that fails
-//     Validate, is corruption: the log refuses to open rather than serve
-//     wrong numbers.
+//     landed mid-write. So is a last frame that ends at EOF but fails its
+//     checksum (ErrChecksum): a partly flushed write. The file is truncated
+//     back to the last whole frame and the log continues from there.
+//   - the same conditions in any earlier segment, a checksum failure with
+//     bytes after it, any other decode failure anywhere (bad magic, a
+//     payload that contradicts its encoding, a pre-binary JSON payload), or
+//     a whole frame that fails Validate, is corruption: the log refuses to
+//     open rather than serve wrong numbers.
 //   - a delta that cannot apply (its base fell to retention or compaction)
 //     is skipped with a counter — the information is gone, not wrong. So
 //     is a frame of another binary generation's bin layout (an unknown
@@ -128,6 +129,8 @@ type segmentLog struct {
 	retired     atomic.Int64
 	replayed    atomic.Int64
 	tornTails   atomic.Int64
+	// historyDropped counts corrupt frames History dropped.
+	historyDropped atomic.Int64
 }
 
 func (c logConfig) withDefaults() logConfig {
@@ -308,7 +311,9 @@ func (l *segmentLog) replaySegment(sh *logShard, seg *segmentInfo, last bool, st
 		if err == io.EOF {
 			break
 		}
-		if errors.Is(err, ErrTruncatedFrame) {
+		// A whole last frame whose bytes do not sum to its trailer is torn
+		// too: a crash can leave a partly flushed write, not only a short one.
+		if errors.Is(err, ErrTruncatedFrame) || errors.Is(err, ErrChecksum) && atEOF(r) {
 			if !last {
 				return fmt.Errorf("fleet: log segment %s torn mid-chain (only the newest segment may have a torn tail): %w", seg.path, err)
 			}
@@ -348,6 +353,12 @@ func (l *segmentLog) replaySegment(sh *logShard, seg *segmentInfo, last bool, st
 	}
 	seg.bytes = good
 	return nil
+}
+
+// atEOF reports whether r has no byte left.
+func atEOF(r *bufio.Reader) bool {
+	_, err := r.Peek(1)
+	return err == io.EOF
 }
 
 // append writes one frame's bytes to the shard's active segment, syncing on the
@@ -592,12 +603,15 @@ func (l *segmentLog) removeOrphans() {
 // history queries. Shard dirs are read concurrently; fn sees one dir's frames
 // in segment order on one goroutine, their payloads undecoded, and a frame sent
 // after to without its payload: it is never applied, so its bytes are skipped
-// unread. It is best-effort against concurrent writers: the path list is copied
+// unread and unchecked. A frame failing its checksum is dropped and the file
+// read on; any other bad frame ends the file, dropped too. It returns the
+// drops. It is best-effort against concurrent writers: the path list is copied
 // under each shard's mutex, but the files are read unlocked, so a segment
 // compacted away mid-scan is skipped and a frame being appended right now reads
 // as a torn tail and ends that file. Both are safe for history: duplicates and
 // stale fulls fall out of the same no-rollback apply rules replay uses.
-func (l *segmentLog) scan(to int64, fn func(dirIdx int, f *frame)) {
+func (l *segmentLog) scan(to int64, fn func(dirIdx int, f *frame)) (dropped int64) {
+	var n atomic.Int64
 	eachDir(len(l.shards), func(i int) error {
 		sh := l.shards[i]
 		sh.mu.Lock()
@@ -610,28 +624,34 @@ func (l *segmentLog) scan(to int64, fn func(dirIdx int, f *frame)) {
 		}
 		sh.mu.Unlock()
 		for _, p := range paths {
-			scanSegment(p, sh.dirIdx, to, fn)
+			n.Add(scanSegment(p, sh.dirIdx, to, fn))
 		}
 		return nil
 	})
+	return n.Load()
 }
 
-func scanSegment(path string, dirIdx int, to int64, fn func(int, *frame)) {
+func scanSegment(path string, dirIdx int, to int64, fn func(int, *frame)) (dropped int64) {
 	f, err := os.Open(path)
 	if err != nil {
-		return
+		return 0
 	}
 	defer f.Close()
 	r := bufio.NewReader(f)
 	for {
 		fr, err := readFrame(r, to)
-		if err != nil {
-			if errors.As(err, new(*UnknownLayoutError)) {
-				continue // a whole frame of another layout: nothing to window
-			}
-			return // EOF, torn tail or mid-compaction swap: stop this file
+		switch {
+		case err == nil:
+			fn(dirIdx, fr)
+		case errors.As(err, new(*UnknownLayoutError)):
+			// a whole frame of another layout: nothing to window
+		case errors.Is(err, ErrChecksum):
+			dropped++
+		case errors.Is(err, ErrTruncatedFrame) || err == io.EOF:
+			return dropped // the end, or a frame being appended
+		default:
+			return dropped + 1 // the framing is lost: stop this file
 		}
-		fn(dirIdx, fr)
 	}
 }
 

@@ -476,10 +476,13 @@ func TestLogCompactionCrashWindows(t *testing.T) {
 // TestLogCrashRecoveryMatrix extends the BreakStream merge-equivalence
 // property to the durability layer: for every point in a multi-host
 // full-and-delta ingest sequence, crash there (with the next frame half
-// written — the torn tail), reopen, finish the sequence, and require the
-// final cluster and per-VM merges bin-exact against a never-restarted
-// control. The property composes the codec round-trip, the strict apply
-// rules, torn-tail truncation, and replay ordering in one assertion.
+// written, or written whole with a payload bit flipped — the torn tail),
+// reopen, finish the sequence, and require the final cluster and per-VM
+// merges bin-exact against a never-restarted control. The property composes
+// the codec round-trip, the strict apply rules, torn-tail truncation, and
+// replay ordering in one assertion. A payload bit flipped in a frame with
+// bytes after it is corruption instead: the boot is refused with
+// ErrChecksum and the segment left as it was.
 func TestLogCrashRecoveryMatrix(t *testing.T) {
 	const hosts, stages = 3, 3
 	var script []*Batch
@@ -491,54 +494,81 @@ func TestLogCrashRecoveryMatrix(t *testing.T) {
 	ingestAll(t, control, script)
 
 	for crash := 1; crash < len(script); crash++ {
-		dir := t.TempDir()
-		cfg := logAggConfig(dir)
-		cfg.Shards = 2
-		g1, _, err := OpenAggregator(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ingestAll(t, g1, script[:crash])
-		g1.Close()
+		for _, tear := range []string{"half written", "payload bit flipped", "earlier frame flipped"} {
+			dir := t.TempDir()
+			cfg := logAggConfig(dir)
+			cfg.Shards = 2
+			g1, _, err := OpenAggregator(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ingestAll(t, g1, script[:crash])
+			g1.Close()
 
-		// The crash interrupts the next frame mid-write: append half of
-		// it to the shard chain it would have landed on.
-		next := script[crash]
-		frame, err := EncodeBatchBytes(next)
-		if err != nil {
-			t.Fatal(err)
-		}
-		idx := g1.ShardFor(next.Host)
-		shardDir := filepath.Join(dir, shardDirName(idx))
-		if err := os.MkdirAll(shardDir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		tail := segPath(shardDir, 1)
-		if segs := segFiles(t, shardDir); len(segs) > 0 {
-			tail = segs[len(segs)-1]
-		}
-		f, err := os.OpenFile(tail, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.Write(frame[:len(frame)/2])
-		f.Close()
+			// The crash interrupts the next frame mid-write: append what
+			// reached the disk to the shard chain it would have landed on.
+			next := script[crash]
+			frame, err := EncodeBatchBytes(next)
+			if err != nil {
+				t.Fatal(err)
+			}
+			idx := g1.ShardFor(next.Host)
+			shardDir := filepath.Join(dir, shardDirName(idx))
+			if err := os.MkdirAll(shardDir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			tail := segPath(shardDir, 1)
+			if segs := segFiles(t, shardDir); len(segs) > 0 {
+				tail = segs[len(segs)-1]
+			}
+			before, _ := os.ReadFile(tail)
+			written := frame[:len(frame)/2]
+			if tear == "payload bit flipped" {
+				_, payload := payloadOf(frame)
+				payload[len(payload)/2] ^= 0x04
+				written = frame
+			} else if tear == "earlier frame flipped" {
+				if len(before) == 0 {
+					continue // no frame before the tail on this shard
+				}
+				_, payload := payloadOf(before)
+				payload[len(payload)/2] ^= 0x04
+				if err := os.WriteFile(tail, before, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				written = frame
+			}
+			f, err := os.OpenFile(tail, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Write(written)
+			f.Close()
 
-		g2, st, err := OpenAggregator(cfg)
-		if err != nil {
-			t.Fatalf("crash at %d: reopen: %v", crash, err)
+			g2, st, err := OpenAggregator(cfg)
+			if tear == "earlier frame flipped" {
+				after, _ := os.ReadFile(tail)
+				if !errors.Is(err, ErrChecksum) || !bytes.Equal(after, append(before, frame...)) {
+					t.Fatalf("crash at %d, %s: boot %v, segment kept %t; want ErrChecksum and the segment as it was",
+						crash, tear, err, bytes.Equal(after, append(before, frame...)))
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("crash at %d, %s: reopen: %v", crash, tear, err)
+			}
+			if st.TornTails != 1 {
+				t.Fatalf("crash at %d, %s: %d torn tails, want 1", crash, tear, st.TornTails)
+			}
+			// The sender retries the interrupted batch (its push never got
+			// a 200), then the rest of the fleet carries on.
+			ingestAll(t, g2, script[crash:])
+			if r := g2.Stats().Resyncs; r != 0 {
+				t.Errorf("crash at %d, %s: %d resyncs after recovery, want 0", crash, tear, r)
+			}
+			sameMerges(t, "crash matrix, "+tear, g2, control)
+			g2.Close()
 		}
-		if st.TornTails != 1 {
-			t.Fatalf("crash at %d: %d torn tails, want 1", crash, st.TornTails)
-		}
-		// The sender retries the interrupted batch (its push never got a
-		// 200), then the rest of the fleet carries on.
-		ingestAll(t, g2, script[crash:])
-		if r := g2.Stats().Resyncs; r != 0 {
-			t.Errorf("crash at %d: %d resyncs after recovery, want 0", crash, r)
-		}
-		sameMerges(t, "crash matrix", g2, control)
-		g2.Close()
 	}
 }
 

@@ -110,10 +110,7 @@ func appendPayload(dst []byte, snaps []*core.Snapshot) ([]byte, error) {
 		if s == nil {
 			return nil, fmt.Errorf("fleet: snapshot %d is null", i)
 		}
-		dst = binary.AppendUvarint(dst, uint64(len(s.VM)))
-		dst = append(dst, s.VM...)
-		dst = binary.AppendUvarint(dst, uint64(len(s.Disk)))
-		dst = append(dst, s.Disk...)
+		dst = appendStr(appendStr(dst, s.VM), s.Disk)
 		for _, c := range [...]int64{s.Commands, s.NumReads, s.NumWrites, s.ReadBytes, s.WriteBytes, s.Errors} {
 			dst = binary.AppendVarint(dst, c)
 		}
@@ -128,6 +125,11 @@ func appendPayload(dst []byte, snaps []*core.Snapshot) ([]byte, error) {
 		}
 	}
 	return dst, nil
+}
+
+// appendStr renders a length-prefixed string.
+func appendStr(dst []byte, s string) []byte {
+	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
 }
 
 // appendHist renders one histogram's cells (bins, sum, total, min, max),
@@ -158,34 +160,35 @@ func appendHist(dst []byte, h, r, w []int64) []byte {
 	return dst
 }
 
-// payloadReader walks a binary payload; every read is bounds-checked and
-// the first failure sticks.
+// payloadReader walks a binary header or payload by offset, so a read
+// writes an integer, never a pointer; every read is bounds-checked and the
+// first failure sticks.
 type payloadReader struct {
 	buf []byte
+	off int
 	err error
 }
 
 func (p *payloadReader) fail(what string) {
 	if p.err == nil {
-		p.err = badFrame("binary payload: %s %d bytes before the end", what, len(p.buf))
+		p.err = badFrame("binary field: %s %d bytes before the end", what, len(p.buf)-p.off)
 	}
-	p.buf = nil
+	p.off = len(p.buf)
 }
 
 // uvarint reads a one-byte value, which most counts and gaps are, without
 // the call into encoding/binary.
 func (p *payloadReader) uvarint() uint64 {
-	if len(p.buf) > 0 && p.buf[0] < 0x80 {
-		v := p.buf[0]
-		p.buf = p.buf[1:]
-		return uint64(v)
+	if p.off < len(p.buf) && p.buf[p.off] < 0x80 {
+		p.off++
+		return uint64(p.buf[p.off-1])
 	}
-	v, n := binary.Uvarint(p.buf)
+	v, n := binary.Uvarint(p.buf[p.off:])
 	if n <= 0 {
 		p.fail("bad varint")
 		return 0
 	}
-	p.buf = p.buf[n:]
+	p.off += n
 	return v
 }
 
@@ -198,12 +201,12 @@ func (p *payloadReader) varint() int64 {
 // bytes reads a length-prefixed string without copying it.
 func (p *payloadReader) bytes() []byte {
 	n := p.uvarint()
-	if n > uint64(len(p.buf)) {
-		p.fail("string overruns the payload")
+	if n > uint64(len(p.buf)-p.off) {
+		p.fail("string overruns its field")
 		return nil
 	}
-	s := p.buf[:n]
-	p.buf = p.buf[n:]
+	s := p.buf[p.off : p.off+int(n)]
+	p.off += int(n)
 	return s
 }
 
@@ -299,8 +302,8 @@ func decodePayload(payload []byte, count int, base []*core.Snapshot, owned bool)
 			return nil, p.err
 		}
 	}
-	if len(p.buf) != 0 {
-		return nil, badFrame("binary payload: %d trailing bytes", len(p.buf))
+	if p.off != len(p.buf) {
+		return nil, badFrame("binary payload: %d trailing bytes", len(p.buf)-p.off)
 	}
 	if unknown != nil {
 		return nil, unknown

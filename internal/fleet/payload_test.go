@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"net/http"
@@ -69,8 +70,8 @@ func roundTrip(t *testing.T, label string, in *Batch) {
 	if err != nil {
 		t.Fatalf("%s: encode: %v", label, err)
 	}
-	if data[4] != Version || data[5]&^flagDelta != flagBinary {
-		t.Fatalf("%s: version %d flags %#x, want version %d and the binary flag alone (plus delta)", label, data[4], data[5], Version)
+	if data[4] != Version || data[5]&^flagDelta != flagBinary|flagChecked {
+		t.Fatalf("%s: version %d flags %#x, want version %d and the binary and checked flags alone (plus delta)", label, data[4], data[5], Version)
 	}
 	out, err := DecodeBatch(bytes.NewReader(data))
 	if err != nil {
@@ -121,30 +122,34 @@ func TestPayloadRoundTripProperty(t *testing.T) {
 	roundTrip(t, "heartbeat", &Batch{Host: "region", Seq: 2, BaseSeq: 1, Delta: true, Boot: 1, Level: 1, Leaves: 9})
 }
 
-// payloadOf splits a frame into head+header and payload.
+// payloadOf splits a generation-5 frame into head+header and payload,
+// leaving out the trailer.
 func payloadOf(frame []byte) (prefix, payload []byte) {
 	at := 16 + int(binary.BigEndian.Uint32(frame[8:12]))
-	return frame[:at], frame[at:]
+	return frame[:at], frame[at : at+int(binary.BigEndian.Uint32(frame[12:16]))]
+}
+
+// reseal recomputes a generation-5 frame's CRC-32C trailer in place after a
+// test edited its bytes, so the edit reaches the check it targets instead of
+// failing the checksum first.
+func reseal(frame []byte) []byte {
+	n := len(frame) - 4
+	binary.BigEndian.PutUint32(frame[n:], crc32.Checksum(frame[:n], castagnoli))
+	return frame
 }
 
 // reframe puts a payload (and a header count) back behind a frame's head,
-// fixing the declared payload length.
+// fixing the declared lengths and the trailer.
 func reframe(t *testing.T, frame, payload []byte, count int) []byte {
 	t.Helper()
-	prefix, _ := payloadOf(frame)
-	var hdr map[string]any
-	if err := json.Unmarshal(prefix[16:], &hdr); err != nil {
-		t.Fatal(err)
-	}
-	hdr["count"] = count
-	header, err := json.Marshal(hdr)
+	f, err := readFrame(bytes.NewReader(frame), readAll)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := append([]byte(nil), prefix[:16]...)
-	binary.BigEndian.PutUint32(out[8:12], uint32(len(header)))
+	out := appendHeader(append([]byte(nil), frame[:16]...), f.Batch, count, f.BaseSeq)
+	binary.BigEndian.PutUint32(out[8:12], uint32(len(out)-16))
 	binary.BigEndian.PutUint32(out[12:16], uint32(len(payload)))
-	return append(append(out, header...), payload...)
+	return reseal(append(append(out, payload...), 0, 0, 0, 0))
 }
 
 // TestPayloadRejectsMalformed feeds the decoder payloads that are whole on
@@ -193,7 +198,7 @@ func TestPayloadRejectsMalformed(t *testing.T) {
 	// Bit 0, the retired gzip flag, is an unknown flag like any other.
 	gz := append([]byte(nil), frame...)
 	gz[5] |= 1 << 0
-	if _, err := DecodeBatch(bytes.NewReader(gz)); !errors.Is(err, ErrBadFrame) {
+	if _, err := DecodeBatch(bytes.NewReader(reseal(gz))); !errors.Is(err, ErrBadFrame) || errors.Is(err, ErrChecksum) {
 		t.Errorf("binary frame with the retired gzip bit: %v, want a bad frame", err)
 	}
 	// And the unmutated frame does decode — the cases above fail for the
@@ -247,7 +252,7 @@ func foreignFrame(t *testing.T, b *Batch) []byte {
 	}
 	_, payload := payloadOf(frame)
 	binary.BigEndian.PutUint64(payload, layout.id^0xdecafbad)
-	return frame
+	return reseal(frame)
 }
 
 // TestUnknownLayoutIsTypedNotCorrupt follows a frame from another binary

@@ -2,11 +2,13 @@ package fleet_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strconv"
@@ -26,8 +28,9 @@ import (
 // region node is: one agent and a two-host vscsim.Sim pushing into an
 // aggregator with a segment log, which a re-exporter feeds upstream, all
 // observed by one tracker — with traffic on every loss path (a refused
-// frame, a duplicate delta, a delta from an unknown host), so the series
-// below are checked on non-zero values.
+// frame, one that fails its checksum, a duplicate delta, a delta from an
+// unknown host, a logged frame corrupted under a history query), so the
+// series below are checked on non-zero values.
 type rig struct {
 	agent *fleet.Agent
 	agg   *fleet.Aggregator
@@ -52,7 +55,8 @@ func newRig(t *testing.T) *rig {
 	}
 	obs := fleetobs.New(fleetobs.Config{SampleEvery: 1})
 	global := serve(fleet.NewAggregator(fleet.AggregatorConfig{StaleAfter: time.Hour}))
-	agg, _, err := fleet.OpenAggregator(fleet.AggregatorConfig{StaleAfter: time.Hour, DataDir: t.TempDir(), Obs: obs})
+	dir := t.TempDir()
+	agg, _, err := fleet.OpenAggregator(fleet.AggregatorConfig{StaleAfter: time.Hour, DataDir: dir, Obs: obs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,6 +91,12 @@ func newRig(t *testing.T) *rig {
 	}
 	post(v3, http.StatusBadRequest)
 	post([]byte("not a frame"), http.StatusBadRequest)
+	flipped, err := fleet.EncodeBatchBytes(&fleet.Batch{Host: "esx-a", Seq: 9, Snapshots: reg.Snapshots()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped[len(flipped)/2] ^= 1
+	post(flipped, http.StatusBadRequest)
 	if err := agg.Ingest(&fleet.Batch{Host: "esx-a", Seq: 1, Delta: true}, "push"); err != nil {
 		t.Fatal(err)
 	}
@@ -102,6 +112,23 @@ func newRig(t *testing.T) *rig {
 	}
 	if err := sim.PushAll(); err != nil {
 		t.Fatal(err)
+	}
+	// A bit of the first logged frame's payload rots on disk: the next
+	// history query drops that frame.
+	segs, err := filepath.Glob(filepath.Join(dir, "shard-*", "*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("segments: %v %v", segs, err)
+	}
+	seg, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg[16+int(binary.BigEndian.Uint32(seg[8:12]))+int(binary.BigEndian.Uint32(seg[12:16]))/2] ^= 1
+	if err := os.WriteFile(segs[0], seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := agg.History(time.Unix(0, 0), time.Now()); err != nil || res.Dropped != 1 {
+		t.Fatalf("history over the rotted frame: %+v, %v; want 1 dropped", res, err)
 	}
 	rex := fleet.NewReExporter(agg, fleet.ReExporterConfig{Region: "west", Upstream: global + "/fleet/push", Obs: obs})
 	if err := rex.ReExportNow(); err != nil {
@@ -157,6 +184,7 @@ var carriers = map[string]carrier{
 	"AggregatorStats.StaleHosts":           {family: "vscsistats_fleet_hosts_stale"},
 	"AggregatorStats.Batches":              {family: "vscsistats_fleet_shard_batches_total"},
 	"AggregatorStats.Rejected":             {family: "vscsistats_fleet_rejected_total"},
+	"AggregatorStats.RejectedChecksum":     {family: "vscsistats_fleet_rejected_checksum_total"},
 	"AggregatorStats.RecvBytes":            {family: "vscsistats_fleet_recv_bytes_total"},
 	"AggregatorStats.DeltasApplied":        {family: "vscsistats_fleet_shard_deltas_applied_total"},
 	"AggregatorStats.Duplicates":           {family: "vscsistats_fleet_shard_duplicates_total"},
@@ -190,6 +218,7 @@ var carriers = map[string]carrier{
 	"LogStats.SegmentsRetired": {family: "vscsistats_fleet_log_segments_retired_total"},
 	"LogStats.FramesReplayed":  {family: "vscsistats_fleet_log_frames_replayed_total"},
 	"LogStats.TornTails":       {family: "vscsistats_fleet_log_torn_tails_total"},
+	"LogStats.HistoryDropped":  {family: "vscsistats_fleet_log_history_dropped_total"},
 
 	"TierStatus.Level":      {family: "vscsistats_fleet_tier_hosts", key: "level"},
 	"TierStatus.Hosts":      {family: "vscsistats_fleet_tier_hosts"},
@@ -282,7 +311,9 @@ func TestMetricsExpositionAudit(t *testing.T) {
 	}{
 		{"vscsistats_fleetobs_stage_duration_nanoseconds_count", []string{"scope", "aggregator", "stage", "ingest"}, 3, false},
 		{"vscsistats_fleetobs_events_total", []string{"kind", "push"}, 3, false},
-		{"vscsistats_fleet_rejected_total", nil, 2, true},
+		{"vscsistats_fleet_rejected_total", nil, 3, true},
+		{"vscsistats_fleet_rejected_checksum_total", nil, 1, true},
+		{"vscsistats_fleet_log_history_dropped_total", nil, 1, true},
 		{"vscsistats_fleet_resyncs_total", []string{"cause", "unknown-host"}, 1, true},
 		{"vscsistats_fleet_agent_delta_pushes_total", []string{"host", "esx-a"}, 1, true},
 		{"vscsistats_fleet_tier_reexport_full_pushes_total", []string{"region", "west"}, 1, true},

@@ -141,15 +141,15 @@ func TestTraceIDFollowsPipeline(t *testing.T) {
 }
 
 // TestWireOldDecoderAcceptsTracedFrame pins the backward direction of
-// version skew across the binary payload. The decode rule every earlier
-// reader implements is "any version >= 1, known flags only, unknown JSON
-// header fields ignored", so a pre-binary reader — whose known flags are
-// the retired gzip bit and delta — must refuse a version-4 frame by its
-// flag byte alone, before it ever hands the varints to a JSON parser,
-// while the header extensions still ride only in ignorable JSON. That
-// refusal is why receivers are upgraded before senders.
+// version skew across frame generations. The decode rule every earlier
+// reader implements is "any version >= 1, known flags only", so a
+// generation-4 reader — whose known flags are delta and binary — must refuse
+// a generation-5 frame by its flag byte alone, before it ever hands the
+// binary header to a JSON parser, and so must a pre-binary reader, whose
+// known flags are the retired gzip bit and delta. That refusal is why
+// receivers are upgraded before senders.
 func TestWireOldDecoderAcceptsTracedFrame(t *testing.T) {
-	const preBinaryKnownFlags = 1<<0 | flagDelta
+	const preBinaryKnownFlags, jsonHeaderKnownFlags = 1<<0 | flagDelta, flagDelta | flagBinary
 	reg := makeRegistry(5, 1, 1, 40)
 	b := &Batch{
 		Host: "new-sender", Seq: 9, Snapshots: reg.Snapshots(),
@@ -159,29 +159,15 @@ func TestWireOldDecoderAcceptsTracedFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if data[4] != Version || Version != 4 {
-		t.Fatalf("version byte %d, want 4", data[4])
+	if data[4] != Version || Version != 5 {
+		t.Fatalf("version byte %d, want 5", data[4])
 	}
-	if data[5] != flagBinary {
-		t.Errorf("full frame flags %#x, want the binary flag alone", data[5])
+	if data[5] != flagBinary|flagChecked {
+		t.Errorf("full frame flags %#x, want the binary and checked flags alone", data[5])
 	}
-	if data[5]&^byte(preBinaryKnownFlags) == 0 {
-		t.Errorf("flags %#x pass a pre-binary reader's unknown-flag check; it would parse varints as JSON", data[5])
-	}
-	// The header extensions ride ONLY in the JSON header: with the new
-	// fields removed it is a valid v1 header.
-	headerLen := binary.BigEndian.Uint32(data[8:12])
-	var hdr map[string]any
-	if err := json.Unmarshal(data[16:16+headerLen], &hdr); err != nil {
-		t.Fatal(err)
-	}
-	delete(hdr, "trace_id")
-	delete(hdr, "capture_unix_nano")
-	for k := range hdr {
-		switch k {
-		case "host", "seq", "sent_unix_nano", "count", "base_seq":
-		default:
-			t.Errorf("unexpected header field %q — a v1 reader never saw it vetted", k)
+	for name, known := range map[string]byte{"pre-binary": preBinaryKnownFlags, "generation-4": jsonHeaderKnownFlags} {
+		if data[5]&^known == 0 {
+			t.Errorf("flags %#x pass a %s reader's unknown-flag check; it would parse varints as JSON", data[5], name)
 		}
 	}
 }

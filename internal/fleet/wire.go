@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"slices"
@@ -13,7 +14,7 @@ import (
 	"vscsistats/internal/core"
 )
 
-// The frame layout, all integers big-endian:
+// The frame layout, integers in the head big-endian:
 //
 //	offset size field
 //	0      4    magic "VSFB"
@@ -22,32 +23,36 @@ import (
 //	6      2    reserved — writers zero, readers ignore
 //	8      4    header length
 //	12     4    payload length
-//	16     ...  header JSON (batchHeader)
+//	16     ...  header (batchHeader)
 //	...    ...  payload: header.Count snapshots, binary (payload.go)
+//	...    4    CRC-32C (Castagnoli) of everything before it
 //
-// The payload is binary (flagBinary), the only encoding this package
-// writes or reads: a frame without the flag holds the pre-binary JSON
-// payload of versions 1-3 and is refused as a bad frame. Data in that
-// encoding is upgraded by the last commit that read it (DESIGN §8).
+// Generation 5 (flagChecked) is the one this package writes: a binary
+// header, the batchHeader fields in appendHeader's order (str and zz as in
+// payload.go),
 //
-// Forward compatibility: the header is JSON, so future versions add fields
-// without breaking old readers (unknown fields are ignored both ways), and
-// readers accept any version >= 1 as long as every flag is known and
-// flagBinary is set — a frame's meaning is carried entirely by magic +
-// flags + header, never by the version number alone. Frames are
-// length-prefixed, so any number of them can be concatenated on one stream
-// and decoded one DecodeBatch call at a time.
+//	str(Host) uvarint(Seq) zz(SentUnixNano) uvarint(Count) uvarint(BaseSeq)
+//	str(TraceID) zz(CaptureUnixNano) uvarint(Boot) zz(Level) zz(Leaves)
+//
+// and a trailer that readFrame checks before any cell is used. A mismatch is
+// ErrChecksum, never ErrTruncatedFrame; only segment replay reads one as a
+// torn tail, in the newest segment's last frame when it ends at EOF. A frame
+// without flagChecked is generation 4 (JSON header, no trailer), still read;
+// 3db32d4 is the last commit that writes it. A frame without flagBinary holds
+// the pre-binary JSON payload of versions 1-3 and is refused (DESIGN §8).
+//
+// Forward compatibility: the head carries the header's length, so a later
+// version appends header fields and a reader ignores the bytes after the
+// ones it knows. Readers accept any version >= 1 whose flags are all known —
+// a frame's meaning is carried by magic + flags + header, never by the
+// version alone. Frames concatenate on one stream, one DecodeBatch each.
 
 // Wire format constants.
 const (
-	// Version is the frame version this package writes. Version 2 added
-	// the trace_id and capture_unix_nano header fields; version 3 added
-	// the boot, level and leaves federation fields. All of them ride in
-	// the JSON header (ignored by readers that predate them) and change no
-	// payload semantics, so version-1 decoders accept version-3 frames
-	// unchanged. Version 4 changed the payload encoding, which is what the
-	// flagBinary bit says; the version number itself still decides nothing.
-	Version = 4
+	// Version is the frame version this package writes. Versions 2 and 3
+	// added header fields, 4 the binary payload (flagBinary), 5 the binary
+	// header and trailer (flagChecked); the number itself decides nothing.
+	Version = 5
 
 	// Bit 0 is retired (it marked the gzip-compressed JSON payload) and is
 	// never reused: a pre-removal reader would gunzip whatever it meant.
@@ -65,9 +70,14 @@ const (
 	// instead of feeding varints to a JSON parser.
 	flagBinary = 1 << 2
 
+	// flagChecked marks generation 5: a binary header and a CRC-32C
+	// trailer. Generation-4 readers reject it as an unknown flag instead of
+	// parsing varints as JSON.
+	flagChecked = 1 << 3
+
 	// knownFlags is the set of flag bits this decoder understands; frames
 	// carrying others are rejected rather than misinterpreted.
-	knownFlags = flagDelta | flagBinary
+	knownFlags = flagDelta | flagBinary | flagChecked
 
 	// maxHeaderLen and maxPayloadLen bound a frame's declared sizes so a
 	// corrupt or hostile length prefix cannot drive a huge allocation.
@@ -79,7 +89,10 @@ const (
 	maxDecodedLen = 1 << 30
 )
 
-var wireMagic = [4]byte{'V', 'S', 'F', 'B'}
+var (
+	wireMagic  = [4]byte{'V', 'S', 'F', 'B'}
+	castagnoli = crc32.MakeTable(crc32.Castagnoli)
+)
 
 // ErrBadFrame wraps every decode failure, so callers can distinguish a
 // malformed frame from transport errors with errors.Is.
@@ -94,6 +107,11 @@ var ErrBadFrame = errors.New("fleet: bad frame")
 // "corruption, refuse to start". The two are genuinely different on the
 // wire — truncation never produces wrong bytes, only missing ones.
 var ErrTruncatedFrame = errors.New("fleet: truncated frame")
+
+// ErrChecksum marks a whole frame whose CRC-32C trailer is not the sum of
+// its bytes: they changed after the sender wrote them. It is an ErrBadFrame
+// and never an ErrTruncatedFrame.
+var ErrChecksum = fmt.Errorf("%w: checksum mismatch", ErrBadFrame)
 
 // Batch is one host's worth of snapshots in flight.
 type Batch struct {
@@ -147,62 +165,79 @@ type Batch struct {
 	Leaves int `json:"-"`
 }
 
-// batchHeader is the frame header; Count duplicates len(Snapshots) so a
-// reader can size-check before decoding the payload.
+// batchHeader is the frame header, as generation 4 writes it in JSON. Count
+// duplicates len(Snapshots) so a reader can size-check before decoding the
+// payload; BaseSeq means something only beside flagDelta.
 type batchHeader struct {
-	Host         string `json:"host"`
-	Seq          uint64 `json:"seq"`
-	SentUnixNano int64  `json:"sent_unix_nano"`
-	Count        int    `json:"count"`
-	// BaseSeq accompanies the flagDelta frame bit (which alone marks a
-	// frame as a delta); omitted from full-batch headers.
-	BaseSeq uint64 `json:"base_seq,omitempty"`
-	// TraceID and CaptureUnixNano (version 2) ride the JSON header's
-	// forward-compatibility rule: old readers ignore them, old writers
-	// omit them, and either way the frame stays decodable.
-	TraceID         string `json:"trace_id,omitempty"`
-	CaptureUnixNano int64  `json:"capture_unix_nano,omitempty"`
-	// Boot, Level and Leaves (version 3) carry federation liveness
-	// metadata under the same rule.
-	Boot   uint64 `json:"boot,omitempty"`
-	Level  int    `json:"level,omitempty"`
-	Leaves int    `json:"leaves,omitempty"`
+	Host            string `json:"host"`
+	Seq             uint64 `json:"seq"`
+	SentUnixNano    int64  `json:"sent_unix_nano"`
+	Count           int    `json:"count"`
+	BaseSeq         uint64 `json:"base_seq"`
+	TraceID         string `json:"trace_id"`
+	CaptureUnixNano int64  `json:"capture_unix_nano"`
+	Boot            uint64 `json:"boot"`
+	Level           int    `json:"level"`
+	Leaves          int    `json:"leaves"`
 }
 
-// EncodeBatchBytes renders b as one frame in memory. It fails on a batch
-// the binary payload cannot carry: one with a null snapshot.
+// EncodeBatchBytes renders b as one generation-5 frame in memory. It fails on
+// a batch the binary payload cannot carry: one with a null snapshot.
 func EncodeBatchBytes(b *Batch) ([]byte, error) {
-	hdr := batchHeader{
-		Host: b.Host, Seq: b.Seq, SentUnixNano: b.SentUnixNano, Count: len(b.Snapshots),
-		TraceID: b.TraceID, CaptureUnixNano: b.CaptureUnixNano,
-		Boot: b.Boot, Level: b.Level, Leaves: b.Leaves,
-	}
-	flags := byte(flagBinary)
+	flags := byte(flagBinary | flagChecked)
+	var baseSeq uint64 // meaningless without the flag, so full frames carry 0
 	if b.Delta {
-		hdr.BaseSeq = b.BaseSeq
 		flags |= flagDelta
-	}
-	header, err := json.Marshal(hdr)
-	if err != nil {
-		return nil, err
+		baseSeq = b.BaseSeq
 	}
 	// A sim-shaped snapshot encodes to 200-300 bytes; the guess only has
 	// to keep append from growing the frame more than once.
-	frame := make([]byte, 16, 16+len(header)+8+320*len(b.Snapshots))
-	frame = append(frame, header...)
-	frame, err = appendPayload(frame, b.Snapshots)
+	frame := make([]byte, 16, 16+64+len(b.Host)+len(b.TraceID)+8+320*len(b.Snapshots)+4)
+	frame = appendHeader(frame, b, len(b.Snapshots), baseSeq)
+	headerLen := len(frame) - 16
+	frame, err := appendPayload(frame, b.Snapshots)
 	if err != nil {
 		return nil, err
 	}
-	payloadLen := len(frame) - 16 - len(header)
-	if payloadLen > maxPayloadLen {
-		return nil, fmt.Errorf("fleet: payload %d bytes exceeds frame limit %d", payloadLen, maxPayloadLen)
+	payloadLen := len(frame) - 16 - headerLen
+	if headerLen > maxHeaderLen || payloadLen > maxPayloadLen {
+		return nil, fmt.Errorf("fleet: header %d or payload %d bytes exceeds the frame limits", headerLen, payloadLen)
 	}
 	copy(frame[0:4], wireMagic[:])
 	frame[4], frame[5] = Version, flags
-	binary.BigEndian.PutUint32(frame[8:12], uint32(len(header)))
+	binary.BigEndian.PutUint32(frame[8:12], uint32(headerLen))
 	binary.BigEndian.PutUint32(frame[12:16], uint32(payloadLen))
-	return frame, nil
+	return binary.BigEndian.AppendUint32(frame, crc32.Checksum(frame, castagnoli)), nil
+}
+
+// appendHeader renders a generation-5 header: the batchHeader fields in
+// their fixed order.
+func appendHeader(dst []byte, b *Batch, count int, baseSeq uint64) []byte {
+	dst = appendStr(dst, b.Host)
+	dst = binary.AppendUvarint(dst, b.Seq)
+	dst = binary.AppendVarint(dst, b.SentUnixNano)
+	dst = binary.AppendUvarint(dst, uint64(count))
+	dst = binary.AppendUvarint(dst, baseSeq)
+	dst = appendStr(dst, b.TraceID)
+	dst = binary.AppendVarint(dst, b.CaptureUnixNano)
+	dst = binary.AppendUvarint(dst, b.Boot)
+	dst = binary.AppendVarint(dst, int64(b.Level))
+	return binary.AppendVarint(dst, int64(b.Leaves))
+}
+
+// header parses what appendHeader wrote into b and returns the count. The
+// bytes after the fields it knows are a later generation's, and are ignored.
+func (p *payloadReader) header(b *Batch) (count int) {
+	b.Host = string(p.bytes())
+	b.Seq = p.uvarint()
+	b.SentUnixNano = p.varint()
+	count = int(p.uvarint()) // past MaxInt it turns negative, which decodePayload refuses
+	b.BaseSeq = p.uvarint()
+	b.TraceID = string(p.bytes())
+	b.CaptureUnixNano = p.varint()
+	b.Boot = p.uvarint()
+	b.Level, b.Leaves = int(p.varint()), int(p.varint())
+	return count
 }
 
 // badFrame builds an ErrBadFrame-wrapped error.
@@ -281,18 +316,18 @@ const readAll = math.MaxInt64
 type frame struct {
 	*Batch
 	count   int    // the header's snapshot count
-	raw     []byte // head, header and payload
+	raw     []byte // head, header, payload and trailer
 	payload []byte // the snapshots: raw's payload after its layout id
 }
 
-// readFrame reads one frame's head, header and payload into one buffer and
-// checks everything but the snapshots: DecodeBatch's rules, up to the
-// payload's layout id. An *UnknownLayoutError comes with the whole frame. A
-// frame sent after to comes with its header only: History's window ends
-// there, so the payload bytes are skipped unread. readAll reads every one.
+// readFrame reads one frame into one buffer, head first, and checks
+// everything but the snapshots: DecodeBatch's rules and the trailer, up to
+// the payload's layout id. An *UnknownLayoutError comes with the whole frame.
+// A frame sent after to comes with its header only, unchecked: History's
+// window ends there, so the rest is skipped unread. readAll reads every one.
 func readFrame(r io.Reader, to int64) (*frame, error) {
-	var head [16]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
+	raw := make([]byte, 16, 1024) // the head, and room for most deltas behind it
+	if _, err := io.ReadFull(r, raw); err != nil {
 		if err == io.EOF { // no byte read: a clean end of stream
 			return nil, io.EOF
 		}
@@ -301,10 +336,10 @@ func readFrame(r io.Reader, to int64) (*frame, error) {
 		}
 		return nil, badFrame("short frame head: %v", err)
 	}
-	if !bytes.Equal(head[0:4], wireMagic[:]) {
-		return nil, badFrame("bad magic %q", head[0:4])
+	if !bytes.Equal(raw[0:4], wireMagic[:]) {
+		return nil, badFrame("bad magic %q", raw[0:4])
 	}
-	version, flags := head[4], head[5]
+	version, flags := raw[4], raw[5]
 	if version < 1 {
 		return nil, badFrame("unsupported version %d", version)
 	}
@@ -314,55 +349,80 @@ func readFrame(r io.Reader, to int64) (*frame, error) {
 	if flags&^byte(knownFlags) != 0 {
 		return nil, badFrame("unknown flags %#x", flags)
 	}
-	headerLen := binary.BigEndian.Uint32(head[8:12])
-	payloadLen := binary.BigEndian.Uint32(head[12:16])
-	if headerLen > maxHeaderLen {
-		return nil, badFrame("header length %d exceeds limit %d", headerLen, maxHeaderLen)
+	headerLen := binary.BigEndian.Uint32(raw[8:12])
+	payloadLen := binary.BigEndian.Uint32(raw[12:16])
+	if headerLen > maxHeaderLen || payloadLen > maxPayloadLen {
+		return nil, badFrame("header of %d or payload of %d bytes exceeds its limit (%d, %d)", headerLen, payloadLen, maxHeaderLen, maxPayloadLen)
 	}
-	if payloadLen > maxPayloadLen {
-		return nil, badFrame("payload length %d exceeds limit %d", payloadLen, maxPayloadLen)
+	checked := flags&flagChecked != 0
+	rest := payloadLen // what follows the header
+	if checked {
+		rest += 4
 	}
-	size := 16 + int(headerLen) + int(payloadLen)
+	n := headerLen + rest
 	if to != readAll {
-		size -= int(payloadLen) // a payload that may be skipped is read into a grown buffer
+		n = headerLen // the rest may be skipped
 	}
-	raw, err := readSized(r, append(make([]byte, 0, min(size, 1<<20)), head[:]...), headerLen, "header")
+	raw, err := readSized(r, raw, n, "frame")
 	if err != nil {
 		return nil, err
 	}
-	var hdr batchHeader
-	if err := json.Unmarshal(raw[16:], &hdr); err != nil {
-		return nil, badFrame("header JSON: %v", err)
-	}
-	out := &Batch{
-		Host: hdr.Host, Seq: hdr.Seq, SentUnixNano: hdr.SentUnixNano,
-		Delta:   flags&flagDelta != 0,
-		TraceID: hdr.TraceID, CaptureUnixNano: hdr.CaptureUnixNano,
-		Boot: hdr.Boot, Level: hdr.Level, Leaves: hdr.Leaves,
-	}
-	if out.Delta {
-		// base_seq means nothing without the flag; dropping it on full
-		// frames keeps decode(encode(b)) == b in both directions.
-		out.BaseSeq = hdr.BaseSeq
-	}
-	if hdr.SentUnixNano > to { // no payload byte is read or kept
-		if _, err := io.CopyN(io.Discard, r, int64(payloadLen)); err != nil {
+	out := &Batch{Delta: flags&flagDelta != 0}
+	count, herr := parseHeader(raw[16:16+headerLen], checked, out)
+	if herr == nil && out.SentUnixNano > to { // no payload byte is read or kept
+		if _, err := io.CopyN(io.Discard, r, int64(rest)); err != nil {
 			return nil, truncatedFrame("short payload: %v", err)
 		}
-		return &frame{Batch: out, count: hdr.Count, raw: raw}, nil
+		return &frame{Batch: out, count: count, raw: raw}, nil
 	}
-	if raw, err = readSized(r, raw, payloadLen, "payload"); err != nil {
-		return nil, err
+	if to != readAll {
+		if raw, err = readSized(r, raw, rest, "payload"); err != nil {
+			return nil, err
+		}
 	}
-	payload := raw[16+headerLen:]
+	end := len(raw)
+	if checked { // before the header's verdict: changed bytes are a checksum error first
+		end -= 4
+		if want, got := binary.BigEndian.Uint32(raw[end:]), crc32.Checksum(raw[:end], castagnoli); want != got {
+			return nil, fmt.Errorf("%w: trailer %#08x, frame sums to %#08x", ErrChecksum, want, got)
+		}
+	}
+	if herr != nil {
+		return nil, herr
+	}
+	payload := raw[16+headerLen : end]
 	if len(payload) < 8 {
 		return nil, badFrame("binary payload of %d bytes has no layout id", len(payload))
 	}
-	f := &frame{Batch: out, count: hdr.Count, raw: raw, payload: payload[8:]}
+	f := &frame{Batch: out, count: count, raw: raw, payload: payload[8:]}
 	if id := binary.BigEndian.Uint64(payload); id != layout.id {
 		return f, &UnknownLayoutError{Header: out, LayoutID: id}
 	}
 	return f, nil
+}
+
+// parseHeader reads a frame's header into b, binary in a checked frame and
+// JSON before, and returns its snapshot count.
+func parseHeader(header []byte, checked bool, b *Batch) (count int, err error) {
+	if checked {
+		p := payloadReader{buf: header}
+		count = p.header(b)
+		if p.err != nil {
+			return 0, p.err
+		}
+	} else {
+		var hdr batchHeader
+		if err := json.Unmarshal(header, &hdr); err != nil {
+			return 0, badFrame("header JSON: %v", err)
+		}
+		b.Host, b.Seq, b.SentUnixNano, count = hdr.Host, hdr.Seq, hdr.SentUnixNano, hdr.Count
+		b.BaseSeq, b.TraceID, b.CaptureUnixNano = hdr.BaseSeq, hdr.TraceID, hdr.CaptureUnixNano
+		b.Boot, b.Level, b.Leaves = hdr.Boot, hdr.Level, hdr.Leaves
+	}
+	if !b.Delta { // base_seq means nothing without the flag: decode(encode(b)) == b both ways
+		b.BaseSeq = 0
+	}
+	return count, nil
 }
 
 // Validate checks what a decoded frame cannot be trusted for and the merge

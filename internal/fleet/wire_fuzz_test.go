@@ -3,9 +3,13 @@ package fleet
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
 	"vscsistats/internal/core"
 )
@@ -64,7 +68,7 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add(deltaData[:len(deltaData)/3])
 	badFlags := append([]byte(nil), deltaData...)
 	badFlags[5] |= 1 << 7 // an unknown flag bit alongside flagDelta
-	f.Add(badFlags)
+	f.Add(reseal(badFlags))
 
 	// Re-exported frames (version 3): a mid-tier's rollup delta carrying
 	// the federation header fields — boot incarnation, level, leaf count —
@@ -123,13 +127,14 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add(lying)
 
 	// Inside the binary payload: a bit flipped in the layout id (the typed
-	// unknown-layout error), in the names, and in the varints behind them;
-	// and a frame cut in the middle of a histogram.
-	_, tornPayload := payloadOf(torn)
+	// unknown-layout error), in the names, and in the varints behind them,
+	// each resealed so that it reaches the payload decoder; and a frame cut
+	// in the middle of a histogram.
+	prefix, tornPayload := payloadOf(torn)
 	for _, at := range []int{3, 9, 20, len(tornPayload) / 2, len(tornPayload) - 2} {
 		flipped := append([]byte(nil), torn...)
-		flipped[len(torn)-len(tornPayload)+at] ^= 0x81
-		f.Add(flipped)
+		flipped[len(prefix)+at] ^= 0x81
+		f.Add(reseal(flipped))
 	}
 
 	// A version-3 frame with the pre-binary JSON payload, whole and cut
@@ -190,6 +195,88 @@ func FuzzDecodeBatch(f *testing.F) {
 		}
 		if len(b.Snapshots) > 0 {
 			_ = core.Aggregate("fuzz", "*", b.Snapshots...)
+		}
+	})
+}
+
+// FuzzOpenAggregator writes arbitrary bytes as the one segment of a
+// one-shard data dir and boots over them. The boot is refused, leaving the
+// segment as it was, or it is bin-exact: it holds what a memory-only
+// aggregator holds after ingesting the frames of the segment the boot kept,
+// decoded one by one, and every one of those frames decodes. Memory stays
+// bounded by the input, and nothing panics.
+func FuzzOpenAggregator(f *testing.F) {
+	var seg []byte
+	for h := range 2 {
+		_, batches, _ := hostChain(h, 3, 1_700_000_000_000_000_000)
+		for _, b := range batches {
+			frame, err := EncodeBatchBytes(b)
+			if err != nil {
+				f.Fatal(err)
+			}
+			seg = append(seg, frame...)
+		}
+	}
+	f.Add(seg)
+	f.Add(seg[:len(seg)*2/3])
+	for _, at := range []int{5, 7, 20, len(seg) / 3, len(seg) - 30, len(seg) - 2} {
+		flipped := append([]byte(nil), seg...)
+		flipped[at] ^= 0x08
+		f.Add(flipped)
+	}
+	for _, name := range []string{"frame_golden.bin", "frame_golden_v5.bin", "frame_v3_json.bin"} {
+		golden, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(golden)
+	}
+	f.Add([]byte{})
+	f.Add([]byte("VSFB"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir, path := oneFrameLog(t, data)
+		cfg := logAggConfig(dir)
+		cfg.Shards = 1
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		g, st, err := OpenAggregator(cfg)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 32<<20+128*uint64(len(data)) {
+			t.Errorf("booting over %d bytes allocated %d", len(data), grew)
+		}
+		kept, rerr := os.ReadFile(path)
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		if err != nil {
+			if !bytes.Equal(kept, data) {
+				t.Fatalf("a refused boot (%v) changed the segment", err)
+			}
+			return
+		}
+		defer g.Close()
+		control := NewAggregator(AggregatorConfig{StaleAfter: time.Hour, Shards: 1})
+		r := bytes.NewReader(kept)
+		var frames int64
+		for ; ; frames++ {
+			b, err := DecodeBatch(r)
+			if err == io.EOF {
+				break
+			}
+			if errors.As(err, new(*UnknownLayoutError)) {
+				continue
+			}
+			if err != nil {
+				t.Fatalf("the boot kept frame %d, which does not decode: %v", frames, err)
+			}
+			control.Ingest(b, "push") // a refused delta leaves state alone, as replay does
+		}
+		if frames != st.Frames {
+			t.Fatalf("boot replayed %d frames of the %d it kept", st.Frames, frames)
+		}
+		if !sameSnapshot(g.ClusterSnapshot(true), control.ClusterSnapshot(true)) {
+			t.Fatal("the boot's state is not the kept frames' state")
 		}
 	})
 }

@@ -92,6 +92,9 @@ func TestWireRejectsCorruptFrames(t *testing.T) {
 	corrupt := func(name string, mutate func([]byte) []byte) {
 		t.Helper()
 		data := mutate(append([]byte(nil), valid...))
+		if len(data) == len(valid) {
+			reseal(data) // reach the check the case names, not the checksum
+		}
 		_, err := DecodeBatch(bytes.NewReader(data))
 		if err == nil {
 			t.Errorf("%s: decoded successfully, want error", name)
@@ -116,21 +119,29 @@ func TestWireRejectsCorruptFrames(t *testing.T) {
 	corrupt("truncated header", func(d []byte) []byte { return d[:18] })
 	corrupt("truncated payload", func(d []byte) []byte { return d[:len(d)-5] })
 	corrupt("payload garbage", func(d []byte) []byte {
-		for i := len(d) - 20; i < len(d); i++ {
+		for i := len(d) - 24; i < len(d)-4; i++ {
 			d[i] ^= 0xff
 		}
 		return d
 	})
+	corrupt("header garbage", func(d []byte) []byte { d[16] = 0x7f; return d }) // the host overruns the header
+	// Left unsealed, any changed byte is a checksum error and never a
+	// truncation.
+	flipped := append([]byte(nil), valid...)
+	flipped[len(flipped)/2] ^= 0x10
+	if _, err := DecodeBatch(bytes.NewReader(flipped)); !errors.Is(err, ErrChecksum) || errors.Is(err, ErrTruncatedFrame) {
+		t.Errorf("flipped payload bit: %v, want ErrChecksum and not a truncation", err)
+	}
 	// Reserved bytes, by contrast, must be ignored (forward compat).
 	tolerated := append([]byte(nil), valid...)
 	tolerated[6], tolerated[7] = 0xde, 0xad
-	if _, err := DecodeBatch(bytes.NewReader(tolerated)); err != nil {
+	if _, err := DecodeBatch(bytes.NewReader(reseal(tolerated))); err != nil {
 		t.Errorf("reserved bytes rejected: %v", err)
 	}
 	// A higher version with known flags must still decode.
 	future := append([]byte(nil), valid...)
 	future[4] = 9
-	if _, err := DecodeBatch(bytes.NewReader(future)); err != nil {
+	if _, err := DecodeBatch(bytes.NewReader(reseal(future))); err != nil {
 		t.Errorf("future version rejected: %v", err)
 	}
 }

@@ -50,13 +50,6 @@ func DefaultElevatorConfig() ElevatorConfig {
 	}
 }
 
-// NoopElevatorConfig merges but never reorders.
-func NoopElevatorConfig() ElevatorConfig {
-	cfg := DefaultElevatorConfig()
-	cfg.Sort = false
-	return cfg
-}
-
 type elevReq struct {
 	write  bool
 	lba    uint64

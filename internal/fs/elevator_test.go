@@ -96,7 +96,9 @@ func TestElevatorSortsBatch(t *testing.T) {
 }
 
 func TestElevatorNoopPreservesOrder(t *testing.T) {
-	r, e := newElevRig(t, NoopElevatorConfig())
+	cfg := DefaultElevatorConfig()
+	cfg.Sort = false // merges but never reorders
+	r, e := newElevRig(t, cfg)
 	for _, lba := range []uint64{9000, 100, 5000} {
 		e.Submit(false, lba, 8, nil)
 	}

@@ -343,47 +343,6 @@ func (s *Snapshot) estimateBounds() {
 	}
 }
 
-// Rebin collapses the snapshot onto a coarser set of edges (the paper's §4:
-// "a post-processing script could easily compress ranges back into powers of
-// two"). Every source bin must nest inside a destination bin, i.e. each new
-// edge must be one of the old edges; Rebin panics otherwise because
-// splitting a bin is impossible after the fact.
-func (s *Snapshot) Rebin(edges []int64) *Snapshot {
-	out := &Snapshot{
-		Name:   s.Name,
-		Unit:   s.Unit,
-		Edges:  append([]int64(nil), edges...),
-		Counts: make([]int64, len(edges)+1),
-		Total:  s.Total,
-		Sum:    s.Sum,
-		Min:    s.Min,
-		Max:    s.Max,
-	}
-	j := 0 // index into new edges
-	for i, c := range s.Counts {
-		if i < len(s.Edges) {
-			for j < len(edges) && edges[j] < s.Edges[i] {
-				j++
-			}
-			if j < len(edges) && i > 0 && edges[j] >= s.Edges[i] {
-				// Verify nesting: the previous new edge must not split
-				// this source bin.
-				if j > 0 && edges[j-1] > s.Edges[i-1] && edges[j-1] < s.Edges[i] {
-					panic("histogram: Rebin edge splits a source bin")
-				}
-			}
-			if j < len(edges) {
-				out.Counts[j] += c
-			} else {
-				out.Counts[len(edges)] += c
-			}
-		} else {
-			out.Counts[len(edges)] += c
-		}
-	}
-	return out
-}
-
 // PowerOfTwoEdges returns ascending powers of two covering [lo, hi],
 // e.g. PowerOfTwoEdges(512, 4096) = [512 1024 2048 4096].
 func PowerOfTwoEdges(lo, hi int64) []int64 {

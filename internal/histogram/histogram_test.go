@@ -248,32 +248,6 @@ func TestBinLabelAndRange(t *testing.T) {
 	}
 }
 
-func TestRebinToPowersOfTwo(t *testing.T) {
-	h := NewIOLength("len")
-	h.Insert(4095)
-	h.Insert(4096)
-	h.Insert(500)
-	s := h.Snapshot().Rebin(PowerOfTwoEdges(512, 524288))
-	// 4095 and 4096 both collapse into the <=4096 bin; 500 into <=512.
-	find := func(label string) int64 {
-		for i := range s.Counts {
-			if s.BinLabel(i) == label {
-				return s.Counts[i]
-			}
-		}
-		return -1
-	}
-	if find("4096") != 2 {
-		t.Errorf("rebinned 4096 bin = %d, want 2", find("4096"))
-	}
-	if find("512") != 1 {
-		t.Errorf("rebinned 512 bin = %d, want 1", find("512"))
-	}
-	if s.Total != 3 {
-		t.Errorf("rebin lost samples: %d", s.Total)
-	}
-}
-
 func TestPowerOfTwoEdges(t *testing.T) {
 	got := PowerOfTwoEdges(512, 4096)
 	want := []int64{512, 1024, 2048, 4096}

@@ -257,12 +257,6 @@ func TestFilters(t *testing.T) {
 	if got := Filter(recs, OnlyDisk("a", "d1")); len(got) != 1 || got[0].Op != scsi.OpWrite10 {
 		t.Errorf("OnlyDisk: %v", got)
 	}
-	if got := Filter(recs, OnlyErrors); len(got) != 1 {
-		t.Errorf("OnlyErrors: %v", got)
-	}
-	if got := Filter(recs, And(OnlyBlockIO, OnlyErrors)); len(got) != 1 {
-		t.Errorf("And: %v", got)
-	}
 }
 
 func TestSortByIssue(t *testing.T) {

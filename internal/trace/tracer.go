@@ -2,7 +2,6 @@ package trace
 
 import (
 	"vscsistats/internal/ring"
-	"vscsistats/internal/scsi"
 	"vscsistats/internal/vscsi"
 )
 
@@ -72,19 +71,4 @@ func OnlyBlockIO(r Record) bool { return r.Op.IsBlockIO() }
 // OnlyDisk keeps one virtual disk's commands.
 func OnlyDisk(vm, disk string) func(Record) bool {
 	return func(r Record) bool { return r.VM == vm && r.Disk == disk }
-}
-
-// OnlyErrors keeps failed commands.
-func OnlyErrors(r Record) bool { return r.Status != scsi.StatusGood }
-
-// And combines filters conjunctively.
-func And(filters ...func(Record) bool) func(Record) bool {
-	return func(r Record) bool {
-		for _, f := range filters {
-			if !f(r) {
-				return false
-			}
-		}
-		return true
-	}
 }

@@ -186,26 +186,6 @@ func mix64(v uint64) uint64 {
 	return v
 }
 
-// VMCount and DiskCount size the inventory.
-func (inv *Inventory) VMCount() int {
-	n := 0
-	for _, h := range inv.Hosts {
-		n += len(h.VMs)
-	}
-	return n
-}
-
-// DiskCount counts virtual disks across the inventory.
-func (inv *Inventory) DiskCount() int {
-	n := 0
-	for _, h := range inv.Hosts {
-		for _, vm := range h.VMs {
-			n += vm.Disks
-		}
-	}
-	return n
-}
-
 // PersonalityMix counts VMs per personality — the realized draw of the
 // population weights.
 func (inv *Inventory) PersonalityMix() map[string]int {

@@ -16,15 +16,11 @@ func TestInventoryDeterministic(t *testing.T) {
 	if got := len(a.Hosts); got != 32 {
 		t.Fatalf("hosts = %d, want 32", got)
 	}
-	if got := a.VMCount(); got != 256 {
-		t.Fatalf("VMs = %d, want 256", got)
-	}
-	if got := a.DiskCount(); got != 512 {
-		t.Fatalf("disks = %d, want 512", got)
-	}
 	names := map[string]bool{}
+	disks := 0
 	for _, h := range a.Hosts {
 		for _, vm := range h.VMs {
+			disks += vm.Disks
 			if names[vm.Name] {
 				t.Fatalf("duplicate VM name %q", vm.Name)
 			}
@@ -33,6 +29,9 @@ func TestInventoryDeterministic(t *testing.T) {
 				t.Fatalf("VM %q intensity %v out of range", vm.Name, vm.Intensity)
 			}
 		}
+	}
+	if len(names) != 256 || disks != 512 {
+		t.Fatalf("VMs = %d, disks = %d; want 256 and 512", len(names), disks)
 	}
 }
 
