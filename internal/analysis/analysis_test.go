@@ -74,21 +74,21 @@ func TestSeekLatencyCorrelation(t *testing.T) {
 	if h.Total != 2 {
 		t.Fatalf("Total = %d", h.Total)
 	}
-	// The far/slow sample must land in a high-seek, high-latency cell.
-	mx := h.MarginalX()
-	my := h.MarginalY()
-	if mx.Max < 1000000 && mx.Counts[len(mx.Counts)-1] == 0 {
-		t.Errorf("marginal X: %v", mx.Counts)
-	}
-	var slow int64
-	for i := range my.Counts {
-		lo, _ := my.BinRange(i)
-		if lo >= 15000 {
-			slow += my.Counts[i]
+	// The far/slow sample must land in a high-seek, high-latency cell: the
+	// seek overflow bin and a latency bin above 15 ms hold it.
+	var far, slow int64
+	for xi, row := range h.Counts {
+		for yi, c := range row {
+			if xi == len(h.XEdges) {
+				far += c
+			}
+			if yi > 0 && h.YEdges[yi-1] >= 15000 {
+				slow += c
+			}
 		}
 	}
-	if slow != 1 {
-		t.Errorf("slow samples = %d\n%v", slow, my.Counts)
+	if far != 1 || slow != 1 {
+		t.Errorf("far seeks %d, slow samples %d, want 1 and 1\n%v", far, slow, h.Counts)
 	}
 }
 

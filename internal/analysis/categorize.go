@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"vscsistats/internal/core"
-	"vscsistats/internal/histogram"
 )
 
 // Workload categorization against a reference catalog — the full version of
@@ -136,11 +135,4 @@ func (c *Catalog) Report(probe *core.Snapshot) (string, error) {
 	}
 	b.WriteString(core.FingerprintOf(probe).Report())
 	return b.String(), nil
-}
-
-// SimilarHistograms reports whether two snapshots' named histograms are
-// within eps total-variation distance — a convenience for regression
-// checks against golden characterizations.
-func SimilarHistograms(a, b *histogram.Snapshot, eps float64) bool {
-	return Distance(a, b) <= eps
 }

@@ -109,15 +109,3 @@ func TestCatalogReportAndErrors(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestSimilarHistograms(t *testing.T) {
-	a := snapshotOf(t, 1, randomRead8K)
-	b := snapshotOf(t, 2, randomRead8K)
-	c := snapshotOf(t, 3, seqRead64K)
-	if !SimilarHistograms(a.Histogram(core.MetricIOLength, core.All), b.Histogram(core.MetricIOLength, core.All), 0.05) {
-		t.Error("same workload should be similar")
-	}
-	if SimilarHistograms(a.Histogram(core.MetricIOLength, core.All), c.Histogram(core.MetricIOLength, core.All), 0.05) {
-		t.Error("different sizes should not be similar")
-	}
-}

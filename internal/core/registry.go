@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -65,20 +66,29 @@ func (r *Registry) List() []*Collector {
 	for _, c := range r.collectors {
 		out = append(out, c)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].VM() != out[j].VM() {
-			return out[i].VM() < out[j].VM()
-		}
-		return out[i].Disk() < out[j].Disk()
+	slices.SortFunc(out, func(a, b *Collector) int {
+		return cmp.Or(cmp.Compare(a.vm, b.vm), cmp.Compare(a.disk, b.disk))
 	})
 	return out
 }
 
-// Snapshots returns a snapshot per enabled-at-least-once collector.
-func (r *Registry) Snapshots() []*Snapshot {
-	var out []*Snapshot
+// Snapshots returns a snapshot per enabled-at-least-once collector, in List
+// order.
+func (r *Registry) Snapshots() []*Snapshot { return r.SnapshotsInto(nil) }
+
+// SnapshotsInto is Snapshots capturing into the snapshots of spare, and
+// into spare's array, before it allocates any: the one reuse of a set its
+// caller alone holds (Collector.CaptureInto).
+func (r *Registry) SnapshotsInto(spare []*Snapshot) []*Snapshot {
+	out := spare[:0]
 	for _, c := range r.List() {
-		if s := c.Snapshot(); s != nil {
+		var s *Snapshot
+		if n := len(out); n < len(spare) {
+			s = spare[n]
+		} else {
+			s = new(Snapshot)
+		}
+		if c.CaptureInto(s) {
 			out = append(out, s)
 		}
 	}

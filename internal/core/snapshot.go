@@ -70,17 +70,31 @@ type Snapshot struct {
 	cells []int64 // nil or snapshotWords long
 }
 
-// Snapshot copies the collector's current state. It returns nil if the
-// service has never been enabled (no data structures exist).
+// Snapshot copies the collector's current state into a fresh snapshot. It
+// returns nil if the service has never been enabled (no data structures
+// exist). See CaptureInto.
+func (c *Collector) Snapshot() *Snapshot {
+	s := new(Snapshot)
+	if !c.CaptureInto(s) {
+		return nil
+	}
+	return s
+}
+
+// CaptureInto copies the collector's current state into dst, overwriting
+// everything dst held and reusing its cells, and reports false, leaving
+// dst's contents unspecified, if the service has never been enabled. Only
+// an owner no one else reads dst through may hand it in.
 //
-// Snapshot is safe to call while other goroutines issue commands or Reset
-// the collector. It copies the slab, the extrema and the error count under
-// the collector's lock, into memory allocated before taking it, so a
-// command waits for one ~1.4 KB copy at most and the copy is a consistent
-// cut: every command is in it with all its samples or not at all. The issue
-// side therefore agrees with itself in every snapshot, quiescent or not —
-// with no Reset or BreakStream in between, I/O length and outstanding I/Os
-// total Commands, and both seek distances and inter-arrival Commands − 1.
+// CaptureInto is safe to call while other goroutines issue commands or
+// Reset the collector. It copies the slab, the extrema and the error count
+// under the collector's lock, into dst's memory obtained before taking it,
+// so a command waits for one ~1.4 KB copy at most and the copy is a
+// consistent cut: every command is in it with all its samples or not at
+// all. The issue side therefore agrees with itself in every snapshot,
+// quiescent or not — with no Reset or BreakStream in between, I/O length
+// and outstanding I/Os total Commands, and both seek distances and
+// inter-arrival Commands − 1.
 //
 // The collector stores only the reads and writes histograms; everything
 // derivable is derived here, outside the lock, from the copy. So each
@@ -88,36 +102,52 @@ type Snapshot struct {
 // over whichever classes are non-empty — Commands == NumReads + NumWrites
 // == the I/O length total, and the byte counters are the I/O length sums.
 // An empty histogram reports min = max = 0.
-func (c *Collector) Snapshot() *Snapshot {
-	raw := make([]int64, slabWords)
-	s := &Snapshot{VM: c.vm, Disk: c.disk, cells: make([]int64, snapshotWords)}
+func (c *Collector) CaptureInto(dst *Snapshot) bool {
+	if len(dst.cells) != snapshotWords {
+		dst.cells = make([]int64, snapshotWords)
+	}
+	cells := dst.cells
 	c.mu.Lock()
 	h := c.h
 	if h == nil {
 		c.mu.Unlock()
-		return nil
+		return false
 	}
-	copy(raw, h.cells)
+	for id := range slab {
+		sp := &slab[id]
+		copy(sp.hist.Of(cells), h.cells[sp.off:sp.sum+1]) // bins and sum
+	}
 	min, max := h.min, h.max
-	s.Errors = h.errors
+	dst.Errors = h.errors
 	c.mu.Unlock()
 	c.self.noteSnapshot()
 
 	for id := range slab {
 		sp := &slab[id]
-		dst := sp.hist.Of(s.cells)
-		copy(dst, raw[sp.off:sp.sum+1]) // bins and sum
-		sp.layout.Seal(dst, min[id], max[id])
-		if sp.all != nil {
-			addHist(sp.all.Of(s.cells), dst)
+		own := sp.hist.Of(cells)
+		total := len(own) - 3
+		own[total], own[total+1], own[total+2] = 0, 0, 0
+		sp.layout.Seal(own, min[id], max[id])
+		switch {
+		case sp.all == nil:
+		case id%2 == classRead: // the first of the family's two classes
+			copy(sp.all.Of(cells), own)
+		default:
+			addHist(sp.all.Of(cells), own)
 		}
 	}
-	length := s.Histogram(MetricIOLength, All)
-	reads, writes := s.Histogram(MetricIOLength, Reads), s.Histogram(MetricIOLength, Writes)
-	s.Commands = length.Total
-	s.NumReads, s.ReadBytes = reads.Total, reads.Sum
-	s.NumWrites, s.WriteBytes = writes.Total, writes.Sum
-	return s
+	dst.VM, dst.Disk = c.vm, c.disk
+	length := &slab[hIOLength+classRead]
+	dst.Commands, _ = length.all.totalSum(cells)
+	dst.NumReads, dst.ReadBytes = length.hist.totalSum(cells)
+	dst.NumWrites, dst.WriteBytes = slab[hIOLength+classWrite].hist.totalSum(cells)
+	return true
+}
+
+// totalSum returns the histogram's total and sum out of a snapshot's cells.
+func (h *HistCells) totalSum(cells []int64) (total, sum int64) {
+	n := h.Off + h.Layout.NumBins()
+	return cells[n+1], cells[n]
 }
 
 // addHist folds one histogram's cells into another's of the same layout:
@@ -194,27 +224,29 @@ func (s *Snapshot) ReadFraction() float64 {
 	return float64(s.NumReads) / float64(s.Commands)
 }
 
-// plus returns s + sign·o, named as s and carrying ext's extrema: counters
-// and every count, sum and total cell. Arithmetic wraps, so with sign −1 and
-// then +1 it undoes itself exactly whatever the values.
-func (s *Snapshot) plus(o *Snapshot, sign int64, ext *Snapshot) *Snapshot {
-	out := &Snapshot{
-		VM:         s.VM,
-		Disk:       s.Disk,
-		Commands:   s.Commands + sign*o.Commands,
-		NumReads:   s.NumReads + sign*o.NumReads,
-		NumWrites:  s.NumWrites + sign*o.NumWrites,
-		ReadBytes:  s.ReadBytes + sign*o.ReadBytes,
-		WriteBytes: s.WriteBytes + sign*o.WriteBytes,
-		Errors:     s.Errors + sign*o.Errors,
-		cells:      make([]int64, snapshotWords),
-	}
+// plus sets dst to s + sign·o, named as s and carrying ext's extrema:
+// counters and every count, sum and total cell. In the same pass it reports
+// whether s and o hold the same state — what s.StateEquals(o) decides, every
+// counter and every cell, extrema included. Arithmetic wraps, so with sign
+// −1 and then +1 it undoes itself exactly whatever the values. dst is memory
+// its caller alone holds, neither s nor o.
+func (s *Snapshot) plus(dst, o *Snapshot, sign int64, ext *Snapshot) (same bool) {
 	a, b := s.Cells(), o.Cells()
-	for i := range out.cells {
-		out.cells[i] = a[i] + sign*b[i]
+	if len(dst.cells) != snapshotWords {
+		dst.cells = make([]int64, snapshotWords)
 	}
-	copyExtrema(out.cells, ext.Cells())
-	return out
+	var diff int64
+	for i, x := range a {
+		diff |= x ^ b[i]
+		dst.cells[i] = x + sign*b[i]
+	}
+	same = diff == 0 && s.Commands == o.Commands && s.NumReads == o.NumReads && s.NumWrites == o.NumWrites &&
+		s.ReadBytes == o.ReadBytes && s.WriteBytes == o.WriteBytes && s.Errors == o.Errors
+	dst.VM, dst.Disk = s.VM, s.Disk
+	dst.Commands, dst.NumReads, dst.NumWrites = s.Commands+sign*o.Commands, s.NumReads+sign*o.NumReads, s.NumWrites+sign*o.NumWrites
+	dst.ReadBytes, dst.WriteBytes, dst.Errors = s.ReadBytes+sign*o.ReadBytes, s.WriteBytes+sign*o.WriteBytes, s.Errors+sign*o.Errors
+	copyExtrema(dst.cells, ext.Cells())
+	return same
 }
 
 // copyExtrema sets every histogram's min and max in dst to src's.
@@ -235,7 +267,16 @@ func (s *Snapshot) Sub(earlier *Snapshot) *Snapshot {
 	if earlier == nil {
 		return s
 	}
-	return s.plus(earlier, -1, s)
+	out := new(Snapshot)
+	s.plus(out, earlier, -1, s)
+	return out
+}
+
+// SubInto writes s.Sub(earlier) into dst, reusing its cells, and reports
+// s.StateEquals(earlier), both in one pass over the cells. earlier is not
+// nil, and dst is neither s nor earlier but memory its caller alone holds.
+func (s *Snapshot) SubInto(dst, earlier *Snapshot) (same bool) {
+	return s.plus(dst, earlier, -1, s)
 }
 
 // ApplyDelta returns the snapshot equal to s plus the interval delta d (as
@@ -246,7 +287,11 @@ func (s *Snapshot) Sub(earlier *Snapshot) *Snapshot {
 //
 // cell for cell. The receiver and the delta are left untouched. This is the
 // aggregator side of the fleet delta-push protocol.
-func (s *Snapshot) ApplyDelta(d *Snapshot) *Snapshot { return s.plus(d, 1, d) }
+func (s *Snapshot) ApplyDelta(d *Snapshot) *Snapshot {
+	out := new(Snapshot)
+	s.plus(out, d, 1, d)
+	return out
+}
 
 // AddDelta adds d onto s in place, leaving s equal to s.ApplyDelta(d). Only
 // the decoder that owns s — no one else holds it yet — may call it.

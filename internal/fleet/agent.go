@@ -82,6 +82,10 @@ type Agent struct {
 	failures int       // consecutive failed flushes
 	notUntil time.Time // backoff gate: no network attempt before this
 	rng      *rand.Rand
+	// spare is a capture set a delivery released, the next capture's
+	// memory (DESIGN.md §16): nil, or snapshots no frame, queue entry or
+	// base holds any more.
+	spare []*core.Snapshot
 
 	// flushMu single-flights flush and guards chain.base: deltas are
 	// rendered against the base at flush time, and only one flush may
@@ -188,11 +192,16 @@ func (a *Agent) PushNow() error {
 }
 
 // buildBatch captures the registry into a full frame under a fresh
-// sequence number. No locks beyond the registry's own and no network: this
-// is the path that must stay fast however sick the aggregator is.
+// sequence number, into the spare set if a delivery released one. No locks
+// beyond the registry's own and a.mu's few loads, and no network: this is
+// the path that must stay fast however sick the aggregator is.
 func (a *Agent) buildBatch() *Batch {
 	start := time.Now()
-	f := a.snd.frame(a.cfg.Host, a.chain.next(), start.UnixNano(), a.reg.Snapshots())
+	a.mu.Lock()
+	spare := a.spare
+	a.spare = nil
+	a.mu.Unlock()
+	f := a.snd.frame(a.cfg.Host, a.chain.next(), start.UnixNano(), a.reg.SnapshotsInto(spare))
 	a.cfg.Obs.ObserveSince(fleetobs.StageCapture, start, fleetobs.Event{
 		Host: a.cfg.Host, TraceID: f.TraceID, BatchSeq: f.Seq, Shard: -1,
 	})
@@ -238,15 +247,17 @@ func (a *Agent) flush(now time.Time) error {
 		f := a.queue[0]
 		a.mu.Unlock()
 
-		if base := a.chain.base; base != nil && f.Seq <= base.seq {
+		base := a.chain.base
+		if base != nil && f.Seq <= base.seq {
 			// Superseded: the aggregator already acknowledged newer state.
-			a.dequeueThrough(f.Seq)
+			a.dequeueThrough(f.Seq, nil)
 			continue
 		}
 		if f.Seq < a.chain.seq.Load() {
 			a.retries.Add(1)
 		}
-		if _, err := a.snd.deliver(&a.chain, f); err != nil {
+		b, err := a.snd.deliver(&a.chain, f)
+		if err != nil {
 			a.mu.Lock()
 			a.failures++
 			backoff := a.cfg.Interval << (a.failures - 1)
@@ -267,15 +278,27 @@ func (a *Agent) flush(now time.Time) error {
 			time.Since(time.Unix(0, f.SentUnixNano)), fleetobs.Event{
 				Host: a.cfg.Host, TraceID: f.TraceID, BatchSeq: f.Seq, Shard: -1,
 			})
-		a.dequeueThrough(f.Seq)
+		// What the ack released: a heartbeat's capture, whose state the base
+		// already holds, or the base the ack replaced, whose frame left the
+		// queue when it was acknowledged.
+		var released []*core.Snapshot
+		switch {
+		case b.kind() == "heartbeat":
+			released = f.Snapshots
+		case base != nil:
+			released = base.full
+		}
+		a.dequeueThrough(f.Seq, released)
 	}
 }
 
 // dequeueThrough removes every queued capture with seq <= through —
 // delivered or superseded state (captures are cumulative, so a newer
 // delivery carries everything an older one did) — and, as the receiver
-// holds that state, ends the run of consecutive failures.
-func (a *Agent) dequeueThrough(through uint64) {
+// holds that state, ends the run of consecutive failures. Then released,
+// a capture set nothing holds any more, becomes the spare unless one is
+// kept already.
+func (a *Agent) dequeueThrough(through uint64, released []*core.Snapshot) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	rest := a.queue[:0]
@@ -286,6 +309,9 @@ func (a *Agent) dequeueThrough(through uint64) {
 	}
 	a.queue = rest
 	a.failures = 0
+	if a.spare == nil {
+		a.spare = released
+	}
 }
 
 // AgentStats is a point-in-time copy of the agent's counters.

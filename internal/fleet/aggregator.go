@@ -15,6 +15,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"vscsistats/internal/analysis"
 	"vscsistats/internal/core"
@@ -413,7 +414,7 @@ const maxFrameLen = 16 + maxHeaderLen + maxPayloadLen
 // the trip or none, so an unsampled frame pays nothing beyond it.
 func (g *Aggregator) receive(ctx context.Context, r io.Reader, source string, sampled bool) (*frame, error) {
 	start := stageStart(sampled)
-	f, err := readFrame(r, readAll)
+	f, err := readFrame(r)
 	if err == nil && !f.Delta {
 		f.Snapshots, err = decodePayload(f.payload, f.count, nil, false) // before the shard lock; a delta waits for its base
 	}
@@ -484,7 +485,7 @@ func (g *Aggregator) ClusterSnapshot(includeStale bool) *core.Snapshot {
 	now := g.now()
 	var parts []*core.Snapshot
 	for _, sh := range g.shards {
-		if c, _ := sh.merged(now, g.cfg.StaleAfter, includeStale); c != nil {
+		if c := sh.clusterMerge(now, g.cfg.StaleAfter, includeStale); c != nil {
 			parts = append(parts, c)
 		}
 	}
@@ -498,8 +499,7 @@ func (g *Aggregator) VMSnapshots(includeStale bool) []*core.Snapshot {
 	now := g.now()
 	var all []*core.Snapshot
 	for _, sh := range g.shards {
-		_, vms := sh.merged(now, g.cfg.StaleAfter, includeStale)
-		all = append(all, vms...)
+		all = append(all, sh.vmMerges(now, g.cfg.StaleAfter, includeStale)...)
 	}
 	return mergeByVM(all)
 }
@@ -792,7 +792,45 @@ func (g *Aggregator) servePush(w http.ResponseWriter, r *http.Request) {
 			Detail: fmt.Sprintf("delta=%t snapshots=%d", f.Delta, f.count),
 		})
 	}
-	telemetry.WriteJSON(w, map[string]any{"host": f.Host, "seq": f.Seq, "snapshots": f.count})
+	writePushAck(w, f.Host, f.Seq, f.count)
+}
+
+// writePushAck writes the push reply, the bytes telemetry.WriteJSON writes
+// for {"host", "seq", "snapshots"}, appended without reflection.
+func writePushAck(w http.ResponseWriter, host string, seq uint64, snapshots int) {
+	b := make([]byte, 0, 64+len(host))
+	b = appendJSONString(append(b, "{\n  \"host\": "...), host)
+	b = strconv.AppendUint(append(b, ",\n  \"seq\": "...), seq, 10)
+	b = strconv.AppendInt(append(b, ",\n  \"snapshots\": "...), int64(snapshots), 10)
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(append(b, "\n}\n"...))
+}
+
+// appendJSONString appends s quoted as encoding/json writes it: quotes,
+// backslashes, control bytes, <, > and &, U+2028 and U+2029 escaped, and
+// each byte of invalid UTF-8 as U+FFFD.
+func appendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	for i := 0; i < len(s); {
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch k := strings.IndexRune("\b\f\n\r\t", r); {
+		case r == '"' || r == '\\':
+			dst = append(dst, '\\', byte(r))
+		case k >= 0:
+			dst = append(dst, '\\', "bfnrt"[k])
+		case r < 0x20 || r == '<' || r == '>' || r == '&':
+			dst = append(dst, '\\', 'u', '0', '0', hex[r>>4], hex[r&0xf])
+		case r == utf8.RuneError && size == 1:
+			dst = append(dst, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			dst = append(dst, '\\', 'u', '2', '0', '2', hex[r&0xf])
+		default:
+			dst = append(dst, s[i:i+size]...)
+		}
+		i += size
+	}
+	return append(dst, '"')
 }
 
 // fleetResyncError writes the 409 resync response; the body carries the

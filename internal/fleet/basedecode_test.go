@@ -130,7 +130,7 @@ func FuzzApplyDeltaPayload(f *testing.F) {
 	feed(cols[1], 11, 70)
 	feed(cols[4], 12, 40)
 	cur := reg.Snapshots()
-	partial, _ := subAgainst(cur, base)
+	partial, _ := new(chain).subAgainst(cur, base)
 	every := subSnaps(cur, base)
 	backwards := subSnaps(base, cur)
 	reversed := []*core.Snapshot{every[5], every[3], every[0]}

@@ -167,12 +167,12 @@ func benchChains(b *testing.B, agg *Aggregator, hosts []string, t0 time.Time) {
 		}
 	}
 	for i, h := range hosts {
-		chain := states[i%variants]
-		for k, snaps := range chain {
+		states := states[i%variants]
+		for k, snaps := range states {
 			batch := &Batch{Host: h, Seq: uint64(k + 1), SentUnixNano: t0.Add(time.Duration(k) * time.Second).UnixNano(), Snapshots: snaps}
 			if k > 0 {
 				batch.Delta, batch.BaseSeq = true, uint64(k)
-				batch.Snapshots, _ = subAgainst(snaps, chain[k-1])
+				batch.Snapshots, _ = new(chain).subAgainst(snaps, states[k-1])
 			}
 			if err := agg.Ingest(batch, "push"); err != nil {
 				b.Fatal(err)
@@ -250,7 +250,7 @@ func benchWireBytes(b *testing.B, delta bool) {
 
 	batch := &Batch{Host: "esx-01", Seq: 2, Snapshots: cur}
 	if delta {
-		deltas, ok := subAgainst(cur, base)
+		deltas, ok := new(chain).subAgainst(cur, base)
 		if !ok {
 			b.Fatal("disk sets diverged")
 		}

@@ -29,7 +29,7 @@ func pushFull(t *testing.T, g *Aggregator, host string, seq uint64, reg *core.Re
 // slices of the same registry).
 func deltaBatch(t *testing.T, host string, seq, baseSeq uint64, base, cur []*core.Snapshot) *Batch {
 	t.Helper()
-	deltas, ok := subAgainst(cur, base)
+	deltas, ok := new(chain).subAgainst(cur, base)
 	if !ok {
 		t.Fatal("disk sets diverged between base and cur")
 	}

@@ -126,7 +126,7 @@ func TestFrameGoldenBitFlips(t *testing.T) {
 	}
 	r := bytes.NewReader(data)
 	for r.Len() > 0 {
-		f, err := readFrame(r, readAll)
+		f, err := readFrame(r)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -42,8 +42,9 @@ import (
 //
 // History scans disk on every call — it is a reporting query, deliberately
 // off the ingest and scrape fast paths, and it never touches shard locks.
-// The shard dirs are read concurrently, and a frame sent after to is
-// counted but its payload never read.
+// The shard dirs are read concurrently. Every frame's trailer is checked,
+// so a flipped bit is a drop wherever it lands, but a frame sent after to
+// is counted and its payload never decoded.
 func (g *Aggregator) History(from, to time.Time) (*HistoryResult, error) {
 	if g.log == nil {
 		return nil, errors.New("fleet: history requires a segment log (no data dir configured)")
@@ -67,7 +68,7 @@ func (g *Aggregator) history(from, to time.Time) (*HistoryResult, error) {
 		dirs[i] = make(map[string]*historyHost)
 	}
 	var frames, dropped atomic.Int64
-	scanDropped := g.log.scan(toNs, func(dirIdx int, f *frame) {
+	scanDropped := g.log.scan(func(dirIdx int, f *frame) {
 		frames.Add(1)
 		if f.SentUnixNano > toNs {
 			// Past the window's end: nothing after this frame on the

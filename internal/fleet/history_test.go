@@ -122,7 +122,7 @@ func TestHistorySkipsPayloadsPastTo(t *testing.T) {
 // inside the window: the scan drops that frame, counts it on the result and
 // in LogStats, and reads on, so only its own host's window stops short —
 // at the frame before it, since the next delta has no base. A window that
-// ends before the rotted frame never reads it and drops nothing.
+// ends before the rotted frame still checks its trailer, so it drops it too.
 func TestHistoryCountsDroppedFrames(t *testing.T) {
 	cfg := logAggConfig(t.TempDir())
 	cfg.Shards = 1
@@ -159,11 +159,67 @@ func TestHistoryCountsDroppedFrames(t *testing.T) {
 	if !sameSnapshot(res.Cluster, want) {
 		t.Error("window is not a's state before the rotted frame plus b's whole chain")
 	}
-	if early, err := g.History(time.Unix(0, 0), t0); err != nil || early.Dropped != 0 {
-		t.Errorf("window ending before the rotted frame: %+v, %v; want nothing dropped", early, err)
+	if early, err := g.History(time.Unix(0, 0), t0); err != nil || early.Dropped != 1 {
+		t.Errorf("window ending before the rotted frame: %+v, %v; want it dropped", early, err)
 	}
-	if d := g.LogStats().HistoryDropped; d != 1 {
-		t.Errorf("LogStats.HistoryDropped = %d, want 1", d)
+	if d := g.LogStats().HistoryDropped; d != 2 {
+		t.Errorf("LogStats.HistoryDropped = %d, want 2", d)
+	}
+}
+
+// TestHistoryChecksHeaderFlipsPastTo flips the bit of a logged delta's
+// header that moves its send time past the window's end: History drops the
+// frame on its trailer, as boot replay would, instead of skipping it as a
+// frame from after the window, and the host's window stops at the frame
+// before it.
+func TestHistoryChecksHeaderFlipsPastTo(t *testing.T) {
+	cfg := logAggConfig(t.TempDir())
+	cfg.Shards = 1
+	g, _, err := OpenAggregator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	t0 := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	t1, t2 := t0.Add(time.Minute), t0.Add(2*time.Minute)
+	a, aStates := timedChain(0, t0, t1, t2)
+	b, bStates := timedChain(1, t0, t1, t2)
+	ingestAll(t, g, append(a, b...))
+
+	seg := g.log.shards[0].active.path
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix, _ := payloadOf(data[frameOffsets(t, seg)[0]:]) // a's delta sent at t1
+	header := prefix[16:]
+	flipped := false
+	for bit := 0; bit < 8*len(header) && !flipped; bit++ {
+		header[bit/8] ^= 1 << (bit % 8)
+		var got Batch
+		if _, err := parseHeader(header, true, &got); err == nil && got.Host == a[1].Host && got.SentUnixNano > t2.UnixNano() {
+			flipped = true
+			break
+		}
+		header[bit/8] ^= 1 << (bit % 8)
+	}
+	if !flipped {
+		t.Fatal("no bit of the header moves its send time past the window")
+	}
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	res, err := g.History(time.Unix(0, 0), t2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Dropped != 1 {
+		t.Fatalf("dropped %d frames, want the flipped one", res.Dropped)
+	}
+	want := core.Aggregate("cluster", "*", append(slices.Clone(aStates[0]), bStates[2]...)...)
+	if !sameSnapshot(res.Cluster, want) {
+		t.Error("window is not a's state before the flipped frame plus b's whole chain")
 	}
 }
 

@@ -301,7 +301,7 @@ func (l *segmentLog) replaySegment(sh *logShard, seg *segmentInfo, last bool, st
 	r := bufio.NewReader(f)
 	var good int64 // the bytes of whole frames
 	for {
-		fr, err := readFrame(r, readAll)
+		fr, err := readFrame(r)
 		var unknown *UnknownLayoutError
 		if errors.As(err, &unknown) {
 			// A whole frame we cannot read the bins of: its header still
@@ -601,16 +601,15 @@ func (l *segmentLog) removeOrphans() {
 
 // scan hands every frame currently in the log to fn, the read path behind
 // history queries. Shard dirs are read concurrently; fn sees one dir's frames
-// in segment order on one goroutine, their payloads undecoded, and a frame sent
-// after to without its payload: it is never applied, so its bytes are skipped
-// unread and unchecked. A frame failing its checksum is dropped and the file
+// in segment order on one goroutine, each read whole and its trailer checked,
+// its payload undecoded. A frame failing its checksum is dropped and the file
 // read on; any other bad frame ends the file, dropped too. It returns the
 // drops. It is best-effort against concurrent writers: the path list is copied
 // under each shard's mutex, but the files are read unlocked, so a segment
 // compacted away mid-scan is skipped and a frame being appended right now reads
 // as a torn tail and ends that file. Both are safe for history: duplicates and
 // stale fulls fall out of the same no-rollback apply rules replay uses.
-func (l *segmentLog) scan(to int64, fn func(dirIdx int, f *frame)) (dropped int64) {
+func (l *segmentLog) scan(fn func(dirIdx int, f *frame)) (dropped int64) {
 	var n atomic.Int64
 	eachDir(len(l.shards), func(i int) error {
 		sh := l.shards[i]
@@ -624,14 +623,14 @@ func (l *segmentLog) scan(to int64, fn func(dirIdx int, f *frame)) (dropped int6
 		}
 		sh.mu.Unlock()
 		for _, p := range paths {
-			n.Add(scanSegment(p, sh.dirIdx, to, fn))
+			n.Add(scanSegment(p, sh.dirIdx, fn))
 		}
 		return nil
 	})
 	return n.Load()
 }
 
-func scanSegment(path string, dirIdx int, to int64, fn func(int, *frame)) (dropped int64) {
+func scanSegment(path string, dirIdx int, fn func(int, *frame)) (dropped int64) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0
@@ -639,7 +638,7 @@ func scanSegment(path string, dirIdx int, to int64, fn func(int, *frame)) (dropp
 	defer f.Close()
 	r := bufio.NewReader(f)
 	for {
-		fr, err := readFrame(r, to)
+		fr, err := readFrame(r)
 		switch {
 		case err == nil:
 			fn(dirIdx, fr)

@@ -142,7 +142,7 @@ func reseal(frame []byte) []byte {
 // fixing the declared lengths and the trailer.
 func reframe(t *testing.T, frame, payload []byte, count int) []byte {
 	t.Helper()
-	f, err := readFrame(bytes.NewReader(frame), readAll)
+	f, err := readFrame(bytes.NewReader(frame))
 	if err != nil {
 		t.Fatal(err)
 	}

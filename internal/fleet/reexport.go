@@ -138,7 +138,7 @@ func (r *ReExporter) Stop() {
 func (r *ReExporter) renderRollup(now time.Time) []*core.Snapshot {
 	var snaps []*core.Snapshot
 	for i, sh := range r.agg.shards {
-		c, _ := sh.merged(now, r.agg.cfg.StaleAfter, false)
+		c := sh.clusterMerge(now, r.agg.cfg.StaleAfter, false)
 		if c == nil {
 			continue // empty shard: renders nothing, pairs with nothing
 		}

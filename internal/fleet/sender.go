@@ -42,35 +42,48 @@ type chain struct {
 	// failed after base was acknowledged. Its ack may be what was lost, so
 	// the receiver may be past base, and a heartbeat would leave it there.
 	unsure bool
+	// deltas is the memory subAgainst renders into. A rendered frame lives
+	// only until deliver returns, so each rendering reuses the last one's.
+	deltas []*core.Snapshot
 }
 
 // next draws a fresh sequence number for new content.
 func (c *chain) next() uint64 { return c.seq.Add(1) }
 
 // subAgainst pairs cur with base by (VM, disk) and returns the non-zero
-// interval deltas. It refuses (ok=false) when the disk sets differ — a
-// disk appeared or vanished — which forces a full push carrying the new
-// set.
-func subAgainst(cur, base []*core.Snapshot) ([]*core.Snapshot, bool) {
+// interval deltas, written into the chain's own memory. Both sides come in
+// one order (the registry's, or the rollup's shards), so disks pair by
+// index, and a map is built only on a mismatch. It refuses (ok=false) when
+// the disk sets differ — a disk appeared or vanished — which forces a full
+// push carrying the new set.
+func (c *chain) subAgainst(cur, base []*core.Snapshot) ([]*core.Snapshot, bool) {
 	if len(cur) != len(base) {
 		return nil, false
 	}
-	byKey := make(map[diskKey]*core.Snapshot, len(base))
-	for _, s := range base {
-		byKey[diskKey{s.VM, s.Disk}] = s
-	}
-	deltas := make([]*core.Snapshot, 0, len(cur))
-	for _, s := range cur {
-		b, ok := byKey[diskKey{s.VM, s.Disk}]
-		if !ok {
-			return nil, false
+	var byKey map[diskKey]*core.Snapshot
+	n := 0
+	for i, s := range cur {
+		b := base[i]
+		if byKey == nil && (b.VM != s.VM || b.Disk != s.Disk) {
+			byKey = make(map[diskKey]*core.Snapshot, len(base))
+			for _, b := range base {
+				byKey[diskKey{b.VM, b.Disk}] = b
+			}
 		}
-		if s.StateEquals(b) {
-			continue // unchanged since the base: omit entirely
+		if byKey != nil {
+			var ok bool
+			if b, ok = byKey[diskKey{s.VM, s.Disk}]; !ok {
+				return nil, false
+			}
 		}
-		deltas = append(deltas, s.Sub(b))
+		if n == len(c.deltas) {
+			c.deltas = append(c.deltas, new(core.Snapshot))
+		}
+		if !s.SubInto(c.deltas[n], b) {
+			n++ // changed since the base; an unchanged disk is omitted
+		}
 	}
-	return deltas, true
+	return c.deltas[:n], true
 }
 
 // sender is the sending half of the push protocol (DESIGN.md §10 "Protocol
@@ -174,7 +187,7 @@ func (s *sender) render(c *chain, f *Batch) *Batch {
 		return f
 	}
 	start := time.Now()
-	deltas, ok := subAgainst(f.Snapshots, c.base.full)
+	deltas, ok := c.subAgainst(f.Snapshots, c.base.full)
 	s.obs.ObserveSince(fleetobs.StageDeltaRender, start, fleetobs.Event{
 		Host: f.Host, TraceID: f.TraceID, BatchSeq: f.Seq, Shard: -1,
 	})

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -46,23 +47,24 @@ type shard struct {
 	// aggregator has no tracker.
 	obs *fleetobs.Tracker
 
-	// cacheMu guards cache and single-flights recomputation: concurrent
-	// scrapes of an unchanged shard wait for one merge instead of all
-	// redoing it.
-	cacheMu sync.Mutex
-	cache   shardCache
+	// The shard's two merged views, memoized apart: a reader computes only
+	// the one it asks for.
+	cluster viewMemo[*core.Snapshot]
+	vms     viewMemo[[]*core.Snapshot]
 }
 
-// shardCache memoizes the shard's merged views. An entry is valid for
+// viewMemo memoizes one of the shard's merged views. An entry is valid for
 // exactly one (version, fresh-host set) pair: a new ingest bumps version,
 // and a host aging past the staleness horizon (or reviving) changes the
 // host list, so either invalidates without any clock-driven expiry logic.
-type shardCache struct {
+// mu guards the entry and single-flights recomputation: concurrent scrapes
+// of an unchanged shard wait for one merge instead of all redoing it.
+type viewMemo[T any] struct {
+	mu      sync.Mutex
 	valid   bool
 	version uint64
 	hosts   []string
-	cluster *core.Snapshot
-	vms     []*core.Snapshot
+	view    T
 }
 
 func newShard(index int, obs *fleetobs.Tracker) *shard {
@@ -242,15 +244,25 @@ func (s *shard) statuses(now time.Time, staleAfter time.Duration, out []HostStat
 	return out
 }
 
-// merged returns the shard-level cluster merge and per-VM merges of every
-// fresh host (both nil when the shard has none). The includeStale=false
-// path memoizes: as long as the shard's version and fresh-host set are
-// unchanged, repeated scrapes return the cached merge instead of
-// re-folding every host — the property that makes a scrape-heavy
-// aggregator's merge cost proportional to what changed, not to fleet
-// size. Returned snapshots are shared and must be treated as immutable
+// clusterMerge returns the shard-level merge of every fresh host, nil when
+// the shard has none; vmMerges returns their per-VM merges sorted by VM
+// name. See mergedView.
+func (s *shard) clusterMerge(now time.Time, staleAfter time.Duration, includeStale bool) *core.Snapshot {
+	return mergedView(s, &s.cluster, now, staleAfter, includeStale, mergeCluster)
+}
+
+func (s *shard) vmMerges(now time.Time, staleAfter time.Duration, includeStale bool) []*core.Snapshot {
+	return mergedView(s, &s.vms, now, staleAfter, includeStale, mergeByVM)
+}
+
+// mergedView returns merge over the shard's fresh hosts. The
+// includeStale=false path memoizes in m: as long as the shard's version and
+// fresh-host set are unchanged, repeated scrapes return the cached merge
+// instead of re-folding every host — the property that makes a scrape-heavy
+// aggregator's merge cost proportional to what changed, not to fleet size.
+// Returned snapshots are shared and must be treated as immutable
 // (core.Aggregate clones before merging, so feeding them back in is safe).
-func (s *shard) merged(now time.Time, staleAfter time.Duration, includeStale bool) (*core.Snapshot, []*core.Snapshot) {
+func mergedView[T any](s *shard, m *viewMemo[T], now time.Time, staleAfter time.Duration, includeStale bool, merge func([]*core.Snapshot) T) T {
 	s.mu.RLock()
 	version := s.version
 	names := make([]string, 0, len(s.hosts))
@@ -267,28 +279,24 @@ func (s *shard) merged(now time.Time, staleAfter time.Duration, includeStale boo
 	}
 	s.mu.RUnlock()
 
-	if includeStale {
-		start := time.Now()
-		cluster, vms := mergeSnaps(snaps)
-		s.obs.ObserveSince(fleetobs.StageMergeRecompute, start, fleetobs.Event{Shard: s.index})
-		return cluster, vms
+	if !includeStale {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		if m.valid && m.version == version && slices.Equal(m.hosts, names) {
+			s.cacheHits.Add(1)
+			return m.view
+		}
+		s.cacheMisses.Add(1)
 	}
-	s.cacheMu.Lock()
-	defer s.cacheMu.Unlock()
-	if s.cache.valid && s.cache.version == version && equalHostLists(s.cache.hosts, names) {
-		s.cacheHits.Add(1)
-		return s.cache.cluster, s.cache.vms
-	}
-	s.cacheMisses.Add(1)
 	start := time.Now()
-	cluster, vms := mergeSnaps(snaps)
+	view := merge(snaps)
 	s.obs.ObserveSince(fleetobs.StageMergeRecompute, start, fleetobs.Event{Shard: s.index})
 	// A slow reader that observed an older version must not clobber a
 	// fresher entry; version is monotone under mu.
-	if !s.cache.valid || version >= s.cache.version {
-		s.cache = shardCache{valid: true, version: version, hosts: names, cluster: cluster, vms: vms}
+	if !includeStale && (!m.valid || version >= m.version) {
+		m.valid, m.version, m.hosts, m.view = true, version, names, view
 	}
-	return cluster, vms
+	return view
 }
 
 // mergeSnaps folds host snapshots into one cluster merge plus per-VM
@@ -297,7 +305,15 @@ func mergeSnaps(snaps []*core.Snapshot) (*core.Snapshot, []*core.Snapshot) {
 	if len(snaps) == 0 {
 		return nil, nil
 	}
-	return core.Aggregate("cluster", "*", snaps...), mergeByVM(snaps)
+	return mergeCluster(snaps), mergeByVM(snaps)
+}
+
+// mergeCluster folds host snapshots into one cluster merge, nil for none.
+func mergeCluster(snaps []*core.Snapshot) *core.Snapshot {
+	if len(snaps) == 0 {
+		return nil
+	}
+	return core.Aggregate("cluster", "*", snaps...)
 }
 
 // mergeByVM merges the snapshots of each VM, sorted by VM name. A VM whose
@@ -322,18 +338,6 @@ func mergeByVM(snaps []*core.Snapshot) []*core.Snapshot {
 		}
 	}
 	return out
-}
-
-func equalHostLists(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // shardHash routes a host name to a shard: FNV-1a over the name, reduced

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"slices"
 
 	"vscsistats/internal/core"
@@ -298,7 +297,7 @@ func readSized(r io.Reader, dst []byte, n uint32, what string) ([]byte, error) {
 // one failure that is not a bad frame is *UnknownLayoutError: a whole,
 // well-formed frame whose bin layout is another binary generation's.
 func DecodeBatch(r io.Reader) (*Batch, error) {
-	f, err := readFrame(r, readAll)
+	f, err := readFrame(r)
 	if err == nil {
 		f.Snapshots, err = decodePayload(f.payload, f.count, nil, false)
 	}
@@ -307,9 +306,6 @@ func DecodeBatch(r io.Reader) (*Batch, error) {
 	}
 	return f.Batch, nil
 }
-
-// readAll is readFrame's window end for a reader that needs every payload.
-const readAll = math.MaxInt64
 
 // frame is one whole frame as it was read: the batch its header describes,
 // and its bytes. Its snapshots stay bytes until used (see chainPos.apply).
@@ -320,12 +316,10 @@ type frame struct {
 	payload []byte // the snapshots: raw's payload after its layout id
 }
 
-// readFrame reads one frame into one buffer, head first, and checks
+// readFrame reads one whole frame into one buffer, head first, and checks
 // everything but the snapshots: DecodeBatch's rules and the trailer, up to
 // the payload's layout id. An *UnknownLayoutError comes with the whole frame.
-// A frame sent after to comes with its header only, unchecked: History's
-// window ends there, so the rest is skipped unread. readAll reads every one.
-func readFrame(r io.Reader, to int64) (*frame, error) {
+func readFrame(r io.Reader) (*frame, error) {
 	raw := make([]byte, 16, 1024) // the head, and room for most deltas behind it
 	if _, err := io.ReadFull(r, raw); err != nil {
 		if err == io.EOF { // no byte read: a clean end of stream
@@ -355,13 +349,9 @@ func readFrame(r io.Reader, to int64) (*frame, error) {
 		return nil, badFrame("header of %d or payload of %d bytes exceeds its limit (%d, %d)", headerLen, payloadLen, maxHeaderLen, maxPayloadLen)
 	}
 	checked := flags&flagChecked != 0
-	rest := payloadLen // what follows the header
+	n := headerLen + payloadLen
 	if checked {
-		rest += 4
-	}
-	n := headerLen + rest
-	if to != readAll {
-		n = headerLen // the rest may be skipped
+		n += 4 // the trailer
 	}
 	raw, err := readSized(r, raw, n, "frame")
 	if err != nil {
@@ -369,17 +359,6 @@ func readFrame(r io.Reader, to int64) (*frame, error) {
 	}
 	out := &Batch{Delta: flags&flagDelta != 0}
 	count, herr := parseHeader(raw[16:16+headerLen], checked, out)
-	if herr == nil && out.SentUnixNano > to { // no payload byte is read or kept
-		if _, err := io.CopyN(io.Discard, r, int64(rest)); err != nil {
-			return nil, truncatedFrame("short payload: %v", err)
-		}
-		return &frame{Batch: out, count: count, raw: raw}, nil
-	}
-	if to != readAll {
-		if raw, err = readSized(r, raw, rest, "payload"); err != nil {
-			return nil, err
-		}
-	}
 	end := len(raw)
 	if checked { // before the header's verdict: changed bytes are a checksum error first
 		end -= 4

@@ -41,7 +41,7 @@ func FuzzDecodeBatch(f *testing.F) {
 	deltaReg := makeRegistry(2, 1, 2, 100)
 	deltaBase := deltaReg.Snapshots()
 	feed(deltaReg.List()[0], 42, 60)
-	deltaSnaps, ok := subAgainst(deltaReg.Snapshots(), deltaBase)
+	deltaSnaps, ok := new(chain).subAgainst(deltaReg.Snapshots(), deltaBase)
 	if !ok {
 		f.Fatal("delta seed: disk sets diverged")
 	}

@@ -410,8 +410,8 @@ func TestZFSTimerTxg(t *testing.T) {
 	if writes != 1 {
 		t.Errorf("timer txg wrote %d I/Os, want 1", writes)
 	}
-	if z.(*zfs).Txgs() != 1 {
-		t.Errorf("Txgs = %d", z.(*zfs).Txgs())
+	if txgs := z.(*zfs).txgs; txgs != 1 {
+		t.Errorf("txgs = %d", txgs)
 	}
 }
 

@@ -110,9 +110,6 @@ func NewZFS(eng *simclock.Engine, disk *vscsi.Disk, cfg ZFSConfig) FS {
 
 func (z *zfs) Name() string { return "zfs" }
 
-// Txgs returns the number of transaction groups synced.
-func (z *zfs) Txgs() uint64 { return z.txgs }
-
 func (z *zfs) recordSectors() uint64 { return uint64(z.cfg.RecordBytes / 512) }
 
 // alloc hands out the next COW location, wrapping through the data region.

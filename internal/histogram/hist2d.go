@@ -103,46 +103,6 @@ type Snapshot2D struct {
 	Total  int64     `json:"total"`
 }
 
-// MarginalX collapses the grid onto the X axis, yielding an ordinary 1-D
-// snapshot.
-func (s *Snapshot2D) MarginalX() *Snapshot {
-	out := &Snapshot{Name: s.XName, Edges: s.XEdges,
-		Counts: make([]int64, len(s.XEdges)+1), Total: s.Total}
-	for xi, row := range s.Counts {
-		for _, c := range row {
-			out.Counts[xi] += c
-		}
-	}
-	out.estimateBounds()
-	return out
-}
-
-// MarginalY collapses the grid onto the Y axis.
-func (s *Snapshot2D) MarginalY() *Snapshot {
-	out := &Snapshot{Name: s.YName, Edges: s.YEdges,
-		Counts: make([]int64, len(s.YEdges)+1), Total: s.Total}
-	for _, row := range s.Counts {
-		for yi, c := range row {
-			out.Counts[yi] += c
-		}
-	}
-	out.estimateBounds()
-	return out
-}
-
-// ConditionalY returns the Y histogram restricted to samples whose X value
-// fell into bin xi — e.g. "the latency distribution of far seeks".
-func (s *Snapshot2D) ConditionalY(xi int) *Snapshot {
-	row := s.Counts[xi]
-	out := &Snapshot{Name: s.YName, Edges: s.YEdges,
-		Counts: append([]int64(nil), row...)}
-	for _, c := range row {
-		out.Total += c
-	}
-	out.estimateBounds()
-	return out
-}
-
 func edgeLabel(edges []int64, i int) string {
 	if i == len(edges) {
 		return fmt.Sprintf(">%d", edges[len(edges)-1])

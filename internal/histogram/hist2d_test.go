@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-func TestHist2DInsertAndMarginals(t *testing.T) {
+func TestHist2DInsert(t *testing.T) {
 	h := New2D("corr", "x", []int64{10, 20}, "y", []int64{100})
 	h.Insert(5, 50)    // x bin 0, y bin 0
 	h.Insert(15, 500)  // x bin 1, y bin 1 (overflow)
@@ -17,30 +17,6 @@ func TestHist2DInsertAndMarginals(t *testing.T) {
 	s := h.Snapshot()
 	if s.Counts[0][0] != 1 || s.Counts[1][1] != 1 || s.Counts[1][0] != 1 || s.Counts[2][1] != 1 {
 		t.Errorf("grid wrong: %v", s.Counts)
-	}
-	mx := s.MarginalX()
-	if mx.Counts[0] != 1 || mx.Counts[1] != 2 || mx.Counts[2] != 1 || mx.Total != 4 {
-		t.Errorf("MarginalX wrong: %+v", mx)
-	}
-	my := s.MarginalY()
-	if my.Counts[0] != 2 || my.Counts[1] != 2 || my.Total != 4 {
-		t.Errorf("MarginalY wrong: %+v", my)
-	}
-}
-
-func TestHist2DConditional(t *testing.T) {
-	h := New2D("corr", "seek", []int64{0, 100}, "lat", []int64{1000})
-	h.Insert(50, 100)   // near seek, fast
-	h.Insert(5000, 9e6) // far seek, slow
-	h.Insert(5000, 8e6)
-	s := h.Snapshot()
-	far := s.ConditionalY(2) // seek overflow bin
-	if far.Total != 2 || far.Counts[1] != 2 {
-		t.Errorf("ConditionalY(2) = %+v", far)
-	}
-	near := s.ConditionalY(1)
-	if near.Total != 1 || near.Counts[0] != 1 {
-		t.Errorf("ConditionalY(1) = %+v", near)
 	}
 }
 

@@ -318,31 +318,6 @@ func (s *Snapshot) mustMatch(o *Snapshot) {
 	}
 }
 
-// estimateBounds fills Min/Max from the outermost nonzero bins' ranges, for
-// snapshots derived without exact sample extrema (2-D marginals and
-// conditionals). Percentile's clamping needs plausible bounds.
-func (s *Snapshot) estimateBounds() {
-	if s.Total == 0 {
-		return
-	}
-	first, last := -1, -1
-	for i, c := range s.Counts {
-		if c > 0 {
-			if first < 0 {
-				first = i
-			}
-			last = i
-		}
-	}
-	lo, _ := s.BinRange(first)
-	_, hi := s.BinRange(last)
-	s.Min = lo + 1
-	s.Max = hi
-	if first == 0 {
-		s.Min = lo // open-ended low bin: MinInt64 stays
-	}
-}
-
 // PowerOfTwoEdges returns ascending powers of two covering [lo, hi],
 // e.g. PowerOfTwoEdges(512, 4096) = [512 1024 2048 4096].
 func PowerOfTwoEdges(lo, hi int64) []int64 {

@@ -57,42 +57,6 @@ func (h *Host) AddDatastore(name string, cfg storage.ArrayConfig) *storage.Array
 	return a
 }
 
-// SharedDatastore is a handle to a datastore that several hosts mount at
-// once — one array, one allocator, so LUNs never overlap across hosts.
-type SharedDatastore struct {
-	ds *datastore
-}
-
-// Array returns the shared volume's array.
-func (sd *SharedDatastore) Array() *storage.Array { return sd.ds.array }
-
-// ExportDatastore returns a shareable handle to one of this host's
-// datastores (nil if unknown).
-func (h *Host) ExportDatastore(name string) *SharedDatastore {
-	ds, ok := h.datastores[name]
-	if !ok {
-		return nil
-	}
-	return &SharedDatastore{ds: ds}
-}
-
-// AddSharedDatastore mounts a datastore exported from another host — the
-// way a SAN volume is visible from several initiators at once. This models
-// §3.7's caveat that "even if only one VM is loaded up on an ESX host,
-// isolation cannot be guaranteed since the target storage might be busy
-// servicing requests from unrelated (perhaps non-virtualized) initiator
-// hosts." Both hosts' VMs share the array's spindles, caches and head
-// positions; provisioning draws from the single shared allocator.
-func (h *Host) AddSharedDatastore(name string, sd *SharedDatastore) {
-	if _, dup := h.datastores[name]; dup {
-		panic(fmt.Sprintf("hypervisor: duplicate datastore %q", name))
-	}
-	if sd == nil {
-		panic("hypervisor: nil shared datastore")
-	}
-	h.datastores[name] = sd.ds
-}
-
 // Datastore returns the named datastore's array, or nil.
 func (h *Host) Datastore(name string) *storage.Array {
 	if ds, ok := h.datastores[name]; ok {
@@ -229,18 +193,6 @@ func (vm *VM) DetachDisk(name string) {
 	vd.Disk.Close()
 	vm.host.registry.Unregister(vm.name, name)
 	delete(vm.disks, name)
-}
-
-// RemoveVM detaches all of a VM's disks and forgets it.
-func (h *Host) RemoveVM(name string) {
-	vm, ok := h.vms[name]
-	if !ok {
-		return
-	}
-	for _, vd := range vm.Disks() {
-		vm.DetachDisk(vd.Disk.Name())
-	}
-	delete(h.vms, name)
 }
 
 // Disks lists the VM's virtual disks sorted by name.

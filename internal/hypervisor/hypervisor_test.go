@@ -175,54 +175,7 @@ func TestEndToEndLatencySane(t *testing.T) {
 	}
 }
 
-func TestSharedDatastoreAcrossHosts(t *testing.T) {
-	eng := simclock.NewEngine()
-	hostA := NewHost(eng)
-	hostA.AddDatastore("san", storage.CX3NoCacheConfig(3))
-	hostB := NewHost(eng)
-	hostB.AddSharedDatastore("san", hostA.ExportDatastore("san"))
-
-	da, err := hostA.CreateVM("vmA").AddDisk(DiskSpec{Name: "d", Datastore: "san", CapacitySectors: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := hostB.CreateVM("vmB").AddDisk(DiskSpec{Name: "d", Datastore: "san", CapacitySectors: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// LUNs must not overlap even across hosts: the second allocation
-	// starts where the first ended, observable via the shared array's
-	// single I/O counter and distinct latency behaviour is not needed —
-	// assert allocation accounting directly.
-	da.Collector.Enable()
-	db.Collector.Enable()
-	da.Disk.Issue(scsi.Read(0, 8), nil)
-	db.Disk.Issue(scsi.Read(0, 8), nil)
-	eng.Run()
-	if hostA.Datastore("san") != hostB.Datastore("san") {
-		t.Fatal("hosts do not share the array")
-	}
-	if hostA.Datastore("san").Reads() != 2 {
-		t.Errorf("shared array reads = %d", hostA.Datastore("san").Reads())
-	}
-	// Cross-host interference: a burst from vmB inflates vmA's latency on
-	// the cache-less shared spindles.
-	base := da.Collector.Snapshot().Histogram(core.MetricLatency, core.All).Mean()
-	for i := 0; i < 64; i++ {
-		db.Disk.Issue(scsi.Read(uint64(1<<18+i*1024), 8), nil)
-		da.Disk.Issue(scsi.Read(uint64(i*16), 8), nil)
-	}
-	eng.Run()
-	loaded := da.Collector.Snapshot().Histogram(core.MetricLatency, core.All).Mean()
-	if loaded <= base {
-		t.Errorf("cross-host interference invisible: %v -> %v", base, loaded)
-	}
-	if hostB.ExportDatastore("ghost") != nil {
-		t.Error("unknown export should be nil")
-	}
-}
-
-func TestDetachDiskAndRemoveVM(t *testing.T) {
+func TestDetachDisk(t *testing.T) {
 	eng, h := newHost(t)
 	vm := h.CreateVM("tenant")
 	vd, _ := vm.AddDisk(DiskSpec{Name: "scsi0:0", Datastore: "sym", CapacitySectors: 1 << 20})
@@ -243,11 +196,4 @@ func TestDetachDiskAndRemoveVM(t *testing.T) {
 		t.Errorf("in-flight I/O lost: %d", vd.Disk.Completed())
 	}
 	vm.DetachDisk("ghost") // no-op
-	h.RemoveVM("tenant")
-	if h.VM("tenant") != nil || h.Registry().Lookup("tenant", "scsi0:1") != nil {
-		t.Error("RemoveVM incomplete")
-	}
-	h.RemoveVM("ghost") // no-op
-	// The name can be reused after removal.
-	h.CreateVM("tenant")
 }

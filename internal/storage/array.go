@@ -138,19 +138,6 @@ func (a *Array) Writes() uint64      { return a.writes }
 func (a *Array) ReadErrors() uint64  { return a.readErrs }
 func (a *Array) WriteErrors() uint64 { return a.wrErrs }
 
-// DiskUtilization returns each spindle's busy fraction of elapsed time.
-func (a *Array) DiskUtilization() []float64 {
-	out := make([]float64, len(a.disks))
-	now := a.eng.Now()
-	if now == 0 {
-		return out
-	}
-	for i, d := range a.disks {
-		out[i] = float64(d.BusyTime()) / float64(now)
-	}
-	return out
-}
-
 // chunk is a piece of an array extent mapped onto one spindle.
 type chunk struct {
 	disk    int

@@ -442,20 +442,6 @@ func TestArrayCapacityRAID5ExcludesParity(t *testing.T) {
 	}
 }
 
-func TestDiskUtilization(t *testing.T) {
-	eng := simclock.NewEngine()
-	a := NewArray(eng, LocalDiskConfig(1))
-	if u := a.DiskUtilization(); u[0] != 0 {
-		t.Errorf("idle utilization = %v", u)
-	}
-	a.Read(0, 128, func(bool) {})
-	eng.Run()
-	u := a.DiskUtilization()
-	if u[0] <= 0 || u[0] > 1 {
-		t.Errorf("utilization = %v", u)
-	}
-}
-
 func TestArrayLinkTimeScalesWithSize(t *testing.T) {
 	eng := simclock.NewEngine()
 	a := NewArray(eng, SymmetrixConfig(1))

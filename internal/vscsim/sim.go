@@ -333,27 +333,35 @@ func (s *Sim) eachHost(fn func(*simHost) error) error {
 	return fanOut(s.cfg.Workers, len(s.hosts), func(i int) error { return fn(s.hosts[i]) })
 }
 
-// fanOut calls fn for every index below n on workers goroutines, worker w
-// taking w, w+workers, …, and returns the first error. A worker stops at
-// its first error; the others finish their share.
+// fanOut calls fn for every index below n on workers goroutines and
+// returns the first error. Each worker takes the next index not yet handed
+// out as soon as it is free, so a worker that drew light hosts takes more
+// of them instead of idling while another finishes a heavy one. After the
+// first error no index is handed out; calls already running finish.
 func fanOut(workers, n int, fn func(i int) error) error {
-	var firstErr atomic.Value
+	var next atomic.Int64
+	var firstErr atomic.Pointer[error]
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			for i := w; i < n; i += workers {
-				if err := fn(i); err != nil {
-					firstErr.CompareAndSwap(nil, err)
+			for firstErr.Load() == nil {
+				i := int(next.Add(1) - 1)
+				if i >= n {
 					return
 				}
+				if err := fn(i); err != nil {
+					firstErr.CompareAndSwap(nil, &err)
+				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-	err, _ := firstErr.Load().(error)
-	return err
+	if err := firstErr.Load(); err != nil {
+		return *err
+	}
+	return nil
 }
 
 // SimStats is a point-in-time view of the running world.
