@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -46,20 +47,30 @@ import (
 // so a flipped bit is a drop wherever it lands, but a frame sent after to
 // is counted and its payload never decoded.
 func (g *Aggregator) History(from, to time.Time) (*HistoryResult, error) {
+	return g.history(from, to, func(res *HistoryResult, windows []*core.Snapshot) {
+		res.Cluster, res.VMs = mergeSnaps(windows)
+	})
+}
+
+// history computes the per-disk windows and hands them to merge, which
+// fills in the views its caller serves: the HTTP handler merges one.
+func (g *Aggregator) history(from, to time.Time, merge func(*HistoryResult, []*core.Snapshot)) (*HistoryResult, error) {
 	if g.log == nil {
 		return nil, errors.New("fleet: history requires a segment log (no data dir configured)")
 	}
 	var res *HistoryResult
-	var err error
 	pprof.Do(context.Background(), pprof.Labels("stage", "history"), func(context.Context) {
 		start := time.Now()
-		res, err = g.history(from, to)
+		var windows []*core.Snapshot
+		res, windows = g.windows(from, to)
+		merge(res, windows)
 		g.cfg.Obs.ObserveSince(fleetobs.StageHistory, start, fleetobs.Event{Shard: -1})
 	})
-	return res, err
+	return res, nil
 }
 
-func (g *Aggregator) history(from, to time.Time) (*HistoryResult, error) {
+// windows replays the log for (from, to] into one window per disk.
+func (g *Aggregator) windows(from, to time.Time) (*HistoryResult, []*core.Snapshot) {
 	fromNs, toNs := from.UnixNano(), to.UnixNano()
 	// One host map per shard dir: scan reads the dirs concurrently, and a
 	// host's frames live in its home dir only (boot compacts them there).
@@ -124,8 +135,7 @@ func (g *Aggregator) history(from, to time.Time) (*HistoryResult, error) {
 			}
 		}
 	}
-	res.Cluster, res.VMs = mergeSnaps(windows)
-	return res, nil
+	return res, windows
 }
 
 // historyHost is one host's replay state during a History scan: the same
@@ -178,29 +188,27 @@ func (g *Aggregator) serveHistory(w http.ResponseWriter, r *http.Request) {
 		telemetry.JSONError(w, http.StatusBadRequest, "window ends before it starts")
 		return
 	}
-	res, err := g.History(from, to)
+	// Merge only the view the query asks for.
+	vm, byVM := q.Get("vm"), q.Get("view") == "vms"
+	res, err := g.history(from, to, func(res *HistoryResult, windows []*core.Snapshot) {
+		if vm != "" {
+			windows = slices.DeleteFunc(windows, func(s *core.Snapshot) bool { return s.VM != vm })
+		}
+		switch {
+		case vm == "" && !byVM:
+			res.Cluster = mergeCluster(windows)
+		case len(windows) > 0:
+			res.VMs = mergeByVM(windows)
+		}
+	})
 	if err != nil {
 		telemetry.JSONError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	if vm := q.Get("vm"); vm != "" {
-		for _, s := range res.VMs {
-			if s.VM == vm {
-				res.VMs = []*core.Snapshot{s}
-				res.Cluster = nil
-				telemetry.WriteJSON(w, res)
-				return
-			}
-		}
+	if vm != "" && res.VMs == nil {
 		telemetry.JSONError(w, http.StatusNotFound, "no data for vm in window")
 		return
 	}
-	if q.Get("view") == "vms" {
-		res.Cluster = nil
-		telemetry.WriteJSON(w, res)
-		return
-	}
-	res.VMs = nil
 	telemetry.WriteJSON(w, res)
 }
 

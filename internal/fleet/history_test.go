@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"vscsistats/internal/core"
+	"vscsistats/internal/telemetry"
 )
 
 // timedChain builds one host's chain of three captures sent at t0 < t1 < t2
@@ -614,6 +616,56 @@ func TestHistoryHTTP(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("memory-only /fleet/history: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestHistoryViewsMatchFullResult: the handler merges only the view a query
+// asks for, and each response is byte for byte the body that trimming
+// History's full result (both merges) to that view gives.
+func TestHistoryViewsMatchFullResult(t *testing.T) {
+	g, _, err := OpenAggregator(logAggConfig(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	t0 := time.Unix(1_700_000_000, 0)
+	t1, t2 := t0.Add(time.Minute), t0.Add(2*time.Minute)
+	for h := 0; h < 3; h++ {
+		batches, _ := timedChain(h, t0, t1, t2)
+		ingestAll(t, g, batches)
+	}
+	from, to := t0.Add(30*time.Second), t2
+	bounds := fmt.Sprintf("from=%d&to=%d", from.UnixNano(), to.UnixNano())
+	vm := vmName(1, 0)
+	for _, c := range []struct {
+		query string
+		trim  func(*HistoryResult)
+	}{
+		{"", func(res *HistoryResult) { res.VMs = nil }},
+		{"&view=vms", func(res *HistoryResult) { res.Cluster = nil }},
+		{"&vm=" + vm, func(res *HistoryResult) {
+			for _, s := range res.VMs {
+				if s.VM == vm {
+					res.VMs, res.Cluster = []*core.Snapshot{s}, nil
+				}
+			}
+		}},
+	} {
+		full, err := g.History(from, to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full.Cluster == nil || len(full.VMs) < 2 {
+			t.Fatalf("the window must hold both views: %+v", full)
+		}
+		c.trim(full)
+		want := httptest.NewRecorder()
+		telemetry.WriteJSON(want, full)
+		got := httptest.NewRecorder()
+		g.ServeHTTP(got, httptest.NewRequest(http.MethodGet, "/fleet/history?"+bounds+c.query, nil))
+		if got.Code != http.StatusOK || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+			t.Errorf("%q: status %d, body\n%s\nwant\n%s", c.query, got.Code, got.Body, want.Body)
+		}
 	}
 }
 

@@ -71,11 +71,8 @@ type Array struct {
 	chunks  []chunk    // mapExtent's scratch
 	freeOps []*arrayOp // finished ops awaiting reuse
 
-	failed           []bool
-	rebuild          *rebuildState
 	reads, writes    uint64
 	readErrs, wrErrs uint64
-	degradedOps      uint64
 }
 
 // NewArray builds an array; it panics on nonsensical configuration since
@@ -112,7 +109,6 @@ func NewArray(eng *simclock.Engine, cfg ArrayConfig) *Array {
 	for i := 0; i < cfg.Disks; i++ {
 		a.disks = append(a.disks, NewDisk(eng, cfg.DiskParams, simclock.NewRand(cfg.Seed+int64(i)+1)))
 	}
-	a.failed = make([]bool, cfg.Disks)
 	return a
 }
 
@@ -205,16 +201,14 @@ type arrayOp struct {
 	sectors    uint32
 	sequential bool // read miss that extends a resident run: prefetch on fill
 	remaining  int  // chunk transfers outstanding, plus fanOut's sentinel
-	okAll      bool
 	// done receives the outcome; a command from a LUN sets scsiDone
 	// instead and gets the outcome as a SCSI status.
 	done     func(ok bool)
 	scsiDone func(scsi.Status, scsi.Sense)
 
-	arrived     simclock.Event // transport and wire time are over
-	absorbed    simclock.Event // cache hit or write absorption time is over
-	chunkOK     func()         // a spindle finished one chunk transfer
-	chunkFailed simclock.Event // a chunk had no spindle left to serve it
+	arrived  simclock.Event // transport and wire time are over
+	absorbed simclock.Event // cache hit or write absorption time is over
+	chunkOK  func()         // a spindle finished one chunk transfer
 }
 
 // newOp takes an op off the free list, or allocates one and binds its
@@ -228,8 +222,7 @@ func (a *Array) newOp(kind opKind, lba uint64, sectors uint32) *arrayOp {
 		op = &arrayOp{a: a}
 		op.arrived = op.arrive
 		op.absorbed = func(simclock.Time) { op.complete(true) }
-		op.chunkOK = func() { op.chunkDone(true) }
-		op.chunkFailed = func(simclock.Time) { op.chunkDone(false) }
+		op.chunkOK = op.chunkDone
 	}
 	op.kind, op.lba, op.sectors, op.sequential = kind, lba, sectors, false
 	return op
@@ -347,50 +340,17 @@ func (a *Array) Flush(done func()) {
 
 // fanOut issues the op's chunks to their spindles; chunkDone finishes the
 // op when every chunk (and for RAID5 writes, every parity update)
-// completes. Chunks on a failed spindle follow the degraded paths: RAID5
-// reads reconstruct from every surviving peer, RAID5 writes fall back to
-// the parity (or data) update alone, and RAID0 ops fail outright.
+// completes.
 func (a *Array) fanOut(op *arrayOp) {
 	write := op.kind != opRead
 	op.remaining = 1 // sentinel released after submission
-	op.okAll = true
 	for _, c := range a.mapExtent(op.lba, op.sectors) {
-		diskDown := a.diskUnavailable(c.disk, c.diskLBA)
-		parityDown := c.parity >= 0 && a.diskUnavailable(c.parity, c.diskLBA)
-		switch {
-		case !diskDown:
-			op.submit(c.disk, c.diskLBA, c.sectors, write)
-			if write && c.parity >= 0 && !parityDown {
-				op.submit(c.parity, c.diskLBA, c.sectors, true)
-			}
-		case c.parity < 0:
-			// RAID0: the data is simply gone.
-			op.fail()
-		case write:
-			// Degraded RAID5 write: the data lives only in parity now.
-			a.degradedOps++
-			if !parityDown {
-				op.submit(c.parity, c.diskLBA, c.sectors, true)
-			} else {
-				op.fail()
-			}
-		default:
-			// Degraded RAID5 read: reconstruct from every surviving peer.
-			a.degradedOps++
-			survivors := 0
-			for peer := range a.disks {
-				if peer != c.disk && !a.failed[peer] {
-					survivors++
-					op.submit(peer, c.diskLBA, c.sectors, false)
-				}
-			}
-			if survivors < a.cfg.Disks-1 {
-				// Two failures: unrecoverable.
-				op.fail()
-			}
+		op.submit(c.disk, c.diskLBA, c.sectors, write)
+		if write && c.parity >= 0 {
+			op.submit(c.parity, c.diskLBA, c.sectors, true)
 		}
 	}
-	op.chunkDone(true) // release the sentinel
+	op.chunkDone() // release the sentinel
 }
 
 // submit queues one chunk transfer at a spindle.
@@ -399,19 +359,10 @@ func (op *arrayOp) submit(disk int, diskLBA uint64, sectors uint32, write bool) 
 	op.a.disks[disk].Submit(diskLBA, sectors, write, op.chunkOK)
 }
 
-// fail reports a chunk nothing can serve, after the controller's delay.
-func (op *arrayOp) fail() {
-	op.remaining++
-	op.a.eng.After(op.a.cfg.TransportDelay, op.chunkFailed)
-}
-
-// chunkDone counts one chunk outcome and, on the last, finishes the op: a
+// chunkDone counts one finished chunk and, on the last, finishes the op: a
 // destage cleans its lines, a read fills the cache, and reads and
 // write-through writes complete.
-func (op *arrayOp) chunkDone(ok bool) {
-	if !ok {
-		op.okAll = false
-	}
+func (op *arrayOp) chunkDone() {
 	op.remaining--
 	if op.remaining > 0 {
 		return
@@ -423,26 +374,12 @@ func (op *arrayOp) chunkDone(ok bool) {
 		a.release(op)
 		return
 	case opRead:
-		if op.okAll {
-			a.cache.Insert(op.lba, op.sectors)
-			if op.sequential {
-				a.cache.InsertAhead(op.lba, op.sectors, a.cfg.ReadAheadLines)
-			}
+		a.cache.Insert(op.lba, op.sectors)
+		if op.sequential {
+			a.cache.InsertAhead(op.lba, op.sectors, a.cfg.ReadAheadLines)
 		}
 	}
-	op.complete(op.okAll)
-}
-
-// diskUnavailable reports whether the spindle cannot serve the row: failed,
-// or still awaiting rebuild above the watermark.
-func (a *Array) diskUnavailable(disk int, diskLBA uint64) bool {
-	if a.failed[disk] {
-		return true
-	}
-	if a.rebuild != nil && a.rebuild.disk == disk && diskLBA >= a.rebuild.watermark {
-		return true
-	}
-	return false
+	op.complete(true)
 }
 
 func (a *Array) validate(lba uint64, sectors uint32) {

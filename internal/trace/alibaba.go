@@ -22,75 +22,69 @@ import (
 //
 // Malformed or hostile lines are skipped and counted, as with MSRSource.
 type AlibabaSource struct {
-	sc  *lineScanner
+	in  *csvReader
 	vms *interner
 
 	base     uint64 // first timestamp, µs
 	haveBase bool
 	seq      uint64
-	bad      uint64
 }
 
 // NewAlibabaSource streams Alibaba cloud-trace CSV from br.
 func NewAlibabaSource(br *bufio.Reader) *AlibabaSource {
-	return &AlibabaSource{sc: newLineScanner(br), vms: newInterner()}
+	return &AlibabaSource{in: newCSVReader(br, parseAlibabaLine), vms: newInterner()}
 }
 
 // BadLines reports lines skipped as malformed or hostile.
-func (s *AlibabaSource) BadLines() uint64 { return s.bad + s.sc.long }
+func (s *AlibabaSource) BadLines() uint64 { return s.in.bad }
 
 // Next implements RecordSource.
-func (s *AlibabaSource) Next(rec *Record) error {
-	for {
-		line, ok, err := s.sc.next()
-		if err != nil {
-			return err
-		}
-		if !ok || len(line) == 0 {
-			continue
-		}
-		if s.parseLine(line, rec) {
-			return nil
-		}
-		s.bad++
-	}
-}
+func (s *AlibabaSource) Next(rec *Record) error { return s.in.nextRecord(rec, s.record) }
 
-func (s *AlibabaSource) parseLine(line []byte, rec *Record) bool {
-	c := csvCursor{line: line}
+// parseAlibabaLine is the part of a line's parse that needs no earlier
+// line.
+func parseAlibabaLine(b []byte, at int, r *csvRow) bool {
+	c := csvCursor{line: b, i: at}
+	from := c.i
 	dev := c.field()
 	typ := c.field()
-	offset := c.number(false)
-	length := c.number(false)
-	ts := c.number(true)
+	r.off = c.number(false)
+	r.size = c.number(false)
+	r.ts = c.number(true)
 	if c.bad || len(dev) == 0 {
 		return false
 	}
-	var op scsi.OpCode
 	switch {
 	case eqFoldBytes(typ, "R"):
-		op = scsi.OpRead16
+		r.op = scsi.OpRead16
 	case eqFoldBytes(typ, "W"):
-		op = scsi.OpWrite16
+		r.op = scsi.OpWrite16
 	default:
 		return false
 	}
+	r.from, r.to = uint32(from), uint32(from+len(dev))
+	return true
+}
+
+// record does the rest, in line order: the rebase, the device's name and
+// Seq.
+func (s *AlibabaSource) record(r *csvRow, lines []byte, rec *Record) bool {
 	if !s.haveBase {
-		s.base, s.haveBase = ts, true
+		s.base, s.haveBase = r.ts, true
 	}
-	if ts < s.base {
+	if r.ts < s.base {
 		return false
 	}
 
 	rec.Seq = s.seq
 	s.seq++
-	rec.IssueMicros = int64(ts - s.base)
+	rec.IssueMicros = int64(r.ts - s.base)
 	rec.CompleteMicros = rec.IssueMicros
-	rec.VM = s.vms.getPrefixed("dev", dev)
+	rec.VM = s.vms.getPrefixed("dev", lines[r.from:r.to])
 	rec.Disk = "blk0"
-	rec.Op = op
-	rec.LBA = offset / 512
-	rec.Blocks = uint32((length + 511) / 512)
+	rec.Op = r.op
+	rec.LBA = r.off / 512
+	rec.Blocks = uint32((r.size + 511) / 512)
 	rec.Outstanding = 0
 	rec.Status = scsi.StatusGood
 	return true

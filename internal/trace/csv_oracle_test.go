@@ -10,10 +10,85 @@ import (
 	"vscsistats/internal/scsi"
 )
 
-// The split-then-parse CSV readers the csvCursor replaced, kept as the
-// oracle: split the line on every comma, parse each numeric field with a
-// serial checked loop, intern the names, keep a heap per (VM, disk). The
-// cursor must accept exactly what these accepted and emit the same records.
+// The split-then-parse CSV readers the csvCursor and the chunked reader
+// replaced, kept as the oracle: scan one line at a time off a bufio.Reader,
+// split the line on every comma, parse each numeric field with a serial
+// checked loop, intern the names, keep a heap per (VM, disk). The sources
+// must accept exactly what these accepted and emit the same records.
+
+// csvInitialLine is the first allocation for an overflowing line.
+const csvInitialLine = 4 << 10
+
+// lineScanner yields one line at a time from a bufio.Reader. The returned
+// slice aliases either the reader's internal buffer (common case: no copy,
+// no allocation) or the scanner's own overflow buffer, and is valid only
+// until the next call.
+type lineScanner struct {
+	br   *bufio.Reader
+	over []byte // overflow buffer for lines longer than br's buffer
+	long uint64 // lines discarded for exceeding csvMaxLine
+}
+
+func newLineScanner(br *bufio.Reader) *lineScanner { return &lineScanner{br: br} }
+
+// next returns the next line without its terminator, or io.EOF. Lines
+// longer than csvMaxLine are discarded (counted in long) and the scan
+// moves on; ok=false marks such a discard so callers can skip it without
+// mistaking it for an empty line.
+func (s *lineScanner) next() (line []byte, ok bool, err error) {
+	frag, err := s.br.ReadSlice('\n')
+	if err == nil || (err == io.EOF && len(frag) > 0) {
+		return trimEOL(frag), true, nil
+	}
+	if err == io.EOF {
+		return nil, false, io.EOF
+	}
+	if err != bufio.ErrBufferFull {
+		return nil, false, err
+	}
+	// Long line: accumulate into the overflow buffer with progressive
+	// growth, give up past the cap.
+	if s.over == nil {
+		s.over = make([]byte, 0, csvInitialLine)
+	}
+	s.over = append(s.over[:0], frag...)
+	for {
+		frag, err = s.br.ReadSlice('\n')
+		keep := len(s.over) <= csvMaxLine
+		if keep {
+			room := csvMaxLine + 1 - len(s.over)
+			if len(frag) < room {
+				room = len(frag)
+			}
+			s.over = append(s.over, frag[:room]...)
+		}
+		switch err {
+		case bufio.ErrBufferFull:
+			continue
+		case nil, io.EOF:
+			if err == io.EOF && len(frag) == 0 && len(s.over) == 0 {
+				return nil, false, io.EOF
+			}
+			if len(s.over) > csvMaxLine {
+				s.long++
+				return nil, false, nil
+			}
+			return trimEOL(s.over), true, nil
+		default:
+			return nil, false, err
+		}
+	}
+}
+
+func trimEOL(b []byte) []byte {
+	if n := len(b); n > 0 && b[n-1] == '\n' {
+		b = b[:n-1]
+	}
+	if n := len(b); n > 0 && b[n-1] == '\r' {
+		b = b[:n-1]
+	}
+	return b
+}
 
 // csvMaxFields caps the fields the oracle splits per line; trailing extras
 // stay in the last field.
@@ -159,9 +234,9 @@ type oracleCSV struct {
 	bad       uint64
 }
 
-func newOracleCSV(msr bool, data []byte) *oracleCSV {
+func newOracleCSV(msr bool, r io.Reader) *oracleCSV {
 	return &oracleCSV{
-		msr: msr, sc: newLineScanner(bufio.NewReader(bytes.NewReader(data))),
+		msr: msr, sc: newLineScanner(bufio.NewReader(r)),
 		vms: oracleInterner{}, disks: oracleInterner{}, inflight: map[diskKey]*completionHeap{},
 	}
 }
@@ -277,26 +352,61 @@ func (s *oracleCSV) alibabaLine(line []byte, rec *Record) bool {
 	return true
 }
 
-// requireSameAsOracle drains both readers over data: the same records, every
-// field included, the same error, and the same BadLines count.
-func requireSameAsOracle(t *testing.T, data []byte, got RecordSource, gotBad func() uint64, msr bool) {
+// csvSource is what both CSV sources offer.
+type csvSource interface {
+	RecordSource
+	BadLines() uint64
+	reader() *csvReader
+}
+
+func (s *MSRSource) reader() *csvReader     { return s.in }
+func (s *AlibabaSource) reader() *csvReader { return s.in }
+
+// newCSVSource opens r as an MSR or an Alibaba source whose chunks read
+// chunkSize bytes before the cut (0 keeps csvChunkSize).
+func newCSVSource(msr bool, r io.Reader, chunkSize int) csvSource {
+	var src csvSource = NewAlibabaSource(bufio.NewReader(r))
+	if msr {
+		src = NewMSRSource(bufio.NewReader(r))
+	}
+	if chunkSize > 0 {
+		src.reader().lines.size = chunkSize
+	}
+	return src
+}
+
+// csvTestChunkSizes cut a short input after every line (size 1) and move
+// the cuts across each line; 0 is the shipped size.
+var csvTestChunkSizes = []int{1, 2, 3, 4, 5, 6, 7, 8, 11, 16, 31, 64, 200, 0}
+
+// requireSameAsOracle reads got and the oracle over the same bytes up to
+// the first error: the same records, every field included, the same error
+// (io.EOF or the reader's), and the same BadLines count.
+func requireSameAsOracle(t *testing.T, want *oracleCSV, got csvSource) {
 	t.Helper()
-	want := newOracleCSV(msr, data)
 	for i := 0; ; i++ {
 		var g, w Record
 		gerr, werr := got.Next(&g), want.Next(&w)
 		if gerr != werr {
 			t.Fatalf("record %d: err %v, oracle %v", i, gerr, werr)
 		}
-		if gerr == io.EOF {
+		if gerr != nil {
 			break
 		}
 		if g != w {
 			t.Fatalf("record %d:\ngot    %+v\noracle %+v", i, g, w)
 		}
 	}
-	if gotBad() != want.BadLines() {
-		t.Fatalf("BadLines = %d, oracle %d", gotBad(), want.BadLines())
+	if got.BadLines() != want.BadLines() {
+		t.Fatalf("BadLines = %d, oracle %d", got.BadLines(), want.BadLines())
+	}
+}
+
+// requireSameAsOracleAtEveryChunkSize checks data at each chunk size.
+func requireSameAsOracleAtEveryChunkSize(t *testing.T, data []byte, msr bool) {
+	t.Helper()
+	for _, size := range csvTestChunkSizes {
+		requireSameAsOracle(t, newOracleCSV(msr, bytes.NewReader(data)), newCSVSource(msr, bytes.NewReader(data), size))
 	}
 }
 
@@ -333,10 +443,7 @@ func FuzzMSRMatchesOracle(f *testing.F) {
 	for _, s := range csvEdgeSeeds(true) {
 		f.Add(s)
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		src := NewMSRSource(bufio.NewReader(bytes.NewReader(data)))
-		requireSameAsOracle(t, data, src, src.BadLines, true)
-	})
+	f.Fuzz(func(t *testing.T, data []byte) { requireSameAsOracleAtEveryChunkSize(t, data, true) })
 }
 
 func FuzzAlibabaMatchesOracle(f *testing.F) {
@@ -352,8 +459,5 @@ func FuzzAlibabaMatchesOracle(f *testing.F) {
 	for _, s := range csvEdgeSeeds(false) {
 		f.Add(s)
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		src := NewAlibabaSource(bufio.NewReader(bytes.NewReader(data)))
-		requireSameAsOracle(t, data, src, src.BadLines, false)
-	})
+	f.Fuzz(func(t *testing.T, data []byte) { requireSameAsOracleAtEveryChunkSize(t, data, false) })
 }

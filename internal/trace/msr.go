@@ -27,96 +27,95 @@ import (
 // over-long hostile lines) are skipped and counted, never fatal: parsing
 // a multi-day trace should not abort at one mangled row.
 type MSRSource struct {
-	sc    *lineScanner
-	disks map[string]*msrDisk // keyed on the line's "host,disk" bytes
+	in     *csvReader
+	disks  map[string]*msrDisk // keyed on the line's "host,disk" bytes
+	recent [64]*msrDisk        // a direct-mapped cache in front of disks
 
 	base     uint64 // first timestamp, filetime ticks
 	haveBase bool
 	seq      uint64
-	bad      uint64
 }
 
 // msrDisk is one (Hostname, DiskNumber) the trace names: the record names,
 // minted once, and the completions still in flight on the disk.
 type msrDisk struct {
-	vm, disk string
-	pending  completionHeap
+	key, vm, disk string
+	pending       completionHeap
 }
 
 // NewMSRSource streams MSR Cambridge CSV from br.
 func NewMSRSource(br *bufio.Reader) *MSRSource {
-	return &MSRSource{sc: newLineScanner(br), disks: make(map[string]*msrDisk)}
+	return &MSRSource{in: newCSVReader(br, parseMSRLine), disks: make(map[string]*msrDisk)}
 }
 
 // BadLines reports lines skipped as malformed or hostile.
-func (s *MSRSource) BadLines() uint64 { return s.bad + s.sc.long }
+func (s *MSRSource) BadLines() uint64 { return s.in.bad }
 
 // Next implements RecordSource.
-func (s *MSRSource) Next(rec *Record) error {
-	for {
-		line, ok, err := s.sc.next()
-		if err != nil {
-			return err
-		}
-		if !ok || len(line) == 0 {
-			continue // over-long (already counted) or blank
-		}
-		if s.parseLine(line, rec) {
-			return nil
-		}
-		s.bad++
-	}
-}
+func (s *MSRSource) Next(rec *Record) error { return s.in.nextRecord(rec, s.record) }
 
-func (s *MSRSource) parseLine(line []byte, rec *Record) bool {
-	c := csvCursor{line: line}
-	ts := c.number(true) // some exports carry fractions
+// parseMSRLine is the part of a line's parse that needs no earlier line.
+func parseMSRLine(b []byte, at int, r *csvRow) bool {
+	c := csvCursor{line: b, i: at}
+	r.ts = c.number(true) // some exports carry fractions
 	from := c.i
 	host := c.field()
 	c.field() // DiskNumber
 	to := c.i - 1
 	typ := c.field()
-	offset := c.number(false)
-	size := c.number(false)
-	resp := c.number(true)
+	r.off = c.number(false)
+	r.size = c.number(false)
+	r.resp = c.number(true)
 	if c.bad || len(host) == 0 {
 		return false
 	}
-	var op scsi.OpCode
 	switch {
 	case eqFoldBytes(typ, "Read"):
-		op = scsi.OpRead16
+		r.op = scsi.OpRead16
 	case eqFoldBytes(typ, "Write"):
-		op = scsi.OpWrite16
+		r.op = scsi.OpWrite16
 	default:
 		return false
 	}
-	if !s.haveBase {
-		s.base, s.haveBase = ts, true
+	r.from, r.split, r.to = uint32(from), uint32(from+len(host)), uint32(to)
+	r.hash = 2166136261 // FNV-1a of the key, which picks its cache slot
+	for _, c := range b[from:to] {
+		r.hash = (r.hash ^ uint32(c)) * 16777619
 	}
-	if ts < s.base {
+	return true
+}
+
+// record does the rest, in line order: the rebase, the disk and its queue
+// depth, and Seq.
+func (s *MSRSource) record(r *csvRow, lines []byte, rec *Record) bool {
+	if !s.haveBase {
+		s.base, s.haveBase = r.ts, true
+	}
+	if r.ts < s.base {
 		return false // pre-rebase straggler; cannot express a negative time
 	}
 
-	issue := int64((ts - s.base) / 10) // 100 ns ticks → µs
-	latency := int64(resp / 10)
+	issue := int64((r.ts - s.base) / 10) // 100 ns ticks → µs
+	latency := int64(r.resp / 10)
 	// Hostname and DiskNumber are adjacent, so the bytes "host,disk" name
 	// the disk in one lookup. A hostname holds no comma: the key is
 	// injective, and hostname "3" cannot collide with disk number 3.
-	d := s.disks[string(line[from:to])]
-	if d == nil {
-		key := string(line[from:to])
-		d = &msrDisk{vm: key[:len(host)], disk: "disk" + key[len(host)+1:]}
-		s.disks[key] = d
+	key := lines[r.from:r.to]
+	slot := &s.recent[r.hash%uint32(len(s.recent))]
+	d := *slot
+	if d == nil || d.key != string(key) {
+		if d = s.disks[string(key)]; d == nil {
+			k, host := string(key), r.split-r.from
+			d = &msrDisk{key: k, vm: k[:host], disk: "disk" + k[host+1:]}
+			s.disks[k] = d
+		}
+		*slot = d
 	}
 
 	// Sweep completions that precede this issue, then count what is left
 	// in flight on this disk.
 	d.pending.sweep(issue)
-	outstanding := d.pending.len()
-	if outstanding > 0xffff {
-		outstanding = 0xffff
-	}
+	outstanding := min(d.pending.len(), 0xffff)
 	d.pending.push(issue + latency)
 
 	rec.Seq = s.seq
@@ -125,9 +124,9 @@ func (s *MSRSource) parseLine(line []byte, rec *Record) bool {
 	rec.CompleteMicros = issue + latency
 	rec.VM = d.vm
 	rec.Disk = d.disk
-	rec.Op = op
-	rec.LBA = offset / 512
-	rec.Blocks = uint32((size + 511) / 512)
+	rec.Op = r.op
+	rec.LBA = r.off / 512
+	rec.Blocks = uint32((r.size + 511) / 512)
 	rec.Outstanding = uint16(outstanding)
 	rec.Status = scsi.StatusGood
 	return true

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"vscsistats/internal/scsi"
@@ -132,19 +133,17 @@ func sniffCSV(peek []byte) (Format, bool) {
 	switch {
 	case len(fields) >= 7:
 		op := string(bytes.TrimSpace(fields[3]))
-		if eqFold(op, "Read") || eqFold(op, "Write") || eqFold(op, "Type") {
+		if strings.EqualFold(op, "Read") || strings.EqualFold(op, "Write") || strings.EqualFold(op, "Type") {
 			return FormatMSR, true
 		}
 	case len(fields) == 5:
 		op := string(bytes.TrimSpace(fields[1]))
-		if eqFold(op, "R") || eqFold(op, "W") || eqFold(op, "opcode") {
+		if strings.EqualFold(op, "R") || strings.EqualFold(op, "W") || strings.EqualFold(op, "opcode") {
 			return FormatAlibaba, true
 		}
 	}
 	return FormatUnknown, false
 }
-
-func eqFold(a, b string) bool { return strings.EqualFold(a, b) }
 
 // Open wraps r as a streaming RecordSource of the given format;
 // FormatUnknown sniffs it. The resolved format is returned alongside.
@@ -174,18 +173,27 @@ func Open(r io.Reader, f Format) (RecordSource, Format, error) {
 
 // ReadAll drains a source into memory — the bridge to the offline analyses
 // (exact statistics, stream detection) that genuinely need the whole trace.
+// Records land in blocks and are copied out once: the trace costs twice its
+// size at the peak, and growing one slice left about four times its size
+// in garbage.
 func ReadAll(src RecordSource) ([]Record, error) {
-	var out []Record
-	var rec Record
+	var full [][]Record
+	var block []Record
+	var err error
 	for {
-		if err := src.Next(&rec); err != nil {
-			if err == io.EOF {
-				return out, nil
-			}
-			return out, err
+		if len(block) == cap(block) {
+			full = append(full, block)
+			block = make([]Record, 0, min(max(2*cap(block), 256), 1<<14))
 		}
-		out = append(out, rec)
+		block = block[:len(block)+1]
+		if err = src.Next(&block[len(block)-1]); err != nil {
+			break
+		}
 	}
+	if err == io.EOF {
+		err = nil
+	}
+	return slices.Concat(append(full, block[:len(block)-1])...), err
 }
 
 // NativeSource decodes VSCT version 2 traces, the format Writer writes, in

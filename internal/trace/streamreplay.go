@@ -182,6 +182,24 @@ type parallelDisk struct {
 	haveLast  bool
 }
 
+// demuxSlots sizes the direct-mapped cache in front of the
+// demultiplexer's disk map.
+const demuxSlots = 256
+
+// demuxHash picks a disk's cache slot from its names' lengths and last two
+// bytes, where names that count disks differ: no pass over the whole
+// names, which a map lookup pays.
+func demuxHash(vm, disk string) int {
+	var h uint64
+	for _, s := range [2]string{vm, disk} {
+		h = h<<8 | uint64(len(s))
+		for i := max(len(s)-2, 0); i < len(s); i++ {
+			h = h<<8 | uint64(s[i])
+		}
+	}
+	return int(h * 0x9e3779b97f4a7c15 >> 56) // the top 8 bits: demuxSlots
+}
+
 // ReplayParallel replays a trace into one collector per (VM, disk)
 // substream across a worker pool — the histograms the online service
 // would have built had it watched the same commands live. Substreams are
@@ -230,6 +248,10 @@ func ReplayParallel(src RecordSource, cfg ReplayConfig) (*ReplayResult, error) {
 	}
 
 	disks := make(map[diskKey]*parallelDisk)
+	var cache [demuxSlots]struct {
+		vm, disk string
+		d        *parallelDisk
+	}
 	dispatch := func(d *parallelDisk) {
 		chans[d.worker] <- d.batch
 		d.batch = nil
@@ -243,17 +265,23 @@ func ReplayParallel(src RecordSource, cfg ReplayConfig) (*ReplayResult, error) {
 			}
 			break
 		}
-		key := diskKey{rec.VM, rec.Disk}
-		d := disks[key]
-		if d == nil {
-			col := core.NewCollector(rec.VM, rec.Disk)
-			col.Enable()
-			if cfg.Registry != nil {
-				cfg.Registry.Register(col)
+		// The names of a disk's records are one string each from every
+		// shipped source, so a cache hit compares two pointers.
+		slot := &cache[demuxHash(rec.VM, rec.Disk)]
+		d := slot.d
+		if d == nil || slot.vm != rec.VM || slot.disk != rec.Disk {
+			key := diskKey{rec.VM, rec.Disk}
+			if d = disks[key]; d == nil {
+				col := core.NewCollector(rec.VM, rec.Disk)
+				col.Enable()
+				if cfg.Registry != nil {
+					cfg.Registry.Register(col)
+				}
+				d = &parallelDisk{col: col, worker: len(res.cols) % cfg.Workers}
+				disks[key] = d
+				res.cols = append(res.cols, col)
 			}
-			d = &parallelDisk{col: col, worker: len(res.cols) % cfg.Workers}
-			disks[key] = d
-			res.cols = append(res.cols, col)
+			slot.vm, slot.disk, slot.d = rec.VM, rec.Disk, d
 		}
 		if d.haveLast && rec.IssueMicros < d.lastIssue {
 			res.Stats.OrderViolations++
