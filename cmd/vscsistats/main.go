@@ -34,7 +34,7 @@ func main() {
 		interval   = flag.Int("interval", 0, "also record per-interval histograms every N seconds")
 		serve      = flag.String("serve", "", "after the run, serve the results over HTTP at this address (e.g. :8080)")
 		withPprof  = flag.Bool("pprof", false, "with -serve, also mount Go profiling endpoints at /debug/pprof (off by default)")
-		lifetrace  = flag.Int("lifetrace", 0, "attach a lifecycle tracer retaining the last N events; exported at /debug/trace with -serve")
+		lifetrace  = flag.Int("lifetrace", 0, "attach a command tracer retaining the last N commands and control verbs; exported at /debug/trace with -serve")
 		compare    = flag.String("compare", "", "second scenario to run and compare against -workload")
 		categorize = flag.Bool("categorize", false, "classify -workload against short reference runs of every other scenario")
 	)
@@ -49,7 +49,7 @@ func main() {
 	}
 
 	sc, err := vscsistats.NewScenario(*name, vscsistats.ScenarioConfig{
-		Seed: *seed, DataBytes: *data,
+		Seed: *seed, DataBytes: *data, TraceCapacity: *lifetrace,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -75,12 +75,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
-	}
-
-	var tracer *vscsistats.LifecycleTracer
-	if *lifetrace > 0 {
-		tracer = vscsistats.NewLifecycleTracer(*lifetrace)
-		sc.VD.Disk.AddObserver(tracer)
 	}
 
 	var rec *vscsistats.IntervalRecorder
@@ -147,12 +141,12 @@ func main() {
 			Series:  streamer,
 			Pprof:   *withPprof,
 		}
-		if tracer != nil {
+		if tracer := sc.VD.Tracer; tracer != nil {
 			opts.Trace = tracer
-			opts.OnControl = tracer.ControlVerb
+			opts.OnControl = tracer.Control
 		}
 		fmt.Fprintf(os.Stderr, "serving stats on http://%s/disks (also /metrics, /watch", *serve)
-		if tracer != nil {
+		if sc.VD.Tracer != nil {
 			fmt.Fprint(os.Stderr, ", /debug/trace")
 		}
 		if *withPprof {

@@ -189,8 +189,8 @@ type ReplayStats struct {
 // staleness after a restart means what it always means. With an empty
 // DataDir this is exactly NewAggregator. Any other decode failure in the
 // log — wrong magic, a payload that contradicts its own encoding, a frame
-// that fails Validate, a pre-binary JSON payload — refuses to open rather
-// than serve numbers the log contradicts.
+// that fails Validate, a pre-binary JSON payload or a generation-4 JSON
+// header — refuses to open rather than serve numbers the log contradicts.
 func OpenAggregator(cfg AggregatorConfig) (*Aggregator, ReplayStats, error) {
 	g := NewAggregator(cfg)
 	if g.cfg.DataDir == "" {

@@ -3,10 +3,14 @@ package fleet
 import (
 	"bytes"
 	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"vscsistats/internal/core"
 )
@@ -76,11 +80,10 @@ func decodeGolden(t *testing.T, data []byte) {
 	}
 }
 
-// TestFrameGolden pins the generation-4 reader: testdata/frame_golden.bin is
-// EncodeBatchBytes of goldenBatches' two frames, back to back, written by
-// the binary at 0590e06 (JSON header, no trailer). This binary must still
-// read them back to the same state.
-func TestFrameGolden(t *testing.T) {
+// readGeneration4 returns testdata/frame_golden.bin: goldenBatches' two
+// frames as the binary at 0590e06 wrote them (JSON header, no trailer).
+func readGeneration4(t *testing.T) []byte {
+	t.Helper()
 	data, err := os.ReadFile("testdata/frame_golden.bin")
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +91,34 @@ func TestFrameGolden(t *testing.T) {
 	if data[4] != 4 || data[5]&flagChecked != 0 {
 		t.Fatalf("fixture head % x is not a generation-4 frame", data[:6])
 	}
-	decodeGolden(t, data)
+	return data
+}
+
+// TestFrameGolden: a generation-4 frame is refused by name, whole or cut
+// short in its body. It is a bad frame and never a truncated one, so a push
+// carrying one is a 400 counted as rejected (see
+// TestLogReplaysParentWrittenSegment for boot and History).
+func TestFrameGolden(t *testing.T) {
+	data := readGeneration4(t)
+	for name, frame := range map[string][]byte{"whole": data, "cut short": data[:len(data)/2]} {
+		_, err := DecodeBatch(bytes.NewReader(frame))
+		if !errors.Is(err, ErrBadFrame) || errors.Is(err, ErrTruncatedFrame) || !strings.Contains(err.Error(), "generation-4") {
+			t.Errorf("decode %s: %v, want a generation-4 bad frame that is not a truncation", name, err)
+		}
+	}
+
+	g := NewAggregator(AggregatorConfig{StaleAfter: time.Hour})
+	srv := httptest.NewServer(g)
+	defer srv.Close()
+	resp, err := http.Post(srv.URL+"/fleet/push", ContentType, bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if st := g.Stats(); resp.StatusCode != http.StatusBadRequest || st.Rejected != 1 || st.Hosts != 0 || !strings.Contains(string(body), "generation-4") {
+		t.Errorf("push: %s %q, rejected %d, hosts %d; want a 400 naming generation 4, 1 and 0", resp.Status, body, st.Rejected, st.Hosts)
+	}
 }
 
 // TestFrameGoldenV5 pins the writer: testdata/frame_golden_v5.bin is the
@@ -144,37 +174,48 @@ func TestFrameGoldenBitFlips(t *testing.T) {
 	}
 }
 
-// TestLogReplaysParentWrittenSegment boots an aggregator over a segment the
-// binary at 0590e06 wrote (a segment is frames back to back, so the golden
-// frames are one): both frames apply — nothing skipped, nothing resynced —
-// and the recovered view is the registry's.
+// TestLogReplaysParentWrittenSegment: a segment the binary at 0590e06
+// wrote (a segment is frames back to back, so the golden frames are one)
+// refuses the boot by name and is left untouched. A generation-4 frame that
+// lands in a live segment after boot is a drop in History, and the frames
+// before it still answer.
 func TestLogReplaysParentWrittenSegment(t *testing.T) {
-	golden, err := os.ReadFile("testdata/frame_golden.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
+	golden := readGeneration4(t)
+	dir, seg := oneFrameLog(t, golden)
 	cfg := logAggConfig(dir)
-	shardDir := filepath.Join(dir, shardDirName(int(shardHash("esx-golden")%uint32(cfg.Shards))))
-	if err := os.MkdirAll(shardDir, 0o755); err != nil {
-		t.Fatal(err)
+	cfg.Shards = 1
+	if _, _, err := OpenAggregator(cfg); err == nil || !strings.Contains(err.Error(), seg) || !strings.Contains(err.Error(), "generation-4") {
+		t.Errorf("boot over a generation-4 segment: %v, want a refusal naming %s and generation 4", err, seg)
 	}
-	if err := os.WriteFile(segPath(shardDir, 1), golden, 0o644); err != nil {
-		t.Fatal(err)
+	if kept, err := os.ReadFile(seg); err != nil || !bytes.Equal(kept, golden) {
+		t.Errorf("boot over a generation-4 segment changed it: %v", err)
 	}
-	g, st, err := OpenAggregator(cfg)
+
+	cfg = logAggConfig(t.TempDir())
+	cfg.Shards = 1
+	g, _, err := OpenAggregator(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	if st.Frames != 2 || st.Skipped != 0 || st.TornTails != 0 || st.Hosts != 1 {
-		t.Fatalf("replay = %+v, want 2 frames, 0 skipped, 0 torn tails, 1 host", st)
+	t0 := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	t1, t2 := t0.Add(time.Minute), t0.Add(2*time.Minute)
+	batches, states := timedChain(0, t0, t1, t2)
+	ingestAll(t, g, batches)
+	f, err := os.OpenFile(g.log.shards[0].active.path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s := g.Stats(); s.Resyncs != 0 || s.DeltasApplied != 1 {
-		t.Errorf("replay counted %d resyncs and %d deltas applied, want 0 and 1", s.Resyncs, s.DeltasApplied)
+	if _, err := f.Write(golden); err != nil {
+		t.Fatal(err)
 	}
-	_, _, reg := goldenBatches()
-	if !g.ClusterSnapshot(true).StateEquals(reg.HostSnapshot()) {
-		t.Error("state recovered from the parent's segment is not the registry's")
+	f.Close()
+	res, err := g.History(time.Unix(0, 0), t2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Dropped != 1 || res.Frames != 3 || !sameSnapshot(res.Cluster, core.Aggregate("cluster", "*", states[2]...)) {
+		t.Errorf("History over a segment ending in generation-4 frames: dropped %d of %d frames, cluster state right %v; want 1, 3 and true",
+			res.Dropped, res.Frames, sameSnapshot(res.Cluster, core.Aggregate("cluster", "*", states[2]...)))
 	}
 }

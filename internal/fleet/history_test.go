@@ -199,7 +199,8 @@ func TestHistoryChecksHeaderFlipsPastTo(t *testing.T) {
 	for bit := 0; bit < 8*len(header) && !flipped; bit++ {
 		header[bit/8] ^= 1 << (bit % 8)
 		var got Batch
-		if _, err := parseHeader(header, true, &got); err == nil && got.Host == a[1].Host && got.SentUnixNano > t2.UnixNano() {
+		p := payloadReader{buf: header}
+		if p.header(&got); p.err == nil && got.Host == a[1].Host && got.SentUnixNano > t2.UnixNano() {
 			flipped = true
 			break
 		}

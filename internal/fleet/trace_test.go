@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -173,22 +174,23 @@ func TestWireOldDecoderAcceptsTracedFrame(t *testing.T) {
 }
 
 // TestWireUnknownFutureHeaderFieldIgnored hand-builds a frame from a
-// future version whose header carries a field no decoder knows: it must
-// decode, not reject — the forward-compatibility rule the trace fields
-// themselves relied on.
+// future version whose header carries a field no decoder knows after the
+// ones it does: it must decode, not reject — the forward-compatibility rule
+// the trace fields themselves relied on.
 func TestWireUnknownFutureHeaderFieldIgnored(t *testing.T) {
-	header := []byte(`{"host":"future","seq":5,"count":0,"future_field":"xyzzy","trace_id":"future-1-5"}`)
+	header := appendHeader(nil, &Batch{Host: "future", Seq: 5, TraceID: "future-1-5"}, 0, 0)
+	header = appendStr(header, "xyzzy")
 	payload, err := appendPayload(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	head := make([]byte, 16)
-	copy(head[0:4], wireMagic[:])
-	head[4] = Version + 1
-	head[5] = flagBinary
-	binary.BigEndian.PutUint32(head[8:12], uint32(len(header)))
-	binary.BigEndian.PutUint32(head[12:16], uint32(len(payload)))
-	frame := append(append(head, header...), payload...)
+	frame := make([]byte, 16)
+	copy(frame[0:4], wireMagic[:])
+	frame[4], frame[5] = Version+1, flagBinary|flagChecked
+	binary.BigEndian.PutUint32(frame[8:12], uint32(len(header)))
+	binary.BigEndian.PutUint32(frame[12:16], uint32(len(payload)))
+	frame = append(append(frame, header...), payload...)
+	frame = binary.BigEndian.AppendUint32(frame, crc32.Checksum(frame, castagnoli))
 
 	b, err := DecodeBatch(bytes.NewReader(frame))
 	if err != nil {

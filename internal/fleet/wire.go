@@ -3,7 +3,6 @@ package fleet
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -35,10 +34,10 @@ import (
 //
 // and a trailer that readFrame checks before any cell is used. A mismatch is
 // ErrChecksum, never ErrTruncatedFrame; only segment replay reads one as a
-// torn tail, in the newest segment's last frame when it ends at EOF. A frame
-// without flagChecked is generation 4 (JSON header, no trailer), still read;
-// 3db32d4 is the last commit that writes it. A frame without flagBinary holds
-// the pre-binary JSON payload of versions 1-3 and is refused (DESIGN §8).
+// torn tail, in the newest segment's last frame when it ends at EOF. Older
+// generations are refused by name, never misread (DESIGN §8 upgrades them): a
+// frame without flagChecked is generation 4 (JSON header, no trailer), and
+// one without flagBinary holds the pre-binary JSON payload of versions 1-3.
 //
 // Forward compatibility: the head carries the header's length, so a later
 // version appends header fields and a reader ignores the bytes after the
@@ -70,8 +69,8 @@ const (
 	flagBinary = 1 << 2
 
 	// flagChecked marks generation 5: a binary header and a CRC-32C
-	// trailer. Generation-4 readers reject it as an unknown flag instead of
-	// parsing varints as JSON.
+	// trailer, which every frame must carry. Generation-4 readers reject it
+	// as an unknown flag instead of parsing varints as JSON.
 	flagChecked = 1 << 3
 
 	// knownFlags is the set of flag bits this decoder understands; frames
@@ -164,22 +163,6 @@ type Batch struct {
 	Leaves int `json:"-"`
 }
 
-// batchHeader is the frame header, as generation 4 writes it in JSON. Count
-// duplicates len(Snapshots) so a reader can size-check before decoding the
-// payload; BaseSeq means something only beside flagDelta.
-type batchHeader struct {
-	Host            string `json:"host"`
-	Seq             uint64 `json:"seq"`
-	SentUnixNano    int64  `json:"sent_unix_nano"`
-	Count           int    `json:"count"`
-	BaseSeq         uint64 `json:"base_seq"`
-	TraceID         string `json:"trace_id"`
-	CaptureUnixNano int64  `json:"capture_unix_nano"`
-	Boot            uint64 `json:"boot"`
-	Level           int    `json:"level"`
-	Leaves          int    `json:"leaves"`
-}
-
 // EncodeBatchBytes renders b as one generation-5 frame in memory. It fails on
 // a batch the binary payload cannot carry: one with a null snapshot.
 func EncodeBatchBytes(b *Batch) ([]byte, error) {
@@ -209,8 +192,10 @@ func EncodeBatchBytes(b *Batch) ([]byte, error) {
 	return binary.BigEndian.AppendUint32(frame, crc32.Checksum(frame, castagnoli)), nil
 }
 
-// appendHeader renders a generation-5 header: the batchHeader fields in
-// their fixed order.
+// appendHeader renders a generation-5 header: the Batch fields in their
+// fixed order, with the snapshot count after SentUnixNano, so a reader can
+// size-check before decoding the payload. BaseSeq means something only
+// beside flagDelta.
 func appendHeader(dst []byte, b *Batch, count int, baseSeq uint64) []byte {
 	dst = appendStr(dst, b.Host)
 	dst = binary.AppendUvarint(dst, b.Seq)
@@ -340,6 +325,9 @@ func readFrame(r io.Reader) (*frame, error) {
 	if flags&flagBinary == 0 {
 		return nil, badFrame("pre-binary JSON payload (frame version %d): upgrade it as DESIGN.md §8 describes", version)
 	}
+	if flags&flagChecked == 0 {
+		return nil, badFrame("generation-4 JSON header (frame version %d): upgrade it as DESIGN.md §8 describes", version)
+	}
 	if flags&^byte(knownFlags) != 0 {
 		return nil, badFrame("unknown flags %#x", flags)
 	}
@@ -348,26 +336,23 @@ func readFrame(r io.Reader) (*frame, error) {
 	if headerLen > maxHeaderLen || payloadLen > maxPayloadLen {
 		return nil, badFrame("header of %d or payload of %d bytes exceeds its limit (%d, %d)", headerLen, payloadLen, maxHeaderLen, maxPayloadLen)
 	}
-	checked := flags&flagChecked != 0
-	n := headerLen + payloadLen
-	if checked {
-		n += 4 // the trailer
-	}
-	raw, err := readSized(r, raw, n, "frame")
+	raw, err := readSized(r, raw, headerLen+payloadLen+4, "frame")
 	if err != nil {
 		return nil, err
 	}
-	out := &Batch{Delta: flags&flagDelta != 0}
-	count, herr := parseHeader(raw[16:16+headerLen], checked, out)
-	end := len(raw)
-	if checked { // before the header's verdict: changed bytes are a checksum error first
-		end -= 4
-		if want, got := binary.BigEndian.Uint32(raw[end:]), crc32.Checksum(raw[:end], castagnoli); want != got {
-			return nil, fmt.Errorf("%w: trailer %#08x, frame sums to %#08x", ErrChecksum, want, got)
-		}
+	// The trailer before the header: changed bytes are a checksum error first.
+	end := len(raw) - 4
+	if want, got := binary.BigEndian.Uint32(raw[end:]), crc32.Checksum(raw[:end], castagnoli); want != got {
+		return nil, fmt.Errorf("%w: trailer %#08x, frame sums to %#08x", ErrChecksum, want, got)
 	}
-	if herr != nil {
-		return nil, herr
+	out := &Batch{Delta: flags&flagDelta != 0}
+	p := payloadReader{buf: raw[16 : 16+headerLen]}
+	count := p.header(out)
+	if p.err != nil {
+		return nil, p.err
+	}
+	if !out.Delta { // base_seq means nothing without the flag: decode(encode(b)) == b both ways
+		out.BaseSeq = 0
 	}
 	payload := raw[16+headerLen : end]
 	if len(payload) < 8 {
@@ -378,30 +363,6 @@ func readFrame(r io.Reader) (*frame, error) {
 		return f, &UnknownLayoutError{Header: out, LayoutID: id}
 	}
 	return f, nil
-}
-
-// parseHeader reads a frame's header into b, binary in a checked frame and
-// JSON before, and returns its snapshot count.
-func parseHeader(header []byte, checked bool, b *Batch) (count int, err error) {
-	if checked {
-		p := payloadReader{buf: header}
-		count = p.header(b)
-		if p.err != nil {
-			return 0, p.err
-		}
-	} else {
-		var hdr batchHeader
-		if err := json.Unmarshal(header, &hdr); err != nil {
-			return 0, badFrame("header JSON: %v", err)
-		}
-		b.Host, b.Seq, b.SentUnixNano, count = hdr.Host, hdr.Seq, hdr.SentUnixNano, hdr.Count
-		b.BaseSeq, b.TraceID, b.CaptureUnixNano = hdr.BaseSeq, hdr.TraceID, hdr.CaptureUnixNano
-		b.Boot, b.Level, b.Leaves = hdr.Boot, hdr.Level, hdr.Leaves
-	}
-	if !b.Delta { // base_seq means nothing without the flag: decode(encode(b)) == b both ways
-		b.BaseSeq = 0
-	}
-	return count, nil
 }
 
 // Validate checks what a decoded frame cannot be trusted for and the merge

@@ -51,8 +51,8 @@ type Options struct {
 	// Metrics serves GET /metrics (e.g. a telemetry.Exporter).
 	Metrics http.Handler
 	// Trace serves GET /debug/trace: a Chrome trace-event view, either
-	// a host's command lifecycle (a telemetry.LifecycleTracer) or the
-	// fleet pipeline's (a fleetobs.Tracker's ChromeTraceHandler).
+	// a disk's commands and control verbs (a trace.Tracer) or the fleet
+	// pipeline's (a fleetobs.Tracker's ChromeTraceHandler).
 	Trace http.Handler
 	// Series serves GET /disks/{vm}/{disk}/series and GET /watch.
 	Series SeriesSource

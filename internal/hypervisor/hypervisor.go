@@ -136,8 +136,8 @@ type DiskSpec struct {
 	// MaxActive bounds commands concurrently outstanding to the backend
 	// (0 = unlimited), mirroring the per-VM per-target queue of §2.
 	MaxActive int
-	// TraceCapacity, if positive, attaches a command tracer retaining that
-	// many records.
+	// TraceCapacity, if positive, attaches a disabled command tracer
+	// retaining that many entries; zero attaches none.
 	TraceCapacity int
 }
 

@@ -69,8 +69,8 @@ func TestAddDiskErrors(t *testing.T) {
 }
 
 // TestLargeTracerCostsNothingUntilUsed: a disk provisioned with a
-// million-record tracer (what NewScenario attaches, disabled) does not
-// reserve the tracer's whole capacity up front.
+// million-entry tracer (vscsitrace capture asks for four) does not reserve
+// the tracer's whole capacity up front.
 func TestLargeTracerCostsNothingUntilUsed(t *testing.T) {
 	_, h := newHost(t)
 	vm := h.CreateVM("vm1")

@@ -1,7 +1,7 @@
 // Package ring is the one bounded FIFO behind every "keep the last N":
-// the command tracer, the lifecycle tracer, the fleet event ring and the
-// streamer's series. A Ring is not synchronised; an owner shared between
-// goroutines keeps its own lock, so every read is an exact window.
+// the command tracer, the fleet event ring and the streamer's series. A
+// Ring is not synchronised; an owner shared between goroutines keeps its
+// own lock, so every read is an exact window.
 package ring
 
 // Ring retains the newest limit values pushed. Storage grows with use up
@@ -44,6 +44,13 @@ func (r *Ring[T]) Last(n int) []T {
 		out[i] = r.buf[(r.next+len(r.buf)-n+i)%len(r.buf)]
 	}
 	return out
+}
+
+// Each calls fn on every retained value in place, oldest first.
+func (r *Ring[T]) Each(fn func(*T)) {
+	for i := range r.buf {
+		fn(&r.buf[(r.next+i)%len(r.buf)])
+	}
 }
 
 // Len is the number of retained values.

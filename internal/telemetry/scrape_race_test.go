@@ -1,4 +1,4 @@
-package telemetry
+package telemetry_test
 
 import (
 	"fmt"
@@ -12,6 +12,8 @@ import (
 	"vscsistats/internal/hypervisor"
 	"vscsistats/internal/simclock"
 	"vscsistats/internal/storage"
+	"vscsistats/internal/telemetry"
+	"vscsistats/internal/telemetry/promtest"
 	"vscsistats/internal/workload"
 )
 
@@ -56,7 +58,7 @@ func TestScrapeWhileParallelSimRuns(t *testing.T) {
 		hosts[i] = h
 	}
 
-	exp := NewExporter(reg).WithDiskStats(hosts)
+	exp := telemetry.NewExporter(reg).WithDiskStats(hosts)
 	srv := httptest.NewServer(exp)
 	t.Cleanup(srv.Close)
 
@@ -90,7 +92,7 @@ func TestScrapeWhileParallelSimRuns(t *testing.T) {
 	}()
 
 	// Scraper goroutines collect raw bodies; parsing happens afterwards on
-	// the test goroutine (parseProm may Fatal, which must not run off it).
+	// the test goroutine (promtest.Parse may Fatal, which must not run off it).
 	var wg sync.WaitGroup
 	scraped := make([][]string, 4)
 	for g := 0; g < 4; g++ {
@@ -115,7 +117,7 @@ func TestScrapeWhileParallelSimRuns(t *testing.T) {
 	for _, texts := range scraped {
 		total += len(texts)
 		for _, text := range texts {
-			parseProm(t, text)
+			promtest.Parse(t, text)
 		}
 	}
 	if total == 0 {
@@ -125,26 +127,26 @@ func TestScrapeWhileParallelSimRuns(t *testing.T) {
 
 	// Final scrape: every world did I/O and the disk-level counters agree
 	// with the hypervisor's view.
-	samples := parseProm(t, scrape())
+	samples := promtest.Parse(t, scrape())
 	for i := 0; i < worlds; i++ {
 		vm := fmt.Sprintf("vm%d", i)
-		cmds := findSample(t, samples, "vscsistats_commands_total", "vm", vm)
-		if cmds.value <= 0 {
+		cmds := promtest.Find(t, samples, "vscsistats_commands_total", "vm", vm)
+		if cmds.Value <= 0 {
 			t.Errorf("%s: no commands recorded", vm)
 		}
 		issued, completed, _, _, ok := hosts.DiskCounters(vm, "scsi0:0")
 		if !ok {
 			t.Fatalf("%s: DiskCounters not found", vm)
 		}
-		di := findSample(t, samples, "vscsistats_disk_issued_total", "vm", vm)
-		if di.value != float64(issued) {
-			t.Errorf("%s: exported issued %v != live %d", vm, di.value, issued)
+		di := promtest.Find(t, samples, "vscsistats_disk_issued_total", "vm", vm)
+		if di.Value != float64(issued) {
+			t.Errorf("%s: exported issued %v != live %d", vm, di.Value, issued)
 		}
 		if completed == 0 {
 			t.Errorf("%s: nothing completed", vm)
 		}
 	}
-	if s := findSample(t, samples, "vscsistats_collectors"); s.value != worlds {
-		t.Errorf("collectors = %v, want %d", s.value, worlds)
+	if s := promtest.Find(t, samples, "vscsistats_collectors"); s.Value != worlds {
+		t.Errorf("collectors = %v, want %d", s.Value, worlds)
 	}
 }

@@ -12,15 +12,13 @@
 //     exported: every other component (fleet aggregator, re-exporter,
 //     agent, pipeline tracker, datacenter simulator) implements Source
 //     and writes its own series when attached with Exporter.With;
-//   - a LifecycleTracer: a fixed-size ring of issue/complete and
-//     enable/disable/reset/snapshot events with Chrome trace-event JSON
-//     export (GET /debug/trace), built on internal/trace's record format;
 //   - a Streamer: a periodic sampler retaining a bounded ring of
 //     per-interval delta snapshots per vdisk, served as a JSON time series
 //     (GET /disks/{vm}/{disk}/series) and as a live SSE feed (GET /watch);
 //   - the two helpers every HTTP surface in the repo shares: the Chrome
-//     trace-event writer (WriteChromeTrace) and the JSON reply pair
-//     (JSONError, WriteJSON).
+//     trace-event writer (WriteChromeTrace), behind both the command
+//     tracer's and the fleet pipeline's GET /debug/trace, and the JSON
+//     reply pair (JSONError, WriteJSON).
 //
 // Everything here reads the concurrency-safe surfaces built in
 // internal/core (atomic snapshots, RWMutex registry), so all handlers can

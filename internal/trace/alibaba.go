@@ -1,7 +1,7 @@
 package trace
 
 import (
-	"bufio"
+	"io"
 
 	"vscsistats/internal/scsi"
 )
@@ -30,9 +30,10 @@ type AlibabaSource struct {
 	seq      uint64
 }
 
-// NewAlibabaSource streams Alibaba cloud-trace CSV from br.
-func NewAlibabaSource(br *bufio.Reader) *AlibabaSource {
-	return &AlibabaSource{in: newCSVReader(br, parseAlibabaLine), vms: newInterner()}
+// NewAlibabaSource streams Alibaba cloud-trace CSV from r. It reads chunks
+// of its own, so r needs no buffer.
+func NewAlibabaSource(r io.Reader) *AlibabaSource {
+	return &AlibabaSource{in: newCSVReader(r, parseAlibabaLine), vms: newInterner()}
 }
 
 // BadLines reports lines skipped as malformed or hostile.

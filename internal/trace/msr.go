@@ -1,7 +1,7 @@
 package trace
 
 import (
-	"bufio"
+	"io"
 
 	"vscsistats/internal/scsi"
 )
@@ -43,9 +43,10 @@ type msrDisk struct {
 	pending       completionHeap
 }
 
-// NewMSRSource streams MSR Cambridge CSV from br.
-func NewMSRSource(br *bufio.Reader) *MSRSource {
-	return &MSRSource{in: newCSVReader(br, parseMSRLine), disks: make(map[string]*msrDisk)}
+// NewMSRSource streams MSR Cambridge CSV from r. It reads chunks of its
+// own, so r needs no buffer.
+func NewMSRSource(r io.Reader) *MSRSource {
+	return &MSRSource{in: newCSVReader(r, parseMSRLine), disks: make(map[string]*msrDisk)}
 }
 
 // BadLines reports lines skipped as malformed or hostile.

@@ -96,11 +96,15 @@ func ParseFormat(s string) (Format, error) {
 	}
 }
 
-// Detect sniffs the trace format from the reader's first bytes without
-// consuming them. A VSCT trace is recognized by its magic; CSV detection
-// is a heuristic over the first line (field count plus the op column).
+// sniffLen is how many leading bytes Detect reads.
+const sniffLen = 512
+
+// Detect sniffs the trace format from the reader's first sniffLen bytes
+// without consuming them. A VSCT trace is recognized by its magic; CSV
+// detection is a heuristic over the first line (field count plus the op
+// column).
 func Detect(br *bufio.Reader) (Format, error) {
-	peek, err := br.Peek(512)
+	peek, err := br.Peek(sniffLen)
 	if len(peek) == 0 {
 		if err == io.EOF {
 			return FormatUnknown, io.EOF
@@ -146,10 +150,13 @@ func sniffCSV(peek []byte) (Format, bool) {
 }
 
 // Open wraps r as a streaming RecordSource of the given format;
-// FormatUnknown sniffs it. The resolved format is returned alongside.
+// FormatUnknown sniffs it. The resolved format is returned alongside. Only
+// what Detect sniffs is buffered here: each source reads through a buffer
+// of its own, and bufio hands a read at least as large as its buffer
+// straight to r, so every byte past the sniff is copied once.
 func Open(r io.Reader, f Format) (RecordSource, Format, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
 	if f == FormatUnknown {
+		br := bufio.NewReaderSize(r, sniffLen)
 		var err error
 		f, err = Detect(br)
 		if err == io.EOF { // empty input: a valid, empty trace
@@ -158,14 +165,15 @@ func Open(r io.Reader, f Format) (RecordSource, Format, error) {
 		if err != nil {
 			return nil, FormatUnknown, err
 		}
+		r = br
 	}
 	switch f {
 	case FormatNative:
-		return NewNativeSource(br), FormatNative, nil
+		return NewNativeSource(r), FormatNative, nil
 	case FormatMSR:
-		return NewMSRSource(br), FormatMSR, nil
+		return NewMSRSource(r), FormatMSR, nil
 	case FormatAlibaba:
-		return NewAlibabaSource(br), FormatAlibaba, nil
+		return NewAlibabaSource(r), FormatAlibaba, nil
 	default:
 		return nil, f, fmt.Errorf("trace: unsupported format %v", f)
 	}

@@ -12,9 +12,10 @@ import (
 )
 
 // Scenario is a pre-wired stack — array, VM, virtual disk with collector
-// and tracer, filesystem (when applicable) and workload generator — for one
-// of the paper's named workloads. It backs the command-line tools and gives
-// library users a one-call way to generate realistic traffic.
+// (and a command tracer, when asked for), filesystem (when applicable) and
+// workload generator — for one of the paper's named workloads. It backs the
+// command-line tools and gives library users a one-call way to generate
+// realistic traffic.
 type Scenario struct {
 	Name string
 	Eng  *Engine
@@ -32,7 +33,9 @@ type ScenarioConfig struct {
 	Seed int64
 	// DataBytes scales the scenario's primary dataset (default 1 GB).
 	DataBytes int64
-	// TraceCapacity bounds the attached command tracer (default 1M).
+	// TraceCapacity, if positive, attaches a command tracer (VD.Tracer)
+	// retaining that many entries. Zero attaches none: a trace is O(n)
+	// space, which the histograms exist to avoid.
 	TraceCapacity int
 	// Datastore overrides the backing array preset (default Symmetrix).
 	Datastore *ArrayConfig
@@ -79,9 +82,6 @@ func NewScenario(name string, cfg ScenarioConfig) (*Scenario, error) {
 	if cfg.DataBytes <= 0 {
 		cfg.DataBytes = 1 << 30
 	}
-	if cfg.TraceCapacity <= 0 {
-		cfg.TraceCapacity = 1 << 20
-	}
 	ds := storage.SymmetrixConfig(cfg.Seed)
 	if cfg.Datastore != nil {
 		ds = *cfg.Datastore
@@ -105,8 +105,8 @@ func NewScenario(name string, cfg ScenarioConfig) (*Scenario, error) {
 	return s, nil
 }
 
-// Run warms the scenario up, enables the collector and tracer, runs the
-// measured duration, and returns the snapshot.
+// Run warms the scenario up, enables the collector and any tracer, runs
+// the measured duration, and returns the snapshot.
 func (s *Scenario) Run(duration Time) *Snapshot {
 	s.Gen.Start()
 	s.Eng.RunUntil(s.Warmup)

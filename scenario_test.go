@@ -2,6 +2,8 @@ package vscsistats_test
 
 import (
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"vscsistats"
@@ -16,7 +18,7 @@ func TestScenarioInvariants(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			sc, err := vscsistats.NewScenario(name, vscsistats.ScenarioConfig{
-				Seed: 7, DataBytes: 256 << 20,
+				Seed: 7, DataBytes: 256 << 20, TraceCapacity: 1 << 20,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -76,5 +78,93 @@ func TestScenarioInvariants(t *testing.T) {
 				t.Error("generator reports no ops")
 			}
 		})
+	}
+}
+
+// TestTracerAttachedOnlyWhenAsked: a scenario holds no command tracer
+// unless its config sizes one, so a plain run keeps the paper's O(m) space.
+func TestTracerAttachedOnlyWhenAsked(t *testing.T) {
+	for capacity, want := range map[int]bool{0: false, 64: true} {
+		sc, err := vscsistats.NewScenario("iometer-4k-seq", vscsistats.ScenarioConfig{
+			Seed: 1, DataBytes: 64 << 20, TraceCapacity: capacity,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sc.VD.Tracer != nil; got != want {
+			t.Errorf("TraceCapacity %d: tracer attached = %v, want %v", capacity, got, want)
+		}
+	}
+}
+
+// TestTracerServesWhileScenarioRuns serves GET /debug/trace and fires
+// control verbs through the stats handler while a scenario's engine
+// records into the same tracer, which under -race is the test of its one
+// lock. Every response is a Chrome trace that parses with no negative
+// duration; a verb fired after the run is the newest entry, so the last
+// trace must hold it as a control instant.
+func TestTracerServesWhileScenarioRuns(t *testing.T) {
+	sc, err := vscsistats.NewScenario("iometer-4k-seq", vscsistats.ScenarioConfig{
+		Seed: 3, DataBytes: 64 << 20, TraceCapacity: 4096,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := sc.VD.Tracer
+	h := vscsistats.NewStatsHandlerWith(sc.Host.Registry(), vscsistats.StatsOptions{Trace: tr, OnControl: tr.Control})
+	snapshot := "/disks/" + sc.Name + "/scsi0:0"
+	get := func(path string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec
+	}
+	serve := func() (slices, controls int) {
+		rec := get("/debug/trace")
+		var events []struct {
+			Ph, Cat string
+			Dur     *int64
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &events); rec.Code != http.StatusOK || err != nil {
+			t.Fatalf("GET /debug/trace: %d, %v", rec.Code, err)
+		}
+		for _, e := range events {
+			switch {
+			case e.Ph == "X" && (e.Dur == nil || *e.Dur < 0):
+				t.Fatalf("slice with duration %v", e.Dur)
+			case e.Ph == "X":
+				slices++
+			case e.Ph == "i" && e.Cat == "control":
+				controls++
+			}
+		}
+		return slices, controls
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		sc.Run(vscsistats.Second)
+	}()
+	served := 0
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+			get(snapshot)
+			if tr.Enabled() {
+				serve()
+				served++
+			}
+		}
+	}
+	if served == 0 {
+		t.Error("no trace was served while the engine recorded")
+	}
+	if rec := get(snapshot); rec.Code != http.StatusOK {
+		t.Fatalf("GET %s: %d", snapshot, rec.Code)
+	}
+	if slices, controls := serve(); slices == 0 || controls == 0 {
+		t.Errorf("last trace holds %d slices and %d control instants, want both", slices, controls)
 	}
 }

@@ -178,13 +178,12 @@ func EightKRandomRead() AccessSpec { return workload.EightKRandomRead() }
 // --- Observability (internal/telemetry) ---
 
 // MetricsExporter serves GET /metrics in the Prometheus text format;
-// LifecycleTracer keeps a ring of issue/complete/control events with
-// Chrome trace JSON export (GET /debug/trace); SnapshotStreamer samples
-// the registry on an interval and serves per-disk time series plus a live
-// SSE feed (GET /watch); StatsOptions mounts them on the stats handler.
+// SnapshotStreamer samples the registry on an interval and serves per-disk
+// time series plus a live SSE feed (GET /watch); StatsOptions mounts them,
+// and a scenario disk's command tracer (Vdisk.Tracer, GET /debug/trace),
+// on the stats handler.
 type (
 	MetricsExporter  = telemetry.Exporter
-	LifecycleTracer  = telemetry.LifecycleTracer
 	SnapshotStreamer = telemetry.Streamer
 	StatsOptions     = httpstats.Options
 )
@@ -197,13 +196,6 @@ type (
 // FleetObsTracker (vscsistats_fleetobs_*) or DatacenterSim
 // (vscsistats_vscsim_*).
 func NewMetricsExporter(reg *Registry) *MetricsExporter { return telemetry.NewExporter(reg) }
-
-// NewLifecycleTracer builds a ring tracer retaining the last capacity
-// events; attach it with Disk.AddObserver and feed control-plane verbs to
-// Control.
-func NewLifecycleTracer(capacity int) *LifecycleTracer {
-	return telemetry.NewLifecycleTracer(capacity)
-}
 
 // NewSnapshotStreamer samples reg every interval (wall clock), retaining
 // depth interval deltas per disk. Call Start/Stop, or Tick directly for

@@ -178,7 +178,7 @@ func TestCatalogViaFacade(t *testing.T) {
 
 // TestBurstinessViaFacade checks the arrival analysis over a captured trace.
 func TestBurstinessViaFacade(t *testing.T) {
-	sc, err := vscsistats.NewScenario("dbt2", vscsistats.ScenarioConfig{Seed: 2, DataBytes: 512 << 20})
+	sc, err := vscsistats.NewScenario("dbt2", vscsistats.ScenarioConfig{Seed: 2, DataBytes: 512 << 20, TraceCapacity: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
