@@ -13,7 +13,6 @@ import (
 	"vscsistats/internal/core"
 	"vscsistats/internal/fleet"
 	"vscsistats/internal/fleetobs"
-	"vscsistats/internal/histogram"
 )
 
 // newFlags builds a per-command FlagSet that reports usage to errw.
@@ -49,7 +48,7 @@ func (c *ctl) cmdHosts(args []string) error {
 			leaves += h.Leaves
 		}
 		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\t%d\t%d\t%s\t%v\n",
-			h.Host, h.Source, h.Level, h.Leaves, h.Seq, h.Batches, h.Snapshots, fmtAge(h.AgeSeconds), h.Stale)
+			h.Host, h.Source, h.Level, h.Leaves, h.Seq, h.Batches, h.Snapshots, time.Duration(h.AgeSeconds*float64(time.Second)).Round(100*time.Millisecond), h.Stale)
 	}
 	tw.Flush()
 	fmt.Fprintf(c.out, "%d hosts (%d stale), %d leaves folded\n", len(hosts), stale, leaves)
@@ -145,8 +144,8 @@ func (c *ctl) cmdVMs(args []string) error {
 	for _, s := range vms {
 		fmt.Fprintf(tw, "%s\t%d\t%.0f\t%s\t%s\t%s\t%s\t%d\n",
 			s.VM, s.Commands, 100*s.ReadFraction(),
-			fmtBytes(int64(meanOf(s.Histogram(core.MetricIOLength, core.All)))),
-			fmtMicros(meanOf(s.Histogram(core.MetricLatency, core.All))),
+			fmtBytes(int64(s.Histogram(core.MetricIOLength, core.All).Mean())),
+			time.Duration(s.Histogram(core.MetricLatency, core.All).Mean()*float64(time.Microsecond)).Round(time.Microsecond),
 			fmtBytes(s.ReadBytes), fmtBytes(s.WriteBytes), s.Errors)
 	}
 	tw.Flush()
@@ -459,17 +458,6 @@ func (c *ctl) watchOnce() (watchTick, error) {
 
 // --- formatting helpers ---
 
-func meanOf(h *histogram.Snapshot) float64 {
-	if h == nil || h.Total == 0 {
-		return 0
-	}
-	return h.Mean()
-}
-
-func fmtAge(seconds float64) string {
-	return time.Duration(seconds * float64(time.Second)).Round(100 * time.Millisecond).String()
-}
-
 func fmtTime(unixNano int64) string {
 	return time.Unix(0, unixNano).UTC().Format(time.RFC3339)
 }
@@ -482,10 +470,6 @@ func (c *ctl) windowTime(v string) string {
 		return c.now().Add(d).UTC().Format(time.RFC3339Nano)
 	}
 	return v
-}
-
-func fmtMicros(us float64) string {
-	return time.Duration(us * float64(time.Microsecond)).Round(time.Microsecond).String()
 }
 
 // fmtBytes renders a byte count with a binary-prefix unit.

@@ -21,6 +21,19 @@ import (
 	"vscsistats"
 )
 
+// recordIntervals sets *rec to an interval recorder started where Run starts
+// measuring, in an event at the end of warm-up that also enables what Run
+// then does: intervals, snapshot and trace cover the same commands.
+func recordIntervals(sc *vscsistats.Scenario, every vscsistats.Time, rec **vscsistats.IntervalRecorder) {
+	sc.Eng.At(sc.Warmup, func(vscsistats.Time) {
+		sc.VD.Collector.Enable()
+		if sc.VD.Tracer != nil {
+			sc.VD.Tracer.Enable()
+		}
+		*rec = vscsistats.NewIntervalRecorder(sc.Eng, sc.VD.Collector, every)
+	})
+}
+
 func main() {
 	var (
 		list       = flag.Bool("list", false, "list available workload scenarios and exit")
@@ -79,11 +92,7 @@ func main() {
 
 	var rec *vscsistats.IntervalRecorder
 	if *interval > 0 {
-		// The recorder needs an enabled collector; Run enables it after
-		// warmup, so pre-enable here and accept warmup samples in S1.
-		sc.VD.Collector.Enable()
-		rec = vscsistats.NewIntervalRecorder(sc.Eng, sc.VD.Collector,
-			vscsistats.Time(*interval)*vscsistats.Second)
+		recordIntervals(sc, vscsistats.Time(*interval)*vscsistats.Second, &rec)
 	}
 
 	snap := sc.Run(vscsistats.Time(*duration) * vscsistats.Second)

@@ -33,22 +33,3 @@ func Aggregate(vm, disk string, snaps ...*Snapshot) *Snapshot {
 	}
 	return &out
 }
-
-// VMSnapshot merges every enabled collector of the named VM.
-func (r *Registry) VMSnapshot(vm string) *Snapshot {
-	var snaps []*Snapshot
-	for _, c := range r.List() {
-		if c.VM() != vm {
-			continue
-		}
-		if s := c.Snapshot(); s != nil {
-			snaps = append(snaps, s)
-		}
-	}
-	return Aggregate(vm, "*", snaps...)
-}
-
-// HostSnapshot merges every enabled collector on the host.
-func (r *Registry) HostSnapshot() *Snapshot {
-	return Aggregate("*", "*", r.Snapshots()...)
-}

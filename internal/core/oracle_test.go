@@ -48,12 +48,12 @@ func newCountedSet(window int) *countedSet {
 	h := &countedSet{recent: make([]uint64, window)}
 	for class, suffix := range [...]string{"", " (Reads)", " (Writes)"} {
 		h.ioLength[class] = histogram.NewIOLength("I/O Length Histogram" + suffix)
-		h.seekDistance[class] = histogram.NewSeekDistance("Seek Distance Histogram" + suffix)
-		h.outstanding[class] = histogram.NewOutstanding("Outstanding I/Os Histogram" + suffix)
-		h.latency[class] = histogram.NewLatency("I/O Latency Histogram" + suffix)
-		h.interarrival[class] = histogram.NewInterarrival("I/O Interarrival Histogram" + suffix)
+		h.seekDistance[class] = histogram.SeekDistanceLayout.New("Seek Distance Histogram" + suffix)
+		h.outstanding[class] = histogram.OutstandingLayout.New("Outstanding I/Os Histogram" + suffix)
+		h.latency[class] = histogram.LatencyLayout.New("I/O Latency Histogram" + suffix)
+		h.interarrival[class] = histogram.InterarrivalLayout.New("I/O Interarrival Histogram" + suffix)
 	}
-	h.seekWindowed = histogram.NewSeekDistance("Seek Distance Histogram (Windowed)")
+	h.seekWindowed = histogram.SeekDistanceLayout.New("Seek Distance Histogram (Windowed)")
 	return h
 }
 

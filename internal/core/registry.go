@@ -43,14 +43,6 @@ func (r *Registry) Register(c *Collector) {
 	r.collectors[k] = c
 }
 
-// Unregister removes the collector for (vm, disk); unknown pairs are a
-// no-op. The collector itself keeps working for anyone still holding it.
-func (r *Registry) Unregister(vm, disk string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.collectors, diskKey{vm, disk})
-}
-
 // Lookup returns the collector for (vm, disk), or nil.
 func (r *Registry) Lookup(vm, disk string) *Collector {
 	r.mu.RLock()

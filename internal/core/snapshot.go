@@ -97,7 +97,7 @@ func (c *Collector) Snapshot() *Snapshot {
 // inter-arrival Commands − 1.
 //
 // The collector stores only the reads and writes histograms; everything
-// derivable is derived here, outside the lock, from the copy. So each
+// derivable is derived here (Derive), outside the lock, from the copy. So each
 // family's all is exactly reads + writes — bins, sum, total, and min/max
 // over whichever classes are non-empty — Commands == NumReads + NumWrites
 // == the I/O length total, and the byte counters are the I/O length sums.
@@ -123,25 +123,75 @@ func (c *Collector) CaptureInto(dst *Snapshot) bool {
 	c.self.noteSnapshot()
 
 	for id := range slab {
-		sp := &slab[id]
-		own := sp.hist.Of(cells)
+		own := slab[id].hist.Of(cells)
 		total := len(own) - 3
 		own[total], own[total+1], own[total+2] = 0, 0, 0
-		sp.layout.Seal(own, min[id], max[id])
-		switch {
-		case sp.all == nil:
-		case id%2 == classRead: // the first of the family's two classes
-			copy(sp.all.Of(cells), own)
-		default:
-			addHist(sp.all.Of(cells), own)
-		}
+		slab[id].layout.Seal(own, min[id], max[id])
 	}
 	dst.VM, dst.Disk = c.vm, c.disk
-	length := &slab[hIOLength+classRead]
-	dst.Commands, _ = length.all.totalSum(cells)
-	dst.NumReads, dst.ReadBytes = length.hist.totalSum(cells)
-	dst.NumWrites, dst.WriteBytes = slab[hIOLength+classWrite].hist.totalSum(cells)
+	dst.derive(true)
 	return true
+}
+
+// Derive sets what the collector derives rather than stores, as CaptureInto
+// does, from s's reads and writes histograms: each class-all histogram, and
+// the counters but Errors. Only the decoder that owns s, before anyone else
+// sees it, may call it.
+func (s *Snapshot) Derive() { s.derive(true) }
+
+// Derived reports whether Derive would leave s as it is and every total is
+// the sum of its bins: true of captures, their Sub deltas and Aggregate
+// merges, but for a class with no new samples and extrema of (0, 0).
+func (s *Snapshot) Derived() bool { return s.derive(false) }
+
+// derive is the one statement of what is derivable: it reports whether s
+// holds it, totals included, and, if write, sets it.
+func (s *Snapshot) derive(write bool) (held bool) {
+	cells := s.Cells()
+	var diff int64
+	for id := range slab {
+		w := slab[id].hist.Of(cells)
+		n := len(w) - 4
+		if !write { // a total is checked, never derived
+			var total int64
+			for _, c := range w[:n] {
+				total += c
+			}
+			diff |= total ^ w[n+1]
+		}
+		if id%2 == classRead || slab[id].all == nil {
+			continue
+		}
+		r, all := slab[id-1].hist.Of(cells)[:n+4], slab[id].all.Of(cells)[:n+4]
+		// min and max as addHist folds them, but a class is empty only if
+		// its total is 0 and its extrema (0, 0): a Sub delta with no new
+		// reads keeps the later capture's extrema, read and class-all alike.
+		lo, hi := min(r[n+2], w[n+2]), max(r[n+3], w[n+3])
+		switch {
+		case r[n+1]|r[n+2]|r[n+3] == 0:
+			lo, hi = w[n+2], w[n+3]
+		case w[n+1]|w[n+2]|w[n+3] == 0:
+			lo, hi = r[n+2], r[n+3]
+		}
+		if write { // bins, sum and total add
+			for i := range n + 2 {
+				all[i] = r[i] + w[i]
+			}
+			all[n+2], all[n+3] = lo, hi
+			continue
+		}
+		for i := range n + 2 {
+			diff |= all[i] ^ (r[i] + w[i])
+		}
+		diff |= (all[n+2] ^ lo) | (all[n+3] ^ hi)
+	}
+	reads, readBytes := slab[hIOLength+classRead].hist.totalSum(cells)
+	writes, writeBytes := slab[hIOLength+classWrite].hist.totalSum(cells)
+	if write {
+		s.Commands, s.NumReads, s.NumWrites, s.ReadBytes, s.WriteBytes = reads+writes, reads, writes, readBytes, writeBytes
+	}
+	diff |= (s.Commands ^ (reads + writes)) | (s.NumReads ^ reads) | (s.NumWrites ^ writes) | (s.ReadBytes ^ readBytes) | (s.WriteBytes ^ writeBytes)
+	return diff == 0
 }
 
 // totalSum returns the histogram's total and sum out of a snapshot's cells.

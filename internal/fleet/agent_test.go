@@ -61,7 +61,7 @@ func TestAgentPushDelivers(t *testing.T) {
 		t.Errorf("agent stats: %+v", s)
 	}
 	// The merged view equals the registry's own aggregate, bin for bin.
-	want := reg.HostSnapshot()
+	want := hostSnapshot(reg)
 	if got := as.agg.ClusterSnapshot(false); !sameSnapshot(got, want) {
 		t.Error("cluster snapshot diverged from the pushing registry")
 	}
@@ -113,7 +113,7 @@ func TestAgentRetryQueueBoundedWithDropCounters(t *testing.T) {
 	if len(hosts) != 1 || hosts[0].Seq != 11 {
 		t.Fatalf("aggregator should hold newest seq 11: %+v", hosts)
 	}
-	if got := as.agg.ClusterSnapshot(false); !sameSnapshot(got, reg.HostSnapshot()) {
+	if got := as.agg.ClusterSnapshot(false); !sameSnapshot(got, hostSnapshot(reg)) {
 		t.Error("drained queue left the aggregator behind the registry")
 	}
 }
@@ -204,7 +204,7 @@ func TestAgentStopDrainsFinalCapture(t *testing.T) {
 	if len(hosts) != 1 || hosts[0].Host != "esx-h" {
 		t.Fatalf("aggregator hosts after Stop drain: %+v", hosts)
 	}
-	if got := as.agg.ClusterSnapshot(false); !sameSnapshot(got, reg.HostSnapshot()) {
+	if got := as.agg.ClusterSnapshot(false); !sameSnapshot(got, hostSnapshot(reg)) {
 		t.Error("drained capture diverged from the registry")
 	}
 
@@ -222,7 +222,7 @@ func TestAgentStopDrainsFinalCapture(t *testing.T) {
 	feed(lreg.List()[0], 4242, 60)
 	live.enqueue(live.buildBatch())
 	live.Stop()
-	if got := las.agg.ClusterSnapshot(false); !sameSnapshot(got, lreg.HostSnapshot()) {
+	if got := las.agg.ClusterSnapshot(false); !sameSnapshot(got, hostSnapshot(lreg)) {
 		t.Error("capture enqueued before Stop did not reach the aggregator")
 	}
 }
@@ -294,7 +294,7 @@ func TestAgentIdleIntervalIsHeartbeat(t *testing.T) {
 		t.Errorf("agent stats %+v, want 2 pushes and no delta", st)
 	}
 	misses := after.MergeCacheMisses
-	if got := g.ClusterSnapshot(false); !sameSnapshot(got, reg.HostSnapshot()) {
+	if got := g.ClusterSnapshot(false); !sameSnapshot(got, hostSnapshot(reg)) {
 		t.Error("aggregator view diverged from the registry")
 	}
 	if g.Stats().MergeCacheMisses != misses {

@@ -291,7 +291,7 @@ func (g *Aggregator) Ingest(b *Batch, source string) error {
 // bytes of a frame that changed it.
 func (g *Aggregator) ingest(f *frame, source string, sampled bool) error {
 	if err := f.Validate(); err != nil {
-		if _, derr := decodePayload(f.payload, f.count, nil, false); derr != nil {
+		if _, derr := decodePayload(f.payload, f.count, f.compact, nil, false); derr != nil {
 			return derr // a malformed payload is a bad frame first
 		}
 		return g.refuse(f.Batch, err)
@@ -416,7 +416,7 @@ func (g *Aggregator) receive(ctx context.Context, r io.Reader, source string, sa
 	start := stageStart(sampled)
 	f, err := readFrame(r)
 	if err == nil && !f.Delta {
-		f.Snapshots, err = decodePayload(f.payload, f.count, nil, false) // before the shard lock; a delta waits for its base
+		f.Snapshots, err = decodePayload(f.payload, f.count, f.compact, nil, false) // before the shard lock; a delta waits for its base
 	}
 	if errors.As(err, new(*UnknownLayoutError)) {
 		return nil, g.refuse(f.Batch, err) // the whole frame came with the error
@@ -953,11 +953,6 @@ func (g *Aggregator) WriteMetrics(w *telemetry.Writer) {
 		w.WorkloadHistograms("vscsistats_fleet", "Cluster-wide merge: ", cluster, nil)
 	}
 }
-
-// Tiers groups the aggregator's host set by federation level, ascending.
-// A flat fleet has one level-0 tier; an aggregator fed by re-exporters
-// shows each tier's host and folded-leaf counts.
-func (g *Aggregator) Tiers() []TierStatus { return tiersOf(g.Hosts()) }
 
 func tiersOf(hosts []HostStatus) []TierStatus {
 	byLevel := make(map[int]*TierStatus)

@@ -62,14 +62,14 @@ func TestAggregatorSeqNeverRollsBack(t *testing.T) {
 	if len(hosts) != 1 || hosts[0].Seq != 5 || hosts[0].Batches != 2 {
 		t.Fatalf("hosts after late retry: %+v", hosts)
 	}
-	if got, want := agg.ClusterSnapshot(false), newer.HostSnapshot(); !sameSnapshot(got, want) {
+	if got, want := agg.ClusterSnapshot(false), hostSnapshot(newer); !sameSnapshot(got, want) {
 		t.Error("late retry rolled host state back to the older batch")
 	}
 	// Equal sequence is a refresh, not a rollback.
 	if err := agg.Ingest(batchFor(older, "esx-a", 5), "push"); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := agg.ClusterSnapshot(false), older.HostSnapshot(); !sameSnapshot(got, want) {
+	if got, want := agg.ClusterSnapshot(false), hostSnapshot(older); !sameSnapshot(got, want) {
 		t.Error("equal-seq batch did not refresh the stored snapshots")
 	}
 }
@@ -100,7 +100,7 @@ func TestAggregatorStalenessWithInjectedClock(t *testing.T) {
 	if st := agg.Stats(); st.Hosts != 2 || st.StaleHosts != 1 {
 		t.Errorf("stats: %+v", st)
 	}
-	if !sameSnapshot(agg.ClusterSnapshot(false), regB.HostSnapshot()) {
+	if !sameSnapshot(agg.ClusterSnapshot(false), hostSnapshot(regB)) {
 		t.Error("stale host still contributes to the merged view")
 	}
 	if !sameSnapshot(agg.ClusterSnapshot(true), both) {
@@ -201,7 +201,7 @@ func TestAggregatorHTTPSurface(t *testing.T) {
 	if err := json.Unmarshal(body, &snap); err != nil {
 		t.Fatal(err)
 	}
-	if want := reg.HostSnapshot(); !sameSnapshot(&snap, want) {
+	if want := hostSnapshot(reg); !sameSnapshot(&snap, want) {
 		t.Error("served cluster snapshot not bin-exact")
 	}
 

@@ -41,8 +41,9 @@ func applyDeltaSnaps(base, deltas []*core.Snapshot) ([]*core.Snapshot, error) {
 // decodeDense is the payload decoder as it was before deltas were decoded
 // onto their base, kept as the reference: every snapshot starts from
 // zeros, and each class-all histogram is derived from its reads and writes
-// once all three are read.
-func decodeDense(payload []byte, count int) ([]*core.Snapshot, error) {
+// once all three are read; in a compact payload a derived snapshot reads
+// its 11 histograms and core.Snapshot.Derive makes the rest.
+func decodeDense(payload []byte, count int, compact bool) ([]*core.Snapshot, error) {
 	p := payloadReader{buf: payload}
 	if count < 0 || count > len(p.buf)/layout.minBytes {
 		return nil, badFrame("header count %d cannot fit a %d-byte payload", count, len(payload))
@@ -55,15 +56,37 @@ func decodeDense(payload []byte, count int) ([]*core.Snapshot, error) {
 		out = make([]*core.Snapshot, count)
 		core.MakeWritable(out)
 	}
+	var vm, disk []byte
 	for _, s := range out {
-		s.VM, s.Disk = string(p.bytes()), string(p.bytes())
-		s.Commands, s.NumReads, s.NumWrites = p.varint(), p.varint(), p.varint()
-		s.ReadBytes, s.WriteBytes, s.Errors = p.varint(), p.varint(), p.varint()
+		derived := false
+		vm, disk = p.name(vm, compact), p.name(disk, compact)
+		if compact {
+			switch flags := p.uvarint(); flags {
+			case 0:
+			case snapDerived:
+				derived = true
+			default:
+				p.fail("unknown snapshot flags")
+			}
+		}
+		s.VM, s.Disk = string(vm), string(disk)
+		if derived {
+			s.Errors = p.varint()
+		} else {
+			s.Commands, s.NumReads, s.NumWrites = p.varint(), p.varint(), p.varint()
+			s.ReadBytes, s.WriteBytes, s.Errors = p.varint(), p.varint(), p.varint()
+		}
 		cells := s.Cells()
 		for k := range layout.hists {
+			if derived && isAll(&layout.hists[k]) {
+				continue
+			}
 			h := layout.hists[k].Of(cells)
 			n := len(h) - 4
-			h[n+1], h[n], h[n+2], h[n+3] = p.varint(), p.varint(), p.varint(), p.varint()
+			if !derived {
+				h[n+1] = p.varint()
+			}
+			h[n], h[n+2], h[n+3] = p.varint(), p.varint(), p.varint()
 			nnz := p.uvarint()
 			if nnz > uint64(n) {
 				p.fail("more non-zero bins than bins")
@@ -85,7 +108,7 @@ func decodeDense(payload []byte, count int) ([]*core.Snapshot, error) {
 		for k := range layout.hists {
 			h := layout.hists[k].Of(cells)
 			n := len(h) - 4
-			if isAll(&layout.hists[k]) {
+			if isAll(&layout.hists[k]) && !derived {
 				r, w := layout.hists[k+1].Of(cells), layout.hists[k+2].Of(cells)
 				for j := range h[:n+1] {
 					h[j] += r[j] + w[j]
@@ -94,6 +117,9 @@ func decodeDense(payload []byte, count int) ([]*core.Snapshot, error) {
 			for _, c := range h[:n] {
 				h[n+1] += c
 			}
+		}
+		if derived {
+			s.Derive()
 		}
 	}
 	if p.off != len(p.buf) {
@@ -138,25 +164,34 @@ func FuzzApplyDeltaPayload(f *testing.F) {
 	foreign := makeRegistry(8, 10, 10, 0).Snapshots() // a hundred disks the base lacks
 	for _, snaps := range [][]*core.Snapshot{nil, partial, every, backwards, reversed, twice, foreign, append(partial, foreign[0])} {
 		p := snapsOf(f, snaps)
-		f.Add(p, len(snaps))
-		f.Add(append(p, 0), len(snaps))
+		f.Add(p, len(snaps), true)
+		f.Add(append(p, 0), len(snaps), true)
 		if len(p) > 0 {
 			flipped := append([]byte(nil), p...)
 			flipped[len(p)/2] ^= 0x21
-			f.Add(flipped, len(snaps))
-			f.Add(p[:len(p)*2/3], len(snaps))
+			f.Add(flipped, len(snaps), true)
+			f.Add(p[:len(p)*2/3], len(snaps), true)
 		}
 	}
+	// Generation-5 payloads, and compact ones that name a disk twice, the
+	// first time whole: each must add as ApplyDelta does, in turn.
+	for _, snaps := range [][]*core.Snapshot{partial, twice} {
+		f.Add(appendPayloadV5(snaps)[8:], len(snaps), false)
+	}
+	whole := []*core.Snapshot{every[1], every[1]}
+	core.MakeWritable(whole[:1])
+	whole[0].Cells()[0]++ // class-all I/O length ≠ reads + writes
+	f.Add(snapsOf(f, whole), 2, true)
 	bound := uint64(len(base)+1)*uint64(2*layout.decodedBytes) + 64<<10
 
-	f.Fuzz(func(t *testing.T, payload []byte, count int) {
+	f.Fuzz(func(t *testing.T, payload []byte, count int, compact bool) {
 		var got []*core.Snapshot
 		var err error
 		grew := uint64(math.MaxUint64)
 		for range 2 { // the smaller of two, so another goroutine's allocation is not counted
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			got, err = decodePayload(payload, count, base, false)
+			got, err = decodePayload(payload, count, compact, base, false)
 			runtime.ReadMemStats(&after)
 			grew = min(grew, after.TotalAlloc-before.TotalAlloc)
 		}
@@ -171,9 +206,9 @@ func FuzzApplyDeltaPayload(f *testing.F) {
 
 		own := slices.Clone(base)
 		core.MakeWritable(own)
-		_, ierr := decodePayload(payload, count, own, true)
+		_, ierr := decodePayload(payload, count, compact, own, true)
 
-		deltas, derr := decodeDense(payload, count)
+		deltas, derr := decodeDense(payload, count, compact)
 		want, werr := deltas, derr
 		if derr == nil {
 			want, werr = applyDeltaSnaps(base, deltas)
@@ -213,7 +248,7 @@ func FuzzApplyDeltaPayload(f *testing.F) {
 			}
 		}
 
-		full, err := decodePayload(payload, count, nil, false)
+		full, err := decodePayload(payload, count, compact, nil, false)
 		if (err == nil) != (derr == nil) || (err != nil && !errors.Is(err, ErrBadFrame)) {
 			t.Fatalf("decode onto nothing: %v, reference: %v", err, derr)
 		}

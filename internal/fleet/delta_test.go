@@ -63,7 +63,7 @@ func TestDeltaChainReassemblesExactly(t *testing.T) {
 		base = cur
 	}
 
-	want := reg.HostSnapshot()
+	want := hostSnapshot(reg)
 	if got := g.ClusterSnapshot(false); !sameSnapshot(got, want) {
 		t.Error("delta-reassembled cluster state diverged from the registry")
 	}
@@ -236,7 +236,7 @@ func TestMergeCacheHitsAndInvalidation(t *testing.T) {
 	// New state must invalidate: the next scrape re-merges and sees it.
 	feed(reg.List()[0], 123, 60)
 	pushFull(t, g, "esx-e", 2, reg)
-	want := reg.HostSnapshot()
+	want := hostSnapshot(reg)
 	if got := g.ClusterSnapshot(false); !sameSnapshot(got, want) {
 		t.Error("scrape after ingest returned stale cached state")
 	}
@@ -262,7 +262,7 @@ func TestAgentDeltaPushesEndToEnd(t *testing.T) {
 		if err := a.PushNow(); err != nil {
 			t.Fatalf("push %d: %v", i+2, err)
 		}
-		if got := as.agg.ClusterSnapshot(false); !sameSnapshot(got, reg.HostSnapshot()) {
+		if got := as.agg.ClusterSnapshot(false); !sameSnapshot(got, hostSnapshot(reg)) {
 			t.Fatalf("aggregator view diverged from registry after push %d", i+2)
 		}
 	}
@@ -306,7 +306,7 @@ func TestAgentResyncsAfterAggregatorRestart(t *testing.T) {
 	if err := a.PushNow(); err != nil {
 		t.Fatalf("push across aggregator restart: %v", err)
 	}
-	if got := agg.Load().ClusterSnapshot(false); !sameSnapshot(got, reg.HostSnapshot()) {
+	if got := agg.Load().ClusterSnapshot(false); !sameSnapshot(got, hostSnapshot(reg)) {
 		t.Error("post-restart state diverged from the registry")
 	}
 	st := a.Stats()

@@ -7,3 +7,6 @@ var (
 	MakeRegistry = makeRegistry
 	Feed         = feed
 )
+
+// Tiers groups an aggregator's host set by federation level, ascending.
+func Tiers(g *Aggregator) []TierStatus { return tiersOf(g.Hosts()) }

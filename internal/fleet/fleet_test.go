@@ -60,6 +60,11 @@ func diskName(d int) string {
 	return "scsi0:" + string(rune('0'+d))
 }
 
+// hostSnapshot merges every disk of reg: the host's view.
+func hostSnapshot(reg *core.Registry) *core.Snapshot {
+	return core.Aggregate("*", "*", reg.Snapshots()...)
+}
+
 // sameSnapshot reports a bin-exact match across all six metrics, all three
 // classes, and every counter (VM/Disk names excluded — rollups rename).
 func sameSnapshot(a, b *core.Snapshot) bool {

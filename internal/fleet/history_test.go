@@ -343,7 +343,7 @@ func TestHistoryAcrossCounterReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := after.HostSnapshot()
+	want := hostSnapshot(after)
 	if !g.ClusterSnapshot(true).StateEquals(want) {
 		t.Fatal("live ingest did not follow the restart")
 	}

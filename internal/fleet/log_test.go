@@ -717,7 +717,7 @@ func TestLogRestartZeroResync(t *testing.T) {
 	if got := g2.Stats().DeltasApplied; got < 1 {
 		t.Errorf("replayed aggregator applied %d deltas, want the post-restart one", got)
 	}
-	if got := g2.ClusterSnapshot(false); !sameSnapshot(got, reg.HostSnapshot()) {
+	if got := g2.ClusterSnapshot(false); !sameSnapshot(got, hostSnapshot(reg)) {
 		t.Error("post-restart cluster view diverged from the registry")
 	}
 }
@@ -874,7 +874,7 @@ func TestReplaySkipsRefusedDeltaUntouched(t *testing.T) {
 		t.Errorf("replayed %d frames, skipped %d; want 4 and 1", st.Frames, st.Skipped)
 	}
 	if !sameSnapshot(g2.ClusterSnapshot(false), control.ClusterSnapshot(false)) ||
-		!sameSnapshot(g2.ClusterSnapshot(false), reg.HostSnapshot()) {
+		!sameSnapshot(g2.ClusterSnapshot(false), hostSnapshot(reg)) {
 		t.Error("boot over the refused delta is not the state live ingest of the same frames holds")
 	}
 	sameMerges(t, "booted", g2, control)

@@ -74,7 +74,7 @@ func TestFleetExposition(t *testing.T) {
 	}
 
 	// The merged view holds the fresh host only.
-	c := fresh.HostSnapshot()
+	c := hostSnapshot(fresh)
 	for name, want := range map[string]int64{
 		"vscsistats_fleet_commands_total":    c.Commands,
 		"vscsistats_fleet_reads_total":       c.NumReads,
@@ -89,7 +89,13 @@ func TestFleetExposition(t *testing.T) {
 	}
 	for _, vm := range []string{"vm-a", `vm-"odd"`} {
 		got := promtest.Find(t, samples, "vscsistats_fleet_vm_commands_total", "vm", vm).Value
-		if want := fresh.VMSnapshot(vm).Commands; int64(got) != want {
+		var want int64
+		for _, s := range fresh.Snapshots() {
+			if s.VM == vm {
+				want += s.Commands
+			}
+		}
+		if int64(got) != want {
 			t.Errorf("vm_commands{%s} = %v, want %d", vm, got, want)
 		}
 	}

@@ -11,12 +11,15 @@ import (
 	"vscsistats/internal/core"
 )
 
-// The binary payload (frame flag flagBinary), uncompressed:
+// The binary payload of a generation-6 frame (frame flag flagCompact):
 //
 //	payload  := layoutID(8 B, big-endian)  snapshot × header.Count
-//	snapshot := str(VM) str(Disk)  zz × 6 (Commands, NumReads, NumWrites,
-//	            ReadBytes, WriteBytes, Errors)  hist × 16
-//	hist     := zz(Total − Σcounts) zz(Sum) zz(Min) zz(Max)
+//	snapshot := name(VM) name(Disk) uvarint(flags) body
+//	name     := uvarint(shared) str(suffix)
+//	body     := zz(Errors) hist × 11             if flags has snapDerived
+//	          | zz × 6 (Commands, NumReads, NumWrites, ReadBytes, WriteBytes,
+//	            Errors)  hist × 16 (full)         otherwise
+//	hist     := [zz(Total − Σcounts)] zz(Sum) zz(Min) zz(Max)
 //	            uvarint(nnz) { uvarint(gap) zz(count) } × nnz
 //	str      := uvarint(len) bytes
 //	zz       := zig-zag varint (encoding/binary's Varint)
@@ -24,20 +27,22 @@ import (
 // The 16 histograms come in a fixed order: ioLength, seekDistance,
 // outstandingIOs, latency, interarrival, each as all, reads, writes; then
 // the windowed seek distance. Bins are sparse: nnz non-zero bins, each
-// located by the count of zero bins skipped since the previous one. A
-// class-all histogram carries its bins and Sum as the residual against
-// reads + writes of the same metric — the collector keeps all == reads +
-// writes, so the residual is almost always empty, and because every
-// subtraction and addition wraps in two's complement the reconstruction
-// is exact for any input, including a torn snapshot where the identity
-// does not hold. Total is the residual against the histogram's own bins
-// for the same reason.
+// located by the count of zero bins skipped since the previous one.
+//
+// A name shares a prefix with the previous snapshot's. A core.Snapshot that
+// is Derived, as captures, deltas and merges are, leaves out what Derive
+// rebuilds. Any other is whole: class-all bins and Sum as the residual
+// against reads + writes, every Total against its bins, which wraps and so
+// is exact for any input. Generation 5 (up to b2f5a5c) is every snapshot
+// whole behind str(VM) str(Disk), with no flags.
 //
 // Names, units and edges never travel: layoutID is a hash of this binary's
 // (see layout below), and the decoder writes the numbers straight into a
 // snapshot's cells, whose layout core fixes (core.CellTable, which is in
 // payload order). A frame whose layoutID is not ours is an
 // UnknownLayoutError, not a bad frame.
+
+const snapDerived = 1 // the snapshot flag of the derived body
 
 // wireLayout is what the codec knows about a snapshot's cells.
 type wireLayout struct {
@@ -47,8 +52,8 @@ type wireLayout struct {
 	// zeros stands in for reads and writes when encoding a histogram that
 	// is not a class-all residual.
 	zeros []int64
-	// minBytes is the smallest encoded snapshot: two empty names, six
-	// one-byte counters and five bytes per empty histogram. It bounds
+	// minBytes is the smallest encoded snapshot, a derived one: two empty
+	// names, flags, errors and four bytes per empty histogram. It bounds
 	// header.Count by the payload's size before anything is allocated.
 	minBytes int
 	// decodedBytes is what one decoded snapshot costs in memory.
@@ -74,7 +79,7 @@ var layout = func() *wireLayout {
 	}
 	l.id = h.Sum64()
 	l.zeros = empty.Cells()
-	l.minBytes = 2 + 6 + 5*len(l.hists)
+	l.minBytes = 4 + 1 + 1 + 4*(len(l.hists)-5)
 	l.decodedBytes = int(unsafe.Sizeof(*empty)) + 8*len(l.zeros)
 	return l
 }()
@@ -102,29 +107,45 @@ func (e *UnknownLayoutError) Error() string {
 	return fmt.Sprintf("fleet: frame layout %#016x is not this binary's %#016x", e.LayoutID, layout.id)
 }
 
-// appendPayload renders snaps as a binary payload onto dst. Any snapshot can
+// appendPayload renders snaps as a compact payload onto dst. Any snapshot can
 // be rendered; only a null one is an error.
 func appendPayload(dst []byte, snaps []*core.Snapshot) ([]byte, error) {
 	dst = binary.BigEndian.AppendUint64(dst, layout.id)
+	var prevVM, prevDisk string
 	for i, s := range snaps {
 		if s == nil {
 			return nil, fmt.Errorf("fleet: snapshot %d is null", i)
 		}
-		dst = appendStr(appendStr(dst, s.VM), s.Disk)
-		for _, c := range [...]int64{s.Commands, s.NumReads, s.NumWrites, s.ReadBytes, s.WriteBytes, s.Errors} {
-			dst = binary.AppendVarint(dst, c)
+		dst = appendName(appendName(dst, prevVM, s.VM), prevDisk, s.Disk)
+		prevVM, prevDisk = s.VM, s.Disk
+		flags := byte(0)
+		if s.Derived() {
+			flags = snapDerived
 		}
-		cells := s.Cells()
-		for k := range layout.hists {
-			h := layout.hists[k].Of(cells)
-			r, w := layout.zeros[:len(h)], layout.zeros[:len(h)]
-			if isAll(&layout.hists[k]) {
-				r, w = layout.hists[k+1].Of(cells), layout.hists[k+2].Of(cells)
-			}
-			dst = appendHist(dst, h, r, w)
-		}
+		dst = appendBody(append(dst, flags), s, flags)
 	}
 	return dst, nil
+}
+
+// appendBody renders s after its names and flags: if derived, its errors and
+// the histograms that are not class-all, else everything.
+func appendBody(dst []byte, s *core.Snapshot, flags byte) []byte {
+	derived := flags == snapDerived
+	for _, c := range []int64{s.Commands, s.NumReads, s.NumWrites, s.ReadBytes, s.WriteBytes, s.Errors}[5*flags:] {
+		dst = binary.AppendVarint(dst, c)
+	}
+	cells := s.Cells()
+	for k := range layout.hists {
+		r, w := layout.zeros, layout.zeros
+		if isAll(&layout.hists[k]) {
+			if derived {
+				continue
+			}
+			r, w = layout.hists[k+1].Of(cells), layout.hists[k+2].Of(cells)
+		}
+		dst = appendHist(dst, layout.hists[k].Of(cells), r, w, !derived)
+	}
+	return dst
 }
 
 // appendStr renders a length-prefixed string.
@@ -132,9 +153,19 @@ func appendStr(dst []byte, s string) []byte {
 	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
 }
 
+// appendName renders s front-coded against prev.
+func appendName(dst []byte, prev, s string) []byte {
+	n := 0
+	for n < len(prev) && n < len(s) && prev[n] == s[n] {
+		n++
+	}
+	return appendStr(binary.AppendUvarint(dst, uint64(n)), s[n:])
+}
+
 // appendHist renders one histogram's cells (bins, sum, total, min, max),
-// its bins and sum travelling as h − r − w.
-func appendHist(dst []byte, h, r, w []int64) []byte {
+// its bins and sum travelling as h − r − w and its total, if withTotal, as
+// the residual against its bins.
+func appendHist(dst []byte, h, r, w []int64, withTotal bool) []byte {
 	n := len(h) - 4
 	var total int64
 	nnz := 0
@@ -144,7 +175,9 @@ func appendHist(dst []byte, h, r, w []int64) []byte {
 			nnz++
 		}
 	}
-	dst = binary.AppendVarint(dst, h[n+1]-total)
+	if withTotal {
+		dst = binary.AppendVarint(dst, h[n+1]-total)
+	}
 	dst = binary.AppendVarint(dst, h[n]-r[n]-w[n])
 	dst = binary.AppendVarint(dst, h[n+2])
 	dst = binary.AppendVarint(dst, h[n+3])
@@ -210,12 +243,31 @@ func (p *payloadReader) bytes() []byte {
 	return s
 }
 
+// name reads a name onto prev, the previous one, and returns it in prev's
+// memory: front-coded if compact.
+func (p *payloadReader) name(prev []byte, compact bool) []byte {
+	var shared uint64
+	if compact {
+		shared = p.uvarint()
+	}
+	if suffix := p.bytes(); shared <= uint64(len(prev)) {
+		return append(prev[:shared], suffix...)
+	}
+	p.fail("name shares more than the previous one holds")
+	return prev[:0]
+}
+
 // hist reads one histogram and adds it onto its cells h, replacing the
-// extrema. A class-all histogram travels as the residual against its reads
-// and writes, which follow it, so those fold into all as well (nil if none).
-func (p *payloadReader) hist(h, all []int64) {
+// extrema; without withTotal the total is the sum of the bins. A class-all
+// histogram travels as the residual against its reads and writes, which
+// follow it, so those fold into all as well (nil if none).
+func (p *payloadReader) hist(h, all []int64, withTotal bool) {
 	n := len(h) - 4
-	total, sum := p.varint(), p.varint()
+	var total int64
+	if withTotal {
+		total = p.varint()
+	}
+	sum := p.varint()
 	h[n+2], h[n+3] = p.varint(), p.varint()
 	h[n], h[n+1] = h[n]+sum, h[n+1]+total
 	if all != nil {
@@ -242,21 +294,56 @@ func (p *payloadReader) hist(h, all []int64) {
 	}
 }
 
+// snapshot reads one snapshot's body after its names onto s, which is zero:
+// in a compact payload its flags first.
+func (p *payloadReader) snapshot(s *core.Snapshot, compact bool) {
+	var flags uint64
+	if compact {
+		flags = p.uvarint()
+	}
+	if flags > snapDerived {
+		p.fail("unknown snapshot flags")
+		return
+	}
+	derived := flags == snapDerived
+	for _, c := range []*int64{&s.Commands, &s.NumReads, &s.NumWrites, &s.ReadBytes, &s.WriteBytes, &s.Errors}[5*flags:] {
+		*c = p.varint() // a derived snapshot carries its errors only
+	}
+	cells := s.Cells()
+	var all []int64
+	for k := range layout.hists {
+		h := layout.hists[k].Of(cells)
+		switch {
+		case layout.hists[k].Class != core.All:
+			p.hist(h, all, !derived) // reads and writes follow their class-all histogram
+		case !derived || !isAll(&layout.hists[k]):
+			p.hist(h, nil, !derived)
+			all = h
+		}
+	}
+	if derived {
+		s.Derive()
+	}
+}
+
 // decodePayload parses the count snapshots of a binary payload, the bytes
-// after its layout id. With a nil base they start from zeros, behind
-// core.MakeWritable's two allocations. With a base each is a delta
-// (Snapshot.Sub): parse stages the whole payload, one snapshot per base disk
-// named and one for the disks the base lacks; only if it is well formed and
-// names no such disk (ResyncUnknownDisk: the sender built on state we lost)
-// does add put each onto its base disk, exactly core.ApplyDelta. An owned
-// base (see chainPos) is added onto in place; a shared one is never written,
-// its named disks become new snapshots and the rest carry over by reference.
-func decodePayload(payload []byte, count int, base []*core.Snapshot, owned bool) ([]*core.Snapshot, error) {
+// after its layout id, in the compact form or generation 5's. With a nil
+// base they start from zeros, behind core.MakeWritable's two allocations.
+// With a base each is a delta (Snapshot.Sub): parse stages the whole
+// payload, one snapshot per base disk named and one for the disks the base
+// lacks; only if it is well formed and names no such disk
+// (ResyncUnknownDisk: the sender built on state we lost) does add put each
+// onto its base disk, exactly core.ApplyDelta. An owned base (see chainPos)
+// is added onto in place; a shared one is never written, its named disks
+// become new snapshots and the rest carry over by reference. Decoded names
+// count against maxDecodedLen too: front-coding repeats them for free.
+func decodePayload(payload []byte, count int, compact bool, base []*core.Snapshot, owned bool) ([]*core.Snapshot, error) {
 	p := payloadReader{buf: payload}
 	if count < 0 || count > len(p.buf)/layout.minBytes {
 		return nil, badFrame("header count %d cannot fit a %d-byte payload", count, len(payload))
 	}
-	if count > maxDecodedLen/layout.decodedBytes {
+	budget := maxDecodedLen - count*layout.decodedBytes
+	if budget < 0 {
 		return nil, badFrame("header count %d decodes past the limit of %d bytes", count, maxDecodedLen)
 	}
 	var out []*core.Snapshot // nil for an empty full batch, as the encoder was handed
@@ -267,39 +354,35 @@ func decodePayload(payload []byte, count int, base []*core.Snapshot, owned bool)
 	st := stagingPool.Get().(*staging)
 	defer stagingPool.Put(st)
 	st.delta, st.named = slices.Grow(st.delta[:0], len(base)+1)[:len(base)+1], st.named[:0]
+	st.vm, st.disk = st.vm[:0], st.disk[:0] // the first names share with ""
 	clear(st.delta)
 	var at baseIndex
 	var unknown error
 	for j := range count {
-		vm, disk := p.bytes(), p.bytes()
-		var s *core.Snapshot
+		st.vm, st.disk = p.name(st.vm, compact), p.name(st.disk, compact)
+		if budget -= len(st.vm) + len(st.disk); budget < 0 {
+			return nil, badFrame("names decode past the limit of %d bytes", maxDecodedLen)
+		}
+		var s, onto *core.Snapshot
 		if base == nil {
 			s = out[j]
-			s.VM, s.Disk = string(vm), string(disk)
-		} else if i, ok := at.find(base, vm, disk); ok {
-			s = st.at(i)
+			s.VM, s.Disk = string(st.vm), string(st.disk)
 		} else {
-			if unknown == nil { // read on: a malformed payload is a bad frame first
-				unknown = resyncErr(ResyncUnknownDisk, "delta for disk %s/%s with no base state", vm, disk)
+			i, ok := at.find(base, st.vm, st.disk)
+			if !ok {
+				if unknown == nil { // read on: a malformed payload is a bad frame first
+					unknown = resyncErr(ResyncUnknownDisk, "delta for disk %s/%s with no base state", st.vm, st.disk)
+				}
+				i = len(base)
 			}
-			s = st.at(len(base))
+			s, onto = st.at(i)
 		}
-		for _, c := range [...]*int64{&s.Commands, &s.NumReads, &s.NumWrites, &s.ReadBytes, &s.WriteBytes, &s.Errors} {
-			*c += p.varint()
-		}
-		cells := s.Cells()
-		var all []int64
-		for k := range layout.hists {
-			h := layout.hists[k].Of(cells)
-			if layout.hists[k].Class != core.All {
-				p.hist(h, all) // reads and writes follow their class-all histogram
-				continue
-			}
-			p.hist(h, nil)
-			all = h
-		}
+		p.snapshot(s, compact)
 		if p.err != nil {
 			return nil, p.err
+		}
+		if onto != nil {
+			onto.AddDelta(s)
 		}
 	}
 	if p.off != len(p.buf) {
@@ -326,26 +409,30 @@ func decodePayload(payload []byte, count int, base []*core.Snapshot, owned bool)
 
 // staging is the parse phase's memory, pooled across decodes.
 type staging struct {
-	delta []*core.Snapshot // by base disk, then the disks it lacks; nil if not named
-	named []int            // the base disks staged, in the order first named
-	spare []*core.Snapshot // the snapshots behind delta
+	delta    []*core.Snapshot // by base disk, then the disks it lacks; nil if not named
+	named    []int            // the base disks staged, in the order first named
+	spare    []*core.Snapshot // the snapshots behind delta, then one to read a disk named again into
+	vm, disk []byte           // the previous front-coded names
 }
 
 var stagingPool = sync.Pool{New: func() any { return new(staging) }}
 
-// at returns the staged delta of base disk i, zeroed when i is first named.
-func (st *staging) at(i int) *core.Snapshot {
-	if st.delta[i] == nil {
-		if k := len(st.named); k == len(st.spare) {
-			st.spare = append(st.spare, nil)
-			core.MakeWritable(st.spare[k:])
-		}
-		s := st.spare[len(st.named)]
-		clear(s.Cells())
-		s.Commands, s.NumReads, s.NumWrites, s.ReadBytes, s.WriteBytes, s.Errors = 0, 0, 0, 0, 0, 0
+// at returns the zeroed snapshot to read base disk i's delta into: its
+// staged delta when i is first named; after that a spare, and the staged
+// delta to add it onto, as ApplyDelta adds two deltas in turn.
+func (st *staging) at(i int) (s, onto *core.Snapshot) {
+	k, onto := len(st.named), st.delta[i] // spare k is past the staged ones
+	if k == len(st.spare) {
+		st.spare = append(st.spare, nil)
+		core.MakeWritable(st.spare[k:])
+	}
+	s = st.spare[k]
+	clear(s.Cells())
+	s.Commands, s.NumReads, s.NumWrites, s.ReadBytes, s.WriteBytes, s.Errors = 0, 0, 0, 0, 0, 0
+	if onto == nil {
 		st.delta[i], st.named = s, append(st.named, i)
 	}
-	return st.delta[i]
+	return s, onto
 }
 
 // baseIndex finds a delta's disks in its base. A sender lists them in its

@@ -297,7 +297,7 @@ func TestMetricsExpositionAudit(t *testing.T) {
 	defer srv.Close()
 
 	agentBefore, aggBefore, shardsBefore := r.agent.Stats(), r.agg.Stats(), r.agg.Shards()
-	logBefore, tiersBefore, rexBefore := r.agg.LogStats(), r.agg.Tiers(), r.rex.Stats()
+	logBefore, tiersBefore, rexBefore := r.agg.LogStats(), fleet.Tiers(r.agg), r.rex.Stats()
 	text, samples := scrape(t, srv.URL)
 
 	// The series the dashboards key on made it out, with their labels, and
@@ -356,7 +356,7 @@ func TestMetricsExpositionAudit(t *testing.T) {
 	for i, after := range r.agg.Shards() {
 		auditFields(t, samples, shardsBefore[i], after, "shard", strconv.Itoa(i))
 	}
-	for i, after := range r.agg.Tiers() {
+	for i, after := range fleet.Tiers(r.agg) {
 		auditFields(t, samples, tiersBefore[i], after, "level", strconv.Itoa(after.Level))
 	}
 }

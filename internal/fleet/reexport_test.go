@@ -92,7 +92,7 @@ func TestReExportTreeMergeEquivalence(t *testing.T) {
 			t.Errorf("%s level/leaves = %d/%d, want 1/%d", name, h.Level, h.Leaves, wantLeaves)
 		}
 	}
-	tiers := global.agg.Tiers()
+	tiers := tiersOf(global.agg.Hosts())
 	if len(tiers) != 1 || tiers[0].Level != 1 || tiers[0].Hosts != 2 || tiers[0].Leaves != 7 {
 		t.Errorf("global tiers = %+v, want one level-1 tier with 2 hosts, 7 leaves", tiers)
 	}
@@ -493,7 +493,7 @@ func TestFleetChaosKillMidTierAggregator(t *testing.T) {
 			default:
 			}
 			global.agg.ClusterSnapshot(false)
-			global.agg.Tiers()
+			tiersOf(global.agg.Hosts())
 			time.Sleep(time.Millisecond)
 		}
 	}()

@@ -144,13 +144,13 @@ func TestTraceIDFollowsPipeline(t *testing.T) {
 // TestWireOldDecoderAcceptsTracedFrame pins the backward direction of
 // version skew across frame generations. The decode rule every earlier
 // reader implements is "any version >= 1, known flags only", so a
-// generation-4 reader — whose known flags are delta and binary — must refuse
-// a generation-5 frame by its flag byte alone, before it ever hands the
-// binary header to a JSON parser, and so must a pre-binary reader, whose
-// known flags are the retired gzip bit and delta. That refusal is why
-// receivers are upgraded before senders.
+// generation-5 reader — whose known flags are delta, binary and checked —
+// must refuse a generation-6 frame by its flag byte alone, before it reads
+// a compact payload as a whole one; so must a generation-4 reader (delta
+// and binary), before it hands the binary header to a JSON parser, and a
+// pre-binary reader, whose known flags are the retired gzip bit and delta.
+// That refusal is why receivers are upgraded before senders.
 func TestWireOldDecoderAcceptsTracedFrame(t *testing.T) {
-	const preBinaryKnownFlags, jsonHeaderKnownFlags = 1<<0 | flagDelta, flagDelta | flagBinary
 	reg := makeRegistry(5, 1, 1, 40)
 	b := &Batch{
 		Host: "new-sender", Seq: 9, Snapshots: reg.Snapshots(),
@@ -160,15 +160,19 @@ func TestWireOldDecoderAcceptsTracedFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if data[4] != Version || Version != 5 {
-		t.Fatalf("version byte %d, want 5", data[4])
+	if data[4] != Version || Version != 6 {
+		t.Fatalf("version byte %d, want 6", data[4])
 	}
-	if data[5] != flagBinary|flagChecked {
-		t.Errorf("full frame flags %#x, want the binary and checked flags alone", data[5])
+	if data[5] != flagBinary|flagChecked|flagCompact {
+		t.Errorf("full frame flags %#x, want the binary, checked and compact flags alone", data[5])
 	}
-	for name, known := range map[string]byte{"pre-binary": preBinaryKnownFlags, "generation-4": jsonHeaderKnownFlags} {
+	for name, known := range map[string]byte{
+		"pre-binary":   1<<0 | flagDelta,
+		"generation-4": flagDelta | flagBinary,
+		"generation-5": flagDelta | flagBinary | flagChecked,
+	} {
 		if data[5]&^known == 0 {
-			t.Errorf("flags %#x pass a %s reader's unknown-flag check; it would parse varints as JSON", data[5], name)
+			t.Errorf("flags %#x pass a %s reader's unknown-flag check; it would misread the frame", data[5], name)
 		}
 	}
 }
@@ -186,7 +190,7 @@ func TestWireUnknownFutureHeaderFieldIgnored(t *testing.T) {
 	}
 	frame := make([]byte, 16)
 	copy(frame[0:4], wireMagic[:])
-	frame[4], frame[5] = Version+1, flagBinary|flagChecked
+	frame[4], frame[5] = Version+1, flagBinary|flagChecked|flagCompact
 	binary.BigEndian.PutUint32(frame[8:12], uint32(len(header)))
 	binary.BigEndian.PutUint32(frame[12:16], uint32(len(payload)))
 	frame = append(append(frame, header...), payload...)

@@ -25,19 +25,21 @@ import (
 //	...    ...  payload: header.Count snapshots, binary (payload.go)
 //	...    4    CRC-32C (Castagnoli) of everything before it
 //
-// Generation 5 (flagChecked) is the one this package writes: a binary
+// Generation 6 (flagCompact) is the one this package writes: a binary
 // header, the batchHeader fields in appendHeader's order (str and zz as in
 // payload.go),
 //
 //	str(Host) uvarint(Seq) zz(SentUnixNano) uvarint(Count) uvarint(BaseSeq)
 //	str(TraceID) zz(CaptureUnixNano) uvarint(Boot) zz(Level) zz(Leaves)
 //
-// and a trailer that readFrame checks before any cell is used. A mismatch is
-// ErrChecksum, never ErrTruncatedFrame; only segment replay reads one as a
-// torn tail, in the newest segment's last frame when it ends at EOF. Older
-// generations are refused by name, never misread (DESIGN §8 upgrades them): a
-// frame without flagChecked is generation 4 (JSON header, no trailer), and
-// one without flagBinary holds the pre-binary JSON payload of versions 1-3.
+// the compact payload, and a trailer that readFrame checks before any cell
+// is used. A mismatch is ErrChecksum, never ErrTruncatedFrame; only segment
+// replay reads one as a torn tail, in the newest segment's last frame when
+// it ends at EOF. Generation 5 (no flagCompact, written up to b2f5a5c) is
+// still read. Older generations are refused by name, never misread
+// (DESIGN §8 upgrades them): a frame without flagChecked is generation 4
+// (JSON header, no trailer), and one without flagBinary holds the
+// pre-binary JSON payload of versions 1-3.
 //
 // Forward compatibility: the head carries the header's length, so a later
 // version appends header fields and a reader ignores the bytes after the
@@ -49,8 +51,9 @@ import (
 const (
 	// Version is the frame version this package writes. Versions 2 and 3
 	// added header fields, 4 the binary payload (flagBinary), 5 the binary
-	// header and trailer (flagChecked); the number itself decides nothing.
-	Version = 5
+	// header and trailer (flagChecked), 6 the compact payload
+	// (flagCompact); the number itself decides nothing.
+	Version = 6
 
 	// Bit 0 is retired (it marked the gzip-compressed JSON payload) and is
 	// never reused: a pre-removal reader would gunzip whatever it meant.
@@ -73,9 +76,14 @@ const (
 	// as an unknown flag instead of parsing varints as JSON.
 	flagChecked = 1 << 3
 
+	// flagCompact marks generation 6, the compact payload (payload.go),
+	// which every frame this package writes carries. Generation-5 readers
+	// reject it as an unknown flag instead of misreading the snapshots.
+	flagCompact = 1 << 4
+
 	// knownFlags is the set of flag bits this decoder understands; frames
 	// carrying others are rejected rather than misinterpreted.
-	knownFlags = flagDelta | flagBinary | flagChecked
+	knownFlags = flagDelta | flagBinary | flagChecked | flagCompact
 
 	// maxHeaderLen and maxPayloadLen bound a frame's declared sizes so a
 	// corrupt or hostile length prefix cannot drive a huge allocation.
@@ -163,16 +171,16 @@ type Batch struct {
 	Leaves int `json:"-"`
 }
 
-// EncodeBatchBytes renders b as one generation-5 frame in memory. It fails on
+// EncodeBatchBytes renders b as one generation-6 frame in memory. It fails on
 // a batch the binary payload cannot carry: one with a null snapshot.
 func EncodeBatchBytes(b *Batch) ([]byte, error) {
-	flags := byte(flagBinary | flagChecked)
+	flags := byte(flagBinary | flagChecked | flagCompact)
 	var baseSeq uint64 // meaningless without the flag, so full frames carry 0
 	if b.Delta {
 		flags |= flagDelta
 		baseSeq = b.BaseSeq
 	}
-	// A sim-shaped snapshot encodes to 200-300 bytes; the guess only has
+	// A sim-shaped snapshot encodes to 150-250 bytes; the guess only has
 	// to keep append from growing the frame more than once.
 	frame := make([]byte, 16, 16+64+len(b.Host)+len(b.TraceID)+8+320*len(b.Snapshots)+4)
 	frame = appendHeader(frame, b, len(b.Snapshots), baseSeq)
@@ -192,7 +200,7 @@ func EncodeBatchBytes(b *Batch) ([]byte, error) {
 	return binary.BigEndian.AppendUint32(frame, crc32.Checksum(frame, castagnoli)), nil
 }
 
-// appendHeader renders a generation-5 header: the Batch fields in their
+// appendHeader renders a binary header: the Batch fields in their
 // fixed order, with the snapshot count after SentUnixNano, so a reader can
 // size-check before decoding the payload. BaseSeq means something only
 // beside flagDelta.
@@ -284,7 +292,7 @@ func readSized(r io.Reader, dst []byte, n uint32, what string) ([]byte, error) {
 func DecodeBatch(r io.Reader) (*Batch, error) {
 	f, err := readFrame(r)
 	if err == nil {
-		f.Snapshots, err = decodePayload(f.payload, f.count, nil, false)
+		f.Snapshots, err = decodePayload(f.payload, f.count, f.compact, nil, false)
 	}
 	if err != nil {
 		return nil, err
@@ -297,6 +305,7 @@ func DecodeBatch(r io.Reader) (*Batch, error) {
 type frame struct {
 	*Batch
 	count   int    // the header's snapshot count
+	compact bool   // flagCompact: the payload's form
 	raw     []byte // head, header, payload and trailer
 	payload []byte // the snapshots: raw's payload after its layout id
 }
@@ -358,7 +367,7 @@ func readFrame(r io.Reader) (*frame, error) {
 	if len(payload) < 8 {
 		return nil, badFrame("binary payload of %d bytes has no layout id", len(payload))
 	}
-	f := &frame{Batch: out, count: count, raw: raw, payload: payload[8:]}
+	f := &frame{Batch: out, count: count, compact: flags&flagCompact != 0, raw: raw, payload: payload[8:]}
 	if id := binary.BigEndian.Uint64(payload); id != layout.id {
 		return f, &UnknownLayoutError{Header: out, LayoutID: id}
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -148,6 +149,40 @@ func FuzzDecodeBatch(f *testing.F) {
 		f.Add(v3[:cut])
 	}
 
+	// Both payload forms around the same batches: the generation-5 golden
+	// frames (no flagCompact) and their generation-6 renderings, and a
+	// compact frame whose snapshots are whole (not derived) and whose names
+	// share prefixes, with its front-coding spoiled.
+	for _, name := range []string{"frame_golden_v5.bin", "frame_golden_v6.bin"} {
+		golden, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		for r := bytes.NewReader(golden); r.Len() > 0; {
+			fr, err := readFrame(r)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(fr.raw)
+		}
+	}
+	rng := rand.New(rand.NewSource(45))
+	whole := &Batch{Host: "seed-whole", Seq: 2, Snapshots: []*core.Snapshot{
+		hostileSnapshot(rng, "vm-a", "scsi0:0", 0.1), hostileSnapshot(rng, "vm-a", "scsi0:1", 0.1), hostileSnapshot(rng, "vm-b", "scsi0:1", 0.1),
+	}}
+	wholeData, err := EncodeBatchBytes(whole)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(wholeData)
+	f.Add(encodeV5(f, whole))
+	wholePrefix, _ := payloadOf(wholeData)
+	for _, at := range []int{8, 8 + 2 + 4} { // the first VM's and disk's shared length
+		spoiled := append([]byte(nil), wholeData...)
+		spoiled[len(wholePrefix)+at] = 3
+		f.Add(reseal(spoiled))
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, err := DecodeBatch(bytes.NewReader(data))
 		if err != nil {
@@ -189,8 +224,8 @@ func FuzzDecodeBatch(f *testing.F) {
 		// Whatever decoded is in this binary's one layout, so the round
 		// trip keeps every cell and the batch merges.
 		for i, s := range b.Snapshots {
-			if !b2.Snapshots[i].StateEquals(s) {
-				t.Fatalf("snapshot %d (%s/%s) changed state in the round trip", i, s.VM, s.Disk)
+			if !b2.Snapshots[i].StateEquals(s) || b2.Snapshots[i].VM != s.VM || b2.Snapshots[i].Disk != s.Disk {
+				t.Fatalf("snapshot %d (%s/%s) changed in the round trip", i, s.VM, s.Disk)
 			}
 		}
 		if len(b.Snapshots) > 0 {

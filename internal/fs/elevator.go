@@ -69,9 +69,6 @@ func NewElevator(eng *simclock.Engine, disk *vscsi.Disk, cfg ElevatorConfig) *El
 // Dispatched how many commands reached the virtual disk.
 func (e *Elevator) Merged() uint64 { return e.merged }
 
-// Dispatched reports commands forwarded to the virtual disk.
-func (e *Elevator) Dispatched() uint64 { return e.dispatched }
-
 // Submit queues one block request. done (optional) fires when the merged
 // command containing this request completes.
 func (e *Elevator) Submit(write bool, lba uint64, blocks uint32, done func(*vscsi.Request)) {

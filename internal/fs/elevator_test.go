@@ -35,8 +35,8 @@ func TestElevatorBackMerge(t *testing.T) {
 	if len(statuses) != 4 {
 		t.Errorf("callbacks fired: %d", len(statuses))
 	}
-	if e.Merged() != 3 || e.Dispatched() != 1 {
-		t.Errorf("Merged=%d Dispatched=%d", e.Merged(), e.Dispatched())
+	if e.Merged() != 3 || e.dispatched != 1 {
+		t.Errorf("Merged=%d Dispatched=%d", e.Merged(), e.dispatched)
 	}
 }
 

@@ -526,25 +526,25 @@ func TestPageCacheDirtyPagesCleans(t *testing.T) {
 	c.insert(pageKey{1, 5}, true)
 	c.insert(pageKey{1, 6}, true)
 	c.insert(pageKey{1, 7}, false)
-	if c.dirtyCount() != 2 {
-		t.Errorf("dirtyCount = %d", c.dirtyCount())
+	if dirtyCount(c) != 2 {
+		t.Errorf("dirtyCount = %d", dirtyCount(c))
 	}
 	d := c.dirtyPages()
 	if len(d) != 2 {
 		t.Fatalf("dirtyPages = %v", d)
 	}
-	if c.dirtyCount() != 0 {
+	if dirtyCount(c) != 0 {
 		t.Error("dirtyPages did not clean")
 	}
-	if c.len() != 3 {
-		t.Errorf("len = %d", c.len())
+	if len(c.pages) != 3 {
+		t.Errorf("len = %d", len(c.pages))
 	}
 }
 
 func TestPageCacheDisabled(t *testing.T) {
 	c := newPageCache(0, 4096)
 	c.insert(pageKey{1, 0}, true)
-	if c.lookup(pageKey{1, 0}) || c.len() != 0 {
+	if c.lookup(pageKey{1, 0}) || len(c.pages) != 0 {
 		t.Error("disabled cache stored a page")
 	}
 }
@@ -673,4 +673,15 @@ func TestPageCacheEvictionWritesBackDirty(t *testing.T) {
 	if writes < 20 {
 		t.Errorf("eviction writeback too low: %d disk writes for 32 dirty pages", writes)
 	}
+}
+
+// dirtyCount reports the number of dirty resident pages.
+func dirtyCount(c *pageCache) int {
+	n := 0
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		if el.Value.(*pageEntry).dirty {
+			n++
+		}
+	}
+	return n
 }

@@ -93,16 +93,3 @@ func (c *pageCache) dirtyPages() []pageKey {
 	}
 	return out
 }
-
-// dirtyCount reports the number of dirty resident pages.
-func (c *pageCache) dirtyCount() int {
-	n := 0
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		if el.Value.(*pageEntry).dirty {
-			n++
-		}
-	}
-	return n
-}
-
-func (c *pageCache) len() int { return len(c.pages) }

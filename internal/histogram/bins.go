@@ -53,17 +53,3 @@ var (
 
 // NewIOLength returns an empty I/O length histogram with the paper's bins.
 func NewIOLength(name string) *Histogram { return IOLengthLayout.New(name) }
-
-// NewSeekDistance returns an empty seek distance histogram with the paper's
-// bins.
-func NewSeekDistance(name string) *Histogram { return SeekDistanceLayout.New(name) }
-
-// NewLatency returns an empty latency histogram with the paper's bins.
-func NewLatency(name string) *Histogram { return LatencyLayout.New(name) }
-
-// NewInterarrival returns an empty inter-arrival histogram.
-func NewInterarrival(name string) *Histogram { return InterarrivalLayout.New(name) }
-
-// NewOutstanding returns an empty outstanding-I/Os histogram with the
-// paper's bins.
-func NewOutstanding(name string) *Histogram { return OutstandingLayout.New(name) }

@@ -142,9 +142,6 @@ func (h *Histogram) Unit() string { return h.layout.unit }
 // NumBins returns the number of bins including the overflow bin.
 func (h *Histogram) NumBins() int { return h.layout.NumBins() }
 
-// BinIndex returns the bin a value of v would be counted in.
-func (h *Histogram) BinIndex(v int64) int { return h.layout.Bin(v) }
-
 // Insert counts one sample: a table lookup plus two atomic adds, and two
 // bound checks that CAS only when the sample extends the observed range.
 func (h *Histogram) Insert(v int64) {

@@ -19,7 +19,7 @@ func TestBinIndexBoundaries(t *testing.T) {
 		{31, 3}, {1000, 3}, {math.MaxInt64, 3},
 	}
 	for _, c := range cases {
-		if got := h.BinIndex(c.v); got != c.want {
+		if got := h.layout.Bin(c.v); got != c.want {
 			t.Errorf("BinIndex(%d) = %d, want %d", c.v, got, c.want)
 		}
 	}
@@ -62,7 +62,7 @@ func TestEmptySnapshot(t *testing.T) {
 }
 
 func TestInsertNegativeValues(t *testing.T) {
-	h := NewSeekDistance("seek")
+	h := SeekDistanceLayout.New("seek")
 	h.Insert(-1000000)
 	h.Insert(-300)
 	h.Insert(0)
@@ -85,7 +85,7 @@ func TestInsertNegativeValues(t *testing.T) {
 func TestSequentialDistanceLandsInBinTwo(t *testing.T) {
 	// The paper: "sequential I/Os will result in a histogram whose peak is
 	// centered around 1"; with the figure's edges that is the bin labeled 2.
-	h := NewSeekDistance("seek")
+	h := SeekDistanceLayout.New("seek")
 	h.Insert(1)
 	s := h.Snapshot()
 	idx := -1
@@ -289,7 +289,7 @@ func TestBinIndexConsistentWithRange(t *testing.T) {
 	s := New("t", "u", SeekDistanceEdges()).Snapshot()
 	h := New("t", "u", SeekDistanceEdges())
 	f := func(v int64) bool {
-		i := h.BinIndex(v)
+		i := h.layout.Bin(v)
 		lo, hi := s.BinRange(i)
 		return v > lo && v <= hi
 	}

@@ -93,7 +93,7 @@ func (h *Host) VMs() []*VM {
 // DiskCounters reports the vSCSI-layer lifetime counters of one virtual
 // disk (telemetry.DiskStatsSource). The counters themselves are atomics,
 // so this is safe to call while simulations run, as long as
-// the topology (CreateVM/AddDisk/DetachDisk) is not mutated concurrently.
+// the topology (CreateVM/AddDisk) is not mutated concurrently.
 func (h *Host) DiskCounters(vmName, diskName string) (issued, completed, errored uint64, inflight int64, ok bool) {
 	vm := h.vms[vmName]
 	if vm == nil {
@@ -180,19 +180,6 @@ func (vm *VM) AddDisk(spec DiskSpec) (*Vdisk, error) {
 // Disk returns the named virtual disk, or nil.
 func (vm *VM) Disk(name string) *Vdisk {
 	return vm.disks[name]
-}
-
-// DetachDisk closes a virtual disk and unregisters its collector. The LUN's
-// extent stays allocated (datastores are bump-allocated); in-flight I/O
-// completes normally. Detaching an unknown disk is a no-op.
-func (vm *VM) DetachDisk(name string) {
-	vd, ok := vm.disks[name]
-	if !ok {
-		return
-	}
-	vd.Disk.Close()
-	vm.host.registry.Unregister(vm.name, name)
-	delete(vm.disks, name)
 }
 
 // Disks lists the VM's virtual disks sorted by name.

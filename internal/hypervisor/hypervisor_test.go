@@ -174,26 +174,3 @@ func TestEndToEndLatencySane(t *testing.T) {
 		t.Errorf("mean latency %v us out of plausible range", lat.Mean())
 	}
 }
-
-func TestDetachDisk(t *testing.T) {
-	eng, h := newHost(t)
-	vm := h.CreateVM("tenant")
-	vd, _ := vm.AddDisk(DiskSpec{Name: "scsi0:0", Datastore: "sym", CapacitySectors: 1 << 20})
-	vm.AddDisk(DiskSpec{Name: "scsi0:1", Datastore: "sym", CapacitySectors: 1 << 20})
-	vd.Disk.Issue(scsi.Read(0, 8), nil) // in flight across detach
-	vm.DetachDisk("scsi0:0")
-	if vm.Disk("scsi0:0") != nil {
-		t.Error("disk still attached")
-	}
-	if h.Registry().Lookup("tenant", "scsi0:0") != nil {
-		t.Error("collector still registered")
-	}
-	if _, err := vd.Disk.Issue(scsi.Read(0, 8), nil); err == nil {
-		t.Error("detached disk should refuse I/O")
-	}
-	eng.Run() // in-flight completion must not panic
-	if vd.Disk.Completed() != 1 {
-		t.Errorf("in-flight I/O lost: %d", vd.Disk.Completed())
-	}
-	vm.DetachDisk("ghost") // no-op
-}

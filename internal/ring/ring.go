@@ -56,9 +56,6 @@ func (r *Ring[T]) Each(fn func(*T)) {
 // Len is the number of retained values.
 func (r *Ring[T]) Len() int { return len(r.buf) }
 
-// Cap is the retention limit.
-func (r *Ring[T]) Cap() int { return r.limit }
-
 // Total is the number of values ever pushed, overwritten ones included.
 func (r *Ring[T]) Total() uint64 { return r.total }
 

@@ -55,8 +55,8 @@ func TestRing(t *testing.T) {
 		if wantLen := len(tc.want); tc.n <= 0 && r.Len() != wantLen {
 			t.Errorf("%s: Len = %d, want %d", tc.name, r.Len(), wantLen)
 		}
-		if r.Cap() != max(tc.limit, 1) {
-			t.Errorf("%s: Cap = %d, want %d", tc.name, r.Cap(), max(tc.limit, 1))
+		if r.limit != max(tc.limit, 1) {
+			t.Errorf("%s: limit = %d, want %d", tc.name, r.limit, max(tc.limit, 1))
 		}
 	}
 }

@@ -124,15 +124,9 @@ func (a *Array) CapacitySectors() uint64 {
 	return dataDisks * a.cfg.DiskParams.CapacitySectors
 }
 
-// Cache exposes the read cache for accounting.
-func (a *Array) Cache() *Cache { return a.cache }
-
-// Reads and Writes report completed I/O counts; ReadErrors/WriteErrors the
-// injected failures.
-func (a *Array) Reads() uint64       { return a.reads }
-func (a *Array) Writes() uint64      { return a.writes }
-func (a *Array) ReadErrors() uint64  { return a.readErrs }
-func (a *Array) WriteErrors() uint64 { return a.wrErrs }
+// Reads and Writes report completed I/O counts.
+func (a *Array) Reads() uint64  { return a.reads }
+func (a *Array) Writes() uint64 { return a.writes }
 
 // chunk is a piece of an array extent mapped onto one spindle.
 type chunk struct {

@@ -34,10 +34,6 @@ func NewCache(capacityBytes int64) *Cache {
 // Enabled reports whether the cache has any capacity.
 func (c *Cache) Enabled() bool { return c.capacity > 0 }
 
-// Hits and Misses report lookup accounting.
-func (c *Cache) Hits() uint64   { return c.hits }
-func (c *Cache) Misses() uint64 { return c.misses }
-
 // Len returns the number of resident lines.
 func (c *Cache) Len() int { return len(c.lines) }
 

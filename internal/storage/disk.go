@@ -105,21 +105,6 @@ func NewDisk(eng *simclock.Engine, p DiskParams, rng *rand.Rand) *Disk {
 	return d
 }
 
-// Served returns the number of completed operations.
-func (d *Disk) Served() uint64 { return d.served }
-
-// QueueDepth returns the number of queued-plus-active operations.
-func (d *Disk) QueueDepth() int {
-	n := len(d.reads) - d.readHead + len(d.writes)
-	if d.busy {
-		n++
-	}
-	return n
-}
-
-// BusyTime returns cumulative service time, for utilization accounting.
-func (d *Disk) BusyTime() simclock.Time { return d.busyTime }
-
 // Submit queues a transfer of sectors at lba; done fires at completion.
 func (d *Disk) Submit(lba uint64, sectors uint32, write bool, done func()) {
 	op := diskOp{lba, sectors, write, done}

@@ -73,13 +73,13 @@ func TestRAID5SoakMatchesGolden(t *testing.T) {
 
 	var served uint64
 	for _, d := range a.disks {
-		served += d.Served()
-		if d.QueueDepth() != 0 {
-			t.Errorf("spindle left with queue depth %d", d.QueueDepth())
+		served += d.served
+		if queueDepth(d) != 0 {
+			t.Errorf("spindle left with queue depth %d", queueDepth(d))
 		}
 	}
-	got := []uint64{a.Reads(), a.Writes(), a.ReadErrors(), a.WriteErrors(),
-		a.cache.Hits(), a.cache.Misses(), served, uint64(failed), eng.Dispatched(), uint64(eng.Now())}
+	got := []uint64{a.Reads(), a.Writes(), a.readErrs, a.wrErrs,
+		a.cache.hits, a.cache.misses, served, uint64(failed), eng.Dispatched(), uint64(eng.Now())}
 	want := []uint64{5949, 3947, 73, 31, 2099, 3850, 53631, 104, 68141, 39463867703}
 	names := []string{"reads", "writes", "readErrs", "wrErrs",
 		"cacheHits", "cacheMisses", "served", "failed", "dispatched", "now"}

@@ -7,6 +7,15 @@ import (
 	"vscsistats/internal/simclock"
 )
 
+// queueDepth is a disk's queued-plus-active operations.
+func queueDepth(d *Disk) int {
+	n := len(d.reads) - d.readHead + len(d.writes)
+	if d.busy {
+		n++
+	}
+	return n
+}
+
 func testParams() DiskParams { return DefaultDiskParams(1 << 28) }
 
 func TestDiskSequentialNeedsNoPositioning(t *testing.T) {
@@ -56,8 +65,8 @@ func TestDiskFIFOAndBusyAccounting(t *testing.T) {
 		i := i
 		d.Submit(uint64(i)*1_000_000, 16, false, func() { order = append(order, i) })
 	}
-	if d.QueueDepth() != 3 {
-		t.Errorf("QueueDepth = %d, want 3", d.QueueDepth())
+	if queueDepth(d) != 3 {
+		t.Errorf("QueueDepth = %d, want 3", queueDepth(d))
 	}
 	eng.Run()
 	for i := range order {
@@ -65,11 +74,11 @@ func TestDiskFIFOAndBusyAccounting(t *testing.T) {
 			t.Fatalf("completion order %v", order)
 		}
 	}
-	if d.Served() != 3 || d.QueueDepth() != 0 {
-		t.Errorf("Served=%d depth=%d", d.Served(), d.QueueDepth())
+	if d.served != 3 || queueDepth(d) != 0 {
+		t.Errorf("Served=%d depth=%d", d.served, queueDepth(d))
 	}
-	if d.BusyTime() <= 0 || d.BusyTime() > eng.Now() {
-		t.Errorf("BusyTime %v out of range (now %v)", d.BusyTime(), eng.Now())
+	if d.busyTime <= 0 || d.busyTime > eng.Now() {
+		t.Errorf("BusyTime %v out of range (now %v)", d.busyTime, eng.Now())
 	}
 }
 
@@ -91,12 +100,12 @@ func TestDiskReadQueueConsumedFromHead(t *testing.T) {
 		refill()
 	}
 	eng.Step() // one read served and replaced: one in service, five queued
-	if d.QueueDepth() != 6 {
-		t.Errorf("QueueDepth = %d with a consumed prefix, want 6", d.QueueDepth())
+	if queueDepth(d) != 6 {
+		t.Errorf("QueueDepth = %d with a consumed prefix, want 6", queueDepth(d))
 	}
 	eng.Run()
-	if d.Served() != 5000 || d.QueueDepth() != 0 {
-		t.Errorf("Served=%d depth=%d", d.Served(), d.QueueDepth())
+	if d.served != 5000 || queueDepth(d) != 0 {
+		t.Errorf("Served=%d depth=%d", d.served, queueDepth(d))
 	}
 	if cap(d.reads) > 16 {
 		t.Errorf("read queue buffer grew to %d for 6 reads in flight", cap(d.reads))
@@ -121,8 +130,8 @@ func TestCacheHitMissLRU(t *testing.T) {
 	if !c.Lookup(0, 8) {
 		t.Fatal("inserted line missed")
 	}
-	if c.Hits() != 1 || c.Misses() != 1 {
-		t.Errorf("hits/misses = %d/%d", c.Hits(), c.Misses())
+	if c.hits != 1 || c.misses != 1 {
+		t.Errorf("hits/misses = %d/%d", c.hits, c.misses)
 	}
 	// Fill lines 1,2 then 3 evicts line 0's... LRU order: touch 0 last.
 	c.Insert(cacheLineSectors, 8)   // line 1
@@ -293,8 +302,8 @@ func TestArrayReadMissThenHit(t *testing.T) {
 	if second >= first {
 		t.Errorf("cache hit %v should beat miss %v", second, first)
 	}
-	if a.Cache().Hits() != 1 || a.Cache().Misses() != 1 {
-		t.Errorf("cache hits/misses = %d/%d", a.Cache().Hits(), a.Cache().Misses())
+	if a.cache.hits != 1 || a.cache.misses != 1 {
+		t.Errorf("cache hits/misses = %d/%d", a.cache.hits, a.cache.misses)
 	}
 	if a.Reads() != 2 {
 		t.Errorf("Reads = %d", a.Reads())
@@ -353,7 +362,7 @@ func TestArrayWriteBackAbsorbsThenSaturates(t *testing.T) {
 func TestArraySequentialPrefetchTurnsMissesIntoHits(t *testing.T) {
 	eng := simclock.NewEngine()
 	a := NewArray(eng, CX3Config(1))
-	hits0 := a.Cache().Hits()
+	hits0 := a.cache.hits
 	// Read 16 consecutive 64 KB lines; after the first two misses the
 	// read-ahead should cover most of the rest.
 	var next func(i int)
@@ -365,7 +374,7 @@ func TestArraySequentialPrefetchTurnsMissesIntoHits(t *testing.T) {
 	}
 	next(0)
 	eng.Run()
-	hits := a.Cache().Hits() - hits0
+	hits := a.cache.hits - hits0
 	if hits < 10 {
 		t.Errorf("sequential stream got only %d/16 hits", hits)
 	}
@@ -387,8 +396,8 @@ func TestArrayErrorInjection(t *testing.T) {
 	if writeOK == nil || *writeOK {
 		t.Error("write should have failed")
 	}
-	if a.ReadErrors() != 1 || a.WriteErrors() != 1 {
-		t.Errorf("error counters: %d/%d", a.ReadErrors(), a.WriteErrors())
+	if a.readErrs != 1 || a.wrErrs != 1 {
+		t.Errorf("error counters: %d/%d", a.readErrs, a.wrErrs)
 	}
 }
 

@@ -100,11 +100,9 @@ func (s *Streamer) Stop() { s.stopOnce.Do(func() { close(s.stop) }) }
 type diskKey struct{ vm, disk string }
 
 // diskRing is what the streamer keeps per virtual disk: the previous
-// cumulative snapshot, the tick that took it and the ring of interval
-// points.
+// cumulative snapshot and the ring of interval points.
 type diskRing struct {
 	prev   *core.Snapshot
-	seq    int64
 	points *ring.Ring[IntervalPoint]
 }
 
@@ -127,16 +125,9 @@ func (s *Streamer) Tick(now time.Time) {
 			s.disks[key] = st
 		}
 		p := IntervalPoint{Seq: seq, UnixNano: now.UnixNano(), Delta: core.IntervalSince(st.prev, snap)}
-		st.prev, st.seq = snap, seq
+		st.prev = snap
 		st.points.Push(p)
 		points = append(points, p)
-	}
-	// A disk that left the registry takes its series with it, so state is
-	// O(disks registered), not O(disks ever seen).
-	for key, st := range s.disks {
-		if st.seq != seq {
-			delete(s.disks, key)
-		}
 	}
 	s.mu.Unlock()
 

@@ -228,27 +228,3 @@ func TestStreamerAfterReset(t *testing.T) {
 		t.Errorf("interval commands = %v, want [10 3 4]", got)
 	}
 }
-
-// TestStreamerForgetsUnregisteredDisks: a disk that leaves the registry
-// takes its ring and its previous snapshot with it, and one that comes
-// back under the same name starts a fresh series.
-func TestStreamerForgetsUnregisteredDisks(t *testing.T) {
-	rig := newRig(t, "vm1", "scsi0:0")
-	rig.col.Enable()
-	s := NewStreamer(rig.reg, time.Second, 8)
-	rig.issue(t, 5, 0)
-	s.Tick(time.Unix(100, 0))
-	if len(s.Series("vm1", "scsi0:0")) != 1 {
-		t.Fatal("no point for the registered disk")
-	}
-	rig.reg.Unregister("vm1", "scsi0:0")
-	s.Tick(time.Unix(101, 0))
-	if pts := s.Series("vm1", "scsi0:0"); pts != nil || len(s.disks) != 0 {
-		t.Fatalf("streamer kept %d points and %d disks after unregister", len(pts), len(s.disks))
-	}
-	rig.reg.Register(rig.col)
-	s.Tick(time.Unix(102, 0))
-	if pts := s.Series("vm1", "scsi0:0"); len(pts) != 1 || pts[0].Delta.Commands != 5 {
-		t.Fatalf("re-registered disk: %+v, want one cumulative point of 5", pts)
-	}
-}

@@ -107,20 +107,6 @@ func (r *ReplayResult) Merged() *core.Snapshot {
 	return core.Aggregate("*", "*", snaps...)
 }
 
-// VMSnapshot merges the replayed disks of one VM (nil if it has none).
-func (r *ReplayResult) VMSnapshot(vm string) *core.Snapshot {
-	var snaps []*core.Snapshot
-	for _, c := range r.cols {
-		if c.VM() != vm {
-			continue
-		}
-		if s := c.Snapshot(); s != nil {
-			snaps = append(snaps, s)
-		}
-	}
-	return core.Aggregate(vm, "*", snaps...)
-}
-
 // fillRequest rebuilds the vSCSI request a record describes, exactly as
 // the legacy replay did.
 func fillRequest(q *vscsi.Request, rec *Record) {

@@ -138,7 +138,7 @@ func TestReplayParallelMatchesLegacyAllWorkerCounts(t *testing.T) {
 			requireSameSnapshot(t, cols[i].VM()+"/"+cols[i].Disk(), oracleSnaps[i], cols[i].Snapshot())
 		}
 		requireSameSnapshot(t, "cluster rollup", wantMerged, res.Merged())
-		requireSameSnapshot(t, "vm rollup", aggregateVM(oracle, recs[0].VM), res.VMSnapshot(recs[0].VM))
+		requireSameSnapshot(t, "vm rollup", aggregateVM(oracle, recs[0].VM), aggregateVM(cols, recs[0].VM))
 	}
 }
 

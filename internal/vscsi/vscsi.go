@@ -70,10 +70,6 @@ type Request struct {
 	finished bool
 }
 
-// Aborted reports whether the guest cancelled the command before it
-// completed.
-func (r *Request) Aborted() bool { return r.aborted }
-
 // Latency is the device latency observed by the guest: issue to completion.
 func (r *Request) Latency() simclock.Time { return r.CompleteTime - r.IssueTime }
 

@@ -283,7 +283,7 @@ func TestAbortInFlightCommand(t *testing.T) {
 	if !d.Abort(r) {
 		t.Fatal("abort refused")
 	}
-	if got == nil || got.Sense.Key != scsi.SenseAbortedCommand || !got.Aborted() {
+	if got == nil || got.Sense.Key != scsi.SenseAbortedCommand || !got.aborted {
 		t.Fatalf("aborted completion: %+v", got)
 	}
 	if d.Inflight() != 0 {
@@ -366,8 +366,8 @@ func TestAbortedInFlightRequestNotRecycledEarly(t *testing.T) {
 			t.Fatalf("command %d got the aborted request while its backend completion is outstanding", i)
 		}
 	}
-	if victim.ID != id || !victim.Aborted() {
-		t.Fatalf("aborted request was rewritten: ID %d aborted %v", victim.ID, victim.Aborted())
+	if victim.ID != id || !victim.aborted {
+		t.Fatalf("aborted request was rewritten: ID %d aborted %v", victim.ID, victim.aborted)
 	}
 	completions := func() (n int) {
 		for _, c := range obs.completed {
@@ -411,7 +411,7 @@ func TestAbortedPendingRequestRecyclesAtOnce(t *testing.T) {
 	if next != queued {
 		t.Fatal("aborted pending request was not reused by the next command")
 	}
-	if next.Aborted() || next.Cmd.LBA != 16 || next.ID != 2 {
+	if next.aborted || next.Cmd.LBA != 16 || next.ID != 2 {
 		t.Fatalf("reused request not reset: %+v", next)
 	}
 	eng.Run()

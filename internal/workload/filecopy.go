@@ -63,9 +63,6 @@ func NewFileCopy(eng *simclock.Engine, fsys fs.FS, cfg FileCopyConfig) *FileCopy
 // Name implements Generator.
 func (c *FileCopy) Name() string { return fmt.Sprintf("filecopy-%dk", c.cfg.ChunkBytes>>10) }
 
-// Copies reports how many full file copies completed.
-func (c *FileCopy) Copies() int64 { return c.copies }
-
 // Setup creates the source (full) and destination (empty) files.
 func (c *FileCopy) Setup() error {
 	src, err := c.fsys.Create("source.dat", c.cfg.FileBytes)

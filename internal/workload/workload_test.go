@@ -237,8 +237,8 @@ func TestFileCopyCompletesAndLoops(t *testing.T) {
 	}
 	fc.Start()
 	r.eng.RunUntil(20 * simclock.Second)
-	if fc.Copies() != 1 {
-		t.Errorf("Copies = %d, want 1 (Loop=false)", fc.Copies())
+	if fc.copies != 1 {
+		t.Errorf("copies = %d, want 1 (Loop=false)", fc.copies)
 	}
 	if got := fc.Stats().Ops; got != 16 {
 		t.Errorf("chunk ops = %d, want 16", got)
