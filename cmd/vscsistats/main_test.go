@@ -10,7 +10,8 @@ import (
 // snapshot and the tracer all start at the end of warm-up. The tracer's
 // completed commands are exactly the collector's (latency samples plus
 // errors), and its issued commands differ from them only by the commands in
-// flight at either end.
+// flight at either end. The intervals add up to the snapshot, the commands
+// issued at the last tick's instant after it included.
 func TestIntervalsMeasureWhatTheTracerSees(t *testing.T) {
 	sc, err := vscsistats.NewScenario("dbt2", vscsistats.ScenarioConfig{Seed: 1, DataBytes: 1 << 30, TraceCapacity: 1 << 20})
 	if err != nil {
@@ -32,7 +33,7 @@ func TestIntervalsMeasureWhatTheTracerSees(t *testing.T) {
 	for _, s := range rec.Intervals {
 		interval += s.Commands
 	}
-	if len(rec.Intervals) != 2 || interval <= 0 || interval > snap.Commands { // the last tick may precede commands at its instant
-		t.Errorf("%d intervals of %d commands in all, want 2 of at most %d", len(rec.Intervals), interval, snap.Commands)
+	if len(rec.Intervals) != 2 || interval != snap.Commands {
+		t.Errorf("%d intervals of %d commands in all, want 2 of %d", len(rec.Intervals), interval, snap.Commands)
 	}
 }

@@ -71,33 +71,6 @@ func TestApplyDeltaReconstructsExactly(t *testing.T) {
 	}
 }
 
-// TestAddDeltaMatchesApplyDelta folds the same chain of deltas twice, once
-// with ApplyDelta and once in place with AddDelta onto a private copy that
-// starts as the empty snapshot: the two agree after every step, names and
-// extrema included, and no delta is written.
-func TestAddDeltaMatchesApplyDelta(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	col := NewCollector("vm", "disk")
-	col.Enable()
-	state, owned := &Snapshot{VM: "vm", Disk: "disk"}, &Snapshot{VM: "vm", Disk: "disk"}
-	var prev *Snapshot
-	for round := 0; round < 8; round++ {
-		deltaFeed(t, rng, col, rng.Intn(200))
-		cur := col.Snapshot()
-		d := cur.Sub(prev)
-		kept := slices.Clone(d.Cells())
-		state = state.ApplyDelta(d)
-		owned.AddDelta(d)
-		if owned.VM != state.VM || owned.Disk != state.Disk || !owned.StateEquals(state) || !owned.StateEquals(cur) {
-			t.Fatalf("round %d: AddDelta in place differs from ApplyDelta", round)
-		}
-		if !slices.Equal(d.Cells(), kept) {
-			t.Fatalf("round %d: AddDelta wrote its delta", round)
-		}
-		prev = cur
-	}
-}
-
 // TestApplyDeltaEmptyIntervalIsIdentity pins the degenerate case: a delta
 // between two identical snapshots reapplies to exactly the same state,
 // extrema included.

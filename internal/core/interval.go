@@ -12,6 +12,8 @@ type IntervalRecorder struct {
 	col      *Collector
 	interval simclock.Time
 	last     *Snapshot
+	eng      *simclock.Engine
+	lastAt   simclock.Time // when last was captured
 	ticker   *simclock.Ticker
 	// Intervals holds one delta snapshot per elapsed interval.
 	Intervals []*Snapshot
@@ -20,18 +22,15 @@ type IntervalRecorder struct {
 // NewIntervalRecorder starts recording col every interval on eng. The
 // collector must already be enabled (it must have data structures).
 func NewIntervalRecorder(eng *simclock.Engine, col *Collector, interval simclock.Time) *IntervalRecorder {
-	r := &IntervalRecorder{col: col, interval: interval, last: col.Snapshot()}
+	r := &IntervalRecorder{col: col, interval: interval, last: col.Snapshot(), eng: eng}
 	if r.last == nil {
 		panic("core: IntervalRecorder needs an enabled collector")
 	}
-	r.ticker = simclock.NewTicker(eng, interval, func(simclock.Time) { r.tick() })
+	r.ticker = simclock.NewTicker(eng, interval, func(now simclock.Time) {
+		cur := r.col.Snapshot()
+		r.Intervals, r.last, r.lastAt = append(r.Intervals, IntervalSince(r.last, cur)), cur, now
+	})
 	return r
-}
-
-func (r *IntervalRecorder) tick() {
-	cur := r.col.Snapshot()
-	r.Intervals = append(r.Intervals, IntervalSince(r.last, cur))
-	r.last = cur
 }
 
 // IntervalSince is the one rule every interval keeper (IntervalRecorder on
@@ -60,8 +59,17 @@ func IntervalSince(prev, cur *Snapshot) *Snapshot {
 	return d
 }
 
-// Stop ends recording.
-func (r *IntervalRecorder) Stop() { r.ticker.Stop() }
+// Stop ends recording. Stopped at the last tick's instant, as a run ending
+// on an interval boundary is, it adds the commands issued at that instant
+// after the tick to the last interval, so the intervals add up to all the
+// collector saw since the recorder started.
+func (r *IntervalRecorder) Stop() {
+	r.ticker.Stop()
+	if n := len(r.Intervals); n > 0 && r.lastAt == r.eng.Now() {
+		cur := r.col.Snapshot()
+		r.Intervals[n-1], r.last = r.Intervals[n-1].ApplyDelta(IntervalSince(r.last, cur)), cur
+	}
+}
 
 // Series extracts the time series of one histogram family.
 func (r *IntervalRecorder) Series(m Metric, cl Class) *histogram.Series {

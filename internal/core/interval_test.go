@@ -37,6 +37,51 @@ func TestIntervalRecorderDeltas(t *testing.T) {
 	}
 }
 
+// TestIntervalsAddUpToTheSnapshot is the interval law: stopped on a tick's
+// instant, the recorder's intervals folded from empty equal the cumulative
+// snapshot minus the one it started from, on counters and bins — commands
+// issued at a tick's instant on either side of its event included.
+// Extrema are not additive and stay out.
+func TestIntervalsAddUpToTheSnapshot(t *testing.T) {
+	r := newRig(t, 3*simclock.Millisecond)
+	rng := rand.New(rand.NewSource(46))
+	issue := func(at simclock.Time) {
+		r.eng.At(at, func(simclock.Time) {
+			for range 1 + rng.Intn(4) {
+				cmd := scsi.Read(uint64(rng.Intn(1<<20)), 8)
+				if rng.Intn(3) == 0 {
+					cmd = scsi.Write(uint64(rng.Intn(1<<20)), 16)
+				}
+				r.d.Issue(cmd, nil)
+			}
+		})
+	}
+	issue(0)
+	r.eng.RunUntil(simclock.Second / 2)
+	base := r.col.Snapshot()
+	rec := NewIntervalRecorder(r.eng, r.col, simclock.Second)
+	for k := range 4 { // ticks at 1.5 s … 4.5 s
+		tick := simclock.Time(k+1)*simclock.Second + simclock.Second/2
+		for range 20 {
+			issue(tick - simclock.Time(rng.Int63n(int64(simclock.Second))))
+		}
+		issue(tick)                                                              // queued before the tick but the first's
+		r.eng.At(tick-simclock.Millisecond, func(simclock.Time) { issue(tick) }) // queued after it
+	}
+	r.eng.RunUntil(4*simclock.Second + simclock.Second/2)
+	rec.Stop()
+
+	sum := new(Snapshot)
+	for _, d := range rec.Intervals {
+		sum = sum.ApplyDelta(d)
+	}
+	want := r.col.Snapshot().Sub(base)
+	copyExtrema(sum.cells, want.cells)
+	if len(rec.Intervals) != 4 || !sum.StateEquals(want) {
+		t.Fatalf("%d intervals of %d commands in all, want 4 of %d, every bin alike", len(rec.Intervals), sum.Commands, want.Commands)
+	}
+}
+
 func TestIntervalRecorderSeries(t *testing.T) {
 	r := newRig(t, simclock.Millisecond)
 	rec := NewIntervalRecorder(r.eng, r.col, simclock.Second)

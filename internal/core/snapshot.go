@@ -97,7 +97,7 @@ func (c *Collector) Snapshot() *Snapshot {
 // inter-arrival Commands − 1.
 //
 // The collector stores only the reads and writes histograms; everything
-// derivable is derived here (Derive), outside the lock, from the copy. So each
+// derivable is derived here (derive), outside the lock, from the copy. So each
 // family's all is exactly reads + writes — bins, sum, total, and min/max
 // over whichever classes are non-empty — Commands == NumReads + NumWrites
 // == the I/O length total, and the byte counters are the I/O length sums.
@@ -133,15 +133,10 @@ func (c *Collector) CaptureInto(dst *Snapshot) bool {
 	return true
 }
 
-// Derive sets what the collector derives rather than stores, as CaptureInto
-// does, from s's reads and writes histograms: each class-all histogram, and
-// the counters but Errors. Only the decoder that owns s, before anyone else
-// sees it, may call it.
-func (s *Snapshot) Derive() { s.derive(true) }
-
-// Derived reports whether Derive would leave s as it is and every total is
-// the sum of its bins: true of captures, their Sub deltas and Aggregate
-// merges, but for a class with no new samples and extrema of (0, 0).
+// Derived reports whether s holds what CaptureInto derives from the reads
+// and writes histograms (class-all, the counters but Errors) and every
+// total is the sum of its bins: true of captures, their Sub deltas and
+// Aggregate merges, but for a class with no new samples and extrema (0, 0).
 func (s *Snapshot) Derived() bool { return s.derive(false) }
 
 // derive is the one statement of what is derivable: it reports whether s
@@ -163,16 +158,7 @@ func (s *Snapshot) derive(write bool) (held bool) {
 			continue
 		}
 		r, all := slab[id-1].hist.Of(cells)[:n+4], slab[id].all.Of(cells)[:n+4]
-		// min and max as addHist folds them, but a class is empty only if
-		// its total is 0 and its extrema (0, 0): a Sub delta with no new
-		// reads keeps the later capture's extrema, read and class-all alike.
-		lo, hi := min(r[n+2], w[n+2]), max(r[n+3], w[n+3])
-		switch {
-		case r[n+1]|r[n+2]|r[n+3] == 0:
-			lo, hi = w[n+2], w[n+3]
-		case w[n+1]|w[n+2]|w[n+3] == 0:
-			lo, hi = r[n+2], r[n+3]
-		}
+		lo, hi := AllExtrema(r[n+1:], w[n+1:])
 		if write { // bins, sum and total add
 			for i := range n + 2 {
 				all[i] = r[i] + w[i]
@@ -192,6 +178,20 @@ func (s *Snapshot) derive(write bool) (held bool) {
 	}
 	diff |= (s.Commands ^ (reads + writes)) | (s.NumReads ^ reads) | (s.NumWrites ^ writes) | (s.ReadBytes ^ readBytes) | (s.WriteBytes ^ writeBytes)
 	return diff == 0
+}
+
+// AllExtrema returns a class-all histogram's min and max from its reads'
+// and writes' (total, min, max) as a capture derives them: as addHist
+// folds them, but a class is empty only if its total is 0 and its extrema
+// (0, 0), since a Sub delta with no new reads keeps the later capture's.
+func AllExtrema(r, w []int64) (lo, hi int64) {
+	switch {
+	case r[0]|r[1]|r[2] == 0:
+		return w[1], w[2]
+	case w[0]|w[1]|w[2] == 0:
+		return r[1], r[2]
+	}
+	return min(r[1], w[1]), max(r[2], w[2])
 }
 
 // totalSum returns the histogram's total and sum out of a snapshot's cells.
@@ -341,18 +341,6 @@ func (s *Snapshot) ApplyDelta(d *Snapshot) *Snapshot {
 	out := new(Snapshot)
 	s.plus(out, d, 1, d)
 	return out
-}
-
-// AddDelta adds d onto s in place, leaving s equal to s.ApplyDelta(d). Only
-// the decoder that owns s — no one else holds it yet — may call it.
-func (s *Snapshot) AddDelta(d *Snapshot) {
-	s.Commands, s.NumReads, s.NumWrites = s.Commands+d.Commands, s.NumReads+d.NumReads, s.NumWrites+d.NumWrites
-	s.ReadBytes, s.WriteBytes, s.Errors = s.ReadBytes+d.ReadBytes, s.WriteBytes+d.WriteBytes, s.Errors+d.Errors
-	s.cells = s.Cells() // the empty snapshot's zeros become its own
-	for i, c := range d.Cells() {
-		s.cells[i] += c
-	}
-	copyExtrema(s.cells, d.Cells())
 }
 
 // StateEquals reports whether two snapshots carry identical observed state:

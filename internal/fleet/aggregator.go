@@ -189,8 +189,8 @@ type ReplayStats struct {
 // staleness after a restart means what it always means. With an empty
 // DataDir this is exactly NewAggregator. Any other decode failure in the
 // log — wrong magic, a payload that contradicts its own encoding, a frame
-// that fails Validate, a pre-binary JSON payload or a generation-4 JSON
-// header — refuses to open rather than serve numbers the log contradicts.
+// that fails Validate, a pre-binary, generation-4 or generation-5 frame —
+// refuses to open rather than serve numbers the log contradicts.
 func OpenAggregator(cfg AggregatorConfig) (*Aggregator, ReplayStats, error) {
 	g := NewAggregator(cfg)
 	if g.cfg.DataDir == "" {
@@ -291,7 +291,7 @@ func (g *Aggregator) Ingest(b *Batch, source string) error {
 // bytes of a frame that changed it.
 func (g *Aggregator) ingest(f *frame, source string, sampled bool) error {
 	if err := f.Validate(); err != nil {
-		if _, derr := decodePayload(f.payload, f.count, f.compact, nil, false); derr != nil {
+		if _, derr := decodePayload(f.payload, f.count, nil, false); derr != nil {
 			return derr // a malformed payload is a bad frame first
 		}
 		return g.refuse(f.Batch, err)
@@ -416,7 +416,7 @@ func (g *Aggregator) receive(ctx context.Context, r io.Reader, source string, sa
 	start := stageStart(sampled)
 	f, err := readFrame(r)
 	if err == nil && !f.Delta {
-		f.Snapshots, err = decodePayload(f.payload, f.count, f.compact, nil, false) // before the shard lock; a delta waits for its base
+		f.Snapshots, err = decodePayload(f.payload, f.count, nil, false) // before the shard lock; a delta waits for its base
 	}
 	if errors.As(err, new(*UnknownLayoutError)) {
 		return nil, g.refuse(f.Batch, err) // the whole frame came with the error

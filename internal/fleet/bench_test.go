@@ -3,8 +3,10 @@ package fleet
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
+
 	"vscsistats/internal/core"
 	"vscsistats/internal/fleetobs"
 )
@@ -150,11 +152,10 @@ func BenchmarkFleetIngest1024Traced(b *testing.B) {
 	}
 }
 
-// benchChains gives every host the chain fleet_durable's agents send: one
-// full frame, then seven interval deltas, one a second from t0, over 2 VMs
-// × 2 disks that all see traffic between frames.
-func benchChains(b *testing.B, agg *Aggregator, hosts []string, t0 time.Time) {
-	b.Helper()
+// chainStates returns the states behind fleet_durable's chains: per
+// template host, 2 VMs × 2 disks after each of 8 frames, every disk seeing
+// traffic between frames.
+func chainStates() [][][]*core.Snapshot {
 	const variants, frames = 8, 8
 	states := make([][][]*core.Snapshot, variants) // [variant][frame]
 	for v := range states {
@@ -166,18 +167,118 @@ func benchChains(b *testing.B, agg *Aggregator, hosts []string, t0 time.Time) {
 			states[v] = append(states[v], reg.Snapshots())
 		}
 	}
+	return states
+}
+
+// chainBatch is frame k of host h's chain over states: the full frame, then
+// interval deltas, one a second from t0.
+func chainBatch(h string, k int, states [][]*core.Snapshot, t0 time.Time) *Batch {
+	batch := &Batch{Host: h, Seq: uint64(k + 1), SentUnixNano: t0.Add(time.Duration(k) * time.Second).UnixNano(), Snapshots: states[k]}
+	if k > 0 {
+		batch.Delta, batch.BaseSeq = true, uint64(k)
+		batch.Snapshots, _ = new(chain).subAgainst(states[k], states[k-1])
+	}
+	return batch
+}
+
+// benchChains gives every host the chain fleet_durable's agents send: one
+// full frame, then seven interval deltas (chainStates, chainBatch).
+func benchChains(b *testing.B, agg *Aggregator, hosts []string, t0 time.Time) {
+	b.Helper()
+	states := chainStates()
 	for i, h := range hosts {
-		states := states[i%variants]
-		for k, snaps := range states {
-			batch := &Batch{Host: h, Seq: uint64(k + 1), SentUnixNano: t0.Add(time.Duration(k) * time.Second).UnixNano(), Snapshots: snaps}
-			if k > 0 {
-				batch.Delta, batch.BaseSeq = true, uint64(k)
-				batch.Snapshots, _ = new(chain).subAgainst(snaps, states[k-1])
-			}
-			if err := agg.Ingest(batch, "push"); err != nil {
+		for k := range states[i%len(states)] {
+			if err := agg.Ingest(chainBatch(h, k, states[i%len(states)], t0), "push"); err != nil {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+// decodeChains renders every template host's chain (chainStates) as the
+// frames a decoder reads.
+func decodeChains(tb testing.TB) (frames [][]*frame, states [][][]*core.Snapshot) {
+	tb.Helper()
+	states = chainStates()
+	frames = make([][]*frame, len(states))
+	for v := range states {
+		for k := range states[v] {
+			raw, err := EncodeBatchBytes(chainBatch("esx-decode", k, states[v], time.Unix(0, 0)))
+			if err != nil {
+				tb.Fatal(err)
+			}
+			f, err := readFrame(bytes.NewReader(raw))
+			if err != nil {
+				tb.Fatal(err)
+			}
+			frames[v] = append(frames[v], f)
+		}
+	}
+	return frames, states
+}
+
+// decodeChain decodes one host's frames in turn, each delta onto the state
+// the frames before it left, owned (in place) or shared (onto copies), and
+// calls check with each state.
+func decodeChain(tb testing.TB, frames []*frame, owned bool, check func(k int, snaps []*core.Snapshot)) {
+	var snaps []*core.Snapshot
+	for k, f := range frames {
+		var err error
+		if snaps, err = decodePayload(f.payload, f.count, snaps, owned); err != nil {
+			tb.Fatal(err)
+		}
+		check(k, snaps)
+	}
+}
+
+// TestFleetDecodeChainMatchesStates is BenchmarkFleetDecodeChain's
+// correctness sibling: decoding each chain owned or shared gives the
+// sender's state after every frame, and a shared decode writes none of the
+// states it builds on.
+func TestFleetDecodeChainMatchesStates(t *testing.T) {
+	frames, states := decodeChains(t)
+	for _, owned := range []bool{true, false} {
+		for v := range frames {
+			var prev, kept []*core.Snapshot
+			decodeChain(t, frames[v], owned, func(k int, snaps []*core.Snapshot) {
+				for i, want := range states[v][k] {
+					if snaps[i].VM != want.VM || snaps[i].Disk != want.Disk || !snaps[i].StateEquals(want) {
+						t.Fatalf("owned %v: host %d frame %d disk %d differs from the sender's state", owned, v, k, i)
+					}
+				}
+				for i := range kept {
+					if !owned && !prev[i].StateEquals(kept[i]) {
+						t.Fatalf("shared: host %d frame %d wrote disk %d of the state before it", v, k, i)
+					}
+				}
+				prev, kept = snaps, slices.Clone(snaps)
+				core.MakeWritable(kept)
+			})
+		}
+	}
+}
+
+// BenchmarkFleetDecodeChain measures the decoder alone on fleet_durable's
+// chains: per op, 8 hosts' full frame and 7 deltas each, onto an owned
+// chain as boot replay and History decode, and onto a shared one as live
+// ingest does.
+func BenchmarkFleetDecodeChain(b *testing.B) {
+	frames, _ := decodeChains(b)
+	for _, mode := range []struct {
+		name  string
+		owned bool
+	}{{"owned", true}, {"shared", false}} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			start := time.Now()
+			for range b.N {
+				for _, host := range frames {
+					decodeChain(b, host, mode.owned, func(int, []*core.Snapshot) {})
+				}
+			}
+			perFrame := time.Since(start).Seconds() * 1e6 / float64(b.N*len(frames)*len(frames[0]))
+			b.ReportMetric(perFrame, "us/frame")
+		})
 	}
 }
 

@@ -11,8 +11,8 @@
 //     header and CRC-32C trailer; payload.go: the binary snapshot payload —
 //     sparse zig-zag varint bins against a bin layout interned by hash)
 //     that carries batches of core.Snapshot between processes (one format
-//     generation: the JSON payload of versions 1-3 and the JSON header of
-//     generation 4 are refused, DESIGN.md §8);
+//     generation: the JSON payload of versions 1-3 and generations 4 and
+//     5 are refused, DESIGN.md §8);
 //   - an Agent that periodically serializes a host's core.Registry and
 //     pushes it to an aggregator, with per-request timeouts, exponential
 //     backoff with jitter, a bounded retry queue and drop counters;

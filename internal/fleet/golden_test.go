@@ -80,30 +80,31 @@ func decodeGolden(t *testing.T, data []byte) {
 	}
 }
 
-// readGeneration4 returns testdata/frame_golden.bin: goldenBatches' two
-// frames as the binary at 0590e06 wrote them (JSON header, no trailer).
-func readGeneration4(t *testing.T) []byte {
+// readGolden returns a golden file of goldenBatches' two frames as an
+// older generation's writer rendered them, checking its head's version and
+// that it lacks the flag its successor added.
+func readGolden(t *testing.T, name string, version, lacks byte) []byte {
 	t.Helper()
-	data, err := os.ReadFile("testdata/frame_golden.bin")
+	data, err := os.ReadFile(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if data[4] != 4 || data[5]&flagChecked != 0 {
-		t.Fatalf("fixture head % x is not a generation-4 frame", data[:6])
+	if data[4] != version || data[5]&lacks != 0 {
+		t.Fatalf("%s head % x is not a generation-%d frame", name, data[:6], version)
 	}
 	return data
 }
 
-// TestFrameGolden: a generation-4 frame is refused by name, whole or cut
-// short in its body. It is a bad frame and never a truncated one, so a push
-// carrying one is a 400 counted as rejected (see
-// TestLogReplaysParentWrittenSegment for boot and History).
-func TestFrameGolden(t *testing.T) {
-	data := readGeneration4(t)
+// refusedByName checks that an older generation's frames are refused by
+// name, whole or cut short in their body. Each is a bad frame and never a
+// truncated one, so a push carrying one is a 400 counted as rejected (see
+// refusedInLog for boot and History).
+func refusedByName(t *testing.T, data []byte, gen string) {
+	t.Helper()
 	for name, frame := range map[string][]byte{"whole": data, "cut short": data[:len(data)/2]} {
 		_, err := DecodeBatch(bytes.NewReader(frame))
-		if !errors.Is(err, ErrBadFrame) || errors.Is(err, ErrTruncatedFrame) || !strings.Contains(err.Error(), "generation-4") {
-			t.Errorf("decode %s: %v, want a generation-4 bad frame that is not a truncation", name, err)
+		if !errors.Is(err, ErrBadFrame) || errors.Is(err, ErrTruncatedFrame) || !strings.Contains(err.Error(), gen) {
+			t.Errorf("decode %s: %v, want a %s bad frame that is not a truncation", name, err, gen)
 		}
 	}
 
@@ -116,9 +117,24 @@ func TestFrameGolden(t *testing.T) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if st := g.Stats(); resp.StatusCode != http.StatusBadRequest || st.Rejected != 1 || st.Hosts != 0 || !strings.Contains(string(body), "generation-4") {
-		t.Errorf("push: %s %q, rejected %d, hosts %d; want a 400 naming generation 4, 1 and 0", resp.Status, body, st.Rejected, st.Hosts)
+	if st := g.Stats(); resp.StatusCode != http.StatusBadRequest || st.Rejected != 1 || st.Hosts != 0 || !strings.Contains(string(body), gen) {
+		t.Errorf("push: %s %q, rejected %d, hosts %d; want a 400 naming %s, 1 and 0", resp.Status, body, st.Rejected, st.Hosts, gen)
 	}
+}
+
+// TestFrameGolden: testdata/frame_golden.bin is the two frames as the
+// binary at 0590e06 wrote them (generation 4: JSON header, no trailer),
+// refused by name.
+func TestFrameGolden(t *testing.T) {
+	refusedByName(t, readGolden(t, "testdata/frame_golden.bin", 4, flagChecked), "generation-4")
+}
+
+// TestFrameGoldenV5: testdata/frame_golden_v5.bin is the two frames as the
+// generation-5 writer rendered them (binary header, CRC-32C trailer, every
+// snapshot whole behind plain names), written up to b2f5a5c and read up to
+// 819e569, refused by name.
+func TestFrameGoldenV5(t *testing.T) {
+	refusedByName(t, readGolden(t, "testdata/frame_golden_v5.bin", 5, flagCompact), "generation-5")
 }
 
 // encodeGolden renders goldenBatches' two frames with encode.
@@ -140,25 +156,6 @@ func encodeBatch(t testing.TB) func(*Batch) []byte {
 	}
 }
 
-// TestFrameGoldenV5: testdata/frame_golden_v5.bin is the same two frames as
-// the generation-5 writer rendered them (binary header, CRC-32C trailer,
-// every snapshot whole), the form written up to b2f5a5c. This binary no
-// longer writes it but must read it back to the same state; encodeV5, the
-// tests' stand-in for that writer, renders the same bytes.
-func TestFrameGoldenV5(t *testing.T) {
-	want, err := os.ReadFile("testdata/frame_golden_v5.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want[4] != 5 || want[5]&flagCompact != 0 {
-		t.Fatalf("fixture head % x is not a generation-5 frame", want[:6])
-	}
-	decodeGolden(t, want)
-	if got := encodeGolden(t, func(b *Batch) []byte { return encodeV5(t, b) }); !bytes.Equal(got, want) {
-		t.Errorf("encodeV5 renders %d bytes that differ from the generation-5 golden file's %d", len(got), len(want))
-	}
-}
-
 // TestFrameGoldenV6 pins the writer: testdata/frame_golden_v6.bin is the
 // same two frames in generation 6 (flagCompact: front-coded names, derived
 // snapshots without what they derive). This binary must write the same
@@ -174,12 +171,12 @@ func TestFrameGoldenV6(t *testing.T) {
 	decodeGolden(t, want)
 }
 
-// TestFrameGoldenBitFlips flips every bit of the generation-5 and
-// generation-6 golden frames, one at a time: no flip may decode into
+// TestFrameGoldenBitFlips flips every bit of the generation-6 golden
+// frames, one at a time: no flip may decode into
 // different cells. The trailer covers every byte, so every flip is refused,
 // and only a flip in a declared length can read as a truncation.
 func TestFrameGoldenBitFlips(t *testing.T) {
-	for _, name := range []string{"testdata/frame_golden_v5.bin", "testdata/frame_golden_v6.bin"} {
+	for _, name := range []string{"testdata/frame_golden_v6.bin"} {
 		data, err := os.ReadFile(name)
 		if err != nil {
 			t.Fatal(err)
@@ -205,21 +202,20 @@ func TestFrameGoldenBitFlips(t *testing.T) {
 	}
 }
 
-// TestLogReplaysParentWrittenSegment: a segment the binary at 0590e06
-// wrote (a segment is frames back to back, so the golden frames are one)
-// refuses the boot by name and is left untouched. A generation-4 frame that
-// lands in a live segment after boot is a drop in History, and the frames
-// before it still answer.
-func TestLogReplaysParentWrittenSegment(t *testing.T) {
-	golden := readGeneration4(t)
-	dir, seg := oneFrameLog(t, golden)
+// refusedInLog checks that a segment holding an older generation's frames
+// refuses the boot by name and is left untouched, and that the same frames
+// landing in a live segment after boot are a drop in History, the frames
+// before them still answering.
+func refusedInLog(t *testing.T, old []byte, gen string) {
+	t.Helper()
+	dir, seg := oneFrameLog(t, old)
 	cfg := logAggConfig(dir)
 	cfg.Shards = 1
-	if _, _, err := OpenAggregator(cfg); err == nil || !strings.Contains(err.Error(), seg) || !strings.Contains(err.Error(), "generation-4") {
-		t.Errorf("boot over a generation-4 segment: %v, want a refusal naming %s and generation 4", err, seg)
+	if _, _, err := OpenAggregator(cfg); err == nil || !strings.Contains(err.Error(), seg) || !strings.Contains(err.Error(), gen) {
+		t.Errorf("boot over a %s segment: %v, want a refusal naming %s and %s", gen, err, seg, gen)
 	}
-	if kept, err := os.ReadFile(seg); err != nil || !bytes.Equal(kept, golden) {
-		t.Errorf("boot over a generation-4 segment changed it: %v", err)
+	if kept, err := os.ReadFile(seg); err != nil || !bytes.Equal(kept, old) {
+		t.Errorf("boot over a %s segment changed it: %v", gen, err)
 	}
 
 	cfg = logAggConfig(t.TempDir())
@@ -237,7 +233,7 @@ func TestLogReplaysParentWrittenSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write(golden); err != nil {
+	if _, err := f.Write(old); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -245,101 +241,36 @@ func TestLogReplaysParentWrittenSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Dropped != 1 || res.Frames != 3 || !sameSnapshot(res.Cluster, core.Aggregate("cluster", "*", states[2]...)) {
-		t.Errorf("History over a segment ending in generation-4 frames: dropped %d of %d frames, cluster state right %v; want 1, 3 and true",
-			res.Dropped, res.Frames, sameSnapshot(res.Cluster, core.Aggregate("cluster", "*", states[2]...)))
+	if want := core.Aggregate("cluster", "*", states[2]...); res.Dropped != 1 || res.Frames != 3 || !sameSnapshot(res.Cluster, want) {
+		t.Errorf("History over a segment ending in %s frames: dropped %d of %d frames, cluster state right %v; want 1, 3 and true",
+			gen, res.Dropped, res.Frames, sameSnapshot(res.Cluster, want))
 	}
+}
+
+// TestLogReplaysParentWrittenSegment: a segment the binary at 0590e06
+// wrote (a segment is frames back to back, so the generation-4 golden
+// frames are one) refuses the boot.
+func TestLogReplaysParentWrittenSegment(t *testing.T) {
+	refusedInLog(t, readGolden(t, "testdata/frame_golden.bin", 4, flagChecked), "generation-4")
 }
 
 // TestLogBootsMixedGenerations: a sender upgraded mid-chain leaves a segment
 // holding the full frame and delta the generation-5 writer sent (the golden
-// file, as the parent commit wrote it) and the compact deltas it sent after.
-// Pushed live, every frame is logged as it arrived; the boot over that
-// segment is bin-exact, and History's windows equal live ingest's states.
+// file) and the compact deltas it sent after. A binary past 819e569 refuses
+// it by name at its first frame, as DESIGN §8 says, and never replays the
+// compact deltas onto a chain it did not read.
 func TestLogBootsMixedGenerations(t *testing.T) {
-	full, delta, reg := goldenBatches()
-	golden, err := os.ReadFile("testdata/frame_golden_v5.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var frames [][]byte
-	for r := bytes.NewReader(golden); r.Len() > 0; {
-		f, err := readFrame(r)
-		if err != nil || f.compact {
-			t.Fatalf("golden frame: %v, compact %v", err, err == nil && f.compact)
-		}
-		frames = append(frames, f.raw)
-	}
-	sent := []int64{full.SentUnixNano, delta.SentUnixNano}
-	states := [][]*core.Snapshot{full.Snapshots, reg.Snapshots()}
+	_, delta, reg := goldenBatches()
+	seg := readGolden(t, "testdata/frame_golden_v5.bin", 5, flagCompact)
+	prev := reg.Snapshots()
 	for seq := uint64(9); seq <= 11; seq++ {
 		for i, col := range reg.List() {
 			feed(col, int(seq)*10+i, 40)
 		}
-		cur, prev := reg.Snapshots(), states[len(states)-1]
+		cur := reg.Snapshots()
 		b := *delta
 		b.Seq, b.BaseSeq, b.Snapshots = seq, seq-1, subSnaps(cur, prev)
-		b.SentUnixNano += int64(seq-8) * int64(time.Second)
-		frames, sent, states = append(frames, encodeBatch(t)(&b)), append(sent, b.SentUnixNano), append(states, cur)
+		seg, prev = append(seg, encodeBatch(t)(&b)...), cur
 	}
-
-	dir := t.TempDir()
-	cfg := logAggConfig(dir)
-	cfg.Shards = 1
-	g, _, err := OpenAggregator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(g)
-	for i, frame := range frames {
-		resp, err := http.Post(srv.URL+"/fleet/push", ContentType, bytes.NewReader(frame))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("push %d: %s", i, resp.Status)
-		}
-		if live := g.ClusterSnapshot(true); !live.StateEquals(core.Aggregate("cluster", "*", states[i]...)) {
-			t.Fatalf("live state after push %d differs from the sender's", i)
-		}
-	}
-	srv.Close()
-	live := g.ClusterSnapshot(true)
-	if err := g.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if seg, err := os.ReadFile(segFiles(t, dir)[0]); err != nil || !bytes.Equal(seg, bytes.Join(frames, nil)) {
-		t.Fatalf("the segment does not hold the frames as they arrived: %v", err)
-	}
-
-	g, rst, err := OpenAggregator(cfg)
-	if err != nil {
-		t.Fatalf("boot over a mixed-generation segment: %v", err)
-	}
-	defer g.Close()
-	if rst.Frames != int64(len(frames)) || rst.Skipped != 0 || rst.TornTails != 0 || !g.ClusterSnapshot(true).StateEquals(live) {
-		t.Fatalf("boot: %+v, state exact %v; want %d frames, none skipped, and the live state", rst, g.ClusterSnapshot(true).StateEquals(live), len(frames))
-	}
-	epoch, far := time.Unix(0, 0), time.Unix(0, sent[len(sent)-1]+1)
-	for k := range frames {
-		res, err := g.History(epoch, time.Unix(0, sent[k]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Cluster.StateEquals(core.Aggregate("cluster", "*", states[k]...)) {
-			t.Errorf("History up to frame %d differs from the live state after it", k)
-		}
-		res, err = g.History(time.Unix(0, sent[k]), far)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var windows []*core.Snapshot
-		for i, s := range states[len(states)-1] {
-			windows = append(windows, core.IntervalSince(states[k][i], s))
-		}
-		if want, _ := mergeSnaps(windows); k < len(frames)-1 && !res.Cluster.StateEquals(want) {
-			t.Errorf("History from frame %d on differs from the live states' interval", k)
-		}
-	}
+	refusedInLog(t, seg, "generation-5")
 }

@@ -43,8 +43,8 @@ import (
 //     back to the last whole frame and the log continues from there.
 //   - the same conditions in any earlier segment, a checksum failure with
 //     bytes after it, any other decode failure anywhere (bad magic, a
-//     payload that contradicts its encoding, a pre-binary JSON payload or a
-//     generation-4 JSON header), or
+//     payload that contradicts its encoding, a pre-binary, generation-4 or
+//     generation-5 frame), or
 //     a whole frame that fails Validate, is corruption: the log refuses to
 //     open rather than serve wrong numbers.
 //   - a delta that cannot apply (its base fell to retention or compaction)

@@ -113,7 +113,7 @@ func (c *chainPos) apply(f *frame, owned bool) (applied bool, err error) {
 	rebooted := f.Boot != 0 && c.boot != 0 && f.Boot != c.boot
 	if !f.Delta {
 		if f.Snapshots == nil {
-			if f.Snapshots, err = decodePayload(f.payload, f.count, f.compact, nil, false); err != nil {
+			if f.Snapshots, err = decodePayload(f.payload, f.count, nil, false); err != nil {
 				return false, err
 			}
 		}
@@ -139,7 +139,7 @@ func (c *chainPos) apply(f *frame, owned bool) (applied bool, err error) {
 			base = []*core.Snapshot{} // no disks, which a nil base does not mean
 		}
 	}
-	snaps, derr := decodePayload(f.payload, f.count, f.compact, base, owned)
+	snaps, derr := decodePayload(f.payload, f.count, base, owned)
 	if derr != nil || base == nil {
 		return false, cmp.Or(derr, err)
 	}

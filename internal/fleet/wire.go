@@ -35,11 +35,11 @@ import (
 // the compact payload, and a trailer that readFrame checks before any cell
 // is used. A mismatch is ErrChecksum, never ErrTruncatedFrame; only segment
 // replay reads one as a torn tail, in the newest segment's last frame when
-// it ends at EOF. Generation 5 (no flagCompact, written up to b2f5a5c) is
-// still read. Older generations are refused by name, never misread
-// (DESIGN §8 upgrades them): a frame without flagChecked is generation 4
-// (JSON header, no trailer), and one without flagBinary holds the
-// pre-binary JSON payload of versions 1-3.
+// it ends at EOF. Older generations are refused by name, never misread
+// (DESIGN §8 upgrades them): a frame without flagCompact is generation 5
+// (every snapshot whole behind plain names), one without flagChecked is
+// generation 4 (JSON header, no trailer), and one without flagBinary holds
+// the pre-binary JSON payload of versions 1-3.
 //
 // Forward compatibility: the head carries the header's length, so a later
 // version appends header fields and a reader ignores the bytes after the
@@ -292,7 +292,7 @@ func readSized(r io.Reader, dst []byte, n uint32, what string) ([]byte, error) {
 func DecodeBatch(r io.Reader) (*Batch, error) {
 	f, err := readFrame(r)
 	if err == nil {
-		f.Snapshots, err = decodePayload(f.payload, f.count, f.compact, nil, false)
+		f.Snapshots, err = decodePayload(f.payload, f.count, nil, false)
 	}
 	if err != nil {
 		return nil, err
@@ -305,7 +305,6 @@ func DecodeBatch(r io.Reader) (*Batch, error) {
 type frame struct {
 	*Batch
 	count   int    // the header's snapshot count
-	compact bool   // flagCompact: the payload's form
 	raw     []byte // head, header, payload and trailer
 	payload []byte // the snapshots: raw's payload after its layout id
 }
@@ -331,11 +330,13 @@ func readFrame(r io.Reader) (*frame, error) {
 	if version < 1 {
 		return nil, badFrame("unsupported version %d", version)
 	}
-	if flags&flagBinary == 0 {
-		return nil, badFrame("pre-binary JSON payload (frame version %d): upgrade it as DESIGN.md §8 describes", version)
-	}
-	if flags&flagChecked == 0 {
-		return nil, badFrame("generation-4 JSON header (frame version %d): upgrade it as DESIGN.md §8 describes", version)
+	for _, old := range [...]struct {
+		flag byte
+		what string
+	}{{flagBinary, "pre-binary JSON payload"}, {flagChecked, "generation-4 JSON header"}, {flagCompact, "generation-5 payload"}} {
+		if flags&old.flag == 0 {
+			return nil, badFrame("%s (frame version %d): upgrade it as DESIGN.md §8 describes", old.what, version)
+		}
 	}
 	if flags&^byte(knownFlags) != 0 {
 		return nil, badFrame("unknown flags %#x", flags)
@@ -367,7 +368,7 @@ func readFrame(r io.Reader) (*frame, error) {
 	if len(payload) < 8 {
 		return nil, badFrame("binary payload of %d bytes has no layout id", len(payload))
 	}
-	f := &frame{Batch: out, count: count, compact: flags&flagCompact != 0, raw: raw, payload: payload[8:]}
+	f := &frame{Batch: out, count: count, raw: raw, payload: payload[8:]}
 	if id := binary.BigEndian.Uint64(payload); id != layout.id {
 		return f, &UnknownLayoutError{Header: out, LayoutID: id}
 	}

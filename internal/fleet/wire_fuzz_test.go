@@ -149,21 +149,19 @@ func FuzzDecodeBatch(f *testing.F) {
 		f.Add(v3[:cut])
 	}
 
-	// Both payload forms around the same batches: the generation-5 golden
-	// frames (no flagCompact) and their generation-6 renderings, and a
-	// compact frame whose snapshots are whole (not derived) and whose names
-	// share prefixes, with its front-coding spoiled.
+	// The same batches as generation 5 wrote them (no flagCompact, refused
+	// by their flags) and as generation 6 does, and a compact frame whose
+	// snapshots are whole (not derived) and whose names share prefixes,
+	// with its front-coding spoiled.
 	for _, name := range []string{"frame_golden_v5.bin", "frame_golden_v6.bin"} {
 		golden, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			f.Fatal(err)
 		}
-		for r := bytes.NewReader(golden); r.Len() > 0; {
-			fr, err := readFrame(r)
-			if err != nil {
-				f.Fatal(err)
-			}
-			f.Add(fr.raw)
+		for len(golden) > 0 {
+			n := 16 + binary.BigEndian.Uint32(golden[8:12]) + binary.BigEndian.Uint32(golden[12:16]) + 4
+			f.Add(golden[:n])
+			golden = golden[n:]
 		}
 	}
 	rng := rand.New(rand.NewSource(45))
@@ -175,7 +173,9 @@ func FuzzDecodeBatch(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(wholeData)
-	f.Add(encodeV5(f, whole))
+	v5 := append([]byte(nil), wholeData...)
+	v5[4], v5[5] = 5, v5[5]&^flagCompact
+	f.Add(reseal(v5))
 	wholePrefix, _ := payloadOf(wholeData)
 	for _, at := range []int{8, 8 + 2 + 4} { // the first VM's and disk's shared length
 		spoiled := append([]byte(nil), wholeData...)
