@@ -320,7 +320,7 @@ func (g *Aggregator) ingest(f *frame, source string, sampled bool) error {
 		pprof.Do(context.Background(),
 			pprof.Labels("stage", "compaction", "shard", strconv.Itoa(idx)),
 			func(context.Context) {
-				g.log.compact(idx, g.shards[idx].fullBatches, g.now())
+				g.log.compact(idx, g.shards[idx].fullBatches)
 			})
 	}
 	g.noteResyncEvent(f.Batch, err)
@@ -399,7 +399,7 @@ func (g *Aggregator) CompactLog() error {
 	}
 	var first error
 	for i := range g.shards {
-		if err := g.log.compact(i, g.shards[i].fullBatches, g.now()); err != nil && first == nil {
+		if err := g.log.compact(i, g.shards[i].fullBatches); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -414,7 +414,7 @@ const maxFrameLen = 16 + maxHeaderLen + maxPayloadLen
 // the trip or none, so an unsampled frame pays nothing beyond it.
 func (g *Aggregator) receive(ctx context.Context, r io.Reader, source string, sampled bool) (*frame, error) {
 	start := stageStart(sampled)
-	f, err := readFrame(r)
+	f, err := readFrame(r, nil) // a fresh buffer: the log append keeps raw
 	if err == nil && !f.Delta {
 		f.Snapshots, err = decodePayload(f.payload, f.count, nil, false) // before the shard lock; a delta waits for its base
 	}

@@ -207,7 +207,7 @@ func decodeChains(tb testing.TB) (frames [][]*frame, states [][][]*core.Snapshot
 			if err != nil {
 				tb.Fatal(err)
 			}
-			f, err := readFrame(bytes.NewReader(raw))
+			f, err := readFrame(bytes.NewReader(raw), nil)
 			if err != nil {
 				tb.Fatal(err)
 			}

@@ -183,7 +183,7 @@ func TestFrameGoldenBitFlips(t *testing.T) {
 		}
 		r := bytes.NewReader(data)
 		for r.Len() > 0 {
-			f, err := readFrame(r)
+			f, err := readFrame(r, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -266,20 +267,22 @@ func eachDir(n int, fn func(i int) error) error {
 // segment is truncated back to the last whole frame; any other decode failure
 // aborts: a log that contradicts its own format must not silently become
 // numbers. Dirs replay concurrently, so apply must be safe for that; one dir's
-// segments replay in order on one goroutine. Segment sizes, frame counts and
-// newest-times are (re)established as a side effect — replay is the one full
-// read the log ever does.
+// segments replay in order on one goroutine, through one segmentWalker.
+// Segment sizes, frame counts and newest-times are (re)established as a side
+// effect — replay is the one full read the log ever does.
 func (l *segmentLog) replay(apply func(dirIdx int, f *frame) (skipped bool, err error)) (ReplayStats, error) {
 	dirs := append(append([]*logShard(nil), l.shards...), l.orphans...)
 	per := make([]ReplayStats, len(dirs))
 	err := eachDir(len(dirs), func(i int) error {
-		sh, st := dirs[i], &per[i]
+		w := walkers.Get().(*segmentWalker)
+		defer walkers.Put(w)
+		sh := dirs[i]
 		for j := range sh.sealed {
-			if err := l.replaySegment(sh, &sh.sealed[j], false, st, apply); err != nil {
+			if err := l.replaySegment(w, sh, &sh.sealed[j], false, &per[i], apply); err != nil {
 				return err
 			}
 		}
-		return l.replaySegment(sh, &sh.active, true, st, apply)
+		return l.replaySegment(w, sh, &sh.active, true, &per[i], apply)
 	})
 	var st ReplayStats
 	for _, d := range per {
@@ -290,36 +293,23 @@ func (l *segmentLog) replay(apply func(dirIdx int, f *frame) (skipped bool, err 
 	return st, err
 }
 
-func (l *segmentLog) replaySegment(sh *logShard, seg *segmentInfo, last bool, st *ReplayStats, apply func(int, *frame) (bool, error)) error {
-	f, err := os.Open(seg.path)
-	if err != nil {
-		if os.IsNotExist(err) && last && seg.frames == 0 {
-			return nil // a fresh active segment that was never written
-		}
-		return fmt.Errorf("fleet: log replay: %w", err)
-	}
-	defer f.Close()
-	r := bufio.NewReader(f)
+func (l *segmentLog) replaySegment(w *segmentWalker, sh *logShard, seg *segmentInfo, last bool, st *ReplayStats, apply func(int, *frame) (bool, error)) error {
 	var good int64 // the bytes of whole frames
-	for {
-		fr, err := readFrame(r)
+	err := w.walk(seg.path, func(fr *frame, err error) error {
 		var unknown *UnknownLayoutError
 		if errors.As(err, &unknown) {
 			// A whole frame we cannot read the bins of: its header still
 			// dates the segment, and it is not evidence of corruption.
 			err = nil
 		}
-		if err == io.EOF {
-			break
-		}
 		// A whole last frame whose bytes do not sum to its trailer is torn
 		// too: a crash can leave a partly flushed write, not only a short one.
-		if errors.Is(err, ErrTruncatedFrame) || errors.Is(err, ErrChecksum) && atEOF(r) {
+		if errors.Is(err, ErrTruncatedFrame) || errors.Is(err, ErrChecksum) && w.atEOF() {
 			if !last {
 				return fmt.Errorf("fleet: log segment %s torn mid-chain (only the newest segment may have a torn tail): %w", seg.path, err)
 			}
 			// Crash mid-write: everything before the tear is whole.
-			size, _ := f.Seek(0, io.SeekEnd) // what the tear cost, for the event
+			size, _ := w.file.Seek(0, io.SeekEnd) // what the tear cost, for the event
 			if terr := os.Truncate(seg.path, good); terr != nil {
 				return fmt.Errorf("fleet: truncating torn tail of %s: %w", seg.path, terr)
 			}
@@ -329,7 +319,7 @@ func (l *segmentLog) replaySegment(sh *logShard, seg *segmentInfo, last bool, st
 				Kind: fleetobs.KindTornTail, Scope: "aggregator", Shard: sh.dirIdx,
 				Detail: fmt.Sprintf("%s truncated %d -> %d bytes", filepath.Base(seg.path), size, good),
 			})
-			break
+			return io.EOF
 		}
 		if err == nil {
 			// Every frame was validated before it was appended, so one
@@ -351,14 +341,55 @@ func (l *segmentLog) replaySegment(sh *logShard, seg *segmentInfo, last bool, st
 		if skipped {
 			st.Skipped++
 		}
+		return nil
+	})
+	if errors.Is(err, os.ErrNotExist) && last && seg.frames == 0 {
+		return nil // a fresh active segment that was never written
 	}
 	seg.bytes = good
-	return nil
+	return err
 }
 
-// atEOF reports whether r has no byte left.
-func atEOF(r *bufio.Reader) bool {
-	_, err := r.Peek(1)
+// segmentWalker reads segment files through one bufio.Reader and one frame,
+// reused for every frame and segment it walks and pooled across boots and
+// queries. Its rule: a frame it hands out lives only until its next read,
+// which reads over the frame, its Batch and its bytes, so nothing may keep
+// them (readFrame). A pushed frame gets a fresh one: the log append keeps
+// its raw.
+type segmentWalker struct {
+	file *os.File // the segment being walked
+	r    *bufio.Reader
+	f    *frame
+}
+
+var walkers = sync.Pool{New: func() any { return &segmentWalker{r: bufio.NewReader(nil), f: newFrame()} }}
+
+// walk hands fn each frame of the segment at path in order, or the error
+// reading it ended in, until the file ends or fn returns an error. An
+// *UnknownLayoutError comes with its whole frame. fn's io.EOF ends the walk
+// early without error; failing to open the file is an error.
+func (w *segmentWalker) walk(path string, fn func(*frame, error) error) error {
+	var err error
+	if w.file, err = os.Open(path); err != nil {
+		return fmt.Errorf("fleet: log read: %w", err)
+	}
+	defer w.file.Close()
+	w.r.Reset(w.file)
+	for err == nil {
+		var fr *frame
+		if fr, err = readFrame(w.r, w.f); err != io.EOF {
+			err = fn(fr, err)
+		}
+	}
+	if err == io.EOF { // the file's end, or fn's
+		return nil
+	}
+	return err
+}
+
+// atEOF reports whether the segment being walked has no byte left.
+func (w *segmentWalker) atEOF() bool {
+	_, err := w.r.Peek(1)
 	return err == io.EOF
 }
 
@@ -497,14 +528,10 @@ func (l *segmentLog) needsCompaction(idx int) bool {
 // replay sees old frames first and the compacted fulls — newest sequences,
 // highest segment number — last, and the no-rollback rule makes the
 // duplicates free.
-func (l *segmentLog) compact(idx int, gather func() []*Batch, now time.Time) error {
+func (l *segmentLog) compact(idx int, gather func() []*Batch) error {
 	sh := l.shards[idx]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return l.compactLocked(sh, gather, now)
-}
-
-func (l *segmentLog) compactLocked(sh *logShard, gather func() []*Batch, now time.Time) error {
 	begin := time.Now()
 	batches := gather()
 	// Seal the active segment so the whole chain is replaceable.
@@ -535,6 +562,11 @@ func (l *segmentLog) compactLocked(sh *logShard, gather func() []*Batch, now tim
 	if err != nil {
 		return err
 	}
+	fail := func(err error) error { // before the rename, the tmp is garbage
+		tmp.Close()
+		os.Remove(tmpPath)
+		return err
+	}
 	info := segmentInfo{num: target, path: targetPath}
 	w := bufio.NewWriter(tmp)
 	for _, b := range batches {
@@ -543,34 +575,26 @@ func (l *segmentLog) compactLocked(sh *logShard, gather func() []*Batch, now tim
 			_, err = w.Write(raw)
 		}
 		if err != nil {
-			tmp.Close()
-			os.Remove(tmpPath)
-			return err
+			return fail(err)
 		}
 		info.bytes += int64(len(raw))
 		info.frames++
 		info.newest = max(info.newest, b.SentUnixNano)
 	}
 	if err := w.Flush(); err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return err
+		return fail(err)
 	}
 	syncStart := time.Now()
 	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return err
+		return fail(err)
 	}
 	l.fsyncs.Add(1)
 	l.cfg.obs.ObserveSince(fleetobs.StageFsync, syncStart, fleetobs.Event{Shard: sh.dirIdx})
 	if err := tmp.Close(); err != nil {
-		os.Remove(tmpPath)
-		return err
+		return fail(err)
 	}
 	if err := os.Rename(tmpPath, targetPath); err != nil {
-		os.Remove(tmpPath)
-		return err
+		return fail(err)
 	}
 	syncDir(sh.dir)
 	// The rename is the commit point; everything below is cleanup whose
@@ -602,57 +626,48 @@ func (l *segmentLog) removeOrphans() {
 
 // scan hands every frame currently in the log to fn, the read path behind
 // history queries. Shard dirs are read concurrently; fn sees one dir's frames
-// in segment order on one goroutine, each read whole and its trailer checked,
-// its payload undecoded. A frame failing its checksum is dropped and the file
-// read on; any other bad frame ends the file, dropped too. It returns the
-// drops. It is best-effort against concurrent writers: the path list is copied
-// under each shard's mutex, but the files are read unlocked, so a segment
-// compacted away mid-scan is skipped and a frame being appended right now reads
-// as a torn tail and ends that file. Both are safe for history: duplicates and
-// stale fulls fall out of the same no-rollback apply rules replay uses.
+// in segment order on one goroutine, through one segmentWalker, each read
+// whole and its trailer checked, its payload undecoded. A frame failing its
+// checksum is dropped and the file read on; any other bad frame ends the
+// file, dropped too. It returns the drops. It is best-effort against
+// concurrent writers: the path list is copied under each shard's mutex, but
+// the files are read unlocked, so a segment compacted away mid-scan is
+// skipped and a frame being appended right now reads as a torn tail and ends
+// that file. Both are safe for history: duplicates and stale fulls fall out
+// of the same no-rollback apply rules replay uses.
 func (l *segmentLog) scan(fn func(dirIdx int, f *frame)) (dropped int64) {
 	var n atomic.Int64
 	eachDir(len(l.shards), func(i int) error {
 		sh := l.shards[i]
 		sh.mu.Lock()
-		paths := make([]string, 0, len(sh.sealed)+1)
-		for _, seg := range sh.sealed {
-			paths = append(paths, seg.path)
-		}
+		segs := slices.Clone(sh.sealed)
 		if sh.active.frames > 0 {
-			paths = append(paths, sh.active.path)
+			segs = append(segs, sh.active)
 		}
 		sh.mu.Unlock()
-		for _, p := range paths {
-			n.Add(scanSegment(p, sh.dirIdx, fn))
+		w := walkers.Get().(*segmentWalker)
+		defer walkers.Put(w)
+		for _, seg := range segs {
+			w.walk(seg.path, func(fr *frame, err error) error {
+				switch {
+				case err == nil:
+					fn(sh.dirIdx, fr)
+				case errors.As(err, new(*UnknownLayoutError)):
+					// a whole frame of another layout: nothing to window
+				case errors.Is(err, ErrChecksum):
+					n.Add(1)
+				case errors.Is(err, ErrTruncatedFrame):
+					return io.EOF // a frame being appended
+				default:
+					n.Add(1)
+					return io.EOF // the framing is lost: stop this file
+				}
+				return nil
+			})
 		}
 		return nil
 	})
 	return n.Load()
-}
-
-func scanSegment(path string, dirIdx int, fn func(int, *frame)) (dropped int64) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0
-	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	for {
-		fr, err := readFrame(r)
-		switch {
-		case err == nil:
-			fn(dirIdx, fr)
-		case errors.As(err, new(*UnknownLayoutError)):
-			// a whole frame of another layout: nothing to window
-		case errors.Is(err, ErrChecksum):
-			dropped++
-		case errors.Is(err, ErrTruncatedFrame) || err == io.EOF:
-			return dropped // the end, or a frame being appended
-		default:
-			return dropped + 1 // the framing is lost: stop this file
-		}
-	}
 }
 
 // segmentCounts returns the live segment count and total bytes.

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -937,4 +938,199 @@ func TestSnapshotsHandedOutAfterBootNeverChange(t *testing.T) {
 			t.Errorf("snapshot %d (%s/%s) handed out after boot changed under a live delta", i, held[i].VM, held[i].Disk)
 		}
 	}
+}
+
+// TestLogReadsKeepNoFrameBytes pins the segment walker's ownership rule: a
+// frame read from the log lives only until the next read, which reuses its
+// buffer. The shards hold chains whose frames grow and shrink — a 16-disk
+// full frame, 1-disk deltas, then another host's full frame, hosts named at
+// different lengths — so a reused buffer always holds a longer frame's stale
+// bytes behind a shorter one. Boot replay, History windows and a torn tail
+// after a large frame must each match live ingest per host and per disk,
+// names included; and walking a segment allocates no buffer per frame.
+func TestLogReadsKeepNoFrameBytes(t *testing.T) {
+	type host struct {
+		name string
+		reg  *core.Registry
+		seq  uint64
+		prev []*core.Snapshot
+	}
+	t0 := time.Unix(1_700_000_000, 0)
+	at := func(step int) time.Time { return t0.Add(time.Duration(step) * time.Second) }
+	// schedule sends each host a full frame on rounds 0 and 2 and three
+	// 1-disk deltas on every round; it returns every batch in send order and
+	// the host each was for.
+	schedule := func(names ...string) (batches []*Batch) {
+		hosts := make([]*host, len(names))
+		for i, n := range names {
+			hosts[i] = &host{name: n, reg: makeRegistry(i, 4, 4, 60)}
+		}
+		for round := range 4 {
+			for _, h := range hosts {
+				for k := range 4 {
+					if k > 0 || round%2 == 1 {
+						feed(h.reg.List()[(round*3+k)%16], len(batches)*7, 25)
+					}
+					cur := h.reg.Snapshots()
+					h.seq++
+					b := &Batch{Host: h.name, Seq: h.seq, SentUnixNano: at(len(batches) + 1).UnixNano(), Snapshots: cur}
+					if k > 0 || round%2 == 1 {
+						b.Delta, b.BaseSeq = true, h.seq-1
+						b.Snapshots, _ = new(chain).subAgainst(cur, h.prev)
+					}
+					h.prev = cur
+					batches = append(batches, b)
+				}
+			}
+		}
+		return batches
+	}
+	sameChains := func(t *testing.T, label string, got, want map[string][]*core.Snapshot) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d hosts, want %d", label, len(got), len(want))
+		}
+		for h, w := range want {
+			g := got[h]
+			if len(g) != len(w) {
+				t.Fatalf("%s: host %s has %d disks, want %d", label, h, len(g), len(w))
+			}
+			for i := range w {
+				if g[i].VM != w[i].VM || g[i].Disk != w[i].Disk || !g[i].StateEquals(w[i]) {
+					t.Fatalf("%s: host %s disk %s/%s differs from live ingest", label, h, w[i].VM, w[i].Disk)
+				}
+			}
+		}
+	}
+
+	t.Run("replay and history", func(t *testing.T) {
+		cfg := logAggConfig(t.TempDir())
+		cfg.Shards = 2
+		g, _, err := OpenAggregator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches := schedule("h0", "esx-host-with-a-long-name-1", "h2-mid", "esx-3")
+		live := []map[string][]*core.Snapshot{{}} // every host's live chain after each step
+		for _, b := range batches {
+			ingestAll(t, g, []*Batch{b})
+			live = append(live, chainsOf(g))
+		}
+		g.Close()
+		g, st, err := OpenAggregator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer g.Close()
+		if st.Frames != int64(len(batches)) || st.Skipped != 0 {
+			t.Fatalf("replay stats %+v, want %d frames and none skipped", st, len(batches))
+		}
+		sameChains(t, "boot replay", chainsOf(g), live[len(batches)])
+		for _, w := range [][2]int{{0, len(batches)}, {3, 9}, {4, 20}, {17, 40}, {33, 34}, {50, len(batches)}} {
+			from, to := w[0], w[1]
+			want := map[diskKey]*core.Snapshot{}
+			for hostName, end := range live[to] {
+				changed := false
+				for s := from; s < to; s++ {
+					changed = changed || batches[s].Host == hostName
+				}
+				if !changed {
+					continue
+				}
+				base := map[diskKey]*core.Snapshot{}
+				for _, s := range live[from][hostName] {
+					base[diskKey{s.VM, s.Disk}] = s
+				}
+				for _, s := range end {
+					want[diskKey{s.VM, s.Disk}] = core.IntervalSince(base[diskKey{s.VM, s.Disk}], s)
+				}
+			}
+			res, windows := g.windows(at(from), at(to))
+			if res.Dropped != 0 || len(windows) != len(want) {
+				t.Fatalf("window (%d, %d]: %d disk windows and %d drops, want %d and none", from, to, len(windows), res.Dropped, len(want))
+			}
+			for _, got := range windows {
+				if w := want[diskKey{got.VM, got.Disk}]; w == nil || !got.StateEquals(w) {
+					t.Fatalf("window (%d, %d]: disk %s/%s differs from live ingest", from, to, got.VM, got.Disk)
+				}
+			}
+		}
+	})
+
+	t.Run("torn tail after a large frame", func(t *testing.T) {
+		cfg := logAggConfig(t.TempDir())
+		cfg.Shards = 1
+		g, _, err := OpenAggregator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches := schedule("esx-host-with-a-long-name-0", "h1")[:6] // host 0's full and 3 deltas, then host 1's full and a delta
+		ingestAll(t, g, batches)
+		g.Close()
+		seg := segFiles(t, cfg.DataDir)[0]
+		whole, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		offs := frameOffsets(t, seg) // each frame's end
+		if len(offs) != len(batches) || offs[4]-offs[3] < 4*(offs[5]-offs[4]) {
+			t.Fatalf("frame ends %v: want six frames, the fifth a full frame past four times the sixth", offs)
+		}
+		for cut := offs[3] + 1; cut < offs[5]; cut += max(1, (offs[5]-offs[3])/48) {
+			kept := len(batches) - 1 // the frames before the cut
+			if cut < offs[4] {
+				kept--
+			}
+			control := NewAggregator(AggregatorConfig{StaleAfter: time.Hour, Shards: 1})
+			ingestAll(t, control, batches[:kept])
+			if err := os.WriteFile(seg, whole[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			g, st, err := OpenAggregator(cfg)
+			if err != nil {
+				t.Fatalf("cut at byte %d: %v", cut, err)
+			}
+			if st.TornTails != 1 || st.Frames != int64(kept) {
+				t.Fatalf("cut at byte %d: replay stats %+v, want 1 torn tail and %d frames", cut, st, kept)
+			}
+			sameChains(t, "torn tail", chainsOf(g), chainsOf(control))
+			g.Close()
+		}
+	})
+
+	t.Run("no buffer per frame", func(t *testing.T) {
+		dir, states := t.TempDir(), chainStates()
+		var raw []byte
+		paths := map[int]string{}
+		for v := range states {
+			for k := range states[v] {
+				frame, err := EncodeBatchBytes(chainBatch(fmt.Sprintf("esx-%d", v), k, states[v], t0))
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw = append(raw, frame...)
+			}
+			if n := (v + 1) * len(states[v]); n == 8 || n == 64 {
+				paths[n] = filepath.Join(dir, fmt.Sprintf("%d.seg", n))
+				if err := os.WriteFile(paths[n], raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		w := walkers.New().(*segmentWalker)
+		allocs := func(n int) float64 {
+			return testing.AllocsPerRun(20, func() {
+				frames := 0
+				if err := w.walk(paths[n], func(_ *frame, err error) error { frames++; return err }); err != nil || frames != n {
+					t.Fatalf("walked %d of %d frames: %v", frames, n, err)
+				}
+			})
+		}
+		// A frame's header costs one allocation, its host's name; the frame,
+		// its Batch and its buffer are the walker's, whatever the count.
+		a8, a64 := allocs(8), allocs(64)
+		if a64 > a8+56 {
+			t.Errorf("walking 64 frames allocates %.0f times, 8 frames %.0f: more than a host name per frame", a64, a8)
+		}
+	})
 }

@@ -285,7 +285,13 @@ func (p *payloadReader) hist(st *staging, h *core.HistCells, all int, withTotal 
 		return 0, 0
 	}
 	for next := 0; nnz > 0; nnz-- { // next is the lowest bin the entry may name
-		gap, c := p.uvarint(), p.varint()
+		var gap uint64
+		var c int64
+		if b := p.buf[p.off:]; len(b) > 1 && b[0]|b[1] < 0x80 { // a byte each, as most entries are: read without a call
+			gap, c, p.off = uint64(b[0]), int64(b[1]>>1)^-int64(b[1]&1), p.off+2
+		} else {
+			gap, c = p.uvarint(), p.varint()
+		}
 		if gap >= uint64(n-next) {
 			p.fail("bin index out of range")
 			return 0, 0

@@ -377,7 +377,7 @@ func reseal(frame []byte) []byte {
 // fixing the declared lengths and the trailer.
 func reframe(t testing.TB, frame, payload []byte, count int) []byte {
 	t.Helper()
-	f, err := readFrame(bytes.NewReader(frame))
+	f, err := readFrame(bytes.NewReader(frame), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

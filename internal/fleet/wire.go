@@ -290,7 +290,7 @@ func readSized(r io.Reader, dst []byte, n uint32, what string) ([]byte, error) {
 // one failure that is not a bad frame is *UnknownLayoutError: a whole,
 // well-formed frame whose bin layout is another binary generation's.
 func DecodeBatch(r io.Reader) (*Batch, error) {
-	f, err := readFrame(r)
+	f, err := readFrame(r, nil)
 	if err == nil {
 		f.Snapshots, err = decodePayload(f.payload, f.count, nil, false)
 	}
@@ -309,11 +309,20 @@ type frame struct {
 	payload []byte // the snapshots: raw's payload after its layout id
 }
 
-// readFrame reads one whole frame into one buffer, head first, and checks
-// everything but the snapshots: DecodeBatch's rules and the trailer, up to
-// the payload's layout id. An *UnknownLayoutError comes with the whole frame.
-func readFrame(r io.Reader) (*frame, error) {
-	raw := make([]byte, 16, 1024) // the head, and room for most deltas behind it
+// newFrame has room for the head and most deltas behind it.
+func newFrame() *frame { return &frame{Batch: new(Batch), raw: make([]byte, 0, 1024)} }
+
+// readFrame reads one whole frame into f (a new one if f is nil), its Batch
+// and raw buffer reused, head first, and checks everything but the
+// snapshots: DecodeBatch's rules and the trailer, up to the payload's layout
+// id. An *UnknownLayoutError comes with the whole frame. Reading into f again
+// reads over the frame before (segmentWalker), so payloadReader.header and
+// decodePayload copy every name and cell out of it.
+func readFrame(r io.Reader, f *frame) (*frame, error) {
+	if f == nil {
+		f = newFrame()
+	}
+	raw := f.raw[:16]
 	if _, err := io.ReadFull(r, raw); err != nil {
 		if err == io.EOF { // no byte read: a clean end of stream
 			return nil, io.EOF
@@ -355,22 +364,22 @@ func readFrame(r io.Reader) (*frame, error) {
 	if want, got := binary.BigEndian.Uint32(raw[end:]), crc32.Checksum(raw[:end], castagnoli); want != got {
 		return nil, fmt.Errorf("%w: trailer %#08x, frame sums to %#08x", ErrChecksum, want, got)
 	}
-	out := &Batch{Delta: flags&flagDelta != 0}
+	f.raw, *f.Batch = raw, Batch{Delta: flags&flagDelta != 0}
 	p := payloadReader{buf: raw[16 : 16+headerLen]}
-	count := p.header(out)
+	f.count = p.header(f.Batch)
 	if p.err != nil {
 		return nil, p.err
 	}
-	if !out.Delta { // base_seq means nothing without the flag: decode(encode(b)) == b both ways
-		out.BaseSeq = 0
+	if !f.Delta { // base_seq means nothing without the flag: decode(encode(b)) == b both ways
+		f.BaseSeq = 0
 	}
 	payload := raw[16+headerLen : end]
 	if len(payload) < 8 {
 		return nil, badFrame("binary payload of %d bytes has no layout id", len(payload))
 	}
-	f := &frame{Batch: out, count: count, raw: raw, payload: payload[8:]}
+	f.payload = payload[8:]
 	if id := binary.BigEndian.Uint64(payload); id != layout.id {
-		return f, &UnknownLayoutError{Header: out, LayoutID: id}
+		return f, &UnknownLayoutError{Header: f.Batch, LayoutID: id}
 	}
 	return f, nil
 }

@@ -3,11 +3,17 @@ package telemetry
 import (
 	"bufio"
 	"encoding/json"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"vscsistats/internal/core"
+	"vscsistats/internal/scsi"
+	"vscsistats/internal/simclock"
+	"vscsistats/internal/vscsi"
 )
 
 func (s *Streamer) subscriberCount() int {
@@ -226,5 +232,61 @@ func TestStreamerAfterReset(t *testing.T) {
 	}
 	if len(got) != 3 || got[0] != 10 || got[1] != 3 || got[2] != 4 {
 		t.Errorf("interval commands = %v, want [10 3 4]", got)
+	}
+}
+
+// TestStreamerIntervalsAddUpToTheSnapshot is the interval law for the
+// Streamer: folded with ApplyDelta from empty, every point a disk's ring
+// holds gives the disk's snapshot at the last tick, counters and every cell.
+// The disks are fed between ticks, some commands still in flight at a tick,
+// and one disk appears after the first ticks, so its first point is its
+// whole state. The extrema need no exception here: a delta carries its later
+// snapshot's, which ApplyDelta takes, and the fold starts from empty.
+func TestStreamerIntervalsAddUpToTheSnapshot(t *testing.T) {
+	eng := simclock.NewEngine()
+	backend := vscsi.BackendFunc(func(r *vscsi.Request, done func(scsi.Status, scsi.Sense)) {
+		eng.After(simclock.Time(1+r.Cmd.LBA%7)*simclock.Millisecond, func(simclock.Time) { done(scsi.StatusGood, scsi.Sense{}) })
+	})
+	reg := core.NewRegistry()
+	var disks []*vscsi.Disk
+	attach := func(vm, name string) {
+		d := vscsi.NewDisk(eng, backend, vscsi.DiskConfig{VM: vm, Name: name, CapacitySectors: 1 << 20})
+		col := core.NewCollector(vm, name)
+		col.Enable()
+		d.AddObserver(col)
+		reg.Register(col)
+		disks = append(disks, d)
+	}
+	attach("vm1", "scsi0:0")
+	attach("vm1", "scsi0:1")
+	const ticks = 12
+	s := NewStreamer(reg, time.Second, ticks)
+	rng := rand.New(rand.NewSource(47))
+	for tick := range ticks {
+		if tick == 3 {
+			attach("vm2", "scsi0:0")
+		}
+		for range 40 + rng.Intn(60) {
+			cmd := scsi.Read(uint64(rng.Intn(1<<19)), 8<<rng.Intn(4))
+			if rng.Intn(3) == 0 {
+				cmd = scsi.Write(uint64(rng.Intn(1<<19)), 16)
+			}
+			if _, err := disks[rng.Intn(len(disks))].Issue(cmd, nil); err != nil {
+				t.Fatal(err)
+			}
+			eng.RunUntil(eng.Now() + simclock.Time(rng.Intn(3))*simclock.Millisecond) // some still in flight at the tick
+		}
+		s.Tick(time.Unix(int64(100+tick), 0))
+	}
+	for _, want := range reg.Snapshots() {
+		points := s.Series(want.VM, want.Disk)
+		sum := new(core.Snapshot)
+		for _, p := range points {
+			sum = sum.ApplyDelta(p.Delta)
+		}
+		if want.Commands == 0 || !sum.StateEquals(want) {
+			t.Errorf("%s/%s: %d intervals add up to %d commands, the snapshot holds %d, or a cell differs",
+				want.VM, want.Disk, len(points), sum.Commands, want.Commands)
+		}
 	}
 }
