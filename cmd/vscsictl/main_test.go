@@ -27,12 +27,12 @@ func startFleet(t *testing.T) (*httptest.Server, *vscsim.Inventory) {
 	agg, _, err := fleet.OpenAggregator(fleet.AggregatorConfig{
 		StaleAfter: time.Hour,
 		DataDir:    t.TempDir(),
-		Catalog:    cat,
 		Obs:        fleetobs.New(fleetobs.Config{}),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	agg.SetCatalog(cat)
 	srv := httptest.NewServer(agg)
 	t.Cleanup(srv.Close)
 

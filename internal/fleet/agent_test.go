@@ -3,9 +3,13 @@ package fleet
 import (
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"vscsistats/internal/core"
 )
 
 // aggServer wraps an Aggregator in an httptest server, counting requests
@@ -64,6 +68,103 @@ func TestAgentPushDelivers(t *testing.T) {
 	want := hostSnapshot(reg)
 	if got := as.agg.ClusterSnapshot(false); !sameSnapshot(got, want) {
 		t.Error("cluster snapshot diverged from the pushing registry")
+	}
+}
+
+// TestAgentPushesAddUpToTheSnapshot is the push protocol's interval law
+// seen from the receiving end: a receiver that folds every frame the agent
+// delivers — a full frame replaces its state, a delta is applied disk by
+// disk with ApplyDelta, a heartbeat changes nothing — holds, after every
+// acknowledged push, exactly the registry's capture. It covers heartbeats,
+// a 409 that makes the agent resync, and disks attached mid-run, before
+// and among the others in (VM, disk) order.
+func TestAgentPushesAddUpToTheSnapshot(t *testing.T) {
+	var (
+		mu       sync.Mutex
+		state    []*core.Snapshot
+		kinds    = map[string]int{}
+		conflict bool // answer the next delta 409, unapplied
+	)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		b, err := DecodeBatch(r.Body)
+		if err != nil {
+			t.Errorf("receiver: %v", err)
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if b.Delta && conflict {
+			conflict = false
+			kinds["conflict"]++
+			http.Error(w, "base lost", http.StatusConflict)
+			return
+		}
+		kinds[b.kind()]++
+		if !b.Delta {
+			state = b.Snapshots
+			return
+		}
+		for _, d := range b.Snapshots {
+			i := slices.IndexFunc(state, func(s *core.Snapshot) bool { return s.VM == d.VM && s.Disk == d.Disk })
+			if i < 0 {
+				t.Errorf("receiver: delta for %s/%s it holds no state for", d.VM, d.Disk)
+				continue
+			}
+			state[i] = state[i].ApplyDelta(d)
+		}
+	}))
+	defer srv.Close()
+
+	reg := makeRegistry(1, 2, 2, 100)
+	a := NewAgent(reg, AgentConfig{Host: "esx-law", Endpoint: srv.URL})
+	attach := func(vm, disk string, seed int) {
+		c := core.NewCollector(vm, disk)
+		c.Enable()
+		feed(c, seed, 40)
+		reg.Register(c)
+	}
+	steps := []struct {
+		name   string
+		before func()
+		kind   string // the kind the receiver must have counted one more of
+	}{
+		{"first push", func() {}, "full"},
+		{"traffic on one disk", func() { feed(reg.List()[1], 71, 30) }, "delta"},
+		{"heartbeat", func() {}, "heartbeat"},
+		{"traffic on two disks", func() { feed(reg.List()[0], 72, 10); feed(reg.List()[3], 73, 10) }, "delta"},
+		{"409 resync", func() { feed(reg.List()[2], 74, 20); conflict = true }, "full"},
+		{"after the resync", func() { feed(reg.List()[2], 75, 20) }, "delta"},
+		{"disk attached first", func() { attach("vma0", "scsi0:0", 76) }, "full"},
+		{"disk attached among the others", func() { attach(reg.List()[1].VM(), "scsi0:10", 77) }, "full"},
+		{"traffic on the new disks", func() { feed(reg.List()[0], 78, 10); feed(reg.List()[2], 79, 10) }, "delta"},
+		{"heartbeat again", func() {}, "heartbeat"},
+	}
+	for _, st := range steps {
+		mu.Lock()
+		st.before()
+		was := kinds[st.kind]
+		mu.Unlock()
+		if err := a.PushNow(); err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		want := reg.Snapshots()
+		mu.Lock()
+		if kinds[st.kind] != was+1 {
+			t.Errorf("%s: receiver counted %v, want one more %s", st.name, kinds, st.kind)
+		}
+		if len(state) != len(want) {
+			t.Fatalf("%s: receiver folded %d disks, registry has %d", st.name, len(state), len(want))
+		}
+		for i := range want {
+			if state[i].VM != want[i].VM || state[i].Disk != want[i].Disk || !state[i].StateEquals(want[i]) {
+				t.Errorf("%s: disk %d (%s/%s) folded differs from the capture", st.name, i, want[i].VM, want[i].Disk)
+			}
+		}
+		mu.Unlock()
+	}
+	if kinds["conflict"] != 1 {
+		t.Errorf("receiver answered %d deltas 409, want 1", kinds["conflict"])
 	}
 }
 

@@ -71,11 +71,6 @@ type AggregatorConfig struct {
 	// negative disables compaction).
 	CompactSegments int
 
-	// Catalog, when set, is the reference catalog GET /fleet/catalog
-	// classifies merged per-VM views against (paper §7 at fleet scope).
-	// SetCatalog installs or replaces it on a live aggregator.
-	Catalog *analysis.Catalog
-
 	// Obs, when set, receives per-stage latency samples (decode, lock
 	// wait, shard ingest, merge recompute, log append, fsync, compaction,
 	// replay, history) and structural pipeline events (pushes, resyncs
@@ -160,7 +155,6 @@ func NewAggregator(cfg AggregatorConfig) *Aggregator {
 		g.shards[i] = newShard(i, g.cfg.Obs)
 	}
 	g.iomu = make([]sync.Mutex, g.cfg.Shards)
-	g.catalog.Store(cfg.Catalog)
 	return g
 }
 

@@ -46,7 +46,8 @@ var errDense = badFrame("the dense reference cannot read the payload")
 // decoder so the fuzz target compares two implementations: every snapshot
 // starts from zeros and each histogram is read whole into its cells, then
 // each class-all histogram is made dense from its reads and writes, and a
-// derived snapshot's counters from I/O length.
+// derived snapshot's counters from I/O length. Whole names are compared to
+// keep the disks in (VM, disk) order, each named once.
 func decodeDense(payload []byte, count int) (out []*core.Snapshot, err error) {
 	if count < 0 || count > len(payload)/layout.minBytes || count > maxDecodedLen/layout.decodedBytes {
 		return nil, errDense
@@ -79,8 +80,12 @@ func decodeDense(payload []byte, count int) (out []*core.Snapshot, err error) {
 		core.MakeWritable(out)
 	}
 	var vm, disk string
-	for _, s := range out {
+	for j, s := range out {
+		prevVM, prevDisk := vm, disk
 		vm, disk = name(vm), name(disk)
+		if j > 0 && (vm < prevVM || vm == prevVM && disk <= prevDisk) {
+			panic(errDense)
+		}
 		s.VM, s.Disk = vm, disk
 		flags := next()
 		if flags > snapDerived {
@@ -202,8 +207,9 @@ func FuzzApplyDeltaPayload(f *testing.F) {
 			f.Add(p[:len(p)*2/3], len(snaps))
 		}
 	}
-	// A disk named twice, the first time whole, and a whole delta alone:
-	// each must add as ApplyDelta does, in turn.
+	// A disk named twice, the first time whole, which is refused as twice
+	// and reversed are; and a whole delta alone, which must add as
+	// ApplyDelta does.
 	whole := []*core.Snapshot{every[1], every[1], every[2]}
 	core.MakeWritable(whole[:1])
 	whole[0].Cells()[0]++ // class-all I/O length ≠ reads + writes
@@ -211,9 +217,9 @@ func FuzzApplyDeltaPayload(f *testing.F) {
 	whole[2].Commands++
 	f.Add(snapsOf(f, whole[:2]), 2)
 	f.Add(snapsOf(f, whole[2:]), 1)
-	// A disk named three times; a delta whose reads class has no samples
-	// and extrema (0, 0), so class-all's are the writes'; and every bin of
-	// every histogram non-zero.
+	// A disk named three times, refused; a delta whose reads class has no
+	// samples and extrema (0, 0), so class-all's are the writes'; and every
+	// bin of every histogram non-zero.
 	f.Add(snapsOf(f, []*core.Snapshot{every[4], every[4], every[4]}), 3)
 	writer := core.NewCollector(base[2].VM, base[2].Disk)
 	writer.Enable()
@@ -222,13 +228,11 @@ func FuzzApplyDeltaPayload(f *testing.F) {
 	rng := rand.New(rand.NewSource(46))
 	dense := []*core.Snapshot{hostileSnapshot(rng, base[0].VM, base[0].Disk, 1), hostileSnapshot(rng, base[5].VM, base[5].Disk, 1)}
 	f.Add(snapsOf(f, dense), 2)
-	// The most a delta can stage: every base disk named three times, every
-	// bin non-zero. Staging stays within the bound even from a cold pool.
+	// The most a delta can stage: every base disk named, every bin
+	// non-zero. Staging stays within the bound even from a cold pool.
 	var most []*core.Snapshot
-	for range 3 {
-		for _, s := range base {
-			most = append(most, hostileSnapshot(rng, s.VM, s.Disk, 1))
-		}
+	for _, s := range base {
+		most = append(most, hostileSnapshot(rng, s.VM, s.Disk, 1))
 	}
 	f.Add(snapsOf(f, most), len(most))
 	bound := uint64(len(base)+1)*uint64(2*layout.decodedBytes) + 64<<10
@@ -466,6 +470,67 @@ func TestMalformedDeltaIsABadFrame(t *testing.T) {
 	_, _, err = OpenAggregator(cfg)
 	if !errors.Is(err, ErrBadFrame) || !strings.Contains(err.Error(), seg) {
 		t.Fatalf("boot over the corrupt delta: %v, want a bad frame naming %s", err, seg)
+	}
+}
+
+// TestDiskNamedTwiceIsRefused follows a full frame that names one disk
+// twice through every reader: merged as sent, it would count that disk's
+// commands twice. Pushed, it is a 400 and the cluster view does not move.
+// In a segment, History drops it and it refuses boot.
+func TestDiskNamedTwiceIsRefused(t *testing.T) {
+	t0 := time.Now().Add(-time.Minute)
+	reg := makeRegistry(6, 1, 2, 100)
+	s := reg.Snapshots()
+	full := &Batch{Host: "esx-d", Seq: 1, SentUnixNano: t0.UnixNano(), Snapshots: s}
+	doubled, err := EncodeBatchBytes(&Batch{Host: "esx-d", Seq: 2, SentUnixNano: t0.Add(time.Second).UnixNano(), Snapshots: []*core.Snapshot{s[0], s[0], s[1]}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := AggregatorConfig{StaleAfter: time.Hour, Shards: 1, DataDir: t.TempDir(), SyncInterval: -1}
+	g, _, err := OpenAggregator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Ingest(full, "push"); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(g)
+	defer srv.Close()
+	resp, err := http.Post(srv.URL+"/fleet/push", ContentType, bytes.NewReader(doubled))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("doubled full frame: status %d, want 400", resp.StatusCode)
+	}
+	if got := g.ClusterSnapshot(true); got.Commands != hostSnapshot(reg).Commands || !sameSnapshot(got, core.Aggregate("cluster", "*", s...)) {
+		t.Errorf("cluster holds %d commands after the doubled frame, want the host's %d", got.Commands, hostSnapshot(reg).Commands)
+	}
+
+	seg := g.log.shards[0].active.path
+	file, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := file.Write(doubled); err != nil {
+		t.Fatal(err)
+	}
+	if err := file.Close(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := g.History(t0.Add(-time.Second), t0.Add(2*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Frames != 2 || res.Dropped != 1 {
+		t.Errorf("history scanned %d frames and dropped %d, want 2 and the doubled one", res.Frames, res.Dropped)
+	}
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := OpenAggregator(cfg); !errors.Is(err, ErrBadFrame) || !strings.Contains(err.Error(), seg) {
+		t.Fatalf("boot over the doubled frame: %v, want a bad frame naming %s", err, seg)
 	}
 }
 

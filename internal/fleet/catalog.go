@@ -9,23 +9,17 @@ import (
 
 // Fleet-scope workload classification — the paper's §7 automatic
 // categorization applied to the aggregator's merged per-VM views instead
-// of a single live collector. The aggregator holds a reference catalog
-// (installed at construction via AggregatorConfig.Catalog or swapped live
-// with SetCatalog); GET /fleet/catalog classifies every fresh VM against
-// it. Classification reads the same memoized per-VM merges every other
-// aggregator read uses, so the endpoint costs one catalog distance
-// computation per VM and nothing on the ingest path.
+// of a single live collector. The aggregator holds a reference catalog,
+// installed or swapped live with SetCatalog; GET /fleet/catalog classifies
+// every fresh VM against it. Classification reads the same memoized per-VM
+// merges every other aggregator read uses, so the endpoint costs one
+// catalog distance computation per VM and nothing on the ingest path.
 
 // SetCatalog installs or replaces the reference catalog served by
 // GET /fleet/catalog (nil uninstalls it). Safe to call while the
 // aggregator ingests and serves.
 func (g *Aggregator) SetCatalog(cat *analysis.Catalog) {
 	g.catalog.Store(cat)
-}
-
-// Catalog returns the installed reference catalog (nil when none).
-func (g *Aggregator) Catalog() *analysis.Catalog {
-	return g.catalog.Load()
 }
 
 // CatalogScore is one reference's ranked similarity to a VM.
@@ -68,7 +62,7 @@ type CatalogResult struct {
 }
 
 // errNoCatalog is the 404 body for classification without a catalog.
-const errNoCatalog = "no reference catalog installed (set AggregatorConfig.Catalog or call SetCatalog)"
+const errNoCatalog = "no reference catalog installed (call SetCatalog)"
 
 // ClassifyVMs classifies every merged per-VM view against the installed
 // catalog. A nil return with nil error means no catalog is installed.

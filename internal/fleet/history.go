@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"runtime/pprof"
 	"slices"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -126,12 +128,16 @@ func (g *Aggregator) windows(from, to time.Time) (*HistoryResult, []*core.Snapsh
 				continue
 			}
 			res.Hosts++
-			base := make(map[diskKey]*core.Snapshot, len(h.base))
-			for _, s := range h.base {
-				base[diskKey{s.VM, s.Disk}] = s
-			}
-			for _, s := range h.snaps { // the state as of the newest frame sent <= to
-				windows = append(windows, core.IntervalSince(base[diskKey{s.VM, s.Disk}], s))
+			base := h.base // in (VM, disk) order, as h.snaps, the state at to, is
+			for _, s := range h.snaps {
+				for len(base) > 0 && cmp.Or(strings.Compare(base[0].VM, s.VM), strings.Compare(base[0].Disk, s.Disk)) < 0 {
+					base = base[1:] // a disk gone by to
+				}
+				var b *core.Snapshot
+				if len(base) > 0 && base[0].VM == s.VM && base[0].Disk == s.Disk {
+					b = base[0]
+				}
+				windows = append(windows, core.IntervalSince(b, s))
 			}
 		}
 	}

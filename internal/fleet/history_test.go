@@ -396,6 +396,12 @@ func TestHistoryMatchesLiveIngest(t *testing.T) {
 			var chains []map[string][]*core.Snapshot // every host's live chain after each step
 			for step := 0; step < 120; step++ {
 				s := senders[rng.Intn(len(senders))]
+				if step%40 == 39 { // a busy disk attached among the host's others: windows across it pair disks by name
+					c := core.NewCollector(s.reg.List()[0].VM(), fmt.Sprintf("scsi0:0%d", step))
+					c.Enable()
+					feed(c, step, 3000)
+					s.reg.Register(c)
+				}
 				for j, col := range s.reg.List() {
 					feed(col, step*10+j, rng.Intn(30))
 				}

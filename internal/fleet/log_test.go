@@ -24,6 +24,9 @@ func logAggConfig(dir string) AggregatorConfig {
 	return AggregatorConfig{StaleAfter: time.Hour, Shards: 4, DataDir: dir, SyncInterval: -1}
 }
 
+// diskKey names one disk of a host's batch in the tests' own maps.
+type diskKey struct{ vm, disk string }
+
 // subSnaps pairs cur with prev by (VM, disk) and returns per-disk interval
 // deltas — the test-side copy of what an agent's delta push carries.
 func subSnaps(cur, prev []*core.Snapshot) []*core.Snapshot {

@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -29,7 +31,9 @@ import (
 // the windowed seek distance. Bins are sparse: nnz non-zero bins, each
 // located by the count of zero bins skipped since the previous one.
 //
-// A name shares a prefix with the previous snapshot's. A core.Snapshot that
+// Snapshots come in strictly increasing (VM, disk) order, byte-wise, so a
+// frame names each disk at most once; a frame out of that order is a bad
+// frame. A name shares a prefix with the previous snapshot's. A core.Snapshot that
 // is Derived, as captures, deltas and merges are, leaves out what a capture
 // derives. Any other is whole: class-all bins and Sum as the residual
 // against reads + writes, every Total against its bins, which wraps and so
@@ -86,7 +90,7 @@ var layout = func() *wireLayout {
 	l.zeros = empty.Cells()
 	l.minBytes = 4 + 1 + 1 + 4*(len(l.hists)-5)
 	l.decodedBytes = int(unsafe.Sizeof(*empty)) + 8*len(l.zeros)
-	l.recWords = 3 + 6 + len(l.extrema)
+	l.recWords = 2 + 6 + len(l.extrema)
 	return l
 }()
 
@@ -243,14 +247,16 @@ func (p *payloadReader) bytes() []byte {
 	return s
 }
 
-// name reads a front-coded name onto prev, the previous one, and returns it
-// in prev's memory.
-func (p *payloadReader) name(prev []byte) []byte {
-	if shared, suffix := p.uvarint(), p.bytes(); shared <= uint64(len(prev)) {
-		return append(prev[:shared], suffix...)
+// name reads a front-coded name over prev, the previous one, in its memory,
+// and returns how the new name compares to it (bytes.Compare).
+func (p *payloadReader) name(prev *[]byte) (order int) {
+	if shared, suffix := p.uvarint(), p.bytes(); shared <= uint64(len(*prev)) {
+		order = bytes.Compare(suffix, (*prev)[shared:]) // before the new name overwrites prev
+		*prev = append((*prev)[:shared], suffix...)
+		return order
 	}
 	p.fail("name shares more than the previous one holds")
-	return prev[:0]
+	return 0
 }
 
 // An op adds val onto cell (core.CellTable) of the snapshot being decoded,
@@ -353,11 +359,12 @@ func (p *payloadReader) snapshot(st *staging, rec []int64) {
 // core.ApplyDelta, unless the payload names a disk the base lacks
 // (ResyncUnknownDisk: the sender built on state we lost). An owned base
 // (see chainPos) is added onto in place; of a shared one, each named disk
-// is copied first and the rest carry over by reference. A delta stages no
-// more than a record and a snapshot's ops per base disk: a disk named again
-// folds into its first record, and after an unknown disk the rest is only
-// read. Names and staging count against maxDecodedLen too: front-coding
-// repeats a name for free, and an op is 16 bytes of a 2-byte bin entry.
+// is copied first and the rest carry over by reference. Disks come in
+// (VM, disk) order, a base's too, so one forward scan finds a delta's in
+// its base, and a delta stages no more than a record and a snapshot's ops
+// per base disk: after an unknown disk the rest is only read. Names and
+// staging count against maxDecodedLen too: front-coding repeats a name for
+// free, and an op is 16 bytes of a 2-byte bin entry.
 func decodePayload(payload []byte, count int, base []*core.Snapshot, owned bool) ([]*core.Snapshot, error) {
 	p := payloadReader{buf: payload}
 	if count < 0 || count > len(p.buf)/layout.minBytes {
@@ -374,41 +381,39 @@ func decodePayload(payload []byte, count int, base []*core.Snapshot, owned bool)
 	}
 	st := stagingPool.Get().(*staging)
 	defer stagingPool.Put(st)
-	st.vals, st.ops, st.dense, st.vm, st.disk = st.vals[:0], st.ops[:0], st.dense[:0], st.vm[:0], st.disk[:0] // the first names share with ""
-	if len(st.recOf) < len(base) {
-		st.recOf = make([]int, len(base))
-	}
+	st.vals, st.ops, st.vm, st.disk = st.vals[:0], st.ops[:0], st.vm[:0], st.disk[:0] // the first names share with ""
 	// A delta's ops, its disks' and one more snapshot's at most, are reserved at once.
 	if n := min((min(count, len(base))+1)*(len(layout.zeros)-len(layout.hists)), len(payload)/2+16*count); base != nil && cap(st.ops) < n {
 		st.ops = make([]op, 0, n)
 	}
-	at, unknown := baseIndex{}, error(nil)
+	next, unknown := 0, error(nil) // next is the first base disk a delta's next disk may be
 	for j := range count {
-		st.vm, st.disk = p.name(st.vm), p.name(st.disk)
+		if vm, disk := p.name(&st.vm), p.name(&st.disk); j > 0 && cmp.Or(vm, disk) <= 0 {
+			p.fail("disk not after the one before it in (VM, disk) order")
+		}
 		budget -= len(st.vm) + len(st.disk)
-		i, known := j, true
+		i := j
 		if base == nil {
 			out[j].VM, out[j].Disk = string(st.vm), string(st.disk)
-		} else if i, known = at.find(base, st.vm, st.disk); !known && unknown == nil { // read on: a malformed payload is a bad frame first
-			unknown = resyncErr(ResyncUnknownDisk, "delta for disk %s/%s with no base state", st.vm, st.disk)
+		} else if unknown == nil {
+			for next < len(base) && (base[next].VM != string(st.vm) || base[next].Disk != string(st.disk)) {
+				next++
+			}
+			if i, next = next, next+1; i == len(base) { // read on: a malformed payload is a bad frame first
+				unknown = resyncErr(ResyncUnknownDisk, "delta for disk %s/%s with no base state", st.vm, st.disk)
+			}
 		}
 		r, ops := len(st.vals), len(st.ops)
 		st.vals = append(st.vals, make([]int64, layout.recWords)...)
-		if p.snapshot(st, st.vals[r+3:]); p.err != nil {
+		if p.snapshot(st, st.vals[r+2:]); p.err != nil {
 			return nil, p.err
 		}
-		switch {
-		case unknown != nil: // refused whatever follows
+		if unknown != nil { // refused whatever follows
 			st.vals, st.ops = st.vals[:r], st.ops[:ops]
-		case base != nil && st.recOf[i] < r && st.vals[st.recOf[i]] == int64(i):
-			st.fold(st.vals[st.recOf[i]:], r, ops)
-		default:
+		} else {
 			st.vals[r], st.vals[r+1] = int64(i), int64(len(st.ops))
-			if base != nil {
-				st.recOf[i] = r
-			}
 		}
-		if budget < len(st.ops)*int(unsafe.Sizeof(op{}))+8*(len(st.vals)+len(st.dense)*len(layout.zeros)) {
+		if budget < len(st.ops)*int(unsafe.Sizeof(op{}))+8*len(st.vals) {
 			return nil, badFrame("names and staging decode past the limit of %d bytes", maxDecodedLen)
 		}
 	}
@@ -431,82 +436,28 @@ func decodePayload(payload []byte, count int, base []*core.Snapshot, owned bool)
 			core.MakeWritable(out[at : at+1])
 		}
 		s, cells := out[at], out[at].Cells()
-		s.Commands, s.NumReads, s.NumWrites = s.Commands+v[3], s.NumReads+v[4], s.NumWrites+v[5]
-		s.ReadBytes, s.WriteBytes, s.Errors = s.ReadBytes+v[6], s.WriteBytes+v[7], s.Errors+v[8]
+		s.Commands, s.NumReads, s.NumWrites = s.Commands+v[2], s.NumReads+v[3], s.NumWrites+v[4]
+		s.ReadBytes, s.WriteBytes, s.Errors = s.ReadBytes+v[5], s.WriteBytes+v[6], s.Errors+v[7]
 		for k, c := range layout.extrema { // a delta's extrema replace its base's
-			cells[c] = v[9+k]
+			cells[c] = v[8+k]
 		}
-		addOps(cells, st.ops[ops:v[1]])
-		for k := 0; v[2] > 0 && k < len(cells); k++ {
-			cells[k] += st.dense[v[2]-1][k]
+		for _, o := range st.ops[ops:v[1]] {
+			if cells[o.cell] += o.val; o.all != o.cell {
+				cells[o.all] += o.val
+			}
 		}
 		ops = int(v[1])
 	}
 	return out, nil
 }
 
-// addOps adds ops onto cells.
-func addOps(cells []int64, ops []op) {
-	for _, o := range ops {
-		if cells[o.cell] += o.val; o.all != o.cell {
-			cells[o.all] += o.val
-		}
-	}
-}
-
 // staging is the parse phase's memory, pooled across decodes: the ops, and
 // per snapshot recorded recWords vals — the snapshot it lands on, the end
-// of its ops, its dense block (1 + its index, 0 if none), its counters
-// (payload order) and its extrema (layout.extrema order).
+// of its ops, its counters (payload order) and extrema (layout.extrema's).
 type staging struct {
 	vals     []int64
 	ops      []op
-	dense    [][]int64 // a disk named again: the cells its later namings' ops add up to
-	recOf    []int     // a base disk's record's offset in vals, if a record there names it: never cleared
-	vm, disk []byte    // the previous front-coded names
+	vm, disk []byte // the previous front-coded names
 }
 
 var stagingPool = sync.Pool{New: func() any { return new(staging) }}
-
-// fold adds the snapshot just read, the record at r whose ops start at
-// ops, onto its disk's first record: counters add, extrema replace and the
-// ops go into a dense block, so naming a disk again stages nothing more.
-func (st *staging) fold(first []int64, r, ops int) {
-	if first[2] == 0 {
-		st.dense = append(st.dense, make([]int64, len(layout.zeros)))
-		first[2] = int64(len(st.dense))
-	}
-	addOps(st.dense[first[2]-1], st.ops[ops:])
-	for k, c := range st.vals[r+3 : r+9] {
-		first[3+k] += c
-	}
-	copy(first[9:layout.recWords], st.vals[r+9:])
-	st.vals, st.ops = st.vals[:r], st.ops[:ops]
-}
-
-// baseIndex finds a delta's disks in its base. A sender lists them in its
-// full frame's order, leaving out the unchanged ones (subAgainst), so find
-// scans forward from the previous match: one pass over the base per delta,
-// no allocation. A disk out of that order, or in no base, falls back to a
-// map built once per delta.
-type baseIndex struct {
-	next  int
-	byKey map[diskKey]int // built on the first out-of-order disk
-}
-
-func (x *baseIndex) find(base []*core.Snapshot, vm, disk []byte) (int, bool) {
-	if x.byKey == nil {
-		for i := x.next; i < len(base); i++ {
-			if base[i].VM == string(vm) && base[i].Disk == string(disk) {
-				x.next = i + 1
-				return i, true
-			}
-		}
-		x.byKey = make(map[diskKey]int, len(base))
-		for i, s := range base {
-			x.byKey[diskKey{s.VM, s.Disk}] = i
-		}
-	}
-	i, ok := x.byKey[diskKey{string(vm), string(disk)}]
-	return i, ok
-}

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -15,6 +16,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -63,6 +65,11 @@ func hostileSnapshot(rng *rand.Rand, vm, disk string, density float64) *core.Sna
 		}
 	}
 	return s
+}
+
+// diskOrder is the (VM, disk) order a frame lists its disks in.
+func diskOrder(a, b *core.Snapshot) int {
+	return cmp.Or(strings.Compare(a.VM, b.VM), strings.Compare(a.Disk, b.Disk))
 }
 
 // roundTrip encodes and decodes b and requires the result to equal b in
@@ -120,6 +127,9 @@ func TestPayloadRoundTripProperty(t *testing.T) {
 			in.Snapshots = append(in.Snapshots,
 				hostileSnapshot(rng, names[rng.Intn(len(names))], names[rng.Intn(len(names))], density))
 		}
+		// A frame lists each disk once, in (VM, disk) order.
+		slices.SortFunc(in.Snapshots, diskOrder)
+		in.Snapshots = slices.CompactFunc(in.Snapshots, func(a, b *core.Snapshot) bool { return diskOrder(a, b) == 0 })
 		roundTrip(t, "hostile", in)
 	}
 
@@ -292,22 +302,22 @@ func TestPayloadFrontCodingHostile(t *testing.T) {
 		}
 	}
 
-	// A 64 KiB name, then snapshots that share it all, under a count whose
-	// snapshots leave room for 4 MiB of names: refused once the names pass
-	// that, with nothing allocated per name on a delta.
+	// A 64 KiB name, then snapshots whose names share it all and add a
+	// byte, under a count whose snapshots leave room for 4 MiB of names:
+	// refused once the names pass that, with nothing allocated per name on
+	// a delta. The zeros after the hundredth snapshot are never reached.
 	count := (maxDecodedLen - 4<<20) / layout.decodedBytes
-	long := core.Snapshot{VM: strings.Repeat("v", 64<<10)}
-	hostile, err := appendPayload(nil, []*core.Snapshot{&long, &long})
+	longest := strings.Repeat("v", 64<<10+100)
+	base := make([]*core.Snapshot, 100)
+	for k := range base {
+		base[k] = &core.Snapshot{VM: longest[:64<<10+k]}
+	}
+	hostile, err := appendPayload(nil, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, _ := appendPayload(nil, []*core.Snapshot{&long})
-	again := hostile[len(one):] // long again: shares all of it
 	hostile = append(make([]byte, 0, count*layout.minBytes), hostile[8:]...)
-	for len(hostile) < count*layout.minBytes {
-		hostile = append(hostile, again...)
-	}
-	base := []*core.Snapshot{&long}
+	hostile = hostile[:count*layout.minBytes]
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	_, err = decodePayload(hostile, count, base, false)
@@ -330,7 +340,7 @@ func TestPayloadOpsChargeTheBudget(t *testing.T) {
 	ones := make([]*core.Snapshot, 300)
 	core.MakeWritable(ones)
 	for k, s := range ones {
-		s.VM, s.Disk = "vm", fmt.Sprintf("scsi0:%d", k)
+		s.VM, s.Disk = "vm", fmt.Sprintf("scsi0:%03d", k) // in (VM, disk) order
 		for i := range s.Cells() {
 			s.Cells()[i] = 1
 		}
@@ -433,6 +443,34 @@ func TestPayloadRejectsMalformed(t *testing.T) {
 			t.Errorf("%s: %v, want a bad frame that is not a truncation", name, err)
 		}
 	}
+	// A disk named twice, or two out of (VM, disk) order, in a full frame
+	// or a delta: a bad frame, and a delta decoded onto a base that holds
+	// both disks is one too, never a resync.
+	two := makeRegistry(1, 1, 2, 20).Snapshots()
+	for _, delta := range []bool{false, true} {
+		for name, snaps := range map[string][]*core.Snapshot{"disk named twice": {two[0], two[0]}, "disks out of order": {two[1], two[0]}} {
+			b := &Batch{Host: "h", Seq: 2, Snapshots: snaps}
+			if delta {
+				b.Delta, b.BaseSeq = true, 1
+			}
+			frame, err := EncodeBatchBytes(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = DecodeBatch(bytes.NewReader(frame))
+			errs := []error{err}
+			if delta {
+				_, payload := payloadOf(frame)
+				_, err = decodePayload(payload[8:], len(snaps), two, false)
+				errs = append(errs, err)
+			}
+			for _, err := range errs {
+				if !errors.Is(err, ErrBadFrame) || errors.Is(err, ErrTruncatedFrame) || resyncCauseOf(err) != "" {
+					t.Errorf("%s (delta %v): %v, want a bad frame, not a truncation or a resync", name, delta, err)
+				}
+			}
+		}
+	}
 	// Bit 0, the retired gzip flag, is an unknown flag like any other.
 	gz := append([]byte(nil), frame...)
 	gz[5] |= 1 << 0
@@ -472,12 +510,14 @@ func TestPayloadHostileCountAllocation(t *testing.T) {
 	}
 	// minBytes is the smallest snapshot, an empty derived one with empty
 	// names: k of them fill a payload that count k decodes and k+1 may not.
-	small, err := appendPayload(nil, []*core.Snapshot{{}, {}, {}})
+	// A frame names each disk once, so after the first each name adds a
+	// byte to the previous one's (shared, then one byte of suffix).
+	small, err := appendPayload(nil, []*core.Snapshot{{}, {Disk: "d"}, {Disk: "dd"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(small) != 8+3*layout.minBytes {
-		t.Fatalf("three empty snapshots encode to %d bytes, want 8 + 3 × %d", len(small), layout.minBytes)
+	if len(small) != 8+3*layout.minBytes+2 {
+		t.Fatalf("three empty snapshots encode to %d bytes, want 8 + 3 × %d + 2", len(small), layout.minBytes)
 	}
 	for count, ok := range map[int]bool{3: true, 4: false} {
 		_, err := decodePayload(small[8:], count, nil, false)

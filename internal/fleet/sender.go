@@ -50,36 +50,24 @@ type chain struct {
 // next draws a fresh sequence number for new content.
 func (c *chain) next() uint64 { return c.seq.Add(1) }
 
-// subAgainst pairs cur with base by (VM, disk) and returns the non-zero
-// interval deltas, written into the chain's own memory. Both sides come in
-// one order (the registry's, or the rollup's shards), so disks pair by
-// index, and a map is built only on a mismatch. It refuses (ok=false) when
-// the disk sets differ — a disk appeared or vanished — which forces a full
-// push carrying the new set.
+// subAgainst pairs cur with base by index and returns the non-zero interval
+// deltas, written into the chain's own memory. Both sides list their disks
+// in (VM, disk) order, as every frame does, so a disk set that is the same
+// pairs index for index. It refuses (ok=false) on any mismatch — a disk
+// appeared or vanished — which forces a full push carrying the new set.
 func (c *chain) subAgainst(cur, base []*core.Snapshot) ([]*core.Snapshot, bool) {
 	if len(cur) != len(base) {
 		return nil, false
 	}
-	var byKey map[diskKey]*core.Snapshot
 	n := 0
 	for i, s := range cur {
-		b := base[i]
-		if byKey == nil && (b.VM != s.VM || b.Disk != s.Disk) {
-			byKey = make(map[diskKey]*core.Snapshot, len(base))
-			for _, b := range base {
-				byKey[diskKey{b.VM, b.Disk}] = b
-			}
-		}
-		if byKey != nil {
-			var ok bool
-			if b, ok = byKey[diskKey{s.VM, s.Disk}]; !ok {
-				return nil, false
-			}
+		if base[i].VM != s.VM || base[i].Disk != s.Disk {
+			return nil, false
 		}
 		if n == len(c.deltas) {
 			c.deltas = append(c.deltas, new(core.Snapshot))
 		}
-		if !s.SubInto(c.deltas[n], b) {
+		if !s.SubInto(c.deltas[n], base[i]) {
 			n++ // changed since the base; an unchanged disk is omitted
 		}
 	}

@@ -79,9 +79,6 @@ func (s *shard) noteResync(cause ResyncCause) {
 	}
 }
 
-// diskKey identifies one virtual disk within a host's batch.
-type diskKey struct{ vm, disk string }
-
 // chainPos is one sender's position in the push protocol: the sequence
 // and boot incarnation of the last frame applied, and the full state that
 // frame left behind. The zero value is a sender nothing is known about.
