@@ -33,30 +33,70 @@ func NewIntervalRecorder(eng *simclock.Engine, col *Collector, interval simclock
 	return r
 }
 
-// IntervalSince is the one rule every interval keeper (IntervalRecorder on
-// virtual time, telemetry.Streamer on wall time, the fleet aggregator's
-// History over its log) turns two consecutive cumulative snapshots of a
-// disk into one interval's activity with. It is cur.Sub(prev) unless prev
-// is nil (the first point) or any counter or bin in cur is below prev (the
-// collector was Reset, or its host restarted, in between): then the
-// interval is cur itself, everything accumulated since. Sub stays the exact
-// signed delta — the fleet agent's wire deltas and
-// later == earlier.ApplyDelta(later.Sub(earlier)) need it to wrap.
+// IntervalSince is the one rule every interval keeper (IntervalRecorder,
+// telemetry.Streamer, the fleet aggregator's History) turns two consecutive
+// cumulative snapshots of a disk into one interval with: cur.Sub(prev), or
+// cur itself if prev is nil (the first point) or wentBack(prev, cur) (a Reset
+// or a restart in between). Sub stays the exact signed delta: the fleet's
+// wire deltas need it to wrap.
 func IntervalSince(prev, cur *Snapshot) *Snapshot {
-	d := cur.Sub(prev)
-	if d.Commands < 0 || d.NumReads < 0 || d.NumWrites < 0 || d.ReadBytes < 0 || d.WriteBytes < 0 || d.Errors < 0 {
+	if prev == nil || wentBack(prev, cur) {
 		return cur
 	}
-	cells := d.Cells()
+	return cur.Sub(prev)
+}
+
+// wentBack reports whether any counter or bin of cur is below prev's — the
+// reset rule of IntervalSince and AddInterval.
+func wentBack(prev, cur *Snapshot) bool {
+	// A delta below 0 sets the sign bit of neg.
+	neg := (cur.Commands - prev.Commands) | (cur.NumReads - prev.NumReads) | (cur.NumWrites - prev.NumWrites) |
+		(cur.ReadBytes - prev.ReadBytes) | (cur.WriteBytes - prev.WriteBytes) | (cur.Errors - prev.Errors)
+	c, p := cur.Cells(), prev.Cells()
 	for i := range cellTable {
-		h := &cellTable[i]
-		for _, n := range h.Of(cells)[:h.Layout.NumBins()] {
-			if n < 0 {
-				return cur
-			}
+		lo := cellTable[i].Off
+		bins := c[lo : lo+cellTable[i].Layout.NumBins()]
+		was := p[lo:][:len(bins)]
+		for j, n := range bins {
+			neg |= n - was[j]
 		}
 	}
-	return d
+	return neg < 0
+}
+
+// noState is an empty snapshot with its cells, never written.
+var noState = Snapshot{cells: make([]int64, snapshotWords)}
+
+// AddInterval adds IntervalSince(prev, cur) into s, building no interval:
+// counters, bins, sums and totals add; extrema become cur's if s's histogram
+// was empty, stay if the interval's is, and else widen. s is memory its
+// caller alone holds, neither prev nor cur.
+func (s *Snapshot) AddInterval(prev, cur *Snapshot) {
+	if prev == nil || wentBack(prev, cur) {
+		prev = &noState // the interval is all of cur
+	}
+	s.Commands, s.NumReads, s.NumWrites = s.Commands+cur.Commands-prev.Commands, s.NumReads+cur.NumReads-prev.NumReads, s.NumWrites+cur.NumWrites-prev.NumWrites
+	s.ReadBytes, s.WriteBytes, s.Errors = s.ReadBytes+cur.ReadBytes-prev.ReadBytes, s.WriteBytes+cur.WriteBytes-prev.WriteBytes, s.Errors+cur.Errors-prev.Errors
+	if len(s.cells) != snapshotWords {
+		s.cells = make([]int64, snapshotWords)
+	}
+	d, c, p := s.cells, cur.Cells(), prev.Cells()
+	c, p = c[:len(d)], p[:len(d)]
+	for i, n := range c { // every cell, the extrema too: they are set below
+		d[i] += n - p[i]
+	}
+	for i := range cellTable {
+		tot := cellTable[i].Off + cellTable[i].Layout.NumBins() + 1 // after the bins and the sum
+		// The interval's total, and s's extrema as they were before the add.
+		added, lo, hi := c[tot]-p[tot], d[tot+1]-c[tot+1]+p[tot+1], d[tot+2]-c[tot+2]+p[tot+2]
+		switch {
+		case d[tot] == added: // s's histogram was empty
+			lo, hi = c[tot+1], c[tot+2]
+		case added != 0:
+			lo, hi = min(lo, c[tot+1]), max(hi, c[tot+2])
+		}
+		d[tot+1], d[tot+2] = lo, hi
+	}
 }
 
 // Stop ends recording. Stopped at the last tick's instant, as a run ending

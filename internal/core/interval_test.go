@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -221,6 +222,116 @@ func TestIntervalSinceKeepsExactDeltas(t *testing.T) {
 	}
 	if again := IntervalSince(later, earlier); again != earlier {
 		t.Error("a snapshot below its predecessor must be returned whole")
+	}
+}
+
+// refAggregate is Aggregate as it was before it was built on AddInterval:
+// a copy of the first snapshot, then each other one's counters and cells
+// added, histogram by histogram, extrema widening over the non-empty ones.
+func refAggregate(snaps []*Snapshot) *Snapshot {
+	out := *snaps[0]
+	out.cells = slices.Clone(snaps[0].Cells())
+	for _, s := range snaps[1:] {
+		out.Commands, out.NumReads, out.NumWrites = out.Commands+s.Commands, out.NumReads+s.NumReads, out.NumWrites+s.NumWrites
+		out.ReadBytes, out.WriteBytes, out.Errors = out.ReadBytes+s.ReadBytes, out.WriteBytes+s.WriteBytes, out.Errors+s.Errors
+		cells := s.Cells()
+		for i := range cellTable {
+			dst, src := cellTable[i].Of(out.cells), cellTable[i].Of(cells)
+			total := len(dst) - 3
+			switch {
+			case dst[total] == 0:
+				dst[total+1], dst[total+2] = src[total+1], src[total+2]
+			case src[total] == 0:
+			default:
+				dst[total+1], dst[total+2] = min(dst[total+1], src[total+1]), max(dst[total+2], src[total+2])
+			}
+			for j, c := range src[:total+1] {
+				dst[j] += c
+			}
+		}
+	}
+	return &out
+}
+
+// TestAddIntervalMatchesAggregateOfIntervals: adding random (prev, cur)
+// pairs into one snapshot with AddInterval gives what Aggregate gives over
+// IntervalSince of the same pairs, extrema included, and leaves every input
+// as it was; and Aggregate gives what refAggregate does. The pairs cover a
+// first point (prev nil), a counter and a single bin going backwards, equal
+// snapshots and empty ones.
+func TestAddIntervalMatchesAggregateOfIntervals(t *testing.T) {
+	clone := func(s *Snapshot) *Snapshot {
+		c := *s
+		c.cells = slices.Clone(s.cells)
+		return &c
+	}
+	kinds := map[string]int{}
+	for trial := range 40 {
+		rng := rand.New(rand.NewSource(int64(trial)*104729 + 3))
+		col := NewCollector("v", "d")
+		col.Enable()
+		var points []*Snapshot // one disk's cumulative series
+		for range 5 {
+			drive(col, randRequests(rng, rng.Intn(200)))
+			points = append(points, col.Snapshot())
+		}
+		var prevs, curs, held []*Snapshot
+		for range 1 + rng.Intn(8) {
+			i := rng.Intn(len(points))
+			j := i + rng.Intn(len(points)-i)
+			prev, cur := points[i], points[j]
+			kind := [...]string{"forward", "forward", "first", "backward", "counter back", "bin back", "equal", "empty cur", "empty prev", "both empty"}[rng.Intn(10)]
+			switch kind {
+			case "first":
+				prev = nil
+			case "backward":
+				prev, cur = cur, prev
+			case "counter back":
+				prev = clone(cur)
+				prev.Errors++
+			case "bin back":
+				prev = clone(cur)
+				h := &cellTable[rng.Intn(len(cellTable))]
+				prev.cells[h.Off+rng.Intn(h.Layout.NumBins())]++
+			case "equal":
+				prev = clone(cur)
+			case "empty cur":
+				cur = &Snapshot{}
+			case "empty prev":
+				prev = &Snapshot{}
+			case "both empty":
+				prev, cur = &Snapshot{}, &Snapshot{}
+			}
+			kinds[kind]++
+			prevs, curs = append(prevs, prev), append(curs, cur)
+			for _, s := range []*Snapshot{prev, cur} {
+				if s != nil {
+					held = append(held, s, clone(s))
+				}
+			}
+		}
+		got := &Snapshot{VM: "vm", Disk: "*"}
+		var intervals []*Snapshot
+		for k := range prevs {
+			got.AddInterval(prevs[k], curs[k])
+			intervals = append(intervals, IntervalSince(prevs[k], curs[k]))
+		}
+		want := Aggregate("vm", "*", intervals...)
+		if !got.StateEquals(want) {
+			reportSnapshotDiff(t, trial, got, want)
+		}
+		if ref := refAggregate(intervals); !want.StateEquals(ref) {
+			t.Errorf("trial %d: Aggregate differs from the reference fold", trial)
+			reportSnapshotDiff(t, trial, want, ref)
+		}
+		for k := 0; k < len(held); k += 2 {
+			if !held[k].StateEquals(held[k+1]) {
+				t.Fatalf("trial %d: AddInterval changed one of its inputs", trial)
+			}
+		}
+	}
+	if len(kinds) != 9 {
+		t.Errorf("pair kinds drawn: %v, want all nine", kinds)
 	}
 }
 

@@ -181,7 +181,7 @@ func (s *Snapshot) derive(write bool) (held bool) {
 }
 
 // AllExtrema returns a class-all histogram's min and max from its reads'
-// and writes' (total, min, max) as a capture derives them: as addHist
+// and writes' (total, min, max) as a capture derives them: as AddInterval
 // folds them, but a class is empty only if its total is 0 and its extrema
 // (0, 0), since a Sub delta with no new reads keeps the later capture's.
 func AllExtrema(r, w []int64) (lo, hi int64) {
@@ -198,24 +198,6 @@ func AllExtrema(r, w []int64) (lo, hi int64) {
 func (h *HistCells) totalSum(cells []int64) (total, sum int64) {
 	n := h.Off + h.Layout.NumBins()
 	return cells[n+1], cells[n]
-}
-
-// addHist folds one histogram's cells into another's of the same layout:
-// counts, sum and total add; the extrema are src's if dst was empty, dst's
-// if src is, and otherwise the wider of the two.
-func addHist(dst, src []int64) {
-	total := len(dst) - 3
-	switch {
-	case dst[total] == 0:
-		dst[total+1], dst[total+2] = src[total+1], src[total+2]
-	case src[total] == 0:
-	default:
-		dst[total+1] = min(dst[total+1], src[total+1])
-		dst[total+2] = max(dst[total+2], src[total+2])
-	}
-	for i, c := range src[:total+1] {
-		dst[i] += c
-	}
 }
 
 // MakeWritable replaces each snapshot in snaps with a copy of it, and each nil

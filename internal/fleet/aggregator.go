@@ -962,15 +962,11 @@ func tiersOf(hosts []HostStatus) []TierStatus {
 		}
 		t.Leaves += h.Leaves
 	}
-	levels := make([]int, 0, len(byLevel))
-	for l := range byLevel {
-		levels = append(levels, l)
+	out := make([]TierStatus, 0, len(byLevel))
+	for _, t := range byLevel {
+		out = append(out, *t)
 	}
-	sort.Ints(levels)
-	out := make([]TierStatus, 0, len(levels))
-	for _, l := range levels {
-		out = append(out, *byLevel[l])
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Level < out[j].Level })
 	return out
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -476,7 +477,8 @@ func TestMalformedDeltaIsABadFrame(t *testing.T) {
 // TestDiskNamedTwiceIsRefused follows a full frame that names one disk
 // twice through every reader: merged as sent, it would count that disk's
 // commands twice. Pushed, it is a 400 and the cluster view does not move.
-// In a segment, History drops it and it refuses boot.
+// In a segment, History drops it and it refuses boot, naming the segment,
+// the frame's byte offset and its host.
 func TestDiskNamedTwiceIsRefused(t *testing.T) {
 	t0 := time.Now().Add(-time.Minute)
 	reg := makeRegistry(6, 1, 2, 100)
@@ -513,6 +515,10 @@ func TestDiskNamedTwiceIsRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	at, err := file.Seek(0, io.SeekEnd) // where the doubled frame starts
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := file.Write(doubled); err != nil {
 		t.Fatal(err)
 	}
@@ -529,8 +535,9 @@ func TestDiskNamedTwiceIsRefused(t *testing.T) {
 	if err := g.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := OpenAggregator(cfg); !errors.Is(err, ErrBadFrame) || !strings.Contains(err.Error(), seg) {
-		t.Fatalf("boot over the doubled frame: %v, want a bad frame naming %s", err, seg)
+	where := fmt.Sprintf("%s corrupt at byte %d, host %q", seg, at, "esx-d")
+	if _, _, err := OpenAggregator(cfg); !errors.Is(err, ErrBadFrame) || !strings.Contains(err.Error(), where) {
+		t.Fatalf("boot over the doubled frame: %v, want a bad frame naming %s", err, where)
 	}
 }
 

@@ -19,60 +19,82 @@ import (
 )
 
 // History answers "what did the fleet's I/O look like between from and to"
-// from the retained segment log — the paper's histograms-over-time views
-// at fleet scope. The log is replayed per host through chainPos.apply —
-// the function live ingest and boot replay advance a host with, so a frame
-// means here what it meant when it was logged — up to each boundary:
+// from the retained segment log — the paper's histograms-over-time views at
+// fleet scope. Each host's chain is replayed through chainPos.apply, as live
+// ingest and boot replay advance it, up to each boundary:
 //
 //	baseline = the host's state as of its newest frame sent at or before from
 //	end      = the host's state as of its newest frame sent at or before to
 //
-// and the window is core.IntervalSince(baseline, end) per virtual disk —
-// the rule the interval recorder and the telemetry streamer use, applied to
-// the durable chain instead of a live collector. A disk absent from the
-// baseline (the VM appeared inside the window) contributes its full
-// accumulated state, and so does one whose counters went backwards inside
-// the window (the agent restarted, the VM was recreated under the same
-// name): what it accumulated since the reset, never a negative bin. A host
-// with no frame inside (from, to] contributes nothing, which equals a zero
-// window because the chains are cumulative. The per-disk windows then merge
-// bin-exactly into cluster and per-VM views, like every other aggregator
-// read.
+// and each virtual disk's window, core.IntervalSince(baseline, end), is added
+// bin-exactly into per-VM views and a cluster view with
+// core.Snapshot.AddInterval, which builds no window. A disk absent from the
+// baseline contributes all it accumulated, and so does one whose counters
+// went backwards (the agent restarted): never a negative bin. A host with no
+// frame inside (from, to] contributes nothing. Retention and compaction
+// discard old frames, so a from before the oldest retained baseline widens
+// the window to "since the oldest frame we still have".
 //
-// One caveat is inherited from the log: retention and compaction discard old
-// frames, so a from earlier than the oldest retained baseline silently
-// widens the window to "since the oldest frame we still have".
-//
-// History scans disk on every call — it is a reporting query, deliberately
-// off the ingest and scrape fast paths, and it never touches shard locks.
-// The shard dirs are read concurrently. Every frame's trailer is checked,
-// so a flipped bit is a drop wherever it lands, but a frame sent after to
-// is counted and its payload never decoded.
+// History reads the shard dirs concurrently on every call, off the ingest
+// and scrape paths and without shard locks. Every frame's trailer is
+// checked, so a flipped bit is a drop wherever it lands, but a frame sent
+// after to is counted and its payload never decoded.
 func (g *Aggregator) History(from, to time.Time) (*HistoryResult, error) {
-	return g.history(from, to, func(res *HistoryResult, windows []*core.Snapshot) {
-		res.Cluster, res.VMs = mergeSnaps(windows)
-	})
+	return g.history(from, to, "")
 }
 
-// history computes the per-disk windows and hands them to merge, which
-// fills in the views its caller serves: the HTTP handler merges one.
-func (g *Aggregator) history(from, to time.Time, merge func(*HistoryResult, []*core.Snapshot)) (*HistoryResult, error) {
+// history answers History, with only vm's view among the VMs when vm is not
+// "": each dir's windows add into its own per-VM views as it is scanned.
+func (g *Aggregator) history(from, to time.Time, vm string) (*HistoryResult, error) {
 	if g.log == nil {
 		return nil, errors.New("fleet: history requires a segment log (no data dir configured)")
 	}
 	var res *HistoryResult
 	pprof.Do(context.Background(), pprof.Labels("stage", "history"), func(context.Context) {
 		start := time.Now()
-		var windows []*core.Snapshot
-		res, windows = g.windows(from, to)
-		merge(res, windows)
+		views := make([]map[string]*core.Snapshot, len(g.log.shards)) // per dir, by VM
+		res = g.windows(from, to, func(dirIdx int, base, end *core.Snapshot) {
+			if vm != "" && end.VM != vm {
+				return
+			}
+			v := views[dirIdx][end.VM]
+			if v == nil {
+				if views[dirIdx] == nil {
+					views[dirIdx] = make(map[string]*core.Snapshot)
+				}
+				v = &core.Snapshot{VM: end.VM, Disk: "*"}
+				views[dirIdx][end.VM] = v
+			}
+			v.AddInterval(base, end)
+		})
+		res.Cluster, res.VMs = combineViews(views)
 		g.cfg.Obs.ObserveSince(fleetobs.StageHistory, start, fleetobs.Event{Shard: -1})
 	})
 	return res, nil
 }
 
-// windows replays the log for (from, to] into one window per disk.
-func (g *Aggregator) windows(from, to time.Time) (*HistoryResult, []*core.Snapshot) {
+// combineViews adds each VM's later views into its first, in place, and
+// returns the sum of those, the cluster view, and them sorted by name.
+func combineViews(dirs []map[string]*core.Snapshot) (*core.Snapshot, []*core.Snapshot) {
+	byVM := make(map[string]*core.Snapshot)
+	var vms []*core.Snapshot
+	for _, views := range dirs {
+		for name, v := range views {
+			if into := byVM[name]; into != nil {
+				into.AddInterval(nil, v)
+			} else {
+				byVM[name], vms = v, append(vms, v)
+			}
+		}
+	}
+	slices.SortFunc(vms, func(a, b *core.Snapshot) int { return strings.Compare(a.VM, b.VM) })
+	return core.Aggregate("cluster", "*", vms...), vms
+}
+
+// windows replays the log for (from, to] and hands disk the states at from
+// (nil for a disk not there yet) and at to of each disk of each host whose
+// chain changed inside, on the goroutine that scanned its dir, after that.
+func (g *Aggregator) windows(from, to time.Time, disk func(dirIdx int, base, end *core.Snapshot)) *HistoryResult {
 	fromNs, toNs := from.UnixNano(), to.UnixNano()
 	// One host map per shard dir: scan reads the dirs concurrently, and a
 	// host's frames live in its home dir only (boot compacts them there).
@@ -80,7 +102,7 @@ func (g *Aggregator) windows(from, to time.Time) (*HistoryResult, []*core.Snapsh
 	for i := range dirs {
 		dirs[i] = make(map[string]*historyHost)
 	}
-	var frames, dropped atomic.Int64
+	var frames, dropped, hosts atomic.Int64
 	scanDropped := g.log.scan(func(dirIdx int, f *frame) {
 		frames.Add(1)
 		if f.SentUnixNano > toNs {
@@ -117,17 +139,12 @@ func (g *Aggregator) windows(from, to time.Time) (*HistoryResult, []*core.Snapsh
 		} else {
 			h.inWindow = true
 		}
-	})
-
-	var windows []*core.Snapshot
-	res := &HistoryResult{FromUnixNano: fromNs, ToUnixNano: toNs, Frames: frames.Load(), Dropped: dropped.Load() + scanDropped}
-	g.log.historyDropped.Add(res.Dropped)
-	for _, hosts := range dirs {
-		for _, h := range hosts {
+	}, func(dirIdx int) {
+		for _, h := range dirs[dirIdx] {
 			if !h.inWindow || h.snaps == nil {
 				continue
 			}
-			res.Hosts++
+			hosts.Add(1)
 			base := h.base // in (VM, disk) order, as h.snaps, the state at to, is
 			for _, s := range h.snaps {
 				for len(base) > 0 && cmp.Or(strings.Compare(base[0].VM, s.VM), strings.Compare(base[0].Disk, s.Disk)) < 0 {
@@ -137,11 +154,13 @@ func (g *Aggregator) windows(from, to time.Time) (*HistoryResult, []*core.Snapsh
 				if len(base) > 0 && base[0].VM == s.VM && base[0].Disk == s.Disk {
 					b = base[0]
 				}
-				windows = append(windows, core.IntervalSince(b, s))
+				disk(dirIdx, b, s)
 			}
 		}
-	}
-	return res, windows
+	})
+	res := &HistoryResult{FromUnixNano: fromNs, ToUnixNano: toNs, Hosts: int(hosts.Load()), Frames: frames.Load(), Dropped: dropped.Load() + scanDropped}
+	g.log.historyDropped.Add(res.Dropped)
+	return res
 }
 
 // historyHost is one host's replay state during a History scan: the same
@@ -175,47 +194,35 @@ type HistoryResult struct {
 
 // serveHistory handles GET /fleet/history?from=&to=&vm=&view=.
 func (g *Aggregator) serveHistory(w http.ResponseWriter, r *http.Request) {
-	if g.log == nil {
-		telemetry.JSONError(w, http.StatusNotFound, "history requires a segment log (start the aggregator with a data dir)")
-		return
-	}
 	q := r.URL.Query()
-	from, err := parseHistoryTime(q.Get("from"), time.Unix(0, 0))
-	if err != nil {
-		telemetry.JSONError(w, http.StatusBadRequest, "bad from: "+err.Error())
+	from, ferr := parseHistoryTime(q.Get("from"), time.Unix(0, 0))
+	to, terr := parseHistoryTime(q.Get("to"), g.now())
+	switch {
+	case ferr != nil:
+		telemetry.JSONError(w, http.StatusBadRequest, "bad from: "+ferr.Error())
 		return
-	}
-	to, err := parseHistoryTime(q.Get("to"), g.now())
-	if err != nil {
-		telemetry.JSONError(w, http.StatusBadRequest, "bad to: "+err.Error())
+	case terr != nil:
+		telemetry.JSONError(w, http.StatusBadRequest, "bad to: "+terr.Error())
 		return
-	}
-	if to.Before(from) {
+	case to.Before(from):
 		telemetry.JSONError(w, http.StatusBadRequest, "window ends before it starts")
 		return
 	}
-	// Merge only the view the query asks for.
+	// Add up only the VM the query names, and serve only the view it asks for.
 	vm, byVM := q.Get("vm"), q.Get("view") == "vms"
-	res, err := g.history(from, to, func(res *HistoryResult, windows []*core.Snapshot) {
-		if vm != "" {
-			windows = slices.DeleteFunc(windows, func(s *core.Snapshot) bool { return s.VM != vm })
-		}
-		switch {
-		case vm == "" && !byVM:
-			res.Cluster = mergeCluster(windows)
-		case len(windows) > 0:
-			res.VMs = mergeByVM(windows)
-		}
-	})
-	if err != nil {
-		telemetry.JSONError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	if vm != "" && res.VMs == nil {
+	res, err := g.history(from, to, vm)
+	switch {
+	case err != nil: // the one error: no segment log
+		telemetry.JSONError(w, http.StatusNotFound, err.Error())
+	case vm != "" && res.VMs == nil:
 		telemetry.JSONError(w, http.StatusNotFound, "no data for vm in window")
-		return
+	case vm != "" || byVM:
+		res.Cluster = nil
+		telemetry.WriteJSON(w, res)
+	default:
+		res.VMs = nil
+		telemetry.WriteJSON(w, res)
 	}
-	telemetry.WriteJSON(w, res)
 }
 
 // parseHistoryTime accepts RFC3339 ("2026-08-08T12:00:00Z") or an integer

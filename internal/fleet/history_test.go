@@ -10,12 +10,24 @@ import (
 	"net/http/httptest"
 	"os"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"vscsistats/internal/core"
 	"vscsistats/internal/telemetry"
 )
+
+// mergeSnaps is how History merged its per-disk windows before it added
+// them up as it scanned: one cluster merge plus per-VM merges sorted by VM
+// name. Tests keep it as an oracle.
+func mergeSnaps(snaps []*core.Snapshot) (*core.Snapshot, []*core.Snapshot) {
+	if len(snaps) == 0 {
+		return nil, nil
+	}
+	return core.Aggregate("cluster", "*", snaps...), mergeByVM(snaps)
+}
 
 // timedChain builds one host's chain of three captures sent at t0 < t1 < t2
 // (a full, then two deltas) and returns the batches plus the cumulative
@@ -200,7 +212,7 @@ func TestHistoryChecksHeaderFlipsPastTo(t *testing.T) {
 		header[bit/8] ^= 1 << (bit % 8)
 		var got Batch
 		p := payloadReader{buf: header}
-		if p.header(&got); p.err == nil && got.Host == a[1].Host && got.SentUnixNano > t2.UnixNano() {
+		if p.header(&got, nil); p.err == nil && got.Host == a[1].Host && got.SentUnixNano > t2.UnixNano() {
 			flipped = true
 			break
 		}
@@ -499,6 +511,266 @@ func TestHistoryMatchesLiveIngest(t *testing.T) {
 				t.Errorf("sequence too tame to prove anything: %v, stats %+v", kinds, st)
 			}
 		})
+	}
+}
+
+// TestHistoryFoldMatchesIntervalMerge pins History's fold to the
+// computation it replaced: core.IntervalSince per disk between the states at
+// both ends of the window, merged with mergeSnaps. Four senders, two sharing
+// a VM name, push seeded random chains with fulls, sequence gaps, sender
+// restarts, counter resets and disks attached and detached; one logged delta
+// is then damaged, so every query drops it and its host's chain stops there
+// until its next full. The states at both ends come from a memory-only
+// aggregator fed every logged frame but that one. Every window's cluster
+// and per-VM views must match, but for the extrema of a merged histogram
+// whose total is 0, which follow map order.
+func TestHistoryFoldMatchesIntervalMerge(t *testing.T) {
+	type sender struct {
+		host      string
+		reg       *core.Registry
+		seq, boot uint64
+		base      []*core.Snapshot // state the receiver acknowledged; nil forces a full
+	}
+	const steps = 60
+	at := func(step int) time.Time { return time.Unix(0, int64(step+1)*int64(time.Second)) }
+	for _, seed := range []int64{1, 7919} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			dir := t.TempDir()
+			g, _, err := OpenAggregator(logAggConfig(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer g.Close()
+			control := NewAggregator(AggregatorConfig{StaleAfter: time.Hour, Shards: 1})
+			senders := make([]*sender, 4)
+			for i := range senders {
+				s := &sender{host: fmt.Sprintf("esx-%d", i), reg: core.NewRegistry(), boot: uint64(rng.Int63()) | 1}
+				for _, vm := range []string{"vm-shared", vmName(i, 0)} {
+					for d := range 2 {
+						c := core.NewCollector(vm, diskName(d))
+						c.Enable()
+						feed(c, i*100+d, 40)
+						s.reg.Register(c)
+					}
+				}
+				senders[i] = s
+			}
+			dropAt := steps/2 + rng.Intn(steps/4)
+			var dropped *Batch
+			kinds := map[string]int{}
+			chains := []map[string][]*core.Snapshot{{}} // the control's chains before each step and after the last
+			for step := range steps {
+				s := senders[rng.Intn(len(senders))]
+				kind := [...]string{"delta", "delta", "delta", "delta", "full", "gap", "reboot", "reset", "attach", "detach"}[rng.Intn(10)]
+				cols := s.reg.List()
+				switch kind {
+				case "reboot": // counters keep counting under a new boot at seq 1
+					s.boot, s.seq, s.base = uint64(rng.Int63())|1, 0, nil
+				case "reset":
+					cols[rng.Intn(len(cols))].Reset()
+				case "attach": // sorts among the host's disks
+					c := core.NewCollector(cols[0].VM(), fmt.Sprintf("scsi0:0%d", step))
+					c.Enable()
+					s.reg.Register(c)
+				case "detach": // gone from the next full frame on
+					if len(cols) == 1 {
+						break
+					}
+					reg, gone := core.NewRegistry(), rng.Intn(len(cols))
+					for i, c := range cols {
+						if i != gone {
+							reg.Register(c)
+						}
+					}
+					s.reg, s.base = reg, nil
+				}
+				for j, col := range s.reg.List() {
+					feed(col, step*10+j, rng.Intn(30))
+				}
+				cur := s.reg.Snapshots()
+				b := &Batch{Host: s.host, Boot: s.boot, Snapshots: cur, SentUnixNano: at(step).UnixNano()}
+				if kind == "gap" {
+					s.seq++ // a frame the receiver never saw
+				}
+				if s.base != nil && kind != "full" {
+					b.Delta, b.BaseSeq, b.Snapshots = true, s.seq, subSnaps(cur, s.base)
+				}
+				s.seq++
+				b.Seq = s.seq
+				kinds[kind]++
+				switch err := g.Ingest(b, "push"); {
+				case errors.Is(err, ErrResyncRequired):
+					s.base = nil // what a real sender does: full state next
+				case err != nil:
+					t.Fatalf("step %d (%s): %v", step, kind, err)
+				case step >= dropAt && dropped == nil && b.Delta:
+					s.base, dropped = cur, b
+				default:
+					s.base = cur
+					control.Ingest(b, "push") // refused when it builds on the dropped frame
+				}
+				chains = append(chains, chainsOf(control))
+			}
+			if dropped == nil || len(kinds) != 7 {
+				t.Fatalf("sequence too tame: kinds %v, dropped frame %v", kinds, dropped != nil)
+			}
+			raw, err := EncodeBatchBytes(dropped)
+			if err != nil {
+				t.Fatal(err)
+			}
+			found := 0
+			for _, seg := range segFiles(t, dir) {
+				data, err := os.ReadFile(seg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i := bytes.Index(data, raw); i >= 0 {
+					data[i+len(raw)/2] ^= 0x10 // the trailer no longer matches
+					found++
+					if err := os.WriteFile(seg, data, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if found != 1 {
+				t.Fatalf("the dropped frame is in %d segments, want 1", found)
+			}
+
+			for a := -1; a < steps; a += 3 {
+				for b := a + 1 + rng.Intn(4); b < steps; b += 1 + rng.Intn(8) {
+					var windows []*core.Snapshot
+					for host, end := range chains[b+1] {
+						changed := false
+						for s := a + 1; s <= b; s++ {
+							prev, cur := chains[s][host], chains[s+1][host]
+							changed = changed || len(prev) != len(cur) || len(cur) > 0 && &prev[0] != &cur[0]
+						}
+						if !changed {
+							continue
+						}
+						base := map[diskKey]*core.Snapshot{}
+						for _, s := range chains[a+1][host] {
+							base[diskKey{s.VM, s.Disk}] = s
+						}
+						for _, s := range end {
+							windows = append(windows, core.IntervalSince(base[diskKey{s.VM, s.Disk}], s))
+						}
+					}
+					wantCluster, wantVMs := mergeSnaps(windows)
+					from := at(a)
+					if a < 0 {
+						from = time.Unix(0, 0)
+					}
+					res, err := g.History(from, at(b))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Dropped != 1 || !sameFold(res.Cluster, wantCluster) || len(res.VMs) != len(wantVMs) {
+						t.Fatalf("window (%d, %d]: %d dropped, cluster and %d VMs differ from the interval merge's %d VMs", a, b, res.Dropped, len(res.VMs), len(wantVMs))
+					}
+					for i, v := range res.VMs {
+						if v.VM != wantVMs[i].VM || !sameFold(v, wantVMs[i]) {
+							t.Fatalf("window (%d, %d]: VM %s differs from the interval merge", a, b, v.VM)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// sameFold is StateEquals but for the extrema of a histogram whose total is
+// 0: a merge of windows that are all empty there takes the extrema of the
+// last one it folds, so they follow the order the windows are met in.
+func sameFold(a, b *core.Snapshot) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	if a.Commands != b.Commands || a.NumReads != b.NumReads || a.NumWrites != b.NumWrites ||
+		a.ReadBytes != b.ReadBytes || a.WriteBytes != b.WriteBytes || a.Errors != b.Errors {
+		return false
+	}
+	ca, cb := a.Cells(), b.Cells()
+	for _, h := range core.CellTable() {
+		ha, hb := h.Of(ca), h.Of(cb)
+		n := len(ha)
+		if ha[n-3] == 0 {
+			n -= 2 // the total, then min and max
+		}
+		if !slices.Equal(ha[:n], hb[:n]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestHistoryBesideLiveIngest runs twenty History queries, through the API
+// and the HTTP handler, while four senders push, two of them under the same
+// VM names: the windows are added up on the scan goroutines while the log
+// grows under them. A frame being appended reads as a torn tail, never as a
+// drop; the cluster only grows, as the senders' counters do; and once ingest
+// stops, History over the whole log equals the live merge.
+func TestHistoryBesideLiveIngest(t *testing.T) {
+	g, _, err := OpenAggregator(logAggConfig(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	epoch, farFuture := time.Unix(0, 0), time.Date(2100, 1, 1, 0, 0, 0, 0, time.UTC)
+	var wg sync.WaitGroup
+	var stop atomic.Bool // the senders push until the queries are done
+	for i := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			reg := makeRegistry(i%2, 2, 2, 40)
+			var base []*core.Snapshot
+			for k := 0; k < 500 && !stop.Load(); k++ {
+				for j, col := range reg.List() {
+					feed(col, k*10+j, 5)
+				}
+				cur := reg.Snapshots()
+				b := &Batch{Host: fmt.Sprintf("esx-%d", i), Seq: uint64(k + 1), SentUnixNano: int64(k+1) * int64(time.Second), Snapshots: cur}
+				if base != nil {
+					b.Delta, b.BaseSeq, b.Snapshots = true, uint64(k), subSnaps(cur, base)
+				}
+				if err := g.Ingest(b, "push"); err != nil {
+					t.Errorf("host %s seq %d: %v", b.Host, b.Seq, err)
+					return
+				}
+				base = cur
+			}
+		}()
+	}
+	var commands int64
+	for range 20 {
+		res, err := g.History(epoch, farFuture)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Dropped != 0 || res.Cluster != nil && res.Cluster.Commands < commands {
+			t.Fatalf("a query beside ingest dropped %d frames and saw %+v commands after %d", res.Dropped, res.Cluster, commands)
+		}
+		if res.Cluster != nil {
+			commands = res.Cluster.Commands
+		}
+		for _, q := range []string{"view=vms", "vm=" + vmName(1, 0)} {
+			rec := httptest.NewRecorder()
+			g.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/fleet/history?"+q, nil))
+			if rec.Code != http.StatusOK && rec.Code != http.StatusNotFound {
+				t.Fatalf("GET /fleet/history?%s beside ingest: status %d: %s", q, rec.Code, rec.Body)
+			}
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	res, err := g.History(epoch, farFuture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Hosts != 4 || !res.Cluster.StateEquals(g.ClusterSnapshot(true)) {
+		t.Errorf("after ingest, History over the whole log (%d hosts) and the live merge disagree", res.Hosts)
 	}
 }
 

@@ -29,10 +29,10 @@ import (
 // A segment is nothing but concatenated wire frames (the codec is
 // length-prefixed, so frames concatenate cleanly on one stream); there is
 // no index, no manifest. Everything the log needs is already in the frames:
-// ordering is append order, per-host sequencing is the batch Seq, time is
-// the batch SentUnixNano, and each frame's trailer checks its bytes. Replaying a shard's
-// segments in numeric order through the aggregator's strict apply rules
-// (fulls never roll back, deltas apply only on their exact base)
+// ordering is append order, per-host sequencing is the batch Seq, time is the
+// batch SentUnixNano, and each frame's trailer checks its bytes. Replaying a
+// shard's segments in numeric order through the aggregator's strict apply
+// rules (fulls never roll back, deltas apply only on their exact base)
 // reconstructs each host's newest-full-plus-deltas state exactly.
 //
 // Failure semantics, in replay order per segment chain:
@@ -45,9 +45,10 @@ import (
 //   - the same conditions in any earlier segment, a checksum failure with
 //     bytes after it, any other decode failure anywhere (bad magic, a
 //     payload that contradicts its encoding, a pre-binary, generation-4 or
-//     generation-5 frame), or
-//     a whole frame that fails Validate, is corruption: the log refuses to
-//     open rather than serve wrong numbers.
+//     generation-5 frame), or a whole frame that fails Validate, is
+//     corruption: the log refuses to open rather than serve wrong numbers,
+//     naming the segment, the frame's byte offset and, once its header is
+//     read, its host.
 //   - a delta that cannot apply (its base fell to retention or compaction)
 //     is skipped with a counter — the information is gone, not wrong. So
 //     is a frame of another binary generation's bin layout (an unknown
@@ -156,20 +157,20 @@ func segPath(dir string, num uint64) string {
 
 // openSegmentLog prepares the on-disk layout: the shard dirs exist, every
 // segment is listed (sizes come later, from replay), and stray *.tmp files
-// from an interrupted compaction are gone. No frame is read here — replay
-// does that, because reading and applying are one pass.
+// from an interrupted compaction are gone. The shard dirs are opened
+// concurrently; the error is the lowest failing dir's. No frame is read
+// here: replay does that, because reading and applying are one pass.
 func openSegmentLog(cfg logConfig, shards int) (*segmentLog, error) {
 	cfg = cfg.withDefaults()
 	l := &segmentLog{cfg: cfg, shards: make([]*logShard, shards)}
 	if err := os.MkdirAll(cfg.dir, 0o755); err != nil {
 		return nil, fmt.Errorf("fleet: log dir: %w", err)
 	}
-	for i := range l.shards {
-		sh, err := openLogShard(filepath.Join(cfg.dir, shardDirName(i)), i)
-		if err != nil {
-			return nil, err
-		}
-		l.shards[i] = sh
+	if err := eachDir(shards, func(i int) (err error) {
+		l.shards[i], err = openLogShard(filepath.Join(cfg.dir, shardDirName(i)), i)
+		return err
+	}); err != nil {
+		return nil, err
 	}
 	// Discover orphan dirs from a run with more shards.
 	entries, err := os.ReadDir(cfg.dir)
@@ -261,15 +262,13 @@ func eachDir(n int, fn func(i int) error) error {
 	return cmp.Or(errs...) // the first non-nil
 }
 
-// replay reads every segment of every shard dir (orphans included) and hands
-// each frame to apply, which reports whether it skipped the frame (one it
-// cannot use, not evidence of corruption). A torn tail on a chain's last
-// segment is truncated back to the last whole frame; any other decode failure
-// aborts: a log that contradicts its own format must not silently become
-// numbers. Dirs replay concurrently, so apply must be safe for that; one dir's
-// segments replay in order on one goroutine, through one segmentWalker.
-// Segment sizes, frame counts and newest-times are (re)established as a side
-// effect — replay is the one full read the log ever does.
+// replay hands every frame of every shard dir (orphans included) to apply,
+// which reports whether it skipped the frame (one it cannot use, not
+// evidence of corruption). A torn tail on a chain's last segment is truncated
+// to the last whole frame; any other decode failure aborts. Dirs replay
+// concurrently, each in order on one goroutine and segmentWalker, so apply
+// must be safe for that. Segment sizes, frame counts and newest-times are
+// (re)established as a side effect: replay is the log's one full read.
 func (l *segmentLog) replay(apply func(dirIdx int, f *frame) (skipped bool, err error)) (ReplayStats, error) {
 	dirs := append(append([]*logShard(nil), l.shards...), l.orphans...)
 	per := make([]ReplayStats, len(dirs))
@@ -306,7 +305,7 @@ func (l *segmentLog) replaySegment(w *segmentWalker, sh *logShard, seg *segmentI
 		// too: a crash can leave a partly flushed write, not only a short one.
 		if errors.Is(err, ErrTruncatedFrame) || errors.Is(err, ErrChecksum) && w.atEOF() {
 			if !last {
-				return fmt.Errorf("fleet: log segment %s torn mid-chain (only the newest segment may have a torn tail): %w", seg.path, err)
+				return fmt.Errorf("fleet: log segment %s torn mid-chain at byte %d (only the newest segment may have a torn tail): %w", seg.path, good, err)
 			}
 			// Crash mid-write: everything before the tear is whole.
 			size, _ := w.file.Seek(0, io.SeekEnd) // what the tear cost, for the event
@@ -332,7 +331,11 @@ func (l *segmentLog) replaySegment(w *segmentWalker, sh *logShard, seg *segmentI
 			skipped, err = apply(sh.dirIdx, fr) // where a payload is decoded
 		}
 		if err != nil {
-			return fmt.Errorf("fleet: log segment %s corrupt: %w", seg.path, err)
+			host := "" // the header of a frame that failed before it is unread
+			if fr != nil {
+				host = fmt.Sprintf(", host %q", fr.Host)
+			}
+			return fmt.Errorf("fleet: log segment %s corrupt at byte %d%s: %w", seg.path, good, host, err)
 		}
 		good += int64(len(fr.raw))
 		seg.frames++
@@ -351,11 +354,10 @@ func (l *segmentLog) replaySegment(w *segmentWalker, sh *logShard, seg *segmentI
 }
 
 // segmentWalker reads segment files through one bufio.Reader and one frame,
-// reused for every frame and segment it walks and pooled across boots and
-// queries. Its rule: a frame it hands out lives only until its next read,
-// which reads over the frame, its Batch and its bytes, so nothing may keep
-// them (readFrame). A pushed frame gets a fresh one: the log append keeps
-// its raw.
+// reused for every frame and segment and pooled across boots and queries. A
+// frame it hands out lives only until its next read, which reads over the
+// frame, its Batch and its bytes, so nothing may keep them (readFrame) but
+// the host's name, interned for the walk. A pushed frame gets a fresh frame.
 type segmentWalker struct {
 	file *os.File // the segment being walked
 	r    *bufio.Reader
@@ -375,6 +377,7 @@ func (w *segmentWalker) walk(path string, fn func(*frame, error) error) error {
 	}
 	defer w.file.Close()
 	w.r.Reset(w.file)
+	w.f.hosts = make(map[string]string) // a host's name is allocated once per walk
 	for err == nil {
 		var fr *frame
 		if fr, err = readFrame(w.r, w.f); err != io.EOF {
@@ -624,18 +627,17 @@ func (l *segmentLog) removeOrphans() {
 	l.orphans = nil
 }
 
-// scan hands every frame currently in the log to fn, the read path behind
-// history queries. Shard dirs are read concurrently; fn sees one dir's frames
-// in segment order on one goroutine, through one segmentWalker, each read
-// whole and its trailer checked, its payload undecoded. A frame failing its
-// checksum is dropped and the file read on; any other bad frame ends the
-// file, dropped too. It returns the drops. It is best-effort against
-// concurrent writers: the path list is copied under each shard's mutex, but
-// the files are read unlocked, so a segment compacted away mid-scan is
-// skipped and a frame being appended right now reads as a torn tail and ends
-// that file. Both are safe for history: duplicates and stale fulls fall out
-// of the same no-rollback apply rules replay uses.
-func (l *segmentLog) scan(fn func(dirIdx int, f *frame)) (dropped int64) {
+// scan hands every frame in the log to fn, the read path behind history
+// queries. Shard dirs are read concurrently; fn sees one dir's frames in
+// segment order on one goroutine and segmentWalker, each read whole and its
+// trailer checked, its payload undecoded, and done(dirIdx) runs there after
+// the dir's last segment. A frame failing its checksum is dropped and the
+// file read on; any other bad frame ends the file, dropped too. It returns
+// the drops. Segment lists are copied under each shard's mutex and the files
+// read unlocked, so a segment compacted away mid-scan is skipped and a frame
+// being appended reads as a torn tail and ends that file: duplicates and
+// stale fulls fall out of the no-rollback apply rules replay uses.
+func (l *segmentLog) scan(fn func(dirIdx int, f *frame), done func(dirIdx int)) (dropped int64) {
 	var n atomic.Int64
 	eachDir(len(l.shards), func(i int) error {
 		sh := l.shards[i]
@@ -665,6 +667,7 @@ func (l *segmentLog) scan(fn func(dirIdx int, f *frame)) (dropped int64) {
 				return nil
 			})
 		}
+		done(sh.dirIdx)
 		return nil
 	})
 	return n.Load()

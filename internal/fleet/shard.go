@@ -194,14 +194,8 @@ func (s *shard) ingest(f *frame, source string, now time.Time, owned bool) (appl
 func (s *shard) fullBatches() []*Batch {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	names := make([]string, 0, len(s.hosts))
-	for h := range s.hosts {
-		names = append(names, h)
-	}
-	sort.Strings(names)
-	out := make([]*Batch, 0, len(names))
-	for _, h := range names {
-		st := s.hosts[h]
+	out := make([]*Batch, 0, len(s.hosts))
+	for _, st := range s.hosts {
 		out = append(out, &Batch{
 			Host:         st.host,
 			Seq:          st.seq,
@@ -212,6 +206,7 @@ func (s *shard) fullBatches() []*Batch {
 			Leaves:       st.leaves,
 		})
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Host < out[j].Host })
 	return out
 }
 
@@ -245,7 +240,9 @@ func (s *shard) statuses(now time.Time, staleAfter time.Duration, out []HostStat
 // the shard has none; vmMerges returns their per-VM merges sorted by VM
 // name. See mergedView.
 func (s *shard) clusterMerge(now time.Time, staleAfter time.Duration, includeStale bool) *core.Snapshot {
-	return mergedView(s, &s.cluster, now, staleAfter, includeStale, mergeCluster)
+	return mergedView(s, &s.cluster, now, staleAfter, includeStale, func(snaps []*core.Snapshot) *core.Snapshot {
+		return core.Aggregate("cluster", "*", snaps...) // nil for none
+	})
 }
 
 func (s *shard) vmMerges(now time.Time, staleAfter time.Duration, includeStale bool) []*core.Snapshot {
@@ -296,20 +293,6 @@ func mergedView[T any](s *shard, m *viewMemo[T], now time.Time, staleAfter time.
 	return view
 }
 
-// mergeSnaps folds host snapshots into one cluster merge plus per-VM
-// merges sorted by VM name.
-func mergeSnaps(snaps []*core.Snapshot) (*core.Snapshot, []*core.Snapshot) {
-	if len(snaps) == 0 {
-		return nil, nil
-	}
-	return mergeCluster(snaps), mergeByVM(snaps)
-}
-
-// mergeCluster folds host snapshots into one cluster merge, nil for none.
-func mergeCluster(snaps []*core.Snapshot) *core.Snapshot {
-	return core.Aggregate("cluster", "*", snaps...)
-}
-
 // mergeByVM merges the snapshots of each VM, sorted by VM name. A VM whose
 // only snapshot is already named (vm, "*") is passed on as it is: Aggregate
 // would return a copy of it.
@@ -318,19 +301,15 @@ func mergeByVM(snaps []*core.Snapshot) []*core.Snapshot {
 	for _, s := range snaps {
 		byVM[s.VM] = append(byVM[s.VM], s)
 	}
-	vms := make([]string, 0, len(byVM))
-	for vm := range byVM {
-		vms = append(vms, vm)
-	}
-	sort.Strings(vms)
-	out := make([]*core.Snapshot, 0, len(vms))
-	for _, vm := range vms {
-		if parts := byVM[vm]; len(parts) == 1 && parts[0].Disk == "*" {
+	out := make([]*core.Snapshot, 0, len(byVM))
+	for vm, parts := range byVM {
+		if len(parts) == 1 && parts[0].Disk == "*" {
 			out = append(out, parts[0])
 		} else {
 			out = append(out, core.Aggregate(vm, "*", parts...))
 		}
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].VM < out[j].VM })
 	return out
 }
 

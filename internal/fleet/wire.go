@@ -219,8 +219,15 @@ func appendHeader(dst []byte, b *Batch, count int, baseSeq uint64) []byte {
 
 // header parses what appendHeader wrote into b and returns the count. The
 // bytes after the fields it knows are a later generation's, and are ignored.
-func (p *payloadReader) header(b *Batch) (count int) {
-	b.Host = string(p.bytes())
+// A host's name is taken from hosts, or added to it.
+func (p *payloadReader) header(b *Batch, hosts map[string]string) (count int) {
+	name := p.bytes()
+	if b.Host = hosts[string(name)]; b.Host == "" {
+		b.Host = string(name)
+		if hosts != nil {
+			hosts[b.Host] = b.Host
+		}
+	}
 	b.Seq = p.uvarint()
 	b.SentUnixNano = p.varint()
 	count = int(p.uvarint()) // past MaxInt it turns negative, which decodePayload refuses
@@ -304,9 +311,10 @@ func DecodeBatch(r io.Reader) (*Batch, error) {
 // and its bytes. Its snapshots stay bytes until used (see chainPos.apply).
 type frame struct {
 	*Batch
-	count   int    // the header's snapshot count
-	raw     []byte // head, header, payload and trailer
-	payload []byte // the snapshots: raw's payload after its layout id
+	count   int               // the header's snapshot count
+	raw     []byte            // head, header, payload and trailer
+	payload []byte            // the snapshots: raw's payload after its layout id
+	hosts   map[string]string // interns host names; nil gives every frame its own
 }
 
 // newFrame has room for the head and most deltas behind it.
@@ -366,7 +374,7 @@ func readFrame(r io.Reader, f *frame) (*frame, error) {
 	}
 	f.raw, *f.Batch = raw, Batch{Delta: flags&flagDelta != 0}
 	p := payloadReader{buf: raw[16 : 16+headerLen]}
-	f.count = p.header(f.Batch)
+	f.count = p.header(f.Batch, f.hosts)
 	if p.err != nil {
 		return nil, p.err
 	}

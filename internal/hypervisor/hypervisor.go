@@ -184,14 +184,10 @@ func (vm *VM) Disk(name string) *Vdisk {
 
 // Disks lists the VM's virtual disks sorted by name.
 func (vm *VM) Disks() []*Vdisk {
-	names := make([]string, 0, len(vm.disks))
-	for n := range vm.disks {
-		names = append(names, n)
+	out := make([]*Vdisk, 0, len(vm.disks))
+	for _, vd := range vm.disks {
+		out = append(out, vd)
 	}
-	sort.Strings(names)
-	out := make([]*Vdisk, 0, len(names))
-	for _, n := range names {
-		out = append(out, vm.disks[n])
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Disk.Name() < out[j].Disk.Name() })
 	return out
 }
