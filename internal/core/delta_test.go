@@ -173,3 +173,60 @@ func TestZeroValueSnapshotIsEmpty(t *testing.T) {
 		t.Errorf("JSON round trip of the zero value: %v", err)
 	}
 }
+
+// TestSubMarksKeptExtrema: a Sub delta marks Kept exactly the extrema equal
+// to the earlier snapshot's, its cells still the later's; ApplyDelta takes
+// a kept one from its receiver, so a placeholder there changes nothing, and
+// for a derived delta it derives class-all's from the filled classes' too,
+// and for one marked KeptWhole takes them as they are.
+// What ApplyDelta, CaptureInto and AddInterval make keeps nothing.
+func TestSubMarksKeptExtrema(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	col := NewCollector("vm", "disk")
+	col.Enable()
+	deltaFeed(t, rng, col, 200)
+	for round := range 8 {
+		earlier := col.Snapshot()
+		deltaFeed(t, rng, col, rng.Intn(40))
+		later := col.Snapshot()
+		d := later.Sub(earlier)
+		var want uint64
+		holed := Snapshot{Kept: d.Kept, cells: slices.Clone(d.cells)}
+		holed.Errors, holed.Commands, holed.NumReads, holed.NumWrites = d.Errors, d.Commands, d.NumReads, d.NumWrites
+		holed.ReadBytes, holed.WriteBytes = d.ReadBytes, d.WriteBytes
+		for i := range cellTable {
+			h, e, l := cellTable[i].Of(holed.cells), cellTable[i].Of(earlier.cells), cellTable[i].Of(later.cells)
+			for k := range 2 {
+				if c := len(h) - 2 + k; e[c] == l[c] {
+					want |= 1 << (2*i + k)
+					h[c] = -12345 // a placeholder, as a delta read without its base holds
+				} else if h[c] != l[c] {
+					t.Fatalf("round %d: histogram %d extremum %d is not the later's", round, i, k)
+				}
+			}
+		}
+		if d.Kept != want {
+			t.Fatalf("round %d: Kept %#x, want %#x", round, d.Kept, want)
+		}
+		if !d.Derived() {
+			holed.Kept |= KeptWhole
+		} else { // what a decoder reading a derived body without its base derives
+			for f := range families {
+				all, r, w := cellTable[3*f].Of(holed.cells), cellTable[3*f+1].Of(holed.cells), cellTable[3*f+2].Of(holed.cells)
+				n := len(all) - 4
+				all[n+2], all[n+3] = AllExtrema(r[n+1:], w[n+1:])
+			}
+		}
+		for name, delta := range map[string]*Snapshot{"Sub": d, "placeholders": &holed} {
+			if got := earlier.ApplyDelta(delta); !got.StateEquals(later) || got.Kept != 0 {
+				t.Fatalf("round %d: ApplyDelta of the %s delta differs from the later capture (Kept %#x)", round, name, got.Kept)
+			}
+		}
+		sum, reused := &Snapshot{Kept: d.Kept | 1}, &Snapshot{Kept: d.Kept | 1}
+		sum.AddInterval(nil, d)
+		col.CaptureInto(reused)
+		if sum.Kept != 0 || reused.Kept != 0 {
+			t.Fatalf("round %d: an AddInterval sum keeps %#x, a capture %#x", round, sum.Kept, reused.Kept)
+		}
+	}
+}

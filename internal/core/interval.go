@@ -69,12 +69,13 @@ var noState = Snapshot{cells: make([]int64, snapshotWords)}
 
 // AddInterval adds IntervalSince(prev, cur) into s, building no interval:
 // counters, bins, sums and totals add; extrema become cur's if s's histogram
-// was empty, stay if the interval's is, and else widen. s is memory its
-// caller alone holds, neither prev nor cur.
+// was empty, stay if the interval's is, and else widen; Kept becomes 0. s
+// is memory its caller alone holds, neither prev nor cur.
 func (s *Snapshot) AddInterval(prev, cur *Snapshot) {
 	if prev == nil || wentBack(prev, cur) {
 		prev = &noState // the interval is all of cur
 	}
+	s.Kept = 0
 	s.Commands, s.NumReads, s.NumWrites = s.Commands+cur.Commands-prev.Commands, s.NumReads+cur.NumReads-prev.NumReads, s.NumWrites+cur.NumWrites-prev.NumWrites
 	s.ReadBytes, s.WriteBytes, s.Errors = s.ReadBytes+cur.ReadBytes-prev.ReadBytes, s.WriteBytes+cur.WriteBytes-prev.WriteBytes, s.Errors+cur.Errors-prev.Errors
 	if len(s.cells) != snapshotWords {

@@ -77,7 +77,10 @@ func TestIntervalsAddUpToTheSnapshot(t *testing.T) {
 		sum = sum.ApplyDelta(d)
 	}
 	want := r.col.Snapshot().Sub(base)
-	copyExtrema(sum.cells, want.cells)
+	for i := range cellTable { // the extrema of intervals do not add up
+		d, s := cellTable[i].Of(sum.cells), cellTable[i].Of(want.cells)
+		copy(d[len(d)-2:], s[len(s)-2:])
+	}
 	if len(rec.Intervals) != 4 || !sum.StateEquals(want) {
 		t.Fatalf("%d intervals of %d commands in all, want 4 of %d, every bin alike", len(rec.Intervals), sum.Commands, want.Commands)
 	}

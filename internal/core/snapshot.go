@@ -67,6 +67,16 @@ type Snapshot struct {
 	WriteBytes int64
 	Errors     int64
 
+	// Kept marks, on a Sub delta, each extremum equal to the earlier's: bit
+	// 2k the min of CellTable's histogram k, bit 2k+1 its max; the cells
+	// hold the later's. A fleet delta frame leaves them out, so a delta
+	// decoded without its base holds placeholders in the kept cells and the
+	// class-all extrema derived from them (KeptWhole): only the fleet
+	// decoder reading it against its base, or ApplyDelta onto it, makes it
+	// whole. Any other snapshot (capture, ApplyDelta, AddInterval, decode
+	// onto a base) has Kept 0.
+	Kept uint64
+
 	cells []int64 // nil or snapshotWords long
 }
 
@@ -88,20 +98,18 @@ func (c *Collector) Snapshot() *Snapshot {
 //
 // CaptureInto is safe to call while other goroutines issue commands or
 // Reset the collector. It copies the slab, the extrema and the error count
-// under the collector's lock, into dst's memory obtained before taking it,
-// so a command waits for one ~1.4 KB copy at most and the copy is a
-// consistent cut: every command is in it with all its samples or not at
-// all. The issue side therefore agrees with itself in every snapshot,
-// quiescent or not — with no Reset or BreakStream in between, I/O length
-// and outstanding I/Os total Commands, and both seek distances and
-// inter-arrival Commands − 1.
+// under the collector's lock into dst's memory, so a command waits for one
+// ~1.4 KB copy at most and the copy is a consistent cut: every command is
+// in it with all its samples or not at all. So, with no Reset or
+// BreakStream in between, I/O length and outstanding I/Os total Commands,
+// and both seek distances and inter-arrival Commands − 1.
 //
-// The collector stores only the reads and writes histograms; everything
-// derivable is derived here (derive), outside the lock, from the copy. So each
-// family's all is exactly reads + writes — bins, sum, total, and min/max
-// over whichever classes are non-empty — Commands == NumReads + NumWrites
-// == the I/O length total, and the byte counters are the I/O length sums.
-// An empty histogram reports min = max = 0.
+// The collector stores only the reads and writes histograms; the rest is
+// derived here (derive), outside the lock. Each family's all is exactly
+// reads + writes (bins, sum, total, and min/max over the non-empty
+// classes), Commands == NumReads + NumWrites == the I/O length total, and
+// the byte counters are the I/O length sums. An empty histogram reports
+// min = max = 0.
 func (c *Collector) CaptureInto(dst *Snapshot) bool {
 	if len(dst.cells) != snapshotWords {
 		dst.cells = make([]int64, snapshotWords)
@@ -128,7 +136,7 @@ func (c *Collector) CaptureInto(dst *Snapshot) bool {
 		own[total], own[total+1], own[total+2] = 0, 0, 0
 		slab[id].layout.Seal(own, min[id], max[id])
 	}
-	dst.VM, dst.Disk = c.vm, c.disk
+	dst.VM, dst.Disk, dst.Kept = c.vm, c.disk, 0
 	dst.derive(true)
 	return true
 }
@@ -256,13 +264,14 @@ func (s *Snapshot) ReadFraction() float64 {
 	return float64(s.NumReads) / float64(s.Commands)
 }
 
-// plus sets dst to s + sign·o, named as s and carrying ext's extrema:
-// counters and every count, sum and total cell. In the same pass it reports
-// whether s and o hold the same state — what s.StateEquals(o) decides, every
-// counter and every cell, extrema included. Arithmetic wraps, so with sign
-// −1 and then +1 it undoes itself exactly whatever the values. dst is memory
-// its caller alone holds, neither s nor o.
-func (s *Snapshot) plus(dst, o *Snapshot, sign int64, ext *Snapshot) (same bool) {
+// plus sets dst to s + sign·o, named as s: counters and every count, sum
+// and total cell; with sign −1 (Sub) s's extrema, marking those equal to
+// o's Kept, and with +1 (ApplyDelta) o's but those o marks Kept. In the same
+// pass it reports whether s and o hold the same state — what
+// s.StateEquals(o) decides. Arithmetic wraps, so with sign −1 and then +1 it
+// undoes itself exactly whatever the values. dst is memory its caller alone
+// holds, neither s nor o.
+func (s *Snapshot) plus(dst, o *Snapshot, sign int64) (same bool) {
 	a, b := s.Cells(), o.Cells()
 	if len(dst.cells) != snapshotWords {
 		dst.cells = make([]int64, snapshotWords)
@@ -274,33 +283,34 @@ func (s *Snapshot) plus(dst, o *Snapshot, sign int64, ext *Snapshot) (same bool)
 	}
 	same = diff == 0 && s.Commands == o.Commands && s.NumReads == o.NumReads && s.NumWrites == o.NumWrites &&
 		s.ReadBytes == o.ReadBytes && s.WriteBytes == o.WriteBytes && s.Errors == o.Errors
-	dst.VM, dst.Disk = s.VM, s.Disk
+	dst.VM, dst.Disk, dst.Kept = s.VM, s.Disk, 0
 	dst.Commands, dst.NumReads, dst.NumWrites = s.Commands+sign*o.Commands, s.NumReads+sign*o.NumReads, s.NumWrites+sign*o.NumWrites
 	dst.ReadBytes, dst.WriteBytes, dst.Errors = s.ReadBytes+sign*o.ReadBytes, s.WriteBytes+sign*o.WriteBytes, s.Errors+sign*o.Errors
-	copyExtrema(dst.cells, ext.Cells())
-	return same
-}
-
-// copyExtrema sets every histogram's min and max in dst to src's.
-func copyExtrema(dst, src []int64) {
 	for i := range cellTable {
-		d, s := cellTable[i].Of(dst), cellTable[i].Of(src)
-		copy(d[len(d)-2:], s[len(s)-2:])
+		ext := cellTable[i].Off + cellTable[i].Layout.NumBins() + 2 // min, then max
+		for k, c := range [2]int{ext, ext + 1} {
+			if dst.cells[c] = a[c]; sign < 0 && a[c] == b[c] {
+				dst.Kept |= 1 << (2*i + k)
+			} else if sign > 0 && o.Kept>>(2*i+k)&1 == 0 {
+				dst.cells[c] = b[c]
+			}
+		}
 	}
+	return same
 }
 
 // Sub returns the interval snapshot s minus earlier: every counter and every
 // count, sum and total cell becomes the delta accumulated between the two
 // snapshots. Min and max cannot be recovered for an interval, so the result
-// carries s's. A nil earlier means "since the beginning": the interval is
-// everything s ever accumulated, so s itself is returned (snapshots are
-// immutable, sharing is safe).
+// carries s's, and marks those equal to earlier's Kept. A nil earlier means
+// "since the beginning": the interval is everything s ever accumulated, so s
+// itself is returned (snapshots are immutable, sharing is safe).
 func (s *Snapshot) Sub(earlier *Snapshot) *Snapshot {
 	if earlier == nil {
 		return s
 	}
 	out := new(Snapshot)
-	s.plus(out, earlier, -1, s)
+	s.plus(out, earlier, -1)
 	return out
 }
 
@@ -308,12 +318,18 @@ func (s *Snapshot) Sub(earlier *Snapshot) *Snapshot {
 // s.StateEquals(earlier), both in one pass over the cells. earlier is not
 // nil, and dst is neither s nor earlier but memory its caller alone holds.
 func (s *Snapshot) SubInto(dst, earlier *Snapshot) (same bool) {
-	return s.plus(dst, earlier, -1, s)
+	return s.plus(dst, earlier, -1)
 }
+
+// KeptWhole marks in Kept a delta read without its base from a whole body,
+// whose class-all extrema are its own however Derived its placeholders look.
+const KeptWhole = 1 << 32
 
 // ApplyDelta returns the snapshot equal to s plus the interval delta d (as
 // produced by Sub): counters and cells add, and min and max come from the
-// delta, which carries the later snapshot's. So for any two snapshots
+// delta, which carries the later snapshot's, but those it marks Kept from
+// s; a Derived d's class-all extrema then derive from those (unless
+// KeptWhole). So for any two snapshots
 //
 //	later == earlier.ApplyDelta(later.Sub(earlier))
 //
@@ -321,7 +337,15 @@ func (s *Snapshot) SubInto(dst, earlier *Snapshot) (same bool) {
 // aggregator side of the fleet delta-push protocol.
 func (s *Snapshot) ApplyDelta(d *Snapshot) *Snapshot {
 	out := new(Snapshot)
-	s.plus(out, d, 1, d)
+	s.plus(out, d, 1)
+	if d.Kept != 0 && d.Kept&KeptWhole == 0 && d.Derived() { // from d's totals and the extrema now filled
+		dc := d.Cells()
+		for f := range families {
+			all, r, w := cellTable[3*f].Of(out.cells), cellTable[3*f+1].Of(out.cells), cellTable[3*f+2].Of(out.cells)
+			n := len(all) - 4
+			all[n+2], all[n+3] = AllExtrema([]int64{cellTable[3*f+1].Of(dc)[n+1], r[n+2], r[n+3]}, []int64{cellTable[3*f+2].Of(dc)[n+1], w[n+2], w[n+3]})
+		}
+	}
 	return out
 }
 

@@ -183,8 +183,8 @@ type ReplayStats struct {
 // staleness after a restart means what it always means. With an empty
 // DataDir this is exactly NewAggregator. Any other decode failure in the
 // log — wrong magic, a payload that contradicts its own encoding, a frame
-// that fails Validate, a pre-binary, generation-4 or generation-5 frame —
-// refuses to open rather than serve numbers the log contradicts.
+// that fails Validate, a frame of a retired generation — refuses to open
+// rather than serve numbers the log contradicts.
 func OpenAggregator(cfg AggregatorConfig) (*Aggregator, ReplayStats, error) {
 	g := NewAggregator(cfg)
 	if g.cfg.DataDir == "" {
@@ -258,18 +258,14 @@ func (g *Aggregator) shardOf(host string) *shard {
 	return g.shards[g.ShardFor(host)]
 }
 
-// Ingest encodes a batch once and takes a pushed frame's path: validated and
-// offered to the host's chain (chainPos.apply), it becomes the host's newest
-// state, refreshes liveness only (a late retry never rolls a host backwards),
-// or — a delta that does not build on exactly what is stored — returns
-// ErrResyncRequired.
-//
-// With a segment log open, every state-changing batch is also appended to
-// the host's shard chain, serialized with the apply so disk order matches
-// apply order. A log write failure (disk full, I/O error) is counted and
-// absorbed rather than failing the ingest: the batch is already applied in
-// memory, and an aggregator that keeps serving beats one that refuses the
-// fleet because its disk filled.
+// Ingest encodes a batch once (a delta DecodeBatch read keeps its Kept
+// marks, so it encodes to the frame read) and takes a pushed frame's path:
+// offered to the host's chain (chainPos.apply), it becomes the host's
+// newest state, refreshes liveness only (a late retry never rolls a host
+// backwards), or, a delta not built on exactly what is stored, returns
+// ErrResyncRequired. With a segment log open, every state-changing batch is
+// appended in apply order; a failed write is counted and absorbed, as the
+// batch is already applied and an aggregator with a full disk keeps serving.
 func (g *Aggregator) Ingest(b *Batch, source string) error {
 	raw, err := EncodeBatchBytes(b) // refuses a null snapshot as Validate does
 	if err != nil {
@@ -285,7 +281,7 @@ func (g *Aggregator) Ingest(b *Batch, source string) error {
 // bytes of a frame that changed it.
 func (g *Aggregator) ingest(f *frame, source string, sampled bool) error {
 	if err := f.Validate(); err != nil {
-		if _, derr := decodePayload(f.payload, f.count, nil, false); derr != nil {
+		if _, derr := decodePayload(f.payload, f.count, f.Delta, nil, false); derr != nil {
 			return derr // a malformed payload is a bad frame first
 		}
 		return g.refuse(f.Batch, err)
@@ -410,7 +406,7 @@ func (g *Aggregator) receive(ctx context.Context, r io.Reader, source string, sa
 	start := stageStart(sampled)
 	f, err := readFrame(r, nil) // a fresh buffer: the log append keeps raw
 	if err == nil && !f.Delta {
-		f.Snapshots, err = decodePayload(f.payload, f.count, nil, false) // before the shard lock; a delta waits for its base
+		f.Snapshots, err = decodePayload(f.payload, f.count, false, nil, false) // before the shard lock; a delta waits for its base
 	}
 	if errors.As(err, new(*UnknownLayoutError)) {
 		return nil, g.refuse(f.Batch, err) // the whole frame came with the error

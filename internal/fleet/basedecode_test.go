@@ -2,11 +2,13 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +16,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -45,11 +48,13 @@ var errDense = badFrame("the dense reference cannot read the payload")
 
 // decodeDense reads a compact payload a second way, written apart from the
 // decoder so the fuzz target compares two implementations: every snapshot
-// starts from zeros and each histogram is read whole into its cells, then
-// each class-all histogram is made dense from its reads and writes, and a
-// derived snapshot's counters from I/O length. Whole names are compared to
-// keep the disks in (VM, disk) order, each named once.
-func decodeDense(payload []byte, count int) (out []*core.Snapshot, err error) {
+// starts from zeros and each histogram is read whole into its cells, a kept
+// extremum (a delta's only) copied from the base disk of the same name, or
+// 0 if base has none, and marked in Kept; then each class-all histogram is
+// made dense from its reads and writes, and a derived snapshot's counters
+// from I/O length. Whole names are compared to keep the disks in (VM, disk)
+// order, each named once.
+func decodeDense(payload []byte, count int, delta bool, base []*core.Snapshot) (out []*core.Snapshot, err error) {
 	if count < 0 || count > len(payload)/layout.minBytes || count > maxDecodedLen/layout.decodedBytes {
 		return nil, errDense
 	}
@@ -80,6 +85,10 @@ func decodeDense(payload []byte, count int) (out []*core.Snapshot, err error) {
 		out = make([]*core.Snapshot, count)
 		core.MakeWritable(out)
 	}
+	bases := map[diskKey][]int64{}
+	for _, b := range base {
+		bases[diskKey{b.VM, b.Disk}] = b.Cells()
+	}
 	var vm, disk string
 	for j, s := range out {
 		prevVM, prevDisk := vm, disk
@@ -88,6 +97,10 @@ func decodeDense(payload []byte, count int) (out []*core.Snapshot, err error) {
 			panic(errDense)
 		}
 		s.VM, s.Disk = vm, disk
+		from := bases[diskKey{vm, disk}]
+		if from == nil {
+			from = make([]int64, len(layout.zeros))
+		}
 		flags := next()
 		if flags > snapDerived {
 			panic(errDense)
@@ -109,10 +122,19 @@ func decodeDense(payload []byte, count int) (out []*core.Snapshot, err error) {
 			if !derived {
 				h[n+1] = zz()
 			}
-			h[n], h[n+2], h[n+3] = zz(), zz(), zz()
-			nnz := next()
-			if nnz > uint64(n) {
+			h[n] = zz()
+			field := next()
+			nnz, kept := field>>2, field&3
+			if nnz > uint64(n) || kept != 0 && !delta {
 				panic(errDense)
+			}
+			for e := range 2 {
+				if kept&(1<<e) == 0 {
+					h[n+2+e] = zz()
+				} else {
+					h[n+2+e] = layout.hists[k].Of(from)[n+2+e]
+					s.Kept |= 1 << (2*k + e)
+				}
 			}
 			for i := -1; nnz > 0; nnz-- {
 				gap := next()
@@ -150,6 +172,9 @@ func decodeDense(payload []byte, count int) (out []*core.Snapshot, err error) {
 				}
 			}
 		}
+		if !derived && s.Kept != 0 {
+			s.Kept |= core.KeptWhole
+		}
 		if derived {
 			r, w := layout.hists[1].Of(cells), layout.hists[2].Of(cells) // I/O length's reads and writes
 			n := len(r) - 4
@@ -166,7 +191,7 @@ func decodeDense(payload []byte, count int) (out []*core.Snapshot, err error) {
 // snapsOf encodes snaps as a payload's snapshot bytes (after the layout id).
 func snapsOf(t testing.TB, snaps []*core.Snapshot) []byte {
 	t.Helper()
-	p, err := appendPayload(nil, snaps)
+	p, err := appendPayload(nil, snaps, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,6 +251,15 @@ func FuzzApplyDeltaPayload(f *testing.F) {
 	writer.Enable()
 	feedShape(writer, 5, 30, 16, false, true)
 	f.Add(snapsOf(f, []*core.Snapshot{writer.Snapshot()}), 1)
+	// A delta with every extremum kept and one with none; and a reads
+	// class that goes from empty to samples that are all 0, its extrema
+	// kept at (0, 0) while class-all's move.
+	allKept, noneKept := *every[1], *every[1]
+	allKept.Kept, noneKept.Kept = 1<<32-1, 0
+	f.Add(snapsOf(f, []*core.Snapshot{&allKept}), 1)
+	f.Add(snapsOf(f, []*core.Snapshot{&noneKept}), 1)
+	earlier, later := zeroReadsLater(writer.Snapshot())
+	f.Add(snapsOf(f, []*core.Snapshot{later.Sub(earlier)}), 1)
 	rng := rand.New(rand.NewSource(46))
 	dense := []*core.Snapshot{hostileSnapshot(rng, base[0].VM, base[0].Disk, 1), hostileSnapshot(rng, base[5].VM, base[5].Disk, 1)}
 	f.Add(snapsOf(f, dense), 2)
@@ -245,7 +279,7 @@ func FuzzApplyDeltaPayload(f *testing.F) {
 		for range 2 { // the smaller of two, so another goroutine's allocation is not counted
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			got, err = decodePayload(payload, count, base, false)
+			got, err = decodePayload(payload, count, true, base, false)
 			runtime.ReadMemStats(&after)
 			grew = min(grew, after.TotalAlloc-before.TotalAlloc)
 		}
@@ -260,9 +294,9 @@ func FuzzApplyDeltaPayload(f *testing.F) {
 
 		own := slices.Clone(base)
 		core.MakeWritable(own)
-		_, ierr := decodePayload(payload, count, own, true)
+		_, ierr := decodePayload(payload, count, true, own, true)
 
-		deltas, derr := decodeDense(payload, count)
+		deltas, derr := decodeDense(payload, count, true, base)
 		want, werr := deltas, derr
 		if derr == nil {
 			want, werr = applyDeltaSnaps(base, deltas)
@@ -302,16 +336,94 @@ func FuzzApplyDeltaPayload(f *testing.F) {
 			}
 		}
 
-		full, err := decodePayload(payload, count, nil, false)
-		if (err == nil) != (derr == nil) || (err != nil && !errors.Is(err, ErrBadFrame)) {
-			t.Fatalf("decode onto nothing: %v, reference: %v", err, derr)
-		}
-		for i := range full {
-			if full[i].VM != deltas[i].VM || full[i].Disk != deltas[i].Disk || !full[i].StateEquals(deltas[i]) {
-				t.Fatalf("snapshot %d differs from the reference decode", i)
+		// Onto nothing, as a delta read without its base (zeros in its kept
+		// cells, the marks in Kept) and as a full frame (no mark allowed).
+		for _, delta := range []bool{true, false} {
+			alone, err := decodePayload(payload, count, delta, nil, false)
+			ref, rerr := decodeDense(payload, count, delta, nil)
+			if (err == nil) != (rerr == nil) || (err != nil && !errors.Is(err, ErrBadFrame)) {
+				t.Fatalf("decode onto nothing (delta %v): %v, reference: %v", delta, err, rerr)
+			}
+			for i := range alone {
+				if alone[i].VM != ref[i].VM || alone[i].Disk != ref[i].Disk || !alone[i].StateEquals(ref[i]) || alone[i].Kept != ref[i].Kept {
+					t.Fatalf("delta %v: snapshot %d differs from the reference decode", delta, i)
+				}
 			}
 		}
 	})
+}
+
+// zeroReadsLater returns a writes-only capture and the capture after seven
+// reads of I/O length 0: the reads histogram goes from empty to (0, 0)
+// extrema it had already, class-all's min from the writes' to 0.
+func zeroReadsLater(earlier *core.Snapshot) (_, later *core.Snapshot) {
+	two := []*core.Snapshot{earlier}
+	core.MakeWritable(two)
+	later = two[0]
+	all, reads := layout.hists[0].Of(later.Cells()), layout.hists[1].Of(later.Cells())
+	n, z := len(all)-4, layout.hists[0].Layout.Bin(0)
+	reads[z], reads[n+1], all[z], all[n+1] = 7, 7, all[z]+7, all[n+1]+7
+	all[n+2] = min(all[n+2], 0)
+	later.Commands, later.NumReads = later.Commands+7, later.NumReads+7
+	return earlier, later
+}
+
+// idleZeroReads returns two captures from later: the one seven reads of
+// I/O length 0 made (zeroReadsLater), and that one after three more writes
+// of a length already seen. No extremum moves, yet the delta is whole: its
+// reads, with no new samples and extrema (0, 0), count as empty, so a
+// derived body would give class-all the writes' min, not 0.
+func idleZeroReads(earlier *core.Snapshot) (_, later *core.Snapshot) {
+	_, mid := zeroReadsLater(earlier)
+	two := []*core.Snapshot{mid}
+	core.MakeWritable(two)
+	later = two[0]
+	all, writes := layout.hists[0].Of(later.Cells()), layout.hists[2].Of(later.Cells())
+	n := len(all) - 4
+	b, v := layout.hists[0].Layout.Bin(writes[n+2]), writes[n+2]
+	writes[b], writes[n], writes[n+1] = writes[b]+3, writes[n]+3*v, writes[n+1]+3
+	all[b], all[n], all[n+1] = all[b]+3, all[n]+3*v, all[n+1]+3
+	later.Commands, later.NumWrites, later.WriteBytes = later.Commands+3, later.NumWrites+3, later.WriteBytes+3*v
+	return mid, later
+}
+
+// TestClassAllDerivedAfterTheFill: a reads class that goes from empty to
+// samples that are all 0 keeps both its extrema at (0, 0), yet class-all's
+// min moves. A derived delta carries no class-all, so the decoder fills the
+// kept extrema from the base first and derives class-all's after, never
+// from its classes' marks; so does ApplyDelta onto the base for the delta
+// DecodeBatch reads without it. A whole delta whose every extremum is kept
+// (idleZeroReads) stays whole when that reading is encoded again, though
+// its placeholders would pass for a derived body.
+func TestClassAllDerivedAfterTheFill(t *testing.T) {
+	writer := core.NewCollector("vm", "disk")
+	writer.Enable()
+	feedShape(writer, 5, 30, 16, false, true)
+	for name, pair := range map[string]func(*core.Snapshot) (*core.Snapshot, *core.Snapshot){
+		"reads from empty to zeros": zeroReadsLater, "whole, every extremum kept": idleZeroReads,
+	} {
+		earlier, later := pair(writer.Snapshot())
+		d := later.Sub(earlier)
+		if earlier.StateEquals(later) || d.Kept&0b1100 != 0b1100 || d.Derived() == (d.Kept&1 != 0) {
+			t.Fatalf("%s: derived %v, Kept %#x: want the reads' extrema kept, and class-all's min moved in the derived delta only", name, d.Derived(), d.Kept)
+		}
+		frame := encodeBatch(t)(&Batch{Host: "h", Seq: 2, BaseSeq: 1, Delta: true, Snapshots: []*core.Snapshot{d}})
+		f, err := readFrame(bytes.NewReader(frame), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		onto, err := decodePayload(f.payload, f.count, true, []*core.Snapshot{earlier}, false)
+		if err != nil || !onto[0].StateEquals(later) || onto[0].Kept != 0 {
+			t.Fatalf("%s: decoded onto the earlier capture: %v, state right %v", name, err, err == nil && onto[0].StateEquals(later))
+		}
+		alone, err := DecodeBatch(bytes.NewReader(frame))
+		if err != nil || !earlier.ApplyDelta(alone.Snapshots[0]).StateEquals(later) {
+			t.Fatalf("%s: decoded alone, then applied onto the earlier capture: %v", name, err)
+		}
+		if again := encodeBatch(t)(alone); !bytes.Equal(again, frame) {
+			t.Fatalf("%s: decoded alone, it encodes to other bytes", name)
+		}
+	}
 }
 
 // TestDecodeInPlaceMatchesApplyDelta folds the same chain of deltas twice,
@@ -331,7 +443,7 @@ func TestDecodeInPlaceMatchesApplyDelta(t *testing.T) {
 		state = state.ApplyDelta(d)
 		payload := snapsOf(t, []*core.Snapshot{d})
 		kept := slices.Clone(payload)
-		if _, err := decodePayload(payload, 1, owned, true); err != nil {
+		if _, err := decodePayload(payload, 1, true, owned, true); err != nil {
 			t.Fatal(err)
 		}
 		if owned[0].VM != state.VM || owned[0].Disk != state.Disk || !owned[0].StateEquals(state) || !owned[0].StateEquals(cur) {
@@ -622,5 +734,101 @@ func TestLogHoldsTheFramesThatArrived(t *testing.T) {
 	sameMerges(t, "replayed", g2, g)
 	if hs := g2.Hosts(); len(hs) != 1 || hs[0].Seq != 3 {
 		t.Errorf("replayed hosts %+v, want %s at seq 3", hs, host)
+	}
+}
+
+// TestDecodedFramesReencodeExactly: a delta read without its base keeps its
+// Kept marks, so what DecodeBatch gives re-encodes to the frame it read,
+// byte for byte, and ingesting that onto the base gives what the frame
+// itself gives, every extremum included. Whatever decodes frames on their
+// own and sends them again relies on it. The frames are an agent's and a
+// re-exporter's chains: partial deltas, a disk attached mid-chain (a full,
+// then deltas again) and a stale host leaving the rollup. The same delta
+// under a full frame's flags is refused.
+func TestDecodedFramesReencodeExactly(t *testing.T) {
+	var mu sync.Mutex
+	var frames [][]byte
+	upstream := NewAggregator(AggregatorConfig{StaleAfter: time.Hour})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		raw, _ := io.ReadAll(r.Body)
+		mu.Lock()
+		frames = append(frames, raw)
+		mu.Unlock()
+		r.Body = io.NopCloser(bytes.NewReader(raw))
+		upstream.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	reg := makeRegistry(1, 2, 2, 100)
+	agent := NewAgent(reg, AgentConfig{Host: "esx-rt", Endpoint: srv.URL + "/fleet/push"})
+	region, clk := newTestAggregator(10 * time.Second)
+	rex := NewReExporter(region, ReExporterConfig{Region: "region-rt", Upstream: srv.URL + "/fleet/push"})
+	regA, regB, seqA := makeRegistry(2, 1, 2, 100), makeRegistry(3, 2, 1, 80), uint64(1)
+	pushFull(t, region, "esx-a", 1, regA)
+	pushFull(t, region, "esx-b", 1, regB)
+	pushA := func() { seqA++; pushFull(t, region, "esx-a", seqA, regA) }
+	for _, step := range []func(){
+		func() {},
+		func() { feed(reg.List()[1], 71, 30); feed(regA.List()[0], 72, 20); pushA() },
+		func() { feed(reg.List()[0], 73, 5); feed(reg.List()[3], 74, 40) },
+		func() { // a disk attached mid-chain
+			c := core.NewCollector(reg.List()[1].VM(), "scsi0:10")
+			c.Enable()
+			feed(c, 75, 40)
+			reg.Register(c)
+		},
+		func() { feed(reg.List()[2], 76, 10); feed(regA.List()[1], 77, 10); pushA() },
+		func() { clk.advance(11 * time.Second); pushA() }, // esx-b goes stale
+		func() { feed(reg.List()[2], 78, 10); feed(regA.List()[1], 79, 30); pushA() },
+	} {
+		step()
+		if err := agent.PushNow(); err != nil {
+			t.Fatal(err)
+		}
+		if err := rex.ReExportNow(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	alone := NewAggregator(AggregatorConfig{StaleAfter: time.Hour})
+	whole := NewAggregator(AggregatorConfig{StaleAfter: time.Hour})
+	var deltas, kept int
+	for i, f := range frames {
+		b, err := DecodeBatch(bytes.NewReader(f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again := encodeBatch(t)(b); !bytes.Equal(again, f) {
+			t.Fatalf("frame %d (%s seq %d): re-encodes to other bytes", i, b.Host, b.Seq)
+		}
+		if b.Delta {
+			deltas++
+			marks := 0 // the marks on the wire, not KeptWhole
+			for _, s := range b.Snapshots {
+				marks += bits.OnesCount32(uint32(s.Kept))
+			}
+			asFull := append([]byte(nil), f...)
+			asFull[5] &^= flagDelta
+			if _, err := DecodeBatch(bytes.NewReader(reseal(asFull))); marks > 0 && !errors.Is(err, ErrBadFrame) {
+				t.Errorf("frame %d keeping %d extrema, under a full frame's flags: %v, want a bad frame", i, marks, err)
+			}
+			kept += marks
+		}
+		if err := alone.Ingest(b, "push"); err != nil {
+			t.Fatalf("frame %d decoded alone: %v", i, err)
+		}
+		if _, err := whole.receive(context.Background(), bytes.NewReader(f), "push", false); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		got := storedState(alone, b.Host)
+		if !sameStates(got, storedState(whole, b.Host)) || slices.ContainsFunc(got, func(s *core.Snapshot) bool { return s.Kept != 0 }) {
+			t.Fatalf("frame %d (%s seq %d): ingested once re-encoded, the host's state differs", i, b.Host, b.Seq)
+		}
+	}
+	if deltas < 6 || kept == 0 {
+		t.Errorf("%d of %d frames were deltas keeping %d extrema, want 6 or more keeping some", deltas, len(frames), kept)
+	}
+	if !sameStates(storedState(whole, "esx-rt"), reg.Snapshots()) {
+		t.Error("the receiver's state of the agent is not the registry's")
 	}
 }

@@ -224,7 +224,7 @@ func decodeChain(tb testing.TB, frames []*frame, owned bool, check func(k int, s
 	var snaps []*core.Snapshot
 	for k, f := range frames {
 		var err error
-		if snaps, err = decodePayload(f.payload, f.count, snaps, owned); err != nil {
+		if snaps, err = decodePayload(f.payload, f.count, f.Delta, snaps, owned); err != nil {
 			tb.Fatal(err)
 		}
 		check(k, snaps)

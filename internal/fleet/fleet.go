@@ -7,12 +7,9 @@
 //
 // The package has four parts:
 //
-//   - a versioned, length-prefixed wire codec (wire.go: framing, binary
-//     header and CRC-32C trailer; payload.go: the binary snapshot payload —
-//     sparse zig-zag varint bins against a bin layout interned by hash)
-//     that carries batches of core.Snapshot between processes (one format
-//     generation: the JSON payload of versions 1-3 and generations 4 and
-//     5 are refused, DESIGN.md §8);
+//   - a versioned wire codec (wire.go: framing, header and CRC-32C
+//     trailer; payload.go: sparse zig-zag varint snapshots) that carries
+//     batches of core.Snapshot between processes, in one format generation;
 //   - an Agent that periodically serializes a host's core.Registry and
 //     pushes it to an aggregator, with per-request timeouts, exponential
 //     backoff with jitter, a bounded retry queue and drop counters;
@@ -34,13 +31,11 @@
 // unreliable network. A dead agent simply stops appearing: its last batch
 // ages past the staleness horizon and drops out of the merged views — no
 // aggregator-side error, no partial merge. A dead aggregator costs the
-// agent nothing but a bounded retry queue; when the aggregator returns,
-// queued batches drain oldest-first and the newest state wins (batches are
-// cumulative, so dropping queued ones under pressure loses no information
-// that the next push doesn't carry). Corrupt or adversarial input is
-// rejected at decode (structural limits, a bin layout that is not this
-// binary's) and ingest (Validate), and can never panic the merge path: a
-// core.Snapshot has one fixed layout, so whatever decoded can be merged.
+// agent nothing but a bounded retry queue, which drains oldest-first when
+// it returns, and a delta it cannot apply a full push. Corrupt or adversarial input is rejected at decode
+// (structural limits, a bin layout that is not this binary's) and ingest
+// (Validate), and can never panic the merge path: a core.Snapshot has one
+// fixed layout, so whatever decoded can be merged.
 package fleet
 
 // ContentType identifies the fleet frame format over HTTP.

@@ -43,7 +43,9 @@ func goldenBatches() (*Batch, *Batch, *core.Registry) {
 }
 
 // decodeGolden decodes goldenBatches' two frames from data and checks them
-// against what was encoded: every header field and every cell.
+// against what was encoded: every header field, every cell of the full
+// frame, and, the delta being read without its base, every cell of the
+// registry's state once the delta is applied onto the full frame's.
 func decodeGolden(t *testing.T, data []byte) {
 	t.Helper()
 	full, delta, _ := goldenBatches()
@@ -66,9 +68,13 @@ func decodeGolden(t *testing.T, data []byte) {
 	if r.Len() != 0 {
 		t.Errorf("%d bytes after the two golden frames", r.Len())
 	}
-	again, againDelta, _ := goldenBatches()
-	for i, want := range [][]*core.Snapshot{again.Snapshots, againDelta.Snapshots} {
-		got := []*Batch{full, delta}[i].Snapshots
+	again, _, reg := goldenBatches()
+	state, err := applyDeltaSnaps(full.Snapshots, delta.Snapshots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range [][]*core.Snapshot{again.Snapshots, reg.Snapshots()} {
+		got := [][]*core.Snapshot{full.Snapshots, state}[i]
 		if len(got) != len(want) {
 			t.Fatalf("frame %d decoded %d snapshots, want %d", i, len(got), len(want))
 		}
@@ -156,12 +162,22 @@ func encodeBatch(t testing.TB) func(*Batch) []byte {
 	}
 }
 
-// TestFrameGoldenV6 pins the writer: testdata/frame_golden_v6.bin is the
-// same two frames in generation 6 (flagCompact: front-coded names, derived
-// snapshots without what they derive). This binary must write the same
-// bytes and read them back to the same state.
+// TestFrameGoldenV6: testdata/frame_golden_v6.bin is the two frames as the
+// generation-6 writer rendered them (flagCompact: front-coded names, derived
+// snapshots without what they derive, every extremum written), written and
+// read up to a4da188, refused by name on push, at boot and in History.
 func TestFrameGoldenV6(t *testing.T) {
-	want, err := os.ReadFile("testdata/frame_golden_v6.bin")
+	v6 := readGolden(t, "testdata/frame_golden_v6.bin", 6, flagKept)
+	refusedByName(t, v6, "generation-6")
+	refusedInLog(t, v6, "generation-6")
+}
+
+// TestFrameGoldenV7 pins the writer: testdata/frame_golden_v7.bin is the
+// same two frames in generation 7 (flagKept: the delta leaves out each
+// extremum equal to its base's). This binary must write the same bytes and
+// read them back to the same state.
+func TestFrameGoldenV7(t *testing.T) {
+	want, err := os.ReadFile("testdata/frame_golden_v7.bin")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,12 +187,12 @@ func TestFrameGoldenV6(t *testing.T) {
 	decodeGolden(t, want)
 }
 
-// TestFrameGoldenBitFlips flips every bit of the generation-6 golden
+// TestFrameGoldenBitFlips flips every bit of the generation-7 golden
 // frames, one at a time: no flip may decode into
 // different cells. The trailer covers every byte, so every flip is refused,
 // and only a flip in a declared length can read as a truncation.
 func TestFrameGoldenBitFlips(t *testing.T) {
-	for _, name := range []string{"testdata/frame_golden_v6.bin"} {
+	for _, name := range []string{"testdata/frame_golden_v7.bin"} {
 		data, err := os.ReadFile(name)
 		if err != nil {
 			t.Fatal(err)

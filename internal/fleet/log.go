@@ -26,14 +26,11 @@ import (
 //
 //	<dir>/shard-0007/0000000000000003.seg
 //
-// A segment is nothing but concatenated wire frames (the codec is
-// length-prefixed, so frames concatenate cleanly on one stream); there is
-// no index, no manifest. Everything the log needs is already in the frames:
-// ordering is append order, per-host sequencing is the batch Seq, time is the
-// batch SentUnixNano, and each frame's trailer checks its bytes. Replaying a
-// shard's segments in numeric order through the aggregator's strict apply
-// rules (fulls never roll back, deltas apply only on their exact base)
-// reconstructs each host's newest-full-plus-deltas state exactly.
+// A segment is nothing but concatenated wire frames, with no index and no
+// manifest: ordering is append order, per-host sequencing the batch Seq,
+// time its SentUnixNano, and each frame's trailer checks its bytes.
+// Replaying a shard's segments in numeric order through the aggregator's
+// strict apply rules reconstructs each host's state exactly.
 //
 // Failure semantics, in replay order per segment chain:
 //
@@ -44,8 +41,8 @@ import (
 //     back to the last whole frame and the log continues from there.
 //   - the same conditions in any earlier segment, a checksum failure with
 //     bytes after it, any other decode failure anywhere (bad magic, a
-//     payload that contradicts its encoding, a pre-binary, generation-4 or
-//     generation-5 frame), or a whole frame that fails Validate, is
+//     payload that contradicts its encoding, a frame of a retired
+//     generation), or a whole frame that fails Validate, is
 //     corruption: the log refuses to open rather than serve wrong numbers,
 //     naming the segment, the frame's byte offset and, once its header is
 //     read, its host.
@@ -62,10 +59,9 @@ import (
 //
 // Appends are fsync-batched: a write syncs only when syncInterval has
 // passed since the last sync (every append when syncInterval < 0). A
-// kill -9 loses nothing regardless — written bytes survive process death
-// in the page cache — the batching only bounds what a power failure can
-// take, and the torn-tail rule cleans up whatever a partial sector flush
-// leaves behind.
+// kill -9 loses nothing (written bytes survive in the page cache); the
+// batching bounds what a power failure takes, and the torn-tail rule
+// cleans up a partial sector flush.
 const (
 	segSuffix = ".seg"
 	tmpSuffix = ".tmp"

@@ -13,7 +13,7 @@ import (
 	"vscsistats/internal/core"
 )
 
-// The binary payload of a generation-6 frame (frame flag flagCompact):
+// The binary payload of a generation-7 frame (frame flag flagKept):
 //
 //	payload  := layoutID(8 B, big-endian)  snapshot × header.Count
 //	snapshot := name(VM) name(Disk) uvarint(flags) body
@@ -21,23 +21,26 @@ import (
 //	body     := zz(Errors) hist × 11             if flags has snapDerived
 //	          | zz × 6 (Commands, NumReads, NumWrites, ReadBytes, WriteBytes,
 //	            Errors)  hist × 16 (full)         otherwise
-//	hist     := [zz(Total − Σcounts)] zz(Sum) zz(Min) zz(Max)
-//	            uvarint(nnz) { uvarint(gap) zz(count) } × nnz
+//	hist     := [zz(Total − Σcounts)] zz(Sum) uvarint(nnz<<2 | kept)
+//	            [zz(Min)] [zz(Max)] { uvarint(gap) zz(count) } × nnz
 //	str      := uvarint(len) bytes
 //	zz       := zig-zag varint (encoding/binary's Varint)
 //
 // The 16 histograms come in a fixed order: ioLength, seekDistance,
 // outstandingIOs, latency, interarrival, each as all, reads, writes; then
 // the windowed seek distance. Bins are sparse: nnz non-zero bins, each
-// located by the count of zero bins skipped since the previous one.
+// located by the count of zero bins skipped since the previous one. In a
+// delta, bit 0 of kept marks a min and bit 1 a max equal to the base disk's
+// (core.Snapshot.Kept), which is then not written; a full frame that sets
+// one is a bad frame.
 //
 // Snapshots come in strictly increasing (VM, disk) order, byte-wise, so a
 // frame names each disk at most once; a frame out of that order is a bad
-// frame. A name shares a prefix with the previous snapshot's. A core.Snapshot that
-// is Derived, as captures, deltas and merges are, leaves out what a capture
-// derives. Any other is whole: class-all bins and Sum as the residual
-// against reads + writes, every Total against its bins, which wraps and so
-// is exact for any input.
+// frame. A name shares a prefix with the previous snapshot's. A
+// core.Snapshot that is Derived, as captures, deltas and merges are, leaves
+// out what a capture derives. Any other is whole: class-all bins and Sum as
+// the residual against reads + writes, every Total against its bins, which
+// wraps and so is exact for any input.
 //
 // Names, units and edges never travel: layoutID is a hash of this binary's
 // (see layout below), and the decoder adds the numbers onto a snapshot's
@@ -55,16 +58,15 @@ type wireLayout struct {
 	// zeros stands in for reads and writes when encoding a histogram that
 	// is not a class-all residual.
 	zeros []int64
-	// minBytes is the smallest encoded snapshot, a derived one: two empty
-	// names, flags, errors and four bytes per empty histogram. It bounds
-	// header.Count by the payload's size before anything is allocated.
-	minBytes int
-	// decodedBytes is what one decoded snapshot costs in memory.
-	decodedBytes int
-	// extrema lists every min and max cell; recWords is the length of a
-	// staged snapshot's record (staging).
-	extrema  []int32
-	recWords int
+	// minBytes is the smallest encoded snapshot, a derived delta: two empty
+	// names, flags, errors and two bytes per empty histogram whose extrema
+	// are kept. It bounds header.Count by the payload's size before anything
+	// is allocated, and decodedBytes, one decoded snapshot's memory, bounds
+	// what the count may decode to. extrema lists every min and max cell;
+	// recWords is the length of a staged snapshot's record (staging).
+	minBytes, decodedBytes int
+	extrema                []int32
+	recWords               int
 }
 
 var layout = func() *wireLayout {
@@ -76,10 +78,7 @@ var layout = func() *wireLayout {
 		n := hc.Layout.NumBins()
 		l.extrema = append(l.extrema, int32(hc.Off+n+2), int32(hc.Off+n+3))
 		r := empty.Histogram(hc.Metric, hc.Class)
-		h.Write([]byte(r.Name))
-		h.Write([]byte{0})
-		h.Write([]byte(r.Unit))
-		h.Write([]byte{0})
+		h.Write([]byte(r.Name + "\x00" + r.Unit + "\x00"))
 		for _, e := range r.Edges {
 			binary.BigEndian.PutUint64(word[:], uint64(e))
 			h.Write(word[:])
@@ -88,9 +87,9 @@ var layout = func() *wireLayout {
 	}
 	l.id = h.Sum64()
 	l.zeros = empty.Cells()
-	l.minBytes = 4 + 1 + 1 + 4*(len(l.hists)-5)
+	l.minBytes = 4 + 1 + 1 + 2*(len(l.hists)-5)
 	l.decodedBytes = int(unsafe.Sizeof(*empty)) + 8*len(l.zeros)
-	l.recWords = 2 + 6 + len(l.extrema)
+	l.recWords = 3 + 6 + len(l.extrema)
 	return l
 }()
 
@@ -119,8 +118,9 @@ func (e *UnknownLayoutError) Error() string {
 
 // appendPayload renders snaps as a compact payload onto dst: a derived
 // snapshot's errors and the histograms that are not class-all, any other
-// whole. Any snapshot can be rendered; only a null one is an error.
-func appendPayload(dst []byte, snaps []*core.Snapshot) ([]byte, error) {
+// whole, and in a delta without its Kept extrema. Any snapshot can be
+// rendered; only a null one is an error.
+func appendPayload(dst []byte, snaps []*core.Snapshot, delta bool) ([]byte, error) {
 	dst = binary.BigEndian.AppendUint64(dst, layout.id)
 	var prevVM, prevDisk string
 	for i, s := range snaps {
@@ -129,7 +129,7 @@ func appendPayload(dst []byte, snaps []*core.Snapshot) ([]byte, error) {
 		}
 		dst = appendName(appendName(dst, prevVM, s.VM), prevDisk, s.Disk)
 		prevVM, prevDisk = s.VM, s.Disk
-		flags, derived := byte(0), s.Derived()
+		flags, derived := byte(0), s.Derived() && s.Kept&core.KeptWhole == 0
 		if derived {
 			flags = snapDerived
 		}
@@ -137,7 +137,10 @@ func appendPayload(dst []byte, snaps []*core.Snapshot) ([]byte, error) {
 		for _, c := range []int64{s.Commands, s.NumReads, s.NumWrites, s.ReadBytes, s.WriteBytes, s.Errors}[5*flags:] {
 			dst = binary.AppendVarint(dst, c)
 		}
-		cells := s.Cells()
+		cells, kept := s.Cells(), uint64(0)
+		if delta {
+			kept = s.Kept
+		}
 		for k := range layout.hists {
 			r, w := layout.zeros, layout.zeros
 			if isAll(&layout.hists[k]) {
@@ -146,7 +149,7 @@ func appendPayload(dst []byte, snaps []*core.Snapshot) ([]byte, error) {
 				}
 				r, w = layout.hists[k+1].Of(cells), layout.hists[k+2].Of(cells)
 			}
-			dst = appendHist(dst, layout.hists[k].Of(cells), r, w, !derived)
+			dst = appendHist(dst, layout.hists[k].Of(cells), r, w, !derived, kept>>(2*k)&3)
 		}
 	}
 	return dst, nil
@@ -167,9 +170,9 @@ func appendName(dst []byte, prev, s string) []byte {
 }
 
 // appendHist renders one histogram's cells (bins, sum, total, min, max),
-// its bins and sum travelling as h − r − w and its total, if withTotal, as
-// the residual against its bins.
-func appendHist(dst []byte, h, r, w []int64, withTotal bool) []byte {
+// its bins and sum travelling as h − r − w, its total, if withTotal, as the
+// residual against its bins, and its extrema but the kept ones.
+func appendHist(dst []byte, h, r, w []int64, withTotal bool, kept uint64) []byte {
 	n := len(h) - 4
 	var total int64
 	nnz := 0
@@ -183,9 +186,12 @@ func appendHist(dst []byte, h, r, w []int64, withTotal bool) []byte {
 		dst = binary.AppendVarint(dst, h[n+1]-total)
 	}
 	dst = binary.AppendVarint(dst, h[n]-r[n]-w[n])
-	dst = binary.AppendVarint(dst, h[n+2])
-	dst = binary.AppendVarint(dst, h[n+3])
-	dst = binary.AppendUvarint(dst, uint64(nnz))
+	dst = binary.AppendUvarint(dst, uint64(nnz<<2)|uint64(kept))
+	for e := range 2 {
+		if kept>>e&1 == 0 {
+			dst = binary.AppendVarint(dst, h[n+2+e])
+		}
+	}
 	prev := -1
 	for i, c := range h[:n] {
 		if d := c - r[i] - w[i]; d != 0 {
@@ -199,11 +205,12 @@ func appendHist(dst []byte, h, r, w []int64, withTotal bool) []byte {
 
 // payloadReader walks a binary header or payload by offset, so a read
 // writes an integer, never a pointer; every read is bounds-checked and the
-// first failure sticks.
+// first failure sticks. Only a delta's payload may keep extrema.
 type payloadReader struct {
-	buf []byte
-	off int
-	err error
+	buf   []byte
+	off   int
+	err   error
+	delta bool
 }
 
 func (p *payloadReader) fail(what string) {
@@ -275,20 +282,31 @@ func (st *staging) stage(cell, all int, v int64) {
 
 // hist reads one histogram: its bins, sum and total as ops, folded onto
 // class-all at cell all if it is a reads or writes one (else all is its
-// own), and its min and max into ext. Without withTotal the total is the
-// sum of the bins. It returns total and sum.
-func (p *payloadReader) hist(st *staging, h *core.HistCells, all int, withTotal bool, ext []int64) (total, sum int64) {
+// own), and its min and max into ext, a kept one from the cells from.
+// Without withTotal the total is the sum of the bins. It returns total, sum
+// and the kept bits.
+func (p *payloadReader) hist(st *staging, h *core.HistCells, all int, withTotal bool, ext, from []int64) (total, sum int64, kept uint64) {
 	n := h.Layout.NumBins()
 	var resid int64
 	if withTotal {
 		resid = p.varint()
 	}
 	sum = p.varint()
-	ext[0], ext[1] = p.varint(), p.varint()
 	nnz := p.uvarint()
-	if nnz > uint64(n) {
+	if nnz, kept = nnz>>2, nnz&3; nnz > uint64(n) {
 		p.fail("more non-zero bins than bins")
-		return 0, 0
+		return 0, 0, 0
+	}
+	if kept != 0 && !p.delta {
+		p.fail("extrema kept in a full frame")
+		return 0, 0, 0
+	}
+	for e := range 2 {
+		if kept>>e&1 == 0 {
+			ext[e] = p.varint()
+		} else {
+			ext[e] = from[h.Off+n+2+e]
+		}
 	}
 	for next := 0; nnz > 0; nnz-- { // next is the lowest bin the entry may name
 		var gap uint64
@@ -300,7 +318,7 @@ func (p *payloadReader) hist(st *staging, h *core.HistCells, all int, withTotal 
 		}
 		if gap >= uint64(n-next) {
 			p.fail("bin index out of range")
-			return 0, 0
+			return 0, 0, 0
 		}
 		i := next + int(gap)
 		st.stage(h.Off+i, all+i, c)
@@ -309,19 +327,20 @@ func (p *payloadReader) hist(st *staging, h *core.HistCells, all int, withTotal 
 	st.stage(h.Off+n, all+n, sum)
 	st.stage(h.Off+n+1, all+n+1, total)
 	st.stage(h.Off+n+1, h.Off+n+1, resid)
-	return total + resid, sum
+	return total + resid, sum, kept
 }
 
 // snapshot reads one snapshot's flags and body: ops, and its counters and
-// extrema into rec. A whole one carries every histogram, class-all as the
-// residual its reads and writes fold into. A derived one carries no
-// class-all: the folds make it but its extrema, which core.AllExtrema
-// derives, as I/O length derives the counters but Errors.
-func (p *payloadReader) snapshot(st *staging, rec []int64) {
+// extrema into rec, a kept one from the cells from (see hist). A whole one
+// carries every histogram, class-all as the residual its reads and writes
+// fold into. A derived one carries no class-all: the folds make it but its
+// extrema, which core.AllExtrema derives once the kept ones are filled in,
+// as I/O length derives the counters but Errors. It returns the Kept mask.
+func (p *payloadReader) snapshot(st *staging, rec, from []int64) (mask uint64) {
 	flags := p.uvarint()
 	if flags > snapDerived {
 		p.fail("unknown snapshot flags")
-		return
+		return 0
 	}
 	derived := flags == snapDerived
 	counters, ext := rec[:6], rec[6:]
@@ -334,8 +353,8 @@ func (p *payloadReader) snapshot(st *staging, rec []int64) {
 		if derived && isAll(h) {
 			continue
 		}
-		total, sum := p.hist(st, h, layout.hists[k-int(h.Class)].Off, !derived, ext[2*k:])
-		if !derived || h.Class == core.All {
+		total, sum, kept := p.hist(st, h, layout.hists[k-int(h.Class)].Off, !derived, ext[2*k:], from)
+		if mask |= kept << (2 * k); !derived || h.Class == core.All {
 			continue
 		}
 		if tmm := [3]int64{total, ext[2*k], ext[2*k+1]}; h.Class == core.Reads {
@@ -349,24 +368,27 @@ func (p *payloadReader) snapshot(st *staging, rec []int64) {
 			counters[h.Class+2] += sum
 		}
 	}
+	if !derived && mask != 0 {
+		mask |= core.KeptWhole
+	}
+	return mask
 }
 
-// decodePayload parses the count snapshots of a compact payload, the bytes
-// after its layout id, in one pass into staging, and applies it only if
-// the whole payload is well formed, so an error leaves every snapshot as it
-// was. With a nil base they land on zeros (core.MakeWritable). With a base
-// each is a delta (Snapshot.Sub) onto its base disk, exactly
-// core.ApplyDelta, unless the payload names a disk the base lacks
-// (ResyncUnknownDisk: the sender built on state we lost). An owned base
-// (see chainPos) is added onto in place; of a shared one, each named disk
-// is copied first and the rest carry over by reference. Disks come in
-// (VM, disk) order, a base's too, so one forward scan finds a delta's in
-// its base, and a delta stages no more than a record and a snapshot's ops
-// per base disk: after an unknown disk the rest is only read. Names and
-// staging count against maxDecodedLen too: front-coding repeats a name for
-// free, and an op is 16 bytes of a 2-byte bin entry.
-func decodePayload(payload []byte, count int, base []*core.Snapshot, owned bool) ([]*core.Snapshot, error) {
-	p := payloadReader{buf: payload}
+// decodePayload parses the count snapshots of a compact payload (after its
+// layout id) in one pass into staging, and applies it only if it is all
+// well formed, so an error changes no snapshot. With a nil base they land
+// on zeros (core.MakeWritable), a delta's with its Kept marks and zeros in
+// the kept cells. With a base each is a delta onto its base disk, its kept
+// extrema the base's, exactly core.ApplyDelta, unless it names a disk the
+// base lacks (ResyncUnknownDisk). An owned base (chainPos) is added onto in
+// place; of a shared one, each named disk is copied first. Disks come in
+// (VM, disk) order, a base's too, so one forward scan finds a delta's, and
+// a delta stages at most a record and a snapshot's ops per base disk: after
+// an unknown disk the rest is only read. Names and staging count against
+// maxDecodedLen too, as front-coding repeats a name for free and an op is
+// 16 bytes of a 2-byte bin entry.
+func decodePayload(payload []byte, count int, delta bool, base []*core.Snapshot, owned bool) ([]*core.Snapshot, error) {
+	p := payloadReader{buf: payload, delta: delta}
 	if count < 0 || count > len(p.buf)/layout.minBytes {
 		return nil, badFrame("header count %d cannot fit a %d-byte payload", count, len(payload))
 	}
@@ -392,7 +414,7 @@ func decodePayload(payload []byte, count int, base []*core.Snapshot, owned bool)
 			p.fail("disk not after the one before it in (VM, disk) order")
 		}
 		budget -= len(st.vm) + len(st.disk)
-		i := j
+		i, from := j, layout.zeros // where a delta's kept extrema come from
 		if base == nil {
 			out[j].VM, out[j].Disk = string(st.vm), string(st.disk)
 		} else if unknown == nil {
@@ -401,17 +423,20 @@ func decodePayload(payload []byte, count int, base []*core.Snapshot, owned bool)
 			}
 			if i, next = next, next+1; i == len(base) { // read on: a malformed payload is a bad frame first
 				unknown = resyncErr(ResyncUnknownDisk, "delta for disk %s/%s with no base state", st.vm, st.disk)
+			} else {
+				from = base[i].Cells()
 			}
 		}
 		r, ops := len(st.vals), len(st.ops)
 		st.vals = append(st.vals, make([]int64, layout.recWords)...)
-		if p.snapshot(st, st.vals[r+2:]); p.err != nil {
+		kept := p.snapshot(st, st.vals[r+3:], from)
+		if p.err != nil {
 			return nil, p.err
 		}
 		if unknown != nil { // refused whatever follows
 			st.vals, st.ops = st.vals[:r], st.ops[:ops]
-		} else {
-			st.vals[r], st.vals[r+1] = int64(i), int64(len(st.ops))
+		} else if st.vals[r], st.vals[r+1] = int64(i), int64(len(st.ops)); base == nil {
+			st.vals[r+2] = int64(kept) // a delta without its base keeps its marks
 		}
 		if budget < len(st.ops)*int(unsafe.Sizeof(op{}))+8*len(st.vals) {
 			return nil, badFrame("names and staging decode past the limit of %d bytes", maxDecodedLen)
@@ -436,10 +461,10 @@ func decodePayload(payload []byte, count int, base []*core.Snapshot, owned bool)
 			core.MakeWritable(out[at : at+1])
 		}
 		s, cells := out[at], out[at].Cells()
-		s.Commands, s.NumReads, s.NumWrites = s.Commands+v[2], s.NumReads+v[3], s.NumWrites+v[4]
-		s.ReadBytes, s.WriteBytes, s.Errors = s.ReadBytes+v[5], s.WriteBytes+v[6], s.Errors+v[7]
+		s.Kept, s.Commands, s.NumReads, s.NumWrites = uint64(v[2]), s.Commands+v[3], s.NumReads+v[4], s.NumWrites+v[5]
+		s.ReadBytes, s.WriteBytes, s.Errors = s.ReadBytes+v[6], s.WriteBytes+v[7], s.Errors+v[8]
 		for k, c := range layout.extrema { // a delta's extrema replace its base's
-			cells[c] = v[8+k]
+			cells[c] = v[9+k]
 		}
 		for _, o := range st.ops[ops:v[1]] {
 			if cells[o.cell] += o.val; o.all != o.cell {
@@ -453,7 +478,8 @@ func decodePayload(payload []byte, count int, base []*core.Snapshot, owned bool)
 
 // staging is the parse phase's memory, pooled across decodes: the ops, and
 // per snapshot recorded recWords vals — the snapshot it lands on, the end
-// of its ops, its counters (payload order) and extrema (layout.extrema's).
+// of its ops, its Kept mask, its counters (payload order) and extrema
+// (layout.extrema's).
 type staging struct {
 	vals     []int64
 	ops      []op

@@ -80,8 +80,8 @@ func roundTrip(t *testing.T, label string, in *Batch) {
 	if err != nil {
 		t.Fatalf("%s: encode: %v", label, err)
 	}
-	if data[4] != Version || data[5]&^flagDelta != flagBinary|flagChecked|flagCompact {
-		t.Fatalf("%s: version %d flags %#x, want version %d and the binary, checked and compact flags alone (plus delta)", label, data[4], data[5], Version)
+	if data[4] != Version || data[5]&^flagDelta != flagBinary|flagChecked|flagCompact|flagKept {
+		t.Fatalf("%s: version %d flags %#x, want version %d and the binary, checked, compact and kept flags alone (plus delta)", label, data[4], data[5], Version)
 	}
 	out, err := DecodeBatch(bytes.NewReader(data))
 	if err != nil {
@@ -97,11 +97,36 @@ func roundTrip(t *testing.T, label string, in *Batch) {
 	}
 }
 
+// deltaRoundTrip is roundTrip for a delta whose snapshots keep extrema
+// equal to base's: decoded without base it re-encodes to the same bytes, and
+// applied onto base it gives what in gives, every cell alike.
+func deltaRoundTrip(t *testing.T, label string, in *Batch, base []*core.Snapshot) {
+	t.Helper()
+	data := encodeBatch(t)(in)
+	out, err := DecodeBatch(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("%s: decode: %v", label, err)
+	}
+	if again := encodeBatch(t)(out); !bytes.Equal(again, data) {
+		t.Fatalf("%s: re-encodes to %d bytes, not its %d", label, len(again), len(data))
+	}
+	want, werr := applyDeltaSnaps(base, in.Snapshots)
+	got, gerr := applyDeltaSnaps(base, out.Snapshots)
+	if werr != nil || gerr != nil || len(got) != len(want) {
+		t.Fatalf("%s: applying onto the base: %v, %v", label, werr, gerr)
+	}
+	for i := range want {
+		if !got[i].StateEquals(want[i]) {
+			t.Fatalf("%s: disk %d (%s/%s) lands differently on the base", label, i, want[i].VM, want[i].Disk)
+		}
+	}
+}
+
 // snapFlags returns the flags the encoder writes for s alone (names shorter
 // than 128 bytes).
 func snapFlags(t *testing.T, s *core.Snapshot) byte {
 	t.Helper()
-	p, err := appendPayload(nil, []*core.Snapshot{s})
+	p, err := appendPayload(nil, []*core.Snapshot{s}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,9 +165,9 @@ func TestPayloadRoundTripProperty(t *testing.T) {
 	base := reg.Snapshots()
 	roundTrip(t, "collector full", &Batch{Host: "esx-real", Seq: 1, Snapshots: base})
 	feed(reg.List()[2], 5, 90)
-	roundTrip(t, "collector delta", deltaBatch(t, "esx-real", 2, 1, base, reg.Snapshots()))
+	deltaRoundTrip(t, "collector delta", deltaBatch(t, "esx-real", 2, 1, base, reg.Snapshots()), base)
 	// A delta the other way round has negative bins everywhere.
-	roundTrip(t, "negative delta", deltaBatch(t, "esx-real", 3, 2, reg.Snapshots(), base))
+	deltaRoundTrip(t, "negative delta", deltaBatch(t, "esx-real", 3, 2, reg.Snapshots(), base), reg.Snapshots())
 	roundTrip(t, "heartbeat", &Batch{Host: "region", Seq: 2, BaseSeq: 1, Delta: true, Boot: 1, Level: 1, Leaves: 9})
 
 	// The derived form's edges: a capture is derived; the same capture off
@@ -282,11 +307,11 @@ func TestCompactFormIsTheCommonCase(t *testing.T) {
 // a long name again and again past it.
 func TestPayloadFrontCodingHostile(t *testing.T) {
 	a, b := core.Snapshot{VM: "vm-a", Disk: "scsi0:0"}, core.Snapshot{VM: "vm-a", Disk: "scsi0:1"}
-	payload, err := appendPayload(nil, []*core.Snapshot{&a, &b})
+	payload, err := appendPayload(nil, []*core.Snapshot{&a, &b}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, _ := appendPayload(nil, []*core.Snapshot{&a})
+	first, _ := appendPayload(nil, []*core.Snapshot{&a}, false)
 	second := len(first)
 	if payload[second] != 4 || payload[second+2] != 6 {
 		t.Fatalf("second snapshot's names share % x, want 4 and 6", payload[second:second+3])
@@ -295,7 +320,7 @@ func TestPayloadFrontCodingHostile(t *testing.T) {
 		bad := append([]byte(nil), payload...)
 		bad[at] += 8 // past the previous name's length
 		for _, base := range [][]*core.Snapshot{nil, {&a, &b}} {
-			_, err := decodePayload(bad[8:], 2, base, false)
+			_, err := decodePayload(bad[8:], 2, base != nil, base, false)
 			if !errors.Is(err, ErrBadFrame) || errors.Is(err, ErrTruncatedFrame) || !strings.Contains(err.Error(), "shares more") {
 				t.Errorf("%s sharing past the previous name (base %v): %v, want a bad frame", name, base != nil, err)
 			}
@@ -312,7 +337,7 @@ func TestPayloadFrontCodingHostile(t *testing.T) {
 	for k := range base {
 		base[k] = &core.Snapshot{VM: longest[:64<<10+k]}
 	}
-	hostile, err := appendPayload(nil, base)
+	hostile, err := appendPayload(nil, base, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +345,7 @@ func TestPayloadFrontCodingHostile(t *testing.T) {
 	hostile = hostile[:count*layout.minBytes]
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err = decodePayload(hostile, count, base, false)
+	_, err = decodePayload(hostile, count, true, base, false)
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, ErrBadFrame) || !strings.Contains(err.Error(), "names and staging decode past") {
 		t.Errorf("names past the decode limit: %v, want a bad frame", err)
@@ -345,7 +370,7 @@ func TestPayloadOpsChargeTheBudget(t *testing.T) {
 			s.Cells()[i] = 1
 		}
 	}
-	payload, err := appendPayload(nil, ones)
+	payload, err := appendPayload(nil, ones, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +382,7 @@ func TestPayloadOpsChargeTheBudget(t *testing.T) {
 	hostile = hostile[:count*layout.minBytes] // zeros the decoder does not reach
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err = decodePayload(hostile, count, ones, false)
+	_, err = decodePayload(hostile, count, true, ones, false)
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, ErrBadFrame) || !strings.Contains(err.Error(), "names and staging decode past") {
 		t.Errorf("ops past the decode limit: %v, want a bad frame", err)
@@ -410,7 +435,7 @@ func TestPayloadRejectsMalformed(t *testing.T) {
 	_, payload := payloadOf(frame)
 	// An idle collector's snapshot: layout id, then "vma0" and "scsi0:0"
 	// sharing nothing, the derived flag, zero errors, and 11 empty
-	// histograms of four zero bytes.
+	// histograms of four zero bytes: sum, nnz<<2|kept, min, max.
 	names := 8 + 2 + len(in.Snapshots[0].VM) + 2 + len(in.Snapshots[0].Disk)
 	firstHist := names + 2
 	if len(payload) != firstHist+(len(layout.hists)-5)*4 || payload[names] != snapDerived {
@@ -430,7 +455,8 @@ func TestPayloadRejectsMalformed(t *testing.T) {
 		"name overruns":          {mutate(func(p []byte) []byte { p[9] = 0x7f; return p }), 1},
 		"name shares past ''":    {mutate(func(p []byte) []byte { p[8] = 1; return p }), 1},
 		"unknown snapshot flags": {mutate(func(p []byte) []byte { p[names] = 2; return p }), 1},
-		"nnz beyond the bins":    {mutate(func(p []byte) []byte { p[firstHist+3] = 0x7f; return p }), 1},
+		"nnz beyond the bins":    {mutate(func(p []byte) []byte { p[firstHist+1] = 0x7f; return p }), 1},
+		"kept in a full frame":   {mutate(func(p []byte) []byte { p[firstHist+1] = 1; return p }), 1},
 		"unterminated varint":    {mutate(func(p []byte) []byte { p[len(p)-1] = 0x80; return p }), 1},
 		"bin index out of range": {mutate(func(p []byte) []byte {
 			p[len(p)-1] = 1 // the windowed histogram now claims one non-zero bin…
@@ -461,7 +487,7 @@ func TestPayloadRejectsMalformed(t *testing.T) {
 			errs := []error{err}
 			if delta {
 				_, payload := payloadOf(frame)
-				_, err = decodePayload(payload[8:], len(snaps), two, false)
+				_, err = decodePayload(payload[8:], len(snaps), true, two, false)
 				errs = append(errs, err)
 			}
 			for _, err := range errs {
@@ -508,20 +534,24 @@ func TestPayloadHostileCountAllocation(t *testing.T) {
 			t.Errorf("count %d: refusing the frame allocated %d bytes", count, grew)
 		}
 	}
-	// minBytes is the smallest snapshot, an empty derived one with empty
-	// names: k of them fill a payload that count k decodes and k+1 may not.
-	// A frame names each disk once, so after the first each name adds a
-	// byte to the previous one's (shared, then one byte of suffix).
-	small, err := appendPayload(nil, []*core.Snapshot{{}, {Disk: "d"}, {Disk: "dd"}})
+	// minBytes is the smallest snapshot, an empty derived delta whose
+	// extrema are all kept, with empty names: k of them fill a frame that
+	// count k decodes and k+1 may not. A frame names each disk once, so
+	// after the first each name adds a byte to the previous one's (shared,
+	// then one byte of suffix).
+	const allKept = 1<<32 - 1
+	smallFrame, err := EncodeBatchBytes(&Batch{Host: "h", Seq: 2, BaseSeq: 1, Delta: true,
+		Snapshots: []*core.Snapshot{{Kept: allKept}, {Disk: "d", Kept: allKept}, {Disk: "dd", Kept: allKept}}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, small := payloadOf(smallFrame)
 	if len(small) != 8+3*layout.minBytes+2 {
 		t.Fatalf("three empty snapshots encode to %d bytes, want 8 + 3 × %d + 2", len(small), layout.minBytes)
 	}
 	for count, ok := range map[int]bool{3: true, 4: false} {
-		_, err := decodePayload(small[8:], count, nil, false)
-		if (err == nil) != ok || !ok && !strings.Contains(err.Error(), "cannot fit") {
+		b, err := DecodeBatch(bytes.NewReader(reframe(t, smallFrame, small, count)))
+		if (err == nil) != ok || !ok && !strings.Contains(err.Error(), "cannot fit") || ok && !bytes.Equal(encodeBatch(t)(b), smallFrame) {
 			t.Errorf("count %d over three empty snapshots: %v", count, err)
 		}
 	}

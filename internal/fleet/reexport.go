@@ -51,23 +51,18 @@ func (c *ReExporterConfig) withDefaults() ReExporterConfig {
 // global) are built from one wire format and one ingest path.
 //
 // It renders the region as one synthetic upstream host named Region: one
-// snapshot per non-empty shard, taken from the shard's memoized merge
-// cache — so rendering costs recomputation only for shards that changed,
-// and the upstream delta carries only those shards. Upstream wire bytes
-// and ingest scale with regions changed, not with leaf hosts.
-//
-// The rollup goes upstream through the sender's delivery step, as an
-// agent's captures do: full state until acknowledged, deltas after, and a
-// liveness-only heartbeat when nothing changed — a duplicate that
-// refreshes the upstream's lastSeen without bumping its shard version, so
-// the upstream merge cache stays valid across quiet intervals.
+// snapshot per non-empty shard from the shard's memoized merge, so only
+// changed shards are recomputed and sent. Upstream wire bytes and ingest
+// scale with regions changed, not with leaf hosts. The rollup goes through
+// the sender's delivery step, as an agent's captures do: full state until
+// acknowledged, deltas after, and a heartbeat when nothing changed, which
+// refreshes the upstream's liveness without invalidating its merge cache.
 //
 // Every frame carries this process's boot incarnation, its federation
-// level (1 + the highest level among fresh downstream hosts) and the
-// leaf-host count folded in, so the upstream's /fleet/hosts and tier
-// telemetry can tell a 640-leaf region from a single agent. A restarted
-// re-exporter's first delta draws a boot-changed 409 and answers it with
-// full state, exactly like an agent after an aggregator restart.
+// level (1 + the highest level among fresh downstream hosts) and its leaf
+// count, so the upstream can tell a 640-leaf region from a single agent. A
+// restarted re-exporter's first delta draws a boot-changed 409 and answers
+// it with full state, exactly like an agent after an aggregator restart.
 type ReExporter struct {
 	cfg ReExporterConfig
 	agg *Aggregator

@@ -81,13 +81,11 @@ func (s *shard) noteResync(cause ResyncCause) {
 
 // chainPos is one sender's position in the push protocol: the sequence
 // and boot incarnation of the last frame applied, and the full state that
-// frame left behind. The zero value is a sender nothing is known about.
-// Every consumer of frames — live ingest, boot replay (both through
-// shard.ingest) and History — holds one per host and advances it only
-// through apply, so they cannot disagree about what a frame means.
-// Only an owner that never hands the chain's snapshots to anyone may have
-// apply add deltas in place: boot replay until OpenAggregator returns, and
-// History. After that every chain is shared, so live ingest copies.
+// frame left behind (the zero value knows nothing). Live ingest, boot
+// replay and History each hold one per host and advance it only through
+// apply, so they cannot disagree about what a frame means. Only an owner
+// that hands the snapshots to no one (boot replay until OpenAggregator
+// returns, History) may have apply add deltas in place; live ingest copies.
 type chainPos struct {
 	seq   uint64
 	boot  uint64 // 0 for pre-federation senders
@@ -95,22 +93,20 @@ type chainPos struct {
 	snaps []*core.Snapshot
 }
 
-// apply is the receiver's half of the push protocol (DESIGN.md §10 "Protocol
-// rules"): the one place an incoming frame's Seq, BaseSeq and Boot are compared
-// against stored state. It reports whether the frame changed the chain. A nil
-// error with applied false is an idempotent duplicate (a delta retry whose ack
-// was lost) or a stale full (a late retry); a *ResyncError names why a delta
-// cannot apply. A payload not yet decoded is decoded here, a delta's onto the
-// chain's snapshots — in place if the caller owns the chain — so a malformed
-// one is an ErrBadFrame even where apply does not use it. Every error leaves
-// the chain untouched.
+// apply is the receiver's half of the push protocol (DESIGN.md §10
+// "Protocol rules"): the one place a frame's Seq, BaseSeq and Boot meet
+// stored state. It reports whether the frame changed the chain; applied
+// false with a nil error is a duplicate delta or a stale full, and a
+// *ResyncError names why a delta cannot apply. A payload not yet decoded is
+// decoded here, a delta's onto the chain's snapshots, so a malformed one is
+// an ErrBadFrame even where apply does not use it. An error changes nothing.
 func (c *chainPos) apply(f *frame, owned bool) (applied bool, err error) {
 	// A restarted sender's sequence space started over, so no comparison
 	// of sequences across the restart means anything.
 	rebooted := f.Boot != 0 && c.boot != 0 && f.Boot != c.boot
 	if !f.Delta {
 		if f.Snapshots == nil {
-			if f.Snapshots, err = decodePayload(f.payload, f.count, nil, false); err != nil {
+			if f.Snapshots, err = decodePayload(f.payload, f.count, false, nil, false); err != nil {
 				return false, err
 			}
 		}
@@ -136,7 +132,7 @@ func (c *chainPos) apply(f *frame, owned bool) (applied bool, err error) {
 			base = []*core.Snapshot{} // no disks, which a nil base does not mean
 		}
 	}
-	snaps, derr := decodePayload(f.payload, f.count, base, owned)
+	snaps, derr := decodePayload(f.payload, f.count, true, base, owned)
 	if derr != nil || base == nil {
 		return false, cmp.Or(derr, err)
 	}

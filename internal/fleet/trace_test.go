@@ -160,16 +160,17 @@ func TestWireOldDecoderAcceptsTracedFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if data[4] != Version || Version != 6 {
-		t.Fatalf("version byte %d, want 6", data[4])
+	if data[4] != Version || Version != 7 {
+		t.Fatalf("version byte %d, want 7", data[4])
 	}
-	if data[5] != flagBinary|flagChecked|flagCompact {
-		t.Errorf("full frame flags %#x, want the binary, checked and compact flags alone", data[5])
+	if data[5] != flagBinary|flagChecked|flagCompact|flagKept {
+		t.Errorf("full frame flags %#x, want the binary, checked, compact and kept flags alone", data[5])
 	}
 	for name, known := range map[string]byte{
 		"pre-binary":   1<<0 | flagDelta,
 		"generation-4": flagDelta | flagBinary,
 		"generation-5": flagDelta | flagBinary | flagChecked,
+		"generation-6": flagDelta | flagBinary | flagChecked | flagCompact,
 	} {
 		if data[5]&^known == 0 {
 			t.Errorf("flags %#x pass a %s reader's unknown-flag check; it would misread the frame", data[5], name)
@@ -184,13 +185,13 @@ func TestWireOldDecoderAcceptsTracedFrame(t *testing.T) {
 func TestWireUnknownFutureHeaderFieldIgnored(t *testing.T) {
 	header := appendHeader(nil, &Batch{Host: "future", Seq: 5, TraceID: "future-1-5"}, 0, 0)
 	header = appendStr(header, "xyzzy")
-	payload, err := appendPayload(nil, nil)
+	payload, err := appendPayload(nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	frame := make([]byte, 16)
 	copy(frame[0:4], wireMagic[:])
-	frame[4], frame[5] = Version+1, flagBinary|flagChecked|flagCompact
+	frame[4], frame[5] = Version+1, flagBinary|flagChecked|flagCompact|flagKept
 	binary.BigEndian.PutUint32(frame[8:12], uint32(len(header)))
 	binary.BigEndian.PutUint32(frame[12:16], uint32(len(payload)))
 	frame = append(append(frame, header...), payload...)

@@ -25,73 +25,63 @@ import (
 //	...    ...  payload: header.Count snapshots, binary (payload.go)
 //	...    4    CRC-32C (Castagnoli) of everything before it
 //
-// Generation 6 (flagCompact) is the one this package writes: a binary
+// Generation 7 (flagKept) is the one this package writes: a binary
 // header, the batchHeader fields in appendHeader's order (str and zz as in
 // payload.go),
 //
 //	str(Host) uvarint(Seq) zz(SentUnixNano) uvarint(Count) uvarint(BaseSeq)
 //	str(TraceID) zz(CaptureUnixNano) uvarint(Boot) zz(Level) zz(Leaves)
 //
-// the compact payload, and a trailer that readFrame checks before any cell
-// is used. A mismatch is ErrChecksum, never ErrTruncatedFrame; only segment
-// replay reads one as a torn tail, in the newest segment's last frame when
-// it ends at EOF. Older generations are refused by name, never misread
-// (DESIGN §8 upgrades them): a frame without flagCompact is generation 5
-// (every snapshot whole behind plain names), one without flagChecked is
-// generation 4 (JSON header, no trailer), and one without flagBinary holds
-// the pre-binary JSON payload of versions 1-3.
+// the compact payload, whose deltas leave out the extrema their base
+// holds, and a trailer that readFrame checks before any cell is used. A
+// mismatch is ErrChecksum, never ErrTruncatedFrame; only segment replay
+// reads one as a torn tail, in the newest segment's last frame when it ends
+// at EOF. Older generations are refused by name, never misread (DESIGN §8
+// upgrades them): a frame without flagKept is generation 6 (every extremum
+// written), one without flagCompact generation 5 (every snapshot whole
+// behind plain names), one without flagChecked generation 4 (JSON header,
+// no trailer), and one without flagBinary the JSON payload of versions 1-3.
 //
 // Forward compatibility: the head carries the header's length, so a later
-// version appends header fields and a reader ignores the bytes after the
-// ones it knows. Readers accept any version >= 1 whose flags are all known —
-// a frame's meaning is carried by magic + flags + header, never by the
-// version alone. Frames concatenate on one stream, one DecodeBatch each.
+// version appends header fields, which a reader skips. Readers accept any
+// version >= 1 whose flags are all known, as flags and header carry a
+// frame's meaning. Frames concatenate on one stream, one DecodeBatch each.
 
 // Wire format constants.
 const (
-	// Version is the frame version this package writes. Versions 2 and 3
-	// added header fields, 4 the binary payload (flagBinary), 5 the binary
-	// header and trailer (flagChecked), 6 the compact payload
-	// (flagCompact); the number itself decides nothing.
-	Version = 6
+	// Version is the frame version this package writes: 2 and 3 added
+	// header fields, 4 to 7 each a flag below. The number decides nothing.
+	Version = 7
 
 	// Bit 0 is retired (it marked the gzip-compressed JSON payload) and is
 	// never reused: a pre-removal reader would gunzip whatever it meant.
 
-	// flagDelta marks a delta frame: the payload's snapshots are interval
-	// deltas (Snapshot.Sub) against the sender's state at header BaseSeq,
-	// not cumulative state. A decoder that does not understand this bit
-	// must reject the frame — misreading a delta as full state silently
-	// truncates every histogram — which is exactly what the unknown-flag
-	// check below does for pre-delta readers.
+	// flagDelta marks a delta frame: its snapshots are Snapshot.Sub deltas
+	// against the sender's state at header BaseSeq. A pre-delta reader
+	// refuses the unknown flag instead of reading intervals as state.
 	flagDelta = 1 << 1
 
-	// flagBinary marks the binary payload encoding (payload.go), which every
-	// frame must carry. Pre-binary readers reject it as an unknown flag
-	// instead of feeding varints to a JSON parser.
-	flagBinary = 1 << 2
-
-	// flagChecked marks generation 5: a binary header and a CRC-32C
-	// trailer, which every frame must carry. Generation-4 readers reject it
-	// as an unknown flag instead of parsing varints as JSON.
+	// Each generation since the binary payload adds a flag every frame must
+	// carry, so the readers before it refuse the frame as an unknown flag
+	// instead of misreading it: flagBinary the binary payload (payload.go),
+	// flagChecked generation 5's binary header and CRC-32C trailer,
+	// flagCompact generation 6's compact payload, and flagKept generation
+	// 7's deltas, which leave out each extremum equal to the base's.
+	flagBinary  = 1 << 2
 	flagChecked = 1 << 3
-
-	// flagCompact marks generation 6, the compact payload (payload.go),
-	// which every frame this package writes carries. Generation-5 readers
-	// reject it as an unknown flag instead of misreading the snapshots.
 	flagCompact = 1 << 4
+	flagKept    = 1 << 5
 
 	// knownFlags is the set of flag bits this decoder understands; frames
 	// carrying others are rejected rather than misinterpreted.
-	knownFlags = flagDelta | flagBinary | flagChecked | flagCompact
+	knownFlags = flagDelta | flagBinary | flagChecked | flagCompact | flagKept
 
 	// maxHeaderLen and maxPayloadLen bound a frame's declared sizes so a
 	// corrupt or hostile length prefix cannot drive a huge allocation.
 	maxHeaderLen  = 1 << 20
 	maxPayloadLen = 1 << 28
 
-	// maxDecodedLen bounds what the snapshots a payload's count would
-	// allocate may take in memory.
+	// maxDecodedLen bounds the memory a payload's snapshots decode to.
 	maxDecodedLen = 1 << 30
 )
 
@@ -104,14 +94,11 @@ var (
 // malformed frame from transport errors with errors.Is.
 var ErrBadFrame = errors.New("fleet: bad frame")
 
-// ErrTruncatedFrame marks the subset of decode failures where the stream
-// simply ended inside a frame — the head, header or payload was cut short
-// by EOF rather than carrying bytes that contradict the format. Every
-// ErrTruncatedFrame is also an ErrBadFrame (errors.Is matches both). The
-// distinction is what makes log replay safe: a truncated tail means "crash
-// mid-write, truncate here and continue", while any other bad frame means
-// "corruption, refuse to start". The two are genuinely different on the
-// wire — truncation never produces wrong bytes, only missing ones.
+// ErrTruncatedFrame marks the decode failures where the stream ended inside
+// a frame: bytes missing, never wrong ones. Every ErrTruncatedFrame is also
+// an ErrBadFrame. Log replay relies on the difference: a truncated tail is
+// a crash mid-write, truncated and continued from; any other bad frame is
+// corruption, and the log refuses to open.
 var ErrTruncatedFrame = errors.New("fleet: truncated frame")
 
 // ErrChecksum marks a whole frame whose CRC-32C trailer is not the sum of
@@ -123,58 +110,45 @@ var ErrChecksum = fmt.Errorf("%w: checksum mismatch", ErrBadFrame)
 type Batch struct {
 	// Host identifies the sending host; it is the aggregator's key.
 	Host string `json:"host"`
-	// Seq increases by one per batch built on the sender. The aggregator
-	// keeps only the highest sequence seen, so late retries of older
-	// batches never roll state backwards.
+	// Seq increases by one per batch built on the sender; a late retry of
+	// a lower one never rolls the aggregator's state backwards.
 	Seq uint64 `json:"seq"`
 	// SentUnixNano is the sender's wall clock when the batch was built.
 	SentUnixNano int64 `json:"sent_unix_nano"`
-	// Delta marks an interval-delta batch: Snapshots are Snapshot.Sub
-	// deltas against the sender's state at BaseSeq, and disks whose state
-	// did not change since BaseSeq may be omitted entirely. The receiver
-	// must hold exactly BaseSeq for the host to apply it; anything else is
-	// a resync condition. On the wire this is the flagDelta frame bit.
-	Delta bool `json:"-"`
-	// BaseSeq is the acknowledged sequence a delta batch builds on.
-	// Meaningless (and zero) on full batches.
+	// Delta marks an interval-delta batch (the flagDelta bit): Snapshots
+	// are Snapshot.Sub deltas against the sender's state at BaseSeq, the
+	// acknowledged sequence the receiver must hold exactly, else it asks
+	// for a resync; unchanged disks may be omitted. BaseSeq is 0 on fulls.
+	Delta   bool   `json:"-"`
 	BaseSeq uint64 `json:"-"`
 	// Snapshots is the registry's state — cumulative since enable/reset on
 	// full batches, interval deltas on delta batches.
 	Snapshots []*core.Snapshot `json:"-"`
 	// TraceID identifies one push end-to-end: the agent stamps it at
-	// capture time and every pipeline stage — encode, push, decode, shard
-	// apply, log append, replay — reports against it, so a single push can
-	// be followed across processes. Empty on frames from pre-trace
-	// senders; carried in the frame header, never required.
+	// capture time and every pipeline stage (encode, push, decode, shard
+	// apply, log append, replay) reports against it. Never required.
 	TraceID string `json:"-"`
-	// CaptureUnixNano is the sender's wall clock when the underlying
-	// registry snapshots were captured (before delta rendering, encoding
-	// and queueing), as opposed to SentUnixNano which is when the batch
-	// was built. Zero on frames from pre-trace senders.
+	// CaptureUnixNano is the sender's wall clock when the registry was
+	// captured, before delta rendering, encoding and queueing.
 	CaptureUnixNano int64 `json:"-"`
-	// Boot identifies the sender's incarnation: a random value drawn once
-	// per sender process. When a host's Boot changes, its Seq space
-	// restarted from 1, so the receiver replaces stored state even when
-	// the new sequence is lower — the rule that lets a restarted mid-tier
-	// re-exporter displace its predecessor's state instead of being
-	// mistaken for a late retry. Zero on frames from pre-federation
-	// senders, which keeps their retry semantics exactly as before.
+	// Boot identifies the sender's incarnation, drawn once per process.
+	// A changed Boot means Seq restarted from 1, so the receiver replaces
+	// stored state even at a lower sequence: a restarted re-exporter
+	// displaces its predecessor instead of reading as a late retry. Zero
+	// keeps the plain retry rule.
 	Boot uint64 `json:"-"`
-	// Level is the sender's height in the federation tree: 0 for a leaf
-	// agent, 1 + max(ingested levels) for an aggregator re-exporting its
-	// merged state. Liveness metadata for level-aware staleness; it rides
-	// the header so every tier of /fleet/hosts can tag what it holds.
-	Level int `json:"-"`
-	// Leaves is how many leaf hosts the batch's state folds together: 0
-	// (meaning 1) for a leaf agent, the sum of fresh downstream leaves for
-	// a re-exported rollup.
+	// Level is the sender's height in the federation tree (0 for a leaf
+	// agent, 1 + max(ingested levels) for a re-exporter), for level-aware
+	// staleness; Leaves is how many leaf hosts its state folds together
+	// (0, meaning 1, for a leaf agent).
+	Level  int `json:"-"`
 	Leaves int `json:"-"`
 }
 
-// EncodeBatchBytes renders b as one generation-6 frame in memory. It fails on
+// EncodeBatchBytes renders b as one generation-7 frame in memory. It fails on
 // a batch the binary payload cannot carry: one with a null snapshot.
 func EncodeBatchBytes(b *Batch) ([]byte, error) {
-	flags := byte(flagBinary | flagChecked | flagCompact)
+	flags := byte(flagBinary | flagChecked | flagCompact | flagKept)
 	var baseSeq uint64 // meaningless without the flag, so full frames carry 0
 	if b.Delta {
 		flags |= flagDelta
@@ -185,7 +159,7 @@ func EncodeBatchBytes(b *Batch) ([]byte, error) {
 	frame := make([]byte, 16, 16+64+len(b.Host)+len(b.TraceID)+8+320*len(b.Snapshots)+4)
 	frame = appendHeader(frame, b, len(b.Snapshots), baseSeq)
 	headerLen := len(frame) - 16
-	frame, err := appendPayload(frame, b.Snapshots)
+	frame, err := appendPayload(frame, b.Snapshots, b.Delta)
 	if err != nil {
 		return nil, err
 	}
@@ -257,11 +231,9 @@ func eofErr(err error) bool {
 }
 
 // readSized appends exactly n declared bytes read from r to dst, growing
-// the buffer chunk by chunk instead of trusting the declaration: a hostile
-// length prefix can claim up to maxPayloadLen (256 MiB), and allocating that
-// before a payload byte has arrived hands any peer a cheap memory-pressure
-// attack; growing with the bytes read caps it at one chunk past what was
-// sent. A short read maps to ErrTruncatedFrame.
+// the buffer chunk by chunk as they arrive: a hostile length prefix may
+// claim 256 MiB, and costs one chunk past what was sent. A short read maps
+// to ErrTruncatedFrame.
 func readSized(r io.Reader, dst []byte, n uint32, what string) ([]byte, error) {
 	const chunk = 1 << 20
 	start, end := len(dst), len(dst)+int(n)
@@ -285,21 +257,18 @@ func readSized(r io.Reader, dst []byte, n uint32, what string) ([]byte, error) {
 }
 
 // DecodeBatch reads exactly one frame from r. It returns io.EOF when r is
-// exhausted before the first byte (a clean end of stream) and an error
-// wrapping ErrBadFrame for any malformed frame; it never panics, whatever
-// the input. The subset of failures where the stream ended inside the
-// frame additionally matches ErrTruncatedFrame — segment-log replay uses
-// that to tell a crash-torn tail (truncate and continue) from corruption
-// (refuse to start). Declared lengths are never trusted for allocation:
-// buffers grow with the bytes actually read, so a hostile 256 MiB length
-// prefix on a ten-byte body costs one chunk, not 256 MiB, and a binary
-// payload's snapshot count is checked against the bytes that arrived. The
-// one failure that is not a bad frame is *UnknownLayoutError: a whole,
-// well-formed frame whose bin layout is another binary generation's.
+// exhausted before the first byte and an error wrapping ErrBadFrame for
+// any malformed frame, ErrTruncatedFrame too if the stream ended inside
+// it; it never panics, whatever the input. Declared lengths and counts are
+// never trusted for allocation: buffers grow with the bytes read, and the
+// count is checked against them. The one failure that is not a bad frame
+// is *UnknownLayoutError: a whole frame whose bin layout is another binary
+// generation's. A delta is read without its base, so its kept extrema are
+// placeholders (core.Snapshot.Kept) until it is applied onto that base.
 func DecodeBatch(r io.Reader) (*Batch, error) {
 	f, err := readFrame(r, nil)
 	if err == nil {
-		f.Snapshots, err = decodePayload(f.payload, f.count, nil, false)
+		f.Snapshots, err = decodePayload(f.payload, f.count, f.Delta, nil, false)
 	}
 	if err != nil {
 		return nil, err
@@ -350,7 +319,7 @@ func readFrame(r io.Reader, f *frame) (*frame, error) {
 	for _, old := range [...]struct {
 		flag byte
 		what string
-	}{{flagBinary, "pre-binary JSON payload"}, {flagChecked, "generation-4 JSON header"}, {flagCompact, "generation-5 payload"}} {
+	}{{flagBinary, "pre-binary JSON payload"}, {flagChecked, "generation-4 JSON header"}, {flagCompact, "generation-5 payload"}, {flagKept, "generation-6 payload"}} {
 		if flags&old.flag == 0 {
 			return nil, badFrame("%s (frame version %d): upgrade it as DESIGN.md §8 describes", old.what, version)
 		}

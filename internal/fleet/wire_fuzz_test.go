@@ -53,6 +53,10 @@ func FuzzDecodeBatch(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(deltaData)
+	// The same delta's kept extrema under a full frame's flags: refused.
+	asFull := append([]byte(nil), deltaData...)
+	asFull[5] &^= flagDelta
+	f.Add(reseal(asFull))
 
 	// The version-2 header extension: trace id and capture timestamp
 	// riding the JSON header. Seeded whole and truncated so the fuzzer
@@ -149,11 +153,11 @@ func FuzzDecodeBatch(f *testing.F) {
 		f.Add(v3[:cut])
 	}
 
-	// The same batches as generation 5 wrote them (no flagCompact, refused
-	// by their flags) and as generation 6 does, and a compact frame whose
-	// snapshots are whole (not derived) and whose names share prefixes,
-	// with its front-coding spoiled.
-	for _, name := range []string{"frame_golden_v5.bin", "frame_golden_v6.bin"} {
+	// The same batches as generations 5 and 6 wrote them (no flagCompact,
+	// no flagKept: refused by their flags) and as generation 7 does, and a
+	// compact frame whose snapshots are whole (not derived) and whose names
+	// share prefixes, with its front-coding spoiled.
+	for _, name := range []string{"frame_golden_v5.bin", "frame_golden_v6.bin", "frame_golden_v7.bin"} {
 		golden, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			f.Fatal(err)
@@ -259,7 +263,7 @@ func FuzzOpenAggregator(f *testing.F) {
 		flipped[at] ^= 0x08
 		f.Add(flipped)
 	}
-	for _, name := range []string{"frame_golden.bin", "frame_golden_v5.bin", "frame_v3_json.bin"} {
+	for _, name := range []string{"frame_golden.bin", "frame_golden_v5.bin", "frame_golden_v6.bin", "frame_golden_v7.bin", "frame_v3_json.bin"} {
 		golden, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			f.Fatal(err)
